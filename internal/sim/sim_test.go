@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -407,6 +408,50 @@ func TestBug3Crashes(t *testing.T) {
 	}
 	if !crashed {
 		t.Error("bug 3 never crashed in 60 iterations")
+	}
+}
+
+// TestBug3DeadlockPinned pins where bug 3 strikes — iteration index and the
+// simulated cycle at which the event queue ran dry — for the configuration
+// TestEngineGoldenSignatures' gem5_wb_race case runs. The numbers were
+// captured before the timing-wheel queue and per-thread pump replaced the
+// heap and the all-thread pump; an engine that pops the same events in the
+// same order with the same RNG draws deadlocks in exactly the same place.
+func TestBug3DeadlockPinned(t *testing.T) {
+	const wantIter, wantCycle = 3, eventq.Time(3759)
+	p := testgen.MustGenerate(testgen.Config{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
+	r, err := NewRunner(PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, Bugs{}), p, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= wantIter; i++ {
+		_, err := r.Run()
+		if i < wantIter {
+			if err != nil {
+				t.Fatalf("iteration %d: %v, want the deadlock at iteration %d", i, err, wantIter)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("iteration %d: err = %v, want ErrDeadlock", i, err)
+		}
+		if now := r.q.Now(); now != wantCycle {
+			t.Errorf("deadlock at cycle %d, want %d", now, wantCycle)
+		}
+	}
+	// The runner rebuilds its platform state: the next iteration equals the
+	// same iteration on a runner that never crashed.
+	fresh, err := NewRunner(r.plat, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantErr := fresh.RunSeeded(SeedTable(31, wantIter+2)[wantIter+1])
+	got, gotErr := r.Run()
+	if !errors.Is(gotErr, wantErr) {
+		t.Fatalf("run after a deadlock: err = %v, fresh runner: %v", gotErr, wantErr)
+	}
+	if gotErr == nil && (got.Cycles != want.Cycles || !reflect.DeepEqual(got.LoadValues, want.LoadValues)) {
+		t.Errorf("run after a deadlock differs from a fresh runner's (cycles %d vs %d)", got.Cycles, want.Cycles)
 	}
 }
 

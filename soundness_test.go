@@ -3,6 +3,7 @@ package mtracecheck
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
+	"mtracecheck/internal/mem"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
@@ -84,12 +86,19 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 	}
 }
 
-// TestEngineGoldenSignatures is the typed-event engine's bit-identity
-// guard: fixed-seed campaigns — clean and fault-injected, on both platform
-// presets, at one and four workers — must reproduce, byte for byte, the
-// signature files and report digests recorded before the closure-based
-// discrete-event engine was replaced (PR 10). Any drift in RNG draw order,
-// event tie-breaking, or completion sequencing shows up here first.
+// TestEngineGoldenSignatures is the simulator's bit-identity guard:
+// fixed-seed campaigns at one and four workers must reproduce, byte for
+// byte, the signature files and report digests recorded before the engine
+// change they guard. Any drift in RNG draw order, event tie-breaking, or
+// completion sequencing shows up here first.
+//
+// The x86/ARM clean and fault-injected goldens predate the typed-event
+// engine (PR 10). The os_*, gem5_* goldens were captured on the commit
+// before the timing-wheel queue, per-thread pump and flat coherence tables
+// and cover what those touch: quanta beyond the wheel span (the far-heap
+// path) with rotate()/flushPipeline pumping every thread, quanta inside the
+// span, the tiny-L1 stall / writeback / PutM-race paths, both protocol-level
+// squash bugs, and bug 3's deadlock pinned to its iteration.
 //
 // Regenerate the goldens with MTC_UPDATE_GOLDENS=1 (only ever legitimate
 // for a change that intentionally alters simulated timing).
@@ -101,44 +110,69 @@ func TestEngineGoldenSignatures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	small := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	// Seven threads over 40 one-word lines: more threads than x86 has cores,
+	// and more lines than the gem5 preset's 16-line L1 holds while staying
+	// contended enough for S→M upgrades to race invalidations (per 256
+	// iterations: ~330 way stalls, ~2,800 writebacks, bug 1 changes the
+	// squash count, bug 3 deadlocks in iteration 3).
+	wide := testgen.MustGenerate(TestConfig{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
 	faults := FaultConfig{
 		Seed: 99, BitFlip: 0.05, Truncate: 0.03, Duplicate: 0.05, OutOfRange: 0.03,
 		ShardPanic: 0.1, ShardStall: 0.05, StallFor: time.Millisecond,
 	}
+	osMigrate := PlatformX86()
+	osMigrate.OS = sim.OSConfig{Enabled: true, Quantum: 1500, QuantumJitter: 200, Migrate: true}
+	osHousekeeping := PlatformX86()
+	osHousekeeping.OS = sim.OSConfig{Enabled: true, QuantumJitter: 50} // default 400-cycle quantum
 	cases := []struct {
 		name  string
+		prog  *Program
 		plat  Platform
 		fault FaultConfig
+		iters int
 	}{
-		{"x86_clean", PlatformX86(), FaultConfig{}},
-		{"x86_fault", PlatformX86(), faults},
-		{"arm_clean", PlatformARM(), FaultConfig{}},
-		{"arm_fault", PlatformARM(), faults},
+		{"x86_clean", small, PlatformX86(), FaultConfig{}, 512},
+		{"x86_fault", small, PlatformX86(), faults, 512},
+		{"arm_clean", small, PlatformARM(), FaultConfig{}, 512},
+		{"arm_fault", small, PlatformARM(), faults, 512},
+		{"os_migrate", wide, osMigrate, FaultConfig{}, 256},
+		{"os_housekeeping", small, osHousekeeping, FaultConfig{}, 256},
+		{"gem5_clean", wide, PlatformGem5(mem.Bugs{}, sim.Bugs{}), FaultConfig{}, 256},
+		{"gem5_stale_sm_inv", wide, PlatformGem5(mem.Bugs{StaleSMInv: true}, sim.Bugs{}), FaultConfig{}, 256},
+		{"gem5_lq_squash_skip", wide, PlatformGem5(mem.Bugs{}, sim.Bugs{LQSquashSkip: true}), FaultConfig{}, 256},
+		{"gem5_wb_race", wide, PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, sim.Bugs{}), FaultConfig{}, 256},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			opts := Options{
-				Platform: c.plat, Iterations: 512, Seed: 31, Workers: workers,
+				Platform: c.plat, Iterations: c.iters, Seed: 31, Workers: workers,
 				ShardRetries: 2, Fault: c.fault,
 			}
-			report, err := RunProgram(p, opts)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
-			}
-			uniques, err := CollectSignatures(p, opts)
-			if err != nil {
-				t.Fatalf("%s workers=%d: collect: %v", c.name, workers, err)
-			}
 			var sigBuf bytes.Buffer
-			if err := SaveSignatures(&sigBuf, report, uniques); err != nil {
-				t.Fatal(err)
+			var digest string
+			report, err := RunProgram(c.prog, opts)
+			if errors.Is(err, ErrCrash) {
+				// A crashing platform has no signature set; the golden pins
+				// the crash itself (kind and global iteration index).
+				digest = fmt.Sprintf("crash: %v\n", err)
+			} else {
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+				}
+				uniques, err := CollectSignatures(c.prog, opts)
+				if err != nil {
+					t.Fatalf("%s workers=%d: collect: %v", c.name, workers, err)
+				}
+				if err := SaveSignatures(&sigBuf, report, uniques); err != nil {
+					t.Fatal(err)
+				}
+				digest = fmt.Sprintf(
+					"iters=%d uniques=%d cycles=%d squashes=%d violations=%d quarantined=%d asserts=%d shardfail=%d\n",
+					report.Iterations, report.UniqueSignatures, report.TotalCycles,
+					report.Squashes, len(report.Violations), len(report.Quarantined),
+					len(report.AssertionFailures), len(report.ShardFailures))
 			}
-			digest := fmt.Sprintf(
-				"iters=%d uniques=%d cycles=%d squashes=%d violations=%d quarantined=%d asserts=%d shardfail=%d\n",
-				report.Iterations, report.UniqueSignatures, report.TotalCycles,
-				report.Squashes, len(report.Violations), len(report.Quarantined),
-				len(report.AssertionFailures), len(report.ShardFailures))
 			sigPath := filepath.Join(dir, c.name+".sigs")
 			digPath := filepath.Join(dir, c.name+".digest")
 			if update && workers == 1 {
@@ -154,7 +188,7 @@ func TestEngineGoldenSignatures(t *testing.T) {
 				t.Fatalf("%s: missing golden (run with MTC_UPDATE_GOLDENS=1): %v", c.name, err)
 			}
 			if !bytes.Equal(sigBuf.Bytes(), wantSigs) {
-				t.Errorf("%s workers=%d: signature file differs from pre-engine-swap golden (%d vs %d bytes)",
+				t.Errorf("%s workers=%d: signature file differs from golden (%d vs %d bytes)",
 					c.name, workers, sigBuf.Len(), len(wantSigs))
 			}
 			wantDig, err := os.ReadFile(digPath)
