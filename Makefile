@@ -3,7 +3,7 @@ GO ?= go
 # `make verify` PR-sized while still exercising the mutated-signature corpus.
 FUZZTIME ?= 3s
 
-.PHONY: build vet test race bench bench-smoke bench-diff fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke verify
+.PHONY: build vet test race bench bench-smoke bench-diff fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile verify
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,11 @@ race:
 
 # Short native-fuzzing pass over the decoder and the binary readers — the
 # attack surface the fault injector corrupts — plus the checker-backend
-# differential (all backends must agree on fuzz-chosen execution sets).
+# differential (all backends must agree on fuzz-chosen execution sets) and
+# the event-queue differential (timing wheel vs. the reference heap).
 # Go runs one fuzz target per invocation, hence the separate lines.
 fuzz-short:
+	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzEncodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadSet$$' -fuzztime $(FUZZTIME)
@@ -188,18 +190,32 @@ corpus-smoke:
 
 # Simulator allocation gate: the alloc-budget tests plus a short
 # -benchmem pass over the SimIteration benchmarks. The typed-event engine
-# holds the execute loop at zero steady-state allocations; this fails the
-# build if allocs/op creeps above the budget.
-SIM_ALLOC_BUDGET ?= 50
+# (pooled wheel nodes, pooled memory-system state) holds the execute loop at
+# zero steady-state allocations; this fails the build if allocs/op rises
+# above the budget. The count is the field before "allocs/op", wherever the
+# benchmark's own metrics put it.
+SIM_ALLOC_BUDGET ?= 0
 sim-alloc-smoke:
 	@$(GO) test -run 'AllocBudget' -count 1 . || exit 1; \
 	out=$$($(GO) test -run '^$$' -bench 'SimIteration' -benchmem -benchtime 2s . ) \
 		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep 'BenchmarkSimIteration' | while read -r name _ _ _ _ _ allocs _; do \
-		[ "$$allocs" -le $(SIM_ALLOC_BUDGET) ] \
-			|| { echo "sim-alloc-smoke: $$name at $$allocs allocs/op exceeds budget $(SIM_ALLOC_BUDGET)"; exit 1; }; \
-	done || exit 1; \
+	echo "$$out" | awk -v budget=$(SIM_ALLOC_BUDGET) '/^BenchmarkSimIteration/ { \
+		n++; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > budget) { \
+			print "sim-alloc-smoke: " $$1 " at " $$(i-1) " allocs/op exceeds budget " budget; bad = 1 } } \
+		END { if (n != 2) { print "sim-alloc-smoke: expected 2 SimIteration results, saw " n; bad = 1 }; exit bad }' \
+		|| exit 1; \
 	echo "sim-alloc-smoke: OK (SimIteration allocs/op within budget $(SIM_ALLOC_BUDGET))"
+
+# Where a simulated iteration's time goes: CPU-profiles
+# BenchmarkSimIterationX86 for 4 s and prints the 30 hottest functions (the
+# measurement DESIGN §10's before/after table is made from). The test binary
+# and profile go to a temporary directory.
+sim-profile:
+	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) test -c -o $$dir/mtracecheck.test . || exit 1; \
+	$$dir/mtracecheck.test -test.run '^$$' -test.bench '^BenchmarkSimIterationX86$$' -test.benchtime 4s \
+		-test.benchmem -test.cpuprofile $$dir/cpu.prof | grep Benchmark || exit 1; \
+	$(GO) tool pprof -top -nodecount 30 $$dir/mtracecheck.test $$dir/cpu.prof
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke

@@ -417,7 +417,9 @@ func benchCampaignCorpus(b *testing.B, warm bool) {
 }
 
 // BenchmarkSimIterationARM / X86: raw platform iteration throughput — the
-// "tests execution" stage of Fig. 1.
+// "tests execution" stage of Fig. 1 — with the derived units that say whether
+// a change did less work (events/iter) or the same work cheaper (ns/event,
+// ns/simcycle).
 func BenchmarkSimIterationARM(b *testing.B) { benchSim(b, sim.PlatformARM()) }
 
 // BenchmarkSimIterationX86 measures the TSO platform.
@@ -433,12 +435,20 @@ func benchSim(b *testing.B, plat sim.Platform) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var events, cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(); err != nil {
+		ex, err := runner.Run()
+		if err != nil {
 			b.Fatal(err)
 		}
+		events += int64(ex.Events)
+		cycles += int64(ex.Cycles)
 	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(float64(events)/float64(b.N), "events/iter")
+	b.ReportMetric(ns/float64(events), "ns/event")
+	b.ReportMetric(ns/float64(cycles), "ns/simcycle")
 }
 
 // simFixture collects real simulated executions (unlike buildFixture's

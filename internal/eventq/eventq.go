@@ -4,20 +4,20 @@
 // (FIFO), so simulations are fully deterministic for a given seed.
 //
 // Events are plain value records (Event) dispatched through a handler set
-// with SetHandler — no per-event closure allocation on the hot path. A thin
-// At/After compatibility shim boxes a func() as one reserved event kind
-// (KindFunc) for tests and tools that don't need the typed path; both paths
-// share the same clock and scheduling sequence, so interleaving them
-// preserves FIFO tie-break order.
+// with SetHandler — no per-event closure allocation on the hot path.
+//
+// The queue is a timing wheel: the simulator's delays are small bounded
+// integers (every latency and jitter on the platform presets is below 400
+// cycles), so an event due less than span cycles ahead goes straight into
+// the bucket of its timestamp and is popped in O(1); the few longer delays
+// (OS scheduling quanta) wait in a small heap until the clock comes within
+// span of them. DESIGN.md §10 has the ordering argument.
 package eventq
+
+import "math/bits"
 
 // Time is a simulation timestamp in abstract cycles.
 type Time int64
-
-// KindFunc is the reserved event kind used by the At/After closure shim.
-// Handlers never see it: the queue invokes the boxed func() directly.
-// Typed-event producers must not use this kind.
-const KindFunc uint8 = 255
 
 // Event is a typed event record. Kind selects the dispatch arm in the
 // handler's jump table; Core, Op, and Arg are payload fields whose meaning
@@ -30,67 +30,93 @@ type Event struct {
 	Arg  int64
 }
 
-// Queue is a discrete-event scheduler. The zero value is not ready for use;
-// call New.
-//
-// The heap is hand-rolled over a flat []entry rather than container/heap:
-// the standard interface boxes every pushed and popped element in an
-// interface value, which costs one allocation per event — far too much for a
-// scheduler that runs hundreds of events per simulated iteration. The
-// ordering (time, then scheduling sequence) is identical, so event execution
-// order is unchanged.
-type Queue struct {
-	h       []entry
-	now     Time
-	seq     int64
-	handler func(Event)
-	// Closure shim storage: boxed funcs live in fns, indexed by Event.Arg.
-	// Freed slots are recycled through fnFree so the shim reaches a steady
-	// state too (it still allocates the closure itself, which is why the
-	// hot paths use typed events).
-	fns    []func()
-	fnFree []int32
+// span is the wheel's reach in cycles: an event due less than span cycles
+// from now is bucketed directly. A power of two, so the bucket of a
+// timestamp is its low bits.
+const span = 1 << 10
+
+const (
+	mask     = span - 1
+	occWords = span / 64
+	none     = int32(-1)
+)
+
+// node is one wheel entry; next links the bucket's FIFO list (and the free
+// list) through the shared node pool.
+type node struct {
+	ev   Event
+	next int32
 }
 
-// New returns an empty queue with the clock at zero.
-func New() *Queue { return &Queue{} }
+// bucket is the FIFO list of the events of one timestamp. Its fields are
+// meaningful only while the bucket's occupancy bit is set.
+type bucket struct{ head, tail int32 }
 
-type entry struct {
+// farEntry is an event due span or more cycles ahead, ordered by time and
+// then by scheduling sequence.
+type farEntry struct {
 	ev  Event
 	seq int64
 }
 
-func (a entry) before(b entry) bool {
+func (a farEntry) before(b farEntry) bool {
 	if a.ev.At != b.ev.At {
 		return a.ev.At < b.ev.At
 	}
 	return a.seq < b.seq
 }
 
-// SetHandler installs the dispatch function invoked for every typed event.
-// It survives Reset, so a Runner installs it once at construction. Stepping
-// a queue holding typed events with no handler installed panics.
+// Queue is a discrete-event scheduler. The zero value is not ready for use;
+// call New.
+//
+// Invariants: every wheel event is due in [now, now+span), so distinct
+// pending timestamps occupy distinct buckets and a bucket's append order is
+// the scheduling order of its one timestamp; every far event is due at
+// now+span or later. Step restores the second invariant each time it
+// advances the clock, before the handler can schedule anything — see
+// migrate.
+type Queue struct {
+	now     Time
+	pending int // wheel + far
+	handler func(Event)
+
+	wheel   [span]bucket
+	occ     [occWords]uint64 // bit b set: wheel[b] is non-empty
+	inWheel int
+	nodes   []node
+	free    int32 // head of the free list threaded through nodes, or none
+
+	far []farEntry // binary min-heap
+	seq int64      // scheduling sequence of far events
+}
+
+// New returns an empty queue with the clock at zero.
+func New() *Queue { return &Queue{free: none} }
+
+// SetHandler installs the dispatch function invoked for every event. It
+// survives Reset, so a Runner installs it once at construction. Stepping a
+// non-empty queue with no handler installed panics.
 func (q *Queue) SetHandler(h func(Event)) { q.handler = h }
 
 // Now returns the current simulation time.
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return q.pending }
 
 // Reset discards all pending events and rewinds the clock and scheduling
 // sequence to zero, keeping the underlying storage (and the handler) for
 // reuse. A reset queue behaves exactly like a freshly New'd one.
 func (q *Queue) Reset() {
-	for i := range q.h {
-		q.h[i] = entry{}
+	if q.pending != 0 {
+		clear(q.occ[:])
+		q.far = q.far[:0]
+		q.pending, q.inWheel = 0, 0
 	}
-	q.h = q.h[:0]
-	for i := range q.fns {
-		q.fns[i] = nil // release boxed closures for GC
-	}
-	q.fns = q.fns[:0]
-	q.fnFree = q.fnFree[:0]
+	// With nothing pending every node is free; dropping the free list too
+	// makes node numbering restart from zero like a new queue's.
+	q.nodes = q.nodes[:0]
+	q.free = none
 	q.now = 0
 	q.seq = 0
 }
@@ -102,9 +128,14 @@ func (q *Queue) Push(ev Event) {
 	if ev.At < q.now {
 		ev.At = q.now
 	}
+	q.pending++
+	if ev.At-q.now < span {
+		q.bucketAppend(ev)
+		return
+	}
 	q.seq++
-	q.h = append(q.h, entry{ev: ev, seq: q.seq})
-	q.siftUp(len(q.h) - 1)
+	q.far = append(q.far, farEntry{ev: ev, seq: q.seq})
+	q.farUp(len(q.far) - 1)
 }
 
 // PushAfter schedules a typed event delay cycles from now.
@@ -113,53 +144,89 @@ func (q *Queue) PushAfter(delay Time, ev Event) {
 	q.Push(ev)
 }
 
-// At schedules fn to run at the absolute time at. This is the closure
-// compatibility shim: the func is boxed as a KindFunc event sharing the same
-// clock and sequence counter as typed events, so mixing both paths keeps
-// FIFO tie-break order. Scheduling in the past (before Now) runs the event
-// at the current time instead.
-func (q *Queue) At(at Time, fn func()) {
-	var slot int32
-	if n := len(q.fnFree); n > 0 {
-		slot = q.fnFree[n-1]
-		q.fnFree = q.fnFree[:n-1]
-		q.fns[slot] = fn
+// bucketAppend links ev at the tail of its timestamp's bucket.
+func (q *Queue) bucketAppend(ev Event) {
+	n := q.free
+	if n != none {
+		q.free = q.nodes[n].next
+		q.nodes[n] = node{ev: ev, next: none}
 	} else {
-		slot = int32(len(q.fns))
-		q.fns = append(q.fns, fn)
+		n = int32(len(q.nodes))
+		q.nodes = append(q.nodes, node{ev: ev, next: none})
 	}
-	q.Push(Event{At: at, Kind: KindFunc, Arg: int64(slot)})
+	b := int(ev.At) & mask
+	bk := &q.wheel[b]
+	if w, bit := b>>6, uint64(1)<<(b&63); q.occ[w]&bit == 0 {
+		q.occ[w] |= bit
+		bk.head = n
+	} else {
+		q.nodes[bk.tail].next = n
+	}
+	bk.tail = n
+	q.inWheel++
 }
 
-// After schedules fn to run delay cycles from now.
-func (q *Queue) After(delay Time, fn func()) { q.At(q.now+delay, fn) }
+// nextBucket returns the first occupied bucket at or after the current
+// time's, in wheel order. The wheel must not be empty.
+func (q *Queue) nextBucket() int {
+	start := int(q.now) & mask
+	w := start >> 6
+	if m := q.occ[w] &^ (uint64(1)<<(start&63) - 1); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m)
+	}
+	// The last round revisits the first word for the bits below start.
+	for i := 1; i <= occWords; i++ {
+		ww := (w + i) & (occWords - 1)
+		if m := q.occ[ww]; m != 0 {
+			return ww<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	panic("eventq: occupancy bitmap empty with wheel events pending")
+}
 
-func (q *Queue) siftUp(i int) {
+// migrate moves every far event that has come within span of the clock into
+// its bucket, in (time, sequence) order. A far event for time T was
+// scheduled when the clock was at most T-span, and an event for T can be
+// bucketed directly only once the clock is past T-span, so every far event
+// for T was scheduled before every direct one; running this on each clock
+// advance, before the handler, appends them to T's bucket first, and the
+// bucket's order is the global scheduling order.
+func (q *Queue) migrate() {
+	for len(q.far) > 0 && q.far[0].ev.At-q.now < span {
+		q.bucketAppend(q.far[0].ev)
+		n := len(q.far) - 1
+		q.far[0] = q.far[n]
+		q.far = q.far[:n]
+		q.farDown(0)
+	}
+}
+
+func (q *Queue) farUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.h[i].before(q.h[parent]) {
+		if !q.far[i].before(q.far[parent]) {
 			return
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		q.far[i], q.far[parent] = q.far[parent], q.far[i]
 		i = parent
 	}
 }
 
-func (q *Queue) siftDown(i int) {
-	n := len(q.h)
+func (q *Queue) farDown(i int) {
+	n := len(q.far)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		min := l
-		if r := l + 1; r < n && q.h[r].before(q.h[l]) {
+		if r := l + 1; r < n && q.far[r].before(q.far[l]) {
 			min = r
 		}
-		if !q.h[min].before(q.h[i]) {
+		if !q.far[min].before(q.far[i]) {
 			return
 		}
-		q.h[i], q.h[min] = q.h[min], q.h[i]
+		q.far[i], q.far[min] = q.far[min], q.far[i]
 		i = min
 	}
 }
@@ -167,37 +234,41 @@ func (q *Queue) siftDown(i int) {
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event was run.
 func (q *Queue) Step() bool {
-	if len(q.h) == 0 {
+	if q.pending == 0 {
 		return false
 	}
-	e := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = entry{}
-	q.h = q.h[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	q.now = e.ev.At
-	if e.ev.Kind == KindFunc {
-		slot := int32(e.ev.Arg)
-		fn := q.fns[slot]
-		q.fns[slot] = nil
-		q.fnFree = append(q.fnFree, slot)
-		fn()
+	var b int
+	if q.inWheel > 0 {
+		b = q.nextBucket()
+		q.now += Time((b - int(q.now)) & mask)
 	} else {
-		q.handler(e.ev)
+		q.now = q.far[0].ev.At
+		b = int(q.now) & mask
 	}
+	q.migrate()
+	bk := &q.wheel[b]
+	n := bk.head
+	ev := q.nodes[n].ev
+	if next := q.nodes[n].next; next != none {
+		bk.head = next
+	} else {
+		q.occ[b>>6] &^= uint64(1) << (b & 63)
+	}
+	q.nodes[n].next = q.free
+	q.free = n
+	q.inWheel--
+	q.pending--
+	q.handler(ev)
 	return true
 }
 
 // RunUntil processes events until the queue is empty, done returns true, or
 // maxEvents events have run. It returns the number of events processed.
-// A maxEvents of 0 means no limit. The done predicate is checked after each
+// A maxEvents of 0 means no limit. The done predicate is checked before each
 // event.
 func (q *Queue) RunUntil(done func() bool, maxEvents int) int {
 	n := 0
-	for len(q.h) > 0 {
+	for q.pending > 0 {
 		if done != nil && done() {
 			return n
 		}

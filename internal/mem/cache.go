@@ -53,56 +53,53 @@ type memReq struct {
 // request that arrived for the line while the transaction was in flight.
 // MSHRs are pooled per cache; queued keeps its capacity across reuse.
 type mshr struct {
-	base     uint64
-	set, way int
-	wantM    bool // some queued request needs write permission
-	queued   []memReq
+	base   uint64
+	way    int  // index into cache.lines of the reserved way
+	wantM  bool // some queued request needs write permission
+	queued []memReq
 }
 
 // cache is one core's private L1 controller.
 type cache struct {
-	sys        *System
-	id         int
-	sets       [][]cacheLine
-	mshrs      map[uint64]*mshr
-	mshrFree   []*mshr
-	wb         map[uint64][]uint32 // writeback buffer: PutM sent, WBAck pending
-	stalled    []memReq            // requests waiting for a free way
-	stalledAlt []memReq            // double buffer for retryStalled
+	sys   *System
+	id    int
+	lines []cacheLine // Sets × Ways, set-major
+	used  []int32     // ways reserved since the last reset (indices into lines)
+
+	// Outstanding transactions and writebacks, by line-table index (see
+	// System.lineOf); nil means none. The counts serve Quiescent.
+	mshrs    []*mshr
+	nMSHR    int
+	mshrFree []*mshr
+	wb       [][]uint32 // writeback buffer: PutM sent, WBAck pending
+	nWB      int
+
+	stalled    []memReq // requests waiting for a free way
+	stalledAlt []memReq // double buffer for retryStalled
 	useCtr     int64
 }
 
 func newCache(s *System, id int) *cache {
-	c := &cache{sys: s, id: id, mshrs: make(map[uint64]*mshr), wb: make(map[uint64][]uint32)}
-	c.sets = make([][]cacheLine, s.cfg.Sets)
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, s.cfg.Ways)
-	}
-	return c
+	return &cache{sys: s, id: id, lines: make([]cacheLine, s.cfg.Sets*s.cfg.Ways)}
 }
 
+// reset returns the ways the iteration reserved to their initial state. A way
+// leaves that state only through the reservation in access, which records
+// it; the system is quiescent, so no transaction or writeback is left.
 func (c *cache) reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			ln := &c.sets[i][j]
-			// Keep the line buffer's capacity: refills reuse it.
-			*ln = cacheLine{data: ln.data[:0]}
-		}
+	for _, i := range c.used {
+		ln := &c.lines[i]
+		// Keep the line buffer's capacity: refills reuse it.
+		*ln = cacheLine{data: ln.data[:0]}
 	}
-	for base, m := range c.mshrs {
-		c.freeMSHR(m)
-		delete(c.mshrs, base)
-	}
-	for base, buf := range c.wb {
-		c.sys.putLineBuf(buf)
-		delete(c.wb, base)
-	}
+	c.used = c.used[:0]
 	c.stalled = c.stalled[:0]
 	c.useCtr = 0
 }
 
-// newMSHR claims an MSHR from the pool.
-func (c *cache) newMSHR(base uint64, set, way int, wantM bool) *mshr {
+// newMSHR claims an MSHR from the pool and files it under line-table index
+// li.
+func (c *cache) newMSHR(li int, base uint64, way int, wantM bool) *mshr {
 	var m *mshr
 	if n := len(c.mshrFree); n > 0 {
 		m = c.mshrFree[n-1]
@@ -110,27 +107,40 @@ func (c *cache) newMSHR(base uint64, set, way int, wantM bool) *mshr {
 	} else {
 		m = &mshr{}
 	}
-	m.base, m.set, m.way, m.wantM = base, set, way, wantM
+	m.base, m.way, m.wantM = base, way, wantM
 	m.queued = m.queued[:0]
+	c.mshrs[li] = m
+	c.nMSHR++
 	return m
 }
 
-func (c *cache) freeMSHR(m *mshr) {
+func (c *cache) freeMSHR(li int, m *mshr) {
 	m.queued = m.queued[:0]
 	c.mshrFree = append(c.mshrFree, m)
+	c.mshrs[li] = nil
+	c.nMSHR--
 }
 
-func (c *cache) setIndex(base uint64) int {
-	return int((base / uint64(c.sys.cfg.LineSize)) % uint64(c.sys.cfg.Sets))
+// setOf returns the index in lines of the first way of base's set.
+func (c *cache) setOf(base uint64) int {
+	return int((base/uint64(c.sys.cfg.LineSize))%uint64(c.sys.cfg.Sets)) * c.sys.cfg.Ways
+}
+
+// find returns the index in lines of the resident line for base, or -1.
+func (c *cache) find(base uint64) int {
+	first := c.setOf(base)
+	for i := first; i < first+c.sys.cfg.Ways; i++ {
+		if ln := &c.lines[i]; ln.base == base && (ln.state != stateI || ln.pending) {
+			return i
+		}
+	}
+	return -1
 }
 
 // lookup returns the resident line for base, or nil.
 func (c *cache) lookup(base uint64) *cacheLine {
-	set := c.sets[c.setIndex(base)]
-	for i := range set {
-		if set[i].base == base && (set[i].state != stateI || set[i].pending) {
-			return &set[i]
-		}
+	if i := c.find(base); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -143,9 +153,10 @@ func (c *cache) touch(ln *cacheLine) {
 // access presents a load or store to the cache.
 func (c *cache) access(req memReq) {
 	base := c.sys.lineBase(req.addr)
+	li := c.sys.lineOf(base)
 
 	// Coalesce into an existing transaction for the line.
-	if m, ok := c.mshrs[base]; ok {
+	if m := c.mshrs[li]; m != nil {
 		m.queued = append(m.queued, req)
 		if req.isWrite && !m.wantM {
 			// The original transaction was read-only; an upgrade will be
@@ -155,8 +166,8 @@ func (c *cache) access(req memReq) {
 		return
 	}
 
-	ln := c.lookup(base)
-	if ln != nil && ln.state != stateI {
+	if way := c.find(base); way >= 0 && c.lines[way].state != stateI {
+		ln := &c.lines[way]
 		c.touch(ln)
 		if !req.isWrite {
 			// Load hit: data returns after tag latency, with a re-check at
@@ -177,10 +188,9 @@ func (c *cache) access(req memReq) {
 		case stateS:
 			// Upgrade: keep the Shared data resident, request M.
 			c.sys.stats.Misses++
-			m := c.newMSHR(base, c.setIndex(base), c.wayOf(ln), true)
+			m := c.newMSHR(li, base, way, true)
 			m.queued = append(m.queued, req)
 			ln.pending = true
-			c.mshrs[base] = m
 			c.sys.send(-1, message{typ: msgGetM, from: c.id, base: base})
 			return
 		}
@@ -188,20 +198,23 @@ func (c *cache) access(req memReq) {
 
 	// Miss: reserve a way, evicting if necessary.
 	c.sys.stats.Misses++
-	set := c.setIndex(base)
-	way := c.pickVictim(set)
+	way := c.pickVictim(c.setOf(base))
 	if way < 0 {
 		c.sys.stats.Stalls++
 		c.stalled = append(c.stalled, req)
 		return
 	}
-	c.evict(set, way)
-	ln = &c.sets[set][way]
+	c.evict(way)
+	ln := &c.lines[way]
+	if ln.lastUse == 0 {
+		// First reservation since the reset (touch stamps every reserved
+		// way with a non-zero use count): reset will have to undo it.
+		c.used = append(c.used, int32(way))
+	}
 	*ln = cacheLine{base: base, state: stateI, pending: true, data: ln.data[:0]}
 	c.touch(ln)
-	m := c.newMSHR(base, set, way, req.isWrite)
+	m := c.newMSHR(li, base, way, req.isWrite)
 	m.queued = append(m.queued, req)
-	c.mshrs[base] = m
 	typ := msgGetS
 	if req.isWrite {
 		typ = msgGetM
@@ -236,22 +249,13 @@ func (c *cache) replayStoreHit(pslot int32) {
 	}
 }
 
-func (c *cache) wayOf(ln *cacheLine) int {
-	set := c.sets[c.setIndex(ln.base)]
-	for i := range set {
-		if &set[i] == ln {
-			return i
-		}
-	}
-	panic("mem: wayOf on foreign line")
-}
-
-// pickVictim returns an evictable way in the set: an invalid way if any,
-// else the least recently used non-pending way, else -1.
-func (c *cache) pickVictim(set int) int {
+// pickVictim returns an evictable way (an index into lines) of the set whose
+// first way is first: an invalid way if any, else the least recently used
+// non-pending way, else -1.
+func (c *cache) pickVictim(first int) int {
 	best, bestUse := -1, int64(1<<62)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	for i := first; i < first+c.sys.cfg.Ways; i++ {
+		ln := &c.lines[i]
 		if ln.pending {
 			continue
 		}
@@ -265,13 +269,14 @@ func (c *cache) pickVictim(set int) int {
 	return best
 }
 
-// evict removes the line in (set, way); dirty lines go to the writeback
-// buffer and a PutM is sent. Clean lines are dropped silently (MESI).
-func (c *cache) evict(set, way int) {
-	ln := &c.sets[set][way]
+// evict removes the line in way; dirty lines go to the writeback buffer and
+// a PutM is sent. Clean lines are dropped silently (MESI).
+func (c *cache) evict(way int) {
+	ln := &c.lines[way]
 	if ln.state == stateM {
 		data := append(c.sys.getLineBuf(), ln.data...)
-		c.wb[ln.base] = data
+		c.wb[c.sys.lineOf(ln.base)] = data
+		c.nWB++
 		c.sys.stats.Writebacks++
 		c.sys.send(-1, message{typ: msgPutM, from: c.id, base: ln.base, data: data, dirty: true})
 	}
@@ -294,20 +299,22 @@ func (c *cache) retryStalled() {
 
 // receive handles a protocol message addressed to this cache.
 func (c *cache) receive(m message) {
+	li := c.sys.lineOf(m.base)
 	switch m.typ {
 	case msgDataS, msgDataE, msgDataM:
-		c.fill(m)
+		c.fill(m, li)
 	case msgInv:
-		c.invalidate(m.base, true)
+		c.invalidate(m.base, li)
 		c.sys.send(-1, message{typ: msgInvAck, from: c.id, base: m.base})
 	case msgFwdGetS:
-		c.forward(m.base, false)
+		c.forward(m.base, li, false)
 	case msgFwdGetM:
-		c.forward(m.base, true)
+		c.forward(m.base, li, true)
 	case msgWBAck:
-		if buf, ok := c.wb[m.base]; ok {
+		if buf := c.wb[li]; buf != nil {
 			c.sys.putLineBuf(buf)
-			delete(c.wb, m.base)
+			c.wb[li] = nil
+			c.nWB--
 		}
 	default:
 		panic(fmt.Sprintf("mem: cache %d received %v", c.id, m))
@@ -316,10 +323,10 @@ func (c *cache) receive(m message) {
 
 // invalidate drops any copy of the line and notifies the core unless bug 1
 // suppresses the notification for lines with an outstanding upgrade.
-func (c *cache) invalidate(base uint64, mayBeSMTransient bool) {
+func (c *cache) invalidate(base uint64, li int) {
 	notify := true
-	if mayBeSMTransient && c.sys.cfg.Bugs.StaleSMInv {
-		if m, ok := c.mshrs[base]; ok && m.wantM {
+	if c.sys.cfg.Bugs.StaleSMInv {
+		if m := c.mshrs[li]; m != nil && m.wantM {
 			// Bug 1: invalidation during the S→M transient fails to squash
 			// the core's already-performed loads.
 			notify = false
@@ -337,7 +344,7 @@ func (c *cache) invalidate(base uint64, mayBeSMTransient bool) {
 
 // forward services FwdGetS/FwdGetM: supply the line to the directory from
 // the live copy or the writeback buffer.
-func (c *cache) forward(base uint64, isGetM bool) {
+func (c *cache) forward(base uint64, li int, isGetM bool) {
 	if ln := c.lookup(base); ln != nil && (ln.state == stateE || ln.state == stateM) {
 		dirty := ln.state == stateM
 		if isGetM {
@@ -360,7 +367,7 @@ func (c *cache) forward(base uint64, isGetM bool) {
 		}
 		return
 	}
-	if data, ok := c.wb[base]; ok {
+	if data := c.wb[li]; data != nil {
 		if c.sys.cfg.Bugs.WBRaceDeadlock {
 			// Bug 3: the owner ignores forwarded requests racing with its
 			// writeback; the directory waits forever.
@@ -377,12 +384,12 @@ func (c *cache) forward(base uint64, isGetM bool) {
 }
 
 // fill completes an outstanding transaction with data and permission.
-func (c *cache) fill(m message) {
-	tx, ok := c.mshrs[m.base]
-	if !ok {
+func (c *cache) fill(m message, li int) {
+	tx := c.mshrs[li]
+	if tx == nil {
 		panic(fmt.Sprintf("mem: cache %d fill for line %#x without mshr", c.id, m.base))
 	}
-	ln := &c.sets[tx.set][tx.way]
+	ln := &c.lines[tx.way]
 	if ln.base != m.base {
 		panic(fmt.Sprintf("mem: cache %d fill slot holds %#x, want %#x", c.id, ln.base, m.base))
 	}
@@ -430,7 +437,6 @@ func (c *cache) fill(m message) {
 			Kind: kindComplete, Core: isWrite, Op: int32(v), Arg: req.tok})
 	}
 	ln.pending = false
-	c.freeMSHR(tx)
-	delete(c.mshrs, m.base)
+	c.freeMSHR(li, tx)
 	c.retryStalled()
 }

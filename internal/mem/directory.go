@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"mtracecheck/internal/eventq"
 )
@@ -35,11 +35,14 @@ func (s dirState) String() string {
 // directory). Holding the line busy until the fill is consumed guarantees a
 // forwarded request can never observe an owner whose grant is still in
 // flight.
+//
+// The zero value is an untouched line: uncached, idle, no sharers.
 type dirLine struct {
 	state      dirState
-	owner      int
-	sharers    map[int]bool
 	busy       bool
+	touched    bool // listed in directory.touched
+	owner      int
+	sharers    uint64  // bit c set: cache c holds the line Shared
 	cur        message // request in service while busy
 	acksNeeded int
 	queue      []message
@@ -47,43 +50,27 @@ type dirLine struct {
 
 // directory is the single home node of all lines.
 type directory struct {
-	sys   *System
-	lines map[uint64]*dirLine
-	fan   []int // scratch for deterministic invalidation fan-out
+	sys     *System
+	lines   []dirLine // by line-table index (see System.lineOf)
+	touched []int32   // entries that received a message since the last reset
 }
 
-func newDirectory(s *System) *directory {
-	return &directory{sys: s, lines: make(map[uint64]*dirLine)}
-}
+func newDirectory(s *System) *directory { return &directory{sys: s} }
 
-// reset rewinds every entry to the uncached state in place, keeping the
-// entries (and their sharer maps and queues) for reuse. Entry resets are
-// independent, so map iteration order does not matter.
+// reset rewinds the entries the iteration touched to the uncached state in
+// place, keeping their queues' capacity.
 func (d *directory) reset() {
-	for _, l := range d.lines {
-		clear(l.sharers)
-		l.state = dirU
-		l.owner = 0
-		l.busy = false
-		l.cur = message{}
-		l.acksNeeded = 0
-		l.queue = l.queue[:0]
+	for _, li := range d.touched {
+		l := &d.lines[li]
+		*l = dirLine{queue: l.queue[:0]}
 	}
-}
-
-func (d *directory) line(base uint64) *dirLine {
-	l, ok := d.lines[base]
-	if !ok {
-		l = &dirLine{state: dirU, sharers: make(map[int]bool)}
-		d.lines[base] = l
-	}
-	return l
+	d.touched = d.touched[:0]
 }
 
 func (d *directory) busyLines() int {
 	n := 0
-	for _, l := range d.lines {
-		if l.busy {
+	for _, li := range d.touched {
+		if d.lines[li].busy {
 			n++
 		}
 	}
@@ -92,7 +79,12 @@ func (d *directory) busyLines() int {
 
 // receive dispatches a message arriving at the directory.
 func (d *directory) receive(m message) {
-	l := d.line(m.base)
+	li := d.sys.lineOf(m.base)
+	l := &d.lines[li]
+	if !l.touched {
+		l.touched = true
+		d.touched = append(d.touched, int32(li))
+	}
 	switch m.typ {
 	case msgGetS, msgGetM, msgPutM:
 		if l.busy {
@@ -105,7 +97,7 @@ func (d *directory) receive(m message) {
 			l.queue = append(l.queue, m)
 			return
 		}
-		d.service(l, m)
+		d.service(l, li, m)
 	case msgInvAck:
 		if !l.busy || l.acksNeeded <= 0 {
 			panic(fmt.Sprintf("mem: unexpected InvAck for line %#x", m.base))
@@ -114,33 +106,32 @@ func (d *directory) receive(m message) {
 		if l.acksNeeded == 0 {
 			// All sharers gone: grant M to the requester from memory.
 			req := l.cur.from
-			clear(l.sharers)
+			l.sharers = 0
 			l.state = dirEM
 			l.owner = req
-			d.grant(req, msgDataM, m.base, 0)
+			d.grant(req, msgDataM, m.base, li, 0)
 		}
 	case msgOwnerData, msgOwnerNoData:
 		if !l.busy {
 			panic(fmt.Sprintf("mem: owner response for idle line %#x", m.base))
 		}
 		if m.typ == msgOwnerData && m.dirty {
-			copy(d.sys.memLine(m.base), m.data)
+			copy(d.sys.memLine(li), m.data)
 		}
 		req := l.cur.from
 		switch l.cur.typ {
 		case msgGetS:
 			l.state = dirS
-			clear(l.sharers)
-			l.sharers[req] = true
+			l.sharers = 1 << req
 			if m.keepsCopy {
-				l.sharers[m.from] = true
+				l.sharers |= 1 << m.from
 			}
-			d.grant(req, msgDataS, m.base, 0)
+			d.grant(req, msgDataS, m.base, li, 0)
 		case msgGetM:
 			l.state = dirEM
 			l.owner = req
-			clear(l.sharers)
-			d.grant(req, msgDataM, m.base, 0)
+			l.sharers = 0
+			d.grant(req, msgDataM, m.base, li, 0)
 		default:
 			panic(fmt.Sprintf("mem: owner response while servicing %v", l.cur.typ))
 		}
@@ -148,7 +139,7 @@ func (d *directory) receive(m message) {
 		if !l.busy || l.cur.from != m.from {
 			panic(fmt.Sprintf("mem: unexpected FillAck from %d for line %#x", m.from, m.base))
 		}
-		d.unblock(l)
+		d.unblock(l, li)
 	default:
 		panic(fmt.Sprintf("mem: directory received %v", m))
 	}
@@ -159,8 +150,8 @@ func (d *directory) receive(m message) {
 // is snapshotted into the message slot now; the message-count bump and the
 // network jitter draw happen when the kindGrant event fires (the moment the
 // grant actually leaves the directory), matching the hop's send semantics.
-func (d *directory) grant(to int, typ msgType, base uint64, extra int) {
-	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base, data: d.sys.memLine(base)})
+func (d *directory) grant(to int, typ msgType, base uint64, li, extra int) {
+	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base, data: d.sys.memLine(li)})
 	delay := d.sys.cfg.DirLat + eventq.Time(extra)
 	d.sys.q.PushAfter(delay, eventq.Event{Kind: kindGrant, Core: int32(to), Op: slot})
 }
@@ -168,7 +159,7 @@ func (d *directory) grant(to int, typ msgType, base uint64, extra int) {
 // service handles one request on an idle line. GetS/GetM always leave the
 // line busy: either awaiting an owner response / invalidation acks, or (once
 // a grant is sent) awaiting the grantee's FillAck.
-func (d *directory) service(l *dirLine, m message) {
+func (d *directory) service(l *dirLine, li int, m message) {
 	switch m.typ {
 	case msgGetS:
 		l.busy = true
@@ -177,15 +168,15 @@ func (d *directory) service(l *dirLine, m message) {
 		case dirU:
 			l.state = dirEM
 			l.owner = m.from
-			d.grant(m.from, msgDataE, m.base, int(d.sys.cfg.MemLat))
+			d.grant(m.from, msgDataE, m.base, li, int(d.sys.cfg.MemLat))
 		case dirS:
-			l.sharers[m.from] = true
-			d.grant(m.from, msgDataS, m.base, 0)
+			l.sharers |= 1 << m.from
+			d.grant(m.from, msgDataS, m.base, li, 0)
 		case dirEM:
 			if l.owner == m.from {
 				// The owner silently dropped a clean line and re-requested:
 				// memory is current.
-				d.grant(m.from, msgDataE, m.base, 0)
+				d.grant(m.from, msgDataE, m.base, li, 0)
 				return
 			}
 			d.sys.send(l.owner, message{typ: msgFwdGetS, from: -1, base: m.base})
@@ -197,43 +188,36 @@ func (d *directory) service(l *dirLine, m message) {
 		case dirU:
 			l.state = dirEM
 			l.owner = m.from
-			d.grant(m.from, msgDataM, m.base, int(d.sys.cfg.MemLat))
+			d.grant(m.from, msgDataM, m.base, li, int(d.sys.cfg.MemLat))
 		case dirS:
-			others := d.fan[:0]
-			for s := range l.sharers {
-				if s != m.from {
-					others = append(others, s)
-				}
-			}
-			// Deterministic fan-out order: map iteration order must not
-			// influence message sequencing (and hence simulated timing).
-			sort.Ints(others)
-			d.fan = others
-			if len(others) == 0 {
+			others := l.sharers &^ (1 << m.from)
+			if others == 0 {
 				l.state = dirEM
 				l.owner = m.from
-				clear(l.sharers)
-				d.grant(m.from, msgDataM, m.base, 0)
+				l.sharers = 0
+				d.grant(m.from, msgDataM, m.base, li, 0)
 				return
 			}
-			l.acksNeeded = len(others)
-			for _, s := range others {
-				d.sys.send(s, message{typ: msgInv, from: -1, base: m.base})
+			l.acksNeeded = bits.OnesCount64(others)
+			// Fan out in ascending core order: message sequencing (and hence
+			// simulated timing) depends on it.
+			for ; others != 0; others &= others - 1 {
+				d.sys.send(bits.TrailingZeros64(others), message{typ: msgInv, from: -1, base: m.base})
 			}
 		case dirEM:
 			if l.owner == m.from {
 				// Owner silently dropped clean line, now writing.
-				d.grant(m.from, msgDataM, m.base, 0)
+				d.grant(m.from, msgDataM, m.base, li, 0)
 				return
 			}
 			d.sys.send(l.owner, message{typ: msgFwdGetM, from: -1, base: m.base})
 		}
 	case msgPutM:
 		if l.state == dirEM && l.owner == m.from {
-			copy(d.sys.memLine(m.base), m.data)
+			copy(d.sys.memLine(li), m.data)
 			l.state = dirU
 			l.owner = 0
-			clear(l.sharers)
+			l.sharers = 0
 		}
 		// Stale PutM (ownership already transferred via a forward): the data
 		// was already supplied to the directory by the writeback buffer.
@@ -243,7 +227,7 @@ func (d *directory) service(l *dirLine, m message) {
 
 // unblock finishes the busy transaction and drains queued requests until the
 // line blocks again or the queue empties.
-func (d *directory) unblock(l *dirLine) {
+func (d *directory) unblock(l *dirLine, li int) {
 	l.busy = false
 	l.cur = message{}
 	l.acksNeeded = 0
@@ -252,7 +236,7 @@ func (d *directory) unblock(l *dirLine) {
 		// Pop by copy-down so the queue keeps its backing array for reuse.
 		n := copy(l.queue, l.queue[1:])
 		l.queue = l.queue[:n]
-		d.service(l, m)
+		d.service(l, li, m)
 		if m.data != nil {
 			// Return the pooled copy taken when the message was queued:
 			// service consumes data synchronously (PutM copies it into the

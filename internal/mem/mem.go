@@ -32,6 +32,12 @@
 // completions synchronously through the hook set with SetCompleteHook.
 // Messages, their line-data buffers, MSHRs, and pending-replay records are
 // all pooled, so a steady-state iteration allocates nothing.
+//
+// Per-line state — backing memory, directory entries, each cache's MSHR and
+// writeback slots — lives in dense tables indexed by line number (see
+// System.lineOf), and the directory's sharer set is a bit set, so the
+// per-message path does no map operation; Reset clears only the lines and
+// cache ways the iteration touched.
 package mem
 
 import (
@@ -42,8 +48,8 @@ import (
 )
 
 // KindBase is the first event kind owned by package mem. The engine's
-// dispatch routes every event with Kind >= KindBase (below eventq.KindFunc)
-// to System.Dispatch; kinds below KindBase belong to the engine.
+// dispatch routes every event with Kind >= KindBase to System.Dispatch;
+// kinds below KindBase belong to the engine.
 const KindBase uint8 = 0x80
 
 // Event kinds scheduled by the memory system. Payload layout is private to
@@ -112,11 +118,14 @@ func TinyCacheConfig(cores int) Config {
 	return c
 }
 
+// maxCores is the width of the directory's sharer bit set.
+const maxCores = 64
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
-	case c.Cores < 1:
-		return fmt.Errorf("mem: %d cores", c.Cores)
+	case c.Cores < 1 || c.Cores > maxCores:
+		return fmt.Errorf("mem: %d cores outside [1,%d]", c.Cores, maxCores)
 	case c.LineSize <= 0 || c.WordSize <= 0 || c.LineSize%c.WordSize != 0:
 		return fmt.Errorf("mem: bad line/word sizes %d/%d", c.LineSize, c.WordSize)
 	case c.Sets < 1 || c.Ways < 1:
@@ -145,8 +154,14 @@ type System struct {
 	rng    *rand.Rand
 	caches []*cache
 	dir    *directory
-	memory map[uint64][]uint32 // line base → word values
 	stats  Stats
+
+	// Line tables: memory here, dir.lines, and every cache's mshrs and wb
+	// are indexed by line number minus origin and cover nLines lines. They
+	// grow together (growLines) when an access names a line outside them.
+	memory []uint32 // backing store, wordsPerLine words per line
+	origin int
+	nLines int
 
 	outstanding int // incomplete Read/Write operations
 
@@ -182,7 +197,7 @@ func NewSystem(q *eventq.Queue, cfg Config, rng *rand.Rand) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, q: q, rng: rng, memory: make(map[uint64][]uint32)}
+	s := &System{cfg: cfg, q: q, rng: rng}
 	s.dir = newDirectory(s)
 	for i := 0; i < cfg.Cores; i++ {
 		s.caches = append(s.caches, newCache(s, i))
@@ -214,14 +229,61 @@ func (s *System) wordIndex(addr uint64) int {
 
 func (s *System) wordsPerLine() int { return s.cfg.LineSize / s.cfg.WordSize }
 
-// memLine returns the backing-store copy of the line, allocating zeroes.
-func (s *System) memLine(base uint64) []uint32 {
-	l, ok := s.memory[base]
-	if !ok {
-		l = make([]uint32, s.wordsPerLine())
-		s.memory[base] = l
+// lineOf returns the line-table index of the line at base, growing the
+// tables to cover it if need be. Growth re-indexes every table, so indices
+// and pointers into the tables taken before a call that can grow are stale
+// after it; only the first access to a line (cache.access, PeekWord) can
+// grow, every message names a line some access already covered.
+func (s *System) lineOf(base uint64) int {
+	i := int(base/uint64(s.cfg.LineSize)) - s.origin
+	if uint(i) >= uint(s.nLines) {
+		i = s.growLines(i + s.origin)
 	}
-	return l
+	return i
+}
+
+// growLines extends the line tables to cover line number line and returns
+// its index. The covered range at least doubles in the direction of growth,
+// so a program's lines are covered after a logarithmic number of calls.
+func (s *System) growLines(line int) int {
+	lo, hi := s.origin, s.origin+s.nLines
+	switch {
+	case s.nLines == 0:
+		lo, hi = line, line+1
+	case line < lo:
+		lo = max(0, min(line, hi-2*s.nLines))
+	default:
+		hi = max(line+1, lo+2*s.nLines)
+	}
+	shift, n := s.origin-lo, hi-lo
+	if s.nLines == 0 {
+		shift = 0
+	}
+	wpl := s.wordsPerLine()
+	s.memory = regrow(s.memory, shift*wpl, n*wpl)
+	s.dir.lines = regrow(s.dir.lines, shift, n)
+	for i := range s.dir.touched {
+		s.dir.touched[i] += int32(shift)
+	}
+	for _, c := range s.caches {
+		c.mshrs = regrow(c.mshrs, shift, n)
+		c.wb = regrow(c.wb, shift, n)
+	}
+	s.origin, s.nLines = lo, n
+	return line - lo
+}
+
+// regrow returns a zeroed table of n entries holding old's at offset shift.
+func regrow[T any](old []T, shift, n int) []T {
+	t := make([]T, n)
+	copy(t[shift:], old)
+	return t
+}
+
+// memLine returns the backing-store copy of line-table entry li.
+func (s *System) memLine(li int) []uint32 {
+	wpl := s.wordsPerLine()
+	return s.memory[li*wpl : (li+1)*wpl : (li+1)*wpl]
 }
 
 // netDelay returns one message's latency including jitter.
@@ -374,7 +436,7 @@ func (s *System) PeekWord(addr uint64) uint32 {
 			return ln.data[idx]
 		}
 	}
-	return s.memLine(base)[idx]
+	return s.memLine(s.lineOf(base))[idx]
 }
 
 // Quiescent reports whether no operations or writebacks are in flight.
@@ -383,7 +445,7 @@ func (s *System) Quiescent() bool {
 		return false
 	}
 	for _, c := range s.caches {
-		if len(c.mshrs) != 0 || len(c.wb) != 0 || len(c.stalled) != 0 {
+		if c.nMSHR != 0 || c.nWB != 0 || len(c.stalled) != 0 {
 			return false
 		}
 	}
@@ -392,20 +454,22 @@ func (s *System) Quiescent() bool {
 
 // Reset restores the initial state (all memory zero, caches empty) between
 // test iterations. The system must be quiescent. Backing storage (line
-// buffers, directory entries, pools, map capacity) is zeroed in place and
-// kept for reuse, so a reset system behaves identically to a freshly built
-// one without re-paying its construction allocations.
+// tables, line buffers, pools) is kept for reuse and only what the iteration
+// touched is zeroed — a memory line changes only through a directory
+// message for it, a cache way only after the cache reserved it — so a reset
+// system behaves identically to a freshly built one without re-paying its
+// construction allocations or sweeping every cache way.
 func (s *System) Reset() error {
 	if !s.Quiescent() {
 		return fmt.Errorf("mem: Reset while not quiescent (%d outstanding)", s.outstanding)
 	}
-	for _, l := range s.memory {
-		clear(l)
+	for _, li := range s.dir.touched {
+		clear(s.memLine(int(li)))
 	}
+	s.dir.reset()
 	for _, c := range s.caches {
 		c.reset()
 	}
-	s.dir.reset()
 	s.stats = Stats{}
 	return nil
 }
@@ -422,12 +486,9 @@ func (s *System) CheckInvariants() error {
 	}
 	byLine := make(map[uint64][]holder)
 	for _, c := range s.caches {
-		for si := range c.sets {
-			for wi := range c.sets[si] {
-				ln := &c.sets[si][wi]
-				if ln.state != stateI {
-					byLine[ln.base] = append(byLine[ln.base], holder{c.id, ln.state})
-				}
+		for i := range c.lines {
+			if ln := &c.lines[i]; ln.state != stateI {
+				byLine[ln.base] = append(byLine[ln.base], holder{c.id, ln.state})
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"mtracecheck/internal/eventq"
@@ -374,6 +376,7 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: 1, LineSize: 63, WordSize: 4, Sets: 1, Ways: 1},
 		{Cores: 1, LineSize: 64, WordSize: 4, Sets: 0, Ways: 1},
 		{Cores: 1, LineSize: 64, WordSize: 4, Sets: 1, Ways: 1, NetLat: -1},
+		{Cores: 65, LineSize: 64, WordSize: 4, Sets: 1, Ways: 1}, // wider than the sharer bit set
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -382,6 +385,128 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig(4).Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+}
+
+// TestInvalidationFanOutAscending: the directory invalidates a line's sharers
+// in ascending core order — the order the sorted sharer list gave before the
+// set became a bit set, which message sequencing and hence every golden
+// depends on. With no jitter all invalidations travel equally long, so the
+// hook order is the send order.
+func TestInvalidationFanOutAscending(t *testing.T) {
+	cfg := DefaultConfig(64)
+	cfg.Jitter = 0
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 60; round++ {
+		q, s, b := newSys(t, 64, cfg)
+		var order []int
+		s.SetInvalHook(func(core int, base uint64) { order = append(order, core) })
+		sharers := rng.Perm(64)[:1+rng.Intn(20)]
+		for _, c := range sharers {
+			b.read(c, 0x4000, func(uint32) {})
+			drain(t, q, s)
+		}
+		writer := rng.Intn(64)
+		if round%2 == 0 {
+			writer = sharers[rng.Intn(len(sharers))] // an upgrade: the writer is not invalidated
+		}
+		order = nil
+		b.write(writer, 0x4000, 1, func() {})
+		drain(t, q, s)
+		var want []int
+		for _, c := range sharers {
+			if c != writer {
+				want = append(want, c)
+			}
+		}
+		sort.Ints(want)
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("round %d: sharers %v, writer %d: invalidated in order %v, want %v",
+				round, sharers, writer, order, want)
+		}
+	}
+}
+
+// TestResetEqualsFreshSystem: Reset clears only what the iteration touched,
+// so after an iteration that touched some lines and ways (and grew the line
+// tables in both directions) the system must still be indistinguishable from
+// a new one — every word zero, invariants intact, and the same traffic
+// producing the same values, counters and timing.
+func TestResetEqualsFreshSystem(t *testing.T) {
+	cfg := TinyCacheConfig(4)
+	cfg.Jitter = 5
+	const lines = 48
+	addrOf := func(line, word int) uint64 { return 0x8000 + uint64(line)*64 + uint64(word)*4 }
+	// traffic issues n random operations over lines [lo, hi) and returns what
+	// the reads observed and when the last event ran.
+	traffic := func(q *eventq.Queue, s *System, seed int64, n, lo, hi int) ([]uint32, eventq.Time) {
+		b := newBench(q, s)
+		rng := rand.New(rand.NewSource(seed))
+		var seen []uint32
+		for i := 0; i < n; i++ {
+			core, addr := rng.Intn(4), addrOf(lo+rng.Intn(hi-lo), rng.Intn(16))
+			if rng.Intn(2) == 0 {
+				b.write(core, addr, uint32(i+1), func() {})
+			} else {
+				b.read(core, addr, func(v uint32) { seen = append(seen, v) })
+			}
+			if i%7 == 0 {
+				drain(t, q, s)
+			}
+		}
+		drain(t, q, s)
+		return seen, q.Now()
+	}
+	build := func() (*eventq.Queue, *System, *rand.Rand) {
+		q := eventq.New()
+		rng := rand.New(rand.NewSource(0))
+		s, err := NewSystem(q, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, s, rng
+	}
+
+	q, s, rng := build()
+	rng.Seed(3)
+	traffic(q, s, 1, 400, 20, 30) // a partial touch, in the middle of the range
+	traffic(q, s, 2, 100, 5, 25)  // ... growing downwards mid-iteration
+	if s.Stats().Writebacks == 0 {
+		t.Fatalf("warm-up traffic too tame to test Reset: %+v", s.Stats())
+	}
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	q.Reset()
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	for line := 0; line < lines; line++ {
+		for word := 0; word < 16; word++ {
+			if v := s.PeekWord(addrOf(line, word)); v != 0 {
+				t.Fatalf("line %d word %d = %d after Reset, want 0", line, word, v)
+			}
+		}
+	}
+	if (s.Stats() != Stats{}) {
+		t.Errorf("Stats after Reset: %+v", s.Stats())
+	}
+
+	fq, fs, frng := build()
+	rng.Seed(4)
+	frng.Seed(4)
+	got, gotEnd := traffic(q, s, 9, 600, 0, lines)
+	want, wantEnd := traffic(fq, fs, 9, 600, 0, lines)
+	if !reflect.DeepEqual(got, want) || gotEnd != wantEnd || s.Stats() != fs.Stats() {
+		t.Errorf("reset system diverges from a fresh one: end %d vs %d, stats %+v vs %+v",
+			gotEnd, wantEnd, s.Stats(), fs.Stats())
+	}
+	for line := 0; line < lines; line++ {
+		for word := 0; word < 16; word++ {
+			if a, b := s.PeekWord(addrOf(line, word)), fs.PeekWord(addrOf(line, word)); a != b {
+				t.Fatalf("line %d word %d: reset system holds %d, fresh system %d", line, word, a, b)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"mtracecheck/internal/eventq"
-	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/mem"
 	"mtracecheck/internal/prog"
 )
@@ -47,6 +46,9 @@ type Execution struct {
 	Cycles eventq.Time
 	// Squashes counts load-queue squash/replay events.
 	Squashes int
+	// Events counts the discrete events the iteration dispatched, including
+	// the protocol clean-up drained after the last operation performed.
+	Events int
 	// MemStats snapshots the memory system counters for the iteration.
 	MemStats mem.Stats
 	// Timeline holds per-operation timing when the Runner's Trace flag is
@@ -76,6 +78,7 @@ func (ex *Execution) reset(numOps, numWords int) {
 	}
 	ex.Cycles = 0
 	ex.Squashes = 0
+	ex.Events = 0
 	ex.MemStats = mem.Stats{}
 	ex.Timeline = ex.Timeline[:0]
 }
@@ -88,6 +91,7 @@ func (ex *Execution) Clone() *Execution {
 		WS:         make([][]int, len(ex.WS)),
 		Cycles:     ex.Cycles,
 		Squashes:   ex.Squashes,
+		Events:     ex.Events,
 		MemStats:   ex.MemStats,
 	}
 	for w, ids := range ex.WS {
@@ -138,7 +142,7 @@ type OpEvent struct {
 
 // Engine event kinds, dispatched through the jump table in engine.dispatch.
 // Kinds at or above mem.KindBase belong to the memory system and are routed
-// to mem.System.Dispatch; eventq.KindFunc is the queue's own closure shim.
+// to mem.System.Dispatch.
 const (
 	// evThreadStart releases thread slot Core from the iteration's start
 	// barrier after its random skew.
@@ -212,6 +216,7 @@ type thread struct {
 	sbUsed  int
 	running bool
 	started bool
+	retired bool // every op committed and the store buffer empty; see pumpThread
 
 	committedFences   int
 	drainedStores     int
@@ -225,6 +230,7 @@ func (t *thread) reset(r *Runner) {
 	t.next, t.commit, t.low, t.sbUsed = 0, 0, 0, 0
 	t.running = true
 	t.started = false
+	t.retired = false
 	t.committedFences = 0
 	t.drainedStores = 0
 	clear(t.drainedByWord)
@@ -424,9 +430,37 @@ type engine struct {
 	threads []*thread
 	exec    *Execution
 
+	// Platform parameters the per-event paths read, resolved once per run
+	// (see resolve) so the hot loops touch no Platform or Model method.
 	squashActive bool // ld→ld ordered: LQ squash machinery engaged
-	doneFlag     bool
-	rotateIdx    int // OS: next thread slot to schedule
+	stLdOrdered  bool // st→ld ordered (SC): loads wait for earlier stores
+	stStOrdered  bool // st→st ordered: FIFO store buffer
+	forwarding   bool // store-to-load forwarding permitted
+	lqSquashSkip bool // bug 2
+	window       int
+	sbDepth      int
+	issueJitter  int
+	drainDelay   int
+	lateProb     float64
+	lateMax      int
+	coreDelay    []eventq.Time // empty: no per-core delay
+
+	unretired int // threads with work left; 0 ends the iteration
+	rotateIdx int // OS: next thread slot to schedule
+}
+
+// resolve copies the platform parameters the hot paths read into the
+// engine.
+func (e *engine) resolve(p *Platform) {
+	e.squashActive = p.Model.Ordered(prog.Load, prog.Load)
+	e.stLdOrdered = p.Model.Ordered(prog.Store, prog.Load)
+	e.stStOrdered = p.Model.Ordered(prog.Store, prog.Store)
+	e.forwarding = p.Atomicity.AllowsForwarding()
+	e.lqSquashSkip = p.Bugs.LQSquashSkip
+	e.window, e.sbDepth = p.Window, p.SBDepth
+	e.issueJitter, e.drainDelay = p.IssueJitterMax, p.DrainDelayMax
+	e.lateProb, e.lateMax = p.LateLoadProb, p.LateLoadMax
+	e.coreDelay = p.CoreDelay
 }
 
 // prepare readies the reusable platform state for an iteration, rebuilding
@@ -458,13 +492,14 @@ func (r *Runner) prepare() error {
 // timers) drains here, after the execution snapshot. Every program operation
 // has already committed and performed, so these events cannot alter the
 // recorded execution — they only settle the coherence protocol so the memory
-// system can be zeroed in place instead of reallocated.
-func (r *Runner) finish(maxEvents int) {
-	r.q.Drain(maxEvents)
-	if r.q.Len() == 0 && r.ms.Quiescent() && r.ms.Reset() == nil {
-		return
+// system can be zeroed in place instead of reallocated. It returns the
+// number of events drained.
+func (r *Runner) finish(maxEvents int) int {
+	n := r.q.Drain(maxEvents)
+	if r.q.Len() != 0 || !r.ms.Quiescent() || r.ms.Reset() != nil {
+		r.dirty = true
 	}
-	r.dirty = true
+	return n
 }
 
 // Run executes one iteration from a cold, zeroed platform state.
@@ -503,32 +538,10 @@ func (r *Runner) RunSeeded(seed int64) (*Execution, error) {
 // run executes one iteration under the given per-iteration seed. Callers
 // hold the busy guard.
 func (r *Runner) run(seed int64) (*Execution, error) {
-	if err := r.prepare(); err != nil {
+	if err := r.begin(seed); err != nil {
 		return nil, err
 	}
-	r.rng.Seed(seed)
 	e := &r.eng
-	e.q, e.ms, e.rng = r.q, r.ms, r.rng
-	e.exec.reset(r.prog.NumOps(), r.prog.NumWords)
-	e.squashActive = r.plat.Model.Ordered(prog.Load, prog.Load)
-	e.doneFlag = false
-	e.rotateIdx = 0
-	for _, t := range e.threads {
-		t.reset(r)
-	}
-	if r.plat.OS.Enabled {
-		e.initOS()
-	}
-	// Threads leave the iteration's release barrier with random skew.
-	for _, t := range e.threads {
-		delay := eventq.Time(0)
-		if m := r.plat.StartJitterMax; m > 0 {
-			delay = eventq.Time(r.rng.Intn(m + 1))
-		}
-		r.q.PushAfter(delay, eventq.Event{Kind: evThreadStart, Core: int32(t.slot)})
-	}
-	e.pump()
-
 	maxEvents := r.MaxEvents
 	if maxEvents == 0 {
 		maxEvents = 200_000 + 20_000*r.prog.NumOps()
@@ -558,8 +571,40 @@ func (r *Runner) run(seed int64) (*Execution, error) {
 			}
 		}
 	}
-	r.finish(maxEvents)
+	e.exec.Events = n + r.finish(maxEvents)
 	return e.exec, nil
+}
+
+// begin resets the platform and schedules the iteration's first events: on
+// return the queue holds every thread's start (and the first OS quantum) and
+// the iteration advances by stepping the queue until the engine is done.
+func (r *Runner) begin(seed int64) error {
+	if err := r.prepare(); err != nil {
+		return err
+	}
+	r.rng.Seed(seed)
+	e := &r.eng
+	e.q, e.ms, e.rng = r.q, r.ms, r.rng
+	e.exec.reset(r.prog.NumOps(), r.prog.NumWords)
+	e.resolve(&r.plat)
+	e.unretired = len(e.threads)
+	e.rotateIdx = 0
+	for _, t := range e.threads {
+		t.reset(r)
+	}
+	if r.plat.OS.Enabled {
+		e.initOS()
+	}
+	// Threads leave the iteration's release barrier with random skew.
+	for _, t := range e.threads {
+		delay := eventq.Time(0)
+		if m := r.plat.StartJitterMax; m > 0 {
+			delay = eventq.Time(r.rng.Intn(m + 1))
+		}
+		r.q.PushAfter(delay, eventq.Event{Kind: evThreadStart, Core: int32(t.slot)})
+	}
+	e.pump()
+	return nil
 }
 
 // RunMany executes n iterations, returning their executions (cloned, so the
@@ -586,8 +631,9 @@ func (e *engine) dispatch(ev eventq.Event) {
 	}
 	switch ev.Kind {
 	case evThreadStart:
-		e.threads[ev.Core].started = true
-		e.pump()
+		t := e.threads[ev.Core]
+		t.started = true
+		e.pumpThread(t)
 	case evLoadFwd:
 		t := e.threads[ev.Core]
 		i := int(ev.Op)
@@ -634,51 +680,52 @@ func (e *engine) onMemComplete(tok int64, v uint32) {
 	word := o.op.Word
 	t.drainedByWord[word]++
 	e.exec.WS[word] = append(e.exec.WS[word], o.op.ID)
-	e.pump()
+	e.pumpThread(t)
 }
 
-func (e *engine) done() bool {
-	if e.doneFlag {
-		return true
-	}
-	for _, t := range e.threads {
-		if t.commit < len(t.ops) || t.sbUsed > 0 {
-			return false
-		}
-		for i := range t.ops {
-			if !t.ops[i].performed && t.ops[i].op.IsMemory() {
-				return false
-			}
-		}
-	}
-	e.doneFlag = true
-	return true
-}
+// done reports whether every thread has retired: all ops committed and every
+// store drained (committed loads have performed, committed stores are
+// buffered, and an empty store buffer means each of those has drained). The
+// count is maintained by pumpThread, which runs after every change to a
+// thread's commit pointer or store buffer.
+func (e *engine) done() bool { return e.unretired == 0 }
 
 // addrOf returns the byte address of an op's shared word.
 func (e *engine) addrOf(op prog.Op) uint64 { return e.r.prog.Layout.AddrOf(op.Word) }
 
-func (e *engine) coreDelay(core int) eventq.Time {
-	if len(e.r.plat.CoreDelay) == 0 {
+func (e *engine) delayOf(core int) eventq.Time {
+	if len(e.coreDelay) == 0 {
 		return 0
 	}
-	return e.r.plat.CoreDelay[core]
+	return e.coreDelay[core]
 }
 
-// pump advances every runnable thread: commits in order, issues into the
-// window, starts eligible load performs and store drains.
+// pump advances every thread. Only events that change several threads at
+// once (an OS quantum, the iteration's start) need it; see pumpThread.
 func (e *engine) pump() {
-	model := e.r.plat.Model
 	for _, t := range e.threads {
-		if !t.running || !t.started {
-			continue
-		}
+		e.pumpThread(t)
+	}
+}
+
+// pumpThread advances one thread: commits in order, issues into the window,
+// starts eligible load performs and store drains.
+//
+// Everything it decides — window occupancy, commit eligibility, and the
+// tryLoad/tryDrain ordering checks — reads only the thread's own state, and
+// it leaves the thread at a fixpoint: nothing more can issue or commit, and
+// every started-able op is in flight. Pumping a thread whose state has not
+// changed since its last pump therefore schedules nothing and draws no random
+// number, so an event pumps only the threads it changed and the result is
+// the event sequence an all-thread pump after every event would produce.
+func (e *engine) pumpThread(t *thread) {
+	if t.running && t.started {
 		// Alternate issuing and committing to a fixpoint: issuing a store
 		// lets the commit sweep buffer it, which can unblock further
 		// issues within the window.
 		for {
 			before := t.next + t.commit
-			for t.next < len(t.ops) && t.next-t.commit < e.r.plat.Window {
+			for t.next < len(t.ops) && t.next-t.commit < e.window {
 				t.ops[t.next].issued = true
 				t.next++
 			}
@@ -700,13 +747,19 @@ func (e *engine) pump() {
 			}
 			switch o.op.Kind {
 			case prog.Load:
-				e.tryLoad(t, i, model)
+				e.tryLoad(t, i)
 			case prog.Store:
 				if o.buffered {
-					e.tryDrain(t, i, model)
+					e.tryDrain(t, i)
 				}
 			}
 		}
+	}
+	// Outside the running check: a descheduled thread's last store can still
+	// drain, and the iteration ends on that event.
+	if !t.retired && t.commit == len(t.ops) && t.sbUsed == 0 {
+		t.retired = true
+		e.unretired--
 	}
 }
 
@@ -724,7 +777,7 @@ func (e *engine) commitSweep(t *thread) {
 			}
 		case prog.Store:
 			if !o.buffered {
-				if t.sbUsed >= e.r.plat.SBDepth {
+				if t.sbUsed >= e.sbDepth {
 					return // store buffer full
 				}
 				o.buffered = true
@@ -746,7 +799,7 @@ func (e *engine) commitSweep(t *thread) {
 }
 
 // tryLoad starts a load perform if its ordering constraints allow.
-func (e *engine) tryLoad(t *thread, i int, model mcm.Model) {
+func (e *engine) tryLoad(t *thread, i int) {
 	o := &t.ops[i]
 	st := t.static[i]
 
@@ -756,7 +809,7 @@ func (e *engine) tryLoad(t *thread, i int, model mcm.Model) {
 	}
 	// Under SC (st→ld preserved) all earlier stores must be globally
 	// visible before the load reads.
-	if model.Ordered(prog.Store, prog.Load) && t.drainedStores < st.prefixStores {
+	if e.stLdOrdered && t.drainedStores < st.prefixStores {
 		return
 	}
 	// Without squash machinery (RMO), same-word loads perform in order to
@@ -773,11 +826,11 @@ func (e *engine) tryLoad(t *thread, i int, model mcm.Model) {
 		}
 		if !last.performed {
 			// Youngest same-word store still in the store buffer.
-			if !e.r.plat.Atomicity.AllowsForwarding() {
+			if !e.forwarding {
 				return // single-copy: wait for the drain
 			}
 			o.inFlight = true
-			delay := 1 + e.coreDelay(t.core)
+			delay := 1 + e.delayOf(t.core)
 			e.q.PushAfter(delay, eventq.Event{Kind: evLoadFwd,
 				Core: int32(t.slot), Op: int32(i), Arg: int64(o.epoch)})
 			return
@@ -790,12 +843,12 @@ func (e *engine) tryLoad(t *thread, i int, model mcm.Model) {
 	}
 	// Perform against the coherent memory system.
 	o.inFlight = true
-	delay := e.coreDelay(t.core)
-	if m := e.r.plat.IssueJitterMax; m > 0 {
+	delay := e.delayOf(t.core)
+	if m := e.issueJitter; m > 0 {
 		delay += eventq.Time(e.rng.Intn(m + 1))
 	}
-	if p := e.r.plat.LateLoadProb; p > 0 && e.rng.Float64() < p {
-		delay += eventq.Time(e.rng.Intn(e.r.plat.LateLoadMax + 1))
+	if p := e.lateProb; p > 0 && e.rng.Float64() < p {
+		delay += eventq.Time(e.rng.Intn(e.lateMax + 1))
 	}
 	e.q.PushAfter(delay, eventq.Event{Kind: evLoadIssue,
 		Core: int32(t.slot), Op: int32(i), Arg: int64(o.epoch)})
@@ -818,14 +871,14 @@ func (e *engine) finishLoad(t *thread, i, epoch int, v uint32, forwarded bool) {
 	if !e.squashActive {
 		t.performedLdByWord[o.op.Word]++
 	}
-	e.pump()
+	e.pumpThread(t)
 }
 
 // tryDrain starts a store-buffer drain if the model's store order allows.
-func (e *engine) tryDrain(t *thread, i int, model mcm.Model) {
+func (e *engine) tryDrain(t *thread, i int) {
 	o := &t.ops[i]
 	st := t.static[i]
-	if model.Ordered(prog.Store, prog.Store) {
+	if e.stStOrdered {
 		// FIFO store buffer.
 		if t.drainedStores < st.storeIndex {
 			return
@@ -835,8 +888,8 @@ func (e *engine) tryDrain(t *thread, i int, model mcm.Model) {
 		return
 	}
 	o.inFlight = true
-	delay := e.coreDelay(t.core)
-	if m := e.r.plat.DrainDelayMax; m > 0 {
+	delay := e.delayOf(t.core)
+	if m := e.drainDelay; m > 0 {
 		delay += eventq.Time(e.rng.Intn(m + 1))
 	}
 	e.q.PushAfter(delay, eventq.Event{Kind: evStoreIssue, Core: int32(t.slot), Op: int32(i)})
@@ -849,12 +902,11 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 	if !e.squashActive {
 		return
 	}
-	if e.r.plat.Bugs.LQSquashSkip {
+	if e.lqSquashSkip {
 		return // bug 2: the LSQ ignores the invalidation
 	}
 	layout := e.r.prog.Layout
 	line := lineBase / uint64(layout.LineSize)
-	squashed := false
 	for _, t := range e.threads {
 		if t.core != core {
 			continue
@@ -875,6 +927,7 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 		if oldest < 0 {
 			continue
 		}
+		squashed := false
 		for i := oldest + 1; i < t.next; i++ {
 			o := &t.ops[i]
 			if o.op.Kind != prog.Load || !o.performed || o.committed {
@@ -890,9 +943,9 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 			e.exec.Squashes++
 			squashed = true
 		}
-	}
-	if squashed {
-		e.pump()
+		if squashed {
+			e.pumpThread(t) // replay: the squashed loads are eligible again
+		}
 	}
 }
 

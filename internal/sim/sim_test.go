@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -646,12 +647,111 @@ func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
 		if ex.Cycles != want.Cycles {
 			t.Errorf("skip %d: cycles %d, sequential %d", skip, ex.Cycles, want.Cycles)
 		}
+		if ex.Events != want.Events || ex.Events == 0 {
+			t.Errorf("skip %d: %d events, sequential %d", skip, ex.Events, want.Events)
+		}
 		for id, v := range want.LoadValues {
 			if ex.LoadValues[id] != v {
 				t.Errorf("skip %d: load %d = %d, sequential %d", skip, id, ex.LoadValues[id], v)
 			}
 		}
 	}
+}
+
+// countingSource counts the draws the iteration RNG makes from its source.
+type countingSource struct {
+	src   rand.Source64
+	draws int
+}
+
+func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
+func (c *countingSource) Int63() int64    { c.draws++; return c.src.Int63() }
+func (c *countingSource) Uint64() uint64  { c.draws++; return c.src.Uint64() }
+
+// TestPumpOfUnchangedThreadsIsNoOp checks, directly, the property the
+// per-thread pump rests on: after any event, every thread the event did not
+// change — and, since a pump leaves its thread at a fixpoint, every thread it
+// did — has nothing left to start. Stepping 200 iterations one event at a
+// time, an all-thread pump after each event must push no event and draw no
+// random number, and the O(1) done check must agree with a walk over every
+// thread's ops. The stepped iteration must also equal a plain RunSeeded's.
+func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
+	osMigrate := PlatformX86()
+	osMigrate.OS = OSConfig{Enabled: true, Quantum: 1500, QuantumJitter: 200, Migrate: true}
+	cases := []struct {
+		name    string
+		plat    Platform
+		threads int
+	}{
+		{"x86", PlatformX86(), 4},
+		{"arm", PlatformARM(), 7},
+		{"os-migrate", osMigrate, 7},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := testgen.MustGenerate(testgen.Config{Threads: c.threads, OpsPerThread: 40, Words: 8, Seed: 5})
+			r, err := NewRunner(c.plat, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &countingSource{src: rand.NewSource(0).(rand.Source64)}
+			r.rng = rand.New(src)
+			ref, err := NewRunner(c.plat, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &r.eng
+			for it, seed := range SeedTable(9, 200) {
+				if err := r.begin(seed); err != nil {
+					t.Fatal(err)
+				}
+				events := 0
+				for !e.done() {
+					if !r.q.Step() {
+						t.Fatalf("iteration %d: queue ran dry after %d events", it, events)
+					}
+					events++
+					if walked := allRetired(e); walked != e.done() {
+						t.Fatalf("iteration %d event %d: done() = %v, walking the ops says %v",
+							it, events, e.done(), walked)
+					}
+					pending, draws := r.q.Len(), src.draws
+					e.pump()
+					if r.q.Len() != pending || src.draws != draws {
+						t.Fatalf("iteration %d event %d: all-thread pump pushed %d events and drew %d numbers",
+							it, events, r.q.Len()-pending, src.draws-draws)
+					}
+				}
+				cycles := r.q.Now()
+				events += r.finish(0)
+				want, err := ref.RunSeeded(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cycles != want.Cycles || events != want.Events ||
+					!reflect.DeepEqual(e.exec.LoadValues, want.LoadValues) {
+					t.Fatalf("iteration %d: stepped run (%d cycles, %d events) differs from RunSeeded (%d, %d)",
+						it, cycles, events, want.Cycles, want.Events)
+				}
+			}
+		})
+	}
+}
+
+// allRetired is the engine's former done check: every op of every thread
+// committed, every store drained, every memory op performed.
+func allRetired(e *engine) bool {
+	for _, t := range e.threads {
+		if t.commit < len(t.ops) || t.sbUsed > 0 {
+			return false
+		}
+		for i := range t.ops {
+			if !t.ops[i].performed && t.ops[i].op.IsMemory() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestRunnerRejectsConcurrentRun: a Runner is owned by one goroutine; a

@@ -101,8 +101,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 						len(got.report.Executions), len(base.report.Executions))
 				}
 				for i, ex := range base.report.Executions {
-					if results[workers].report.Executions[i].Cycles != ex.Cycles {
-						t.Fatalf("workers %d: execution %d cycles diverge", workers, i)
+					if got := got.report.Executions[i]; got.Cycles != ex.Cycles || got.Events != ex.Events {
+						t.Fatalf("workers %d: execution %d diverges: %d cycles / %d events, workers 1 %d / %d",
+							workers, i, got.Cycles, got.Events, ex.Cycles, ex.Events)
 					}
 				}
 				if !bytes.Equal(got.sigs, base.sigs) {
