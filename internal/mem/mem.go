@@ -242,23 +242,27 @@ func (s *System) lineOf(base uint64) int {
 	return i
 }
 
+// lineBlock is the granularity of the line tables: they cover whole aligned
+// blocks of this many lines, so a test program's few dozen consecutive lines
+// are covered by the first access or two instead of one regrow per line.
+const lineBlock = 64
+
 // growLines extends the line tables to cover line number line and returns
-// its index. The covered range at least doubles in the direction of growth,
-// so a program's lines are covered after a logarithmic number of calls.
+// its index. The tables are dense over the span of lines touched, and that
+// span at least doubles per call, so even a wide span costs a logarithmic
+// number of regrows.
 func (s *System) growLines(line int) int {
-	lo, hi := s.origin, s.origin+s.nLines
-	switch {
-	case s.nLines == 0:
-		lo, hi = line, line+1
-	case line < lo:
-		lo = max(0, min(line, hi-2*s.nLines))
-	default:
-		hi = max(line+1, lo+2*s.nLines)
+	lo, hi := line&^(lineBlock-1), line|(lineBlock-1)+1
+	shift := 0
+	if n := s.nLines; n > 0 {
+		if line < s.origin {
+			lo, hi = max(0, min(lo, s.origin-n)), s.origin+n
+		} else {
+			lo, hi = s.origin, max(hi, s.origin+2*n)
+		}
+		shift = s.origin - lo
 	}
-	shift, n := s.origin-lo, hi-lo
-	if s.nLines == 0 {
-		shift = 0
-	}
+	n := hi - lo
 	wpl := s.wordsPerLine()
 	s.memory = regrow(s.memory, shift*wpl, n*wpl)
 	s.dir.lines = regrow(s.dir.lines, shift, n)

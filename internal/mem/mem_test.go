@@ -435,7 +435,7 @@ func TestInvalidationFanOutAscending(t *testing.T) {
 func TestResetEqualsFreshSystem(t *testing.T) {
 	cfg := TinyCacheConfig(4)
 	cfg.Jitter = 5
-	const lines = 48
+	const lines = 96
 	addrOf := func(line, word int) uint64 { return 0x8000 + uint64(line)*64 + uint64(word)*4 }
 	// traffic issues n random operations over lines [lo, hi) and returns what
 	// the reads observed and when the last event ran.
@@ -469,10 +469,10 @@ func TestResetEqualsFreshSystem(t *testing.T) {
 
 	q, s, rng := build()
 	rng.Seed(3)
-	traffic(q, s, 1, 400, 20, 30) // a partial touch, in the middle of the range
-	traffic(q, s, 2, 100, 5, 25)  // ... growing downwards mid-iteration
-	if s.Stats().Writebacks == 0 {
-		t.Fatalf("warm-up traffic too tame to test Reset: %+v", s.Stats())
+	traffic(q, s, 1, 400, 70, 80) // a partial touch, in the upper line block
+	traffic(q, s, 2, 100, 5, 25)  // ... then the tables grow downwards mid-iteration
+	if s.Stats().Writebacks == 0 || s.nLines != 2*lineBlock {
+		t.Fatalf("warm-up traffic too tame to test Reset: %d lines covered, %+v", s.nLines, s.Stats())
 	}
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)
