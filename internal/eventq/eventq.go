@@ -108,17 +108,14 @@ func (q *Queue) Len() int { return q.pending }
 // sequence to zero, keeping the underlying storage (and the handler) for
 // reuse. A reset queue behaves exactly like a freshly New'd one.
 func (q *Queue) Reset() {
-	if q.pending != 0 {
-		clear(q.occ[:])
-		q.far = q.far[:0]
-		q.pending, q.inWheel = 0, 0
-	}
-	// With nothing pending every node is free; dropping the free list too
-	// makes node numbering restart from zero like a new queue's.
+	clear(q.occ[:])
+	q.far = q.far[:0]
+	// Nothing is pending, so every node is free: dropping the pool's length
+	// and the free list makes node numbering restart like a new queue's.
 	q.nodes = q.nodes[:0]
 	q.free = none
-	q.now = 0
-	q.seq = 0
+	q.pending, q.inWheel = 0, 0
+	q.now, q.seq = 0, 0
 }
 
 // Push schedules a typed event at the absolute time ev.At. Scheduling in

@@ -714,10 +714,11 @@ func (e *engine) pump() {
 // Everything it decides — window occupancy, commit eligibility, and the
 // tryLoad/tryDrain ordering checks — reads only the thread's own state, and
 // it leaves the thread at a fixpoint: nothing more can issue or commit, and
-// every started-able op is in flight. Pumping a thread whose state has not
+// every op that can start is in flight. Pumping a thread whose state has not
 // changed since its last pump therefore schedules nothing and draws no random
 // number, so an event pumps only the threads it changed and the result is
-// the event sequence an all-thread pump after every event would produce.
+// the event sequence an all-thread pump after every event would produce
+// (TestPumpOfUnchangedThreadsIsNoOp).
 func (e *engine) pumpThread(t *thread) {
 	if t.running && t.started {
 		// Alternate issuing and committing to a fixpoint: issuing a store
