@@ -77,7 +77,6 @@ func (a farEntry) before(b farEntry) bool {
 // migrate.
 type Queue struct {
 	now     Time
-	pending int // wheel + far
 	handler func(Event)
 
 	wheel   [span]bucket
@@ -102,7 +101,7 @@ func (q *Queue) SetHandler(h func(Event)) { q.handler = h }
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return q.pending }
+func (q *Queue) Len() int { return q.inWheel + len(q.far) }
 
 // Reset discards all pending events and rewinds the clock and scheduling
 // sequence to zero, keeping the underlying storage (and the handler) for
@@ -114,7 +113,7 @@ func (q *Queue) Reset() {
 	// and the free list makes node numbering restart like a new queue's.
 	q.nodes = q.nodes[:0]
 	q.free = none
-	q.pending, q.inWheel = 0, 0
+	q.inWheel = 0
 	q.now, q.seq = 0, 0
 }
 
@@ -125,7 +124,6 @@ func (q *Queue) Push(ev Event) {
 	if ev.At < q.now {
 		ev.At = q.now
 	}
-	q.pending++
 	if ev.At-q.now < span {
 		q.bucketAppend(ev)
 		return
@@ -231,16 +229,16 @@ func (q *Queue) farDown(i int) {
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event was run.
 func (q *Queue) Step() bool {
-	if q.pending == 0 {
-		return false
-	}
 	var b int
-	if q.inWheel > 0 {
+	switch {
+	case q.inWheel > 0:
 		b = q.nextBucket()
 		q.now += Time((b - int(q.now)) & mask)
-	} else {
+	case len(q.far) > 0:
 		q.now = q.far[0].ev.At
 		b = int(q.now) & mask
+	default:
+		return false
 	}
 	q.migrate()
 	bk := &q.wheel[b]
@@ -254,7 +252,6 @@ func (q *Queue) Step() bool {
 	q.nodes[n].next = q.free
 	q.free = n
 	q.inWheel--
-	q.pending--
 	q.handler(ev)
 	return true
 }
@@ -265,7 +262,7 @@ func (q *Queue) Step() bool {
 // event.
 func (q *Queue) RunUntil(done func() bool, maxEvents int) int {
 	n := 0
-	for q.pending > 0 {
+	for q.Len() > 0 {
 		if done != nil && done() {
 			return n
 		}

@@ -268,7 +268,10 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-func (q *heapQueue) Reset() { q.h, q.now, q.seq = q.h[:0], 0, 0 }
+func (q *heapQueue) SetHandler(h func(Event)) { q.handler = h }
+func (q *heapQueue) Now() Time                { return q.now }
+func (q *heapQueue) Len() int                 { return len(q.h) }
+func (q *heapQueue) Reset()                   { q.h, q.now, q.seq = q.h[:0], 0, 0 }
 
 func (q *heapQueue) Push(ev Event) {
 	if ev.At < q.now {
@@ -337,6 +340,9 @@ func (q *heapQueue) RunUntil(done func() bool, maxEvents int) int {
 // scheduler is what the differential script drives: the wheel and the
 // reference heap.
 type scheduler interface {
+	SetHandler(func(Event))
+	Now() Time
+	Len() int
 	Push(Event)
 	PushAfter(Time, Event)
 	Step() bool
@@ -356,15 +362,15 @@ type pop struct {
 // Handlers push too: an event whose id is divisible by 3 schedules a
 // follow-up, every other one at zero delay, so equal-time bursts and
 // in-handler scheduling at the current time are always in the mix.
-func runScript(q scheduler, setHandler func(func(Event)), now func() Time, length func() int, script []byte) []pop {
+func runScript(q scheduler, script []byte) []pop {
 	var pops []pop
 	nextID := int64(0)
 	newEvent := func() Event {
 		nextID++
 		return Event{Kind: 1, Arg: nextID}
 	}
-	setHandler(func(ev Event) {
-		pops = append(pops, pop{ev.Arg, now()})
+	q.SetHandler(func(ev Event) {
+		pops = append(pops, pop{ev.Arg, q.Now()})
 		if ev.Arg%3 == 0 && nextID < 1<<16 {
 			delay := Time(0)
 			if ev.Arg%2 == 0 {
@@ -396,7 +402,7 @@ func runScript(q scheduler, setHandler func(func(Event)), now func() Time, lengt
 			}
 		case 4: // absolute time, possibly in the past
 			ev := newEvent()
-			ev.At = now() - 50 + Time(arg(&i))
+			ev.At = q.Now() - 50 + Time(arg(&i))
 			q.Push(ev)
 		case 5: // a few steps
 			for n := arg(&i)%8 + 1; n > 0; n-- {
@@ -408,23 +414,20 @@ func runScript(q scheduler, setHandler func(func(Event)), now func() Time, lengt
 		case 7: // Reset mid-run, rarely
 			if arg(&i)%8 == 0 {
 				q.Reset()
-				pops = append(pops, pop{-2, now()})
+				pops = append(pops, pop{-2, q.Now()})
 			}
 		}
-		pops = append(pops, pop{-3 - int64(length()), now()}) // Len and Now after every step
+		pops = append(pops, pop{-3 - int64(q.Len()), q.Now()}) // Len and Now after every step
 	}
 	q.RunUntil(nil, 0)
-	pops = append(pops, pop{-3 - int64(length()), now()})
+	pops = append(pops, pop{-3 - int64(q.Len()), q.Now()})
 	return pops
 }
 
 func diffScript(t *testing.T, script []byte) {
 	t.Helper()
-	w := New()
-	h := &heapQueue{}
-	got := runScript(w, w.SetHandler, w.Now, w.Len, script)
-	want := runScript(h, func(f func(Event)) { h.handler = f },
-		func() Time { return h.now }, func() int { return len(h.h) }, script)
+	got := runScript(New(), script)
+	want := runScript(&heapQueue{}, script)
 	if len(got) != len(want) {
 		t.Fatalf("wheel recorded %d observations, reference heap %d", len(got), len(want))
 	}

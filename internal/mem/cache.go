@@ -53,7 +53,6 @@ type memReq struct {
 // request that arrived for the line while the transaction was in flight.
 // MSHRs are pooled per cache; queued keeps its capacity across reuse.
 type mshr struct {
-	base   uint64
 	way    int  // index into cache.lines of the reserved way
 	wantM  bool // some queued request needs write permission
 	queued []memReq
@@ -99,7 +98,7 @@ func (c *cache) reset() {
 
 // newMSHR claims an MSHR from the pool and files it under line-table index
 // li.
-func (c *cache) newMSHR(li int, base uint64, way int, wantM bool) *mshr {
+func (c *cache) newMSHR(li, way int, wantM bool) *mshr {
 	var m *mshr
 	if n := len(c.mshrFree); n > 0 {
 		m = c.mshrFree[n-1]
@@ -107,7 +106,7 @@ func (c *cache) newMSHR(li int, base uint64, way int, wantM bool) *mshr {
 	} else {
 		m = &mshr{}
 	}
-	m.base, m.way, m.wantM = base, way, wantM
+	m.way, m.wantM = way, wantM
 	m.queued = m.queued[:0]
 	c.mshrs[li] = m
 	c.nMSHR++
@@ -188,7 +187,7 @@ func (c *cache) access(req memReq) {
 		case stateS:
 			// Upgrade: keep the Shared data resident, request M.
 			c.sys.stats.Misses++
-			m := c.newMSHR(li, base, way, true)
+			m := c.newMSHR(li, way, true)
 			m.queued = append(m.queued, req)
 			ln.pending = true
 			c.sys.send(-1, message{typ: msgGetM, from: c.id, base: base})
@@ -213,7 +212,7 @@ func (c *cache) access(req memReq) {
 	}
 	*ln = cacheLine{base: base, state: stateI, pending: true, data: ln.data[:0]}
 	c.touch(ln)
-	m := c.newMSHR(li, base, way, req.isWrite)
+	m := c.newMSHR(li, way, req.isWrite)
 	m.queued = append(m.queued, req)
 	typ := msgGetS
 	if req.isWrite {

@@ -150,6 +150,7 @@ type Stats struct {
 // must be called from event dispatch of the owning queue or between runs.
 type System struct {
 	cfg    Config
+	wpl    int // words per line
 	q      *eventq.Queue
 	rng    *rand.Rand
 	caches []*cache
@@ -159,7 +160,7 @@ type System struct {
 	// Line tables: memory here, dir.lines, and every cache's mshrs and wb
 	// are indexed by line number minus origin and cover nLines lines. They
 	// grow together (growLines) when an access names a line outside them.
-	memory []uint32 // backing store, wordsPerLine words per line
+	memory []uint32 // backing store, wpl words per line
 	origin int
 	nLines int
 
@@ -197,7 +198,7 @@ func NewSystem(q *eventq.Queue, cfg Config, rng *rand.Rand) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, q: q, rng: rng}
+	s := &System{cfg: cfg, wpl: cfg.LineSize / cfg.WordSize, q: q, rng: rng}
 	s.dir = newDirectory(s)
 	for i := 0; i < cfg.Cores; i++ {
 		s.caches = append(s.caches, newCache(s, i))
@@ -226,8 +227,6 @@ func (s *System) lineBase(addr uint64) uint64 {
 func (s *System) wordIndex(addr uint64) int {
 	return int(addr%uint64(s.cfg.LineSize)) / s.cfg.WordSize
 }
-
-func (s *System) wordsPerLine() int { return s.cfg.LineSize / s.cfg.WordSize }
 
 // lineOf returns the line-table index of the line at base, growing the
 // tables to cover it if need be. Growth re-indexes every table, so indices
@@ -263,8 +262,7 @@ func (s *System) growLines(line int) int {
 		shift = s.origin - lo
 	}
 	n := hi - lo
-	wpl := s.wordsPerLine()
-	s.memory = regrow(s.memory, shift*wpl, n*wpl)
+	s.memory = regrow(s.memory, shift*s.wpl, n*s.wpl)
 	s.dir.lines = regrow(s.dir.lines, shift, n)
 	for i := range s.dir.touched {
 		s.dir.touched[i] += int32(shift)
@@ -286,8 +284,7 @@ func regrow[T any](old []T, shift, n int) []T {
 
 // memLine returns the backing-store copy of line-table entry li.
 func (s *System) memLine(li int) []uint32 {
-	wpl := s.wordsPerLine()
-	return s.memory[li*wpl : (li+1)*wpl : (li+1)*wpl]
+	return s.memory[li*s.wpl : (li+1)*s.wpl : (li+1)*s.wpl]
 }
 
 // netDelay returns one message's latency including jitter.
@@ -360,7 +357,7 @@ func (s *System) getLineBuf() []uint32 {
 		s.lineBufs = s.lineBufs[:n-1]
 		return b[:0]
 	}
-	return make([]uint32, 0, s.wordsPerLine())
+	return make([]uint32, 0, s.wpl)
 }
 
 func (s *System) putLineBuf(b []uint32) { s.lineBufs = append(s.lineBufs, b) }
