@@ -3,7 +3,12 @@ GO ?= go
 # `make verify` PR-sized while still exercising the mutated-signature corpus.
 FUZZTIME ?= 3s
 
-.PHONY: build vet test race bench bench-smoke bench-diff fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile verify
+# The smoke targets drive the CLIs end to end; smoke-bin builds the three
+# binaries once per make invocation into $(BIN) (gitignored) for all of them.
+BIN := .smoke/bin
+MTC := $(BIN)/mtracecheck
+
+.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile verify
 
 build:
 	$(GO) build ./...
@@ -13,6 +18,9 @@ vet:
 
 test:
 	$(GO) test ./...
+
+smoke-bin:
+	$(GO) build -o $(BIN)/ ./cmd/mtracecheck ./cmd/mtracecheck-server ./cmd/mtracecheck-worker
 
 # Race-checked pass over the sharded pipeline; -short keeps it PR-sized.
 race:
@@ -37,11 +45,11 @@ fuzz-short:
 # observers attached must print a bit-identical report (the observers'
 # non-perturbation contract, end to end through the CLI), and the metrics
 # and trace artifacts must materialize with real content.
-obs-smoke:
+obs-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
-	$(GO) run ./cmd/mtracecheck -threads 2 -ops 30 -words 8 -iters 200 -seed 7 > $$dir/bare.txt \
+	$(MTC) -threads 2 -ops 30 -words 8 -iters 200 -seed 7 > $$dir/bare.txt \
 		|| { cat $$dir/bare.txt; exit 1; }; \
-	$(GO) run ./cmd/mtracecheck -threads 2 -ops 30 -words 8 -iters 200 -seed 7 \
+	$(MTC) -threads 2 -ops 30 -words 8 -iters 200 -seed 7 \
 		-metrics-out $$dir/metrics.prom -trace-out $$dir/trace.json -progress \
 		> $$dir/observed.txt 2> $$dir/progress.log \
 		|| { cat $$dir/observed.txt $$dir/progress.log; exit 1; }; \
@@ -62,11 +70,11 @@ obs-smoke:
 # and the worker-invariant metrics Totals must compare byte-equal. Effort
 # series (shard attempts, sorted vertices, stage seconds, ...) are
 # partition- and timing-dependent by design and filtered out.
-scaling-smoke:
+scaling-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
 	for w in 1 4; do \
 		mkdir $$dir/$$w; \
-		$(GO) run ./cmd/mtracecheck -threads 4 -ops 40 -words 16 -iters 400 -seed 11 -workers $$w \
+		$(MTC) -threads 4 -ops 40 -words 16 -iters 400 -seed 11 -workers $$w \
 			-sigs-out $$dir/$$w/sigs -metrics-out $$dir/$$w/metrics > $$dir/$$w/report \
 			|| { cat $$dir/$$w/report; exit 1; }; \
 		sed -e 's/^collective checking:.*/collective checking:  <effort line normalized>/' \
@@ -87,23 +95,23 @@ scaling-smoke:
 # backend joins this gate automatically). All verdicts must be identical;
 # only the per-backend effort line ("... checking: ...") may differ and is
 # normalized away.
-diff-check-smoke:
+diff-check-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
-	$(GO) run ./cmd/mtracecheck -threads 4 -ops 40 -words 16 -iters 400 -seed 11 \
+	$(MTC) -threads 4 -ops 40 -words 16 -iters 400 -seed 11 \
 		-dump-prog $$dir/prog -sigs-out $$dir/sigs > /dev/null \
 		|| { echo "diff-check-smoke: collection failed"; exit 1; }; \
-	for c in $$($(GO) run ./cmd/mtracecheck -list-checkers); do \
-		$(GO) run ./cmd/mtracecheck -prog $$dir/prog -iters 400 -seed 11 \
+	for c in $$($(MTC) -list-checkers); do \
+		$(MTC) -prog $$dir/prog -iters 400 -seed 11 \
 			-sigs-in $$dir/sigs -checker $$c > $$dir/report.$$c \
 			|| { cat $$dir/report.$$c; exit 1; }; \
 		grep -Ev 'checking:' $$dir/report.$$c > $$dir/verdict.$$c; \
 	done; \
-	for c in $$($(GO) run ./cmd/mtracecheck -list-checkers); do \
+	for c in $$($(MTC) -list-checkers); do \
 		cmp $$dir/verdict.collective $$dir/verdict.$$c \
 			|| { echo "diff-check-smoke: $$c verdict differs from collective"; \
 			     diff $$dir/verdict.collective $$dir/verdict.$$c; exit 1; }; \
 	done; \
-	echo "diff-check-smoke: OK (all backends agree: $$($(GO) run ./cmd/mtracecheck -list-checkers | tr '\n' ' '))"
+	echo "diff-check-smoke: OK (all backends agree: $$($(MTC) -list-checkers | tr '\n' ' '))"
 
 # External-trace smoke: the committed golden traces drive the -trace front
 # door end to end. A violating TSO trace must be a finding (exit 1), a
@@ -111,17 +119,15 @@ diff-check-smoke:
 # the same verdict summary as the vectorclock backend — only the per-backend
 # effort line ("... checking: ...") may differ and is normalized away, the
 # diff-check-smoke convention.
-trace-smoke:
+trace-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
 	td=internal/trace/testdata; \
-	$(GO) build -o $$dir/mtracecheck ./cmd/mtracecheck \
-		|| { echo "trace-smoke: build failed"; exit 1; }; \
-	$$dir/mtracecheck -trace $$td/tso_violation.trace -mcm tso > $$dir/fail.txt; st=$$?; \
+	$(MTC) -trace $$td/tso_violation.trace -mcm tso > $$dir/fail.txt; st=$$?; \
 	[ $$st -eq 1 ] || { echo "trace-smoke: violating trace exited $$st, want 1"; cat $$dir/fail.txt; exit 1; }; \
-	$$dir/mtracecheck -trace $$td/tso_valid.trace -mcm tso > $$dir/pass.txt; st=$$?; \
+	$(MTC) -trace $$td/tso_valid.trace -mcm tso > $$dir/pass.txt; st=$$?; \
 	[ $$st -eq 0 ] || { echo "trace-smoke: valid trace exited $$st, want 0"; cat $$dir/pass.txt; exit 1; }; \
 	for c in constraints vectorclock; do \
-		$$dir/mtracecheck -trace $$td/tso_violation.trace -mcm tso -checker $$c -v > $$dir/report.$$c; st=$$?; \
+		$(MTC) -trace $$td/tso_violation.trace -mcm tso -checker $$c -v > $$dir/report.$$c; st=$$?; \
 		[ $$st -eq 1 ] || { echo "trace-smoke: checker $$c exited $$st, want 1"; cat $$dir/report.$$c; exit 1; }; \
 		grep -Ev 'checking:' $$dir/report.$$c > $$dir/verdict.$$c; \
 	done; \
@@ -135,22 +141,19 @@ trace-smoke:
 # one corrupting every upload (quarantined server-side). The server must
 # exit 0 and its signature file must compare byte-equal to the in-process
 # run: worker failures may cost wall-clock, never results.
-dist-smoke:
+dist-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
-	$(GO) build -o $$dir/mtracecheck ./cmd/mtracecheck; \
-	$(GO) build -o $$dir/server ./cmd/mtracecheck-server; \
-	$(GO) build -o $$dir/worker ./cmd/mtracecheck-worker; \
-	$$dir/mtracecheck -threads 4 -ops 40 -words 16 -iters 1280 -seed 11 -sigs-out $$dir/ref.sigs > /dev/null \
+	$(MTC) -threads 4 -ops 40 -words 16 -iters 1280 -seed 11 -sigs-out $$dir/ref.sigs > /dev/null \
 		|| { echo "dist-smoke: reference run failed"; exit 1; }; \
-	$$dir/server -oneshot -listen 127.0.0.1:0 -addr-file $$dir/addr -lease-ttl 1s \
+	$(BIN)/mtracecheck-server -oneshot -listen 127.0.0.1:0 -addr-file $$dir/addr -lease-ttl 1s \
 		-threads 4 -ops 40 -words 16 -iters 1280 -seed 11 -sigs-out $$dir/dist.sigs \
 		> $$dir/report 2> $$dir/server.log & srv=$$!; \
 	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	[ -s $$dir/addr ] || { echo "dist-smoke: server never bound"; kill $$srv 2>/dev/null; exit 1; }; \
 	addr=$$(cat $$dir/addr); \
-	$$dir/worker -server http://$$addr -id honest -exit-when-idle & w1=$$!; \
-	$$dir/worker -server http://$$addr -id victim & w2=$$!; \
-	$$dir/worker -server http://$$addr -id liar -fault-wire-corrupt 1 2> /dev/null & w3=$$!; \
+	$(BIN)/mtracecheck-worker -server http://$$addr -id honest -exit-when-idle & w1=$$!; \
+	$(BIN)/mtracecheck-worker -server http://$$addr -id victim & w2=$$!; \
+	$(BIN)/mtracecheck-worker -server http://$$addr -id liar -fault-wire-corrupt 1 2> /dev/null & w3=$$!; \
 	sleep 0.3; kill -9 $$w2 2>/dev/null; \
 	wait $$srv; status=$$?; \
 	kill $$w1 $$w3 2>/dev/null; \
@@ -165,10 +168,10 @@ dist-smoke:
 # differ by design, and the warm run must check zero graphs while scoring
 # a corpus hit for every unique — the warm-cache perf contract, end to
 # end through the CLI.
-corpus-smoke:
+corpus-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
 	for run in cold warm; do \
-		$(GO) run ./cmd/mtracecheck -threads 4 -ops 40 -words 16 -iters 400 -seed 11 \
+		$(MTC) -threads 4 -ops 40 -words 16 -iters 400 -seed 11 \
 			-corpus $$dir/corpus.mtc -sigs-out $$dir/$$run.sigs -metrics-out $$dir/$$run.metrics \
 			> $$dir/$$run.report || { cat $$dir/$$run.report; exit 1; }; \
 		grep -Ev 'checking:|signature corpus:' $$dir/$$run.report \
@@ -220,29 +223,6 @@ sim-profile:
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke
 
-# Full benchmark sweep, snapshotted as the next free BENCH_<n>.json
-# (name → ns/op, B/op, allocs/op). BENCH_0.json is the committed
-# pre-dense-buffer baseline; diff later snapshots against it to catch
-# allocation regressions in the hot loop. Each snapshot embeds a campaign
-# metrics snapshot ("_metrics" key) from a reference run, so timing shifts
-# can be read against the work actually performed.
-bench:
-	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	echo "writing BENCH_$$n.json"; \
-	m=$$(mktemp); trap 'rm -f '$$m EXIT; \
-	$(GO) run ./cmd/mtracecheck -threads 4 -ops 50 -words 64 -iters 2048 -metrics-out $$m > /dev/null; \
-	$(GO) test -bench . -benchmem -count 1 -timeout 60m . | $(GO) run ./tools/benchjson -metrics $$m > BENCH_$$n.json
-
 # One-iteration benchmark compile-and-run check, cheap enough for verify.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimIterationX86$$' -benchtime 10x .
-
-# Compare the newest BENCH_<n>.json against a baseline (default the
-# committed BENCH_0.json; override with BENCH_BASE=BENCH_2.json).
-BENCH_BASE ?= BENCH_0.json
-bench-diff:
-	@n=0; latest=; while [ -e BENCH_$$n.json ]; do latest=BENCH_$$n.json; n=$$((n+1)); done; \
-	[ -n "$$latest" ] || { echo "bench-diff: no BENCH_<n>.json snapshots"; exit 1; }; \
-	[ "$$latest" != "$(BENCH_BASE)" ] || { echo "bench-diff: only $(BENCH_BASE) exists; run 'make bench' first"; exit 1; }; \
-	echo "comparing $(BENCH_BASE) -> $$latest"; \
-	$(GO) run ./tools/benchjson -diff $(BENCH_BASE) $$latest

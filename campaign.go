@@ -25,13 +25,15 @@ import (
 // options) pair whose stages — streaming execution, incremental signature
 // merge, eager decode, collective checking, checkpointing — can be driven
 // whole (Run) or split across the paper's device/host boundary (Collect,
-// Check). Every public entry point (RunContext, RunProgramContext,
-// CollectSignaturesContext, CheckSignaturesContext, RunLitmusContext) is a
-// thin wrapper over a Campaign, so Options.Observer taps every stage
-// regardless of which door the caller came in through.
+// Check). Every public entry point (Run, RunProgram, RunLitmus,
+// CollectSignatures, CheckSignatures, the chunk API) is a thin wrapper over
+// a Campaign, so Options.Observer taps every stage regardless of which door
+// the caller came in through.
 //
-// A Campaign is immutable after construction and safe to Run repeatedly;
-// identical (program, Options) pairs produce identical results.
+// A Campaign is immutable after construction and safe to Run repeatedly,
+// from several goroutines at once (per-run state lives in the run's
+// ChunkMerger); identical (program, Options) pairs produce identical
+// results.
 type Campaign struct {
 	prog    *Program
 	opts    Options
@@ -47,23 +49,7 @@ type Campaign struct {
 	corpKey   corpus.Key
 	corpusOK  bool
 	corpusErr error
-
-	// keyBuf is the binary-key scratch for corpus lookups on the warm-hit
-	// path: one buffer per campaign instead of one growth series per
-	// partition pass.
-	keyBuf []byte
 }
-
-// execChunkSize is the streaming scheduler's work granule: workers pull
-// chunks of this many iterations from a shared cursor. The chunk grid is
-// fixed — aligned to each checkpoint segment's start and independent of the
-// worker count — so chunk boundaries, and with them fault plans, retry
-// outcomes, and degradation bookkeeping, are worker-invariant by
-// construction. 64 iterations amortize scheduling and channel overhead
-// while keeping enough chunks in flight that a slow chunk (OS-mode
-// scheduling, an injected stall) no longer straggles the whole stage the
-// way a fixed contiguous block did.
-const execChunkSize = 64
 
 // NewCampaign analyzes the program and validates the options, surfacing
 // configuration errors before any execution work.
@@ -133,31 +119,13 @@ func (c *Campaign) newBuilder() *graph.Builder {
 
 // Run drives the full pipeline. Execution, merge, and decode stream past
 // each other chunk by chunk; only the global signature sort and the
-// collective check wait for the execution barrier.
+// collective check wait for the execution barrier. The context is polled
+// between iterations in every execution shard, between signatures in every
+// barrier-decode worker, and between graphs in every checking shard, so
+// cancellation returns promptly, all pipeline goroutines joined, with ctx.Err().
 func (c *Campaign) Run(ctx context.Context) (*Report, error) {
-	began := time.Now()
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, began)
-	report := c.newReport()
-	m := c.newMerger(report, true)
-	runErr := c.execute(ctx, report, m)
-	uniques := m.acc.Sorted()
-	if runErr != nil {
-		// A crash is a finding (paper bug 3); the report covers every
-		// iteration that executed, and the error names the earliest crash.
-		report.UniqueSignatures = len(uniques)
-		c.em.campaignEnd(report, runErr, began)
-		return report, runErr
-	}
-	var injected obs.FaultCounts
-	if c.inj != nil {
-		uniques, report.InjectedFaults = c.inj.Corrupt(uniques)
-		injected = faultCounts(report.InjectedFaults)
-	}
-	report.UniqueSignatures = len(uniques)
-	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
-	err := c.decodeAndCheck(ctx, uniques, m, report)
-	c.em.campaignEnd(report, err, began)
-	return report, err
+	m := c.newMerger(true)
+	return m.finish(ctx, c.execute(ctx, m))
 }
 
 // Collect drives only the execution stage — the "device side" of the
@@ -166,25 +134,11 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 // same signatures for the same (Seed, Iterations), and fault injection,
 // checkpointing, and shard retry apply identically.
 func (c *Campaign) Collect(ctx context.Context) ([]Unique, error) {
-	began := time.Now()
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, began)
-	report := c.newReport() // accounting sink; callers get signatures only
-	m := c.newMerger(report, false)
-	if runErr := c.execute(ctx, report, m); runErr != nil {
-		c.em.campaignEnd(report, runErr, began)
-		return nil, runErr
+	m := c.newMerger(false) // its report is an accounting sink; callers get signatures only
+	if _, err := m.finish(ctx, c.execute(ctx, m)); err != nil {
+		return nil, err
 	}
-	uniques := m.acc.Sorted()
-	var injected obs.FaultCounts
-	if c.inj != nil {
-		var counts map[FaultKind]int
-		uniques, counts = c.inj.Corrupt(uniques)
-		injected = faultCounts(counts)
-	}
-	report.UniqueSignatures = len(uniques)
-	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
-	c.em.campaignEnd(report, nil, began)
-	return uniques, nil
+	return m.final, nil
 }
 
 // Check drives only the host side: previously collected unique signatures
@@ -205,24 +159,16 @@ func (c *Campaign) Check(ctx context.Context, uniques []Unique) (*Report, error)
 	return report, err
 }
 
-// SignatureMetadata returns the provenance header this campaign writes via
-// SaveSignatures and validates on load.
-func (c *Campaign) SignatureMetadata() SignatureMeta {
-	return SignatureMeta{
-		ProgHash: progHash(c.prog), Seed: c.opts.Seed, Platform: c.opts.Platform.Name,
-	}
-}
-
-// decodeAndCheck is the shared host side of Run and Check: signature decode
-// — assembled from the merger's streaming decode cache when chunks were
-// decoded eagerly, or a barrier decodeItems pass when streaming wasn't
-// possible (offline Check, corruption-injected sets) — then the
-// quarantine-threshold gate and the selected checker. Only the collective
-// check (and the global sort feeding it) needs the barrier: the windowed
-// re-sorts of Alg. 2 assume adjacent signatures are globally sorted, a
-// property no partial stream has.
+// decodeAndCheck is the shared host side of Run, ChunkMerger.Report and
+// Check: signature decode — assembled from the merger's streaming decode
+// cache when chunks were decoded eagerly, or a barrier decodeItems pass when
+// streaming wasn't possible (offline Check, which has no merger, and
+// corruption-injected sets) — then the quarantine-threshold gate and the
+// selected checker. Only the collective check (and the global sort feeding
+// it) needs the barrier: the windowed re-sorts of Alg. 2 assume adjacent
+// signatures are globally sorted, a property no partial stream has.
 func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
-	m *merger, report *Report) error {
+	m *ChunkMerger, report *Report) error {
 	// Warm-cache fast path: partition the merged set against the corpus at
 	// the sort barrier. Hits were proven acyclic by an earlier campaign —
 	// the verdict is a pure function of (program, signature) — so they skip
@@ -258,12 +204,10 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
 		builder = m.builder
 		items, quarantined, err = m.assemble(novel)
 	} else {
+		// Static ws: Check requires it, and so does the fault injection that
+		// turns a merger's eager decode off.
 		builder = c.newBuilder()
-		var wsBySig map[string]graph.WS
-		if m != nil {
-			wsBySig = m.wsBySig
-		}
-		items, quarantined, err = decodeItems(ctx, c.meta, builder, novel, wsBySig,
+		items, quarantined, err = decodeItems(ctx, c.meta, builder, novel, nil,
 			c.workers, c.opts.Strict, c.em)
 	}
 	if err != nil {
@@ -304,9 +248,12 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
 func (c *Campaign) partitionCorpus(uniques []Unique) ([]Unique, int) {
 	novel := make([]Unique, 0, len(uniques))
 	hits := 0
+	// Binary-key scratch for the lookups: one buffer per pass, local so that
+	// concurrent passes over one Campaign share nothing.
+	keyBuf := make([]byte, 0, 8*c.meta.TotalWords())
 	for _, u := range uniques {
-		c.keyBuf = u.Sig.AppendBinary(c.keyBuf[:0])
-		if c.opts.Corpus.Contains(c.corpKey, c.keyBuf) {
+		keyBuf = u.Sig.AppendBinary(keyBuf[:0])
+		if c.opts.Corpus.Contains(c.corpKey, keyBuf) {
 			hits++
 			continue
 		}
@@ -352,204 +299,15 @@ func (c *Campaign) corpusAppend(report *Report, items []check.Item) error {
 	return nil
 }
 
-// merger is the streaming consumer of completed execution chunks. It runs
-// on the campaign goroutine while workers execute later chunks, folding
-// each chunk's signatures into the campaign-wide accumulator in chunk order
-// and — when the mode allows — eagerly decoding every newly observed
-// signature, so the merge and decode stages overlap execution instead of
-// waiting behind it. Eager decoding is sound because decode is a pure
-// function of (signature, metadata): the final sorted assembly only has to
-// look results up. It is skipped when signature corruption is enabled,
-// since corruption applies to the final merged set.
-type merger struct {
-	c       *Campaign
-	report  *Report
-	acc     *sig.Set            // campaign-wide dedup accumulator
-	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
-
-	// Eager-decode state; builder == nil means barrier decoding.
-	builder *graph.Builder
-	rf      []int32 // dense reads-from scratch, reused per signature
-	keyBuf  []byte  // binary-key scratch for map lookups
-	cache   map[string]decodeEntry
-}
-
-// decodeEntry is one signature's cached decode outcome. Counts are not
-// cached: the quarantine report takes them from the final merged set.
-type decodeEntry struct {
-	edges []graph.Edge
-	kind  QuarantineKind
-	err   error
-}
-
-func (c *Campaign) newMerger(report *Report, decode bool) *merger {
-	m := &merger{c: c, report: report, acc: sig.NewSet()}
-	if c.opts.ObservedWS {
-		m.wsBySig = make(map[string]graph.WS)
-	}
-	if decode && !c.opts.Fault.CorruptsSignatures() {
-		m.builder = c.newBuilder()
-		m.cache = make(map[string]decodeEntry)
-	}
-	return m
-}
-
-// absorb folds one completed chunk into the campaign state: report
-// accounting, incremental dedup, first-observation ws capture, and the
-// eager decode of signatures never seen before. Chunks are absorbed
-// strictly in chunk order, so every order-sensitive output here is
-// independent of worker count and completion schedule.
-func (m *merger) absorb(out *shardOut) {
-	r := m.report
-	r.Iterations += out.iterations
-	r.TotalCycles += out.cycles
-	r.Squashes += out.squashes
-	r.Executions = append(r.Executions, out.execs...)
-	r.AssertionFailures = append(r.AssertionFailures, out.asserts...)
-	var began time.Time
-	if m.builder != nil {
-		began = time.Now()
-	}
-	seen := len(m.cache)
-	fresh, decoded, qd, qe := 0, 0, 0, 0
-	for _, u := range out.set.Entries() {
-		if !m.acc.AddUnique(u) {
-			continue
-		}
-		if m.wsBySig == nil && m.builder == nil {
-			continue
-		}
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		if m.wsBySig != nil {
-			// New to the campaign means first observed in this chunk, and
-			// chunks land in order: first-in-chunk is first-globally.
-			if ws, ok := out.ws[string(m.keyBuf)]; ok {
-				m.wsBySig[string(m.keyBuf)] = ws
-			}
-		}
-		if m.builder == nil {
-			continue
-		}
-		if m.c.corpusActive() && m.c.opts.Corpus.Contains(m.c.corpKey, m.keyBuf) {
-			// Known good: the barrier partition will drop it before decode
-			// and check, so the streaming decode skips it too.
-			continue
-		}
-		e := m.decodeOne(u.Sig)
-		m.cache[string(m.keyBuf)] = e
-		fresh++
-		switch {
-		case e.err == nil:
-			decoded++
-		case e.kind == QuarantineDecode:
-			qd++
-		default:
-			qe++
-		}
-	}
-	if m.builder != nil && fresh > 0 {
-		m.c.em.decodeBatchEnd(out.idx, seen, fresh, decoded, qd, qe, began)
-	}
-}
-
-// absorbResumed seeds the accumulator with a checkpoint's unique set,
-// eagerly decoding it like any other batch (resume requires static ws, so
-// no ws capture applies).
-func (m *merger) absorbResumed(uniques []sig.Unique) {
-	if len(uniques) == 0 {
-		return
-	}
-	var began time.Time
-	if m.builder != nil {
-		began = time.Now()
-	}
-	decoded, qd, qe := 0, 0, 0
-	for _, u := range uniques {
-		if !m.acc.AddUnique(u) || m.builder == nil {
-			continue
-		}
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		if m.c.corpusActive() && m.c.opts.Corpus.Contains(m.c.corpKey, m.keyBuf) {
-			continue
-		}
-		e := m.decodeOne(u.Sig)
-		m.cache[string(m.keyBuf)] = e
-		switch {
-		case e.err == nil:
-			decoded++
-		case e.kind == QuarantineDecode:
-			qd++
-		default:
-			qe++
-		}
-	}
-	if m.builder != nil {
-		m.c.em.decodeBatchEnd(0, 0, len(m.cache), decoded, qd, qe, began)
-	}
-}
-
-// decodeOne decodes a single signature against the campaign metadata and
-// builds its dynamic edge set. Callers set m.keyBuf to the signature's
-// binary key first; the observed-ws lookup reads it.
-func (m *merger) decodeOne(s sig.Signature) decodeEntry {
-	if m.rf == nil {
-		m.rf = make([]int32, m.builder.NumOps())
-	}
-	if err := m.c.meta.DecodeInto(s, m.rf); err != nil {
-		return decodeEntry{kind: QuarantineDecode, err: err}
-	}
-	var ws graph.WS
-	if m.wsBySig != nil {
-		ws = m.wsBySig[string(m.keyBuf)]
-	}
-	edges, err := m.builder.AppendDynamicEdges(nil, m.rf, ws)
-	if err != nil {
-		return decodeEntry{kind: QuarantineEdges, err: err}
-	}
-	return decodeEntry{edges: edges}
-}
-
-// assemble is the eager-decode barrier: the merged, sorted uniques are
-// matched against the streaming decode cache, yielding the checker's items
-// and the quarantine list in ascending signature order — bit-identical to
-// a barrier decodeItems pass, because decode is a pure function of the
-// signature and the cache covers every unique the merger absorbed. In
-// strict mode the lowest-sorted failing signature's error is returned, as
-// the serial decode loop would have surfaced it.
-func (m *merger) assemble(uniques []sig.Unique) ([]check.Item, []Quarantined, error) {
-	items := make([]check.Item, 0, len(uniques))
-	var quarantined []Quarantined
-	for _, u := range uniques {
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		e, ok := m.cache[string(m.keyBuf)]
-		if !ok {
-			// Every unique passed through absorb, so this is defensive; a
-			// fresh decode keeps the barrier correct regardless.
-			e = m.decodeOne(u.Sig)
-			m.cache[string(m.keyBuf)] = e
-		}
-		if e.err != nil {
-			if m.c.opts.Strict {
-				return nil, nil, e.err
-			}
-			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: e.kind, Err: e.err})
-			continue
-		}
-		items = append(items, check.Item{Sig: u.Sig, Edges: e.edges})
-	}
-	return items, quarantined, nil
-}
-
 // execute runs the execution stage: optional checkpoint resume, the
 // iteration sequence in checkpoint-sized segments, work-stealing chunk
 // scheduling with per-chunk retry and degradation bookkeeping, streaming
-// results into the merger as chunks complete. The report's execution
-// accounting (Iterations, TotalCycles, Squashes, Executions,
-// AssertionFailures, ShardFailures, ResumedIterations) is filled in as
-// chunks land, so the report is honest even when an error cuts the
-// campaign short.
-func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error {
-	opts := c.opts
+// results into the merger as chunks complete. The merger's report takes the
+// execution accounting (Iterations, TotalCycles, Squashes, Executions,
+// AssertionFailures, ShardFailures, ResumedIterations) as chunks land, so it
+// is honest even when an error cuts the campaign short.
+func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
+	opts, report := c.opts, m.report
 	completed := 0
 	if opts.Resume {
 		if opts.CheckpointPath == "" {
@@ -579,7 +337,7 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 		completed = ck.Completed
 		report.ResumedIterations = completed
 		report.Iterations += completed
-		m.absorbResumed(ck.Uniques)
+		m.seed(ck.Uniques)
 		c.em.checkpointOp(obs.CheckpointResumed, opts.CheckpointPath, completed, len(ck.Uniques), 0)
 	}
 	// One Runner per worker for the whole campaign: platform/program
@@ -587,10 +345,7 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 	// NewRunner is paid workers times per campaign instead of workers times
 	// per checkpoint segment.
 	workers := c.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if n := (opts.Iterations - completed + execChunkSize - 1) / execChunkSize; workers > n && n > 0 {
+	if n := (opts.Iterations - completed + ChunkSize - 1) / ChunkSize; workers > n && n > 0 {
 		workers = n
 	}
 	runners := make([]*sim.Runner, workers)
@@ -602,19 +357,15 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 		runners[i] = r
 	}
 	// The campaign's per-iteration seed sequence, drawn once and sliced per
-	// chunk at dispatch: no worker pays the old O(start) skip-ahead, and
-	// any runner can execute any chunk because seeds travel with the work.
+	// chunk at dispatch: any runner can execute any chunk because seeds
+	// travel with the work.
 	seeds := sim.NewSeedStream(opts.Seed)
 	seeds.Skip(completed)
 	checkpointing := opts.CheckpointPath != ""
 	segment := opts.Iterations - completed
 	if checkpointing {
-		segment = opts.CheckpointEvery
-		if segment <= 0 {
-			segment = opts.Iterations / 10
-		}
-		if segment < 1 {
-			segment = 1
+		if segment = opts.CheckpointEvery; segment <= 0 {
+			segment = max(1, opts.Iterations/10)
 		}
 	}
 	for completed < opts.Iterations {
@@ -625,7 +376,7 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 		if checkpointing && segment < n {
 			n = segment
 		}
-		segClean, err := c.runChunks(ctx, report, m, runners, seeds, completed, n)
+		segClean, err := c.runChunks(ctx, m, runners, seeds, completed, n)
 		if err != nil {
 			return err
 		}
@@ -673,9 +424,9 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 // identical for every worker count and completion schedule. It reports
 // whether the segment completed without shard failures, plus the first
 // fatal error in chunk order.
-func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
+func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger,
 	runners []*sim.Runner, seeds *sim.SeedStream, segStart, segCount int) (bool, error) {
-	nChunks := (segCount + execChunkSize - 1) / execChunkSize
+	nChunks := (segCount + ChunkSize - 1) / ChunkSize
 	type chunk struct {
 		idx, start, count int
 		seeds             []int64
@@ -692,8 +443,8 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 		if stop || next >= nChunks || ctx.Err() != nil {
 			return chunk{}, false
 		}
-		ck := chunk{idx: next, start: segStart + next*execChunkSize}
-		ck.count = min(execChunkSize, segStart+segCount-ck.start)
+		ck := chunk{idx: next, start: segStart + next*ChunkSize}
+		ck.count = min(ChunkSize, segStart+segCount-ck.start)
 		ck.seeds = make([]int64, ck.count)
 		seeds.Fill(ck.seeds)
 		next++
@@ -701,10 +452,7 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 	}
 	poison := func() { mu.Lock(); stop = true; mu.Unlock() }
 
-	workers := len(runners)
-	if workers > nChunks {
-		workers = nChunks
-	}
+	workers := min(len(runners), nChunks)
 	results := make(chan *shardOut, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -740,7 +488,7 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 			}
 			delete(pending, nextMerge)
 			nextMerge++
-			m.absorb(o)
+			m.absorb(o, o.set.Entries())
 			if o.err == nil {
 				continue
 			}
@@ -748,7 +496,7 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 			if errors.Is(o.err, ErrShardFailed) && !c.opts.Strict {
 				// Infra failure that survived its retries: degrade to
 				// partial results, recorded honestly; scheduling continues.
-				report.ShardFailures = append(report.ShardFailures, ShardFailure{
+				m.report.ShardFailures = append(m.report.ShardFailures, ShardFailure{
 					Start: o.start, Count: o.count,
 					Executed: o.iterations, Attempts: o.attempts, Err: o.err,
 				})
@@ -915,43 +663,20 @@ func (em emitter) execShardEnd(shard int, out *shardOut, began time.Time, willRe
 	})
 }
 
-func (em emitter) decodeShardEnd(shard, start, count, decoded int, quar []*Quarantined, err error, began time.Time) {
+// decodeEnd reports one decode batch: a barrier worker's range of the
+// sorted set, or the newly observed uniques a completed chunk (or a resumed
+// checkpoint) contributed to the streaming decode — then Shard is the chunk
+// index and Start the number of uniques decoded before, so batches tile the
+// campaign's first-observation order.
+func (em emitter) decodeEnd(shard, start, count int, t decodeTally, err error, began time.Time) {
 	if em.o == nil {
 		return
-	}
-	var qd, qe int
-	for i := start; i < start+count; i++ {
-		if quar[i] == nil {
-			continue
-		}
-		if quar[i].Kind == QuarantineDecode {
-			qd++
-		} else {
-			qe++
-		}
 	}
 	now := time.Now()
 	em.o.ShardEnd(obs.ShardEnd{
 		Stage: obs.StageDecode, Shard: shard, Start: start, Count: count,
-		Decoded: decoded, QuarantinedDecode: qd, QuarantinedEdges: qe,
+		Decoded: t.decoded, QuarantinedDecode: t.quarDecode, QuarantinedEdges: t.quarEdges,
 		Err: err, Time: now, Duration: now.Sub(began),
-	})
-}
-
-// decodeBatchEnd reports one streaming decode batch: the newly observed
-// unique signatures a completed chunk (or a resumed checkpoint) contributed,
-// decoded eagerly while later chunks still execute. Shard is the chunk
-// index; Start is the number of uniques previously seen by the decoder, so
-// batches tile the campaign's first-observation order.
-func (em emitter) decodeBatchEnd(shard, start, count, decoded, quarDecode, quarEdges int, began time.Time) {
-	if em.o == nil {
-		return
-	}
-	now := time.Now()
-	em.o.ShardEnd(obs.ShardEnd{
-		Stage: obs.StageDecode, Shard: shard, Start: start, Count: count,
-		Decoded: decoded, QuarantinedDecode: quarDecode, QuarantinedEdges: quarEdges,
-		Time: now, Duration: now.Sub(began),
 	})
 }
 
@@ -1184,103 +909,126 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 	return out
 }
 
+// decodeEntry is one signature's decode outcome. Counts are not part of it:
+// the quarantine report takes them from the final merged set.
+type decodeEntry struct {
+	edges []graph.Edge
+	kind  QuarantineKind
+	err   error
+}
+
+// decodeTally counts one decode batch's outcomes for its ShardEnd event.
+type decodeTally struct{ decoded, quarDecode, quarEdges int }
+
+func (t *decodeTally) add(e decodeEntry) {
+	switch {
+	case e.err == nil:
+		t.decoded++
+	case e.kind == QuarantineDecode:
+		t.quarDecode++
+	default:
+		t.quarEdges++
+	}
+}
+
+// decodeSig is the per-signature body of both the eager (streaming) and the
+// barrier decode: the signature is decoded to its reads-from relation in
+// the caller's dense scratch rf and its dynamic edges are built, a failing
+// step classified for the quarantine. It is a pure function of (signature,
+// metadata, ws), which is what makes the two schedules interchangeable.
+func decodeSig(meta *instrument.Meta, b *graph.Builder, s sig.Signature,
+	rf []int32, ws graph.WS) decodeEntry {
+	if err := meta.DecodeInto(s, rf); err != nil {
+		return decodeEntry{kind: QuarantineDecode, err: err}
+	}
+	edges, err := b.AppendDynamicEdges(nil, rf, ws)
+	if err != nil {
+		return decodeEntry{kind: QuarantineEdges, err: err}
+	}
+	return decodeEntry{edges: edges}
+}
+
+// collate turns per-signature decode outcomes — entry(i) is uniques[i]'s —
+// into the checker's items and the quarantine list, both in the uniques'
+// ascending order. In strict mode the lowest-sorted failure is returned
+// instead, the one a serial decode loop would have hit first.
+func collate(uniques []sig.Unique, entry func(i int) decodeEntry, strict bool) ([]check.Item, []Quarantined, error) {
+	items := make([]check.Item, 0, len(uniques))
+	var quarantined []Quarantined
+	for i, u := range uniques {
+		e := entry(i)
+		if e.err != nil {
+			if strict {
+				return nil, nil, e.err
+			}
+			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: e.kind, Err: e.err})
+			continue
+		}
+		items = append(items, check.Item{Sig: u.Sig, Edges: e.edges})
+	}
+	return items, quarantined, nil
+}
+
 // decodeItems is the barrier decode stage over an explicit worker count,
 // used when signatures could not be decoded as they streamed in (offline
-// Check, corruption-injected sets). Workers fill disjoint contiguous
-// ranges of the result and poll the context as they go. In strict mode the
-// error for the lowest-indexed failing signature is returned — the one the
-// serial loop would have hit first. In graceful mode failing signatures
-// are quarantined (in sorted order, deterministically: failure is a pure
-// function of signature and metadata) and the surviving items are
-// compacted, preserving ascending order for the collective checker.
+// Check, corruption-injected sets). Workers (at least one, at most one per
+// signature) fill disjoint contiguous ranges of the outcomes and poll the
+// context as they go; in strict mode each stops at its first failure.
+// Failure is a pure function of signature and metadata, so the collated
+// result is deterministic.
 func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 	uniques []sig.Unique, wsBySig map[string]graph.WS, workers int,
 	strict bool, em emitter) ([]check.Item, []Quarantined, error) {
-	items := make([]check.Item, len(uniques))
-	quar := make([]*Quarantined, len(uniques))
-	decode := func(lo, hi int) (int, error) {
+	entries := make([]decodeEntry, len(uniques))
+	decode := func(lo, hi int) (t decodeTally, err error) {
 		// Per-worker scratch: a dense reads-from slice reused across
 		// signatures and a key buffer for the allocation-free ws lookup.
 		rf := make([]int32, b.NumOps())
 		var keyBuf []byte
-		decoded := 0
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
-				return decoded, err
-			}
-			u := uniques[i]
-			if err := meta.DecodeInto(u.Sig, rf); err != nil {
-				if strict {
-					return decoded, err
-				}
-				quar[i] = &Quarantined{Sig: u.Sig, Count: u.Count, Kind: QuarantineDecode, Err: err}
-				continue
+				return t, err
 			}
 			var ws graph.WS
 			if wsBySig != nil {
-				keyBuf = u.Sig.AppendBinary(keyBuf[:0])
+				keyBuf = uniques[i].Sig.AppendBinary(keyBuf[:0])
 				ws = wsBySig[string(keyBuf)]
 			}
-			edges, err := b.AppendDynamicEdges(nil, rf, ws)
-			if err != nil {
-				if strict {
-					return decoded, err
-				}
-				quar[i] = &Quarantined{Sig: u.Sig, Count: u.Count, Kind: QuarantineEdges, Err: err}
-				continue
+			entries[i] = decodeSig(meta, b, uniques[i].Sig, rf, ws)
+			if entries[i].err != nil && strict {
+				return t, entries[i].err
 			}
-			items[i] = check.Item{Sig: u.Sig, Edges: edges}
-			decoded++
+			t.add(entries[i])
 		}
-		return decoded, nil
+		return t, nil
 	}
-	if workers > len(uniques) {
-		workers = len(uniques)
+	workers = max(1, min(workers, len(uniques)))
+	base, rem := len(uniques)/workers, len(uniques)%workers
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	lo := 0
+	for w := 0; w < workers; w++ {
+		size := base
+		if w < rem {
+			size++
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			began := time.Now()
+			var t decodeTally
+			t, errs[w] = decode(lo, hi)
+			em.decodeEnd(w, lo, hi-lo, t, errs[w], began)
+		}(w, lo, lo+size)
+		lo += size
 	}
-	if workers <= 1 {
-		began := time.Now()
-		decoded, err := decode(0, len(uniques))
-		em.decodeShardEnd(0, 0, len(uniques), decoded, quar, err, began)
+	wg.Wait()
+	// Ranges ascend with the worker index, so the first recorded error
+	// is the one with the lowest signature index.
+	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
 		}
-	} else {
-		base, rem := len(uniques)/workers, len(uniques)%workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		lo := 0
-		for w := 0; w < workers; w++ {
-			size := base
-			if w < rem {
-				size++
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				began := time.Now()
-				var decoded int
-				decoded, errs[w] = decode(lo, hi)
-				em.decodeShardEnd(w, lo, hi-lo, decoded, quar, errs[w], began)
-			}(w, lo, lo+size)
-			lo += size
-		}
-		wg.Wait()
-		// Ranges ascend with the worker index, so the first recorded error
-		// is the one with the lowest signature index.
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
 	}
-	var quarantined []Quarantined
-	kept := items[:0]
-	for i := range items {
-		if quar[i] != nil {
-			quarantined = append(quarantined, *quar[i])
-			continue
-		}
-		kept = append(kept, items[i])
-	}
-	return kept, quarantined, nil
+	return collate(uniques, func(i int) decodeEntry { return entries[i] }, strict)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -192,7 +193,7 @@ func TestConstraintsDifferentialAgainstFastBackends(t *testing.T) {
 			Forwarding: plat.Atomicity.AllowsForwarding(),
 			WS:         graph.WSStatic,
 		})
-		items, err := DecodeItems(context.Background(), meta, builder, uniques, nil)
+		items, _, err := decodeItems(context.Background(), meta, builder, uniques, nil, runtime.GOMAXPROCS(0), true, emitter{})
 		if err != nil {
 			t.Fatal(err)
 		}

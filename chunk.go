@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"mtracecheck/internal/check"
+	"mtracecheck/internal/graph"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -13,25 +15,27 @@ import (
 
 // The chunk API exports the campaign's worker-invariant execution grid for
 // out-of-process use: the distributed service leases chunks to remote
-// workers and merges their results here. Three properties make remote
-// execution safe and its failures recoverable:
-//
-//   - Any runner can execute any chunk: each chunk carries its slice of the
-//     campaign's per-iteration seed stream, so a chunk's signatures and
-//     counters are a pure function of (program, options, chunk index).
-//   - Because of that purity, a chunk re-executed by a different worker —
-//     after a crash, hang, or partition — produces bit-identical results,
-//     so redispatch and duplicate completions are harmless.
-//   - ChunkMerger.Absorb deduplicates by chunk index and Report assembles
-//     counters in ascending chunk order, so the merged report is identical
-//     to a single-process run regardless of which workers computed which
-//     chunks, in what order, or how many times.
+// workers and merges their results here. Any runner can execute any chunk:
+// a chunk's signatures and counters are a pure function of (program,
+// options, chunk index), so a chunk re-executed by another worker — after a
+// crash, hang, or partition — produces bit-identical results, and
+// ChunkMerger makes redispatch and duplicate completions harmless.
 
-// ChunkSize is the campaign execution grid's granule: chunk i covers
-// iterations [i*ChunkSize, min((i+1)*ChunkSize, Iterations)). It equals the
-// in-process scheduler's granule, so fault plans and retry outcomes keyed by
-// chunk bounds agree between local and distributed execution.
-const ChunkSize = execChunkSize
+// ChunkSize is the execution grid's granule, for the in-process
+// work-stealing scheduler and the exported grid alike: exported chunk i
+// covers iterations [i*ChunkSize, min((i+1)*ChunkSize, Iterations)). The
+// grid is independent of the worker count, so chunk boundaries — and the
+// fault plans, retry outcomes, and degradation bookkeeping keyed by them —
+// are worker-invariant by construction. 64 iterations amortize scheduling
+// and channel overhead while keeping enough chunks in flight that a slow
+// chunk (OS-mode scheduling, an injected stall) does not straggle the stage.
+//
+// Caveat: the in-process scheduler restarts its grid at every checkpoint
+// segment and resume point, so its chunk bounds equal the exported grid's
+// only when segments are multiples of ChunkSize. Signatures never depend on
+// the grid (seeds are per iteration); injected shard faults and
+// ShardFailures do, and agree between local and dist runs only then.
+const ChunkSize = 64
 
 // NumChunks returns the number of chunks in the campaign's execution grid.
 func (c *Campaign) NumChunks() int {
@@ -125,7 +129,6 @@ func (cr *ChunkRunner) Run(ctx context.Context, idx int) (*ChunkResult, error) {
 	stream.Skip(start)
 	stream.Fill(seeds)
 	out := c.runChunkRetrying(ctx, 0, &cr.runner, start, count, seeds)
-	out.idx = idx
 	res := &ChunkResult{
 		Chunk: idx, Start: start, Count: count,
 		Stats: ChunkStats{
@@ -145,19 +148,64 @@ type assertFailure string
 
 func (a assertFailure) Error() string { return string(a) }
 
-// ChunkMerger accumulates chunk results into a campaign report. Absorb is
-// idempotent per chunk index — duplicate completions (stragglers, retried
-// uploads, redispatch races) merge to the same state — and Report assembles
-// counters in ascending chunk order, so the outcome is independent of
-// completion order. Not safe for concurrent use; callers serialize.
+// ChunkMerger is the campaign's one merger: the streaming consumer of
+// completed execution chunks, whoever executed them. It folds each chunk's
+// signatures into the campaign-wide accumulator and — when the mode allows —
+// eagerly decodes every newly observed signature, so merge and decode
+// overlap execution instead of waiting behind it. Eager decoding is sound
+// because decode is a pure function of (signature, metadata): the final
+// sorted assembly only looks results up. It is skipped when signature
+// corruption is enabled, since corruption applies to the final merged set.
+//
+// Run and Collect feed it from the work-stealing scheduler's reorder buffer,
+// strictly in chunk order; the exported Absorb feeds it in any order and is
+// idempotent per chunk index, so duplicate completions (stragglers, retried
+// uploads, redispatch races) merge to the same state. Both land in the same
+// absorb and end in the same finish: a chunk-API report equals the
+// in-process one by construction. Not safe for concurrent use.
 type ChunkMerger struct {
-	c     *Campaign
-	began time.Time
-	acc   *sig.Set
+	c      *Campaign
+	began  time.Time
+	report *Report  // execution accounting lands here as chunks are absorbed
+	acc    *sig.Set // campaign-wide dedup accumulator
+	check  bool     // finish runs the host side (false: Collect)
+	final  []Unique // post-injection set, recorded by finish
+
+	// Grid bookkeeping, exported API only (the in-process grid restarts at
+	// every checkpoint segment, so it has no stable index): makes Absorb
+	// idempotent and keeps transported assertion messages in chunk order.
 	stats []ChunkStats // per chunk; valid where done[i]
 	done  []bool
 	nDone int
-	final []Unique // post-injection set, recorded by Report
+
+	// In-process only — chunkable() rejects the options behind them for the
+	// exported API. First-observation ws needs chunks absorbed in order plus
+	// a per-chunk ws map, and retained executions (report.Executions) are
+	// whole simulator states; ChunkResult carries neither over the wire.
+	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
+
+	// Eager-decode state; builder == nil means barrier decoding.
+	builder *graph.Builder
+	rf      []int32 // dense reads-from scratch, reused per signature
+	keyBuf  []byte  // binary-key scratch for map lookups
+	cache   map[string]decodeEntry
+}
+
+// newMerger starts a campaign (start time, campaign-start event) and returns
+// the empty merger its chunks land in. check says whether the host side will
+// follow, and with it whether signatures are decoded as they stream in.
+func (c *Campaign) newMerger(check bool) *ChunkMerger {
+	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet(), check: check}
+	if c.opts.ObservedWS {
+		m.wsBySig = make(map[string]graph.WS)
+	}
+	if check && !c.opts.Fault.CorruptsSignatures() {
+		m.builder = c.newBuilder()
+		m.rf = make([]int32, m.builder.NumOps())
+		m.cache = make(map[string]decodeEntry)
+	}
+	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, m.began)
+	return m
 }
 
 // NewChunkMerger returns an empty merger over the campaign's grid and
@@ -167,12 +215,8 @@ func (c *Campaign) NewChunkMerger() (*ChunkMerger, error) {
 	if err := c.chunkable(); err != nil {
 		return nil, err
 	}
-	n := c.NumChunks()
-	m := &ChunkMerger{
-		c: c, began: time.Now(), acc: sig.NewSet(),
-		stats: make([]ChunkStats, n), done: make([]bool, n),
-	}
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, m.began)
+	m := c.newMerger(true)
+	m.stats, m.done = make([]ChunkStats, c.NumChunks()), make([]bool, c.NumChunks())
 	return m, nil
 }
 
@@ -204,6 +248,111 @@ func (m *ChunkMerger) Stats(idx int) ChunkStats {
 	return m.stats[idx]
 }
 
+// absorb folds one completed chunk into the campaign state: report
+// accounting, incremental dedup, first-observation ws capture, and the
+// eager decode of signatures never seen before. entries are the chunk's
+// uniques in any order. What is order-sensitive here — executions, assertion
+// failures, first-observation ws, decode batch events — is in-process only,
+// where chunks land strictly in chunk order whatever the worker count.
+func (m *ChunkMerger) absorb(out *shardOut, entries []Unique) {
+	r := m.report
+	r.Iterations += out.iterations
+	r.TotalCycles += out.cycles
+	r.Squashes += out.squashes
+	r.Executions = append(r.Executions, out.execs...)
+	r.AssertionFailures = append(r.AssertionFailures, out.asserts...)
+	var began time.Time
+	if m.builder != nil {
+		began = time.Now()
+	}
+	seen := len(m.cache)
+	var t decodeTally
+	for _, u := range entries {
+		if !m.acc.AddUnique(u) {
+			continue
+		}
+		if m.wsBySig == nil && m.builder == nil {
+			continue
+		}
+		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
+		var ws graph.WS
+		if m.wsBySig != nil {
+			// New to the campaign means first observed in this chunk, and
+			// chunks land in order: first-in-chunk is first-globally.
+			var ok bool
+			if ws, ok = out.ws[string(m.keyBuf)]; ok {
+				m.wsBySig[string(m.keyBuf)] = ws
+			}
+		}
+		if m.builder == nil {
+			continue
+		}
+		if m.c.corpusActive() && m.c.opts.Corpus.Contains(m.c.corpKey, m.keyBuf) {
+			// Known good: the barrier partition will drop it before decode
+			// and check, so the streaming decode skips it too.
+			continue
+		}
+		e := decodeSig(m.c.meta, m.builder, u.Sig, m.rf, ws)
+		m.cache[string(m.keyBuf)] = e
+		t.add(e)
+	}
+	if fresh := len(m.cache) - seen; fresh > 0 {
+		m.c.em.decodeEnd(out.idx, seen, fresh, t, nil, began)
+	}
+}
+
+// seed folds a checkpoint's merged unique set in as one batch without
+// execution accounting (callers restore their own). Both resume paths —
+// Options.Resume's prefix and Restore's chunk bitmap — come through here.
+func (m *ChunkMerger) seed(uniques []Unique) { m.absorb(&shardOut{}, uniques) }
+
+// assemble is the eager-decode barrier: the merged, sorted uniques are
+// matched against the streaming decode cache — bit-identical to a barrier
+// decodeItems pass, because decode is a pure function of the signature and
+// the cache covers every unique the merger absorbed.
+func (m *ChunkMerger) assemble(uniques []Unique) ([]check.Item, []Quarantined, error) {
+	return collate(uniques, func(i int) decodeEntry {
+		m.keyBuf = uniques[i].Sig.AppendBinary(m.keyBuf[:0])
+		e, ok := m.cache[string(m.keyBuf)]
+		if !ok {
+			// Every unique passed through absorb, so this is defensive; a
+			// fresh decode keeps the barrier correct regardless.
+			e = decodeSig(m.c.meta, m.builder, uniques[i].Sig, m.rf, m.wsBySig[string(m.keyBuf)])
+			m.cache[string(m.keyBuf)] = e
+		}
+		return e
+	}, m.c.opts.Strict)
+}
+
+// finish is the one campaign tail: Run, Collect and Report all end here.
+// The merged set is sorted, device-side corruption is injected, and (unless
+// the merger only collects) the host side decodes and checks it. A failed
+// execution stage skips all that: a crash is a finding (paper bug 3), the
+// report covers what executed, and the error names the earliest crash.
+func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error) {
+	c, report := m.c, m.report
+	if runErr != nil {
+		report.UniqueSignatures = m.acc.Len()
+		c.em.campaignEnd(report, runErr, m.began)
+		return report, runErr
+	}
+	uniques := m.acc.Sorted()
+	var injected obs.FaultCounts
+	if c.inj != nil {
+		uniques, report.InjectedFaults = c.inj.Corrupt(uniques)
+		injected = faultCounts(report.InjectedFaults)
+	}
+	report.UniqueSignatures = len(uniques)
+	m.final = uniques
+	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
+	var err error
+	if m.check {
+		err = c.decodeAndCheck(ctx, uniques, m, report)
+	}
+	c.em.campaignEnd(report, err, m.began)
+	return report, err
+}
+
 // Absorb folds one chunk result into the merger. It returns false with no
 // state change when the chunk was already absorbed (a deduplicated
 // duplicate completion), and an error when the result does not fit the
@@ -226,43 +375,56 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 		return false, fmt.Errorf("mtracecheck: chunk %d completed %d of %d iterations",
 			r.Chunk, r.Stats.Iterations, count)
 	}
-	words := m.c.SignatureWords()
+	// A completed iteration yields one signature observation or one assertion
+	// failure, so the two add up to the chunk; inflated counts would otherwise
+	// reach SaveSignatures. Each count is bounded before it is summed.
+	words, observed := m.c.SignatureWords(), len(r.Stats.Asserts)
 	for i := range r.Uniques {
 		if r.Uniques[i].Sig.Len() != words {
 			return false, fmt.Errorf("mtracecheck: chunk %d signature %d has %d words, campaign signatures have %d",
 				r.Chunk, i, r.Uniques[i].Sig.Len(), words)
 		}
-		if r.Uniques[i].Count <= 0 {
+		if n := r.Uniques[i].Count; n <= 0 || n > count {
 			return false, fmt.Errorf("mtracecheck: chunk %d signature %d claims %d observations",
-				r.Chunk, i, r.Uniques[i].Count)
+				r.Chunk, i, n)
 		}
+		if observed += r.Uniques[i].Count; observed > count {
+			break
+		}
+	}
+	if observed != count {
+		return false, fmt.Errorf("mtracecheck: chunk %d accounts for %d observations and assertion failures over %d iterations",
+			r.Chunk, observed, count)
 	}
 	if m.done[r.Chunk] {
 		return false, nil
 	}
-	for _, u := range r.Uniques {
-		m.acc.AddUnique(u)
-	}
-	m.stats[r.Chunk] = r.Stats
-	m.done[r.Chunk] = true
-	m.nDone++
+	m.land(r.Chunk, r.Stats, r.Uniques)
 	return true, nil
+}
+
+// land marks one grid chunk done and absorbs it. Its assertion messages
+// stay in stats until Report lists them in chunk order.
+func (m *ChunkMerger) land(idx int, st ChunkStats, uniques []Unique) {
+	m.stats[idx], m.done[idx] = st, true
+	m.nDone++
+	m.absorb(&shardOut{idx: idx, iterations: st.Iterations, cycles: st.Cycles, squashes: st.Squashes}, uniques)
 }
 
 // Restore seeds the merger from a checkpoint: the merged unique set
 // collected before the restart plus the per-chunk stats of the chunks it
 // covered. The restored merger continues exactly where the checkpointed one
-// stopped — completed chunks are never re-executed.
+// stopped — completed chunks are never re-executed. A checkpoint that does
+// not fit the campaign is rejected whole: the merger is left empty.
 func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
-	if m.nDone > 0 {
+	if m.nDone > 0 || m.acc.Len() > 0 {
 		return errors.New("mtracecheck: Restore requires an empty merger")
 	}
-	start, count := 0, 0
 	for idx, st := range done {
 		if idx < 0 || idx >= len(m.done) {
 			return fmt.Errorf("mtracecheck: restored chunk %d outside grid of %d", idx, len(m.done))
 		}
-		if start, count = m.c.ChunkBounds(idx); st.Iterations != count {
+		if start, count := m.c.ChunkBounds(idx); st.Iterations != count {
 			return fmt.Errorf("mtracecheck: restored chunk %d covers %d of %d iterations (grid start %d)",
 				idx, st.Iterations, count, start)
 		}
@@ -273,12 +435,10 @@ func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
 			return fmt.Errorf("mtracecheck: restored signature %d has %d words, campaign signatures have %d",
 				i, uniques[i].Sig.Len(), words)
 		}
-		m.acc.AddUnique(uniques[i])
 	}
+	m.seed(uniques)
 	for idx, st := range done {
-		m.stats[idx] = st
-		m.done[idx] = true
-		m.nDone++
+		m.land(idx, st, nil)
 	}
 	return nil
 }
@@ -288,31 +448,16 @@ func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
 // report, bit-identical to an uninterrupted in-process run of the same
 // (program, options). It requires every grid chunk to have been absorbed.
 func (m *ChunkMerger) Report(ctx context.Context) (*Report, error) {
-	c := m.c
 	if !m.Complete() {
-		err := fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.done), m.nDone)
-		return nil, err
+		return nil, fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.done), m.nDone)
 	}
-	report := c.newReport()
+	// Assertion messages crossed the wire as strings and chunks landed in
+	// any order: list them now, ascending, as in-process absorption does.
+	m.report.AssertionFailures = nil
 	for idx := range m.stats {
-		st := &m.stats[idx]
-		report.Iterations += st.Iterations
-		report.TotalCycles += st.Cycles
-		report.Squashes += st.Squashes
-		for _, a := range st.Asserts {
-			report.AssertionFailures = append(report.AssertionFailures, assertFailure(a))
+		for _, a := range m.stats[idx].Asserts {
+			m.report.AssertionFailures = append(m.report.AssertionFailures, assertFailure(a))
 		}
 	}
-	uniques := m.acc.Sorted()
-	var injected obs.FaultCounts
-	if c.inj != nil {
-		uniques, report.InjectedFaults = c.inj.Corrupt(uniques)
-		injected = faultCounts(report.InjectedFaults)
-	}
-	report.UniqueSignatures = len(uniques)
-	m.final = uniques
-	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
-	err := c.decodeAndCheck(ctx, uniques, nil, report)
-	c.em.campaignEnd(report, err, m.began)
-	return report, err
+	return m.finish(ctx, nil)
 }

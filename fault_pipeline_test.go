@@ -50,6 +50,15 @@ func sameOutcome(t *testing.T, label string, got, want *Report) {
 	}
 }
 
+// runCtx is the cancellable RunProgram: NewCampaign + Campaign.Run(ctx).
+func runCtx(ctx context.Context, p *Program, opts Options) (*Report, error) {
+	c, err := NewCampaign(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx)
+}
+
 // TestFaultInjectionWorkerInvariant: corruption is keyed by signature
 // content, so the quarantine and the surviving set must be identical for
 // every worker count — the same invariance contract the clean pipeline has.
@@ -298,7 +307,7 @@ func TestCancellationPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = RunProgramContext(ctx, p, Options{Iterations: 5_000_000, Seed: 2, Workers: 4})
+	_, err = runCtx(ctx, p, Options{Iterations: 5_000_000, Seed: 2, Workers: 4})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -327,7 +336,7 @@ func TestCancelledBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunProgramContext(ctx, p, Options{Iterations: 1000, Seed: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := runCtx(ctx, p, Options{Iterations: 1000, Seed: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -232,6 +233,40 @@ func TestCorruptWorkerQuarantined(t *testing.T) {
 	if err := liar.Run(context.Background()); !errors.Is(err, ErrWorkerQuarantined) {
 		t.Fatalf("liar exited with %v, want quarantine", err)
 	}
+	// A well-formed upload that lies about its observation counts passes the
+	// wire checksum; the merger's validation must turn it into a strike
+	// instead of letting the inflated counts reach the signature file.
+	p, opts, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := mtracecheck.NewCampaign(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := c.NewChunkRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cr.Run(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Uniques[0].Count++
+	payload, err := EncodeChunkUpload(&ChunkUpload{
+		Job: id, Worker: "padder", Chunk: res.Chunk, Start: res.Start,
+		Count: res.Count, Stats: res.Stats, Uniques: res.Uniques,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded, err := (&Worker{Server: url, ID: "padder"}).postChunk(context.Background(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if padded.Status != UploadRejected || !strings.Contains(padded.Error, "observations") {
+		t.Fatalf("inflated counts: got %q (%s), want a rejection naming the observations", padded.Status, padded.Error)
+	}
 	runWorkers(t, url, 1, nil)
 	report, err := srv.Wait(context.Background(), id)
 	if err != nil {
@@ -242,6 +277,9 @@ func TestCorruptWorkerQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, ref, refU, report, uniques)
+	if stats, _ := srv.Stats(id); stats.Rejected != 1 {
+		t.Fatalf("expected the padded upload as the job's one rejection, got %+v", stats)
+	}
 	// A corrupt payload cannot be attributed to a job, so the strikes are
 	// per-worker state, not JobStats.
 	srv.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mtracecheck"
+	"mtracecheck/internal/sig"
 )
 
 // FuzzChunkUpload hammers the upload decoder — the one parser on the
@@ -23,6 +24,20 @@ func FuzzChunkUpload(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	// A chunk whose observation counts do not add up to its iterations: the
+	// decoder carries it faithfully, ChunkMerger.Absorb is what rejects it.
+	padded, err := EncodeChunkUpload(&ChunkUpload{
+		Job: "job-1", Worker: "w0", Chunk: 0, Start: 0, Count: 64,
+		Stats: mtracecheck.ChunkStats{Iterations: 64, Cycles: 999},
+		Uniques: []mtracecheck.Unique{
+			{Sig: sig.New([]uint64{1, 2}), Count: 64},
+			{Sig: sig.New([]uint64{1, 3}), Count: 7},
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(padded)
 	f.Add([]byte("MTCCHNK1"))
 	f.Add(bytes.Repeat([]byte{0}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {

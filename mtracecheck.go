@@ -27,7 +27,7 @@
 // quarantined rather than aborting the run (Options.Strict restores the
 // abort-on-first-error behavior), failed execution shards are retried and
 // then degraded to partial results, campaigns are cancellable via
-// RunProgramContext, and long campaigns can checkpoint and resume
+// Campaign.Run's context, and long campaigns can checkpoint and resume
 // (Options.CheckpointPath / Options.Resume). The internal/fault package
 // injects deterministic device-side faults to prove all of it.
 //
@@ -469,73 +469,46 @@ var ErrShardFailed = errors.New("mtracecheck: execution shard failed")
 // retries are exhausted, surfaces wrapped in ErrShardFailed.
 var errShardPanic = errors.New("mtracecheck: shard panicked")
 
-// RunContext generates a constrained-random test program from cfg and
-// drives the full validation pipeline over it; see RunProgramContext for
-// the pipeline and cancellation contract. This is the documented core of
-// the Run/RunContext pair.
-func RunContext(ctx context.Context, cfg TestConfig, opts Options) (*Report, error) {
+// Run generates a constrained-random test program from cfg and drives the
+// full validation pipeline over it; see RunProgram.
+func Run(cfg TestConfig, opts Options) (*Report, error) {
 	p, err := testgen.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return RunProgramContext(ctx, p, opts)
+	return RunProgram(p, opts)
 }
 
-// Run is RunContext with context.Background().
-func Run(cfg TestConfig, opts Options) (*Report, error) {
-	return RunContext(context.Background(), cfg, opts)
-}
-
-// RunProgramContext drives the full pipeline — sharded execution,
-// signature merge, decode, collective checking — over an existing program
-// (e.g. a litmus test or a hand-built scenario). It is a thin wrapper over
-// NewCampaign + Campaign.Run, the spine every entry point shares.
+// RunProgram drives the full pipeline — sharded execution, signature merge,
+// decode, collective checking — over an existing program (e.g. a litmus
+// test or a hand-built scenario). Like every convenience here it is
+// NewCampaign + one Campaign method under context.Background(); callers
+// that need cancellation build the Campaign themselves and pass a context.
 //
 // The three hot stages are sharded across Options.Workers goroutines; see
 // Options.Workers for the determinism contract (results are identical for
-// every worker count). The context is polled between iterations in every
-// execution shard, between signatures in every decode worker, and between
-// graphs in every checking shard, so cancellation returns promptly — with
-// all pipeline goroutines joined — carrying ctx.Err().
-func RunProgramContext(ctx context.Context, p *Program, opts Options) (*Report, error) {
+// every worker count).
+func RunProgram(p *Program, opts Options) (*Report, error) {
 	c, err := NewCampaign(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(ctx)
+	return c.Run(context.Background())
 }
 
-// RunProgram is RunProgramContext with context.Background().
-func RunProgram(p *Program, opts Options) (*Report, error) {
-	return RunProgramContext(context.Background(), p, opts)
-}
-
-// DecodeItems converts sorted unique signatures back into checkable items:
-// each signature is decoded to its reads-from relation (paper Alg. 1) and
-// combined with the write-serialization order observed by the harness.
-// Signatures decode independently, so the work fans out over GOMAXPROCS
-// goroutines into a pre-sized slice that preserves the sorted order. It is
-// strict: the first failure aborts (the lowest-indexed one, as the serial
-// loop would hit); RunProgram's graceful quarantine path is configured via
-// Options.Strict instead.
-func DecodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
-	uniques []Unique, wsBySig map[string]graph.WS) ([]check.Item, error) {
-	items, _, err := decodeItems(ctx, meta, b, uniques, wsBySig, runtime.GOMAXPROCS(0), true, emitter{})
-	return items, err
-}
-
-// RunLitmusContext executes a litmus test, reporting how often the
-// interesting outcome was observed alongside the full validation report. A
-// forbidden outcome that is observed also surfaces as a graph-check
-// violation. This is the documented core of the RunLitmus pair; the
-// context cancels the underlying campaign as in RunProgramContext.
-func RunLitmusContext(ctx context.Context, l Litmus, opts Options) (observed int, report *Report, err error) {
-	opts = withDefaults(opts)
+// RunLitmus executes a litmus test, reporting how often the interesting
+// outcome was observed alongside the full validation report. A forbidden
+// outcome that is observed also surfaces as a graph-check violation.
+func RunLitmus(l Litmus, opts Options) (observed int, report *Report, err error) {
 	// Outcome counting needs the raw executions even when the caller does
 	// not: force retention for the run, then honor the caller's flag.
 	keep := opts.KeepExecutions
 	opts.KeepExecutions = true
-	report, err = RunProgramContext(ctx, l.Prog, opts)
+	c, err := NewCampaign(l.Prog, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	report, err = c.Run(context.Background())
 	if err != nil {
 		return 0, report, err
 	}
@@ -548,11 +521,6 @@ func RunLitmusContext(ctx context.Context, l Litmus, opts Options) (observed int
 		report.Executions = nil
 	}
 	return observed, report, nil
-}
-
-// RunLitmus is RunLitmusContext with context.Background().
-func RunLitmus(l Litmus, opts Options) (observed int, report *Report, err error) {
-	return RunLitmusContext(context.Background(), l, opts)
 }
 
 func withDefaults(opts Options) Options {
@@ -597,49 +565,37 @@ func SaveSignatures(w io.Writer, report *Report, uniques []Unique) error {
 	}, uniques)
 }
 
-// CollectSignaturesContext runs only the execution stage: the program is
-// executed for the configured iterations and the sorted unique signatures
-// are returned without any checking. This is the "device side" of the
-// paper's flow (a thin wrapper over NewCampaign + Campaign.Collect); pair
-// it with CheckSignaturesContext on the host. Execution shards across
-// Options.Workers exactly as RunProgramContext does, so both sides of the
-// split observe the same signatures for the same (Seed, Iterations); fault
-// injection, checkpointing, shard retry, and the observer apply
-// identically. This is the documented core of the CollectSignatures pair.
-func CollectSignaturesContext(ctx context.Context, p *Program, opts Options) ([]Unique, error) {
-	c, err := NewCampaign(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Collect(ctx)
-}
-
-// CollectSignatures is CollectSignaturesContext with context.Background().
+// CollectSignatures runs only the execution stage: the program is executed
+// for the configured iterations and the sorted unique signatures are
+// returned without any checking. This is the "device side" of the paper's
+// flow (NewCampaign + Campaign.Collect); pair it with CheckSignatures on the
+// host. Execution shards across Options.Workers exactly as RunProgram does,
+// so both sides of the split observe the same signatures for the same
+// (Seed, Iterations); fault injection, checkpointing, shard retry, and the
+// observer apply identically.
 func CollectSignatures(p *Program, opts Options) ([]Unique, error) {
-	return CollectSignaturesContext(context.Background(), p, opts)
-}
-
-// CheckSignaturesContext is the "host side": it decodes previously
-// collected unique signatures (e.g. loaded via LoadSignatures) and checks
-// them under the campaign options — checker selection, Workers,
-// Strict/QuarantineThreshold, and Options.Observer all apply, exactly as
-// in the full pipeline (it is a thin wrapper over NewCampaign +
-// Campaign.Check). The static write-serialization mode is required (and is
-// the default): stored signatures carry nothing beyond themselves. The
-// returned report covers the host-side stages only — UniqueSignatures,
-// Quarantined, CheckStats, Violations; its execution counters are zero.
-// This is the documented core of the CheckSignatures pair.
-func CheckSignaturesContext(ctx context.Context, p *Program, uniques []Unique, opts Options) (*Report, error) {
 	c, err := NewCampaign(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.Check(ctx, uniques)
+	return c.Collect(context.Background())
 }
 
-// CheckSignatures is CheckSignaturesContext with context.Background().
+// CheckSignatures is the "host side": it decodes previously collected
+// unique signatures (e.g. loaded via LoadSignatures) and checks them under
+// the campaign options — checker selection, Workers,
+// Strict/QuarantineThreshold, and Options.Observer all apply, exactly as in
+// the full pipeline (NewCampaign + Campaign.Check). The static
+// write-serialization mode is required (and is the default): stored
+// signatures carry nothing beyond themselves. The returned report covers
+// the host-side stages only — UniqueSignatures, Quarantined, CheckStats,
+// Violations; its execution counters are zero.
 func CheckSignatures(p *Program, uniques []Unique, opts Options) (*Report, error) {
-	return CheckSignaturesContext(context.Background(), p, uniques, opts)
+	c, err := NewCampaign(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Check(context.Background(), uniques)
 }
 
 // LoadSignatures reads a signature set written by SaveSignatures,

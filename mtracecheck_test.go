@@ -507,7 +507,7 @@ func TestCheckerBackendsAgree(t *testing.T) {
 // TestRunContextCancelledPerChecker: a cancelled campaign must surface
 // context.Canceled for every checker backend instead of a report.
 func TestRunContextCancelledPerChecker(t *testing.T) {
-	cfg := TestConfig{Threads: 2, OpsPerThread: 30, Words: 8, Seed: 2}
+	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 30, Words: 8, Seed: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range CheckerNames() {
@@ -517,7 +517,7 @@ func TestRunContextCancelledPerChecker(t *testing.T) {
 		}
 		// A partial report may accompany the error (the CLI renders it);
 		// the error itself must be the cancellation.
-		if _, err := RunContext(ctx, cfg, Options{Iterations: 100, Seed: 3, Checker: checker}); !errors.Is(err, context.Canceled) {
+		if _, err := runCtx(ctx, p, Options{Iterations: 100, Seed: 3, Checker: checker}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}

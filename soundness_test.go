@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 				builder := graph.NewBuilder(p, model, graph.Options{
 					Forwarding: true, WS: ws,
 				})
-				items, err := DecodeItems(context.Background(), meta, builder, set.Sorted(), wsBySig)
+				items, _, err := decodeItems(context.Background(), meta, builder, set.Sorted(), wsBySig, runtime.GOMAXPROCS(0), true, emitter{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,7 +237,7 @@ func TestStrongerModelExecutionsPassWeakerChecks(t *testing.T) {
 	}
 	for _, model := range mcm.Models {
 		builder := graph.NewBuilder(p, model, graph.Options{Forwarding: true, WS: graph.WSObserved})
-		items, err := DecodeItems(context.Background(), meta, builder, set.Sorted(), wsBySig)
+		items, _, err := decodeItems(context.Background(), meta, builder, set.Sorted(), wsBySig, runtime.GOMAXPROCS(0), true, emitter{})
 		if err != nil {
 			t.Fatal(err)
 		}
