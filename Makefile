@@ -8,7 +8,7 @@ FUZZTIME ?= 3s
 BIN := .smoke/bin
 MTC := $(BIN)/mtracecheck
 
-.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile verify
+.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile trace-profile verify
 
 build:
 	$(GO) build ./...
@@ -28,11 +28,13 @@ race:
 
 # Short native-fuzzing pass over the decoder and the binary readers — the
 # attack surface the fault injector corrupts — plus the checker-backend
-# differential (all backends must agree on fuzz-chosen execution sets) and
-# the event-queue differential (timing wheel vs. the reference heap).
+# differential (all backends must agree on fuzz-chosen execution sets), the
+# event-queue differential (timing wheel vs. the reference heap) and the
+# program-order reduction's (O(1)-witness scan vs. the cubic definition).
 # Go runs one fuzz target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzThreadPO$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzEncodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadSet$$' -fuzztime $(FUZZTIME)
@@ -209,16 +211,25 @@ sim-alloc-smoke:
 		|| exit 1; \
 	echo "sim-alloc-smoke: OK (SimIteration allocs/op within budget $(SIM_ALLOC_BUDGET))"
 
-# Where a simulated iteration's time goes: CPU-profiles
-# BenchmarkSimIterationX86 for 4 s and prints the 30 hottest functions (the
-# measurement DESIGN §10's before/after table is made from). The test binary
-# and profile go to a temporary directory.
-sim-profile:
+# CPU-profiles one root-package benchmark for 4 s and prints the 30 hottest
+# functions. The test binary and profile go to a temporary directory.
+define cpu-profile
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
 	$(GO) test -c -o $$dir/mtracecheck.test . || exit 1; \
-	$$dir/mtracecheck.test -test.run '^$$' -test.bench '^BenchmarkSimIterationX86$$' -test.benchtime 4s \
+	$$dir/mtracecheck.test -test.run '^$$' -test.bench '^$(1)$$' -test.benchtime 4s \
 		-test.benchmem -test.cpuprofile $$dir/cpu.prof | grep Benchmark || exit 1; \
 	$(GO) tool pprof -top -nodecount 30 $$dir/mtracecheck.test $$dir/cpu.prof
+endef
+
+# Where a simulated iteration's time goes (the measurement DESIGN §10's
+# before/after table is made from).
+sim-profile:
+	$(call cpu-profile,BenchmarkSimIterationX86)
+
+# Where a trace check's time goes: parse + check of one rendered 200-op TSO
+# execution (the measurement behind DESIGN §16's cost paragraph).
+trace-profile:
+	$(call cpu-profile,BenchmarkCheckTrace)
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke

@@ -1,6 +1,7 @@
 package mtracecheck
 
 import (
+	"bytes"
 	"testing"
 
 	"mtracecheck/internal/instrument"
@@ -20,6 +21,14 @@ const (
 	encAllocBudget = 0
 	addAllocBudget = 0
 )
+
+// checkTraceAllocBudget bounds one parse + check of the rendered 200-op
+// reference execution, BenchmarkCheckTrace's unit. A trace check builds
+// everything afresh, so this is a per-call budget, not a steady state: the
+// scanner and Ops growth, the store index, the bound program and its rf map,
+// one graph builder (whose tables and adjacency are a handful of slices, not
+// one per vertex), and the checker's workspace, which is about half of it.
+const checkTraceAllocBudget = 311
 
 func allocProbeSetup(t *testing.T) (*sim.Runner, *instrument.Meta) {
 	t.Helper()
@@ -116,6 +125,23 @@ func TestSetAddAllocBudget(t *testing.T) {
 	}
 	if set.Len() != 1 || set.Total() != 102 {
 		t.Errorf("Set after probe: Len %d Total %d, want 1 and 102", set.Len(), set.Total())
+	}
+}
+
+func TestCheckTraceAllocBudget(t *testing.T) {
+	text := renderedTrace(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		tr, err := ParseTrace(bytes.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
+		if err != nil || report.Failed() {
+			t.Fatalf("clean trace: err %v, report %v", err, report)
+		}
+	})
+	if allocs > checkTraceAllocBudget {
+		t.Errorf("ParseTrace + CheckTrace of a 200-op trace: %.0f allocs, budget %d", allocs, checkTraceAllocBudget)
 	}
 }
 

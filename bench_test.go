@@ -5,6 +5,7 @@
 package mtracecheck
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,9 +17,11 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
 	"mtracecheck/internal/mem"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
+	"mtracecheck/internal/trace"
 	"mtracecheck/internal/vm"
 )
 
@@ -658,4 +661,88 @@ func BenchmarkVectorClockCheckSimData(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(f.items)), "graphs/op")
+}
+
+// BenchmarkNewBuilderX86 / ARM: the static half of a constraint graph — the
+// per-call fixed cost of a trace check (one builder per trace) and a
+// campaign's one-off set-up — on the reference TSO configuration and on the
+// paper's largest RMO one.
+func BenchmarkNewBuilderX86(b *testing.B) {
+	benchNewBuilder(b, TestConfig{Threads: 4, OpsPerThread: 50, Words: 64, Seed: 1}, sim.PlatformX86())
+}
+
+func BenchmarkNewBuilderARM(b *testing.B) {
+	benchNewBuilder(b, TestConfig{Threads: 7, OpsPerThread: 200, Words: 64, Seed: 1}, sim.PlatformARM())
+}
+
+func benchNewBuilder(b *testing.B, tc TestConfig, plat sim.Platform) {
+	b.Helper()
+	p, err := testgen.Generate(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	edges := 0
+	for i := 0; i < b.N; i++ {
+		edges = graph.NewBuilder(p, plat.Model, graph.Options{Forwarding: true, WS: graph.WSStatic}).StaticEdgeCount()
+	}
+	b.ReportMetric(float64(edges), "edges")
+}
+
+// renderedTrace runs the reference 4×50 program once on the x86 platform and
+// renders the execution in the external-trace text format: per-thread program
+// order, stores with their unique values, loads with the value observed.
+func renderedTrace(tb testing.TB) []byte {
+	tb.Helper()
+	p, err := testgen.Generate(TestConfig{Threads: 4, OpsPerThread: 50, Words: 64, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runner, err := sim.NewRunner(sim.PlatformX86(), p, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ex, err := runner.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := &ExecTrace{}
+	for ti, th := range p.Threads {
+		for _, op := range th.Ops {
+			top := TraceOp{Thread: ti, Kind: trace.Fence}
+			switch op.Kind {
+			case prog.Store:
+				top = TraceOp{Thread: ti, Kind: trace.Store, Addr: p.Layout.AddrOf(op.Word), Value: uint64(op.Value)}
+			case prog.Load:
+				top = TraceOp{Thread: ti, Kind: trace.Load, Addr: p.Layout.AddrOf(op.Word), Value: uint64(ex.LoadValues[op.ID])}
+			}
+			tr.Ops = append(tr.Ops, top)
+		}
+	}
+	var buf bytes.Buffer
+	if err := FormatTrace(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkCheckTrace: the external-trace front door end to end — parse,
+// bind, one graph builder, dynamic edges and the collective check of one
+// rendered 200-op TSO execution — the unit of the trace-check workload.
+func BenchmarkCheckTrace(b *testing.B) {
+	text := renderedTrace(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := ParseTrace(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
+		if err != nil || report.Failed() {
+			b.Fatalf("clean trace: err %v, report %v", err, report)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/mcm"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/trace"
 )
@@ -92,11 +93,20 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 		Forwarding: m != mcm.SC,
 		WS:         graph.WSStatic,
 	})
-	edges, err := builder.DynamicEdges(bind.RF, nil)
+	// The dense reads-from AppendDynamicEdges takes; a value-faulted load has
+	// no source and keeps the marker for that.
+	rf := make([]int32, bind.Prog.NumOps())
+	for i := range rf {
+		rf[i] = rfUnresolved
+	}
+	for load, store := range bind.RF {
+		rf[load] = int32(store)
+	}
+	edges, err := builder.AppendDynamicEdges(nil, rf, nil)
 	if err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}
-	items := []check.Item{{Sig: traceSignature(bind), Edges: edges}}
+	items := []check.Item{{Sig: traceSignature(bind.Prog, rf), Edges: edges}}
 
 	// The observer surface is the campaign's: a trace check is a
 	// one-iteration campaign on a pseudo-platform named for the front door.
@@ -131,6 +141,11 @@ func CheckTrace(tr *ExecTrace, model string, opts Options) (*Report, *TraceBindi
 	return CheckTraceContext(context.Background(), tr, model, opts)
 }
 
+// rfUnresolved is the dense reads-from entry of a load whose response value
+// no store wrote: below -1 (a read of the initial value), which
+// graph.Builder.AppendDynamicEdges skips.
+const rfUnresolved = -2
+
 // traceSignature synthesizes a signature for the trace's one execution so
 // it can flow through Item/Violation reporting like any decoded signature:
 // each load contributes its resolved reads-from source (+2, so the initial
@@ -138,26 +153,24 @@ func CheckTrace(tr *ExecTrace, model string, opts Options) (*Report, *TraceBindi
 // two fields per word, in load-ID order. Distinct observed interleavings of
 // the same trace program therefore get distinct signatures, mirroring the
 // instrumentation's 1:1 encoding.
-func traceSignature(bind *trace.Binding) sig.Signature {
-	var fields []uint32
-	for opID := range bind.Source {
-		top := bind.Trace.Ops[bind.Source[opID]]
-		if top.Kind != trace.Load {
-			continue
-		}
-		rf, ok := bind.RF[opID]
-		if !ok {
-			fields = append(fields, 0) // value fault: no resolved source
-		} else {
-			fields = append(fields, uint32(rf+2))
+func traceSignature(p *Program, rf []int32) sig.Signature {
+	words := make([]uint64, 0, (len(rf)+1)/2) // room for every op being a load
+	fields := 0
+	for _, th := range p.Threads {
+		for _, op := range th.Ops {
+			if op.Kind != prog.Load {
+				continue
+			}
+			if fields%2 == 0 {
+				words = append(words, 0)
+			}
+			// An unresolved load (value fault) contributes field 0.
+			words[fields/2] |= uint64(uint32(rf[op.ID]-rfUnresolved)) << (32 * uint(fields%2))
+			fields++
 		}
 	}
-	if len(fields) == 0 {
+	if fields == 0 {
 		return sig.Zero(1)
-	}
-	words := make([]uint64, (len(fields)+1)/2)
-	for i, f := range fields {
-		words[i/2] |= uint64(f) << (32 * uint(i%2))
 	}
 	return sig.New(words)
 }

@@ -1,12 +1,16 @@
 package mtracecheck
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
@@ -213,5 +217,98 @@ func TestConstraintsDifferentialAgainstFastBackends(t *testing.T) {
 				t.Errorf("%s: constraints disagrees with %s: %+v", plat.Name, name, d)
 			}
 		}
+	}
+}
+
+// sequentialTrace renders a single-thread trace of n random loads and stores
+// over the given number of addresses — or, with addrs 0, each to an address
+// of its own — in which every load observes its thread's latest store (or the
+// initial value): legal under every model.
+func sequentialTrace(t *testing.T, n, addrs int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	last := make([]uint64, max(addrs, n))
+	tr := &ExecTrace{Ops: make([]TraceOp, n)}
+	for i := range tr.Ops {
+		a := i
+		if addrs > 0 {
+			a = rng.Intn(addrs)
+		}
+		op := TraceOp{Kind: trace.Load, Addr: 0x1000 + 4*uint64(a), Value: last[a]}
+		if rng.Intn(2) == 0 {
+			last[a] = uint64(i + 1)
+			op.Kind, op.Value = trace.Store, last[a]
+		}
+		tr.Ops[i] = op
+	}
+	var buf bytes.Buffer
+	if err := FormatTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCheckTraceScaling holds the trace front door to its cost model (DESIGN
+// §5, §16): parse, bind, the static graph and the dynamic edges are linear in
+// the trace under SC and TSO, and under PSO and RMO as long as addresses
+// recur; only PSO/RMO traces whose addresses never recur pay the program-order
+// reduction's quadratic worst case. A long single-thread trace is the input
+// that separates these: one thread owns every program-order pair.
+//
+// Each size's time is the fastest of five runs, the two sizes taking turns so
+// that a busy phase of the host hits both, and a bound has three attempts to
+// hold: other tests share the CPUs, and noise only ever adds time.
+func TestCheckTraceScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	check := func(text []byte, model string) time.Duration {
+		t.Helper()
+		start := time.Now()
+		tr, err := ParseTrace(bytes.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, _, err := CheckTrace(tr, model, Options{Workers: 1})
+		if err != nil || report.Failed() {
+			t.Fatalf("%s: err %v, report %+v", model, err, report)
+		}
+		return time.Since(start)
+	}
+	cases := []struct {
+		name      string
+		model     string
+		ops       int           // the smaller trace; the larger has twice as many
+		addrs     int           // distinct addresses drawn from; 0 = one per op
+		limit     time.Duration // on the smaller trace
+		maxGrowth float64       // larger ÷ smaller
+	}{
+		{"tso", "tso", 20000, 64, time.Second, 3},
+		{"rmo", "rmo", 20000, 64, time.Second, 5},
+		// Every address distinct: each op's scan for a same-word successor
+		// runs to the end of the thread. Quadratic growth is 4.
+		{"rmo-no-recurrence", "rmo", 5000, 0, time.Second, 6},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			smallText, largeText := sequentialTrace(t, c.ops, c.addrs), sequentialTrace(t, 2*c.ops, c.addrs)
+			for attempt := 1; ; attempt++ {
+				small, large := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+				for round := 0; round < 5; round++ {
+					small = min(small, check(smallText, c.model))
+					large = min(large, check(largeText, c.model))
+				}
+				growth := float64(large) / float64(small)
+				t.Logf("%d ops: %v, %d ops: %v (x%.2f, exponent %.2f)",
+					c.ops, small, 2*c.ops, large, growth, math.Log2(growth))
+				if small <= c.limit && growth <= c.maxGrowth {
+					return
+				}
+				if attempt == 3 {
+					t.Fatalf("%d ops took %v (limit %v) and twice the ops x%.2f (limit x%.1f)",
+						c.ops, small, c.limit, growth, c.maxGrowth)
+				}
+			}
+		})
 	}
 }

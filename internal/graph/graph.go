@@ -82,104 +82,261 @@ const (
 	WSObserved
 )
 
+// opInfo is the builder's flat per-operation record, indexed by op ID: what
+// edge construction needs of a prog.Op, without the thread scan and struct
+// copy of Program.OpByID.
+type opInfo struct {
+	word   int32 // shared-word index; -1 for fences
+	thread int32
+	kind   prog.OpKind
+}
+
 // Builder constructs constraint graphs for many executions of one program
-// under one model, amortizing the static program-order edges.
+// under one model, amortizing the static program-order edges. The program
+// must be valid (prog.Program.Validate): IDs dense and thread-major, words
+// below NumWords.
 type Builder struct {
-	prog    *prog.Program
-	model   mcm.Model
-	opts    Options
-	n       int
-	static  [][]int32 // static adjacency: po (model) + same-address + fences
-	statCnt int
-	// lastOwnStore maps a load op ID to the latest preceding same-thread
-	// same-word store op ID (used for conditional forwarding edges).
-	lastOwnStore map[int]int
-	// nextOwnStore maps a store op ID to the next same-thread same-word
-	// store op ID (static fr targets in WSStatic mode).
-	nextOwnStore map[int]int
-	// firstStores maps a word to each thread's first store to it (static
-	// fr targets for initial-value reads in WSStatic mode).
-	firstStores map[int][]int
+	opts     Options
+	n        int
+	numWords int
+	ops      []opInfo  // by op ID
+	static   [][]int32 // static adjacency: po (model) + same-address + fences
+	statCnt  int
+	// lastOwnStore[load] is the latest preceding same-thread same-word store
+	// (the conditional forwarding edge's source), -1 when there is none.
+	lastOwnStore []int32
+	// nextOwnStore[store] is the next same-thread same-word store (the static
+	// fr target in WSStatic mode), -1 when there is none.
+	nextOwnStore []int32
+	// firstStores[firstOff[w]:firstOff[w+1]] lists each thread's first store
+	// to word w in thread order (static fr targets for initial-value reads
+	// in WSStatic mode).
+	firstOff    []int32
+	firstStores []int32
 	// loads lists every load op ID in ID order (for the dense rf path).
 	loads []int32
 }
 
+// noStore marks "no such store" in the builder's dense int32 tables.
+const noStore = -1
+
 // NewBuilder precomputes the static (execution-independent) edges.
 func NewBuilder(p *prog.Program, model mcm.Model, opts Options) *Builder {
-	b := &Builder{prog: p, model: model, opts: opts, n: p.NumOps()}
-	b.static = make([][]int32, b.n)
-	b.lastOwnStore = make(map[int]int)
-	b.nextOwnStore = make(map[int]int)
-	b.firstStores = make(map[int][]int)
-	for _, th := range p.Threads {
-		b.buildThreadPO(th.Ops)
-		latest := map[int]int{}
-		seenFirst := map[int]bool{}
+	n := p.NumOps()
+	b := &Builder{opts: opts, n: n, numWords: p.NumWords, ops: make([]opInfo, n)}
+	numLoads := 0
+	for ti, th := range p.Threads {
 		for _, op := range th.Ops {
-			switch op.Kind {
-			case prog.Load:
-				b.loads = append(b.loads, int32(op.ID))
-				if st, ok := latest[op.Word]; ok {
-					b.lastOwnStore[op.ID] = st
-				}
-			case prog.Store:
-				if st, ok := latest[op.Word]; ok {
-					b.nextOwnStore[st] = op.ID
-				}
-				latest[op.Word] = op.ID
-				if !seenFirst[op.Word] {
-					seenFirst[op.Word] = true
-					b.firstStores[op.Word] = append(b.firstStores[op.Word], op.ID)
-				}
+			b.ops[op.ID] = opInfo{word: int32(op.Word), thread: int32(ti), kind: op.Kind}
+			if op.Kind == prog.Load {
+				numLoads++
 			}
 		}
 	}
-	for _, out := range b.static {
-		b.statCnt += len(out)
+
+	ko := newKindOrder(model, opts)
+	po := poScratch{
+		words: make([]wordCount, b.numWords),
+		off:   make([]int32, n+1),
+		edges: make([]int32, 0, 2*n),
+	}
+	tab := make([]int32, 2*n+numLoads+b.numWords)
+	for i := range tab {
+		tab[i] = noStore
+	}
+	b.lastOwnStore, tab = tab[:n:n], tab[n:]
+	b.nextOwnStore, tab = tab[:n:n], tab[n:]
+	b.loads, tab = tab[:0:numLoads], tab[numLoads:]
+	latest := tab // word -> the current thread's latest store so far
+	type firstStore struct{ word, id int32 }
+	var firsts []firstStore
+	next := 0
+	for _, th := range p.Threads {
+		ops := b.ops[next : next+len(th.Ops)]
+		po.threadPO(ops, int32(next), &ko)
+		for i, op := range ops {
+			id := int32(next + i)
+			switch op.kind {
+			case prog.Load:
+				b.loads = append(b.loads, id)
+				b.lastOwnStore[id] = latest[op.word]
+			case prog.Store:
+				if st := latest[op.word]; st != noStore {
+					b.nextOwnStore[st] = id
+				} else {
+					firsts = append(firsts, firstStore{op.word, id})
+				}
+				latest[op.word] = id
+			}
+		}
+		for _, op := range ops { // reset what this thread touched: O(ops), not O(words)
+			if op.kind == prog.Store {
+				latest[op.word] = noStore
+			}
+		}
+		next += len(th.Ops)
+	}
+	po.off[n] = int32(len(po.edges))
+
+	// Per-vertex lists are carved from the one edge array; a vertex without
+	// successors keeps a nil list.
+	b.statCnt = len(po.edges)
+	b.static = make([][]int32, n)
+	for u := range b.static {
+		if lo, hi := po.off[u], po.off[u+1]; lo < hi {
+			b.static[u] = po.edges[lo:hi:hi]
+		}
+	}
+
+	// firsts is in thread order; a counting sort by word keeps that order
+	// within each word.
+	b.firstOff = make([]int32, b.numWords+1)
+	for _, f := range firsts {
+		b.firstOff[f.word+1]++
+	}
+	for w := 0; w < b.numWords; w++ {
+		b.firstOff[w+1] += b.firstOff[w]
+	}
+	b.firstStores = make([]int32, len(firsts))
+	cursor := latest // no longer needed as such
+	copy(cursor, b.firstOff)
+	for _, f := range firsts {
+		b.firstStores[cursor[f.word]] = f.id
+		cursor[f.word]++
 	}
 	return b
 }
 
-// ordered reports whether program order between ops a (earlier) and b
-// (later) of one thread is preserved: by the model's kind matrix, by
-// same-address coherence, or by fence semantics. Same-address store→load
-// pairs are excluded on forwarding platforms — the load may be satisfied
-// from the store buffer before the store is globally visible; the ordering
-// is reinstated per execution by DynamicEdges when no forwarding occurred.
-func (b *Builder) ordered(a, c prog.Op) bool {
-	if a.Kind == prog.Fence || c.Kind == prog.Fence {
-		return true
-	}
-	if a.Word == c.Word {
-		if b.opts.Forwarding && a.Kind == prog.Store && c.Kind == prog.Load {
-			return false
-		}
-		return b.model.OrderedSameAddr(a.Kind, c.Kind)
-	}
-	return b.model.Ordered(a.Kind, c.Kind)
+// kindOrder is the model's preserved-program-order predicate resolved into
+// tables, once per builder. Program order from an earlier op of kind a to a
+// later op of kind c of one thread is preserved when diff[a][c] (the two
+// access different words: the model's kind matrix) or same[a][c] (the same
+// word: coherence, less store→load on forwarding platforms, where the load
+// may be satisfied from the store buffer before the store is globally
+// visible; that ordering is reinstated per execution by the dynamic edges
+// when no forwarding occurred). Fences order against everything.
+type kindOrder struct {
+	diff, same [numKinds][numKinds]bool
+	// The same rows as masks over the memory kinds (bit c = kind c), for
+	// threadPO's saturation test.
+	diffMask, sameMask [numKinds]uint8
 }
 
-// buildThreadPO emits a transitive reduction of the thread's preserved
-// program order: an edge (i,j) is skipped when some k between them is
-// ordered after i and before j, as the two shorter edges imply the longer
-// one (induction on span length keeps reachability intact).
-func (b *Builder) buildThreadPO(ops []prog.Op) {
-	n := len(ops)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !b.ordered(ops[i], ops[j]) {
+const numKinds = 3 // prog.Load, prog.Store, prog.Fence
+
+var memKinds = [...]prog.OpKind{prog.Load, prog.Store}
+
+func newKindOrder(model mcm.Model, opts Options) kindOrder {
+	var ko kindOrder
+	for a := prog.OpKind(0); a < numKinds; a++ {
+		for c := prog.OpKind(0); c < numKinds; c++ {
+			if a == prog.Fence || c == prog.Fence {
+				ko.diff[a][c], ko.same[a][c] = true, true
 				continue
 			}
+			ko.diff[a][c] = model.Ordered(a, c)
+			ko.same[a][c] = model.OrderedSameAddr(a, c) &&
+				!(opts.Forwarding && a == prog.Store && c == prog.Load)
+		}
+		for _, c := range memKinds {
+			if ko.diff[a][c] {
+				ko.diffMask[a] |= 1 << c
+			}
+			if ko.same[a][c] {
+				ko.sameMask[a] |= 1 << c
+			}
+		}
+	}
+	return ko
+}
+
+// wordCount counts, per memory kind, the ops on one word in the current
+// succ(i) of threadPO; stamp says which i the counts belong to, so the table
+// is never cleared.
+type wordCount struct {
+	stamp int32
+	cnt   [2]int32
+}
+
+// poScratch is what threadPO works in: the edge array all threads append to,
+// each vertex's offset into it, and the per-word successor counts.
+type poScratch struct {
+	edges []int32
+	off   []int32
+	words []wordCount
+	stamp int32
+}
+
+// threadPO appends a transitive reduction of one thread's preserved program
+// order: the edge (i,j), for i before j with the pair ordered, is skipped
+// when some k between them is ordered after i and before j, as the two
+// shorter edges imply the longer one (induction on span length keeps
+// reachability intact). ops is the thread's slice of Builder.ops and first
+// its first op ID.
+//
+// For a fixed i the scan over j ascending keeps a summary of succ(i), the ops
+// seen so far that are ordered after i, and tests for a witness k in O(1):
+// whether a successor exists at all, how many there are of each kind, and how
+// many of each kind on each word. (i,j) is implied iff j is a fence and
+// succ(i) is non-empty, or some kind K has a successor on another word than
+// j's with diff[K][kind j], or one on j's word with same[K][kind j].
+//
+// The scan ends at the first fence: the fence is ordered after i and before
+// everything later, so it witnesses every later pair. It also ends once
+// succ(i) is saturated — every kind a later op could have and still be
+// ordered after i already has a witness that holds whatever that op's word
+// is — because then no later j can add an edge. Under SC and TSO the first or
+// second successor saturates (amortized O(1) steps per op); under PSO and RMO
+// an op's scan runs to the next ops on its own word, O(n) in the worst case.
+func (po *poScratch) threadPO(ops []opInfo, first int32, ko *kindOrder) {
+	for i, oi := range ops {
+		po.off[int(first)+i] = int32(len(po.edges))
+		po.stamp++
+		var cnt [2]int32 // successors of each memory kind
+		// anyWord: the kinds i orders after itself on every word; need: the
+		// kinds a later op can have and be ordered after i, on any word or on
+		// i's own only, that no successor witnesses yet.
+		anyWord := ko.diffMask[oi.kind]
+		need := anyWord | ko.sameMask[oi.kind]
+		for j := i + 1; j < len(ops); j++ {
+			oj := ops[j]
+			if oj.kind == prog.Fence {
+				if cnt[prog.Load]+cnt[prog.Store] == 0 {
+					po.edges = append(po.edges, first+int32(j))
+				}
+				break
+			}
+			sameWord := oj.word == oi.word
+			if sameWord && !ko.same[oi.kind][oj.kind] || !sameWord && !ko.diff[oi.kind][oj.kind] {
+				continue
+			}
+			wc := &po.words[oj.word]
+			if wc.stamp != po.stamp {
+				*wc = wordCount{stamp: po.stamp}
+			}
 			implied := false
-			for k := i + 1; k < j; k++ {
-				if b.ordered(ops[i], ops[k]) && b.ordered(ops[k], ops[j]) {
+			for _, k := range memKinds {
+				if on := wc.cnt[k]; on > 0 && ko.same[k][oj.kind] || cnt[k] > on && ko.diff[k][oj.kind] {
 					implied = true
 					break
 				}
 			}
 			if !implied {
-				u, v := int32(ops[i].ID), int32(ops[j].ID)
-				b.static[u] = append(b.static[u], v)
+				po.edges = append(po.edges, first+int32(j))
+			}
+			cnt[oj.kind]++
+			wc.cnt[oj.kind]++
+			// j witnesses every later op of a kind it orders on both its own
+			// word and the others. Where i orders a kind on i's word only,
+			// the later op is on i's word and j's relation to that word is
+			// known.
+			onIWord := ko.diffMask[oj.kind]
+			if sameWord {
+				onIWord = ko.sameMask[oj.kind]
+			}
+			need &^= ko.diffMask[oj.kind]&ko.sameMask[oj.kind]&anyWord | onIWord&^anyWord
+			if need == 0 {
+				break
 			}
 		}
 	}
@@ -200,33 +357,36 @@ func (b *Builder) StaticEdgeCount() int { return b.statCnt }
 //   - fr: load → the immediate ws-successor of the store it read; reads of
 //     the initial value precede the word's first store. Transitivity
 //     through the ws chain covers later stores.
+//
+// A load absent from rf constrains nothing. The map is converted to the dense
+// form and handed to AppendDynamicEdges.
 func (b *Builder) DynamicEdges(rf RF, ws WS) ([]Edge, error) {
-	var edges []Edge
-	edges, wsPos, err := b.startDynamicEdges(edges, ws)
-	if err != nil {
-		return nil, err
+	dense := make([]int32, b.n)
+	for i := range dense {
+		dense[i] = noObservation
 	}
 	for loadID, storeID := range rf {
-		load := b.prog.OpByID(loadID)
-		if load.Kind != prog.Load {
+		if loadID < 0 || loadID >= b.n || b.ops[loadID].kind != prog.Load {
 			return nil, fmt.Errorf("graph: rf references non-load op %d", loadID)
 		}
-		edges, err = b.appendLoadEdges(edges, loadID, storeID, ws, wsPos)
-		if err != nil {
-			return nil, err
+		if storeID >= b.n {
+			return nil, fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
 		}
+		dense[loadID] = int32(max(storeID, noStore)) // any negative ID is the initial value
 	}
-	sortEdges(edges)
-	return dedupEdges(edges), nil
+	return b.AppendDynamicEdges(nil, dense, ws)
 }
+
+// noObservation is the dense-rf entry of a load whose source is unknown.
+const noObservation = -2
 
 // AppendDynamicEdges is DynamicEdges over a dense reads-from slice indexed by
 // op ID (rf[loadID] = source store op ID, or -1 for a read of the initial
 // value — the shape instrument.Meta.DecodeInto fills). Every load op must
-// have an entry; non-load slots are ignored. Edges are appended to dst
-// (callers reuse a scratch buffer via dst[:0]) and the sorted, de-duplicated
-// result is returned. The output is identical to the map-based DynamicEdges
-// over the equivalent RF map.
+// have an entry; one below -1 marks a load whose source is unknown (a trace's
+// value-faulted load), which contributes no edge. Non-load slots are ignored.
+// Edges are appended to dst (callers reuse a scratch buffer via dst[:0]) and
+// the sorted, de-duplicated result is returned.
 func (b *Builder) AppendDynamicEdges(dst []Edge, rf []int32, ws WS) ([]Edge, error) {
 	if len(rf) < b.n {
 		return nil, fmt.Errorf("graph: dense rf has %d entries, need %d", len(rf), b.n)
@@ -236,7 +396,10 @@ func (b *Builder) AppendDynamicEdges(dst []Edge, rf []int32, ws WS) ([]Edge, err
 		return nil, err
 	}
 	for _, loadID := range b.loads {
-		edges, err = b.appendLoadEdges(edges, int(loadID), int(rf[loadID]), ws, wsPos)
+		if rf[loadID] <= noObservation {
+			continue
+		}
+		edges, err = b.appendLoadEdges(edges, loadID, rf[loadID], ws, wsPos)
 		if err != nil {
 			return nil, err
 		}
@@ -265,11 +428,12 @@ func (b *Builder) startDynamicEdges(edges []Edge, ws WS) ([]Edge, map[int]int, e
 }
 
 // appendLoadEdges emits the rf/fr/forwarding edges contributed by one load
-// reading from storeID (negative = initial value). wsPos is non-nil exactly
+// reading from storeID (noStore = initial value). wsPos is non-nil exactly
 // in observed mode.
-func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int, ws WS, wsPos map[int]int) ([]Edge, error) {
+func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int32, ws WS, wsPos map[int]int) ([]Edge, error) {
 	observed := wsPos != nil
-	load := b.prog.OpByID(loadID)
+	load := b.ops[loadID]
+	own := b.lastOwnStore[loadID]
 	if storeID < 0 {
 		// Read the initial value: the load precedes every store to the
 		// word. Observed mode: the first store in coherence order
@@ -279,38 +443,41 @@ func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int, ws WS, wsPo
 		if b.opts.DropFR {
 			// no fr edges
 		} else if observed {
-			if chain := ws[load.Word]; len(chain) > 0 {
-				edges = append(edges, Edge{int32(loadID), int32(chain[0])})
+			if chain := ws[int(load.word)]; len(chain) > 0 {
+				edges = append(edges, Edge{loadID, int32(chain[0])})
 			}
 		} else {
-			for _, st := range b.firstStores[load.Word] {
-				edges = append(edges, Edge{int32(loadID), int32(st)})
+			for _, st := range b.firstStores[b.firstOff[load.word]:b.firstOff[load.word+1]] {
+				edges = append(edges, Edge{loadID, st})
 			}
 		}
-		if own, ok := b.lastOwnStore[loadID]; ok && b.opts.Forwarding {
+		if own != noStore && b.opts.Forwarding {
 			// Reading the initial value despite an own preceding store
 			// is a uniprocessor violation; the reinstated edge (plus the
 			// fr edge above) exposes it as a cycle.
-			edges = append(edges, Edge{int32(own), int32(loadID)})
+			edges = append(edges, Edge{own, loadID})
 		}
 		return edges, nil
 	}
-	st := b.prog.OpByID(storeID)
-	if st.Kind != prog.Store || st.Word != load.Word {
+	if int(storeID) >= b.n {
 		return nil, fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
 	}
-	if st.Thread != load.Thread {
-		edges = append(edges, Edge{int32(storeID), int32(loadID)})
+	st := b.ops[storeID]
+	if st.kind != prog.Store || st.word != load.word {
+		return nil, fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
+	}
+	if st.thread != load.thread {
+		edges = append(edges, Edge{storeID, loadID})
 	} else if !b.opts.Forwarding {
 		// Single-copy atomicity: the read implies global visibility.
-		edges = append(edges, Edge{int32(storeID), int32(loadID)})
+		edges = append(edges, Edge{storeID, loadID})
 	}
 	if b.opts.Forwarding {
 		// No forwarding happened if the load read anything other than
 		// its own latest preceding store: reinstate the same-address
 		// store→load program order for this execution.
-		if own, ok := b.lastOwnStore[loadID]; ok && own != storeID {
-			edges = append(edges, Edge{int32(own), int32(loadID)})
+		if own != noStore && own != storeID {
+			edges = append(edges, Edge{own, loadID})
 		}
 	}
 	// from-read: the load precedes whatever overwrites the store it
@@ -320,15 +487,15 @@ func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int, ws WS, wsPo
 		return edges, nil
 	}
 	if observed {
-		pos, ok := wsPos[storeID]
+		pos, ok := wsPos[int(storeID)]
 		if !ok {
-			return nil, fmt.Errorf("graph: rf store %d missing from ws of word %d", storeID, load.Word)
+			return nil, fmt.Errorf("graph: rf store %d missing from ws of word %d", storeID, load.word)
 		}
-		if chain := ws[load.Word]; pos+1 < len(chain) {
-			edges = append(edges, Edge{int32(loadID), int32(chain[pos+1])})
+		if chain := ws[int(load.word)]; pos+1 < len(chain) {
+			edges = append(edges, Edge{loadID, int32(chain[pos+1])})
 		}
-	} else if next, ok := b.nextOwnStore[storeID]; ok {
-		edges = append(edges, Edge{int32(loadID), int32(next)})
+	} else if next := b.nextOwnStore[storeID]; next != noStore {
+		edges = append(edges, Edge{loadID, next})
 	}
 	return edges, nil
 }
@@ -521,15 +688,15 @@ func (g *Graph) VerifyOrder(order []int32) error {
 // changes between similar executions tend to stay inside small windows.
 func (b *Builder) WordClass() (classOf []int32, classes int) {
 	classOf = make([]int32, b.n)
-	for _, op := range b.prog.Ops() {
-		switch op.Kind {
+	for id, op := range b.ops {
+		switch op.kind {
 		case prog.Fence:
-			classOf[op.ID] = 0
+			classOf[id] = 0
 		case prog.Store:
-			classOf[op.ID] = int32(1 + 2*op.Word)
+			classOf[id] = 1 + 2*op.word
 		case prog.Load:
-			classOf[op.ID] = int32(2 + 2*op.Word)
+			classOf[id] = 2 + 2*op.word
 		}
 	}
-	return classOf, 2*b.prog.NumWords + 1
+	return classOf, 2*b.numWords + 1
 }

@@ -155,17 +155,16 @@ func TestIntraThreadRFFalsePositive(t *testing.T) {
 
 // reachable computes the reachability matrix of the full (unreduced)
 // preserved-program-order relation for reference.
-func fullPOReach(p *prog.Program, model mcm.Model) [][]bool {
+func fullPOReach(p *prog.Program, model mcm.Model, opts Options) [][]bool {
 	n := p.NumOps()
 	reach := make([][]bool, n)
 	for i := range reach {
 		reach[i] = make([]bool, n)
 	}
-	b := &Builder{prog: p, model: model}
 	for _, th := range p.Threads {
 		for i := 0; i < len(th.Ops); i++ {
 			for j := i + 1; j < len(th.Ops); j++ {
-				if b.ordered(th.Ops[i], th.Ops[j]) {
+				if refOrdered(model, opts, th.Ops[i], th.Ops[j]) {
 					reach[th.Ops[i].ID][th.Ops[j].ID] = true
 				}
 			}
@@ -191,39 +190,41 @@ func fullPOReach(p *prog.Program, model mcm.Model) [][]bool {
 // reduced static edges must equal the closure of the full relation.
 func TestPOReductionPreservesReachability(t *testing.T) {
 	for _, model := range mcm.Models {
-		for seed := int64(1); seed <= 3; seed++ {
-			p := testgen.MustGenerate(testgen.Config{
-				Threads: 3, OpsPerThread: 25, Words: 4, FenceProb: 0.1, Seed: seed,
-			})
-			want := fullPOReach(p, model)
-			b := NewBuilder(p, model, Options{})
-			n := p.NumOps()
-			got := make([][]bool, n)
-			for i := range got {
-				got[i] = make([]bool, n)
-			}
-			for u := 0; u < n; u++ {
-				for _, v := range b.static[u] {
-					got[u][v] = true
+		for _, opts := range []Options{{}, {Forwarding: true}} {
+			for seed := int64(1); seed <= 3; seed++ {
+				p := testgen.MustGenerate(testgen.Config{
+					Threads: 3, OpsPerThread: 25, Words: 4, FenceProb: 0.1, Seed: seed,
+				})
+				want := fullPOReach(p, model, opts)
+				b := NewBuilder(p, model, opts)
+				n := p.NumOps()
+				got := make([][]bool, n)
+				for i := range got {
+					got[i] = make([]bool, n)
 				}
-			}
-			for k := 0; k < n; k++ {
-				for i := 0; i < n; i++ {
-					if !got[i][k] {
-						continue
+				for u := 0; u < n; u++ {
+					for _, v := range b.static[u] {
+						got[u][v] = true
 					}
-					for j := 0; j < n; j++ {
-						if got[k][j] {
-							got[i][j] = true
+				}
+				for k := 0; k < n; k++ {
+					for i := 0; i < n; i++ {
+						if !got[i][k] {
+							continue
+						}
+						for j := 0; j < n; j++ {
+							if got[k][j] {
+								got[i][j] = true
+							}
 						}
 					}
 				}
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("%v seed %d: reachability (%d,%d): got %v want %v",
-							model, seed, i, j, got[i][j], want[i][j])
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if got[i][j] != want[i][j] {
+							t.Fatalf("%v %+v seed %d: reachability (%d,%d): got %v want %v",
+								model, opts, seed, i, j, got[i][j], want[i][j])
+						}
 					}
 				}
 			}
@@ -366,7 +367,7 @@ func TestStaticReachabilityByModel(t *testing.T) {
 	// strengthen.
 	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 40, Words: 4, Seed: 8})
 	count := func(model mcm.Model) int {
-		reach := fullPOReach(p, model)
+		reach := fullPOReach(p, model, Options{})
 		n := 0
 		for i := range reach {
 			for j := range reach[i] {

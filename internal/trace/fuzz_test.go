@@ -5,20 +5,33 @@ import (
 	"testing"
 )
 
-// FuzzTraceParse checks three properties on arbitrary input:
+// fuzzSeeds is FuzzTraceParse's seed corpus, which TestParseMatchesReference
+// also replays.
+var fuzzSeeds = []string{
+	"0: M[0x10] := 1\n0: M[0x14] == 0\n1: M[0x14] := 2\n1: M[0x10] == 0\n",
+	"0: sync\n",
+	"# comment\n\n3: M[20] == 0x5\n",
+	"0: M[0] := 0\n",
+	"65535: M[0xffffffffffffffff] == 18446744073709551615\n",
+	"0: M[1] := 7\n1: M[1] := 7\n",
+	"0: M[0x10] == 42\n",
+	"0: M[0b1] := 1\n",
+	"0: M[1] == 0o7\n",
+}
+
+// FuzzTraceParse checks four properties on arbitrary input:
 //
 //  1. Parse never panics and either errors or returns a trace;
-//  2. canonical round trip: Format(Parse(x)) re-parses to an Equal trace;
-//  3. Validate and Bind never panic on whatever parses.
+//  2. it agrees with the reference parser: same verdict, same Ops and source
+//     lines, same rejected line;
+//  3. canonical round trip: Format(Parse(x)) re-parses to an Equal trace;
+//  4. Validate and Bind never panic on whatever parses.
 func FuzzTraceParse(f *testing.F) {
-	f.Add("0: M[0x10] := 1\n0: M[0x14] == 0\n1: M[0x14] := 2\n1: M[0x10] == 0\n")
-	f.Add("0: sync\n")
-	f.Add("# comment\n\n3: M[20] == 0x5\n")
-	f.Add("0: M[0] := 0\n")
-	f.Add("65535: M[0xffffffffffffffff] == 18446744073709551615\n")
-	f.Add("0: M[1] := 7\n1: M[1] := 7\n")
-	f.Add("0: M[0x10] == 42\n")
+	for _, in := range fuzzSeeds {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
+		checkAgainstReference(t, in)
 		tr, err := Parse(strings.NewReader(in))
 		if err != nil {
 			return

@@ -122,12 +122,18 @@ func (t *Trace) Equal(u *Trace) bool {
 	return true
 }
 
-// line renders an op's source position for error messages.
-func (o Op) line() string {
-	if o.Line > 0 {
-		return fmt.Sprintf("line %d", o.Line)
+// position renders the source position of t.Ops[i] for error messages: the
+// line it was parsed from, or its index when the trace was constructed.
+func (t *Trace) position(i int) string {
+	if line := t.Ops[i].Line; line > 0 {
+		return fmt.Sprintf("line %d", line)
 	}
-	return fmt.Sprintf("op %d", o.Thread)
+	return fmt.Sprintf("op %d", i)
+}
+
+// write identifies a store by what a load response can observe of it.
+type write struct {
+	addr, val uint64
 }
 
 // Validate checks the structural rules that make a trace checkable:
@@ -143,30 +149,42 @@ func (o Op) line() string {
 // surfaced by Bind as value faults, so a checker can report them instead of
 // refusing the trace.
 func (t *Trace) Validate() error {
+	_, err := t.storeIndex()
+	return err
+}
+
+// storeIndex validates the trace and returns what validation has to build
+// anyway: each store's index in t.Ops under its (address, value). Bind
+// resolves load responses through the same index.
+func (t *Trace) storeIndex() (map[write]int32, error) {
 	if len(t.Ops) > MaxOps {
-		return fmt.Errorf("trace: %d operations exceed the %d limit", len(t.Ops), MaxOps)
+		return nil, fmt.Errorf("trace: %d operations exceed the %d limit", len(t.Ops), MaxOps)
 	}
-	type write struct {
-		addr, val uint64
+	stores := 0
+	for i := range t.Ops {
+		if t.Ops[i].Kind == Store {
+			stores++
+		}
 	}
-	writers := make(map[write]int) // -> source line of the first writer
-	for _, op := range t.Ops {
+	writers := make(map[write]int32, stores)
+	for i := range t.Ops {
+		op := &t.Ops[i]
 		if op.Thread < 0 || op.Thread >= MaxThreadID {
-			return fmt.Errorf("trace: %s: thread ID %d out of range [0, %d)", op.line(), op.Thread, MaxThreadID)
+			return nil, fmt.Errorf("trace: %s: thread ID %d out of range [0, %d)", t.position(i), op.Thread, MaxThreadID)
 		}
 		if op.Kind != Store {
 			continue
 		}
 		if op.Value == InitialValue {
-			return fmt.Errorf("trace: %s: store of the initial value %d to %#x is indistinguishable from no store", op.line(), InitialValue, op.Addr)
+			return nil, fmt.Errorf("trace: %s: store of the initial value %d to %#x is indistinguishable from no store", t.position(i), InitialValue, op.Addr)
 		}
 		key := write{op.Addr, op.Value}
 		if prev, dup := writers[key]; dup {
-			return fmt.Errorf("trace: %s: duplicate store of %d to %#x (first at line %d): load responses would be ambiguous", op.line(), op.Value, op.Addr, prev)
+			return nil, fmt.Errorf("trace: %s: duplicate store of %d to %#x (first at %s): load responses would be ambiguous", t.position(i), op.Value, op.Addr, t.position(int(prev)))
 		}
-		writers[key] = op.Line
+		writers[key] = int32(i)
 	}
-	return nil
+	return writers, nil
 }
 
 // ValueFault is one load response carrying a value no store to its address
@@ -176,10 +194,12 @@ func (t *Trace) Validate() error {
 type ValueFault struct {
 	Op   Op  // the offending load
 	OpID int // the bound program operation ID
+
+	pos string // the load's source position (Trace.position)
 }
 
 func (f *ValueFault) Error() string {
-	return fmt.Sprintf("trace: %s: thread %d load of %#x observed %d, a value never written to that address", f.Op.line(), f.Op.Thread, f.Op.Addr, f.Op.Value)
+	return fmt.Sprintf("trace: %s: thread %d load of %#x observed %d, a value never written to that address", f.pos, f.Op.Thread, f.Op.Addr, f.Op.Value)
 }
 
 // Binding is a trace mapped onto the checking machinery's representation.
@@ -226,97 +246,100 @@ func (b *Binding) AddrOfOp(id int) uint64 {
 // (Prog, RF), then any registered checking backend — the two front doors
 // are indistinguishable.
 func (t *Trace) Bind() (*Binding, error) {
-	if err := t.Validate(); err != nil {
+	stores, err := t.storeIndex()
+	if err != nil {
 		return nil, err
 	}
+	n := len(t.Ops)
 
-	// Dense renumbering: threads in ascending trace-ID order, addresses in
-	// first-appearance order (keeps word indices stable under reordering
-	// of unrelated threads' lines).
-	threadIDs := make([]int, 0, 8)
-	seenThread := make(map[int]int) // trace thread ID -> program thread index
-	for _, op := range t.Ops {
-		if _, ok := seenThread[op.Thread]; !ok {
-			seenThread[op.Thread] = -1 // mark; index assigned after sorting
-			threadIDs = append(threadIDs, op.Thread)
-		}
+	// Dense renumbering of threads, in ascending trace-ID order, by counting:
+	// slots[tid] first counts the thread's operations in next, then holds
+	// its program thread index, its first program operation ID and the next
+	// one to hand out.
+	type slot struct{ next, first, thread int32 }
+	maxTID := -1
+	for i := range t.Ops {
+		maxTID = max(maxTID, t.Ops[i].Thread)
 	}
-	sortInts(threadIDs)
-	for i, id := range threadIDs {
-		seenThread[id] = i
+	slots := make([]slot, maxTID+1)
+	for i := range t.Ops {
+		slots[t.Ops[i].Thread].next++
 	}
-	var addrs []uint64
-	wordOf := make(map[uint64]int)
-	for _, op := range t.Ops {
-		if op.Kind == Fence {
-			continue
-		}
-		if _, ok := wordOf[op.Addr]; !ok {
-			wordOf[op.Addr] = len(addrs)
-			addrs = append(addrs, op.Addr)
+	var threadIDs []int
+	for tid := range slots {
+		if slots[tid].next > 0 {
+			threadIDs = append(threadIDs, tid)
 		}
 	}
 
-	// Assemble the program directly (thread-major IDs, canonical store
-	// values) rather than via prog.Builder — one pass, no quadratic ID
-	// recounting on large traces.
-	perThread := make([][]int, len(threadIDs)) // program thread -> trace op indices
-	for i, op := range t.Ops {
-		ti := seenThread[op.Thread]
-		perThread[ti] = append(perThread[ti], i)
-	}
+	// The program is assembled directly (thread-major IDs, canonical store
+	// values) rather than via prog.Builder, all threads in one slice.
 	p := &prog.Program{
-		Name:     "external-trace",
-		NumWords: len(addrs),
-		Layout:   prog.DefaultLayout(),
-		Threads:  make([]prog.Thread, len(threadIDs)),
+		Name:    "external-trace",
+		Layout:  prog.DefaultLayout(),
+		Threads: make([]prog.Thread, len(threadIDs)),
 	}
-	source := make([]int, 0, len(t.Ops))
-	id := 0
-	for ti, idxs := range perThread {
-		ops := make([]prog.Op, 0, len(idxs))
-		for oi, i := range idxs {
-			top := t.Ops[i]
-			op := prog.Op{ID: id, Thread: ti, Index: oi}
-			switch top.Kind {
-			case Load:
-				op.Kind, op.Word = prog.Load, wordOf[top.Addr]
-			case Store:
-				op.Kind, op.Word = prog.Store, wordOf[top.Addr]
-				op.Value = uint32(id) + 1
-			case Fence:
-				op.Kind, op.Word = prog.Fence, -1
-			default:
-				return nil, fmt.Errorf("trace: %s: unknown op kind %d", top.line(), top.Kind)
+	ops := make([]prog.Op, n)
+	id := int32(0)
+	for ti, tid := range threadIDs {
+		count := slots[tid].next
+		slots[tid] = slot{next: id, first: id, thread: int32(ti)}
+		p.Threads[ti].Ops = ops[id : id+count : id+count]
+		id += count
+	}
+
+	// One pass in trace order hands out the IDs and renumbers addresses to
+	// words in first-appearance order (which keeps word indices stable under
+	// reordering of unrelated threads' lines). The address tables are sized
+	// for one address per store: a written address has at least one, and few
+	// addresses are only ever read.
+	addrs := make([]uint64, 0, len(stores))
+	wordOf := make(map[uint64]int32, len(stores))
+	source := make([]int, n) // program op ID -> index into t.Ops
+	idOf := make([]int32, n) // and back
+	loads := 0
+	for i := range t.Ops {
+		top := &t.Ops[i]
+		sl := &slots[top.Thread]
+		id := sl.next
+		sl.next++
+		source[id], idOf[i] = i, id
+		op := prog.Op{ID: int(id), Thread: int(sl.thread), Index: int(id - sl.first)}
+		switch top.Kind {
+		case Load, Store:
+			word, ok := wordOf[top.Addr]
+			if !ok {
+				word = int32(len(addrs))
+				wordOf[top.Addr] = word
+				addrs = append(addrs, top.Addr)
 			}
-			ops = append(ops, op)
-			source = append(source, i)
-			id++
+			op.Word = int(word)
+			if top.Kind == Store {
+				op.Kind, op.Value = prog.Store, uint32(id)+1
+			} else {
+				op.Kind = prog.Load
+				loads++
+			}
+		case Fence:
+			op.Kind, op.Word = prog.Fence, -1
+		default:
+			return nil, fmt.Errorf("trace: %s: unknown op kind %d", t.position(i), top.Kind)
 		}
-		p.Threads[ti] = prog.Thread{Ops: ops}
+		ops[id] = op
 	}
+	p.NumWords = len(addrs)
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: bound program invalid: %w", err)
 	}
 
 	// Resolve reads-from: a load's observed value identifies its writer by
-	// the store-distinguishability rule Validate enforced.
-	type write struct {
-		addr, val uint64
-	}
-	storeID := make(map[write]int, len(t.Ops)/2)
-	for opID, srcIdx := range source {
-		top := t.Ops[srcIdx]
-		if top.Kind == Store {
-			storeID[write{top.Addr, top.Value}] = opID
-		}
-	}
+	// the store-distinguishability rule validation enforced.
 	b := &Binding{
-		Trace: t, Prog: p, RF: make(map[int]int),
+		Trace: t, Prog: p, RF: make(map[int]int, loads),
 		Addrs: addrs, Threads: threadIDs, Source: source,
 	}
 	for opID, srcIdx := range source {
-		top := t.Ops[srcIdx]
+		top := &t.Ops[srcIdx]
 		if top.Kind != Load {
 			continue
 		}
@@ -324,22 +347,12 @@ func (t *Trace) Bind() (*Binding, error) {
 			b.RF[opID] = -1
 			continue
 		}
-		st, ok := storeID[write{top.Addr, top.Value}]
+		st, ok := stores[write{top.Addr, top.Value}]
 		if !ok {
-			b.ValueFaults = append(b.ValueFaults, &ValueFault{Op: top, OpID: opID})
+			b.ValueFaults = append(b.ValueFaults, &ValueFault{Op: *top, OpID: opID, pos: t.position(srcIdx)})
 			continue
 		}
-		b.RF[opID] = st
+		b.RF[opID] = int(idOf[st])
 	}
 	return b, nil
-}
-
-// sortInts is a tiny insertion sort — thread ID lists are short, and using
-// it keeps the package free of a sort import its hot paths don't need.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -58,26 +58,34 @@ func TestParseEmpty(t *testing.T) {
 	}
 }
 
+var parseErrorCases = []struct {
+	name, in, wantSub string
+}{
+	// Without an explicit separator the ":" of ":=" is taken as the
+	// thread delimiter, so the diagnosis lands on the thread ID.
+	{"no colon", "0 M[1] := 2", "thread ID"},
+	{"bad tid", "x: sync", "thread ID"},
+	{"negative tid", "-1: sync", "thread ID"},
+	{"huge tid", "99999999: sync", "out of range"},
+	{"bad keyword", "0: load 5", `"sync"`},
+	{"unterminated addr", "0: M[0x10 := 1", "unterminated"},
+	{"bad addr", "0: M[zz] := 1", "bad address"},
+	{"bad op", "0: M[1] <- 2", `":="`},
+	{"bad value", "0: M[1] := ", "bad value"},
+	{"octalish", "0: M[010] := 1", "leading zeros"},
+	{"underscore", "0: M[1_0] := 1", "bad address"},
+	{"signed value", "0: M[1] := +2", "bad value"},
+	// Not in the grammar, and the diagnosis must say that rather than blame
+	// leading zeros.
+	{"binary", "0: M[0b1] := 1", "binary and octal prefixes not accepted"},
+	{"octal", "0: M[1] := 0o7", "binary and octal prefixes not accepted"},
+	{"hex prefix only", "0: M[0x] := 1", "malformed number"},
+	{"decimal overflow", "0: M[1] := 18446744073709551616", "malformed number"},
+	{"hex overflow", "0: M[0x10000000000000000] := 1", "malformed number"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, in, wantSub string
-	}{
-		// Without an explicit separator the ":" of ":=" is taken as the
-		// thread delimiter, so the diagnosis lands on the thread ID.
-		{"no colon", "0 M[1] := 2", "thread ID"},
-		{"bad tid", "x: sync", "thread ID"},
-		{"negative tid", "-1: sync", "thread ID"},
-		{"huge tid", "99999999: sync", "out of range"},
-		{"bad keyword", "0: load 5", `"sync"`},
-		{"unterminated addr", "0: M[0x10 := 1", "unterminated"},
-		{"bad addr", "0: M[zz] := 1", "bad address"},
-		{"bad op", "0: M[1] <- 2", `":="`},
-		{"bad value", "0: M[1] := ", "bad value"},
-		{"octalish", "0: M[010] := 1", "leading zeros"},
-		{"underscore", "0: M[1_0] := 1", "bad address"},
-		{"signed value", "0: M[1] := +2", "bad value"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(strings.NewReader(tc.in))
 			if err == nil {
@@ -127,6 +135,43 @@ func TestValidateRejects(t *testing.T) {
 	tr := parseString(t, "0: M[1] := 7\n1: M[2] := 7")
 	if err := tr.Validate(); err != nil {
 		t.Errorf("distinct-address same-value stores should validate: %v", err)
+	}
+}
+
+// TestConstructedTracePositions: ops of a trace built through the API carry
+// no source line, so errors name them by their index in Trace.Ops (the thread
+// IDs here are chosen to differ from every index).
+func TestConstructedTracePositions(t *testing.T) {
+	dup := &Trace{Ops: []Op{
+		{Thread: 7, Kind: Store, Addr: 0x10, Value: 5},
+		{Thread: 7, Kind: Load, Addr: 0x10, Value: 5},
+		{Thread: 9, Kind: Store, Addr: 0x10, Value: 5},
+	}}
+	const want = "trace: op 2: duplicate store of 5 to 0x10 (first at op 0)"
+	if err := dup.Validate(); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Validate error = %v, want prefix %q", err, want)
+	}
+	if _, err := dup.Bind(); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Bind error = %v, want prefix %q", err, want)
+	}
+
+	fault := &Trace{Ops: []Op{
+		{Thread: 4, Kind: Store, Addr: 0x10, Value: 1},
+		{Thread: 4, Kind: Fence},
+		{Thread: 2, Kind: Load, Addr: 0x10, Value: 42},
+	}}
+	b, err := fault.Bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.ValueFaults) != 1 || !strings.HasPrefix(b.ValueFaults[0].Error(), "trace: op 2: thread 2 load") {
+		t.Errorf("value faults = %v, want one at op 2", b.ValueFaults)
+	}
+
+	// A parsed trace keeps naming lines, the first writer's included.
+	parsed := parseString(t, "\n0: M[1] := 7\n\n1: M[1] := 7\n")
+	if err := parsed.Validate(); err == nil || !strings.Contains(err.Error(), "line 4: duplicate store of 7 to 0x1 (first at line 2)") {
+		t.Errorf("Validate error on the parsed trace = %v", err)
 	}
 }
 
