@@ -169,21 +169,17 @@ func Fig6(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(si)*97))
-		seen := map[string]cluster.Point{}
+		// Points in first-seen order: the seeded k-medoids search below
+		// starts from the list's order, so it must not come from a map.
+		seen := map[string]bool{}
+		var pts []cluster.Point
 		for i := 0; i < cfg.Fig6Runs; i++ {
 			rf, _ := testgen.SCReference(p, rng)
 			key := fmt.Sprint(rf)
-			if _, ok := seen[key]; !ok {
-				pt := cluster.Point{}
-				for k, v := range rf {
-					pt[k] = v
-				}
-				seen[key] = pt
+			if !seen[key] {
+				seen[key] = true
+				pts = append(pts, cluster.Point(rf))
 			}
-		}
-		pts := make([]cluster.Point, 0, len(seen))
-		for _, pt := range seen {
-			pts = append(pts, pt)
 		}
 		dist := cluster.DistanceMatrix(pts)
 		st := study{unique: len(pts), byK: map[int]int64{}}

@@ -64,6 +64,26 @@ func TestFig6Quick(t *testing.T) {
 	}
 }
 
+// TestFig6Reproducible: the limit study is a pure function of the seed —
+// the point list the seeded k-medoids search starts from must not take its
+// order from a map.
+func TestFig6Reproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	a, err := Fig6(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fig6(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(a.Rows) != fmt.Sprint(b.Rows) {
+		t.Errorf("two runs at one seed differ:\n%v\n%v", a.Rows, b.Rows)
+	}
+}
+
 func TestFig11Fig12Static(t *testing.T) {
 	cfg := Quick()
 	f11, err := Fig11(cfg)

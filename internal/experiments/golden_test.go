@@ -52,7 +52,7 @@ func quickTables(t *testing.T) string {
 	}
 	all := []func() ([]*report.Table, error){
 		func() ([]*report.Table, error) { return []*report.Table{Platforms()}, nil },
-		one(Fig8),
+		one(Fig6), one(Fig8),
 		func() ([]*report.Table, error) {
 			f9, f14, err := Fig9And14(cfg)
 			return []*report.Table{f9, f14}, err
