@@ -71,7 +71,9 @@ obs-smoke: smoke-bin
 # partition-dependent collective-checking effort line), the signature file,
 # and the worker-invariant metrics Totals must compare byte-equal. Effort
 # series (shard attempts, sorted vertices, stage seconds, ...) are
-# partition- and timing-dependent by design and filtered out.
+# partition- and timing-dependent by design and filtered out. Each run must
+# also count as one campaign of 400 iterations: -sigs-out writes the run's
+# own set, it does not collect again.
 scaling-smoke: smoke-bin
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
 	for w in 1 4; do \
@@ -83,6 +85,10 @@ scaling-smoke: smoke-bin
 			-e "s|$$dir/$$w|DIR|g" $$dir/$$w/report > $$dir/$$w/report.norm; \
 		grep -Ev 'mtracecheck_(shard_attempts|shard_retries|retried_iterations|sorted_vertices|backward_edges|graphs_by_kind|max_resort_window|stage_seconds|clock_updates|propagations|check_shards)' \
 			$$dir/$$w/metrics > $$dir/$$w/totals; \
+		grep -q '^mtracecheck_iterations_total 400$$' $$dir/$$w/metrics \
+			&& grep -q '^mtracecheck_campaigns_total 1$$' $$dir/$$w/metrics \
+			|| { echo "scaling-smoke: -workers $$w with -sigs-out did not run exactly one 400-iteration campaign"; \
+			     grep -E '^mtracecheck_(iterations|campaigns)_total' $$dir/$$w/metrics; exit 1; }; \
 	done; \
 	cmp $$dir/1/report.norm $$dir/4/report.norm \
 		|| { echo "scaling-smoke: report differs between -workers 1 and 4"; diff $$dir/1/report.norm $$dir/4/report.norm; exit 1; }; \

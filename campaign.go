@@ -135,10 +135,11 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 // checkpointing, and shard retry apply identically.
 func (c *Campaign) Collect(ctx context.Context) ([]Unique, error) {
 	m := c.newMerger(false) // its report is an accounting sink; callers get signatures only
-	if _, err := m.finish(ctx, c.execute(ctx, m)); err != nil {
+	report, err := m.finish(ctx, c.execute(ctx, m))
+	if err != nil {
 		return nil, err
 	}
-	return m.final, nil
+	return report.signatures, nil
 }
 
 // Check drives only the host side: previously collected unique signatures

@@ -169,7 +169,6 @@ type ChunkMerger struct {
 	report *Report  // execution accounting lands here as chunks are absorbed
 	acc    *sig.Set // campaign-wide dedup accumulator
 	check  bool     // finish runs the host side (false: Collect)
-	final  []Unique // post-injection set, recorded by finish
 
 	// Grid bookkeeping, exported API only (the in-process grid restarts at
 	// every checkpoint segment, so it has no stable index): makes Absorb
@@ -234,10 +233,6 @@ func (m *ChunkMerger) Complete() bool { return m.nDone == len(m.done) }
 // Merged returns the sorted unique signatures absorbed so far — the
 // checkpoint payload.
 func (m *ChunkMerger) Merged() []Unique { return m.acc.Sorted() }
-
-// Final returns the post-injection unique set the report was checked
-// against — what SaveSignatures persists. Nil until Report has run.
-func (m *ChunkMerger) Final() []Unique { return m.final }
 
 // Stats returns one absorbed chunk's accounting (the zero value when the
 // chunk is not done).
@@ -343,7 +338,7 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 		injected = faultCounts(report.InjectedFaults)
 	}
 	report.UniqueSignatures = len(uniques)
-	m.final = uniques
+	report.signatures = uniques
 	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
 	var err error
 	if m.check {

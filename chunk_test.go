@@ -138,8 +138,8 @@ func TestChunkMergerAnyOrderMatchesRun(t *testing.T) {
 					got.CorpusHits != want.CorpusHits || got.CorpusAppended != want.CorpusAppended {
 					t.Errorf("%s: accounting diverges from Run:\ngot  %+v\nwant %+v", name, got, want)
 				}
-				if !bytes.Equal(signatureFile(t, got, m.Final()), signatureFile(t, want, wantSet)) {
-					t.Errorf("%s: Final() is not byte-identical to Collect's set", name)
+				if !bytes.Equal(signatureFile(t, got, got.Signatures()), signatureFile(t, want, wantSet)) {
+					t.Errorf("%s: Signatures() is not byte-identical to Collect's set", name)
 				}
 			}
 		})
@@ -233,8 +233,8 @@ func TestChunkMergerRestoreAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(signatureFile(t, got, m.Final()), signatureFile(t, want, wantSet)) {
-		t.Error("restored Final() is not byte-identical to Collect's set (observation counts doubled?)")
+	if !bytes.Equal(signatureFile(t, got, got.Signatures()), signatureFile(t, want, wantSet)) {
+		t.Error("restored Signatures() is not byte-identical to Collect's set (observation counts doubled?)")
 	}
 }
 

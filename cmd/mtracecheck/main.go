@@ -263,7 +263,7 @@ func run() int {
 		fmt.Printf("timeline written to %s\n", *timelineTo)
 	}
 	if *sigsOut != "" {
-		if err := dumpSignatures(*sigsOut, report.Program, opts); err != nil {
+		if err := dumpSignatures(*sigsOut, report); err != nil {
 			return infra(err)
 		}
 		fmt.Printf("signatures written to %s\n", *sigsOut)
@@ -525,23 +525,15 @@ func platform(isa, bug string) (mtracecheck.Platform, error) {
 	return sim.ForISA(isa)
 }
 
-// dumpSignatures re-collects the executed program's signatures (same seed,
-// hence the same executions) and writes them in the binary device-to-host
-// format, provenance header included.
-func dumpSignatures(path string, p *mtracecheck.Program, opts mtracecheck.Options) error {
-	uniques, err := mtracecheck.CollectSignatures(p, opts)
-	if err != nil {
-		return err
-	}
+// dumpSignatures writes the signature set the campaign ended with in the
+// binary device-to-host format, provenance header included.
+func dumpSignatures(path string, report *mtracecheck.Report) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	// A minimal report carrying the campaign identity is enough for
-	// SaveSignatures to record real provenance in the set's header.
-	report := &mtracecheck.Report{Program: p, Seed: opts.Seed, Platform: opts.Platform.Name}
-	return mtracecheck.SaveSignatures(f, report, uniques)
+	return mtracecheck.SaveSignatures(f, report, report.Signatures())
 }
 
 // dumpTimeline runs a single traced iteration and writes its timeline.

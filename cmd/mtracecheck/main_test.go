@@ -53,8 +53,11 @@ func TestDumpSignaturesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := mtracecheck.Options{Iterations: 30, Seed: 2}
-	if err := dumpSignatures(path, p, opts); err != nil {
+	report, err := mtracecheck.RunProgram(p, mtracecheck.Options{Iterations: 30, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dumpSignatures(path, report); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -62,9 +65,12 @@ func TestDumpSignaturesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	uniques, err := mtracecheck.LoadSignatures(f)
+	uniques, meta, err := mtracecheck.LoadSignaturesMeta(f)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if meta == nil || meta.Seed != 2 {
+		t.Errorf("provenance header = %+v, want seed 2", meta)
 	}
 	if len(uniques) == 0 {
 		t.Fatal("no signatures written")
@@ -151,7 +157,11 @@ func TestRunCheckOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dumpSignatures(path, p, opts); err != nil {
+	report, err := mtracecheck.RunProgram(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dumpSignatures(path, report); err != nil {
 		t.Fatal(err)
 	}
 	opts.Platform = mtracecheck.PlatformX86()

@@ -516,7 +516,11 @@ func (s *Server) Result(id string) (*mtracecheck.Report, []mtracecheck.Unique, e
 	}
 	switch j.state {
 	case jobDone, jobFailed:
-		return j.report, j.merger.Final(), j.err
+		var uniques []mtracecheck.Unique
+		if j.report != nil {
+			uniques = j.report.Signatures()
+		}
+		return j.report, uniques, j.err
 	}
 	return nil, nil, fmt.Errorf("dist: job %s still %s", id, j.state)
 }

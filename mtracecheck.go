@@ -53,7 +53,6 @@ import (
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/corpus"
 	"mtracecheck/internal/fault"
-	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/mem"
@@ -90,7 +89,7 @@ type (
 	QuarantineKind = fault.QuarantineKind
 	// Unique is one unique signature with its observation count — the unit
 	// of the device-to-host channel (CollectSignatures, SaveSignatures,
-	// LoadSignatures, CheckSignatures).
+	// LoadSignaturesMeta, CheckSignatures).
 	Unique = sig.Unique
 	// Corpus is the persistent cross-campaign signature corpus: an
 	// append-only store of every signature ever proven acyclic, keyed by
@@ -436,7 +435,15 @@ type Report struct {
 	Squashes int
 	// Executions holds raw executions when Options.KeepExecutions is set.
 	Executions []*sim.Execution
+
+	signatures []Unique // see Signatures
 }
+
+// Signatures returns the sorted unique signature set the campaign ended
+// with — after any injected device-side corruption, before quarantine; what
+// Collect returns and SaveSignatures persists. Nil for a check-only report
+// (the caller already holds the set) and for a campaign that crashed.
+func (r *Report) Signatures() []Unique { return r.signatures }
 
 // Failed reports whether any violation or assertion failure was found.
 func (r *Report) Failed() bool {
@@ -548,15 +555,14 @@ func Models() []string {
 }
 
 // SaveSignatures writes unique signatures (with observation counts) in the
-// compact binary device-to-host format. A report carrying a program
-// records real provenance — program hash, seed, platform name — in a
-// versioned header that LoadSignaturesMeta returns and
-// ValidateSignatureMeta checks, catching the wrong-program/wrong-seed
-// mistake before any host-side checking. A nil report writes the
-// headerless legacy format, which loads everywhere but validates nothing.
+// compact binary device-to-host format. The report's program, seed and
+// platform name are recorded as provenance in a versioned header that
+// LoadSignaturesMeta returns and ValidateSignatureMeta checks, catching the
+// wrong-program/wrong-seed mistake before any host-side checking; a report
+// without a program is an error.
 func SaveSignatures(w io.Writer, report *Report, uniques []Unique) error {
 	if report == nil || report.Program == nil {
-		return sig.WriteSet(w, uniques)
+		return errors.New("mtracecheck: SaveSignatures needs the report of the campaign that collected the signatures")
 	}
 	return sig.WriteSetMeta(w, sig.FileMeta{
 		ProgHash: progHash(report.Program),
@@ -582,7 +588,7 @@ func CollectSignatures(p *Program, opts Options) ([]Unique, error) {
 }
 
 // CheckSignatures is the "host side": it decodes previously collected
-// unique signatures (e.g. loaded via LoadSignatures) and checks them under
+// unique signatures (e.g. loaded via LoadSignaturesMeta) and checks them under
 // the campaign options — checker selection, Workers,
 // Strict/QuarantineThreshold, and Options.Observer all apply, exactly as in
 // the full pipeline (NewCampaign + Campaign.Check). The static
@@ -598,13 +604,10 @@ func CheckSignatures(p *Program, uniques []Unique, opts Options) (*Report, error
 	return c.Check(context.Background(), uniques)
 }
 
-// LoadSignatures reads a signature set written by SaveSignatures,
-// discarding any provenance header; use LoadSignaturesMeta to validate it.
-func LoadSignatures(r io.Reader) ([]Unique, error) { return sig.ReadSet(r) }
-
-// LoadSignaturesMeta reads a signature set along with its provenance
-// header. Sets saved through a nil report (or by older versions) load with
-// a nil meta. Pass the meta to ValidateSignatureMeta before checking.
+// LoadSignaturesMeta reads a signature set written by SaveSignatures along
+// with its provenance header. Headerless sets (older versions, the dist wire
+// body) load with a nil meta. Pass the meta to ValidateSignatureMeta before
+// checking.
 func LoadSignaturesMeta(r io.Reader) ([]Unique, *SignatureMeta, error) {
 	return sig.ReadSetMeta(r)
 }
@@ -635,32 +638,20 @@ func ValidateSignatureMeta(meta *SignatureMeta, p *Program, opts Options) error 
 // Fig. 13-style illustration). The graph is rebuilt from the violation's
 // signature using the same options the report was produced with.
 func WriteViolationDOT(w io.Writer, report *Report, v Violation, opts Options) error {
-	opts = withDefaults(opts)
 	// Reject unsupported modes before doing any analysis work.
 	if opts.ObservedWS {
 		return fmt.Errorf("mtracecheck: DOT rendering of observed-ws violations requires the recorded ws; re-run with the static mode")
 	}
-	meta, err := instrument.Analyze(report.Program, opts.Platform.RegWidthBits, opts.Pruner)
+	c, err := NewCampaign(report.Program, opts)
 	if err != nil {
 		return err
 	}
-	builder := graph.NewBuilder(report.Program, opts.Platform.Model, graph.Options{
-		Forwarding: opts.Platform.Atomicity.AllowsForwarding(),
-		WS:         graph.WSStatic,
-	})
-	cands, err := meta.Decode(v.Sig)
-	if err != nil {
-		return err
+	builder := c.newBuilder()
+	e := decodeSig(c.meta, builder, v.Sig, make([]int32, builder.NumOps()), nil)
+	if e.err != nil {
+		return e.err
 	}
-	rf := make(graph.RF, len(cands))
-	for id, c := range cands {
-		rf[id] = c.Store
-	}
-	g, err := builder.BuildGraph(rf, nil)
-	if err != nil {
-		return err
-	}
-	return g.WriteDOT(w, report.Program, v.Cycle)
+	return builder.FromDynamic(e.edges).WriteDOT(w, report.Program, v.Cycle)
 }
 
 // NewProgramBuilderFromConfig generates a constrained-random program from a

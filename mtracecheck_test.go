@@ -196,6 +196,21 @@ func TestDeviceHostSplit(t *testing.T) {
 	if integrated.UniqueSignatures != len(uniques) {
 		t.Errorf("device-side uniques %d, integrated %d", len(uniques), integrated.UniqueSignatures)
 	}
+	// The integrated run hands out the set it checked: saving it needs no
+	// second collection and writes the device side's bytes.
+	var viaRun, viaCollect bytes.Buffer
+	if err := SaveSignatures(&viaRun, integrated, integrated.Signatures()); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSignatures(&viaCollect, device, uniques); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaRun.Bytes(), viaCollect.Bytes()) {
+		t.Error("Run's Signatures() do not save to the bytes of CollectSignatures' set")
+	}
+	if err := SaveSignatures(&viaRun, nil, uniques); err == nil {
+		t.Error("SaveSignatures accepted a nil report")
+	}
 }
 
 func TestCheckSignaturesFlagsBuggySet(t *testing.T) {
