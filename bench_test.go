@@ -33,7 +33,7 @@ type fixture struct {
 	builder *graph.Builder
 	items   []check.Item
 	sigs    []sig.Signature
-	vals    []map[int]uint32
+	vals    [][]uint32
 }
 
 // buildFixture collects n SC-reference executions of the given config.
@@ -59,7 +59,7 @@ func buildFixture(b *testing.B, tc TestConfig, n int) *fixture {
 		rf, ws := testgen.SCReference(p, rng)
 		vals := testgen.LoadValuesOf(p, rf)
 		f.vals = append(f.vals, vals)
-		s, err := meta.EncodeExecution(vals)
+		s, err := meta.EncodeValues(vals)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,9 +243,10 @@ func BenchmarkFig12CodeGeneration(b *testing.B) {
 // reads-from relations from a signature.
 func BenchmarkAlg1SignatureDecode(b *testing.B) {
 	f := buildFixture(b, benchCfg, 200)
+	rf := make([]int32, f.prog.NumOps())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.meta.Decode(f.sigs[i%len(f.sigs)]); err != nil {
+		if err := f.meta.DecodeInto(f.sigs[i%len(f.sigs)], rf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -481,6 +482,7 @@ func simFixture(b *testing.B, tc TestConfig, plat sim.Platform, iters int) *fixt
 	}
 	byKey := map[string]raw{}
 	f := &fixture{prog: p, meta: meta, builder: builder}
+	rf := make([]int32, p.NumOps())
 	for i := 0; i < iters; i++ {
 		ex, err := runner.Run()
 		if err != nil {
@@ -493,15 +495,10 @@ func simFixture(b *testing.B, tc TestConfig, plat sim.Platform, iters int) *fixt
 		if _, seen := byKey[s.Key()]; seen {
 			continue
 		}
-		cands, err := meta.Decode(s)
-		if err != nil {
+		if err := meta.DecodeInto(s, rf); err != nil {
 			b.Fatal(err)
 		}
-		rf := make(graph.RF, len(cands))
-		for id, c := range cands {
-			rf[id] = c.Store
-		}
-		edges, err := builder.DynamicEdges(rf, nil)
+		edges, err := builder.AppendDynamicEdges(nil, rf, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -565,7 +562,7 @@ func BenchmarkAblationObservedWSCheck(b *testing.B) {
 	byKey := map[string]raw{}
 	for i := 0; i < 1000; i++ {
 		rf, ws := testgen.SCReference(p, rng)
-		s, err := meta.EncodeExecution(testgen.LoadValuesOf(p, rf))
+		s, err := meta.EncodeValues(testgen.LoadValuesOf(p, rf))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,11 +65,11 @@ func main() {
 	cfg.Seed = *seed
 	cfg.CorpusPath = *corpusDir
 	if *checker != "" {
-		// Fail fast on typos instead of erroring mid-experiment.
-		if _, err := mtracecheck.ParseChecker(*checker); err != nil {
+		c, err := mtracecheck.ParseChecker(*checker)
+		if err != nil {
 			fatal(err)
 		}
-		cfg.Checker = *checker
+		cfg.Checker = c
 	}
 	fin, err := attachObservers(&cfg, *metricsOut, *progress, *traceOut)
 	if err != nil {

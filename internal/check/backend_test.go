@@ -97,8 +97,8 @@ func fig7Items(t *testing.T) (*graph.Builder, []Item) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(vals map[int]uint32, rf graph.RF) Item {
-		s, err := meta.EncodeExecution(vals)
+	mk := func(vals []uint32, rf graph.RF) Item {
+		s, err := meta.EncodeValues(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,10 +109,10 @@ func fig7Items(t *testing.T) (*graph.Builder, []Item) {
 		return Item{Sig: s, Edges: edges}
 	}
 	items := []Item{
-		mk(map[int]uint32{1: 0, 4: 0}, graph.RF{1: -1, 4: -1}),
-		mk(map[int]uint32{1: 4, 4: 0}, graph.RF{1: 3, 4: -1}),
-		mk(map[int]uint32{1: 4, 4: 1}, graph.RF{1: 3, 4: 0}),
-		mk(map[int]uint32{1: 6, 4: 3}, graph.RF{1: 5, 4: 2}), // the buggy run
+		mk([]uint32{1: 0, 4: 0}, graph.RF{1: -1, 4: -1}),
+		mk([]uint32{1: 4, 4: 0}, graph.RF{1: 3, 4: -1}),
+		mk([]uint32{1: 4, 4: 1}, graph.RF{1: 3, 4: 0}),
+		mk([]uint32{1: 6, 4: 3}, graph.RF{1: 5, 4: 2}), // the buggy run
 	}
 	for i := 0; i < len(items); i++ {
 		for j := i + 1; j < len(items); j++ {
@@ -378,13 +378,13 @@ func FuzzDifferential(f *testing.F) {
 		byKey := map[string]raw{}
 		for k := 0; k+len(loads) <= len(data) && len(byKey) < 16; k += len(loads) {
 			rf := graph.RF{}
-			vals := map[int]uint32{}
+			vals := make([]uint32, p.NumOps())
 			for li, info := range loads {
 				c := info.Candidates[int(data[k+li])%len(info.Candidates)]
 				rf[info.Op.ID] = c.Store
 				vals[info.Op.ID] = c.Value
 			}
-			s, err := meta.EncodeExecution(vals)
+			s, err := meta.EncodeValues(vals)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,7 +26,7 @@ func fabricate(t *testing.T, p *prog.Program, b *graph.Builder, meta *instrument
 	byKey := map[string]raw{}
 	for trial := 0; trial < count; trial++ {
 		rf := graph.RF{}
-		vals := map[int]uint32{}
+		vals := make([]uint32, p.NumOps())
 		for _, tm := range meta.Threads {
 			for _, li := range tm.Loads {
 				c := li.Candidates[rng.Intn(len(li.Candidates))]
@@ -59,7 +59,7 @@ func fabricate(t *testing.T, p *prog.Program, b *graph.Builder, meta *instrument
 				ws[w] = order
 			}
 		}
-		s, err := meta.EncodeExecution(vals)
+		s, err := meta.EncodeValues(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func scItems(t *testing.T, p *prog.Program, b *graph.Builder, meta *instrument.M
 	byKey := map[string]raw{}
 	for i := 0; i < count; i++ {
 		rf, ws := testgen.SCReference(p, rng)
-		s, err := meta.EncodeExecution(testgen.LoadValuesOf(p, rf))
+		s, err := meta.EncodeValues(testgen.LoadValuesOf(p, rf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,8 +213,8 @@ func TestFig7Scenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(t *testing.T, vals map[int]uint32, rf graph.RF, ws graph.WS) Item {
-		s, err := meta.EncodeExecution(vals)
+	mk := func(t *testing.T, vals []uint32, rf graph.RF, ws graph.WS) Item {
+		s, err := meta.EncodeValues(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,18 +225,18 @@ func TestFig7Scenario(t *testing.T) {
 		return Item{Sig: s, Edges: edges}
 	}
 	// Run 1: both loads read the initial value.
-	r1 := mk(t, map[int]uint32{1: 0, 4: 0}, graph.RF{1: -1, 4: -1},
+	r1 := mk(t, []uint32{1: 0, 4: 0}, graph.RF{1: -1, 4: -1},
 		graph.WS{0: {0, 2}, 1: {3, 5}})
 	// Run 2: t0's load reads t1's first store.
-	r2 := mk(t, map[int]uint32{1: 4, 4: 0}, graph.RF{1: 3, 4: -1},
+	r2 := mk(t, []uint32{1: 4, 4: 0}, graph.RF{1: 3, 4: -1},
 		graph.WS{0: {0, 2}, 1: {3, 5}})
 	// Run 3: both loads read the other thread's first store.
-	r3 := mk(t, map[int]uint32{1: 4, 4: 1}, graph.RF{1: 3, 4: 0},
+	r3 := mk(t, []uint32{1: 4, 4: 1}, graph.RF{1: 3, 4: 0},
 		graph.WS{0: {0, 2}, 1: {3, 5}})
 	// Run 4 (buggy): the load-buffering cycle — each thread's load reads the
 	// OTHER thread's later store: rf 5→1, po 1→2, rf 2→4, po 4→5 closes a
 	// cycle under TSO (ld→st is preserved), as in the paper's fourth run.
-	r4 := mk(t, map[int]uint32{1: 6, 4: 3}, graph.RF{1: 5, 4: 2},
+	r4 := mk(t, []uint32{1: 6, 4: 3}, graph.RF{1: 5, 4: 2},
 		graph.WS{0: {0, 2}, 1: {3, 5}})
 
 	items := []Item{r1, r2, r3, r4}

@@ -2,111 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
+	"mtracecheck"
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/mem"
-	"mtracecheck/internal/obs"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/report"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
 )
-
-// collectMode is the experiments' shared collection path (collect is a
-// wrapper generating the program first): one serial campaign with an
-// explicit write-serialization mode and an optional pruner for the
-// ablation studies. A non-nil observer o receives the campaign's events —
-// execution shard, final merge, decode shard — exactly as the library
-// pipeline emits them; results are identical either way.
-func collectMode(o obs.Observer, p *prog.Program, plat sim.Platform, iters int, seed int64,
-	ws graph.WSMode, pruner instrument.Pruner) (*collected, error) {
-	meta, err := instrument.Analyze(p, plat.RegWidthBits, pruner)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewRunner(plat, p, seed)
-	if err != nil {
-		return nil, err
-	}
-	began := time.Now()
-	if o != nil {
-		threads, ops := 0, 0
-		for _, t := range p.Threads {
-			threads++
-			ops += len(t.Ops)
-		}
-		o.CampaignStart(obs.CampaignStart{Program: p.Name, Threads: threads, Ops: ops,
-			Platform: plat.Name, Model: plat.Model.String(),
-			Iterations: iters, Workers: 1, Time: began})
-		o.ShardStart(obs.ShardStart{Stage: obs.StageExecute, Count: iters, Time: began})
-	}
-	set := sig.NewSet()
-	wsBySig := map[string]graph.WS{}
-	asserts := 0
-	var cycles int64
-	squashes := 0
-	for i := 0; i < iters; i++ {
-		ex, err := runner.Run()
-		if err != nil {
-			return nil, err
-		}
-		cycles += int64(ex.Cycles)
-		squashes += ex.Squashes
-		s, err := meta.EncodeValues(ex.LoadValues)
-		if err != nil {
-			asserts++
-			continue
-		}
-		if set.Add(s) {
-			wsBySig[s.Key()] = ex.WSByWord()
-		}
-	}
-	uniques := set.Sorted()
-	if o != nil {
-		now := time.Now()
-		o.ShardEnd(obs.ShardEnd{Stage: obs.StageExecute, Count: iters,
-			Iterations: iters, Cycles: cycles, Squashes: squashes,
-			Uniques: len(uniques), Asserts: asserts,
-			Time: now, Duration: now.Sub(began)})
-		o.MergeDone(obs.MergeDone{Completed: iters, Uniques: len(uniques),
-			Final: true, Time: now})
-	}
-	builder := graph.NewBuilder(p, plat.Model, graph.Options{
-		Forwarding: plat.Atomicity.AllowsForwarding(),
-		WS:         ws,
-	})
-	decodeBegan := time.Now()
-	items := make([]check.Item, 0, len(uniques))
-	for _, u := range uniques {
-		cands, err := meta.Decode(u.Sig)
-		if err != nil {
-			return nil, err
-		}
-		rf := make(graph.RF, len(cands))
-		for id, c := range cands {
-			rf[id] = c.Store
-		}
-		edges, err := builder.DynamicEdges(rf, wsBySig[u.Sig.Key()])
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, check.Item{Sig: u.Sig, Edges: edges})
-	}
-	if o != nil {
-		now := time.Now()
-		o.ShardEnd(obs.ShardEnd{Stage: obs.StageDecode, Count: len(uniques),
-			Decoded: len(items), Time: now, Duration: now.Sub(decodeBegan)})
-		o.CampaignEnd(obs.CampaignEnd{Iterations: iters, Uniques: len(uniques),
-			Asserts: asserts, Time: now, Duration: now.Sub(began)})
-	}
-	return &collected{meta: meta, builder: builder, uniques: uniques,
-		items: items, asserts: asserts}, nil
-}
 
 // WSAblation quantifies the static-vs-observed write-serialization choice
 // (DESIGN.md §2): bug detections caught by each mode on the bug-2 platform,
@@ -123,34 +31,27 @@ func WSAblation(cfg Config) (*report.Table, error) {
 	}
 	tcBug := testgen.Config{Threads: 7, OpsPerThread: 200, Words: 32, WordsPerLine: 16}
 	plat := sim.PlatformGem5(mem.Bugs{}, sim.Bugs{LQSquashSkip: true})
-	detect := func(ws graph.WSMode) (tests, sigs int, err error) {
+	detect := func(observedWS bool) (tests, sigs int, err error) {
 		for test := 0; test < cfg.Table3Tests; test++ {
 			tc := tcBug
 			tc.Seed = cfg.Seed + int64(test)
-			p, err := testgen.Generate(tc)
+			report, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+				Platform: plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1, ObservedWS: observedWS}))
 			if err != nil {
 				return 0, 0, err
 			}
-			col, err := collectMode(cfg.Observer, p, plat, cfg.Table3Iters, tc.Seed+1, ws, nil)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := checkItems(cfg, col.builder, col.items)
-			if err != nil {
-				return 0, 0, err
-			}
-			if len(res.Violations)+col.asserts > 0 {
+			if report.Failed() {
 				tests++
-				sigs += len(res.Violations)
+				sigs += len(report.Violations)
 			}
 		}
 		return tests, sigs, nil
 	}
-	sTests, sSigs, err := detect(graph.WSStatic)
+	sTests, sSigs, err := detect(false)
 	if err != nil {
 		return nil, err
 	}
-	oTests, oSigs, err := detect(graph.WSObserved)
+	oTests, oSigs, err := detect(true)
 	if err != nil {
 		return nil, err
 	}
@@ -165,29 +66,45 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	x86 := sim.PlatformX86()
+	meta, err := instrument.Analyze(p, x86.RegWidthBits, nil)
+	if err != nil {
+		return nil, err
+	}
 	for _, mode := range []struct {
 		name string
 		ws   graph.WSMode
 	}{{"static ws (paper mode)", graph.WSStatic}, {"observed ws", graph.WSObserved}} {
-		col, err := collectMode(cfg.Observer, p, x86, cfg.Iterations, cfg.Seed, mode.ws, nil)
+		report, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
+			Platform: x86, Iterations: cfg.Iterations, Seed: cfg.Seed,
+			ObservedWS: mode.ws == graph.WSObserved, KeepExecutions: true}))
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		res, err := checkItems(cfg, col.builder, col.items)
+		// The edge count is not part of a report: rebuild the graphs the
+		// campaign checked, each signature under the write serialization of
+		// its first observation.
+		ws := map[string]graph.WS{}
+		for _, ex := range report.Executions {
+			s, err := meta.EncodeValues(ex.LoadValues)
+			if err != nil {
+				continue
+			}
+			if _, seen := ws[s.Key()]; !seen {
+				ws[s.Key()] = ex.WSByWord()
+			}
+		}
+		_, items, err := decodeItems(p, x86, graph.Options{WS: mode.ws}, report.Signatures(), ws)
 		if err != nil {
 			return nil, err
 		}
-		_ = res
-		_ = start
 		var edges int
-		for _, it := range col.items {
+		for _, it := range items {
 			edges += len(it.Edges)
 		}
 		t.AddRow(fmt.Sprintf("clean run dyn edges/graph (%s)", mode.name),
-			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(col.items)))), "")
+			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(items)))), "")
 		t.AddRow(fmt.Sprintf("clean run sorted vertices (%s)", mode.name),
-			res.SortedVertices, "")
+			report.CheckStats.SortedVertices, "")
 	}
 	return t, nil
 }
@@ -235,12 +152,13 @@ func PruneAblation(cfg Config) (*report.Table, error) {
 				return nil, err
 			}
 			_, inst, _ := gp.CodeSizes()
-			col, err := collectMode(cfg.Observer, p, plat, cfg.Iterations, cfg.Seed+9, graph.WSStatic, pr.prune)
+			report, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
+				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed + 9, Pruner: pr.prune}))
 			if err != nil {
 				return nil, err
 			}
 			t.AddRow(tc.Label, pr.name, meta.SignatureBytes(),
-				fmt.Sprintf("%.1f", float64(inst)/1024), col.asserts)
+				fmt.Sprintf("%.1f", float64(inst)/1024), len(report.AssertionFailures))
 		}
 	}
 	return t, nil
@@ -261,17 +179,17 @@ func ScalingAblation(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	for _, iters := range []int{256, 1024, 4096} {
-		col, err := collectMode(cfg.Observer, p, sim.PlatformX86(), iters, cfg.Seed, graph.WSStatic, nil)
+		builder, items, err := cfg.collect(p, sim.PlatformX86(), iters)
 		if err != nil {
 			return nil, err
 		}
-		conv := check.Conventional(col.builder, col.items)
-		coll, err := check.Collective(col.builder, col.items)
+		conv := check.Conventional(builder, items)
+		coll, err := check.Collective(builder, items)
 		if err != nil {
 			return nil, err
 		}
 		_, noResort, _ := coll.Counts()
-		t.AddRow(iters, len(col.items), noResort, coll.SortedVertices, conv.SortedVertices,
+		t.AddRow(iters, len(items), noResort, coll.SortedVertices, conv.SortedVertices,
 			report.Percent(float64(conv.SortedVertices-coll.SortedVertices), float64(conv.SortedVertices)))
 	}
 	return t, nil
@@ -305,43 +223,15 @@ func FRAblation(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		plat := sim.PlatformARM()
+		uniques, err := mtracecheck.CollectSignatures(p, cfg.options(mtracecheck.Options{
+			Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
+		if err != nil {
+			return nil, err
+		}
 		for _, dropFR := range []bool{false, true} {
-			meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
+			builder, items, err := decodeItems(p, plat, graph.Options{DropFR: dropFR}, uniques, nil)
 			if err != nil {
 				return nil, err
-			}
-			runner, err := sim.NewRunner(plat, p, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			set := sig.NewSet()
-			for i := 0; i < cfg.Iterations; i++ {
-				ex, err := runner.Run()
-				if err != nil {
-					return nil, err
-				}
-				if s, err := meta.EncodeValues(ex.LoadValues); err == nil {
-					set.Add(s)
-				}
-			}
-			builder := graph.NewBuilder(p, plat.Model, graph.Options{
-				Forwarding: true, WS: graph.WSStatic, DropFR: dropFR,
-			})
-			items := make([]check.Item, 0, set.Len())
-			for _, u := range set.Sorted() {
-				cands, err := meta.Decode(u.Sig)
-				if err != nil {
-					return nil, err
-				}
-				rf := make(graph.RF, len(cands))
-				for id, c := range cands {
-					rf[id] = c.Store
-				}
-				edges, err := builder.DynamicEdges(rf, nil)
-				if err != nil {
-					return nil, err
-				}
-				items = append(items, check.Item{Sig: u.Sig, Edges: edges})
 			}
 			conv := check.Conventional(builder, items)
 			coll, err := check.Collective(builder, items)
@@ -443,50 +333,13 @@ func Atomicity(cfg Config) (*report.Table, error) {
 		plat := sim.PlatformX86()
 		plat.Atomicity = atom
 		for _, sub := range subjects {
-			meta, err := instrument.Analyze(sub.prog, plat.RegWidthBits, nil)
+			observed, report, err := mtracecheck.RunLitmus(
+				mtracecheck.Litmus{Prog: sub.prog, Interesting: sub.outcome},
+				cfg.options(mtracecheck.Options{Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 			if err != nil {
 				return nil, err
 			}
-			runner, err := sim.NewRunner(plat, sub.prog, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			builder := graph.NewBuilder(sub.prog, plat.Model, graph.Options{
-				Forwarding: atom.AllowsForwarding(),
-				WS:         graph.WSStatic,
-			})
-			observed, violations := 0, 0
-			set := sig.NewSet()
-			for i := 0; i < cfg.Iterations; i++ {
-				ex, err := runner.Run()
-				if err != nil {
-					return nil, err
-				}
-				if sub.outcome.MatchesValues(ex.LoadValues) {
-					observed++
-				}
-				if s, err := meta.EncodeValues(ex.LoadValues); err == nil {
-					set.Add(s)
-				}
-			}
-			for _, u := range set.Sorted() {
-				cands, err := meta.Decode(u.Sig)
-				if err != nil {
-					return nil, err
-				}
-				rf := graph.RF{}
-				for id, c := range cands {
-					rf[id] = c.Store
-				}
-				g, err := builder.BuildGraph(rf, nil)
-				if err != nil {
-					return nil, err
-				}
-				if _, ok := g.TopoSort(); !ok {
-					violations++
-				}
-			}
-			t.AddRow(atom.String(), sub.name, observed, violations)
+			t.AddRow(atom.String(), sub.name, observed, len(report.Violations))
 		}
 	}
 	return t, nil
@@ -539,11 +392,10 @@ func DynPrune(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			lvs := denseToMap(ex.LoadValues)
-			if _, err := enc.Encode(lvs); err != nil {
+			if _, err := enc.Encode(ex.LoadValues); err != nil {
 				return nil, fmt.Errorf("%s: clean platform asserted: %w", tc.Label, err)
 			}
-			bits, err := enc.InformationBits(lvs)
+			bits, err := enc.InformationBits(ex.LoadValues)
 			if err != nil {
 				return nil, err
 			}
@@ -562,7 +414,7 @@ func DynPrune(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := enc.Encode(denseToMap(ex.LoadValues)); err != nil {
+			if _, err := enc.Encode(ex.LoadValues); err != nil {
 				asserts++
 			}
 		}
@@ -593,23 +445,13 @@ func Bias(cfg Config) (*report.Table, error) {
 		for _, bias := range []float64{0, 0.5, 0.9} {
 			c := tc
 			c.HotWordBias = bias
-			col, err := collect(cfg.Observer, c, sim.PlatformX86(), cfg.Iterations, cfg.Seed+3)
+			report, err := mtracecheck.Run(c, cfg.options(mtracecheck.Options{
+				Platform: sim.PlatformX86(), Iterations: cfg.Iterations, Seed: cfg.Seed + 3}))
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(tc.Label, fmt.Sprintf("%.1f", bias), len(col.uniques))
+			t.AddRow(tc.Label, fmt.Sprintf("%.1f", bias), report.UniqueSignatures)
 		}
 	}
 	return t, nil
-}
-
-// denseToMap converts a dense op-indexed value slice (sim.Execution.LoadValues)
-// into the map shape the dynamic encoder consumes; non-load entries are
-// harmless extras the encoder never looks up.
-func denseToMap(vals []uint32) map[int]uint32 {
-	m := make(map[int]uint32, len(vals))
-	for id, v := range vals {
-		m[id] = v
-	}
-	return m
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,17 +51,8 @@ func Corpus(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			c, err := mtracecheck.NewCampaign(p, mtracecheck.Options{
-				Platform:   platformFor(pc.ISA),
-				Iterations: cfg.Iterations,
-				Seed:       cfg.Seed,
-				Observer:   cfg.Observer,
-				Corpus:     store,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return c.Run(context.Background())
+			return mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
+				Platform: platformFor(pc.ISA), Iterations: cfg.Iterations, Seed: cfg.Seed, Corpus: store}))
 		}
 		cold, err := run()
 		if err != nil {

@@ -12,11 +12,12 @@
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
+	"mtracecheck"
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/cluster"
 	"mtracecheck/internal/graph"
@@ -25,6 +26,7 @@ import (
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/mem"
 	"mtracecheck/internal/obs"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/report"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -43,16 +45,16 @@ type Config struct {
 	Table3Tests int   // tests per bug campaign (paper: 101)
 	Table3Iters int   // iterations per bug test (paper: 1024)
 
-	// Observer, when non-nil, receives pipeline events from every signature
-	// collection the experiments perform (one campaign per collected test).
-	// Results are bit-identical with and without it.
+	// Observer, when non-nil, receives the pipeline events of every campaign
+	// the experiments run (one per collected test). Results are bit-identical
+	// with and without it.
 	Observer obs.Observer
 
-	// Checker names the backend used wherever an experiment checks graphs
-	// without comparing backends (the bug campaigns, the ws ablation).
-	// Empty means collective. Experiments that explicitly race backends
-	// (Fig9And14) always run their fixed roster regardless.
-	Checker string
+	// Checker is the backend of every campaign an experiment runs for its
+	// verdict (the bug campaigns, the ws ablation); the zero value is
+	// collective. Experiments that explicitly race backends (Fig9And14)
+	// always run their fixed roster regardless.
+	Checker mtracecheck.Checker
 
 	// CorpusPath is the directory holding the Corpus experiment's
 	// persistent signature corpora (one file per configuration). Empty
@@ -61,23 +63,54 @@ type Config struct {
 	CorpusPath string
 }
 
-// backend resolves cfg.Checker against the checker registry, defaulting to
-// the paper's collective checker.
-func (cfg Config) backend() (check.Backend, error) {
-	name := cfg.Checker
-	if name == "" {
-		name = "collective"
-	}
-	return check.ForName(name)
+// options completes o — platform, iterations, seed and mode are the
+// caller's — with the harness-wide settings. Every experiment reaches the
+// pipeline through mtracecheck's entry points with these options, so what an
+// experiment measures is what a user's campaign does. Workers is 1: the
+// effort counters several tables print depend on checking-shard boundaries.
+func (cfg Config) options(o mtracecheck.Options) mtracecheck.Options {
+	o.Checker, o.Observer, o.Workers = cfg.Checker, cfg.Observer, 1
+	return o
 }
 
-// checkItems runs one checkable-item batch through the configured backend.
-func checkItems(cfg Config, b *graph.Builder, items []check.Item) (*check.Result, error) {
-	be, err := cfg.backend()
+// collect runs only the execution stage of a campaign and decodes its
+// signature set into items, for the experiments that race backends on one
+// set.
+func (cfg Config) collect(p *prog.Program, plat sim.Platform, iters int) (*graph.Builder, []check.Item, error) {
+	uniques, err := mtracecheck.CollectSignatures(p, cfg.options(mtracecheck.Options{
+		Platform: plat, Iterations: iters, Seed: cfg.Seed}))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return be.Check(context.Background(), b, items)
+	return decodeItems(p, plat, graph.Options{}, uniques, nil)
+}
+
+// decodeItems turns a sorted signature set into checkable items over a
+// builder of its own — the one decode path beside Campaign's, for timing a
+// backend in isolation and for graph options a campaign does not carry
+// (DropFR). gopts.Forwarding is the platform's; ws, when non-nil, maps a
+// signature key to its recorded write serialization (observed mode).
+func decodeItems(p *prog.Program, plat sim.Platform, gopts graph.Options,
+	uniques []sig.Unique, ws map[string]graph.WS) (*graph.Builder, []check.Item, error) {
+	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	gopts.Forwarding = plat.Atomicity.AllowsForwarding()
+	b := graph.NewBuilder(p, plat.Model, gopts)
+	rf := make([]int32, b.NumOps())
+	items := make([]check.Item, 0, len(uniques))
+	for _, u := range uniques {
+		if err := meta.DecodeInto(u.Sig, rf); err != nil {
+			return nil, nil, err
+		}
+		edges, err := b.AppendDynamicEdges(nil, rf, ws[u.Sig.Key()])
+		if err != nil {
+			return nil, nil, err
+		}
+		items = append(items, check.Item{Sig: u.Sig, Edges: edges})
+	}
+	return b, items, nil
 }
 
 // Default returns a laptop-scale configuration preserving every trend.
@@ -105,25 +138,6 @@ func encodingFor(flavor testgen.ISA) isa.Encoding {
 		return isa.EncodingRISC
 	}
 	return isa.EncodingCISC
-}
-
-// collected bundles signature collection results for one executed test.
-type collected struct {
-	meta    *instrument.Meta
-	builder *graph.Builder
-	uniques []sig.Unique
-	items   []check.Item
-	asserts int
-}
-
-// collect runs a test program for iters iterations on plat and gathers its
-// sorted unique signatures plus checkable items.
-func collect(o obs.Observer, pc testgen.Config, plat sim.Platform, iters int, seed int64) (*collected, error) {
-	p, err := testgen.Generate(pc)
-	if err != nil {
-		return nil, err
-	}
-	return collectMode(o, p, plat, iters, seed, graph.WSStatic, nil)
 }
 
 // Platforms renders the simulated systems-under-validation (paper Table 1).
@@ -240,11 +254,12 @@ func Fig8(cfg Config) (*report.Table, error) {
 				if v.osMode {
 					plat.OS = sim.OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
 				}
-				col, err := collect(cfg.Observer, tc, plat, cfg.Iterations, cfg.Seed+int64(test))
+				report, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+					Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed + int64(test)}))
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", pc.Label, v.name, err)
 				}
-				total += len(col.uniques)
+				total += report.UniqueSignatures
 			}
 			cells = append(cells, total/cfg.Tests)
 		}
@@ -274,27 +289,31 @@ func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 	for _, pc := range testgen.PaperConfigs() {
 		tc := pc.Config
 		tc.Seed = cfg.Seed
-		col, cerr := collect(cfg.Observer, tc, platformFor(pc.ISA), cfg.Iterations, cfg.Seed)
+		p, cerr := testgen.Generate(tc)
+		if cerr != nil {
+			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
+		}
+		builder, items, cerr := cfg.collect(p, platformFor(pc.ISA), cfg.Iterations)
 		if cerr != nil {
 			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
 		}
 		start := time.Now()
-		conv := check.Conventional(col.builder, col.items)
+		conv := check.Conventional(builder, items)
 		convT := time.Since(start)
 		start = time.Now()
-		coll, cerr := check.Collective(col.builder, col.items)
+		coll, cerr := check.Collective(builder, items)
 		collT := time.Since(start)
 		if cerr != nil {
 			return nil, nil, cerr
 		}
 		start = time.Now()
-		inc, cerr := check.Incremental(col.builder, col.items)
+		inc, cerr := check.Incremental(builder, items)
 		incT := time.Since(start)
 		if cerr != nil {
 			return nil, nil, cerr
 		}
 		start = time.Now()
-		vc, cerr := check.VectorClock(col.builder, col.items)
+		vc, cerr := check.VectorClock(builder, items)
 		vcT := time.Since(start)
 		if cerr != nil {
 			return nil, nil, cerr
@@ -308,7 +327,7 @@ func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 		if convT > 0 {
 			norm = report.Percent(float64(collT), float64(convT))
 		}
-		fig9.AddRow(pc.Label, len(col.items),
+		fig9.AddRow(pc.Label, len(items),
 			fmt.Sprintf("%.3f", float64(convT.Microseconds())/1000),
 			fmt.Sprintf("%.3f", float64(collT.Microseconds())/1000),
 			norm, conv.SortedVertices, coll.SortedVertices,
@@ -325,7 +344,7 @@ func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 		}
 		avgAff := "n/a"
 		if affCount > 0 {
-			avgAff = report.Percent(float64(affected)/float64(affCount), float64(col.builder.NumOps()))
+			avgAff = report.Percent(float64(affected)/float64(affCount), float64(builder.NumOps()))
 		}
 		fig14.AddRow(pc.Label, complete, noResort, incremental, avgAff)
 	}
@@ -538,20 +557,19 @@ func Table3(cfg Config) (*report.Table, error) {
 		for test := 0; test < cfg.Table3Tests; test++ {
 			tc := c.tc
 			tc.Seed = cfg.Seed + int64(ci*10007+test)
-			col, err := collectWithCrash(cfg.Observer, tc, c.plat, cfg.Table3Iters, tc.Seed+1)
-			if err != nil {
+			report, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+				Platform: c.plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1}))
+			if errors.Is(err, mtracecheck.ErrCrash) {
 				crashes++
 				testsDetecting++
 				continue
 			}
-			coll, err := checkItems(cfg, col.builder, col.items)
 			if err != nil {
 				return nil, err
 			}
-			bad := len(coll.Violations) + col.asserts
-			if bad > 0 {
+			if report.Failed() {
 				testsDetecting++
-				badSigs += len(coll.Violations)
+				badSigs += len(report.Violations)
 			}
 		}
 		result := fmt.Sprintf("%d/%d tests", testsDetecting, cfg.Table3Tests)
@@ -575,12 +593,6 @@ func bug3Platform() sim.Platform {
 	return p
 }
 
-// collectWithCrash is collect, but surfaces simulator crashes (deadlocks) to
-// the caller as errors rather than failing the campaign.
-func collectWithCrash(o obs.Observer, tc testgen.Config, plat sim.Platform, iters int, seed int64) (*collected, error) {
-	return collect(o, tc, plat, iters, seed)
-}
-
 // Litmus audits the directed litmus library across all four models
 // (extension experiment; the paper's intro scenario).
 func Litmus(cfg Config) (*report.Table, error) {
@@ -600,50 +612,12 @@ func Litmus(cfg Config) (*report.Table, error) {
 	for _, l := range testgen.LitmusTests() {
 		for _, m := range models {
 			plat := m.plat()
-			p := l.Prog
-			runner, err := sim.NewRunner(plat, p, cfg.Seed)
+			observed, report, err := mtracecheck.RunLitmus(l, cfg.options(mtracecheck.Options{
+				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 			if err != nil {
 				return nil, err
 			}
-			meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
-			if err != nil {
-				return nil, err
-			}
-			builder := graph.NewBuilder(p, plat.Model, graph.Options{
-				Forwarding: plat.Atomicity.AllowsForwarding(),
-			})
-			observed, violations := 0, 0
-			set := sig.NewSet()
-			wsBySig := map[string]graph.WS{}
-			for i := 0; i < cfg.Iterations; i++ {
-				ex, err := runner.Run()
-				if err != nil {
-					return nil, err
-				}
-				if l.Interesting.MatchesValues(ex.LoadValues) {
-					observed++
-				}
-				if s, err := meta.EncodeValues(ex.LoadValues); err == nil && set.Add(s) {
-					wsBySig[s.Key()] = ex.WSByWord()
-				}
-			}
-			for _, u := range set.Sorted() {
-				cands, err := meta.Decode(u.Sig)
-				if err != nil {
-					return nil, err
-				}
-				rf := graph.RF{}
-				for id, c := range cands {
-					rf[id] = c.Store
-				}
-				g, err := builder.BuildGraph(rf, wsBySig[u.Sig.Key()])
-				if err != nil {
-					return nil, err
-				}
-				if _, ok := g.TopoSort(); !ok {
-					violations++
-				}
-			}
+			violations := len(report.Violations)
 			forbidden := l.ForbiddenUnder(plat.Model)
 			verdict := "ok"
 			if forbidden && observed > 0 {

@@ -219,32 +219,6 @@ func (m *Meta) EncodeValues(vals []uint32) (sig.Signature, error) {
 	return sig.New(words), nil
 }
 
-// EncodeExecution computes the execution signature for observed load values
-// as a map (load op ID → value), exactly as the instrumented code would at
-// runtime. Thin map-shaped wrapper over the same per-load encoding the dense
-// EncodeExecutionInto fast path uses.
-func (m *Meta) EncodeExecution(loadValues map[int]uint32) (sig.Signature, error) {
-	words := make([]uint64, m.TotalWords())
-	base := 0
-	for ti := range m.Threads {
-		tm := &m.Threads[ti]
-		for i := range tm.Loads {
-			li := &tm.Loads[i]
-			v, ok := loadValues[li.Op.ID]
-			if !ok {
-				return sig.Signature{}, fmt.Errorf("instrument: no observed value for load %d", li.Op.ID)
-			}
-			idx := candIndex(li, v)
-			if idx < 0 {
-				return sig.Signature{}, &AssertionError{Load: li.Op, Value: v}
-			}
-			words[base+li.WordIndex] += li.Multiplier * uint64(idx)
-		}
-		base += tm.Words
-	}
-	return sig.New(words), nil
-}
-
 // AssertionError reports a loaded value outside the statically computed
 // candidate set — caught instantly by the instrumented code's assert chain.
 type AssertionError struct {
@@ -301,26 +275,12 @@ func (m *Meta) decodeWalk(s sig.Signature, emit func(li *LoadInfo, idx int)) err
 	return nil
 }
 
-// Decode reconstructs the reads-from relation from an execution signature
-// (paper Algorithm 1): per thread, per word, loads are walked from last to
-// first, dividing by each load's multiplier. The result maps every load op
-// ID to its observed Candidate.
-func (m *Meta) Decode(s sig.Signature) (map[int]Candidate, error) {
-	rf := make(map[int]Candidate)
-	err := m.decodeWalk(s, func(li *LoadInfo, idx int) {
-		rf[li.Op.ID] = li.Candidates[idx]
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rf, nil
-}
-
-// DecodeInto reconstructs the reads-from relation into rf, a dense slice
+// DecodeInto reconstructs the reads-from relation from an execution
+// signature (paper Algorithm 1: per thread, per word, loads are walked from
+// last to first, dividing by each load's multiplier) into rf, a dense slice
 // indexed by operation ID: rf[loadID] = source store op ID, or -1 when the
 // load read the initial value. Entries for non-load operations are left
-// untouched. rf must be at least m.Prog.NumOps() long. This is the hot-path
-// form — it avoids the map[int]Candidate allocation per decoded signature.
+// untouched. rf must be at least m.Prog.NumOps() long.
 func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
 	if n := m.Prog.NumOps(); len(rf) < n {
 		return fmt.Errorf("instrument: rf buffer has %d entries, program has %d ops", len(rf), n)

@@ -94,12 +94,13 @@ func (f *frontier) observe(meta *Meta, li LoadInfo, c Candidate) {
 	}
 }
 
-// Encode computes the frontier-pruned signature for observed load values.
+// Encode computes the frontier-pruned signature for dense observed load
+// values (indexed by op ID, the shape sim.Execution.LoadValues uses).
 // The layout is, per thread: [wordCount, w0, w1, ...], threads concatenated
 // in order. Values outside the (pruned) candidate set return an
 // AssertionError — under a correct ld→ld-ordered platform the frontier
 // never prunes the actually observed value.
-func (d *DynamicEncoder) Encode(loadValues map[int]uint32) (sig.Signature, error) {
+func (d *DynamicEncoder) Encode(vals []uint32) (sig.Signature, error) {
 	var words []uint64
 	for _, tm := range d.meta.Threads {
 		f := newFrontier()
@@ -110,10 +111,10 @@ func (d *DynamicEncoder) Encode(loadValues map[int]uint32) (sig.Signature, error
 			acc, radix = 0, 1
 		}
 		for _, li := range tm.Loads {
-			v, ok := loadValues[li.Op.ID]
-			if !ok {
+			if li.Op.ID >= len(vals) {
 				return sig.Signature{}, fmt.Errorf("instrument: no observed value for load %d", li.Op.ID)
 			}
+			v := vals[li.Op.ID]
 			cands := f.admissible(d.meta, li)
 			idx := -1
 			for i, c := range cands {
@@ -222,15 +223,15 @@ func (d *DynamicEncoder) Decode(s sig.Signature) (map[int]Candidate, error) {
 // representable reads-from patterns) of the frontier-pruned encoding for
 // one execution — the quantity dynamic pruning reduces relative to
 // Meta.InformationBits.
-func (d *DynamicEncoder) InformationBits(loadValues map[int]uint32) (float64, error) {
+func (d *DynamicEncoder) InformationBits(vals []uint32) (float64, error) {
 	var bits float64
 	for _, tm := range d.meta.Threads {
 		f := newFrontier()
 		for _, li := range tm.Loads {
-			v, ok := loadValues[li.Op.ID]
-			if !ok {
+			if li.Op.ID >= len(vals) {
 				return 0, fmt.Errorf("instrument: no observed value for load %d", li.Op.ID)
 			}
+			v := vals[li.Op.ID]
 			cands := f.admissible(d.meta, li)
 			idx := -1
 			for i, c := range cands {

@@ -30,8 +30,8 @@ func TestDynamicEncoderRejectsWeakModels(t *testing.T) {
 // coherentRF builds a random execution respecting the frontier invariants
 // (monotone per-(word,source-thread) observation, no initial after store) —
 // what a correct ld→ld-ordered platform produces.
-func coherentRF(meta *Meta, rng *rand.Rand) map[int]uint32 {
-	vals := map[int]uint32{}
+func coherentRF(meta *Meta, rng *rand.Rand) []uint32 {
+	vals := make([]uint32, meta.Prog.NumOps())
 	for _, tm := range meta.Threads {
 		f := newFrontier()
 		for _, li := range tm.Loads {
@@ -130,13 +130,13 @@ func TestDynamicAssertOnFrontierViolation(t *testing.T) {
 	// initial value, so the dynamic instrumentation asserts inline, without
 	// any graph checking (the very violation static encoding only catches
 	// at graph time).
-	_, err = enc.Encode(map[int]uint32{1: 1, 2: 0})
+	_, err = enc.Encode([]uint32{1: 1, 2: 0})
 	var ae *AssertionError
 	if !errors.As(err, &ae) {
 		t.Fatalf("err = %v, want AssertionError", err)
 	}
 	// The static encoder accepts the same values (graph checking needed).
-	if _, err := meta.EncodeExecution(map[int]uint32{1: 1, 2: 0}); err != nil {
+	if _, err := meta.EncodeValues([]uint32{1: 1, 2: 0}); err != nil {
 		t.Fatalf("static encoder rejected: %v", err)
 	}
 }

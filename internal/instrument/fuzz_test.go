@@ -37,15 +37,17 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, w0, w1, w2 uint64) {
 		s := sig.New([]uint64{w0, w1, w2})
-		cands, err := meta.Decode(s)
+		rf, err := decode(meta, s)
 		if err != nil {
 			return // rejected: fine
 		}
-		vals := make(map[int]uint32, len(cands))
-		for id, c := range cands {
-			vals[id] = c.Value
+		vals := make([]uint32, len(rf))
+		for _, tm := range meta.Threads {
+			for _, li := range tm.Loads {
+				vals[li.Op.ID] = valueOf(meta, rf[li.Op.ID])
+			}
 		}
-		back, err := meta.EncodeExecution(vals)
+		back, err := meta.EncodeValues(vals)
 		if err != nil {
 			t.Fatalf("decoded values failed to re-encode: %v", err)
 		}
@@ -60,13 +62,13 @@ func FuzzDecode(f *testing.F) {
 // encoder must accept by construction.
 func validSignature(f *testing.F, meta *Meta) sig.Signature {
 	f.Helper()
-	vals := make(map[int]uint32)
+	vals := make([]uint32, meta.Prog.NumOps())
 	for _, tm := range meta.Threads {
 		for _, li := range tm.Loads {
 			vals[li.Op.ID] = li.Candidates[len(li.Candidates)-1].Value
 		}
 	}
-	s, err := meta.EncodeExecution(vals)
+	s, err := meta.EncodeValues(vals)
 	if err != nil {
 		f.Fatalf("constructed execution failed to encode: %v", err)
 	}
@@ -83,34 +85,34 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make(map[int]uint32)
+	vals := make([]uint32, meta.Prog.NumOps())
 	for _, tm := range meta.Threads {
 		for _, li := range tm.Loads {
 			vals[li.Op.ID] = li.Candidates[0].Value
 		}
 	}
-	valid, err := meta.EncodeExecution(vals)
+	valid, err := meta.EncodeValues(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := meta.Decode(valid); err != nil {
+	if _, err := decode(meta, valid); err != nil {
 		t.Fatalf("valid signature rejected: %v", err)
 	}
 	for w := 0; w < valid.Len(); w++ {
 		words := valid.Words()
 		words[w] = ^uint64(0)
-		if _, err := meta.Decode(sig.New(words)); err == nil {
+		if _, err := decode(meta, sig.New(words)); err == nil {
 			t.Errorf("all-ones word %d decoded without error", w)
 		}
 	}
 	// Wrong word count is likewise an error, not a panic.
-	if _, err := meta.Decode(sig.New(valid.Words()[:valid.Len()-1])); err == nil {
+	if _, err := decode(meta, sig.New(valid.Words()[:valid.Len()-1])); err == nil {
 		t.Error("short signature decoded without error")
 	}
 }
 
 // FuzzEncodeValues feeds arbitrary load values to the encoder: any accepted
-// execution must round-trip through Decode.
+// execution must round-trip through DecodeInto.
 func FuzzEncodeValues(f *testing.F) {
 	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 20, Words: 2, Seed: 13})
 	meta, err := Analyze(p, 32, nil)
@@ -125,22 +127,22 @@ func FuzzEncodeValues(f *testing.F) {
 	}
 	f.Add(uint32(0), uint32(1), uint32(7))
 	f.Fuzz(func(t *testing.T, a, b, c uint32) {
-		vals := make(map[int]uint32, len(loadIDs))
+		vals := make([]uint32, meta.Prog.NumOps())
 		pick := []uint32{a, b, c}
 		for i, id := range loadIDs {
 			vals[id] = pick[i%len(pick)]
 		}
-		s, err := meta.EncodeExecution(vals)
+		s, err := meta.EncodeValues(vals)
 		if err != nil {
 			return // value outside candidate set: the assert path
 		}
-		back, err := meta.Decode(s)
+		rf, err := decode(meta, s)
 		if err != nil {
 			t.Fatalf("encoded signature failed to decode: %v", err)
 		}
-		for id, v := range vals {
-			if back[id].Value != v {
-				t.Fatalf("load %d: decoded %d, encoded %d", id, back[id].Value, v)
+		for _, id := range loadIDs {
+			if got := valueOf(meta, rf[id]); got != vals[id] {
+				t.Fatalf("load %d: decoded %d, encoded %d", id, got, vals[id])
 			}
 		}
 	})

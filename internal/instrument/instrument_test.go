@@ -82,12 +82,12 @@ func TestFig3SignatureValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	values := map[int]uint32{
+	values := []uint32{
 		1: 9, // store 8 writes value 9
 		2: 8, // store 7 writes value 8
 		6: 1, // thread 1's load reads store 0 (value 1): weight 0
 	}
-	s, err := meta.EncodeExecution(values)
+	s, err := meta.EncodeValues(values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,25 @@ func TestFig3SignatureValue(t *testing.T) {
 	}
 }
 
-// randomRF picks a random candidate for every load.
-func randomRF(meta *Meta, rng *rand.Rand) map[int]uint32 {
-	vals := make(map[int]uint32)
+// decode is DecodeInto over a fresh dense reads-from slice.
+func decode(meta *Meta, s sig.Signature) ([]int32, error) {
+	rf := make([]int32, meta.Prog.NumOps())
+	return rf, meta.DecodeInto(s, rf)
+}
+
+// valueOf is the value a load observes reading from store (-1: the initial
+// value) — the inverse of the candidate lookup the encoder performs.
+func valueOf(meta *Meta, store int32) uint32 {
+	if store < 0 {
+		return prog.InitialValue
+	}
+	return meta.Prog.OpByID(int(store)).Value
+}
+
+// randomRF picks a random candidate for every load; the values are dense by
+// op ID, the shape the encoder takes.
+func randomRF(meta *Meta, rng *rand.Rand) []uint32 {
+	vals := make([]uint32, meta.Prog.NumOps())
 	for _, tm := range meta.Threads {
 		for _, li := range tm.Loads {
 			vals[li.Op.ID] = li.Candidates[rng.Intn(len(li.Candidates))].Value
@@ -126,18 +142,21 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 31))
 			for trial := 0; trial < 20; trial++ {
 				vals := randomRF(meta, rng)
-				s, err := meta.EncodeExecution(vals)
+				s, err := meta.EncodeValues(vals)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rf, err := meta.Decode(s)
+				rf, err := decode(meta, s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for id, v := range vals {
-					if rf[id].Value != v {
-						t.Fatalf("width %d seed %d: load %d decoded %d, want %d",
-							width, seed, id, rf[id].Value, v)
+				for _, tm := range meta.Threads {
+					for _, li := range tm.Loads {
+						id := li.Op.ID
+						if got := valueOf(meta, rf[id]); got != vals[id] {
+							t.Fatalf("width %d seed %d: load %d decoded %d, want %d",
+								width, seed, id, got, vals[id])
+						}
 					}
 				}
 			}
@@ -165,7 +184,7 @@ func TestSignatureUniqueness(t *testing.T) {
 				fp += string(rune(vals[li.Op.ID])) + ","
 			}
 		}
-		s, err := meta.EncodeExecution(vals)
+		s, err := meta.EncodeValues(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +239,11 @@ func TestAssertionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := map[int]uint32{1: 99, 2: 0, 6: 1} // 99 written by nobody
-	_, err = meta.EncodeExecution(vals)
+	vals := []uint32{1: 99, 2: 0, 6: 1} // 99 written by nobody
+	_, err = meta.EncodeValues(vals)
 	var ae *AssertionError
 	if !errors.As(err, &ae) {
-		t.Fatalf("EncodeExecution error = %v, want AssertionError", err)
+		t.Fatalf("EncodeValues error = %v, want AssertionError", err)
 	}
 	if ae.Load.ID != 1 || ae.Value != 99 {
 		t.Errorf("AssertionError = %+v", ae)
@@ -238,11 +257,11 @@ func TestDecodeRejectsCorruptSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Word 0 max valid value is 2 + 9 = 11; 12 decodes out of range.
-	if _, err := meta.Decode(sig.New([]uint64{12, 0, 0})); err == nil {
-		t.Error("Decode accepted out-of-range word")
+	if _, err := decode(meta, sig.New([]uint64{12, 0, 0})); err == nil {
+		t.Error("DecodeInto accepted out-of-range word")
 	}
-	if _, err := meta.Decode(sig.New([]uint64{0, 0})); err == nil {
-		t.Error("Decode accepted wrong word count")
+	if _, err := decode(meta, sig.New([]uint64{0, 0})); err == nil {
+		t.Error("DecodeInto accepted wrong word count")
 	}
 }
 

@@ -12,20 +12,9 @@ import (
 // means the load read the initial memory contents.
 type Outcome map[int]uint32
 
-// Matches reports whether the observed load values (load ID → value, covering
-// at least the outcome's loads) satisfy the outcome.
-func (o Outcome) Matches(observed map[int]uint32) bool {
-	for id, want := range o {
-		got, ok := observed[id]
-		if !ok || got != want {
-			return false
-		}
-	}
-	return true
-}
-
-// MatchesValues is Matches over a dense load-value slice indexed by
-// operation ID (the shape sim.Execution.LoadValues uses).
+// MatchesValues reports whether the observed load values — a dense slice
+// indexed by operation ID, the shape sim.Execution.LoadValues uses, covering
+// at least the outcome's loads — satisfy the outcome.
 func (o Outcome) MatchesValues(vals []uint32) bool {
 	for id, want := range o {
 		if id >= len(vals) || vals[id] != want {

@@ -47,9 +47,10 @@ func SCReference(p *prog.Program, rng *rand.Rand) (rf map[int]int, ws map[int][]
 }
 
 // LoadValuesOf converts a reads-from relation into observed load values
-// (what the instrumented code would see at runtime).
-func LoadValuesOf(p *prog.Program, rf map[int]int) map[int]uint32 {
-	vals := make(map[int]uint32, len(rf))
+// (what the instrumented code would see at runtime), dense by operation ID
+// like sim.Execution.LoadValues.
+func LoadValuesOf(p *prog.Program, rf map[int]int) []uint32 {
+	vals := make([]uint32, p.NumOps())
 	for loadID, storeID := range rf {
 		if storeID < 0 {
 			vals[loadID] = prog.InitialValue

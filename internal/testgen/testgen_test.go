@@ -197,14 +197,14 @@ func TestLitmusByName(t *testing.T) {
 
 func TestOutcomeMatches(t *testing.T) {
 	o := Outcome{3: 7, 5: 0}
-	if !o.Matches(map[int]uint32{3: 7, 5: 0, 9: 1}) {
-		t.Error("Matches rejected satisfying observation")
+	if !o.MatchesValues([]uint32{3: 7, 5: 0, 9: 1}) {
+		t.Error("MatchesValues rejected satisfying observation")
 	}
-	if o.Matches(map[int]uint32{3: 7, 5: 2}) {
-		t.Error("Matches accepted wrong value")
+	if o.MatchesValues([]uint32{3: 7, 5: 2}) {
+		t.Error("MatchesValues accepted wrong value")
 	}
-	if o.Matches(map[int]uint32{3: 7}) {
-		t.Error("Matches accepted missing load")
+	if o.MatchesValues([]uint32{3: 7}) {
+		t.Error("MatchesValues accepted missing load")
 	}
 }
 

@@ -10,7 +10,7 @@
 //     test (signature spills and register-flush stores to the thread's
 //     private area);
 //   - functional cross-checking: the signature words the interpreted code
-//     stores must equal instrument.Meta.EncodeExecution's result.
+//     stores must equal instrument.Meta.EncodeValues's result.
 //
 // Memory semantics: test loads return the value the execution observed for
 // that operation (the coherent-memory interleaving was already resolved by

@@ -10,15 +10,14 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
-// valueFn adapts a load-value map.
-func valueFn(t *testing.T, vals map[int]uint32) func(int) (uint32, error) {
+// valueFn adapts dense load values (indexed by op ID).
+func valueFn(t *testing.T, vals []uint32) func(int) (uint32, error) {
 	t.Helper()
 	return func(id int) (uint32, error) {
-		v, ok := vals[id]
-		if !ok {
+		if id >= len(vals) {
 			t.Fatalf("no value for load %d", id)
 		}
-		return v, nil
+		return vals[id], nil
 	}
 }
 
@@ -96,7 +95,7 @@ func TestRunawayGuard(t *testing.T) {
 
 // TestInstrumentedMatchesEncode is the central cross-check: interpreting
 // the generated instrumented code must produce exactly the signature words
-// that instrument.Meta.EncodeExecution computes analytically.
+// that instrument.Meta.EncodeValues computes analytically.
 func TestInstrumentedMatchesEncode(t *testing.T) {
 	for _, width := range []int{32, 64} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -115,7 +114,7 @@ func TestInstrumentedMatchesEncode(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				rf, _ := testgen.SCReference(p, rng)
 				vals := testgen.LoadValuesOf(p, rf)
-				want, err := meta.EncodeExecution(vals)
+				want, err := meta.EncodeValues(vals)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +128,7 @@ func TestInstrumentedMatchesEncode(t *testing.T) {
 					words := meta.Threads[ti].Words
 					for w := 0; w < words; w++ {
 						got := res.Private[instrument.SigSlotAddr(ti, w)]
-						// 32-bit platforms store 32-bit words; EncodeExecution
+						// 32-bit platforms store 32-bit words; EncodeValues
 						// words always fit the register width by construction.
 						if got != want.Word(wordAt+w) {
 							t.Fatalf("width %d thread %d word %d: vm %d, encode %d",
