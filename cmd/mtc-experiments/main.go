@@ -21,7 +21,7 @@ import (
 
 	"mtracecheck"
 	"mtracecheck/internal/experiments"
-	"mtracecheck/internal/report"
+	"mtracecheck/internal/experiments/report"
 )
 
 func main() {

@@ -5,12 +5,12 @@ import (
 
 	"mtracecheck"
 	"mtracecheck/internal/check"
+	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/mem"
 	"mtracecheck/internal/prog"
-	"mtracecheck/internal/report"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"

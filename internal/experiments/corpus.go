@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 
 	"mtracecheck"
-	"mtracecheck/internal/report"
+	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/testgen"
 )
 

@@ -20,6 +20,7 @@ import (
 	"mtracecheck"
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/cluster"
+	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
@@ -27,7 +28,6 @@ import (
 	"mtracecheck/internal/mem"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/prog"
-	"mtracecheck/internal/report"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"mtracecheck/internal/report"
+	"mtracecheck/internal/experiments/report"
 )
 
 // renderable asserts a table has content and renders without error.

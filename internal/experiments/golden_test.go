@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/obs"
-	"mtracecheck/internal/report"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick_tables.golden from the current code")
