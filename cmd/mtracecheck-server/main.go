@@ -182,9 +182,9 @@ func run() int {
 			StallFor:   *fStallFor,
 		},
 	}
-	// Resolve the spec locally too: the summary header and the signature
-	// file need the program and platform, derived identically everywhere.
-	p, opts, err := dist.Build(spec)
+	// Resolve the spec locally too: the summary header needs the platform,
+	// derived identically everywhere.
+	_, opts, err := dist.Build(spec)
 	if err != nil {
 		return infra(err)
 	}
@@ -208,11 +208,7 @@ func run() int {
 	}
 	failed := mtracecheck.WriteResultSummary(os.Stdout, report, opts.Checker)
 	if *sigsOut != "" {
-		_, uniques, err := srv.Result(id)
-		if err != nil {
-			return infra(err)
-		}
-		if err := saveSignatures(*sigsOut, p, opts, uniques); err != nil {
+		if err := saveSignatures(*sigsOut, report); err != nil {
 			return infra(err)
 		}
 		fmt.Printf("signatures written to %s\n", *sigsOut)
@@ -238,17 +234,16 @@ Exit codes (oneshot mode; matches cmd/mtracecheck):
 `)
 }
 
-// saveSignatures persists the merged unique set in the device/host binary
-// format with real provenance, byte-identical to what the CLI's -sigs-out
-// writes for the same (program, options).
-func saveSignatures(path string, p *mtracecheck.Program, opts mtracecheck.Options, uniques []mtracecheck.Unique) error {
+// saveSignatures persists the job's merged unique set in the device/host
+// binary format with its provenance, byte-identical to what the CLI's
+// -sigs-out writes for the same (program, options).
+func saveSignatures(path string, report *mtracecheck.Report) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	report := &mtracecheck.Report{Program: p, Seed: opts.Seed, Platform: opts.Platform.Name}
-	return mtracecheck.SaveSignatures(f, report, uniques)
+	return mtracecheck.SaveSignatures(f, report, report.Signatures())
 }
 
 // reportRunError classifies a job error into the exit-code contract, same

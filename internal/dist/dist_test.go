@@ -202,11 +202,7 @@ func TestDistMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uniques, err := srv.Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, refU, report, uniques)
+	requireIdentical(t, ref, refU, report, report.Signatures())
 }
 
 // TestCorruptWorkerQuarantined submits one worker that corrupts every
@@ -272,11 +268,7 @@ func TestCorruptWorkerQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uniques, err := srv.Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, refU, report, uniques)
+	requireIdentical(t, ref, refU, report, report.Signatures())
 	if stats, _ := srv.Stats(id); stats.Rejected != 1 {
 		t.Fatalf("expected the padded upload as the job's one rejection, got %+v", stats)
 	}
@@ -347,11 +339,7 @@ func TestDuplicateUploadDeduplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uniques, err := srv.Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, refU, report, uniques)
+	requireIdentical(t, ref, refU, report, report.Signatures())
 	stats, _ := srv.Stats(id)
 	if stats.Duplicates != 1 {
 		t.Fatalf("expected 1 counted duplicate, got %+v", stats)
@@ -402,11 +390,7 @@ func TestExpiredLeaseRedispatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uniques, err := srv.Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, refU, report, uniques)
+	requireIdentical(t, ref, refU, report, report.Signatures())
 	stats, _ := srv.Stats(id)
 	if stats.Expired == 0 || stats.Redispatched == 0 {
 		t.Fatalf("expected expiry and redispatch, got %+v", stats)
@@ -480,11 +464,7 @@ func TestKillMidChunkResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uniques, err := srv2.Result(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, refU, report, uniques)
+	requireIdentical(t, ref, refU, report, report.Signatures())
 }
 
 // TestCrashUploadFailsJob forwards a worker's platform crash as a campaign

@@ -504,27 +504,6 @@ func (s *Server) Wait(ctx context.Context, id string) (*mtracecheck.Report, erro
 	return j.report, j.err
 }
 
-// Result returns a completed job's report and its final (post-injection)
-// unique signature set — what SaveSignatures persists for the device/host
-// channel.
-func (s *Server) Result(id string) (*mtracecheck.Report, []mtracecheck.Unique, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return nil, nil, fmt.Errorf("dist: unknown job %q", id)
-	}
-	switch j.state {
-	case jobDone, jobFailed:
-		var uniques []mtracecheck.Unique
-		if j.report != nil {
-			uniques = j.report.Signatures()
-		}
-		return j.report, uniques, j.err
-	}
-	return nil, nil, fmt.Errorf("dist: job %s still %s", id, j.state)
-}
-
 // Stats returns a job's robustness counters.
 func (s *Server) Stats(id string) (JobStats, error) {
 	s.mu.Lock()

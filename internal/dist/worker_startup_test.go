@@ -146,11 +146,7 @@ func TestDistSharedCorpusAcrossJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, uniques, err := srv.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, ref, refU, report, uniques)
+		requireIdentical(t, ref, refU, report, report.Signatures())
 		return report
 	}
 	cold := runJob()

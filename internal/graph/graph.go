@@ -532,15 +532,6 @@ type Graph struct {
 	dynAdj  [][]int32
 }
 
-// BuildGraph assembles the graph for one execution.
-func (b *Builder) BuildGraph(rf RF, ws WS) (*Graph, error) {
-	dyn, err := b.DynamicEdges(rf, ws)
-	if err != nil {
-		return nil, err
-	}
-	return b.FromDynamic(dyn), nil
-}
-
 // FromDynamic assembles a graph from precomputed dynamic edges.
 func (b *Builder) FromDynamic(dyn []Edge) *Graph {
 	g := &Graph{N: b.n, Static: b.static, Dynamic: dyn}

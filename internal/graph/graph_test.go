@@ -9,6 +9,15 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// BuildGraph assembles the graph for one execution given as maps.
+func (b *Builder) BuildGraph(rf RF, ws WS) (*Graph, error) {
+	dyn, err := b.DynamicEdges(rf, ws)
+	if err != nil {
+		return nil, err
+	}
+	return b.FromDynamic(dyn), nil
+}
+
 // lb builds the paper's Fig. 2 program: two threads, each loading the other
 // thread's word before storing its own.
 //
