@@ -35,14 +35,14 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		for test := 0; test < cfg.Table3Tests; test++ {
 			tc := tcBug
 			tc.Seed = cfg.Seed + int64(test)
-			report, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+			rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
 				Platform: plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1, ObservedWS: observedWS}))
 			if err != nil {
 				return 0, 0, err
 			}
-			if report.Failed() {
+			if rep.Failed() {
 				tests++
-				sigs += len(report.Violations)
+				sigs += len(rep.Violations)
 			}
 		}
 		return tests, sigs, nil
@@ -74,7 +74,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		name string
 		ws   graph.WSMode
 	}{{"static ws (paper mode)", graph.WSStatic}, {"observed ws", graph.WSObserved}} {
-		report, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
+		rep, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
 			Platform: x86, Iterations: cfg.Iterations, Seed: cfg.Seed,
 			ObservedWS: mode.ws == graph.WSObserved, KeepExecutions: true}))
 		if err != nil {
@@ -84,7 +84,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		// campaign checked, each signature under the write serialization of
 		// its first observation.
 		ws := map[string]graph.WS{}
-		for _, ex := range report.Executions {
+		for _, ex := range rep.Executions {
 			s, err := meta.EncodeValues(ex.LoadValues)
 			if err != nil {
 				continue
@@ -93,7 +93,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 				ws[s.Key()] = ex.WSByWord()
 			}
 		}
-		_, items, err := decodeItems(p, x86, graph.Options{WS: mode.ws}, report.Signatures(), ws)
+		_, items, err := decodeItems(p, x86, graph.Options{WS: mode.ws}, rep.Signatures(), ws)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		t.AddRow(fmt.Sprintf("clean run dyn edges/graph (%s)", mode.name),
 			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(items)))), "")
 		t.AddRow(fmt.Sprintf("clean run sorted vertices (%s)", mode.name),
-			report.CheckStats.SortedVertices, "")
+			rep.CheckStats.SortedVertices, "")
 	}
 	return t, nil
 }
@@ -152,13 +152,13 @@ func PruneAblation(cfg Config) (*report.Table, error) {
 				return nil, err
 			}
 			_, inst, _ := gp.CodeSizes()
-			report, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
+			rep, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
 				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed + 9, Pruner: pr.prune}))
 			if err != nil {
 				return nil, err
 			}
 			t.AddRow(tc.Label, pr.name, meta.SignatureBytes(),
-				fmt.Sprintf("%.1f", float64(inst)/1024), len(report.AssertionFailures))
+				fmt.Sprintf("%.1f", float64(inst)/1024), len(rep.AssertionFailures))
 		}
 	}
 	return t, nil
@@ -315,14 +315,9 @@ func Atomicity(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type subject struct {
-		name    string
-		prog    *prog.Program
-		outcome testgen.Outcome
-	}
-	subjects := []subject{
-		{"SB (r0=r1=0)", sb.Prog, sb.Interesting},
-		{"n6 (forwarded reads)", n6, testgen.Outcome{
+	subjects := []testgen.Litmus{
+		{Name: "SB (r0=r1=0)", Prog: sb.Prog, Interesting: sb.Interesting},
+		{Name: "n6 (forwarded reads)", Prog: n6, Interesting: testgen.Outcome{
 			n6.Threads[0].Ops[1].ID: n6.Threads[0].Ops[0].Value,
 			n6.Threads[0].Ops[2].ID: prog.InitialValue,
 			n6.Threads[1].Ops[1].ID: n6.Threads[1].Ops[0].Value,
@@ -333,13 +328,12 @@ func Atomicity(cfg Config) (*report.Table, error) {
 		plat := sim.PlatformX86()
 		plat.Atomicity = atom
 		for _, sub := range subjects {
-			observed, report, err := mtracecheck.RunLitmus(
-				mtracecheck.Litmus{Prog: sub.prog, Interesting: sub.outcome},
-				cfg.options(mtracecheck.Options{Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
+			observed, rep, err := mtracecheck.RunLitmus(sub, cfg.options(mtracecheck.Options{
+				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(atom.String(), sub.name, observed, len(report.Violations))
+			t.AddRow(atom.String(), sub.Name, observed, len(rep.Violations))
 		}
 	}
 	return t, nil
@@ -445,12 +439,12 @@ func Bias(cfg Config) (*report.Table, error) {
 		for _, bias := range []float64{0, 0.5, 0.9} {
 			c := tc
 			c.HotWordBias = bias
-			report, err := mtracecheck.Run(c, cfg.options(mtracecheck.Options{
+			rep, err := mtracecheck.Run(c, cfg.options(mtracecheck.Options{
 				Platform: sim.PlatformX86(), Iterations: cfg.Iterations, Seed: cfg.Seed + 3}))
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(tc.Label, fmt.Sprintf("%.1f", bias), report.UniqueSignatures)
+			t.AddRow(tc.Label, fmt.Sprintf("%.1f", bias), rep.UniqueSignatures)
 		}
 	}
 	return t, nil

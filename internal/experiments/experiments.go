@@ -254,12 +254,12 @@ func Fig8(cfg Config) (*report.Table, error) {
 				if v.osMode {
 					plat.OS = sim.OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
 				}
-				report, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+				rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
 					Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed + int64(test)}))
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", pc.Label, v.name, err)
 				}
-				total += report.UniqueSignatures
+				total += rep.UniqueSignatures
 			}
 			cells = append(cells, total/cfg.Tests)
 		}
@@ -557,7 +557,7 @@ func Table3(cfg Config) (*report.Table, error) {
 		for test := 0; test < cfg.Table3Tests; test++ {
 			tc := c.tc
 			tc.Seed = cfg.Seed + int64(ci*10007+test)
-			report, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+			rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
 				Platform: c.plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1}))
 			if errors.Is(err, mtracecheck.ErrCrash) {
 				crashes++
@@ -567,9 +567,9 @@ func Table3(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if report.Failed() {
+			if rep.Failed() {
 				testsDetecting++
-				badSigs += len(report.Violations)
+				badSigs += len(rep.Violations)
 			}
 		}
 		result := fmt.Sprintf("%d/%d tests", testsDetecting, cfg.Table3Tests)
@@ -612,12 +612,12 @@ func Litmus(cfg Config) (*report.Table, error) {
 	for _, l := range testgen.LitmusTests() {
 		for _, m := range models {
 			plat := m.plat()
-			observed, report, err := mtracecheck.RunLitmus(l, cfg.options(mtracecheck.Options{
+			observed, rep, err := mtracecheck.RunLitmus(l, cfg.options(mtracecheck.Options{
 				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 			if err != nil {
 				return nil, err
 			}
-			violations := len(report.Violations)
+			violations := len(rep.Violations)
 			forbidden := l.ForbiddenUnder(plat.Model)
 			verdict := "ok"
 			if forbidden && observed > 0 {
