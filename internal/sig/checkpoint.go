@@ -269,8 +269,11 @@ func readDistState(br *bufio.Reader) (*DistState, error) {
 		}
 		return string(b), nil
 	}
-	d := &DistState{ChunkSize: int(chunkSize), Chunks: make([]CkptChunk, nChunks)}
-	for i := range d.Chunks {
+	// nChunks is as unauthenticated as a signature set's count: the list grows
+	// as chunks are read.
+	d := &DistState{ChunkSize: int(chunkSize), Chunks: make([]CkptChunk, 0, min(nChunks, 1024))}
+	for i := 0; i < int(nChunks); i++ {
+		d.Chunks = append(d.Chunks, CkptChunk{})
 		c := &d.Chunks[i]
 		status, err := br.ReadByte()
 		if err != nil {

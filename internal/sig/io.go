@@ -162,31 +162,46 @@ func ReadSetMeta(r io.Reader) ([]Unique, *FileMeta, error) {
 	return uniques, meta, nil
 }
 
+// readSetBody reads the v1 layout after its magic. The header is
+// unauthenticated (a worker's upload, a checkpoint on disk), so nothing is
+// sized from it alone: the entry list and the word arrays the signatures are
+// carved from grow as entries actually arrive, and a forged or truncated
+// input costs memory in proportion to its own length. An honest set of a few
+// thousand signatures still loads in a handful of allocations.
 func readSetBody(br *bufio.Reader) ([]Unique, error) {
-	var words, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &words); err != nil {
+	var hdr [8]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
+	words := int(binary.LittleEndian.Uint32(hdr[0:]))
+	count := int(binary.LittleEndian.Uint32(hdr[4:]))
 	const sanity = 1 << 26
 	if words > 1024 || count > sanity {
 		return nil, fmt.Errorf("sig: implausible header (%d words, %d signatures)", words, count)
 	}
-	out := make([]Unique, 0, count)
-	buf := make([]uint64, words)
-	for i := uint32(0); i < count; i++ {
-		var c uint32
-		if err := binary.Read(br, binary.LittleEndian, &c); err != nil {
+	const (
+		firstEntries   = 4096    // initial capacity of the entry list
+		firstSlabWords = 4096    // first word array: 32 KiB
+		maxSlabWords   = 1 << 20 // later ones double up to 8 MiB
+	)
+	out := make([]Unique, 0, min(count, firstEntries))
+	entry := make([]byte, 4+8*words)
+	var slab []uint64
+	slabWords := firstSlabWords
+	for i := 0; i < count; i++ {
+		if _, err := io.ReadFull(br, entry); err != nil {
 			return nil, fmt.Errorf("sig: entry %d: %w", i, err)
 		}
-		for w := range buf {
-			if err := binary.Read(br, binary.LittleEndian, &buf[w]); err != nil {
-				return nil, fmt.Errorf("sig: entry %d word %d: %w", i, w, err)
-			}
+		if len(slab) < words {
+			slab = make([]uint64, min(count-i, max(1, slabWords/words))*words)
+			slabWords = min(2*slabWords, maxSlabWords)
 		}
-		out = append(out, Unique{Sig: New(buf), Count: int(c)})
+		w := slab[:words:words]
+		slab = slab[words:]
+		for k := range w {
+			w[k] = binary.LittleEndian.Uint64(entry[4+8*k:])
+		}
+		out = append(out, Unique{Sig: Signature{words: w}, Count: int(binary.LittleEndian.Uint32(entry))})
 	}
 	return out, nil
 }
