@@ -8,7 +8,7 @@ FUZZTIME ?= 3s
 BIN := .smoke/bin
 MTC := $(BIN)/mtracecheck
 
-.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile trace-profile verify
+.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile trace-profile offline-profile verify
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,7 @@ fuzz-short:
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzEncodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadSet$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzChunkUpload$$' -fuzztime $(FUZZTIME)
@@ -236,6 +237,12 @@ sim-profile:
 # execution (the measurement behind DESIGN §16's cost paragraph).
 trace-profile:
 	$(call cpu-profile,BenchmarkCheckTrace)
+
+# Where an offline check's time goes: load + validate + check of the
+# contended program's stored 4,096-iteration signature set, no simulator in
+# the loop (the measurement behind DESIGN §13's row/delta cost paragraph).
+offline-profile:
+	$(call cpu-profile,BenchmarkOfflineCheck)
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke

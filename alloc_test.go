@@ -27,8 +27,19 @@ const (
 // everything afresh, so this is a per-call budget, not a steady state: the
 // scanner and Ops growth, the store index, the bound program and its rf map,
 // one graph builder (whose tables and adjacency are a handful of slices, not
-// one per vertex), and the checker's workspace, which is about half of it.
-const checkTraceAllocBudget = 311
+// one per vertex), and the checker's workspace: its tables are one array, its
+// bucket queue is sized from the class histogram, and the reads-from row goes
+// in as it is — about a fifth of the total.
+const checkTraceAllocBudget = 69
+
+// offlineAllocBudget bounds one offline-check rep (load a stored signature
+// set, validate it, NewCampaign, Check) per unique signature. Nothing in the
+// rep allocates per unique: signatures are read into shared word arrays, rows
+// are decoded into one array per decode range, and the workspace edits its
+// adjacency in place; what is left is the rep's fixed cost (instrument.Analyze
+// above all) and amortized growth, well under one allocation per unique. The
+// budget is the issue's; the list-building pipeline it replaced took 19.5.
+const offlineAllocBudget = 3
 
 func allocProbeSetup(t *testing.T) (*sim.Runner, *instrument.Meta) {
 	t.Helper()
@@ -142,6 +153,18 @@ func TestCheckTraceAllocBudget(t *testing.T) {
 	})
 	if allocs > checkTraceAllocBudget {
 		t.Errorf("ParseTrace + CheckTrace of a 200-op trace: %.0f allocs, budget %d", allocs, checkTraceAllocBudget)
+	}
+}
+
+func TestOfflineCheckAllocBudget(t *testing.T) {
+	p, opts, file, uniques := offlineSet(t, 2048)
+	offlineCheck(t, p, opts, file) // warm the workspace pool
+	allocs := testing.AllocsPerRun(3, func() { offlineCheck(t, p, opts, file) })
+	if perUnique := allocs / float64(uniques); perUnique > offlineAllocBudget {
+		t.Errorf("offline check of %d uniques: %.0f allocs, %.2f per unique, budget %d",
+			uniques, allocs, perUnique, offlineAllocBudget)
+	} else {
+		t.Logf("offline check of %d uniques: %.0f allocs, %.2f per unique", uniques, allocs, perUnique)
 	}
 }
 

@@ -6,6 +6,7 @@ package mtracecheck
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -742,4 +743,61 @@ func BenchmarkCheckTrace(b *testing.B) {
 			b.Fatalf("clean trace: err %v, report %v", err, report)
 		}
 	}
+}
+
+// offlineSet collects the contended 4×50×8 program's signature set — the
+// mtbench offline-check workload's input — and stores it the way
+// SaveSignatures does.
+func offlineSet(tb testing.TB, iterations int) (p *Program, opts Options, file []byte, uniques int) {
+	tb.Helper()
+	p, err := testgen.Generate(TestConfig{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts = Options{Platform: PlatformX86(), Iterations: iterations, Seed: 1, Workers: 1}
+	set, err := CollectSignatures(p, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	id := &Report{Program: p, Seed: opts.Seed, Platform: opts.Platform.Name}
+	if err := SaveSignatures(&buf, id, set); err != nil {
+		tb.Fatal(err)
+	}
+	return p, opts, buf.Bytes(), len(set)
+}
+
+// offlineCheck is one rep of the offline-check workload: load the stored
+// set, validate its provenance, and check it on a fresh campaign.
+func offlineCheck(tb testing.TB, p *Program, opts Options, file []byte) *Report {
+	uniques, meta, err := LoadSignaturesMeta(bytes.NewReader(file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ValidateSignatureMeta(meta, p, opts); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := NewCampaign(p, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	report, err := c.Check(context.Background(), uniques)
+	if err != nil || report.Failed() {
+		tb.Fatalf("clean set: err %v, report %v", err, report)
+	}
+	return report
+}
+
+// BenchmarkOfflineCheck: the paper's post-silicon regime, mirroring the
+// mtbench offline-check rep — a stored 4,096-iteration signature set is
+// loaded, validated and checked with no simulator time (`make
+// offline-profile` shows where it goes).
+func BenchmarkOfflineCheck(b *testing.B) {
+	p, opts, file, uniques := offlineSet(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offlineCheck(b, p, opts, file)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*uniques), "ns/unique")
 }

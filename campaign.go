@@ -23,7 +23,7 @@ import (
 
 // Campaign is the validation pipeline's spine: one analyzed (program,
 // options) pair whose stages — streaming execution, incremental signature
-// merge, eager decode, collective checking, checkpointing — can be driven
+// merge, barrier decode, collective checking, checkpointing — can be driven
 // whole (Run) or split across the paper's device/host boundary (Collect,
 // Check). Every public entry point (Run, RunProgram, RunLitmus,
 // CollectSignatures, CheckSignatures, the chunk API) is a thin wrapper over
@@ -161,15 +161,14 @@ func (c *Campaign) Check(ctx context.Context, uniques []Unique) (*Report, error)
 }
 
 // decodeAndCheck is the shared host side of Run, ChunkMerger.Report and
-// Check: signature decode — assembled from the merger's streaming decode
-// cache when chunks were decoded eagerly, or a barrier decodeItems pass when
-// streaming wasn't possible (offline Check, which has no merger, and
-// corruption-injected sets) — then the quarantine-threshold gate and the
-// selected checker. Only the collective check (and the global sort feeding
-// it) needs the barrier: the windowed re-sorts of Alg. 2 assume adjacent
-// signatures are globally sorted, a property no partial stream has.
+// Check: the barrier decode of the merged, sorted set (decodeItems), the
+// quarantine-threshold gate and the selected checker. wsBySig is a merger's
+// first-observation write serializations under ObservedWS and nil otherwise.
+// Everything here waits for the execution barrier because everything here is
+// a delta between sorted neighbours — the decoded rows the checkers diff, and
+// the windowed re-sorts of Alg. 2 — and no partial stream has those.
 func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
-	m *ChunkMerger, report *Report) error {
+	wsBySig map[string]graph.WS, report *Report) error {
 	// Warm-cache fast path: partition the merged set against the corpus at
 	// the sort barrier. Hits were proven acyclic by an earlier campaign —
 	// the verdict is a pure function of (program, signature) — so they skip
@@ -197,20 +196,9 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
 			})
 		}
 	}
-	var builder *graph.Builder
-	var items []check.Item
-	var quarantined []Quarantined
-	var err error
-	if m != nil && m.builder != nil {
-		builder = m.builder
-		items, quarantined, err = m.assemble(novel)
-	} else {
-		// Static ws: Check requires it, and so does the fault injection that
-		// turns a merger's eager decode off.
-		builder = c.newBuilder()
-		items, quarantined, err = decodeItems(ctx, c.meta, builder, novel, nil,
-			c.workers, c.opts.Strict, c.em)
-	}
+	builder := c.newBuilder()
+	items, quarantined, err := decodeItems(ctx, c.meta, builder, novel, wsBySig,
+		c.workers, c.opts.Strict, c.em)
 	if err != nil {
 		return err
 	}
@@ -421,7 +409,7 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 // campaign goroutine, absorbing chunks strictly in chunk order through a
 // reorder buffer while workers execute later chunks — the stage overlap —
 // so every order-sensitive output (executions, assertion failures,
-// first-observation ws, streaming decode batches, failure bookkeeping) is
+// first-observation ws, failure bookkeeping) is
 // identical for every worker count and completion schedule. It reports
 // whether the segment completed without shard failures, plus the first
 // fatal error in chunk order.
@@ -664,11 +652,7 @@ func (em emitter) execShardEnd(shard int, out *shardOut, began time.Time, willRe
 	})
 }
 
-// decodeEnd reports one decode batch: a barrier worker's range of the
-// sorted set, or the newly observed uniques a completed chunk (or a resumed
-// checkpoint) contributed to the streaming decode — then Shard is the chunk
-// index and Start the number of uniques decoded before, so batches tile the
-// campaign's first-observation order.
+// decodeEnd reports one decode worker's range of the sorted set.
 func (em emitter) decodeEnd(shard, start, count int, t decodeTally, err error, began time.Time) {
 	if em.o == nil {
 		return
@@ -910,102 +894,81 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 	return out
 }
 
-// decodeEntry is one signature's decode outcome. Counts are not part of it:
-// the quarantine report takes them from the final merged set.
-type decodeEntry struct {
-	edges []graph.Edge
+// decodeTally counts one decode range's outcomes for its ShardEnd event.
+type decodeTally struct{ decoded, quarDecode, quarEdges int }
+
+// decodeFailure is one signature that could not be turned into an item.
+type decodeFailure struct {
+	index int // into the decoded uniques
 	kind  QuarantineKind
 	err   error
 }
 
-// decodeTally counts one decode batch's outcomes for its ShardEnd event.
-type decodeTally struct{ decoded, quarDecode, quarEdges int }
-
-func (t *decodeTally) add(e decodeEntry) {
-	switch {
-	case e.err == nil:
-		t.decoded++
-	case e.kind == QuarantineDecode:
-		t.quarDecode++
-	default:
-		t.quarEdges++
-	}
-}
-
-// decodeSig is the per-signature body of both the eager (streaming) and the
-// barrier decode: the signature is decoded to its reads-from relation in
-// the caller's dense scratch rf and its dynamic edges are built, a failing
-// step classified for the quarantine. It is a pure function of (signature,
-// metadata, ws), which is what makes the two schedules interchangeable.
-func decodeSig(meta *instrument.Meta, b *graph.Builder, s sig.Signature,
-	rf []int32, ws graph.WS) decodeEntry {
-	if err := meta.DecodeInto(s, rf); err != nil {
-		return decodeEntry{kind: QuarantineDecode, err: err}
-	}
-	edges, err := b.AppendDynamicEdges(nil, rf, ws)
-	if err != nil {
-		return decodeEntry{kind: QuarantineEdges, err: err}
-	}
-	return decodeEntry{edges: edges}
-}
-
-// collate turns per-signature decode outcomes — entry(i) is uniques[i]'s —
-// into the checker's items and the quarantine list, both in the uniques'
-// ascending order. In strict mode the lowest-sorted failure is returned
-// instead, the one a serial decode loop would have hit first.
-func collate(uniques []sig.Unique, entry func(i int) decodeEntry, strict bool) ([]check.Item, []Quarantined, error) {
-	items := make([]check.Item, 0, len(uniques))
-	var quarantined []Quarantined
-	for i, u := range uniques {
-		e := entry(i)
-		if e.err != nil {
-			if strict {
-				return nil, nil, e.err
-			}
-			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: e.kind, Err: e.err})
-			continue
-		}
-		items = append(items, check.Item{Sig: u.Sig, Edges: e.edges})
-	}
-	return items, quarantined, nil
-}
-
-// decodeItems is the barrier decode stage over an explicit worker count,
-// used when signatures could not be decoded as they streamed in (offline
-// Check, corruption-injected sets). Workers (at least one, at most one per
-// signature) fill disjoint contiguous ranges of the outcomes and poll the
-// context as they go; in strict mode each stops at its first failure.
-// Failure is a pure function of signature and metadata, so the collated
-// result is deterministic.
+// decodeItems is the decode stage: the sorted uniques become the checker's
+// items, and the ones that cannot — the quarantine list, both in ascending
+// signature order. Workers (at least one, at most one per signature) take
+// disjoint contiguous ranges and poll the context as they go.
+//
+// Under static ws (wsBySig == nil) an item is the reads-from row
+// instrument.Meta.DecodeInto fills, checked against the builder's tables
+// (graph.Builder.CheckRF) but not expanded: no edge is built, nothing is
+// sorted, and a range's rows are carved from one array. With observed ws the
+// graph is not a function of the signature, so an item carries the edge list
+// built from the row and the signature's recorded write serialization.
+//
+// A signature that fails to decode is QuarantineDecode, one whose row the
+// builder rejects QuarantineEdges; both are pure functions of the signature
+// and the metadata, so the outcome is deterministic. In strict mode the
+// lowest-sorted failure is returned instead — each worker stops at its first.
 func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 	uniques []sig.Unique, wsBySig map[string]graph.WS, workers int,
 	strict bool, em emitter) ([]check.Item, []Quarantined, error) {
-	entries := make([]decodeEntry, len(uniques))
-	decode := func(lo, hi int) (t decodeTally, err error) {
-		// Per-worker scratch: a dense reads-from slice reused across
-		// signatures and a key buffer for the allocation-free ws lookup.
-		rf := make([]int32, b.NumOps())
-		var keyBuf []byte
+	n := b.NumOps()
+	items := make([]check.Item, len(uniques))
+	decode := func(lo, hi int) (t decodeTally, failed []decodeFailure, err error) {
+		rows := 1
+		if wsBySig == nil {
+			rows = hi - lo
+		}
+		slab := make([]int32, rows*n)
+		var keyBuf []byte // for the allocation-free ws lookup
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
-				return t, err
+				return t, nil, err
 			}
-			var ws graph.WS
-			if wsBySig != nil {
-				keyBuf = uniques[i].Sig.AppendBinary(keyBuf[:0])
-				ws = wsBySig[string(keyBuf)]
+			it := &items[i]
+			it.Sig = uniques[i].Sig
+			rf := slab[:n:n]
+			kind, err := QuarantineDecode, meta.DecodeInto(it.Sig, rf)
+			switch {
+			case err != nil:
+			case wsBySig == nil:
+				it.RF, slab = rf, slab[n:] // the row is the item
+				kind, err = QuarantineEdges, b.CheckRF(rf)
+			default:
+				keyBuf = it.Sig.AppendBinary(keyBuf[:0])
+				kind = QuarantineEdges
+				it.Edges, err = b.AppendDynamicEdges(nil, rf, wsBySig[string(keyBuf)])
 			}
-			entries[i] = decodeSig(meta, b, uniques[i].Sig, rf, ws)
-			if entries[i].err != nil && strict {
-				return t, entries[i].err
+			switch {
+			case err == nil:
+				t.decoded++
+				continue
+			case strict:
+				return t, nil, err
+			case kind == QuarantineDecode:
+				t.quarDecode++
+			default:
+				t.quarEdges++
 			}
-			t.add(entries[i])
+			failed = append(failed, decodeFailure{index: i, kind: kind, err: err})
 		}
-		return t, nil
+		return t, failed, nil
 	}
 	workers = max(1, min(workers, len(uniques)))
 	base, rem := len(uniques)/workers, len(uniques)%workers
 	errs := make([]error, workers)
+	failed := make([][]decodeFailure, workers)
 	var wg sync.WaitGroup
 	lo := 0
 	for w := 0; w < workers; w++ {
@@ -1018,7 +981,7 @@ func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 			defer wg.Done()
 			began := time.Now()
 			var t decodeTally
-			t, errs[w] = decode(lo, hi)
+			t, failed[w], errs[w] = decode(lo, hi)
 			em.decodeEnd(w, lo, hi-lo, t, errs[w], began)
 		}(w, lo, lo+size)
 		lo += size
@@ -1031,5 +994,21 @@ func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 			return nil, nil, err
 		}
 	}
-	return collate(uniques, func(i int) decodeEntry { return entries[i] }, strict)
+	// Failures are rare: the items are already in place, and only a set with
+	// quarantined signatures is compacted around them.
+	var quarantined []Quarantined
+	kept, next := 0, 0 // items[:kept] are the decodable ones among uniques[:next]
+	for _, fs := range failed {
+		for _, f := range fs {
+			kept += copy(items[kept:], items[next:f.index])
+			next = f.index + 1
+			u := uniques[f.index]
+			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: f.kind, Err: f.err})
+		}
+	}
+	if quarantined != nil {
+		kept += copy(items[kept:], items[next:])
+		items = items[:kept]
+	}
+	return items, quarantined, nil
 }

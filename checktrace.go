@@ -93,8 +93,8 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 		Forwarding: m != mcm.SC,
 		WS:         graph.WSStatic,
 	})
-	// The dense reads-from AppendDynamicEdges takes; a value-faulted load has
-	// no source and keeps the marker for that.
+	// The dense reads-from row the checkers take as it is; a value-faulted
+	// load has no source and keeps the marker for that.
 	rf := make([]int32, bind.Prog.NumOps())
 	for i := range rf {
 		rf[i] = rfUnresolved
@@ -102,11 +102,10 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	for load, store := range bind.RF {
 		rf[load] = int32(store)
 	}
-	edges, err := builder.AppendDynamicEdges(nil, rf, nil)
-	if err != nil {
+	if err := builder.CheckRF(rf); err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}
-	items := []check.Item{{Sig: traceSignature(bind.Prog, rf), Edges: edges}}
+	items := []check.Item{{Sig: traceSignature(bind.Prog, rf), RF: rf}}
 
 	// The observer surface is the campaign's: a trace check is a
 	// one-iteration campaign on a pseudo-platform named for the front door.
@@ -142,9 +141,8 @@ func CheckTrace(tr *ExecTrace, model string, opts Options) (*Report, *TraceBindi
 }
 
 // rfUnresolved is the dense reads-from entry of a load whose response value
-// no store wrote: below -1 (a read of the initial value), which
-// graph.Builder.AppendDynamicEdges skips.
-const rfUnresolved = -2
+// no store wrote: it contributes no edge.
+const rfUnresolved = graph.NoObservation
 
 // traceSignature synthesizes a signature for the trace's one execution so
 // it can flow through Item/Violation reporting like any decoded signature:

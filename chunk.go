@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
@@ -150,12 +149,9 @@ func (a assertFailure) Error() string { return string(a) }
 
 // ChunkMerger is the campaign's one merger: the streaming consumer of
 // completed execution chunks, whoever executed them. It folds each chunk's
-// signatures into the campaign-wide accumulator and — when the mode allows —
-// eagerly decodes every newly observed signature, so merge and decode
-// overlap execution instead of waiting behind it. Eager decoding is sound
-// because decode is a pure function of (signature, metadata): the final
-// sorted assembly only looks results up. It is skipped when signature
-// corruption is enabled, since corruption applies to the final merged set.
+// signatures into the campaign-wide accumulator, so the merge overlaps
+// execution instead of waiting behind it. Decoding does not: it is a delta
+// between sorted neighbours, which exist only at the barrier (finish).
 //
 // Run and Collect feed it from the work-stealing scheduler's reorder buffer,
 // strictly in chunk order; the exported Absorb feeds it in any order and is
@@ -182,26 +178,15 @@ type ChunkMerger struct {
 	// a per-chunk ws map, and retained executions (report.Executions) are
 	// whole simulator states; ChunkResult carries neither over the wire.
 	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
-
-	// Eager-decode state; builder == nil means barrier decoding.
-	builder *graph.Builder
-	rf      []int32 // dense reads-from scratch, reused per signature
-	keyBuf  []byte  // binary-key scratch for map lookups
-	cache   map[string]decodeEntry
 }
 
 // newMerger starts a campaign (start time, campaign-start event) and returns
 // the empty merger its chunks land in. check says whether the host side will
-// follow, and with it whether signatures are decoded as they stream in.
+// follow.
 func (c *Campaign) newMerger(check bool) *ChunkMerger {
 	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet(), check: check}
 	if c.opts.ObservedWS {
 		m.wsBySig = make(map[string]graph.WS)
-	}
-	if check && !c.opts.Fault.CorruptsSignatures() {
-		m.builder = c.newBuilder()
-		m.rf = make([]int32, m.builder.NumOps())
-		m.cache = make(map[string]decodeEntry)
 	}
 	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, m.began)
 	return m
@@ -244,11 +229,10 @@ func (m *ChunkMerger) Stats(idx int) ChunkStats {
 }
 
 // absorb folds one completed chunk into the campaign state: report
-// accounting, incremental dedup, first-observation ws capture, and the
-// eager decode of signatures never seen before. entries are the chunk's
-// uniques in any order. What is order-sensitive here — executions, assertion
-// failures, first-observation ws, decode batch events — is in-process only,
-// where chunks land strictly in chunk order whatever the worker count.
+// accounting, incremental dedup, and first-observation ws capture. entries are
+// the chunk's uniques in any order. What is order-sensitive here — executions,
+// assertion failures, first-observation ws — is in-process only, where chunks
+// land strictly in chunk order whatever the worker count.
 func (m *ChunkMerger) absorb(out *shardOut, entries []Unique) {
 	r := m.report
 	r.Iterations += out.iterations
@@ -256,43 +240,16 @@ func (m *ChunkMerger) absorb(out *shardOut, entries []Unique) {
 	r.Squashes += out.squashes
 	r.Executions = append(r.Executions, out.execs...)
 	r.AssertionFailures = append(r.AssertionFailures, out.asserts...)
-	var began time.Time
-	if m.builder != nil {
-		began = time.Now()
-	}
-	seen := len(m.cache)
-	var t decodeTally
 	for _, u := range entries {
-		if !m.acc.AddUnique(u) {
+		if !m.acc.AddUnique(u) || m.wsBySig == nil {
 			continue
 		}
-		if m.wsBySig == nil && m.builder == nil {
-			continue
+		// New to the campaign means first observed in this chunk, and chunks
+		// land in order: first-in-chunk is first-globally.
+		key := u.Sig.Key()
+		if ws, ok := out.ws[key]; ok {
+			m.wsBySig[key] = ws
 		}
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		var ws graph.WS
-		if m.wsBySig != nil {
-			// New to the campaign means first observed in this chunk, and
-			// chunks land in order: first-in-chunk is first-globally.
-			var ok bool
-			if ws, ok = out.ws[string(m.keyBuf)]; ok {
-				m.wsBySig[string(m.keyBuf)] = ws
-			}
-		}
-		if m.builder == nil {
-			continue
-		}
-		if m.c.corpusActive() && m.c.opts.Corpus.Contains(m.c.corpKey, m.keyBuf) {
-			// Known good: the barrier partition will drop it before decode
-			// and check, so the streaming decode skips it too.
-			continue
-		}
-		e := decodeSig(m.c.meta, m.builder, u.Sig, m.rf, ws)
-		m.cache[string(m.keyBuf)] = e
-		t.add(e)
-	}
-	if fresh := len(m.cache) - seen; fresh > 0 {
-		m.c.em.decodeEnd(out.idx, seen, fresh, t, nil, began)
 	}
 }
 
@@ -300,24 +257,6 @@ func (m *ChunkMerger) absorb(out *shardOut, entries []Unique) {
 // execution accounting (callers restore their own). Both resume paths —
 // Options.Resume's prefix and Restore's chunk bitmap — come through here.
 func (m *ChunkMerger) seed(uniques []Unique) { m.absorb(&shardOut{}, uniques) }
-
-// assemble is the eager-decode barrier: the merged, sorted uniques are
-// matched against the streaming decode cache — bit-identical to a barrier
-// decodeItems pass, because decode is a pure function of the signature and
-// the cache covers every unique the merger absorbed.
-func (m *ChunkMerger) assemble(uniques []Unique) ([]check.Item, []Quarantined, error) {
-	return collate(uniques, func(i int) decodeEntry {
-		m.keyBuf = uniques[i].Sig.AppendBinary(m.keyBuf[:0])
-		e, ok := m.cache[string(m.keyBuf)]
-		if !ok {
-			// Every unique passed through absorb, so this is defensive; a
-			// fresh decode keeps the barrier correct regardless.
-			e = decodeSig(m.c.meta, m.builder, uniques[i].Sig, m.rf, m.wsBySig[string(m.keyBuf)])
-			m.cache[string(m.keyBuf)] = e
-		}
-		return e
-	}, m.c.opts.Strict)
-}
 
 // finish is the one campaign tail: Run, Collect and Report all end here.
 // The merged set is sorted, device-side corruption is injected, and (unless
@@ -342,7 +281,7 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
 	var err error
 	if m.check {
-		err = c.decodeAndCheck(ctx, uniques, m, report)
+		err = c.decodeAndCheck(ctx, uniques, m.wsBySig, report)
 	}
 	c.em.campaignEnd(report, err, m.began)
 	return report, err

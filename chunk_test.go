@@ -43,8 +43,9 @@ func signatureFile(t *testing.T, report *Report, uniques []Unique) []byte {
 
 // TestChunkMergerAnyOrderMatchesRun delivers a campaign's chunks reversed
 // and shuffled, every third one twice: the report must equal Run's and the
-// final set Collect's, on the eager-decode path (clean), the barrier-decode
-// path (signature corruption) and with a corpus attached.
+// final set Collect's — clean, with signature corruption (quarantines) and
+// with a corpus attached. Decoding happens once, at the barrier, whatever
+// order the chunks landed in.
 func TestChunkMergerAnyOrderMatchesRun(t *testing.T) {
 	p, err := NewProgramBuilderFromConfig(faultCfg)
 	if err != nil {

@@ -69,7 +69,7 @@ func run() int {
 		fences  = flag.Float64("fences", 0, "fence insertion probability")
 		iters   = flag.Int("iters", 2048, "test iterations")
 		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge/decode (0 = GOMAXPROCS; results are identical for any value)")
+		workers = flag.Int("workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge (0 = GOMAXPROCS; results are identical for any value)")
 		osMode  = flag.Bool("os", false, "run under simulated OS scheduling")
 		checker = flag.String("checker", "collective",
 			"checker backend: "+strings.Join(mtracecheck.CheckerNames(), ", "))

@@ -374,41 +374,58 @@ func FuzzDifferential(f *testing.F) {
 		type raw struct {
 			s     sig.Signature
 			edges []graph.Edge
+			row   []int32
 		}
 		byKey := map[string]raw{}
 		for k := 0; k+len(loads) <= len(data) && len(byKey) < 16; k += len(loads) {
 			rf := graph.RF{}
+			row := make([]int32, p.NumOps())
 			vals := make([]uint32, p.NumOps())
 			for li, info := range loads {
 				c := info.Candidates[int(data[k+li])%len(info.Candidates)]
 				rf[info.Op.ID] = c.Store
+				row[info.Op.ID] = int32(c.Store)
 				vals[info.Op.ID] = c.Value
 			}
 			s, err := meta.EncodeValues(vals)
 			if err != nil {
 				t.Fatal(err)
 			}
-			edges, err := b.DynamicEdges(rf, graph.WS{0: {0, 2}, 1: {3, 5}})
+			edges, err := b.DynamicEdges(rf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			byKey[s.Key()] = raw{s: s, edges: edges}
+			byKey[s.Key()] = raw{s: s, edges: edges, row: row}
 		}
 		sigs := make([]sig.Signature, 0, len(byKey))
 		for _, r := range byKey {
 			sigs = append(sigs, r.s)
 		}
 		sig.Sort(sigs)
-		items := make([]Item, len(sigs))
+		// Every set is checked in both item shapes: the edge list, and the
+		// reads-from row the list is built from.
+		items, rowItems := make([]Item, len(sigs)), make([]Item, len(sigs))
 		for i, s := range sigs {
 			items[i] = Item{Sig: s, Edges: byKey[s.Key()].edges}
+			rowItems[i] = Item{Sig: s, RF: byKey[s.Key()].row}
 		}
 		ref, _ := ForName("conventional")
 		for _, name := range Backends() {
+			be, _ := ForName(name)
+			fromLists, err := be.Check(context.Background(), b, items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromRows, err := be.Check(context.Background(), b, rowItems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromRows, fromLists) {
+				t.Fatalf("%s: row items give %+v, list items %+v", name, fromRows, fromLists)
+			}
 			if name == "conventional" {
 				continue
 			}
-			be, _ := ForName(name)
 			d, err := Differential(context.Background(), ref, be, b, items)
 			if err != nil {
 				t.Fatal(err)

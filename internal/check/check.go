@@ -27,10 +27,58 @@ import (
 )
 
 // Item is one unique execution to check: its signature (for ordering and
-// reporting) and its dynamic constraint edges.
+// reporting) and its constraint graph's dynamic part, in exactly one of two
+// shapes. Edges is the sorted edge list graph.Builder.DynamicEdges builds. RF
+// is the dense reads-from row instrument.Meta.DecodeInto fills (indexed by op
+// ID; see graph.Builder.AppendDynamicEdges), good for builders in the static
+// ws mode, where the graph is a function of the row: its edge list is by
+// definition AppendDynamicEdges(RF), and the order-maintaining checkers reach
+// the same verdicts and effort counters without building it (workspace).
 type Item struct {
 	Sig   sig.Signature
 	Edges []graph.Edge
+	RF    []int32
+}
+
+// edges returns the item's dynamic edge list: Edges, or the list built from
+// RF into *buf's storage (valid until the next call with that buffer).
+func (it Item) edges(b *graph.Builder, buf *[]graph.Edge) ([]graph.Edge, error) {
+	if it.RF == nil {
+		return it.Edges, nil
+	}
+	edges, err := b.AppendDynamicEdges((*buf)[:0], it.RF, nil)
+	if err == nil {
+		*buf = edges
+	}
+	return edges, err
+}
+
+// graphOf assembles the item's whole constraint graph — for cycle witnesses
+// and self-checks, off every hot path.
+func graphOf(b *graph.Builder, it Item) (*graph.Graph, error) {
+	var buf []graph.Edge
+	edges, err := it.edges(b, &buf)
+	if err != nil {
+		return nil, err
+	}
+	return b.FromDynamic(edges), nil
+}
+
+// sequenceShape validates what the order-maintaining checkers need of their
+// items — ascending signatures and one item shape throughout, since a
+// workspace holds either a row or a list — and reports whether they carry
+// reads-from rows.
+func sequenceShape(items []Item) (rows bool, err error) {
+	rows = len(items) > 0 && items[0].RF != nil
+	for i := range items {
+		if i > 0 && items[i-1].Sig.Compare(items[i].Sig) > 0 {
+			return false, fmt.Errorf("check: items not in ascending signature order at %d", i)
+		}
+		if (items[i].RF != nil) != rows {
+			return false, fmt.Errorf("check: items mix edge lists and reads-from rows at %d", i)
+		}
+	}
+	return rows, nil
 }
 
 // Violation reports one failed graph.
@@ -83,6 +131,16 @@ type Result struct {
 	Propagations int64
 }
 
+// violation records item i as cyclic, with one cycle of its graph as witness.
+func (r *Result) violation(b *graph.Builder, i int, it Item) error {
+	g, err := graphOf(b, it)
+	if err != nil {
+		return err
+	}
+	r.Violations = append(r.Violations, Violation{Index: i, Sig: it.Sig, Cycle: g.FindCycle()})
+	return nil
+}
+
 // Complete, NoResort, and Incremental count graphs per validation kind.
 // The counts are meaningful only for the collective backend (and the
 // incremental backend, which records the analogous per-graph repair kinds);
@@ -107,6 +165,15 @@ func (r *Result) Counts() (complete, noResort, incremental int) {
 // maintains, so tests can assert the order remains a valid topological sort.
 var debugValidate func(g *graph.Graph, order []int32)
 
+func validateOrder(b *graph.Builder, it Item, order []int32) {
+	if debugValidate == nil {
+		return
+	}
+	if g, err := graphOf(b, it); err == nil {
+		debugValidate(g, order)
+	}
+}
+
 // Conventional checks every item with an independent full topological sort
 // — the baseline MTraceCheck compares against (tsort in the paper). Vertex
 // data structures are recycled across graphs, edges rebuilt per graph.
@@ -127,12 +194,16 @@ func ConventionalContext(ctx context.Context, b *graph.Builder, items []Item) (*
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w.setDyn(it.Edges)
+		edges, err := it.edges(b, &w.edgeBuf)
+		if err != nil {
+			return nil, err
+		}
+		w.setDyn(edges)
 		res.SortedVertices += int64(w.n)
 		if _, ok := w.fullSort(false); !ok {
-			res.Violations = append(res.Violations, Violation{
-				Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-			})
+			if err := res.violation(b, i, it); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return res, nil
@@ -154,10 +225,9 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 	if len(items) == 0 {
 		return res, nil
 	}
-	for i := 1; i < len(items); i++ {
-		if items[i-1].Sig.Compare(items[i].Sig) > 0 {
-			return nil, fmt.Errorf("check: items not in ascending signature order at %d", i)
-		}
+	rows, err := sequenceShape(items)
+	if err != nil {
+		return nil, err
 	}
 
 	n := b.NumOps()
@@ -166,24 +236,38 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 	pos := w.pos     // vertex -> position in current valid order
 	order := w.order // position -> vertex
 	havePos := false
-	var baseEdges []graph.Edge // dynamic edges of the last valid graph
-	diffBuf := w.diffBuf[:0]   // reused new-edge scratch
-	defer func() { w.diffBuf = diffBuf }()
+	var base Item // the last valid graph; what "new edges" are relative to
 
 	for i, it := range items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// New edges relative to the last valid graph; removed edges only
+		// relax constraints and are ignored (§4.2). A row is installed as it
+		// arrives and its delta is against the installed row, which is base's:
+		// a cyclic graph is rolled back. A list is installed when a sort needs
+		// it.
+		var added []graph.Edge
+		if rows {
+			if added, err = w.installRow(it.RF); err != nil {
+				return nil, err
+			}
+		} else if havePos {
+			w.edgeBuf = diffEdges(w.edgeBuf[:0], it.Edges, base.Edges)
+			added = w.edgeBuf
+		}
 		if !havePos {
 			// First graph (or recovery after a cyclic graph): complete sort.
 			res.SortedVertices += int64(n)
-			w.setDyn(it.Edges)
+			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
+			if !rows {
+				w.setDyn(it.Edges)
+			}
 			full, ok := w.fullSort(true)
 			if !ok {
-				res.Violations = append(res.Violations, Violation{
-					Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-				})
-				res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
+				if err := res.violation(b, i, it); err != nil {
+					return nil, err
+				}
 				continue
 			}
 			copy(order, full)
@@ -191,15 +275,10 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 				pos[v] = int32(p)
 			}
 			havePos = true
-			baseEdges = it.Edges
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
+			base = it
 			continue
 		}
 
-		// New edges relative to the last valid graph; removed edges only
-		// relax constraints and are ignored (§4.2).
-		diffBuf = diffEdges(diffBuf[:0], it.Edges, baseEdges)
-		added := diffBuf
 		lo, hi := int32(-1), int32(-1)
 		for _, e := range added {
 			pu, pv := pos[e.U], pos[e.V]
@@ -217,7 +296,7 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 			// Every new edge is forward: the existing order already proves
 			// this graph consistent.
 			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindNoResort})
-			baseEdges = it.Edges
+			base = it
 			continue
 		}
 
@@ -226,50 +305,45 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 		if window > res.MaxWindow {
 			res.MaxWindow = window
 		}
-		w.setDyn(it.Edges)
-		if window*4 >= n*3 {
-			// The window spans almost the whole order: a from-scratch sort
-			// is cheaper than window bookkeeping and, since any cycle is
-			// confined to the window, delivers the same verdict.
-			full, ok := w.fullSort(true)
-			if !ok {
-				res.Violations = append(res.Violations, Violation{
-					Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-				})
-				res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
-				continue
+		res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
+		if !rows {
+			w.setDyn(it.Edges)
+		}
+		// A window spanning almost the whole order is re-sorted from scratch:
+		// cheaper than window bookkeeping and, since any cycle is confined to
+		// the window, the same verdict.
+		wholesale := window*4 >= n*3
+		var sorted []int32
+		var ok bool
+		if wholesale {
+			sorted, ok = w.fullSort(true)
+		} else {
+			sorted, ok = w.windowSort(order, pos, lo, hi)
+		}
+		if !ok {
+			if err := res.violation(b, i, it); err != nil {
+				return nil, err
 			}
-			copy(order, full)
-			for p, v := range order {
-				pos[v] = int32(p)
-			}
-			baseEdges = it.Edges
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
-			if debugValidate != nil {
-				debugValidate(b.FromDynamic(it.Edges), order)
+			// pos still describes the last valid graph; keep using it, and
+			// put that graph's row back so the next delta is against it.
+			if rows {
+				if _, err := w.installRow(base.RF); err != nil {
+					return nil, err
+				}
 			}
 			continue
 		}
-		sub, ok := w.windowSort(order, pos, lo, hi)
-		if !ok {
-			res.Violations = append(res.Violations, Violation{
-				Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-			})
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
-			// pos still describes the last valid graph; keep using it.
-			continue
+		if wholesale {
+			lo = 0
 		}
 		// Install the re-sorted window.
-		for k, v := range sub {
+		for k, v := range sorted {
 			p := lo + int32(k)
 			order[p] = v
 			pos[v] = p
 		}
-		baseEdges = it.Edges
-		res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
-		if debugValidate != nil {
-			debugValidate(b.FromDynamic(it.Edges), order)
-		}
+		base = it
+		validateOrder(b, it, order)
 	}
 	return res, nil
 }
@@ -293,9 +367,12 @@ func diffEdges(out, cur, prev []graph.Edge) []graph.Edge {
 	return out
 }
 
-func less(a, b graph.Edge) bool {
+func less(a, b graph.Edge) bool { return compareEdges(a, b) < 0 }
+
+// compareEdges orders edges by (U, V): graph.Builder.DynamicEdges order.
+func compareEdges(a, b graph.Edge) int {
 	if a.U != b.U {
-		return a.U < b.U
+		return int(a.U) - int(b.U)
 	}
-	return a.V < b.V
+	return int(a.V) - int(b.V)
 }

@@ -34,12 +34,13 @@ import (
 // csWorkspace holds the recycled solver state for one builder's programs,
 // pooled like the other backends' workspaces.
 type csWorkspace struct {
-	owner  *graph.Builder
-	n      int
-	static []graph.Edge // flattened static adjacency, shared across items
-	edges  []graph.Edge // static + dynamic, rebuilt per item
-	lb, ub []int32      // position variable domains
-	trail  []csChange   // undo log for backtracking
+	owner   *graph.Builder
+	n       int
+	static  []graph.Edge // flattened static adjacency, shared across items
+	edges   []graph.Edge // static + dynamic, rebuilt per item
+	lb, ub  []int32      // position variable domains
+	trail   []csChange   // undo log for backtracking
+	edgeBuf []graph.Edge // a row item's built edge list
 }
 
 // csChange records one domain-bound tightening for undo.
@@ -57,8 +58,7 @@ func getCSWorkspace(b *graph.Builder) *csWorkspace {
 	}
 	n := b.NumOps()
 	w := &csWorkspace{owner: b, n: n, lb: make([]int32, n), ub: make([]int32, n)}
-	static := b.FromDynamic(nil).Static
-	for u, out := range static {
+	for u, out := range b.Static() {
 		for _, v := range out {
 			w.static = append(w.static, graph.Edge{U: int32(u), V: v})
 		}
@@ -88,12 +88,16 @@ func ConstraintsContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sat, props := w.solve(it.Edges)
+		dyn, err := it.edges(b, &w.edgeBuf)
+		if err != nil {
+			return nil, err
+		}
+		sat, props := w.solve(dyn)
 		res.Propagations += props
 		if !sat {
-			res.Violations = append(res.Violations, Violation{
-				Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-			})
+			if err := res.violation(b, i, it); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return res, nil

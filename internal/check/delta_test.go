@@ -1,0 +1,380 @@
+package check
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"mtracecheck/internal/graph"
+	"mtracecheck/internal/instrument"
+	"mtracecheck/internal/mcm"
+	"mtracecheck/internal/mem"
+	"mtracecheck/internal/prog"
+	"mtracecheck/internal/sig"
+	"mtracecheck/internal/sim"
+	"mtracecheck/internal/testgen"
+)
+
+// The reads-from-row item shape (Item.RF, workspace.installRow) is defined by
+// the edge-list shape it replaces on the hot path: a row's graph is
+// AppendDynamicEdges(row), and everything an order-maintaining checker
+// reports must be what it reports for that list. Three identities carry this,
+// and the tests below hold the row path to each on simulator data:
+//
+//	(a) dyn[u] stays in ascending-V order — what setDyn produces from a
+//	    (U,V)-sorted list — so the prioritized sorts pop in the same order;
+//	(b) "added" is relative to the last valid graph, not the previous item:
+//	    after a cyclic graph the checkers put the base row back;
+//	(c) Incremental sees added in (U,V) order, so its Pearce–Kelly repair
+//	    sequence is the same.
+
+// rowSet is one simulated signature set: sorted uniques and their rows.
+type rowSet struct {
+	name string
+	prog *prog.Program
+	sigs []sig.Signature
+	rows [][]int32
+}
+
+// simRows runs cfg's program on plat and decodes the sorted unique signatures
+// into reads-from rows; iterations whose values fall outside the candidate
+// sets (a buggy platform's assertion failures) are skipped.
+func simRows(t testing.TB, name string, cfg testgen.Config, plat sim.Platform, iterations int) rowSet {
+	t.Helper()
+	p := testgen.MustGenerate(cfg)
+	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := sim.NewRunner(plat, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := sig.NewSet()
+	var words []uint64
+	for i := 0; i < iterations; i++ {
+		ex, err := runner.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, err = meta.EncodeExecutionInto(words[:0], ex.LoadValues)
+		var ae *instrument.AssertionError
+		if errors.As(err, &ae) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.AddWords(words)
+	}
+	rs := rowSet{name: name, prog: p}
+	for _, u := range set.Sorted() {
+		rf := make([]int32, p.NumOps())
+		if err := meta.DecodeInto(u.Sig, rf); err != nil {
+			t.Fatal(err)
+		}
+		rs.sigs = append(rs.sigs, u.Sig)
+		rs.rows = append(rs.rows, rf)
+	}
+	return rs
+}
+
+// mtbenchRowSets are the programs of the five mtbench workloads (bench/mtbench
+// workload.go; offline-check shares the contended program and trace-check the
+// reference one), at iteration counts that keep the test quick.
+func mtbenchRowSets(t testing.TB) []rowSet {
+	rowSetsOnce.Do(func() {
+		x86, arm := 256, 48
+		if testing.Short() {
+			x86, arm = 96, 8
+		}
+		rowSets = []rowSet{
+			simRows(t, "campaign-x86+trace-check", testgen.Config{Threads: 4, OpsPerThread: 50, Words: 64, Seed: 1}, sim.PlatformX86(), x86),
+			simRows(t, "campaign-x86-contended+offline-check", testgen.Config{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1}, sim.PlatformX86(), x86),
+			simRows(t, "campaign-arm-par", testgen.Config{Threads: 7, OpsPerThread: 200, Words: 64, Seed: 1}, sim.PlatformARM(), arm),
+		}
+		// The contended program on the gem5 platform with bug 1 (stale S→M
+		// invalidation) injected: a set with cyclic graphs in mid-sequence.
+		bugRows = simRows(t, "bug-sm-inv", testgen.Config{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1},
+			sim.PlatformGem5(mem.Bugs{StaleSMInv: true}, sim.Bugs{}), 512)
+	})
+	return rowSets
+}
+
+func bugRowSet(t testing.TB) rowSet {
+	mtbenchRowSets(t)
+	return bugRows
+}
+
+// The sets are simulated once per test binary and only read afterwards.
+var (
+	rowSetsOnce sync.Once
+	rowSets     []rowSet
+	bugRows     rowSet
+)
+
+func (rs rowSet) rowItems() []Item {
+	items := make([]Item, len(rs.rows))
+	for i := range items {
+		items[i] = Item{Sig: rs.sigs[i], RF: rs.rows[i]}
+	}
+	return items
+}
+
+func (rs rowSet) listItems(t testing.TB, b *graph.Builder) []Item {
+	t.Helper()
+	items := make([]Item, len(rs.rows))
+	for i := range items {
+		edges, err := b.AppendDynamicEdges(nil, rs.rows[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = Item{Sig: rs.sigs[i], Edges: edges}
+	}
+	return items
+}
+
+// walkDelta installs the set's rows one after the other and, at every step,
+// compares the delta-maintained adjacency with setDyn of the built list and
+// the returned added edges with the list diff against the last valid graph.
+// It returns how many graphs were cyclic.
+func walkDelta(t *testing.T, b *graph.Builder, rs rowSet) (cyclic int) {
+	t.Helper()
+	delta, ref := newWorkspace(b), newWorkspace(b)
+	var baseEdges []graph.Edge // the last valid graph's list; nil: none yet
+	var baseRow []int32
+	for i, rf := range rs.rows {
+		want, err := b.AppendDynamicEdges(nil, rf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added, err := delta.installRow(rf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.setDyn(want)
+		for u := range ref.dyn {
+			if !slices.Equal(delta.dyn[u], ref.dyn[u]) {
+				t.Fatalf("item %d: dyn[%d] = %v after the delta, setDyn gives %v", i, u, delta.dyn[u], ref.dyn[u])
+			}
+		}
+		got := slices.Clone(added)
+		slices.SortFunc(got, compareEdges)
+		if wantAdded := diffEdges(nil, want, baseEdges); !slices.Equal(got, wantAdded) {
+			t.Fatalf("item %d: added = %v, list diff against the last valid graph = %v", i, got, wantAdded)
+		}
+		if _, ok := ref.fullSort(false); ok {
+			baseEdges, baseRow = want, rf
+			continue
+		}
+		// Cyclic: roll back as the checkers do.
+		cyclic++
+		if baseRow == nil {
+			delta.clearDyn()
+		} else if _, err := delta.installRow(baseRow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cyclic
+}
+
+// compareShapes checks the set with every backend at shards 1, 2 and 3 in
+// both item shapes; the two Results must be deep-equal — violations with
+// their witnesses and every effort counter.
+func compareShapes(t *testing.T, b *graph.Builder, rs rowSet, limit int) {
+	t.Helper()
+	rows, lists := rs.rowItems(), rs.listItems(t, b)
+	for _, name := range Backends() {
+		be, _ := ForName(name)
+		n := len(rows)
+		if name == "constraints" || name == "vectorclock" {
+			n = min(n, limit) // per-graph backends, orders of magnitude slower
+		}
+		for shards := 1; shards <= min(3, n); shards++ {
+			want, err := ShardedBackend(context.Background(), be, b, lists[:n], shards, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ShardedBackend(context.Background(), be, b, rows[:n], shards, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d shards: row items give\n%+v\nlist items give\n%+v", name, shards, got, want)
+			}
+		}
+	}
+}
+
+func TestDeltaEdgesMatchReference(t *testing.T) {
+	sets := mtbenchRowSets(t)
+	for _, rs := range sets {
+		for _, model := range mcm.Models {
+			for _, fwd := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/forwarding=%t", rs.name, model, fwd), func(t *testing.T) {
+					b := graph.NewBuilder(rs.prog, model, graph.Options{Forwarding: fwd})
+					walkDelta(t, b, rs)
+					limit := 16 // the constraint solver is O(n·e) per graph
+					switch big := rs.prog.NumOps() > 1000; {
+					case big && testing.Short():
+						limit = 1
+					case big || testing.Short():
+						limit = 3
+					}
+					compareShapes(t, b, rs, limit)
+				})
+			}
+		}
+	}
+	t.Run("bug-sm-inv", func(t *testing.T) {
+		rs := bugRowSet(t)
+		b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
+		cyclic := walkDelta(t, b, rs)
+		if cyclic == 0 || cyclic == len(rs.rows) {
+			t.Fatalf("%d of %d graphs cyclic: the set must mix valid and cyclic graphs", cyclic, len(rs.rows))
+		}
+		limit := 64
+		if testing.Short() {
+			limit = 12
+		}
+		compareShapes(t, b, rs, limit)
+	})
+}
+
+// TestRowAfterCyclicItemIsRelativeToLastValid pins identity (b) on the bug
+// set: some cyclic item must have a valid predecessor and a successor, and
+// the order-maintaining checkers must report the successor exactly as the
+// list path does — which diffs it against the last valid graph, not against
+// the cyclic one.
+func TestRowAfterCyclicItemIsRelativeToLastValid(t *testing.T) {
+	rs := bugRowSet(t)
+	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
+	rows, lists := rs.rowItems(), rs.listItems(t, b)
+	want, err := Collective(b, lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := -1
+	for _, v := range want.Violations {
+		if v.Index > 0 && v.Index+1 < len(rows) {
+			mid = v.Index
+			break
+		}
+	}
+	if mid < 0 {
+		t.Fatalf("no cyclic item in mid-sequence among %d violations", len(want.Violations))
+	}
+	// The list diff of the successor against the cyclic item differs from its
+	// diff against the last valid one, or the case would prove nothing.
+	base := mid - 1
+	for slices.ContainsFunc(want.Violations, func(v Violation) bool { return v.Index == base }) {
+		base--
+	}
+	if base < 0 {
+		t.Skip("the first cyclic item has no valid predecessor")
+	}
+	next := lists[mid+1].Edges
+	if slices.Equal(diffEdges(nil, next, lists[mid].Edges), diffEdges(nil, next, lists[base].Edges)) {
+		t.Fatalf("item %d's new edges are the same against item %d (cyclic) and item %d (valid)", mid+1, mid, base)
+	}
+	for _, check := range []func(*graph.Builder, []Item) (*Result, error){Collective, Incremental} {
+		want, err := check(b, lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := check(b, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.PerGraph[mid+1], want.PerGraph[mid+1]) || !reflect.DeepEqual(got, want) {
+			t.Errorf("after cyclic item %d: row items give %+v, list items %+v", mid, got, want)
+		}
+	}
+}
+
+// TestPooledWorkspaceStartsEmpty: two runs on one builder share a pooled
+// workspace; the second must start from no graph (its first item a complete
+// sort over exactly its own edges), whatever row the first left installed.
+func TestPooledWorkspaceStartsEmpty(t *testing.T) {
+	rs := mtbenchRowSets(t)[1]
+	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
+	rows, lists := rs.rowItems(), rs.listItems(t, b)
+	half := len(rows) / 2
+	for _, check := range []func(*graph.Builder, []Item) (*Result, error){Collective, Incremental} {
+		if _, err := check(b, rows[:half]); err != nil { // leaves rows[half-1] installed
+			t.Fatal(err)
+		}
+		got, err := check(b, rows[half:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := check(b, lists[:half]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := check(b, lists[half:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("second run on a pooled workspace: row items give %+v, list items %+v", got, want)
+		}
+	}
+	w := getWorkspace(b)
+	defer putWorkspace(w)
+	for u, out := range w.dyn {
+		if len(out) != 0 {
+			t.Fatalf("pooled workspace handed out with dyn[%d] = %v", u, out)
+		}
+	}
+}
+
+// TestRowWithUnobservedLoads: a trace's value-faulted loads carry
+// graph.NoObservation and contribute the empty group, on install and on the
+// way out again.
+func TestRowWithUnobservedLoads(t *testing.T) {
+	rs := mtbenchRowSets(t)[0]
+	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
+	loads := b.Loads()
+	holed := rowSet{name: rs.name, prog: rs.prog}
+	for i, rf := range rs.rows[:min(len(rs.rows), 32)] {
+		rf = slices.Clone(rf)
+		for k := i % 3; k < len(loads); k += 3 + i%5 {
+			rf[loads[k]] = graph.NoObservation - int32(k%2) // anything below -1
+		}
+		holed.sigs = append(holed.sigs, rs.sigs[i])
+		holed.rows = append(holed.rows, rf)
+	}
+	walkDelta(t, b, holed)
+	compareShapes(t, b, holed, 8)
+}
+
+// TestMixedItemShapesRejected: a workspace holds a row or a list, so the
+// order-maintaining checkers refuse a sequence that mixes them, and a row is
+// refused by a builder whose graphs are not a function of it.
+func TestMixedItemShapesRejected(t *testing.T) {
+	p := prog.NewBuilder("t", 1, prog.DefaultLayout()).
+		Thread().Store(0).Load(0).
+		MustBuild()
+	b := graph.NewBuilder(p, mcm.TSO, graph.Options{})
+	items := []Item{
+		{Sig: sig.New([]uint64{1}), RF: []int32{0, 0}},
+		{Sig: sig.New([]uint64{2}), Edges: []graph.Edge{{U: 0, V: 1}}},
+	}
+	for _, name := range []string{"collective", "incremental"} {
+		be, _ := ForName(name)
+		if _, err := be.Check(context.Background(), b, items); err == nil {
+			t.Errorf("%s: mixed item shapes accepted", name)
+		}
+		observed := graph.NewBuilder(p, mcm.TSO, graph.Options{WS: graph.WSObserved})
+		if _, err := be.Check(context.Background(), observed, items[:1]); err == nil {
+			t.Errorf("%s: reads-from row accepted under observed ws", name)
+		}
+		if _, err := be.Check(context.Background(), b, []Item{{Sig: sig.New([]uint64{1}), RF: []int32{0, 1}}}); err == nil {
+			t.Errorf("%s: row whose load reads from a load accepted", name)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package check
 
 import (
 	"context"
-	"fmt"
+	"slices"
 
 	"mtracecheck/internal/graph"
 )
@@ -34,41 +34,54 @@ func IncrementalContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 	if len(items) == 0 {
 		return res, nil
 	}
-	for i := 1; i < len(items); i++ {
-		if items[i-1].Sig.Compare(items[i].Sig) > 0 {
-			return nil, fmt.Errorf("check: items not in ascending signature order at %d", i)
-		}
+	rows, err := sequenceShape(items)
+	if err != nil {
+		return nil, err
 	}
 	n := b.NumOps()
 	w := getWorkspace(b)
 	defer putWorkspace(w)
-	pk := &pkState{
-		w:       w,
-		pos:     w.pos,
-		order:   w.order,
-		visited: make([]int32, n),
-		epoch:   0,
+	pk := &w.pk
+	pk.epoch = 0
+	if pk.visited == nil {
+		tab := make([]int32, 3*n)
+		pk.visited, pk.backupPos, pk.backupOrder = tab[:n:n], tab[n:2*n:2*n], tab[2*n:]
+	} else {
+		clear(pk.visited)
 	}
-	backupPos := make([]int32, n)
-	backupOrder := make([]int32, n)
 	havePos := false
-	var baseEdges []graph.Edge
-	diffBuf := w.diffBuf[:0]
-	defer func() { w.diffBuf = diffBuf }()
+	var base Item // the last valid graph
 
 	for i, it := range items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w.setDyn(it.Edges)
+		var added []graph.Edge
+		if rows {
+			// The delta is against the installed row, which is base's: a
+			// cyclic graph is rolled back below. Pearce–Kelly repairs run in
+			// (U,V) order, the order the list diff yields.
+			if added, err = w.installRow(it.RF); err != nil {
+				return nil, err
+			}
+			if havePos {
+				slices.SortFunc(added, compareEdges)
+			}
+		} else {
+			w.setDyn(it.Edges)
+			if havePos {
+				w.edgeBuf = diffEdges(w.edgeBuf[:0], it.Edges, base.Edges)
+				added = w.edgeBuf
+			}
+		}
 		if !havePos {
 			res.SortedVertices += int64(n)
+			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
 			full, ok := w.fullSort(true)
 			if !ok {
-				res.Violations = append(res.Violations, Violation{
-					Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-				})
-				res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
+				if err := res.violation(b, i, it); err != nil {
+					return nil, err
+				}
 				continue
 			}
 			copy(pk.order, full)
@@ -76,16 +89,14 @@ func IncrementalContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 				pk.pos[v] = int32(p)
 			}
 			havePos = true
-			baseEdges = it.Edges
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
+			base = it
 			continue
 		}
-		diffBuf = diffEdges(diffBuf[:0], it.Edges, baseEdges)
-		copy(backupPos, pk.pos)
-		copy(backupOrder, pk.order)
+		copy(pk.backupPos, pk.pos)
+		copy(pk.backupOrder, pk.order)
 		affected := 0
 		cyclic := false
-		for _, e := range diffBuf {
+		for _, e := range added {
 			if pk.pos[e.U] < pk.pos[e.V] {
 				continue // already consistent
 			}
@@ -98,23 +109,26 @@ func IncrementalContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 		}
 		res.SortedVertices += int64(affected)
 		if cyclic {
-			res.Violations = append(res.Violations, Violation{
-				Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-			})
-			copy(pk.pos, backupPos)
-			copy(pk.order, backupOrder)
 			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: affected})
+			if err := res.violation(b, i, it); err != nil {
+				return nil, err
+			}
+			copy(pk.pos, pk.backupPos)
+			copy(pk.order, pk.backupOrder)
+			if rows {
+				if _, err := w.installRow(base.RF); err != nil {
+					return nil, err
+				}
+			}
 			continue
 		}
-		baseEdges = it.Edges
+		base = it
 		kind := KindIncremental
 		if affected == 0 {
 			kind = KindNoResort
 		}
 		res.PerGraph = append(res.PerGraph, GraphStat{Kind: kind, Affected: affected})
-		if debugValidate != nil {
-			debugValidate(b.FromDynamic(it.Edges), pk.order)
-		}
+		validateOrder(b, it, pk.order)
 	}
 	return res, nil
 }
@@ -126,10 +140,13 @@ type pkState struct {
 	order   []int32
 	visited []int32 // epoch marks
 	epoch   int32
-	fwd     []int32 // scratch: forward-affected vertices
-	bwd     []int32 // scratch: backward-affected vertices
-	all     []int32 // scratch: combined affected vertices
-	slots   []int32 // scratch: their position multiset
+	// The order before the current item's repairs, restored when it turns
+	// out cyclic.
+	backupPos, backupOrder []int32
+	fwd                    []int32 // scratch: forward-affected vertices
+	bwd                    []int32 // scratch: backward-affected vertices
+	all                    []int32 // scratch: combined affected vertices
+	slots                  []int32 // scratch: their position multiset
 }
 
 // repair restores topological order after inserting edge (u,v) with

@@ -37,11 +37,12 @@ import (
 // pooled like the sorting workspace (§6.2 recycling: vertex structures
 // persist across graphs, edge structures are rebuilt per graph).
 type vcWorkspace struct {
-	owner  *graph.Builder
-	n      int
-	words  int       // clock width: ceil(n/64) uint64 words
-	static [][]int32 // shared static adjacency, borrowed from the builder
-	clocks []uint64  // n×words bit-matrix; clocks[u] = ops strictly before u
+	owner   *graph.Builder
+	n       int
+	words   int          // clock width: ceil(n/64) uint64 words
+	static  [][]int32    // shared static adjacency, borrowed from the builder
+	clocks  []uint64     // n×words bit-matrix; clocks[u] = ops strictly before u
+	edgeBuf []graph.Edge // a row item's built edge list
 }
 
 var vcPool sync.Pool
@@ -56,7 +57,7 @@ func getVCWorkspace(b *graph.Builder) *vcWorkspace {
 		owner:  b,
 		n:      n,
 		words:  words,
-		static: b.FromDynamic(nil).Static,
+		static: b.Static(),
 		clocks: make([]uint64, n*words),
 	}
 }
@@ -85,12 +86,16 @@ func VectorClockContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cyclic, joins := w.closure(it.Edges)
+		edges, err := it.edges(b, &w.edgeBuf)
+		if err != nil {
+			return nil, err
+		}
+		cyclic, joins := w.closure(edges)
 		res.ClockUpdates += joins
 		if cyclic {
-			res.Violations = append(res.Violations, Violation{
-				Index: i, Sig: it.Sig, Cycle: b.FromDynamic(it.Edges).FindCycle(),
-			})
+			if err := res.violation(b, i, it); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return res, nil

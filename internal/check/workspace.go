@@ -1,51 +1,97 @@
 package check
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"mtracecheck/internal/graph"
 )
 
-// workspace holds the recycled vertex data structures both checkers run on
-// (the paper recycles vertex structures across graphs while edge structures
-// are rebuilt per graph, §6.2). One workspace serves one program's builder.
+// workspace holds the recycled vertex data structures the sorting checkers
+// run on (the paper recycles vertex structures across graphs, §6.2). One
+// workspace serves one program's builder.
+//
+// The current graph's dynamic adjacency is installed one of two ways, never
+// both within a checking run. A reads-from row (Item.RF) is installed as a
+// delta: installRow edits dyn in place for the loads whose source differs from
+// the installed row's, so the edge structures are recycled too and an item
+// costs what changed. An edge list (Item.Edges) replaces dyn wholesale
+// (setDyn). Either way dyn[u] is in ascending-V order — what setDyn produces
+// from a (U,V)-sorted list and what installRow's sorted insert maintains — so
+// the prioritized sorts pop in the same order and every window, verdict and
+// effort counter is the same for both item shapes.
 type workspace struct {
 	owner   *graph.Builder // the builder this workspace was shaped for
 	n       int
 	static  [][]int32
 	dyn     [][]int32 // per-vertex dynamic out-edges of the current graph
-	touched []int32   // vertices whose dyn entry is non-empty
 	indeg   []int32
 	out     []int32
 	queue   []int32 // FIFO scratch for the unprioritized baseline sort
 	classOf []int32 // vertex priority class (word-major)
-	bq      *bucketQueue
+	bq      bucketQueue
 	ladj    [][]int32 // recycled window-local adjacency
-	// pos/order/diffBuf back the checkers' maintained order and edge-diff
-	// scratch; contents are overwritten before use on every checking run.
+	// pos/order back the checkers' maintained order and edgeBuf their
+	// edge-list scratch (a list item's diff against the last valid graph, a
+	// row's built list); contents are overwritten before use.
 	pos     []int32
 	order   []int32
-	diffBuf []graph.Edge
+	edgeBuf []graph.Edge
+
+	// installRow state: row[load] is the source whose edge group dyn holds
+	// (graph.NoObservation: none), added the edges the last install put in,
+	// oldG/newG one load's group before and after.
+	loads      []int32
+	row        []int32
+	added      []graph.Edge
+	oldG, newG []graph.Edge
+
+	pk pkState // Incremental's order-repair state
 }
+
+// dynCap is the capacity each vertex's dynamic out-list is carved with. A
+// load's list holds its fr targets (one, or one per thread after a read of
+// the initial value) and a store's its readers; the few lists that outgrow
+// the carve-out move to their own array on append.
+const dynCap = 4
 
 func newWorkspace(b *graph.Builder) *workspace {
 	n := b.NumOps()
-	g := b.FromDynamic(nil) // borrow the shared static adjacency
 	classOf, classes := b.WordClass()
-	return &workspace{
+	w := &workspace{
 		owner:   b,
 		n:       n,
-		static:  g.Static,
+		static:  b.Static(),
 		dyn:     make([][]int32, n),
-		indeg:   make([]int32, n),
-		out:     make([]int32, 0, n),
-		queue:   make([]int32, 0, n),
 		classOf: classOf,
-		bq:      newBucketQueue(classes),
 		ladj:    make([][]int32, n),
-		pos:     make([]int32, n),
-		order:   make([]int32, n),
+		loads:   b.Loads(),
 	}
+	// Every fixed int32 table comes from one array (Incremental adds its own
+	// three on first use).
+	tab := make([]int32, (6+dynCap)*n+bucketQueueInts(n, classes))
+	carve := func() []int32 {
+		t := tab[:n:n]
+		tab = tab[n:]
+		return t
+	}
+	w.indeg, w.pos, w.order, w.row = carve(), carve(), carve(), carve()
+	w.out, w.queue = carve()[:0], carve()[:0]
+	for u := range w.dyn {
+		w.dyn[u], tab = tab[:0:dynCap], tab[dynCap:]
+	}
+	w.bq.init(classOf, classes, tab)
+	w.pk.w, w.pk.pos, w.pk.order = w, w.pos, w.order
+	// installRow's edge scratch: a first install adds about two edges per
+	// load, and a group is 2 + threads edges.
+	const groupCap = 16
+	edges := make([]graph.Edge, 2*len(w.loads)+2*groupCap)
+	w.oldG, edges = edges[:0:groupCap], edges[groupCap:]
+	w.newG, edges = edges[:0:groupCap], edges[groupCap:]
+	w.added = edges[:0]
+	w.clearDyn()
+	return w
 }
 
 // wsPool recycles workspaces across checking runs. Sharded collective
@@ -54,12 +100,14 @@ func newWorkspace(b *graph.Builder) *workspace {
 // vertex structures the paper's §6.2 recycling is about.
 var wsPool sync.Pool
 
-// getWorkspace returns a pooled workspace shaped for b, or a fresh one. A
-// pooled workspace built against a different builder is discarded: its
-// static adjacency, class table, and buffer sizes belong to that builder's
-// program.
+// getWorkspace returns a pooled workspace shaped for b, or a fresh one; either
+// way it holds no graph, so a run's first item installs from nothing. A pooled
+// workspace built against a different builder is discarded: its static
+// adjacency, class table, and buffer sizes belong to that builder's program.
 func getWorkspace(b *graph.Builder) *workspace {
 	if w, _ := wsPool.Get().(*workspace); w != nil && w.owner == b {
+		w.clearDyn()
+		w.bq.reset()
 		return w
 	}
 	return newWorkspace(b)
@@ -67,18 +115,84 @@ func getWorkspace(b *graph.Builder) *workspace {
 
 func putWorkspace(w *workspace) { wsPool.Put(w) }
 
-// setDyn installs one graph's dynamic edges, clearing the previous graph's.
-func (w *workspace) setDyn(edges []graph.Edge) {
-	for _, u := range w.touched {
+// clearDyn empties the current graph: no dynamic edge, no installed row.
+func (w *workspace) clearDyn() {
+	for u := range w.dyn {
 		w.dyn[u] = w.dyn[u][:0]
 	}
-	w.touched = w.touched[:0]
+	for l := range w.row {
+		w.row[l] = graph.NoObservation
+	}
+}
+
+// setDyn installs one graph's dynamic edges, clearing the previous graph's.
+// (No row is installed in a run of list items, so there is none to forget.)
+func (w *workspace) setDyn(edges []graph.Edge) {
+	for u := range w.dyn {
+		w.dyn[u] = w.dyn[u][:0]
+	}
 	for _, e := range edges {
-		if len(w.dyn[e.U]) == 0 {
-			w.touched = append(w.touched, e.U)
-		}
 		w.dyn[e.U] = append(w.dyn[e.U], e.V)
 	}
+}
+
+// installRow makes the graph of the reads-from row rf the current one and
+// returns the dynamic edges it has that the previously installed row's graph
+// lacks, in load order (valid until the next install). Under static ws the
+// edge set is the disjoint union of per-load groups, each a function of its
+// load's source, so only the loads whose source changed are visited: their
+// old group leaves dyn and their new one enters it, less the edges the two
+// share. The row must be one graph.Builder.CheckRF accepts; a bad source is
+// reported before its load is touched, leaving dyn and the installed row
+// consistent.
+func (w *workspace) installRow(rf []int32) ([]graph.Edge, error) {
+	if len(rf) < w.n {
+		return nil, fmt.Errorf("check: reads-from row has %d entries, need %d", len(rf), w.n)
+	}
+	added := w.added[:0]
+	for _, l := range w.loads {
+		src, old := rf[l], w.row[l]
+		if src == old {
+			continue
+		}
+		newG, err := w.owner.AppendLoadEdges(w.newG[:0], l, src)
+		if err != nil {
+			return nil, err
+		}
+		oldG, _ := w.owner.AppendLoadEdges(w.oldG[:0], l, old) // accepted when it was installed
+		w.oldG, w.newG = oldG, newG
+		for _, e := range oldG {
+			if !slices.Contains(newG, e) {
+				w.dyn[e.U] = removeSorted(w.dyn[e.U], e.V)
+			}
+		}
+		for _, e := range newG {
+			if !slices.Contains(oldG, e) {
+				w.dyn[e.U] = insertSorted(w.dyn[e.U], e.V)
+				added = append(added, e)
+			}
+		}
+		w.row[l] = src
+	}
+	w.added = added
+	return added, nil
+}
+
+// insertSorted inserts v into the ascending list; removeSorted deletes it.
+// Dynamic out-lists are a handful of entries, so both scan.
+func insertSorted(list []int32, v int32) []int32 {
+	i := len(list)
+	list = append(list, v)
+	for ; i > 0 && list[i-1] > v; i-- {
+		list[i] = list[i-1]
+	}
+	list[i] = v
+	return list
+}
+
+func removeSorted(list []int32, v int32) []int32 {
+	i := slices.Index(list, v)
+	return append(list[:i], list[i+1:]...)
 }
 
 // fullSort runs Kahn's algorithm over the whole current graph, returning a
@@ -135,8 +249,7 @@ func (w *workspace) fullSort(prioritized bool) ([]int32, bool) {
 		w.out = out
 		return out, len(out) == w.n
 	}
-	bq := w.bq
-	bq.reset()
+	bq := &w.bq
 	for v := int32(0); v < int32(w.n); v++ {
 		if indeg[v] == 0 {
 			bq.push(int(w.classOf[v]), v)
@@ -192,8 +305,7 @@ func (w *workspace) windowSort(order, pos []int32, lo, hi int32) ([]int32, bool)
 		}
 		ladj[k] = edges
 	}
-	bq := w.bq
-	bq.reset()
+	bq := &w.bq
 	for k := int32(0); k < size; k++ {
 		if indeg[k] == 0 {
 			bq.push(int(w.classOf[verts[k]]), k)

@@ -122,13 +122,6 @@ func (c Config) corruption() bool {
 	return c.BitFlip > 0 || c.Truncate > 0 || c.Duplicate > 0 || c.OutOfRange > 0
 }
 
-// CorruptsSignatures reports whether any signature-corruption rate is set.
-// Corruption is applied to the final merged set (a pure function of it), so
-// a campaign with corruption enabled cannot decode signatures eagerly as
-// chunks stream in — the streaming pipeline uses this predicate to fall
-// back to barrier decoding.
-func (c Config) CorruptsSignatures() bool { return c.corruption() }
-
 func (c Config) execution() bool {
 	return c.ShardStall > 0 || c.ShardPanic > 0
 }

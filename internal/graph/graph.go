@@ -8,6 +8,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -345,6 +346,10 @@ func (po *poScratch) threadPO(ops []opInfo, first int32, ko *kindOrder) {
 // NumOps returns the vertex count.
 func (b *Builder) NumOps() int { return b.n }
 
+// Static returns the static adjacency every graph of the builder shares
+// (Graph.Static). Callers must not modify it.
+func (b *Builder) Static() [][]int32 { return b.static }
+
 // StaticEdgeCount returns the number of static (po) edges.
 func (b *Builder) StaticEdgeCount() int { return b.statCnt }
 
@@ -363,7 +368,7 @@ func (b *Builder) StaticEdgeCount() int { return b.statCnt }
 func (b *Builder) DynamicEdges(rf RF, ws WS) ([]Edge, error) {
 	dense := make([]int32, b.n)
 	for i := range dense {
-		dense[i] = noObservation
+		dense[i] = NoObservation
 	}
 	for loadID, storeID := range rf {
 		if loadID < 0 || loadID >= b.n || b.ops[loadID].kind != prog.Load {
@@ -377,8 +382,9 @@ func (b *Builder) DynamicEdges(rf RF, ws WS) ([]Edge, error) {
 	return b.AppendDynamicEdges(nil, dense, ws)
 }
 
-// noObservation is the dense-rf entry of a load whose source is unknown.
-const noObservation = -2
+// NoObservation is the dense-rf entry of a load whose source is unknown (any
+// entry below -1 reads the same): the load contributes no edge.
+const NoObservation = -2
 
 // AppendDynamicEdges is DynamicEdges over a dense reads-from slice indexed by
 // op ID (rf[loadID] = source store op ID, or -1 for a read of the initial
@@ -396,7 +402,7 @@ func (b *Builder) AppendDynamicEdges(dst []Edge, rf []int32, ws WS) ([]Edge, err
 		return nil, err
 	}
 	for _, loadID := range b.loads {
-		if rf[loadID] <= noObservation {
+		if rf[loadID] <= NoObservation {
 			continue
 		}
 		edges, err = b.appendLoadEdges(edges, loadID, rf[loadID], ws, wsPos)
@@ -406,6 +412,56 @@ func (b *Builder) AppendDynamicEdges(dst []Edge, rf []int32, ws WS) ([]Edge, err
 	}
 	sortEdges(edges)
 	return dedupEdges(edges), nil
+}
+
+// Loads lists every load's op ID in ascending order. The slice is the
+// builder's own; callers must not modify it.
+func (b *Builder) Loads() []int32 { return b.loads }
+
+// AppendLoadEdges appends the edges one load contributes to the graph when it
+// reads from storeID (-1 = the initial value; NoObservation or below = no
+// edge). In the static ws mode every dynamic edge has exactly one load
+// endpoint and is a function of that load's source alone, so the list
+// AppendDynamicEdges returns is the disjoint union of these groups, sorted:
+// two executions' graphs differ by the groups of the loads whose source
+// differs. A group has at most 2 + threads edges, none repeated. loadID must
+// come from Loads. It is an error under WSObserved, where a load's fr edge
+// depends on the execution's coherence order.
+func (b *Builder) AppendLoadEdges(dst []Edge, loadID, storeID int32) ([]Edge, error) {
+	if b.opts.WS != WSStatic {
+		return nil, errors.New("graph: per-load edge groups need the static ws mode")
+	}
+	if storeID <= NoObservation {
+		return dst, nil
+	}
+	return b.appendLoadEdges(dst, loadID, storeID, nil, nil)
+}
+
+// CheckRF reports the first load of a dense reads-from row whose source
+// AppendDynamicEdges would reject in the static ws mode — without building an
+// edge.
+func (b *Builder) CheckRF(rf []int32) error {
+	if len(rf) < b.n {
+		return fmt.Errorf("graph: dense rf has %d entries, need %d", len(rf), b.n)
+	}
+	for _, loadID := range b.loads {
+		if err := b.checkSource(loadID, rf[loadID]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkSource rejects a reads-from source that is not a store to the load's
+// word; any negative source (initial value, no observation) is acceptable.
+func (b *Builder) checkSource(loadID, storeID int32) error {
+	if storeID < 0 {
+		return nil
+	}
+	if int(storeID) >= b.n || b.ops[storeID].kind != prog.Store || b.ops[storeID].word != b.ops[loadID].word {
+		return fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
+	}
+	return nil
 }
 
 // startDynamicEdges emits the ws-chain edges and builds the store→position
@@ -459,14 +515,10 @@ func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int32, ws WS, ws
 		}
 		return edges, nil
 	}
-	if int(storeID) >= b.n {
-		return nil, fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
+	if err := b.checkSource(loadID, storeID); err != nil {
+		return nil, err
 	}
-	st := b.ops[storeID]
-	if st.kind != prog.Store || st.word != load.word {
-		return nil, fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
-	}
-	if st.thread != load.thread {
+	if b.ops[storeID].thread != load.thread {
 		edges = append(edges, Edge{storeID, loadID})
 	} else if !b.opts.Forwarding {
 		// Single-copy atomicity: the read implies global visibility.

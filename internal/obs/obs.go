@@ -1,6 +1,6 @@
 // Package obs is the campaign observability layer: typed events emitted at
 // every pipeline stage boundary — execution chunks, the unique-signature
-// merge, streaming decode batches, checking shards, and checkpoints —
+// merge, decode ranges, checking shards, and checkpoints —
 // consumed by an Observer. A multi-hour validation campaign (the paper runs 65536
 // iterations per test across 21 configurations, §5) is otherwise a black
 // box between launch and report; the events make its throughput, fault
@@ -39,8 +39,8 @@ const (
 	StageExecute Stage = iota
 	// StageMerge is the unique-signature k-way merge.
 	StageMerge
-	// StageDecode is the signature-decode stage: streaming batches as
-	// chunks merge, or a barrier pass when corruption faults force one.
+	// StageDecode is the signature-decode stage: one pass over the merged,
+	// sorted set at the execution barrier, a contiguous range per worker.
 	StageDecode
 	// StageCheck is the sharded collective-checking stage.
 	StageCheck
@@ -92,24 +92,20 @@ type CampaignEnd struct {
 }
 
 // ShardStart fires when one unit of a parallel stage begins an attempt:
-// an execution-chunk attempt, a streaming decode batch or barrier decode
-// range, or a checking shard's range.
+// an execution-chunk attempt, a decode worker's range, or a checking shard's
+// range.
 type ShardStart struct {
 	Stage Stage
 	// Shard is the lane the work runs in. For StageExecute it is the
 	// work-stealing worker index — consecutive chunks claimed by the same
 	// worker share a lane, so a trace shows each worker's chunk spans
-	// overlapping the merge/decode stream. For streaming decode batches it
-	// is the index of the chunk whose merge produced the batch; for barrier
-	// decode and check it is the shard index within the stage.
+	// overlapping the merge. For decode and check it is the shard index
+	// within the stage.
 	Shard   int
 	Attempt int // execution retries; always 0 for decode and check
 	// Start and Count describe the contiguous block the attempt owns.
-	// StageExecute: global iteration indices of the chunk. StageCheck and
-	// barrier StageDecode: sorted unique-signature indices. Streaming
-	// StageDecode batches: Start is the number of uniques the decoder had
-	// already seen and Count the fresh ones in this batch, so batches tile
-	// the campaign's first-observation order (not the final sorted order).
+	// StageExecute: global iteration indices of the chunk. StageDecode and
+	// StageCheck: sorted unique-signature indices.
 	Start, Count int
 	Time         time.Time
 }

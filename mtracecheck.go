@@ -284,9 +284,9 @@ type Options struct {
 	KeepExecutions bool
 	// Workers sizes the streaming pipeline: this many goroutines pull
 	// fixed-size execution chunks from a shared cursor (work stealing), and
-	// completed chunks stream through incremental merge and eager decode
-	// while later chunks still execute; collective checking shards across
-	// the same count. 0 selects GOMAXPROCS; 1 is the serial pipeline.
+	// completed chunks stream through the incremental merge while later
+	// chunks still execute; the barrier decode and collective checking shard
+	// across the same count. 0 selects GOMAXPROCS; 1 is the serial pipeline.
 	// Results are identical for every value: iteration i's seed is the i-th
 	// draw of the campaign's master seed stream — handed to whichever
 	// worker claims the chunk containing i — and a reorder buffer merges
@@ -647,11 +647,15 @@ func WriteViolationDOT(w io.Writer, report *Report, v Violation, opts Options) e
 		return err
 	}
 	builder := c.newBuilder()
-	e := decodeSig(c.meta, builder, v.Sig, make([]int32, builder.NumOps()), nil)
-	if e.err != nil {
-		return e.err
+	rf := make([]int32, builder.NumOps())
+	if err := c.meta.DecodeInto(v.Sig, rf); err != nil {
+		return err
 	}
-	return builder.FromDynamic(e.edges).WriteDOT(w, report.Program, v.Cycle)
+	edges, err := builder.AppendDynamicEdges(nil, rf, nil)
+	if err != nil {
+		return err
+	}
+	return builder.FromDynamic(edges).WriteDOT(w, report.Program, v.Cycle)
 }
 
 // NewProgramBuilderFromConfig generates a constrained-random program from a
