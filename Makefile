@@ -233,10 +233,12 @@ endef
 sim-profile:
 	$(call cpu-profile,BenchmarkSimIterationX86)
 
-# Where a trace check's time goes: parse + check of one rendered 200-op TSO
-# execution (the measurement behind DESIGN §16's cost paragraph).
+# Where a trace check's time goes: one rep of the trace-check workload, 1,024
+# rendered 200-op TSO executions of one program parsed and checked one by one
+# (the measurement behind DESIGN §16's cost paragraph; after the first trace
+# there must be no storeIndex, NewBuilder or newWorkspace frame).
 trace-profile:
-	$(call cpu-profile,BenchmarkCheckTrace)
+	$(call cpu-profile,BenchmarkCheckTraceWorkload)
 
 # Where an offline check's time goes: load + validate + check of the
 # contended program's stored 4,096-iteration signature set, no simulator in
@@ -247,6 +249,9 @@ offline-profile:
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke
 
-# One-iteration benchmark compile-and-run check, cheap enough for verify.
+# Benchmark compile-and-run check, cheap enough for verify: ten simulated
+# iterations, and one rep of the trace-check workload (which fails unless
+# exactly the 64 corrupted traces of its 1,024 do).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimIterationX86$$' -benchtime 10x .
+	$(GO) test -run '^$$' -bench '^BenchmarkCheckTraceWorkload$$' -benchtime 1x .

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mtracecheck/internal/check"
@@ -688,10 +689,10 @@ func benchNewBuilder(b *testing.B, tc TestConfig, plat sim.Platform) {
 	b.ReportMetric(float64(edges), "edges")
 }
 
-// renderedTrace runs the reference 4×50 program once on the x86 platform and
-// renders the execution in the external-trace text format: per-thread program
-// order, stores with their unique values, loads with the value observed.
-func renderedTrace(tb testing.TB) []byte {
+// traceProgram is the reference 4×50 program over 64 words (testgen seed 1) and
+// a runner for it on the x86 platform: the trace-check workload's source of
+// executions.
+func traceProgram(tb testing.TB) (*Program, *sim.Runner) {
 	tb.Helper()
 	p, err := testgen.Generate(TestConfig{Threads: 4, OpsPerThread: 50, Words: 64, Seed: 1})
 	if err != nil {
@@ -701,10 +702,14 @@ func renderedTrace(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ex, err := runner.Run()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	return p, runner
+}
+
+// renderExecution renders one execution of p in the external-trace text
+// format: per-thread program order, stores with their unique values, loads with
+// the value observed.
+func renderExecution(tb testing.TB, p *Program, loadValues []uint32) []byte {
+	tb.Helper()
 	tr := &ExecTrace{}
 	for ti, th := range p.Threads {
 		for _, op := range th.Ops {
@@ -713,7 +718,7 @@ func renderedTrace(tb testing.TB) []byte {
 			case prog.Store:
 				top = TraceOp{Thread: ti, Kind: trace.Store, Addr: p.Layout.AddrOf(op.Word), Value: uint64(op.Value)}
 			case prog.Load:
-				top = TraceOp{Thread: ti, Kind: trace.Load, Addr: p.Layout.AddrOf(op.Word), Value: uint64(ex.LoadValues[op.ID])}
+				top = TraceOp{Thread: ti, Kind: trace.Load, Addr: p.Layout.AddrOf(op.Word), Value: uint64(loadValues[op.ID])}
 			}
 			tr.Ops = append(tr.Ops, top)
 		}
@@ -725,24 +730,117 @@ func renderedTrace(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// renderedTrace runs the reference program once and renders the execution.
+func renderedTrace(tb testing.TB) []byte {
+	tb.Helper()
+	p, runner := traceProgram(tb)
+	ex, err := runner.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return renderExecution(tb, p, ex.LoadValues)
+}
+
+// otherShape renders the same execution as issued by threads 1..4 instead of
+// 0..3: as long, as costly to check, and of a different shape.
+func otherShape(tb testing.TB, text []byte) []byte {
+	tb.Helper()
+	tr, err := ParseTrace(bytes.NewReader(text))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range tr.Ops {
+		tr.Ops[i].Thread++
+	}
+	var buf bytes.Buffer
+	if err := FormatTrace(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// parseAndCheck is one op of the trace benchmarks and of the trace-check
+// workload: one rendered execution parsed and checked under TSO.
+func parseAndCheck(tb testing.TB, text []byte) *Report {
+	tr, err := ParseTrace(bytes.NewReader(text))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return report
+}
+
 // BenchmarkCheckTrace: the external-trace front door end to end — parse,
-// bind, one graph builder, dynamic edges and the collective check of one
-// rendered 200-op TSO execution — the unit of the trace-check workload.
+// resolve against the kept shape, and the collective check on the kept builder
+// and workspace — on one rendered 200-op TSO execution over and over.
 func BenchmarkCheckTrace(b *testing.B) {
 	text := renderedTrace(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := ParseTrace(bytes.NewReader(text))
+		if parseAndCheck(b, text).Failed() {
+			b.Fatal("clean trace failed")
+		}
+	}
+}
+
+// BenchmarkCheckTraceShapeMiss: the same with nothing to reuse — two shapes
+// take turns, so every check validates, binds and builds a graph builder and a
+// workspace from scratch, and pays for the shape's key besides. This is what
+// BenchmarkCheckTrace measured before shapes were kept.
+func BenchmarkCheckTraceShapeMiss(b *testing.B) {
+	texts := [2][]byte{renderedTrace(b)}
+	texts[1] = otherShape(b, texts[0])
+	b.ReportAllocs()
+	b.SetBytes(int64(len(texts[0])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if parseAndCheck(b, texts[i%2]).Failed() {
+			b.Fatal("clean trace failed")
+		}
+	}
+}
+
+// BenchmarkCheckTraceWorkload mirrors one rep of the mtbench trace-check
+// workload: 1,024 simulated executions of the reference program rendered as
+// text, every 16th with its first load rewritten to a value no store wrote,
+// parsed and checked one by one (`make trace-profile` shows where the time
+// goes).
+func BenchmarkCheckTraceWorkload(b *testing.B) {
+	p, runner := traceProgram(b)
+	seeds := sim.NewSeedStream(1)
+	texts := make([][]byte, 1024)
+	for i := range texts {
+		ex, err := runner.RunSeeded(seeds.Next())
 		if err != nil {
 			b.Fatal(err)
 		}
-		report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
-		if err != nil || report.Failed() {
-			b.Fatalf("clean trace: err %v, report %v", err, report)
+		values := ex.LoadValues
+		if i%16 == 15 {
+			values = slices.Clone(values)
+			for _, op := range p.Threads[0].Ops {
+				if op.Kind == prog.Load {
+					values[op.ID] = uint32(p.NumOps() + 1000) // store values are op ID + 1
+					break
+				}
+			}
+		}
+		texts[i] = renderExecution(b, p, values)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, text := range texts {
+			if failed := parseAndCheck(b, text).Failed(); failed != (j%16 == 15) {
+				b.Fatalf("trace %d: failed = %v", j, failed)
+			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/trace")
 }
 
 // offlineSet collects the contended 4×50×8 program's signature set — the

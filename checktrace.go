@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"mtracecheck/internal/check"
@@ -32,6 +33,10 @@ type (
 	// TraceBinding is a trace mapped onto the checking machinery — the
 	// reconstructed Program, reads-from relation, and the address/thread/
 	// line provenance needed to render verdicts in the trace's own terms.
+	// RF, Row and ValueFaults belong to the binding. Prog, Addrs, Threads
+	// and Source depend only on the trace's shape (its operations less the
+	// values its loads observed) and are shared with every other binding of
+	// a trace of that shape: read them, never write them.
 	TraceBinding = trace.Binding
 )
 
@@ -74,6 +79,16 @@ func TraceModels() []string {
 // instrumentation's inline assertion failures. Failed() covers both. The
 // Binding is always returned when binding succeeded, so callers can render
 // verdicts in the trace's own addresses and line numbers.
+//
+// Executions of one test differ only in the values their loads observed, so
+// consecutive calls share what does not depend on those: a trace with the
+// shape of the one checked before it (the same operations in the same order,
+// stores writing the same values) is resolved against that trace's validated
+// store index and bound Program instead of being validated and bound again,
+// and under the same model it reuses the graph builder and the checkers'
+// workspace. Which of these a call reuses is decided by its input alone, is
+// never visible in what it returns, and is safe under concurrent calls; all
+// of it is held where the garbage collector can release it.
 func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Options) (*Report, *TraceBinding, error) {
 	m, err := mcm.Parse(model)
 	if err != nil {
@@ -87,21 +102,12 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	if err != nil {
 		return nil, nil, fmt.Errorf("mtracecheck: %w", err)
 	}
-	builder := graph.NewBuilder(bind.Prog, m, graph.Options{
-		// SC is the one model with single-copy store atomicity; everything
-		// weaker owns a store buffer and may forward (paper §8).
-		Forwarding: m != mcm.SC,
-		WS:         graph.WSStatic,
-	})
-	// The dense reads-from row the checkers take as it is; a value-faulted
-	// load has no source and keeps the marker for that.
-	rf := make([]int32, bind.Prog.NumOps())
-	for i := range rf {
-		rf[i] = rfUnresolved
-	}
-	for load, store := range bind.RF {
-		rf[load] = int32(store)
-	}
+	tb := traceBuilderFor(bind.Prog, m)
+	defer traceBuilders.Put(tb)
+	builder := tb.builder
+	// The checkers take the binding's dense reads-from row as it is; a
+	// value-faulted load has no source and carries the marker for that.
+	rf := bind.Row
 	if err := builder.CheckRF(rf); err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}
@@ -133,6 +139,34 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	report.Violations = res.Violations
 	em.campaignEnd(report, nil, began)
 	return report, bind, nil
+}
+
+// traceBuilder is the constraint-graph builder of one bound program under one
+// model. A builder is a function of nothing else, and bindings of one trace
+// shape share their Program (see trace.Binding), so the builder of the last
+// check is kept for the next one: executions of one test then share a builder
+// and, because the checkers' workspace pool recycles per builder, a workspace.
+type traceBuilder struct {
+	prog    *Program
+	model   mcm.Model
+	builder *graph.Builder
+}
+
+// traceBuilders holds the builders most recently used — one, unless checks run
+// concurrently — where the collector can release them, as the trace package
+// holds shapes.
+var traceBuilders sync.Pool
+
+func traceBuilderFor(p *Program, m mcm.Model) *traceBuilder {
+	if tb, _ := traceBuilders.Get().(*traceBuilder); tb != nil && tb.prog == p && tb.model == m {
+		return tb
+	}
+	return &traceBuilder{prog: p, model: m, builder: graph.NewBuilder(p, m, graph.Options{
+		// SC is the one model with single-copy store atomicity; everything
+		// weaker owns a store buffer and may forward (paper §8).
+		Forwarding: m != mcm.SC,
+		WS:         graph.WSStatic,
+	})}
 }
 
 // CheckTrace is CheckTraceContext with context.Background().

@@ -3,12 +3,16 @@ package mtracecheck
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -310,5 +314,255 @@ func TestCheckTraceScaling(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pinPools makes what the pools behind CheckTrace hand back repeatable for the
+// rest of the test: one P, so one slot per pool, and no collection to age it.
+// Under the race detector sync.Pool drops a quarter of all Puts at random, so
+// results must still be equal there but reuse cannot be demanded, and pinPools
+// reports false.
+func pinPools(t *testing.T) (reuseRepeats bool) {
+	t.Helper()
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return false
+		}
+	}
+	return true
+}
+
+// traceChecked is everything one CheckTrace call returned, plus the builder it
+// left behind for the next call.
+type traceChecked struct {
+	report  *Report
+	bind    *TraceBinding
+	err     error
+	builder *graph.Builder
+}
+
+func checkTraceKept(tr *ExecTrace, model string, o Options) traceChecked {
+	report, bind, err := CheckTrace(tr, model, o)
+	c := traceChecked{report: report, bind: bind, err: err}
+	if tb, _ := traceBuilders.Get().(*traceBuilder); tb != nil {
+		c.builder = tb.builder
+		traceBuilders.Put(tb)
+	}
+	return c
+}
+
+// checkTraceCold is checkTraceKept with nothing to reuse: the check of a
+// throwaway trace of another shape first replaces whatever shape, builder and
+// workspace the calls before left behind.
+func checkTraceCold(t *testing.T, tr *ExecTrace, model string, o Options) traceChecked {
+	t.Helper()
+	other := &ExecTrace{Ops: []TraceOp{{Thread: 63, Kind: trace.Fence}, {Thread: 62, Kind: trace.Fence}}}
+	if _, _, err := CheckTrace(other, model, o); err != nil {
+		t.Fatal(err)
+	}
+	return checkTraceKept(tr, model, o)
+}
+
+// sameTraceOutcome reports whether two calls returned deep-equal reports, bindings
+// and errors (which builder served them is not part of the outcome).
+func sameTraceOutcome(a, b traceChecked) bool {
+	a.builder, b.builder = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// reuseTraces are the inputs of the reuse tests: every golden, plus a trace
+// with a value fault, one with fences only on one side, and the empty trace.
+func reuseTraces(t *testing.T) map[string]*ExecTrace {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("internal", "trace", "testdata", "*.trace"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden traces found: %v", err)
+	}
+	traces := map[string]*ExecTrace{}
+	for _, path := range files {
+		traces[filepath.Base(path)] = loadGoldenTrace(t, filepath.Base(path))
+	}
+	for name, text := range map[string]string{
+		"value fault": "0: M[0x10] := 1\n0: M[0x14] == 0\n1: M[0x14] := 2\n1: M[0x10] == 7\n",
+		"fenced":      "0: M[0x10] := 1\n0: sync\n0: M[0x14] == 0\n1: M[0x14] := 2\n1: M[0x10] == 0\n",
+		"empty":       "# nothing happened\n",
+	} {
+		tr, err := ParseTrace(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[name] = tr
+	}
+	return traces
+}
+
+// TestCheckTraceReuseEquivalence: what a check reuses from the one before — the
+// trace's shape, the graph builder, the checking workspace — never shows in
+// what it returns. For every reuse trace, model and backend, a check that
+// follows one of the same trace (everything reused), one under another model
+// (shape reused, builder not) and one of another trace (nothing reused)
+// returns what a cold check returns.
+func TestCheckTraceReuseEquivalence(t *testing.T) {
+	reuseRepeats := pinPools(t)
+	traces := reuseTraces(t)
+	others := map[string]string{"sc": "tso", "tso": "sc", "pso": "rmo", "rmo": "pso"}
+	for name, a := range traces {
+		b := traces["tso_violation.trace"]
+		if a == b {
+			b = traces["fenced"]
+		}
+		for _, model := range TraceModels() {
+			for _, checker := range CheckerNames() {
+				ck, err := ParseChecker(checker)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := Options{Checker: ck}
+				id := fmt.Sprintf("%s/%s/%s", name, model, checker)
+				coldA, coldB := checkTraceCold(t, a, model, o), checkTraceCold(t, b, model, o)
+				if coldA.err != nil || coldB.err != nil {
+					t.Fatalf("%s: %v, %v", id, coldA.err, coldB.err)
+				}
+
+				// A A: the second check reuses all of the first.
+				first, second := checkTraceCold(t, a, model, o), checkTraceKept(a, model, o)
+				if !sameTraceOutcome(second, coldA) || !sameTraceOutcome(first, coldA) {
+					t.Errorf("%s: the same trace twice: %+v then %+v, cold %+v", id, first.report, second.report, coldA.report)
+				}
+				if reuseRepeats && (second.bind.Prog != first.bind.Prog || second.builder != first.builder) {
+					t.Errorf("%s: the same trace twice: nothing was reused", id)
+				}
+
+				// sc -> tso -> sc: the builder belongs to one model.
+				under, back := checkTraceKept(a, others[model], o), checkTraceKept(a, model, o)
+				if cold := checkTraceCold(t, a, others[model], o); !sameTraceOutcome(under, cold) {
+					t.Errorf("%s: then under %s: %+v, cold %+v", id, others[model], under.report, cold.report)
+				}
+				if !sameTraceOutcome(back, coldA) {
+					t.Errorf("%s: and back: %+v, cold %+v", id, back.report, coldA.report)
+				}
+				if reuseRepeats && (under.bind.Prog != first.bind.Prog || under.builder == first.builder || back.builder == under.builder) {
+					t.Errorf("%s: a change of model must keep the shape and replace the builder", id)
+				}
+
+				// A B A B: each check replaces what the one before left.
+				for i, got := range []traceChecked{
+					checkTraceKept(a, model, o), checkTraceKept(b, model, o), checkTraceKept(a, model, o), checkTraceKept(b, model, o),
+				} {
+					if want := []traceChecked{coldA, coldB}[i%2]; !sameTraceOutcome(got, want) {
+						t.Errorf("%s: alternating with another trace, call %d: %+v, cold %+v", id, i, got.report, want.report)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckTraceAfterCallerMutation: a checked trace's Ops are the caller's to
+// change; the next trace's verdict must not depend on it.
+func TestCheckTraceAfterCallerMutation(t *testing.T) {
+	pinPools(t)
+	text := "0: M[0x10] := 1\n0: M[0x14] == 0\n1: M[0x14] := 2\n1: M[0x10] == 0\n" // store buffering
+	parse := func() *ExecTrace {
+		tr, err := ParseTrace(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	scribbled := parse()
+	if c := checkTraceKept(scribbled, "sc", Options{}); c.err != nil || !c.report.Failed() {
+		t.Fatalf("store buffering under sc: %v, %+v", c.err, c.report)
+	}
+	// Thread 1 now loads what thread 0 stored: no longer a violation, and no
+	// longer the trace the kept shape was built from.
+	scribbled.Ops[3].Value = 1
+
+	fresh := parse()
+	if got, cold := checkTraceKept(fresh, "sc", Options{}), checkTraceCold(t, fresh, "sc", Options{}); !sameTraceOutcome(got, cold) || !got.report.Failed() {
+		t.Errorf("the unchanged text after the scribble: %+v, cold %+v", got.report, cold.report)
+	}
+	if got, cold := checkTraceKept(scribbled, "sc", Options{}), checkTraceCold(t, scribbled, "sc", Options{}); !sameTraceOutcome(got, cold) || got.report.Failed() {
+		t.Errorf("the scribbled trace: %+v, cold %+v", got.report, cold.report)
+	}
+}
+
+// TestCheckTraceConcurrent: concurrent checks share the kept shape and builder
+// only by taking them in turn; every report equals the serial one. (The race
+// pass of `make verify` is what makes this test bite.)
+func TestCheckTraceConcurrent(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("internal", "trace", "testdata", "tso_violation.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := [][]byte{renderedTrace(t), golden}
+	check := func(text []byte) (*Report, error) {
+		tr, err := ParseTrace(bytes.NewReader(text))
+		if err != nil {
+			return nil, err
+		}
+		report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
+		return report, err
+	}
+	var want [2]*Report
+	for i, text := range texts {
+		if want[i], err = check(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].Failed() || !want[1].Failed() {
+		t.Fatalf("serial verdicts: rendered failed=%v, golden failed=%v", want[0].Failed(), want[1].Failed())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				// Runs of one shape, of different lengths per goroutine, so that
+				// hits, misses and both at once all happen.
+				shape := i / (g + 1) % 2
+				if got, err := check(texts[shape]); err != nil || !reflect.DeepEqual(got, want[shape]) {
+					t.Errorf("goroutine %d, call %d: %+v, %v; serial %+v", g, i, got, err, want[shape])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCheckTraceReleasesMemory: what a check keeps for the next one is held
+// where the collector can take it; one long trace must not stay resident.
+func TestCheckTraceReleasesMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checks a 262,144-op trace")
+	}
+	text := sequentialTrace(t, 1<<18, 64)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a pool's content survives one collection
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	tr, err := ParseTrace(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, bind, err := CheckTrace(tr, "tso", Options{Workers: 1})
+	if err != nil || report.Failed() || bind.Prog.NumOps() != 1<<18 {
+		t.Fatalf("err %v, report %+v", err, report)
+	}
+	tr, report, bind = nil, nil, nil
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("heap holds %d KiB more than before the check", (after-before)>>10)
 	}
 }

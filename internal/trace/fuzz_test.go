@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,10 +26,16 @@ var fuzzSeeds = []string{
 //  2. it agrees with the reference parser: same verdict, same Ops and source
 //     lines, same rejected line;
 //  3. canonical round trip: Format(Parse(x)) re-parses to an Equal trace;
-//  4. Validate and Bind never panic on whatever parses.
+//  4. Validate and Bind never panic on whatever parses, and Bind returns the
+//     same binding whatever shape it kept from the call before: its own (bound
+//     twice in a row) or another trace's (bound again after a seed trace).
 func FuzzTraceParse(f *testing.F) {
 	for _, in := range fuzzSeeds {
 		f.Add(in)
+	}
+	other, err := Parse(strings.NewReader(fuzzSeeds[0]))
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		checkAgainstReference(t, in)
@@ -46,9 +53,17 @@ func FuzzTraceParse(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			return
 		}
+		dropShapes() // so that what an input covers does not depend on the input before it
 		b, err := tr.Bind()
 		if err != nil {
 			t.Fatalf("validated trace failed to bind: %v", err)
+		}
+		second := bind(tr)
+		if _, err := other.Bind(); err != nil {
+			t.Fatal(err)
+		}
+		if third := bind(tr); !reflect.DeepEqual(second, bound{b: b}) || !reflect.DeepEqual(third, second) {
+			t.Fatalf("three bindings of %q differ:\n%+v\n%+v\n%+v", in, b, second.b, third.b)
 		}
 		if err := b.Prog.Validate(); err != nil {
 			t.Fatalf("bound program invalid: %v", err)

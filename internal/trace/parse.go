@@ -3,10 +3,13 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The text format, one operation per line, in the style of Axe traces:
@@ -23,7 +26,7 @@ import (
 // ParseError reports a malformed trace line with its position.
 type ParseError struct {
 	Line int    // 1-based line number
-	Text string // the offending line, comment stripped and trimmed
+	Text string // the offending line, comment stripped and trimmed; of a line over the length bound, its first 64 bytes
 	Msg  string // what was wrong
 }
 
@@ -31,139 +34,298 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("trace: line %d: %s: %q", e.Line, e.Msg, e.Text)
 }
 
+// maxLineBytes bounds one line of a trace file: a line's bytes and its
+// newline have to fit a buffer of this size.
+const maxLineBytes = 1024 * 1024
+
+// minOpBytes is the shortest line that holds an operation ("0:sync" and its
+// newline).
+const minOpBytes = 7
+
 // Parse reads a trace in the text format. It stops at the first malformed
 // line, returning a *ParseError. A trace with no operations is valid (and
 // trivially consistent).
 //
-// Lines are parsed as the scanner's bytes; only a malformed line is ever
-// turned into a string, for its ParseError.
+// Each line is read once, left to right, where the line reader buffered it;
+// only a malformed line is ever sliced again or turned into a string, for its
+// ParseError. Ops is sized from the lines actually buffered after the first
+// read — for a reader that reports its length (bytes.Reader, strings.Reader,
+// bytes.Buffer) that is the whole input — and grows by appending past that.
 func Parse(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLineBytes)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if i := bytes.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	lr := newLineReader(r)
+	var ops []Op
+	for lineNo := 1; ; lineNo++ {
+		line, err := lr.next()
+		switch {
+		case err == errLineTooLong:
+			return nil, &ParseError{Line: lineNo, Text: string(line), Msg: "line longer than 1 MiB"}
+		case err == io.EOF:
+			return &Trace{Ops: ops}, nil
+		case err != nil:
+			return nil, fmt.Errorf("trace: read: %w", err)
 		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
+		op, blank, err := parseLine(line)
+		if err != nil {
+			return nil, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: err.Error()}
+		}
+		if blank {
 			continue
 		}
-		op, err := parseLine(line)
-		if err != nil {
-			return nil, &ParseError{Line: lineNo, Text: string(line), Msg: err.Error()}
+		if len(ops) == MaxOps {
+			return nil, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: fmt.Sprintf("more than %d operations", MaxOps)}
+		}
+		if ops == nil {
+			ops = make([]Op, 0, lr.opsBuffered(line))
 		}
 		op.Line = lineNo
-		t.Ops = append(t.Ops, op)
-		if len(t.Ops) > MaxOps {
-			return nil, &ParseError{Line: lineNo, Text: string(line), Msg: fmt.Sprintf("more than %d operations", MaxOps)}
-		}
+		ops = append(ops, op)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	return t, nil
 }
 
-// maxLineBytes bounds one line of a trace file.
-const maxLineBytes = 1024 * 1024
-
-// parseLine parses one non-empty, comment-stripped, trimmed line.
-func parseLine(line []byte) (Op, error) {
-	colon := bytes.IndexByte(line, ':')
-	if colon < 0 {
-		return Op{}, fmt.Errorf("missing thread prefix %q", "<tid>:")
-	}
-	tid, err := parseNum(bytes.TrimSpace(line[:colon]))
-	if err != nil {
-		return Op{}, fmt.Errorf("bad thread ID: %v", err)
-	}
-	if tid >= MaxThreadID {
-		return Op{}, fmt.Errorf("thread ID %d out of range [0, %d)", tid, MaxThreadID)
-	}
-	op := Op{Thread: int(tid)}
-	rest := bytes.TrimSpace(line[colon+1:])
-
-	if string(rest) == "sync" {
-		op.Kind = Fence
-		return op, nil
-	}
-	if !bytes.HasPrefix(rest, []byte("M[")) {
-		return Op{}, fmt.Errorf("expected %q, %q, or %q after thread ID", "M[<addr>] := <val>", "M[<addr>] == <val>", "sync")
-	}
-	rest = rest[2:]
-	closing := bytes.IndexByte(rest, ']')
-	if closing < 0 {
-		return Op{}, fmt.Errorf("unterminated address: missing %q", "]")
-	}
-	if op.Addr, err = parseNum(bytes.TrimSpace(rest[:closing])); err != nil {
-		return Op{}, fmt.Errorf("bad address: %v", err)
-	}
-	rest = bytes.TrimSpace(rest[closing+1:])
-	switch {
-	case bytes.HasPrefix(rest, []byte(":=")):
-		op.Kind = Store
-	case bytes.HasPrefix(rest, []byte("==")):
-		op.Kind = Load
-	default:
-		return Op{}, fmt.Errorf("expected %q (store) or %q (load response) after address", ":=", "==")
-	}
-	if op.Value, err = parseNum(bytes.TrimSpace(rest[2:])); err != nil {
-		return Op{}, fmt.Errorf("bad value: %v", err)
-	}
-	return op, nil
+// lineReader splits its input at newlines in a buffer that holds a whole line:
+// it starts at the input's length when the reader reports one (4 KiB
+// otherwise) and doubles, up to maxLineBytes, only when a line fills it.
+type lineReader struct {
+	r          io.Reader
+	buf        []byte
+	start, end int   // buf[start:end] is read and not yet handed out
+	err        error // what ended the input: io.EOF or a read error
 }
 
-// parseNum reads an unsigned decimal or 0x-prefixed hexadecimal number that
-// fits 64 bits. Nothing else is a number: no sign, no digit separator, no
-// other base prefix and no leading zeros, which keeps the accepted grammar
-// exactly what Format emits plus plain decimal.
-func parseNum(s []byte) (uint64, error) {
-	if len(s) >= 2 && s[0] == '0' {
-		if s[1] != 'x' && s[1] != 'X' || len(s) == 2 {
-			return 0, numError(s)
+var errLineTooLong = errors.New("line too long")
+
+func newLineReader(r io.Reader) lineReader {
+	size := 4096
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// One byte more than the input, so that the read that reports its end
+		// has somewhere to go.
+		size = min(max(sized.Len(), 0)+1, maxLineBytes)
+	}
+	return lineReader{r: r, buf: make([]byte, size)}
+}
+
+// next returns the following line without its newline, valid until the next
+// call. After the last line it returns the error that ended the input (a line
+// cut short by a read error is still handed out first). A line that fills
+// maxLineBytes without a newline yields its first 64 bytes and errLineTooLong.
+func (l *lineReader) next() ([]byte, error) {
+	searched := 0 // bytes from start known to hold no newline
+	for {
+		if i := bytes.IndexByte(l.buf[l.start+searched:l.end], '\n'); i >= 0 {
+			line := l.buf[l.start : l.start+searched+i]
+			l.start += searched + i + 1
+			return line, nil
 		}
-		var v uint64
-		for _, c := range s[2:] {
-			var d byte
-			switch {
-			case '0' <= c && c <= '9':
-				d = c - '0'
-			case 'a' <= c && c <= 'f':
-				d = c - 'a' + 10
-			case 'A' <= c && c <= 'F':
-				d = c - 'A' + 10
-			default:
-				return 0, numError(s)
+		searched = l.end - l.start
+		if searched >= maxLineBytes {
+			return l.buf[l.start : l.start+64], errLineTooLong
+		}
+		if l.err != nil {
+			line := l.buf[l.start:l.end]
+			l.start = l.end
+			if len(line) == 0 {
+				return nil, l.err
+			}
+			return line, nil
+		}
+		l.fill()
+	}
+}
+
+// fill makes room — moving the unread bytes to the front and, when they fill
+// the buffer, doubling it — and reads once more.
+func (l *lineReader) fill() {
+	if l.start > 0 {
+		l.end = copy(l.buf, l.buf[l.start:l.end])
+		l.start = 0
+	}
+	if l.end == len(l.buf) {
+		grown := make([]byte, min(2*len(l.buf), maxLineBytes))
+		copy(grown, l.buf)
+		l.buf = grown
+	}
+	for empty := 0; ; empty++ {
+		n, err := l.r.Read(l.buf[l.end:])
+		l.end += n
+		if err != nil {
+			l.err = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+		if empty == 100 {
+			l.err = io.ErrNoProgress
+			return
+		}
+	}
+}
+
+// opsBuffered bounds the operations in line and the bytes buffered after it:
+// one per line, and no more than minOpBytes allow.
+func (l *lineReader) opsBuffered(line []byte) int {
+	rest := l.buf[l.start:l.end]
+	lines := 2 + bytes.Count(rest, []byte{'\n'}) // line itself and an unterminated last one
+	return min(lines, (len(line)+len(rest))/minOpBytes+2, MaxOps)
+}
+
+// The line parser is a cursor: an index into the line that only moves right.
+
+// skipSpace moves i past white space as bytes.TrimSpace defines it — Unicode's,
+// so U+0085 and U+00A0 count. It is the inlined test for the usual case, a
+// token starting at i; skipAnySpace does the skipping.
+func skipSpace(s []byte, i int) int {
+	if i < len(s) && s[i]-'!' >= utf8.RuneSelf-'!' { // blank, control or non-ASCII
+		return skipAnySpace(s, i)
+	}
+	return i
+}
+
+func skipAnySpace(s []byte, i int) int {
+	for i < len(s) {
+		switch b := s[i]; {
+		case b == ' ' || '\t' <= b && b <= '\r':
+			i++
+		case b < utf8.RuneSelf:
+			return i
+		default:
+			r, width := utf8.DecodeRune(s[i:])
+			if !unicode.IsSpace(r) {
+				return i
+			}
+			i += width
+		}
+	}
+	return i
+}
+
+// atEnd reports whether nothing but a comment is left at i.
+func atEnd(s []byte, i int) bool { return i == len(s) || s[i] == '#' }
+
+// has2 reports whether the two bytes at i are a and b.
+func has2(s []byte, i int, a, b byte) bool { return i+1 < len(s) && s[i] == a && s[i+1] == b }
+
+// readNum reads the digits of one number at i — decimal without leading zeros,
+// or 0x and hexadecimal digits, up to 64 bits — and returns the index after
+// them. What follows there decides whether the token ended; the callers check.
+func readNum(s []byte, i int) (v uint64, next int, ok bool) {
+	first := i
+	if i+1 < len(s) && s[i] == '0' && s[i+1]|0x20 == 'x' {
+		for i += 2; i < len(s); i++ {
+			d := hexValue[s[i]]
+			if d == 0 {
+				break
 			}
 			if v>>60 != 0 {
-				return 0, numError(s)
+				return 0, i, false
 			}
-			v = v<<4 | uint64(d)
+			v = v<<4 | uint64(d-1)
 		}
-		return v, nil
+		return v, i, i > first+2
 	}
-	if len(s) == 0 {
-		return 0, numError(s)
-	}
-	var v uint64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, numError(s)
-		}
-		d := uint64(c - '0')
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		d := uint64(s[i] - '0')
 		if v > (math.MaxUint64-d)/10 {
-			return 0, numError(s)
+			return 0, i, false
 		}
 		v = v*10 + d
 	}
-	return v, nil
+	return v, i, i > first && (s[first] != '0' || i == first+1) // no leading zeros
 }
 
-// numError says why parseNum refused s.
+// hexValue maps a hexadecimal digit to its value plus one and anything else to 0.
+var hexValue = func() (tab [256]byte) {
+	for i, c := range []byte("0123456789abcdef") {
+		tab[c] = byte(i) + 1
+	}
+	for i, c := range []byte("ABCDEF") {
+		tab[c] = byte(i) + 11
+	}
+	return tab
+}()
+
+var (
+	errAfterThread = fmt.Errorf("expected %q, %q, or %q after thread ID", "M[<addr>] := <val>", "M[<addr>] == <val>", "sync")
+	errAfterAddr   = fmt.Errorf("expected %q (store) or %q (load response) after address", ":=", "==")
+)
+
+// lineText is what a ParseError quotes of a line: comment stripped, trimmed.
+func lineText(line []byte) []byte {
+	if i := bytes.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	return bytes.TrimSpace(line)
+}
+
+// parseLine parses one line, comment and surrounding space included; blank
+// reports a line holding neither an operation nor an error. The grammar's
+// delimiters are the first ':' of the line, then "M[", the first ']' after it,
+// and the operator; a field is what lies between two of them, trimmed. The
+// cursor accepts exactly the lines whose fields are well formed, and looks a
+// delimiter up only to say which field of a rejected line was not.
+func parseLine(s []byte) (op Op, blank bool, err error) {
+	i := skipSpace(s, 0)
+	if atEnd(s, i) {
+		return Op{}, true, nil
+	}
+
+	tid, i, ok := readNum(s, i)
+	if i = skipSpace(s, i); !ok || i == len(s) || s[i] != ':' {
+		text := lineText(s)
+		colon := bytes.IndexByte(text, ':')
+		if colon < 0 {
+			return Op{}, false, fmt.Errorf("missing thread prefix %q", "<tid>:")
+		}
+		return Op{}, false, fmt.Errorf("bad thread ID: %v", numError(bytes.TrimSpace(text[:colon])))
+	}
+	if tid >= MaxThreadID {
+		return Op{}, false, fmt.Errorf("thread ID %d out of range [0, %d)", tid, MaxThreadID)
+	}
+	op.Thread = int(tid)
+	i = skipSpace(s, i+1)
+
+	if i+4 <= len(s) && string(s[i:i+4]) == "sync" {
+		if !atEnd(s, skipSpace(s, i+4)) {
+			return Op{}, false, errAfterThread
+		}
+		op.Kind = Fence
+		return op, false, nil
+	}
+	if !has2(s, i, 'M', '[') {
+		return Op{}, false, errAfterThread
+	}
+	field := i + 2
+	op.Addr, i, ok = readNum(s, skipSpace(s, field))
+	if i = skipSpace(s, i); !ok || i == len(s) || s[i] != ']' {
+		rest := lineText(s[field:])
+		closing := bytes.IndexByte(rest, ']')
+		if closing < 0 {
+			return Op{}, false, fmt.Errorf("unterminated address: missing %q", "]")
+		}
+		return Op{}, false, fmt.Errorf("bad address: %v", numError(bytes.TrimSpace(rest[:closing])))
+	}
+	i = skipSpace(s, i+1)
+
+	switch {
+	case has2(s, i, ':', '='):
+		op.Kind = Store
+	case has2(s, i, '=', '='):
+		op.Kind = Load
+	default:
+		return Op{}, false, errAfterAddr
+	}
+	field = i + 2
+	op.Value, i, ok = readNum(s, skipSpace(s, field))
+	if !ok || !atEnd(s, skipSpace(s, i)) {
+		return Op{}, false, fmt.Errorf("bad value: %v", numError(lineText(s[field:])))
+	}
+	return op, false, nil
+}
+
+// numError says why s, a trimmed field, is not a number: an unsigned decimal
+// or 0x-prefixed hexadecimal that fits 64 bits. Nothing else is one — no sign,
+// no digit separator, no other base prefix and no leading zeros — which keeps
+// the accepted grammar exactly what Format emits plus plain decimal.
 func numError(s []byte) error {
 	switch {
 	case len(s) == 0:

@@ -2,19 +2,25 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
-// The reference parser: the grammar written with the strings package and
-// strconv, one string per line. Parse reads the scanner's bytes with its own
-// number reader instead; the two must accept and reject the same inputs and
-// agree on every Op and on the line a rejection names. (Only the wording of
-// number errors differs: the reference calls a 0b/0o prefix "leading zeros".)
+// The reference parser: the grammar written with bufio.Scanner, the strings
+// package and strconv, one string per line. Parse splits lines itself and reads
+// each with a cursor and its own number reader instead; the two must accept and
+// reject the same inputs and agree on every Op and on a rejection's line, text
+// and message. (Only the wording of one number error differs: the reference
+// calls any other byte after a leading 0 "leading zeros".)
 
 func refParse(in string) (*Trace, error) {
 	t := &Trace{}
@@ -41,7 +47,11 @@ func refParse(in string) (*Trace, error) {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: fmt.Sprintf("more than %d operations", MaxOps)}
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err == bufio.ErrTooLong {
+		// The line after the last one scanned is the one that did not fit.
+		long := strings.SplitN(in, "\n", lineNo+2)[lineNo]
+		return nil, &ParseError{Line: lineNo + 1, Text: long[:64], Msg: "line longer than 1 MiB"}
+	} else if err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
 	return t, nil
@@ -115,6 +125,21 @@ func checkAgainstReference(t *testing.T, in string) {
 	t.Helper()
 	got, gotErr := Parse(strings.NewReader(in))
 	want, wantErr := refParse(in)
+	// However the bytes arrive — all at once with their length known, one at a
+	// time, the last ones together with io.EOF — the result is the same.
+	for name, r := range map[string]io.Reader{
+		"no Len":        struct{ io.Reader }{strings.NewReader(in)},
+		"OneByteReader": iotest.OneByteReader(strings.NewReader(in)),
+		"DataErrReader": iotest.DataErrReader(bytes.NewReader([]byte(in))),
+	} {
+		if len(in) > 4096 && name == "OneByteReader" {
+			continue
+		}
+		again, againErr := Parse(r)
+		if !reflect.DeepEqual(again, got) || !reflect.DeepEqual(againErr, gotErr) {
+			t.Fatalf("Parse(%q) through %s: %+v, %v; from a strings.Reader %+v, %v", in, name, again, againErr, got, gotErr)
+		}
+	}
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("Parse(%q): error %v, reference error %v", in, gotErr, wantErr)
 	}
@@ -126,6 +151,9 @@ func checkAgainstReference(t *testing.T, in string) {
 		}
 		if gotIs && (gotPE.Line != wantPE.Line || gotPE.Text != wantPE.Text) {
 			t.Fatalf("Parse(%q): rejected line %d %q, reference line %d %q", in, gotPE.Line, gotPE.Text, wantPE.Line, wantPE.Text)
+		}
+		if gotIs && gotPE.Msg != wantPE.Msg && !strings.Contains(wantPE.Msg, "leading zeros") {
+			t.Fatalf("Parse(%q): rejected with %q, reference %q", in, gotPE.Msg, wantPE.Msg)
 		}
 		return
 	}
@@ -183,5 +211,44 @@ func TestParseMatchesReference(t *testing.T) {
 		"0: M[1] := 2\n" + strings.Repeat("x", 70000) + "\n",
 	} {
 		checkAgainstReference(t, in)
+	}
+	// Around the line bound: a line and its newline must fit 1 MiB, whether the
+	// line is an operation, a comment or the unterminated last one.
+	for _, n := range []int{maxLineBytes - 1, maxLineBytes, 2 * maxLineBytes} {
+		for _, end := range []string{"", "\n", "\r\n", "\n0: sync\n"} {
+			checkAgainstReference(t, "0: sync\n\n#"+strings.Repeat("x", n-1)+end)
+			checkAgainstReference(t, "1: M[8] == 2"+strings.Repeat(" ", n-12)+end)
+		}
+	}
+}
+
+// TestParseReadError: a reader's error is reported as such, after the lines
+// read before it were parsed.
+func TestParseReadError(t *testing.T) {
+	broken := errors.New("broken pipe")
+	_, err := Parse(io.MultiReader(strings.NewReader("0: sync\n1: sy"), iotest.ErrReader(broken)))
+	if pe, ok := err.(*ParseError); !ok || pe.Line != 2 || pe.Text != "1: sy" {
+		t.Errorf("error = %v, want the ParseError of the line the read error cut short", err)
+	}
+	_, err = Parse(io.MultiReader(strings.NewReader("0: sync\n1: sync"), iotest.ErrReader(broken)))
+	if !errors.Is(err, broken) || !strings.HasPrefix(err.Error(), "trace: read: ") {
+		t.Errorf("error = %v, want the read error wrapped", err)
+	}
+}
+
+// TestParseMaxOps: the operation bound holds where it did — MaxOps operations
+// parse, and the line of one more is the error.
+func TestParseMaxOps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parses 7 MiB twice")
+	}
+	in := strings.Repeat("0:sync\n", MaxOps+1)
+	_, err := Parse(strings.NewReader(in))
+	_, wantErr := refParse(in)
+	if !reflect.DeepEqual(err, wantErr) || err == nil || err.(*ParseError).Line != MaxOps+1 {
+		t.Errorf("one operation too many: %v, reference %v", err, wantErr)
+	}
+	if tr, err := Parse(strings.NewReader(in[len("0:sync\n"):])); err != nil || len(tr.Ops) != MaxOps {
+		t.Errorf("MaxOps operations: %v", err)
 	}
 }

@@ -18,7 +18,9 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
+	"mtracecheck/internal/graph"
 	"mtracecheck/internal/prog"
 )
 
@@ -203,6 +205,10 @@ func (f *ValueFault) Error() string {
 }
 
 // Binding is a trace mapped onto the checking machinery's representation.
+//
+// Prog, Addrs, Threads and Source depend only on the trace's shape (see Bind)
+// and are shared, read-only, with every other Binding of a trace of that
+// shape; RF, Row and ValueFaults are this Binding's own.
 type Binding struct {
 	// Trace is the source trace.
 	Trace *Trace
@@ -217,6 +223,11 @@ type Binding struct {
 	// the initial value. Loads with value faults are absent — they
 	// constrain nothing.
 	RF map[int]int
+	// Row is the same relation as the dense reads-from row the checkers take,
+	// indexed by program operation ID: a load's source store, -1 for the
+	// initial value, and graph.NoObservation for a load with a value fault
+	// and for every operation that is not a load.
+	Row []int32
 	// Addrs maps shared-word indices back to the trace's byte addresses.
 	Addrs []uint64
 	// Threads maps program thread indices back to trace thread IDs.
@@ -235,17 +246,89 @@ func (b *Binding) AddrOfOp(id int) uint64 {
 }
 
 // Bind maps the trace onto the checking machinery: a prog.Program plus the
-// reads-from relation resolved from observed values. The trace must have
-// passed Validate; Bind reports structural inconsistencies it depends on,
-// but its error messages assume validation ran first.
+// reads-from relation resolved from observed values. It validates the trace as
+// Validate does and returns the same errors.
 //
 // The construction is the inverse of what MTraceCheck's signature decoder
 // produces for simulator runs: there the program is known and the rf
 // relation is decoded from the signature; here both are reconstructed from
-// the observed trace. Downstream — graph.Builder.DynamicEdges over
-// (Prog, RF), then any registered checking backend — the two front doors
+// the observed trace. Downstream — a graph.Builder over Prog, Row as the
+// reads-from row, then any registered checking backend — the two front doors
 // are indistinguishable.
+//
+// Binding has two halves. The trace's shape — everything but the values its
+// load responses carried — decides the program, the address, thread and
+// source tables and which store a given value names; only the reads-from
+// relation depends on the load values. Executions of one test differ in
+// nothing else, so the shape of the last trace bound is kept, and a trace of
+// the same shape is resolved against it instead of being validated and bound
+// again (shapeFor says when that is sound).
 func (t *Trace) Bind() (*Binding, error) {
+	s, err := shapeFor(t)
+	if err != nil {
+		return nil, err
+	}
+	b := s.resolve(t)
+	shapes.Put(s)
+	return b, nil
+}
+
+// shape is what binding derives from (Thread, Kind, Addr) of every operation
+// and Value of every store. Nothing in it is written after build returns.
+type shape struct {
+	key    []shapeOp       // the fields above, copied: what a trace must equal to have this shape
+	stores map[write]int32 // the validated store index: (address, value) -> index in Trace.Ops
+	idOf   []int32         // index in Trace.Ops -> program operation ID
+	loads  int
+	shared Binding // Prog, Addrs, Threads and Source, as every Binding of this shape has them
+}
+
+// shapeOp is one operation's part of the key; value is kept for stores only.
+type shapeOp struct {
+	addr, value uint64
+	thread      int32
+	kind        Kind
+}
+
+// shapes holds the shapes most recently bound — one, unless Bind runs
+// concurrently — the way check's workspace pool holds workspaces: the
+// collector may release them, so a trace of a million operations does not pin
+// its hundred megabytes of tables, and concurrent callers take distinct
+// shapes or none.
+var shapes sync.Pool
+
+// shapeFor returns t's shape: the kept one if t has it, a new one otherwise
+// (the kept one is then dropped). Reuse is sound because
+//
+//   - the match is an exact comparison with the key, a private copy — not a
+//     hash, and not the caller's Ops, which may change after Bind returns;
+//   - every field validation and binding read, load values aside, is in the key,
+//     so a matching trace is valid and binds to the same tables;
+//   - a trace that fails validation never yields a shape.
+func shapeFor(t *Trace) (*shape, error) {
+	if s, _ := shapes.Get().(*shape); s != nil && s.matches(t) {
+		return s, nil
+	}
+	return buildShape(t)
+}
+
+func (s *shape) matches(t *Trace) bool {
+	if len(t.Ops) != len(s.key) {
+		return false
+	}
+	for i := range t.Ops {
+		op, k := &t.Ops[i], &s.key[i]
+		if op.Addr != k.addr || op.Kind != k.kind || op.Thread != int(k.thread) ||
+			op.Kind == Store && op.Value != k.value {
+			return false
+		}
+	}
+	return true
+}
+
+// buildShape validates t and binds everything that does not depend on its
+// load values.
+func buildShape(t *Trace) (*shape, error) {
 	stores, err := t.storeIndex()
 	if err != nil {
 		return nil, err
@@ -288,22 +371,22 @@ func (t *Trace) Bind() (*Binding, error) {
 		id += count
 	}
 
-	// One pass in trace order hands out the IDs and renumbers addresses to
-	// words in first-appearance order (which keeps word indices stable under
-	// reordering of unrelated threads' lines). The address tables are sized
-	// for one address per store: a written address has at least one, and few
-	// addresses are only ever read.
+	// One pass in trace order copies the key, hands out the IDs and renumbers
+	// addresses to words in first-appearance order (which keeps word indices
+	// stable under reordering of unrelated threads' lines). The address tables
+	// are sized for one address per store: a written address has at least one,
+	// and few addresses are only ever read.
+	s := &shape{key: make([]shapeOp, n), stores: stores, idOf: make([]int32, n)}
 	addrs := make([]uint64, 0, len(stores))
 	wordOf := make(map[uint64]int32, len(stores))
 	source := make([]int, n) // program op ID -> index into t.Ops
-	idOf := make([]int32, n) // and back
-	loads := 0
 	for i := range t.Ops {
 		top := &t.Ops[i]
 		sl := &slots[top.Thread]
 		id := sl.next
 		sl.next++
-		source[id], idOf[i] = i, id
+		source[id], s.idOf[i] = i, id
+		s.key[i] = shapeOp{addr: top.Addr, thread: int32(top.Thread), kind: top.Kind}
 		op := prog.Op{ID: int(id), Thread: int(sl.thread), Index: int(id - sl.first)}
 		switch top.Kind {
 		case Load, Store:
@@ -316,9 +399,10 @@ func (t *Trace) Bind() (*Binding, error) {
 			op.Word = int(word)
 			if top.Kind == Store {
 				op.Kind, op.Value = prog.Store, uint32(id)+1
+				s.key[i].value = top.Value
 			} else {
 				op.Kind = prog.Load
-				loads++
+				s.loads++
 			}
 		case Fence:
 			op.Kind, op.Word = prog.Fence, -1
@@ -331,28 +415,33 @@ func (t *Trace) Bind() (*Binding, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: bound program invalid: %w", err)
 	}
+	s.shared = Binding{Prog: p, Addrs: addrs, Threads: threadIDs, Source: source}
+	return s, nil
+}
 
-	// Resolve reads-from: a load's observed value identifies its writer by
-	// the store-distinguishability rule validation enforced.
-	b := &Binding{
-		Trace: t, Prog: p, RF: make(map[int]int, loads),
-		Addrs: addrs, Threads: threadIDs, Source: source,
-	}
-	for opID, srcIdx := range source {
+// resolve binds t, a trace of shape s, by resolving its reads-from relation: a
+// load's observed value identifies its writer by the store-distinguishability
+// rule validation enforced. Positions and the ops quoted in value faults are
+// t's own, never the trace's the shape was built from.
+func (s *shape) resolve(t *Trace) *Binding {
+	b := s.shared
+	b.Trace, b.RF, b.Row = t, make(map[int]int, s.loads), make([]int32, len(b.Source))
+	for opID, srcIdx := range b.Source {
+		b.Row[opID] = graph.NoObservation
 		top := &t.Ops[srcIdx]
 		if top.Kind != Load {
 			continue
 		}
-		if top.Value == InitialValue {
-			b.RF[opID] = -1
-			continue
+		src := int32(-1)
+		if top.Value != InitialValue {
+			st, written := s.stores[write{top.Addr, top.Value}]
+			if !written {
+				b.ValueFaults = append(b.ValueFaults, &ValueFault{Op: *top, OpID: opID, pos: t.position(srcIdx)})
+				continue
+			}
+			src = s.idOf[st]
 		}
-		st, ok := stores[write{top.Addr, top.Value}]
-		if !ok {
-			b.ValueFaults = append(b.ValueFaults, &ValueFault{Op: *top, OpID: opID, pos: t.position(srcIdx)})
-			continue
-		}
-		b.RF[opID] = int(idOf[st])
+		b.RF[opID], b.Row[opID] = int(src), src
 	}
-	return b, nil
+	return &b
 }

@@ -82,6 +82,7 @@ var parseErrorCases = []struct {
 	{"hex prefix only", "0: M[0x] := 1", "malformed number"},
 	{"decimal overflow", "0: M[1] := 18446744073709551616", "malformed number"},
 	{"hex overflow", "0: M[0x10000000000000000] := 1", "malformed number"},
+	{"line over the bound", "0: sync #" + strings.Repeat("x", maxLineBytes), "line longer than 1 MiB"},
 }
 
 func TestParseErrors(t *testing.T) {
@@ -101,6 +102,20 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("Parse(%q) error line = %d, want 1", tc.in, pe.Line)
 			}
 		})
+	}
+}
+
+// TestParseLineTooLong: a line over the bound is a ParseError like any other —
+// it names the line and quotes its beginning, not the reader's internals.
+func TestParseLineTooLong(t *testing.T) {
+	in := "0: sync\n# " + strings.Repeat("long comment ", 2*maxLineBytes/13) + "\n1: sync\n"
+	_, err := Parse(strings.NewReader(in))
+	var pe *ParseError
+	if !asParseError(err, &pe) {
+		t.Fatalf("error is %T (%v), want *ParseError", err, err)
+	}
+	if pe.Line != 2 || pe.Msg != "line longer than 1 MiB" || pe.Text != in[8:8+64] {
+		t.Errorf("error = %+v, want line 2, the bound, and the line's first 64 bytes", pe)
 	}
 }
 
@@ -303,4 +318,25 @@ func TestBindTooManyOps(t *testing.T) {
 	if _, err := tr.Bind(); err == nil {
 		t.Fatal("Bind accepted an oversized trace")
 	}
+}
+
+// BenchmarkParse reads a 200-op trace in Format's spelling: four threads of
+// fifty loads and stores over 64 words.
+func BenchmarkParse(b *testing.B) {
+	tr := &Trace{}
+	for i := 0; i < 200; i++ {
+		op := Op{Thread: i / 50, Kind: Kind(i % 2), Addr: 0x1000 + 4*uint64(i*7%64), Value: uint64(i + 1)}
+		tr.Ops = append(tr.Ops, op)
+	}
+	text := tr.String()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := Parse(strings.NewReader(text))
+		if err != nil || len(got.Ops) != len(tr.Ops) {
+			b.Fatalf("%d ops, %v", len(got.Ops), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Ops)), "ns/traceop")
 }
