@@ -8,7 +8,7 @@ FUZZTIME ?= 3s
 BIN := .smoke/bin
 MTC := $(BIN)/mtracecheck
 
-.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile trace-profile offline-profile verify
+.PHONY: build vet test race smoke-bin bench-smoke fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke sim-profile trace-profile offline-profile surface verify
 
 build:
 	$(GO) build ./...
@@ -245,6 +245,14 @@ trace-profile:
 # the loop (the measurement behind DESIGN §13's row/delta cost paragraph).
 offline-profile:
 	$(call cpu-profile,BenchmarkOfflineCheck)
+
+# The yardstick of a simplicity PR (ROADMAP item 6): non-test Go lines outside
+# bench/, and exported declarations (go doc -short -all: methods included,
+# constant groups and struct fields not) per library package.
+surface:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@for p in $$($(GO) list . ./internal/...); do \
+		echo "$$p $$($(GO) doc -short -all $$p | grep -c '^\(func\|type\|const\|var\) ')"; done
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke

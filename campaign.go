@@ -288,56 +288,60 @@ func (c *Campaign) corpusAppend(report *Report, items []check.Item) error {
 	return nil
 }
 
-// execute runs the execution stage: optional checkpoint resume, the
-// iteration sequence in checkpoint-sized segments, work-stealing chunk
-// scheduling with per-chunk retry and degradation bookkeeping, streaming
-// results into the merger as chunks complete. The merger's report takes the
-// execution accounting (Iterations, TotalCycles, Squashes, Executions,
-// AssertionFailures, ShardFailures, ResumedIterations) as chunks land, so it
-// is honest even when an error cuts the campaign short.
+// execute runs the execution stage: an optional resume (read the checkpoint,
+// Restore it into the merger), then every grid chunk the merger does not hold
+// yet. The merger's report takes the execution accounting (Iterations,
+// TotalCycles, Squashes, Executions, ShardFailures, ResumedIterations) as
+// chunks land, so it is honest even when an error cuts the campaign short.
 func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
-	opts, report := c.opts, m.report
-	completed := 0
-	if opts.Resume {
+	if opts := c.opts; opts.Resume {
 		if opts.CheckpointPath == "" {
 			return errors.New("mtracecheck: Resume requires CheckpointPath")
 		}
 		if opts.ObservedWS {
 			return errors.New("mtracecheck: resume requires the static ws mode (checkpointed signatures carry no recorded write serialization)")
 		}
-		ck, err := readCheckpointFile(opts.CheckpointPath)
+		f, err := os.Open(opts.CheckpointPath)
+		var ck sig.Checkpoint
+		if err == nil {
+			ck, err = sig.ReadCheckpoint(f)
+			f.Close()
+		}
 		if err != nil {
 			return fmt.Errorf("mtracecheck: resume: %w", err)
 		}
-		if ck.Dist != nil {
-			// A distributed checkpoint's coverage is a per-chunk bitmap, not
-			// the contiguous prefix this resume path replays from.
-			return errors.New("mtracecheck: resume: checkpoint belongs to a distributed campaign; resume it through the dist server")
+		if err := m.Restore(ck); err != nil {
+			return err
 		}
-		if ck.Seed != opts.Seed {
-			return fmt.Errorf("mtracecheck: resume: checkpoint seed %d does not match run seed %d", ck.Seed, opts.Seed)
-		}
-		if h := progHash(c.prog); ck.ProgHash != h {
-			return fmt.Errorf("mtracecheck: resume: checkpoint was written for a different test program")
-		}
-		if ck.Completed > opts.Iterations {
-			return fmt.Errorf("mtracecheck: resume: checkpoint covers %d iterations, campaign requests only %d", ck.Completed, opts.Iterations)
-		}
-		completed = ck.Completed
-		report.ResumedIterations = completed
-		report.Iterations += completed
-		m.seed(ck.Uniques)
-		c.em.checkpointOp(obs.CheckpointResumed, opts.CheckpointPath, completed, len(ck.Uniques), 0)
+		c.em.checkpointOp(obs.CheckpointResumed, opts.CheckpointPath, m.report.ResumedIterations, len(ck.Uniques), 0)
 	}
-	// One Runner per worker for the whole campaign: platform/program
-	// validation surfaces before any work, and the static-analysis cost of
-	// NewRunner is paid workers times per campaign instead of workers times
-	// per checkpoint segment.
-	workers := c.workers
-	if n := (opts.Iterations - completed + ChunkSize - 1) / ChunkSize; workers > n && n > 0 {
-		workers = n
+	return c.runChunks(ctx, m)
+}
+
+// runChunks executes the grid chunks the merger does not hold, through the
+// work-stealing scheduler: workers pull chunks from a shared cursor, execute
+// them on their private Runner with per-chunk retry, and stream completed
+// chunks to the merger. The merger runs here, on the campaign goroutine,
+// landing chunks strictly in chunk order through a reorder buffer while
+// workers execute later chunks — the stage overlap — so every order-sensitive
+// output (executions, first-observation ws, failure bookkeeping, checkpoint
+// bytes) is identical for every worker count and completion schedule. With a
+// CheckpointPath it also writes a checkpoint whenever CheckpointEvery
+// iterations' worth of whole chunks have landed since the last one, and when
+// the last chunk has; the workers keep executing meanwhile. It returns the
+// first fatal error in chunk order.
+func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
+	opts := c.opts
+	todo := make([]int, 0, len(m.chunks)-m.nDone)
+	for idx := range m.chunks {
+		if !m.chunks[idx].done {
+			todo = append(todo, idx)
+		}
 	}
-	runners := make([]*sim.Runner, workers)
+	// One Runner per worker for the whole campaign (none when a checkpoint
+	// already covers it): platform/program validation surfaces before any work,
+	// and NewRunner's static analysis is paid once per worker.
+	runners := make([]*sim.Runner, min(c.workers, len(todo)))
 	for i := range runners {
 		r, err := sim.NewRunner(opts.Platform, c.prog, opts.Seed)
 		if err != nil {
@@ -345,106 +349,50 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 		}
 		runners[i] = r
 	}
-	// The campaign's per-iteration seed sequence, drawn once and sliced per
-	// chunk at dispatch: any runner can execute any chunk because seeds
-	// travel with the work.
-	seeds := sim.NewSeedStream(opts.Seed)
-	seeds.Skip(completed)
-	checkpointing := opts.CheckpointPath != ""
-	segment := opts.Iterations - completed
-	if checkpointing {
-		if segment = opts.CheckpointEvery; segment <= 0 {
-			segment = max(1, opts.Iterations/10)
-		}
-	}
-	for completed < opts.Iterations {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := opts.Iterations - completed
-		if checkpointing && segment < n {
-			n = segment
-		}
-		segClean, err := c.runChunks(ctx, m, runners, seeds, completed, n)
-		if err != nil {
-			return err
-		}
-		completed += n
-		if checkpointing {
-			if !segClean {
-				// A lost chunk left a hole in the iteration sequence; a
-				// checkpoint would claim coverage the campaign never had.
-				checkpointing = false
-				continue
-			}
-			merged := m.acc.Sorted()
-			c.em.mergeDone(completed, len(merged), obs.FaultCounts{}, false)
-			ck := sig.Checkpoint{
-				Seed: opts.Seed, ProgHash: progHash(c.prog),
-				Completed: completed, Uniques: merged,
-			}
-			bytes, err := writeCheckpointFile(opts.CheckpointPath, ck)
-			if err != nil {
-				return fmt.Errorf("mtracecheck: checkpoint: %w", err)
-			}
-			c.em.checkpointOp(obs.CheckpointSaved, opts.CheckpointPath, completed, len(merged), bytes)
-			if c.corpusActive() {
-				// Checkpoint boundaries also persist any staged corpus
-				// entries — a no-op for a lone campaign (verification is
-				// terminal), but a shared store (the dist server's) may hold
-				// appends from jobs that finalized since the last flush.
-				if _, err := c.opts.Corpus.Flush(); err != nil {
-					return fmt.Errorf("mtracecheck: corpus: %w", err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// runChunks executes one segment [segStart, segStart+segCount) through the
-// work-stealing scheduler: workers pull fixed-size chunks from a shared
-// cursor, execute them on their private Runner with per-chunk retry, and
-// stream completed chunks to the merger. The merger runs here, on the
-// campaign goroutine, absorbing chunks strictly in chunk order through a
-// reorder buffer while workers execute later chunks — the stage overlap —
-// so every order-sensitive output (executions, assertion failures,
-// first-observation ws, failure bookkeeping) is
-// identical for every worker count and completion schedule. It reports
-// whether the segment completed without shard failures, plus the first
-// fatal error in chunk order.
-func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger,
-	runners []*sim.Runner, seeds *sim.SeedStream, segStart, segCount int) (bool, error) {
-	nChunks := (segCount + ChunkSize - 1) / ChunkSize
 	type chunk struct {
 		idx, start, count int
 		seeds             []int64
 	}
+	// The campaign's per-iteration seed sequence, drawn once and sliced per
+	// chunk at dispatch: any runner can execute any chunk because seeds
+	// travel with the work.
+	seeds := sim.NewSeedStream(opts.Seed)
 	var mu sync.Mutex
 	next, stop := 0, false
 	// dispatch pops the next chunk and draws its seed slice under the lock.
-	// The cursor is monotonic, so dispatched chunks always form the prefix
-	// [0, next) and the reorder buffer below can never stall waiting for an
+	// The cursor is monotonic, so dispatched chunks always form a prefix of
+	// todo and the reorder buffer below can never stall waiting for an
 	// undispatched index.
 	dispatch := func() (chunk, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if stop || next >= nChunks || ctx.Err() != nil {
+		if stop || next >= len(todo) || ctx.Err() != nil {
 			return chunk{}, false
 		}
-		ck := chunk{idx: next, start: segStart + next*ChunkSize}
-		ck.count = min(ChunkSize, segStart+segCount-ck.start)
+		ck := chunk{idx: todo[next]}
+		ck.start, ck.count = c.ChunkBounds(ck.idx)
+		seeds.Skip(ck.start - seeds.Pos())
 		ck.seeds = make([]int64, ck.count)
 		seeds.Fill(ck.seeds)
 		next++
 		return ck, true
 	}
-	poison := func() { mu.Lock(); stop = true; mu.Unlock() }
+	var firstErr error
+	// fail records a fatal error: stop handing out new chunks, drain what is
+	// in flight. Landing order is ascending, so the first one recorded is the
+	// earliest in iteration order.
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+			mu.Lock()
+			stop = true
+			mu.Unlock()
+		}
+	}
 
-	workers := min(len(runners), nChunks)
-	results := make(chan *shardOut, workers)
+	results := make(chan *shardOut, len(runners))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range runners {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -464,46 +412,72 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger,
 		close(results)
 	}()
 
+	// Checkpoint cadence in whole chunks. Checkpointing stops at the first
+	// chunk that did not complete: its partial results are merged, so the set
+	// is no longer the union of the chunks the grid marks done.
+	checkpointing, every, saved := opts.CheckpointPath != "", opts.CheckpointEvery, m.nDone
+	if every <= 0 {
+		every = opts.Iterations / 10
+	}
+	every = max(1, (every+ChunkSize-1)/ChunkSize)
 	pending := make(map[int]*shardOut)
-	nextMerge := 0
-	segClean := true
-	var firstErr error
+	landed := 0 // todo[:landed] are in the merger
 	for out := range results {
 		pending[out.idx] = out
-		for {
-			o, ok := pending[nextMerge]
-			if !ok {
+		for landed < len(todo) {
+			o := pending[todo[landed]]
+			if o == nil {
 				break
 			}
-			delete(pending, nextMerge)
-			nextMerge++
-			m.absorb(o, o.set.Entries())
-			if o.err == nil {
-				continue
+			delete(pending, o.idx)
+			landed++
+			m.land(o.idx, o, o.set.Entries())
+			err := o.err
+			if err == nil && checkpointing && (m.nDone-saved >= every || m.Complete()) {
+				saved = m.nDone
+				err = c.saveCheckpoint(m)
 			}
-			segClean = false
-			if errors.Is(o.err, ErrShardFailed) && !c.opts.Strict {
+			switch {
+			case err == nil:
+				continue
+			case errors.Is(err, ErrShardFailed) && !opts.Strict:
 				// Infra failure that survived its retries: degrade to
 				// partial results, recorded honestly; scheduling continues.
 				m.report.ShardFailures = append(m.report.ShardFailures, ShardFailure{
 					Start: o.start, Count: o.count,
-					Executed: o.iterations, Attempts: o.attempts, Err: o.err,
+					Executed: o.iterations, Attempts: o.attempts, Err: err,
 				})
-				continue
+			default:
+				fail(err)
 			}
-			if firstErr == nil {
-				// Fatal: stop handing out new chunks, drain what's in
-				// flight. Merge order is ascending, so this is the
-				// earliest fatal error in iteration order.
-				firstErr = o.err
-				poison()
-			}
+			checkpointing = false
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return segClean, err
+		return err
 	}
-	return segClean, firstErr
+	return firstErr
+}
+
+// saveCheckpoint persists the merger's state at CheckpointPath.
+func (c *Campaign) saveCheckpoint(m *ChunkMerger) error {
+	ck := m.Checkpoint()
+	c.em.mergeDone(m.report.Iterations, len(ck.Uniques), obs.FaultCounts{}, false)
+	bytes, err := sig.WriteCheckpointFile(c.opts.CheckpointPath, ck)
+	if err != nil {
+		return fmt.Errorf("mtracecheck: checkpoint: %w", err)
+	}
+	c.em.checkpointOp(obs.CheckpointSaved, c.opts.CheckpointPath, m.report.Iterations, len(ck.Uniques), bytes)
+	if c.corpusActive() {
+		// Checkpoint boundaries also persist any staged corpus entries — a
+		// no-op for a lone campaign (verification is terminal), but a shared
+		// store may hold appends from campaigns that finished since its last
+		// flush.
+		if _, err := c.opts.Corpus.Flush(); err != nil {
+			return fmt.Errorf("mtracecheck: corpus: %w", err)
+		}
+	}
+	return nil
 }
 
 // runChunkRetrying drives one chunk to completion on the worker's Runner,
@@ -762,55 +736,12 @@ func progHash(p *Program) uint64 {
 // signature sets to the test program they were collected from.
 func ProgramHash(p *Program) uint64 { return progHash(p) }
 
-// readCheckpointFile loads a campaign checkpoint.
-func readCheckpointFile(path string) (sig.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return sig.Checkpoint{}, err
-	}
-	defer f.Close()
-	return sig.ReadCheckpoint(f)
-}
-
-// writeCheckpointFile persists a checkpoint atomically (temp file + rename),
-// so an interruption mid-write never corrupts the previous checkpoint. It
-// returns the encoded payload size.
-func writeCheckpointFile(path string, ck sig.Checkpoint) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	cw := &countingWriter{w: f}
-	if err := sig.WriteCheckpoint(cw, ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return cw.n, os.Rename(tmp, path)
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // shardOut is what one execution chunk attempt produces: private signature
 // set and stats, streamed to the merger and absorbed in chunk order.
 type shardOut struct {
 	set        *sig.Set
 	ws         map[string]graph.WS // sig key -> first-observation ws
-	idx        int                 // chunk index within its segment
+	idx        int                 // grid chunk index
 	start      int                 // global iteration chunk start
 	count      int                 // chunk size
 	attempts   int

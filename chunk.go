@@ -25,20 +25,16 @@ import (
 // covers iterations [i*ChunkSize, min((i+1)*ChunkSize, Iterations)). The
 // grid is independent of the worker count, so chunk boundaries — and the
 // fault plans, retry outcomes, and degradation bookkeeping keyed by them —
-// are worker-invariant by construction. 64 iterations amortize scheduling
-// and channel overhead while keeping enough chunks in flight that a slow
-// chunk (OS-mode scheduling, an injected stall) does not straggle the stage.
-//
-// Caveat: the in-process scheduler restarts its grid at every checkpoint
-// segment and resume point, so its chunk bounds equal the exported grid's
-// only when segments are multiples of ChunkSize. Signatures never depend on
-// the grid (seeds are per iteration); injected shard faults and
-// ShardFailures do, and agree between local and dist runs only then.
+// are worker-invariant by construction, and the same whether the campaign
+// runs in-process or distributed, checkpoints or not, from the start or from
+// a checkpoint. 64 iterations amortize scheduling and channel overhead while
+// keeping enough chunks in flight that a slow chunk (OS-mode scheduling, an
+// injected stall) does not straggle the stage.
 const ChunkSize = 64
 
 // NumChunks returns the number of chunks in the campaign's execution grid.
 func (c *Campaign) NumChunks() int {
-	return (c.opts.Iterations + ChunkSize - 1) / ChunkSize
+	return max(0, (c.opts.Iterations+ChunkSize-1)/ChunkSize)
 }
 
 // ChunkBounds returns the global iteration range [start, start+count) of
@@ -53,17 +49,15 @@ func (c *Campaign) ChunkBounds(idx int) (start, count int) {
 // must carry — the upload-validation width for remote results.
 func (c *Campaign) SignatureWords() int { return c.meta.TotalWords() }
 
-// chunkable rejects option combinations the chunk grid cannot honor: chunk
-// results must be self-contained and worker-invariant, which rules out
-// recorded write serializations, retained executions, and prefix-resume.
+// chunkable rejects option combinations the exported chunk API cannot honor:
+// chunk results must be self-contained and worker-invariant, which rules out
+// recorded write serializations and retained executions.
 func (c *Campaign) chunkable() error {
 	switch {
 	case c.opts.ObservedWS:
 		return errors.New("mtracecheck: chunked execution requires the static ws mode")
 	case c.opts.KeepExecutions:
 		return errors.New("mtracecheck: chunked execution cannot retain executions")
-	case c.opts.Resume:
-		return errors.New("mtracecheck: chunked execution resumes through ChunkMerger.Restore, not Options.Resume")
 	case c.opts.Iterations <= 0:
 		return errors.New("mtracecheck: chunked execution requires Iterations > 0")
 	}
@@ -147,6 +141,19 @@ type assertFailure string
 
 func (a assertFailure) Error() string { return string(a) }
 
+// assertErrors turns assertion-failure messages that crossed a wire or a
+// checkpoint back into the report's error values.
+func assertErrors(msgs []string) []error {
+	if len(msgs) == 0 {
+		return nil
+	}
+	errs := make([]error, len(msgs))
+	for i, msg := range msgs {
+		errs[i] = assertFailure(msg)
+	}
+	return errs
+}
+
 // ChunkMerger is the campaign's one merger: the streaming consumer of
 // completed execution chunks, whoever executed them. It folds each chunk's
 // signatures into the campaign-wide accumulator, so the merge overlaps
@@ -156,9 +163,12 @@ func (a assertFailure) Error() string { return string(a) }
 // Run and Collect feed it from the work-stealing scheduler's reorder buffer,
 // strictly in chunk order; the exported Absorb feeds it in any order and is
 // idempotent per chunk index, so duplicate completions (stragglers, retried
-// uploads, redispatch races) merge to the same state. Both land in the same
-// absorb and end in the same finish: a chunk-API report equals the
-// in-process one by construction. Not safe for concurrent use.
+// uploads, redispatch races) merge to the same state. Both come through the
+// same land and end in the same finish: a chunk-API report equals the
+// in-process one by construction. The merger is also the only owner of what a
+// checkpoint holds and which campaign it belongs to (Checkpoint, Restore), so
+// a file written by either door resumes through either. Not safe for
+// concurrent use.
 type ChunkMerger struct {
 	c      *Campaign
 	began  time.Time
@@ -166,12 +176,11 @@ type ChunkMerger struct {
 	acc    *sig.Set // campaign-wide dedup accumulator
 	check  bool     // finish runs the host side (false: Collect)
 
-	// Grid bookkeeping, exported API only (the in-process grid restarts at
-	// every checkpoint segment, so it has no stable index): makes Absorb
-	// idempotent and keeps transported assertion messages in chunk order.
-	stats []ChunkStats // per chunk; valid where done[i]
-	done  []bool
-	nDone int
+	// The grid: which chunks have landed and what each contributed. It makes
+	// Absorb idempotent, keeps assertion failures in chunk order whatever order
+	// chunks land in, and is what a checkpoint records beside the merged set.
+	chunks []landedChunk
+	nDone  int
 
 	// In-process only — chunkable() rejects the options behind them for the
 	// exported API. First-observation ws needs chunks absorbed in order plus
@@ -180,11 +189,22 @@ type ChunkMerger struct {
 	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
 }
 
+// landedChunk is the merger's record of one grid chunk; the counters are
+// valid where done.
+type landedChunk struct {
+	done       bool
+	iterations int
+	cycles     int64
+	squashes   int
+	asserts    []error // error values in-process, assertFailure off a wire or checkpoint
+}
+
 // newMerger starts a campaign (start time, campaign-start event) and returns
 // the empty merger its chunks land in. check says whether the host side will
 // follow.
 func (c *Campaign) newMerger(check bool) *ChunkMerger {
-	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet(), check: check}
+	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet(), check: check,
+		chunks: make([]landedChunk, c.NumChunks())}
 	if c.opts.ObservedWS {
 		m.wsBySig = make(map[string]graph.WS)
 	}
@@ -199,9 +219,7 @@ func (c *Campaign) NewChunkMerger() (*ChunkMerger, error) {
 	if err := c.chunkable(); err != nil {
 		return nil, err
 	}
-	m := c.newMerger(true)
-	m.stats, m.done = make([]ChunkStats, c.NumChunks()), make([]bool, c.NumChunks())
-	return m, nil
+	return c.newMerger(true), nil
 }
 
 // Done returns how many grid chunks have been absorbed.
@@ -209,37 +227,31 @@ func (m *ChunkMerger) Done() int { return m.nDone }
 
 // IsDone reports whether one chunk has been absorbed.
 func (m *ChunkMerger) IsDone(idx int) bool {
-	return idx >= 0 && idx < len(m.done) && m.done[idx]
+	return idx >= 0 && idx < len(m.chunks) && m.chunks[idx].done
 }
 
 // Complete reports whether every grid chunk has been absorbed.
-func (m *ChunkMerger) Complete() bool { return m.nDone == len(m.done) }
+func (m *ChunkMerger) Complete() bool { return m.nDone == len(m.chunks) }
 
-// Merged returns the sorted unique signatures absorbed so far — the
-// checkpoint payload.
-func (m *ChunkMerger) Merged() []Unique { return m.acc.Sorted() }
-
-// Stats returns one absorbed chunk's accounting (the zero value when the
-// chunk is not done).
-func (m *ChunkMerger) Stats(idx int) ChunkStats {
-	if !m.IsDone(idx) {
-		return ChunkStats{}
-	}
-	return m.stats[idx]
-}
-
-// absorb folds one completed chunk into the campaign state: report
-// accounting, incremental dedup, and first-observation ws capture. entries are
-// the chunk's uniques in any order. What is order-sensitive here — executions,
-// assertion failures, first-observation ws — is in-process only, where chunks
-// land strictly in chunk order whatever the worker count.
-func (m *ChunkMerger) absorb(out *shardOut, entries []Unique) {
+// land marks one grid chunk done and folds it into the campaign state: its
+// record in the grid, report accounting, incremental dedup. What is
+// order-sensitive here — executions, first-observation ws — is in-process
+// only, where chunks land in ascending order whatever the worker count.
+func (m *ChunkMerger) land(idx int, out *shardOut, entries []Unique) {
+	m.chunks[idx] = landedChunk{done: true, iterations: out.iterations,
+		cycles: out.cycles, squashes: out.squashes, asserts: out.asserts}
+	m.nDone++
 	r := m.report
 	r.Iterations += out.iterations
 	r.TotalCycles += out.cycles
 	r.Squashes += out.squashes
 	r.Executions = append(r.Executions, out.execs...)
-	r.AssertionFailures = append(r.AssertionFailures, out.asserts...)
+	m.merge(entries, out.ws)
+}
+
+// merge folds uniques, in any order, into the accumulator. ws is the chunk's
+// first-observation write serializations (ObservedWS) and nil otherwise.
+func (m *ChunkMerger) merge(entries []Unique, ws map[string]graph.WS) {
 	for _, u := range entries {
 		if !m.acc.AddUnique(u) || m.wsBySig == nil {
 			continue
@@ -247,24 +259,24 @@ func (m *ChunkMerger) absorb(out *shardOut, entries []Unique) {
 		// New to the campaign means first observed in this chunk, and chunks
 		// land in order: first-in-chunk is first-globally.
 		key := u.Sig.Key()
-		if ws, ok := out.ws[key]; ok {
-			m.wsBySig[key] = ws
+		if w, ok := ws[key]; ok {
+			m.wsBySig[key] = w
 		}
 	}
 }
 
-// seed folds a checkpoint's merged unique set in as one batch without
-// execution accounting (callers restore their own). Both resume paths —
-// Options.Resume's prefix and Restore's chunk bitmap — come through here.
-func (m *ChunkMerger) seed(uniques []Unique) { m.absorb(&shardOut{}, uniques) }
-
 // finish is the one campaign tail: Run, Collect and Report all end here.
-// The merged set is sorted, device-side corruption is injected, and (unless
-// the merger only collects) the host side decodes and checks it. A failed
-// execution stage skips all that: a crash is a finding (paper bug 3), the
-// report covers what executed, and the error names the earliest crash.
+// Assertion failures are listed in chunk order, the merged set is sorted,
+// device-side corruption is injected, and (unless the merger only collects)
+// the host side decodes and checks it. A failed execution stage skips all but
+// the first: a crash is a finding (paper bug 3), the report covers what
+// executed, and the error names the earliest crash.
 func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error) {
 	c, report := m.c, m.report
+	report.AssertionFailures = nil
+	for i := range m.chunks {
+		report.AssertionFailures = append(report.AssertionFailures, m.chunks[i].asserts...)
+	}
 	if runErr != nil {
 		report.UniqueSignatures = m.acc.Len()
 		c.em.campaignEnd(report, runErr, m.began)
@@ -297,8 +309,8 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	if r == nil {
 		return false, errors.New("mtracecheck: nil chunk result")
 	}
-	if r.Chunk < 0 || r.Chunk >= len(m.done) {
-		return false, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", r.Chunk, len(m.done))
+	if r.Chunk < 0 || r.Chunk >= len(m.chunks) {
+		return false, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", r.Chunk, len(m.chunks))
 	}
 	start, count := m.c.ChunkBounds(r.Chunk)
 	if r.Start != start || r.Count != count {
@@ -330,50 +342,89 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 		return false, fmt.Errorf("mtracecheck: chunk %d accounts for %d observations and assertion failures over %d iterations",
 			r.Chunk, observed, count)
 	}
-	if m.done[r.Chunk] {
+	if m.chunks[r.Chunk].done {
 		return false, nil
 	}
-	m.land(r.Chunk, r.Stats, r.Uniques)
+	m.land(r.Chunk, &shardOut{iterations: r.Stats.Iterations, cycles: r.Stats.Cycles,
+		squashes: r.Stats.Squashes, asserts: assertErrors(r.Stats.Asserts)}, r.Uniques)
 	return true, nil
 }
 
-// land marks one grid chunk done and absorbs it. Its assertion messages
-// stay in stats until Report lists them in chunk order.
-func (m *ChunkMerger) land(idx int, st ChunkStats, uniques []Unique) {
-	m.stats[idx], m.done[idx] = st, true
-	m.nDone++
-	m.absorb(&shardOut{idx: idx, iterations: st.Iterations, cycles: st.Cycles, squashes: st.Squashes}, uniques)
+// Checkpoint returns the merger's resumable state: the campaign's identity
+// (seed, program hash), the grid with every landed chunk's accounting, and the
+// merged set, sorted. The in-process campaign writes it as it is; the dist
+// server fills in its lease table (leased, attempt, worker). Restore is its
+// inverse.
+func (m *ChunkMerger) Checkpoint() sig.Checkpoint {
+	ck := sig.Checkpoint{
+		Seed: m.c.opts.Seed, ProgHash: progHash(m.c.prog),
+		ChunkSize: ChunkSize, Chunks: make([]sig.CkptChunk, len(m.chunks)),
+		Uniques: m.acc.Sorted(),
+	}
+	for idx := range m.chunks {
+		if lc := &m.chunks[idx]; lc.done {
+			cc := &ck.Chunks[idx]
+			cc.Status, cc.Iterations, cc.Cycles, cc.Squashes = sig.ChunkDone, lc.iterations, lc.cycles, lc.squashes
+			for _, a := range lc.asserts {
+				cc.Asserts = append(cc.Asserts, a.Error())
+			}
+		}
+	}
+	return ck
 }
 
-// Restore seeds the merger from a checkpoint: the merged unique set
-// collected before the restart plus the per-chunk stats of the chunks it
-// covered. The restored merger continues exactly where the checkpointed one
-// stopped — completed chunks are never re-executed. A checkpoint that does
-// not fit the campaign is rejected whole: the merger is left empty.
-func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
-	if m.nDone > 0 || m.acc.Len() > 0 {
-		return errors.New("mtracecheck: Restore requires an empty merger")
+// Restore seeds an empty merger from a checkpoint, whichever door wrote it,
+// and is the whole gate a checkpoint passes: same seed, same program, same
+// chunk size and signature width, and every done chunk covering exactly the
+// iterations the resuming campaign's grid gives that index. The restored
+// merger continues where the checkpointed one stopped — done chunks are never
+// re-executed, and their cycles, squashes and assertion failures reach the
+// report as if they had been. A campaign may therefore be extended (more
+// Iterations than the checkpointed one had) when the earlier length is a
+// multiple of ChunkSize: a trailing partial chunk is already merged into the
+// set and cannot be completed without double counting. A checkpoint that does
+// not fit is rejected whole: the merger is left empty.
+func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
+	c := m.c
+	switch {
+	case m.nDone > 0 || m.acc.Len() > 0:
+		return errors.New("mtracecheck: resume: Restore requires an empty merger")
+	case ck.Seed != c.opts.Seed:
+		return fmt.Errorf("mtracecheck: resume: checkpoint seed %d does not match campaign seed %d", ck.Seed, c.opts.Seed)
+	case ck.ProgHash != progHash(c.prog):
+		return errors.New("mtracecheck: resume: checkpoint was written for a different test program")
+	case ck.ChunkSize != ChunkSize:
+		return fmt.Errorf("mtracecheck: resume: checkpoint grid has %d-iteration chunks, campaign grids have %d", ck.ChunkSize, ChunkSize)
 	}
-	for idx, st := range done {
-		if idx < 0 || idx >= len(m.done) {
-			return fmt.Errorf("mtracecheck: restored chunk %d outside grid of %d", idx, len(m.done))
+	for idx := range ck.Chunks {
+		if ck.Chunks[idx].Status != sig.ChunkDone {
+			continue
 		}
-		if start, count := m.c.ChunkBounds(idx); st.Iterations != count {
-			return fmt.Errorf("mtracecheck: restored chunk %d covers %d of %d iterations (grid start %d)",
-				idx, st.Iterations, count, start)
+		start, count := c.ChunkBounds(idx)
+		switch have := ck.Chunks[idx].Iterations; {
+		case idx >= len(m.chunks) || have > count:
+			return fmt.Errorf("mtracecheck: resume: checkpoint covers iterations [%d,%d), campaign requests only %d",
+				start, start+have, c.opts.Iterations)
+		case have < count:
+			return fmt.Errorf("mtracecheck: resume: checkpoint stops at iteration %d, inside chunk %d of the campaign's grid; a campaign can be extended only from a multiple of ChunkSize (%d)",
+				start+have, idx, ChunkSize)
 		}
 	}
-	words := m.c.SignatureWords()
-	for i := range uniques {
-		if uniques[i].Sig.Len() != words {
-			return fmt.Errorf("mtracecheck: restored signature %d has %d words, campaign signatures have %d",
-				i, uniques[i].Sig.Len(), words)
+	words := c.SignatureWords()
+	for i := range ck.Uniques {
+		if ck.Uniques[i].Sig.Len() != words {
+			return fmt.Errorf("mtracecheck: resume: checkpoint signature %d has %d words, campaign signatures have %d",
+				i, ck.Uniques[i].Sig.Len(), words)
 		}
 	}
-	m.seed(uniques)
-	for idx, st := range done {
-		m.land(idx, st, nil)
+	m.merge(ck.Uniques, nil)
+	for idx := range ck.Chunks {
+		if cc := &ck.Chunks[idx]; cc.Status == sig.ChunkDone {
+			m.land(idx, &shardOut{iterations: cc.Iterations, cycles: cc.Cycles,
+				squashes: cc.Squashes, asserts: assertErrors(cc.Asserts)}, nil)
+		}
 	}
+	m.report.ResumedIterations = m.report.Iterations
 	return nil
 }
 
@@ -383,15 +434,7 @@ func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
 // (program, options). It requires every grid chunk to have been absorbed.
 func (m *ChunkMerger) Report(ctx context.Context) (*Report, error) {
 	if !m.Complete() {
-		return nil, fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.done), m.nDone)
-	}
-	// Assertion messages crossed the wire as strings and chunks landed in
-	// any order: list them now, ascending, as in-process absorption does.
-	m.report.AssertionFailures = nil
-	for idx := range m.stats {
-		for _, a := range m.stats[idx].Asserts {
-			m.report.AssertionFailures = append(m.report.AssertionFailures, assertFailure(a))
-		}
+		return nil, fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.chunks), m.nDone)
 	}
 	return m.finish(ctx, nil)
 }

@@ -147,9 +147,9 @@ func TestChunkMergerAnyOrderMatchesRun(t *testing.T) {
 	}
 }
 
-// TestChunkAPIRejectsInProcessOnlyOptions: recorded write serializations,
-// retained executions and prefix resume are state of the one merger that no
-// ChunkResult can carry, so the exported API keeps refusing them.
+// TestChunkAPIRejectsInProcessOnlyOptions: recorded write serializations and
+// retained executions are state of the one merger that no ChunkResult can
+// carry, so the exported API keeps refusing them.
 func TestChunkAPIRejectsInProcessOnlyOptions(t *testing.T) {
 	p, err := NewProgramBuilderFromConfig(faultCfg)
 	if err != nil {
@@ -158,7 +158,6 @@ func TestChunkAPIRejectsInProcessOnlyOptions(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"ObservedWS":     {Iterations: 128, ObservedWS: true},
 		"KeepExecutions": {Iterations: 128, KeepExecutions: true},
-		"Resume":         {Iterations: 128, Resume: true, CheckpointPath: filepath.Join(t.TempDir(), "c.ckpt")},
 	} {
 		c, err := NewCampaign(p, opts)
 		if err != nil {
@@ -194,31 +193,30 @@ func TestChunkMergerRestoreAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(map[int]ChunkStats)
 	for _, res := range chunkResults(t, c) {
 		if _, err := source.Absorb(res); err != nil {
 			t.Fatal(err)
 		}
-		done[res.Chunk] = source.Stats(res.Chunk)
 	}
-	uniques := source.Merged()
-	if len(uniques) < 3 {
-		t.Fatalf("only %d uniques; the bad one needs good ones before it", len(uniques))
+	good := source.Checkpoint()
+	if len(good.Uniques) < 3 {
+		t.Fatalf("only %d uniques; the bad one needs good ones before it", len(good.Uniques))
 	}
-	bad := append([]Unique(nil), uniques...)
-	bad[len(bad)-1].Sig = sig.Zero(c.SignatureWords() + 1)
+	bad := good
+	bad.Uniques = append([]Unique(nil), good.Uniques...)
+	bad.Uniques[len(bad.Uniques)-1].Sig = sig.Zero(c.SignatureWords() + 1)
 
 	m, err := c.NewChunkMerger()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Restore(bad, done); err == nil {
+	if err := m.Restore(bad); err == nil {
 		t.Fatal("Restore accepted a signature of the wrong width")
 	}
-	if n := len(m.Merged()); n != 0 || m.Done() != 0 {
+	if n := len(m.Checkpoint().Uniques); n != 0 || m.Done() != 0 {
 		t.Fatalf("failed Restore left %d signatures and %d chunks in the merger", n, m.Done())
 	}
-	if err := m.Restore(uniques, done); err != nil {
+	if err := m.Restore(good); err != nil {
 		t.Fatalf("valid Restore after a rejected one: %v", err)
 	}
 	got, err := m.Report(context.Background())
@@ -272,8 +270,8 @@ func TestChunkMergerAbsorbCountsMustAddUp(t *testing.T) {
 			t.Errorf("%s: Absorb = (%v, %v), want a rejection", name, fresh, err)
 		}
 	}
-	if m.Done() != 0 || len(m.Merged()) != 0 {
-		t.Fatalf("rejected results changed the merger: %d chunks, %d signatures", m.Done(), len(m.Merged()))
+	if n := len(m.Checkpoint().Uniques); m.Done() != 0 || n != 0 {
+		t.Fatalf("rejected results changed the merger: %d chunks, %d signatures", m.Done(), n)
 	}
 	if fresh, err := m.Absorb(honest); err != nil || !fresh {
 		t.Fatalf("honest result after rejections: (%v, %v)", fresh, err)

@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"mtracecheck"
-	"mtracecheck/internal/mem"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
@@ -90,8 +89,8 @@ func run() int {
 		shardTO   = flag.Duration("shard-timeout", 0, "deadline per execution-shard attempt (0 = none)")
 		retries   = flag.Int("shard-retries", 2, "retries per failed execution shard before degrading to partial results")
 		ckptPath  = flag.String("checkpoint", "", "periodically persist campaign progress to this file")
-		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in iterations (0 = iters/10)")
-		resume    = flag.Bool("resume", false, "resume the campaign from -checkpoint, skipping the iterations it covers")
+		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in iterations, rounded up to whole 64-iteration chunks (0 = iters/10)")
+		resume    = flag.Bool("resume", false, "resume the campaign from -checkpoint (written by this command or by mtracecheck-server), executing only the chunks it does not cover")
 		corpusIn  = flag.String("corpus", "", "consult and grow this persistent signature corpus: known-good uniques skip decode+check, newly verified ones are appended (verdicts identical to a cold run)")
 
 		fBitFlip  = flag.Float64("fault-bitflip", 0, "injected fault rate: flip one bit in a signature word")
@@ -144,12 +143,9 @@ func run() int {
 		}()
 	}
 
-	plat, err := platform(*isa, *bug)
+	plat, err := sim.PlatformFor(*isa, *bug, *osMode)
 	if err != nil {
 		return infra(err)
-	}
-	if *osMode {
-		plat.OS = sim.OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
 	}
 	if *workers < 0 {
 		return infra(fmt.Errorf("-workers must be >= 0, got %d", *workers))
@@ -502,27 +498,6 @@ func attachObservers(opts *mtracecheck.Options, metricsOut string, progress bool
 // so it can never drift as backends are added.
 func parseChecker(name string) (mtracecheck.Checker, error) {
 	return mtracecheck.ParseChecker(name)
-}
-
-func platform(isa, bug string) (mtracecheck.Platform, error) {
-	var memBugs mem.Bugs
-	var simBugs sim.Bugs
-	switch bug {
-	case "":
-	case "sm-inv":
-		memBugs.StaleSMInv = true
-	case "lsq-skip":
-		simBugs.LQSquashSkip = true
-	case "wb-race":
-		memBugs.WBRaceDeadlock = true
-	default:
-		// Reject rather than silently validating the defect-free platform.
-		return mtracecheck.Platform{}, fmt.Errorf("unknown bug %q (valid: sm-inv, lsq-skip, wb-race)", bug)
-	}
-	if bug != "" {
-		return mtracecheck.PlatformGem5(memBugs, simBugs), nil
-	}
-	return sim.ForISA(isa)
 }
 
 // dumpSignatures writes the signature set the campaign ended with in the

@@ -1,47 +1,138 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mtracecheck"
 	"mtracecheck/internal/check"
+	"mtracecheck/internal/sig"
+	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
 )
 
+// TestPlatformSelection pins what the -isa, -bug and -os flags select; the
+// resolution itself is sim.PlatformFor, shared with the dist job spec.
 func TestPlatformSelection(t *testing.T) {
 	cases := []struct {
 		isa, bug string
+		os       bool
 		wantName string
 		wantErr  bool
 	}{
-		{"x86", "", "x86-64 Core2Quad", false},
-		{"ARM", "", "ARMv7 Exynos5422", false},
-		{"x86", "sm-inv", "gem5 8-core x86", false},
-		{"x86", "lsq-skip", "gem5 8-core x86", false},
-		{"ARM", "wb-race", "gem5 8-core x86", false},
-		{"mips", "", "", true},
-		{"x86", "bogus", "", true},
+		{"x86", "", false, "x86-64 Core2Quad", false},
+		{"ARM", "", true, "ARMv7 Exynos5422", false},
+		{"x86", "sm-inv", false, "gem5 8-core x86", false},
+		{"x86", "lsq-skip", true, "gem5 8-core x86", false},
+		{"ARM", "wb-race", false, "gem5 8-core x86", false},
+		{"mips", "", false, "", true},
+		{"x86", "bogus", false, "", true},
 	}
 	for _, c := range cases {
-		p, err := platform(c.isa, c.bug)
+		p, err := sim.PlatformFor(c.isa, c.bug, c.os)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("platform(%q, %q): no error", c.isa, c.bug)
+				t.Errorf("PlatformFor(%q, %q): no error", c.isa, c.bug)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("platform(%q, %q): %v", c.isa, c.bug, err)
+			t.Errorf("PlatformFor(%q, %q): %v", c.isa, c.bug, err)
 			continue
 		}
-		if p.Name != c.wantName {
-			t.Errorf("platform(%q, %q) = %q, want %q", c.isa, c.bug, p.Name, c.wantName)
+		if p.Name != c.wantName || p.OS.Enabled != c.os {
+			t.Errorf("PlatformFor(%q, %q, %v) = %q with OS %v, want %q", c.isa, c.bug, c.os, p.Name, p.OS.Enabled, c.wantName)
 		}
+	}
+}
+
+// TestInterruptAndResume drives the real binary: a checkpointing campaign is
+// killed (SIGKILL, mid-chunk) once its checkpoint covers two chunks, and
+// "-resume" must then print the uninterrupted run's report — simulated cycles
+// included — and write its signature file byte for byte. Injected stalls slow
+// the victim so that the kill always lands mid-campaign; they change no result.
+func TestInterruptAndResume(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build the CLI with")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mtracecheck")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building the CLI: %v\n%s", err, out)
+	}
+	ckpt := filepath.Join(dir, "run.ckpt")
+	campaign := []string{"-threads", "3", "-ops", "30", "-words", "8", "-seed", "6",
+		"-iters", "384", "-workers", "1", "-checkpoint-every", "64"}
+	mtc := func(extra ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, append(campaign, extra...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("mtracecheck %v: %v\n%s", extra, err, out)
+		}
+		return string(out)
+	}
+	want := mtc("-sigs-out", filepath.Join(dir, "ref.sigs"))
+
+	victim := exec.Command(bin, append(campaign, "-checkpoint", ckpt, "-fault-stall", "1", "-fault-stall-for", "300ms")...)
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { victim.Process.Kill() })
+	exited := make(chan error, 1)
+	go func() { exited <- victim.Wait() }()
+	for covered := 0; covered < 128; {
+		select {
+		case err := <-exited:
+			t.Fatalf("the campaign ended (%v) with %d iterations checkpointed, before it could be killed", err, covered)
+		case <-time.After(5 * time.Millisecond):
+		}
+		if f, err := os.Open(ckpt); err == nil {
+			// The rename is atomic: whatever is there is a whole checkpoint.
+			ck, err := sig.ReadCheckpoint(f)
+			f.Close()
+			if err != nil {
+				t.Fatalf("checkpoint of the running campaign: %v", err)
+			}
+			covered = ck.Completed()
+		}
+	}
+	victim.Process.Kill()
+	<-exited
+
+	got := mtc("-checkpoint", ckpt, "-resume", "-sigs-out", filepath.Join(dir, "resumed.sigs"))
+	if !strings.Contains(got, "resumed:") {
+		t.Errorf("the resumed run does not say what it restored:\n%s", got)
+	}
+	report := func(out string) string {
+		var kept []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "resumed:") && !strings.HasPrefix(line, "signatures written to") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	if report(got) != report(want) {
+		t.Errorf("resumed report:\n%s\nuninterrupted:\n%s", got, want)
+	}
+	ref, err := os.ReadFile(filepath.Join(dir, "ref.sigs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(filepath.Join(dir, "resumed.sigs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, ref) {
+		t.Error("the resumed run's signature file differs from the uninterrupted run's")
 	}
 }
 
@@ -264,7 +355,7 @@ func TestRunTraceCheck(t *testing.T) {
 }
 
 func TestUnknownBugErrorListsValidValues(t *testing.T) {
-	_, err := platform("x86", "bogus")
+	_, err := sim.PlatformFor("x86", "bogus", false)
 	if err == nil {
 		t.Fatal("unknown bug accepted")
 	}

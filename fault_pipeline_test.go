@@ -350,7 +350,7 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 		"corrupted": {Seed: 11, BitFlip: 0.05, OutOfRange: 0.03},
 	}
 	for label, fc := range cases {
-		full, err := Run(faultCfg, Options{Iterations: 120, Seed: 6, Fault: fc})
+		full, err := Run(faultCfg, Options{Iterations: 256, Seed: 6, Fault: fc})
 		if err != nil {
 			t.Fatalf("%s: uninterrupted run: %v", label, err)
 		}
@@ -358,8 +358,8 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 		// "Interrupted" leg: run only half the iterations, checkpointing as
 		// we go, then resume to the full count in a fresh invocation.
 		if _, err := Run(faultCfg, Options{
-			Iterations: 60, Seed: 6, Fault: fc,
-			CheckpointPath: ckpt, CheckpointEvery: 25,
+			Iterations: 128, Seed: 6, Fault: fc,
+			CheckpointPath: ckpt, CheckpointEvery: 64,
 		}); err != nil {
 			t.Fatalf("%s: first leg: %v", label, err)
 		}
@@ -367,8 +367,8 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 			t.Fatalf("%s: no checkpoint written: %v", label, err)
 		}
 		resumed, err := Run(faultCfg, Options{
-			Iterations: 120, Seed: 6, Fault: fc,
-			CheckpointPath: ckpt, CheckpointEvery: 25, Resume: true,
+			Iterations: 256, Seed: 6, Fault: fc,
+			CheckpointPath: ckpt, CheckpointEvery: 64, Resume: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: resumed leg: %v", label, err)
@@ -378,19 +378,37 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 		}
 		sameOutcome(t, label+"/resumed", resumed, full)
 		// The resumed run's checkpoint now covers the full campaign: a
-		// second resume executes nothing and still reports identically.
-		again, err := Run(faultCfg, Options{
-			Iterations: 120, Seed: 6, Fault: fc,
-			CheckpointPath: ckpt, Resume: true,
+		// second resume executes nothing — it does not even build a
+		// sim.Runner, which would reject this platform — and still reports
+		// identically.
+		p, err := NewProgramBuilderFromConfig(faultCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noRunner := PlatformX86()
+		noRunner.Window = 0
+		if _, err := RunProgram(p, Options{Iterations: 64, Platform: noRunner}); err == nil {
+			t.Fatal("a platform without an issue window ran: it no longer shows whether a Runner is built")
+		}
+		metrics := NewMetrics()
+		again, err := RunProgram(p, Options{
+			Iterations: 256, Seed: 6, Fault: fc, Platform: noRunner,
+			CheckpointPath: ckpt, Resume: true, Observer: metrics,
 		})
 		if err != nil {
 			t.Fatalf("%s: second resume: %v", label, err)
 		}
-		if again.ResumedIterations != 120 {
-			t.Errorf("%s: second resume restored %d iterations, want 120",
-				label, again.ResumedIterations)
+		if n := metrics.Snapshot().Effort.ShardAttempts; again.ResumedIterations != 256 || n != 0 {
+			t.Errorf("%s: second resume restored %d iterations and started %d execution chunks, want 256 and 0",
+				label, again.ResumedIterations, n)
 		}
 		sameOutcome(t, label+"/fully-resumed", again, full)
+		for name, r := range map[string]*Report{"resumed": resumed, "fully-resumed": again} {
+			if r.TotalCycles != full.TotalCycles || r.Squashes != full.Squashes {
+				t.Errorf("%s/%s: %d cycles / %d squashes, uninterrupted %d / %d", label, name,
+					r.TotalCycles, r.Squashes, full.TotalCycles, full.Squashes)
+			}
+		}
 	}
 }
 

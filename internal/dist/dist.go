@@ -16,9 +16,9 @@
 //     iteration accounting) before it is trusted; a worker whose uploads
 //     repeatedly fail validation is quarantined: its leases are revoked and
 //     it is refused new ones.
-//   - The job checkpoint (MTCCKPT1 + the MTCDIST1 lease section) is written
-//     atomically, so a restarted server resumes mid-campaign without
-//     re-running completed chunks.
+//   - The job checkpoint (the campaign's own, with the lease table filled in)
+//     is written atomically, so a restarted server — or an in-process run —
+//     resumes mid-campaign without re-running completed chunks.
 //
 // All of it is observable through internal/obs (worker/lease events,
 // Prometheus series) rather than silently absorbed.
@@ -36,7 +36,6 @@ import (
 
 	"mtracecheck"
 	"mtracecheck/internal/fault"
-	"mtracecheck/internal/mem"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -91,7 +90,11 @@ type JobSpec struct {
 // Build resolves a spec into the (program, options) pair every party —
 // submitter, server, worker — derives identically.
 func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
-	plat, err := platformFor(spec)
+	isa := spec.ISA
+	if isa == "" {
+		isa = "x86"
+	}
+	plat, err := sim.PlatformFor(isa, spec.Bug, spec.OS)
 	if err != nil {
 		return nil, mtracecheck.Options{}, err
 	}
@@ -125,41 +128,6 @@ func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 		}
 	}
 	return p, opts, nil
-}
-
-// platformFor mirrors the mtracecheck CLI's platform resolution so a spec's
-// isa/os/bug fields select exactly the platform the CLI flags would.
-func platformFor(spec JobSpec) (mtracecheck.Platform, error) {
-	var memBugs mem.Bugs
-	var simBugs sim.Bugs
-	switch spec.Bug {
-	case "":
-	case "sm-inv":
-		memBugs.StaleSMInv = true
-	case "lsq-skip":
-		simBugs.LQSquashSkip = true
-	case "wb-race":
-		memBugs.WBRaceDeadlock = true
-	default:
-		return mtracecheck.Platform{}, fmt.Errorf("dist: unknown bug %q (valid: sm-inv, lsq-skip, wb-race)", spec.Bug)
-	}
-	var plat mtracecheck.Platform
-	if spec.Bug != "" {
-		plat = mtracecheck.PlatformGem5(memBugs, simBugs)
-	} else {
-		isa := spec.ISA
-		if isa == "" {
-			isa = "x86"
-		}
-		var err error
-		if plat, err = sim.ForISA(isa); err != nil {
-			return mtracecheck.Platform{}, err
-		}
-	}
-	if spec.OS {
-		plat.OS = sim.OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
-	}
-	return plat, nil
 }
 
 // Upload error kinds: a worker reports how its chunk execution ended so the

@@ -60,7 +60,8 @@ func reference(t *testing.T, spec JobSpec) (*mtracecheck.Report, []mtracecheck.U
 }
 
 // requireIdentical asserts a distributed report and unique set match the
-// in-process reference exactly.
+// in-process reference exactly: accounting, findings, quarantine, and the
+// signature file byte for byte.
 func requireIdentical(t *testing.T, ref *mtracecheck.Report, refU []mtracecheck.Unique,
 	got *mtracecheck.Report, gotU []mtracecheck.Unique) {
 	t.Helper()
@@ -70,20 +71,31 @@ func requireIdentical(t *testing.T, ref *mtracecheck.Report, refU []mtracecheck.
 			got.Iterations, got.TotalCycles, got.Squashes, got.UniqueSignatures,
 			ref.Iterations, ref.TotalCycles, ref.Squashes, ref.UniqueSignatures)
 	}
-	if len(got.Violations) != len(ref.Violations) ||
-		len(got.AssertionFailures) != len(ref.AssertionFailures) {
-		t.Fatalf("findings differ: got %d violations %d asserts, ref %d violations %d asserts",
-			len(got.Violations), len(got.AssertionFailures),
-			len(ref.Violations), len(ref.AssertionFailures))
+	if len(got.Violations) != len(ref.Violations) || len(got.Quarantined) != len(ref.Quarantined) ||
+		fmt.Sprint(got.AssertionFailures) != fmt.Sprint(ref.AssertionFailures) {
+		t.Fatalf("findings differ: got %d violations %d quarantined asserts %v, ref %d violations %d quarantined asserts %v",
+			len(got.Violations), len(got.Quarantined), got.AssertionFailures,
+			len(ref.Violations), len(ref.Quarantined), ref.AssertionFailures)
 	}
-	if len(gotU) != len(refU) {
-		t.Fatalf("unique set sizes differ: got %d, ref %d", len(gotU), len(refU))
-	}
-	for i := range gotU {
-		if !gotU[i].Sig.Equal(refU[i].Sig) || gotU[i].Count != refU[i].Count {
-			t.Fatalf("unique %d differs: got %v×%d, ref %v×%d",
-				i, gotU[i].Sig, gotU[i].Count, refU[i].Sig, refU[i].Count)
+	for i, v := range ref.Violations {
+		if !got.Violations[i].Sig.Equal(v.Sig) {
+			t.Errorf("violation %d: signature %v, ref %v", i, got.Violations[i].Sig, v.Sig)
 		}
+	}
+	for i, q := range ref.Quarantined {
+		if g := got.Quarantined[i]; !g.Sig.Equal(q.Sig) || g.Kind != q.Kind || g.Count != q.Count {
+			t.Errorf("quarantine entry %d: %v/%v/%d, ref %v/%v/%d", i, g.Sig, g.Kind, g.Count, q.Sig, q.Kind, q.Count)
+		}
+	}
+	var gotFile, refFile bytes.Buffer
+	if err := mtracecheck.SaveSignatures(&gotFile, got, gotU); err != nil {
+		t.Fatal(err)
+	}
+	if err := mtracecheck.SaveSignatures(&refFile, ref, refU); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotFile.Bytes(), refFile.Bytes()) {
+		t.Fatalf("signature file differs from the reference's (%d unique signatures, ref %d)", len(gotU), len(refU))
 	}
 }
 
@@ -427,7 +439,7 @@ func TestKillMidChunkResume(t *testing.T) {
 	for {
 		srv1.mu.Lock()
 		j := srv1.jobs[id1]
-		partial := j.nDone >= 1 && j.nDone < len(j.chunks)
+		partial := j.merger.Done() >= 1 && !j.merger.Complete()
 		srv1.mu.Unlock()
 		if partial {
 			break
@@ -450,7 +462,7 @@ func TestKillMidChunkResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2.mu.Lock()
-	restored := srv2.jobs[id2].nDone
+	restored := srv2.jobs[id2].merger.Done()
 	total := len(srv2.jobs[id2].chunks)
 	srv2.mu.Unlock()
 	if restored == 0 {

@@ -152,7 +152,6 @@ type job struct {
 	campaign *mtracecheck.Campaign
 	merger   *mtracecheck.ChunkMerger
 	chunks   []chunkState
-	nDone    int
 	ckptGate int // completed chunks at last checkpoint
 	stats    JobStats
 	state    jobState
@@ -332,115 +331,76 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	s.jobs[j.id] = j
 	s.jobIDs = append(s.jobIDs, j.id)
 	s.logf("dist: job %s submitted: %d iterations in %d chunks (%d restored)",
-		j.id, spec.Iterations, len(j.chunks), j.nDone)
-	if j.nDone == len(j.chunks) {
+		j.id, spec.Iterations, len(j.chunks), merger.Done())
+	if merger.Complete() {
 		s.finalize(j)
 	}
 	return j.id, nil
 }
 
-// restore loads the job's checkpoint and replays its chunk states: done
-// chunks keep their results, leased chunks fall back to pending (the lease
-// died with the previous server) but keep their attempt counts so the
-// redispatch backoff survives the restart.
+// restore loads the job's checkpoint into the merger (ChunkMerger.Restore is
+// the whole gate) and rebuilds the lease table over it: done chunks keep their
+// results, leased chunks fall back to pending (the lease died with the
+// previous server) but keep their attempt counts so the redispatch backoff
+// survives the restart.
 func (s *Server) restore(j *job) error {
 	if j.spec.CheckpointPath == "" {
 		return errors.New("dist: resume requires a checkpoint path")
 	}
 	f, err := os.Open(j.spec.CheckpointPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil // nothing saved yet: a fresh start is the resume
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil // nothing saved yet: a fresh start is the resume
-		}
 		return fmt.Errorf("dist: resume: %w", err)
 	}
 	ck, err := sig.ReadCheckpoint(f)
 	f.Close()
+	if err == nil {
+		err = j.merger.Restore(ck)
+	}
 	if err != nil {
 		return fmt.Errorf("dist: resume: %w", err)
 	}
-	if ck.Dist == nil {
-		return errors.New("dist: resume: checkpoint was written by an in-process campaign")
-	}
-	if ck.Seed != j.spec.Seed {
-		return fmt.Errorf("dist: resume: checkpoint seed %d does not match job seed %d", ck.Seed, j.spec.Seed)
-	}
-	if h := mtracecheck.ProgramHash(j.prog); ck.ProgHash != h {
-		return errors.New("dist: resume: checkpoint was written for a different test program")
-	}
-	if ck.Dist.ChunkSize != mtracecheck.ChunkSize || len(ck.Dist.Chunks) != len(j.chunks) {
-		return fmt.Errorf("dist: resume: checkpoint grid %d×%d does not match job grid %d×%d",
-			len(ck.Dist.Chunks), ck.Dist.ChunkSize, len(j.chunks), mtracecheck.ChunkSize)
-	}
-	done := make(map[int]mtracecheck.ChunkStats)
-	for c := range ck.Dist.Chunks {
-		ckc := &ck.Dist.Chunks[c]
-		j.chunks[c].attempt = ckc.Attempt
-		if ckc.Status != chunkDone {
-			continue
+	for c := range j.chunks {
+		if c < len(ck.Chunks) {
+			j.chunks[c].attempt = ck.Chunks[c].Attempt
 		}
-		done[c] = mtracecheck.ChunkStats{
-			Iterations: ckc.Iterations, Cycles: ckc.Cycles,
-			Squashes: ckc.Squashes, Asserts: ckc.Asserts,
+		if j.merger.IsDone(c) {
+			j.chunks[c].status = chunkDone
 		}
 	}
-	if err := j.merger.Restore(ck.Uniques, done); err != nil {
-		return fmt.Errorf("dist: resume: %w", err)
-	}
-	for c := range done {
-		j.chunks[c].status = chunkDone
-	}
-	j.nDone = len(done)
-	j.ckptGate = j.nDone
+	j.ckptGate = j.merger.Done()
 	s.obsrv.Checkpoint(obs.Checkpoint{
 		Op: obs.CheckpointResumed, Path: j.spec.CheckpointPath,
-		Completed: ck.Completed, Uniques: len(ck.Uniques), Time: time.Now(),
+		Completed: ck.Completed(), Uniques: len(ck.Uniques), Time: time.Now(),
 	})
 	return nil
 }
 
-// checkpoint persists the job's progress atomically. Callers hold s.mu.
+// checkpoint persists the job's progress: the merger's checkpoint with the
+// lease table (leased, attempt, worker) filled in. Callers hold s.mu.
 func (s *Server) checkpoint(j *job) {
 	if j.spec.CheckpointPath == "" {
 		return
 	}
-	completed := 0
-	ck := sig.Checkpoint{
-		Seed: j.spec.Seed, ProgHash: mtracecheck.ProgramHash(j.prog),
-		Uniques: j.merger.Merged(),
-		Dist: &sig.DistState{
-			ChunkSize: mtracecheck.ChunkSize,
-			Chunks:    make([]sig.CkptChunk, len(j.chunks)),
-		},
-	}
+	ck := j.merger.Checkpoint()
 	for c := range j.chunks {
-		cs := &j.chunks[c]
-		ckc := &ck.Dist.Chunks[c]
-		ckc.Status = cs.status
+		cs, ckc := &j.chunks[c], &ck.Chunks[c]
 		ckc.Attempt = min(cs.attempt, 0xffff)
 		if cs.status == chunkLeased {
-			ckc.Worker = cs.worker
+			ckc.Status, ckc.Worker = chunkLeased, cs.worker
 		}
-		if cs.status != chunkDone {
-			continue
-		}
-		st := j.merger.Stats(c)
-		ckc.Iterations, ckc.Cycles, ckc.Squashes, ckc.Asserts =
-			st.Iterations, st.Cycles, st.Squashes, st.Asserts
-		completed += st.Iterations
 	}
-	ck.Completed = completed
-	n, err := writeFileAtomic(j.spec.CheckpointPath, func(w io.Writer) error {
-		return sig.WriteCheckpoint(w, ck)
-	})
+	n, err := sig.WriteCheckpointFile(j.spec.CheckpointPath, ck)
 	if err != nil {
 		s.logf("dist: job %s checkpoint: %v", j.id, err)
 		return
 	}
-	j.ckptGate = j.nDone
+	j.ckptGate = j.merger.Done()
 	s.obsrv.Checkpoint(obs.Checkpoint{
 		Op: obs.CheckpointSaved, Path: j.spec.CheckpointPath,
-		Completed: completed, Uniques: len(ck.Uniques), Bytes: n, Time: time.Now(),
+		Completed: ck.Completed(), Uniques: len(ck.Uniques), Bytes: n, Time: time.Now(),
 	})
 }
 
@@ -620,7 +580,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	st := JobStatus{
 		ID: j.id, State: j.state.String(),
-		DoneChunks: j.nDone, TotalChunks: len(j.chunks), Stats: j.stats,
+		DoneChunks: j.merger.Done(), TotalChunks: len(j.chunks), Stats: j.stats,
 	}
 	for _, ws := range s.workers {
 		if ws.quarantined {
@@ -671,7 +631,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	drained := true
 	for _, id := range s.jobIDs {
 		j := s.jobs[id]
-		if j.state != jobRunning || j.nDone == len(j.chunks) {
+		if j.state != jobRunning || j.merger.Complete() {
 			continue
 		}
 		drained = false
@@ -817,10 +777,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs.status = chunkDone
-	j.nDone++
-	if j.nDone == len(j.chunks) {
+	if j.merger.Complete() {
 		s.finalize(j)
-	} else if j.nDone-j.ckptGate >= j.ckptEvery() {
+	} else if j.merger.Done()-j.ckptGate >= j.ckptEvery() {
 		s.checkpoint(j)
 	}
 	writeJSON(w, UploadResponse{Status: UploadAccepted})
@@ -867,36 +826,4 @@ func (s *Server) strike(j *job, chunk int, worker string, now time.Time, cause e
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
-}
-
-// writeFileAtomic writes via a temp file and rename, so a crash mid-write
-// never corrupts the previous file. It returns the byte count written.
-func writeFileAtomic(path string, write func(io.Writer) error) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	cw := &countingWriter{w: f}
-	if err := write(cw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return cw.n, os.Rename(tmp, path)
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

@@ -250,9 +250,9 @@ func Fig8(cfg Config) (*report.Table, error) {
 				tc := pc.Config
 				tc.WordsPerLine = v.wordsPerLine
 				tc.Seed = cfg.Seed + int64(test)*1009
-				plat := platformFor(pc.ISA)
-				if v.osMode {
-					plat.OS = sim.OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
+				plat, err := sim.PlatformFor(string(pc.ISA), "", v.osMode)
+				if err != nil {
+					return nil, err
 				}
 				rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
 					Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed + int64(test)}))

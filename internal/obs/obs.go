@@ -174,9 +174,9 @@ func (f FaultCounts) Total() int {
 }
 
 // MergeDone fires after each unique-signature merge: once per checkpoint
-// segment during a checkpointed campaign and once at the end of every
+// written during a checkpointed campaign and once at the end of every
 // campaign (Final). The (Completed, Uniques) sequence is the paper's Fig. 8
-// unique-interleaving growth curve sampled at segment boundaries.
+// unique-interleaving growth curve sampled at checkpoint boundaries.
 type MergeDone struct {
 	Completed int // iterations covered by the merged set
 	Uniques   int

@@ -2,35 +2,28 @@ package sig
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"os"
 )
 
 // Campaign checkpoints: the merged unique signature set collected so far,
-// plus enough identity to refuse resuming the wrong campaign. A checkpoint
-// written after iteration N and a fresh runner skipped past N reproduce the
-// uninterrupted campaign exactly (the runner draws one master value per
-// iteration, so skip-ahead is bit-faithful), which is why the payload needs
-// nothing beyond the signature set.
+// the chunk grid saying which iterations that set covers, and enough identity
+// to refuse resuming the wrong campaign. A chunk's signatures and counters are
+// a pure function of (program, options, chunk index), so a campaign that
+// re-executes exactly the chunks a checkpoint does not mark done reproduces
+// the uninterrupted campaign bit for bit — whichever process, in-process
+// scheduler or dist server, wrote the file or reads it.
 //
-// Layout (all little-endian):
+// Layout (all little-endian), the only one written or read:
 //
-//	magic     [8]byte  "MTCCKPT1"
+//	magic     [8]byte  "MTCCKPT2"
 //	seed      uint64   campaign seed (two's complement of the int64)
 //	progHash  uint64   FNV-64a of the program's text format
-//	completed uint32   iterations covered by the set
-//	payload            WriteSet encoding of the unique set
-//
-// A distributed campaign's checkpoint appends the optional dist section:
-// chunks complete out of order under lease-based dispatch, so coverage is a
-// per-chunk bitmap plus lease state rather than a contiguous prefix, and the
-// per-chunk execution counters let a restarted server rebuild a report
-// bit-identical to an uninterrupted run. Readers of the base format that
-// predate the section stop at the payload; ReadCheckpoint detects it by its
-// magic and otherwise returns Dist == nil:
-//
-//	distMagic [8]byte  "MTCDIST1"
 //	chunkSize uint32   iterations per grid chunk
 //	nChunks   uint32   chunks in the campaign grid
 //	per chunk (ascending index):
@@ -40,11 +33,20 @@ import (
 //	  done chunks additionally carry:
 //	    iterations uint32, cycles uint64, squashes uint32,
 //	    asserts    uint16 count, each uint16 length + bytes
-var ckptMagic = [8]byte{'M', 'T', 'C', 'C', 'K', 'P', 'T', '1'}
+//	payload            WriteSet encoding of the done chunks' merged set
+//	checksum  uint64   FNV-64a of every byte before it
+//
+// The per-chunk counters let a resumed campaign report the cycles, squashes
+// and assertion failures of the uninterrupted run; status leased, attempt and
+// worker are the dist server's lease table and stay zero in-process.
+var ckptMagic = [8]byte{'M', 'T', 'C', 'C', 'K', 'P', 'T', '2'}
 
-var distMagic = [8]byte{'M', 'T', 'C', 'D', 'I', 'S', 'T', '1'}
+// oldCkptMagic headed the layouts nobody writes any more: a contiguous prefix
+// without a grid, optionally followed by an MTCDIST1 section, neither
+// checksummed. They are refused by name, not parsed.
+var oldCkptMagic = [8]byte{'M', 'T', 'C', 'C', 'K', 'P', 'T', '1'}
 
-// Chunk lease states recorded in the dist checkpoint section.
+// Chunk states recorded in a checkpoint's grid.
 const (
 	// ChunkPending marks a chunk awaiting dispatch.
 	ChunkPending uint8 = iota
@@ -56,9 +58,9 @@ const (
 	ChunkDone
 )
 
-// CkptChunk is one grid chunk's state in a distributed checkpoint. The
-// execution counters are meaningful only for ChunkDone chunks; Worker only
-// for ChunkLeased ones (the outstanding lease holder at save time).
+// CkptChunk is one grid chunk's state in a checkpoint. The execution counters
+// are meaningful only for ChunkDone chunks; Worker only for ChunkLeased ones
+// (the outstanding lease holder at save time).
 type CkptChunk struct {
 	Status  uint8
 	Attempt int
@@ -70,193 +72,164 @@ type CkptChunk struct {
 	Asserts    []string
 }
 
-// DistState is the distributed extension of a checkpoint: the chunk grid
-// with per-chunk completion, outstanding leases, and execution counters.
-// The checkpoint's Uniques hold the merged set of the done chunks.
-type DistState struct {
+// Checkpoint is a campaign's resumable progress: Uniques holds the merged set
+// of the chunks Chunks marks done.
+type Checkpoint struct {
+	Seed      int64
+	ProgHash  uint64
 	ChunkSize int
 	Chunks    []CkptChunk
+	Uniques   []Unique
 }
 
-// DoneChunks counts completed chunks.
-func (d *DistState) DoneChunks() int {
+// Completed sums the done chunks' iterations.
+func (ck *Checkpoint) Completed() int {
 	n := 0
-	for i := range d.Chunks {
-		if d.Chunks[i].Status == ChunkDone {
-			n++
+	for i := range ck.Chunks {
+		if ck.Chunks[i].Status == ChunkDone {
+			n += ck.Chunks[i].Iterations
 		}
 	}
 	return n
 }
 
-// Checkpoint is a campaign's resumable progress.
-type Checkpoint struct {
-	Seed      int64
-	ProgHash  uint64
-	Completed int
-	Uniques   []Unique
-	// Dist, when non-nil, marks a distributed campaign's checkpoint:
-	// Completed sums the done chunks' iterations (not a contiguous prefix),
-	// so the in-process prefix-resume path must reject it.
-	Dist *DistState
-}
-
 // WriteCheckpoint serializes a checkpoint.
 func WriteCheckpoint(w io.Writer, ck Checkpoint) error {
-	if ck.Completed < 0 {
-		return fmt.Errorf("sig: negative checkpoint iteration count %d", ck.Completed)
+	if ck.ChunkSize <= 0 {
+		return fmt.Errorf("sig: non-positive checkpoint chunk size %d", ck.ChunkSize)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(ckptMagic[:]); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(ck.Seed), ck.ProgHash} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(ck.Completed)); err != nil {
-		return err
-	}
-	if err := WriteSet(bw, ck.Uniques); err != nil {
-		return err
-	}
-	if ck.Dist != nil {
-		if err := writeDistState(bw, ck.Dist); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func writeDistState(bw *bufio.Writer, d *DistState) error {
-	if d.ChunkSize <= 0 {
-		return fmt.Errorf("sig: non-positive checkpoint chunk size %d", d.ChunkSize)
-	}
-	if _, err := bw.Write(distMagic[:]); err != nil {
-		return err
-	}
-	for _, v := range []uint32{uint32(d.ChunkSize), uint32(len(d.Chunks))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+	sum := fnv.New64a()
+	bw := bufio.NewWriter(io.MultiWriter(w, sum))
+	bw.Write(ckptMagic[:]) // bufio keeps the first error for Flush
+	binary.Write(bw, binary.LittleEndian, []uint64{uint64(ck.Seed), ck.ProgHash})
+	binary.Write(bw, binary.LittleEndian, []uint32{uint32(ck.ChunkSize), uint32(len(ck.Chunks))})
 	writeString := func(s string) error {
 		if len(s) > 0xffff {
 			return fmt.Errorf("sig: checkpoint string too long (%d bytes)", len(s))
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
+		binary.Write(bw, binary.LittleEndian, uint16(len(s)))
+		bw.WriteString(s)
+		return nil
 	}
-	for i := range d.Chunks {
-		c := &d.Chunks[i]
+	for i := range ck.Chunks {
+		c := &ck.Chunks[i]
 		if c.Status > ChunkDone {
 			return fmt.Errorf("sig: chunk %d has invalid status %d", i, c.Status)
 		}
-		if err := bw.WriteByte(c.Status); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(c.Attempt)); err != nil {
-			return err
-		}
+		bw.WriteByte(c.Status)
+		binary.Write(bw, binary.LittleEndian, uint16(c.Attempt))
 		if err := writeString(c.Worker); err != nil {
 			return err
 		}
 		if c.Status != ChunkDone {
 			continue
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(c.Iterations)); err != nil {
-			return err
+		if c.Iterations < 0 || c.Squashes < 0 || len(c.Asserts) > 0xffff {
+			return fmt.Errorf("sig: chunk %d has implausible counters (%d iterations, %d squashes, %d asserts)",
+				i, c.Iterations, c.Squashes, len(c.Asserts))
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(c.Cycles)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(c.Squashes)); err != nil {
-			return err
-		}
-		if len(c.Asserts) > 0xffff {
-			return fmt.Errorf("sig: chunk %d has implausibly many asserts (%d)", i, len(c.Asserts))
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(c.Asserts))); err != nil {
-			return err
-		}
+		binary.Write(bw, binary.LittleEndian, uint32(c.Iterations))
+		binary.Write(bw, binary.LittleEndian, uint64(c.Cycles))
+		binary.Write(bw, binary.LittleEndian, uint32(c.Squashes))
+		binary.Write(bw, binary.LittleEndian, uint16(len(c.Asserts)))
 		for _, a := range c.Asserts {
 			if err := writeString(a); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	if err := WriteSet(bw, ck.Uniques); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.LittleEndian, sum.Sum64())
 }
 
-// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.
-func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
-	br := bufio.NewReader(r)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return Checkpoint{}, fmt.Errorf("sig: reading checkpoint magic: %w", err)
-	}
-	if got != ckptMagic {
-		return Checkpoint{}, fmt.Errorf("sig: bad checkpoint magic %q", got[:])
-	}
-	var seed, progHash uint64
-	var completed uint32
-	if err := binary.Read(br, binary.LittleEndian, &seed); err != nil {
-		return Checkpoint{}, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &progHash); err != nil {
-		return Checkpoint{}, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &completed); err != nil {
-		return Checkpoint{}, err
-	}
-	if completed > 1<<30 {
-		return Checkpoint{}, fmt.Errorf("sig: implausible checkpoint iteration count %d", completed)
-	}
-	uniques, err := ReadSet(br)
+// WriteCheckpointFile persists a checkpoint at path durably and atomically:
+// the bytes go to a temporary file beside it, are synced to stable storage,
+// and only then renamed over path. An interruption mid-write leaves the
+// previous checkpoint, and a power loss after the rename cannot leave an
+// empty one. It returns the encoded size.
+func WriteCheckpointFile(path string, ck Checkpoint) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
+		return 0, err
+	}
+	var size int64
+	if err = WriteCheckpoint(f, ck); err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	return size, nil
+}
+
+// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint. The
+// whole input is read and its checksum verified before anything in it is
+// believed, so a damaged file is an error, never a different campaign; a
+// file in an older layout has no checksum and is refused as what it is.
+func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Checkpoint{}, fmt.Errorf("sig: reading checkpoint: %w", err)
+	}
+	if len(data) >= len(oldCkptMagic) && [8]byte(data[:8]) == oldCkptMagic {
+		return Checkpoint{}, errors.New("sig: checkpoint is in the old MTCCKPT1 layout (no chunk grid, no checksum), which is no longer read; start the campaign over")
+	}
+	if len(data) < len(ckptMagic)+8 {
+		return Checkpoint{}, errors.New("sig: checkpoint shorter than its magic and checksum")
+	}
+	body := data[:len(data)-8]
+	sum := fnv.New64a()
+	sum.Write(body)
+	if sum.Sum64() != binary.LittleEndian.Uint64(data[len(body):]) {
+		return Checkpoint{}, errors.New("sig: checkpoint checksum mismatch (truncated or corrupted file)")
+	}
+	if [8]byte(body[:8]) != ckptMagic {
+		return Checkpoint{}, fmt.Errorf("sig: bad checkpoint magic %q", body[:8])
+	}
+	br := bufio.NewReader(bytes.NewReader(body[8:]))
+	var ids [2]uint64
+	if err := binary.Read(br, binary.LittleEndian, &ids); err != nil {
+		return Checkpoint{}, fmt.Errorf("sig: checkpoint header: %w", err)
+	}
+	ck := Checkpoint{Seed: int64(ids[0]), ProgHash: ids[1]}
+	if err := readGrid(br, &ck); err != nil {
+		return Checkpoint{}, fmt.Errorf("sig: checkpoint grid: %w", err)
+	}
+	// ReadSet buffers through br itself (bufio.NewReader returns a reader that
+	// is already one), so what follows the set is still there to be refused.
+	if ck.Uniques, err = ReadSet(br); err != nil {
 		return Checkpoint{}, fmt.Errorf("sig: checkpoint payload: %w", err)
 	}
-	ck := Checkpoint{
-		Seed:      int64(seed),
-		ProgHash:  progHash,
-		Completed: int(completed),
-		Uniques:   uniques,
+	if _, err := br.ReadByte(); err != io.EOF {
+		return Checkpoint{}, errors.New("sig: trailing bytes after the checkpoint payload")
 	}
-	// The dist section is optional and trailing: plain checkpoints (and any
-	// written before the section existed) end at the payload.
-	peek, err := br.Peek(len(distMagic))
-	if err == io.EOF || (err == nil && len(peek) < len(distMagic)) {
-		return ck, nil
-	}
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("sig: checkpoint trailer: %w", err)
-	}
-	if [8]byte(peek) != distMagic {
-		return Checkpoint{}, fmt.Errorf("sig: bad checkpoint trailer magic %q", peek)
-	}
-	br.Discard(len(distMagic))
-	d, err := readDistState(br)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("sig: checkpoint dist section: %w", err)
-	}
-	ck.Dist = d
 	return ck, nil
 }
 
-func readDistState(br *bufio.Reader) (*DistState, error) {
-	var chunkSize, nChunks uint32
-	if err := binary.Read(br, binary.LittleEndian, &chunkSize); err != nil {
-		return nil, err
+func readGrid(br *bufio.Reader, ck *Checkpoint) error {
+	var hdr [2]uint32
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &nChunks); err != nil {
-		return nil, err
-	}
+	chunkSize, nChunks := hdr[0], hdr[1]
 	if chunkSize == 0 || chunkSize > 1<<20 || nChunks > 1<<24 {
-		return nil, fmt.Errorf("sig: implausible dist header (%d-iteration chunks, %d chunks)", chunkSize, nChunks)
+		return fmt.Errorf("implausible header (%d-iteration chunks, %d chunks)", chunkSize, nChunks)
 	}
 	readString := func() (string, error) {
 		var n uint16
@@ -269,57 +242,51 @@ func readDistState(br *bufio.Reader) (*DistState, error) {
 		}
 		return string(b), nil
 	}
-	// nChunks is as unauthenticated as a signature set's count: the list grows
-	// as chunks are read.
-	d := &DistState{ChunkSize: int(chunkSize), Chunks: make([]CkptChunk, 0, min(nChunks, 1024))}
+	// The checksum says the file is what was written, not who wrote it: the
+	// list still grows as chunks are read instead of being sized from nChunks.
+	ck.ChunkSize, ck.Chunks = int(chunkSize), make([]CkptChunk, 0, min(nChunks, 1024))
 	for i := 0; i < int(nChunks); i++ {
-		d.Chunks = append(d.Chunks, CkptChunk{})
-		c := &d.Chunks[i]
+		ck.Chunks = append(ck.Chunks, CkptChunk{})
+		c := &ck.Chunks[i]
 		status, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
+			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		if status > ChunkDone {
-			return nil, fmt.Errorf("chunk %d: invalid status %d", i, status)
+			return fmt.Errorf("chunk %d: invalid status %d", i, status)
 		}
 		c.Status = status
 		var attempt uint16
 		if err := binary.Read(br, binary.LittleEndian, &attempt); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
+			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		c.Attempt = int(attempt)
 		if c.Worker, err = readString(); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
+			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		if c.Status != ChunkDone {
 			continue
 		}
-		var iters, squashes uint32
-		var cycles uint64
-		if err := binary.Read(br, binary.LittleEndian, &iters); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
+		var counters struct {
+			Iterations uint32
+			Cycles     uint64
+			Squashes   uint32
+			Asserts    uint16
 		}
-		if err := binary.Read(br, binary.LittleEndian, &cycles); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
+		if err := binary.Read(br, binary.LittleEndian, &counters); err != nil {
+			return fmt.Errorf("chunk %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &squashes); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
+		if counters.Iterations > chunkSize {
+			return fmt.Errorf("chunk %d: %d iterations exceed the %d-iteration chunk size", i, counters.Iterations, chunkSize)
 		}
-		if iters > chunkSize {
-			return nil, fmt.Errorf("chunk %d: %d iterations exceed the %d-iteration chunk size", i, iters, chunkSize)
-		}
-		c.Iterations, c.Cycles, c.Squashes = int(iters), int64(cycles), int(squashes)
-		var nAsserts uint16
-		if err := binary.Read(br, binary.LittleEndian, &nAsserts); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
-		}
-		for a := 0; a < int(nAsserts); a++ {
+		c.Iterations, c.Cycles, c.Squashes = int(counters.Iterations), int64(counters.Cycles), int(counters.Squashes)
+		for a := 0; a < int(counters.Asserts); a++ {
 			s, err := readString()
 			if err != nil {
-				return nil, fmt.Errorf("chunk %d assert %d: %w", i, a, err)
+				return fmt.Errorf("chunk %d assert %d: %w", i, a, err)
 			}
 			c.Asserts = append(c.Asserts, s)
 		}
 	}
-	return d, nil
+	return nil
 }

@@ -2,6 +2,8 @@ package sig
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -14,22 +16,36 @@ func ckUniques(words ...uint64) []Unique {
 	return out
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	ck := Checkpoint{
-		Seed:      -42,
-		ProgHash:  0xdeadbeefcafe,
-		Completed: 12345,
-		Uniques:   ckUniques(3, 7, 9),
-	}
+// withSum appends the checksum a checkpoint body must end in, so that a test
+// can hand the parser behind the checksum a damaged body.
+func withSum(body []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(body)
+	return binary.LittleEndian.AppendUint64(body[:len(body):len(body)], sum.Sum64())
+}
+
+func encodeCheckpoint(t testing.TB, ck Checkpoint) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, ck); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(&buf)
+	return buf.Bytes()
+}
+
+func TestCheckpointRoundTrip(t *testing.T) {
+	ck := Checkpoint{
+		Seed:      -42,
+		ProgHash:  0xdeadbeefcafe,
+		ChunkSize: 64,
+		Chunks:    []CkptChunk{{Status: ChunkDone, Iterations: 64, Cycles: 12345}, {Status: ChunkDone, Iterations: 19}},
+		Uniques:   ckUniques(3, 7, 9),
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, ck)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seed != ck.Seed || got.ProgHash != ck.ProgHash || got.Completed != ck.Completed {
+	if got.Seed != ck.Seed || got.ProgHash != ck.ProgHash || got.Completed() != 83 {
 		t.Fatalf("header %+v, want %+v", got, ck)
 	}
 	if len(got.Uniques) != len(ck.Uniques) {
@@ -43,41 +59,68 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointEmptySet(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, Checkpoint{Seed: 1, Completed: 0}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(&buf)
+	got, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, Checkpoint{Seed: 1, ChunkSize: 64})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Uniques) != 0 {
-		t.Errorf("%d uniques from empty checkpoint", len(got.Uniques))
+	if len(got.Uniques) != 0 || len(got.Chunks) != 0 || got.Completed() != 0 {
+		t.Errorf("%d uniques, %d chunks from an empty checkpoint", len(got.Uniques), len(got.Chunks))
 	}
 }
 
 func TestCheckpointRejectsBadInput(t *testing.T) {
-	if err := WriteCheckpoint(&bytes.Buffer{}, Checkpoint{Completed: -1}); err == nil {
-		t.Error("negative Completed accepted")
-	}
-	if _, err := ReadCheckpoint(strings.NewReader("BOGUSMAG rest")); err == nil {
+	if _, err := ReadCheckpoint(strings.NewReader("BOGUSMAG rest of the file")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	if _, err := ReadCheckpoint(strings.NewReader("MTC")); err == nil {
 		t.Error("truncated magic accepted")
 	}
 	// Header cut off after the magic.
-	if _, err := ReadCheckpoint(strings.NewReader("MTCCKPT1")); err == nil {
+	if _, err := ReadCheckpoint(strings.NewReader("MTCCKPT2")); err == nil {
 		t.Error("truncated header accepted")
 	}
-	// Valid header, payload missing.
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, Checkpoint{Uniques: ckUniques(1, 2)}); err != nil {
+	data := encodeCheckpoint(t, Checkpoint{ChunkSize: 64, Uniques: ckUniques(1, 2)})
+	// Truncated: the last eight bytes left are not the checksum of the rest.
+	if _, err := ReadCheckpoint(bytes.NewReader(data[:len(data)-5])); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("truncated payload: %v, want a checksum error", err)
+	}
+	// The same cut with a matching checksum reaches the payload parser.
+	if _, err := ReadCheckpoint(bytes.NewReader(withSum(data[:len(data)-8-5]))); err == nil || !strings.Contains(err.Error(), "payload") {
+		t.Errorf("truncated payload behind a good checksum: %v, want a payload error", err)
+	}
+	// So do bytes between the payload and the checksum (here: the old checksum).
+	if _, err := ReadCheckpoint(bytes.NewReader(withSum(data))); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("padded checkpoint: %v, want a trailing-bytes error", err)
+	}
+}
+
+// TestCheckpointOldLayoutRefused: the layouts nobody writes any more — an
+// MTCCKPT1 prefix checkpoint, with or without an MTCDIST1 section, neither
+// checksummed — are refused by name, and differently from a damaged file.
+func TestCheckpointOldLayoutRefused(t *testing.T) {
+	old := []byte("MTCCKPT1")
+	old = binary.LittleEndian.AppendUint64(old, 7)      // seed
+	old = binary.LittleEndian.AppendUint64(old, 0xabcd) // program hash
+	old = binary.LittleEndian.AppendUint32(old, 60)     // completed
+	var set bytes.Buffer
+	if err := WriteSet(&set, ckUniques(4, 8)); err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadCheckpoint(bytes.NewReader(cut)); err == nil {
-		t.Error("truncated payload accepted")
+	old = append(old, set.Bytes()...)
+	for name, data := range map[string][]byte{
+		"prefix only":       old,
+		"with dist section": append(append([]byte(nil), old...), "MTCDIST1\x40\x00\x00\x00\x00\x00\x00\x00"...),
+		"magic alone":       []byte("MTCCKPT1"),
+	} {
+		_, err := ReadCheckpoint(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "old MTCCKPT1 layout") {
+			t.Errorf("%s: %v, want the old-layout refusal", name, err)
+		}
+	}
+	data := encodeCheckpoint(t, Checkpoint{ChunkSize: 64, Uniques: ckUniques(1, 2)})
+	data[len(data)-12] ^= 0x10
+	if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("damaged checkpoint: %v, want a checksum mismatch", err)
 	}
 }
 
@@ -85,41 +128,31 @@ func TestCheckpointDistRoundTrip(t *testing.T) {
 	ck := Checkpoint{
 		Seed:      99,
 		ProgHash:  0xabcd,
-		Completed: 128,
 		Uniques:   ckUniques(4, 8),
-		Dist: &DistState{
-			ChunkSize: 64,
-			Chunks: []CkptChunk{
-				{Status: ChunkDone, Attempt: 1, Iterations: 64, Cycles: 9999, Squashes: 2,
-					Asserts: []string{"t1 assert failed", "t2 assert failed"}},
-				{Status: ChunkLeased, Attempt: 3, Worker: "worker-b"},
-				{Status: ChunkPending, Attempt: 2},
-				{Status: ChunkDone, Iterations: 40, Cycles: 5},
-			},
+		ChunkSize: 64,
+		Chunks: []CkptChunk{
+			{Status: ChunkDone, Attempt: 1, Iterations: 64, Cycles: 9999, Squashes: 2,
+				Asserts: []string{"t1 assert failed", "t2 assert failed"}},
+			{Status: ChunkLeased, Attempt: 3, Worker: "worker-b"},
+			{Status: ChunkPending, Attempt: 2},
+			{Status: ChunkDone, Iterations: 40, Cycles: 5},
 		},
 	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(&buf)
+	got, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, ck)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dist == nil {
-		t.Fatal("dist section lost")
+	if got.ChunkSize != 64 {
+		t.Errorf("chunk size %d", got.ChunkSize)
 	}
-	if got.Dist.ChunkSize != 64 {
-		t.Errorf("chunk size %d", got.Dist.ChunkSize)
+	if got.Completed() != 104 {
+		t.Errorf("%d completed iterations, want 104", got.Completed())
 	}
-	if got.Dist.DoneChunks() != 2 {
-		t.Errorf("%d done chunks, want 2", got.Dist.DoneChunks())
+	if len(got.Chunks) != len(ck.Chunks) {
+		t.Fatalf("%d chunks, want %d", len(got.Chunks), len(ck.Chunks))
 	}
-	if len(got.Dist.Chunks) != len(ck.Dist.Chunks) {
-		t.Fatalf("%d chunks, want %d", len(got.Dist.Chunks), len(ck.Dist.Chunks))
-	}
-	for i, want := range ck.Dist.Chunks {
-		g := got.Dist.Chunks[i]
+	for i, want := range ck.Chunks {
+		g := got.Chunks[i]
 		if g.Status != want.Status || g.Attempt != want.Attempt || g.Worker != want.Worker {
 			t.Errorf("chunk %d lease state %+v, want %+v", i, g, want)
 		}
@@ -140,53 +173,35 @@ func TestCheckpointDistRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointLegacyHasNilDist(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, Checkpoint{Seed: 5, Uniques: ckUniques(1)}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dist != nil {
-		t.Error("plain checkpoint grew a dist section")
-	}
-}
-
 func TestCheckpointDistRejectsBadInput(t *testing.T) {
-	base := Checkpoint{Seed: 1, Uniques: ckUniques(2)}
 	if err := WriteCheckpoint(&bytes.Buffer{}, Checkpoint{
-		Seed: 1, Dist: &DistState{ChunkSize: 0, Chunks: []CkptChunk{{}}},
+		Seed: 1, ChunkSize: 0, Chunks: []CkptChunk{{}},
 	}); err == nil {
 		t.Error("zero chunk size accepted on write")
 	}
 	if err := WriteCheckpoint(&bytes.Buffer{}, Checkpoint{
-		Seed: 1, Dist: &DistState{ChunkSize: 64, Chunks: []CkptChunk{{Status: 7}}},
+		Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: 7}},
 	}); err == nil {
 		t.Error("invalid chunk status accepted on write")
 	}
-	// Garbage where the dist magic would be.
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, base); err != nil {
-		t.Fatal(err)
+	if err := WriteCheckpoint(&bytes.Buffer{}, Checkpoint{
+		Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: ChunkDone, Iterations: -1}},
+	}); err == nil {
+		t.Error("negative iteration count accepted on write")
 	}
-	buf.WriteString("NOTDIST1")
-	if _, err := ReadCheckpoint(&buf); err == nil {
-		t.Error("bogus trailer magic accepted")
-	}
-	// Dist section truncated mid-chunk.
-	buf.Reset()
-	ck := base
-	ck.Dist = &DistState{ChunkSize: 64, Chunks: []CkptChunk{
+	// Grid cut short behind a matching checksum: the first chunk's counters
+	// end mid-field.
+	data := encodeCheckpoint(t, Checkpoint{Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{
 		{Status: ChunkDone, Iterations: 64}, {Status: ChunkPending},
-	}}
-	if err := WriteCheckpoint(&buf, ck); err != nil {
-		t.Fatal(err)
+	}})
+	const gridStart = 8 + 16 + 8 // magic, identity, grid header
+	if _, err := ReadCheckpoint(bytes.NewReader(withSum(data[:gridStart+5+10]))); err == nil || !strings.Contains(err.Error(), "grid") {
+		t.Errorf("truncated grid: %v, want a grid error", err)
 	}
-	cut := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadCheckpoint(bytes.NewReader(cut)); err == nil {
-		t.Error("truncated dist section accepted")
+	// A done chunk larger than the grid's chunk size.
+	big := encodeCheckpoint(t, Checkpoint{Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: ChunkDone, Iterations: 65}}})
+	if _, err := ReadCheckpoint(bytes.NewReader(big)); err == nil {
+		t.Error("a 65-iteration chunk in a 64-iteration grid accepted")
 	}
 }
 

@@ -243,3 +243,32 @@ func ForISA(isa string) (Platform, error) {
 		return Platform{}, fmt.Errorf("sim: unknown ISA %q", isa)
 	}
 }
+
+// PlatformFor resolves the (isa, bug, os) triple the CLIs' flags and a dist
+// job spec carry into one platform, so every door selects the same one. A bug
+// — one of the paper's §7 defects: sm-inv, lsq-skip, wb-race — switches to the
+// gem5-like preset whatever the ISA; os adds the §6.1 Linux runs' scheduling
+// (time-sliced threads with migration).
+func PlatformFor(isa, bug string, os bool) (Platform, error) {
+	var p Platform
+	switch bug {
+	case "":
+		var err error
+		if p, err = ForISA(isa); err != nil {
+			return Platform{}, err
+		}
+	case "sm-inv":
+		p = PlatformGem5(mem.Bugs{StaleSMInv: true}, Bugs{})
+	case "lsq-skip":
+		p = PlatformGem5(mem.Bugs{}, Bugs{LQSquashSkip: true})
+	case "wb-race":
+		p = PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, Bugs{})
+	default:
+		// Reject rather than silently validating the defect-free platform.
+		return Platform{}, fmt.Errorf("sim: unknown bug %q (valid: sm-inv, lsq-skip, wb-race)", bug)
+	}
+	if os {
+		p.OS = OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
+	}
+	return p, nil
+}

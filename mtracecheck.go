@@ -172,13 +172,6 @@ func BuggyPlatform(bug Bug) Platform {
 	return sim.PlatformGem5(mb, sb)
 }
 
-// WithOS returns the platform with simulated OS scheduling enabled
-// (time-sliced threads with migration — the paper's §6.1 Linux runs).
-func WithOS(p Platform) Platform {
-	p.OS = sim.OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
-	return p
-}
-
 // NewProgramBuilder starts a hand-built test program over numWords shared
 // words with the default (no false sharing) layout; see prog.Builder for
 // the fluent Thread/Load/Store/Fence API.
@@ -323,19 +316,28 @@ type Options struct {
 	// a run without the option. Requires the static ws mode — corrupted
 	// signatures have no recorded write serialization.
 	Fault FaultConfig
-	// CheckpointPath, when set, periodically persists the merged signature
-	// set (plus campaign identity) so an interrupted campaign can resume.
-	// Checkpoint writes are atomic (temp file + rename).
+	// CheckpointPath, when set, periodically persists the campaign's progress
+	// — the merged signature set, which grid chunks (ChunkSize iterations
+	// each) it covers with their execution counters, and the campaign's
+	// identity — so an interrupted campaign can resume, in-process or through
+	// the dist server, whichever wrote the file. Writes are atomic and durable
+	// (temp file, sync, rename); they stop after the first lost chunk
+	// (ShardFailures), whose partial results no grid can describe.
 	CheckpointPath string
-	// CheckpointEvery is the checkpoint cadence in iterations; 0 with a
-	// CheckpointPath set selects Iterations/10 (at least 1).
+	// CheckpointEvery is the checkpoint cadence in iterations, rounded up to
+	// whole chunks; 0 with a CheckpointPath set selects Iterations/10. It
+	// decides when checkpoints are written and nothing else: chunk bounds,
+	// reports and signatures are the same for every value.
 	CheckpointEvery int
-	// Resume loads CheckpointPath before executing and skips the
-	// iterations it covers, producing a report whose unique signatures,
-	// violations, and quarantine are identical to the uninterrupted run
-	// with the same seed. Execution-cost counters (TotalCycles, Squashes)
-	// and assertion failures cover only the iterations executed after the
-	// resume point. Requires the static ws mode.
+	// Resume loads CheckpointPath before executing and executes only the
+	// chunks it does not cover. The report — unique signatures, violations,
+	// quarantine, TotalCycles, Squashes, AssertionFailures — is the
+	// uninterrupted run's with the same seed. The checkpoint must fit: same
+	// seed and program, and no more iterations than this campaign requests. A
+	// finished campaign can be extended (more Iterations, then Resume) when
+	// its length was a multiple of ChunkSize; a trailing partial chunk is
+	// already merged and cannot be completed. A missing, damaged or
+	// old-layout file is an error. Requires the static ws mode.
 	Resume bool
 	// Observer, when set, receives typed events from every pipeline stage —
 	// execution shards, the signature merge, decode workers, checking
@@ -428,8 +430,8 @@ type Report struct {
 	// CorpusIgnored is non-nil when an attached corpus was refused (load
 	// failure, signature-width mismatch) and the campaign ran cold.
 	CorpusIgnored error
-	// TotalCycles sums simulated execution time over all iterations
-	// executed this run.
+	// TotalCycles sums simulated execution time over all iterations the
+	// report covers, resumed ones included.
 	TotalCycles int64
 	// Squashes counts load-queue squash/replay events across iterations.
 	Squashes int

@@ -196,8 +196,8 @@ func TestCheckpointEventsObserved(t *testing.T) {
 	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1})
 	path := t.TempDir() + "/run.ckpt"
 	m := NewMetrics()
-	opts := Options{Platform: PlatformX86(), Iterations: 100, Seed: 7,
-		CheckpointPath: path, CheckpointEvery: 25, Observer: m}
+	opts := Options{Platform: PlatformX86(), Iterations: 256, Seed: 7,
+		CheckpointPath: path, CheckpointEvery: 64, Observer: m}
 	if _, err := RunProgram(p, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +213,15 @@ func TestCheckpointEventsObserved(t *testing.T) {
 	}
 
 	m2 := NewMetrics()
-	opts.Iterations = 150
+	opts.Iterations = 384
 	opts.Resume = true
 	opts.Observer = m2
 	if _, err := RunProgram(p, opts); err != nil {
 		t.Fatal(err)
 	}
 	snap2 := m2.Snapshot()
-	if snap2.Totals.CheckpointResumes != 1 || snap2.Totals.ResumedIterations != 100 {
-		t.Errorf("resume events: resumes %d iterations %d, want 1 and 100",
+	if snap2.Totals.CheckpointResumes != 1 || snap2.Totals.ResumedIterations != 256 {
+		t.Errorf("resume events: resumes %d iterations %d, want 1 and 256",
 			snap2.Totals.CheckpointResumes, snap2.Totals.ResumedIterations)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
-	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -114,89 +116,40 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointResume: checkpoints written by the pre-streaming
-// pipeline — serial and skip-ahead sharded collection over the same master
-// seed stream — must resume bit-identically under the chunked scheduler,
-// because both sides derive iteration i's seed from the i-th master draw
-// (the MTCCKPT1 identity is unchanged: seed, program hash, completed
-// count, merged uniques).
+// TestLegacyCheckpointResume: a checkpoint in the layout the pre-grid
+// pipeline wrote — MTCCKPT1, a contiguous prefix of the iteration sequence
+// with neither chunk grid nor checksum — is refused by name. It is never
+// parsed into a resume: the report restores and executes nothing.
 func TestLegacyCheckpointResume(t *testing.T) {
 	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1})
 	plat := PlatformX86()
 	const resumeAt, total = 60, 120
 
-	// Legacy device side: two contiguous shard blocks, each positioned by
-	// skipping the campaign seed stream to its start — the old pipeline's
-	// contiguous-block scheme expressed through the seed-stream identity
-	// (stream value i is iteration i's seed).
-	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
+	prefix, err := CollectSignatures(p, Options{Platform: plat, Iterations: resumeAt, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := sig.NewSet()
-	collect := func(skip, count int) {
-		r, err := sim.NewRunner(plat, p, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := sim.NewSeedStream(7)
-		s.Skip(skip)
-		var sigBuf []uint64
-		for i := 0; i < count; i++ {
-			ex, err := r.RunSeeded(s.Next())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sigBuf, err = meta.EncodeExecutionInto(sigBuf[:0], ex.LoadValues)
-			if err != nil {
-				t.Fatal(err)
-			}
-			set.AddWords(sigBuf)
-		}
+	legacy := []byte("MTCCKPT1")
+	legacy = binary.LittleEndian.AppendUint64(legacy, 7)
+	legacy = binary.LittleEndian.AppendUint64(legacy, progHash(p))
+	legacy = binary.LittleEndian.AppendUint32(legacy, resumeAt)
+	var payload bytes.Buffer
+	if err := sig.WriteSet(&payload, prefix); err != nil {
+		t.Fatal(err)
 	}
-	collect(0, resumeAt/2)
-	collect(resumeAt/2, resumeAt/2)
-	path := t.TempDir() + "/legacy.ckpt"
-	ck := sig.Checkpoint{Seed: 7, ProgHash: progHash(p), Completed: resumeAt, Uniques: set.Sorted()}
-	if _, err := writeCheckpointFile(path, ck); err != nil {
+	path := filepath.Join(t.TempDir(), "legacy.ckpt")
+	if err := os.WriteFile(path, append(legacy, payload.Bytes()...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	opts := Options{Platform: plat, Iterations: total, Seed: 7, Workers: 3,
-		CheckpointPath: path, CheckpointEvery: 30, Resume: true}
-	resumed, err := RunProgram(p, opts)
-	if err != nil {
-		t.Fatal(err)
+	report, err := RunProgram(p, Options{Platform: plat, Iterations: total, Seed: 7, Workers: 3,
+		CheckpointPath: path, CheckpointEvery: 30, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "old MTCCKPT1 layout") {
+		t.Fatalf("resume from a prefix-only MTCCKPT1 file: %v, want the old-layout refusal", err)
 	}
-	if resumed.ResumedIterations != resumeAt {
-		t.Fatalf("resumed %d iterations, want %d", resumed.ResumedIterations, resumeAt)
-	}
-
-	full, err := RunProgram(p, Options{Platform: plat, Iterations: total, Seed: 7, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Iterations != full.Iterations ||
-		resumed.UniqueSignatures != full.UniqueSignatures ||
-		len(resumed.Violations) != len(full.Violations) {
-		t.Errorf("resumed report diverges from uninterrupted run:\nresumed %+v\nfull    %+v",
-			resumed, full)
-	}
-	ru, err := CollectSignatures(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fu, err := CollectSignatures(p, Options{Platform: plat, Iterations: total, Seed: 7, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ru) != len(fu) {
-		t.Fatalf("resumed uniques %d, full %d", len(ru), len(fu))
-	}
-	for i := range fu {
-		if !ru[i].Sig.Equal(fu[i].Sig) || ru[i].Count != fu[i].Count {
-			t.Fatalf("unique %d diverges after legacy resume", i)
-		}
+	if report.ResumedIterations != 0 || report.Iterations != 0 || report.UniqueSignatures != 0 {
+		t.Errorf("refused checkpoint still reached the report: %d resumed, %d iterations, %d uniques",
+			report.ResumedIterations, report.Iterations, report.UniqueSignatures)
 	}
 }
 
