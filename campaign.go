@@ -42,6 +42,9 @@ type Campaign struct {
 	backend check.Backend
 	em      emitter
 	workers int
+	// ckptChunks is the checkpoint cadence in landed chunks: CheckpointEvery
+	// iterations (0 = a tenth of the campaign) rounded up to whole chunks.
+	ckptChunks int
 
 	// Signature-corpus state (Options.Corpus). corpusOK means the attached
 	// store is usable for this campaign's key; a width mismatch degrades to
@@ -55,6 +58,16 @@ type Campaign struct {
 // configuration errors before any execution work.
 func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 	opts = withDefaults(opts)
+	switch {
+	case opts.Iterations < 0:
+		return nil, fmt.Errorf("mtracecheck: Iterations must be >= 0 (0 selects the default), got %d", opts.Iterations)
+	case opts.Workers < 0:
+		return nil, fmt.Errorf("mtracecheck: Workers must be >= 0 (0 selects GOMAXPROCS), got %d", opts.Workers)
+	case opts.Resume && opts.CheckpointPath == "":
+		return nil, errors.New("mtracecheck: Resume requires CheckpointPath")
+	case opts.Resume && opts.ObservedWS:
+		return nil, errors.New("mtracecheck: resume requires the static ws mode (checkpointed signatures carry no recorded write serialization)")
+	}
 	inj, err := injector(opts)
 	if err != nil {
 		return nil, err
@@ -71,6 +84,11 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 		prog: p, opts: opts, meta: meta, inj: inj, backend: backend,
 		em: emitter{o: opts.Observer}, workers: opts.workerCount(),
 	}
+	every := opts.CheckpointEvery
+	if every <= 0 {
+		every = opts.Iterations / 10
+	}
+	c.ckptChunks = max(1, (every+ChunkSize-1)/ChunkSize)
 	if opts.Corpus != nil {
 		if opts.ObservedWS {
 			return nil, errors.New("mtracecheck: the signature corpus requires the static ws mode (cached verdicts are a pure function of the signature)")
@@ -295,12 +313,6 @@ func (c *Campaign) corpusAppend(report *Report, items []check.Item) error {
 // chunks land, so it is honest even when an error cuts the campaign short.
 func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 	if opts := c.opts; opts.Resume {
-		if opts.CheckpointPath == "" {
-			return errors.New("mtracecheck: Resume requires CheckpointPath")
-		}
-		if opts.ObservedWS {
-			return errors.New("mtracecheck: resume requires the static ws mode (checkpointed signatures carry no recorded write serialization)")
-		}
 		f, err := os.Open(opts.CheckpointPath)
 		var ck sig.Checkpoint
 		if err == nil {
@@ -325,11 +337,10 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 // landing chunks strictly in chunk order through a reorder buffer while
 // workers execute later chunks — the stage overlap — so every order-sensitive
 // output (executions, first-observation ws, failure bookkeeping, checkpoint
-// bytes) is identical for every worker count and completion schedule. With a
-// CheckpointPath it also writes a checkpoint whenever CheckpointEvery
-// iterations' worth of whole chunks have landed since the last one, and when
-// the last chunk has; the workers keep executing meanwhile. It returns the
-// first fatal error in chunk order.
+// bytes) is identical for every worker count and completion schedule. It also
+// writes a checkpoint whenever the merger says one is due (CheckpointDue); the
+// workers keep executing meanwhile. It returns the first fatal error in chunk
+// order.
 func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 	opts := c.opts
 	todo := make([]int, 0, len(m.chunks)-m.nDone)
@@ -412,14 +423,10 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 		close(results)
 	}()
 
-	// Checkpoint cadence in whole chunks. Checkpointing stops at the first
-	// chunk that did not complete: its partial results are merged, so the set
-	// is no longer the union of the chunks the grid marks done.
-	checkpointing, every, saved := opts.CheckpointPath != "", opts.CheckpointEvery, m.nDone
-	if every <= 0 {
-		every = opts.Iterations / 10
-	}
-	every = max(1, (every+ChunkSize-1)/ChunkSize)
+	// Checkpointing stops at the first chunk that did not complete: its
+	// partial results are merged, so the set is no longer the union of the
+	// chunks the grid marks done.
+	checkpointing := true
 	pending := make(map[int]*shardOut)
 	landed := 0 // todo[:landed] are in the merger
 	for out := range results {
@@ -433,8 +440,7 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 			landed++
 			m.land(o.idx, o, o.set.Entries())
 			err := o.err
-			if err == nil && checkpointing && (m.nDone-saved >= every || m.Complete()) {
-				saved = m.nDone
+			if err == nil && checkpointing && m.CheckpointDue() {
 				err = c.saveCheckpoint(m)
 			}
 			switch {

@@ -34,7 +34,7 @@ const ChunkSize = 64
 
 // NumChunks returns the number of chunks in the campaign's execution grid.
 func (c *Campaign) NumChunks() int {
-	return max(0, (c.opts.Iterations+ChunkSize-1)/ChunkSize)
+	return (c.opts.Iterations + ChunkSize - 1) / ChunkSize
 }
 
 // ChunkBounds returns the global iteration range [start, start+count) of
@@ -58,8 +58,6 @@ func (c *Campaign) chunkable() error {
 		return errors.New("mtracecheck: chunked execution requires the static ws mode")
 	case c.opts.KeepExecutions:
 		return errors.New("mtracecheck: chunked execution cannot retain executions")
-	case c.opts.Iterations <= 0:
-		return errors.New("mtracecheck: chunked execution requires Iterations > 0")
 	}
 	return nil
 }
@@ -166,9 +164,10 @@ func assertErrors(msgs []string) []error {
 // uploads, redispatch races) merge to the same state. Both come through the
 // same land and end in the same finish: a chunk-API report equals the
 // in-process one by construction. The merger is also the only owner of what a
-// checkpoint holds and which campaign it belongs to (Checkpoint, Restore), so
-// a file written by either door resumes through either. Not safe for
-// concurrent use.
+// checkpoint holds, which campaign it belongs to and when one is due
+// (Checkpoint, Restore, CheckpointDue), so a file written by either door
+// resumes through either and both doors save at the same frontiers. Not safe
+// for concurrent use.
 type ChunkMerger struct {
 	c      *Campaign
 	began  time.Time
@@ -181,6 +180,7 @@ type ChunkMerger struct {
 	// chunks land in, and is what a checkpoint records beside the merged set.
 	chunks []landedChunk
 	nDone  int
+	saved  int // nDone at the last Checkpoint or Restore
 
 	// In-process only — chunkable() rejects the options behind them for the
 	// exported API. First-observation ws needs chunks absorbed in order plus
@@ -350,12 +350,23 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	return true, nil
 }
 
+// CheckpointDue reports whether the campaign's cadence asks for a checkpoint
+// now: it has a CheckpointPath, and either Options.CheckpointEvery iterations'
+// worth of whole chunks have landed since the last Checkpoint (or Restore), or
+// the last chunk has. Both doors ask after every landed chunk, so they save at
+// the same frontiers.
+func (m *ChunkMerger) CheckpointDue() bool {
+	return m.c.opts.CheckpointPath != "" &&
+		(m.nDone-m.saved >= m.c.ckptChunks || m.Complete())
+}
+
 // Checkpoint returns the merger's resumable state: the campaign's identity
 // (seed, program hash), the grid with every landed chunk's accounting, and the
-// merged set, sorted. The in-process campaign writes it as it is; the dist
-// server fills in its lease table (leased, attempt, worker). Restore is its
-// inverse.
+// merged set, sorted. It restarts the cadence CheckpointDue counts. The
+// in-process campaign writes it as it is; the dist server fills in the leases
+// it holds (leased, attempt, worker). Restore is its inverse.
 func (m *ChunkMerger) Checkpoint() sig.Checkpoint {
+	m.saved = m.nDone
 	ck := sig.Checkpoint{
 		Seed: m.c.opts.Seed, ProgHash: progHash(m.c.prog),
 		ChunkSize: ChunkSize, Chunks: make([]sig.CkptChunk, len(m.chunks)),
@@ -425,6 +436,7 @@ func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
 		}
 	}
 	m.report.ResumedIterations = m.report.Iterations
+	m.saved = m.nDone
 	return nil
 }
 

@@ -34,23 +34,13 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit Markdown instead of text")
 		checker  = flag.String("checker", "", "checking backend for single-backend experiments (default collective): "+
 			strings.Join(mtracecheck.CheckerNames(), ", "))
-		listCheckers = flag.Bool("list-checkers", false, "print the registered checker backends, one per line, and exit")
-		corpusDir    = flag.String("corpus", "", "directory for the corpus experiment's persistent signature corpora (default: a temporary directory)")
+		corpusDir = flag.String("corpus", "", "directory for the corpus experiment's persistent signature corpora (default: a temporary directory)")
 
 		metricsOut = flag.String("metrics-out", "", "write collection metrics (Prometheus text format) to this file at exit")
 		progress   = flag.Bool("progress", false, "log rate-limited per-collection progress to stderr")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event timeline (open in Perfetto) to this file")
 	)
 	flag.Parse()
-
-	if *listCheckers {
-		// Derived from the backend registry, so the list never drifts as
-		// backends are added — same contract as cmd/mtracecheck.
-		for _, name := range mtracecheck.CheckerNames() {
-			fmt.Println(name)
-		}
-		return
-	}
 
 	cfg := experiments.Default()
 	if *quick {

@@ -1,7 +1,7 @@
 // Command mtracecheck-worker is the distributed campaign execution client:
-// it polls an mtracecheck-server for chunk leases, executes them on a
-// locally rebuilt campaign, heartbeats while executing, and uploads the
-// results.
+// it polls an mtracecheck-server (or an "mtracecheck -listen" campaign) for
+// chunk leases, executes them on a locally rebuilt campaign, heartbeats while
+// executing, and uploads the results.
 //
 // Usage:
 //

@@ -11,7 +11,16 @@
 //	mtracecheck -threads 4 -ops 50 -sigs-in sigs.bin       # host side
 //	mtracecheck -iters 65536 -checkpoint run.ckpt          # checkpointed
 //	mtracecheck -iters 65536 -checkpoint run.ckpt -resume  # ...resumed
+//	mtracecheck -iters 65536 -listen :7077                 # distributed
 //	mtracecheck -trace obs.trace -mcm tso                  # external trace
+//
+// The campaign flags bind onto one dist.JobSpec and dist.Build resolves it —
+// the description and the resolution a server and every worker use — so what
+// this command runs and what a fleet runs cannot drift. -listen decides only
+// where the chunks execute: the spec is submitted to an embedded dist server,
+// mtracecheck-worker processes that connect to the address execute it, and
+// everything from the merge on (report, -sigs-out, -dot, exit code) is the
+// in-process run's, byte for byte.
 //
 // The -trace mode checks an externally observed execution — an Axe-style
 // text trace of per-thread memory requests/responses — against the model
@@ -29,19 +38,22 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
+	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"mtracecheck"
+	"mtracecheck/internal/dist"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sim"
-	"mtracecheck/internal/testgen"
 )
 
 // Exit codes: scripts driving validation campaigns need to tell "the
@@ -58,49 +70,53 @@ const (
 func main() { os.Exit(run()) }
 
 func run() int {
+	// The campaign description: every flag here is a JobSpec field.
+	spec := dist.JobSpec{Test: &mtracecheck.TestConfig{}}
+	flag.StringVar(&spec.ISA, "isa", "x86", "platform flavor: x86 (TSO) or ARM (weak)")
+	flag.IntVar(&spec.Test.Threads, "threads", 4, "test threads")
+	flag.IntVar(&spec.Test.OpsPerThread, "ops", 50, "memory operations per thread")
+	flag.IntVar(&spec.Test.Words, "words", 64, "distinct shared words")
+	flag.IntVar(&spec.Test.WordsPerLine, "wpl", 1, "shared words per cache line (false sharing)")
+	flag.Float64Var(&spec.Test.LoadRatio, "loads", 0.5, "load fraction (rest are stores)")
+	flag.Float64Var(&spec.Test.FenceProb, "fences", 0, "fence insertion probability")
+	flag.IntVar(&spec.Iterations, "iters", 2048, "test iterations (0 = the library default, 1024)")
+	flag.Int64Var(&spec.Seed, "seed", 1, "random seed, for test generation and for execution")
+	flag.IntVar(&spec.Workers, "workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge; with -listen, the decode/check stage only (0 = GOMAXPROCS; results are identical for any value)")
+	flag.BoolVar(&spec.OS, "os", false, "run under simulated OS scheduling")
+	flag.StringVar(&spec.Checker, "checker", "collective",
+		"checker backend: "+strings.Join(mtracecheck.CheckerNames(), ", "))
+	flag.StringVar(&spec.Bug, "bug", "", "inject a bug: sm-inv, lsq-skip, or wb-race")
+	flag.BoolVar(&spec.Strict, "strict", false, "abort on the first corrupted signature or lost shard instead of degrading")
+	flag.Float64Var(&spec.QuarantineThreshold, "max-quarantine", 0, "fail (exit 3) when more than this fraction of unique signatures is quarantined (0 = no limit)")
+	flag.DurationVar(&spec.ShardTimeout, "shard-timeout", 0, "deadline per execution-shard attempt (0 = none)")
+	flag.IntVar(&spec.ShardRetries, "shard-retries", 2, "retries per failed execution shard before degrading to partial results")
+	flag.StringVar(&spec.CheckpointPath, "checkpoint", "", "periodically persist campaign progress to this file")
+	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in iterations, rounded up to whole 64-iteration chunks (0 = iters/10)")
+	flag.BoolVar(&spec.Resume, "resume", false, "resume the campaign from -checkpoint, executing only the chunks it does not cover (with -listen, a checkpoint that does not exist yet is a fresh start)")
+	flag.Float64Var(&spec.Fault.BitFlip, "fault-bitflip", 0, "injected fault rate: flip one bit in a signature word")
+	flag.Float64Var(&spec.Fault.Truncate, "fault-truncate", 0, "injected fault rate: drop a unique-set entry")
+	flag.Float64Var(&spec.Fault.Duplicate, "fault-duplicate", 0, "injected fault rate: duplicate a unique-set entry")
+	flag.Float64Var(&spec.Fault.OutOfRange, "fault-oor", 0, "injected fault rate: force a signature word out of range")
+	flag.Float64Var(&spec.Fault.ShardStall, "fault-stall", 0, "injected fault rate: stall an execution shard")
+	flag.DurationVar(&spec.Fault.StallFor, "fault-stall-for", 0, "injected stall duration (0 = 250ms)")
+	flag.Float64Var(&spec.Fault.ShardPanic, "fault-panic", 0, "injected fault rate: panic an execution shard")
+	flag.Int64Var(&spec.Fault.Seed, "fault-seed", 1, "seed for deterministic fault injection")
 	var (
-		isa     = flag.String("isa", "x86", "platform flavor: x86 (TSO) or ARM (weak)")
-		threads = flag.Int("threads", 4, "test threads")
-		ops     = flag.Int("ops", 50, "memory operations per thread")
-		words   = flag.Int("words", 64, "distinct shared words")
-		wpl     = flag.Int("wpl", 1, "shared words per cache line (false sharing)")
-		loads   = flag.Float64("loads", 0.5, "load fraction (rest are stores)")
-		fences  = flag.Float64("fences", 0, "fence insertion probability")
-		iters   = flag.Int("iters", 2048, "test iterations")
-		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge (0 = GOMAXPROCS; results are identical for any value)")
-		osMode  = flag.Bool("os", false, "run under simulated OS scheduling")
-		checker = flag.String("checker", "collective",
-			"checker backend: "+strings.Join(mtracecheck.CheckerNames(), ", "))
-		listCheckers = flag.Bool("list-checkers", false, "print the registered checker backends, one per line, and exit")
-		bug          = flag.String("bug", "", "inject a bug: sm-inv, lsq-skip, or wb-race")
-		verbose      = flag.Bool("v", false, "print violation details")
-		sigsOut      = flag.String("sigs-out", "", "write the collected unique signatures to this file")
-		sigsIn       = flag.String("sigs-in", "", "check-only mode: skip execution and check the signatures in this file (pair with -prog or the same generation flags/seed)")
-		dotOut       = flag.String("dot", "", "write the first violation's constraint graph (DOT) to this file")
-		traceIn      = flag.String("trace", "", "check this external execution trace (Axe-style text format) against -mcm instead of running the simulator")
-		mcmName      = flag.String("mcm", "sc", "memory consistency model for -trace: sc, tso, pso, or rmo")
-		timelineTo   = flag.String("timeline", "", "write one traced iteration's op timeline (TSV) to this file")
-		progIn       = flag.String("prog", "", "run this saved test program instead of generating one")
-		progOut      = flag.String("dump-prog", "", "write the generated test program (text format) to this file")
+		progIn   = flag.String("prog", "", "run this saved test program instead of generating one")
+		progOut  = flag.String("dump-prog", "", "write the test program (text format) to this file")
+		listen   = flag.String("listen", "", "distribute the campaign: serve its chunks to mtracecheck-worker processes on this HTTP address (use :0 for an ephemeral port) instead of executing them here")
+		addrFile = flag.String("addr-file", "", "with -listen: write the bound address to this file once listening (for :0 discovery)")
+		leaseTTL = flag.Duration("lease-ttl", 0, "with -listen: chunk lease duration before expiry and redispatch (0 = 10s)")
+		corpusIn = flag.String("corpus", "", "consult and grow this persistent signature corpus: known-good uniques skip decode+check, newly verified ones are appended (verdicts identical to a cold run)")
 
-		strict    = flag.Bool("strict", false, "abort on the first corrupted signature or lost shard instead of degrading")
-		maxQuar   = flag.Float64("max-quarantine", 0, "fail (exit 3) when more than this fraction of unique signatures is quarantined (0 = no limit)")
-		shardTO   = flag.Duration("shard-timeout", 0, "deadline per execution-shard attempt (0 = none)")
-		retries   = flag.Int("shard-retries", 2, "retries per failed execution shard before degrading to partial results")
-		ckptPath  = flag.String("checkpoint", "", "periodically persist campaign progress to this file")
-		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in iterations, rounded up to whole 64-iteration chunks (0 = iters/10)")
-		resume    = flag.Bool("resume", false, "resume the campaign from -checkpoint (written by this command or by mtracecheck-server), executing only the chunks it does not cover")
-		corpusIn  = flag.String("corpus", "", "consult and grow this persistent signature corpus: known-good uniques skip decode+check, newly verified ones are appended (verdicts identical to a cold run)")
+		sigsIn  = flag.String("sigs-in", "", "check-only mode: skip execution and check the signatures in this file (pair with -prog or the same generation flags/seed)")
+		traceIn = flag.String("trace", "", "check this external execution trace (Axe-style text format) against -mcm instead of running the simulator")
+		mcmName = flag.String("mcm", "sc", "memory consistency model for -trace: sc, tso, pso, or rmo")
 
-		fBitFlip  = flag.Float64("fault-bitflip", 0, "injected fault rate: flip one bit in a signature word")
-		fTruncate = flag.Float64("fault-truncate", 0, "injected fault rate: drop a unique-set entry")
-		fDup      = flag.Float64("fault-duplicate", 0, "injected fault rate: duplicate a unique-set entry")
-		fOOR      = flag.Float64("fault-oor", 0, "injected fault rate: force a signature word out of range")
-		fStall    = flag.Float64("fault-stall", 0, "injected fault rate: stall an execution shard")
-		fStallFor = flag.Duration("fault-stall-for", 0, "injected stall duration (0 = 250ms)")
-		fPanic    = flag.Float64("fault-panic", 0, "injected fault rate: panic an execution shard")
-		fSeed     = flag.Int64("fault-seed", 1, "seed for deterministic fault injection")
+		verbose    = flag.Bool("v", false, "print violation details")
+		sigsOut    = flag.String("sigs-out", "", "write the collected unique signatures to this file")
+		dotOut     = flag.String("dot", "", "write the first violation's constraint graph (DOT) to this file")
+		timelineTo = flag.String("timeline", "", "write one traced iteration's op timeline (TSV) to this file")
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile taken at exit to this file (go tool pprof)")
@@ -111,11 +127,6 @@ func run() int {
 	)
 	flag.Usage = usage
 	flag.Parse()
-
-	if *listCheckers {
-		printCheckers(os.Stdout)
-		return exitPass
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -143,37 +154,15 @@ func run() int {
 		}()
 	}
 
-	plat, err := sim.PlatformFor(*isa, *bug, *osMode)
-	if err != nil {
-		return infra(err)
+	spec.Test.Seed = spec.Seed
+	if *progIn != "" {
+		text, err := os.ReadFile(*progIn)
+		if err != nil {
+			return infra(err)
+		}
+		spec.Program = string(text)
 	}
-	if *workers < 0 {
-		return infra(fmt.Errorf("-workers must be >= 0, got %d", *workers))
-	}
-	opts := mtracecheck.Options{
-		Platform:            plat,
-		Iterations:          *iters,
-		Seed:                *seed,
-		Workers:             *workers,
-		Strict:              *strict,
-		QuarantineThreshold: *maxQuar,
-		ShardTimeout:        *shardTO,
-		ShardRetries:        *retries,
-		CheckpointPath:      *ckptPath,
-		CheckpointEvery:     *ckptEvery,
-		Resume:              *resume,
-		Fault: mtracecheck.FaultConfig{
-			Seed:       *fSeed,
-			BitFlip:    *fBitFlip,
-			Truncate:   *fTruncate,
-			Duplicate:  *fDup,
-			OutOfRange: *fOOR,
-			ShardStall: *fStall,
-			ShardPanic: *fPanic,
-			StallFor:   *fStallFor,
-		},
-	}
-	opts.Checker, err = parseChecker(*checker)
+	p, opts, err := dist.Build(spec)
 	if err != nil {
 		return infra(err)
 	}
@@ -191,69 +180,50 @@ func run() int {
 		return infra(err)
 	}
 	defer finishObs()
-	cfg := mtracecheck.TestConfig{
-		Threads:      *threads,
-		OpsPerThread: *ops,
-		Words:        *words,
-		WordsPerLine: *wpl,
-		LoadRatio:    *loads,
-		FenceProb:    *fences,
-		Seed:         *seed,
-	}
 
 	// External-trace mode: check an observed execution against -mcm with
 	// the selected backend; the simulator never runs.
 	if *traceIn != "" {
 		return runTraceCheck(*traceIn, *mcmName, opts, *verbose)
 	}
-
 	// Check-only mode: the host side of the device/host split. The program
 	// must be reconstructed exactly — from its saved text or from the same
 	// generation flags and seed the device side used.
 	if *sigsIn != "" {
-		p, err := checkProgram(*progIn, cfg)
-		if err != nil {
-			return infra(err)
-		}
 		return runCheckOnly(*sigsIn, p, opts, *verbose)
 	}
 
-	var report *mtracecheck.Report
-	if *progIn != "" {
-		p, err := loadProgram(*progIn)
-		if err != nil {
+	// NewCampaign refuses what a description can get wrong beyond its names
+	// (-iters -5, -workers -2, -resume without -checkpoint) before anything is
+	// printed or bound; a server validates the submitted spec the same way.
+	c, err := mtracecheck.NewCampaign(p, opts)
+	if err != nil {
+		return infra(err)
+	}
+	if *progOut != "" {
+		if err := os.WriteFile(*progOut, []byte(prog.Format(p)), 0o644); err != nil {
 			return infra(err)
 		}
-		fmt.Printf("mtracecheck: %s (%d threads, %d ops) on %s (%s), %d iterations\n",
-			p.Name, p.NumThreads(), p.NumOps(), plat.Name, mtracecheck.ModelName(plat), *iters)
-		report, err = mtracecheck.RunProgram(p, opts)
-		if err != nil {
-			return reportRunError(report, err)
-		}
-	} else {
-		if *progOut != "" {
-			if err := saveProgram(*progOut, cfg); err != nil {
-				return infra(err)
-			}
-			fmt.Printf("test program written to %s\n", *progOut)
-		}
-		fmt.Printf("mtracecheck: %s-%d-%d-%d on %s (%s), %d iterations\n",
-			*isa, *threads, *ops, *words, plat.Name, mtracecheck.ModelName(plat), *iters)
-		var err error
-		report, err = mtracecheck.Run(cfg, opts)
-		if err != nil {
-			return reportRunError(report, err)
-		}
+		fmt.Printf("test program written to %s\n", *progOut)
 	}
-	fmt.Printf("unique interleavings: %d / %d iterations (%.1f%%)\n",
-		report.UniqueSignatures, report.Iterations,
-		100*float64(report.UniqueSignatures)/float64(report.Iterations))
-	fmt.Printf("execution signature:  %d bytes\n", report.SignatureBytes)
-	fmt.Printf("simulated cycles:     %d total\n", report.TotalCycles)
-	printCheckStats(report, opts.Checker)
-	printDegradation(report)
+	name := fmt.Sprintf("%s (%d threads, %d ops)", p.Name, p.NumThreads(), p.NumOps())
+	if spec.Program == "" {
+		name = spec.ISA + "-" + p.Name // the paper's configuration naming, x86-4-50-64
+	}
+	fmt.Printf("mtracecheck: %s on %s (%s), %d iterations\n",
+		name, opts.Platform.Name, mtracecheck.ModelName(opts.Platform), opts.Iterations)
+	var report *mtracecheck.Report
+	if *listen != "" {
+		report, err = runDistributed(spec, opts, *listen, *addrFile, *leaseTTL)
+	} else {
+		report, err = c.Run(context.Background())
+	}
+	if err != nil {
+		return reportRunError(report, err)
+	}
+	failed := mtracecheck.WriteResultSummary(os.Stdout, report, opts.Checker)
 	if *timelineTo != "" {
-		if err := dumpTimeline(*timelineTo, report.Program, opts); err != nil {
+		if err := dumpTimeline(*timelineTo, p, opts); err != nil {
 			return infra(err)
 		}
 		fmt.Printf("timeline written to %s\n", *timelineTo)
@@ -270,15 +240,12 @@ func run() int {
 		}
 		fmt.Printf("violation graph written to %s\n", *dotOut)
 	}
-	if report.Failed() {
-		fmt.Printf("RESULT: FAIL — %d graph violations, %d assertion failures\n",
-			len(report.Violations), len(report.AssertionFailures))
+	if failed {
 		if *verbose {
 			printViolations(report)
 		}
 		return exitFinding
 	}
-	fmt.Println("RESULT: PASS — all observed interleavings consistent with the model")
 	return exitPass
 }
 
@@ -292,8 +259,8 @@ Exit codes:
   0  pass: every observed interleaving is consistent with the model
   1  finding: MCM violation, instrumentation assertion failure, or
      platform crash (deadlock/livelock) during test execution
-  2  infrastructure error: bad configuration, I/O failure, or a pipeline
-     error in strict mode
+  2  infrastructure error: bad configuration, I/O failure, a pipeline
+     error in strict mode, or (with -listen) an undispatchable chunk
   3  quarantine overflow: the fraction of unique signatures quarantined
      as corrupted exceeded -max-quarantine
 
@@ -305,14 +272,37 @@ Profiling:
 `)
 }
 
-// printCheckStats and printDegradation delegate to the shared summary
-// writers, so the distributed server's output matches this CLI's exactly.
-func printCheckStats(report *mtracecheck.Report, checker mtracecheck.Checker) {
-	mtracecheck.WriteCheckSummary(os.Stdout, report, checker)
-}
+// runDistributed is -listen: the campaign's chunks execute on whatever
+// mtracecheck-worker processes connect to addr instead of in this process. The
+// server merges their uploads with the merger an in-process run uses, so the
+// report is the same; the one line added says what the workers cost.
+func runDistributed(spec dist.JobSpec, opts mtracecheck.Options, addr, addrFile string, leaseTTL time.Duration) (*mtracecheck.Report, error) {
+	srv := dist.NewServer(dist.ServerOptions{LeaseTTL: leaseTTL, Corpus: opts.Corpus, Observer: opts.Observer})
+	defer srv.Close()
+	id, err := srv.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if addrFile != "" {
+		// The file appears only once the listener is bound.
+		if err := os.WriteFile(addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+			return nil, err
+		}
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	go httpSrv.Serve(ln)
+	defer httpSrv.Shutdown(context.Background())
+	fmt.Fprintf(os.Stderr, "mtracecheck: %s on %s, waiting for workers\n", id, ln.Addr())
 
-func printDegradation(report *mtracecheck.Report) {
-	mtracecheck.WriteDegradation(os.Stdout, report)
+	report, err := srv.Wait(context.Background(), id)
+	stats, _ := srv.Stats(id) // the job exists: Submit returned its id
+	fmt.Printf("dist robustness:      %d leases expired, %d chunks redispatched, %d duplicate uploads, %d rejected uploads\n",
+		stats.Expired, stats.Redispatched, stats.Duplicates, stats.Rejected)
+	return report, err
 }
 
 func printViolations(report *mtracecheck.Report) {
@@ -326,15 +316,6 @@ func printViolations(report *mtracecheck.Report) {
 	for _, e := range report.AssertionFailures {
 		fmt.Printf("  assert: %v\n", e)
 	}
-}
-
-// checkProgram resolves the test program for check-only mode: a saved
-// program file, or regeneration from the configuration flags.
-func checkProgram(progIn string, cfg mtracecheck.TestConfig) (*mtracecheck.Program, error) {
-	if progIn != "" {
-		return loadProgram(progIn)
-	}
-	return testgen.Generate(cfg)
 }
 
 // runCheckOnly is the host side: load previously collected signatures,
@@ -355,10 +336,8 @@ func runCheckOnly(path string, p *mtracecheck.Program, opts mtracecheck.Options,
 	if err := mtracecheck.ValidateSignatureMeta(meta, p, opts); err != nil {
 		return infra(err)
 	}
-	if meta != nil {
-		fmt.Printf("signature provenance: program %#x, seed %d, platform %q — matches this configuration\n",
-			meta.ProgHash, meta.Seed, meta.Platform)
-	}
+	fmt.Printf("signature provenance: program %#x, seed %d, platform %q — matches this configuration\n",
+		meta.ProgHash, meta.Seed, meta.Platform)
 	plat := opts.Platform
 	fmt.Printf("mtracecheck: checking %d unique signatures from %s against %s (%s)\n",
 		len(uniques), path, plat.Name, mtracecheck.ModelName(plat))
@@ -366,8 +345,8 @@ func runCheckOnly(path string, p *mtracecheck.Program, opts mtracecheck.Options,
 	if err != nil {
 		return reportRunError(report, err)
 	}
-	printCheckStats(report, opts.Checker)
-	printDegradation(report)
+	mtracecheck.WriteCheckSummary(os.Stdout, report, opts.Checker)
+	mtracecheck.WriteDegradation(os.Stdout, report)
 	if len(report.Violations) > 0 {
 		fmt.Printf("RESULT: FAIL — %d graph violations\n", len(report.Violations))
 		if verbose {
@@ -379,14 +358,6 @@ func runCheckOnly(path string, p *mtracecheck.Program, opts mtracecheck.Options,
 	}
 	fmt.Println("RESULT: PASS — all recorded interleavings consistent with the model")
 	return exitPass
-}
-
-// printCheckers lists the registered checker backends one per line, in the
-// registry's sorted order — the same list -checker validates against.
-func printCheckers(w io.Writer) {
-	for _, name := range mtracecheck.CheckerNames() {
-		fmt.Fprintln(w, name)
-	}
 }
 
 // runTraceCheck is the external-trace front door: parse an Axe-style trace,
@@ -410,7 +381,7 @@ func runTraceCheck(path, model string, opts mtracecheck.Options, verbose bool) i
 	if err != nil {
 		return infra(err)
 	}
-	printCheckStats(report, opts.Checker)
+	mtracecheck.WriteCheckSummary(os.Stdout, report, opts.Checker)
 	if report.Failed() {
 		fmt.Printf("RESULT: FAIL — %d graph violations, %d assertion failures\n",
 			len(report.Violations), len(report.AssertionFailures))
@@ -492,14 +463,6 @@ func attachObservers(opts *mtracecheck.Options, metricsOut string, progress bool
 	}, nil
 }
 
-// parseChecker maps the -checker flag to a checker selection; unknown
-// values are rejected rather than silently defaulting to the collective
-// checker, and the valid list in the error comes from the backend registry,
-// so it can never drift as backends are added.
-func parseChecker(name string) (mtracecheck.Checker, error) {
-	return mtracecheck.ParseChecker(name)
-}
-
 // dumpSignatures writes the signature set the campaign ended with in the
 // binary device-to-host format, provenance header included.
 func dumpSignatures(path string, report *mtracecheck.Report) error {
@@ -554,32 +517,13 @@ func reportRunError(report *mtracecheck.Report, err error) int {
 		return exitFinding
 	case errors.Is(err, mtracecheck.ErrQuarantineThreshold):
 		if report != nil {
-			printDegradation(report)
+			mtracecheck.WriteDegradation(os.Stdout, report)
 		}
 		fmt.Printf("RESULT: QUARANTINE OVERFLOW — %v\n", err)
 		return exitQuarantine
 	default:
 		return infra(err)
 	}
-}
-
-// loadProgram reads a saved test program.
-func loadProgram(path string) (*mtracecheck.Program, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return prog.Parse(f)
-}
-
-// saveProgram writes the generated program in the text format.
-func saveProgram(path string, cfg mtracecheck.TestConfig) error {
-	p, err := testgen.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(prog.Format(p)), 0o644)
 }
 
 // infra reports an infrastructure error and selects its exit code.

@@ -7,19 +7,339 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mtracecheck"
-	"mtracecheck/internal/check"
+	"mtracecheck/internal/dist"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
-	"mtracecheck/internal/sim"
-	"mtracecheck/internal/testgen"
 )
 
-// TestPlatformSelection pins what the -isa, -bug and -os flags select; the
-// resolution itself is sim.PlatformFor, shared with the dist job spec.
+// The tests that drive real processes share one build of the three binaries,
+// made on first use into a directory TestMain removes.
+var (
+	binOnce sync.Once
+	binDir  string
+	binErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// binary returns the path of one of mtracecheck, mtracecheck-server and
+// mtracecheck-worker, building all three the first time any is asked for.
+func binary(t *testing.T, name string) string {
+	t.Helper()
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build the binaries with")
+	}
+	binOnce.Do(func() {
+		if binDir, binErr = os.MkdirTemp("", "mtracecheck-bin"); binErr != nil {
+			return
+		}
+		out, err := exec.Command(goTool, "build", "-o", binDir+string(filepath.Separator),
+			"mtracecheck/cmd/mtracecheck", "mtracecheck/cmd/mtracecheck-server", "mtracecheck/cmd/mtracecheck-worker").CombinedOutput()
+		if err != nil {
+			binErr = fmt.Errorf("building the binaries: %v\n%s", err, out)
+		}
+	})
+	if binErr != nil {
+		t.Fatal(binErr)
+	}
+	return filepath.Join(binDir, name)
+}
+
+// mtc runs the mtracecheck binary, requires the exit code, and returns what it
+// wrote to stdout and stderr.
+func mtc(t *testing.T, wantExit int, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(binary(t, "mtracecheck"), args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("mtracecheck %v: %v", args, err)
+	}
+	if got := cmd.ProcessState.ExitCode(); got != wantExit {
+		t.Fatalf("mtracecheck %v: exit %d, want %d\n%s%s", args, got, wantExit, &out, &errOut)
+	}
+	return out.String(), errOut.String()
+}
+
+// keepLines returns s without the lines that match drop.
+func keepLines(s string, drop *regexp.Regexp) string {
+	var kept []string
+	for _, line := range strings.Split(s, "\n") {
+		if !drop.MatchString(line) {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// metric returns the value of one series in a Prometheus text file.
+func metric(t *testing.T, file, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(readFile(t, file), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("%s has no %s series", file, name)
+	return ""
+}
+
+// checkingLine matches the per-backend effort line, the one report line that
+// may differ between backends, worker counts, and cold and warm corpus runs.
+var checkingLine = regexp.MustCompile(`checking:`)
+
+// TestSmoke drives the built binaries end to end, one case per property the
+// command line promises across runs. Skipped under -short.
+func TestSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+
+	// The same campaign run bare and with all three observers attached prints
+	// a bit-identical report (the observers' non-perturbation contract, end to
+	// end), and the metrics and trace artifacts materialize with real content.
+	t.Run("obs", func(t *testing.T) {
+		dir := t.TempDir()
+		campaign := []string{"-threads", "2", "-ops", "30", "-words", "8", "-iters", "200", "-seed", "7"}
+		bare, _ := mtc(t, exitPass, campaign...)
+		observed, progress := mtc(t, exitPass, append(campaign, "-progress",
+			"-metrics-out", filepath.Join(dir, "metrics.prom"), "-trace-out", filepath.Join(dir, "trace.json"))...)
+		if observed != bare {
+			t.Errorf("observed report differs from the bare run:\n%s\nbare:\n%s", observed, bare)
+		}
+		if got := metric(t, filepath.Join(dir, "metrics.prom"), "mtracecheck_iterations_total"); got != "200" {
+			t.Errorf("metrics snapshot counts %s iterations, want 200", got)
+		}
+		trace := readFile(t, filepath.Join(dir, "trace.json"))
+		if !strings.Contains(trace, `"ph":"X"`) || !strings.HasSuffix(strings.TrimSpace(trace), "]") {
+			t.Error("trace output has no spans or is unterminated")
+		}
+		if !strings.Contains(progress, "obs:") {
+			t.Errorf("no progress lines on stderr:\n%s", progress)
+		}
+	})
+
+	// The work-stealing pipeline produces bit-identical artifacts at every
+	// worker count: the report (modulo the partition-dependent effort line),
+	// the signature file, and the worker-invariant metrics Totals. Effort
+	// series are partition- and timing-dependent by design and filtered out.
+	// Each run is one campaign of 400 iterations: -sigs-out writes the run's
+	// own set, it does not collect again.
+	t.Run("scaling", func(t *testing.T) {
+		effort := regexp.MustCompile(`mtracecheck_(shard_attempts|shard_retries|retried_iterations|sorted_vertices|backward_edges|graphs_by_kind|max_resort_window|stage_seconds|clock_updates|propagations|check_shards)`)
+		var report, sigs, totals [2]string
+		for i, w := range []string{"1", "4"} {
+			dir := t.TempDir()
+			out, _ := mtc(t, exitPass, "-threads", "4", "-ops", "40", "-words", "16", "-iters", "400", "-seed", "11",
+				"-workers", w, "-sigs-out", filepath.Join(dir, "sigs"), "-metrics-out", filepath.Join(dir, "metrics"))
+			report[i] = strings.ReplaceAll(keepLines(out, checkingLine), dir, "DIR")
+			sigs[i] = readFile(t, filepath.Join(dir, "sigs"))
+			totals[i] = keepLines(readFile(t, filepath.Join(dir, "metrics")), effort)
+			if it, c := metric(t, filepath.Join(dir, "metrics"), "mtracecheck_iterations_total"),
+				metric(t, filepath.Join(dir, "metrics"), "mtracecheck_campaigns_total"); it != "400" || c != "1" {
+				t.Errorf("-workers %s with -sigs-out ran %s campaigns of %s iterations, want one of 400", w, c, it)
+			}
+		}
+		if report[0] != report[1] {
+			t.Errorf("report differs between -workers 1 and 4:\n%s\n%s", report[0], report[1])
+		}
+		if sigs[0] != sigs[1] {
+			t.Error("signature file differs between -workers 1 and 4")
+		}
+		if totals[0] != totals[1] {
+			t.Errorf("metrics Totals differ between -workers 1 and 4:\n%s\n%s", totals[0], totals[1])
+		}
+	})
+
+	// One collected signature set checked with every registered backend (a new
+	// backend joins automatically): all verdicts are identical; only the
+	// per-backend effort line may differ.
+	t.Run("diff-check", func(t *testing.T) {
+		dir := t.TempDir()
+		progFile, sigs := filepath.Join(dir, "prog"), filepath.Join(dir, "sigs")
+		mtc(t, exitPass, "-threads", "4", "-ops", "40", "-words", "16", "-iters", "400", "-seed", "11",
+			"-dump-prog", progFile, "-sigs-out", sigs)
+		verdict := func(checker string) string {
+			out, _ := mtc(t, exitPass, "-prog", progFile, "-iters", "400", "-seed", "11", "-sigs-in", sigs, "-checker", checker)
+			return keepLines(out, checkingLine)
+		}
+		want := verdict("collective")
+		for _, c := range mtracecheck.CheckerNames() {
+			if got := verdict(c); got != want {
+				t.Errorf("%s verdict differs from collective:\n%s\ncollective:\n%s", c, got, want)
+			}
+		}
+	})
+
+	// The committed golden traces through the -trace front door: a violating
+	// TSO trace is a finding, a valid one passes, and the serial constraints
+	// oracle prints the verdict the vectorclock backend does.
+	t.Run("trace", func(t *testing.T) {
+		golden := filepath.Join("..", "..", "internal", "trace", "testdata")
+		mtc(t, exitFinding, "-trace", filepath.Join(golden, "tso_violation.trace"), "-mcm", "tso")
+		mtc(t, exitPass, "-trace", filepath.Join(golden, "tso_valid.trace"), "-mcm", "tso")
+		var verdict [2]string
+		for i, c := range []string{"constraints", "vectorclock"} {
+			out, _ := mtc(t, exitFinding, "-trace", filepath.Join(golden, "tso_violation.trace"), "-mcm", "tso", "-checker", c, "-v")
+			verdict[i] = keepLines(out, checkingLine)
+		}
+		if verdict[0] != verdict[1] {
+			t.Errorf("constraints and vectorclock verdicts differ:\n%s\n%s", verdict[0], verdict[1])
+		}
+	})
+
+	// -listen decides only where chunks execute. With two honest workers the
+	// distributed run prints the in-process run's stdout, the dist robustness
+	// line apart, and writes its signature file byte for byte; so it does with
+	// one honest worker, one SIGKILLed mid-campaign and one corrupting every
+	// upload (quarantined server-side): worker failures may cost wall-clock,
+	// never results.
+	t.Run("dist", func(t *testing.T) {
+		campaign := []string{"-threads", "4", "-ops", "40", "-words", "16", "-iters", "1280", "-seed", "11"}
+		refDir := t.TempDir()
+		robustness := regexp.MustCompile(`(?m)^dist robustness:`)
+		ref, _ := mtc(t, exitPass, append(campaign, "-sigs-out", filepath.Join(refDir, "sigs"))...)
+		ref = strings.ReplaceAll(ref, refDir, "DIR")
+		refSigs := readFile(t, filepath.Join(refDir, "sigs"))
+		fleets := map[string]func(t *testing.T, worker func(args ...string) *exec.Cmd){
+			"honest": func(t *testing.T, worker func(args ...string) *exec.Cmd) {
+				worker("-id", "honest-1", "-exit-when-idle")
+				worker("-id", "honest-2", "-exit-when-idle")
+			},
+			"hostile": func(t *testing.T, worker func(args ...string) *exec.Cmd) {
+				worker("-id", "honest", "-exit-when-idle")
+				victim := worker("-id", "victim")
+				worker("-id", "liar", "-fault-wire-corrupt", "1")
+				time.Sleep(300 * time.Millisecond)
+				victim.Process.Kill()
+			},
+		}
+		for name, fleet := range fleets {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				addrFile := filepath.Join(dir, "addr")
+				var out, errOut bytes.Buffer
+				srv := exec.Command(binary(t, "mtracecheck"), append(campaign, "-sigs-out", filepath.Join(dir, "sigs"),
+					"-listen", "127.0.0.1:0", "-addr-file", addrFile, "-lease-ttl", "1s")...)
+				srv.Stdout, srv.Stderr = &out, &errOut
+				if err := srv.Start(); err != nil {
+					t.Fatal(err)
+				}
+				exited := make(chan error, 1)
+				go func() { exited <- srv.Wait() }()
+				t.Cleanup(func() { srv.Process.Kill() })
+				var addr string
+				for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(10 * time.Millisecond) {
+					if data, _ := os.ReadFile(addrFile); len(data) > 0 {
+						addr = strings.TrimSpace(string(data))
+					} else if time.Now().After(deadline) {
+						t.Fatalf("mtracecheck -listen never bound\n%s", &errOut)
+					}
+				}
+				fleet(t, func(args ...string) *exec.Cmd {
+					w := exec.Command(binary(t, "mtracecheck-worker"), append([]string{"-server", "http://" + addr}, args...)...)
+					if err := w.Start(); err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { w.Process.Kill(); w.Wait() })
+					return w
+				})
+				select {
+				case err := <-exited:
+					if err != nil {
+						t.Fatalf("mtracecheck -listen: %v\n%s%s", err, &out, &errOut)
+					}
+				case <-time.After(2 * time.Minute):
+					t.Fatalf("mtracecheck -listen did not finish\n%s%s", &out, &errOut)
+				}
+				if !robustness.MatchString(out.String()) {
+					t.Errorf("no dist robustness line:\n%s", &out)
+				}
+				if got := strings.ReplaceAll(keepLines(out.String(), robustness), dir, "DIR"); got != ref {
+					t.Errorf("distributed stdout:\n%s\nin-process:\n%s", got, ref)
+				}
+				if readFile(t, filepath.Join(dir, "sigs")) != refSigs {
+					t.Error("distributed signatures differ from the in-process run")
+				}
+			})
+		}
+	})
+
+	// The same campaign cold (empty corpus) and warm (corpus grown by the cold
+	// run): the signature files are byte-equal, the reports match modulo the
+	// corpus and effort lines that differ by design, and the warm run checks
+	// zero graphs while scoring a corpus hit for every unique.
+	t.Run("corpus", func(t *testing.T) {
+		dir := t.TempDir()
+		byDesign := regexp.MustCompile(`checking:|signature corpus:`)
+		var verdict, sigs [2]string
+		for i, run := range []string{"cold", "warm"} {
+			out, _ := mtc(t, exitPass, "-threads", "4", "-ops", "40", "-words", "16", "-iters", "400", "-seed", "11",
+				"-corpus", filepath.Join(dir, "corpus.mtc"), "-sigs-out", filepath.Join(dir, run+".sigs"),
+				"-metrics-out", filepath.Join(dir, run+".metrics"))
+			verdict[i] = strings.ReplaceAll(keepLines(out, byDesign), filepath.Join(dir, run), "RUN")
+			sigs[i] = readFile(t, filepath.Join(dir, run+".sigs"))
+		}
+		if sigs[0] != sigs[1] {
+			t.Error("signature files differ between cold and warm")
+		}
+		if verdict[0] != verdict[1] {
+			t.Errorf("warm verdict differs from cold:\n%s\ncold:\n%s", verdict[1], verdict[0])
+		}
+		cold, warm := filepath.Join(dir, "cold.metrics"), filepath.Join(dir, "warm.metrics")
+		if g, m := metric(t, warm, "mtracecheck_graphs_checked_total"), metric(t, warm, "mtracecheck_corpus_misses_total"); g != "0" || m != "0" {
+			t.Errorf("warm run checked %s graphs and missed the corpus %s times, want 0 and 0", g, m)
+		}
+		if hits, checked := metric(t, warm, "mtracecheck_corpus_hits_total"), metric(t, cold, "mtracecheck_graphs_checked_total"); hits != checked || hits == "0" {
+			t.Errorf("warm hits (%s) != cold graphs checked (%s)", hits, checked)
+		}
+	})
+}
+
+// TestIterationsFlag: a campaign that would execute nothing is refused (exit 2,
+// naming the value) rather than passed, and 0 runs — and announces — the
+// library default.
+func TestIterationsFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	out, errOut := mtc(t, exitInfra, "-iters", "-5")
+	if out != "" || !strings.Contains(errOut, "-5") {
+		t.Errorf("-iters -5 printed %q and reported %q, want nothing and an error naming -5", out, errOut)
+	}
+	out, _ = mtc(t, exitPass, "-threads", "2", "-ops", "10", "-iters", "0")
+	if !strings.Contains(out, ", 1024 iterations\n") || !strings.Contains(out, " / 1024 iterations") {
+		t.Errorf("-iters 0 does not announce and run the library default:\n%s", out)
+	}
+}
+
+// TestPlatformSelection pins what the -isa, -bug and -os flags select, through
+// the resolution every door shares (dist.Build over the spec they bind onto).
 func TestPlatformSelection(t *testing.T) {
 	cases := []struct {
 		isa, bug string
@@ -35,20 +355,21 @@ func TestPlatformSelection(t *testing.T) {
 		{"mips", "", false, "", true},
 		{"x86", "bogus", false, "", true},
 	}
+	test := &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4}
 	for _, c := range cases {
-		p, err := sim.PlatformFor(c.isa, c.bug, c.os)
+		_, opts, err := dist.Build(dist.JobSpec{Test: test, ISA: c.isa, Bug: c.bug, OS: c.os})
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("PlatformFor(%q, %q): no error", c.isa, c.bug)
+				t.Errorf("Build(-isa %q -bug %q): no error", c.isa, c.bug)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("PlatformFor(%q, %q): %v", c.isa, c.bug, err)
+			t.Errorf("Build(-isa %q -bug %q): %v", c.isa, c.bug, err)
 			continue
 		}
-		if p.Name != c.wantName || p.OS.Enabled != c.os {
-			t.Errorf("PlatformFor(%q, %q, %v) = %q with OS %v, want %q", c.isa, c.bug, c.os, p.Name, p.OS.Enabled, c.wantName)
+		if p := opts.Platform; p.Name != c.wantName || p.OS.Enabled != c.os {
+			t.Errorf("Build(-isa %q -bug %q -os=%v) = %q with OS %v, want %q", c.isa, c.bug, c.os, p.Name, p.OS.Enabled, c.wantName)
 		}
 	}
 }
@@ -59,29 +380,13 @@ func TestPlatformSelection(t *testing.T) {
 // included — and write its signature file byte for byte. Injected stalls slow
 // the victim so that the kill always lands mid-campaign; they change no result.
 func TestInterruptAndResume(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go tool to build the CLI with")
-	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "mtracecheck")
-	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building the CLI: %v\n%s", err, out)
-	}
 	ckpt := filepath.Join(dir, "run.ckpt")
 	campaign := []string{"-threads", "3", "-ops", "30", "-words", "8", "-seed", "6",
 		"-iters", "384", "-workers", "1", "-checkpoint-every", "64"}
-	mtc := func(extra ...string) string {
-		t.Helper()
-		out, err := exec.Command(bin, append(campaign, extra...)...).CombinedOutput()
-		if err != nil {
-			t.Fatalf("mtracecheck %v: %v\n%s", extra, err, out)
-		}
-		return string(out)
-	}
-	want := mtc("-sigs-out", filepath.Join(dir, "ref.sigs"))
+	want, _ := mtc(t, exitPass, append(campaign, "-sigs-out", filepath.Join(dir, "ref.sigs"))...)
 
-	victim := exec.Command(bin, append(campaign, "-checkpoint", ckpt, "-fault-stall", "1", "-fault-stall-for", "300ms")...)
+	victim := exec.Command(binary(t, "mtracecheck"), append(campaign, "-checkpoint", ckpt, "-fault-stall", "1", "-fault-stall-for", "300ms")...)
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,31 +412,15 @@ func TestInterruptAndResume(t *testing.T) {
 	victim.Process.Kill()
 	<-exited
 
-	got := mtc("-checkpoint", ckpt, "-resume", "-sigs-out", filepath.Join(dir, "resumed.sigs"))
+	got, _ := mtc(t, exitPass, append(campaign, "-checkpoint", ckpt, "-resume", "-sigs-out", filepath.Join(dir, "resumed.sigs"))...)
 	if !strings.Contains(got, "resumed:") {
 		t.Errorf("the resumed run does not say what it restored:\n%s", got)
 	}
-	report := func(out string) string {
-		var kept []string
-		for _, line := range strings.Split(out, "\n") {
-			if !strings.HasPrefix(line, "resumed:") && !strings.HasPrefix(line, "signatures written to") {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	if report(got) != report(want) {
+	byDesign := regexp.MustCompile(`^(resumed:|signatures written to)`)
+	if keepLines(got, byDesign) != keepLines(want, byDesign) {
 		t.Errorf("resumed report:\n%s\nuninterrupted:\n%s", got, want)
 	}
-	ref, err := os.ReadFile(filepath.Join(dir, "ref.sigs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := os.ReadFile(filepath.Join(dir, "resumed.sigs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed, ref) {
+	if readFile(t, filepath.Join(dir, "resumed.sigs")) != readFile(t, filepath.Join(dir, "ref.sigs")) {
 		t.Error("the resumed run's signature file differs from the uninterrupted run's")
 	}
 }
@@ -139,12 +428,9 @@ func TestInterruptAndResume(t *testing.T) {
 func TestDumpSignaturesRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sigs.bin")
-	cfg := mtracecheck.TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1}
-	p, err := testgen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := mtracecheck.RunProgram(p, mtracecheck.Options{Iterations: 30, Seed: 2})
+	p, opts := build(t, dist.JobSpec{Iterations: 30, Seed: 2,
+		Test: &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1}})
+	report, err := mtracecheck.RunProgram(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +446,7 @@ func TestDumpSignaturesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta == nil || meta.Seed != 2 {
+	if meta.Seed != 2 {
 		t.Errorf("provenance header = %+v, want seed 2", meta)
 	}
 	if len(uniques) == 0 {
@@ -175,6 +461,15 @@ func TestDumpSignaturesRoundTrip(t *testing.T) {
 	}
 }
 
+func build(t *testing.T, spec dist.JobSpec) (*mtracecheck.Program, mtracecheck.Options) {
+	t.Helper()
+	p, opts, err := dist.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, opts
+}
+
 func TestParseCheckerListsValidValues(t *testing.T) {
 	for name, want := range map[string]mtracecheck.Checker{
 		"collective":   mtracecheck.CheckerCollective,
@@ -182,30 +477,31 @@ func TestParseCheckerListsValidValues(t *testing.T) {
 		"incremental":  mtracecheck.CheckerIncremental,
 		"vectorclock":  mtracecheck.CheckerVectorClock,
 	} {
-		got, err := parseChecker(name)
+		got, err := mtracecheck.ParseChecker(name)
 		if err != nil || got != want {
-			t.Errorf("parseChecker(%q) = %v, %v", name, got, err)
+			t.Errorf("ParseChecker(%q) = %v, %v", name, got, err)
 		}
 	}
 	// Every registered backend must parse — the flag's valid set is the
 	// registry, not a hand-maintained list.
 	for _, name := range mtracecheck.CheckerNames() {
-		if c, err := parseChecker(name); err != nil {
+		if c, err := mtracecheck.ParseChecker(name); err != nil {
 			t.Errorf("registered backend %q does not parse: %v", name, err)
 		} else if c.String() != name {
-			t.Errorf("parseChecker(%q).String() = %q", name, c)
+			t.Errorf("ParseChecker(%q).String() = %q", name, c)
 		}
 	}
-	for _, bad := range []string{"", "colective", "pk"} {
-		_, err := parseChecker(bad)
+	// What -checker resolves through rejects an unknown name, and the error's
+	// valid-value list is derived from the backend registry.
+	for _, bad := range []string{"colective", "pk"} {
+		_, _, err := dist.Build(dist.JobSpec{Test: &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4}, Checker: bad})
 		if err == nil {
-			t.Errorf("parseChecker(%q): no error", bad)
+			t.Errorf("-checker %q: no error", bad)
 			continue
 		}
-		// The error's valid-value list is derived from the backend registry.
 		for _, valid := range mtracecheck.CheckerNames() {
 			if !strings.Contains(err.Error(), valid) {
-				t.Errorf("parseChecker(%q) error %q does not list %q", bad, err, valid)
+				t.Errorf("-checker %q error %q does not list %q", bad, err, valid)
 			}
 		}
 	}
@@ -237,17 +533,14 @@ func TestReportRunErrorExitCodes(t *testing.T) {
 }
 
 // TestRunCheckOnly exercises the host side end to end: signatures written
-// by the device side must check clean (exit 0), and a missing file is an
-// infrastructure error.
+// by the device side must check clean (exit 0); a missing file, a set whose
+// provenance does not match, and a set without any are infrastructure errors.
 func TestRunCheckOnly(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sigs.bin")
-	cfg := mtracecheck.TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1}
-	opts := mtracecheck.Options{Iterations: 50, Seed: 2}
-	p, err := checkProgram("", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := dist.JobSpec{Iterations: 50, Seed: 2,
+		Test: &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1}}
+	p, opts := build(t, spec)
 	report, err := mtracecheck.RunProgram(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -255,12 +548,23 @@ func TestRunCheckOnly(t *testing.T) {
 	if err := dumpSignatures(path, report); err != nil {
 		t.Fatal(err)
 	}
-	opts.Platform = mtracecheck.PlatformX86()
 	if code := runCheckOnly(path, p, opts, false); code != exitPass {
 		t.Errorf("clean signatures: exit %d, want %d", code, exitPass)
 	}
 	if code := runCheckOnly(filepath.Join(dir, "missing.bin"), p, opts, false); code != exitInfra {
 		t.Errorf("missing file: exit %d, want %d", code, exitInfra)
+	}
+	// A bare set body has no provenance to match: refused, not believed.
+	var bare bytes.Buffer
+	if err := sig.WriteSet(&bare, report.Signatures()); err != nil {
+		t.Fatal(err)
+	}
+	headerless := filepath.Join(dir, "headerless.bin")
+	if err := os.WriteFile(headerless, bare.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := runCheckOnly(headerless, p, opts, false); code != exitInfra {
+		t.Errorf("headerless file: exit %d, want %d", code, exitInfra)
 	}
 	// Provenance mismatch: a different seed must be rejected before checking.
 	opts.Seed = 99
@@ -269,38 +573,20 @@ func TestRunCheckOnly(t *testing.T) {
 	}
 }
 
+// TestCheckProgramLoadsOrGenerates: the program a campaign or a check-only run
+// uses is the spec's — generated from the test flags, or parsed from the text
+// -prog read — and the text -dump-prog writes reloads as the program it was.
 func TestCheckProgramLoadsOrGenerates(t *testing.T) {
-	cfg := mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4, Seed: 3}
-	generated, err := checkProgram("", cfg)
-	if err != nil || generated == nil {
-		t.Fatalf("generate path: %v", err)
+	spec := dist.JobSpec{Test: &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4, Seed: 3}}
+	generated, _ := build(t, spec)
+	spec.Program = prog.Format(generated)
+	loaded, _ := build(t, spec)
+	if prog.Format(loaded) != prog.Format(generated) {
+		t.Errorf("reloaded program differs from the generated one:\n%s\n%s", prog.Format(loaded), prog.Format(generated))
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "prog.txt")
-	if err := saveProgram(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := checkProgram(path, cfg)
-	if err != nil {
-		t.Fatalf("load path: %v", err)
-	}
-	if loaded.NumOps() != generated.NumOps() {
-		t.Errorf("loaded program has %d ops, generated %d", loaded.NumOps(), generated.NumOps())
-	}
-	if _, err := checkProgram(filepath.Join(dir, "missing.txt"), cfg); err == nil {
-		t.Error("missing program file accepted")
-	}
-}
-
-// TestPrintCheckersMatchesRegistry pins -list-checkers to the backend
-// registry: one backend per line, in the registry's sorted order, nothing
-// hand-maintained in between.
-func TestPrintCheckersMatchesRegistry(t *testing.T) {
-	var sb strings.Builder
-	printCheckers(&sb)
-	want := strings.Join(check.Backends(), "\n") + "\n"
-	if sb.String() != want {
-		t.Errorf("printCheckers output:\n%qwant:\n%q", sb.String(), want)
+	spec.Program = "not a program"
+	if _, _, err := dist.Build(spec); err == nil {
+		t.Error("malformed program text accepted")
 	}
 }
 
@@ -325,7 +611,7 @@ func TestRunTraceCheck(t *testing.T) {
 		{"rmo_violation.trace", "rmo", exitFinding},
 	}
 	for _, name := range mtracecheck.CheckerNames() {
-		ck, err := parseChecker(name)
+		ck, err := mtracecheck.ParseChecker(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +641,7 @@ func TestRunTraceCheck(t *testing.T) {
 }
 
 func TestUnknownBugErrorListsValidValues(t *testing.T) {
-	_, err := sim.PlatformFor("x86", "bogus", false)
+	_, _, err := dist.Build(dist.JobSpec{Test: &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4}, Bug: "bogus"})
 	if err == nil {
 		t.Fatal("unknown bug accepted")
 	}

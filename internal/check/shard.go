@@ -17,27 +17,6 @@ import (
 // (cancellation or an internal error).
 type ShardFunc func(shard, shards, start, count int, part *Result, began time.Time, took time.Duration)
 
-// Sharded partitions the sorted items into shards contiguous ranges and
-// runs Collective on each range concurrently, then merges the per-range
-// results with violation indices rebased to global positions. It is
-// ShardedBackend over the collective backend; see there for the sharding
-// contract.
-func Sharded(ctx context.Context, b *graph.Builder, items []Item, shards int) (*Result, error) {
-	return ShardedObserved(ctx, b, items, shards, nil)
-}
-
-// ShardedObserved is Sharded with a per-shard completion callback for
-// observability; onShard receives each shard's range and result as it
-// finishes (including the degenerate single-shard case, reported as shard
-// 0 of 1 over the whole range). Verdicts are unaffected by the callback.
-func ShardedObserved(ctx context.Context, b *graph.Builder, items []Item, shards int, onShard ShardFunc) (*Result, error) {
-	be, err := ForName("collective")
-	if err != nil {
-		return nil, err
-	}
-	return ShardedBackend(ctx, be, b, items, shards, onShard)
-}
-
 // ShardedBackend runs a checking backend across shards contiguous ranges of
 // the sorted items concurrently, then merges the per-range results with
 // violation indices rebased to global positions. The context is plumbed

@@ -12,7 +12,17 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
-// TestShardedMatchesCollective: Sharded must deliver exactly Collective's
+// shardedCollective is ShardedBackend over the collective backend, the campaign's default
+// pairing.
+func shardedCollective(ctx context.Context, b *graph.Builder, items []Item, shards int) (*Result, error) {
+	be, err := ForName("collective")
+	if err != nil {
+		return nil, err
+	}
+	return ShardedBackend(ctx, be, b, items, shards, nil)
+}
+
+// TestShardedMatchesCollective: sharding must deliver exactly Collective's
 // verdicts for every shard count, with violation indices rebased to global
 // positions; the only permitted divergence is effort accounting — one extra
 // KindComplete per shard, plus window-size drift downstream of each
@@ -37,7 +47,7 @@ func TestShardedMatchesCollective(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{2, 3, 7, len(items), len(items) + 5} {
-				sharded, err := Sharded(context.Background(), b, items, shards)
+				sharded, err := shardedCollective(context.Background(), b, items, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,12 +103,12 @@ func TestShardedDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{Forwarding: true})
-	res, err := Sharded(context.Background(), b, nil, 4)
+	res, err := shardedCollective(context.Background(), b, nil, 4)
 	if err != nil || res.Total != 0 {
 		t.Fatalf("empty items: res %+v err %v", res, err)
 	}
 	items := scItems(t, p, b, meta, 30, rand.New(rand.NewSource(5)))
-	one, err := Sharded(context.Background(), b, items[:1], 8)
+	one, err := shardedCollective(context.Background(), b, items[:1], 8)
 	if err != nil || one.Total != 1 {
 		t.Fatalf("single item: total %d err %v", one.Total, err)
 	}
@@ -116,7 +126,7 @@ func TestShardedRejectsUnsortedItems(t *testing.T) {
 		t.Skip("not enough unique items")
 	}
 	items[0], items[len(items)-1] = items[len(items)-1], items[0]
-	if _, err := Sharded(context.Background(), b, items, 2); err == nil {
+	if _, err := shardedCollective(context.Background(), b, items, 2); err == nil {
 		t.Error("unsorted items accepted")
 	}
 }
@@ -134,7 +144,7 @@ func TestShardedCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, shards := range []int{1, 4} {
-		res, err := Sharded(ctx, b, items, shards)
+		res, err := shardedCollective(ctx, b, items, shards)
 		if err != context.Canceled {
 			t.Errorf("shards=%d: err = %v, want context.Canceled", shards, err)
 		}

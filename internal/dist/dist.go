@@ -42,12 +42,14 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
-// JobSpec describes one campaign job, JSON-serializable so the same spec
-// drives the submitting client, the server, and every worker: all three
-// call Build and get the identical (program, options) pair, which is what
-// makes any worker's chunk results interchangeable.
+// JobSpec is the one serializable description of a campaign: mtracecheck binds
+// its flags onto these fields, a client submits them as JSON, and the
+// submitter, the server and every worker all call Build on them and get the
+// identical (program, options) pair, which is what makes any worker's chunk
+// results interchangeable and an in-process run equal to a distributed one.
 type JobSpec struct {
-	// Name labels the job in logs and events; optional.
+	// Name labels the job in logs and events; optional, and the one field
+	// Build does not read.
 	Name string `json:"name,omitempty"`
 	// Program is the test program in the text format; empty generates one
 	// from Test.
@@ -62,33 +64,46 @@ type JobSpec struct {
 	// Bug injects one of the paper's §7 defects: sm-inv, lsq-skip, wb-race.
 	Bug string `json:"bug,omitempty"`
 
-	Iterations int    `json:"iterations"`
-	Seed       int64  `json:"seed"`
-	Checker    string `json:"checker,omitempty"`
-	// Workers sizes the server-side decode/check stage, not the worker
-	// fleet (workers size themselves by joining).
+	// Iterations is the campaign length; 0 selects the library default and a
+	// negative count is refused (mtracecheck.Options.Iterations).
+	Iterations int   `json:"iterations"`
+	Seed       int64 `json:"seed"`
+	// Checker names the checking backend; empty means collective.
+	Checker string `json:"checker,omitempty"`
+	// Workers sizes the in-process pipeline, or the server-side decode/check
+	// stage of a distributed job — not the worker fleet, which sizes itself by
+	// joining.
 	Workers             int           `json:"workers,omitempty"`
 	Strict              bool          `json:"strict,omitempty"`
 	QuarantineThreshold float64       `json:"quarantine_threshold,omitempty"`
 	ShardTimeout        time.Duration `json:"shard_timeout,omitempty"`
 	ShardRetries        int           `json:"shard_retries,omitempty"`
-	// Fault configures the device-side injector; execution faults apply on
-	// the workers (keyed by chunk bounds, so they are worker-invariant) and
-	// signature corruption applies once, server-side, to the merged set.
+	// Fault configures the device-side injector; execution faults apply
+	// wherever a chunk executes (keyed by chunk bounds, so they are
+	// worker-invariant) and signature corruption applies once to the merged set.
 	Fault fault.Config `json:"fault,omitempty"`
 
-	// CheckpointPath, when set, has the server persist job progress there
-	// atomically; with Resume, the server restores from it instead of
-	// starting over (completed chunks are never re-executed).
-	CheckpointPath string `json:"checkpoint_path,omitempty"`
-	// CheckpointEveryChunks sets the save cadence in completed chunks
-	// (0 = every tenth of the grid, at least 1).
-	CheckpointEveryChunks int  `json:"checkpoint_every_chunks,omitempty"`
-	Resume                bool `json:"resume,omitempty"`
+	// CheckpointPath, CheckpointEvery (iterations, rounded up to whole chunks;
+	// 0 = a tenth of the campaign) and Resume are the Options fields of the
+	// same names: whoever merges the chunks — the in-process campaign or the
+	// server — persists progress there, at the same frontiers, and either
+	// resumes the other's file. The doors differ in one thing: a checkpoint
+	// that does not exist yet is an error in-process and a fresh start on the
+	// server.
+	CheckpointPath  string `json:"checkpoint_path,omitempty"`
+	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
+	Resume          bool   `json:"resume,omitempty"`
 }
 
-// Build resolves a spec into the (program, options) pair every party —
-// submitter, server, worker — derives identically.
+// defaultIterations is what mtracecheck.Options.Iterations == 0 selects. Build
+// resolves it so that the count a front end prints before the run is the count
+// that runs; TestIterationsAcrossDoors pins it to the library's.
+const defaultIterations = 1024
+
+// Build resolves a spec into the (program, options) pair every party derives
+// identically. What a description can get wrong beyond its names (ISA, bug,
+// checker, program text) — a negative count, Resume without a path — is
+// NewCampaign's to refuse, once for every door.
 func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 	isa := spec.ISA
 	if isa == "" {
@@ -108,6 +123,12 @@ func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 		ShardTimeout:        spec.ShardTimeout,
 		ShardRetries:        spec.ShardRetries,
 		Fault:               spec.Fault,
+		CheckpointPath:      spec.CheckpointPath,
+		CheckpointEvery:     spec.CheckpointEvery,
+		Resume:              spec.Resume,
+	}
+	if opts.Iterations == 0 {
+		opts.Iterations = defaultIterations
 	}
 	if spec.Checker != "" {
 		if opts.Checker, err = mtracecheck.ParseChecker(spec.Checker); err != nil {

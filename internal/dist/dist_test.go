@@ -416,9 +416,9 @@ func TestExpiredLeaseRedispatched(t *testing.T) {
 // in-process run.
 func TestKillMidChunkResume(t *testing.T) {
 	spec := testSpec()
-	spec.CheckpointPath = filepath.Join(t.TempDir(), "job.ckpt")
-	spec.CheckpointEveryChunks = 1
 	ref, refU := reference(t, spec)
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "job.ckpt")
+	spec.CheckpointEvery = 1 // rounded up to one chunk
 
 	// Phase 1: one worker completes part of the grid, then is killed
 	// mid-lease (hard cancel, no upload); the server dies with it.

@@ -1,0 +1,141 @@
+package dist
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"mtracecheck"
+	"mtracecheck/internal/obs"
+)
+
+// TestIterationsAcrossDoors: a spec's iteration count means the same thing
+// through the in-process door (Build, NewCampaign, Run) and the distributed one
+// (Submit, workers, Wait): a negative count is the same error, zero the
+// library's default, and anything else — under, on and over a chunk boundary —
+// exactly that many iterations. No door may pass a campaign that ran nothing.
+func TestIterationsAcrossDoors(t *testing.T) {
+	inProcess := func(spec JobSpec) (*mtracecheck.Report, error) {
+		p, opts, err := Build(spec)
+		if err != nil {
+			return nil, err
+		}
+		return mtracecheck.RunProgram(p, opts)
+	}
+	distributed := func(t *testing.T, spec JobSpec) (*mtracecheck.Report, error) {
+		srv, url := startServer(t, ServerOptions{})
+		id, err := srv.Submit(spec)
+		if err != nil {
+			return nil, err
+		}
+		runWorkers(t, url, 2, nil)
+		return srv.Wait(context.Background(), id)
+	}
+	for _, n := range []int{-5, 0, 1, mtracecheck.ChunkSize, mtracecheck.ChunkSize + 1} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			spec := testSpec()
+			spec.Iterations = n
+			local, localErr := inProcess(spec)
+			remote, remoteErr := distributed(t, spec)
+			if fmt.Sprint(localErr) != fmt.Sprint(remoteErr) {
+				t.Fatalf("in-process: %v\ndistributed: %v", localErr, remoteErr)
+			}
+			if n < 0 {
+				if localErr == nil {
+					t.Fatalf("a campaign of %d iterations was accepted", n)
+				}
+				return
+			}
+			if localErr != nil {
+				t.Fatal(localErr)
+			}
+			want := n
+			if n == 0 {
+				// What Build resolves zero to is what the library runs for it.
+				p, opts, err := Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, opts.Iterations = opts.Iterations, 0
+				lib, err := mtracecheck.RunProgram(p, opts)
+				if err != nil || lib.Iterations != want {
+					t.Fatalf("Build resolves 0 iterations to %d, the library runs %d (%v)", want, lib.Iterations, err)
+				}
+			}
+			if local.Iterations != want || remote.Iterations != want {
+				t.Fatalf("ran %d iterations in-process and %d distributed, want %d", local.Iterations, remote.Iterations, want)
+			}
+			requireIdentical(t, local, local.Signatures(), remote, remote.Signatures())
+		})
+	}
+}
+
+// TestCheckpointCadenceAcrossDoors: the cadence has one unit (iterations) and
+// one owner (ChunkMerger.CheckpointDue), so the same spec saves at the same
+// frontiers whether the in-process scheduler or a dist server merges its
+// chunks — and, with chunks landing in order and no lease outstanding, writes
+// the same bytes at each.
+func TestCheckpointCadenceAcrossDoors(t *testing.T) {
+	type save struct {
+		completed int
+		file      []byte
+	}
+	// Both doors emit the event right after the rename, from the goroutine (or
+	// under the lock) that writes checkpoints: the file is the one just saved.
+	record := func(t *testing.T, saves *[]save) onSave {
+		return func(e obs.Checkpoint) {
+			file, err := os.ReadFile(e.Path)
+			if err != nil {
+				t.Error(err)
+			}
+			*saves = append(*saves, save{e.Completed, file})
+		}
+	}
+	// CheckpointEvery in iterations, and the whole chunks between saves it
+	// comes to over a 32-chunk campaign (0: a tenth, 204 iterations).
+	for every, chunks := range map[int]int{0: 4, 1: 1, mtracecheck.ChunkSize: 1, 200: 4} {
+		t.Run(fmt.Sprint(every), func(t *testing.T) {
+			spec := testSpec()
+			spec.Iterations = 32 * mtracecheck.ChunkSize
+			spec.CheckpointEvery = every
+			spec.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+
+			var local, remote []save
+			p, opts, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Observer = record(t, &local)
+			if _, err := mtracecheck.RunProgram(p, opts); err != nil {
+				t.Fatal(err)
+			}
+			// One worker: chunks are leased, and so land, in grid order.
+			srv, url := startServer(t, ServerOptions{Observer: record(t, &remote)})
+			id, err := srv.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runWorkers(t, url, 1, nil)
+			if _, err := srv.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(local) != 32/chunks || len(remote) != 32/chunks {
+				t.Fatalf("%d saves in-process and %d on the server, want one every %d of 32 chunks",
+					len(local), len(remote), chunks)
+			}
+			for i := range local {
+				if want := (i + 1) * chunks * mtracecheck.ChunkSize; local[i].completed != want || remote[i].completed != want {
+					t.Fatalf("save %d covers %d iterations in-process and %d on the server, want %d",
+						i, local[i].completed, remote[i].completed, want)
+				}
+				if !bytes.Equal(local[i].file, remote[i].file) {
+					t.Errorf("checkpoint files at %d iterations differ between the doors", local[i].completed)
+				}
+			}
+		})
+	}
+}

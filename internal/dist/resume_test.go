@@ -14,7 +14,7 @@ import (
 )
 
 // onSave is an observer that sees checkpoint saves only.
-type onSave func()
+type onSave func(obs.Checkpoint)
 
 func (onSave) CampaignStart(obs.CampaignStart) {}
 func (onSave) ShardStart(obs.ShardStart)       {}
@@ -23,7 +23,7 @@ func (onSave) MergeDone(obs.MergeDone)         {}
 func (onSave) CampaignEnd(obs.CampaignEnd)     {}
 func (f onSave) Checkpoint(e obs.Checkpoint) {
 	if e.Op == obs.CheckpointSaved {
-		f()
+		f(e)
 	}
 }
 
@@ -32,7 +32,7 @@ func (f onSave) Checkpoint(e obs.Checkpoint) {
 // goroutine (or under the one lock) that writes checkpoints.
 func stopAtSecondSave(stop func()) onSave {
 	saves := 0
-	return func() {
+	return func(obs.Checkpoint) {
 		if saves++; saves == 2 {
 			stop()
 		}
@@ -57,8 +57,7 @@ func TestResumeAcrossDoors(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		opts.Workers, opts.CheckpointPath, opts.CheckpointEvery = 1, spec.CheckpointPath, mtracecheck.ChunkSize
-		opts.Observer = stopAtSecondSave(cancel)
+		opts.Workers, opts.Observer = 1, stopAtSecondSave(cancel)
 		c, err := mtracecheck.NewCampaign(p, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +70,6 @@ func TestResumeAcrossDoors(t *testing.T) {
 		ctx, kill := context.WithCancel(context.Background())
 		defer kill()
 		srv, url := startServer(t, ServerOptions{LeaseTTL: 20 * time.Second, Observer: stopAtSecondSave(kill)})
-		spec.CheckpointEveryChunks = 1
 		if _, err := srv.Submit(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +84,7 @@ func TestResumeAcrossDoors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Workers, opts.CheckpointPath, opts.Resume = 3, spec.CheckpointPath, true
+		opts.Workers, opts.Resume = 3, true
 		report, err := mtracecheck.RunProgram(p, opts)
 		if err != nil {
 			t.Fatalf("in-process resume: %v", err)
@@ -132,6 +130,7 @@ func TestResumeAcrossDoors(t *testing.T) {
 			t.Run(name+"/"+leg.name, func(t *testing.T) {
 				spec := spec
 				spec.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+				spec.CheckpointEvery = 1 // rounded up to one chunk, behind either door
 				leg.interrupt(t, spec)
 				got := leg.resume(t, spec)
 				if got.ResumedIterations < 2*mtracecheck.ChunkSize || got.ResumedIterations >= spec.Iterations {

@@ -152,7 +152,6 @@ type job struct {
 	campaign *mtracecheck.Campaign
 	merger   *mtracecheck.ChunkMerger
 	chunks   []chunkState
-	ckptGate int // completed chunks at last checkpoint
 	stats    JobStats
 	state    jobState
 	report   *mtracecheck.Report
@@ -331,7 +330,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	s.jobs[j.id] = j
 	s.jobIDs = append(s.jobIDs, j.id)
 	s.logf("dist: job %s submitted: %d iterations in %d chunks (%d restored)",
-		j.id, spec.Iterations, len(j.chunks), merger.Done())
+		j.id, opts.Iterations, len(j.chunks), merger.Done())
 	if merger.Complete() {
 		s.finalize(j)
 	}
@@ -344,9 +343,6 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 // previous server) but keep their attempt counts so the redispatch backoff
 // survives the restart.
 func (s *Server) restore(j *job) error {
-	if j.spec.CheckpointPath == "" {
-		return errors.New("dist: resume requires a checkpoint path")
-	}
 	f, err := os.Open(j.spec.CheckpointPath)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil // nothing saved yet: a fresh start is the resume
@@ -370,7 +366,6 @@ func (s *Server) restore(j *job) error {
 			j.chunks[c].status = chunkDone
 		}
 	}
-	j.ckptGate = j.merger.Done()
 	s.obsrv.Checkpoint(obs.Checkpoint{
 		Op: obs.CheckpointResumed, Path: j.spec.CheckpointPath,
 		Completed: ck.Completed(), Uniques: len(ck.Uniques), Time: time.Now(),
@@ -379,14 +374,18 @@ func (s *Server) restore(j *job) error {
 }
 
 // checkpoint persists the job's progress: the merger's checkpoint with the
-// lease table (leased, attempt, worker) filled in. Callers hold s.mu.
+// undone chunks' lease-table entries (leased, attempt, worker) filled in — a
+// done chunk's dispatch history is of no use to a resume, and leaving it out
+// keeps the file the one an in-process campaign writes at the same frontier.
+// A failed write is logged and tried again when the next one is due. Callers
+// hold s.mu.
 func (s *Server) checkpoint(j *job) {
-	if j.spec.CheckpointPath == "" {
-		return
-	}
 	ck := j.merger.Checkpoint()
 	for c := range j.chunks {
 		cs, ckc := &j.chunks[c], &ck.Chunks[c]
+		if cs.status == chunkDone {
+			continue
+		}
 		ckc.Attempt = min(cs.attempt, 0xffff)
 		if cs.status == chunkLeased {
 			ckc.Status, ckc.Worker = chunkLeased, cs.worker
@@ -397,26 +396,16 @@ func (s *Server) checkpoint(j *job) {
 		s.logf("dist: job %s checkpoint: %v", j.id, err)
 		return
 	}
-	j.ckptGate = j.merger.Done()
 	s.obsrv.Checkpoint(obs.Checkpoint{
 		Op: obs.CheckpointSaved, Path: j.spec.CheckpointPath,
 		Completed: ck.Completed(), Uniques: len(ck.Uniques), Bytes: n, Time: time.Now(),
 	})
 }
 
-// ckptEvery is the job's checkpoint cadence in completed chunks.
-func (j *job) ckptEvery() int {
-	if n := j.spec.CheckpointEveryChunks; n > 0 {
-		return n
-	}
-	return max(1, len(j.chunks)/10)
-}
-
 // finalize runs the host side — merge, decode, check — off the lock once
 // every chunk has landed. Callers hold s.mu.
 func (s *Server) finalize(j *job) {
 	j.state = jobFinalizing
-	s.checkpoint(j)
 	go func() {
 		report, err := j.merger.Report(s.ctx)
 		s.mu.Lock()
@@ -777,10 +766,11 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs.status = chunkDone
+	if j.merger.CheckpointDue() {
+		s.checkpoint(j)
+	}
 	if j.merger.Complete() {
 		s.finalize(j)
-	} else if j.merger.Done()-j.ckptGate >= j.ckptEvery() {
-		s.checkpoint(j)
 	}
 	writeJSON(w, UploadResponse{Status: UploadAccepted})
 }

@@ -125,7 +125,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			// The server may be restarting; transient by assumption — but a
 			// batch-fleet worker gives up once the server stays gone, so a
-			// fleet never outlives a oneshot server.
+			// fleet never outlives an "mtracecheck -listen" campaign.
 			unreachable++
 			if w.ExitWhenIdle && unreachable >= 20 {
 				return fmt.Errorf("dist: server unreachable after %d attempts: %w", unreachable, err)

@@ -290,15 +290,6 @@ func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
 	})
 }
 
-// Cardinality returns the paper's §3.2 estimate of per-thread signature
-// cardinality, {1 + (S/A)(T-1)}^L, and the bits needed to represent it.
-func Cardinality(threads, storesPerThread, loadsPerThread, sharedWords int) (values float64, bits float64) {
-	perLoad := 1 + float64(storesPerThread)/float64(sharedWords)*float64(threads-1)
-	values = math.Pow(perLoad, float64(loadsPerThread))
-	bits = float64(loadsPerThread) * math.Log2(perLoad)
-	return values, bits
-}
-
 // InformationBits returns the information content of the static signature
 // encoding: the log2 of the number of distinct reads-from patterns it can
 // represent (Σ log2 of candidate counts over all loads).

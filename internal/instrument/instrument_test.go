@@ -265,17 +265,6 @@ func TestDecodeRejectsCorruptSignatures(t *testing.T) {
 	}
 }
 
-func TestCardinalityPaperExample(t *testing.T) {
-	// §3.2: S=L=50, A=32, T=2 → ≈2.7e20 ≈ 2^68.
-	values, bits := Cardinality(2, 50, 50, 32)
-	if values < 2.0e20 || values > 3.5e20 {
-		t.Errorf("cardinality = %g, want ≈2.7e20", values)
-	}
-	if bits < 67 || bits > 69 {
-		t.Errorf("bits = %g, want ≈68", bits)
-	}
-}
-
 func TestPrunerShrinksSignatures(t *testing.T) {
 	p := testgen.MustGenerate(testgen.Config{
 		Threads: 4, OpsPerThread: 100, Words: 4, Seed: 3,

@@ -17,7 +17,6 @@ package isa
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 )
 
 // Reg names one of the 16 general-purpose registers r0..r15.
@@ -208,14 +207,4 @@ func (e Encoding) CodeSize(code []Instr) int {
 		n += e.Size(i)
 	}
 	return n
-}
-
-// Disassemble renders the code sequence one instruction per line with
-// instruction indices, in the style of objdump output.
-func Disassemble(code []Instr) string {
-	var sb strings.Builder
-	for idx, i := range code {
-		fmt.Fprintf(&sb, "%4d: %s\n", idx, i)
-	}
-	return sb.String()
 }

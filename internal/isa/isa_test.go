@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,10 +176,13 @@ func TestDisassemble(t *testing.T) {
 	a.BNE("out")
 	a.Label("out")
 	a.HALT()
-	text := Disassemble(a.MustAssemble())
+	var text strings.Builder
+	for _, i := range a.MustAssemble() {
+		fmt.Fprintln(&text, i)
+	}
 	for _, want := range []string{"ld r1, [0x100]", "cmpi r1, #0", "bne @3", "halt"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, text)
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("disassembly missing %q:\n%s", want, &text)
 		}
 	}
 }

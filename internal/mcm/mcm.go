@@ -131,25 +131,6 @@ func (m Model) Relaxations() []string {
 	return out
 }
 
-// WeakerThan reports whether m permits strictly more reorderings than other.
-func (m Model) WeakerThan(other Model) bool {
-	mr, or := len(m.Relaxations()), len(other.Relaxations())
-	if mr <= or {
-		return false
-	}
-	// Every relaxation of other must also be a relaxation of m.
-	has := make(map[string]bool, mr)
-	for _, r := range m.Relaxations() {
-		has[r] = true
-	}
-	for _, r := range other.Relaxations() {
-		if !has[r] {
-			return false
-		}
-	}
-	return true
-}
-
 // Atomicity describes store atomicity (paper §8, citing Arvind & Maessen).
 type Atomicity uint8
 

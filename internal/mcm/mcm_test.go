@@ -1,6 +1,7 @@
 package mcm
 
 import (
+	"slices"
 	"testing"
 
 	"mtracecheck/internal/prog"
@@ -64,13 +65,17 @@ func TestSameAddrAlwaysOrdered(t *testing.T) {
 }
 
 func TestWeakerThanHierarchy(t *testing.T) {
-	// SC < TSO < PSO < RMO in weakness.
+	// SC < TSO < PSO < RMO in weakness: each model relaxes everything the
+	// one before it does, and something more.
 	chain := []Model{SC, TSO, PSO, RMO}
-	for i, weak := range chain {
-		for j, strong := range chain {
-			want := i > j
-			if got := weak.WeakerThan(strong); got != want {
-				t.Errorf("%v.WeakerThan(%v) = %v, want %v", weak, strong, got, want)
+	for i := 1; i < len(chain); i++ {
+		strong, weak := chain[i-1].Relaxations(), chain[i].Relaxations()
+		if len(weak) <= len(strong) {
+			t.Errorf("%v relaxes %v, no more than %v's %v", chain[i], weak, chain[i-1], strong)
+		}
+		for _, r := range strong {
+			if !slices.Contains(weak, r) {
+				t.Errorf("%v relaxes %s, the weaker %v does not", chain[i-1], r, chain[i])
 			}
 		}
 	}

@@ -68,9 +68,11 @@ func TestReadCheckpointForgedChunkCount(t *testing.T) {
 	}
 }
 
-// FuzzReadSet throws arbitrary bytes at the persistence parser: it must
-// never panic, it may allocate only in proportion to its input, and anything
-// it accepts must re-serialize to a set that reads back the same.
+// FuzzReadSet throws arbitrary bytes at the persistence parsers — the set
+// body's and the signature file's: neither may panic or allocate out of
+// proportion to its input, a body ReadSet accepts must re-serialize to a set
+// that reads back the same, and the file door must refuse that same bare body
+// (the headerless seed) and never return a nil meta.
 func FuzzReadSet(f *testing.F) {
 	var good bytes.Buffer
 	set := NewSet()
@@ -80,6 +82,11 @@ func FuzzReadSet(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
+	var file bytes.Buffer
+	if err := WriteSetMeta(&file, FileMeta{ProgHash: 7, Seed: 3, Platform: "p"}, set.Sorted()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file.Bytes())
 	f.Add([]byte("MTCSIG01"))
 	f.Add([]byte{})
 	f.Add(forgedSetHeader())
@@ -89,8 +96,19 @@ func FuzzReadSet(f *testing.F) {
 		if got := allocatedBy(func() { uniques, err = ReadSet(bytes.NewReader(data)) }); got > allocBound(len(data)) {
 			t.Fatalf("ReadSet allocated %d bytes on a %d-byte input", got, len(data))
 		}
+		var meta *FileMeta
+		var fileErr error
+		if got := allocatedBy(func() { _, meta, fileErr = ReadSetMeta(bytes.NewReader(data)) }); got > allocBound(len(data)) {
+			t.Fatalf("ReadSetMeta allocated %d bytes on a %d-byte input", got, len(data))
+		}
+		if (fileErr == nil) != (meta != nil) {
+			t.Fatalf("ReadSetMeta returned meta %v with error %v", meta, fileErr)
+		}
 		if err != nil {
 			return
+		}
+		if fileErr == nil {
+			t.Fatal("the file door accepted a bare set body")
 		}
 		var out bytes.Buffer
 		if err := WriteSet(&out, uniques); err != nil {

@@ -3,6 +3,7 @@ package sig
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -12,30 +13,32 @@ import (
 // compact — the paper's §1 motivation includes keeping device-to-host
 // transfer volumes small.
 //
-// Layout (all little-endian):
-//
-// Layout v1 (all little-endian):
+// The set body (all little-endian), which WriteSet and ReadSet encode and
+// which is also the tail of a chunk upload (MTCCHNK1) and of a checkpoint
+// (MTCCKPT2):
 //
 //	magic   [8]byte  "MTCSIG01"
 //	words   uint32   words per signature
 //	count   uint32   number of unique signatures
 //	entries count × { count uint32, words × uint64 }
 //
-// Layout v2 prepends a provenance header so the host-side check-only path
-// can reject sets collected from a different program, seed, or platform —
-// the wrong-artifact mistake the checkpoint format already catches:
+// A signature file (WriteSetMeta, ReadSetMeta) prepends a provenance header
+// so the host-side check-only path can reject sets collected from a different
+// program, seed, or platform — the wrong-artifact mistake the checkpoint
+// format already catches. A file that is a bare body has no provenance and
+// is refused:
 //
 //	magic    [8]byte  "MTCSIG02"
 //	proghash uint64   FNV-64a of the canonical program listing
 //	seed     uint64   campaign seed (int64 bit pattern)
 //	platlen  uint16   platform-name byte length
 //	platform platlen bytes (UTF-8)
-//	body     the v1 layout, magic included
+//	body     the set body, magic included
 var magic = [8]byte{'M', 'T', 'C', 'S', 'I', 'G', '0', '1'}
 
 var metaMagic = [8]byte{'M', 'T', 'C', 'S', 'I', 'G', '0', '2'}
 
-// FileMeta is the provenance header of a v2 signature-set file: enough to
+// FileMeta is the provenance header of a signature-set file: enough to
 // verify that a stored set matches the (program, seed, platform) the host
 // is about to check it against.
 type FileMeta struct {
@@ -44,8 +47,8 @@ type FileMeta struct {
 	Platform string
 }
 
-// WriteSet serializes unique signatures with their observation counts in
-// the headerless v1 layout. All signatures must have the same word count.
+// WriteSet serializes unique signatures with their observation counts as a
+// set body. All signatures must have the same word count.
 func WriteSet(w io.Writer, uniques []Unique) error {
 	bw := bufio.NewWriter(w)
 	if err := writeSetBody(bw, uniques); err != nil {
@@ -54,8 +57,8 @@ func WriteSet(w io.Writer, uniques []Unique) error {
 	return bw.Flush()
 }
 
-// WriteSetMeta serializes a signature set in the v2 layout, prefixed with
-// the provenance header meta.
+// WriteSetMeta serializes a signature file: the provenance header meta, then
+// the set body.
 func WriteSetMeta(w io.Writer, meta FileMeta, uniques []Unique) error {
 	if len(meta.Platform) > 0xffff {
 		return fmt.Errorf("sig: platform name too long (%d bytes)", len(meta.Platform))
@@ -115,66 +118,23 @@ func writeSetBody(bw *bufio.Writer, uniques []Unique) error {
 	return nil
 }
 
-// ReadSet deserializes a signature set written by WriteSet or WriteSetMeta,
-// discarding any provenance header. Use ReadSetMeta to inspect it.
-func ReadSet(r io.Reader) ([]Unique, error) {
-	uniques, _, err := ReadSetMeta(r)
-	return uniques, err
-}
-
-// ReadSetMeta deserializes a signature set along with its provenance
-// header. Headerless v1 files load with a nil meta.
-func ReadSetMeta(r io.Reader) ([]Unique, *FileMeta, error) {
-	br := bufio.NewReader(r)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, nil, fmt.Errorf("sig: reading magic: %w", err)
-	}
-	var meta *FileMeta
-	if got == metaMagic {
-		var progHash, seed uint64
-		if err := binary.Read(br, binary.LittleEndian, &progHash); err != nil {
-			return nil, nil, fmt.Errorf("sig: reading header: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &seed); err != nil {
-			return nil, nil, fmt.Errorf("sig: reading header: %w", err)
-		}
-		var platLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &platLen); err != nil {
-			return nil, nil, fmt.Errorf("sig: reading header: %w", err)
-		}
-		plat := make([]byte, platLen)
-		if _, err := io.ReadFull(br, plat); err != nil {
-			return nil, nil, fmt.Errorf("sig: reading header: %w", err)
-		}
-		meta = &FileMeta{ProgHash: progHash, Seed: int64(seed), Platform: string(plat)}
-		if _, err := io.ReadFull(br, got[:]); err != nil {
-			return nil, nil, fmt.Errorf("sig: reading body magic: %w", err)
-		}
-	}
-	if got != magic {
-		return nil, nil, fmt.Errorf("sig: bad magic %q", got[:])
-	}
-	uniques, err := readSetBody(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	return uniques, meta, nil
-}
-
-// readSetBody reads the v1 layout after its magic. The header is
+// ReadSet deserializes a set body written by WriteSet. The header is
 // unauthenticated (a worker's upload, a checkpoint on disk), so nothing is
 // sized from it alone: the entry list and the word arrays the signatures are
 // carved from grow as entries actually arrive, and a forged or truncated
 // input costs memory in proportion to its own length. An honest set of a few
 // thousand signatures still loads in a handful of allocations.
-func readSetBody(br *bufio.Reader) ([]Unique, error) {
-	var hdr [8]byte
+func ReadSet(r io.Reader) ([]Unique, error) {
+	br := bufio.NewReader(r)
+	var hdr [16]byte // magic, words, count
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sig: reading set header: %w", err)
 	}
-	words := int(binary.LittleEndian.Uint32(hdr[0:]))
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if [8]byte(hdr[:8]) != magic {
+		return nil, fmt.Errorf("sig: bad magic %q", hdr[:8])
+	}
+	words := int(binary.LittleEndian.Uint32(hdr[8:]))
+	count := int(binary.LittleEndian.Uint32(hdr[12:]))
 	const sanity = 1 << 26
 	if words > 1024 || count > sanity {
 		return nil, fmt.Errorf("sig: implausible header (%d words, %d signatures)", words, count)
@@ -204,4 +164,44 @@ func readSetBody(br *bufio.Reader) ([]Unique, error) {
 		out = append(out, Unique{Sig: Signature{words: w}, Count: int(binary.LittleEndian.Uint32(entry))})
 	}
 	return out, nil
+}
+
+// ReadSetMeta deserializes a signature file written by WriteSetMeta: its
+// provenance header, never nil, and the set. A bare set body is refused by
+// name — checked against the wrong program or seed it would be believed.
+func ReadSetMeta(r io.Reader) ([]Unique, *FileMeta, error) {
+	br := bufio.NewReader(r)
+	var got [8]byte
+	if _, err := io.ReadFull(br, got[:]); err != nil {
+		return nil, nil, fmt.Errorf("sig: reading magic: %w", err)
+	}
+	switch got {
+	case metaMagic:
+	case magic:
+		return nil, nil, errors.New("sig: signature file was written without a provenance header; re-collect with -sigs-out")
+	default:
+		return nil, nil, fmt.Errorf("sig: bad magic %q", got[:])
+	}
+	var progHash, seed uint64
+	if err := binary.Read(br, binary.LittleEndian, &progHash); err != nil {
+		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
+	}
+	if err := binary.Read(br, binary.LittleEndian, &seed); err != nil {
+		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
+	}
+	var platLen uint16
+	if err := binary.Read(br, binary.LittleEndian, &platLen); err != nil {
+		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
+	}
+	plat := make([]byte, platLen)
+	if _, err := io.ReadFull(br, plat); err != nil {
+		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
+	}
+	// ReadSet buffers through br itself (bufio.NewReader returns an already
+	// buffered reader as it is).
+	uniques, err := ReadSet(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	return uniques, &FileMeta{ProgHash: progHash, Seed: int64(seed), Platform: string(plat)}, nil
 }

@@ -3,6 +3,7 @@ package sig
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -111,10 +112,9 @@ func TestWriteReadSetMetaRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The headerless reader skips the provenance transparently.
-	viaV1, err := ReadSet(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(viaV1) != len(uniques) {
-		t.Fatalf("ReadSet on v2 file: %v, %d entries", err, len(viaV1))
+	// ReadSet is the body codec only: a file's header is not a body.
+	if _, err := ReadSet(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("ReadSet accepted a signature file as a bare set body")
 	}
 }
 
@@ -125,15 +125,15 @@ func TestReadSetMetaHeaderlessFile(t *testing.T) {
 	if err := WriteSet(&buf, set.Sorted()); err != nil {
 		t.Fatal(err)
 	}
+	// A bare body at the file door has no provenance to validate: checked
+	// against the wrong program or seed it would be believed, so it is refused
+	// by name rather than loaded with a nil meta.
 	back, meta, err := ReadSetMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "without a provenance header") {
+		t.Fatalf("headerless file: err %v, want a refusal naming the missing provenance header", err)
 	}
-	if meta != nil {
-		t.Fatalf("v1 file produced meta %+v", meta)
-	}
-	if len(back) != 1 {
-		t.Fatalf("got %d entries", len(back))
+	if back != nil || meta != nil {
+		t.Fatalf("refused file still produced %d entries, meta %+v", len(back), meta)
 	}
 }
 

@@ -88,19 +88,6 @@ func (s Signature) AppendBinary(b []byte) []byte {
 // Bytes returns the big-endian binary encoding.
 func (s Signature) Bytes() []byte { return s.AppendBinary(nil) }
 
-// FromBytes decodes a signature from the big-endian encoding produced by
-// Bytes. The length of b must be a multiple of 8.
-func FromBytes(b []byte) (Signature, error) {
-	if len(b)%8 != 0 {
-		return Signature{}, fmt.Errorf("sig: encoding length %d not a multiple of 8", len(b))
-	}
-	words := make([]uint64, len(b)/8)
-	for i := range words {
-		words[i] = binary.BigEndian.Uint64(b[i*8:])
-	}
-	return Signature{words: words}, nil
-}
-
 // String renders the signature as grouped hex words, e.g. "0x2:0x84".
 func (s Signature) String() string {
 	if len(s.words) == 0 {
@@ -117,11 +104,6 @@ func (s Signature) String() string {
 // correspond to structurally similar constraint graphs).
 func Sort(sigs []Signature) {
 	slices.SortFunc(sigs, Signature.Compare)
-}
-
-// IsSorted reports whether sigs is ascending.
-func IsSorted(sigs []Signature) bool {
-	return slices.IsSortedFunc(sigs, Signature.Compare)
 }
 
 // Unique is a de-duplicated signature with its observation count.

@@ -1,7 +1,9 @@
 package sig
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -33,18 +35,15 @@ func TestCompareLengths(t *testing.T) {
 
 func TestBytesRoundTrip(t *testing.T) {
 	f := func(a, b, c uint64) bool {
-		s := New([]uint64{a, b, c})
-		back, err := FromBytes(s.Bytes())
-		return err == nil && back.Equal(s)
+		// Bytes is the big-endian encoding, most significant word first.
+		var words [3]uint64
+		for i, enc := 0, New([]uint64{a, b, c}).Bytes(); i < len(words) && len(enc) == 24; i++ {
+			words[i] = binary.BigEndian.Uint64(enc[8*i:])
+		}
+		return words == [3]uint64{a, b, c}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFromBytesBadLength(t *testing.T) {
-	if _, err := FromBytes(make([]byte, 7)); err == nil {
-		t.Error("FromBytes accepted length 7")
 	}
 }
 
@@ -77,7 +76,7 @@ func TestSortAndDedup(t *testing.T) {
 				i, u[i].Sig, u[i].Count, wantVals[i], wantCounts[i])
 		}
 	}
-	if !IsSorted(sigs) {
+	if !slices.IsSortedFunc(sigs, Signature.Compare) {
 		t.Error("input not sorted in place")
 	}
 }

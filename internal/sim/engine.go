@@ -119,17 +119,6 @@ func (ex *Execution) WSByWord() map[int][]int {
 	return m
 }
 
-// AnyForwarded reports whether any load in the execution was satisfied by
-// store-to-load forwarding.
-func (ex *Execution) AnyForwarded() bool {
-	for _, f := range ex.Forwarded {
-		if f {
-			return true
-		}
-	}
-	return false
-}
-
 // OpEvent is one operation's timing within an iteration (Runner.Trace).
 type OpEvent struct {
 	OpID      int
@@ -605,21 +594,6 @@ func (r *Runner) begin(seed int64) error {
 	}
 	e.pump()
 	return nil
-}
-
-// RunMany executes n iterations, returning their executions (cloned, so the
-// batch remains valid across iterations). A deadlock or livelock aborts the
-// batch with the error (the "simulation crash" of the paper's bug 3).
-func (r *Runner) RunMany(n int) ([]*Execution, error) {
-	out := make([]*Execution, 0, n)
-	for i := 0; i < n; i++ {
-		ex, err := r.Run()
-		if err != nil {
-			return out, fmt.Errorf("iteration %d: %w", i, err)
-		}
-		out = append(out, ex.Clone())
-	}
-	return out, nil
 }
 
 // dispatch is the engine's jump table: every typed event the queue pops is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,9 +33,13 @@ func mustRun(t *testing.T, plat Platform, p *prog.Program, seed int64, iters int
 	if err != nil {
 		t.Fatal(err)
 	}
-	exs, err := r.RunMany(iters)
-	if err != nil {
-		t.Fatal(err)
+	exs := make([]*Execution, iters)
+	for i := range exs {
+		ex, err := r.Run()
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		exs[i] = ex.Clone() // the runner's execution is scratch, overwritten next iteration
 	}
 	return exs
 }
@@ -197,7 +202,7 @@ func TestSingleCopyAtomicityDisablesForwarding(t *testing.T) {
 	plat.Atomicity = mcm.SingleCopy
 	exs := mustRun(t, plat, p, 3, 30)
 	for _, ex := range exs {
-		if ex.AnyForwarded() {
+		if slices.Contains(ex.Forwarded, true) {
 			t.Fatal("forwarding observed under single-copy atomicity")
 		}
 	}

@@ -98,17 +98,6 @@ func (t *Trace) NumThreads() int {
 	return len(seen)
 }
 
-// NumAddrs returns the number of distinct addresses accessed.
-func (t *Trace) NumAddrs() int {
-	seen := make(map[uint64]bool)
-	for _, op := range t.Ops {
-		if op.Kind != Fence {
-			seen[op.Addr] = true
-		}
-	}
-	return len(seen)
-}
-
 // Equal reports whether two traces record the same operations in the same
 // order, ignoring source-line provenance.
 func (t *Trace) Equal(u *Trace) bool {

@@ -43,9 +43,6 @@ func TestParseBasic(t *testing.T) {
 	if got := tr.NumThreads(); got != 3 {
 		t.Errorf("NumThreads = %d, want 3", got)
 	}
-	if got := tr.NumAddrs(); got != 3 {
-		t.Errorf("NumAddrs = %d, want 3", got)
-	}
 }
 
 func TestParseEmpty(t *testing.T) {

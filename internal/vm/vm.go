@@ -174,21 +174,3 @@ func (t *Thread) Run(loadValue func(testOpID int) (uint32, error), maxSteps int)
 		pc++
 	}
 }
-
-// Accumulate adds other's counters into r (Private is merged).
-func (r *Result) Accumulate(other *Result) {
-	r.Instructions += other.Instructions
-	r.Branches += other.Branches
-	r.Mispredicts += other.Mispredicts
-	r.TestLoads += other.TestLoads
-	r.TestStores += other.TestStores
-	r.Fences += other.Fences
-	r.PrivateStores += other.PrivateStores
-	r.Cycles += other.Cycles
-	if r.Private == nil {
-		r.Private = make(map[uint64]uint64)
-	}
-	for a, v := range other.Private {
-		r.Private[a] = v
-	}
-}

@@ -240,12 +240,3 @@ func TestOriginalCheaperThanInstrumented(t *testing.T) {
 		t.Errorf("warmed instrumented overhead too high: %d vs %d cycles", iC, oC)
 	}
 }
-
-func TestAccumulate(t *testing.T) {
-	a := &Result{Instructions: 1, Cycles: 2, Private: map[uint64]uint64{1: 1}}
-	b := &Result{Instructions: 2, Cycles: 3, Private: map[uint64]uint64{2: 2}}
-	a.Accumulate(b)
-	if a.Instructions != 3 || a.Cycles != 5 || len(a.Private) != 2 {
-		t.Errorf("accumulate wrong: %+v", a)
-	}
-}

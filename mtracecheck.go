@@ -256,7 +256,8 @@ type Options struct {
 	// Platform is the system to validate; zero value selects PlatformX86.
 	Platform Platform
 	// Iterations is the number of test runs (the paper uses 65536 on
-	// silicon, 1024 under gem5); zero selects 1024.
+	// silicon, 1024 under gem5); zero selects 1024, a negative count is an
+	// error.
 	Iterations int
 	// Seed drives all randomness (platform timing and scheduling).
 	Seed int64
@@ -325,9 +326,11 @@ type Options struct {
 	// (ShardFailures), whose partial results no grid can describe.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint cadence in iterations, rounded up to
-	// whole chunks; 0 with a CheckpointPath set selects Iterations/10. It
-	// decides when checkpoints are written and nothing else: chunk bounds,
-	// reports and signatures are the same for every value.
+	// whole chunks; 0 selects Iterations/10. The in-process campaign and the
+	// dist server both ask ChunkMerger.CheckpointDue, so they save at the same
+	// frontiers, plus once when the last chunk lands. It decides when
+	// checkpoints are written and nothing else: chunk bounds, reports and
+	// signatures are the same for every value.
 	CheckpointEvery int
 	// Resume loads CheckpointPath before executing and executes only the
 	// chunks it does not cover. The report — unique signatures, violations,
@@ -607,20 +610,19 @@ func CheckSignatures(p *Program, uniques []Unique, opts Options) (*Report, error
 }
 
 // LoadSignaturesMeta reads a signature set written by SaveSignatures along
-// with its provenance header. Headerless sets (older versions, the dist wire
-// body) load with a nil meta. Pass the meta to ValidateSignatureMeta before
-// checking.
+// with its provenance header; a set without one is refused. Pass the meta to
+// ValidateSignatureMeta before checking.
 func LoadSignaturesMeta(r io.Reader) ([]Unique, *SignatureMeta, error) {
 	return sig.ReadSetMeta(r)
 }
 
 // ValidateSignatureMeta checks a loaded signature set's provenance against
 // the campaign about to check it: the program fingerprint must match, and
-// seed and platform name must agree when the caller supplies them. A nil
-// meta (headerless set) validates trivially — there is nothing to check.
+// seed and platform name must agree when the caller supplies them. A nil meta
+// is an error: a set of unknown provenance is not believed.
 func ValidateSignatureMeta(meta *SignatureMeta, p *Program, opts Options) error {
 	if meta == nil {
-		return nil
+		return errors.New("mtracecheck: signature set has no provenance header to validate")
 	}
 	opts = withDefaults(opts)
 	if h := progHash(p); meta.ProgHash != h {

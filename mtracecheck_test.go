@@ -182,6 +182,9 @@ func TestDeviceHostSplit(t *testing.T) {
 	if err := ValidateSignatureMeta(meta, p, opts); err != nil {
 		t.Fatalf("matching provenance rejected: %v", err)
 	}
+	if err := ValidateSignatureMeta(nil, p, opts); err == nil {
+		t.Error("a set of unknown provenance validated")
+	}
 	res, err := CheckSignatures(p, loaded, opts)
 	if err != nil {
 		t.Fatal(err)
