@@ -87,12 +87,14 @@ offline-profile:
 	$(call cpu-profile,BenchmarkOfflineCheck)
 
 # The yardstick of a simplicity PR (ROADMAP item 6): non-test Go lines outside
-# bench/, and exported declarations (go doc -short -all: methods included,
-# constant groups and struct fields not) per library package.
+# bench/, exported declarations (go doc -short -all: methods included,
+# constant groups and struct fields not) per library package, and flags per
+# binary.
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@for p in $$($(GO) list . ./internal/...); do \
 		echo "$$p $$($(GO) doc -short -all $$p | grep -c '^\(func\|type\|const\|var\) ')"; done
+	@grep -c 'flag\.\(String\|Int\|Int64\|Bool\|Float64\|Duration\)' cmd/*/main.go
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke

@@ -1,6 +1,10 @@
 package mtracecheck
 
 import (
+	"context"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mtracecheck/internal/instrument"
@@ -25,14 +29,15 @@ const (
 // execution, the trace benchmarks' unit. Warm, the trace has the shape of the
 // one checked before it, so what is allocated is what the call returns or
 // consumes once: the reader's buffer and the Ops, the Binding with its rf map
-// and row, the signature, the report and the checker's result. Cold, it also
+// and row, the report and the checker's result (no signature: the item is the
+// row). Cold, it also
 // builds the shape (store index, bound program, address, thread and source
 // tables, the key), one graph builder (whose tables and adjacency are a handful
 // of slices, not one per vertex) and the checker's workspace (one array) — what
 // every check allocated before shapes were kept.
 const (
-	checkTraceWarmAllocBudget = 19
-	checkTraceColdAllocBudget = 64
+	checkTraceWarmAllocBudget = 17
+	checkTraceColdAllocBudget = 62
 )
 
 // offlineAllocBudget bounds one offline-check rep (load a stored signature
@@ -81,7 +86,8 @@ func TestRunnerRunAllocBudget(t *testing.T) {
 // per-iteration seed must not allocate at all.
 func TestRunSeededAllocBudget(t *testing.T) {
 	r, _ := allocProbeSetup(t)
-	seeds := sim.SeedTable(7, 24)
+	seeds := make([]int64, 24)
+	sim.NewSeedStream(7).FillFrom(0, seeds)
 	for _, s := range seeds[:4] { // warm the reusable workspaces
 		if _, err := r.RunSeeded(s); err != nil {
 			t.Fatal(err)
@@ -219,6 +225,86 @@ func TestReportBitIdenticalAcrossWorkers(t *testing.T) {
 			if !g.Sig.Equal(u.Sig) || g.Count != u.Count {
 				t.Fatalf("workers %d: unique %d = (%v, %d), workers 1 (%v, %d)",
 					workers, i, g.Sig, g.Count, u.Sig, u.Count)
+			}
+		}
+	}
+}
+
+// TestChunkRunnerSeedCost: what a chunk costs in seeds does not depend on
+// where the chunk is. A runner's seed stream moves forward with the chunks it
+// is handed, so Run allocates on late chunks of a 65,536-iteration campaign
+// what it allocates on early ones — and never a random source (4.9 KB), which
+// a fresh skip-ahead stream per chunk used to cost beside 2.6 ns per skipped
+// iteration. Indices handed out of order take the restart path and must give
+// the results ascending order gives.
+func TestChunkRunnerSeedCost(t *testing.T) {
+	// One thread: every iteration yields the same signature, so what a chunk
+	// allocates does not depend on what it observed.
+	p := testgen.MustGenerate(TestConfig{Threads: 1, OpsPerThread: 8, Words: 2, Seed: 1})
+	c, err := NewCampaign(p, Options{Iterations: 65536, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := c.NewChunkRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	measure := func(first int) (allocs float64, bytes uint64) {
+		idx := first
+		run := func() {
+			if _, err := cr.Run(context.Background(), idx); err != nil {
+				t.Fatal(err)
+			}
+			idx++
+		}
+		allocs = testing.AllocsPerRun(runs, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	earlyAllocs, earlyBytes := measure(0)
+	lateAllocs, lateBytes := measure(c.NumChunks() - 2*runs - 1)
+	t.Logf("Run: %.0f allocs / %d bytes on early chunks, %.0f / %d on late ones", earlyAllocs, earlyBytes, lateAllocs, lateBytes)
+	if earlyAllocs != lateAllocs {
+		t.Errorf("Run allocates %.0f times on an early chunk, %.0f on a late one", earlyAllocs, lateAllocs)
+	}
+	const randSource = 607 * 8 // math/rand's rngSource
+	if earlyBytes >= randSource || lateBytes >= randSource {
+		t.Errorf("Run allocates %d bytes on an early chunk and %d on a late one: a random source (%d) per chunk?",
+			earlyBytes, lateBytes, randSource)
+	}
+
+	// Where the seeds matter: a racy program, ten chunks.
+	racy, err := NewProgramBuilderFromConfig(faultCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = NewCampaign(racy, Options{Iterations: 640, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	ascending := chunkResults(t, c)
+	n := len(ascending)
+	descending := make([]int, n)
+	for i := range descending {
+		descending[i] = n - 1 - i
+	}
+	for name, order := range map[string][]int{"descending": descending, "shuffled": rand.New(rand.NewSource(5)).Perm(n)} {
+		cr, err := c.NewChunkRunner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range order {
+			got, err := cr.Run(context.Background(), idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ascending[idx]) {
+				t.Errorf("%s order: chunk %d differs from the ascending run's:\ngot  %+v\nwant %+v", name, idx, got, ascending[idx])
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"mtracecheck/internal/fault"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
+	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
@@ -170,7 +171,7 @@ func (c *Campaign) Check(ctx context.Context, uniques []Unique) (*Report, error)
 		return nil, errors.New("mtracecheck: checking stored signatures requires the static ws mode (stored signatures carry no recorded write serialization)")
 	}
 	began := time.Now()
-	c.em.campaignStart(c.prog, c.opts, 0, c.workers, began)
+	c.em.campaignStart(c.prog, c.opts.Platform.Name, c.opts.Platform.Model, 0, c.workers, began)
 	report := c.newReport()
 	report.UniqueSignatures = len(uniques)
 	err := c.decodeAndCheck(ctx, uniques, nil, report)
@@ -330,63 +331,48 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 	return c.runChunks(ctx, m)
 }
 
-// runChunks executes the grid chunks the merger does not hold, through the
-// work-stealing scheduler: workers pull chunks from a shared cursor, execute
-// them on their private Runner with per-chunk retry, and stream completed
-// chunks to the merger. The merger runs here, on the campaign goroutine,
+// runChunks executes the grid chunks the merger does not hold: the chunk API
+// driven by min(Workers, chunks) ChunkRunners. Each pulls the next chunk index
+// from a shared cursor, executes it (per-chunk retry included) and streams the
+// result to the merger. The merger runs here, on the campaign goroutine,
 // landing chunks strictly in chunk order through a reorder buffer while
-// workers execute later chunks — the stage overlap — so every order-sensitive
+// runners execute later chunks — the stage overlap — so every order-sensitive
 // output (executions, first-observation ws, failure bookkeeping, checkpoint
 // bytes) is identical for every worker count and completion schedule. It also
 // writes a checkpoint whenever the merger says one is due (CheckpointDue); the
-// workers keep executing meanwhile. It returns the first fatal error in chunk
+// runners keep executing meanwhile. It returns the first fatal error in chunk
 // order.
 func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
-	opts := c.opts
 	todo := make([]int, 0, len(m.chunks)-m.nDone)
 	for idx := range m.chunks {
-		if !m.chunks[idx].done {
+		if m.chunks[idx].Status != sig.ChunkDone {
 			todo = append(todo, idx)
 		}
 	}
-	// One Runner per worker for the whole campaign (none when a checkpoint
-	// already covers it): platform/program validation surfaces before any work,
-	// and NewRunner's static analysis is paid once per worker.
-	runners := make([]*sim.Runner, min(c.workers, len(todo)))
-	for i := range runners {
-		r, err := sim.NewRunner(opts.Platform, c.prog, opts.Seed)
+	// One runner per worker for the whole campaign (none when a checkpoint
+	// already covers it), each on its own lane.
+	runners := make([]*ChunkRunner, min(c.workers, len(todo)))
+	for lane := range runners {
+		cr, err := c.newChunkRunner(lane)
 		if err != nil {
 			return err
 		}
-		runners[i] = r
+		runners[lane] = cr
 	}
-	type chunk struct {
-		idx, start, count int
-		seeds             []int64
-	}
-	// The campaign's per-iteration seed sequence, drawn once and sliced per
-	// chunk at dispatch: any runner can execute any chunk because seeds
-	// travel with the work.
-	seeds := sim.NewSeedStream(opts.Seed)
 	var mu sync.Mutex
 	next, stop := 0, false
-	// dispatch pops the next chunk and draws its seed slice under the lock.
-	// The cursor is monotonic, so dispatched chunks always form a prefix of
-	// todo and the reorder buffer below can never stall waiting for an
-	// undispatched index.
-	dispatch := func() (chunk, bool) {
+	// dispatch pops the next chunk index. The cursor is monotonic, so
+	// dispatched chunks always form a prefix of todo — the reorder buffer below
+	// can never stall waiting for an undispatched index — and every runner sees
+	// ascending indices.
+	dispatch := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if stop || next >= len(todo) || ctx.Err() != nil {
-			return chunk{}, false
+			return 0, false
 		}
-		ck := chunk{idx: todo[next]}
-		ck.start, ck.count = c.ChunkBounds(ck.idx)
-		seeds.Skip(ck.start - seeds.Pos())
-		ck.seeds = make([]int64, ck.count)
-		seeds.Fill(ck.seeds)
 		next++
-		return ck, true
+		return todo[next-1], true
 	}
 	var firstErr error
 	// fail records a fatal error: stop handing out new chunks, drain what is
@@ -403,20 +389,14 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 
 	results := make(chan *shardOut, len(runners))
 	var wg sync.WaitGroup
-	for w := range runners {
+	for _, cr := range runners {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for {
-				ck, ok := dispatch()
-				if !ok {
-					return
-				}
-				out := c.runChunkRetrying(ctx, w, &runners[w], ck.start, ck.count, ck.seeds)
-				out.idx = ck.idx
-				results <- out
+			for idx, ok := dispatch(); ok; idx, ok = dispatch() {
+				results <- cr.runChunkRetrying(ctx, idx)
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -430,15 +410,16 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 	pending := make(map[int]*shardOut)
 	landed := 0 // todo[:landed] are in the merger
 	for out := range results {
-		pending[out.idx] = out
+		pending[out.Chunk] = out
 		for landed < len(todo) {
 			o := pending[todo[landed]]
 			if o == nil {
 				break
 			}
-			delete(pending, o.idx)
+			delete(pending, o.Chunk)
 			landed++
-			m.land(o.idx, o, o.set.Entries())
+			m.land(o.Chunk, o.Stats, o.set.Entries(), o.ws)
+			m.report.Executions = append(m.report.Executions, o.execs...)
 			err := o.err
 			if err == nil && checkpointing && m.CheckpointDue() {
 				err = c.saveCheckpoint(m)
@@ -446,12 +427,12 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 			switch {
 			case err == nil:
 				continue
-			case errors.Is(err, ErrShardFailed) && !opts.Strict:
+			case errors.Is(err, ErrShardFailed) && !c.opts.Strict:
 				// Infra failure that survived its retries: degrade to
 				// partial results, recorded honestly; scheduling continues.
 				m.report.ShardFailures = append(m.report.ShardFailures, ShardFailure{
-					Start: o.start, Count: o.count,
-					Executed: o.iterations, Attempts: o.attempts, Err: err,
+					Start: o.Start, Count: o.Count,
+					Executed: o.Stats.Iterations, Attempts: o.attempts, Err: err,
 				})
 			default:
 				fail(err)
@@ -486,59 +467,63 @@ func (c *Campaign) saveCheckpoint(m *ChunkMerger) error {
 	return nil
 }
 
-// runChunkRetrying drives one chunk to completion on the worker's Runner,
+// runChunkRetrying drives one grid chunk to completion on the runner,
 // re-running it from the chunk start after transient failures (recovered
-// panics, expired shard deadlines) with capped exponential backoff. Each
-// attempt restarts the chunk's seed slice from the top, so a retried chunk
-// replays bit-identically. A panicking attempt may leave the Runner's
-// reusable platform state corrupt, so the runner is dropped and rebuilt
-// before any reuse — the next attempt, or the worker's next chunk when the
-// failure exhausted its retries. Platform crashes are findings and parent
-// cancellation is final; neither is retried. A chunk still failing after
-// every retry returns its final partial attempt with the failure wrapped
-// in ErrShardFailed.
-func (c *Campaign) runChunkRetrying(ctx context.Context, worker int, runner **sim.Runner,
-	chunkStart, count int, seeds []int64) *shardOut {
-	opts := c.opts
+// panics, expired shard deadlines) with capped exponential backoff. The
+// chunk's seeds are drawn from the runner's stream once and every attempt
+// restarts them from the top, so a retried chunk replays bit-identically. A
+// panicking attempt may leave the simulator's reusable platform state corrupt,
+// so it is dropped and rebuilt before any reuse — the next attempt, or the
+// runner's next chunk when the failure exhausted its retries. Platform crashes
+// are findings and parent cancellation is final; neither is retried. A chunk
+// still failing after every retry returns its final partial attempt with the
+// failure wrapped in ErrShardFailed.
+func (cr *ChunkRunner) runChunkRetrying(ctx context.Context, idx int) *shardOut {
+	c, opts := cr.c, cr.c.opts
+	start, count := c.chunkBounds(idx)
+	seeds := cr.seeds[:count]
+	cr.stream.FillFrom(start, seeds)
 	backoff := time.Millisecond
 	const maxBackoff = 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		if *runner == nil {
+		if cr.runner == nil {
 			r, err := sim.NewRunner(opts.Platform, c.prog, opts.Seed)
 			if err != nil {
-				return &shardOut{set: sig.NewSet(), start: chunkStart, count: count,
-					attempts: attempt + 1, err: err}
+				out := newShardOut(idx, start, count)
+				out.attempts, out.err = attempt+1, err
+				return out
 			}
-			*runner = r
+			cr.runner = r
 		}
 		shardCtx, cancel := ctx, context.CancelFunc(func() {})
 		if opts.ShardTimeout > 0 {
 			shardCtx, cancel = context.WithTimeout(ctx, opts.ShardTimeout)
 		}
-		var src sim.Source = &seededSource{r: *runner, seeds: seeds}
+		var src sim.Source = &seededSource{r: cr.runner, seeds: seeds}
 		if c.inj != nil {
-			src = c.inj.WrapShard(shardCtx, src, chunkStart, count, attempt)
+			src = c.inj.WrapShard(shardCtx, src, start, count, attempt)
 		}
 		began := time.Now()
-		c.em.shardStart(obs.StageExecute, worker, attempt, chunkStart, count, began)
-		out := runShardAttempt(shardCtx, src, c.meta, opts, chunkStart, count)
+		c.em.shardStart(obs.StageExecute, cr.lane, attempt, start, count, began)
+		out := newShardOut(idx, start, count)
+		runShardAttempt(shardCtx, src, c.meta, opts, out)
 		cancel()
-		out.start, out.count, out.attempts = chunkStart, count, attempt+1
+		out.attempts = attempt + 1
 		if errors.Is(out.err, errShardPanic) {
-			// The panic may have unwound mid-iteration; the runner's
+			// The panic may have unwound mid-iteration; the simulator's
 			// reusable state is suspect.
-			*runner = nil
+			cr.runner = nil
 		}
 		willRetry := out.err != nil && retryable(out.err, ctx) && attempt < opts.ShardRetries
 		if out.err != nil && retryable(out.err, ctx) && !willRetry {
 			out.err = fmt.Errorf("%w: iterations [%d,%d) after %d attempts: %v",
-				ErrShardFailed, chunkStart, chunkStart+count, attempt+1, out.err)
+				ErrShardFailed, start, start+count, attempt+1, out.err)
 		}
 		retrySleep := time.Duration(0)
 		if willRetry {
 			retrySleep = backoff
 		}
-		c.em.execShardEnd(worker, out, began, willRetry, retrySleep)
+		c.em.execShardEnd(cr.lane, out, began, willRetry, retrySleep)
 		if !willRetry {
 			return out
 		}
@@ -554,10 +539,9 @@ func (c *Campaign) runChunkRetrying(ctx context.Context, worker int, runner **si
 	}
 }
 
-// seededSource adapts a Runner to one chunk's slice of the campaign seed
-// stream: call i executes under seeds[i] via RunSeeded, so the runner's own
-// master stream is never consulted and any worker's runner can execute any
-// chunk. A fresh source per attempt restarts the slice from the top; the
+// seededSource adapts a Runner to one chunk's seeds, drawn from the campaign
+// seed stream: call i executes under seeds[i] via RunSeeded, so the runner's
+// own master stream is never consulted and any runner can execute any chunk. A fresh source per attempt restarts the slice from the top; the
 // fault injector's stall/panic shim wraps it transparently.
 type seededSource struct {
 	r     *sim.Runner
@@ -578,7 +562,7 @@ type emitter struct {
 	o obs.Observer
 }
 
-func (em emitter) campaignStart(p *Program, opts Options, iterations, workers int, began time.Time) {
+func (em emitter) campaignStart(p *Program, platform string, model mcm.Model, iterations, workers int, began time.Time) {
 	if em.o == nil {
 		return
 	}
@@ -589,7 +573,7 @@ func (em emitter) campaignStart(p *Program, opts Options, iterations, workers in
 	}
 	em.o.CampaignStart(obs.CampaignStart{
 		Program: p.Name, Threads: threads, Ops: ops,
-		Platform: opts.Platform.Name, Model: opts.Platform.Model.String(),
+		Platform: platform, Model: model.String(),
 		Iterations: iterations, Workers: workers, Time: began,
 	})
 }
@@ -624,9 +608,9 @@ func (em emitter) execShardEnd(shard int, out *shardOut, began time.Time, willRe
 	now := time.Now()
 	em.o.ShardEnd(obs.ShardEnd{
 		Stage: obs.StageExecute, Shard: shard, Attempt: out.attempts - 1,
-		Start: out.start, Count: out.count,
-		Iterations: out.iterations, Cycles: out.cycles, Squashes: out.squashes,
-		Uniques: out.set.Len(), Asserts: len(out.asserts),
+		Start: out.Start, Count: out.Count,
+		Iterations: out.Stats.Iterations, Cycles: out.Stats.Cycles, Squashes: out.Stats.Squashes,
+		Uniques: out.set.Len(), Asserts: len(out.Stats.Asserts),
 		Err: out.err, WillRetry: willRetry, Backoff: backoff,
 		Time: now, Duration: now.Sub(began),
 	})
@@ -742,21 +726,24 @@ func progHash(p *Program) uint64 {
 // signature sets to the test program they were collected from.
 func ProgramHash(p *Program) uint64 { return progHash(p) }
 
-// shardOut is what one execution chunk attempt produces: private signature
-// set and stats, streamed to the merger and absorbed in chunk order.
+// shardOut is what one execution chunk attempt produces: the chunk's result —
+// its signatures still in the private set that deduplicated them, sorted into
+// Uniques only when they leave the process — plus what never crosses a wire.
 type shardOut struct {
-	set        *sig.Set
-	ws         map[string]graph.WS // sig key -> first-observation ws
-	idx        int                 // grid chunk index
-	start      int                 // global iteration chunk start
-	count      int                 // chunk size
-	attempts   int
-	iterations int
-	cycles     int64
-	squashes   int
-	execs      []*sim.Execution
-	asserts    []error
-	err        error
+	ChunkResult
+	set      *sig.Set
+	ws       map[string]graph.WS // sig key -> first-observation ws (ObservedWS)
+	execs    []*sim.Execution    // KeepExecutions
+	attempts int
+	err      error
+}
+
+// newShardOut returns the empty result of one attempt at a grid chunk.
+func newShardOut(idx, start, count int) *shardOut {
+	out := new(shardOut)
+	out.Chunk, out.Start, out.Count = idx, start, count
+	out.set = sig.NewSet()
+	return out
 }
 
 // retryable classifies a shard error: recovered panics and expired
@@ -770,42 +757,42 @@ func retryable(err error, parent context.Context) bool {
 	return errors.Is(err, errShardPanic) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// runShardAttempt drives one source through count iterations starting at
-// global iteration index start, polling the context between iterations and
+// runShardAttempt drives one source through the iterations of out's chunk,
+// filling out, polling the context between iterations and
 // converting a panic anywhere below — simulator, encoder, or an injected
 // shard fault — into a shard error instead of crashing the process. It is
 // deliberately free of observer hooks: events fire at the chunk boundary,
 // never inside the per-iteration hot loop.
 func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
-	opts Options, start, count int) (out *shardOut) {
-	out = &shardOut{set: sig.NewSet()}
+	opts Options, out *shardOut) {
+	start, count, stats := out.Start, out.Count, &out.Stats
 	if opts.ObservedWS {
 		out.ws = make(map[string]graph.WS)
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			out.err = fmt.Errorf("%w at iteration %d: %v", errShardPanic, start+out.iterations, r)
+			out.err = fmt.Errorf("%w at iteration %d: %v", errShardPanic, start+stats.Iterations, r)
 		}
 	}()
 	var sigBuf []uint64 // per-attempt encode scratch, reused every iteration
 	for i := 0; i < count; i++ {
 		if err := ctx.Err(); err != nil {
 			out.err = err
-			return out
+			return
 		}
 		ex, err := src.Run()
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// An interrupted stall, not a platform failure.
 				out.err = err
-				return out
+				return
 			}
 			out.err = fmt.Errorf("%w: iteration %d: %v", ErrCrash, start+i, err)
-			return out
+			return
 		}
-		out.iterations++
-		out.cycles += int64(ex.Cycles)
-		out.squashes += ex.Squashes
+		stats.Iterations++
+		stats.Cycles += int64(ex.Cycles)
+		stats.Squashes += ex.Squashes
 		if opts.KeepExecutions {
 			// The source's execution is scratch, overwritten next iteration:
 			// retention requires a deep copy.
@@ -815,11 +802,11 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 		if err != nil {
 			var ae *instrument.AssertionError
 			if errors.As(err, &ae) {
-				out.asserts = append(out.asserts, ae)
+				stats.Asserts = append(stats.Asserts, ae.Error())
 				continue
 			}
 			out.err = err
-			return out
+			return
 		}
 		if out.set.AddWords(sigBuf) && opts.ObservedWS {
 			// First observation of this interleaving in this chunk: keep its
@@ -828,7 +815,6 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 			out.ws[sig.New(sigBuf).Key()] = ex.WSByWord()
 		}
 	}
-	return out
 }
 
 // decodeTally counts one decode range's outcomes for its ShardEnd event.

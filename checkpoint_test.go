@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
+	"mtracecheck/internal/testgen"
 )
 
 // checkpointTap is an observer that sees only checkpoint events, on the
@@ -206,5 +208,69 @@ func TestResumeFitsTheGrid(t *testing.T) {
 		if report.ResumedIterations != 0 || report.Iterations != 0 {
 			t.Errorf("refused resume at %d iterations: report has %d resumed, %d iterations", tc.iters, report.ResumedIterations, report.Iterations)
 		}
+	}
+}
+
+// TestCheckpointGoldenBytes pins MTCCKPT2 across changes to the codec, not
+// just within one: internal/sig/testdata/ckpt2.golden is the final checkpoint
+// of a 192-iteration, 4-thread campaign whose last chunk has two assertion
+// failures, written before the stats block became the chunk upload's. The
+// campaign must still write those bytes, through either door, and the file
+// must survive ReadCheckpoint → Restore → Checkpoint → WriteCheckpoint.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("internal", "sig", "testdata", "ckpt2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 30, Words: 4, Seed: 4})
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	opts := Options{Iterations: 192, Seed: 7, Pruner: instrument.SkewPruner(p, 22), CheckpointPath: path}
+	if _, err := RunProgram(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	if written, err := os.ReadFile(path); err != nil || !bytes.Equal(written, golden) {
+		t.Errorf("the in-process campaign's final checkpoint differs from the golden file (%d bytes, %d golden, err %v)",
+			len(written), len(golden), err)
+	}
+	encode := func(m *ChunkMerger) []byte {
+		var buf bytes.Buffer
+		if err := sig.WriteCheckpoint(&buf, m.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	c, err := NewCampaign(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorbed, err := c.NewChunkMerger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := chunkResults(t, c)
+	for idx := len(results) - 1; idx >= 0; idx-- {
+		if _, err := absorbed.Absorb(results[idx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(encode(absorbed), golden) {
+		t.Error("the chunk API's checkpoint differs from the golden file")
+	}
+	ck, err := sig.ReadCheckpoint(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ck.Chunks[2].Asserts); len(ck.Chunks) != 3 || n != 2 {
+		t.Fatalf("golden checkpoint has %d chunks, %d assertion failures in the last; want 3 and 2", len(ck.Chunks), n)
+	}
+	restored, err := c.NewChunkMerger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(restored), golden) {
+		t.Error("the golden file does not survive ReadCheckpoint, Restore, Checkpoint, WriteCheckpoint")
 	}
 }

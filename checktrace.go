@@ -11,8 +11,6 @@ import (
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/mcm"
-	"mtracecheck/internal/prog"
-	"mtracecheck/internal/sig"
 	"mtracecheck/internal/trace"
 )
 
@@ -76,7 +74,9 @@ func TraceModels() []string {
 // Program; map them back through the Binding), and loads that observed a
 // value no store wrote appear in AssertionFailures — such an observation is
 // impossible under every model, the trace-mode analogue of the
-// instrumentation's inline assertion failures. Failed() covers both. The
+// instrumentation's inline assertion failures. Failed() covers both. No
+// platform ran and nothing was encoded: Platform is empty, SignatureBytes is 0
+// and a violation's Sig is the zero signature — the execution is the trace. The
 // Binding is always returned when binding succeeded, so callers can render
 // verdicts in the trace's own addresses and line numbers.
 //
@@ -111,21 +111,19 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	if err := builder.CheckRF(rf); err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}
-	items := []check.Item{{Sig: traceSignature(bind.Prog, rf), RF: rf}}
+	// The item is the row: a lone execution has no neighbour to be told from,
+	// so its signature stays the zero one.
+	items := []check.Item{{RF: rf}}
 
-	// The observer surface is the campaign's: a trace check is a
-	// one-iteration campaign on a pseudo-platform named for the front door.
+	// The observer surface is the campaign's — a trace check reads as a
+	// one-iteration campaign — on no platform.
 	began := time.Now()
 	em := emitter{o: opts.Observer}
-	pseudo := opts
-	pseudo.Platform = Platform{Name: "external-trace", Model: m}
-	em.campaignStart(bind.Prog, pseudo, 1, opts.workerCount(), began)
+	em.campaignStart(bind.Prog, "", m, 1, opts.workerCount(), began)
 	report := &Report{
 		Program:          bind.Prog,
-		Platform:         pseudo.Platform.Name,
 		Iterations:       1,
 		UniqueSignatures: 1,
-		SignatureBytes:   items[0].Sig.Len() * 8,
 		AssertionFailures: append([]error(nil),
 			bind.ValueFaults...),
 	}
@@ -172,37 +170,4 @@ func traceBuilderFor(p *Program, m mcm.Model) *traceBuilder {
 // CheckTrace is CheckTraceContext with context.Background().
 func CheckTrace(tr *ExecTrace, model string, opts Options) (*Report, *TraceBinding, error) {
 	return CheckTraceContext(context.Background(), tr, model, opts)
-}
-
-// rfUnresolved is the dense reads-from entry of a load whose response value
-// no store wrote: it contributes no edge.
-const rfUnresolved = graph.NoObservation
-
-// traceSignature synthesizes a signature for the trace's one execution so
-// it can flow through Item/Violation reporting like any decoded signature:
-// each load contributes its resolved reads-from source (+2, so the initial
-// value and "no entry" stay distinct from store ID 0) as a 32-bit field,
-// two fields per word, in load-ID order. Distinct observed interleavings of
-// the same trace program therefore get distinct signatures, mirroring the
-// instrumentation's 1:1 encoding.
-func traceSignature(p *Program, rf []int32) sig.Signature {
-	words := make([]uint64, 0, (len(rf)+1)/2) // room for every op being a load
-	fields := 0
-	for _, th := range p.Threads {
-		for _, op := range th.Ops {
-			if op.Kind != prog.Load {
-				continue
-			}
-			if fields%2 == 0 {
-				words = append(words, 0)
-			}
-			// An unresolved load (value fault) contributes field 0.
-			words[fields/2] |= uint64(uint32(rf[op.ID]-rfUnresolved)) << (32 * uint(fields%2))
-			fields++
-		}
-	}
-	if fields == 0 {
-		return sig.Zero(1)
-	}
-	return sig.New(words)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mtracecheck/internal/graph"
@@ -12,9 +13,10 @@ import (
 	"mtracecheck/internal/sim"
 )
 
-// The chunk API exports the campaign's worker-invariant execution grid for
-// out-of-process use: the distributed service leases chunks to remote
-// workers and merges their results here. Any runner can execute any chunk:
+// The chunk API is the campaign's one executor and one merger, exported: a
+// ChunkRunner executes grid chunks and a ChunkMerger lands them, whether the
+// runners are Campaign.Run's in-process workers or the remote processes the
+// distributed service leases chunks to. Any runner can execute any chunk:
 // a chunk's signatures and counters are a pure function of (program,
 // options, chunk index), so a chunk re-executed by another worker — after a
 // crash, hang, or partition — produces bit-identical results, and
@@ -37,17 +39,13 @@ func (c *Campaign) NumChunks() int {
 	return (c.opts.Iterations + ChunkSize - 1) / ChunkSize
 }
 
-// ChunkBounds returns the global iteration range [start, start+count) of
+// chunkBounds returns the global iteration range [start, start+count) of
 // one grid chunk.
-func (c *Campaign) ChunkBounds(idx int) (start, count int) {
+func (c *Campaign) chunkBounds(idx int) (start, count int) {
 	start = idx * ChunkSize
 	count = min(ChunkSize, c.opts.Iterations-start)
 	return start, count
 }
-
-// SignatureWords returns the per-signature word count every chunk result
-// must carry — the upload-validation width for remote results.
-func (c *Campaign) SignatureWords() int { return c.meta.TotalWords() }
 
 // chunkable rejects option combinations the exported chunk API cannot honor:
 // chunk results must be self-contained and worker-invariant, which rules out
@@ -62,15 +60,11 @@ func (c *Campaign) chunkable() error {
 	return nil
 }
 
-// ChunkStats is one executed chunk's accounting, serializable for the wire.
-// Asserts carries assertion-failure messages (paper bug class 2) rather
-// than structured errors so results survive transport.
-type ChunkStats struct {
-	Iterations int
-	Cycles     int64
-	Squashes   int
-	Asserts    []string
-}
+// ChunkStats is one executed chunk's accounting: iterations, cycles, squashes
+// and assertion-failure messages (paper bug class 2). internal/sig owns the
+// type, its validator and its binary form, which a chunk upload and a
+// checkpoint share.
+type ChunkStats = sig.ChunkStats
 
 // ChunkResult is one executed chunk: its grid coordinates, accounting, and
 // the sorted unique signatures it observed. Results are bit-identical
@@ -83,74 +77,63 @@ type ChunkResult struct {
 	Uniques []Unique
 }
 
-// ChunkRunner executes grid chunks on a private simulator runner, reusing
-// it across chunks the way an in-process worker does (and rebuilding it
-// after a panicking attempt). It is owned by a single goroutine.
+// ChunkRunner is the campaign's one chunk executor: Campaign.Run drives
+// min(Workers, chunks) of them from a shared cursor, a distributed worker
+// drives one from the server's leases. It owns what executing a chunk needs:
+// a lane number (the shard its execute events carry), a simulator runner
+// reused across chunks and rebuilt after a panicking attempt, and the
+// campaign's seed stream with a chunk-sized buffer. Seeds travel as a cursor,
+// not with the work: ascending chunk indices — what both schedulers hand out —
+// draw each seed once, and an index below the cursor restarts the stream. It
+// is owned by a single goroutine.
 type ChunkRunner struct {
 	c      *Campaign
-	runner *sim.Runner
+	lane   int
+	runner *sim.Runner // nil between a panicking attempt and the next one
+	stream *sim.SeedStream
+	seeds  [ChunkSize]int64
 }
 
-// NewChunkRunner validates that the campaign's options permit chunked
-// execution and returns a runner for its grid.
-func (c *Campaign) NewChunkRunner() (*ChunkRunner, error) {
-	if err := c.chunkable(); err != nil {
-		return nil, err
-	}
+// newChunkRunner builds the runner of one lane; platform/program validation
+// surfaces here, before any work.
+func (c *Campaign) newChunkRunner(lane int) (*ChunkRunner, error) {
 	r, err := sim.NewRunner(c.opts.Platform, c.prog, c.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return &ChunkRunner{c: c, runner: r}, nil
+	return &ChunkRunner{c: c, lane: lane, runner: r, stream: sim.NewSeedStream(c.opts.Seed)}, nil
+}
+
+// NewChunkRunner validates that the campaign's options let results leave the
+// process and returns a runner for its grid.
+func (c *Campaign) NewChunkRunner() (*ChunkRunner, error) {
+	if err := c.chunkable(); err != nil {
+		return nil, err
+	}
+	return c.newChunkRunner(0)
 }
 
 // Run executes one grid chunk with the campaign's full retry/backoff and
-// fault-injection semantics and returns its result. On failure the result
+// fault-injection semantics and returns its result: what an in-process worker
+// hands the merger, less what cannot cross a wire. On failure the result
 // still carries the final attempt's partial accounting; the error is
 // ErrCrash for platform findings, ErrShardFailed for infra failures that
 // survived every retry, or the context's error.
 func (cr *ChunkRunner) Run(ctx context.Context, idx int) (*ChunkResult, error) {
-	c := cr.c
-	if idx < 0 || idx >= c.NumChunks() {
-		return nil, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", idx, c.NumChunks())
+	if idx < 0 || idx >= cr.c.NumChunks() {
+		return nil, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", idx, cr.c.NumChunks())
 	}
-	start, count := c.ChunkBounds(idx)
-	seeds := make([]int64, count)
-	stream := sim.NewSeedStream(c.opts.Seed)
-	stream.Skip(start)
-	stream.Fill(seeds)
-	out := c.runChunkRetrying(ctx, 0, &cr.runner, start, count, seeds)
-	res := &ChunkResult{
-		Chunk: idx, Start: start, Count: count,
-		Stats: ChunkStats{
-			Iterations: out.iterations, Cycles: out.cycles, Squashes: out.squashes,
-		},
-		Uniques: out.set.Sorted(),
-	}
-	for _, a := range out.asserts {
-		res.Stats.Asserts = append(res.Stats.Asserts, a.Error())
-	}
-	return res, out.err
+	out := cr.runChunkRetrying(ctx, idx)
+	res := out.ChunkResult
+	res.Uniques = out.set.Sorted()
+	return &res, out.err
 }
 
-// assertFailure carries a transported assertion-failure message in the
-// report's AssertionFailures list.
+// assertFailure carries an assertion-failure message in the report's
+// AssertionFailures list.
 type assertFailure string
 
 func (a assertFailure) Error() string { return string(a) }
-
-// assertErrors turns assertion-failure messages that crossed a wire or a
-// checkpoint back into the report's error values.
-func assertErrors(msgs []string) []error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	errs := make([]error, len(msgs))
-	for i, msg := range msgs {
-		errs[i] = assertFailure(msg)
-	}
-	return errs
-}
 
 // ChunkMerger is the campaign's one merger: the streaming consumer of
 // completed execution chunks, whoever executed them. It folds each chunk's
@@ -159,15 +142,16 @@ func assertErrors(msgs []string) []error {
 // between sorted neighbours, which exist only at the barrier (finish).
 //
 // Run and Collect feed it from the work-stealing scheduler's reorder buffer,
-// strictly in chunk order; the exported Absorb feeds it in any order and is
-// idempotent per chunk index, so duplicate completions (stragglers, retried
-// uploads, redispatch races) merge to the same state. Both come through the
-// same land and end in the same finish: a chunk-API report equals the
-// in-process one by construction. The merger is also the only owner of what a
-// checkpoint holds, which campaign it belongs to and when one is due
-// (Checkpoint, Restore, CheckpointDue), so a file written by either door
-// resumes through either and both doors save at the same frontiers. Not safe
-// for concurrent use.
+// strictly in chunk order; the exported Absorb, the validating door for
+// results from outside the process, feeds it in any order and is idempotent
+// per chunk index, so duplicate completions (stragglers, retried uploads,
+// redispatch races) merge to the same state. Both doors meet in land and end
+// in the same finish: a chunk-API report equals the in-process one by
+// construction. The merger's grid is the checkpoint's grid (sig.CkptChunk), so
+// the merger is also the only owner of what a checkpoint holds, which campaign
+// it belongs to and when one is due (Checkpoint, Restore, CheckpointDue): a
+// file written by either door resumes through either and both doors save at
+// the same frontiers. Not safe for concurrent use.
 type ChunkMerger struct {
 	c      *Campaign
 	began  time.Time
@@ -175,28 +159,18 @@ type ChunkMerger struct {
 	acc    *sig.Set // campaign-wide dedup accumulator
 	check  bool     // finish runs the host side (false: Collect)
 
-	// The grid: which chunks have landed and what each contributed. It makes
-	// Absorb idempotent, keeps assertion failures in chunk order whatever order
-	// chunks land in, and is what a checkpoint records beside the merged set.
-	chunks []landedChunk
+	// The grid: which chunks have landed (pending or done; leases are the dist
+	// server's) and each one's stats. It makes Absorb idempotent, keeps
+	// assertion failures in chunk order whatever order chunks land in, and is
+	// what a checkpoint records beside the merged set.
+	chunks []sig.CkptChunk
 	nDone  int
 	saved  int // nDone at the last Checkpoint or Restore
 
-	// In-process only — chunkable() rejects the options behind them for the
-	// exported API. First-observation ws needs chunks absorbed in order plus
-	// a per-chunk ws map, and retained executions (report.Executions) are
-	// whole simulator states; ChunkResult carries neither over the wire.
+	// In-process only — chunkable() rejects the option behind it for the
+	// exported API: first-observation ws needs chunks absorbed in order plus a
+	// per-chunk ws map, which no ChunkResult carries over the wire.
 	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
-}
-
-// landedChunk is the merger's record of one grid chunk; the counters are
-// valid where done.
-type landedChunk struct {
-	done       bool
-	iterations int
-	cycles     int64
-	squashes   int
-	asserts    []error // error values in-process, assertFailure off a wire or checkpoint
 }
 
 // newMerger starts a campaign (start time, campaign-start event) and returns
@@ -204,11 +178,11 @@ type landedChunk struct {
 // follow.
 func (c *Campaign) newMerger(check bool) *ChunkMerger {
 	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet(), check: check,
-		chunks: make([]landedChunk, c.NumChunks())}
+		chunks: make([]sig.CkptChunk, c.NumChunks())}
 	if c.opts.ObservedWS {
 		m.wsBySig = make(map[string]graph.WS)
 	}
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, m.began)
+	c.em.campaignStart(c.prog, c.opts.Platform.Name, c.opts.Platform.Model, c.opts.Iterations, c.workers, m.began)
 	return m
 }
 
@@ -222,31 +196,27 @@ func (c *Campaign) NewChunkMerger() (*ChunkMerger, error) {
 	return c.newMerger(true), nil
 }
 
-// Done returns how many grid chunks have been absorbed.
+// Done returns how many grid chunks have been absorbed; Report wants all
+// NumChunks() of them.
 func (m *ChunkMerger) Done() int { return m.nDone }
 
-// IsDone reports whether one chunk has been absorbed.
-func (m *ChunkMerger) IsDone(idx int) bool {
-	return idx >= 0 && idx < len(m.chunks) && m.chunks[idx].done
-}
+// complete reports whether every grid chunk has been absorbed: Done() ==
+// NumChunks().
+func (m *ChunkMerger) complete() bool { return m.nDone == len(m.chunks) }
 
-// Complete reports whether every grid chunk has been absorbed.
-func (m *ChunkMerger) Complete() bool { return m.nDone == len(m.chunks) }
-
-// land marks one grid chunk done and folds it into the campaign state: its
-// record in the grid, report accounting, incremental dedup. What is
-// order-sensitive here — executions, first-observation ws — is in-process
-// only, where chunks land in ascending order whatever the worker count.
-func (m *ChunkMerger) land(idx int, out *shardOut, entries []Unique) {
-	m.chunks[idx] = landedChunk{done: true, iterations: out.iterations,
-		cycles: out.cycles, squashes: out.squashes, asserts: out.asserts}
+// land is where both doors meet: it marks one grid chunk done with the stats
+// it was given and folds it into the campaign state — report accounting,
+// incremental dedup. ws is the chunk's first-observation write serializations,
+// in-process only, where chunks land in ascending order whatever the worker
+// count.
+func (m *ChunkMerger) land(idx int, stats ChunkStats, entries []Unique, ws map[string]graph.WS) {
+	m.chunks[idx] = sig.CkptChunk{Status: sig.ChunkDone, ChunkStats: stats}
 	m.nDone++
 	r := m.report
-	r.Iterations += out.iterations
-	r.TotalCycles += out.cycles
-	r.Squashes += out.squashes
-	r.Executions = append(r.Executions, out.execs...)
-	m.merge(entries, out.ws)
+	r.Iterations += stats.Iterations
+	r.TotalCycles += stats.Cycles
+	r.Squashes += stats.Squashes
+	m.merge(entries, ws)
 }
 
 // merge folds uniques, in any order, into the accumulator. ws is the chunk's
@@ -266,7 +236,8 @@ func (m *ChunkMerger) merge(entries []Unique, ws map[string]graph.WS) {
 }
 
 // finish is the one campaign tail: Run, Collect and Report all end here.
-// Assertion failures are listed in chunk order, the merged set is sorted,
+// Assertion failures — messages from the chunk that raised them on — become
+// the report's error values, in chunk order; the merged set is sorted,
 // device-side corruption is injected, and (unless the merger only collects)
 // the host side decodes and checks it. A failed execution stage skips all but
 // the first: a crash is a finding (paper bug 3), the report covers what
@@ -275,7 +246,9 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 	c, report := m.c, m.report
 	report.AssertionFailures = nil
 	for i := range m.chunks {
-		report.AssertionFailures = append(report.AssertionFailures, m.chunks[i].asserts...)
+		for _, msg := range m.chunks[i].Asserts {
+			report.AssertionFailures = append(report.AssertionFailures, assertFailure(msg))
+		}
 	}
 	if runErr != nil {
 		report.UniqueSignatures = m.acc.Len()
@@ -302,9 +275,10 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 // Absorb folds one chunk result into the merger. It returns false with no
 // state change when the chunk was already absorbed (a deduplicated
 // duplicate completion), and an error when the result does not fit the
-// campaign's grid — wrong bounds, wrong signature width, impossible
-// counters — which the distributed server treats as a validation strike
-// against the uploading worker.
+// campaign's grid — wrong bounds, wrong signature width, counters
+// ChunkStats.Validate refuses or that do not add up to the chunk — which the
+// distributed server treats as a validation strike against the uploading
+// worker.
 func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	if r == nil {
 		return false, errors.New("mtracecheck: nil chunk result")
@@ -312,10 +286,13 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	if r.Chunk < 0 || r.Chunk >= len(m.chunks) {
 		return false, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", r.Chunk, len(m.chunks))
 	}
-	start, count := m.c.ChunkBounds(r.Chunk)
+	start, count := m.c.chunkBounds(r.Chunk)
 	if r.Start != start || r.Count != count {
 		return false, fmt.Errorf("mtracecheck: chunk %d claims iterations [%d,%d), grid says [%d,%d)",
 			r.Chunk, r.Start, r.Start+r.Count, start, start+count)
+	}
+	if err := r.Stats.Validate(count); err != nil {
+		return false, fmt.Errorf("mtracecheck: chunk %d: %w", r.Chunk, err)
 	}
 	if r.Stats.Iterations != count {
 		return false, fmt.Errorf("mtracecheck: chunk %d completed %d of %d iterations",
@@ -324,7 +301,7 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	// A completed iteration yields one signature observation or one assertion
 	// failure, so the two add up to the chunk; inflated counts would otherwise
 	// reach SaveSignatures. Each count is bounded before it is summed.
-	words, observed := m.c.SignatureWords(), len(r.Stats.Asserts)
+	words, observed := m.c.meta.TotalWords(), len(r.Stats.Asserts)
 	for i := range r.Uniques {
 		if r.Uniques[i].Sig.Len() != words {
 			return false, fmt.Errorf("mtracecheck: chunk %d signature %d has %d words, campaign signatures have %d",
@@ -342,11 +319,10 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 		return false, fmt.Errorf("mtracecheck: chunk %d accounts for %d observations and assertion failures over %d iterations",
 			r.Chunk, observed, count)
 	}
-	if m.chunks[r.Chunk].done {
+	if m.chunks[r.Chunk].Status == sig.ChunkDone {
 		return false, nil
 	}
-	m.land(r.Chunk, &shardOut{iterations: r.Stats.Iterations, cycles: r.Stats.Cycles,
-		squashes: r.Stats.Squashes, asserts: assertErrors(r.Stats.Asserts)}, r.Uniques)
+	m.land(r.Chunk, r.Stats, r.Uniques, nil)
 	return true, nil
 }
 
@@ -357,41 +333,32 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 // the same frontiers.
 func (m *ChunkMerger) CheckpointDue() bool {
 	return m.c.opts.CheckpointPath != "" &&
-		(m.nDone-m.saved >= m.c.ckptChunks || m.Complete())
+		(m.nDone-m.saved >= m.c.ckptChunks || m.complete())
 }
 
 // Checkpoint returns the merger's resumable state: the campaign's identity
-// (seed, program hash), the grid with every landed chunk's accounting, and the
-// merged set, sorted. It restarts the cadence CheckpointDue counts. The
+// (seed, program hash), a copy of the grid with every landed chunk's stats, and
+// the merged set, sorted. It restarts the cadence CheckpointDue counts. The
 // in-process campaign writes it as it is; the dist server fills in the leases
 // it holds (leased, attempt, worker). Restore is its inverse.
 func (m *ChunkMerger) Checkpoint() sig.Checkpoint {
 	m.saved = m.nDone
-	ck := sig.Checkpoint{
+	return sig.Checkpoint{
 		Seed: m.c.opts.Seed, ProgHash: progHash(m.c.prog),
-		ChunkSize: ChunkSize, Chunks: make([]sig.CkptChunk, len(m.chunks)),
+		ChunkSize: ChunkSize, Chunks: slices.Clone(m.chunks),
 		Uniques: m.acc.Sorted(),
 	}
-	for idx := range m.chunks {
-		if lc := &m.chunks[idx]; lc.done {
-			cc := &ck.Chunks[idx]
-			cc.Status, cc.Iterations, cc.Cycles, cc.Squashes = sig.ChunkDone, lc.iterations, lc.cycles, lc.squashes
-			for _, a := range lc.asserts {
-				cc.Asserts = append(cc.Asserts, a.Error())
-			}
-		}
-	}
-	return ck
 }
 
 // Restore seeds an empty merger from a checkpoint, whichever door wrote it,
 // and is the whole gate a checkpoint passes: same seed, same program, same
-// chunk size and signature width, and every done chunk covering exactly the
-// iterations the resuming campaign's grid gives that index. The restored
-// merger continues where the checkpointed one stopped — done chunks are never
-// re-executed, and their cycles, squashes and assertion failures reach the
-// report as if they had been. A campaign may therefore be extended (more
-// Iterations than the checkpointed one had) when the earlier length is a
+// chunk size and signature width, and every done chunk with stats
+// ChunkStats.Validate accepts, covering exactly the iterations the resuming
+// campaign's grid gives that index. The restored merger continues where the
+// checkpointed one stopped — done chunks land as the checkpoint records them
+// and are never re-executed, so their cycles, squashes and assertion failures
+// reach the report as if they had been. A campaign may therefore be extended
+// (more Iterations than the checkpointed one had) when the earlier length is a
 // multiple of ChunkSize: a trailing partial chunk is already merged into the
 // set and cannot be completed without double counting. A checkpoint that does
 // not fit is rejected whole: the merger is left empty.
@@ -408,11 +375,15 @@ func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
 		return fmt.Errorf("mtracecheck: resume: checkpoint grid has %d-iteration chunks, campaign grids have %d", ck.ChunkSize, ChunkSize)
 	}
 	for idx := range ck.Chunks {
-		if ck.Chunks[idx].Status != sig.ChunkDone {
+		cc := &ck.Chunks[idx]
+		if cc.Status != sig.ChunkDone {
 			continue
 		}
-		start, count := c.ChunkBounds(idx)
-		switch have := ck.Chunks[idx].Iterations; {
+		if err := cc.Validate(ChunkSize); err != nil {
+			return fmt.Errorf("mtracecheck: resume: checkpoint chunk %d: %w", idx, err)
+		}
+		start, count := c.chunkBounds(idx)
+		switch have := cc.Iterations; {
 		case idx >= len(m.chunks) || have > count:
 			return fmt.Errorf("mtracecheck: resume: checkpoint covers iterations [%d,%d), campaign requests only %d",
 				start, start+have, c.opts.Iterations)
@@ -421,7 +392,7 @@ func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
 				start+have, idx, ChunkSize)
 		}
 	}
-	words := c.SignatureWords()
+	words := c.meta.TotalWords()
 	for i := range ck.Uniques {
 		if ck.Uniques[i].Sig.Len() != words {
 			return fmt.Errorf("mtracecheck: resume: checkpoint signature %d has %d words, campaign signatures have %d",
@@ -431,8 +402,7 @@ func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
 	m.merge(ck.Uniques, nil)
 	for idx := range ck.Chunks {
 		if cc := &ck.Chunks[idx]; cc.Status == sig.ChunkDone {
-			m.land(idx, &shardOut{iterations: cc.Iterations, cycles: cc.Cycles,
-				squashes: cc.Squashes, asserts: assertErrors(cc.Asserts)}, nil)
+			m.land(idx, cc.ChunkStats, nil, nil)
 		}
 	}
 	m.report.ResumedIterations = m.report.Iterations
@@ -445,7 +415,7 @@ func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
 // report, bit-identical to an uninterrupted in-process run of the same
 // (program, options). It requires every grid chunk to have been absorbed.
 func (m *ChunkMerger) Report(ctx context.Context) (*Report, error) {
-	if !m.Complete() {
+	if !m.complete() {
 		return nil, fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.chunks), m.nDone)
 	}
 	return m.finish(ctx, nil)

@@ -173,9 +173,10 @@ func TestChunkAPIRejectsInProcessOnlyOptions(t *testing.T) {
 }
 
 // TestChunkMergerRestoreAtomic: a checkpoint that does not fit the campaign
-// is rejected whole. A bad-width signature behind good ones must leave the
-// merger empty, so that a valid Restore afterwards reports exactly what Run
-// does instead of double-counting the signatures before the bad one.
+// is rejected whole. A bad-width signature behind good ones, or an impossible
+// counter in the last done chunk, must leave the merger empty, so that a valid
+// Restore afterwards reports exactly what Run does instead of double-counting
+// what came before the bad part.
 func TestChunkMergerRestoreAtomic(t *testing.T) {
 	p, err := NewProgramBuilderFromConfig(faultCfg)
 	if err != nil {
@@ -204,17 +205,23 @@ func TestChunkMergerRestoreAtomic(t *testing.T) {
 	}
 	bad := good
 	bad.Uniques = append([]Unique(nil), good.Uniques...)
-	bad.Uniques[len(bad.Uniques)-1].Sig = sig.Zero(c.SignatureWords() + 1)
+	bad.Uniques[len(bad.Uniques)-1].Sig = sig.Zero(c.meta.TotalWords() + 1)
+
+	forged := good
+	forged.Chunks = append([]sig.CkptChunk(nil), good.Chunks...)
+	forged.Chunks[len(forged.Chunks)-1].Cycles = -1 << 62
 
 	m, err := c.NewChunkMerger()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Restore(bad); err == nil {
-		t.Fatal("Restore accepted a signature of the wrong width")
-	}
-	if n := len(m.Checkpoint().Uniques); n != 0 || m.Done() != 0 {
-		t.Fatalf("failed Restore left %d signatures and %d chunks in the merger", n, m.Done())
+	for name, ck := range map[string]sig.Checkpoint{"a signature of the wrong width": bad, "a negative cycle count": forged} {
+		if err := m.Restore(ck); err == nil {
+			t.Fatalf("Restore accepted %s", name)
+		}
+		if n := len(m.Checkpoint().Uniques); n != 0 || m.Done() != 0 {
+			t.Fatalf("Restore refusing %s left %d signatures and %d chunks in the merger", name, n, m.Done())
+		}
 	}
 	if err := m.Restore(good); err != nil {
 		t.Fatalf("valid Restore after a rejected one: %v", err)
@@ -239,7 +246,8 @@ func TestChunkMergerRestoreAtomic(t *testing.T) {
 
 // TestChunkMergerAbsorbCountsMustAddUp: a complete chunk accounts for each
 // iteration exactly once, as a signature observation or an assertion
-// failure. Results that do not are rejected without touching the merger.
+// failure, and no execution produces a negative counter. Results that say
+// otherwise are rejected without touching the merger.
 func TestChunkMergerAbsorbCountsMustAddUp(t *testing.T) {
 	p, err := NewProgramBuilderFromConfig(faultCfg)
 	if err != nil {
@@ -265,6 +273,8 @@ func TestChunkMergerAbsorbCountsMustAddUp(t *testing.T) {
 		"huge count":        lie(func(r *ChunkResult) { r.Uniques[0].Count = int(^uint(0) >> 1) }),
 		"dropped signature": lie(func(r *ChunkResult) { r.Uniques = r.Uniques[1:] }),
 		"invented assert":   lie(func(r *ChunkResult) { r.Stats.Asserts = append(r.Stats.Asserts, "thread 0: made up") }),
+		"negative cycles":   lie(func(r *ChunkResult) { r.Stats.Cycles = -1 << 62 }),
+		"negative squashes": lie(func(r *ChunkResult) { r.Stats.Squashes = -5 }),
 	} {
 		if fresh, err := m.Absorb(r); err == nil || fresh {
 			t.Errorf("%s: Absorb = (%v, %v), want a rejection", name, fresh, err)

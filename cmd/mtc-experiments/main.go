@@ -22,6 +22,7 @@ import (
 	"mtracecheck"
 	"mtracecheck/internal/experiments"
 	"mtracecheck/internal/experiments/report"
+	"mtracecheck/internal/obs"
 )
 
 func main() {
@@ -61,11 +62,10 @@ func main() {
 		}
 		cfg.Checker = c
 	}
-	fin, err := attachObservers(&cfg, *metricsOut, *progress, *traceOut)
-	if err != nil {
+	var err error
+	if cfg.Observer, finishObs, err = obs.Attach(*metricsOut, *progress, *traceOut); err != nil {
 		fatal(err)
 	}
-	finishObs = fin
 	defer finishObs()
 
 	render := func(t *report.Table) {
@@ -152,61 +152,4 @@ func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mtc-experiments:", err)
 	finishObs()
 	os.Exit(1)
-}
-
-// attachObservers wires the observability flags into the experiment
-// configuration; every signature collection the experiments perform feeds
-// the same aggregators. The returned finalizer writes the artifacts.
-func attachObservers(cfg *experiments.Config, metricsOut string, progress bool, traceOut string) (func(), error) {
-	var observers []mtracecheck.Observer
-	var metrics *mtracecheck.Metrics
-	if metricsOut != "" {
-		metrics = mtracecheck.NewMetrics()
-		observers = append(observers, metrics)
-	}
-	if progress {
-		observers = append(observers, mtracecheck.NewProgress(os.Stderr, 0))
-	}
-	var trace *mtracecheck.Trace
-	var traceFile *os.File
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return nil, err
-		}
-		traceFile = f
-		trace = mtracecheck.NewTraceJSON(f)
-		observers = append(observers, trace)
-	}
-	cfg.Observer = mtracecheck.MultiObserver(observers...)
-	var once bool
-	return func() {
-		if once {
-			return
-		}
-		once = true
-		if trace != nil {
-			if err := trace.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mtc-experiments: finishing trace: %v\n", err)
-			}
-			if err := traceFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mtc-experiments: finishing trace: %v\n", err)
-			}
-		}
-		if metrics != nil {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mtc-experiments: writing metrics: %v\n", err)
-				return
-			}
-			if err := metrics.WritePrometheus(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mtc-experiments: writing metrics: %v\n", err)
-			}
-		}
-	}, nil
 }

@@ -52,6 +52,7 @@ import (
 
 	"mtracecheck"
 	"mtracecheck/internal/dist"
+	"mtracecheck/internal/obs"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sim"
 )
@@ -175,8 +176,8 @@ func run() int {
 		}
 		opts.Corpus = store
 	}
-	finishObs, err := attachObservers(&opts, *metricsOut, *progress, *traceOut)
-	if err != nil {
+	var finishObs func()
+	if opts.Observer, finishObs, err = obs.Attach(*metricsOut, *progress, *traceOut); err != nil {
 		return infra(err)
 	}
 	defer finishObs()
@@ -350,9 +351,7 @@ func runCheckOnly(path string, p *mtracecheck.Program, opts mtracecheck.Options,
 	if len(report.Violations) > 0 {
 		fmt.Printf("RESULT: FAIL — %d graph violations\n", len(report.Violations))
 		if verbose {
-			for _, v := range report.Violations {
-				fmt.Printf("  violation: signature %v, cycle through ops %v\n", v.Sig, v.Cycle)
-			}
+			printViolations(report)
 		}
 		return exitFinding
 	}
@@ -408,59 +407,6 @@ func printTraceViolations(report *mtracecheck.Report, bind *mtracecheck.TraceBin
 	for _, e := range report.AssertionFailures {
 		fmt.Printf("  assert: %v\n", e)
 	}
-}
-
-// attachObservers wires the observability flags into the campaign options.
-// The returned finalizer terminates the trace JSON array and writes the
-// metrics snapshot; run() defers it so the artifacts land even when the
-// campaign errors.
-func attachObservers(opts *mtracecheck.Options, metricsOut string, progress bool, traceOut string) (func(), error) {
-	var observers []mtracecheck.Observer
-	var metrics *mtracecheck.Metrics
-	if metricsOut != "" {
-		metrics = mtracecheck.NewMetrics()
-		observers = append(observers, metrics)
-	}
-	if progress {
-		observers = append(observers, mtracecheck.NewProgress(os.Stderr, 0))
-	}
-	var trace *mtracecheck.Trace
-	var traceFile *os.File
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return nil, err
-		}
-		traceFile = f
-		trace = mtracecheck.NewTraceJSON(f)
-		observers = append(observers, trace)
-	}
-	opts.Observer = mtracecheck.MultiObserver(observers...)
-	return func() {
-		if trace != nil {
-			if err := trace.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mtracecheck: finishing trace: %v\n", err)
-			}
-			if err := traceFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mtracecheck: finishing trace: %v\n", err)
-			}
-		}
-		if metrics != nil {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mtracecheck: writing metrics: %v\n", err)
-				return
-			}
-			if err := metrics.WritePrometheus(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mtracecheck: writing metrics: %v\n", err)
-			}
-		}
-	}, nil
 }
 
 // dumpSignatures writes the signature set the campaign ended with in the

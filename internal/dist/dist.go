@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -166,88 +167,70 @@ const (
 	UploadOther
 )
 
-// ChunkUpload is one worker's completed (or failed) chunk crossing the
-// wire. The binary encoding ends in a whole-payload checksum so any bit
-// flip in transit is detected server-side and strikes the sender instead of
-// corrupting the campaign.
+// ChunkUpload is one worker's completed (or failed) chunk crossing the wire:
+// the chunk result as ChunkRunner.Run returned it, in an envelope naming the
+// job, the worker and how the execution ended. The binary encoding ends in a
+// whole-payload checksum so any bit flip in transit is detected server-side
+// and strikes the sender instead of corrupting the campaign.
 type ChunkUpload struct {
 	Job     string
 	Worker  string
-	Chunk   int
-	Start   int
-	Count   int
-	Stats   mtracecheck.ChunkStats
 	ErrKind uint8
 	Err     string
-	Uniques []mtracecheck.Unique
+	mtracecheck.ChunkResult
 }
 
-// chunkMagic heads the binary chunk-upload envelope.
-var chunkMagic = [8]byte{'M', 'T', 'C', 'C', 'H', 'N', 'K', '1'}
+// chunkMagic heads the binary chunk-upload envelope. The layout is ephemeral —
+// a worker runs the server's build to produce interchangeable chunks at all —
+// so an older one (MTCCHNK1) is a bad magic like any other.
+var chunkMagic = [8]byte{'M', 'T', 'C', 'C', 'H', 'N', 'K', '2'}
 
-// EncodeChunkUpload serializes an upload:
+// EncodeChunkUpload serializes an upload (little-endian; strings and the
+// stats block are internal/sig's, the block a checkpoint keeps per done chunk):
 //
-//	magic    [8]byte "MTCCHNK1"
-//	job      uint16 length + bytes
-//	worker   uint16 length + bytes
-//	chunk, start, count, iterations  uint32
-//	cycles   uint64
-//	squashes uint32
+//	magic    [8]byte "MTCCHNK2"
+//	job      string
+//	worker   string
+//	chunk, start, count  uint32
 //	errKind  uint8
-//	err      uint16 length + bytes
-//	asserts  uint32 count, each uint16 length + bytes
+//	err      string
+//	stats    stats block (sig.ChunkStats)
 //	sigs     WriteSet encoding of the unique set
 //	checksum uint64 FNV-64a of all preceding bytes
 func EncodeChunkUpload(u *ChunkUpload) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(chunkMagic[:])
-	writeString := func(s string) error {
-		if len(s) > 0xffff {
-			return fmt.Errorf("dist: upload string too long (%d bytes)", len(s))
-		}
-		binary.Write(&buf, binary.LittleEndian, uint16(len(s)))
-		buf.WriteString(s)
-		return nil
-	}
-	if err := writeString(u.Job); err != nil {
-		return nil, err
-	}
-	if err := writeString(u.Worker); err != nil {
-		return nil, err
-	}
-	for _, v := range []int{u.Chunk, u.Start, u.Count, u.Stats.Iterations} {
-		if v < 0 {
-			return nil, fmt.Errorf("dist: negative upload field %d", v)
-		}
-		binary.Write(&buf, binary.LittleEndian, uint32(v))
-	}
-	binary.Write(&buf, binary.LittleEndian, uint64(u.Stats.Cycles))
-	if u.Stats.Squashes < 0 {
-		return nil, fmt.Errorf("dist: negative squash count %d", u.Stats.Squashes)
-	}
-	binary.Write(&buf, binary.LittleEndian, uint32(u.Stats.Squashes))
-	buf.WriteByte(u.ErrKind)
-	if err := writeString(u.Err); err != nil {
-		return nil, err
-	}
-	binary.Write(&buf, binary.LittleEndian, uint32(len(u.Stats.Asserts)))
-	for _, a := range u.Stats.Asserts {
-		if err := writeString(a); err != nil {
-			return nil, err
+	for _, v := range []int{u.Chunk, u.Start, u.Count} {
+		if v < 0 || int64(v) > math.MaxUint32 {
+			return nil, fmt.Errorf("dist: upload field %d does not fit the envelope", v)
 		}
 	}
-	if err := sig.WriteSet(&buf, u.Uniques); err != nil {
+	b, err := sig.AppendString(chunkMagic[:], u.Job)
+	if err == nil {
+		b, err = sig.AppendString(b, u.Worker)
+	}
+	if err == nil {
+		b = binary.LittleEndian.AppendUint32(b, uint32(u.Chunk))
+		b = binary.LittleEndian.AppendUint32(b, uint32(u.Start))
+		b = binary.LittleEndian.AppendUint32(b, uint32(u.Count))
+		b, err = sig.AppendString(append(b, u.ErrKind), u.Err)
+	}
+	if err == nil {
+		b, err = u.Stats.AppendBinary(b)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dist: upload: %w", err)
+	}
+	buf := bytes.NewBuffer(b)
+	if err := sig.WriteSet(buf, u.Uniques); err != nil {
 		return nil, err
 	}
 	h := fnv.New64a()
 	h.Write(buf.Bytes())
-	binary.Write(&buf, binary.LittleEndian, h.Sum64())
-	return buf.Bytes(), nil
+	return binary.LittleEndian.AppendUint64(buf.Bytes(), h.Sum64()), nil
 }
 
 // DecodeChunkUpload parses and verifies an upload envelope. Any truncation,
-// trailing garbage, or checksum mismatch is an error — the transport is
-// untrusted by design.
+// trailing garbage, checksum mismatch or stats block sig.ChunkStats.Validate
+// refuses is an error — the transport is untrusted by design.
 func DecodeChunkUpload(data []byte) (*ChunkUpload, error) {
 	if len(data) < len(chunkMagic)+8 {
 		return nil, errors.New("dist: upload too short")
@@ -262,66 +245,31 @@ func DecodeChunkUpload(data []byte) (*ChunkUpload, error) {
 		return nil, fmt.Errorf("dist: bad upload magic %q", body[:8])
 	}
 	r := bytes.NewReader(body[8:])
-	readString := func() (string, error) {
-		var n uint16
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
 	u := &ChunkUpload{}
 	var err error
-	if u.Job, err = readString(); err != nil {
+	if u.Job, err = sig.ReadString(r); err != nil {
 		return nil, fmt.Errorf("dist: upload job: %w", err)
 	}
-	if u.Worker, err = readString(); err != nil {
+	if u.Worker, err = sig.ReadString(r); err != nil {
 		return nil, fmt.Errorf("dist: upload worker: %w", err)
 	}
-	var chunk, start, count, iters, squashes, nAsserts uint32
-	var cycles uint64
-	for _, dst := range []*uint32{&chunk, &start, &count, &iters} {
-		if err := binary.Read(r, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("dist: upload header: %w", err)
-		}
-	}
-	if err := binary.Read(r, binary.LittleEndian, &cycles); err != nil {
+	var hdr [13]byte // chunk, start, count, errKind
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("dist: upload header: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &squashes); err != nil {
-		return nil, fmt.Errorf("dist: upload header: %w", err)
-	}
-	if chunk > 1<<24 || start > 1<<30 || count > 1<<20 || iters > 1<<20 || squashes > 1<<30 {
+	chunk, start, count := binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint32(hdr[8:])
+	if chunk > 1<<24 || start > 1<<30 || count > 1<<20 {
 		return nil, errors.New("dist: implausible upload header")
 	}
 	u.Chunk, u.Start, u.Count = int(chunk), int(start), int(count)
-	u.Stats.Iterations, u.Stats.Cycles, u.Stats.Squashes = int(iters), int64(cycles), int(squashes)
-	kind, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dist: upload header: %w", err)
+	if u.ErrKind = hdr[12]; u.ErrKind > UploadOther {
+		return nil, fmt.Errorf("dist: invalid upload error kind %d", u.ErrKind)
 	}
-	if kind > UploadOther {
-		return nil, fmt.Errorf("dist: invalid upload error kind %d", kind)
-	}
-	u.ErrKind = kind
-	if u.Err, err = readString(); err != nil {
+	if u.Err, err = sig.ReadString(r); err != nil {
 		return nil, fmt.Errorf("dist: upload error: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &nAsserts); err != nil {
-		return nil, fmt.Errorf("dist: upload asserts: %w", err)
-	}
-	if nAsserts > 1<<20 {
-		return nil, errors.New("dist: implausible upload assert count")
-	}
-	for i := 0; i < int(nAsserts); i++ {
-		s, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("dist: upload assert %d: %w", i, err)
-		}
-		u.Stats.Asserts = append(u.Stats.Asserts, s)
+	if u.Stats, err = sig.ReadChunkStats(r, u.Count); err != nil {
+		return nil, fmt.Errorf("dist: upload stats: %w", err)
 	}
 	if u.Uniques, err = sig.ReadSet(r); err != nil {
 		return nil, fmt.Errorf("dist: upload signatures: %w", err)

@@ -149,10 +149,7 @@ func TestChunkUploadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := &ChunkUpload{
-		Job: "job-1", Worker: "w0", Chunk: res.Chunk, Start: res.Start,
-		Count: res.Count, Stats: res.Stats, Uniques: res.Uniques,
-	}
+	u := &ChunkUpload{Job: "job-1", Worker: "w0", ChunkResult: *res}
 	data, err := EncodeChunkUpload(u)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +172,8 @@ func TestChunkUploadRoundTrip(t *testing.T) {
 }
 
 func TestChunkUploadDetectsCorruption(t *testing.T) {
-	u := &ChunkUpload{Job: "j", Worker: "w", Chunk: 1, Start: 64, Count: 64,
-		Stats: mtracecheck.ChunkStats{Iterations: 64, Cycles: 123}}
+	u := &ChunkUpload{Job: "j", Worker: "w", ChunkResult: mtracecheck.ChunkResult{Chunk: 1, Start: 64, Count: 64,
+		Stats: mtracecheck.ChunkStats{Iterations: 64, Cycles: 123}}}
 	data, err := EncodeChunkUpload(u)
 	if err != nil {
 		t.Fatal(err)
@@ -261,10 +258,7 @@ func TestCorruptWorkerQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Uniques[0].Count++
-	payload, err := EncodeChunkUpload(&ChunkUpload{
-		Job: id, Worker: "padder", Chunk: res.Chunk, Start: res.Start,
-		Count: res.Count, Stats: res.Stats, Uniques: res.Uniques,
-	})
+	payload, err := EncodeChunkUpload(&ChunkUpload{Job: id, Worker: "padder", ChunkResult: *res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +318,7 @@ func TestDuplicateUploadDeduplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := EncodeChunkUpload(&ChunkUpload{
-		Job: id, Worker: "dup", Chunk: res.Chunk, Start: res.Start,
-		Count: res.Count, Stats: res.Stats, Uniques: res.Uniques,
-	})
+	payload, err := EncodeChunkUpload(&ChunkUpload{Job: id, Worker: "dup", ChunkResult: *res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +430,7 @@ func TestKillMidChunkResume(t *testing.T) {
 	for {
 		srv1.mu.Lock()
 		j := srv1.jobs[id1]
-		partial := j.merger.Done() >= 1 && !j.merger.Complete()
+		partial := j.merger.Done() >= 1 && j.merger.Done() < len(j.chunks)
 		srv1.mu.Unlock()
 		if partial {
 			break
@@ -489,8 +480,8 @@ func TestCrashUploadFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload, err := EncodeChunkUpload(&ChunkUpload{
-		Job: id, Worker: "crasher", Chunk: 0, Start: 0, Count: mtracecheck.ChunkSize,
-		ErrKind: UploadCrash, Err: "deadlock at iteration 3",
+		Job: id, Worker: "crasher", ErrKind: UploadCrash, Err: "deadlock at iteration 3",
+		ChunkResult: mtracecheck.ChunkResult{Chunk: 0, Start: 0, Count: mtracecheck.ChunkSize},
 	})
 	if err != nil {
 		t.Fatal(err)

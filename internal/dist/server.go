@@ -331,7 +331,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	s.jobIDs = append(s.jobIDs, j.id)
 	s.logf("dist: job %s submitted: %d iterations in %d chunks (%d restored)",
 		j.id, opts.Iterations, len(j.chunks), merger.Done())
-	if merger.Complete() {
+	if merger.Done() == len(j.chunks) {
 		s.finalize(j)
 	}
 	return j.id, nil
@@ -358,11 +358,9 @@ func (s *Server) restore(j *job) error {
 	if err != nil {
 		return fmt.Errorf("dist: resume: %w", err)
 	}
-	for c := range j.chunks {
-		if c < len(ck.Chunks) {
-			j.chunks[c].attempt = ck.Chunks[c].Attempt
-		}
-		if j.merger.IsDone(c) {
+	for c := range min(len(j.chunks), len(ck.Chunks)) {
+		j.chunks[c].attempt = ck.Chunks[c].Attempt
+		if ck.Chunks[c].Status == sig.ChunkDone { // Restore landed it
 			j.chunks[c].status = chunkDone
 		}
 	}
@@ -620,7 +618,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	drained := true
 	for _, id := range s.jobIDs {
 		j := s.jobs[id]
-		if j.state != jobRunning || j.merger.Complete() {
+		if j.state != jobRunning || j.merger.Done() == len(j.chunks) {
 			continue
 		}
 		drained = false
@@ -748,10 +746,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, UploadResponse{Status: UploadAccepted})
 		return
 	}
-	fresh, err := j.merger.Absorb(&mtracecheck.ChunkResult{
-		Chunk: u.Chunk, Start: u.Start, Count: u.Count,
-		Stats: u.Stats, Uniques: u.Uniques,
-	})
+	fresh, err := j.merger.Absorb(&u.ChunkResult)
 	if err != nil {
 		writeJSON(w, s.strike(j, u.Chunk, sender, now, err))
 		return
@@ -769,7 +764,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if j.merger.CheckpointDue() {
 		s.checkpoint(j)
 	}
-	if j.merger.Complete() {
+	if j.merger.Done() == len(j.chunks) {
 		s.finalize(j)
 	}
 	writeJSON(w, UploadResponse{Status: UploadAccepted})

@@ -241,25 +241,22 @@ func (w *Worker) executeLease(ctx context.Context, lease LeaseResponse) error {
 	if chunkCtx.Err() != nil && runErr != nil {
 		return runErr // lease lost mid-execution; nothing to upload
 	}
-	u := &ChunkUpload{
-		Job: lease.Job, Worker: w.ID, Chunk: lease.Chunk,
-	}
+	u := &ChunkUpload{Job: lease.Job, Worker: w.ID}
+	u.Chunk = lease.Chunk
 	if result != nil {
-		u.Start, u.Count = result.Start, result.Count
-		u.Stats = result.Stats
-		u.Uniques = result.Uniques
+		u.ChunkResult = *result
 	}
 	switch {
 	case runErr == nil:
 	case errors.Is(runErr, mtracecheck.ErrCrash):
-		u.ErrKind, u.Err = UploadCrash, runErr.Error()
-		u.Uniques = nil
+		u.ErrKind = UploadCrash
 	case errors.Is(runErr, mtracecheck.ErrShardFailed):
-		u.ErrKind, u.Err = UploadShardFailed, runErr.Error()
-		u.Uniques = nil
+		u.ErrKind = UploadShardFailed
 	default:
-		u.ErrKind, u.Err = UploadOther, runErr.Error()
-		u.Uniques = nil
+		u.ErrKind = UploadOther
+	}
+	if runErr != nil {
+		u.Err, u.Uniques = runErr.Error(), nil
 	}
 	payload, err := EncodeChunkUpload(u)
 	if err != nil {

@@ -29,7 +29,12 @@
 // observers at once.
 package obs
 
-import "time"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"time"
+)
 
 // Stage identifies the pipeline stage an event belongs to.
 type Stage uint8
@@ -246,6 +251,62 @@ func Multi(obs ...Observer) Observer {
 		return kept[0]
 	}
 	return multi(kept)
+}
+
+// Attach builds the observer the command-line observability flags ask for: a
+// Metrics aggregator written to metricsOut as Prometheus text (empty: none),
+// rate-limited progress lines on stderr, a Chrome trace_event file at traceOut
+// (empty: none); nil when none is asked for. finish terminates the trace's
+// JSON array and writes the metrics; it is idempotent, so a binary can both
+// defer it and run it on its fatal path, and the artifacts land even when the
+// campaign errors (after a failed Attach it is a no-op). What it cannot write
+// it reports on stderr under the binary's name.
+func Attach(metricsOut string, progress bool, traceOut string) (o Observer, finish func(), err error) {
+	var observers []Observer
+	var metrics *Metrics
+	if metricsOut != "" {
+		metrics = NewMetrics()
+		observers = append(observers, metrics)
+	}
+	if progress {
+		observers = append(observers, NewProgress(os.Stderr, 0))
+	}
+	var trace *Trace
+	var traceFile *os.File
+	if traceOut != "" {
+		if traceFile, err = os.Create(traceOut); err != nil {
+			return nil, func() {}, err
+		}
+		trace = NewTraceJSON(traceFile)
+		observers = append(observers, trace)
+	}
+	complain := func(doing string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %s: %v\n", filepath.Base(os.Args[0]), doing, err)
+		}
+	}
+	done := false
+	return Multi(observers...), func() {
+		if done {
+			return
+		}
+		done = true
+		if trace != nil {
+			complain("finishing trace", trace.Close())
+			complain("finishing trace", traceFile.Close())
+		}
+		if metrics != nil {
+			f, err := os.Create(metricsOut)
+			if err == nil {
+				if err = metrics.WritePrometheus(f); err == nil {
+					err = f.Close()
+				} else {
+					f.Close()
+				}
+			}
+			complain("writing metrics", err)
+		}
+	}, nil
 }
 
 type multi []Observer

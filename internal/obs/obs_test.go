@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -248,4 +250,45 @@ func TestStageStrings(t *testing.T) {
 			t.Errorf("Stage(%d).String() = %q, want %q", s, s.String(), str)
 		}
 	}
+}
+
+// TestAttach: the flags' observer writes both artifacts at finish, finish may
+// run twice (deferred and on a fatal path) without rewriting them, no flag
+// means no observer, and a trace file that cannot be created is an error with
+// a finish that is still safe to call.
+func TestAttach(t *testing.T) {
+	dir := t.TempDir()
+	metricsOut, traceOut := filepath.Join(dir, "m.prom"), filepath.Join(dir, "t.json")
+	o, finish, err := Attach(metricsOut, false, traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(o)
+	finish()
+	prom, err := os.ReadFile(metricsOut)
+	if err != nil || !strings.Contains(string(prom), "mtracecheck_campaigns_total 1") {
+		t.Errorf("metrics file: %v\n%s", err, prom)
+	}
+	trace, err := os.ReadFile(traceOut)
+	var events []map[string]any
+	if err != nil || json.Unmarshal(trace, &events) != nil || len(events) == 0 {
+		t.Errorf("trace file is not a JSON array of events: %v\n%s", err, trace)
+	}
+	if err := os.Remove(metricsOut); err != nil {
+		t.Fatal(err)
+	}
+	finish()
+	if _, err := os.Stat(metricsOut); err == nil {
+		t.Error("a second finish wrote the metrics again")
+	}
+	if o, finish, err := Attach("", false, ""); o != nil || err != nil {
+		t.Errorf("no flags: observer %v, err %v", o, err)
+	} else {
+		finish()
+	}
+	_, finish, err = Attach("", false, filepath.Join(dir, "missing", "t.json"))
+	if err == nil {
+		t.Error("an uncreatable trace file was accepted")
+	}
+	finish()
 }

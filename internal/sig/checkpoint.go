@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 )
 
@@ -29,16 +30,15 @@ import (
 //	per chunk (ascending index):
 //	  status    uint8   0 pending, 1 leased, 2 done
 //	  attempt   uint16  dispatch count so far
-//	  worker    uint16 length + bytes (leased chunks: the lease holder)
-//	  done chunks additionally carry:
-//	    iterations uint32, cycles uint64, squashes uint32,
-//	    asserts    uint16 count, each uint16 length + bytes
+//	  worker    string  leased chunks: the lease holder
+//	  stats             done chunks only: the chunk's stats block (ChunkStats)
 //	payload            WriteSet encoding of the done chunks' merged set
 //	checksum  uint64   FNV-64a of every byte before it
 //
-// The per-chunk counters let a resumed campaign report the cycles, squashes
-// and assertion failures of the uninterrupted run; status leased, attempt and
-// worker are the dist server's lease table and stay zero in-process.
+// The stats block lets a resumed campaign report the cycles, squashes and
+// assertion failures of the uninterrupted run; it is the block a chunk upload
+// carries. Status leased, attempt and worker are the dist server's lease table
+// and stay zero in-process.
 var ckptMagic = [8]byte{'M', 'T', 'C', 'C', 'K', 'P', 'T', '2'}
 
 // oldCkptMagic headed the layouts nobody writes any more: a contiguous prefix
@@ -58,18 +58,95 @@ const (
 	ChunkDone
 )
 
-// CkptChunk is one grid chunk's state in a checkpoint. The execution counters
-// are meaningful only for ChunkDone chunks; Worker only for ChunkLeased ones
-// (the outstanding lease holder at save time).
-type CkptChunk struct {
-	Status  uint8
-	Attempt int
-	Worker  string
-
+// ChunkStats is one executed chunk's accounting: what crosses the device/host
+// boundary beside the chunk's signatures, in an upload, and what a checkpoint
+// keeps of a done chunk. Asserts carries assertion-failure messages (paper bug
+// class 2), one per iteration that failed its inline check. One type, one
+// validator (Validate) and one binary form (AppendBinary, ReadChunkStats) serve
+// every door a chunk comes through.
+type ChunkStats struct {
 	Iterations int
 	Cycles     int64
 	Squashes   int
 	Asserts    []string
+}
+
+// Validate refuses counters no execution of a count-iteration chunk produces:
+// more iterations than the chunk has, a negative cycle or squash count (what a
+// forged count of 2^63 or more reads as), more assertion failures than
+// iterations.
+func (s *ChunkStats) Validate(count int) error {
+	switch {
+	case s.Iterations < 0 || s.Iterations > count:
+		return fmt.Errorf("chunk stats claim %d iterations of a %d-iteration chunk", s.Iterations, count)
+	case s.Cycles < 0 || s.Squashes < 0:
+		return fmt.Errorf("chunk stats claim %d cycles and %d squashes", s.Cycles, s.Squashes)
+	case len(s.Asserts) > s.Iterations:
+		return fmt.Errorf("chunk stats claim %d assertion failures over %d iterations", len(s.Asserts), s.Iterations)
+	}
+	return nil
+}
+
+// AppendBinary appends the stats block (little-endian):
+//
+//	iterations uint32
+//	cycles     uint64
+//	squashes   uint32
+//	asserts    uint16 count, each a string (AppendString)
+func (s *ChunkStats) AppendBinary(dst []byte) ([]byte, error) {
+	if err := s.Validate(math.MaxInt32); err != nil {
+		return dst, err
+	}
+	if s.Squashes > math.MaxInt32 || len(s.Asserts) > 0xffff {
+		return dst, fmt.Errorf("chunk stats do not fit their fields (%d squashes, %d assertion failures)", s.Squashes, len(s.Asserts))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Iterations))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Cycles))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Squashes))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s.Asserts)))
+	for _, a := range s.Asserts {
+		var err error
+		if dst, err = AppendString(dst, a); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// ReadChunkStats reads a stats block written by AppendBinary and validates it
+// as a count-iteration chunk's, so no decoder hands on counters Validate
+// refuses.
+func ReadChunkStats(r io.Reader, count int) (ChunkStats, error) {
+	var fixed [18]byte
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+		return ChunkStats{}, err
+	}
+	s := ChunkStats{
+		Iterations: int(binary.LittleEndian.Uint32(fixed[0:])),
+		Cycles:     int64(binary.LittleEndian.Uint64(fixed[4:])),
+		Squashes:   int(int32(binary.LittleEndian.Uint32(fixed[12:]))),
+	}
+	for a, n := 0, int(binary.LittleEndian.Uint16(fixed[16:])); a < n; a++ {
+		msg, err := ReadString(r)
+		if err != nil {
+			return ChunkStats{}, fmt.Errorf("assert %d: %w", a, err)
+		}
+		s.Asserts = append(s.Asserts, msg)
+	}
+	if err := s.Validate(count); err != nil {
+		return ChunkStats{}, err
+	}
+	return s, nil
+}
+
+// CkptChunk is one grid chunk's state, in a checkpoint and in the merger whose
+// grid a checkpoint copies. The stats are meaningful only for ChunkDone chunks;
+// Worker only for ChunkLeased ones (the outstanding lease holder at save time).
+type CkptChunk struct {
+	Status  uint8
+	Attempt int
+	Worker  string
+	ChunkStats
 }
 
 // Checkpoint is a campaign's resumable progress: Uniques holds the merged set
@@ -98,46 +175,28 @@ func WriteCheckpoint(w io.Writer, ck Checkpoint) error {
 	if ck.ChunkSize <= 0 {
 		return fmt.Errorf("sig: non-positive checkpoint chunk size %d", ck.ChunkSize)
 	}
-	sum := fnv.New64a()
-	bw := bufio.NewWriter(io.MultiWriter(w, sum))
-	bw.Write(ckptMagic[:]) // bufio keeps the first error for Flush
-	binary.Write(bw, binary.LittleEndian, []uint64{uint64(ck.Seed), ck.ProgHash})
-	binary.Write(bw, binary.LittleEndian, []uint32{uint32(ck.ChunkSize), uint32(len(ck.Chunks))})
-	writeString := func(s string) error {
-		if len(s) > 0xffff {
-			return fmt.Errorf("sig: checkpoint string too long (%d bytes)", len(s))
-		}
-		binary.Write(bw, binary.LittleEndian, uint16(len(s)))
-		bw.WriteString(s)
-		return nil
-	}
+	grid := binary.LittleEndian.AppendUint64(ckptMagic[:], uint64(ck.Seed))
+	grid = binary.LittleEndian.AppendUint64(grid, ck.ProgHash)
+	grid = binary.LittleEndian.AppendUint32(grid, uint32(ck.ChunkSize))
+	grid = binary.LittleEndian.AppendUint32(grid, uint32(len(ck.Chunks)))
 	for i := range ck.Chunks {
 		c := &ck.Chunks[i]
 		if c.Status > ChunkDone {
 			return fmt.Errorf("sig: chunk %d has invalid status %d", i, c.Status)
 		}
-		bw.WriteByte(c.Status)
-		binary.Write(bw, binary.LittleEndian, uint16(c.Attempt))
-		if err := writeString(c.Worker); err != nil {
-			return err
+		grid = append(grid, c.Status)
+		grid = binary.LittleEndian.AppendUint16(grid, uint16(c.Attempt))
+		var err error
+		if grid, err = AppendString(grid, c.Worker); err == nil && c.Status == ChunkDone {
+			grid, err = c.AppendBinary(grid)
 		}
-		if c.Status != ChunkDone {
-			continue
-		}
-		if c.Iterations < 0 || c.Squashes < 0 || len(c.Asserts) > 0xffff {
-			return fmt.Errorf("sig: chunk %d has implausible counters (%d iterations, %d squashes, %d asserts)",
-				i, c.Iterations, c.Squashes, len(c.Asserts))
-		}
-		binary.Write(bw, binary.LittleEndian, uint32(c.Iterations))
-		binary.Write(bw, binary.LittleEndian, uint64(c.Cycles))
-		binary.Write(bw, binary.LittleEndian, uint32(c.Squashes))
-		binary.Write(bw, binary.LittleEndian, uint16(len(c.Asserts)))
-		for _, a := range c.Asserts {
-			if err := writeString(a); err != nil {
-				return err
-			}
+		if err != nil {
+			return fmt.Errorf("sig: chunk %d: %w", i, err)
 		}
 	}
+	sum := fnv.New64a()
+	bw := bufio.NewWriter(io.MultiWriter(w, sum))
+	bw.Write(grid) // bufio keeps the first error for Flush
 	if err := WriteSet(bw, ck.Uniques); err != nil {
 		return err
 	}
@@ -231,17 +290,6 @@ func readGrid(br *bufio.Reader, ck *Checkpoint) error {
 	if chunkSize == 0 || chunkSize > 1<<20 || nChunks > 1<<24 {
 		return fmt.Errorf("implausible header (%d-iteration chunks, %d chunks)", chunkSize, nChunks)
 	}
-	readString := func() (string, error) {
-		var n uint16
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
 	// The checksum says the file is what was written, not who wrote it: the
 	// list still grows as chunks are read instead of being sized from nChunks.
 	ck.ChunkSize, ck.Chunks = int(chunkSize), make([]CkptChunk, 0, min(nChunks, 1024))
@@ -261,31 +309,14 @@ func readGrid(br *bufio.Reader, ck *Checkpoint) error {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		c.Attempt = int(attempt)
-		if c.Worker, err = readString(); err != nil {
+		if c.Worker, err = ReadString(br); err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		if c.Status != ChunkDone {
 			continue
 		}
-		var counters struct {
-			Iterations uint32
-			Cycles     uint64
-			Squashes   uint32
-			Asserts    uint16
-		}
-		if err := binary.Read(br, binary.LittleEndian, &counters); err != nil {
+		if c.ChunkStats, err = ReadChunkStats(br, int(chunkSize)); err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
-		}
-		if counters.Iterations > chunkSize {
-			return fmt.Errorf("chunk %d: %d iterations exceed the %d-iteration chunk size", i, counters.Iterations, chunkSize)
-		}
-		c.Iterations, c.Cycles, c.Squashes = int(counters.Iterations), int64(counters.Cycles), int(counters.Squashes)
-		for a := 0; a < int(counters.Asserts); a++ {
-			s, err := readString()
-			if err != nil {
-				return fmt.Errorf("chunk %d assert %d: %w", i, a, err)
-			}
-			c.Asserts = append(c.Asserts, s)
 		}
 	}
 	return nil

@@ -38,7 +38,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Seed:      -42,
 		ProgHash:  0xdeadbeefcafe,
 		ChunkSize: 64,
-		Chunks:    []CkptChunk{{Status: ChunkDone, Iterations: 64, Cycles: 12345}, {Status: ChunkDone, Iterations: 19}},
+		Chunks:    []CkptChunk{{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 64, Cycles: 12345}}, {Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 19}}},
 		Uniques:   ckUniques(3, 7, 9),
 	}
 	got, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, ck)))
@@ -131,11 +131,11 @@ func TestCheckpointDistRoundTrip(t *testing.T) {
 		Uniques:   ckUniques(4, 8),
 		ChunkSize: 64,
 		Chunks: []CkptChunk{
-			{Status: ChunkDone, Attempt: 1, Iterations: 64, Cycles: 9999, Squashes: 2,
-				Asserts: []string{"t1 assert failed", "t2 assert failed"}},
+			{Status: ChunkDone, Attempt: 1, ChunkStats: ChunkStats{Iterations: 64, Cycles: 9999, Squashes: 2,
+				Asserts: []string{"t1 assert failed", "t2 assert failed"}}},
 			{Status: ChunkLeased, Attempt: 3, Worker: "worker-b"},
 			{Status: ChunkPending, Attempt: 2},
-			{Status: ChunkDone, Iterations: 40, Cycles: 5},
+			{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 40, Cycles: 5}},
 		},
 	}
 	got, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, ck)))
@@ -185,21 +185,21 @@ func TestCheckpointDistRejectsBadInput(t *testing.T) {
 		t.Error("invalid chunk status accepted on write")
 	}
 	if err := WriteCheckpoint(&bytes.Buffer{}, Checkpoint{
-		Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: ChunkDone, Iterations: -1}},
+		Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: -1}}},
 	}); err == nil {
 		t.Error("negative iteration count accepted on write")
 	}
 	// Grid cut short behind a matching checksum: the first chunk's counters
 	// end mid-field.
 	data := encodeCheckpoint(t, Checkpoint{Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{
-		{Status: ChunkDone, Iterations: 64}, {Status: ChunkPending},
+		{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 64}}, {Status: ChunkPending},
 	}})
 	const gridStart = 8 + 16 + 8 // magic, identity, grid header
 	if _, err := ReadCheckpoint(bytes.NewReader(withSum(data[:gridStart+5+10]))); err == nil || !strings.Contains(err.Error(), "grid") {
 		t.Errorf("truncated grid: %v, want a grid error", err)
 	}
 	// A done chunk larger than the grid's chunk size.
-	big := encodeCheckpoint(t, Checkpoint{Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: ChunkDone, Iterations: 65}}})
+	big := encodeCheckpoint(t, Checkpoint{Seed: 1, ChunkSize: 64, Chunks: []CkptChunk{{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 65}}}})
 	if _, err := ReadCheckpoint(bytes.NewReader(big)); err == nil {
 		t.Error("a 65-iteration chunk in a 64-iteration grid accepted")
 	}

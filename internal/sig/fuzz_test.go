@@ -125,20 +125,20 @@ func FuzzReadSet(f *testing.F) {
 }
 
 // FuzzReadCheckpoint is FuzzReadSet for the checkpoint reader: no panic,
-// allocation in proportion to the input, and an accepted checkpoint survives
-// a round trip unchanged. The fuzzer cannot find a 64-bit checksum, so the
+// allocation in proportion to the input, and an accepted checkpoint holds no
+// counters ChunkStats.Validate refuses and survives a round trip unchanged. The fuzzer cannot find a 64-bit checksum, so the
 // harness overwrites the input's last eight bytes with the one that matches
 // and parses that too — the grid and payload parsers stay in reach.
 func FuzzReadCheckpoint(f *testing.F) {
 	plain := Checkpoint{Seed: -42, ProgHash: 0xdeadbeefcafe, ChunkSize: 64, Uniques: ckUniques(3, 7, 9),
-		Chunks: []CkptChunk{{Status: ChunkDone, Iterations: 19, Cycles: 12345}}}
+		Chunks: []CkptChunk{{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 19, Cycles: 12345}}}}
 	leases := Checkpoint{
 		Seed: 99, ProgHash: 0xabcd, ChunkSize: 64, Uniques: ckUniques(4, 8),
 		Chunks: []CkptChunk{
-			{Status: ChunkDone, Attempt: 1, Iterations: 64, Cycles: 9999, Squashes: 2, Asserts: []string{"t1 assert failed"}},
+			{Status: ChunkDone, Attempt: 1, ChunkStats: ChunkStats{Iterations: 64, Cycles: 9999, Squashes: 2, Asserts: []string{"t1 assert failed"}}},
 			{Status: ChunkLeased, Attempt: 3, Worker: "worker-b"},
 			{Status: ChunkPending, Attempt: 2},
-			{Status: ChunkDone, Iterations: 40, Cycles: 5},
+			{Status: ChunkDone, ChunkStats: ChunkStats{Iterations: 40, Cycles: 5}},
 		},
 	}
 	for _, ck := range []Checkpoint{plain, leases} {
@@ -149,6 +149,12 @@ func FuzzReadCheckpoint(f *testing.F) {
 		wrong[len(wrong)-1] ^= 0xff // refused as it is, whole behind the fix-up
 		f.Add(wrong)
 	}
+	// A cycle count of 2^63 behind a matching checksum: it used to be restored
+	// as a negative total.
+	forged := encodeCheckpoint(f, plain)
+	const cyclesEnd = 8 + 16 + 8 + (1 + 2 + 2) + 4 + 8 // magic, identity, grid header, lease state, iterations, cycles
+	forged[cyclesEnd-1] |= 0x80
+	f.Add(withSum(forged[:len(forged)-8]))
 	f.Add([]byte("MTCCKPT1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -164,6 +170,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 			if err != nil {
 				continue
+			}
+			for i := range ck.Chunks {
+				if err := ck.Chunks[i].Validate(ck.ChunkSize); err != nil {
+					t.Fatalf("accepted checkpoint's chunk %d: %v", i, err)
+				}
 			}
 			back, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, ck)))
 			if err != nil {

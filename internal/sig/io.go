@@ -14,7 +14,7 @@ import (
 // transfer volumes small.
 //
 // The set body (all little-endian), which WriteSet and ReadSet encode and
-// which is also the tail of a chunk upload (MTCCHNK1) and of a checkpoint
+// which is also the tail of a chunk upload (MTCCHNK2) and of a checkpoint
 // (MTCCKPT2):
 //
 //	magic   [8]byte  "MTCSIG01"
@@ -31,8 +31,7 @@ import (
 //	magic    [8]byte  "MTCSIG02"
 //	proghash uint64   FNV-64a of the canonical program listing
 //	seed     uint64   campaign seed (int64 bit pattern)
-//	platlen  uint16   platform-name byte length
-//	platform platlen bytes (UTF-8)
+//	platform string   platform name (AppendString: uint16 length + bytes)
 //	body     the set body, magic included
 var magic = [8]byte{'M', 'T', 'C', 'S', 'I', 'G', '0', '1'}
 
@@ -60,25 +59,14 @@ func WriteSet(w io.Writer, uniques []Unique) error {
 // WriteSetMeta serializes a signature file: the provenance header meta, then
 // the set body.
 func WriteSetMeta(w io.Writer, meta FileMeta, uniques []Unique) error {
-	if len(meta.Platform) > 0xffff {
-		return fmt.Errorf("sig: platform name too long (%d bytes)", len(meta.Platform))
+	hdr := binary.LittleEndian.AppendUint64(metaMagic[:], meta.ProgHash)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(meta.Seed))
+	hdr, err := AppendString(hdr, meta.Platform)
+	if err != nil {
+		return err
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(metaMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, meta.ProgHash); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(meta.Seed)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(meta.Platform))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(meta.Platform); err != nil {
-		return err
-	}
+	bw.Write(hdr) // bufio keeps the first error for Flush
 	if err := writeSetBody(bw, uniques); err != nil {
 		return err
 	}
@@ -189,12 +177,8 @@ func ReadSetMeta(r io.Reader) ([]Unique, *FileMeta, error) {
 	if err := binary.Read(br, binary.LittleEndian, &seed); err != nil {
 		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
 	}
-	var platLen uint16
-	if err := binary.Read(br, binary.LittleEndian, &platLen); err != nil {
-		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
-	}
-	plat := make([]byte, platLen)
-	if _, err := io.ReadFull(br, plat); err != nil {
+	plat, err := ReadString(br)
+	if err != nil {
 		return nil, nil, fmt.Errorf("sig: reading header: %w", err)
 	}
 	// ReadSet buffers through br itself (bufio.NewReader returns an already
@@ -203,5 +187,29 @@ func ReadSetMeta(r io.Reader) ([]Unique, *FileMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return uniques, &FileMeta{ProgHash: progHash, Seed: int64(seed), Platform: string(plat)}, nil
+	return uniques, &FileMeta{ProgHash: progHash, Seed: int64(seed), Platform: plat}, nil
+}
+
+// AppendString appends s as a uint16 byte length and the bytes: the one
+// length-prefixed string layout of the binary formats (a signature file's
+// platform, a checkpoint's lease holders, the assertion messages of a chunk's
+// stats block, a chunk upload's envelope).
+func AppendString(dst []byte, s string) ([]byte, error) {
+	if len(s) > 0xffff {
+		return dst, fmt.Errorf("sig: string too long for its length prefix (%d bytes)", len(s))
+	}
+	return append(binary.LittleEndian.AppendUint16(dst, uint16(len(s))), s...), nil
+}
+
+// ReadString reads a string written by AppendString.
+func ReadString(r io.Reader) (string, error) {
+	var n [2]byte
+	if _, err := io.ReadFull(r, n[:]); err != nil {
+		return "", err
+	}
+	b := make([]byte, binary.LittleEndian.Uint16(n[:]))
+	if _, err := io.ReadFull(r, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }

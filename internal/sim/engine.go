@@ -246,8 +246,8 @@ type Source interface {
 // A Runner is owned by exactly one goroutine: Run mutates the master seed
 // stream and the reusable iteration state, so concurrent calls would
 // interleave nondeterministically. Parallel pipelines give each worker
-// goroutine its own Runner and feed it per-iteration seeds drawn once from
-// the campaign's SeedStream via RunSeeded, so any runner can execute any
+// goroutine its own Runner and feed it per-iteration seeds from a SeedStream
+// of the campaign seed via RunSeeded, so any runner can execute any
 // iteration; Run and RunSeeded reject concurrent use.
 //
 // All per-iteration state — the event queue, the memory system, thread and
@@ -280,34 +280,25 @@ type Runner struct {
 
 // SeedStream produces the per-iteration seed sequence of a campaign seed:
 // value i is exactly what the i-th Run call on a Runner constructed over the
-// same seed would draw from its master stream. Drawing the stream once and
-// feeding slices of it to RunSeeded decouples results from how iterations
-// are partitioned across workers, and replaces every per-shard O(start)
-// skip-ahead with a single O(total) pass. The stream is drawn incrementally,
-// so multi-million-iteration campaigns never materialize a full table.
+// same seed would draw from its master stream. Feeding RunSeeded from the
+// stream decouples results from how iterations are partitioned across
+// workers. The stream is drawn incrementally and forward-only, so
+// multi-million-iteration campaigns never materialize a full table, and a
+// consumer taking ranges in ascending order — what every chunk scheduler
+// hands a chunk runner — draws each seed once instead of skipping ahead from
+// iteration 0 per range.
 //
-// A SeedStream is not safe for concurrent use; the campaign draws from it
-// under its scheduler lock.
+// A SeedStream is not safe for concurrent use; every chunk runner owns one.
 type SeedStream struct {
+	seed   int64
 	master *rand.Rand
-	pos    int
+	pos    int // global iteration index of the next seed
 }
 
 // NewSeedStream returns the seed stream of the given campaign seed,
 // positioned at iteration 0.
 func NewSeedStream(seed int64) *SeedStream {
-	return &SeedStream{master: rand.New(rand.NewSource(seed))}
-}
-
-// Pos returns the global iteration index of the next seed.
-func (s *SeedStream) Pos() int { return s.pos }
-
-// Skip advances past n iterations, e.g. to a checkpoint's resume point.
-func (s *SeedStream) Skip(n int) {
-	for i := 0; i < n; i++ {
-		s.master.Int63()
-	}
-	s.pos += n
+	return &SeedStream{seed: seed, master: rand.New(rand.NewSource(seed))}
 }
 
 // Next returns the next iteration's seed.
@@ -316,20 +307,21 @@ func (s *SeedStream) Next() int64 {
 	return s.master.Int63()
 }
 
-// Fill fills dst with the next len(dst) iterations' seeds.
-func (s *SeedStream) Fill(dst []int64) {
+// FillFrom fills dst with the seeds of iterations [start, start+len(dst)).
+// A start at or past the cursor draws forward to it; one below restarts the
+// stream from iteration 0 (reseeding the source it has, not building another).
+func (s *SeedStream) FillFrom(start int, dst []int64) {
+	if start < s.pos {
+		s.master.Seed(s.seed)
+		s.pos = 0
+	}
+	for ; s.pos < start; s.pos++ {
+		s.master.Int63()
+	}
 	for i := range dst {
 		dst[i] = s.master.Int63()
 	}
 	s.pos += len(dst)
-}
-
-// SeedTable materializes the first n per-iteration seeds of a campaign
-// seed. Convenience over SeedStream for bounded campaigns.
-func SeedTable(seed int64, n int) []int64 {
-	t := make([]int64, n)
-	NewSeedStream(seed).Fill(t)
-	return t
 }
 
 // NewRunner validates the platform/program pair and prepares static
@@ -500,17 +492,17 @@ func (r *Runner) Run() (*Execution, error) {
 		return nil, errors.New("sim: concurrent Runner.Run calls: each Runner must be driven by a single goroutine")
 	}
 	defer r.busy.Store(0)
-	// Exactly one master draw per iteration — the seed-table API (SeedStream,
-	// SeedTable) relies on this: stream value i is iteration i's seed.
+	// Exactly one master draw per iteration — SeedStream relies on this:
+	// stream value i is iteration i's seed.
 	return r.run(r.master.Int63())
 }
 
 // RunSeeded executes one iteration under an explicit per-iteration seed,
 // leaving the Runner's own master stream untouched. It is the streaming
-// pipeline's entry point: the campaign draws the master stream once (see
-// SeedStream) and hands each work chunk its slice of seeds, so any worker's
-// Runner can execute any iteration and determinism no longer depends on how
-// the iteration sequence is partitioned. RunSeeded(s) where s is the i-th
+// pipeline's entry point: a chunk runner draws its chunk's seeds from the
+// campaign's seed stream (see SeedStream), so any worker's Runner can execute
+// any iteration and determinism does not depend on how the iteration sequence
+// is partitioned. RunSeeded(s) where s is the i-th
 // value of the campaign's seed stream is bit-identical to Run() on a runner
 // positioned at iteration i.
 //

@@ -18,6 +18,32 @@ import (
 )
 
 // platFor returns a platform with the given model, based on x86 timing.
+// seedTable materializes the first n per-iteration seeds of a campaign seed.
+func seedTable(seed int64, n int) []int64 {
+	t := make([]int64, n)
+	NewSeedStream(seed).FillFrom(0, t)
+	return t
+}
+
+// TestSeedStreamFillFrom: whatever order ranges are asked for in — forward,
+// across a gap, below the cursor (the restart) — a range holds the seeds Next
+// draws at those positions.
+func TestSeedStreamFillFrom(t *testing.T) {
+	want := make([]int64, 300)
+	next := NewSeedStream(5)
+	for i := range want {
+		want[i] = next.Next()
+	}
+	s := NewSeedStream(5)
+	got := make([]int64, 64)
+	for _, start := range []int{0, 64, 200, 128, 0, 236} {
+		s.FillFrom(start, got)
+		if !slices.Equal(got, want[start:start+64]) {
+			t.Errorf("FillFrom(%d) differs from the stream's seeds at [%d,%d)", start, start, start+64)
+		}
+	}
+}
+
 func platFor(model mcm.Model, cores int) Platform {
 	p := PlatformX86()
 	p.Model = model
@@ -451,7 +477,7 @@ func TestBug3DeadlockPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantErr := fresh.RunSeeded(SeedTable(31, wantIter+2)[wantIter+1])
+	want, wantErr := fresh.RunSeeded(seedTable(31, wantIter+2)[wantIter+1])
 	got, gotErr := r.Run()
 	if !errors.Is(gotErr, wantErr) {
 		t.Fatalf("run after a deadlock: err = %v, fresh runner: %v", gotErr, wantErr)
@@ -626,9 +652,9 @@ func TestTraceTimeline(t *testing.T) {
 	}
 }
 
-// TestSeedStreamSkipMatchesSequentialRuns: a seed stream skipped past n
-// iterations must hand out exactly the seed a same-seeded runner's n-th Run
-// call would have drawn — the invariant behind the streaming pipeline's
+// TestSeedStreamSkipMatchesSequentialRuns: a seed stream asked for iteration
+// n (FillFrom draws past the ones before it) must hand out exactly the seed a
+// same-seeded runner's n-th Run call would have drawn — the invariant behind the streaming pipeline's
 // worker-invariant results and checkpoint resume.
 func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
 	p := testgen.MustGenerate(testgen.Config{Threads: 4, OpsPerThread: 20, Words: 8, Seed: 2})
@@ -639,12 +665,9 @@ func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewSeedStream(7)
-		s.Skip(skip)
-		if s.Pos() != skip {
-			t.Fatalf("skip %d: Pos() = %d", skip, s.Pos())
-		}
-		ex, err := r.RunSeeded(s.Next())
+		var seed [1]int64
+		NewSeedStream(7).FillFrom(skip, seed[:])
+		ex, err := r.RunSeeded(seed[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -706,7 +729,7 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := &r.eng
-			for it, seed := range SeedTable(9, 200) {
+			for it, seed := range seedTable(9, 200) {
 				if err := r.begin(seed); err != nil {
 					t.Fatal(err)
 				}

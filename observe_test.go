@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mtracecheck/internal/obs"
-	"mtracecheck/internal/sig"
 	"mtracecheck/internal/testgen"
 )
 
@@ -72,7 +71,7 @@ func TestMetricsWorkerInvariant(t *testing.T) {
 // the loop itself; this covers the taps).
 func TestNilObserverZeroAllocs(t *testing.T) {
 	em := emitter{}
-	out := &shardOut{set: sig.NewSet()}
+	out := newShardOut(0, 0, 10)
 	allocs := testing.AllocsPerRun(200, func() {
 		em.shardStart(obs.StageExecute, 0, 0, 0, 10, time.Time{})
 		em.execShardEnd(0, out, time.Time{}, false, 0)

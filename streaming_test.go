@@ -163,7 +163,8 @@ func TestSeedStreamMatchesRunnerDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := sim.SeedTable(42, 10)
+	seeds := make([]int64, 10)
+	sim.NewSeedStream(42).FillFrom(0, seeds)
 	seeded, err := sim.NewRunner(plat, p, 99) // different master seed: must not matter
 	if err != nil {
 		t.Fatal(err)
