@@ -22,8 +22,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Short native-fuzzing pass over the decoder and the binary readers — the
-# attack surface the fault injector corrupts — plus the checker-backend
+# Short native-fuzzing pass over the attack surface — the decoder, the binary
+# readers the fault injector corrupts, and the job description every binary
+# resolves (JobSpec JSON into Build and NewCampaign) — plus the checker-backend
 # differential (all backends must agree on fuzz-chosen execution sets), the
 # event-queue differential (timing wheel vs. the reference heap) and the
 # program-order reduction's (O(1)-witness scan vs. the cubic definition).
@@ -38,6 +39,7 @@ fuzz-short:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzChunkUpload$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/corpus -run '^$$' -fuzz '^FuzzCorpusLoad$$' -fuzztime $(FUZZTIME)
 
 # Simulator allocation gate: the alloc-budget tests plus a short
@@ -88,13 +90,19 @@ offline-profile:
 
 # The yardstick of a simplicity PR (ROADMAP item 6): non-test Go lines outside
 # bench/, exported declarations (go doc -short -all: methods included,
-# constant groups and struct fields not) per library package, and flags per
-# binary.
+# constant groups and struct fields not) per library package, flags per
+# binary, and the plug points of the checker table: non-test call sites of
+# check.ForName and check.ShardedBackend outside internal/check and bench/
+# (one each, in the root package's checkItems; internal/experiments walks the
+# table instead).
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@for p in $$($(GO) list . ./internal/...); do \
 		echo "$$p $$($(GO) doc -short -all $$p | grep -c '^\(func\|type\|const\|var\) ')"; done
 	@grep -c 'flag\.\(String\|Int\|Int64\|Bool\|Float64\|Duration\)' cmd/*/main.go
+	@for f in ForName ShardedBackend; do \
+		echo "check.$$f call sites $$(grep -rn --include='*.go' --exclude='*_test.go' "check\.$$f(" . \
+			| grep -vc '^\./\(bench\|internal/check\)/')"; done
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke

@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"mtracecheck/internal/check"
-	"mtracecheck/internal/cluster"
+	"mtracecheck/internal/experiments/cluster"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
@@ -85,13 +85,22 @@ func buildFixture(b *testing.B, tc TestConfig, n int) *fixture {
 
 var benchCfg = TestConfig{Threads: 4, OpsPerThread: 50, Words: 32, Seed: 1}
 
+// runBackend checks the items with the named row of check's table.
+func runBackend(name string, b *graph.Builder, items []check.Item) (*check.Result, error) {
+	be, err := check.ForName(name)
+	if err != nil {
+		return nil, err
+	}
+	return be.Check(context.Background(), b, items)
+}
+
 // BenchmarkFig9ConventionalCheck: the per-graph full topological sorting
 // baseline of Fig. 9.
 func BenchmarkFig9ConventionalCheck(b *testing.B) {
 	f := buildFixture(b, benchCfg, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := check.Conventional(f.builder, f.items)
+		res, _ := runBackend("conventional", f.builder, f.items)
 		if len(res.Violations) != 0 {
 			b.Fatal("unexpected violations")
 		}
@@ -105,7 +114,7 @@ func BenchmarkFig9CollectiveCheck(b *testing.B) {
 	f := buildFixture(b, benchCfg, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := check.Collective(f.builder, f.items)
+		res, err := runBackend("collective", f.builder, f.items)
 		if err != nil || len(res.Violations) != 0 {
 			b.Fatal(err)
 		}
@@ -120,7 +129,7 @@ func BenchmarkFig14WindowStats(b *testing.B) {
 	b.ResetTimer()
 	var affected int64
 	for i := 0; i < b.N; i++ {
-		res, err := check.Collective(f.builder, f.items)
+		res, err := runBackend("collective", f.builder, f.items)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -525,7 +534,7 @@ func BenchmarkFig9ConventionalCheckSimData(b *testing.B) {
 		sim.PlatformX86(), 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		check.Conventional(f.builder, f.items)
+		runBackend("conventional", f.builder, f.items)
 	}
 	b.ReportMetric(float64(len(f.items)), "graphs/op")
 }
@@ -535,7 +544,7 @@ func BenchmarkFig9CollectiveCheckSimData(b *testing.B) {
 		sim.PlatformX86(), 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := check.Collective(f.builder, f.items); err != nil {
+		if _, err := runBackend("collective", f.builder, f.items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -585,7 +594,7 @@ func BenchmarkAblationObservedWSCheck(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := check.Collective(builder, items); err != nil {
+		if _, err := runBackend("collective", builder, items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -613,7 +622,7 @@ func BenchmarkPKIncrementalCheck(b *testing.B) {
 	f := buildFixture(b, benchCfg, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := check.Incremental(f.builder, f.items); err != nil {
+		if _, err := runBackend("incremental", f.builder, f.items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -626,7 +635,7 @@ func BenchmarkPKIncrementalCheckSimData(b *testing.B) {
 		sim.PlatformX86(), 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := check.Incremental(f.builder, f.items); err != nil {
+		if _, err := runBackend("incremental", f.builder, f.items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -641,7 +650,7 @@ func BenchmarkVectorClockCheck(b *testing.B) {
 	f := buildFixture(b, benchCfg, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := check.VectorClock(f.builder, f.items)
+		res, err := runBackend("vectorclock", f.builder, f.items)
 		if err != nil || len(res.Violations) != 0 {
 			b.Fatal(err)
 		}
@@ -655,7 +664,7 @@ func BenchmarkVectorClockCheckSimData(b *testing.B) {
 		sim.PlatformX86(), 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := check.VectorClock(f.builder, f.items); err != nil {
+		if _, err := runBackend("vectorclock", f.builder, f.items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -766,7 +775,7 @@ func parseAndCheck(tb testing.TB, text []byte) *Report {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
+	report, _, err := CheckTraceContext(context.Background(), tr, "tso", Options{Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -40,7 +40,6 @@ type Campaign struct {
 	opts    Options
 	meta    *instrument.Meta
 	inj     *fault.Injector
-	backend check.Backend
 	em      emitter
 	workers int
 	// ckptChunks is the checkpoint cadence in landed chunks: CheckpointEvery
@@ -62,12 +61,20 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 	switch {
 	case opts.Iterations < 0:
 		return nil, fmt.Errorf("mtracecheck: Iterations must be >= 0 (0 selects the default), got %d", opts.Iterations)
+	case opts.Iterations > maxIterations:
+		return nil, fmt.Errorf("mtracecheck: Iterations must be <= %d (2^24 chunks of %d, the longest grid a checkpoint or a chunk upload can describe), got %d",
+			maxIterations, ChunkSize, opts.Iterations)
 	case opts.Workers < 0:
 		return nil, fmt.Errorf("mtracecheck: Workers must be >= 0 (0 selects GOMAXPROCS), got %d", opts.Workers)
 	case opts.Resume && opts.CheckpointPath == "":
 		return nil, errors.New("mtracecheck: Resume requires CheckpointPath")
 	case opts.Resume && opts.ObservedWS:
 		return nil, errors.New("mtracecheck: resume requires the static ws mode (checkpointed signatures carry no recorded write serialization)")
+	}
+	// An unknown checker is refused here, once for every door, by the entry
+	// every door's check ends in.
+	if err := checkItems(context.Background(), opts.Checker, nil, nil, 0, emitter{}, nil); err != nil {
+		return nil, err
 	}
 	inj, err := injector(opts)
 	if err != nil {
@@ -77,12 +84,8 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend, err := check.ForName(opts.Checker.String())
-	if err != nil {
-		return nil, fmt.Errorf("mtracecheck: %w", err)
-	}
 	c := &Campaign{
-		prog: p, opts: opts, meta: meta, inj: inj, backend: backend,
+		prog: p, opts: opts, meta: meta, inj: inj,
 		em: emitter{o: opts.Observer}, workers: opts.workerCount(),
 	}
 	every := opts.CheckpointEvery
@@ -232,22 +235,39 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
 				100*frac, 100*c.opts.QuarantineThreshold)
 		}
 	}
-	// Every backend goes through the same sharded dispatch: parallelizable
-	// backends fan out across Workers (a serial backend runs as the single
-	// shard ShardedBackend reports honestly), and the context reaches every
-	// per-range check, so cancellation and Workers apply uniformly instead
-	// of only on the default path.
-	report.CheckStats, err = check.ShardedBackend(ctx, c.backend, builder, items,
-		c.workers, c.em.checkShardFunc(c.backend.Name()))
-	if err != nil {
+	if err := checkItems(ctx, c.opts.Checker, builder, items, c.workers, c.em, report); err != nil {
 		return err
 	}
-	report.Violations = report.CheckStats.Violations
 	if c.corpusActive() {
 		if err := c.corpusAppend(report, items); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// checkItems is the host side's last step and this package's one way into
+// internal/check: it resolves the named row of check's table (the empty name
+// is the default), runs it through the sharded dispatch — so Workers and
+// cancellation apply to every backend alike — and files CheckStats, Violations
+// and the row (for CheckEffort) in the report; check-shard events go to em. A
+// campaign's decodeAndCheck and CheckTraceContext both end here, so a backend
+// or a tier of checking plugs in once. Without a builder it only resolves the
+// name, which is how NewCampaign refuses an unknown checker before any work.
+func checkItems(ctx context.Context, checker string, b *graph.Builder, items []check.Item,
+	workers int, em emitter, report *Report) error {
+	be, err := check.ForName(checker)
+	if err != nil {
+		return fmt.Errorf("mtracecheck: %w", err)
+	}
+	if b == nil {
+		return nil
+	}
+	res, err := check.ShardedBackend(ctx, be, b, items, workers, em.checkShardFunc(be.Name))
+	if err != nil {
+		return err
+	}
+	report.CheckStats, report.Violations, report.backend = res, res.Violations, be
 	return nil
 }
 
@@ -629,37 +649,29 @@ func (em emitter) decodeEnd(shard, start, count int, t decodeTally, err error, b
 	})
 }
 
-func (em emitter) checkShardEnd(backend string, shard, shards, start, count int, part *check.Result, began time.Time, took time.Duration) {
-	if em.o == nil {
-		return
-	}
-	e := obs.ShardEnd{
-		Stage: obs.StageCheck, Shard: shard, Start: start, Count: count,
-		Backend: backend, Shards: shards,
-		Time: began.Add(took), Duration: took,
-	}
-	if part != nil {
-		complete, noResort, incremental := part.Counts()
-		e.Graphs = part.Total
-		e.Complete, e.NoResort, e.Incremental = complete, noResort, incremental
-		e.SortedVertices = part.SortedVertices
-		e.BackwardEdges = part.BackwardEdges
-		e.MaxWindow = part.MaxWindow
-		e.ClockUpdates = part.ClockUpdates
-		e.Propagations = part.Propagations
-		e.Violations = len(part.Violations)
-	}
-	em.o.ShardEnd(e)
-}
-
-// checkShardFunc adapts the emitter to check.ShardedBackend's callback;
+// checkShardFunc adapts the emitter to the sharded dispatch's callback;
 // nil when unobserved so the checker skips callback work entirely.
 func (em emitter) checkShardFunc(backend string) check.ShardFunc {
 	if em.o == nil {
 		return nil
 	}
 	return func(shard, shards, start, count int, part *check.Result, began time.Time, took time.Duration) {
-		em.checkShardEnd(backend, shard, shards, start, count, part, began, took)
+		e := obs.ShardEnd{
+			Stage: obs.StageCheck, Shard: shard, Start: start, Count: count,
+			Backend: backend, Shards: shards,
+			Time: began.Add(took), Duration: took,
+		}
+		if part != nil {
+			e.Graphs = part.Total
+			e.Complete, e.NoResort, e.Incremental = part.Counts()
+			e.SortedVertices = part.SortedVertices
+			e.BackwardEdges = part.BackwardEdges
+			e.MaxWindow = part.MaxWindow
+			e.ClockUpdates = part.ClockUpdates
+			e.Propagations = part.Propagations
+			e.Violations = len(part.Violations)
+		}
+		em.o.ShardEnd(e)
 	}
 }
 

@@ -94,10 +94,6 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	if err != nil {
 		return nil, nil, err
 	}
-	backend, err := check.ForName(opts.Checker.String())
-	if err != nil {
-		return nil, nil, fmt.Errorf("mtracecheck: %w", err)
-	}
 	bind, err := tr.Bind()
 	if err != nil {
 		return nil, nil, fmt.Errorf("mtracecheck: %w", err)
@@ -127,14 +123,10 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 		AssertionFailures: append([]error(nil),
 			bind.ValueFaults...),
 	}
-	res, err := check.ShardedBackend(ctx, backend, builder, items,
-		opts.workerCount(), em.checkShardFunc(backend.Name()))
-	if err != nil {
+	if err := checkItems(ctx, opts.Checker, builder, items, opts.workerCount(), em, report); err != nil {
 		em.campaignEnd(report, err, began)
 		return nil, bind, err
 	}
-	report.CheckStats = res
-	report.Violations = res.Violations
 	em.campaignEnd(report, nil, began)
 	return report, bind, nil
 }
@@ -165,9 +157,4 @@ func traceBuilderFor(p *Program, m mcm.Model) *traceBuilder {
 		Forwarding: m != mcm.SC,
 		WS:         graph.WSStatic,
 	})}
-}
-
-// CheckTrace is CheckTraceContext with context.Background().
-func CheckTrace(tr *ExecTrace, model string, opts Options) (*Report, *TraceBinding, error) {
-	return CheckTraceContext(context.Background(), tr, model, opts)
 }

@@ -70,11 +70,7 @@ func TestCheckTraceGoldenVerdicts(t *testing.T) {
 				t.Fatalf("%s: golden table lacks model %q", c.file, model)
 			}
 			for _, checker := range CheckerNames() {
-				ck, err := ParseChecker(checker)
-				if err != nil {
-					t.Fatal(err)
-				}
-				report, bind, err := CheckTrace(tr, model, Options{Checker: ck})
+				report, bind, err := CheckTraceContext(context.Background(), tr, model, Options{Checker: checker})
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", c.file, model, checker, err)
 				}
@@ -102,7 +98,7 @@ func TestCheckTraceValueFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, bind, err := CheckTrace(tr, "sc", Options{})
+	report, bind, err := CheckTraceContext(context.Background(), tr, "sc", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +121,7 @@ func TestCheckTraceRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := CheckTrace(tr, "ptx", Options{}); err == nil {
+	if _, _, err := CheckTraceContext(context.Background(), tr, "ptx", Options{}); err == nil {
 		t.Error("unknown model accepted")
 	}
 	// Duplicate store values to one address defeat reads-from resolution and
@@ -134,7 +130,7 @@ func TestCheckTraceRejects(t *testing.T) {
 		{Thread: 0, Kind: trace.Store, Addr: 0x10, Value: 1},
 		{Thread: 1, Kind: trace.Store, Addr: 0x10, Value: 1},
 	}}
-	if _, _, err := CheckTrace(dup, "sc", Options{}); err == nil {
+	if _, _, err := CheckTraceContext(context.Background(), dup, "sc", Options{}); err == nil {
 		t.Error("ambiguous store values accepted")
 	}
 }
@@ -158,7 +154,7 @@ func TestTraceModels(t *testing.T) {
 func TestCheckTraceObserver(t *testing.T) {
 	tr := loadGoldenTrace(t, "sc_valid.trace")
 	m := NewMetrics()
-	if _, _, err := CheckTrace(tr, "sc", Options{Observer: m}); err != nil {
+	if _, _, err := CheckTraceContext(context.Background(), tr, "sc", Options{Observer: m}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -273,7 +269,7 @@ func TestCheckTraceScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, _, err := CheckTrace(tr, model, Options{Workers: 1})
+		report, _, err := CheckTraceContext(context.Background(), tr, model, Options{Workers: 1})
 		if err != nil || report.Failed() {
 			t.Fatalf("%s: err %v, report %+v", model, err, report)
 		}
@@ -348,7 +344,7 @@ type traceChecked struct {
 }
 
 func checkTraceKept(tr *ExecTrace, model string, o Options) traceChecked {
-	report, bind, err := CheckTrace(tr, model, o)
+	report, bind, err := CheckTraceContext(context.Background(), tr, model, o)
 	c := traceChecked{report: report, bind: bind, err: err}
 	if tb, _ := traceBuilders.Get().(*traceBuilder); tb != nil {
 		c.builder = tb.builder
@@ -363,7 +359,7 @@ func checkTraceKept(tr *ExecTrace, model string, o Options) traceChecked {
 func checkTraceCold(t *testing.T, tr *ExecTrace, model string, o Options) traceChecked {
 	t.Helper()
 	other := &ExecTrace{Ops: []TraceOp{{Thread: 63, Kind: trace.Fence}, {Thread: 62, Kind: trace.Fence}}}
-	if _, _, err := CheckTrace(other, model, o); err != nil {
+	if _, _, err := CheckTraceContext(context.Background(), other, model, o); err != nil {
 		t.Fatal(err)
 	}
 	return checkTraceKept(tr, model, o)
@@ -419,11 +415,7 @@ func TestCheckTraceReuseEquivalence(t *testing.T) {
 		}
 		for _, model := range TraceModels() {
 			for _, checker := range CheckerNames() {
-				ck, err := ParseChecker(checker)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := Options{Checker: ck}
+				o := Options{Checker: checker}
 				id := fmt.Sprintf("%s/%s/%s", name, model, checker)
 				coldA, coldB := checkTraceCold(t, a, model, o), checkTraceCold(t, b, model, o)
 				if coldA.err != nil || coldB.err != nil {
@@ -507,7 +499,7 @@ func TestCheckTraceConcurrent(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		report, _, err := CheckTrace(tr, "tso", Options{Workers: 1})
+		report, _, err := CheckTraceContext(context.Background(), tr, "tso", Options{Workers: 1})
 		return report, err
 	}
 	var want [2]*Report
@@ -557,7 +549,7 @@ func TestCheckTraceReleasesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, bind, err := CheckTrace(tr, "tso", Options{Workers: 1})
+	report, bind, err := CheckTraceContext(context.Background(), tr, "tso", Options{Workers: 1})
 	if err != nil || report.Failed() || bind.Prog.NumOps() != 1<<18 {
 		t.Fatalf("err %v, report %+v", err, report)
 	}

@@ -34,6 +34,12 @@ import (
 // injected stall) does not straggle the stage.
 const ChunkSize = 64
 
+// maxIterations is the longest campaign: the file formats stop at 2^24 chunks
+// (sig's checkpoint reader refuses a longer grid, and a chunk upload a start
+// beyond 2^30), so a longer campaign would write checkpoints it cannot read
+// back — after a merger had asked for a grid of terabytes.
+const maxIterations = ChunkSize << 24
+
 // NumChunks returns the number of chunks in the campaign's execution grid.
 func (c *Campaign) NumChunks() int {
 	return (c.opts.Iterations + ChunkSize - 1) / ChunkSize

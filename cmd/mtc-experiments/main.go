@@ -55,13 +55,7 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.CorpusPath = *corpusDir
-	if *checker != "" {
-		c, err := mtracecheck.ParseChecker(*checker)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Checker = c
-	}
+	cfg.Checker = *checker
 	var err error
 	if cfg.Observer, finishObs, err = obs.Attach(*metricsOut, *progress, *traceOut); err != nil {
 		fatal(err)

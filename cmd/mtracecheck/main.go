@@ -42,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -187,19 +188,19 @@ func run() int {
 	if *traceIn != "" {
 		return runTraceCheck(*traceIn, *mcmName, opts, *verbose)
 	}
+	// NewCampaign refuses what a description can get wrong beyond its names
+	// (-iters -5, -workers -2, -resume without -checkpoint, an unknown
+	// -checker) before anything is printed or bound; a server validates the
+	// submitted spec the same way.
+	c, err := mtracecheck.NewCampaign(p, opts)
+	if err != nil {
+		return infra(err)
+	}
 	// Check-only mode: the host side of the device/host split. The program
 	// must be reconstructed exactly — from its saved text or from the same
 	// generation flags and seed the device side used.
 	if *sigsIn != "" {
-		return runCheckOnly(*sigsIn, p, opts, *verbose)
-	}
-
-	// NewCampaign refuses what a description can get wrong beyond its names
-	// (-iters -5, -workers -2, -resume without -checkpoint) before anything is
-	// printed or bound; a server validates the submitted spec the same way.
-	c, err := mtracecheck.NewCampaign(p, opts)
-	if err != nil {
-		return infra(err)
+		return runCheckOnly(*sigsIn, c, p, opts, *verbose)
 	}
 	if *progOut != "" {
 		if err := os.WriteFile(*progOut, []byte(prog.Format(p)), 0o644); err != nil {
@@ -222,7 +223,8 @@ func run() int {
 	if err != nil {
 		return reportRunError(report, err)
 	}
-	failed := mtracecheck.WriteResultSummary(os.Stdout, report, opts.Checker)
+	writeHeadline(os.Stdout, report)
+	failed := writeVerdict(os.Stdout, report, "all observed interleavings", true)
 	if *timelineTo != "" {
 		if err := dumpTimeline(*timelineTo, p, opts); err != nil {
 			return infra(err)
@@ -236,7 +238,9 @@ func run() int {
 		fmt.Printf("signatures written to %s\n", *sigsOut)
 	}
 	if *dotOut != "" && len(report.Violations) > 0 {
-		if err := dumpDOT(*dotOut, report, report.Violations[0], opts); err != nil {
+		if err := writeTo(*dotOut, func(w io.Writer) error {
+			return mtracecheck.WriteViolationDOT(w, report, report.Violations[0], opts)
+		}); err != nil {
 			return infra(err)
 		}
 		fmt.Printf("violation graph written to %s\n", *dotOut)
@@ -324,7 +328,7 @@ func printViolations(report *mtracecheck.Report) {
 // and platform, and check them against the model without executing
 // anything. Checker selection, -workers, quarantine handling, and the
 // observability flags all apply, exactly as in the full pipeline.
-func runCheckOnly(path string, p *mtracecheck.Program, opts mtracecheck.Options, verbose bool) int {
+func runCheckOnly(path string, c *mtracecheck.Campaign, p *mtracecheck.Program, opts mtracecheck.Options, verbose bool) int {
 	f, err := os.Open(path)
 	if err != nil {
 		return infra(err)
@@ -342,20 +346,16 @@ func runCheckOnly(path string, p *mtracecheck.Program, opts mtracecheck.Options,
 	plat := opts.Platform
 	fmt.Printf("mtracecheck: checking %d unique signatures from %s against %s (%s)\n",
 		len(uniques), path, plat.Name, mtracecheck.ModelName(plat))
-	report, err := mtracecheck.CheckSignatures(p, uniques, opts)
+	report, err := c.Check(context.Background(), uniques)
 	if err != nil {
 		return reportRunError(report, err)
 	}
-	mtracecheck.WriteCheckSummary(os.Stdout, report, opts.Checker)
-	mtracecheck.WriteDegradation(os.Stdout, report)
-	if len(report.Violations) > 0 {
-		fmt.Printf("RESULT: FAIL — %d graph violations\n", len(report.Violations))
+	if writeVerdict(os.Stdout, report, "all recorded interleavings", false) {
 		if verbose {
 			printViolations(report)
 		}
 		return exitFinding
 	}
-	fmt.Println("RESULT: PASS — all recorded interleavings consistent with the model")
 	return exitPass
 }
 
@@ -376,20 +376,16 @@ func runTraceCheck(path, model string, opts mtracecheck.Options, verbose bool) i
 	}
 	fmt.Printf("mtracecheck: checking trace %s (%d ops, %d threads) against %s\n",
 		path, len(tr.Ops), tr.NumThreads(), strings.ToLower(model))
-	report, bind, err := mtracecheck.CheckTrace(tr, model, opts)
+	report, bind, err := mtracecheck.CheckTraceContext(context.Background(), tr, model, opts)
 	if err != nil {
 		return infra(err)
 	}
-	mtracecheck.WriteCheckSummary(os.Stdout, report, opts.Checker)
-	if report.Failed() {
-		fmt.Printf("RESULT: FAIL — %d graph violations, %d assertion failures\n",
-			len(report.Violations), len(report.AssertionFailures))
+	if writeVerdict(os.Stdout, report, "trace", true) {
 		if verbose {
 			printTraceViolations(report, bind)
 		}
 		return exitFinding
 	}
-	fmt.Println("RESULT: PASS — trace consistent with the model")
 	return exitPass
 }
 
@@ -409,15 +405,22 @@ func printTraceViolations(report *mtracecheck.Report, bind *mtracecheck.TraceBin
 	}
 }
 
-// dumpSignatures writes the signature set the campaign ended with in the
-// binary device-to-host format, provenance header included.
-func dumpSignatures(path string, report *mtracecheck.Report) error {
+// writeTo creates the file at path and hands it to write.
+func writeTo(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return mtracecheck.SaveSignatures(f, report, report.Signatures())
+	return write(f)
+}
+
+// dumpSignatures writes the signature set the campaign ended with in the
+// binary device-to-host format, provenance header included.
+func dumpSignatures(path string, report *mtracecheck.Report) error {
+	return writeTo(path, func(w io.Writer) error {
+		return mtracecheck.SaveSignatures(w, report, report.Signatures())
+	})
 }
 
 // dumpTimeline runs a single traced iteration and writes its timeline.
@@ -431,22 +434,7 @@ func dumpTimeline(path string, p *mtracecheck.Program, opts mtracecheck.Options)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return sim.FormatTimeline(f, p, ex)
-}
-
-func dumpDOT(path string, report *mtracecheck.Report, v mtracecheck.Violation,
-	opts mtracecheck.Options) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return mtracecheck.WriteViolationDOT(f, report, v, opts)
+	return writeTo(path, func(w io.Writer) error { return sim.FormatTimeline(w, p, ex) })
 }
 
 // reportRunError classifies a pipeline error into the exit-code contract:
@@ -463,7 +451,7 @@ func reportRunError(report *mtracecheck.Report, err error) int {
 		return exitFinding
 	case errors.Is(err, mtracecheck.ErrQuarantineThreshold):
 		if report != nil {
-			mtracecheck.WriteDegradation(os.Stdout, report)
+			writeDegradation(os.Stdout, report)
 		}
 		fmt.Printf("RESULT: QUARANTINE OVERFLOW — %v\n", err)
 		return exitQuarantine

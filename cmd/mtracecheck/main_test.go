@@ -3,7 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,12 +18,15 @@ import (
 	"time"
 
 	"mtracecheck"
+	"mtracecheck/internal/check"
 	"mtracecheck/internal/dist"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 )
 
-// The tests that drive real processes share one build of the three binaries,
+var update = flag.Bool("update", false, "rewrite testdata/doors.golden from the current code")
+
+// The tests that drive real processes share one build of the binaries,
 // made on first use into a directory TestMain removes.
 var (
 	binOnce sync.Once
@@ -35,8 +42,9 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// binary returns the path of one of mtracecheck, mtracecheck-server and
-// mtracecheck-worker, building all three the first time any is asked for.
+// binary returns the path of one of mtracecheck, mtracecheck-server,
+// mtracecheck-worker and mtc-experiments, building all four the first time any
+// is asked for.
 func binary(t *testing.T, name string) string {
 	t.Helper()
 	goTool, err := exec.LookPath("go")
@@ -48,7 +56,8 @@ func binary(t *testing.T, name string) string {
 			return
 		}
 		out, err := exec.Command(goTool, "build", "-o", binDir+string(filepath.Separator),
-			"mtracecheck/cmd/mtracecheck", "mtracecheck/cmd/mtracecheck-server", "mtracecheck/cmd/mtracecheck-worker").CombinedOutput()
+			"mtracecheck/cmd/mtracecheck", "mtracecheck/cmd/mtracecheck-server", "mtracecheck/cmd/mtracecheck-worker",
+			"mtracecheck/cmd/mtc-experiments").CombinedOutput()
 		if err != nil {
 			binErr = fmt.Errorf("building the binaries: %v\n%s", err, out)
 		}
@@ -319,11 +328,62 @@ func TestSmoke(t *testing.T) {
 			t.Errorf("warm hits (%s) != cold graphs checked (%s)", hits, checked)
 		}
 	})
+
+	// The three doors print, and exit with, exactly what testdata/doors.golden
+	// records for every backend: a passing and a bug-injected campaign, the
+	// same two split across -sigs-out/-sigs-in, and a valid and a cyclic
+	// -trace, all with -v. The file was captured before the backends moved
+	// behind one table; a refactor of the host side leaves it alone.
+	t.Run("golden", func(t *testing.T) {
+		dir := t.TempDir()
+		traces := filepath.Join("..", "..", "internal", "trace", "testdata")
+		campaigns := []struct {
+			name string
+			args []string
+		}{
+			{"pass", []string{"-threads", "4", "-ops", "40", "-words", "16", "-iters", "400", "-seed", "11", "-workers", "1", "-v"}},
+			{"bug", []string{"-threads", "4", "-ops", "50", "-words", "8", "-wpl", "4", "-bug", "sm-inv", "-iters", "512", "-seed", "11", "-workers", "1", "-v"}},
+		}
+		var got strings.Builder
+		door := func(args ...string) {
+			var out bytes.Buffer
+			cmd := exec.Command(binary(t, "mtracecheck"), args...)
+			cmd.Stdout = &out
+			var exit *exec.ExitError
+			if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+				t.Fatalf("mtracecheck %v: %v", args, err)
+			}
+			fmt.Fprintf(&got, "$ mtracecheck %s\n%sexit %d\n\n", strings.ReplaceAll(strings.Join(args, " "), dir, "DIR"),
+				strings.ReplaceAll(out.String(), dir, "DIR"), cmd.ProcessState.ExitCode())
+		}
+		for _, checker := range []string{"collective", "conventional", "incremental", "vectorclock", "constraints"} {
+			for _, c := range campaigns {
+				sigs := filepath.Join(dir, c.name+"."+checker+".sigs")
+				door(append(c.args, "-checker", checker, "-sigs-out", sigs)...)
+				door(append(c.args, "-checker", checker, "-sigs-in", sigs)...)
+			}
+			for _, trace := range []string{"tso_valid.trace", "tso_violation.trace"} {
+				door("-trace", filepath.Join(traces, trace), "-mcm", "tso", "-workers", "1", "-v", "-checker", checker)
+			}
+		}
+		golden := filepath.Join("testdata", "doors.golden")
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := readFile(t, golden); got.String() != want {
+			t.Errorf("the doors print:\n%s\nwant (testdata/doors.golden):\n%s", got.String(), want)
+		}
+	})
 }
 
-// TestIterationsFlag: a campaign that would execute nothing is refused (exit 2,
-// naming the value) rather than passed, and 0 runs — and announces — the
-// library default.
+// TestIterationsFlag: a campaign that would execute nothing, or more than a
+// chunk grid can describe, is refused (exit 2, naming the value) rather than
+// passed or attempted, and 0 runs — and announces — the library default.
 func TestIterationsFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -331,6 +391,13 @@ func TestIterationsFlag(t *testing.T) {
 	out, errOut := mtc(t, exitInfra, "-iters", "-5")
 	if out != "" || !strings.Contains(errOut, "-5") {
 		t.Errorf("-iters -5 printed %q and reported %q, want nothing and an error naming -5", out, errOut)
+	}
+	// A count no chunk grid can describe is refused by name, at once: it used
+	// to ask for a 1.37 TB grid and die of it.
+	began := time.Now()
+	out, errOut = mtc(t, exitInfra, "-iters", "1099511627776")
+	if out != "" || !strings.Contains(errOut, fmt.Sprint(mtracecheck.ChunkSize<<24)) || time.Since(began) > 5*time.Second {
+		t.Errorf("-iters 2^40 printed %q and reported %q after %v, want nothing, an error naming the bound, and no delay", out, errOut, time.Since(began))
 	}
 	out, _ = mtc(t, exitPass, "-threads", "2", "-ops", "10", "-iters", "0")
 	if !strings.Contains(out, ", 1024 iterations\n") || !strings.Contains(out, " / 1024 iterations") {
@@ -461,6 +528,15 @@ func TestDumpSignaturesRoundTrip(t *testing.T) {
 	}
 }
 
+func campaign(t *testing.T, p *mtracecheck.Program, opts mtracecheck.Options) *mtracecheck.Campaign {
+	t.Helper()
+	c, err := mtracecheck.NewCampaign(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func build(t *testing.T, spec dist.JobSpec) (*mtracecheck.Program, mtracecheck.Options) {
 	t.Helper()
 	p, opts, err := dist.Build(spec)
@@ -470,40 +546,68 @@ func build(t *testing.T, spec dist.JobSpec) (*mtracecheck.Program, mtracecheck.O
 	return p, opts
 }
 
+// TestParseCheckerListsValidValues: the valid -checker values are the names of
+// internal/check's table — what -h lists — and every door refuses any other
+// with one message, which lists them: the campaign, -sigs-in, -trace, -listen,
+// a JSON job submission and mtc-experiments.
 func TestParseCheckerListsValidValues(t *testing.T) {
-	for name, want := range map[string]mtracecheck.Checker{
-		"collective":   mtracecheck.CheckerCollective,
-		"conventional": mtracecheck.CheckerConventional,
-		"incremental":  mtracecheck.CheckerIncremental,
-		"vectorclock":  mtracecheck.CheckerVectorClock,
-	} {
-		got, err := mtracecheck.ParseChecker(name)
-		if err != nil || got != want {
-			t.Errorf("ParseChecker(%q) = %v, %v", name, got, err)
+	valid := strings.Join(check.Names(), ", ")
+	if got := strings.Join(mtracecheck.CheckerNames(), ", "); got != valid {
+		t.Errorf("CheckerNames() = %s, want the table's %s", got, valid)
+	}
+	test := &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4}
+	for _, name := range check.Names() {
+		p, opts := build(t, dist.JobSpec{Test: test, Checker: name})
+		if _, err := mtracecheck.NewCampaign(p, opts); err != nil {
+			t.Errorf("-checker %s: %v", name, err)
 		}
 	}
-	// Every registered backend must parse — the flag's valid set is the
-	// registry, not a hand-maintained list.
-	for _, name := range mtracecheck.CheckerNames() {
-		if c, err := mtracecheck.ParseChecker(name); err != nil {
-			t.Errorf("registered backend %q does not parse: %v", name, err)
-		} else if c.String() != name {
-			t.Errorf("ParseChecker(%q).String() = %q", name, c)
-		}
+	refusal := func(bad string) string {
+		return fmt.Sprintf("check: unknown checker %q (valid: %s)", bad, valid)
 	}
-	// What -checker resolves through rejects an unknown name, and the error's
-	// valid-value list is derived from the backend registry.
 	for _, bad := range []string{"colective", "pk"} {
-		_, _, err := dist.Build(dist.JobSpec{Test: &mtracecheck.TestConfig{Threads: 2, OpsPerThread: 10, Words: 4}, Checker: bad})
-		if err == nil {
-			t.Errorf("-checker %q: no error", bad)
-			continue
+		p, opts := build(t, dist.JobSpec{Test: test, Checker: bad})
+		if _, err := mtracecheck.NewCampaign(p, opts); err == nil || !strings.Contains(err.Error(), refusal(bad)) {
+			t.Errorf("-checker %q: NewCampaign says %v, want %q", bad, err, refusal(bad))
 		}
-		for _, valid := range mtracecheck.CheckerNames() {
-			if !strings.Contains(err.Error(), valid) {
-				t.Errorf("-checker %q error %q does not list %q", bad, err, valid)
-			}
+	}
+
+	// A job submission is refused as a bad request, with the same words.
+	srv := dist.NewServer(dist.ServerOptions{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"test":{"Threads":2,"OpsPerThread":10,"Words":4},"checker":"bogus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), refusal("bogus")) {
+		t.Errorf("POST /api/v1/jobs with an unknown checker: %d %q, want 400 %q", resp.StatusCode, body, refusal("bogus"))
+	}
+
+	if testing.Short() {
+		return // the rest builds and runs the binaries
+	}
+	trace := filepath.Join("..", "..", "internal", "trace", "testdata", "tso_valid.trace")
+	for door, args := range map[string][]string{
+		"run":      nil,
+		"-sigs-in": {"-sigs-in", filepath.Join(t.TempDir(), "never-opened")},
+		"-trace":   {"-trace", trace, "-mcm", "tso"},
+		"-listen":  {"-listen", "127.0.0.1:0"},
+	} {
+		if _, errOut := mtc(t, exitInfra, append(args, "-checker", "bogus")...); !strings.Contains(errOut, refusal("bogus")) {
+			t.Errorf("%s door with an unknown checker says %q, want %q", door, errOut, refusal("bogus"))
 		}
+	}
+	out, err := exec.Command(binary(t, "mtc-experiments"), "-quick", "-exp", "table3", "-checker", "bogus").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), refusal("bogus")) {
+		t.Errorf("mtc-experiments with an unknown checker: %v, %q, want %q", err, out, refusal("bogus"))
+	}
+	if _, help := mtc(t, 0, "-h"); !strings.Contains(help, "checker backend: "+valid+" (default") {
+		t.Errorf("-h does not list exactly the table's names (%s):\n%s", valid, help)
 	}
 }
 
@@ -548,10 +652,10 @@ func TestRunCheckOnly(t *testing.T) {
 	if err := dumpSignatures(path, report); err != nil {
 		t.Fatal(err)
 	}
-	if code := runCheckOnly(path, p, opts, false); code != exitPass {
+	if code := runCheckOnly(path, campaign(t, p, opts), p, opts, false); code != exitPass {
 		t.Errorf("clean signatures: exit %d, want %d", code, exitPass)
 	}
-	if code := runCheckOnly(filepath.Join(dir, "missing.bin"), p, opts, false); code != exitInfra {
+	if code := runCheckOnly(filepath.Join(dir, "missing.bin"), campaign(t, p, opts), p, opts, false); code != exitInfra {
 		t.Errorf("missing file: exit %d, want %d", code, exitInfra)
 	}
 	// A bare set body has no provenance to match: refused, not believed.
@@ -563,12 +667,12 @@ func TestRunCheckOnly(t *testing.T) {
 	if err := os.WriteFile(headerless, bare.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := runCheckOnly(headerless, p, opts, false); code != exitInfra {
+	if code := runCheckOnly(headerless, campaign(t, p, opts), p, opts, false); code != exitInfra {
 		t.Errorf("headerless file: exit %d, want %d", code, exitInfra)
 	}
 	// Provenance mismatch: a different seed must be rejected before checking.
 	opts.Seed = 99
-	if code := runCheckOnly(path, p, opts, false); code != exitInfra {
+	if code := runCheckOnly(path, campaign(t, p, opts), p, opts, false); code != exitInfra {
 		t.Errorf("mismatched seed: exit %d, want %d", code, exitInfra)
 	}
 }
@@ -611,11 +715,7 @@ func TestRunTraceCheck(t *testing.T) {
 		{"rmo_violation.trace", "rmo", exitFinding},
 	}
 	for _, name := range mtracecheck.CheckerNames() {
-		ck, err := mtracecheck.ParseChecker(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := mtracecheck.Options{Checker: ck}
+		opts := mtracecheck.Options{Checker: name}
 		for _, c := range cases {
 			got := runTraceCheck(filepath.Join(golden, c.file), c.model, opts, true)
 			if got != c.want {

@@ -3,7 +3,6 @@ package check
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -11,97 +10,140 @@ import (
 	"mtracecheck/internal/sig"
 )
 
-// Backend is one violation-checking algorithm behind a common dispatch
-// surface. All backends agree on verdicts — the violation set over the same
-// items is identical — and differ only in effort accounting (which Result
-// counters they populate) and in whether sharding applies.
-type Backend interface {
-	// Name is the backend's stable registry key — the value users pass to
-	// the CLIs' -checker flag.
-	Name() string
-	// Parallelizable reports whether checking a contiguous subrange of a
-	// sorted item sequence in isolation reaches the same verdicts as the
-	// serial pass, so ShardedBackend may fan the items out across workers.
-	// Serial backends (those maintaining state across the entire sequence
-	// that sharding would invalidate) run as a single shard regardless of
-	// the requested worker count.
-	Parallelizable() bool
+// Backend is one row of the checker table: a violation-checking algorithm
+// under the name users pass to the CLIs' -checker flag. All backends agree on
+// verdicts — the violation set over the same items is identical — and differ
+// in the Result counters they fill, in how they print them, and in whether a
+// sorted sequence may be split between workers.
+type Backend struct {
+	Name string
+	// Serial marks a backend that ShardedBackend runs as one shard whatever
+	// the worker count. It is a property of the row, not of the algorithm's
+	// signature: every Check has the same type, and which of them may be
+	// handed a contiguous subrange is a decision the table records.
+	Serial bool
 	// Check validates the items against b's constraint graphs. Items must be
 	// in ascending signature order for the order-maintaining backends
-	// (collective, incremental); per-graph backends accept any order.
-	// Implementations poll ctx between graphs and return ctx.Err() promptly
-	// on cancellation instead of a partial verdict.
-	Check(ctx context.Context, b *graph.Builder, items []Item) (*Result, error)
+	// (collective, incremental); the per-graph ones accept any order. The
+	// context is polled between graphs: a cancelled check returns ctx.Err(),
+	// never a partial verdict.
+	Check func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error)
+	// Effort renders the counters this backend fills as the one line a report
+	// prints about the checking effort; "" when there is nothing to say.
+	Effort func(r *Result) string
 }
 
-// backendFunc adapts a checking function to the Backend interface.
-type backendFunc struct {
-	name     string
-	parallel bool
-	check    func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error)
+// Backends is the checker table, in the order -h lists it; the first row is
+// the default. A new algorithm is one more row.
+var Backends = []Backend{
+	{Name: "collective", Check: collective, Effort: orderEffort},
+	{Name: "conventional", Check: perGraph(&wsPool, newWorkspace),
+		Effort: func(r *Result) string {
+			return fmt.Sprintf("conventional checking: %d graphs (%d vertices sorted)", r.Total, r.SortedVertices)
+		}},
+	// Pearce–Kelly is serial by nature: one topological order repaired edge
+	// by edge across the whole sorted sequence is the algorithm, and a split
+	// forfeits exactly the cross-graph state it amortizes.
+	{Name: "incremental", Serial: true, Check: incremental, Effort: orderEffort},
+	{Name: "vectorclock", Check: perGraph(&vcPool, newVCWorkspace),
+		Effort: func(r *Result) string {
+			return fmt.Sprintf("vector-clock checking: %d graphs (%d clock updates)", r.Total, r.ClockUpdates)
+		}},
+	// The constraint solver is an oracle, not a contender. It is serial by
+	// choice: a differential run then exercises one deterministic solving
+	// order, and any disagreement with a fast backend reproduces trivially.
+	{Name: "constraints", Serial: true, Check: perGraph(&csPool, newCSWorkspace),
+		Effort: func(r *Result) string {
+			return fmt.Sprintf("constraint checking:  %d graphs (%d propagations)", r.Total, r.Propagations)
+		}},
 }
 
-func (f *backendFunc) Name() string         { return f.name }
-func (f *backendFunc) Parallelizable() bool { return f.parallel }
-func (f *backendFunc) Check(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
-	return f.check(ctx, b, items)
-}
-
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Backend)
-)
-
-// Register adds a backend under its Name; it panics on a duplicate name,
-// since backend names are CLI-visible identifiers that must stay unique.
-func Register(be Backend) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[be.Name()]; dup {
-		panic(fmt.Sprintf("check: duplicate backend %q", be.Name()))
+// orderEffort is the line of the order-maintaining backends, which record how
+// each graph was validated.
+func orderEffort(r *Result) string {
+	complete, noResort, incremental := r.Counts()
+	if complete+noResort+incremental == 0 {
+		return ""
 	}
-	registry[be.Name()] = be
+	return fmt.Sprintf("collective checking:  %d complete, %d no-resort, %d incremental (%d vertices sorted)",
+		complete, noResort, incremental, r.SortedVertices)
 }
 
-// ForName returns the registered backend for name. The error lists every
-// valid name, so CLI flag errors derived from it can never drift from the
-// implemented set.
-func ForName(name string) (Backend, error) {
-	registryMu.RLock()
-	be, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("check: unknown backend %q (valid: %s)", name, strings.Join(Backends(), ", "))
+// Names lists the table's names in table order — the valid -checker values.
+func Names() []string {
+	names := make([]string, len(Backends))
+	for i := range Backends {
+		names[i] = Backends[i].Name
 	}
-	return be, nil
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	return names
 }
 
-func init() {
-	Register(&backendFunc{name: "collective", parallel: true, check: CollectiveContext})
-	Register(&backendFunc{name: "conventional", parallel: true, check: ConventionalContext})
-	// Pearce–Kelly is the one inherently serial backend: its whole point is
-	// a single topological order repaired edge by edge across the entire
-	// sorted sequence, and splitting the sequence forfeits exactly the
-	// cross-graph state the algorithm amortizes.
-	Register(&backendFunc{name: "incremental", parallel: false, check: IncrementalContext})
-	Register(&backendFunc{name: "vectorclock", parallel: true, check: VectorClockContext})
-	// The constraint solver is an oracle, not a contender: it is kept
-	// serial so a differential run exercises exactly one deterministic
-	// solving order, making any disagreement against a fast backend
-	// trivially reproducible.
-	Register(&backendFunc{name: "constraints", parallel: false, check: ConstraintsContext})
+// ForName returns the table row called name; the empty name is the default
+// row. The error lists every valid name, so a flag error derived from it
+// cannot drift from the implemented set.
+func ForName(name string) (*Backend, error) {
+	if name == "" {
+		return &Backends[0], nil
+	}
+	for i := range Backends {
+		if Backends[i].Name == name {
+			return &Backends[i], nil
+		}
+	}
+	return nil, fmt.Errorf("check: unknown checker %q (valid: %s)", name, strings.Join(Names(), ", "))
+}
+
+// scratch is what every backend's recycled workspace starts with. The paper
+// recycles vertex structures across graphs (§6.2); a workspace does so across
+// checking runs too, through a sync.Pool, as long as the runs share a builder.
+type scratch struct {
+	owner   *graph.Builder // the builder the workspace was shaped for
+	edgeBuf []graph.Edge   // edge-list scratch: a row item's built list, a list item's diff
+}
+
+func (s *scratch) base() *scratch { return s }
+
+// pooled takes a workspace shaped for b from pool, or builds one with fresh
+// (which records b as the owner). A pooled workspace built against a
+// different builder is dropped: its static adjacency, tables and buffer sizes
+// belong to that builder's program. The caller puts the workspace back when
+// its run ends.
+func pooled[W interface{ base() *scratch }](pool *sync.Pool, b *graph.Builder, fresh func(*graph.Builder) W) W {
+	if w, ok := pool.Get().(W); ok && w.base().owner == b {
+		return w
+	}
+	return fresh(b)
+}
+
+// perGraph is the checking loop of the backends that judge every graph on its
+// own (conventional, vectorclock, constraints): each item's dynamic edges go
+// to the workspace's cyclic, which adds its effort to the result. No state
+// crosses items, so any contiguous subrange checks alike and the effort
+// counters do not depend on the sharding.
+func perGraph[W interface {
+	base() *scratch
+	cyclic(dyn []graph.Edge, res *Result) bool
+}](pool *sync.Pool, fresh func(*graph.Builder) W) func(context.Context, *graph.Builder, []Item) (*Result, error) {
+	return func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
+		res := &Result{Total: len(items)}
+		w := pooled(pool, b, fresh)
+		defer pool.Put(w)
+		for i, it := range items {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			dyn, err := it.edges(b, &w.base().edgeBuf)
+			if err != nil {
+				return nil, err
+			}
+			if w.cyclic(dyn, res) {
+				if err := res.violation(b, i, it); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return res, nil
+	}
 }
 
 // Disagreement reports the first item on which two backends reached
@@ -124,7 +166,7 @@ func (d *Disagreement) String() string {
 // backends implement independent algorithms, so they can only diverge when
 // one of them is wrong. An error from either backend (including ctx
 // cancellation) aborts the comparison.
-func Differential(ctx context.Context, a, b Backend, builder *graph.Builder, items []Item) (*Disagreement, error) {
+func Differential(ctx context.Context, a, b *Backend, builder *graph.Builder, items []Item) (*Disagreement, error) {
 	var ra, rb *Result
 	var ea, eb error
 	var wg sync.WaitGroup
@@ -133,10 +175,10 @@ func Differential(ctx context.Context, a, b Backend, builder *graph.Builder, ite
 	go func() { defer wg.Done(); rb, eb = b.Check(ctx, builder, items) }()
 	wg.Wait()
 	if ea != nil {
-		return nil, fmt.Errorf("check: differential: %s: %w", a.Name(), ea)
+		return nil, fmt.Errorf("check: differential: %s: %w", a.Name, ea)
 	}
 	if eb != nil {
-		return nil, fmt.Errorf("check: differential: %s: %w", b.Name(), eb)
+		return nil, fmt.Errorf("check: differential: %s: %w", b.Name, eb)
 	}
 	// Violations are appended in ascending item order by every backend, so
 	// the first membership difference falls out of one sorted-merge walk.
@@ -144,10 +186,10 @@ func Differential(ctx context.Context, a, b Backend, builder *graph.Builder, ite
 	for len(va) > 0 || len(vb) > 0 {
 		switch {
 		case len(vb) == 0 || (len(va) > 0 && va[0].Index < vb[0].Index):
-			return &Disagreement{A: a.Name(), B: b.Name(), Index: va[0].Index,
+			return &Disagreement{A: a.Name, B: b.Name, Index: va[0].Index,
 				Sig: va[0].Sig, AViolates: true}, nil
 		case len(va) == 0 || vb[0].Index < va[0].Index:
-			return &Disagreement{A: a.Name(), B: b.Name(), Index: vb[0].Index,
+			return &Disagreement{A: a.Name, B: b.Name, Index: vb[0].Index,
 				Sig: vb[0].Sig, BViolates: true}, nil
 		default:
 			va, vb = va[1:], vb[1:]

@@ -16,25 +16,40 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// run checks the items with the named row of the table.
+func run(name string, b *graph.Builder, items []Item) (*Result, error) {
+	be, err := ForName(name)
+	if err != nil {
+		return nil, err
+	}
+	return be.Check(context.Background(), b, items)
+}
+
 func TestBackendRegistry(t *testing.T) {
-	want := []string{"collective", "constraints", "conventional", "incremental", "vectorclock"}
-	if got := Backends(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Backends() = %v, want %v", got, want)
+	want := []string{"collective", "conventional", "incremental", "vectorclock", "constraints"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	for _, name := range want {
 		be, err := ForName(name)
 		if err != nil {
 			t.Fatalf("ForName(%q): %v", name, err)
 		}
-		if be.Name() != name {
-			t.Errorf("ForName(%q).Name() = %q", name, be.Name())
+		if be.Name != name {
+			t.Errorf("ForName(%q).Name = %q", name, be.Name)
 		}
 		// Pearce–Kelly maintains one order across the whole sequence, and
 		// the constraint solver is deliberately serial; every other backend
 		// shards.
-		if wantPar := name != "incremental" && name != "constraints"; be.Parallelizable() != wantPar {
-			t.Errorf("%s: Parallelizable() = %t, want %t", name, be.Parallelizable(), wantPar)
+		if wantSerial := name == "incremental" || name == "constraints"; be.Serial != wantSerial {
+			t.Errorf("%s: Serial = %t, want %t", name, be.Serial, wantSerial)
 		}
+		if be.Check == nil || be.Effort == nil {
+			t.Errorf("%s: the row lacks a Check or an Effort", name)
+		}
+	}
+	if be, err := ForName(""); err != nil || be != &Backends[0] {
+		t.Errorf("the empty name resolves to %v, %v; want the table's first row", be, err)
 	}
 	_, err := ForName("bogus")
 	if err == nil {
@@ -64,8 +79,8 @@ func TestVectorClockEquivalence(t *testing.T) {
 			b := graph.NewBuilder(p, model, graph.Options{Forwarding: true})
 			rng := rand.New(rand.NewSource(seed * 307))
 			items := fabricate(t, p, b, meta, 120, rng)
-			conv := Conventional(b, items)
-			vc, err := VectorClock(b, items)
+			conv, _ := run("conventional", b, items)
+			vc, err := run("vectorclock", b, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +144,7 @@ func fig7Items(t *testing.T) (*graph.Builder, []Item) {
 // item's constraint graph.
 func TestVectorClockCycleWitness(t *testing.T) {
 	b, items := fig7Items(t)
-	vc, err := VectorClock(b, items)
+	vc, err := run("vectorclock", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +168,7 @@ func TestVectorClockCycleWitness(t *testing.T) {
 			t.Fatalf("witness %v: no edge %d->%d in the flagged graph", v.Cycle, u, next)
 		}
 	}
-	conv := Conventional(b, items)
+	conv, _ := run("conventional", b, items)
 	if !reflect.DeepEqual(violIndices(vc), violIndices(conv)) {
 		t.Fatalf("vector-clock %v, conventional %v", violIndices(vc), violIndices(conv))
 	}
@@ -171,7 +186,7 @@ func TestBackendsCancelled(t *testing.T) {
 	items := fabricate(t, p, b, meta, 50, rand.New(rand.NewSource(3)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range Backends() {
+	for _, name := range Names() {
 		be, err := ForName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +212,7 @@ func TestDifferentialAgreesOnRealBackends(t *testing.T) {
 	}
 	b := graph.NewBuilder(p, mcm.RMO, graph.Options{Forwarding: true})
 	items := fabricate(t, p, b, meta, 120, rand.New(rand.NewSource(17)))
-	names := Backends()
+	names := Names()
 	for i, an := range names {
 		for _, bn := range names[i+1:] {
 			ba, _ := ForName(an)
@@ -219,11 +234,11 @@ func TestDifferentialAgreesOnRealBackends(t *testing.T) {
 func TestDifferentialFindsInjectedDisagreement(t *testing.T) {
 	b, items := fig7Items(t)
 	conv, _ := ForName("conventional")
-	blind := &backendFunc{name: "blind", parallel: true,
-		check: func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
+	blind := &Backend{Name: "blind",
+		Check: func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
 			return &Result{Total: len(items)}, nil
 		}}
-	ref := Conventional(b, items)
+	ref, _ := run("conventional", b, items)
 	if len(ref.Violations) != 1 {
 		t.Fatalf("fixture: %d violations, want 1", len(ref.Violations))
 	}
@@ -267,7 +282,7 @@ func TestShardedBackendSerialSingleShard(t *testing.T) {
 	}
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{Forwarding: true})
 	items := fabricate(t, p, b, meta, 100, rand.New(rand.NewSource(9)))
-	serial, err := Incremental(b, items)
+	serial, err := run("incremental", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +316,7 @@ func TestShardedBackendShardInvariance(t *testing.T) {
 	}
 	b := graph.NewBuilder(p, mcm.RMO, graph.Options{Forwarding: true})
 	items := fabricate(t, p, b, meta, 150, rand.New(rand.NewSource(41)))
-	for _, name := range Backends() {
+	for _, name := range Names() {
 		be, _ := ForName(name)
 		base, err := ShardedBackend(context.Background(), be, b, items, 1, nil)
 		if err != nil {
@@ -336,7 +351,7 @@ func TestShardedBackendRejectsUnsortedItems(t *testing.T) {
 		{Sig: sig.New([]uint64{2})},
 		{Sig: sig.New([]uint64{1})},
 	}
-	for _, name := range Backends() {
+	for _, name := range Names() {
 		be, _ := ForName(name)
 		if _, err := ShardedBackend(context.Background(), be, b, items, 1, nil); err == nil {
 			t.Errorf("%s: unsorted items accepted", name)
@@ -410,7 +425,7 @@ func FuzzDifferential(f *testing.F) {
 			rowItems[i] = Item{Sig: s, RF: byKey[s.Key()].row}
 		}
 		ref, _ := ForName("conventional")
-		for _, name := range Backends() {
+		for _, name := range Names() {
 			be, _ := ForName(name)
 			fromLists, err := be.Check(context.Background(), b, items)
 			if err != nil {

@@ -141,11 +141,9 @@ func (r *Result) violation(b *graph.Builder, i int, it Item) error {
 	return nil
 }
 
-// Complete, NoResort, and Incremental count graphs per validation kind.
-// The counts are meaningful only for the collective backend (and the
-// incremental backend, which records the analogous per-graph repair kinds);
-// the conventional and vector-clock backends keep no PerGraph stats, so all
-// three counts are zero there.
+// Counts tallies graphs per validation kind. Only the order-maintaining
+// backends (collective, and incremental with its analogous repair kinds) keep
+// PerGraph stats; all three counts are zero for the others.
 func (r *Result) Counts() (complete, noResort, incremental int) {
 	for _, s := range r.PerGraph {
 		switch s.Kind {
@@ -174,53 +172,11 @@ func validateOrder(b *graph.Builder, it Item, order []int32) {
 	}
 }
 
-// Conventional checks every item with an independent full topological sort
-// — the baseline MTraceCheck compares against (tsort in the paper). Vertex
-// data structures are recycled across graphs, edges rebuilt per graph.
-func Conventional(b *graph.Builder, items []Item) *Result {
-	res, _ := ConventionalContext(context.Background(), b, items)
-	return res
-}
-
-// ConventionalContext is Conventional with cooperative cancellation: the
-// context is polled between graphs, so a cancelled campaign stops checking
-// promptly and returns ctx.Err() instead of a partial verdict. Items need
-// not be sorted — each graph is checked independently.
-func ConventionalContext(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
-	res := &Result{Total: len(items)}
-	w := getWorkspace(b)
-	defer putWorkspace(w)
-	for i, it := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		edges, err := it.edges(b, &w.edgeBuf)
-		if err != nil {
-			return nil, err
-		}
-		w.setDyn(edges)
-		res.SortedVertices += int64(w.n)
-		if _, ok := w.fullSort(false); !ok {
-			if err := res.violation(b, i, it); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
-}
-
-// Collective checks items in ascending-signature order using topological
-// re-sorting. Items must be sorted by signature (as produced by
-// sig.Dedup); Collective returns an error otherwise, since the similarity
-// assumption underpins the windowing.
-func Collective(b *graph.Builder, items []Item) (*Result, error) {
-	return CollectiveContext(context.Background(), b, items)
-}
-
-// CollectiveContext is Collective with cooperative cancellation: the context
-// is polled between graphs, so a cancelled campaign stops checking promptly
-// and returns ctx.Err() instead of a partial verdict.
-func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
+// collective checks items in ascending-signature order using topological
+// re-sorting (§4.2). Items must be sorted by signature (as produced by
+// sig.Dedup) and it is an error otherwise, since the similarity assumption
+// underpins the windowing.
+func collective(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
 	res := &Result{Total: len(items)}
 	if len(items) == 0 {
 		return res, nil
@@ -232,7 +188,7 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 
 	n := b.NumOps()
 	w := getWorkspace(b)
-	defer putWorkspace(w)
+	defer wsPool.Put(w)
 	pos := w.pos     // vertex -> position in current valid order
 	order := w.order // position -> vertex
 	havePos := false
@@ -258,24 +214,14 @@ func CollectiveContext(ctx context.Context, b *graph.Builder, items []Item) (*Re
 		}
 		if !havePos {
 			// First graph (or recovery after a cyclic graph): complete sort.
-			res.SortedVertices += int64(n)
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
 			if !rows {
 				w.setDyn(it.Edges)
 			}
-			full, ok := w.fullSort(true)
-			if !ok {
-				if err := res.violation(b, i, it); err != nil {
-					return nil, err
-				}
-				continue
+			if havePos = w.completeSort(res); havePos {
+				base = it
+			} else if err := res.violation(b, i, it); err != nil {
+				return nil, err
 			}
-			copy(order, full)
-			for p, v := range order {
-				pos[v] = int32(p)
-			}
-			havePos = true
-			base = it
 			continue
 		}
 

@@ -148,8 +148,8 @@ func TestCollectiveEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 101))
 			items := fabricate(t, p, b, meta, 120, rng)
 
-			conv := Conventional(b, items)
-			coll, err := Collective(b, items)
+			conv, _ := run("conventional", b, items)
+			coll, err := run("collective", b, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,8 +182,8 @@ func TestCollectiveReducesWork(t *testing.T) {
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{Forwarding: true})
 	rng := rand.New(rand.NewSource(7))
 	items := scItems(t, p, b, meta, 300, rng)
-	conv := Conventional(b, items)
-	coll, err := Collective(b, items)
+	conv, _ := run("conventional", b, items)
+	coll, err := run("collective", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestFig7Scenario(t *testing.T) {
 			}
 		}
 	}
-	conv := Conventional(b, items)
-	coll, err := Collective(b, items)
+	conv, _ := run("conventional", b, items)
+	coll, err := run("collective", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCollectiveRejectsUnsortedItems(t *testing.T) {
 		{Sig: sig.New([]uint64{2})},
 		{Sig: sig.New([]uint64{1})},
 	}
-	if _, err := Collective(b, items); err == nil {
+	if _, err := run("collective", b, items); err == nil {
 		t.Error("unsorted items accepted")
 	}
 }
@@ -286,7 +286,7 @@ func TestEmptyAndSingle(t *testing.T) {
 		Thread().Store(0).Load(0).
 		MustBuild()
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{})
-	res, err := Collective(b, nil)
+	res, err := run("collective", b, nil)
 	if err != nil || res.Total != 0 {
 		t.Fatalf("empty: %v, total %d", err, res.Total)
 	}
@@ -294,7 +294,7 @@ func TestEmptyAndSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Collective(b, []Item{{Sig: sig.New([]uint64{0}), Edges: edges}})
+	res, err = run("collective", b, []Item{{Sig: sig.New([]uint64{0}), Edges: edges}})
 	if err != nil || res.Total != 1 || len(res.Violations) != 0 {
 		t.Fatalf("single: %v, %+v", err, res)
 	}
@@ -347,14 +347,14 @@ func TestCyclicFirstGraphRecovers(t *testing.T) {
 		{Sig: sig.New([]uint64{1}), Edges: bad},
 		{Sig: sig.New([]uint64{2}), Edges: good},
 	}
-	res, err := Collective(b, items)
+	res, err := run("collective", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Violations) != 1 || res.Violations[0].Index != 0 {
 		t.Fatalf("violations = %+v, want exactly index 0", res.Violations)
 	}
-	conv := Conventional(b, items)
+	conv, _ := run("conventional", b, items)
 	if len(conv.Violations) != 1 || conv.Violations[0].Index != 0 {
 		t.Fatalf("conventional disagrees: %+v", conv.Violations)
 	}
@@ -382,8 +382,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 			b := graph.NewBuilder(p, model, graph.Options{Forwarding: true})
 			rng := rand.New(rand.NewSource(seed * 211))
 			items := fabricate(t, p, b, meta, 120, rng)
-			conv := Conventional(b, items)
-			inc, err := Incremental(b, items)
+			conv, _ := run("conventional", b, items)
+			inc, err := run("incremental", b, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,14 +410,14 @@ func TestIncrementalOnCleanSCItems(t *testing.T) {
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{Forwarding: true})
 	rng := rand.New(rand.NewSource(7))
 	items := scItems(t, p, b, meta, 300, rng)
-	inc, err := Incremental(b, items)
+	inc, err := run("incremental", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inc.Violations) != 0 {
 		t.Fatalf("%d violations on clean SC items", len(inc.Violations))
 	}
-	conv := Conventional(b, items)
+	conv, _ := run("conventional", b, items)
 	if inc.SortedVertices >= conv.SortedVertices {
 		t.Errorf("incremental moved %d vertices, conventional sorted %d — no saving",
 			inc.SortedVertices, conv.SortedVertices)

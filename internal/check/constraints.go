@@ -1,7 +1,6 @@
 package check
 
 import (
-	"context"
 	"sync"
 
 	"mtracecheck/internal/graph"
@@ -26,21 +25,19 @@ import (
 // with the sorting backends (Kahn's algorithm, Pearce–Kelly) or the
 // vector-clock closure, which is what makes it worth racing against them in
 // check.Differential — any verdict disagreement convicts one of the
-// implementations. It is deliberately serial and roughly O(n·e) per graph
-// even when no backtracking occurs; use it on small traces and differential
-// runs, not hot campaign paths. Effort is reported as Result.Propagations,
-// the number of domain-bound tightenings.
+// implementations. It is roughly O(n·e) per graph even when no backtracking
+// occurs: for small traces and differential runs, not hot campaign paths.
+// Effort is Result.Propagations, the number of domain-bound tightenings.
 
 // csWorkspace holds the recycled solver state for one builder's programs,
 // pooled like the other backends' workspaces.
 type csWorkspace struct {
-	owner   *graph.Builder
-	n       int
-	static  []graph.Edge // flattened static adjacency, shared across items
-	edges   []graph.Edge // static + dynamic, rebuilt per item
-	lb, ub  []int32      // position variable domains
-	trail   []csChange   // undo log for backtracking
-	edgeBuf []graph.Edge // a row item's built edge list
+	scratch
+	n      int
+	static []graph.Edge // flattened static adjacency, shared across items
+	edges  []graph.Edge // static + dynamic, rebuilt per item
+	lb, ub []int32      // position variable domains
+	trail  []csChange   // undo log for backtracking
 }
 
 // csChange records one domain-bound tightening for undo.
@@ -52,12 +49,9 @@ type csChange struct {
 
 var csPool sync.Pool
 
-func getCSWorkspace(b *graph.Builder) *csWorkspace {
-	if w, _ := csPool.Get().(*csWorkspace); w != nil && w.owner == b {
-		return w
-	}
+func newCSWorkspace(b *graph.Builder) *csWorkspace {
 	n := b.NumOps()
-	w := &csWorkspace{owner: b, n: n, lb: make([]int32, n), ub: make([]int32, n)}
+	w := &csWorkspace{scratch: scratch{owner: b}, n: n, lb: make([]int32, n), ub: make([]int32, n)}
 	for u, out := range b.Static() {
 		for _, v := range out {
 			w.static = append(w.static, graph.Edge{U: int32(u), V: v})
@@ -66,41 +60,12 @@ func getCSWorkspace(b *graph.Builder) *csWorkspace {
 	return w
 }
 
-func putCSWorkspace(w *csWorkspace) { csPool.Put(w) }
-
-// Constraints checks every item independently with the constraint solver;
-// see ConstraintsContext. Items may be in any order.
-func Constraints(b *graph.Builder, items []Item) (*Result, error) {
-	return ConstraintsContext(context.Background(), b, items)
-}
-
-// ConstraintsContext is Constraints with cooperative cancellation: the
-// context is polled between graphs, so a cancelled run stops promptly and
-// returns ctx.Err() instead of a partial verdict.
-//
-// The Result populates Total, Violations, and Propagations only; the
-// solver maintains no order and no clocks.
-func ConstraintsContext(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
-	res := &Result{Total: len(items)}
-	w := getCSWorkspace(b)
-	defer putCSWorkspace(w)
-	for i, it := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dyn, err := it.edges(b, &w.edgeBuf)
-		if err != nil {
-			return nil, err
-		}
-		sat, props := w.solve(dyn)
-		res.Propagations += props
-		if !sat {
-			if err := res.violation(b, i, it); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
+// cyclic solves one graph. The backend fills Total, Violations and
+// Propagations only; the solver maintains no order and no clocks.
+func (w *csWorkspace) cyclic(dyn []graph.Edge, res *Result) bool {
+	sat, props := w.solve(dyn)
+	res.Propagations += props
+	return !sat
 }
 
 // solve reports whether the position constraints induced by the static plus

@@ -28,8 +28,8 @@ func TestConstraintsEquivalence(t *testing.T) {
 			b := graph.NewBuilder(p, model, graph.Options{Forwarding: true})
 			rng := rand.New(rand.NewSource(seed * 131))
 			items := fabricate(t, p, b, meta, 60, rng)
-			conv := Conventional(b, items)
-			cs, err := Constraints(b, items)
+			conv, _ := run("conventional", b, items)
+			cs, err := run("constraints", b, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestConstraintsEquivalence(t *testing.T) {
 // the flagged item's constraint graph, exactly like every other backend.
 func TestConstraintsCycleWitness(t *testing.T) {
 	b, items := fig7Items(t)
-	cs, err := Constraints(b, items)
+	cs, err := run("constraints", b, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestConstraintsCycleWitness(t *testing.T) {
 // final bounds.
 func TestConstraintsWitnessAssignment(t *testing.T) {
 	b, items := fig7Items(t)
-	w := getCSWorkspace(b)
+	w := newCSWorkspace(b)
 	for _, it := range items {
 		sat, _ := w.solve(it.Edges)
 		cyclic := b.FromDynamic(it.Edges).FindCycle() != nil
@@ -111,7 +111,6 @@ func TestConstraintsWitnessAssignment(t *testing.T) {
 			}
 		}
 	}
-	putCSWorkspace(w)
 }
 
 // TestConstraintsTrailUndo: trail-based undo must restore domains exactly,
@@ -119,7 +118,7 @@ func TestConstraintsWitnessAssignment(t *testing.T) {
 // machinery backtracking depends on.
 func TestConstraintsTrailUndo(t *testing.T) {
 	b, _ := fig7Items(t)
-	w := getCSWorkspace(b)
+	w := newCSWorkspace(b)
 	n := w.n
 	for i := range w.lb {
 		w.lb[i], w.ub[i] = 0, int32(n-1)
@@ -148,5 +147,4 @@ func TestConstraintsTrailUndo(t *testing.T) {
 	if props != 4 {
 		t.Errorf("props = %d, want 4 (every tightening counts, undone or not)", props)
 	}
-	putCSWorkspace(w)
 }

@@ -188,7 +188,7 @@ func walkDelta(t *testing.T, b *graph.Builder, rs rowSet) (cyclic int) {
 func compareShapes(t *testing.T, b *graph.Builder, rs rowSet, limit int) {
 	t.Helper()
 	rows, lists := rs.rowItems(), rs.listItems(t, b)
-	for _, name := range Backends() {
+	for _, name := range Names() {
 		be, _ := ForName(name)
 		n := len(rows)
 		if name == "constraints" || name == "vectorclock" {
@@ -254,7 +254,7 @@ func TestRowAfterCyclicItemIsRelativeToLastValid(t *testing.T) {
 	rs := bugRowSet(t)
 	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
 	rows, lists := rs.rowItems(), rs.listItems(t, b)
-	want, err := Collective(b, lists)
+	want, err := run("collective", b, lists)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,8 @@ func TestRowAfterCyclicItemIsRelativeToLastValid(t *testing.T) {
 	if slices.Equal(diffEdges(nil, next, lists[mid].Edges), diffEdges(nil, next, lists[base].Edges)) {
 		t.Fatalf("item %d's new edges are the same against item %d (cyclic) and item %d (valid)", mid+1, mid, base)
 	}
-	for _, check := range []func(*graph.Builder, []Item) (*Result, error){Collective, Incremental} {
+	for _, name := range []string{"collective", "incremental"} {
+		check := func(b *graph.Builder, items []Item) (*Result, error) { return run(name, b, items) }
 		want, err := check(b, lists)
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +305,8 @@ func TestPooledWorkspaceStartsEmpty(t *testing.T) {
 	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
 	rows, lists := rs.rowItems(), rs.listItems(t, b)
 	half := len(rows) / 2
-	for _, check := range []func(*graph.Builder, []Item) (*Result, error){Collective, Incremental} {
+	for _, name := range []string{"collective", "incremental"} {
+		check := func(b *graph.Builder, items []Item) (*Result, error) { return run(name, b, items) }
 		if _, err := check(b, rows[:half]); err != nil { // leaves rows[half-1] installed
 			t.Fatal(err)
 		}
@@ -324,7 +326,7 @@ func TestPooledWorkspaceStartsEmpty(t *testing.T) {
 		}
 	}
 	w := getWorkspace(b)
-	defer putWorkspace(w)
+	defer wsPool.Put(w)
 	for u, out := range w.dyn {
 		if len(out) != 0 {
 			t.Fatalf("pooled workspace handed out with dyn[%d] = %v", u, out)

@@ -7,7 +7,7 @@ import (
 	"mtracecheck/internal/graph"
 )
 
-// Incremental is a third checker, extending the paper: instead of re-sorting
+// incremental is a third checker, extending the paper: instead of re-sorting
 // one window spanning *all* new backward edges (§4.2), it repairs the
 // maintained topological order edge by edge with the Pearce–Kelly dynamic
 // algorithm. Each new backward edge (u,v) triggers a localized repair: the
@@ -22,14 +22,7 @@ import (
 // added edges (removing edges never invalidates an order); the added edges
 // are then inserted one by one with PK repairs against the *current* edge
 // set only.
-func Incremental(b *graph.Builder, items []Item) (*Result, error) {
-	return IncrementalContext(context.Background(), b, items)
-}
-
-// IncrementalContext is Incremental with cooperative cancellation: the
-// context is polled between graphs, so a cancelled campaign stops checking
-// promptly and returns ctx.Err() instead of a partial verdict.
-func IncrementalContext(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
+func incremental(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
 	res := &Result{Total: len(items)}
 	if len(items) == 0 {
 		return res, nil
@@ -40,7 +33,7 @@ func IncrementalContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 	}
 	n := b.NumOps()
 	w := getWorkspace(b)
-	defer putWorkspace(w)
+	defer wsPool.Put(w)
 	pk := &w.pk
 	pk.epoch = 0
 	if pk.visited == nil {
@@ -75,21 +68,11 @@ func IncrementalContext(ctx context.Context, b *graph.Builder, items []Item) (*R
 			}
 		}
 		if !havePos {
-			res.SortedVertices += int64(n)
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: n})
-			full, ok := w.fullSort(true)
-			if !ok {
-				if err := res.violation(b, i, it); err != nil {
-					return nil, err
-				}
-				continue
+			if havePos = w.completeSort(res); havePos {
+				base = it
+			} else if err := res.violation(b, i, it); err != nil {
+				return nil, err
 			}
-			copy(pk.order, full)
-			for p, v := range pk.order {
-				pk.pos[v] = int32(p)
-			}
-			havePos = true
-			base = it
 			continue
 		}
 		copy(pk.backupPos, pk.pos)
@@ -173,11 +156,12 @@ func (p *pkState) repair(u, v int32) (moved int, ok bool) {
 	for _, x := range all {
 		slots = append(slots, p.pos[x])
 	}
-	sortInt32(slots)
+	slices.Sort(slots)
 	p.all, p.slots = all, slots
 	// Within each set, preserve relative order by current position.
-	sortByPos(p.bwd, p.pos)
-	sortByPos(p.fwd, p.pos)
+	byPos := func(x, y int32) int { return int(p.pos[x] - p.pos[y]) }
+	slices.SortFunc(p.bwd, byPos)
+	slices.SortFunc(p.fwd, byPos)
 	i := 0
 	for _, x := range p.bwd {
 		p.pos[x] = slots[i]
@@ -244,22 +228,6 @@ func (p *pkState) dfsB(u, lb int32) {
 				p.bwd = append(p.bwd, x)
 				changed = true
 			}
-		}
-	}
-}
-
-func sortInt32(xs []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func sortByPos(xs []int32, pos []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && pos[xs[j]] < pos[xs[j-1]]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }

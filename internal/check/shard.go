@@ -17,39 +17,28 @@ import (
 // (cancellation or an internal error).
 type ShardFunc func(shard, shards, start, count int, part *Result, began time.Time, took time.Duration)
 
-// ShardedBackend runs a checking backend across shards contiguous ranges of
-// the sorted items concurrently, then merges the per-range results with
-// violation indices rebased to global positions. The context is plumbed
-// into every per-range check, so a cancelled campaign stops all checking
-// shards promptly (the call still joins its goroutines before returning
-// ctx.Err()).
+// ShardedBackend runs a backend across shards contiguous ranges of the sorted
+// items concurrently, then merges the per-range results with violation
+// indices rebased to global positions. The context reaches every per-range
+// check, and the call joins its goroutines before returning ctx.Err().
 //
-// Disjoint signature ranges yield independent checking runs for every
-// parallelizable backend: the per-graph backends (conventional,
-// vectorclock) share no state between items at all, and the collective
-// checker's §4.2 windowing argument only ever relates a graph to its
-// immediate predecessor in sorted order, so checking a contiguous subrange
-// in isolation reaches the same verdicts. The cost for the collective
-// checker is that each shard's first graph has no predecessor and pays a
-// full KindComplete sort (recorded honestly in PerGraph), where the serial
-// checker could have reused the boundary predecessor's order.
-//
-// A backend reporting Parallelizable()==false runs as one shard regardless
-// of the requested count, and onShard sees the honest shard count (one
-// event, shard 0 of 1) rather than the count the caller asked for.
-// ShardedBackend with shards <= 1 is exactly the backend's Check. Verdicts
-// (the violation set) are identical for every shard count; only the effort
-// accounting (PerGraph, SortedVertices) carries per-shard boundary
-// overhead. Items must be in ascending signature order for every backend —
-// uniform validation keeps the outcome independent of the shard count even
-// for the per-graph backends, whose direct entry points accept any order.
-func ShardedBackend(ctx context.Context, be Backend, b *graph.Builder, items []Item, shards int, onShard ShardFunc) (*Result, error) {
+// Disjoint signature ranges are independent checking runs for every backend
+// the table does not mark Serial: the per-graph backends share no state
+// between items, and the collective checker's §4.2 windowing only ever relates
+// a graph to its predecessor in sorted order — at the cost of one honest
+// KindComplete sort per shard, whose first graph has no predecessor. A Serial
+// backend runs as one shard whatever the count, and onShard sees that (one
+// event, shard 0 of 1). Verdicts are identical for every shard count; only the
+// effort accounting (PerGraph, SortedVertices) carries the boundary overhead.
+// Items must ascend by signature for every backend, so that the outcome cannot
+// depend on the shard count even for backends whose Check takes any order.
+func ShardedBackend(ctx context.Context, be *Backend, b *graph.Builder, items []Item, shards int, onShard ShardFunc) (*Result, error) {
 	for i := 1; i < len(items); i++ {
 		if items[i-1].Sig.Compare(items[i].Sig) > 0 {
 			return nil, fmt.Errorf("check: items not in ascending signature order at %d", i)
 		}
 	}
-	if !be.Parallelizable() {
+	if be.Serial {
 		shards = 1
 	}
 	if shards > len(items) {
@@ -85,7 +74,7 @@ func ShardedBackend(ctx context.Context, be Backend, b *graph.Builder, items []I
 			return nil, err
 		}
 	}
-	return MergeResults(offsets[:shards], parts), nil
+	return mergeResults(offsets[:shards], parts), nil
 }
 
 // shardOffsets splits n items into shards contiguous ranges of near-equal
@@ -104,12 +93,12 @@ func shardOffsets(n, shards int) []int {
 	return offsets
 }
 
-// MergeResults combines per-shard results of contiguous item ranges into
+// mergeResults combines per-shard results of contiguous item ranges into
 // one global result: violation Index values are rebased by each shard's
 // starting offset, PerGraph stats are concatenated in shard order (so entry
 // i still describes item i), and the counters are summed. Nil parts are
 // skipped.
-func MergeResults(offsets []int, parts []*Result) *Result {
+func mergeResults(offsets []int, parts []*Result) *Result {
 	out := &Result{}
 	for s, part := range parts {
 		if part == nil {

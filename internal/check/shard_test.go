@@ -42,7 +42,7 @@ func TestShardedMatchesCollective(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 31))
 			items := fabricate(t, p, b, meta, 150, rng)
 
-			serial, err := Collective(b, items)
+			serial, err := run("collective", b, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestMergeResultsRebasesIndices(t *testing.T) {
 		{Total: 2, SortedVertices: 4, Violations: []Violation{{Index: 0, Sig: s}, {Index: 1, Sig: s}},
 			PerGraph: []GraphStat{{Kind: KindComplete, Affected: 5}, {Kind: KindNoResort}}},
 	}
-	merged := MergeResults([]int{0, 3, 3}, parts)
+	merged := mergeResults([]int{0, 3, 3}, parts)
 	if merged.Total != 5 || merged.SortedVertices != 14 {
 		t.Fatalf("merged totals: %+v", merged)
 	}

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"context"
 	"sync"
 
 	"mtracecheck/internal/graph"
@@ -26,79 +25,41 @@ import (
 // orderings that are not in the graph and report false cycles. A bitset
 // clock encodes exactly the graph's reachability and nothing more, at
 // n/64 words per operation — n is a few hundred for the paper's test sizes,
-// so a clock is a handful of words and a join is a few OR instructions.
-//
-// Each graph is checked independently (no cross-item state), which makes
-// the backend trivially parallelizable and its effort counter —
-// Result.ClockUpdates, the number of joins that changed a clock —
-// worker-invariant, unlike the sorting backends' SortedVertices.
+// so a clock is a handful of words and a join is a few OR instructions. The
+// effort counter is Result.ClockUpdates, the joins that changed a clock.
 
 // vcWorkspace holds the recycled clock matrix for one builder's programs,
 // pooled like the sorting workspace (§6.2 recycling: vertex structures
 // persist across graphs, edge structures are rebuilt per graph).
 type vcWorkspace struct {
-	owner   *graph.Builder
-	n       int
-	words   int          // clock width: ceil(n/64) uint64 words
-	static  [][]int32    // shared static adjacency, borrowed from the builder
-	clocks  []uint64     // n×words bit-matrix; clocks[u] = ops strictly before u
-	edgeBuf []graph.Edge // a row item's built edge list
+	scratch
+	n      int
+	words  int       // clock width: ceil(n/64) uint64 words
+	static [][]int32 // shared static adjacency, borrowed from the builder
+	clocks []uint64  // n×words bit-matrix; clocks[u] = ops strictly before u
 }
 
 var vcPool sync.Pool
 
-func getVCWorkspace(b *graph.Builder) *vcWorkspace {
-	if w, _ := vcPool.Get().(*vcWorkspace); w != nil && w.owner == b {
-		return w
-	}
+func newVCWorkspace(b *graph.Builder) *vcWorkspace {
 	n := b.NumOps()
 	words := (n + 63) / 64
 	return &vcWorkspace{
-		owner:  b,
-		n:      n,
-		words:  words,
-		static: b.Static(),
-		clocks: make([]uint64, n*words),
+		scratch: scratch{owner: b},
+		n:       n,
+		words:   words,
+		static:  b.Static(),
+		clocks:  make([]uint64, n*words),
 	}
 }
 
-func putVCWorkspace(w *vcWorkspace) { vcPool.Put(w) }
-
-// VectorClock checks every item independently by vector-clock closure; see
-// VectorClockContext. Unlike the order-maintaining backends it accepts
-// items in any order.
-func VectorClock(b *graph.Builder, items []Item) (*Result, error) {
-	return VectorClockContext(context.Background(), b, items)
-}
-
-// VectorClockContext is VectorClock with cooperative cancellation: the
-// context is polled between graphs, so a cancelled campaign stops checking
-// promptly and returns ctx.Err() instead of a partial verdict.
-//
-// The Result populates Total, Violations, and ClockUpdates only: there is
-// no maintained order, so PerGraph, SortedVertices, BackwardEdges, and
-// MaxWindow stay zero (see Result.Counts).
-func VectorClockContext(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
-	res := &Result{Total: len(items)}
-	w := getVCWorkspace(b)
-	defer putVCWorkspace(w)
-	for i, it := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		edges, err := it.edges(b, &w.edgeBuf)
-		if err != nil {
-			return nil, err
-		}
-		cyclic, joins := w.closure(edges)
-		res.ClockUpdates += joins
-		if cyclic {
-			if err := res.violation(b, i, it); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
+// cyclic closes one graph. The backend fills Total, Violations and
+// ClockUpdates only: there is no maintained order, so PerGraph,
+// SortedVertices, BackwardEdges and MaxWindow stay zero (see Result.Counts).
+func (w *vcWorkspace) cyclic(dyn []graph.Edge, res *Result) bool {
+	cyclic, joins := w.closure(dyn)
+	res.ClockUpdates += joins
+	return cyclic
 }
 
 // closure propagates predecessor clocks along the graph's static and

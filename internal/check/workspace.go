@@ -22,7 +22,7 @@ import (
 // the prioritized sorts pop in the same order and every window, verdict and
 // effort counter is the same for both item shapes.
 type workspace struct {
-	owner   *graph.Builder // the builder this workspace was shaped for
+	scratch
 	n       int
 	static  [][]int32
 	dyn     [][]int32 // per-vertex dynamic out-edges of the current graph
@@ -32,12 +32,10 @@ type workspace struct {
 	classOf []int32 // vertex priority class (word-major)
 	bq      bucketQueue
 	ladj    [][]int32 // recycled window-local adjacency
-	// pos/order back the checkers' maintained order and edgeBuf their
-	// edge-list scratch (a list item's diff against the last valid graph, a
-	// row's built list); contents are overwritten before use.
-	pos     []int32
-	order   []int32
-	edgeBuf []graph.Edge
+	// pos/order back the checkers' maintained order; contents are overwritten
+	// before use.
+	pos   []int32
+	order []int32
 
 	// installRow state: row[load] is the source whose edge group dyn holds
 	// (graph.NoObservation: none), added the edges the last install put in,
@@ -60,7 +58,7 @@ func newWorkspace(b *graph.Builder) *workspace {
 	n := b.NumOps()
 	classOf, classes := b.WordClass()
 	w := &workspace{
-		owner:   b,
+		scratch: scratch{owner: b},
 		n:       n,
 		static:  b.Static(),
 		dyn:     make([][]int32, n),
@@ -94,26 +92,28 @@ func newWorkspace(b *graph.Builder) *workspace {
 	return w
 }
 
-// wsPool recycles workspaces across checking runs. Sharded collective
-// checking calls CollectiveContext once per shard item batch against one
-// shared builder, so without pooling every batch would rebuild the full
-// vertex structures the paper's §6.2 recycling is about.
+// wsPool recycles workspaces across checking runs: sharded checking calls a
+// backend once per shard against one shared builder.
 var wsPool sync.Pool
 
-// getWorkspace returns a pooled workspace shaped for b, or a fresh one; either
-// way it holds no graph, so a run's first item installs from nothing. A pooled
-// workspace built against a different builder is discarded: its static
-// adjacency, class table, and buffer sizes belong to that builder's program.
+// getWorkspace returns a workspace shaped for b that holds no graph, so an
+// order-maintaining run's first item installs from nothing.
 func getWorkspace(b *graph.Builder) *workspace {
-	if w, _ := wsPool.Get().(*workspace); w != nil && w.owner == b {
-		w.clearDyn()
-		w.bq.reset()
-		return w
-	}
-	return newWorkspace(b)
+	w := pooled(&wsPool, b, newWorkspace)
+	w.clearDyn()
+	w.bq.reset()
+	return w
 }
 
-func putWorkspace(w *workspace) { wsPool.Put(w) }
+// cyclic is the conventional baseline (tsort in the paper): an independent
+// full topological sort of every graph, vertex structures recycled, edges
+// rebuilt.
+func (w *workspace) cyclic(dyn []graph.Edge, res *Result) bool {
+	w.setDyn(dyn)
+	res.SortedVertices += int64(w.n)
+	_, ok := w.fullSort(false)
+	return !ok
+}
 
 // clearDyn empties the current graph: no dynamic edge, no installed row.
 func (w *workspace) clearDyn() {
@@ -271,6 +271,22 @@ func (w *workspace) fullSort(prioritized bool) ([]int32, bool) {
 	}
 	w.out = out
 	return out, len(out) == w.n
+}
+
+// completeSort is how both order-maintaining checkers start, and restart after
+// a cyclic graph: the current graph sorted from scratch into the maintained
+// order, recorded in res as KindComplete. It reports whether there is one.
+func (w *workspace) completeSort(res *Result) bool {
+	res.SortedVertices += int64(w.n)
+	res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: w.n})
+	full, ok := w.fullSort(true)
+	if ok {
+		copy(w.order, full)
+		for p, v := range w.order {
+			w.pos[v] = int32(p)
+		}
+	}
+	return ok
 }
 
 // windowSort topologically re-sorts the vertices at positions [lo, hi] of

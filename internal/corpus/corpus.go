@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sync"
 
@@ -319,9 +320,10 @@ func (s *Store) Entries(k Key) []Entry {
 	return out
 }
 
-// Flush persists staged entries atomically (write to a temporary file,
-// then rename), returning the bytes written. With nothing staged it is
-// a no-op. If the original file had failed to load, it is preserved as
+// Flush persists staged entries durably and atomically (sig.WriteFileAtomic:
+// temporary file, sync, rename), returning the bytes written. With nothing
+// staged it is a no-op; a failed write leaves the previous file as it was. If
+// the original file had failed to load, it is preserved as
 // path+".quarantined" before the rewrite.
 func (s *Store) Flush() (int64, error) {
 	s.mu.Lock()
@@ -335,17 +337,15 @@ func (s *Store) Flush() (int64, error) {
 		_ = os.Rename(s.path, s.path+".quarantined")
 		s.loadErr = nil
 	}
-	data := s.encode()
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return 0, fmt.Errorf("corpus: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
+	size, err := sig.WriteFileAtomic(s.path, func(w io.Writer) error {
+		_, err := w.Write(s.encode())
+		return err
+	})
+	if err != nil {
 		return 0, fmt.Errorf("corpus: %w", err)
 	}
 	s.dirty = false
-	return int64(len(data)), nil
+	return size, nil
 }
 
 // encode serializes the full store. Callers hold s.mu.

@@ -244,3 +244,42 @@ func TestFlushAtomicReplace(t *testing.T) {
 		t.Fatalf("reloaded total = %d, want 5", re.Total())
 	}
 }
+
+// TestFlushFailureKeepsPreviousFile: a Flush that cannot write (here: the
+// corpus directory was moved away under it) reports the error, leaves the
+// previous file byte for byte and no temporary beside it, and keeps the staged
+// entries for a later Flush.
+func TestFlushFailureKeepsPreviousFile(t *testing.T) {
+	path := seedStore(t)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Add(testKey(2), testSig(8), 301)
+	dir, away := filepath.Dir(path), filepath.Dir(path)+".away"
+	if err := os.Rename(dir, away); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Flush(); err == nil {
+		t.Fatal("Flush into a missing directory reported success")
+	}
+	if err := os.Rename(away, dir); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Errorf("the previous corpus changed under a failed Flush (%v)", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Error("temporary file left behind by a failed Flush")
+	}
+	if n, err := s.Flush(); err != nil || n == 0 {
+		t.Fatalf("Flush after the failure: %d bytes, %v", n, err)
+	}
+	if re, err := Open(path); err != nil || re.Total() != 5 {
+		t.Fatalf("reloaded after the retried Flush: %v", err)
+	}
+}

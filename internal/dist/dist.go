@@ -102,9 +102,10 @@ type JobSpec struct {
 const defaultIterations = 1024
 
 // Build resolves a spec into the (program, options) pair every party derives
-// identically. What a description can get wrong beyond its names (ISA, bug,
-// checker, program text) — a negative count, Resume without a path — is
-// NewCampaign's to refuse, once for every door.
+// identically. What a description can get wrong beyond the names Build itself
+// resolves (ISA, bug, program text) — an unknown checker, a negative or
+// unrepresentable count, Resume without a path — is NewCampaign's to refuse,
+// once for every door.
 func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 	isa := spec.ISA
 	if isa == "" {
@@ -118,6 +119,7 @@ func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 		Platform:            plat,
 		Iterations:          spec.Iterations,
 		Seed:                spec.Seed,
+		Checker:             spec.Checker,
 		Workers:             spec.Workers,
 		Strict:              spec.Strict,
 		QuarantineThreshold: spec.QuarantineThreshold,
@@ -130,11 +132,6 @@ func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 	}
 	if opts.Iterations == 0 {
 		opts.Iterations = defaultIterations
-	}
-	if spec.Checker != "" {
-		if opts.Checker, err = mtracecheck.ParseChecker(spec.Checker); err != nil {
-			return nil, mtracecheck.Options{}, err
-		}
 	}
 	var p *mtracecheck.Program
 	if spec.Program != "" {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mtracecheck"
@@ -14,7 +18,8 @@ import (
 
 // TestIterationsAcrossDoors: a spec's iteration count means the same thing
 // through the in-process door (Build, NewCampaign, Run) and the distributed one
-// (Submit, workers, Wait): a negative count is the same error, zero the
+// (Submit, workers, Wait): a negative count, or one beyond the longest chunk
+// grid, is the same error at both (before any grid is allocated), zero the
 // library's default, and anything else — under, on and over a chunk boundary —
 // exactly that many iterations. No door may pass a campaign that ran nothing.
 func TestIterationsAcrossDoors(t *testing.T) {
@@ -34,7 +39,8 @@ func TestIterationsAcrossDoors(t *testing.T) {
 		runWorkers(t, url, 2, nil)
 		return srv.Wait(context.Background(), id)
 	}
-	for _, n := range []int{-5, 0, 1, mtracecheck.ChunkSize, mtracecheck.ChunkSize + 1} {
+	const tooLong = mtracecheck.ChunkSize<<24 + 1 // one more than a chunk grid can describe
+	for _, n := range []int{-5, tooLong, 0, 1, mtracecheck.ChunkSize, mtracecheck.ChunkSize + 1} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			spec := testSpec()
 			spec.Iterations = n
@@ -43,7 +49,7 @@ func TestIterationsAcrossDoors(t *testing.T) {
 			if fmt.Sprint(localErr) != fmt.Sprint(remoteErr) {
 				t.Fatalf("in-process: %v\ndistributed: %v", localErr, remoteErr)
 			}
-			if n < 0 {
+			if n < 0 || n == tooLong {
 				if localErr == nil {
 					t.Fatalf("a campaign of %d iterations was accepted", n)
 				}
@@ -137,5 +143,33 @@ func TestCheckpointCadenceAcrossDoors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSubmitRefusesWhatNoGridDescribes: a 150-byte job description used to be
+// able to kill the server — 2^40 iterations made the merger ask for a 1.37 TB
+// chunk grid, and a test config of 2^40 operations generated until memory ran
+// out. Both are bad requests, refused by name before anything is allocated.
+func TestSubmitRefusesWhatNoGridDescribes(t *testing.T) {
+	_, url := startServer(t, ServerOptions{})
+	for body, want := range map[string]string{
+		`{"test":{"Threads":2,"OpsPerThread":20,"Words":8},"iterations":1099511627776}`: fmt.Sprint(mtracecheck.ChunkSize << 24),
+		`{"test":{"Threads":1048576,"OpsPerThread":1048576,"Words":8},"iterations":64}`: "operation bound",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(url+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("POST %s: %d %q, want 400 naming %q", body, resp.StatusCode, msg, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Errorf("POST %s allocated %d MiB before it was refused", body, grew>>20)
+		}
 	}
 }

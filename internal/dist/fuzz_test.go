@@ -3,12 +3,82 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"mtracecheck"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 )
+
+// FuzzBuild hammers the front door of every binary — JobSpec JSON, as a flag
+// set binds it or a client posts it, through Build and NewCampaign — with
+// arbitrary descriptions. Whatever the bytes say, the pair must return a
+// campaign or an error without panicking and without allocating more than a
+// campaign of the described size needs: a description of a hundred bytes
+// used to be able to ask for a terabyte. Descriptions of programs that are
+// legitimately large (beyond fuzzOps operations or words, within testgen's
+// bound) are skipped: generating and analyzing them is slow, not wrong.
+func FuzzBuild(f *testing.F) {
+	const (
+		fuzzOps    = 2048
+		allocLimit = 256 << 20
+	)
+	add := func(spec JobSpec) {
+		data, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// The specs the across-doors tests run, ...
+	for _, n := range []int{-5, 0, 1, mtracecheck.ChunkSize, mtracecheck.ChunkSize + 1} {
+		spec := testSpec()
+		spec.Iterations = n
+		add(spec)
+	}
+	resumed := testSpec()
+	resumed.CheckpointPath, resumed.CheckpointEvery, resumed.Resume = "run.ckpt", 100, true
+	add(resumed)
+	// ... the same program as text, ...
+	p, _, err := Build(testSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(JobSpec{Program: prog.Format(p), ISA: "ARM", OS: true, Checker: "vectorclock", Iterations: 64})
+	// ... and descriptions that must be refused: the 2^40-iteration campaign
+	// whose grid was 1.37 TB, a program of 2^40 operations, names nobody has.
+	f.Add([]byte(`{"test":{"Threads":2,"OpsPerThread":20,"Words":8},"iterations":1099511627776}`))
+	f.Add([]byte(`{"test":{"Threads":1048576,"OpsPerThread":1048576,"Words":1099511627776}}`))
+	f.Add([]byte(`{"test":{"Threads":2,"OpsPerThread":20,"Words":8},"checker":"pk","bug":"none","isa":"mips"}`))
+	f.Add([]byte(`{"program":"not a program"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		if c := spec.Test; c != nil && spec.Program == "" && c.Validate() == nil &&
+			(c.Threads*c.OpsPerThread > fuzzOps || c.Words > fuzzOps) {
+			t.Skip("a legitimately large program")
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, opts, err := Build(spec)
+		if err == nil {
+			_, err = mtracecheck.NewCampaign(p, opts)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > allocLimit {
+			t.Errorf("resolving a %d-byte description allocated %d MiB (err: %v)", len(data), grew>>20, err)
+		}
+		if err == nil && (spec.Iterations < 0 || spec.Iterations > mtracecheck.ChunkSize<<24) {
+			t.Errorf("a campaign of %d iterations was accepted", spec.Iterations)
+		}
+	})
+}
 
 // FuzzChunkUpload hammers the upload decoder — the one parser on the
 // untrusted wire path — with arbitrary bytes. It must never panic, and

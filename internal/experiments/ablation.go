@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mtracecheck"
-	"mtracecheck/internal/check"
 	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
@@ -81,25 +80,36 @@ func WSAblation(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		// The edge count is not part of a report: rebuild the graphs the
-		// campaign checked, each signature under the write serialization of
-		// its first observation.
-		ws := map[string]graph.WS{}
-		for _, ex := range rep.Executions {
-			s, err := meta.EncodeValues(ex.LoadValues)
-			if err != nil {
-				continue
-			}
-			if _, seen := ws[s.Key()]; !seen {
-				ws[s.Key()] = ex.WSByWord()
+		// campaign checked — under observed ws, each signature with the write
+		// serialization of its first observation.
+		var ws map[string]graph.WS
+		if mode.ws == graph.WSObserved {
+			ws = map[string]graph.WS{}
+			for _, ex := range rep.Executions {
+				s, err := meta.EncodeValues(ex.LoadValues)
+				if err != nil {
+					continue
+				}
+				if _, seen := ws[s.Key()]; !seen {
+					ws[s.Key()] = ex.WSByWord()
+				}
 			}
 		}
-		_, items, err := decodeItems(p, x86, graph.Options{WS: mode.ws}, rep.Signatures(), ws)
+		builder, items, err := decodeItems(p, x86, graph.Options{WS: mode.ws}, rep.Signatures(), ws)
 		if err != nil {
 			return nil, err
 		}
 		var edges int
+		var buf []graph.Edge // a row's list, built only to be counted
 		for _, it := range items {
-			edges += len(it.Edges)
+			n := len(it.Edges)
+			if it.RF != nil {
+				if buf, err = builder.AppendDynamicEdges(buf[:0], it.RF, nil); err != nil {
+					return nil, err
+				}
+				n = len(buf)
+			}
+			edges += n
 		}
 		t.AddRow(fmt.Sprintf("clean run dyn edges/graph (%s)", mode.name),
 			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(items)))), "")
@@ -179,17 +189,18 @@ func ScalingAblation(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	for _, iters := range []int{256, 1024, 4096} {
-		builder, items, err := cfg.collect(p, sim.PlatformX86(), iters)
+		uniques, err := mtracecheck.CollectSignatures(p, cfg.options(mtracecheck.Options{
+			Platform: sim.PlatformX86(), Iterations: iters, Seed: cfg.Seed}))
 		if err != nil {
 			return nil, err
 		}
-		conv := check.Conventional(builder, items)
-		coll, err := check.Collective(builder, items)
+		r, err := race(p, sim.PlatformX86(), graph.Options{}, uniques, "conventional", "collective")
 		if err != nil {
 			return nil, err
 		}
+		conv, coll := r["conventional"], r["collective"]
 		_, noResort, _ := coll.Counts()
-		t.AddRow(iters, len(items), noResort, coll.SortedVertices, conv.SortedVertices,
+		t.AddRow(iters, len(uniques), noResort, coll.SortedVertices, conv.SortedVertices,
 			report.Percent(float64(conv.SortedVertices-coll.SortedVertices), float64(conv.SortedVertices)))
 	}
 	return t, nil
@@ -229,15 +240,11 @@ func FRAblation(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		for _, dropFR := range []bool{false, true} {
-			builder, items, err := decodeItems(p, plat, graph.Options{DropFR: dropFR}, uniques, nil)
+			r, err := race(p, plat, graph.Options{DropFR: dropFR}, uniques, "conventional", "collective")
 			if err != nil {
 				return nil, err
 			}
-			conv := check.Conventional(builder, items)
-			coll, err := check.Collective(builder, items)
-			if err != nil {
-				return nil, err
-			}
+			conv, coll := r["conventional"], r["collective"]
 			_, noResort, incremental := coll.Counts()
 			mode := "full (ours)"
 			if dropFR {

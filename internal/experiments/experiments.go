@@ -12,14 +12,16 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mtracecheck"
 	"mtracecheck/internal/check"
-	"mtracecheck/internal/cluster"
+	"mtracecheck/internal/experiments/cluster"
 	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
@@ -51,10 +53,11 @@ type Config struct {
 	Observer obs.Observer
 
 	// Checker is the backend of every campaign an experiment runs for its
-	// verdict (the bug campaigns, the ws ablation); the zero value is
-	// collective. Experiments that explicitly race backends (Fig9And14)
-	// always run their fixed roster regardless.
-	Checker mtracecheck.Checker
+	// verdict (the bug campaigns, the ws ablation), by name; empty is
+	// collective, and an unknown name is refused by the first campaign.
+	// Experiments that race backends (Fig9And14) walk check's table
+	// regardless.
+	Checker string
 
 	// CorpusPath is the directory holding the Corpus experiment's
 	// persistent signature corpora (one file per configuration). Empty
@@ -73,23 +76,13 @@ func (cfg Config) options(o mtracecheck.Options) mtracecheck.Options {
 	return o
 }
 
-// collect runs only the execution stage of a campaign and decodes its
-// signature set into items, for the experiments that race backends on one
-// set.
-func (cfg Config) collect(p *prog.Program, plat sim.Platform, iters int) (*graph.Builder, []check.Item, error) {
-	uniques, err := mtracecheck.CollectSignatures(p, cfg.options(mtracecheck.Options{
-		Platform: plat, Iterations: iters, Seed: cfg.Seed}))
-	if err != nil {
-		return nil, nil, err
-	}
-	return decodeItems(p, plat, graph.Options{}, uniques, nil)
-}
-
 // decodeItems turns a sorted signature set into checkable items over a
-// builder of its own — the one decode path beside Campaign's, for timing a
-// backend in isolation and for graph options a campaign does not carry
-// (DropFR). gopts.Forwarding is the platform's; ws, when non-nil, maps a
-// signature key to its recorded write serialization (observed mode).
+// builder of its own — the one decode path beside Campaign's, for racing
+// backends on one set and for graph options a campaign does not carry
+// (DropFR). The items are what a campaign's would be: reads-from rows carved
+// from one array under static ws, and under observed ws (gopts.WS) the edge
+// lists built from each signature's recorded write serialization, ws[key].
+// gopts.Forwarding is the platform's.
 func decodeItems(p *prog.Program, plat sim.Platform, gopts graph.Options,
 	uniques []sig.Unique, ws map[string]graph.WS) (*graph.Builder, []check.Item, error) {
 	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
@@ -98,19 +91,64 @@ func decodeItems(p *prog.Program, plat sim.Platform, gopts graph.Options,
 	}
 	gopts.Forwarding = plat.Atomicity.AllowsForwarding()
 	b := graph.NewBuilder(p, plat.Model, gopts)
-	rf := make([]int32, b.NumOps())
-	items := make([]check.Item, 0, len(uniques))
-	for _, u := range uniques {
+	n := b.NumOps()
+	slab := make([]int32, len(uniques)*n)
+	items := make([]check.Item, len(uniques))
+	for i, u := range uniques {
+		rf := slab[i*n : (i+1)*n : (i+1)*n]
 		if err := meta.DecodeInto(u.Sig, rf); err != nil {
 			return nil, nil, err
 		}
-		edges, err := b.AppendDynamicEdges(nil, rf, ws[u.Sig.Key()])
+		items[i].Sig = u.Sig
+		if gopts.WS == graph.WSObserved {
+			items[i].Edges, err = b.AppendDynamicEdges(nil, rf, ws[u.Sig.Key()])
+		} else {
+			items[i].RF, err = rf, b.CheckRF(rf)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		items = append(items, check.Item{Sig: u.Sig, Edges: edges})
 	}
 	return b, items, nil
+}
+
+// raced is one backend's result over a set of items and the wall time it took.
+type raced struct {
+	*check.Result
+	took time.Duration
+}
+
+// race decodes a sorted signature set (decodeItems) and walks check's table,
+// timing each named backend over the items in table order. Backends that
+// disagree on how many graphs are cyclic are an error: a table built from it
+// would describe a checker bug.
+func race(p *prog.Program, plat sim.Platform, gopts graph.Options, uniques []sig.Unique,
+	names ...string) (map[string]raced, error) {
+	b, items, err := decodeItems(p, plat, gopts, uniques, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]raced, len(names))
+	violations := -1
+	for i := range check.Backends {
+		be := &check.Backends[i]
+		if !slices.Contains(names, be.Name) {
+			continue
+		}
+		start := time.Now()
+		res, err := be.Check(context.Background(), b, items)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", be.Name, err)
+		}
+		out[be.Name] = raced{res, time.Since(start)}
+		if violations < 0 {
+			violations = len(res.Violations)
+		} else if len(res.Violations) != violations {
+			return nil, fmt.Errorf("checker verdicts disagree: %s finds %d cyclic graphs, the backends before it %d",
+				be.Name, len(res.Violations), violations)
+		}
+	}
+	return out, nil
 }
 
 // Default returns a laptop-scale configuration preserving every trend.
@@ -271,9 +309,10 @@ func Fig8(cfg Config) (*report.Table, error) {
 
 // Fig9And14 measures the collective checker against the conventional one:
 // wall-clock topological-sorting time (Fig. 9) and the validation-kind
-// breakdown with affected-vertex percentages (Fig. 14). The VC columns race
-// the polynomial-time vector-clock backend (TSOtool-style closure) on the
-// same items; every backend's verdict must agree or the row errors out.
+// breakdown with affected-vertex percentages (Fig. 14), over the reads-from
+// rows a campaign's check receives. The VC columns race the polynomial-time
+// vector-clock backend (TSOtool-style closure) on the same items; every
+// backend's verdict must agree or the row errors out.
 func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 	fig9 = &report.Table{
 		Title:   "Fig. 9: MCM violation checking — topological sorting speedup",
@@ -293,46 +332,26 @@ func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 		if cerr != nil {
 			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
 		}
-		builder, items, cerr := cfg.collect(p, platformFor(pc.ISA), cfg.Iterations)
+		plat := platformFor(pc.ISA)
+		uniques, cerr := mtracecheck.CollectSignatures(p, cfg.options(mtracecheck.Options{
+			Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 		if cerr != nil {
 			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
 		}
-		start := time.Now()
-		conv := check.Conventional(builder, items)
-		convT := time.Since(start)
-		start = time.Now()
-		coll, cerr := check.Collective(builder, items)
-		collT := time.Since(start)
+		// The constraints oracle is not a contender: it is not raced.
+		r, cerr := race(p, plat, graph.Options{}, uniques, "conventional", "collective", "incremental", "vectorclock")
 		if cerr != nil {
-			return nil, nil, cerr
+			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
 		}
-		start = time.Now()
-		inc, cerr := check.Incremental(builder, items)
-		incT := time.Since(start)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		start = time.Now()
-		vc, cerr := check.VectorClock(builder, items)
-		vcT := time.Since(start)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		if len(inc.Violations) != len(conv.Violations) ||
-			len(vc.Violations) != len(conv.Violations) {
-			return nil, nil, fmt.Errorf("%s: checker verdicts disagree (conv %d, inc %d, vc %d)",
-				pc.Label, len(conv.Violations), len(inc.Violations), len(vc.Violations))
-		}
+		conv, coll, inc, vc := r["conventional"], r["collective"], r["incremental"], r["vectorclock"]
+		ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000) }
 		norm := "n/a"
-		if convT > 0 {
-			norm = report.Percent(float64(collT), float64(convT))
+		if conv.took > 0 {
+			norm = report.Percent(float64(coll.took), float64(conv.took))
 		}
-		fig9.AddRow(pc.Label, len(items),
-			fmt.Sprintf("%.3f", float64(convT.Microseconds())/1000),
-			fmt.Sprintf("%.3f", float64(collT.Microseconds())/1000),
+		fig9.AddRow(pc.Label, len(uniques), ms(conv.took), ms(coll.took),
 			norm, conv.SortedVertices, coll.SortedVertices,
-			fmt.Sprintf("%.3f", float64(incT.Microseconds())/1000), inc.SortedVertices,
-			fmt.Sprintf("%.3f", float64(vcT.Microseconds())/1000), vc.ClockUpdates)
+			ms(inc.took), inc.SortedVertices, ms(vc.took), vc.ClockUpdates)
 
 		complete, noResort, incremental := coll.Counts()
 		var affected, affCount int64
@@ -344,7 +363,7 @@ func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 		}
 		avgAff := "n/a"
 		if affCount > 0 {
-			avgAff = report.Percent(float64(affected)/float64(affCount), float64(builder.NumOps()))
+			avgAff = report.Percent(float64(affected)/float64(affCount), float64(p.NumOps()))
 		}
 		fig14.AddRow(pc.Label, complete, noResort, incremental, avgAff)
 	}

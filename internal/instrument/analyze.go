@@ -153,15 +153,6 @@ func (m *Meta) TotalWords() int {
 // platform's register width (the quantity inside the bars of Fig. 11).
 func (m *Meta) SignatureBytes() int { return m.TotalWords() * m.RegWidthBits / 8 }
 
-// wordsBefore returns the number of signature words of threads preceding ti.
-func (m *Meta) wordsBefore(ti int) int {
-	n := 0
-	for i := 0; i < ti; i++ {
-		n += m.Threads[i].Words
-	}
-	return n
-}
-
 // candIndex returns the index of value v in the load's candidate set, or -1.
 func candIndex(li *LoadInfo, v uint32) int {
 	for i, c := range li.Candidates {

@@ -206,19 +206,21 @@ func WriteCheckpoint(w io.Writer, ck Checkpoint) error {
 	return binary.Write(w, binary.LittleEndian, sum.Sum64())
 }
 
-// WriteCheckpointFile persists a checkpoint at path durably and atomically:
-// the bytes go to a temporary file beside it, are synced to stable storage,
-// and only then renamed over path. An interruption mid-write leaves the
-// previous checkpoint, and a power loss after the rename cannot leave an
-// empty one. It returns the encoded size.
-func WriteCheckpointFile(path string, ck Checkpoint) (int64, error) {
+// WriteFileAtomic persists what write produces at path durably and
+// atomically — the one rule for every file a campaign rewrites in place
+// (checkpoints, the signature corpus): the bytes go to a temporary file beside
+// path, are synced to stable storage, and only then renamed over it. An
+// interruption or a failed write leaves the previous file untouched and no
+// temporary behind, and a power loss after the rename cannot leave an empty
+// file. It returns the size written.
+func WriteFileAtomic(path string, write func(io.Writer) error) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
 	var size int64
-	if err = WriteCheckpoint(f, ck); err == nil {
+	if err = write(f); err == nil {
 		size, err = f.Seek(0, io.SeekCurrent)
 	}
 	if err == nil {
@@ -235,6 +237,12 @@ func WriteCheckpointFile(path string, ck Checkpoint) (int64, error) {
 		return 0, err
 	}
 	return size, nil
+}
+
+// WriteCheckpointFile persists a checkpoint at path (WriteFileAtomic),
+// returning the encoded size.
+func WriteCheckpointFile(path string, ck Checkpoint) (int64, error) {
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteCheckpoint(w, ck) })
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint. The

@@ -3,7 +3,11 @@ package sig
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -232,5 +236,32 @@ func TestMergeUniques(t *testing.T) {
 		if !single[i].Sig.Equal(a[i].Sig) {
 			t.Errorf("single-list merge changed entry %d", i)
 		}
+	}
+}
+
+// TestWriteFileAtomicFailureKeepsPrevious: a write that fails part-way — the
+// case both callers, checkpoints and the corpus, rely on — leaves the previous
+// file byte for byte and no temporary behind; a write that succeeds replaces
+// it and reports its size.
+func TestWriteFileAtomicFailureKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	if n, err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "first")
+		return err
+	}); err != nil || n != 5 {
+		t.Fatalf("first write: %d bytes, %v", n, err)
+	}
+	boom := errors.New("disk full")
+	if _, err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "half of the sec")
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("failed write reported %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "first" {
+		t.Errorf("after a failed write the file holds %q (%v), want the previous contents", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Error("temporary file left behind by a failed write")
 	}
 }

@@ -35,6 +35,13 @@ type Config struct {
 	Seed        int64 // RNG seed; same seed ⇒ same program
 }
 
+// maxOps bounds a generated program's memory operations, and its shared words
+// and words per line with them — the bound internal/trace puts on a parsed
+// trace, for the same reason: op IDs must fit the checkers' int32 vertices,
+// and a description of a few bytes must not be able to ask for a program of
+// any size.
+const maxOps = 1 << 20
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
@@ -42,8 +49,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("testgen: %d threads", c.Threads)
 	case c.OpsPerThread < 1:
 		return fmt.Errorf("testgen: %d ops per thread", c.OpsPerThread)
+	case c.Threads > maxOps || c.OpsPerThread > maxOps || c.Threads*c.OpsPerThread > maxOps:
+		return fmt.Errorf("testgen: %d threads of %d ops exceed the %d-operation bound", c.Threads, c.OpsPerThread, maxOps)
 	case c.Words < 1:
 		return fmt.Errorf("testgen: %d shared words", c.Words)
+	case c.Words > maxOps || c.WordsPerLine > maxOps:
+		return fmt.Errorf("testgen: %d shared words at %d per line exceed the bound of %d each", c.Words, c.WordsPerLine, maxOps)
 	case c.LoadRatio < 0 || c.LoadRatio > 1:
 		return fmt.Errorf("testgen: load ratio %v outside [0,1]", c.LoadRatio)
 	case c.FenceProb < 0 || c.FenceProb > 1:

@@ -95,6 +95,12 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		{Threads: 1, OpsPerThread: 1, Words: 0},
 		{Threads: 1, OpsPerThread: 1, Words: 1, LoadRatio: 1.5},
 		{Threads: 1, OpsPerThread: 1, Words: 1, FenceProb: -0.1},
+		// Sizes no program is generated for: refused before a byte is built,
+		// products that overflow an int included.
+		{Threads: 1025, OpsPerThread: 1024, Words: 1},
+		{Threads: 1 << 40, OpsPerThread: 1 << 40, Words: 1},
+		{Threads: 1, OpsPerThread: 1, Words: maxOps + 1},
+		{Threads: 1, OpsPerThread: 1, Words: 1, WordsPerLine: maxOps + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {

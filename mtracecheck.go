@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"time"
 
 	"mtracecheck/internal/check"
@@ -186,70 +185,11 @@ func LitmusTests() []Litmus { return testgen.LitmusTests() }
 // PaperConfigs returns the paper's 21 test configurations (§5).
 func PaperConfigs() []testgen.PaperConfig { return testgen.PaperConfigs() }
 
-// Checker selects the violation-checking algorithm. Every checker is a
-// registered check.Backend; all agree on verdicts and differ only in effort
-// and parallelizability (see DESIGN.md §13).
-type Checker uint8
-
-const (
-	// CheckerCollective is MTraceCheck's collective re-sorting checker.
-	CheckerCollective Checker = iota
-	// CheckerConventional topologically sorts every graph from scratch.
-	CheckerConventional
-	// CheckerIncremental repairs the maintained order per backward edge
-	// (Pearce–Kelly), an extension beyond the paper's single-window scheme.
-	// It is the one inherently serial checker: a single order maintained
-	// across the whole sorted sequence is the algorithm, so Workers does
-	// not shard it.
-	CheckerIncremental
-	// CheckerVectorClock checks each graph independently in polynomial time
-	// by iterative vector-clock closure (Roy et al.'s TSOtool algorithm,
-	// adapted to predecessor-bitset clocks), an extension beyond the paper.
-	CheckerVectorClock
-	// CheckerConstraints solves each graph's acyclicity as a constraint
-	// system (one position variable per operation, pos[u] < pos[v] per
-	// edge) by exhaustive propagation and backtracking, after Akgün et al.
-	// It is a deliberately slow, obviously-correct oracle for differential
-	// testing of the fast checkers and for external-trace verdicts; like
-	// the incremental checker it is serial, so Workers does not shard it.
-	CheckerConstraints
-)
-
-// checkers maps every Checker constant to its backend name; ParseChecker
-// and String both walk it, so the two can never disagree.
-var checkers = map[Checker]string{
-	CheckerCollective:   "collective",
-	CheckerConventional: "conventional",
-	CheckerIncremental:  "incremental",
-	CheckerVectorClock:  "vectorclock",
-	CheckerConstraints:  "constraints",
-}
-
-// String returns the checker's backend registry name — the value the CLIs
-// accept for their -checker flag.
-func (c Checker) String() string {
-	if name, ok := checkers[c]; ok {
-		return name
-	}
-	return fmt.Sprintf("checker(%d)", uint8(c))
-}
-
-// CheckerNames lists the registered checking backends — the valid -checker
-// values — sorted. The list comes from the backend registry, so it can
-// never drift from the implemented set.
-func CheckerNames() []string { return check.Backends() }
-
-// ParseChecker maps a backend name to its Checker selection; the error for
-// an unknown name lists every registered backend.
-func ParseChecker(name string) (Checker, error) {
-	for c, n := range checkers {
-		if n == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("mtracecheck: unknown checker %q (valid: %s)",
-		name, strings.Join(CheckerNames(), ", "))
-}
+// CheckerNames lists the checking backends — the valid Options.Checker and
+// -checker values — in the order of internal/check's table, whose first row
+// is the default. All backends agree on verdicts and differ only in effort
+// and in whether Workers shards them (see DESIGN.md §13).
+func CheckerNames() []string { return check.Names() }
 
 // Options configures a validation run.
 type Options struct {
@@ -261,8 +201,9 @@ type Options struct {
 	Iterations int
 	// Seed drives all randomness (platform timing and scheduling).
 	Seed int64
-	// Checker selects the checking algorithm (default collective).
-	Checker Checker
+	// Checker names the checking algorithm, one of CheckerNames; empty selects
+	// the default, collective. NewCampaign refuses a name the table lacks.
+	Checker string
 	// Pruner optionally applies static candidate pruning (§8).
 	Pruner instrument.Pruner
 	// ObservedWS switches the constraint graphs from the paper's static
@@ -418,7 +359,8 @@ type Report struct {
 	// ResumedIterations counts iterations restored from a checkpoint rather
 	// than executed in this run.
 	ResumedIterations int
-	// CheckStats carries the checker's effort accounting (Figs. 9 and 14).
+	// CheckStats carries the checker's effort accounting (Figs. 9 and 14);
+	// CheckEffort renders it.
 	CheckStats *check.Result
 	// CorpusConsulted reports whether a signature corpus was consulted
 	// (Options.Corpus set and usable for this campaign's key).
@@ -441,7 +383,18 @@ type Report struct {
 	// Executions holds raw executions when Options.KeepExecutions is set.
 	Executions []*sim.Execution
 
-	signatures []Unique // see Signatures
+	signatures []Unique       // see Signatures
+	backend    *check.Backend // the table row that filled CheckStats
+}
+
+// CheckEffort renders CheckStats as the one line the backend that filled it
+// has to say about its effort — each fills different counters — or "" when
+// nothing was checked.
+func (r *Report) CheckEffort() string {
+	if r.backend == nil {
+		return ""
+	}
+	return r.backend.Effort(r.CheckStats)
 }
 
 // Signatures returns the sorted unique signature set the campaign ended

@@ -45,7 +45,7 @@ func TestCheckersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conventional, err := Run(cfg, Options{Iterations: 200, Seed: 3, Checker: CheckerConventional})
+	conventional, err := Run(cfg, Options{Iterations: 200, Seed: 3, Checker: "conventional"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestObservedWSOption(t *testing.T) {
 
 func TestIncrementalCheckerOption(t *testing.T) {
 	cfg := TestConfig{Threads: 2, OpsPerThread: 50, Words: 8, Seed: 2}
-	inc, err := Run(cfg, Options{Iterations: 200, Seed: 3, Checker: CheckerIncremental})
+	inc, err := Run(cfg, Options{Iterations: 200, Seed: 3, Checker: "incremental"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := Run(cfg, Options{Iterations: 200, Seed: 3, Checker: CheckerConventional})
+	conv, err := Run(cfg, Options{Iterations: 200, Seed: 3, Checker: "conventional"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,13 +489,9 @@ func TestCheckerBackendsAgree(t *testing.T) {
 				t.Fatal("buggy case produced no violations to compare")
 			}
 			for _, name := range CheckerNames() {
-				checker, err := ParseChecker(name)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for _, workers := range []int{1, 3} {
 					opts := sc.opts
-					opts.Checker = checker
+					opts.Checker = name
 					opts.Workers = workers
 					got, err := RunProgram(sc.prog, opts)
 					if err != nil {
@@ -529,13 +525,9 @@ func TestRunContextCancelledPerChecker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range CheckerNames() {
-		checker, err := ParseChecker(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// A partial report may accompany the error (the CLI renders it);
 		// the error itself must be the cancellation.
-		if _, err := runCtx(ctx, p, Options{Iterations: 100, Seed: 3, Checker: checker}); !errors.Is(err, context.Canceled) {
+		if _, err := runCtx(ctx, p, Options{Iterations: 100, Seed: 3, Checker: name}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}

@@ -76,14 +76,13 @@ func TestNilObserverZeroAllocs(t *testing.T) {
 		em.shardStart(obs.StageExecute, 0, 0, 0, 10, time.Time{})
 		em.execShardEnd(0, out, time.Time{}, false, 0)
 		em.mergeDone(10, 1, obs.FaultCounts{}, true)
-		em.checkShardEnd("collective", 0, 1, 0, 1, nil, time.Time{}, 0)
+		if em.checkShardFunc("collective") != nil {
+			t.Error("nil observer must yield a nil check.ShardFunc")
+		}
 		em.checkpointOp(obs.CheckpointSaved, "x", 10, 1, 64)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-observer emitter: %.0f allocs/run, want 0", allocs)
-	}
-	if em.checkShardFunc("collective") != nil {
-		t.Error("nil observer must yield a nil check.ShardFunc")
 	}
 }
 
@@ -169,7 +168,7 @@ func TestCheckSignaturesObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, checker := range []Checker{CheckerCollective, CheckerConventional, CheckerIncremental, CheckerVectorClock} {
+	for _, checker := range []string{"collective", "conventional", "incremental", "vectorclock"} {
 		m := NewMetrics()
 		o := opts
 		o.Checker = checker

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
@@ -73,8 +72,8 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				conv := check.Conventional(builder, items)
-				coll, err := check.Collective(builder, items)
+				conv, _ := runBackend("conventional", builder, items)
+				coll, err := runBackend("collective", builder, items)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -241,7 +240,7 @@ func TestStrongerModelExecutionsPassWeakerChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := check.Collective(builder, items)
+		res, err := runBackend("collective", builder, items)
 		if err != nil {
 			t.Fatal(err)
 		}
