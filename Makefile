@@ -24,7 +24,8 @@ race:
 
 # Short native-fuzzing pass over the attack surface — the decoder, the binary
 # readers the fault injector corrupts, and the job description every binary
-# resolves (JobSpec JSON into Build and NewCampaign) — plus the checker-backend
+# resolves (JobSpec JSON into Build and NewCampaign), and the label values that
+# reach /metrics (worker IDs, platform and model names) — plus the checker-backend
 # differential (all backends must agree on fuzz-chosen execution sets), the
 # event-queue differential (timing wheel vs. the reference heap) and the
 # program-order reduction's (O(1)-witness scan vs. the cubic definition).
@@ -41,6 +42,7 @@ fuzz-short:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzChunkUpload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/corpus -run '^$$' -fuzz '^FuzzCorpusLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME)
 
 # Simulator allocation gate: the alloc-budget tests plus a short
 # -benchmem pass over the SimIteration benchmarks. The typed-event engine
@@ -88,13 +90,14 @@ trace-profile:
 offline-profile:
 	$(call cpu-profile,BenchmarkOfflineCheck)
 
-# The yardstick of a simplicity PR (ROADMAP item 6): non-test Go lines outside
-# bench/, exported declarations (go doc -short -all: methods included,
+# The yardstick of a simplicity PR (ROADMAP's quality-of-design aim; item 7's
+# acceptance asks for lines and exports strictly down): non-test Go lines
+# outside bench/, exported declarations (go doc -short -all: methods included,
 # constant groups and struct fields not) per library package, flags per
-# binary, and the plug points of the checker table: non-test call sites of
+# binary, the plug points of the checker table — non-test call sites of
 # check.ForName and check.ShardedBackend outside internal/check and bench/
 # (one each, in the root package's checkItems; internal/experiments walks the
-# table instead).
+# table instead) — and the rows of the metric series table per group.
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@for p in $$($(GO) list . ./internal/...); do \
@@ -103,6 +106,8 @@ surface:
 	@for f in ForName ShardedBackend; do \
 		echo "check.$$f call sites $$(grep -rn --include='*.go' --exclude='*_test.go' "check\.$$f(" . \
 			| grep -vc '^\./\(bench\|internal/check\)/')"; done
+	@for g in core dist corpus; do \
+		echo "obs series ($$g) $$(grep -c "= row($$g," internal/obs/metrics.go)"; done
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke

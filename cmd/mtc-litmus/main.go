@@ -30,7 +30,7 @@ func main() {
 	)
 	flag.Parse()
 
-	plat, err := sim.ForISA(*isa)
+	plat, err := sim.PlatformFor(*isa, "", false)
 	if err != nil {
 		fatal(err)
 	}

@@ -87,7 +87,11 @@ func run() int {
 	flag.BoolVar(&spec.OS, "os", false, "run under simulated OS scheduling")
 	flag.StringVar(&spec.Checker, "checker", "collective",
 		"checker backend: "+strings.Join(mtracecheck.CheckerNames(), ", "))
-	flag.StringVar(&spec.Bug, "bug", "", "inject a bug: sm-inv, lsq-skip, or wb-race")
+	bugs := make([]string, len(sim.InjectedBugs))
+	for i, b := range sim.InjectedBugs {
+		bugs[i] = b.Name
+	}
+	flag.StringVar(&spec.Bug, "bug", "", "inject a bug: "+strings.Join(bugs, ", "))
 	flag.BoolVar(&spec.Strict, "strict", false, "abort on the first corrupted signature or lost shard instead of degrading")
 	flag.Float64Var(&spec.QuarantineThreshold, "max-quarantine", 0, "fail (exit 3) when more than this fraction of unique signatures is quarantined (0 = no limit)")
 	flag.DurationVar(&spec.ShardTimeout, "shard-timeout", 0, "deadline per execution-shard attempt (0 = none)")

@@ -3,6 +3,7 @@ package mtracecheck
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mtracecheck/internal/instrument"
@@ -94,18 +95,22 @@ func TestCorpusWarmMatchesCold(t *testing.T) {
 	}
 	// Zero decode+check on the warm run — the perf claim, asserted via the
 	// same counters the Prometheus output exports.
-	if warmSnap.Totals.Graphs != 0 || warmSnap.Totals.Decoded != 0 {
-		t.Errorf("warm run still worked: %d graphs checked, %d decoded",
-			warmSnap.Totals.Graphs, warmSnap.Totals.Decoded)
+	const (
+		graphs  = "mtracecheck_graphs_checked_total"
+		decoded = "mtracecheck_decoded_signatures_total"
+		hits    = "mtracecheck_corpus_hits_total"
+		misses  = "mtracecheck_corpus_misses_total"
+		appends = "mtracecheck_corpus_appends_total"
+	)
+	ws, cs := warmSnap.Series, coldSnap.Series
+	if ws[graphs] != 0 || ws[decoded] != 0 {
+		t.Errorf("warm run still worked: %v graphs checked, %v decoded", ws[graphs], ws[decoded])
 	}
-	if warmSnap.Totals.CorpusHits != int64(warm.UniqueSignatures) || warmSnap.Totals.CorpusMisses != 0 {
-		t.Errorf("warm corpus counters: hits=%d misses=%d, want %d/0",
-			warmSnap.Totals.CorpusHits, warmSnap.Totals.CorpusMisses, warm.UniqueSignatures)
+	if ws[hits] != float64(warm.UniqueSignatures) || ws[misses] != 0 {
+		t.Errorf("warm corpus counters: hits=%v misses=%v, want %d/0", ws[hits], ws[misses], warm.UniqueSignatures)
 	}
-	if coldSnap.Totals.Graphs != int64(cold.UniqueSignatures) ||
-		coldSnap.Totals.CorpusAppends != int64(cold.UniqueSignatures) {
-		t.Errorf("cold corpus counters: graphs=%d appends=%d, want %d",
-			coldSnap.Totals.Graphs, coldSnap.Totals.CorpusAppends, cold.UniqueSignatures)
+	if cs[graphs] != float64(cold.UniqueSignatures) || cs[appends] != float64(cold.UniqueSignatures) {
+		t.Errorf("cold corpus counters: graphs=%v appends=%v, want %d", cs[graphs], cs[appends], cold.UniqueSignatures)
 	}
 	if warm.CheckStats != nil && warm.CheckStats.Total != 0 {
 		t.Errorf("warm CheckStats.Total = %d, want 0", warm.CheckStats.Total)
@@ -130,9 +135,8 @@ func TestCorpusWarmWorkerInvariant(t *testing.T) {
 		t.Errorf("corpus accounting varies with workers: hits %d/%d appended %d/%d",
 			w1.CorpusHits, w4.CorpusHits, w1.CorpusAppended, w4.CorpusAppended)
 	}
-	if s1.Totals.CorpusHits != s4.Totals.CorpusHits || s1.Totals.Graphs != s4.Totals.Graphs {
-		t.Errorf("corpus metrics vary with workers: hits %d/%d graphs %d/%d",
-			s1.Totals.CorpusHits, s4.Totals.CorpusHits, s1.Totals.Graphs, s4.Totals.Graphs)
+	if !reflect.DeepEqual(s1.Invariant(), s4.Invariant()) {
+		t.Errorf("invariant metrics vary with workers:\n%v\n%v", s1.Invariant(), s4.Invariant())
 	}
 }
 
@@ -297,8 +301,8 @@ func TestCorpusWidthMismatchIgnored(t *testing.T) {
 		t.Errorf("refused corpus still used: hits=%d appended=%d",
 			report.CorpusHits, report.CorpusAppended)
 	}
-	if snap.Totals.CorpusIgnored != 1 {
-		t.Errorf("CorpusIgnored metric = %d, want 1", snap.Totals.CorpusIgnored)
+	if ignored := snap.Series["mtracecheck_corpus_ignored_total"]; ignored != 1 {
+		t.Errorf("CorpusIgnored metric = %v, want 1", ignored)
 	}
 }
 

@@ -398,8 +398,8 @@ func TestCheckpointResumeFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: second resume: %v", label, err)
 		}
-		if n := metrics.Snapshot().Effort.ShardAttempts; again.ResumedIterations != 256 || n != 0 {
-			t.Errorf("%s: second resume restored %d iterations and started %d execution chunks, want 256 and 0",
+		if n := metrics.Snapshot().Series["mtracecheck_shard_attempts_total"]; again.ResumedIterations != 256 || n != 0 {
+			t.Errorf("%s: second resume restored %d iterations and started %v execution chunks, want 256 and 0",
 				label, again.ResumedIterations, n)
 		}
 		sameOutcome(t, label+"/fully-resumed", again, full)

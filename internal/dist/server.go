@@ -9,8 +9,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"mtracecheck"
 	"mtracecheck/internal/obs"
@@ -602,7 +605,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || !validWorkerID(req.Worker) {
 		http.Error(w, "bad lease request", http.StatusBadRequest)
 		return
 	}
@@ -656,8 +659,15 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, LeaseResponse{Status: LeaseWait})
 }
 
-// worker returns (registering if needed) the state for a worker ID.
-// Callers hold s.mu.
+// validWorkerID is what the lease, heartbeat and upload doors admit as a
+// worker ID: it becomes a map key, a log field and a /metrics label, so it is
+// non-empty, at most 128 bytes, valid UTF-8 and free of control characters.
+func validWorkerID(id string) bool {
+	return id != "" && len(id) <= 128 && utf8.ValidString(id) && strings.IndexFunc(id, unicode.IsControl) < 0
+}
+
+// worker returns (registering if needed) the state for a worker ID the door
+// has validated. Callers hold s.mu.
 func (s *Server) worker(id string, now time.Time) *workerState {
 	ws := s.workers[id]
 	if ws == nil {
@@ -671,7 +681,7 @@ func (s *Server) worker(id string, now time.Time) *workerState {
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || !validWorkerID(req.Worker) {
 		http.Error(w, "bad heartbeat", http.StatusBadRequest)
 		return
 	}
@@ -698,13 +708,17 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	u, decodeErr := DecodeChunkUpload(data)
+	if sender == "" && u != nil {
+		sender = u.Worker
+	}
+	if !validWorkerID(sender) {
+		http.Error(w, "bad worker ID", http.StatusBadRequest)
+		return
+	}
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireDue(now)
-	if sender == "" && u != nil {
-		sender = u.Worker
-	}
 	if decodeErr != nil {
 		writeJSON(w, s.strike(nil, -1, sender, now, decodeErr))
 		return

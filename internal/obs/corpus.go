@@ -11,7 +11,7 @@ import "time"
 //
 // Corpus hits are a pure function of (unique set, corpus content), both
 // determinism-fixed, so every corpus quantity belongs in the
-// worker-invariant Totals of a metrics snapshot: one CorpusLookup event
+// invariant series of a metrics snapshot: one CorpusLookup event
 // fires per campaign at the sort barrier (never per worker or per
 // chunk), and one CorpusFlush fires per persisted append batch.
 

@@ -2,457 +2,241 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Metrics aggregates pipeline events into atomic counters, split into two
-// groups with different guarantees:
-//
-//   - Totals are worker-invariant: for the same campaign configuration they
-//     are bit-identical for every Workers value, including under fault
-//     injection, because they aggregate only quantities the pipeline's
-//     determinism contract fixes — final-attempt execution counters, the
-//     merged unique set, per-signature quarantine verdicts, and checking
-//     verdicts.
-//
-//   - Effort records how the work was actually partitioned — shard
-//     attempts, retries, sorted vertices (each checking shard's first graph
-//     pays a boundary re-sort), stage wall time — and legitimately varies
-//     with Workers and machine load.
-//
-// All event methods are safe for concurrent use and allocation-free except
-// for growth-curve appends (one per merge, never per iteration).
+// group names the part of the system that feeds a series. A group's series
+// are written once the group has counted something, so an in-process
+// campaign's exposition carries no dist series and a campaign without a
+// corpus no corpus ones; core is always written.
+type group uint8
+
+const (
+	core group = iota
+	dist
+	corpus
+	nGroups
+)
+
+// attr is a series' properties; zero is an invariant integer counter with one
+// sample. Invariant means bit-identical for every Workers value on one
+// campaign configuration, fault injection included, because the series
+// aggregates only what the pipeline's determinism contract fixes; effort is
+// how the work was partitioned or how long it took (shard attempts, boundary
+// re-sorts, wall time, the fleet's behaviour) and legitimately varies.
+type attr uint8
+
+const (
+	gauge    attr = 1 << iota // TYPE gauge, not counter
+	effort                    // not invariant
+	labelled                  // one sample per label set, created by the first event carrying it
+	seconds                   // counted in nanoseconds, written in seconds
+	ratio                     // written as v/of, 0 for an empty denominator
+)
+
+// series is one row of the table.
+type series struct {
+	name  string // exposition name, constant labels included
+	help  string // the family's HELP text, on the family's first row
+	group group
+	attr  attr
+}
+
+// table is every series in exposition order, written by the var block below
+// only: a new series is one row there (and nSeries + 1, or row panics as the
+// package initialises) and one add in an event's handler.
+const nSeries = 50
+
+var (
+	table [nSeries]series
+	nRows int
+)
+
+func row(g group, a attr, name, help string) int {
+	table[nRows] = series{name, help, g, a}
+	nRows++
+	return nRows - 1
+}
+
+var (
+	sCampaigns      = row(core, 0, "mtracecheck_campaigns_total", "Validation campaigns observed.")
+	sIterations     = row(core, 0, "mtracecheck_iterations_total", "Test iterations executed (final attempts only).")
+	sCycles         = row(core, 0, "mtracecheck_cycles_total", "Simulated cycles over executed iterations.")
+	sSquashes       = row(core, 0, "mtracecheck_squashes_total", "Load-queue squash/replay events.")
+	sAsserts        = row(core, 0, "mtracecheck_assertion_failures_total", "Instrumentation assertion failures.")
+	sUniques        = row(core, gauge, "mtracecheck_unique_signatures", "Unique interleavings in the last campaign's merged set (Fig. 8).")
+	sFaultBitFlip   = row(core, 0, `mtracecheck_injected_faults_total{kind="bit-flip"}`, "Deterministic device-side faults injected, by kind.")
+	sFaultTruncate  = row(core, 0, `mtracecheck_injected_faults_total{kind="truncate"}`, "")
+	sFaultDuplicate = row(core, 0, `mtracecheck_injected_faults_total{kind="duplicate"}`, "")
+	sFaultOOR       = row(core, 0, `mtracecheck_injected_faults_total{kind="out-of-range"}`, "")
+	sDecoded        = row(core, 0, "mtracecheck_decoded_signatures_total", "Unique signatures decoded into checkable items.")
+	sQuarDecode     = row(core, 0, `mtracecheck_quarantined_total{kind="decode"}`, "Corrupted signatures held out of checking, by kind.")
+	sQuarEdges      = row(core, 0, `mtracecheck_quarantined_total{kind="edge-build"}`, "")
+	sGraphs         = row(core, 0, "mtracecheck_graphs_checked_total", "Constraint graphs checked.")
+	sViolations     = row(core, 0, "mtracecheck_violations_total", "MCM violations found by graph checking.")
+	sCkptSaves      = row(core, 0, "mtracecheck_checkpoint_saves_total", "Campaign checkpoints written.")
+	sCkptBytes      = row(core, 0, "mtracecheck_checkpoint_bytes_total", "Bytes of checkpoint payload written.")
+	sCkptResumes    = row(core, 0, "mtracecheck_checkpoint_resumes_total", "Campaigns resumed from a checkpoint.")
+	sResumedIters   = row(core, 0, "mtracecheck_resumed_iterations_total", "Iterations restored from checkpoints instead of executed.")
+
+	// Corpus hits partition the determinism-fixed unique set against the
+	// corpus content at the sort barrier, so they are invariant.
+	sCorpusHits    = row(corpus, 0, "mtracecheck_corpus_hits_total", "Unique signatures that skipped decode+check as corpus hits.")
+	sCorpusMisses  = row(corpus, 0, "mtracecheck_corpus_misses_total", "Unique signatures absent from the corpus, decoded and checked cold.")
+	sCorpusAppends = row(corpus, 0, "mtracecheck_corpus_appends_total", "Newly proven-acyclic signatures appended to the corpus.")
+	sCorpusIgnored = row(corpus, 0, "mtracecheck_corpus_ignored_total", "Campaigns that refused an attached corpus and ran cold.")
+
+	sShardAttempts  = row(core, effort, "mtracecheck_shard_attempts_total", "Execution shard attempts, including retries.")
+	sShardRetries   = row(core, effort, "mtracecheck_shard_retries_total", "Execution shard attempts that failed and were retried.")
+	sRetriedIters   = row(core, effort, "mtracecheck_retried_iterations_total", "Iterations executed by attempts later discarded by a retry.")
+	sSortedVertices = row(core, effort, "mtracecheck_sorted_vertices_total", "Vertices visited by topological (re)sorts (Fig. 9 effort).")
+	sBackwardEdges  = row(core, effort, "mtracecheck_backward_edges_total", "Backward edges found against the maintained orders.")
+	sClockUpdates   = row(core, effort, "mtracecheck_clock_updates_total", "Vector-clock joins that changed a clock (vectorclock backend effort).")
+	sPropagations   = row(core, effort, "mtracecheck_propagations_total", "Constraint-solver domain-bound tightenings (constraints backend effort).")
+	sCheckShards    = row(core, effort, "mtracecheck_check_shards_total", "Checking shard completions (1 per campaign for serial backends).")
+	sComplete       = row(core, effort, `mtracecheck_graphs_by_kind_total{kind="complete"}`, "Graphs validated per collective-checking kind (Fig. 14).")
+	sNoResort       = row(core, effort, `mtracecheck_graphs_by_kind_total{kind="no-resort"}`, "")
+	sIncremental    = row(core, effort, `mtracecheck_graphs_by_kind_total{kind="incremental"}`, "")
+	sMaxWindow      = row(core, effort|gauge, "mtracecheck_max_resort_window", "Largest re-sorted vertex window.")
+	sExecuteTime    = row(core, effort|seconds, `mtracecheck_stage_seconds_total{stage="execute"}`, "Wall time summed over shard attempts, by stage.")
+	sDecodeTime     = row(core, effort|seconds, `mtracecheck_stage_seconds_total{stage="decode"}`, "")
+	sCheckTime      = row(core, effort|seconds, `mtracecheck_stage_seconds_total{stage="check"}`, "")
+
+	sWorkerJoins       = row(dist, effort, "mtracecheck_dist_worker_joins_total", "Workers that joined the dist server.")
+	sWorkersLost       = row(dist, effort, "mtracecheck_dist_workers_lost_total", "Worker lease deadlines missed (crash, hang, or partition).")
+	sWorkersQuar       = row(dist, effort, "mtracecheck_dist_workers_quarantined_total", "Workers quarantined for repeated upload-validation failures.")
+	sLeasesGranted     = row(dist, effort, "mtracecheck_dist_leases_granted_total", "Chunk leases granted to workers.")
+	sLeasesExpired     = row(dist, effort, "mtracecheck_dist_leases_expired_total", "Chunk leases that expired without a completed upload.")
+	sRedispatched      = row(dist, effort, "mtracecheck_dist_chunks_redispatched_total", "Chunks granted again after a lost lease or quarantined worker.")
+	sDuplicates        = row(dist, effort, "mtracecheck_dist_duplicate_completions_total", "Uploads for already-completed chunks, deduplicated by chunk ID.")
+	sUploadRejects     = row(dist, effort, "mtracecheck_dist_upload_rejects_total", "Chunk uploads that failed server-side validation.")
+	sWorkerStrikes     = row(dist, effort|gauge|labelled, "mtracecheck_dist_worker_strikes", "Upload-validation failures per worker.")
+	sWorkerQuarantined = row(dist, effort|gauge|labelled, "mtracecheck_dist_worker_quarantined", "Whether the worker is quarantined (1) or trusted (0).")
+
+	sCorpusKnown      = row(corpus, gauge|labelled, "mtracecheck_corpus_known_signatures", "Known-good signatures in the corpus per (program, platform, MCM).")
+	sCorpusSaturation = row(corpus, gauge|labelled|ratio, "mtracecheck_corpus_saturation", "Warm fraction of observed uniques per (program, platform, MCM): hits/(hits+misses).")
+)
+
+// Metrics folds pipeline events into the table's series. All event methods
+// are safe for concurrent use and allocation-free except for growth-curve
+// appends (one per merge, never per iteration) and a label set's first event.
 type Metrics struct {
-	// Invariant totals.
-	campaigns    atomic.Int64
-	iterations   atomic.Int64
-	cycles       atomic.Int64
-	squashes     atomic.Int64
-	asserts      atomic.Int64
-	uniques      atomic.Int64 // final merged set of the last campaign (gauge)
-	fBitFlip     atomic.Int64
-	fTruncate    atomic.Int64
-	fDuplicate   atomic.Int64
-	fOutOfRange  atomic.Int64
-	decoded      atomic.Int64
-	quarDecode   atomic.Int64
-	quarEdges    atomic.Int64
-	graphs       atomic.Int64
-	violations   atomic.Int64
-	ckptSaves    atomic.Int64
-	ckptBytes    atomic.Int64
-	ckptResumes  atomic.Int64
-	resumedIters atomic.Int64
+	vals [nSeries]atomic.Int64 // by table row; a labelled row's cell is unused
 
-	// Signature-corpus counters (CorpusObserver events). Hits partition the
-	// determinism-fixed unique set against the corpus content at the sort
-	// barrier, so they are worker-invariant and belong with the totals.
-	corpusHits    atomic.Int64
-	corpusMisses  atomic.Int64
-	corpusAppends atomic.Int64
-	corpusIgnored atomic.Int64
-
-	// Partition-dependent effort.
-	shardAttempts  atomic.Int64
-	shardRetries   atomic.Int64
-	retriedIters   atomic.Int64 // iterations executed by attempts that were discarded
-	sortedVertices atomic.Int64
-	backwardEdges  atomic.Int64
-	clockUpdates   atomic.Int64
-	propagations   atomic.Int64
-	checkShards    atomic.Int64
-	complete       atomic.Int64
-	noResort       atomic.Int64
-	incremental    atomic.Int64
-	maxWindow      atomic.Int64
-	stageNanos     [numStages]atomic.Int64
-
-	// Distributed-campaign counters (DistObserver events from the dist
-	// server); zero for in-process campaigns.
-	distJoins       atomic.Int64
-	distLost        atomic.Int64
-	distQuarantined atomic.Int64
-	distLeases      atomic.Int64
-	distExpired     atomic.Int64
-	distRedispatch  atomic.Int64
-	distDuplicates  atomic.Int64
-	distRejects     atomic.Int64
-
-	mu    sync.Mutex
-	curve []CurvePoint
-	// Per-worker dist accounting, keyed by worker ID (map writes are rare —
-	// once per worker event, never per iteration).
-	workers map[string]*WorkerCounts
-	// Per-program corpus accounting, keyed by the corpus key coordinates
-	// (one write per campaign, never per iteration).
-	corpusProgs map[string]*CorpusProgram
+	mu       sync.Mutex
+	curve    []CurvePoint
+	labelled []*sample // the labelled rows' samples, by row then key
 }
 
-// WorkerCounts is one worker's per-ID dist accounting.
-type WorkerCounts struct {
-	Strikes     int64 // upload-validation failures
-	Quarantined bool
-	Lost        int64 // lease deadlines missed
+// sample is one exposition line: a row's value or, guarded by Metrics.mu,
+// that of one label set of a labelled row.
+type sample struct {
+	row   int
+	key   string // orders a labelled row's samples: the worker ID, the corpus key
+	name  string // exposition name, labels included
+	v, of int64  // of: a ratio series' denominator
 }
 
-// CorpusProgram is one corpus key's accounting: how saturated the corpus
-// is for this (program, platform, MCM) — Hits/(Hits+Misses) is the warm
-// fraction, Known the corpus's known-good count after the last event.
-type CorpusProgram struct {
-	Program  uint64
-	Platform string
-	MCM      string
-	Known    int64
-	Hits     int64
-	Misses   int64
+// value is what the exposition prints.
+func (s sample) value() float64 {
+	switch a := table[s.row].attr; {
+	case a&seconds != 0:
+		return float64(s.v) / 1e9
+	case a&ratio == 0:
+		return float64(s.v)
+	case s.of == 0:
+		return 0
+	}
+	return float64(s.v) / float64(s.of)
 }
 
 // NewMetrics returns an empty aggregator.
 func NewMetrics() *Metrics { return &Metrics{} }
 
+func (m *Metrics) add(row int, n int64) { m.vals[row].Add(n) }
+func (m *Metrics) get(row int) int64    { return m.vals[row].Load() }
+
+// labelEscaper escapes a label value as the text exposition format asks:
+// backslash, double quote and line feed, nothing else (Go's %q is not that).
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// sample returns the labelled row's sample for key, created on first use.
+// It is the one label writer: the name is family{k="v",...} from alternating
+// label names and values, the values escaped and made valid UTF-8. Callers
+// hold m.mu.
+func (m *Metrics) sample(row int, key string, labels ...string) *sample {
+	i, ok := slices.BinarySearchFunc(m.labelled, key, func(s *sample, key string) int {
+		return cmp.Or(cmp.Compare(s.row, row), strings.Compare(s.key, key))
+	})
+	if ok {
+		return m.labelled[i]
+	}
+	var b strings.Builder
+	b.WriteString(table[row].name)
+	for j, sep := 0, "{"; j+1 < len(labels); j, sep = j+2, "," {
+		b.WriteString(sep + labels[j] + `="`)
+		labelEscaper.WriteString(&b, strings.ToValidUTF8(labels[j+1], "\uFFFD"))
+		b.WriteByte('"')
+	}
+	b.WriteByte('}')
+	m.labelled = slices.Insert(m.labelled, i, &sample{row: row, key: key, name: b.String()})
+	return m.labelled[i]
+}
+
 // CurvePoint is one sample of the unique-interleaving growth curve (the
 // paper's Fig. 8 metric over campaign time), taken at each merge boundary.
-type CurvePoint struct {
-	Iterations int
-	Uniques    int
-}
+type CurvePoint struct{ Iterations, Uniques int }
 
-// Totals is the worker-invariant aggregate: identical for every Workers
-// value on the same campaign configuration.
-type Totals struct {
-	Campaigns         int64
-	Iterations        int64
-	Cycles            int64
-	Squashes          int64
-	Asserts           int64
-	Uniques           int64 // final merged unique set of the last campaign
-	Faults            FaultCounts
-	Decoded           int64
-	QuarantinedDecode int64
-	QuarantinedEdges  int64
-	Graphs            int64
-	Violations        int64
-	CheckpointSaves   int64
-	CheckpointBytes   int64
-	CheckpointResumes int64
-	ResumedIterations int64
-	// Corpus counters: unique signatures that skipped decode+check as
-	// corpus hits, those that proceeded cold, and newly proven-acyclic
-	// signatures appended. CorpusIgnored counts campaigns that refused an
-	// attached corpus (load failure or width mismatch) and ran cold.
-	CorpusHits    int64
-	CorpusMisses  int64
-	CorpusAppends int64
-	CorpusIgnored int64
-	Curve         []CurvePoint
-}
+// CampaignStart, ShardStart and CampaignEnd implement Observer.
+func (m *Metrics) CampaignStart(e CampaignStart) { m.add(sCampaigns, 1) }
+func (m *Metrics) ShardStart(e ShardStart)       {}
+func (m *Metrics) CampaignEnd(e CampaignEnd)     {}
 
-// Effort is the partition-dependent accounting: it varies with Workers
-// (each checking shard's first graph pays a full boundary sort; fault plans
-// are keyed by shard blocks) and with wall-clock conditions.
-type Effort struct {
-	ShardAttempts     int64
-	ShardRetries      int64
-	RetriedIterations int64
-	SortedVertices    int64
-	BackwardEdges     int64
-	// ClockUpdates counts clock joins that changed a clock — the
-	// vector-clock backend's effort metric; zero for the sorting backends.
-	ClockUpdates int64
-	// Propagations counts domain-bound tightenings — the constraint-solver
-	// backend's effort metric; zero for every other backend.
-	Propagations int64
-	// CheckShards counts checking shard completions. A serial backend
-	// contributes one per campaign regardless of Workers, so the counter
-	// reflects the parallelism that actually happened.
-	CheckShards  int64
-	Complete     int64
-	NoResort     int64
-	Incremental  int64
-	MaxWindow    int64
-	ExecuteNanos int64
-	DecodeNanos  int64
-	CheckNanos   int64
-}
-
-// Dist aggregates the distributed-campaign robustness events: how the lease
-// protocol, quarantine, and redispatch machinery actually behaved. All zero
-// for in-process campaigns.
-type Dist struct {
-	WorkerJoins        int64
-	WorkersLost        int64
-	WorkersQuarantined int64
-	LeasesGranted      int64
-	LeasesExpired      int64
-	Redispatched       int64
-	Duplicates         int64
-	UploadRejects      int64
-	// Workers holds the per-worker breakdown, keyed by worker ID.
-	Workers map[string]WorkerCounts
-}
-
-// Snapshot is a consistent copy of the aggregated metrics.
-type Snapshot struct {
-	Totals Totals
-	Effort Effort
-	Dist   Dist
-	// Corpus holds the per-program signature-corpus breakdown, keyed by
-	// "proghash/platform/mcm"; nil when no corpus was attached.
-	Corpus map[string]CorpusProgram
-}
-
-// Snapshot returns a copy of the current aggregates. It is safe to call
-// concurrently with event delivery; call it after the campaign returns for
-// totals covering the whole run.
-func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	curve := make([]CurvePoint, len(m.curve))
-	copy(curve, m.curve)
-	var workers map[string]WorkerCounts
-	if len(m.workers) > 0 {
-		workers = make(map[string]WorkerCounts, len(m.workers))
-		for id, wc := range m.workers {
-			workers[id] = *wc
-		}
-	}
-	var corpus map[string]CorpusProgram
-	if len(m.corpusProgs) > 0 {
-		corpus = make(map[string]CorpusProgram, len(m.corpusProgs))
-		for key, cp := range m.corpusProgs {
-			corpus[key] = *cp
-		}
-	}
-	m.mu.Unlock()
-	return Snapshot{
-		Totals: Totals{
-			Campaigns:  m.campaigns.Load(),
-			Iterations: m.iterations.Load(),
-			Cycles:     m.cycles.Load(),
-			Squashes:   m.squashes.Load(),
-			Asserts:    m.asserts.Load(),
-			Uniques:    m.uniques.Load(),
-			Faults: FaultCounts{
-				BitFlip:    int(m.fBitFlip.Load()),
-				Truncate:   int(m.fTruncate.Load()),
-				Duplicate:  int(m.fDuplicate.Load()),
-				OutOfRange: int(m.fOutOfRange.Load()),
-			},
-			Decoded:           m.decoded.Load(),
-			QuarantinedDecode: m.quarDecode.Load(),
-			QuarantinedEdges:  m.quarEdges.Load(),
-			Graphs:            m.graphs.Load(),
-			Violations:        m.violations.Load(),
-			CheckpointSaves:   m.ckptSaves.Load(),
-			CheckpointBytes:   m.ckptBytes.Load(),
-			CheckpointResumes: m.ckptResumes.Load(),
-			ResumedIterations: m.resumedIters.Load(),
-			CorpusHits:        m.corpusHits.Load(),
-			CorpusMisses:      m.corpusMisses.Load(),
-			CorpusAppends:     m.corpusAppends.Load(),
-			CorpusIgnored:     m.corpusIgnored.Load(),
-			Curve:             curve,
-		},
-		Effort: Effort{
-			ShardAttempts:     m.shardAttempts.Load(),
-			ShardRetries:      m.shardRetries.Load(),
-			RetriedIterations: m.retriedIters.Load(),
-			SortedVertices:    m.sortedVertices.Load(),
-			BackwardEdges:     m.backwardEdges.Load(),
-			ClockUpdates:      m.clockUpdates.Load(),
-			Propagations:      m.propagations.Load(),
-			CheckShards:       m.checkShards.Load(),
-			Complete:          m.complete.Load(),
-			NoResort:          m.noResort.Load(),
-			Incremental:       m.incremental.Load(),
-			MaxWindow:         m.maxWindow.Load(),
-			ExecuteNanos:      m.stageNanos[StageExecute].Load(),
-			DecodeNanos:       m.stageNanos[StageDecode].Load(),
-			CheckNanos:        m.stageNanos[StageCheck].Load(),
-		},
-		Dist: Dist{
-			WorkerJoins:        m.distJoins.Load(),
-			WorkersLost:        m.distLost.Load(),
-			WorkersQuarantined: m.distQuarantined.Load(),
-			LeasesGranted:      m.distLeases.Load(),
-			LeasesExpired:      m.distExpired.Load(),
-			Redispatched:       m.distRedispatch.Load(),
-			Duplicates:         m.distDuplicates.Load(),
-			UploadRejects:      m.distRejects.Load(),
-			Workers:            workers,
-		},
-		Corpus: corpus,
-	}
-}
-
-// corpusProgram returns the per-key corpus record, creating it if
-// needed. Callers hold m.mu.
-func (m *Metrics) corpusProgram(e CorpusEvent) *CorpusProgram {
-	key := fmt.Sprintf("%016x/%s/%s", e.Program, e.Platform, e.MCM)
-	if m.corpusProgs == nil {
-		m.corpusProgs = make(map[string]*CorpusProgram)
-	}
-	cp, ok := m.corpusProgs[key]
-	if !ok {
-		cp = &CorpusProgram{Program: e.Program, Platform: e.Platform, MCM: e.MCM}
-		m.corpusProgs[key] = cp
-	}
-	return cp
-}
-
-// CorpusEvent implements CorpusObserver.
-func (m *Metrics) CorpusEvent(e CorpusEvent) {
-	switch e.Op {
-	case CorpusLookup:
-		m.corpusHits.Add(int64(e.Hits))
-		m.corpusMisses.Add(int64(e.Misses))
-	case CorpusFlush:
-		m.corpusAppends.Add(int64(e.Appended))
-	case CorpusIgnored:
-		m.corpusIgnored.Add(1)
-		return
-	}
-	m.mu.Lock()
-	cp := m.corpusProgram(e)
-	cp.Known = int64(e.Known)
-	if e.Op == CorpusLookup {
-		cp.Hits += int64(e.Hits)
-		cp.Misses += int64(e.Misses)
-	}
-	m.mu.Unlock()
-}
-
-// workerCounts returns the per-worker record, creating it if needed.
-// Callers hold m.mu.
-func (m *Metrics) workerCounts(id string) *WorkerCounts {
-	if m.workers == nil {
-		m.workers = make(map[string]*WorkerCounts)
-	}
-	wc, ok := m.workers[id]
-	if !ok {
-		wc = &WorkerCounts{}
-		m.workers[id] = wc
-	}
-	return wc
-}
-
-// WorkerEvent implements DistObserver.
-func (m *Metrics) WorkerEvent(e WorkerEvent) {
-	m.mu.Lock()
-	wc := m.workerCounts(e.Worker)
-	switch e.Op {
-	case WorkerLost:
-		wc.Lost++
-	case WorkerQuarantined:
-		wc.Quarantined = true
-	}
-	wc.Strikes = int64(e.Strikes)
-	m.mu.Unlock()
-	switch e.Op {
-	case WorkerJoin:
-		m.distJoins.Add(1)
-	case WorkerLost:
-		m.distLost.Add(1)
-	case WorkerQuarantined:
-		m.distQuarantined.Add(1)
-	}
-}
-
-// LeaseEvent implements DistObserver.
-func (m *Metrics) LeaseEvent(e LeaseEvent) {
-	switch e.Op {
-	case LeaseGranted:
-		m.distLeases.Add(1)
-	case LeaseExpired:
-		m.distExpired.Add(1)
-	case ChunkRedispatched:
-		m.distRedispatch.Add(1)
-	case ChunkDuplicate:
-		m.distDuplicates.Add(1)
-	case UploadRejected:
-		m.distRejects.Add(1)
-		m.mu.Lock()
-		m.workerCounts(e.Worker).Strikes++
-		m.mu.Unlock()
-	}
-}
-
-// CampaignStart implements Observer.
-func (m *Metrics) CampaignStart(e CampaignStart) { m.campaigns.Add(1) }
-
-// ShardStart implements Observer.
-func (m *Metrics) ShardStart(e ShardStart) {}
-
-// ShardEnd implements Observer.
+// ShardEnd implements Observer. It is the one place that decides which
+// attempts count toward a total.
 func (m *Metrics) ShardEnd(e ShardEnd) {
-	if int(e.Stage) < int(numStages) {
-		m.stageNanos[e.Stage].Add(int64(e.Duration))
-	}
 	switch e.Stage {
 	case StageExecute:
-		m.shardAttempts.Add(1)
+		m.add(sExecuteTime, int64(e.Duration))
+		m.add(sShardAttempts, 1)
 		if e.WillRetry {
 			// Discarded progress: effort, not results. Totals only ever see
 			// the final attempt, which is what the report covers — the basis
 			// of the worker-invariance guarantee under fault injection.
-			m.shardRetries.Add(1)
-			m.retriedIters.Add(int64(e.Iterations))
+			m.add(sShardRetries, 1)
+			m.add(sRetriedIters, int64(e.Iterations))
 			return
 		}
-		m.iterations.Add(int64(e.Iterations))
-		m.cycles.Add(e.Cycles)
-		m.squashes.Add(int64(e.Squashes))
-		m.asserts.Add(int64(e.Asserts))
+		m.add(sIterations, int64(e.Iterations))
+		m.add(sCycles, e.Cycles)
+		m.add(sSquashes, int64(e.Squashes))
+		m.add(sAsserts, int64(e.Asserts))
 	case StageDecode:
-		m.decoded.Add(int64(e.Decoded))
-		m.quarDecode.Add(int64(e.QuarantinedDecode))
-		m.quarEdges.Add(int64(e.QuarantinedEdges))
+		m.add(sDecodeTime, int64(e.Duration))
+		m.add(sDecoded, int64(e.Decoded))
+		m.add(sQuarDecode, int64(e.QuarantinedDecode))
+		m.add(sQuarEdges, int64(e.QuarantinedEdges))
 	case StageCheck:
-		m.graphs.Add(int64(e.Graphs))
-		m.violations.Add(int64(e.Violations))
-		m.sortedVertices.Add(e.SortedVertices)
-		m.backwardEdges.Add(e.BackwardEdges)
-		m.clockUpdates.Add(e.ClockUpdates)
-		m.propagations.Add(e.Propagations)
-		m.checkShards.Add(1)
-		m.complete.Add(int64(e.Complete))
-		m.noResort.Add(int64(e.NoResort))
-		m.incremental.Add(int64(e.Incremental))
-		storeMax(&m.maxWindow, int64(e.MaxWindow))
+		m.add(sCheckTime, int64(e.Duration))
+		m.add(sGraphs, int64(e.Graphs))
+		m.add(sViolations, int64(e.Violations))
+		m.add(sSortedVertices, e.SortedVertices)
+		m.add(sBackwardEdges, e.BackwardEdges)
+		m.add(sClockUpdates, e.ClockUpdates)
+		m.add(sPropagations, e.Propagations)
+		m.add(sCheckShards, 1)
+		m.add(sComplete, int64(e.Complete))
+		m.add(sNoResort, int64(e.NoResort))
+		m.add(sIncremental, int64(e.Incremental))
+		storeMax(&m.vals[sMaxWindow], int64(e.MaxWindow))
 	}
 }
-
-// MergeDone implements Observer.
-func (m *Metrics) MergeDone(e MergeDone) {
-	m.mu.Lock()
-	m.curve = append(m.curve, CurvePoint{Iterations: e.Completed, Uniques: e.Uniques})
-	m.mu.Unlock()
-	if e.Final {
-		m.uniques.Store(int64(e.Uniques))
-		m.fBitFlip.Add(int64(e.Injected.BitFlip))
-		m.fTruncate.Add(int64(e.Injected.Truncate))
-		m.fDuplicate.Add(int64(e.Injected.Duplicate))
-		m.fOutOfRange.Add(int64(e.Injected.OutOfRange))
-	}
-}
-
-// Checkpoint implements Observer.
-func (m *Metrics) Checkpoint(e Checkpoint) {
-	switch e.Op {
-	case CheckpointSaved:
-		m.ckptSaves.Add(1)
-		m.ckptBytes.Add(e.Bytes)
-	case CheckpointResumed:
-		m.ckptResumes.Add(1)
-		m.resumedIters.Add(int64(e.Completed))
-	}
-}
-
-// CampaignEnd implements Observer.
-func (m *Metrics) CampaignEnd(e CampaignEnd) {}
 
 func storeMax(a *atomic.Int64, v int64) {
 	for {
@@ -463,135 +247,173 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// WritePrometheus writes the snapshot in the Prometheus text exposition
-// format (version 0.0.4), suitable for a textfile-collector drop or a
-// scrape endpoint. Metric order is fixed so successive snapshots diff
-// cleanly.
+// MergeDone implements Observer.
+func (m *Metrics) MergeDone(e MergeDone) {
+	m.mu.Lock()
+	m.curve = append(m.curve, CurvePoint{Iterations: e.Completed, Uniques: e.Uniques})
+	m.mu.Unlock()
+	if e.Final {
+		m.vals[sUniques].Store(int64(e.Uniques))
+		m.add(sFaultBitFlip, int64(e.Injected.BitFlip))
+		m.add(sFaultTruncate, int64(e.Injected.Truncate))
+		m.add(sFaultDuplicate, int64(e.Injected.Duplicate))
+		m.add(sFaultOOR, int64(e.Injected.OutOfRange))
+	}
+}
+
+// Checkpoint implements Observer.
+func (m *Metrics) Checkpoint(e Checkpoint) {
+	switch e.Op {
+	case CheckpointSaved:
+		m.add(sCkptSaves, 1)
+		m.add(sCkptBytes, e.Bytes)
+	case CheckpointResumed:
+		m.add(sCkptResumes, 1)
+		m.add(sResumedIters, int64(e.Completed))
+	}
+}
+
+// CorpusEvent implements CorpusObserver. Per key: the corpus's known-good
+// count after the last event, and how saturated the corpus is for this
+// (program, platform, MCM) — hits over hits+misses, the warm fraction.
+func (m *Metrics) CorpusEvent(e CorpusEvent) {
+	switch e.Op {
+	case CorpusLookup:
+		m.add(sCorpusHits, int64(e.Hits))
+		m.add(sCorpusMisses, int64(e.Misses))
+	case CorpusFlush:
+		m.add(sCorpusAppends, int64(e.Appended))
+	case CorpusIgnored:
+		m.add(sCorpusIgnored, 1)
+		return
+	}
+	program := fmt.Sprintf("%016x", e.Program)
+	key := program + "/" + e.Platform + "/" + e.MCM
+	labels := []string{"program", program, "platform", e.Platform, "mcm", e.MCM}
+	m.mu.Lock()
+	m.sample(sCorpusKnown, key, labels...).v = int64(e.Known)
+	saturation := m.sample(sCorpusSaturation, key, labels...)
+	if e.Op == CorpusLookup {
+		saturation.v += int64(e.Hits)
+		saturation.of += int64(e.Hits) + int64(e.Misses)
+	}
+	m.mu.Unlock()
+}
+
+// worker returns the per-worker samples: upload-validation strikes and the
+// quarantine flag. Callers hold m.mu.
+func (m *Metrics) worker(id string) (strikes, quarantined *sample) {
+	return m.sample(sWorkerStrikes, id, "worker", id), m.sample(sWorkerQuarantined, id, "worker", id)
+}
+
+// WorkerEvent implements DistObserver.
+func (m *Metrics) WorkerEvent(e WorkerEvent) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	strikes, quarantined := m.worker(e.Worker)
+	strikes.v = int64(e.Strikes)
+	switch e.Op {
+	case WorkerJoin:
+		m.add(sWorkerJoins, 1)
+	case WorkerLost:
+		m.add(sWorkersLost, 1)
+	case WorkerQuarantined:
+		m.add(sWorkersQuar, 1)
+		quarantined.v = 1
+	}
+}
+
+// LeaseEvent implements DistObserver.
+func (m *Metrics) LeaseEvent(e LeaseEvent) {
+	switch e.Op {
+	case LeaseGranted:
+		m.add(sLeasesGranted, 1)
+	case LeaseExpired:
+		m.add(sLeasesExpired, 1)
+	case ChunkRedispatched:
+		m.add(sRedispatched, 1)
+	case ChunkDuplicate:
+		m.add(sDuplicates, 1)
+	case UploadRejected:
+		m.add(sUploadRejects, 1)
+		m.mu.Lock()
+		strikes, _ := m.worker(e.Worker)
+		strikes.v++
+		m.mu.Unlock()
+	}
+}
+
+// Snapshot is a copy of the aggregated metrics.
+type Snapshot struct {
+	// Series is every series the exposition carries, by exposition name with
+	// its labels, at the value the exposition prints.
+	Series map[string]float64
+	// Curve is the growth curve, one point per merge.
+	Curve []CurvePoint
+
+	samples   []sample // in exposition order
+	invariant map[string]float64
+}
+
+// Invariant returns the series the determinism contract fixes: equal for
+// every Workers value on the same campaign configuration.
+func (s Snapshot) Invariant() map[string]float64 { return s.invariant }
+
+// Snapshot returns a copy of the current aggregates: the samples of every
+// group that has counted something, in the table's order. It is safe to call
+// concurrently with event delivery; call it after the campaign returns for
+// totals covering the whole run.
+func (m *Metrics) Snapshot() Snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	live := [nGroups]bool{core: true}
+	for i := range table {
+		live[table[i].group] = live[table[i].group] || m.get(i) != 0
+	}
+	for _, p := range m.labelled {
+		live[table[p.row].group] = true
+	}
+	s := Snapshot{Series: map[string]float64{}, invariant: map[string]float64{}, Curve: append([]CurvePoint(nil), m.curve...)}
+	next := m.labelled
+	for i := range table {
+		switch {
+		case !live[table[i].group]:
+		case table[i].attr&labelled == 0:
+			s.samples = append(s.samples, sample{row: i, name: table[i].name, v: m.get(i)})
+		default:
+			for ; len(next) > 0 && next[0].row == i; next = next[1:] {
+				s.samples = append(s.samples, *next[0])
+			}
+		}
+	}
+	for _, p := range s.samples {
+		s.Series[p.name] = p.value()
+		if table[p.row].attr&effort == 0 {
+			s.invariant[p.name] = s.Series[p.name]
+		}
+	}
+	return s
+}
+
+// WritePrometheus writes the snapshot in the Prometheus text exposition format
+// (version 0.0.4), in the table's order so successive snapshots diff cleanly.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
-	s := m.Snapshot()
 	bw := bufio.NewWriter(w)
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("mtracecheck_campaigns_total", "Validation campaigns observed.", s.Totals.Campaigns)
-	counter("mtracecheck_iterations_total", "Test iterations executed (final attempts only).", s.Totals.Iterations)
-	counter("mtracecheck_cycles_total", "Simulated cycles over executed iterations.", s.Totals.Cycles)
-	counter("mtracecheck_squashes_total", "Load-queue squash/replay events.", s.Totals.Squashes)
-	counter("mtracecheck_assertion_failures_total", "Instrumentation assertion failures.", s.Totals.Asserts)
-	gauge("mtracecheck_unique_signatures", "Unique interleavings in the last campaign's merged set (Fig. 8).", s.Totals.Uniques)
-
-	fmt.Fprintf(bw, "# HELP mtracecheck_injected_faults_total Deterministic device-side faults injected, by kind.\n")
-	fmt.Fprintf(bw, "# TYPE mtracecheck_injected_faults_total counter\n")
-	for _, kv := range []struct {
-		kind string
-		v    int
-	}{
-		{"bit-flip", s.Totals.Faults.BitFlip},
-		{"truncate", s.Totals.Faults.Truncate},
-		{"duplicate", s.Totals.Faults.Duplicate},
-		{"out-of-range", s.Totals.Faults.OutOfRange},
-	} {
-		fmt.Fprintf(bw, "mtracecheck_injected_faults_total{kind=%q} %d\n", kv.kind, kv.v)
-	}
-
-	counter("mtracecheck_decoded_signatures_total", "Unique signatures decoded into checkable items.", s.Totals.Decoded)
-	fmt.Fprintf(bw, "# HELP mtracecheck_quarantined_total Corrupted signatures held out of checking, by kind.\n")
-	fmt.Fprintf(bw, "# TYPE mtracecheck_quarantined_total counter\n")
-	fmt.Fprintf(bw, "mtracecheck_quarantined_total{kind=\"decode\"} %d\n", s.Totals.QuarantinedDecode)
-	fmt.Fprintf(bw, "mtracecheck_quarantined_total{kind=\"edge-build\"} %d\n", s.Totals.QuarantinedEdges)
-	counter("mtracecheck_graphs_checked_total", "Constraint graphs checked.", s.Totals.Graphs)
-	counter("mtracecheck_violations_total", "MCM violations found by graph checking.", s.Totals.Violations)
-	counter("mtracecheck_checkpoint_saves_total", "Campaign checkpoints written.", s.Totals.CheckpointSaves)
-	counter("mtracecheck_checkpoint_bytes_total", "Bytes of checkpoint payload written.", s.Totals.CheckpointBytes)
-	counter("mtracecheck_checkpoint_resumes_total", "Campaigns resumed from a checkpoint.", s.Totals.CheckpointResumes)
-	counter("mtracecheck_resumed_iterations_total", "Iterations restored from checkpoints instead of executed.", s.Totals.ResumedIterations)
-	counter("mtracecheck_corpus_hits_total", "Unique signatures that skipped decode+check as corpus hits.", s.Totals.CorpusHits)
-	counter("mtracecheck_corpus_misses_total", "Unique signatures absent from the corpus, decoded and checked cold.", s.Totals.CorpusMisses)
-	counter("mtracecheck_corpus_appends_total", "Newly proven-acyclic signatures appended to the corpus.", s.Totals.CorpusAppends)
-	counter("mtracecheck_corpus_ignored_total", "Campaigns that refused an attached corpus and ran cold.", s.Totals.CorpusIgnored)
-
-	counter("mtracecheck_shard_attempts_total", "Execution shard attempts, including retries.", s.Effort.ShardAttempts)
-	counter("mtracecheck_shard_retries_total", "Execution shard attempts that failed and were retried.", s.Effort.ShardRetries)
-	counter("mtracecheck_retried_iterations_total", "Iterations executed by attempts later discarded by a retry.", s.Effort.RetriedIterations)
-	counter("mtracecheck_sorted_vertices_total", "Vertices visited by topological (re)sorts (Fig. 9 effort).", s.Effort.SortedVertices)
-	counter("mtracecheck_backward_edges_total", "Backward edges found against the maintained orders.", s.Effort.BackwardEdges)
-	counter("mtracecheck_clock_updates_total", "Vector-clock joins that changed a clock (vectorclock backend effort).", s.Effort.ClockUpdates)
-	counter("mtracecheck_propagations_total", "Constraint-solver domain-bound tightenings (constraints backend effort).", s.Effort.Propagations)
-	counter("mtracecheck_check_shards_total", "Checking shard completions (1 per campaign for serial backends).", s.Effort.CheckShards)
-	fmt.Fprintf(bw, "# HELP mtracecheck_graphs_by_kind_total Graphs validated per collective-checking kind (Fig. 14).\n")
-	fmt.Fprintf(bw, "# TYPE mtracecheck_graphs_by_kind_total counter\n")
-	fmt.Fprintf(bw, "mtracecheck_graphs_by_kind_total{kind=\"complete\"} %d\n", s.Effort.Complete)
-	fmt.Fprintf(bw, "mtracecheck_graphs_by_kind_total{kind=\"no-resort\"} %d\n", s.Effort.NoResort)
-	fmt.Fprintf(bw, "mtracecheck_graphs_by_kind_total{kind=\"incremental\"} %d\n", s.Effort.Incremental)
-	gauge("mtracecheck_max_resort_window", "Largest re-sorted vertex window.", s.Effort.MaxWindow)
-	fmt.Fprintf(bw, "# HELP mtracecheck_stage_seconds_total Wall time summed over shard attempts, by stage.\n")
-	fmt.Fprintf(bw, "# TYPE mtracecheck_stage_seconds_total counter\n")
-	for _, kv := range []struct {
-		stage string
-		ns    int64
-	}{
-		{"execute", s.Effort.ExecuteNanos},
-		{"decode", s.Effort.DecodeNanos},
-		{"check", s.Effort.CheckNanos},
-	} {
-		fmt.Fprintf(bw, "mtracecheck_stage_seconds_total{stage=%q} %.6f\n", kv.stage, float64(kv.ns)/1e9)
-	}
-
-	counter("mtracecheck_dist_worker_joins_total", "Workers that joined the dist server.", s.Dist.WorkerJoins)
-	counter("mtracecheck_dist_workers_lost_total", "Worker lease deadlines missed (crash, hang, or partition).", s.Dist.WorkersLost)
-	counter("mtracecheck_dist_workers_quarantined_total", "Workers quarantined for repeated upload-validation failures.", s.Dist.WorkersQuarantined)
-	counter("mtracecheck_dist_leases_granted_total", "Chunk leases granted to workers.", s.Dist.LeasesGranted)
-	counter("mtracecheck_dist_leases_expired_total", "Chunk leases that expired without a completed upload.", s.Dist.LeasesExpired)
-	counter("mtracecheck_dist_chunks_redispatched_total", "Chunks granted again after a lost lease or quarantined worker.", s.Dist.Redispatched)
-	counter("mtracecheck_dist_duplicate_completions_total", "Uploads for already-completed chunks, deduplicated by chunk ID.", s.Dist.Duplicates)
-	counter("mtracecheck_dist_upload_rejects_total", "Chunk uploads that failed server-side validation.", s.Dist.UploadRejects)
-	if len(s.Dist.Workers) > 0 {
-		ids := make([]string, 0, len(s.Dist.Workers))
-		for id := range s.Dist.Workers {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		fmt.Fprintf(bw, "# HELP mtracecheck_dist_worker_strikes Upload-validation failures per worker.\n")
-		fmt.Fprintf(bw, "# TYPE mtracecheck_dist_worker_strikes gauge\n")
-		for _, id := range ids {
-			fmt.Fprintf(bw, "mtracecheck_dist_worker_strikes{worker=%q} %d\n", id, s.Dist.Workers[id].Strikes)
-		}
-		fmt.Fprintf(bw, "# HELP mtracecheck_dist_worker_quarantined Whether the worker is quarantined (1) or trusted (0).\n")
-		fmt.Fprintf(bw, "# TYPE mtracecheck_dist_worker_quarantined gauge\n")
-		for _, id := range ids {
-			q := 0
-			if s.Dist.Workers[id].Quarantined {
-				q = 1
+	family := ""
+	for _, p := range m.Snapshot().samples {
+		r := table[p.row]
+		if fam, _, _ := strings.Cut(r.name, "{"); fam != family {
+			family = fam
+			kind := "counter"
+			if r.attr&gauge != 0 {
+				kind = "gauge"
 			}
-			fmt.Fprintf(bw, "mtracecheck_dist_worker_quarantined{worker=%q} %d\n", id, q)
+			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", fam, r.help, fam, kind)
 		}
-	}
-	if len(s.Corpus) > 0 {
-		keys := make([]string, 0, len(s.Corpus))
-		for key := range s.Corpus {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(bw, "# HELP mtracecheck_corpus_known_signatures Known-good signatures in the corpus per (program, platform, MCM).\n")
-		fmt.Fprintf(bw, "# TYPE mtracecheck_corpus_known_signatures gauge\n")
-		for _, key := range keys {
-			cp := s.Corpus[key]
-			fmt.Fprintf(bw, "mtracecheck_corpus_known_signatures{program=\"%016x\",platform=%q,mcm=%q} %d\n",
-				cp.Program, cp.Platform, cp.MCM, cp.Known)
-		}
-		fmt.Fprintf(bw, "# HELP mtracecheck_corpus_saturation Warm fraction of observed uniques per (program, platform, MCM): hits/(hits+misses).\n")
-		fmt.Fprintf(bw, "# TYPE mtracecheck_corpus_saturation gauge\n")
-		for _, key := range keys {
-			cp := s.Corpus[key]
-			sat := 0.0
-			if n := cp.Hits + cp.Misses; n > 0 {
-				sat = float64(cp.Hits) / float64(n)
-			}
-			fmt.Fprintf(bw, "mtracecheck_corpus_saturation{program=\"%016x\",platform=%q,mcm=%q} %.6f\n",
-				cp.Program, cp.Platform, cp.MCM, sat)
+		if r.attr&(seconds|ratio) != 0 {
+			fmt.Fprintf(bw, "%s %.6f\n", p.name, p.value())
+		} else {
+			fmt.Fprintf(bw, "%s %d\n", p.name, p.v)
 		}
 	}
 	return bw.Flush()

@@ -141,7 +141,7 @@ type ShardEnd struct {
 	// Check-stage counters. Backend names the checking backend that produced
 	// the event, and Shards is the total number of checking shards the stage
 	// actually ran — 1 for a serial backend regardless of the worker count,
-	// so Effort aggregates never imply parallelism that didn't happen. Each
+	// so effort aggregates never imply parallelism that didn't happen. Each
 	// backend populates only the effort counters its algorithm has a notion
 	// of: the sorting backends fill SortedVertices (and the collective and
 	// incremental ones the per-kind graph counts and window fields), the

@@ -58,42 +58,48 @@ func TestMetricsAggregation(t *testing.T) {
 	m := NewMetrics()
 	feed(m)
 	s := m.Snapshot()
-
-	tot := s.Totals
-	if tot.Campaigns != 1 || tot.Iterations != 100 || tot.Cycles != 9800 || tot.Squashes != 4 || tot.Asserts != 1 {
-		t.Errorf("execution totals wrong: %+v", tot)
+	for name, want := range map[string]float64{
+		"mtracecheck_campaigns_total":                            1,
+		"mtracecheck_iterations_total":                           100,
+		"mtracecheck_cycles_total":                               9800,
+		"mtracecheck_squashes_total":                             4,
+		"mtracecheck_assertion_failures_total":                   1,
+		"mtracecheck_unique_signatures":                          9,
+		`mtracecheck_injected_faults_total{kind="bit-flip"}`:     2,
+		`mtracecheck_injected_faults_total{kind="truncate"}`:     0,
+		`mtracecheck_injected_faults_total{kind="duplicate"}`:    0,
+		`mtracecheck_injected_faults_total{kind="out-of-range"}`: 0,
+		"mtracecheck_decoded_signatures_total":                   8,
+		`mtracecheck_quarantined_total{kind="decode"}`:           1,
+		`mtracecheck_quarantined_total{kind="edge-build"}`:       0,
+		"mtracecheck_graphs_checked_total":                       8,
+		"mtracecheck_violations_total":                           1,
+		"mtracecheck_checkpoint_saves_total":                     1,
+		"mtracecheck_checkpoint_bytes_total":                     512,
+		"mtracecheck_shard_attempts_total":                       3,
+		"mtracecheck_shard_retries_total":                        1,
+		"mtracecheck_retried_iterations_total":                   12,
+		"mtracecheck_sorted_vertices_total":                      200,
+		"mtracecheck_backward_edges_total":                       14,
+		"mtracecheck_max_resort_window":                          12,
+		`mtracecheck_graphs_by_kind_total{kind="complete"}`:      1,
+		`mtracecheck_graphs_by_kind_total{kind="no-resort"}`:     5,
+		`mtracecheck_graphs_by_kind_total{kind="incremental"}`:   2,
+		// Wall time includes the retried attempt.
+		`mtracecheck_stage_seconds_total{stage="execute"}`: 0.006,
+	} {
+		if got, ok := s.Series[name]; !ok || got != want {
+			t.Errorf("%s = %v (present: %v), want %v", name, got, ok, want)
+		}
 	}
-	if tot.Uniques != 9 {
-		t.Errorf("uniques gauge = %d, want 9", tot.Uniques)
+	if len(s.Curve) != 1 || s.Curve[0] != (CurvePoint{Iterations: 100, Uniques: 9}) {
+		t.Errorf("growth curve = %+v", s.Curve)
 	}
-	if tot.Faults != (FaultCounts{BitFlip: 2}) {
-		t.Errorf("faults = %+v", tot.Faults)
+	if _, ok := s.Invariant()["mtracecheck_shard_attempts_total"]; ok {
+		t.Error("an effort series is among the invariant ones")
 	}
-	if tot.Decoded != 8 || tot.QuarantinedDecode != 1 || tot.QuarantinedEdges != 0 {
-		t.Errorf("decode totals wrong: %+v", tot)
-	}
-	if tot.Graphs != 8 || tot.Violations != 1 {
-		t.Errorf("check totals wrong: %+v", tot)
-	}
-	if tot.CheckpointSaves != 1 || tot.CheckpointBytes != 512 {
-		t.Errorf("checkpoint totals wrong: %+v", tot)
-	}
-	if len(tot.Curve) != 1 || tot.Curve[0] != (CurvePoint{Iterations: 100, Uniques: 9}) {
-		t.Errorf("growth curve = %+v", tot.Curve)
-	}
-
-	eff := s.Effort
-	if eff.ShardAttempts != 3 || eff.ShardRetries != 1 || eff.RetriedIterations != 12 {
-		t.Errorf("retry effort wrong: %+v", eff)
-	}
-	if eff.SortedVertices != 200 || eff.BackwardEdges != 14 || eff.MaxWindow != 12 {
-		t.Errorf("check effort wrong: %+v", eff)
-	}
-	if eff.Complete != 1 || eff.NoResort != 5 || eff.Incremental != 2 {
-		t.Errorf("graph kinds wrong: %+v", eff)
-	}
-	if eff.ExecuteNanos != int64(6*time.Millisecond) {
-		t.Errorf("execute nanos = %d (should include retried attempts)", eff.ExecuteNanos)
+	if got := s.Invariant()["mtracecheck_iterations_total"]; got != 100 {
+		t.Errorf("invariant iterations = %v, want 100", got)
 	}
 }
 
@@ -235,8 +241,8 @@ func TestMultiNilHandling(t *testing.T) {
 		t.Fatal("Multi(m, p) should not be nil")
 	}
 	feed(fan)
-	if s := m.Snapshot(); s.Totals.Iterations != 100 {
-		t.Errorf("fan-out did not reach metrics: %+v", s.Totals)
+	if got := m.Snapshot().Series["mtracecheck_iterations_total"]; got != 100 {
+		t.Errorf("fan-out did not reach metrics: %v iterations", got)
 	}
 }
 

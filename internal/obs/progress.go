@@ -19,14 +19,11 @@ type Progress struct {
 	every time.Duration
 	last  time.Time
 
-	// Running campaign state, reset at CampaignStart.
-	target      int // requested iterations
-	iterations  int
-	uniques     int
-	decoded     int
-	quarantined int
-	graphs      int
-	violations  int
+	// The running campaign, reset at CampaignStart: the requested iterations
+	// and the fold of its events — Metrics' fold, so a line's numbers are the
+	// exposition's and which attempts count is decided there.
+	target int
+	fold   *Metrics
 }
 
 // NewProgress returns a progress logger writing to w, emitting rate-limited
@@ -35,7 +32,7 @@ func NewProgress(w io.Writer, every time.Duration) *Progress {
 	if every <= 0 {
 		every = 500 * time.Millisecond
 	}
-	return &Progress{w: w, every: every}
+	return &Progress{w: w, every: every, fold: NewMetrics()}
 }
 
 // logf always prints; tickf prints only when the rate limiter allows.
@@ -56,8 +53,7 @@ func (p *Progress) tickf(format string, args ...any) {
 func (p *Progress) CampaignStart(e CampaignStart) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.target = e.Iterations
-	p.iterations, p.uniques, p.decoded, p.quarantined, p.graphs, p.violations = 0, 0, 0, 0, 0, 0
+	p.target, p.fold = e.Iterations, NewMetrics()
 	if e.Iterations == 0 {
 		p.logf("campaign %s: host-side check on %s (%s), %d workers",
 			e.Program, e.Platform, e.Model, e.Workers)
@@ -74,6 +70,8 @@ func (p *Progress) ShardStart(e ShardStart) {}
 func (p *Progress) ShardEnd(e ShardEnd) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.fold.ShardEnd(e)
+	n := p.fold.get
 	switch e.Stage {
 	case StageExecute:
 		if e.WillRetry {
@@ -83,19 +81,13 @@ func (p *Progress) ShardEnd(e ShardEnd) {
 				e.Shard, e.Attempt+1, e.Iterations, e.Err, e.Backoff)
 			return
 		}
-		p.iterations += e.Iterations
-		if p.target > 0 {
-			p.tickf("execute: %d/%d iterations (%.1f%%)",
-				p.iterations, p.target, 100*float64(p.iterations)/float64(p.target))
+		if done := n(sIterations) + n(sResumedIters); p.target > 0 {
+			p.tickf("execute: %d/%d iterations (%.1f%%)", done, p.target, 100*float64(done)/float64(p.target))
 		}
 	case StageDecode:
-		p.decoded += e.Decoded
-		p.quarantined += e.QuarantinedDecode + e.QuarantinedEdges
-		p.tickf("decode: %d/%d signatures, %d quarantined", p.decoded, p.uniques, p.quarantined)
+		p.tickf("decode: %d/%d signatures, %d quarantined", n(sDecoded), n(sUniques), n(sQuarDecode)+n(sQuarEdges))
 	case StageCheck:
-		p.graphs += e.Graphs
-		p.violations += e.Violations
-		p.tickf("check: %d graphs, %d violations", p.graphs, p.violations)
+		p.tickf("check: %d graphs, %d violations", n(sGraphs), n(sViolations))
 	}
 }
 
@@ -103,8 +95,8 @@ func (p *Progress) ShardEnd(e ShardEnd) {
 func (p *Progress) MergeDone(e MergeDone) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.uniques = e.Uniques
 	if e.Final {
+		p.fold.MergeDone(e) // the uniques a decode line counts against; no curve is kept
 		if n := e.Injected.Total(); n > 0 {
 			p.logf("merge: %d uniques over %d iterations (%d faults injected)",
 				e.Uniques, e.Completed, n)
@@ -120,8 +112,8 @@ func (p *Progress) MergeDone(e MergeDone) {
 func (p *Progress) Checkpoint(e Checkpoint) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.fold.Checkpoint(e)
 	if e.Op == CheckpointResumed {
-		p.iterations += e.Completed
 		p.logf("checkpoint: resumed %d iterations (%d uniques) from %s", e.Completed, e.Uniques, e.Path)
 		return
 	}

@@ -34,6 +34,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"mtracecheck/internal/eventq"
 	"mtracecheck/internal/mcm"
@@ -232,8 +233,8 @@ func PlatformGem5(memBugs mem.Bugs, simBugs Bugs) Platform {
 	return p
 }
 
-// ForISA returns the platform flavor for a paper config label prefix.
-func ForISA(isa string) (Platform, error) {
+// forISA returns the platform flavor for a paper config label prefix.
+func forISA(isa string) (Platform, error) {
 	switch isa {
 	case "ARM", "arm":
 		return PlatformARM(), nil
@@ -244,31 +245,54 @@ func ForISA(isa string) (Platform, error) {
 	}
 }
 
+// InjectedBugs is the paper's three §7 defects in the paper's order — a
+// protocol issue (an invalidation during the S→M transient squashes no
+// speculative load), an LSQ issue (the load queue ignores invalidations) and a
+// writeback race that deadlocks the protocol — each as its number in the paper
+// (the key mtracecheck.Bug's values look a row up by), the name the -bug flag
+// and a job spec carry, and the switches PlatformGem5 takes.
+var InjectedBugs = []struct {
+	Paper int
+	Name  string
+	Mem   mem.Bugs
+	Sim   Bugs
+}{
+	{1, "sm-inv", mem.Bugs{StaleSMInv: true}, Bugs{}},
+	{2, "lsq-skip", mem.Bugs{}, Bugs{LQSquashSkip: true}},
+	{3, "wb-race", mem.Bugs{WBRaceDeadlock: true}, Bugs{}},
+}
+
 // PlatformFor resolves the (isa, bug, os) triple the CLIs' flags and a dist
 // job spec carry into one platform, so every door selects the same one. A bug
-// — one of the paper's §7 defects: sm-inv, lsq-skip, wb-race — switches to the
-// gem5-like preset whatever the ISA; os adds the §6.1 Linux runs' scheduling
-// (time-sliced threads with migration).
+// — a name of InjectedBugs — switches to the gem5-like preset whatever the
+// ISA; os adds the §6.1 Linux runs' scheduling (time-sliced threads with
+// migration).
 func PlatformFor(isa, bug string, os bool) (Platform, error) {
 	var p Platform
-	switch bug {
-	case "":
-		var err error
-		if p, err = ForISA(isa); err != nil {
-			return Platform{}, err
-		}
-	case "sm-inv":
-		p = PlatformGem5(mem.Bugs{StaleSMInv: true}, Bugs{})
-	case "lsq-skip":
-		p = PlatformGem5(mem.Bugs{}, Bugs{LQSquashSkip: true})
-	case "wb-race":
-		p = PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, Bugs{})
-	default:
-		// Reject rather than silently validating the defect-free platform.
-		return Platform{}, fmt.Errorf("sim: unknown bug %q (valid: sm-inv, lsq-skip, wb-race)", bug)
+	var err error
+	if bug == "" {
+		p, err = forISA(isa)
+	} else {
+		p, err = injected(bug)
+	}
+	if err != nil {
+		return Platform{}, err
 	}
 	if os {
 		p.OS = OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
 	}
 	return p, nil
+}
+
+// injected returns the gem5-like preset with the named defect. An unknown
+// name is rejected rather than silently validating the defect-free platform.
+func injected(bug string) (Platform, error) {
+	var names []string
+	for _, b := range InjectedBugs {
+		if b.Name == bug {
+			return PlatformGem5(b.Mem, b.Sim), nil
+		}
+		names = append(names, b.Name)
+	}
+	return Platform{}, fmt.Errorf("sim: unknown bug %q (valid: %s)", bug, strings.Join(names, ", "))
 }

@@ -507,15 +507,15 @@ func TestPlatformValidate(t *testing.T) {
 }
 
 func TestForISA(t *testing.T) {
-	arm, err := ForISA("ARM")
+	arm, err := forISA("ARM")
 	if err != nil || arm.Model != mcm.RMO {
-		t.Errorf("ForISA(ARM) = %v, %v", arm.Model, err)
+		t.Errorf("forISA(ARM) = %v, %v", arm.Model, err)
 	}
-	x86, err := ForISA("x86")
+	x86, err := forISA("x86")
 	if err != nil || x86.Model != mcm.TSO {
-		t.Errorf("ForISA(x86) = %v, %v", x86.Model, err)
+		t.Errorf("forISA(x86) = %v, %v", x86.Model, err)
 	}
-	if _, err := ForISA("mips"); err == nil {
+	if _, err := forISA("mips"); err == nil {
 		t.Error("ForISA accepted mips")
 	}
 }

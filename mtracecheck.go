@@ -143,32 +143,28 @@ type Bug uint8
 
 const (
 	// BugNone selects the defect-free gem5-like platform.
-	BugNone Bug = iota
+	BugNone Bug = 0
 	// BugSMInv is bug 1: an invalidation arriving during the S→M cache
 	// transient fails to squash speculative loads (protocol issue).
-	BugSMInv
+	BugSMInv Bug = 1
 	// BugLSQSkip is bug 2: the load queue ignores invalidations entirely
 	// (LSQ issue).
-	BugLSQSkip
+	BugLSQSkip Bug = 2
 	// BugWBRace is bug 3: the owner ignores forwarded requests racing its
 	// writeback, deadlocking the coherence protocol.
-	BugWBRace
+	BugWBRace Bug = 3
 )
 
 // BuggyPlatform returns the gem5-like bug-injection platform (§7) with the
-// selected defect.
+// selected defect: the row of sim.InjectedBugs keyed by the Bug's value, the
+// defect's number in the paper.
 func BuggyPlatform(bug Bug) Platform {
-	var mb mem.Bugs
-	var sb sim.Bugs
-	switch bug {
-	case BugSMInv:
-		mb.StaleSMInv = true
-	case BugLSQSkip:
-		sb.LQSquashSkip = true
-	case BugWBRace:
-		mb.WBRaceDeadlock = true
+	for _, b := range sim.InjectedBugs {
+		if b.Paper == int(bug) {
+			return sim.PlatformGem5(b.Mem, b.Sim)
+		}
 	}
-	return sim.PlatformGem5(mb, sb)
+	return sim.PlatformGem5(mem.Bugs{}, sim.Bugs{})
 }
 
 // NewProgramBuilder starts a hand-built test program over numWords shared

@@ -63,6 +63,26 @@ func TestCheckersAgree(t *testing.T) {
 	}
 }
 
+// TestBuggyPlatformReadsBugTable: a Bug's value is the paper's number of its
+// sim.InjectedBugs row, so the library, the -bug flag and a job spec inject the same defect
+// under the same name.
+func TestBuggyPlatformReadsBugTable(t *testing.T) {
+	for bug, name := range map[Bug]string{BugSMInv: "sm-inv", BugLSQSkip: "lsq-skip", BugWBRace: "wb-race"} {
+		want, err := sim.PlatformFor("", name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := BuggyPlatform(bug); got.Bugs != want.Bugs || got.Mem.Bugs != want.Mem.Bugs ||
+			got.Bugs == (sim.Bugs{}) && got.Mem.Bugs == (mem.Bugs{}) {
+			t.Errorf("BuggyPlatform(%d) injects %+v %+v, -bug %s %+v %+v",
+				bug, got.Bugs, got.Mem.Bugs, name, want.Bugs, want.Mem.Bugs)
+		}
+	}
+	if clean := BuggyPlatform(BugNone); clean.Bugs != (sim.Bugs{}) || clean.Mem.Bugs != (mem.Bugs{}) {
+		t.Errorf("BugNone injects %+v %+v", clean.Bugs, clean.Mem.Bugs)
+	}
+}
+
 func TestBuggyPlatformDetected(t *testing.T) {
 	// Bug 2 (LSQ squash skip) with a writer/reader hammer on one word:
 	// violations must surface either as graph cycles or inline assertion

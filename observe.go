@@ -20,16 +20,13 @@ type (
 	// Observer receives pipeline events; see the interface docs for the
 	// concurrency and non-perturbation contracts.
 	Observer = obs.Observer
-	// Metrics aggregates events into atomic counters with Prometheus text
-	// exposition, split into worker-invariant Totals and
-	// partition-dependent Effort.
+	// Metrics aggregates events into one table of series with Prometheus
+	// text exposition; each series is either worker-invariant or
+	// partition-dependent effort.
 	Metrics = obs.Metrics
-	// MetricsSnapshot is a consistent copy of a Metrics aggregator.
+	// MetricsSnapshot is a copy of a Metrics aggregator: every series by its
+	// exposition name, and Invariant, the worker-invariant ones.
 	MetricsSnapshot = obs.Snapshot
-	// MetricsTotals is the worker-invariant half of a snapshot.
-	MetricsTotals = obs.Totals
-	// MetricsEffort is the partition-dependent half of a snapshot.
-	MetricsEffort = obs.Effort
 	// CurvePoint samples the unique-interleaving growth curve (Fig. 8).
 	CurvePoint = obs.CurvePoint
 	// Progress logs rate-limited human-readable campaign lines.
@@ -65,9 +62,6 @@ type (
 	// CorpusObserver is the optional Observer extension receiving
 	// signature-corpus events.
 	CorpusObserver = obs.CorpusObserver
-	// CorpusProgram is one corpus key's per-program metrics breakdown
-	// (known-good count, hits, misses) in a MetricsSnapshot.
-	CorpusProgram = obs.CorpusProgram
 )
 
 // Pipeline stages (see Stage).

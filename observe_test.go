@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -13,53 +15,84 @@ import (
 )
 
 // TestMetricsWorkerInvariant pins the observability layer's aggregation
-// contract: Metrics.Snapshot().Totals must be bit-identical for every
-// Workers value on the same campaign configuration, because totals only
-// aggregate quantities the pipeline's determinism contract fixes. Effort
-// (shard attempts, boundary re-sorts) is deliberately excluded.
+// contract: Metrics.Snapshot().Invariant() — every series the table does not
+// mark as effort — must be bit-identical for every Workers value on the same
+// campaign configuration, because those series only aggregate quantities the
+// pipeline's determinism contract fixes. Effort (shard attempts, boundary
+// re-sorts) is deliberately excluded. The Fig. 8 growth curve is sampled at
+// chunk-grid merge boundaries, so it is held to the same contract.
 func TestMetricsWorkerInvariant(t *testing.T) {
 	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	corpusPath := filepath.Join(t.TempDir(), "corpus.mtc")
 	scenarios := []struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		corpus bool // every run reads a corpus an earlier campaign grew
 	}{
-		{"clean", Options{Platform: PlatformX86(), Iterations: 150, Seed: 11}},
-		{"faulted", Options{Platform: PlatformX86(), Iterations: 150, Seed: 11,
+		{name: "clean", opts: Options{Platform: PlatformX86(), Iterations: 150, Seed: 11}},
+		{name: "faulted", opts: Options{Platform: PlatformX86(), Iterations: 150, Seed: 11,
 			ShardRetries: 3,
 			Fault: FaultConfig{Seed: 3, BitFlip: 0.2, Truncate: 0.1,
 				Duplicate: 0.1, OutOfRange: 0.05, ShardPanic: 0.5}}},
+		{name: "corpus", opts: Options{Platform: PlatformX86(), Iterations: 150, Seed: 11}, corpus: true},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			snaps := map[int]MetricsSnapshot{}
-			for _, workers := range []int{1, 3, 4} {
+			if sc.corpus {
+				grow := sc.opts
+				grow.Iterations = 50
+				runWithCorpus(t, p, corpusPath, grow)
+			}
+			var base map[string]float64
+			var baseCurve []CurvePoint
+			for _, workers := range []int{1, 2, 4} {
 				opts := sc.opts
 				opts.Workers = workers
-				m := NewMetrics()
-				opts.Observer = m
-				report, err := RunProgram(p, opts)
-				if err != nil {
-					t.Fatalf("workers %d: %v", workers, err)
+				path := ""
+				if sc.corpus {
+					// A private copy: a run appends what it proves.
+					path = filepath.Join(t.TempDir(), "corpus.mtc")
+					grown, err := os.ReadFile(corpusPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, grown, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
+				report, snap := runWithCorpus(t, p, path, opts)
 				if report.Partial() {
 					// A shard lost after retries would legitimately break
 					// invariance; this configuration must not produce one.
 					t.Fatalf("workers %d: partial report", workers)
 				}
-				snaps[workers] = m.Snapshot()
-			}
-			base := snaps[1]
-			for _, workers := range []int{3, 4} {
-				if got := snaps[workers]; !reflect.DeepEqual(got.Totals, base.Totals) {
-					t.Errorf("workers %d totals diverge from workers 1:\n got %+v\nwant %+v",
-						workers, got.Totals, base.Totals)
+				got := snap.Invariant()
+				if base == nil {
+					base, baseCurve = got, snap.Curve
+				}
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("workers %d invariant series diverge from workers 1:\n got %v\nwant %v",
+						workers, got, base)
+				}
+				if !reflect.DeepEqual(snap.Curve, baseCurve) {
+					t.Errorf("workers %d growth curve diverges from workers 1:\n got %v\nwant %v",
+						workers, snap.Curve, baseCurve)
 				}
 			}
-			if base.Totals.Iterations != 150 {
-				t.Errorf("iterations total = %d, want 150", base.Totals.Iterations)
+			if got := base["mtracecheck_iterations_total"]; got != 150 {
+				t.Errorf("iterations total = %v, want 150", got)
 			}
-			if base.Totals.Uniques == 0 {
+			if len(baseCurve) == 0 {
+				t.Error("growth curve never sampled")
+			}
+			if base["mtracecheck_unique_signatures"] == 0 {
 				t.Error("uniques gauge never set")
+			}
+			if _, ok := base["mtracecheck_shard_attempts_total"]; ok {
+				t.Error("an effort series is among the invariant ones")
+			}
+			if hits := base["mtracecheck_corpus_hits_total"]; sc.corpus == (hits == 0) {
+				t.Errorf("corpus hits = %v with corpus attached: %v", hits, sc.corpus)
 			}
 		})
 	}
@@ -180,10 +213,10 @@ func TestCheckSignaturesObserved(t *testing.T) {
 		if len(report.Violations) != 0 {
 			t.Errorf("checker %v: clean set flagged", checker)
 		}
-		snap := m.Snapshot()
-		if snap.Totals.Campaigns != 1 || snap.Totals.Decoded != int64(len(uniques)) ||
-			snap.Totals.Graphs != int64(len(uniques)) {
-			t.Errorf("checker %v: totals %+v do not cover the offline check", checker, snap.Totals)
+		series, n := m.Snapshot().Series, float64(len(uniques))
+		if series["mtracecheck_campaigns_total"] != 1 || series["mtracecheck_decoded_signatures_total"] != n ||
+			series["mtracecheck_graphs_checked_total"] != n {
+			t.Errorf("checker %v: series %v do not cover the offline check", checker, series)
 		}
 	}
 }
@@ -200,13 +233,13 @@ func TestCheckpointEventsObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
-	if snap.Totals.CheckpointSaves != 4 {
-		t.Errorf("checkpoint saves = %d, want 4", snap.Totals.CheckpointSaves)
+	if saves := snap.Series["mtracecheck_checkpoint_saves_total"]; saves != 4 {
+		t.Errorf("checkpoint saves = %v, want 4", saves)
 	}
-	if snap.Totals.CheckpointBytes == 0 {
+	if snap.Series["mtracecheck_checkpoint_bytes_total"] == 0 {
 		t.Error("checkpoint bytes not recorded")
 	}
-	if len(snap.Totals.Curve) == 0 {
+	if len(snap.Curve) == 0 {
 		t.Error("growth curve not sampled at merge boundaries")
 	}
 
@@ -217,9 +250,8 @@ func TestCheckpointEventsObserved(t *testing.T) {
 	if _, err := RunProgram(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	snap2 := m2.Snapshot()
-	if snap2.Totals.CheckpointResumes != 1 || snap2.Totals.ResumedIterations != 256 {
-		t.Errorf("resume events: resumes %d iterations %d, want 1 and 256",
-			snap2.Totals.CheckpointResumes, snap2.Totals.ResumedIterations)
+	series := m2.Snapshot().Series
+	if resumes, n := series["mtracecheck_checkpoint_resumes_total"], series["mtracecheck_resumed_iterations_total"]; resumes != 1 || n != 256 {
+		t.Errorf("resume events: resumes %v iterations %v, want 1 and 256", resumes, n)
 	}
 }
