@@ -97,7 +97,11 @@ offline-profile:
 # binary, the plug points of the checker table — non-test call sites of
 # check.ForName and check.ShardedBackend outside internal/check and bench/
 # (one each, in the root package's checkItems; internal/experiments walks the
-# table instead) — and the rows of the metric series table per group.
+# table instead) — the rows of the metric series table per group, and the
+# exported functions and methods of ./internal/... whose name no non-test file
+# (bench/ included) mentions outside a comment: what is left on that list is
+# there for tests — reference models and hooks other packages' tests use — or
+# is a method of a type the facade re-exports; anything else on it is dead.
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@for p in $$($(GO) list . ./internal/...); do \
@@ -108,6 +112,12 @@ surface:
 			| grep -vc '^\./\(bench\|internal/check\)/')"; done
 	@for g in core dist corpus; do \
 		echo "obs series ($$g) $$(grep -c "= row($$g," internal/obs/metrics.go)"; done
+	@src=$$(mktemp); trap 'rm -f $$src' EXIT; \
+	find . -name '*.go' -not -name '*_test.go' | xargs cat | grep -v '^[[:space:]]*//' > $$src; \
+	for n in $$(grep -rhoE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' internal \
+			| sed -E 's/^func (\([^)]*\) )?//' | sort -u); do \
+		[ $$(grep -w "$$n" $$src | grep -cvE "^func (\([^)]*\) )?$$n[[(]") -eq 0 ] && echo "export no non-test file uses: $$n"; \
+	done; true
 
 # Tier-1 verification gate (see ROADMAP.md).
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke

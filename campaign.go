@@ -395,9 +395,9 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 		return todo[next-1], true
 	}
 	var firstErr error
-	// fail records a fatal error: stop handing out new chunks, drain what is
-	// in flight. Landing order is ascending, so the first one recorded is the
-	// earliest in iteration order.
+	// fail records a fatal error: stop handing out new chunks, drain — not
+	// land — what is in flight. Landing order is ascending, so the first one
+	// recorded is the earliest in iteration order.
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
@@ -438,6 +438,11 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 			}
 			delete(pending, o.Chunk)
 			landed++
+			if firstErr != nil {
+				// Which chunks were in flight behind the fatal one depends on
+				// the worker count; the report must not.
+				continue
+			}
 			m.land(o.Chunk, o.Stats, o.set.Entries(), o.ws)
 			m.report.Executions = append(m.report.Executions, o.execs...)
 			err := o.err
@@ -844,12 +849,11 @@ type decodeFailure struct {
 // signature order. Workers (at least one, at most one per signature) take
 // disjoint contiguous ranges and poll the context as they go.
 //
-// Under static ws (wsBySig == nil) an item is the reads-from row
-// instrument.Meta.DecodeInto fills, checked against the builder's tables
-// (graph.Builder.CheckRF) but not expanded: no edge is built, nothing is
-// sorted, and a range's rows are carved from one array. With observed ws the
-// graph is not a function of the signature, so an item carries the edge list
-// built from the row and the signature's recorded write serialization.
+// What an item is, is check.NewItem's decision: under static ws the reads-from
+// row instrument.Meta.DecodeInto fills, checked against the builder's tables
+// but not expanded — no edge is built, nothing is sorted — and under observed
+// ws, where the graph is not a function of the signature, the edge list built
+// from the row and the signature's recorded write serialization.
 //
 // A signature that fails to decode is QuarantineDecode, one whose row the
 // builder rejects QuarantineEdges; both are pure functions of the signature
@@ -861,8 +865,11 @@ func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 	n := b.NumOps()
 	items := make([]check.Item, len(uniques))
 	decode := func(lo, hi int) (t decodeTally, failed []decodeFailure, err error) {
+		// A row item keeps the row it was decoded into, so under static ws a
+		// range's rows are carved from one array; an edge-list item does not,
+		// and one row serves the range.
 		rows := 1
-		if wsBySig == nil {
+		if b.StaticWS() {
 			rows = hi - lo
 		}
 		slab := make([]int32, rows*n)
@@ -871,19 +878,18 @@ func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 			if err := ctx.Err(); err != nil {
 				return t, nil, err
 			}
-			it := &items[i]
-			it.Sig = uniques[i].Sig
+			s := uniques[i].Sig
 			rf := slab[:n:n]
-			kind, err := QuarantineDecode, meta.DecodeInto(it.Sig, rf)
-			switch {
-			case err != nil:
-			case wsBySig == nil:
-				it.RF, slab = rf, slab[n:] // the row is the item
-				kind, err = QuarantineEdges, b.CheckRF(rf)
-			default:
-				keyBuf = it.Sig.AppendBinary(keyBuf[:0])
+			kind, err := QuarantineDecode, meta.DecodeInto(s, rf)
+			if err == nil {
+				var ws graph.WS
+				if len(wsBySig) > 0 { // static ws records none
+					keyBuf = s.AppendBinary(keyBuf[:0])
+					ws = wsBySig[string(keyBuf)]
+				}
 				kind = QuarantineEdges
-				it.Edges, err = b.AppendDynamicEdges(nil, rf, wsBySig[string(keyBuf)])
+				items[i], err = check.NewItem(b, s, rf, ws)
+				slab = slab[len(items[i].RF):]
 			}
 			switch {
 			case err == nil:

@@ -11,6 +11,7 @@ import (
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/mcm"
+	"mtracecheck/internal/sig"
 	"mtracecheck/internal/trace"
 )
 
@@ -101,15 +102,14 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	tb := traceBuilderFor(bind.Prog, m)
 	defer traceBuilders.Put(tb)
 	builder := tb.builder
-	// The checkers take the binding's dense reads-from row as it is; a
-	// value-faulted load has no source and carries the marker for that.
-	rf := bind.Row
-	if err := builder.CheckRF(rf); err != nil {
+	// The binding's dense reads-from row is the execution; a value-faulted
+	// load has no source and carries the marker for that. A lone execution has
+	// no neighbour to be told from, so its signature stays the zero one.
+	item, err := check.NewItem(builder, sig.Signature{}, bind.Row, nil)
+	if err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}
-	// The item is the row: a lone execution has no neighbour to be told from,
-	// so its signature stays the zero one.
-	items := []check.Item{{RF: rf}}
+	items := []check.Item{item}
 
 	// The observer surface is the campaign's — a trace check reads as a
 	// one-iteration campaign — on no platform.

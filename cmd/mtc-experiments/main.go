@@ -8,8 +8,8 @@
 //	mtc-experiments -exp table3 -quick        # smoke scale
 //	mtc-experiments -exp all -markdown > out.md
 //
-// Experiments: platforms, fig6, fig8, fig9 (includes fig14), fig10, fig11,
-// fig12, table3, litmus, all.
+// Experiments: the names of the experiments.All table (-h lists them; fig9
+// includes fig14), or all.
 package main
 
 import (
@@ -26,8 +26,12 @@ import (
 )
 
 func main() {
+	names := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		names[i] = e.Name
+	}
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (platforms, fig6, fig8, fig9, fig10, fig11, fig12, table3, litmus, corpus, all)")
+		exp      = flag.String("exp", "all", "experiment to run ("+strings.Join(names, ", ")+", all)")
 		iters    = flag.Int("iters", 0, "override iterations per test run")
 		tests    = flag.Int("tests", 0, "override tests per configuration")
 		seed     = flag.Int64("seed", 1, "master seed")
@@ -73,9 +77,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	run := func(name string, fn func() ([]*report.Table, error)) {
+	run := func(name string, fn func(experiments.Config) ([]*report.Table, error)) {
 		start := time.Now()
-		tables, err := fn()
+		tables, err := fn(cfg)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -85,55 +89,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	one := func(fn func(experiments.Config) (*report.Table, error)) func() ([]*report.Table, error) {
-		return func() ([]*report.Table, error) {
-			t, err := fn(cfg)
-			return []*report.Table{t}, err
+	name := strings.ToLower(*exp)
+	if name == "fig14" {
+		name = "fig9" // fig14 is produced alongside fig9
+	}
+	ran := false
+	for _, e := range experiments.All {
+		if name == "all" || name == e.Name {
+			run(e.Name, e.Run)
+			ran = true
 		}
 	}
-	all := map[string]func() ([]*report.Table, error){
-		"platforms": func() ([]*report.Table, error) {
-			return []*report.Table{experiments.Platforms()}, nil
-		},
-		"fig6":  one(experiments.Fig6),
-		"fig8":  one(experiments.Fig8),
-		"fig10": one(experiments.Fig10),
-		"fig11": one(experiments.Fig11),
-		"fig12": one(experiments.Fig12),
-		"fig9": func() ([]*report.Table, error) {
-			f9, f14, err := experiments.Fig9And14(cfg)
-			return []*report.Table{f9, f14}, err
-		},
-		"table3":     one(experiments.Table3),
-		"litmus":     one(experiments.Litmus),
-		"ws":         one(experiments.WSAblation),
-		"prune":      one(experiments.PruneAblation),
-		"scaling":    one(experiments.ScalingAblation),
-		"fr":         one(experiments.FRAblation),
-		"saturation": one(experiments.Saturation),
-		"atomicity":  one(experiments.Atomicity),
-		"dynprune":   one(experiments.DynPrune),
-		"bias":       one(experiments.Bias),
-		"corpus":     one(experiments.Corpus),
-	}
-
-	order := []string{"platforms", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"table3", "litmus", "ws", "prune", "scaling", "fr", "saturation", "atomicity", "dynprune", "bias", "corpus"}
-	switch {
-	case *exp == "all":
-		for _, name := range order {
-			run(name, all[name])
-		}
-	default:
-		name := strings.ToLower(*exp)
-		if name == "fig14" {
-			name = "fig9" // fig14 is produced alongside fig9
-		}
-		fn, ok := all[name]
-		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (want one of %v)", *exp, order))
-		}
-		run(name, fn)
+	if !ran {
+		fatal(fmt.Errorf("unknown experiment %q (want one of %s, all)", *exp, strings.Join(names, ", ")))
 	}
 }
 

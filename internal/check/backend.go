@@ -36,7 +36,7 @@ type Backend struct {
 // Backends is the checker table, in the order -h lists it; the first row is
 // the default. A new algorithm is one more row.
 var Backends = []Backend{
-	{Name: "collective", Check: collective, Effort: orderEffort},
+	{Name: "collective", Check: maintainOrder(resortWindow), Effort: orderEffort},
 	{Name: "conventional", Check: perGraph(&wsPool, newWorkspace),
 		Effort: func(r *Result) string {
 			return fmt.Sprintf("conventional checking: %d graphs (%d vertices sorted)", r.Total, r.SortedVertices)
@@ -44,7 +44,7 @@ var Backends = []Backend{
 	// Pearce–Kelly is serial by nature: one topological order repaired edge
 	// by edge across the whole sorted sequence is the algorithm, and a split
 	// forfeits exactly the cross-graph state it amortizes.
-	{Name: "incremental", Serial: true, Check: incremental, Effort: orderEffort},
+	{Name: "incremental", Serial: true, Check: maintainOrder(repairEdges), Effort: orderEffort},
 	{Name: "vectorclock", Check: perGraph(&vcPool, newVCWorkspace),
 		Effort: func(r *Result) string {
 			return fmt.Sprintf("vector-clock checking: %d graphs (%d clock updates)", r.Total, r.ClockUpdates)

@@ -40,6 +40,26 @@ type Item struct {
 	RF    []int32
 }
 
+// NewItem builds the item of the execution with signature s, reads-from row rf
+// (indexed by op ID, as instrument.Meta.DecodeInto fills it) and observed write
+// serialization ws. It is where an item's shape is decided, by the builder's ws
+// mode: under static ws the graph is a function of the row, so the row is the
+// item once graph.Builder.CheckRF accepts it (the item keeps rf; ws plays no
+// part); any other graph is the sorted edge list AppendDynamicEdges builds.
+func NewItem(b *graph.Builder, s sig.Signature, rf []int32, ws graph.WS) (Item, error) {
+	if b.StaticWS() {
+		if err := b.CheckRF(rf); err != nil {
+			return Item{}, err
+		}
+		return Item{Sig: s, RF: rf}, nil
+	}
+	edges, err := b.AppendDynamicEdges(nil, rf, ws)
+	if err != nil {
+		return Item{}, err
+	}
+	return Item{Sig: s, Edges: edges}, nil
+}
+
 // edges returns the item's dynamic edge list: Edges, or the list built from
 // RF into *buf's storage (valid until the next call with that buffer).
 func (it Item) edges(b *graph.Builder, buf *[]graph.Edge) ([]graph.Edge, error) {
@@ -62,23 +82,6 @@ func graphOf(b *graph.Builder, it Item) (*graph.Graph, error) {
 		return nil, err
 	}
 	return b.FromDynamic(edges), nil
-}
-
-// sequenceShape validates what the order-maintaining checkers need of their
-// items — ascending signatures and one item shape throughout, since a
-// workspace holds either a row or a list — and reports whether they carry
-// reads-from rows.
-func sequenceShape(items []Item) (rows bool, err error) {
-	rows = len(items) > 0 && items[0].RF != nil
-	for i := range items {
-		if i > 0 && items[i-1].Sig.Compare(items[i].Sig) > 0 {
-			return false, fmt.Errorf("check: items not in ascending signature order at %d", i)
-		}
-		if (items[i].RF != nil) != rows {
-			return false, fmt.Errorf("check: items mix edge lists and reads-from rows at %d", i)
-		}
-	}
-	return rows, nil
 }
 
 // Violation reports one failed graph.
@@ -158,9 +161,9 @@ func (r *Result) Counts() (complete, noResort, incremental int) {
 	return
 }
 
-// debugValidate, when set (tests only), is invoked with each graph the
-// collective checker validated incrementally and the full order it
-// maintains, so tests can assert the order remains a valid topological sort.
+// debugValidate, when set (tests only), is invoked with each graph an
+// order-maintaining checker found valid and the full order it maintains, so
+// tests can assert the order remains a valid topological sort.
 var debugValidate func(g *graph.Graph, order []int32)
 
 func validateOrder(b *graph.Builder, it Item, order []int32) {
@@ -172,153 +175,111 @@ func validateOrder(b *graph.Builder, it Item, order []int32) {
 	}
 }
 
-// collective checks items in ascending-signature order using topological
-// re-sorting (§4.2). Items must be sorted by signature (as produced by
-// sig.Dedup) and it is an error otherwise, since the similarity assumption
-// underpins the windowing.
-func collective(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
-	res := &Result{Total: len(items)}
-	if len(items) == 0 {
-		return res, nil
-	}
-	rows, err := sequenceShape(items)
-	if err != nil {
-		return nil, err
-	}
+// repairFunc is the one thing that differs between the order-maintaining
+// backends: given the edges the installed graph has and the last valid one
+// lacks, it makes the maintained order (w.pos, w.order) a topological order of
+// the installed graph, recording its effort in res — one PerGraph entry and its
+// counters. It reports false, the order as it found it, when the graph is cyclic.
+type repairFunc func(w *workspace, added []graph.Edge, res *Result) bool
 
-	n := b.NumOps()
-	w := getWorkspace(b)
-	defer wsPool.Put(w)
-	pos := w.pos     // vertex -> position in current valid order
-	order := w.order // position -> vertex
-	havePos := false
-	var base Item // the last valid graph; what "new edges" are relative to
-
-	for i, it := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// New edges relative to the last valid graph; removed edges only
-		// relax constraints and are ignored (§4.2). A row is installed as it
-		// arrives and its delta is against the installed row, which is base's:
-		// a cyclic graph is rolled back. A list is installed when a sort needs
-		// it.
-		var added []graph.Edge
-		if rows {
-			if added, err = w.installRow(it.RF); err != nil {
+// maintainOrder is the checking loop of the order-maintaining backends: items
+// in ascending signature order (anything else is an error: the similarity of
+// neighbours underpins the economy, §4.2) are installed in the workspace one by
+// one, the first — and every one until some graph is valid — sorted from
+// scratch, each later one handed to repair with its new edges. New is relative
+// to the last valid graph, which is what the maintained order sorts: a cyclic
+// graph is recorded and rolled back. Removed edges only relax constraints.
+func maintainOrder(repair repairFunc) func(context.Context, *graph.Builder, []Item) (*Result, error) {
+	return func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
+		res := &Result{Total: len(items)}
+		w := getWorkspace(b)
+		defer wsPool.Put(w)
+		valid := -1 // the last valid graph's item; -1: no order yet
+		for i, it := range items {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-		} else if havePos {
-			w.edgeBuf = diffEdges(w.edgeBuf[:0], it.Edges, base.Edges)
-			added = w.edgeBuf
-		}
-		if !havePos {
-			// First graph (or recovery after a cyclic graph): complete sort.
-			if !rows {
-				w.setDyn(it.Edges)
+			if i > 0 && items[i-1].Sig.Compare(it.Sig) > 0 {
+				return nil, fmt.Errorf("check: items not in ascending signature order at %d", i)
 			}
-			if havePos = w.completeSort(res); havePos {
-				base = it
-			} else if err := res.violation(b, i, it); err != nil {
-				return nil, err
+			added, err := w.install(it)
+			if err != nil {
+				return nil, fmt.Errorf("check: item %d: %w", i, err)
 			}
-			continue
-		}
-
-		lo, hi := int32(-1), int32(-1)
-		for _, e := range added {
-			pu, pv := pos[e.U], pos[e.V]
-			if pu > pv { // backward edge
-				res.BackwardEdges++
-				if lo < 0 || pv < lo {
-					lo = pv
-				}
-				if pu > hi {
-					hi = pu
-				}
+			var ok bool
+			if valid < 0 {
+				ok = w.completeSort(res)
+			} else {
+				ok = repair(w, added, res)
 			}
-		}
-		if lo < 0 {
-			// Every new edge is forward: the existing order already proves
-			// this graph consistent.
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindNoResort})
-			base = it
-			continue
-		}
-
-		window := int(hi - lo + 1)
-		res.SortedVertices += int64(window)
-		if window > res.MaxWindow {
-			res.MaxWindow = window
-		}
-		res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
-		if !rows {
-			w.setDyn(it.Edges)
-		}
-		// A window spanning almost the whole order is re-sorted from scratch:
-		// cheaper than window bookkeeping and, since any cycle is confined to
-		// the window, the same verdict.
-		wholesale := window*4 >= n*3
-		var sorted []int32
-		var ok bool
-		if wholesale {
-			sorted, ok = w.fullSort(true)
-		} else {
-			sorted, ok = w.windowSort(order, pos, lo, hi)
-		}
-		if !ok {
+			if ok {
+				valid = i
+				validateOrder(b, it, w.order)
+				continue
+			}
 			if err := res.violation(b, i, it); err != nil {
 				return nil, err
 			}
-			// pos still describes the last valid graph; keep using it, and
-			// put that graph's row back so the next delta is against it.
-			if rows {
-				if _, err := w.installRow(base.RF); err != nil {
+			if valid >= 0 {
+				if _, err := w.install(items[valid]); err != nil {
 					return nil, err
 				}
 			}
-			continue
 		}
-		if wholesale {
-			lo = 0
-		}
-		// Install the re-sorted window.
-		for k, v := range sorted {
-			p := lo + int32(k)
-			order[p] = v
-			pos[v] = p
-		}
-		base = it
-		validateOrder(b, it, order)
+		return res, nil
 	}
-	return res, nil
 }
 
-// diffEdges appends the edges of cur not present in prev to out; both
-// inputs are sorted (graph.DynamicEdges order).
-func diffEdges(out, cur, prev []graph.Edge) []graph.Edge {
-	i, j := 0, 0
-	for i < len(cur) {
-		switch {
-		case j >= len(prev) || less(cur[i], prev[j]):
-			out = append(out, cur[i])
-			i++
-		case less(prev[j], cur[i]):
-			j++
-		default:
-			i++
-			j++
+// resortWindow is the collective checker's repair (§4.2): the window of the
+// maintained order spanned by the new backward edges is re-sorted, and the
+// rest of the order stands (the package comment has the proof).
+func resortWindow(w *workspace, added []graph.Edge, res *Result) bool {
+	pos, order := w.pos, w.order
+	lo, hi := int32(-1), int32(-1)
+	for _, e := range added {
+		pu, pv := pos[e.U], pos[e.V]
+		if pu > pv { // backward edge
+			res.BackwardEdges++
+			if lo < 0 || pv < lo {
+				lo = pv
+			}
+			if pu > hi {
+				hi = pu
+			}
 		}
 	}
-	return out
-}
-
-func less(a, b graph.Edge) bool { return compareEdges(a, b) < 0 }
-
-// compareEdges orders edges by (U, V): graph.Builder.DynamicEdges order.
-func compareEdges(a, b graph.Edge) int {
-	if a.U != b.U {
-		return int(a.U) - int(b.U)
+	if lo < 0 {
+		// Every new edge is forward: the existing order already proves
+		// this graph consistent.
+		res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindNoResort})
+		return true
 	}
-	return int(a.V) - int(b.V)
+
+	window := int(hi - lo + 1)
+	res.SortedVertices += int64(window)
+	if window > res.MaxWindow {
+		res.MaxWindow = window
+	}
+	res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: window})
+	// A window spanning almost the whole order is re-sorted from scratch:
+	// cheaper than window bookkeeping and, since any cycle is confined to
+	// the window, the same verdict.
+	var sorted []int32
+	var ok bool
+	if window*4 >= w.n*3 {
+		sorted, ok = w.fullSort(true)
+		lo = 0
+	} else {
+		sorted, ok = w.windowSort(order, pos, lo, hi)
+	}
+	if !ok {
+		return false // the sorts write scratch only: pos still describes the last valid graph
+	}
+	// Install the re-sorted window.
+	for k, v := range sorted {
+		p := lo + int32(k)
+		order[p] = v
+		pos[v] = p
+	}
+	return true
 }

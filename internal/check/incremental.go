@@ -1,122 +1,65 @@
 package check
 
 import (
-	"context"
 	"slices"
 
 	"mtracecheck/internal/graph"
 )
 
-// incremental is a third checker, extending the paper: instead of re-sorting
-// one window spanning *all* new backward edges (§4.2), it repairs the
-// maintained topological order edge by edge with the Pearce–Kelly dynamic
-// algorithm. Each new backward edge (u,v) triggers a localized repair: the
-// affected region is only what is forward-reachable from v and
-// backward-reachable from u within the position range [pos(v), pos(u)] —
-// so k small disjoint diffs cost k small repairs rather than one window
-// covering their span. Verdicts are identical to the other checkers (a
-// cycle is found exactly when u is forward-reachable from v).
+// repairEdges is the repair of a third checker, incremental, extending the
+// paper: instead of re-sorting one window spanning *all* new backward edges
+// (§4.2), it repairs the maintained topological order edge by edge with the
+// Pearce–Kelly dynamic algorithm. Each new backward edge (u,v) triggers a
+// localized repair: the affected region is only what is forward-reachable
+// from v and backward-reachable from u within the position range
+// [pos(v), pos(u)] — so k small disjoint diffs cost k small repairs rather
+// than one window covering their span. Verdicts are identical to the other
+// checkers (a cycle is found exactly when u is forward-reachable from v).
 //
 // Soundness of carrying the order across graphs: the maintained order is
 // topological for the previous graph, hence for the current graph minus its
 // added edges (removing edges never invalidates an order); the added edges
 // are then inserted one by one with PK repairs against the *current* edge
 // set only.
-func incremental(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
-	res := &Result{Total: len(items)}
-	if len(items) == 0 {
-		return res, nil
-	}
-	rows, err := sequenceShape(items)
-	if err != nil {
-		return nil, err
-	}
-	n := b.NumOps()
-	w := getWorkspace(b)
-	defer wsPool.Put(w)
+func repairEdges(w *workspace, added []graph.Edge, res *Result) bool {
 	pk := &w.pk
-	pk.epoch = 0
 	if pk.visited == nil {
-		tab := make([]int32, 3*n)
-		pk.visited, pk.backupPos, pk.backupOrder = tab[:n:n], tab[n:2*n:2*n], tab[2*n:]
-	} else {
-		clear(pk.visited)
+		tab := make([]int32, 3*w.n)
+		pk.visited, pk.backupPos, pk.backupOrder = tab[:w.n:w.n], tab[w.n:2*w.n:2*w.n], tab[2*w.n:]
 	}
-	havePos := false
-	var base Item // the last valid graph
-
-	for i, it := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// Repairs run in (U,V) order whatever order the installer found the edges
+	// in, so the repair sequence is a function of the graphs alone.
+	slices.SortFunc(added, compareEdges)
+	affected := 0
+	ok := true
+	for _, e := range added {
+		if pk.pos[e.U] < pk.pos[e.V] {
+			continue // already consistent
 		}
-		var added []graph.Edge
-		if rows {
-			// The delta is against the installed row, which is base's: a
-			// cyclic graph is rolled back below. Pearce–Kelly repairs run in
-			// (U,V) order, the order the list diff yields.
-			if added, err = w.installRow(it.RF); err != nil {
-				return nil, err
-			}
-			if havePos {
-				slices.SortFunc(added, compareEdges)
-			}
-		} else {
-			w.setDyn(it.Edges)
-			if havePos {
-				w.edgeBuf = diffEdges(w.edgeBuf[:0], it.Edges, base.Edges)
-				added = w.edgeBuf
-			}
+		if affected == 0 { // the first repair: keep the order to roll back to
+			copy(pk.backupPos, pk.pos)
+			copy(pk.backupOrder, pk.order)
 		}
-		if !havePos {
-			if havePos = w.completeSort(res); havePos {
-				base = it
-			} else if err := res.violation(b, i, it); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		copy(pk.backupPos, pk.pos)
-		copy(pk.backupOrder, pk.order)
-		affected := 0
-		cyclic := false
-		for _, e := range added {
-			if pk.pos[e.U] < pk.pos[e.V] {
-				continue // already consistent
-			}
-			moved, ok := pk.repair(e.U, e.V)
-			affected += moved
-			if !ok {
-				cyclic = true
-				break
-			}
-		}
-		res.SortedVertices += int64(affected)
-		if cyclic {
-			res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindIncremental, Affected: affected})
-			if err := res.violation(b, i, it); err != nil {
-				return nil, err
-			}
+		var moved int
+		moved, ok = pk.repair(e.U, e.V)
+		affected += moved
+		if !ok {
 			copy(pk.pos, pk.backupPos)
 			copy(pk.order, pk.backupOrder)
-			if rows {
-				if _, err := w.installRow(base.RF); err != nil {
-					return nil, err
-				}
-			}
-			continue
+			break
 		}
-		base = it
-		kind := KindIncremental
-		if affected == 0 {
-			kind = KindNoResort
-		}
-		res.PerGraph = append(res.PerGraph, GraphStat{Kind: kind, Affected: affected})
-		validateOrder(b, it, pk.order)
 	}
-	return res, nil
+	res.SortedVertices += int64(affected)
+	kind := KindIncremental
+	if ok && affected == 0 {
+		kind = KindNoResort
+	}
+	res.PerGraph = append(res.PerGraph, GraphStat{Kind: kind, Affected: affected})
+	return ok
 }
 
-// pkState carries the Pearce–Kelly order maintenance structures.
+// pkState carries the Pearce–Kelly order maintenance structures; visited and
+// the backups are made by the first repair.
 type pkState struct {
 	w       *workspace
 	pos     []int32

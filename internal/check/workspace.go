@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -12,15 +13,17 @@ import (
 // run on (the paper recycles vertex structures across graphs, §6.2). One
 // workspace serves one program's builder.
 //
-// The current graph's dynamic adjacency is installed one of two ways, never
-// both within a checking run. A reads-from row (Item.RF) is installed as a
-// delta: installRow edits dyn in place for the loads whose source differs from
-// the installed row's, so the edge structures are recycled too and an item
-// costs what changed. An edge list (Item.Edges) replaces dyn wholesale
-// (setDyn). Either way dyn[u] is in ascending-V order — what setDyn produces
-// from a (U,V)-sorted list and what installRow's sorted insert maintains — so
-// the prioritized sorts pop in the same order and every window, verdict and
-// effort counter is the same for both item shapes.
+// The order-maintaining checkers make an item the current graph through
+// install, which is where the two item shapes part and the only place that
+// knows a run holds one of them throughout. A reads-from row (Item.RF) is
+// installed as a delta: installRow edits dyn in place for the loads whose
+// source differs from the installed row's, so the edge structures are recycled
+// too and an item costs what changed. An edge list (Item.Edges) replaces dyn
+// wholesale (setDyn) and is diffed against the list installed before it.
+// Either way dyn[u] is in ascending-V order — what setDyn produces from a
+// (U,V)-sorted list and what installRow's sorted insert maintains — so the
+// prioritized sorts pop in the same order and every window, verdict and effort
+// counter is the same for both item shapes.
 type workspace struct {
 	scratch
 	n       int
@@ -37,6 +40,10 @@ type workspace struct {
 	pos   []int32
 	order []int32
 
+	// install state: whether the run has installed an item yet, whether its
+	// items are rows and, for lists, the one installed (the caller's slice).
+	installed, rows bool
+	list            []graph.Edge
 	// installRow state: row[load] is the source whose edge group dyn holds
 	// (graph.NoObservation: none), added the edges the last install put in,
 	// oldG/newG one load's group before and after.
@@ -97,11 +104,14 @@ func newWorkspace(b *graph.Builder) *workspace {
 var wsPool sync.Pool
 
 // getWorkspace returns a workspace shaped for b that holds no graph, so an
-// order-maintaining run's first item installs from nothing.
+// order-maintaining run's first item installs from nothing, and none of the
+// marks Pearce–Kelly left in it: epochs start over.
 func getWorkspace(b *graph.Builder) *workspace {
 	w := pooled(&wsPool, b, newWorkspace)
 	w.clearDyn()
 	w.bq.reset()
+	w.pk.epoch = 0
+	clear(w.pk.visited)
 	return w
 }
 
@@ -115,7 +125,7 @@ func (w *workspace) cyclic(dyn []graph.Edge, res *Result) bool {
 	return !ok
 }
 
-// clearDyn empties the current graph: no dynamic edge, no installed row.
+// clearDyn empties the current graph: no dynamic edge, no installed item.
 func (w *workspace) clearDyn() {
 	for u := range w.dyn {
 		w.dyn[u] = w.dyn[u][:0]
@@ -123,6 +133,56 @@ func (w *workspace) clearDyn() {
 	for l := range w.row {
 		w.row[l] = graph.NoObservation
 	}
+	w.installed, w.list = false, nil
+}
+
+// install makes the item's graph the current one and returns the dynamic edges
+// it has that the graph installed before it lacks (valid until the next install;
+// in no particular order). Installing the last valid item again is the
+// rollback after a cyclic one. A workspace holds a row or a list, so a run's
+// items must all have the shape of its first.
+func (w *workspace) install(it Item) ([]graph.Edge, error) {
+	rows := it.RF != nil
+	if w.installed && rows != w.rows {
+		return nil, errors.New("items mix edge lists and reads-from rows")
+	}
+	w.installed, w.rows = true, rows
+	if rows {
+		return w.installRow(it.RF)
+	}
+	w.setDyn(it.Edges)
+	w.edgeBuf = diffEdges(w.edgeBuf[:0], it.Edges, w.list)
+	w.list = it.Edges
+	return w.edgeBuf, nil
+}
+
+// diffEdges appends the edges of cur not present in prev to out; both
+// inputs are sorted (graph.DynamicEdges order).
+func diffEdges(out, cur, prev []graph.Edge) []graph.Edge {
+	i, j := 0, 0
+	for i < len(cur) {
+		switch {
+		case j >= len(prev) || less(cur[i], prev[j]):
+			out = append(out, cur[i])
+			i++
+		case less(prev[j], cur[i]):
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+func less(a, b graph.Edge) bool { return compareEdges(a, b) < 0 }
+
+// compareEdges orders edges by (U, V): graph.Builder.DynamicEdges order.
+func compareEdges(a, b graph.Edge) int {
+	if a.U != b.U {
+		return int(a.U) - int(b.U)
+	}
+	return int(a.V) - int(b.V)
 }
 
 // setDyn installs one graph's dynamic edges, clearing the previous graph's.
@@ -147,7 +207,7 @@ func (w *workspace) setDyn(edges []graph.Edge) {
 // consistent.
 func (w *workspace) installRow(rf []int32) ([]graph.Edge, error) {
 	if len(rf) < w.n {
-		return nil, fmt.Errorf("check: reads-from row has %d entries, need %d", len(rf), w.n)
+		return nil, fmt.Errorf("reads-from row has %d entries, need %d", len(rf), w.n)
 	}
 	added := w.added[:0]
 	for _, l := range w.loads {
@@ -273,9 +333,10 @@ func (w *workspace) fullSort(prioritized bool) ([]int32, bool) {
 	return out, len(out) == w.n
 }
 
-// completeSort is how both order-maintaining checkers start, and restart after
-// a cyclic graph: the current graph sorted from scratch into the maintained
-// order, recorded in res as KindComplete. It reports whether there is one.
+// completeSort is how an order-maintaining run starts, and starts again until
+// some graph is valid: the current graph sorted from scratch into the
+// maintained order, recorded in res as KindComplete. It reports whether there
+// is one.
 func (w *workspace) completeSort(res *Result) bool {
 	res.SortedVertices += int64(w.n)
 	res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: w.n})

@@ -271,21 +271,6 @@ func (s *Server) releaseLease(j *job, c int, now time.Time) {
 	cs.eligible = now.Add(s.opts.backoff(cs.attempt))
 }
 
-// corpusTap is the observer the server hands to job campaigns when a
-// shared corpus is attached: job campaigns are otherwise unobserved
-// (workers own execution; the server only merges), but corpus lookups
-// and flushes happen server-side at finalize and belong in /metrics.
-// Every pipeline event is a no-op; only corpus events pass through.
-type corpusTap struct{ o obs.Observer }
-
-func (t corpusTap) CampaignStart(obs.CampaignStart) {}
-func (t corpusTap) CampaignEnd(obs.CampaignEnd)     {}
-func (t corpusTap) ShardStart(obs.ShardStart)       {}
-func (t corpusTap) ShardEnd(obs.ShardEnd)           {}
-func (t corpusTap) MergeDone(obs.MergeDone)         {}
-func (t corpusTap) Checkpoint(obs.Checkpoint)       {}
-func (t corpusTap) CorpusEvent(e obs.CorpusEvent)   { obs.EmitCorpus(t.o, e) }
-
 // Submit registers a job and (when the spec asks) restores it from its
 // checkpoint. It returns the job ID.
 func (s *Server) Submit(spec JobSpec) (string, error) {
@@ -293,13 +278,15 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if s.opts.Corpus != nil {
-		// One corpus across all jobs: each finalize consults it before
-		// decode and appends its newly verified signatures, so later jobs
-		// (and later server runs) start warm.
-		opts.Corpus = s.opts.Corpus
-		opts.Observer = corpusTap{s.obsrv}
-	}
+	// The job's campaign is the host side of a campaign whose chunks execute
+	// elsewhere: the server's observer sees its bracket and its merge, decode,
+	// check and corpus stages as an in-process run's would, and no
+	// execute-stage event (those are the workers').
+	opts.Observer = s.obsrv
+	// One corpus across all jobs: each finalize consults it before decode and
+	// appends its newly verified signatures, so later jobs (and later server
+	// runs) start warm.
+	opts.Corpus = s.opts.Corpus
 	campaign, err := mtracecheck.NewCampaign(p, opts)
 	if err != nil {
 		return "", err

@@ -8,7 +8,6 @@ import (
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
-	"mtracecheck/internal/mem"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -29,7 +28,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		Header: []string{"metric", "static ws (paper mode)", "observed ws"},
 	}
 	tcBug := testgen.Config{Threads: 7, OpsPerThread: 200, Words: 32, WordsPerLine: 16}
-	plat := sim.PlatformGem5(mem.Bugs{}, sim.Bugs{LQSquashSkip: true})
+	plat := mtracecheck.BuggyPlatform(mtracecheck.BugLSQSkip)
 	detect := func(observedWS bool) (tests, sigs int, err error) {
 		for test := 0; test < cfg.Table3Tests; test++ {
 			tc := tcBug
@@ -79,40 +78,37 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The edge count is not part of a report: rebuild the graphs the
-		// campaign checked — under observed ws, each signature with the write
-		// serialization of its first observation.
-		var ws map[string]graph.WS
-		if mode.ws == graph.WSObserved {
-			ws = map[string]graph.WS{}
-			for _, ex := range rep.Executions {
-				s, err := meta.EncodeValues(ex.LoadValues)
-				if err != nil {
-					continue
-				}
-				if _, seen := ws[s.Key()]; !seen {
-					ws[s.Key()] = ex.WSByWord()
-				}
+		// The edge count is not part of a report: rebuild the edge lists of
+		// the graphs the campaign checked — under observed ws, each signature
+		// with the write serialization of its first observation (under static
+		// ws the builder takes none).
+		ws := map[string]graph.WS{}
+		for _, ex := range rep.Executions {
+			s, err := meta.EncodeValues(ex.LoadValues)
+			if err != nil {
+				continue
+			}
+			if _, seen := ws[s.Key()]; !seen {
+				ws[s.Key()] = ex.WSByWord()
 			}
 		}
-		builder, items, err := decodeItems(p, x86, graph.Options{WS: mode.ws}, rep.Signatures(), ws)
-		if err != nil {
-			return nil, err
-		}
+		builder := graph.NewBuilder(p, x86.Model, graph.Options{
+			WS: mode.ws, Forwarding: x86.Atomicity.AllowsForwarding()})
+		uniques := rep.Signatures()
+		rf := make([]int32, builder.NumOps())
 		var edges int
-		var buf []graph.Edge // a row's list, built only to be counted
-		for _, it := range items {
-			n := len(it.Edges)
-			if it.RF != nil {
-				if buf, err = builder.AppendDynamicEdges(buf[:0], it.RF, nil); err != nil {
-					return nil, err
-				}
-				n = len(buf)
+		var buf []graph.Edge // built only to be counted
+		for _, u := range uniques {
+			if err := meta.DecodeInto(u.Sig, rf); err != nil {
+				return nil, err
 			}
-			edges += n
+			if buf, err = builder.AppendDynamicEdges(buf[:0], rf, ws[u.Sig.Key()]); err != nil {
+				return nil, err
+			}
+			edges += len(buf)
 		}
 		t.AddRow(fmt.Sprintf("clean run dyn edges/graph (%s)", mode.name),
-			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(items)))), "")
+			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(uniques)))), "")
 		t.AddRow(fmt.Sprintf("clean run sorted vertices (%s)", mode.name),
 			rep.CheckStats.SortedVertices, "")
 	}
@@ -404,7 +400,7 @@ func DynPrune(cfg Config) (*report.Table, error) {
 			count++
 		}
 		// Same test on the bug-2 platform: frontier asserts fire inline.
-		buggy := sim.PlatformGem5(mem.Bugs{}, sim.Bugs{LQSquashSkip: true})
+		buggy := mtracecheck.BuggyPlatform(mtracecheck.BugLSQSkip)
 		brunner, err := sim.NewRunner(buggy, p, cfg.Seed+1)
 		if err != nil {
 			return nil, err

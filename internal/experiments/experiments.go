@@ -27,7 +27,6 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
 	"mtracecheck/internal/mcm"
-	"mtracecheck/internal/mem"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
@@ -76,18 +75,25 @@ func (cfg Config) options(o mtracecheck.Options) mtracecheck.Options {
 	return o
 }
 
-// decodeItems turns a sorted signature set into checkable items over a
-// builder of its own — the one decode path beside Campaign's, for racing
-// backends on one set and for graph options a campaign does not carry
-// (DropFR). The items are what a campaign's would be: reads-from rows carved
-// from one array under static ws, and under observed ws (gopts.WS) the edge
-// lists built from each signature's recorded write serialization, ws[key].
-// gopts.Forwarding is the platform's.
-func decodeItems(p *prog.Program, plat sim.Platform, gopts graph.Options,
-	uniques []sig.Unique, ws map[string]graph.WS) (*graph.Builder, []check.Item, error) {
+// raced is one backend's result over a set of items and the wall time it took.
+type raced struct {
+	*check.Result
+	took time.Duration
+}
+
+// race decodes a sorted signature set into checkable items over a builder of
+// its own — the one decode path beside Campaign's, for racing backends on one
+// set and for graph options a campaign does not carry (DropFR;
+// gopts.Forwarding is the platform's). The items are what check.NewItem makes
+// of each decoded row: what a campaign's would be. It then walks check's
+// table, timing each named backend over the items in table order. Backends
+// that disagree on how many graphs are cyclic are an error: a table built
+// from it would describe a checker bug.
+func race(p *prog.Program, plat sim.Platform, gopts graph.Options, uniques []sig.Unique,
+	names ...string) (map[string]raced, error) {
 	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	gopts.Forwarding = plat.Atomicity.AllowsForwarding()
 	b := graph.NewBuilder(p, plat.Model, gopts)
@@ -97,36 +103,11 @@ func decodeItems(p *prog.Program, plat sim.Platform, gopts graph.Options,
 	for i, u := range uniques {
 		rf := slab[i*n : (i+1)*n : (i+1)*n]
 		if err := meta.DecodeInto(u.Sig, rf); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		items[i].Sig = u.Sig
-		if gopts.WS == graph.WSObserved {
-			items[i].Edges, err = b.AppendDynamicEdges(nil, rf, ws[u.Sig.Key()])
-		} else {
-			items[i].RF, err = rf, b.CheckRF(rf)
+		if items[i], err = check.NewItem(b, u.Sig, rf, nil); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return b, items, nil
-}
-
-// raced is one backend's result over a set of items and the wall time it took.
-type raced struct {
-	*check.Result
-	took time.Duration
-}
-
-// race decodes a sorted signature set (decodeItems) and walks check's table,
-// timing each named backend over the items in table order. Backends that
-// disagree on how many graphs are cyclic are an error: a table built from it
-// would describe a checker bug.
-func race(p *prog.Program, plat sim.Platform, gopts graph.Options, uniques []sig.Unique,
-	names ...string) (map[string]raced, error) {
-	b, items, err := decodeItems(p, plat, gopts, uniques, nil)
-	if err != nil {
-		return nil, err
 	}
 	out := make(map[string]raced, len(names))
 	violations := -1
@@ -149,6 +130,43 @@ func race(p *prog.Program, plat sim.Platform, gopts graph.Options, uniques []sig
 		}
 	}
 	return out, nil
+}
+
+// All is the experiment table, in the order -exp all runs it: the name
+// mtc-experiments' -exp flag takes and the function that renders the
+// experiment's tables. A new experiment is one more row.
+var All = []struct {
+	Name string
+	Run  func(Config) ([]*report.Table, error)
+}{
+	{"platforms", func(Config) ([]*report.Table, error) { return []*report.Table{Platforms()}, nil }},
+	{"fig6", one(Fig6)},
+	{"fig8", one(Fig8)},
+	{"fig9", func(cfg Config) ([]*report.Table, error) { // includes fig14
+		f9, f14, err := Fig9And14(cfg)
+		return []*report.Table{f9, f14}, err
+	}},
+	{"fig10", one(Fig10)},
+	{"fig11", one(Fig11)},
+	{"fig12", one(Fig12)},
+	{"table3", one(Table3)},
+	{"litmus", one(Litmus)},
+	{"ws", one(WSAblation)},
+	{"prune", one(PruneAblation)},
+	{"scaling", one(ScalingAblation)},
+	{"fr", one(FRAblation)},
+	{"saturation", one(Saturation)},
+	{"atomicity", one(Atomicity)},
+	{"dynprune", one(DynPrune)},
+	{"bias", one(Bias)},
+	{"corpus", one(Corpus)},
+}
+
+func one(fn func(Config) (*report.Table, error)) func(Config) ([]*report.Table, error) {
+	return func(cfg Config) ([]*report.Table, error) {
+		t, err := fn(cfg)
+		return []*report.Table{t}, err
+	}
 }
 
 // Default returns a laptop-scale configuration preserving every trend.
@@ -186,7 +204,7 @@ func Platforms() *report.Table {
 		Header:  []string{"system", "MCM", "atomicity", "cores", "reg width", "L1 (sets×ways)", "alloc order"},
 	}
 	for _, p := range []sim.Platform{sim.PlatformX86(), sim.PlatformARM(),
-		sim.PlatformGem5(mem.Bugs{}, sim.Bugs{})} {
+		mtracecheck.BuggyPlatform(mtracecheck.BugNone)} {
 		t.AddRow(p.Name, p.Model.String(), p.Atomicity.String(), p.Cores,
 			fmt.Sprintf("%d-bit", p.RegWidthBits),
 			fmt.Sprintf("%d×%d", p.Mem.Sets, p.Mem.Ways),
@@ -558,12 +576,12 @@ func Table3(cfg Config) (*report.Table, error) {
 		{
 			name: "1: ld->ld violation (protocol)",
 			tc:   testgen.Config{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4},
-			plat: sim.PlatformGem5(mem.Bugs{StaleSMInv: true}, sim.Bugs{}),
+			plat: mtracecheck.BuggyPlatform(mtracecheck.BugSMInv),
 		},
 		{
 			name: "2: ld->ld violation (LSQ)",
 			tc:   testgen.Config{Threads: 7, OpsPerThread: 200, Words: 32, WordsPerLine: 16},
-			plat: sim.PlatformGem5(mem.Bugs{}, sim.Bugs{LQSquashSkip: true}),
+			plat: mtracecheck.BuggyPlatform(mtracecheck.BugLSQSkip),
 		},
 		{
 			name: "3: coherence race",
@@ -607,7 +625,7 @@ func Table3(cfg Config) (*report.Table, error) {
 // the same "calibrated the size and associativity to intensify evictions"
 // step the paper describes for its gem5 runs.
 func bug3Platform() sim.Platform {
-	p := sim.PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, sim.Bugs{})
+	p := mtracecheck.BuggyPlatform(mtracecheck.BugWBRace)
 	p.Mem.Sets = 4
 	return p
 }

@@ -43,27 +43,9 @@ func blankWallClock(t *report.Table) {
 // its order, at Quick() scale.
 func quickTables(t *testing.T) string {
 	t.Helper()
-	cfg := Quick()
-	one := func(fn func(Config) (*report.Table, error)) func() ([]*report.Table, error) {
-		return func() ([]*report.Table, error) {
-			tbl, err := fn(cfg)
-			return []*report.Table{tbl}, err
-		}
-	}
-	all := []func() ([]*report.Table, error){
-		func() ([]*report.Table, error) { return []*report.Table{Platforms()}, nil },
-		one(Fig6), one(Fig8),
-		func() ([]*report.Table, error) {
-			f9, f14, err := Fig9And14(cfg)
-			return []*report.Table{f9, f14}, err
-		},
-		one(Fig10), one(Fig11), one(Fig12), one(Table3), one(Litmus),
-		one(WSAblation), one(PruneAblation), one(ScalingAblation), one(FRAblation),
-		one(Saturation), one(Atomicity), one(DynPrune), one(Bias), one(Corpus),
-	}
 	var sb strings.Builder
-	for _, fn := range all {
-		tables, err := fn()
+	for _, e := range All {
+		tables, err := e.Run(Quick())
 		if err != nil {
 			t.Fatal(err)
 		}

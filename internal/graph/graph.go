@@ -350,6 +350,11 @@ func (b *Builder) NumOps() int { return b.n }
 // (Graph.Static). Callers must not modify it.
 func (b *Builder) Static() [][]int32 { return b.static }
 
+// StaticWS reports whether the builder is in the static ws mode, where a
+// graph's dynamic edges are a function of its reads-from row alone (CheckRF,
+// AppendLoadEdges) and an observed write serialization plays no part.
+func (b *Builder) StaticWS() bool { return b.opts.WS == WSStatic }
+
 // StaticEdgeCount returns the number of static (po) edges.
 func (b *Builder) StaticEdgeCount() int { return b.statCnt }
 
@@ -428,7 +433,7 @@ func (b *Builder) Loads() []int32 { return b.loads }
 // come from Loads. It is an error under WSObserved, where a load's fr edge
 // depends on the execution's coherence order.
 func (b *Builder) AppendLoadEdges(dst []Edge, loadID, storeID int32) ([]Edge, error) {
-	if b.opts.WS != WSStatic {
+	if !b.StaticWS() {
 		return nil, errors.New("graph: per-load edge groups need the static ws mode")
 	}
 	if storeID <= NoObservation {
@@ -602,15 +607,6 @@ func (g *Graph) Out(u int32, fn func(v int32)) {
 	for _, v := range g.dynAdj[u] {
 		fn(v)
 	}
-}
-
-// EdgeCount returns the total number of edges.
-func (g *Graph) EdgeCount() int {
-	n := len(g.Dynamic)
-	for _, out := range g.Static {
-		n += len(out)
-	}
-	return n
 }
 
 // TopoSort returns a topological order of the graph (Kahn's algorithm) and

@@ -73,9 +73,6 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
 
-// IsBranch reports whether the opcode transfers control.
-func (o Opcode) IsBranch() bool { return o == BEQ || o == BNE || o == B }
-
 // Instr is one decoded instruction. Target is an instruction index within
 // the containing code sequence (resolved by the assembler).
 type Instr struct {

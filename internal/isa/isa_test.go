@@ -16,19 +16,6 @@ func TestOpcodeStrings(t *testing.T) {
 	}
 }
 
-func TestIsBranch(t *testing.T) {
-	for _, op := range []Opcode{BEQ, BNE, B} {
-		if !op.IsBranch() {
-			t.Errorf("%v.IsBranch() = false", op)
-		}
-	}
-	for _, op := range []Opcode{LD, ST, MOVI, FENCE, HALT} {
-		if op.IsBranch() {
-			t.Errorf("%v.IsBranch() = true", op)
-		}
-	}
-}
-
 func TestAsmResolvesForwardAndBackwardBranches(t *testing.T) {
 	a := NewAsm()
 	a.Label("top")

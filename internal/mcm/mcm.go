@@ -116,21 +116,6 @@ func (m Model) OrderedSameAddr(first, second prog.OpKind) bool {
 	return true
 }
 
-// Relaxations returns the set of program-order kind pairs the model relaxes,
-// as human-readable "first->second" strings; useful in reports and tests.
-func (m Model) Relaxations() []string {
-	kinds := []prog.OpKind{prog.Load, prog.Store}
-	var out []string
-	for _, a := range kinds {
-		for _, b := range kinds {
-			if !m.Ordered(a, b) {
-				out = append(out, fmt.Sprintf("%s->%s", a, b))
-			}
-		}
-	}
-	return out
-}
-
 // Atomicity describes store atomicity (paper §8, citing Arvind & Maessen).
 type Atomicity uint8
 

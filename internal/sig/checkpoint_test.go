@@ -213,7 +213,7 @@ func TestMergeUniques(t *testing.T) {
 	a := ckUniques(1, 3, 5)
 	b := ckUniques(2, 3, 6)
 	c := ckUniques(3)
-	got := MergeUniques(a, nil, b, c, []Unique{})
+	got := mergeUniques(a, nil, b, c, []Unique{})
 	wantWords := []uint64{1, 2, 3, 5, 6}
 	wantCounts := []int{1, 2, 9, 5, 6} // 3 appears in all three lists: 3+3+3
 	if len(got) != len(wantWords) {
@@ -225,10 +225,10 @@ func TestMergeUniques(t *testing.T) {
 				i, got[i].Sig.Word(0), got[i].Count, wantWords[i], wantCounts[i])
 		}
 	}
-	if MergeUniques() != nil {
+	if mergeUniques() != nil {
 		t.Error("empty merge yields non-nil")
 	}
-	single := MergeUniques(nil, a, nil)
+	single := mergeUniques(nil, a, nil)
 	if len(single) != len(a) {
 		t.Fatalf("single-list merge length %d", len(single))
 	}

@@ -112,26 +112,6 @@ type Unique struct {
 	Count int // number of iterations that produced Sig
 }
 
-// Dedup sorts sigs and returns the ascending unique signatures with counts.
-// The input slice is sorted in place. Duplicate filtering happens here, as
-// in the paper's flow where duplicates are dropped while sorting (§4).
-func Dedup(sigs []Signature) []Unique {
-	if len(sigs) == 0 {
-		return nil
-	}
-	Sort(sigs)
-	out := make([]Unique, 0, len(sigs))
-	out = append(out, Unique{Sig: sigs[0], Count: 1})
-	for _, s := range sigs[1:] {
-		if s.Equal(out[len(out)-1].Sig) {
-			out[len(out)-1].Count++
-		} else {
-			out = append(out, Unique{Sig: s, Count: 1})
-		}
-	}
-	return out
-}
-
 // Set accumulates signatures online, tracking unique values and counts.
 // It is what the on-device collection buffer holds before the host-side
 // sort; methods are not safe for concurrent use.
@@ -181,7 +161,7 @@ func (set *Set) Add(s Signature) bool { return set.AddWords(s.words) }
 // observation total and the per-signature count by u.Count, and reports
 // whether the signature was new to this set. It is the streaming pipeline's
 // incremental merge step: absorbing each completed chunk's uniques as the
-// chunk lands is equivalent to a final MergeUniques over all chunks, so the
+// chunk lands is equivalent to a final mergeUniques over all chunks, so the
 // global sort can wait for the barrier while dedup happens online.
 func (set *Set) AddUnique(u Unique) bool {
 	b := u.Sig.AppendBinary(set.scratch[:0])
@@ -229,15 +209,15 @@ func MergeSets(sets ...*Set) []Unique {
 		}
 		lists = append(lists, s.Sorted())
 	}
-	return MergeUniques(lists...)
+	return mergeUniques(lists...)
 }
 
-// MergeUniques k-way merges already-sorted unique lists, summing the counts
+// mergeUniques k-way merges already-sorted unique lists, summing the counts
 // of signatures present in several lists. Nil and empty lists are skipped;
 // a single non-empty list is returned as-is (not copied). It generalizes
 // MergeSets to pre-sorted slices, e.g. a checkpointed set merged with the
 // post-resume shards' sets.
-func MergeUniques(lists ...[]Unique) []Unique {
+func mergeUniques(lists ...[]Unique) []Unique {
 	kept := make([][]Unique, 0, len(lists))
 	size := 0
 	for _, l := range lists {

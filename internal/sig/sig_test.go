@@ -59,12 +59,31 @@ func TestKeyUniqueness(t *testing.T) {
 	}
 }
 
+// dedup is the slice-at-once definition Set is compared with: sort (in
+// place), then count runs of equal signatures.
+func dedup(sigs []Signature) []Unique {
+	if len(sigs) == 0 {
+		return nil
+	}
+	Sort(sigs)
+	out := make([]Unique, 0, len(sigs))
+	out = append(out, Unique{Sig: sigs[0], Count: 1})
+	for _, s := range sigs[1:] {
+		if s.Equal(out[len(out)-1].Sig) {
+			out[len(out)-1].Count++
+		} else {
+			out = append(out, Unique{Sig: s, Count: 1})
+		}
+	}
+	return out
+}
+
 func TestSortAndDedup(t *testing.T) {
 	sigs := []Signature{
 		New([]uint64{3}), New([]uint64{1}), New([]uint64{3}),
 		New([]uint64{2}), New([]uint64{1}), New([]uint64{1}),
 	}
-	u := Dedup(sigs)
+	u := dedup(sigs)
 	if len(u) != 3 {
 		t.Fatalf("Dedup: %d unique, want 3", len(u))
 	}
@@ -82,8 +101,8 @@ func TestSortAndDedup(t *testing.T) {
 }
 
 func TestDedupEmpty(t *testing.T) {
-	if got := Dedup(nil); got != nil {
-		t.Errorf("Dedup(nil) = %v, want nil", got)
+	if got := dedup(nil); got != nil {
+		t.Errorf("dedup(nil) = %v, want nil", got)
 	}
 }
 
@@ -97,7 +116,7 @@ func TestSetMatchesDedup(t *testing.T) {
 		set.Add(s)
 	}
 	fromSet := set.Sorted()
-	fromSlice := Dedup(sigs)
+	fromSlice := dedup(sigs)
 	if len(fromSet) != len(fromSlice) {
 		t.Fatalf("Set: %d unique, Dedup: %d", len(fromSet), len(fromSlice))
 	}

@@ -130,6 +130,35 @@ func TestBug3SurfacesAsCrash(t *testing.T) {
 	}
 }
 
+// TestCrashReportIndependentOfWorkers: which chunks were in flight behind the
+// crashing one depends on the worker count; what the crash report accounts
+// for must not.
+func TestCrashReportIndependentOfWorkers(t *testing.T) {
+	p := testgen.MustGenerate(TestConfig{Threads: 7, OpsPerThread: 200, Words: 512, Seed: 1})
+	type crash struct {
+		iterations, uniques int
+		cycles              int64
+		err                 string
+	}
+	var want crash
+	for _, workers := range []int{1, 2, 4} {
+		c, err := NewCampaign(p, Options{Platform: BuggyPlatform(BugWBRace), Iterations: 256, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := c.Run(context.Background())
+		if !errors.Is(err, ErrCrash) || report == nil {
+			t.Fatalf("Workers %d: report %v, err %v; want a crash report", workers, report, err)
+		}
+		got := crash{report.Iterations, report.UniqueSignatures, report.TotalCycles, err.Error()}
+		if workers == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("Workers %d: crash report %+v, Workers 1 gave %+v", workers, got, want)
+		}
+	}
+}
+
 func TestRunLitmusForbiddenAndAllowed(t *testing.T) {
 	for _, l := range LitmusTests() {
 		if l.Name != "SB" {
