@@ -94,7 +94,8 @@ offline-profile:
 # acceptance asks for lines and exports strictly down): non-test Go lines
 # outside bench/, exported declarations (go doc -short -all: methods included,
 # constant groups and struct fields not) per library package, flags per
-# binary, the plug points of the checker table — non-test call sites of
+# binary (every flag-defining call: the typed ones, Var, Func and TextVar), the
+# plug points of the checker table — non-test call sites of
 # check.ForName and check.ShardedBackend outside internal/check and bench/
 # (one each, in the root package's checkItems; internal/experiments walks the
 # table instead) — the rows of the metric series table per group, and the
@@ -106,7 +107,7 @@ surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@for p in $$($(GO) list . ./internal/...); do \
 		echo "$$p $$($(GO) doc -short -all $$p | grep -c '^\(func\|type\|const\|var\) ')"; done
-	@grep -c 'flag\.\(String\|Int\|Int64\|Bool\|Float64\|Duration\)' cmd/*/main.go
+	@grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\|Var\|Func\|BoolFunc\|TextVar\)\(Var\)\?(' cmd/*/main.go
 	@for f in ForName ShardedBackend; do \
 		echo "check.$$f call sites $$(grep -rn --include='*.go' --exclude='*_test.go' "check\.$$f(" . \
 			| grep -vc '^\./\(bench\|internal/check\)/')"; done

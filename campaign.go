@@ -66,17 +66,23 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 			maxIterations, ChunkSize, opts.Iterations)
 	case opts.Workers < 0:
 		return nil, fmt.Errorf("mtracecheck: Workers must be >= 0 (0 selects GOMAXPROCS), got %d", opts.Workers)
+	case !(opts.QuarantineThreshold >= 0 && opts.QuarantineThreshold <= 1):
+		return nil, fmt.Errorf("mtracecheck: QuarantineThreshold must be a fraction in [0, 1] (0 = no limit), got %v", opts.QuarantineThreshold)
 	case opts.Resume && opts.CheckpointPath == "":
 		return nil, errors.New("mtracecheck: Resume requires CheckpointPath")
 	case opts.Resume && opts.ObservedWS:
 		return nil, errors.New("mtracecheck: resume requires the static ws mode (checkpointed signatures carry no recorded write serialization)")
+	case opts.Fault.Enabled() && opts.ObservedWS:
+		return nil, errors.New("mtracecheck: fault injection requires the static ws mode (corrupted signatures carry no recorded write serialization)")
 	}
 	// An unknown checker is refused here, once for every door, by the entry
 	// every door's check ends in.
 	if err := checkItems(context.Background(), opts.Checker, nil, nil, 0, emitter{}, nil); err != nil {
 		return nil, err
 	}
-	inj, err := injector(opts)
+	// A campaign injects corruption and execution faults; wire kinds are a
+	// dist worker's, injected into its own uploads.
+	inj, err := fault.NewInjector(opts.Fault, fault.Corruption|fault.Execution)
 	if err != nil {
 		return nil, err
 	}
@@ -524,10 +530,7 @@ func (cr *ChunkRunner) runChunkRetrying(ctx context.Context, idx int) *shardOut 
 		if opts.ShardTimeout > 0 {
 			shardCtx, cancel = context.WithTimeout(ctx, opts.ShardTimeout)
 		}
-		var src sim.Source = &seededSource{r: cr.runner, seeds: seeds}
-		if c.inj != nil {
-			src = c.inj.WrapShard(shardCtx, src, start, count, attempt)
-		}
+		src := c.inj.WrapShard(shardCtx, &seededSource{r: cr.runner, seeds: seeds}, start, count, attempt)
 		began := time.Now()
 		c.em.shardStart(obs.StageExecute, cr.lane, attempt, start, count, began)
 		out := newShardOut(idx, start, count)
@@ -717,18 +720,6 @@ func faultCounts(m map[FaultKind]int) obs.FaultCounts {
 		Duplicate:  m[FaultDuplicate],
 		OutOfRange: m[FaultOutOfRange],
 	}
-}
-
-// injector builds the fault injector for the options, rejecting
-// configurations injection cannot honor.
-func injector(opts Options) (*fault.Injector, error) {
-	if !opts.Fault.Enabled() {
-		return nil, nil
-	}
-	if opts.ObservedWS {
-		return nil, errors.New("mtracecheck: fault injection requires the static ws mode (corrupted signatures carry no recorded write serialization)")
-	}
-	return fault.NewInjector(opts.Fault)
 }
 
 // progHash fingerprints a program for checkpoint and signature-set

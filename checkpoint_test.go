@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
@@ -52,7 +53,7 @@ func TestCheckpointCadenceInvariance(t *testing.T) {
 			got := &outcome{saved: map[int][]byte{}}
 			report, err := RunProgram(p, Options{
 				Iterations: 300, Seed: 3, Workers: workers,
-				Fault:          FaultConfig{Seed: 11, ShardPanic: 0.3}, // panics in chunk 3 of 5
+				Fault:          FaultConfig{Seed: 11, Rate: fault.Rates{fault.KindPanic: 0.3}}, // panics in chunk 3 of 5
 				CheckpointPath: path, CheckpointEvery: every,
 				Observer: checkpointTap(func(e obs.Checkpoint) {
 					data, err := os.ReadFile(path)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mtracecheck/internal/graph"
-	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 )
@@ -261,15 +260,11 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 		c.em.campaignEnd(report, runErr, m.began)
 		return report, runErr
 	}
-	uniques := m.acc.Sorted()
-	var injected obs.FaultCounts
-	if c.inj != nil {
-		uniques, report.InjectedFaults = c.inj.Corrupt(uniques)
-		injected = faultCounts(report.InjectedFaults)
-	}
+	uniques, injected := c.inj.Corrupt(m.acc.Sorted())
+	report.InjectedFaults = injected
 	report.UniqueSignatures = len(uniques)
 	report.signatures = uniques
-	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
+	c.em.mergeDone(report.Iterations, len(uniques), faultCounts(injected), true)
 	var err error
 	if m.check {
 		err = c.decodeAndCheck(ctx, uniques, m.wsBySig, report)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/sig"
 )
 
@@ -58,7 +59,7 @@ func TestChunkMergerAnyOrderMatchesRun(t *testing.T) {
 	}{
 		{name: "clean", opts: Options{Iterations: 300, Seed: 3}},
 		{name: "faulted", opts: Options{Iterations: 300, Seed: 3,
-			Fault: FaultConfig{Seed: 11, BitFlip: 0.05, OutOfRange: 0.03}}},
+			Fault: FaultConfig{Seed: 11, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindOutOfRange: 0.03}}}},
 		{name: "corpus", opts: Options{Iterations: 300, Seed: 3}, corpus: true},
 	}
 	orders := map[string]func(n int) []int{

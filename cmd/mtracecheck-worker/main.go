@@ -10,9 +10,11 @@
 //
 // Because chunk results are a pure function of (program, options, chunk
 // index), any number of workers — started and killed at any time — produce
-// the same campaign report. The -fault-wire-* flags deliberately corrupt,
-// drop, or delay this worker's uploads to exercise the server's
-// validation, lease-expiry, and quarantine machinery.
+// the same campaign report. The -fault flag deliberately corrupts, drops, or
+// delays this worker's uploads — a fault plan of wire kinds in
+// internal/fault's text form ("wire-drop=0.5,seed=3"; the seed defaults to
+// 1) — to exercise the server's validation, lease-expiry, and quarantine
+// machinery.
 package main
 
 import (
@@ -39,13 +41,10 @@ func run() int {
 		idle    = flag.Bool("exit-when-idle", false, "exit 0 when the server has no undone work instead of polling forever")
 		startup = flag.Duration("startup-timeout", 0, "how long to retry before the server first answers (0 = 60s); fleets may start in any order")
 		verbose = flag.Bool("v", false, "log worker operations to stderr")
-
-		fwCorrupt  = flag.Float64("fault-wire-corrupt", 0, "injected fault rate: flip one bit in an upload payload")
-		fwDrop     = flag.Float64("fault-wire-drop", 0, "injected fault rate: silently drop an upload (lease expires)")
-		fwDelay    = flag.Float64("fault-wire-delay", 0, "injected fault rate: delay an upload")
-		fwDelayFor = flag.Duration("fault-wire-delay-for", 0, "injected upload delay duration (0 = 250ms)")
-		fwSeed     = flag.Int64("wire-seed", 1, "seed for deterministic wire-fault injection")
+		plan    fault.Config
 	)
+	flag.TextVar(&plan, "fault", fault.Config{Seed: 1}, "mangle this worker's uploads by the fault `spec`: comma-separated key=value pairs, a kind's rate in [0, 1] ("+
+		fault.Wire.String()+"), seed=N and hold=DURATION (how long a delay holds an upload), e.g. wire-drop=0.5")
 	flag.Parse()
 
 	if *id == "" {
@@ -61,25 +60,13 @@ func run() int {
 		Poll:           *poll,
 		ExitWhenIdle:   *idle,
 		StartupTimeout: *startup,
+		Fault:          plan,
 	}
 	if *verbose {
 		w.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	wc := fault.WireConfig{
-		Seed: *fwSeed, Corrupt: *fwCorrupt, Drop: *fwDrop,
-		Delay: *fwDelay, DelayFor: *fwDelayFor,
-	}
-	if wc.Enabled() {
-		inj, err := fault.NewWireInjector(wc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mtracecheck-worker:", err)
-			return 2
-		}
-		w.Wire = inj
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err := w.Run(ctx)

@@ -29,10 +29,10 @@
 // apply as in a campaign.
 //
 // The -bug flag injects one of the paper's §7 defects (sm-inv, lsq-skip,
-// wb-race) into the platform, switching to the gem5-like preset. The
-// -fault-* flags inject deterministic device-side signature corruption and
-// shard faults (see internal/fault) to exercise the quarantine and retry
-// machinery.
+// wb-race) into the platform, switching to the gem5-like preset. The -fault
+// flag injects deterministic device-side signature corruption and shard
+// faults, a fault plan in internal/fault's text form ("bit-flip=0.01,seed=3";
+// the seed defaults to 1), to exercise the quarantine and retry machinery.
 //
 // Exit codes distinguish findings from infrastructure trouble; see -h.
 package main
@@ -53,6 +53,7 @@ import (
 
 	"mtracecheck"
 	"mtracecheck/internal/dist"
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sim"
@@ -99,14 +100,8 @@ func run() int {
 	flag.StringVar(&spec.CheckpointPath, "checkpoint", "", "periodically persist campaign progress to this file")
 	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in iterations, rounded up to whole 64-iteration chunks (0 = iters/10)")
 	flag.BoolVar(&spec.Resume, "resume", false, "resume the campaign from -checkpoint, executing only the chunks it does not cover (with -listen, a checkpoint that does not exist yet is a fresh start)")
-	flag.Float64Var(&spec.Fault.BitFlip, "fault-bitflip", 0, "injected fault rate: flip one bit in a signature word")
-	flag.Float64Var(&spec.Fault.Truncate, "fault-truncate", 0, "injected fault rate: drop a unique-set entry")
-	flag.Float64Var(&spec.Fault.Duplicate, "fault-duplicate", 0, "injected fault rate: duplicate a unique-set entry")
-	flag.Float64Var(&spec.Fault.OutOfRange, "fault-oor", 0, "injected fault rate: force a signature word out of range")
-	flag.Float64Var(&spec.Fault.ShardStall, "fault-stall", 0, "injected fault rate: stall an execution shard")
-	flag.DurationVar(&spec.Fault.StallFor, "fault-stall-for", 0, "injected stall duration (0 = 250ms)")
-	flag.Float64Var(&spec.Fault.ShardPanic, "fault-panic", 0, "injected fault rate: panic an execution shard")
-	flag.Int64Var(&spec.Fault.Seed, "fault-seed", 1, "seed for deterministic fault injection")
+	flag.TextVar(&spec.Fault, "fault", fault.Config{Seed: 1}, "inject deterministic faults by the `spec`: comma-separated key=value pairs, a kind's rate in [0, 1] ("+
+		(fault.Corruption|fault.Execution).String()+"), seed=N (the fault stream, independent of -seed) and hold=DURATION (how long a stall blocks), e.g. bit-flip=0.01,panic=0.5")
 	var (
 		progIn   = flag.String("prog", "", "run this saved test program instead of generating one")
 		progOut  = flag.String("dump-prog", "", "write the test program (text format) to this file")

@@ -9,11 +9,15 @@ package mtracecheck
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"mtracecheck/internal/fault"
 )
 
 // faultCfg is the small, fast test program shared by these tests.
@@ -65,7 +69,7 @@ func runCtx(ctx context.Context, p *Program, opts Options) (*Report, error) {
 func TestFaultInjectionWorkerInvariant(t *testing.T) {
 	base := Options{
 		Iterations: 200, Seed: 3,
-		Fault: FaultConfig{Seed: 11, BitFlip: 0.05, Truncate: 0.03, Duplicate: 0.03, OutOfRange: 0.03},
+		Fault: FaultConfig{Seed: 11, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindTruncate: 0.03, fault.KindDuplicate: 0.03, fault.KindOutOfRange: 0.03}},
 	}
 	opts := base
 	opts.Workers = 1
@@ -134,7 +138,7 @@ func TestBitFlipAcceptance(t *testing.T) {
 	report, err := Run(faultCfg, Options{
 		Platform:   PlatformX86(),
 		Iterations: 300, Seed: 1,
-		Fault: FaultConfig{Seed: 7, BitFlip: 0.01},
+		Fault: FaultConfig{Seed: 7, Rate: fault.Rates{fault.KindBitFlip: 0.01}},
 	})
 	if err != nil {
 		t.Fatalf("run aborted: %v", err)
@@ -157,7 +161,7 @@ func TestQuarantineThresholdExceeded(t *testing.T) {
 	report, err := Run(faultCfg, Options{
 		Iterations: 150, Seed: 3,
 		QuarantineThreshold: 0.01,
-		Fault:               FaultConfig{Seed: 11, OutOfRange: 0.5},
+		Fault:               FaultConfig{Seed: 11, Rate: fault.Rates{fault.KindOutOfRange: 0.5}},
 	})
 	if !errors.Is(err, ErrQuarantineThreshold) {
 		t.Fatalf("err = %v, want ErrQuarantineThreshold", err)
@@ -171,7 +175,7 @@ func TestStrictAbortsOnCorruption(t *testing.T) {
 	report, err := Run(faultCfg, Options{
 		Iterations: 150, Seed: 3,
 		Strict: true,
-		Fault:  FaultConfig{Seed: 11, OutOfRange: 0.5},
+		Fault:  FaultConfig{Seed: 11, Rate: fault.Rates{fault.KindOutOfRange: 0.5}},
 	})
 	if err == nil {
 		t.Fatal("strict mode tolerated corrupted signatures")
@@ -187,7 +191,7 @@ func TestStrictAbortsOnCorruption(t *testing.T) {
 func TestFaultRejectsObservedWS(t *testing.T) {
 	_, err := Run(faultCfg, Options{
 		Iterations: 10, Seed: 1, ObservedWS: true,
-		Fault: FaultConfig{Seed: 1, BitFlip: 0.5},
+		Fault: FaultConfig{Seed: 1, Rate: fault.Rates{fault.KindBitFlip: 0.5}},
 	})
 	if err == nil {
 		t.Error("fault injection accepted with observed ws")
@@ -204,10 +208,31 @@ func TestFaultRejectsObservedWS(t *testing.T) {
 func TestBadFaultConfigRejected(t *testing.T) {
 	_, err := Run(faultCfg, Options{
 		Iterations: 10, Seed: 1,
-		Fault: FaultConfig{BitFlip: 1.5},
+		Fault: FaultConfig{Rate: fault.Rates{fault.KindBitFlip: 1.5}},
 	})
 	if err == nil {
 		t.Error("out-of-range fault rate accepted")
+	}
+}
+
+// TestKnobsOutsideUnitRangeRefused: a fault rate or a quarantine threshold
+// that is NaN or outside [0, 1] is refused by NewCampaign, naming the value —
+// NaN fails every comparison, so it used to mean "inject nothing" or "no
+// limit" — and so is a wire kind, a worker's to inject.
+func TestKnobsOutsideUnitRangeRefused(t *testing.T) {
+	nan := math.NaN()
+	for want, opts := range map[string]Options{
+		"bit-flip rate NaN outside [0, 1]":                                          {Fault: FaultConfig{Rate: fault.Rates{fault.KindBitFlip: nan}}},
+		"panic rate -0.5 outside [0, 1]":                                            {Fault: FaultConfig{Rate: fault.Rates{fault.KindPanic: -0.5}}},
+		"QuarantineThreshold must be a fraction in [0, 1] (0 = no limit), got NaN":  {QuarantineThreshold: nan},
+		"QuarantineThreshold must be a fraction in [0, 1] (0 = no limit), got -0.5": {QuarantineThreshold: -0.5},
+		"QuarantineThreshold must be a fraction in [0, 1] (0 = no limit), got 1.5":  {QuarantineThreshold: 1.5},
+		"wire-drop is not injected here":                                            {Fault: FaultConfig{Rate: fault.Rates{fault.KindWireDrop: 0.5}}},
+	} {
+		opts.Iterations = 10
+		if _, err := Run(faultCfg, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: %v, want an error containing %q", opts, err, want)
+		}
 	}
 }
 
@@ -222,7 +247,7 @@ func TestShardPanicRetried(t *testing.T) {
 		report, err := Run(faultCfg, Options{
 			Iterations: 120, Seed: 5, Workers: workers,
 			ShardRetries: 2,
-			Fault:        FaultConfig{Seed: 8, ShardPanic: 1},
+			Fault:        FaultConfig{Seed: 8, Rate: fault.Rates{fault.KindPanic: 1}},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: retried run failed: %v", workers, err)
@@ -241,7 +266,7 @@ func TestShardPanicExhaustedRetries(t *testing.T) {
 	opts := Options{
 		Iterations: 120, Seed: 5, Workers: 2,
 		ShardRetries: 0,
-		Fault:        FaultConfig{Seed: 8, ShardPanic: 1},
+		Fault:        FaultConfig{Seed: 8, Rate: fault.Rates{fault.KindPanic: 1}},
 	}
 	report, err := Run(faultCfg, opts)
 	if err != nil {
@@ -282,7 +307,7 @@ func TestShardStallTimeoutRetried(t *testing.T) {
 		Iterations: 80, Seed: 5, Workers: 2,
 		ShardRetries: 1,
 		ShardTimeout: 500 * time.Millisecond,
-		Fault:        FaultConfig{Seed: 8, ShardStall: 1, StallFor: time.Hour},
+		Fault:        FaultConfig{Seed: 8, Rate: fault.Rates{fault.KindStall: 1}, Hold: time.Hour},
 	})
 	if err != nil {
 		t.Fatalf("stalled run failed: %v", err)
@@ -347,7 +372,7 @@ func TestCancelledBeforeStart(t *testing.T) {
 func TestCheckpointResumeFidelity(t *testing.T) {
 	cases := map[string]FaultConfig{
 		"clean":     {},
-		"corrupted": {Seed: 11, BitFlip: 0.05, OutOfRange: 0.03},
+		"corrupted": {Seed: 11, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindOutOfRange: 0.03}},
 	}
 	for label, fc := range cases {
 		full, err := Run(faultCfg, Options{Iterations: 256, Seed: 6, Fault: fc})
@@ -452,7 +477,7 @@ func TestCollectSignaturesFaultParity(t *testing.T) {
 	}
 	opts := Options{
 		Iterations: 150, Seed: 3,
-		Fault: FaultConfig{Seed: 11, BitFlip: 0.05, Truncate: 0.05},
+		Fault: FaultConfig{Seed: 11, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindTruncate: 0.05}},
 	}
 	uniques, err := CollectSignatures(p, opts)
 	if err != nil {

@@ -79,9 +79,12 @@ type JobSpec struct {
 	QuarantineThreshold float64       `json:"quarantine_threshold,omitempty"`
 	ShardTimeout        time.Duration `json:"shard_timeout,omitempty"`
 	ShardRetries        int           `json:"shard_retries,omitempty"`
-	// Fault configures the device-side injector; execution faults apply
+	// Fault is the campaign's fault plan; its JSON is the text form the -fault
+	// flags take ("bit-flip=0.01,panic=0.5,seed=3"). Execution faults apply
 	// wherever a chunk executes (keyed by chunk bounds, so they are
-	// worker-invariant) and signature corruption applies once to the merged set.
+	// worker-invariant) and signature corruption applies once to the merged
+	// set; wire kinds are a worker's own (Worker.Fault) and NewCampaign
+	// refuses them here.
 	Fault fault.Config `json:"fault,omitempty"`
 
 	// CheckpointPath, CheckpointEvery (iterations, rounded up to whole chunks;

@@ -227,14 +227,11 @@ func TestCorruptWorkerQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := fault.NewWireInjector(fault.WireConfig{Seed: 3, Corrupt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The liar runs alone first: with every upload corrupted the job cannot
 	// progress, so it deterministically strikes out and Run returns the
 	// quarantine error.
-	liar := &Worker{Server: url, ID: "liar", Poll: 5 * time.Millisecond, Wire: inj}
+	liar := &Worker{Server: url, ID: "liar", Poll: 5 * time.Millisecond,
+		Fault: fault.Config{Seed: 3, Rate: fault.Rates{fault.KindWireCorrupt: 1}}}
 	if err := liar.Run(context.Background()); !errors.Is(err, ErrWorkerQuarantined) {
 		t.Fatalf("liar exited with %v, want quarantine", err)
 	}
@@ -363,16 +360,13 @@ func TestExpiredLeaseRedispatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := fault.NewWireInjector(fault.WireConfig{Seed: 5, Drop: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dropCtx, stopDropper := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := &Worker{Server: url, ID: "dropper", Poll: 5 * time.Millisecond, Wire: inj}
+		w := &Worker{Server: url, ID: "dropper", Poll: 5 * time.Millisecond,
+			Fault: fault.Config{Seed: 5, Rate: fault.Rates{fault.KindWireDrop: 1}}}
 		w.Run(dropCtx)
 	}()
 	// Let the dropper burn at least one lease before honest help arrives.
@@ -397,6 +391,46 @@ func TestExpiredLeaseRedispatched(t *testing.T) {
 	stats, _ := srv.Stats(id)
 	if stats.Expired == 0 || stats.Redispatched == 0 {
 		t.Fatalf("expected expiry and redispatch, got %+v", stats)
+	}
+}
+
+// TestLossyWorkerFinishes: a lone worker that loses half its uploads still
+// finishes the job, with the in-process run's report, because each send of
+// a chunk draws a fresh decision. Seed 1 drops the first send of every
+// chunk, so a worker that keyed every send like its first would drop each
+// chunk on every lease until the job failed as undispatchable.
+func TestLossyWorkerFinishes(t *testing.T) {
+	spec := testSpec()
+	spec.Iterations = 4 * mtracecheck.ChunkSize
+	ref, refU := reference(t, spec)
+	srv, url := startServer(t, ServerOptions{LeaseTTL: 50 * time.Millisecond, BackoffBase: time.Millisecond})
+	id, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkers(t, url, 1, func(_ int, w *Worker) {
+		w.Fault = fault.Config{Seed: 1, Rate: fault.Rates{fault.KindWireDrop: 0.5}}
+	})
+	report, err := srv.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, ref, refU, report, report.Signatures())
+	if stats, _ := srv.Stats(id); stats.Expired < 4 {
+		t.Fatalf("expected every chunk's first upload lost, got %+v", stats)
+	}
+}
+
+// TestWorkerRefusesOtherFamilies: a worker injects wire faults only; a plan
+// naming a corruption or execution kind is refused by name before the
+// worker contacts anyone.
+func TestWorkerRefusesOtherFamilies(t *testing.T) {
+	for _, k := range []fault.Kind{fault.KindBitFlip, fault.KindPanic} {
+		w := &Worker{Server: "http://127.0.0.1:1", ID: "w"}
+		w.Fault.Rate[k] = 0.5
+		if err := w.Run(context.Background()); err == nil || !strings.Contains(err.Error(), k.String()+" is not injected here") {
+			t.Errorf("a worker planning %v: %v", k, err)
+		}
 	}
 }
 

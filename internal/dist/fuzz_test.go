@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mtracecheck"
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 )
@@ -54,6 +55,18 @@ func FuzzBuild(f *testing.F) {
 	f.Add([]byte(`{"test":{"Threads":1048576,"OpsPerThread":1048576,"Words":1099511627776}}`))
 	f.Add([]byte(`{"test":{"Threads":2,"OpsPerThread":20,"Words":8},"checker":"pk","bug":"none","isa":"mips"}`))
 	f.Add([]byte(`{"program":"not a program"}`))
+	// Fault plans in the text form, one valid and one of each refusal: NaN, a
+	// rate above 1, an unknown kind, a wire kind (a worker's, not a job's), a
+	// repeated key, a negative hold, the struct form the text replaced — and a
+	// negative quarantine threshold, which used to mean "no limit".
+	test := `"test":{"Threads":2,"OpsPerThread":20,"Words":8},"iterations":64`
+	for _, plan := range []string{
+		`"bit-flip=0.01,panic=0.5,seed=3,hold=300ms"`, `"bit-flip=NaN"`, `"panic=1.5"`, `"flip=0.1"`,
+		`"wire-drop=0.5"`, `"seed=1,seed=2"`, `"stall=1,hold=-1s"`, `{"BitFlip":0.1}`,
+	} {
+		f.Add([]byte(`{` + test + `,"fault":` + plan + `}`))
+	}
+	f.Add([]byte(`{` + test + `,"quarantine_threshold":-0.5}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
@@ -68,14 +81,29 @@ func FuzzBuild(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		p, opts, err := Build(spec)
 		if err == nil {
+			// The fault plan's JSON is its text form, which writes back what
+			// it read.
+			var back JobSpec
+			if text, err := json.Marshal(spec); err != nil || json.Unmarshal(text, &back) != nil || back.Fault != spec.Fault {
+				t.Errorf("fault plan %+v does not round-trip through JSON (%v): %+v", spec.Fault, err, back.Fault)
+			}
 			_, err = mtracecheck.NewCampaign(p, opts)
 		}
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > allocLimit {
 			t.Errorf("resolving a %d-byte description allocated %d MiB (err: %v)", len(data), grew>>20, err)
 		}
-		if err == nil && (spec.Iterations < 0 || spec.Iterations > mtracecheck.ChunkSize<<24) {
+		if err != nil {
+			return
+		}
+		if spec.Iterations < 0 || spec.Iterations > mtracecheck.ChunkSize<<24 {
 			t.Errorf("a campaign of %d iterations was accepted", spec.Iterations)
+		}
+		if q := spec.QuarantineThreshold; !(q >= 0 && q <= 1) {
+			t.Errorf("a quarantine threshold of %v was accepted", q)
+		}
+		if err := spec.Fault.Validate(fault.Corruption | fault.Execution); err != nil {
+			t.Errorf("a campaign was accepted with %v", err)
 		}
 	})
 }

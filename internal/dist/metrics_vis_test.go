@@ -21,11 +21,8 @@ func TestMetricsSurfaceQuarantine(t *testing.T) {
 	if _, err := srv.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	inj, err := fault.NewWireInjector(fault.WireConfig{Seed: 9, Corrupt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	liar := &Worker{Server: url, ID: "liar", Poll: 5 * time.Millisecond, Wire: inj}
+	liar := &Worker{Server: url, ID: "liar", Poll: 5 * time.Millisecond,
+		Fault: fault.Config{Seed: 9, Rate: fault.Rates{fault.KindWireCorrupt: 1}}}
 	liar.Run(context.Background())
 	runWorkers(t, url, 1, nil)
 	var buf bytes.Buffer
@@ -53,7 +50,7 @@ func TestMetricsSurfaceQuarantine(t *testing.T) {
 // workers': those series stay zero on the server.
 func TestHostStagesVisibleBehindServer(t *testing.T) {
 	spec := testSpec()
-	spec.Fault = fault.Config{Seed: 5, BitFlip: 0.05, OutOfRange: 0.05}
+	spec.Fault = fault.Config{Seed: 5, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindOutOfRange: 0.05}}
 	p, opts, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestResumeAcrossDoors(t *testing.T) {
 	}
 	for name, fc := range map[string]fault.Config{
 		"clean":     {},
-		"corrupted": {Seed: 11, BitFlip: 0.05, OutOfRange: 0.03},
+		"corrupted": {Seed: 11, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindOutOfRange: 0.03}},
 	} {
 		spec := JobSpec{
 			Test:       &testgen.Config{Threads: 3, OpsPerThread: 30, Words: 8, Seed: 1},

@@ -18,8 +18,8 @@ import (
 // leases, executes them on a locally rebuilt campaign (Build of the same
 // spec the server holds, so results are interchangeable with any other
 // worker's), heartbeats while executing, and uploads results. Its optional
-// wire injector corrupts, drops, or delays its own uploads — the test
-// harness for the server's validation, expiry, and quarantine paths.
+// fault plan corrupts, drops, or delays its own uploads — the test harness
+// for the server's validation, expiry, and quarantine paths.
 type Worker struct {
 	// Server is the base URL, e.g. "http://127.0.0.1:7077".
 	Server string
@@ -29,8 +29,10 @@ type Worker struct {
 	Client *http.Client
 	// Poll is the idle wait between lease attempts (0 = 100ms).
 	Poll time.Duration
-	// Wire, when set, mangles uploads in flight.
-	Wire *fault.WireInjector
+	// Fault is the plan this worker mangles its uploads with: wire kinds
+	// only (Run refuses the others by name). Each send of a chunk draws a
+	// fresh decision, keyed by the worker's own count of that chunk's sends.
+	Fault fault.Config
 	// ExitWhenIdle returns from Run when the server reports no undone work
 	// instead of polling forever — the batch-fleet mode.
 	ExitWhenIdle bool
@@ -44,13 +46,16 @@ type Worker struct {
 	Logf func(format string, args ...any)
 
 	jobs map[string]*workerJob
+	inj  *fault.Injector
 }
 
 // workerJob is one job's locally rebuilt execution state, cached across
-// chunks so the spec fetch and program analysis are paid once.
+// chunks so the spec fetch and program analysis are paid once, and this
+// worker's count of uploads sent per chunk.
 type workerJob struct {
 	spec   JobSpec
 	runner *mtracecheck.ChunkRunner
+	sends  map[int]int
 }
 
 // ErrWorkerQuarantined reports that the server refused this worker service.
@@ -97,7 +102,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.ID == "" {
 		return errors.New("dist: worker needs an ID")
 	}
-	w.jobs = make(map[string]*workerJob)
+	inj, err := fault.NewInjector(w.Fault, fault.Wire)
+	if err != nil {
+		return err
+	}
+	w.jobs, w.inj = make(map[string]*workerJob), inj
 	unreachable := 0
 	contacted := false
 	deadline := time.Now().Add(w.startupTimeout())
@@ -195,7 +204,7 @@ func (w *Worker) jobFor(ctx context.Context, id string) (*workerJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	wj := &workerJob{spec: spec, runner: runner}
+	wj := &workerJob{spec: spec, runner: runner, sends: make(map[int]int)}
 	w.jobs[id] = wj
 	return wj, nil
 }
@@ -262,22 +271,20 @@ func (w *Worker) executeLease(ctx context.Context, lease LeaseResponse) error {
 	if err != nil {
 		return err
 	}
-	attempt := 0 // wire faults are keyed per send; lease attempts are server-side
-	if w.Wire != nil {
-		mangled, f := w.Wire.MangleUpload(payload, lease.Job, lease.Chunk, attempt)
-		switch f.Kind {
-		case fault.KindWireDrop:
-			w.logf("worker %s: job %s chunk %d upload dropped (injected)", w.ID, lease.Job, lease.Chunk)
-			return nil // the lease will expire and the chunk redispatch
-		case fault.KindWireDelay:
-			w.logf("worker %s: job %s chunk %d upload delayed %v (injected)", w.ID, lease.Job, lease.Chunk, f.Hold)
-			if !w.sleep(ctx, f.Hold) {
-				return ctx.Err()
-			}
-		case fault.KindWireCorrupt:
-			w.logf("worker %s: job %s chunk %d upload corrupted (injected)", w.ID, lease.Job, lease.Chunk)
+	send := wj.sends[lease.Chunk]
+	wj.sends[lease.Chunk]++
+	payload, d := w.inj.MangleUpload(payload, lease.Job, lease.Chunk, send)
+	switch d.Kind {
+	case fault.KindWireDrop:
+		w.logf("worker %s: job %s chunk %d upload dropped (injected)", w.ID, lease.Job, lease.Chunk)
+		return nil // the lease will expire and the chunk redispatch
+	case fault.KindWireDelay:
+		w.logf("worker %s: job %s chunk %d upload delayed %v (injected)", w.ID, lease.Job, lease.Chunk, d.Hold)
+		if !w.sleep(ctx, d.Hold) {
+			return ctx.Err()
 		}
-		payload = mangled
+	case fault.KindWireCorrupt:
+		w.logf("worker %s: job %s chunk %d upload corrupted (injected)", w.ID, lease.Job, lease.Chunk)
 	}
 	resp, err := w.postChunk(ctx, payload)
 	if err != nil {

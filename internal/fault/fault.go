@@ -1,26 +1,24 @@
-// Package fault is a deterministic device-side fault injector for the
-// validation pipeline. The paper's deployment target is real silicon, where
-// the device half of the flow is the unreliable half: signatures accumulate
-// in registers and are stored to a result memory region that can be
-// corrupted, and campaigns of tens of thousands of iterations can stall or
-// die mid-run (paper §4–5; TSOtool-lineage checkers likewise treat observed
-// executions as untrusted input). This package models that unreliability so
-// the host-side tolerance machinery — quarantine, retry, partial results —
-// can be proven against a reproducible fault stream.
+// Package fault is a deterministic fault injector for the validation
+// pipeline. The paper's deployment target is real silicon, where the device
+// half of the flow is the unreliable half: signatures accumulate in registers
+// and are stored to a result memory region that can be corrupted, campaigns
+// can stall or die mid-run, and results cross a network to the host (paper
+// §4–5; TSOtool-lineage checkers likewise treat observed executions as
+// untrusted input). This package models that unreliability so the host-side
+// tolerance machinery — quarantine, retry, partial results, the dist server's
+// upload validation — can be proven against a reproducible fault stream.
 //
-// Two fault families are injected at the two places real faults strike:
-//
-//   - Signature corruption (bit flips, truncated/duplicated result-memory
-//     entries, out-of-range words) is applied to the merged unique signature
-//     set between execution and decoding — the point where the host reads
-//     the device's result memory. Every per-entry decision is keyed by
-//     (Seed, signature bytes), so the outcome is a pure function of the
-//     collected set: identical for every worker count and iteration order.
-//   - Execution faults (shard stalls and panics) are injected through a
-//     sim.Source wrapper around the shard's runner. They trigger only on a
-//     shard's first attempt — they model transient failures, so a retry of
-//     the same iteration block succeeds and the campaign's final results
-//     stay worker-invariant whenever retries are enabled.
+// A fault plan is one Config: a seed, one rate per Kind and one hold. Each
+// family of kinds has one planner, applied where such faults strike:
+// Corrupt (corruption) to the merged unique set where the host reads the
+// device's result memory; WrapShard (execution: stalls and panics) to a
+// shard's first attempt only — transient faults, so a retried block succeeds
+// and results stay worker-invariant; MangleUpload (wire) by a dist worker to
+// its own chunk uploads, which the server never trusts. Every decision is
+// drawn, in a fixed order per planner, from a stream keyed by the seed and
+// the bytes of what is decided about (a signature, an iteration block, one
+// send of an upload), so outcomes are independent of worker count and
+// collection order and stable as rates change one at a time.
 package fault
 
 import (
@@ -30,6 +28,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"mtracecheck/internal/sig"
@@ -39,172 +39,284 @@ import (
 // Kind identifies one injected fault class.
 type Kind uint8
 
+// The kinds, each named and put in its family by the kinds table.
 const (
-	// KindNone means no fault.
-	KindNone Kind = iota
-	// KindBitFlip flips one random bit of one signature word.
-	KindBitFlip
-	// KindTruncate drops a result-memory entry entirely.
-	KindTruncate
-	// KindDuplicate stores a result-memory entry twice.
-	KindDuplicate
-	// KindOutOfRange overwrites one signature word with an impossible value.
-	KindOutOfRange
-	// KindStall blocks a shard mid-run (exceeding any shard deadline).
-	KindStall
-	// KindPanic panics a shard mid-run.
-	KindPanic
-	// KindWireCorrupt flips one bit of a chunk upload in flight.
-	KindWireCorrupt
-	// KindWireDrop loses a chunk upload in flight (the lease expires).
-	KindWireDrop
-	// KindWireDelay holds a chunk upload past its send time.
-	KindWireDelay
+	KindNone        Kind = iota // no fault
+	KindBitFlip                 // flips one random bit of one signature word
+	KindTruncate                // drops a result-memory entry entirely
+	KindDuplicate               // stores a result-memory entry twice
+	KindOutOfRange              // overwrites one signature word with an impossible value
+	KindStall                   // blocks a shard mid-run (exceeding any shard deadline)
+	KindPanic                   // panics a shard mid-run
+	KindWireCorrupt             // flips one bit of a chunk upload in flight
+	KindWireDrop                // loses a chunk upload in flight (the lease expires)
+	KindWireDelay               // holds a chunk upload past its send time
+	numKinds
 )
 
+// Family is a set of kind families: the kinds one planner injects, or the
+// families a door takes (Config.Validate).
+type Family uint8
+
+const (
+	// Corruption is the family Corrupt applies to the merged signature set.
+	Corruption Family = 1 << iota
+	// Execution is the family WrapShard applies to a shard's first attempt.
+	Execution
+	// Wire is the family MangleUpload applies to a worker's chunk uploads.
+	Wire
+
+	anyFamily = Corruption | Execution | Wire
+)
+
+// kinds is the one list of fault kinds: each kind's name — its String and
+// its key in the text form — and its family.
+var kinds = [numKinds]struct {
+	name   string
+	family Family
+}{
+	KindNone:        {"none", 0},
+	KindBitFlip:     {"bit-flip", Corruption},
+	KindTruncate:    {"truncate", Corruption},
+	KindDuplicate:   {"duplicate", Corruption},
+	KindOutOfRange:  {"out-of-range", Corruption},
+	KindStall:       {"stall", Execution},
+	KindPanic:       {"panic", Execution},
+	KindWireCorrupt: {"wire-corrupt", Wire},
+	KindWireDrop:    {"wire-drop", Wire},
+	KindWireDelay:   {"wire-delay", Wire},
+}
+
 func (k Kind) String() string {
-	switch k {
-	case KindNone:
-		return "none"
-	case KindBitFlip:
-		return "bit-flip"
-	case KindTruncate:
-		return "truncate"
-	case KindDuplicate:
-		return "duplicate"
-	case KindOutOfRange:
-		return "out-of-range"
-	case KindStall:
-		return "stall"
-	case KindPanic:
-		return "panic"
-	case KindWireCorrupt:
-		return "wire-corrupt"
-	case KindWireDrop:
-		return "wire-drop"
-	case KindWireDelay:
-		return "wire-delay"
+	if k < numKinds {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("fault.Kind(%d)", uint8(k))
 }
 
-// Config sets per-kind fault rates. The zero value injects nothing. All
-// rates are probabilities in [0, 1]: the signature rates apply per unique
-// set entry, the shard rates per shard (first attempt only).
+// String lists the names of the family's kinds, comma-separated.
+func (f Family) String() string {
+	var names []string
+	for k := KindBitFlip; k < numKinds; k++ {
+		if kinds[k].family&f != 0 {
+			names = append(names, kinds[k].name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// Rates holds one injection probability in [0, 1] per Kind, indexed by it
+// (KindNone's entry is unused): corruption rates apply per unique-set entry,
+// execution rates per shard (first attempt only), wire rates per upload send.
+type Rates [numKinds]float64
+
+// Config is a fault plan. The zero value injects nothing. Its text form —
+// what the -fault flags and JobSpec's JSON carry — is comma-separated
+// key=value pairs, a kind's name keying its rate:
+// "bit-flip=0.01,panic=0.5,seed=3,hold=300ms".
 type Config struct {
 	// Seed drives every injection decision; independent of the run seed so
 	// the same campaign can be replayed under different fault streams.
 	Seed int64
-	// BitFlip is the per-entry probability of flipping one random bit.
-	BitFlip float64
-	// Truncate is the per-entry probability of dropping the entry.
-	Truncate float64
-	// Duplicate is the per-entry probability of storing the entry twice.
-	Duplicate float64
-	// OutOfRange is the per-entry probability of overwriting one word with
-	// an undecodable value.
-	OutOfRange float64
-	// ShardStall is the per-shard probability of a mid-run stall.
-	ShardStall float64
-	// ShardPanic is the per-shard probability of a mid-run panic.
-	ShardPanic float64
-	// StallFor is how long a stalled shard blocks before resuming
-	// (interruptible by the shard's context); 0 selects 250ms.
-	StallFor time.Duration
+	// Rate is each kind's injection probability.
+	Rate Rates
+	// Hold is how long an injected stall blocks a shard (interruptible by
+	// its context) and an injected delay holds an upload; 0 selects
+	// defaultHold.
+	Hold time.Duration
+}
+
+const defaultHold = 250 * time.Millisecond
+
+func (c Config) hold() time.Duration {
+	if c.Hold == 0 {
+		return defaultHold
+	}
+	return c.Hold
 }
 
 // Enabled reports whether any fault rate is set.
 func (c Config) Enabled() bool {
-	return c.corruption() || c.execution()
+	return c.sets(anyFamily)
 }
 
-func (c Config) corruption() bool {
-	return c.BitFlip > 0 || c.Truncate > 0 || c.Duplicate > 0 || c.OutOfRange > 0
-}
-
-func (c Config) execution() bool {
-	return c.ShardStall > 0 || c.ShardPanic > 0
-}
-
-// Validate rejects rates outside [0, 1] and negative stall durations.
-func (c Config) Validate() error {
-	for _, r := range []struct {
-		name string
-		rate float64
-	}{
-		{"BitFlip", c.BitFlip}, {"Truncate", c.Truncate},
-		{"Duplicate", c.Duplicate}, {"OutOfRange", c.OutOfRange},
-		{"ShardStall", c.ShardStall}, {"ShardPanic", c.ShardPanic},
-	} {
-		if r.rate < 0 || r.rate > 1 {
-			return fmt.Errorf("fault: %s rate %v outside [0, 1]", r.name, r.rate)
+// sets reports whether a rate of family f is set.
+func (c Config) sets(f Family) bool {
+	for k := KindBitFlip; k < numKinds; k++ {
+		if c.Rate[k] > 0 && kinds[k].family&f != 0 {
+			return true
 		}
 	}
-	if c.StallFor < 0 {
-		return fmt.Errorf("fault: negative StallFor %v", c.StallFor)
+	return false
+}
+
+// Validate refuses a rate that is NaN or outside [0, 1] and a negative
+// Hold, naming the value, and a rate set for a kind outside the families f,
+// naming the kind: each door injects its own families and refuses the
+// others'.
+func (c Config) Validate(f Family) error {
+	for k := KindBitFlip; k < numKinds; k++ {
+		switch r := c.Rate[k]; {
+		case !(r >= 0 && r <= 1):
+			return fmt.Errorf("fault: %v rate %v outside [0, 1]", k, r)
+		case r != 0 && kinds[k].family&f == 0:
+			return fmt.Errorf("fault: %v is not injected here (this door injects %v)", k, f)
+		}
+	}
+	if c.Hold < 0 {
+		return fmt.Errorf("fault: negative hold %v", c.Hold)
 	}
 	return nil
 }
 
-// Injector applies a Config's fault stream deterministically.
+// MarshalText writes the text form: the kinds with a nonzero rate in Kind
+// order, then the seed and the hold when nonzero. The zero Config is "".
+func (c Config) MarshalText() ([]byte, error) {
+	var b []byte
+	add := func(key, value string) {
+		if len(b) > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, key...), '='), value...)
+	}
+	for k := KindBitFlip; k < numKinds; k++ {
+		if c.Rate[k] != 0 {
+			add(kinds[k].name, strconv.FormatFloat(c.Rate[k], 'g', -1, 64))
+		}
+	}
+	if c.Seed != 0 {
+		add("seed", strconv.FormatInt(c.Seed, 10))
+	}
+	if c.Hold != 0 {
+		add("hold", c.Hold.String())
+	}
+	return b, nil
+}
+
+// UnmarshalText parses the text form onto c: a kind's name sets its rate,
+// "seed" the seed and "hold" the hold (a time.ParseDuration string). What the
+// text does not name keeps its value, so a flag's default seed survives
+// "-fault panic=1". An item that is not key=value, an unknown or repeated
+// key and a value Validate refuses are errors that leave c unchanged; which
+// kinds a door takes is the door's to check.
+func (c *Config) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		return nil
+	}
+	next := *c
+	seen := make(map[string]bool)
+	for _, item := range strings.Split(string(text), ",") {
+		key, value, ok := strings.Cut(item, "=")
+		switch {
+		case !ok:
+			return fmt.Errorf("fault: %q is not key=value", item)
+		case seen[key]:
+			return fmt.Errorf("fault: %s given twice", key)
+		}
+		seen[key] = true
+		var err error
+		switch key {
+		case "seed":
+			next.Seed, err = strconv.ParseInt(value, 10, 64)
+		case "hold":
+			next.Hold, err = time.ParseDuration(value)
+		default:
+			k := KindBitFlip
+			for k < numKinds && kinds[k].name != key {
+				k++
+			}
+			if k == numKinds {
+				return fmt.Errorf("fault: unknown key %q (valid: %v, seed, hold)", key, anyFamily)
+			}
+			next.Rate[k], err = strconv.ParseFloat(value, 64)
+		}
+		if err != nil {
+			return fmt.Errorf("fault: %s: %w", key, err)
+		}
+	}
+	if err := next.Validate(anyFamily); err != nil {
+		return err
+	}
+	*c = next
+	return nil
+}
+
+// Injector applies a Config's fault stream deterministically. A nil
+// *Injector injects nothing.
 type Injector struct {
 	cfg Config
 }
 
-// NewInjector validates the config and returns an injector for it.
-func NewInjector(cfg Config) (*Injector, error) {
-	if err := cfg.Validate(); err != nil {
+// NewInjector validates the config for a door that injects the families f
+// and returns its injector: nil when the config sets no rate, so a
+// fault-free campaign pays nothing.
+func NewInjector(cfg Config, f Family) (*Injector, error) {
+	if err := cfg.Validate(f); err != nil {
 		return nil, err
+	}
+	if !cfg.Enabled() {
+		return nil, nil
 	}
 	return &Injector{cfg: cfg}, nil
 }
 
-// entryRNG derives the decision stream for one signature: a pure function
-// of (Seed, signature bytes), so corruption is independent of worker count
-// and collection order.
-func (in *Injector) entryRNG(s sig.Signature) *rand.Rand {
+// stream is the decision stream keyed by key: FNV-64a over the seed's eight
+// little-endian bytes followed by key.
+func (in *Injector) stream(key []byte) *rand.Rand {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(in.cfg.Seed))
 	h.Write(b[:])
-	h.Write(s.AppendBinary(nil))
+	h.Write(key)
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// Corrupt applies the signature-level faults to a sorted unique set — the
-// host reading the device's result memory — and returns the re-sorted,
-// re-deduplicated corrupted set plus the count of injections per kind.
-// A duplicated entry that survives unmodified merges back during
-// re-deduplication with a doubled observation count (benign corruption the
-// pipeline absorbs); flips and out-of-range writes produce entries the
-// decoder must quarantine or, when the flip lands on another valid
-// encoding, silently mimic.
+// Decision is one planned injection; Kind is KindNone when nothing is
+// injected. Iteration is the block-relative iteration an execution fault
+// strikes at, Bit the payload bit a wire corruption flips (modulo the
+// payload's length, which the planner does not know), and Hold how long a
+// stall or an upload delay waits.
+type Decision struct {
+	Kind      Kind
+	Iteration int
+	Bit       uint64
+	Hold      time.Duration
+}
+
+// Corrupt applies the corruption family to a sorted unique set — the host
+// reading the device's result memory — and returns the re-sorted,
+// re-deduplicated corrupted set plus the count of injections per kind. Each
+// entry's stream is keyed by its signature bytes, so corruption is a pure
+// function of the collected set, and draws truncate, duplicate, bit-flip,
+// out-of-range in that order. A duplicated entry that survives unmodified
+// merges back during re-deduplication with a doubled observation count
+// (benign corruption the pipeline absorbs); flips and out-of-range writes
+// produce entries the decoder must quarantine or, when the flip lands on
+// another valid encoding, silently mimic.
 func (in *Injector) Corrupt(uniques []sig.Unique) ([]sig.Unique, map[Kind]int) {
-	if !in.cfg.corruption() {
+	if in == nil || !in.cfg.sets(Corruption) {
 		return uniques, nil
 	}
 	injected := make(map[Kind]int)
 	out := make([]sig.Unique, 0, len(uniques))
 	for _, u := range uniques {
-		rng := in.entryRNG(u.Sig)
-		// Fixed draw order keeps the stream stable as rates change one at
-		// a time.
-		if rng.Float64() < in.cfg.Truncate {
+		rng := in.stream(u.Sig.AppendBinary(nil))
+		if rng.Float64() < in.cfg.Rate[KindTruncate] {
 			injected[KindTruncate]++
 			continue
 		}
-		if rng.Float64() < in.cfg.Duplicate {
+		if rng.Float64() < in.cfg.Rate[KindDuplicate] {
 			injected[KindDuplicate]++
 			out = append(out, u)
 		}
 		cu := u
-		if rng.Float64() < in.cfg.BitFlip {
+		if rng.Float64() < in.cfg.Rate[KindBitFlip] {
 			injected[KindBitFlip]++
 			words := cu.Sig.Words()
 			words[rng.Intn(len(words))] ^= 1 << uint(rng.Intn(64))
 			cu.Sig = sig.New(words)
 		}
-		if rng.Float64() < in.cfg.OutOfRange {
+		if rng.Float64() < in.cfg.Rate[KindOutOfRange] {
 			injected[KindOutOfRange]++
 			words := cu.Sig.Words()
 			words[rng.Intn(len(words))] = ^uint64(0)
@@ -229,79 +341,64 @@ func (in *Injector) Corrupt(uniques []sig.Unique) ([]sig.Unique, map[Kind]int) {
 	return merged, injected
 }
 
-// ShardFault is one planned execution fault within a shard's iteration
-// block; Kind is KindNone when the shard runs clean.
-type ShardFault struct {
-	Kind      Kind
-	Iteration int // block-relative iteration at which the fault triggers
-}
-
-// ShardPlan decides the execution fault for one shard attempt, keyed by the
-// shard's global iteration block. Faults are transient: only attempt 0 can
-// fault, so a retried shard completes and the campaign's results stay
-// worker-invariant.
-func (in *Injector) ShardPlan(start, count, attempt int) ShardFault {
-	if attempt > 0 || count <= 0 || !in.cfg.execution() {
-		return ShardFault{}
+// shardPlan decides the execution fault for one shard attempt, its stream
+// keyed by the shard's global iteration block (start, count) and drawing
+// panic, then stall. Faults are transient: only attempt 0 can fault, so a
+// retried shard completes and the campaign's results stay worker-invariant.
+func (in *Injector) shardPlan(start, count, attempt int) Decision {
+	if in == nil || attempt > 0 || count <= 0 || !in.cfg.sets(Execution) {
+		return Decision{}
 	}
-	h := fnv.New64a()
-	var b [24]byte
-	binary.LittleEndian.PutUint64(b[0:], uint64(in.cfg.Seed))
-	binary.LittleEndian.PutUint64(b[8:], uint64(start))
-	binary.LittleEndian.PutUint64(b[16:], uint64(count))
-	h.Write(b[:])
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	if rng.Float64() < in.cfg.ShardPanic {
-		return ShardFault{Kind: KindPanic, Iteration: rng.Intn(count)}
+	var key [16]byte
+	binary.LittleEndian.PutUint64(key[0:], uint64(start))
+	binary.LittleEndian.PutUint64(key[8:], uint64(count))
+	rng := in.stream(key[:])
+	if rng.Float64() < in.cfg.Rate[KindPanic] {
+		return Decision{Kind: KindPanic, Iteration: rng.Intn(count)}
 	}
-	if rng.Float64() < in.cfg.ShardStall {
-		return ShardFault{Kind: KindStall, Iteration: rng.Intn(count)}
+	if rng.Float64() < in.cfg.Rate[KindStall] {
+		return Decision{Kind: KindStall, Iteration: rng.Intn(count), Hold: in.cfg.hold()}
 	}
-	return ShardFault{}
+	return Decision{}
 }
 
 // WrapShard returns the execution source for one shard attempt: the inner
 // runner as-is when no fault is planned, or wrapped to trigger the planned
 // stall or panic.
 func (in *Injector) WrapShard(ctx context.Context, inner sim.Source, start, count, attempt int) sim.Source {
-	f := in.ShardPlan(start, count, attempt)
-	if f.Kind == KindNone {
+	d := in.shardPlan(start, count, attempt)
+	if d.Kind == KindNone {
 		return inner
 	}
-	stall := in.cfg.StallFor
-	if stall == 0 {
-		stall = 250 * time.Millisecond
-	}
-	return &Runner{inner: inner, ctx: ctx, fault: f, stallFor: stall}
+	return &shardRunner{inner: inner, ctx: ctx, d: d}
 }
 
-// Runner wraps a sim.Source, injecting one planned stall or panic at a
-// fixed block-relative iteration. Like the runner it wraps, it is owned by
-// a single goroutine.
-type Runner struct {
-	inner    sim.Source
-	ctx      context.Context
-	fault    ShardFault
-	stallFor time.Duration
-	i        int
+// shardRunner wraps a sim.Source, injecting one planned stall or panic at a
+// fixed block-relative iteration. Like the runner it wraps, it is owned by a
+// single goroutine.
+type shardRunner struct {
+	inner sim.Source
+	ctx   context.Context
+	d     Decision
+	i     int
 }
 
 // Run delegates to the wrapped source, first triggering the planned fault
 // when its iteration is reached: a panic unwinds into the shard's recover
-// handler; a stall blocks until StallFor elapses or the shard's context is
+// handler; a stall blocks until its hold elapses or the shard's context is
 // done (the per-shard deadline path).
-func (r *Runner) Run() (*sim.Execution, error) {
+func (r *shardRunner) Run() (*sim.Execution, error) {
 	i := r.i
 	r.i++
-	if r.fault.Kind != KindNone && i == r.fault.Iteration {
-		switch r.fault.Kind {
+	if i == r.d.Iteration {
+		switch r.d.Kind {
 		case KindPanic:
 			panic(fmt.Sprintf("fault: injected shard panic at block iteration %d", i))
 		case KindStall:
 			select {
 			case <-r.ctx.Done():
 				return nil, r.ctx.Err()
-			case <-time.After(r.stallFor):
+			case <-time.After(r.d.Hold):
 			}
 		}
 	}

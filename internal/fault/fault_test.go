@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -22,28 +23,28 @@ func uniques(words ...uint64) []sig.Unique {
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{},
-		{BitFlip: 1, Truncate: 0.5, Duplicate: 0.1, OutOfRange: 0.01},
-		{ShardStall: 1, ShardPanic: 1, StallFor: time.Second},
+		{Rate: Rates{KindBitFlip: 1, KindTruncate: 0.5, KindDuplicate: 0.1, KindOutOfRange: 0.01}},
+		{Rate: Rates{KindStall: 1, KindPanic: 1}, Hold: time.Second},
 	}
 	for _, c := range good {
-		if err := c.Validate(); err != nil {
+		if err := c.Validate(anyFamily); err != nil {
 			t.Errorf("Validate(%+v) = %v", c, err)
 		}
 	}
 	bad := []Config{
-		{BitFlip: -0.1},
-		{Truncate: 1.5},
-		{Duplicate: 2},
-		{OutOfRange: -1},
-		{ShardStall: 1.01},
-		{ShardPanic: -0.5},
-		{StallFor: -time.Second},
+		{Rate: Rates{KindBitFlip: -0.1}},
+		{Rate: Rates{KindTruncate: 1.5}},
+		{Rate: Rates{KindDuplicate: 2}},
+		{Rate: Rates{KindOutOfRange: -1}},
+		{Rate: Rates{KindStall: 1.01}},
+		{Rate: Rates{KindPanic: -0.5}},
+		{Hold: -time.Second},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.Validate(anyFamily); err == nil {
 			t.Errorf("Validate(%+v): no error", c)
 		}
-		if _, err := NewInjector(c); err == nil {
+		if _, err := NewInjector(c, anyFamily); err == nil {
 			t.Errorf("NewInjector(%+v): no error", c)
 		}
 	}
@@ -54,15 +55,15 @@ func TestConfigEnabled(t *testing.T) {
 		t.Error("zero config reports enabled")
 	}
 	for _, c := range []Config{
-		{BitFlip: 0.1}, {Truncate: 0.1}, {Duplicate: 0.1},
-		{OutOfRange: 0.1}, {ShardStall: 0.1}, {ShardPanic: 0.1},
+		{Rate: Rates{KindBitFlip: 0.1}}, {Rate: Rates{KindTruncate: 0.1}}, {Rate: Rates{KindDuplicate: 0.1}},
+		{Rate: Rates{KindOutOfRange: 0.1}}, {Rate: Rates{KindStall: 0.1}}, {Rate: Rates{KindPanic: 0.1}},
 	} {
 		if !c.Enabled() {
 			t.Errorf("%+v reports disabled", c)
 		}
 	}
-	// Seed or StallFor alone inject nothing.
-	if (Config{Seed: 42, StallFor: time.Second}).Enabled() {
+	// Seed or Hold alone inject nothing.
+	if (Config{Seed: 42, Hold: time.Second}).Enabled() {
 		t.Error("rate-free config reports enabled")
 	}
 }
@@ -70,7 +71,7 @@ func TestConfigEnabled(t *testing.T) {
 // TestCorruptDeterministic: corruption must be a pure function of
 // (Seed, signature set) — independent of how the set was collected.
 func TestCorruptDeterministic(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 3, BitFlip: 0.3, Truncate: 0.2, Duplicate: 0.2, OutOfRange: 0.1})
+	in, err := NewInjector(Config{Seed: 3, Rate: Rates{KindBitFlip: 0.3, KindTruncate: 0.2, KindDuplicate: 0.2, KindOutOfRange: 0.1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestCorruptDeterministic(t *testing.T) {
 // TestCorruptZeroRatesIsIdentity: a corruption-free injector must hand the
 // set back untouched (the zero-fault run is bit-identical to no injector).
 func TestCorruptZeroRatesIsIdentity(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 9, ShardPanic: 1})
+	in, err := NewInjector(Config{Seed: 9, Rate: Rates{KindPanic: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestCorruptZeroRatesIsIdentity(t *testing.T) {
 }
 
 func TestCorruptTruncateAll(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 1, Truncate: 1})
+	in, err := NewInjector(Config{Seed: 1, Rate: Rates{KindTruncate: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCorruptTruncateAll(t *testing.T) {
 func TestCorruptDuplicateMergesBack(t *testing.T) {
 	// A duplicated entry that survives unmodified must merge back during
 	// host-side dedup with a doubled count.
-	in, err := NewInjector(Config{Seed: 1, Duplicate: 1})
+	in, err := NewInjector(Config{Seed: 1, Rate: Rates{KindDuplicate: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestCorruptDuplicateMergesBack(t *testing.T) {
 }
 
 func TestCorruptOutOfRangeWritesAllOnes(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 1, OutOfRange: 1})
+	in, err := NewInjector(Config{Seed: 1, Rate: Rates{KindOutOfRange: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestCorruptOutOfRangeWritesAllOnes(t *testing.T) {
 }
 
 func TestCorruptBitFlipChangesOneBit(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 2, BitFlip: 1})
+	in, err := NewInjector(Config{Seed: 2, Rate: Rates{KindBitFlip: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,26 +204,26 @@ func TestCorruptBitFlipChangesOneBit(t *testing.T) {
 // TestShardPlanTransient: execution faults must hit only attempt 0, and the
 // plan must be deterministic per (seed, block).
 func TestShardPlanTransient(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 5, ShardPanic: 1})
+	in, err := NewInjector(Config{Seed: 5, Rate: Rates{KindPanic: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f0 := in.ShardPlan(128, 64, 0)
+	f0 := in.shardPlan(128, 64, 0)
 	if f0.Kind != KindPanic {
 		t.Fatalf("attempt 0 kind %v, want panic", f0.Kind)
 	}
 	if f0.Iteration < 0 || f0.Iteration >= 64 {
 		t.Fatalf("fault iteration %d outside block", f0.Iteration)
 	}
-	if again := in.ShardPlan(128, 64, 0); again != f0 {
+	if again := in.shardPlan(128, 64, 0); again != f0 {
 		t.Errorf("plan not deterministic: %+v vs %+v", again, f0)
 	}
 	for attempt := 1; attempt <= 3; attempt++ {
-		if f := in.ShardPlan(128, 64, attempt); f.Kind != KindNone {
+		if f := in.shardPlan(128, 64, attempt); f.Kind != KindNone {
 			t.Errorf("attempt %d faulted: %+v", attempt, f)
 		}
 	}
-	if f := in.ShardPlan(128, 0, 0); f.Kind != KindNone {
+	if f := in.shardPlan(128, 0, 0); f.Kind != KindNone {
 		t.Errorf("empty block faulted: %+v", f)
 	}
 }
@@ -236,7 +237,7 @@ func (s *stubSource) Run() (*sim.Execution, error) {
 }
 
 func TestWrapShardPassThrough(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 1, BitFlip: 1}) // corruption only
+	in, err := NewInjector(Config{Seed: 1, Rate: Rates{KindBitFlip: 1}}, anyFamily) // corruption only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +248,11 @@ func TestWrapShardPassThrough(t *testing.T) {
 }
 
 func TestRunnerInjectedPanic(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 5, ShardPanic: 1})
+	in, err := NewInjector(Config{Seed: 5, Rate: Rates{KindPanic: 1}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := in.ShardPlan(0, 4, 0)
+	f := in.shardPlan(0, 4, 0)
 	inner := &stubSource{}
 	src := in.WrapShard(context.Background(), inner, 0, 4, 0)
 	defer func() {
@@ -274,11 +275,11 @@ func TestRunnerInjectedPanic(t *testing.T) {
 }
 
 func TestRunnerStallHonorsContext(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 6, ShardStall: 1, StallFor: time.Hour})
+	in, err := NewInjector(Config{Seed: 6, Rate: Rates{KindStall: 1}, Hold: time.Hour}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := in.ShardPlan(0, 4, 0)
+	f := in.shardPlan(0, 4, 0)
 	if f.Kind != KindStall {
 		t.Fatalf("planned %v, want stall", f.Kind)
 	}
@@ -326,5 +327,133 @@ func TestKindStrings(t *testing.T) {
 	}
 	if QuarantineDecode.String() != "decode" || QuarantineEdges.String() != "edge-build" {
 		t.Errorf("quarantine kind strings: %q, %q", QuarantineDecode, QuarantineEdges)
+	}
+}
+
+// TestDecisionStreamsPinned: the three planners share one keyed-stream
+// helper and each keeps the key bytes and the draw order it had when it
+// carried its own copy — these decisions were recorded from those copies.
+func TestDecisionStreamsPinned(t *testing.T) {
+	in, err := NewInjector(Config{Seed: 3, Rate: Rates{KindBitFlip: 0.3, KindTruncate: 0.2, KindDuplicate: 0.2, KindOutOfRange: 0.1}}, anyFamily)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, counts := in.Corrupt(uniques(1, 2, 3, 5, 8, 13, 21, 34, 55, 89))
+	want := []struct {
+		w0, w1 uint64
+		count  int
+	}{{0x3, 0xfc, 3}, {0x8, 0xff, 5}, {0xd, 0xf2, 6}, {0x15, 0xea, 7}, {0x22, 0xdd, 8},
+		{0x8000000000000003, 0xfc, 3}, {0xffffffffffffffff, 0xfa, 4}}
+	if len(got) != len(want) {
+		t.Fatalf("corrupted set has %d entries, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].Sig.Word(0) != w.w0 || got[i].Sig.Word(1) != w.w1 || got[i].Count != w.count {
+			t.Errorf("entry %d: %v/%d, want [%#x %#x]/%d", i, got[i].Sig, got[i].Count, w.w0, w.w1, w.count)
+		}
+	}
+	if fmt.Sprint(counts) != "map[bit-flip:2 truncate:4 duplicate:1 out-of-range:1]" {
+		t.Errorf("injected %v", counts)
+	}
+
+	in, err = NewInjector(Config{Seed: 5, Rate: Rates{KindPanic: 0.3, KindStall: 0.3}}, anyFamily)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := []Decision{{}, {Kind: KindPanic, Iteration: 28}, {}, {},
+		{Kind: KindStall, Iteration: 11, Hold: defaultHold}, {}, {Kind: KindStall, Iteration: 23, Hold: defaultHold}, {}}
+	for b, want := range shards {
+		if got := in.shardPlan(b*64, 64, 0); got != want {
+			t.Errorf("block %d: %+v, want %+v", b, got, want)
+		}
+	}
+
+	in, err = NewInjector(Config{Seed: 5, Rate: Rates{KindWireDrop: 0.2, KindWireCorrupt: 0.3, KindWireDelay: 0.3}}, anyFamily)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploads := []Decision{{}, {Kind: KindWireDrop}, {Kind: KindWireDrop}, {}, {}, {},
+		{Kind: KindWireCorrupt, Bit: 9504310191901066434}, {Kind: KindWireCorrupt, Bit: 419381607327785085}}
+	for c, want := range uploads {
+		if got := in.planUpload("job-1", c, c%3); got != want {
+			t.Errorf("chunk %d send %d: %+v, want %+v", c, c%3, got, want)
+		}
+	}
+}
+
+// TestTextForm: the text form round-trips, is written in one canonical order,
+// overlays what it names onto the receiver, and refuses — naming the
+// offending text, leaving the receiver unchanged — what Validate refuses, an
+// unknown or repeated key and an item that is not key=value.
+func TestTextForm(t *testing.T) {
+	for spec, canonical := range map[string]string{
+		"":              "",
+		"bit-flip=0.01": "bit-flip=0.01",
+		"hold=300ms,seed=3,panic=0.5,bit-flip=0.01": "bit-flip=0.01,panic=0.5,seed=3,hold=300ms",
+		"wire-delay=1,wire-drop=0.25,seed=-7":       "wire-drop=0.25,wire-delay=1,seed=-7",
+		"truncate=1e-3,hold=1h":                     "truncate=0.001,hold=1h0m0s",
+	} {
+		var c Config
+		if err := c.UnmarshalText([]byte(spec)); err != nil {
+			t.Errorf("%q: %v", spec, err)
+			continue
+		}
+		text, err := c.MarshalText()
+		if err != nil || string(text) != canonical {
+			t.Errorf("%q is written %q (%v), want %q", spec, text, err, canonical)
+		}
+		var back Config
+		if err := back.UnmarshalText(text); err != nil || back != c {
+			t.Errorf("%q does not round-trip: %+v (%v), want %+v", spec, back, err, c)
+		}
+	}
+
+	c := Config{Seed: 1, Rate: Rates{KindBitFlip: 0.5}}
+	if err := c.UnmarshalText([]byte("panic=1")); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{Seed: 1, Rate: Rates{KindBitFlip: 0.5, KindPanic: 1}}); c != want {
+		t.Errorf("overlay gave %+v, want %+v", c, want)
+	}
+
+	for spec, want := range map[string]string{
+		"bit-flip=NaN":   "bit-flip rate NaN outside [0, 1]",
+		"panic=1.5":      "panic rate 1.5 outside [0, 1]",
+		"stall=-0.1":     "stall rate -0.1 outside [0, 1]",
+		"wire-drop=+Inf": "wire-drop rate +Inf outside [0, 1]",
+		"hold=-1s":       "negative hold -1s",
+		"flip=0.1":       `unknown key "flip"`,
+		"none=0.1":       `unknown key "none"`,
+		"seed=1,seed=2":  "seed given twice",
+		"bit-flip":       `"bit-flip" is not key=value`,
+		"panic=1,":       `"" is not key=value`,
+		"seed=x":         "seed: ",
+	} {
+		before := c
+		err := c.UnmarshalText([]byte(spec))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: %v, want an error containing %q", spec, err, want)
+		}
+		if c != before {
+			t.Errorf("%q changed the config to %+v", spec, c)
+		}
+	}
+}
+
+// TestValidateDoor: each door takes its own families and refuses the others'
+// kinds by name.
+func TestValidateDoor(t *testing.T) {
+	c := Config{Rate: Rates{KindBitFlip: 0.1, KindWireDrop: 0.5}}
+	if err := c.Validate(Corruption | Execution); err == nil || !strings.Contains(err.Error(), "wire-drop is not injected here") {
+		t.Errorf("campaign door: %v, want wire-drop refused", err)
+	}
+	if err := c.Validate(Wire); err == nil || !strings.Contains(err.Error(), "bit-flip is not injected here") {
+		t.Errorf("worker door: %v, want bit-flip refused", err)
+	}
+	if err := c.Validate(Corruption | Wire); err != nil {
+		t.Errorf("a door taking both families: %v", err)
+	}
+	if got := (Execution | Wire).String(); got != "stall, panic, wire-corrupt, wire-drop, wire-delay" {
+		t.Errorf("family names %q", got)
 	}
 }

@@ -1,138 +1,49 @@
 package fault
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"time"
-)
+import "encoding/binary"
 
-// Wire faults model the third unreliable surface of the deployment: the
-// network between a device-side worker and the trusted host. Unlike the
-// in-process families, wire faults are applied by the *worker* to its own
-// uploads — the server never trusts what arrives, so a corrupted upload
-// exercises the server's validation/strike/quarantine path, a dropped one
-// its lease-expiry redispatch path, and a delayed one its duplicate
-// detection. Decisions are keyed by (Seed, job, chunk, attempt), so a
-// retried upload of the same chunk draws a fresh decision and the test
-// fleet's behavior replays bit-for-bit.
-
-// WireConfig sets per-upload wire fault rates. The zero value injects
-// nothing. Rates are probabilities in [0, 1], drawn once per upload attempt.
-type WireConfig struct {
-	// Seed drives every wire decision; independent of the run seed and the
-	// device-side fault seed.
-	Seed int64
-	// Corrupt is the per-upload probability of flipping one payload bit.
-	Corrupt float64
-	// Drop is the per-upload probability of losing the upload entirely.
-	Drop float64
-	// Delay is the per-upload probability of holding the upload for
-	// DelayFor before sending.
-	Delay float64
-	// DelayFor is how long a delayed upload is held; 0 selects 250ms.
-	DelayFor time.Duration
+// planUpload decides the wire fault for one send of a chunk upload, its
+// stream keyed by (job, chunk, send) and drawing drop, corrupt, delay in
+// that order. The caller numbers its own sends of each chunk, so a retried
+// upload draws a fresh decision and a test fleet's behavior replays
+// bit-for-bit.
+func (in *Injector) planUpload(job string, chunk, send int) Decision {
+	if in == nil || !in.cfg.sets(Wire) {
+		return Decision{}
+	}
+	key := binary.LittleEndian.AppendUint64([]byte(job), uint64(chunk))
+	rng := in.stream(binary.LittleEndian.AppendUint64(key, uint64(send)))
+	if rng.Float64() < in.cfg.Rate[KindWireDrop] {
+		return Decision{Kind: KindWireDrop}
+	}
+	if rng.Float64() < in.cfg.Rate[KindWireCorrupt] {
+		return Decision{Kind: KindWireCorrupt, Bit: rng.Uint64()}
+	}
+	if rng.Float64() < in.cfg.Rate[KindWireDelay] {
+		return Decision{Kind: KindWireDelay, Hold: in.cfg.hold()}
+	}
+	return Decision{}
 }
 
-// Enabled reports whether any wire fault rate is set.
-func (c WireConfig) Enabled() bool {
-	return c.Corrupt > 0 || c.Drop > 0 || c.Delay > 0
-}
-
-// Validate rejects rates outside [0, 1] and negative delays.
-func (c WireConfig) Validate() error {
-	for _, r := range []struct {
-		name string
-		rate float64
-	}{
-		{"Corrupt", c.Corrupt}, {"Drop", c.Drop}, {"Delay", c.Delay},
-	} {
-		if r.rate < 0 || r.rate > 1 {
-			return fmt.Errorf("fault: wire %s rate %v outside [0, 1]", r.name, r.rate)
-		}
-	}
-	if c.DelayFor < 0 {
-		return fmt.Errorf("fault: negative wire DelayFor %v", c.DelayFor)
-	}
-	return nil
-}
-
-// WireInjector applies a WireConfig's fault stream deterministically.
-type WireInjector struct {
-	cfg WireConfig
-}
-
-// NewWireInjector validates the config and returns an injector for it.
-func NewWireInjector(cfg WireConfig) (*WireInjector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &WireInjector{cfg: cfg}, nil
-}
-
-// WireFault is the planned fault for one upload attempt; Kind is KindNone
-// for a clean send. For KindWireCorrupt, Bit is the payload bit to flip
-// (modulo the payload length, which the planner does not know); for
-// KindWireDelay, Hold is how long to wait before sending.
-type WireFault struct {
-	Kind Kind
-	Bit  uint64
-	Hold time.Duration
-}
-
-// PlanUpload decides the wire fault for one chunk-upload attempt, keyed by
-// (Seed, job, chunk, attempt). Fixed draw order — drop, corrupt, delay —
-// keeps the stream stable as rates change one at a time.
-func (in *WireInjector) PlanUpload(job string, chunk, attempt int) WireFault {
-	if !in.cfg.Enabled() {
-		return WireFault{}
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(in.cfg.Seed))
-	h.Write(b[:])
-	h.Write([]byte(job))
-	binary.LittleEndian.PutUint64(b[:], uint64(chunk))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(attempt))
-	h.Write(b[:])
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	if rng.Float64() < in.cfg.Drop {
-		return WireFault{Kind: KindWireDrop}
-	}
-	if rng.Float64() < in.cfg.Corrupt {
-		return WireFault{Kind: KindWireCorrupt, Bit: rng.Uint64()}
-	}
-	if rng.Float64() < in.cfg.Delay {
-		hold := in.cfg.DelayFor
-		if hold == 0 {
-			hold = 250 * time.Millisecond
-		}
-		return WireFault{Kind: KindWireDelay, Hold: hold}
-	}
-	return WireFault{}
-}
-
-// MangleUpload applies the planned fault to an encoded chunk upload:
-// a corrupt flips one bit in place (in a copy) and returns it, a drop
-// returns nil (the caller skips the send and lets the lease expire), and a
-// delay returns the payload unchanged with the hold duration. The returned
-// fault reports what was applied.
-func (in *WireInjector) MangleUpload(payload []byte, job string, chunk, attempt int) ([]byte, WireFault) {
-	f := in.PlanUpload(job, chunk, attempt)
-	switch f.Kind {
+// MangleUpload applies the wire family to one send of an encoded chunk
+// upload: a corrupt flips one bit (in a copy) and returns it, a drop returns
+// nil (the caller skips the send and lets the lease expire), and a delay
+// returns the payload unchanged with the hold to wait before sending. The
+// returned Decision reports what was applied.
+func (in *Injector) MangleUpload(payload []byte, job string, chunk, send int) ([]byte, Decision) {
+	d := in.planUpload(job, chunk, send)
+	switch d.Kind {
 	case KindWireDrop:
-		return nil, f
+		return nil, d
 	case KindWireCorrupt:
 		if len(payload) == 0 {
-			return payload, WireFault{}
+			return payload, Decision{}
 		}
 		out := make([]byte, len(payload))
 		copy(out, payload)
-		bit := f.Bit % uint64(len(out)*8)
+		bit := d.Bit % uint64(len(out)*8)
 		out[bit/8] ^= 1 << (bit % 8)
-		return out, f
+		return out, d
 	}
-	return payload, f
+	return payload, d
 }

@@ -7,31 +7,31 @@ import (
 )
 
 func TestWireConfigValidate(t *testing.T) {
-	if err := (WireConfig{Corrupt: 1.5}).Validate(); err == nil {
+	if err := (Config{Rate: Rates{KindWireCorrupt: 1.5}}).Validate(anyFamily); err == nil {
 		t.Error("rate > 1 accepted")
 	}
-	if err := (WireConfig{Drop: -0.1}).Validate(); err == nil {
+	if err := (Config{Rate: Rates{KindWireDrop: -0.1}}).Validate(anyFamily); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if err := (WireConfig{DelayFor: -time.Second}).Validate(); err == nil {
+	if err := (Config{Hold: -time.Second}).Validate(anyFamily); err == nil {
 		t.Error("negative delay accepted")
 	}
-	if _, err := NewWireInjector(WireConfig{Corrupt: 0.5, Drop: 0.1}); err != nil {
+	if _, err := NewInjector(Config{Rate: Rates{KindWireCorrupt: 0.5, KindWireDrop: 0.1}}, anyFamily); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if (WireConfig{}).Enabled() {
+	if (Config{}).Enabled() {
 		t.Error("zero config claims enabled")
 	}
 }
 
 func TestWirePlanDeterministic(t *testing.T) {
-	in, err := NewWireInjector(WireConfig{Seed: 7, Corrupt: 0.5, Drop: 0.2, Delay: 0.2})
+	in, err := NewInjector(Config{Seed: 7, Rate: Rates{KindWireCorrupt: 0.5, KindWireDrop: 0.2, KindWireDelay: 0.2}}, anyFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for chunk := 0; chunk < 50; chunk++ {
-		a := in.PlanUpload("job-1", chunk, 0)
-		b := in.PlanUpload("job-1", chunk, 0)
+		a := in.planUpload("job-1", chunk, 0)
+		b := in.planUpload("job-1", chunk, 0)
 		if a != b {
 			t.Fatalf("chunk %d: plan not deterministic: %+v vs %+v", chunk, a, b)
 		}
@@ -39,7 +39,7 @@ func TestWirePlanDeterministic(t *testing.T) {
 	// Attempts draw independent decisions.
 	diff := false
 	for chunk := 0; chunk < 50 && !diff; chunk++ {
-		diff = in.PlanUpload("job-1", chunk, 0) != in.PlanUpload("job-1", chunk, 1)
+		diff = in.planUpload("job-1", chunk, 0) != in.planUpload("job-1", chunk, 1)
 	}
 	if !diff {
 		t.Error("attempt number never changed the plan across 50 chunks")
@@ -49,7 +49,7 @@ func TestWirePlanDeterministic(t *testing.T) {
 func TestWireMangleUpload(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAA}, 64)
 
-	corrupt, _ := NewWireInjector(WireConfig{Seed: 1, Corrupt: 1})
+	corrupt, _ := NewInjector(Config{Seed: 1, Rate: Rates{KindWireCorrupt: 1}}, anyFamily)
 	out, f := corrupt.MangleUpload(payload, "j", 0, 0)
 	if f.Kind != KindWireCorrupt {
 		t.Fatalf("fault %v, want wire-corrupt", f.Kind)
@@ -70,18 +70,18 @@ func TestWireMangleUpload(t *testing.T) {
 		t.Error("corrupt mutated the caller's payload")
 	}
 
-	drop, _ := NewWireInjector(WireConfig{Seed: 1, Drop: 1})
+	drop, _ := NewInjector(Config{Seed: 1, Rate: Rates{KindWireDrop: 1}}, anyFamily)
 	if out, f := drop.MangleUpload(payload, "j", 0, 0); out != nil || f.Kind != KindWireDrop {
 		t.Errorf("drop: payload %v fault %v", out != nil, f.Kind)
 	}
 
-	delay, _ := NewWireInjector(WireConfig{Seed: 1, Delay: 1, DelayFor: time.Millisecond})
+	delay, _ := NewInjector(Config{Seed: 1, Rate: Rates{KindWireDelay: 1}, Hold: time.Millisecond}, anyFamily)
 	if out, f := delay.MangleUpload(payload, "j", 0, 0); !bytes.Equal(out, payload) ||
 		f.Kind != KindWireDelay || f.Hold != time.Millisecond {
 		t.Errorf("delay: fault %+v", f)
 	}
 
-	clean, _ := NewWireInjector(WireConfig{})
+	clean, _ := NewInjector(Config{}, anyFamily)
 	if out, f := clean.MangleUpload(payload, "j", 0, 0); !bytes.Equal(out, payload) || f.Kind != KindNone {
 		t.Errorf("clean: fault %v", f.Kind)
 	}

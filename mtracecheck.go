@@ -237,7 +237,7 @@ type Options struct {
 	// unique signatures quarantined by decode or edge-build failures
 	// exceeds it, the run fails with ErrQuarantineThreshold (the signature
 	// channel is considered too corrupted to trust the surviving verdicts).
-	// 0 means no limit.
+	// 0 means no limit; NewCampaign refuses a value outside [0, 1] or NaN.
 	QuarantineThreshold float64
 	// ShardTimeout is the deadline for a single execution-shard attempt
 	// (0 = none). A shard exceeding it is retried per ShardRetries.
@@ -251,8 +251,10 @@ type Options struct {
 	ShardRetries int
 	// Fault injects deterministic device-side faults (internal/fault): the
 	// zero value injects nothing, and a zero-fault run is bit-identical to
-	// a run without the option. Requires the static ws mode — corrupted
-	// signatures have no recorded write serialization.
+	// a run without the option. Signature corruption and shard faults only —
+	// NewCampaign refuses a wire kind, a dist worker's to inject — and it
+	// requires the static ws mode: corrupted signatures have no recorded
+	// write serialization.
 	Fault FaultConfig
 	// CheckpointPath, when set, periodically persists the campaign's progress
 	// — the merged signature set, which grid chunks (ChunkSize iterations

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mem"
 	"mtracecheck/internal/prog"
@@ -524,7 +525,7 @@ func TestCheckerBackendsAgree(t *testing.T) {
 			Options{Platform: BuggyPlatform(BugLSQSkip), Iterations: 200, Seed: 11}},
 		{"faulted", testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}),
 			Options{Platform: PlatformX86(), Iterations: 150, Seed: 11, ShardRetries: 3,
-				Fault: FaultConfig{Seed: 3, BitFlip: 0.2, Truncate: 0.1, ShardPanic: 0.4}}},
+				Fault: FaultConfig{Seed: 3, Rate: fault.Rates{fault.KindBitFlip: 0.2, fault.KindTruncate: 0.1, fault.KindPanic: 0.4}}}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

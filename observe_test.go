@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/testgen"
 )
@@ -32,8 +33,7 @@ func TestMetricsWorkerInvariant(t *testing.T) {
 		{name: "clean", opts: Options{Platform: PlatformX86(), Iterations: 150, Seed: 11}},
 		{name: "faulted", opts: Options{Platform: PlatformX86(), Iterations: 150, Seed: 11,
 			ShardRetries: 3,
-			Fault: FaultConfig{Seed: 3, BitFlip: 0.2, Truncate: 0.1,
-				Duplicate: 0.1, OutOfRange: 0.05, ShardPanic: 0.5}}},
+			Fault:        FaultConfig{Seed: 3, Rate: fault.Rates{fault.KindBitFlip: 0.2, fault.KindTruncate: 0.1, fault.KindDuplicate: 0.1, fault.KindOutOfRange: 0.05, fault.KindPanic: 0.5}}}},
 		{name: "corpus", opts: Options{Platform: PlatformX86(), Iterations: 150, Seed: 11}, corpus: true},
 	}
 	for _, sc := range scenarios {
@@ -132,7 +132,7 @@ func TestObserversDoNotPerturbReport(t *testing.T) {
 		{"arm", Options{Platform: PlatformARM(), Iterations: 120, Seed: 9, Workers: 3}},
 		{"faulted", Options{Platform: PlatformX86(), Iterations: 120, Seed: 9, Workers: 3,
 			ShardRetries: 3,
-			Fault:        FaultConfig{Seed: 3, BitFlip: 0.2, Truncate: 0.1, ShardPanic: 0.4}}},
+			Fault:        FaultConfig{Seed: 3, Rate: fault.Rates{fault.KindBitFlip: 0.2, fault.KindTruncate: 0.1, fault.KindPanic: 0.4}}}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
@@ -117,10 +118,7 @@ func TestEngineGoldenSignatures(t *testing.T) {
 	// iterations: ~330 way stalls, ~2,800 writebacks, bug 1 changes the
 	// squash count, bug 3 deadlocks in iteration 3).
 	wide := testgen.MustGenerate(TestConfig{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
-	faults := FaultConfig{
-		Seed: 99, BitFlip: 0.05, Truncate: 0.03, Duplicate: 0.05, OutOfRange: 0.03,
-		ShardPanic: 0.1, ShardStall: 0.05, StallFor: time.Millisecond,
-	}
+	faults := FaultConfig{Seed: 99, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindTruncate: 0.03, fault.KindDuplicate: 0.05, fault.KindOutOfRange: 0.03, fault.KindPanic: 0.1, fault.KindStall: 0.05}, Hold: time.Millisecond}
 	osMigrate := PlatformX86()
 	osMigrate.OS = sim.OSConfig{Enabled: true, Quantum: 1500, QuantumJitter: 200, Migrate: true}
 	osHousekeeping := PlatformX86()

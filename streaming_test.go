@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mtracecheck/internal/fault"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -58,7 +59,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 		{"clean", Options{Platform: PlatformX86(), Iterations: 300, Seed: 11, KeepExecutions: true}},
 		{"faulted", Options{Platform: PlatformX86(), Iterations: 300, Seed: 11,
 			ShardRetries: 3,
-			Fault:        FaultConfig{Seed: 3, BitFlip: 0.2, Truncate: 0.1, ShardPanic: 0.5}}},
+			Fault:        FaultConfig{Seed: 3, Rate: fault.Rates{fault.KindBitFlip: 0.2, fault.KindTruncate: 0.1, fault.KindPanic: 0.5}}}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
