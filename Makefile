@@ -27,8 +27,9 @@ race:
 # resolves (JobSpec JSON into Build and NewCampaign), and the label values that
 # reach /metrics (worker IDs, platform and model names) — plus the checker-backend
 # differential (all backends must agree on fuzz-chosen execution sets), the
-# event-queue differential (timing wheel vs. the reference heap) and the
-# program-order reduction's (O(1)-witness scan vs. the cubic definition).
+# event-queue differential (timing wheel vs. the reference heap), the
+# program-order reduction's (O(1)-witness scan vs. the cubic definition) and
+# the oracle's (axiomatic vs. operational enumeration under SC and TSO).
 # Go runs one fuzz target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
@@ -43,6 +44,7 @@ fuzz-short:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/corpus -run '^$$' -fuzz '^FuzzCorpusLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oracle -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime $(FUZZTIME)
 
 # Simulator allocation gate: the alloc-budget tests plus a short
 # -benchmem pass over the SimIteration benchmarks. The typed-event engine

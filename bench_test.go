@@ -7,6 +7,7 @@ package mtracecheck
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
 	"mtracecheck/internal/mem"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -58,15 +60,14 @@ func buildFixture(b *testing.B, tc TestConfig, n int) *fixture {
 	byKey := map[string]raw{}
 	f := &fixture{prog: p, meta: meta, builder: builder}
 	for i := 0; i < n; i++ {
-		rf, ws := testgen.SCReference(p, rng)
-		vals := testgen.LoadValuesOf(p, rf)
-		f.vals = append(f.vals, vals)
-		s, err := meta.EncodeValues(vals)
+		e := oracle.Walk(p, rng.Intn)
+		f.vals = append(f.vals, e.Values)
+		s, err := meta.EncodeValues(e.Values)
 		if err != nil {
 			b.Fatal(err)
 		}
 		f.sigs = append(f.sigs, s)
-		edges, err := builder.DynamicEdges(rf, ws)
+		edges, err := builder.AppendDynamicEdges(nil, e.RF, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,18 +271,18 @@ func BenchmarkFig6KMedoids(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	seen := map[string]cluster.Point{}
+	seen := map[string]bool{}
+	var pts []cluster.Point
 	for i := 0; i < 400; i++ {
-		rf, _ := testgen.SCReference(p, rng)
-		pt := cluster.Point{}
-		for k, v := range rf {
-			pt[k] = v
+		rf := oracle.Walk(p, rng.Intn).RF
+		if key := fmt.Sprint(rf); !seen[key] {
+			seen[key] = true
+			pt := cluster.Point{} // non-load entries are -1 in every point: no distance
+			for id, src := range rf {
+				pt[id] = int(src)
+			}
+			pts = append(pts, pt)
 		}
-		seen[sigKeyOf(rf)] = pt
-	}
-	pts := make([]cluster.Point, 0, len(seen))
-	for _, pt := range seen {
-		pts = append(pts, pt)
 	}
 	dist := cluster.DistanceMatrix(pts)
 	b.ResetTimer()
@@ -290,23 +291,6 @@ func BenchmarkFig6KMedoids(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func sigKeyOf(rf map[int]int) string {
-	// Stable fingerprint for deduplicating reference executions.
-	buf := make([]byte, 0, len(rf)*8)
-	max := 0
-	for k := range rf {
-		if k > max {
-			max = k
-		}
-	}
-	for k := 0; k <= max; k++ {
-		if v, ok := rf[k]; ok {
-			buf = append(buf, byte(k), byte(k>>8), byte(v), byte(v>>8))
-		}
-	}
-	return string(buf)
 }
 
 // BenchmarkTable3BugDetection: one buggy-platform iteration with signature
@@ -572,12 +556,16 @@ func BenchmarkAblationObservedWSCheck(b *testing.B) {
 	}
 	byKey := map[string]raw{}
 	for i := 0; i < 1000; i++ {
-		rf, ws := testgen.SCReference(p, rng)
-		s, err := meta.EncodeValues(testgen.LoadValuesOf(p, rf))
+		e := oracle.Walk(p, rng.Intn)
+		s, err := meta.EncodeValues(e.Values)
 		if err != nil {
 			b.Fatal(err)
 		}
-		edges, err := builder.DynamicEdges(rf, ws)
+		ws := graph.WS{}
+		for w, stores := range e.WS {
+			ws[w] = stores
+		}
+		edges, err := builder.AppendDynamicEdges(nil, e.RF, ws)
 		if err != nil {
 			b.Fatal(err)
 		}

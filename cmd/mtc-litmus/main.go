@@ -1,7 +1,11 @@
 // Command mtc-litmus runs the directed litmus library (SB, MP, LB, CoRR,
-// WRC, IRIW, and fenced variants) on a chosen platform and reports how often
-// each test's interesting outcome was observed, whether the model forbids
-// it, and whether graph checking flagged any violation.
+// WRC, IRIW, and fenced variants) on a chosen platform and judges each test
+// against what the platform's memory model allows, as internal/oracle
+// computes it: whether the model forbids the interesting outcome and how
+// often it was observed, how many allowed outcomes were reached and how many
+// never were, how many observed outcomes the model forbids, and how many
+// violations graph checking flagged. Any forbidden outcome observed or graph
+// violation exits 1, as does an unknown -test name.
 //
 // Usage:
 //
@@ -18,6 +22,7 @@ import (
 	"mtracecheck"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/sim"
+	"mtracecheck/internal/testgen"
 )
 
 func main() {
@@ -41,35 +46,30 @@ func main() {
 		}
 		plat.Model = m
 	}
+	tests := mtracecheck.LitmusTests()
+	if *name != "" {
+		l, err := testgen.LitmusByName(*name)
+		if err != nil {
+			fatal(err)
+		}
+		tests = []mtracecheck.Litmus{l}
+	}
 	fmt.Printf("litmus audit on %s (%s), %d iterations per test\n\n",
 		plat.Name, mtracecheck.ModelName(plat), *iters)
-	fmt.Printf("%-6s %-9s %-10s %-10s %s\n", "test", "forbidden", "observed", "violations", "verdict")
+	fmt.Printf("%-6s %-9s %-8s %-7s %-5s %-7s %-10s %s\n",
+		"test", "forbidden", "observed", "reached", "never", "outside", "violations", "verdict")
 
 	failed := false
-	for _, l := range mtracecheck.LitmusTests() {
-		if *name != "" && l.Name != *name {
-			continue
-		}
-		observed, report, err := mtracecheck.RunLitmus(l, mtracecheck.Options{
+	for _, l := range tests {
+		res, err := mtracecheck.RunLitmus(l, mtracecheck.Options{
 			Platform: plat, Iterations: *iters, Seed: *seed,
 		})
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", l.Name, err))
 		}
-		forbidden := l.ForbiddenUnder(plat.Model)
-		verdict := "ok"
-		switch {
-		case report.Failed():
-			verdict = "GRAPH VIOLATION"
-			failed = true
-		case forbidden && observed > 0:
-			verdict = "FORBIDDEN OUTCOME OBSERVED"
-			failed = true
-		case !forbidden && observed == 0:
-			verdict = "ok (allowed outcome not observed)"
-		}
-		fmt.Printf("%-6s %-9v %-10d %-10d %s\n",
-			l.Name, forbidden, observed, len(report.Violations), verdict)
+		failed = failed || res.Failed
+		fmt.Printf("%-6s %-9v %-8d %-7d %-5d %-7d %-10d %s\n", l.Name, res.Forbidden, res.Observed,
+			res.Reached, res.NeverReached, res.Outside, len(res.Report.Violations), res.Verdict)
 	}
 	if failed {
 		os.Exit(1)

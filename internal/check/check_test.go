@@ -7,6 +7,7 @@ import (
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/testgen"
@@ -82,7 +83,8 @@ func fabricate(t *testing.T, p *prog.Program, b *graph.Builder, meta *instrument
 }
 
 // scItems builds a sorted unique item sequence from SC reference
-// executions — all guaranteed valid under every model.
+// executions — all guaranteed valid under every model. b must be in the
+// static ws mode.
 func scItems(t *testing.T, p *prog.Program, b *graph.Builder, meta *instrument.Meta,
 	count int, rng *rand.Rand) []Item {
 	t.Helper()
@@ -92,12 +94,12 @@ func scItems(t *testing.T, p *prog.Program, b *graph.Builder, meta *instrument.M
 	}
 	byKey := map[string]raw{}
 	for i := 0; i < count; i++ {
-		rf, ws := testgen.SCReference(p, rng)
-		s, err := meta.EncodeValues(testgen.LoadValuesOf(p, rf))
+		e := oracle.Walk(p, rng.Intn)
+		s, err := meta.EncodeValues(e.Values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges, err := b.DynamicEdges(rf, ws)
+		edges, err := b.AppendDynamicEdges(nil, e.RF, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -331,12 +331,12 @@ func Atomicity(cfg Config) (*report.Table, error) {
 		plat := sim.PlatformX86()
 		plat.Atomicity = atom
 		for _, sub := range subjects {
-			observed, rep, err := mtracecheck.RunLitmus(sub, cfg.options(mtracecheck.Options{
+			res, err := mtracecheck.RunLitmus(sub, cfg.options(mtracecheck.Options{
 				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(atom.String(), sub.Name, observed, len(rep.Violations))
+			t.AddRow(atom.String(), sub.Name, res.Observed, len(res.Report.Violations))
 		}
 	}
 	return t, nil

@@ -28,6 +28,7 @@ import (
 	"mtracecheck/internal/isa"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/obs"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -244,11 +245,16 @@ func Fig6(cfg Config) (*report.Table, error) {
 		seen := map[string]bool{}
 		var pts []cluster.Point
 		for i := 0; i < cfg.Fig6Runs; i++ {
-			rf, _ := testgen.SCReference(p, rng)
-			key := fmt.Sprint(rf)
-			if !seen[key] {
+			rf := oracle.Walk(p, rng.Intn).RF
+			if key := fmt.Sprint(rf); !seen[key] {
 				seen[key] = true
-				pts = append(pts, cluster.Point(rf))
+				pt := cluster.Point{}
+				for _, op := range p.Ops() {
+					if op.Kind == prog.Load {
+						pt[op.ID] = int(rf[op.ID])
+					}
+				}
+				pts = append(pts, pt)
 			}
 		}
 		dist := cluster.DistanceMatrix(pts)
@@ -631,12 +637,14 @@ func bug3Platform() sim.Platform {
 }
 
 // Litmus audits the directed litmus library across all four models
-// (extension experiment; the paper's intro scenario).
+// (extension experiment; the paper's intro scenario): per test and model, the
+// oracle's label, the interesting outcome's count, the allowed outcomes
+// reached and never reached, the forbidden ones observed, and the verdict.
 func Litmus(cfg Config) (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Litmus audit across models",
 		Caption: fmt.Sprintf("%d iterations per cell; 'obs' = interesting outcome count.", cfg.Iterations),
-		Header:  []string{"litmus", "model", "forbidden", "observed", "violations", "verdict"},
+		Header:  []string{"litmus", "model", "forbidden", "observed", "reached", "never", "outside", "violations", "verdict"},
 	}
 	models := []struct {
 		name string
@@ -648,22 +656,13 @@ func Litmus(cfg Config) (*report.Table, error) {
 	}
 	for _, l := range testgen.LitmusTests() {
 		for _, m := range models {
-			plat := m.plat()
-			observed, rep, err := mtracecheck.RunLitmus(l, cfg.options(mtracecheck.Options{
-				Platform: plat, Iterations: cfg.Iterations, Seed: cfg.Seed}))
+			res, err := mtracecheck.RunLitmus(l, cfg.options(mtracecheck.Options{
+				Platform: m.plat(), Iterations: cfg.Iterations, Seed: cfg.Seed}))
 			if err != nil {
 				return nil, err
 			}
-			violations := len(rep.Violations)
-			forbidden := l.ForbiddenUnder(plat.Model)
-			verdict := "ok"
-			if forbidden && observed > 0 {
-				verdict = "VIOLATION OBSERVED"
-			}
-			if violations > 0 {
-				verdict = "GRAPH VIOLATION"
-			}
-			t.AddRow(l.Name, m.name, forbidden, observed, violations, verdict)
+			t.AddRow(l.Name, m.name, res.Forbidden, res.Observed, res.Reached, res.NeverReached,
+				res.Outside, len(res.Report.Violations), res.Verdict)
 		}
 	}
 	return t, nil

@@ -236,8 +236,7 @@ func newKindOrder(model mcm.Model, opts Options) kindOrder {
 				continue
 			}
 			ko.diff[a][c] = model.Ordered(a, c)
-			ko.same[a][c] = model.OrderedSameAddr(a, c) &&
-				!(opts.Forwarding && a == prog.Store && c == prog.Load)
+			ko.same[a][c] = !(opts.Forwarding && a == prog.Store && c == prog.Load)
 		}
 		for _, c := range memKinds {
 			if ko.diff[a][c] {

@@ -26,10 +26,7 @@ func refOrdered(model mcm.Model, opts Options, a, c prog.Op) bool {
 		return true
 	}
 	if a.Word == c.Word {
-		if opts.Forwarding && a.Kind == prog.Store && c.Kind == prog.Load {
-			return false
-		}
-		return model.OrderedSameAddr(a.Kind, c.Kind)
+		return !(opts.Forwarding && a.Kind == prog.Store && c.Kind == prog.Load)
 	}
 	return model.Ordered(a.Kind, c.Kind)
 }

@@ -72,48 +72,32 @@ func Parse(s string) (Model, error) {
 	}
 }
 
+// ordered is each model's preserved-program-order matrix between plain
+// accesses, indexed [model][first][second] by prog.Load and prog.Store.
+var ordered = [...][2][2]bool{
+	SC:  {{true, true}, {true, true}},
+	TSO: {{true, true}, {false, true}},  // only store→load relaxed
+	PSO: {{true, true}, {false, false}}, // store→load and store→store relaxed
+	RMO: {},                             // everything relaxed between plain accesses
+}
+
 // Ordered reports whether the model preserves program order from an earlier
 // operation of kind first to a later operation of kind second on the same
 // thread, in the absence of intervening fences and ignoring same-address
 // dependencies. Fences order against everything under every model.
 //
 // Same-address program-order pairs are always ordered by coherence
-// ("uniprocessor" / sc-per-location semantics) regardless of the model; that
-// rule is handled by callers via OrderedSameAddr, since Ordered sees only
-// kinds.
+// ("uniprocessor" / sc-per-location semantics) regardless of the model, less
+// store→load under store-buffer forwarding; the graph builder applies that
+// rule, since Ordered sees only kinds.
 func (m Model) Ordered(first, second prog.OpKind) bool {
 	if first == prog.Fence || second == prog.Fence {
 		return true
 	}
-	switch m {
-	case SC:
-		return true
-	case TSO:
-		// Only store→load is relaxed.
-		return !(first == prog.Store && second == prog.Load)
-	case PSO:
-		// store→load and store→store relaxed.
-		return first == prog.Load
-	case RMO:
-		// Everything relaxed between plain accesses.
-		return false
-	default:
+	if int(m) >= len(ordered) {
 		panic(fmt.Sprintf("mcm: Ordered on invalid model %d", uint8(m)))
 	}
-}
-
-// OrderedSameAddr reports whether program order is preserved between two
-// same-address memory operations under the model. All models enforce
-// coherence (sc-per-location): same-address pairs stay ordered.
-//
-// The one nuance is store→load under store-buffer forwarding: the load may
-// read the store early (before it is globally visible), but it can never
-// read an *older* value, so for constraint-graph purposes the pair is
-// ordered. Store atomicity concerns are handled separately (see Atomicity).
-func (m Model) OrderedSameAddr(first, second prog.OpKind) bool {
-	_ = first
-	_ = second
-	return true
+	return ordered[m][first][second]
 }
 
 // Atomicity describes store atomicity (paper §8, citing Arvind & Maessen).

@@ -52,19 +52,6 @@ func TestFencesOrderEverything(t *testing.T) {
 	}
 }
 
-func TestSameAddrAlwaysOrdered(t *testing.T) {
-	kinds := []prog.OpKind{prog.Load, prog.Store}
-	for _, m := range Models {
-		for _, a := range kinds {
-			for _, b := range kinds {
-				if !m.OrderedSameAddr(a, b) {
-					t.Errorf("%v.OrderedSameAddr(%v, %v) = false", m, a, b)
-				}
-			}
-		}
-	}
-}
-
 // relaxations lists the program-order kind pairs the model relaxes, as
 // "first->second" strings.
 func (m Model) relaxations() []string {

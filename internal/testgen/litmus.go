@@ -2,8 +2,8 @@ package testgen
 
 import (
 	"fmt"
+	"strings"
 
-	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/prog"
 )
 
@@ -24,26 +24,14 @@ func (o Outcome) MatchesValues(vals []uint32) bool {
 	return true
 }
 
-// Litmus is a directed test: a small program, an outcome of interest, and
-// the set of models under which that outcome is forbidden. Outcomes assume
-// multi-copy store atomicity (mcm.MultiCopy), matching the paper's
-// evaluation platforms.
+// Litmus is a directed test: a small program and an outcome of interest.
+// Which models forbid the outcome is computed, not written down: see
+// internal/oracle.
 type Litmus struct {
 	Name        string
 	Description string
 	Prog        *prog.Program
 	Interesting Outcome
-	Forbidden   []mcm.Model
-}
-
-// ForbiddenUnder reports whether the interesting outcome violates model m.
-func (l Litmus) ForbiddenUnder(m mcm.Model) bool {
-	for _, f := range l.Forbidden {
-		if f == m {
-			return true
-		}
-	}
-	return false
 }
 
 // op returns the ID of the operation at (thread, index); storeVal returns
@@ -80,7 +68,6 @@ func LitmusTests() []Litmus {
 				opID(p, 0, 1): prog.InitialValue,
 				opID(p, 1, 1): prog.InitialValue,
 			},
-			Forbidden: []mcm.Model{mcm.SC},
 		})
 	}
 
@@ -98,7 +85,6 @@ func LitmusTests() []Litmus {
 				opID(p, 0, 2): prog.InitialValue,
 				opID(p, 1, 2): prog.InitialValue,
 			},
-			Forbidden: mcm.Models,
 		})
 	}
 
@@ -117,7 +103,6 @@ func LitmusTests() []Litmus {
 				opID(p, 1, 0): storeVal(p, 0, 1), // read flag
 				opID(p, 1, 1): prog.InitialValue, // stale data
 			},
-			Forbidden: []mcm.Model{mcm.SC, mcm.TSO},
 		})
 	}
 
@@ -135,7 +120,6 @@ func LitmusTests() []Litmus {
 				opID(p, 1, 0): storeVal(p, 0, 2),
 				opID(p, 1, 2): prog.InitialValue,
 			},
-			Forbidden: mcm.Models,
 		})
 	}
 
@@ -154,7 +138,6 @@ func LitmusTests() []Litmus {
 				opID(p, 0, 0): storeVal(p, 1, 1),
 				opID(p, 1, 0): storeVal(p, 0, 1),
 			},
-			Forbidden: []mcm.Model{mcm.SC, mcm.TSO, mcm.PSO},
 		})
 	}
 
@@ -174,7 +157,6 @@ func LitmusTests() []Litmus {
 				opID(p, 1, 0): storeVal(p, 0, 0),
 				opID(p, 1, 1): prog.InitialValue,
 			},
-			Forbidden: mcm.Models,
 		})
 	}
 
@@ -192,7 +174,6 @@ func LitmusTests() []Litmus {
 				opID(p, 0, 0): storeVal(p, 1, 2),
 				opID(p, 1, 0): storeVal(p, 0, 2),
 			},
-			Forbidden: mcm.Models,
 		})
 	}
 
@@ -213,7 +194,6 @@ func LitmusTests() []Litmus {
 				opID(p, 2, 0): storeVal(p, 1, 1),
 				opID(p, 2, 1): prog.InitialValue,
 			},
-			Forbidden: []mcm.Model{mcm.SC, mcm.TSO, mcm.PSO},
 		})
 	}
 
@@ -237,7 +217,6 @@ func LitmusTests() []Litmus {
 				opID(p, 3, 0): storeVal(p, 1, 0),
 				opID(p, 3, 1): prog.InitialValue,
 			},
-			Forbidden: []mcm.Model{mcm.SC, mcm.TSO, mcm.PSO},
 		})
 	}
 
@@ -260,19 +239,21 @@ func LitmusTests() []Litmus {
 				opID(p, 3, 0): storeVal(p, 1, 0),
 				opID(p, 3, 2): prog.InitialValue,
 			},
-			Forbidden: mcm.Models,
 		})
 	}
 
 	return tests
 }
 
-// LitmusByName returns the named litmus test.
+// LitmusByName returns the named litmus test; the error for an unknown name
+// lists the known ones.
 func LitmusByName(name string) (Litmus, error) {
+	var known []string
 	for _, l := range LitmusTests() {
 		if l.Name == name {
 			return l, nil
 		}
+		known = append(known, l.Name)
 	}
-	return Litmus{}, fmt.Errorf("testgen: no litmus test named %q", name)
+	return Litmus{}, fmt.Errorf("testgen: no litmus test named %q (known: %s)", name, strings.Join(known, ", "))
 }

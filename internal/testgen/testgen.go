@@ -1,7 +1,7 @@
 // Package testgen produces the multi-threaded test programs MTraceCheck
 // validates: constrained-random tests over the paper's parameter space
-// (Table 2) and a library of classic directed litmus tests with per-model
-// expected outcomes.
+// (Table 2) and a library of classic directed litmus tests, each with its
+// outcome of interest.
 //
 // Constrained-random tests use perfectly disambiguated addresses (every
 // operation names a literal shared word), which is what allows the

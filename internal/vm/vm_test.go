@@ -7,6 +7,7 @@ import (
 
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/testgen"
 )
 
@@ -112,8 +113,7 @@ func TestInstrumentedMatchesEncode(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 10; trial++ {
-				rf, _ := testgen.SCReference(p, rng)
-				vals := testgen.LoadValuesOf(p, rf)
+				vals := oracle.Walk(p, rng.Intn).Values
 				want, err := meta.EncodeValues(vals)
 				if err != nil {
 					t.Fatal(err)
@@ -174,8 +174,7 @@ func TestIntrusivenessAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	rf, _ := testgen.SCReference(p, rng)
-	vals := testgen.LoadValuesOf(p, rf)
+	vals := oracle.Walk(p, rng.Intn).Values
 	for ti := range p.Threads {
 		loads := int64(len(p.Threads[ti].Loads()))
 		fl := NewThread(gp.Flush[ti], DefaultCostModel())
@@ -216,8 +215,7 @@ func TestOriginalCheaperThanInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
-	rf, _ := testgen.SCReference(p, rng)
-	vals := testgen.LoadValuesOf(p, rf)
+	vals := oracle.Walk(p, rng.Intn).Values
 
 	orig := NewThread(gp.Original[0], DefaultCostModel())
 	inst := NewThread(gp.Instrumented[0], DefaultCostModel())

@@ -55,6 +55,7 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/mem"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -75,7 +76,7 @@ type (
 	Signature = sig.Signature
 	// Violation is one detected MCM violation with its cycle witness.
 	Violation = check.Violation
-	// Litmus is a directed test with per-model expected outcomes.
+	// Litmus is a directed test: a small program and its outcome of interest.
 	Litmus = testgen.Litmus
 	// FaultConfig configures deterministic device-side fault injection
 	// (rates per fault kind; the zero value injects nothing).
@@ -459,31 +460,83 @@ func RunProgram(p *Program, opts Options) (*Report, error) {
 	return c.Run(context.Background())
 }
 
-// RunLitmus executes a litmus test, reporting how often the interesting
-// outcome was observed alongside the full validation report. A forbidden
-// outcome that is observed also surfaces as a graph-check violation.
-func RunLitmus(l Litmus, opts Options) (observed int, report *Report, err error) {
+// LitmusResult is a litmus test's run judged against what the platform's
+// model allows, as internal/oracle computes it from the model definitions.
+// An outcome is the values every load of one iteration returned.
+type LitmusResult struct {
+	// Forbidden is the oracle's label: no execution the model allows has the
+	// test's interesting outcome.
+	Forbidden bool
+	// Observed counts the iterations with the interesting outcome.
+	Observed int
+	// Reached and NeverReached split the allowed outcomes into those some
+	// iteration produced and those none did.
+	Reached, NeverReached int
+	// Outside counts the distinct observed outcomes the model forbids; any
+	// fails the run.
+	Outside int
+	// Verdict is "ok", "GRAPH VIOLATION" when graph checking found a cycle,
+	// or else "FORBIDDEN OUTCOME OBSERVED" when Outside is non-zero.
+	Verdict string
+	// Failed is Verdict != "ok".
+	Failed bool
+	// Report is the campaign's; its Violations are the graph violations.
+	Report *Report
+}
+
+// RunLitmus executes a litmus test and judges every iteration's outcome
+// against the executions the platform's model allows on a multi-copy atomic
+// machine (internal/oracle). A forbidden outcome that is observed also
+// surfaces as a graph-check violation unless the checker misses it.
+func RunLitmus(l Litmus, opts Options) (*LitmusResult, error) {
+	opts = withDefaults(opts)
+	allowed, err := oracle.Allowed(l.Prog, opts.Platform.Model.String())
+	if err != nil {
+		return nil, err
+	}
+	res := &LitmusResult{Forbidden: true, Verdict: "ok"}
+	reached := map[string]bool{}
+	for _, e := range allowed {
+		reached[fmt.Sprint(e.Values)] = false
+		res.Forbidden = res.Forbidden && !l.Interesting.MatchesValues(e.Values)
+	}
 	// Outcome counting needs the raw executions even when the caller does
 	// not: force retention for the run, then honor the caller's flag.
 	keep := opts.KeepExecutions
 	opts.KeepExecutions = true
 	c, err := NewCampaign(l.Prog, opts)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	report, err = c.Run(context.Background())
-	if err != nil {
-		return 0, report, err
+	if res.Report, err = c.Run(context.Background()); err != nil {
+		return nil, err
 	}
-	for _, ex := range report.Executions {
+	outside := map[string]bool{}
+	for _, ex := range res.Report.Executions {
 		if l.Interesting.MatchesValues(ex.LoadValues) {
-			observed++
+			res.Observed++
+		}
+		k := fmt.Sprint(ex.LoadValues)
+		switch seen, ok := reached[k]; {
+		case !ok:
+			outside[k] = true
+		case !seen:
+			reached[k] = true
+			res.Reached++
 		}
 	}
 	if !keep {
-		report.Executions = nil
+		res.Report.Executions = nil
 	}
-	return observed, report, nil
+	res.NeverReached, res.Outside = len(reached)-res.Reached, len(outside)
+	switch {
+	case res.Report.Failed():
+		res.Verdict = "GRAPH VIOLATION"
+	case res.Outside > 0:
+		res.Verdict = "FORBIDDEN OUTCOME OBSERVED"
+	}
+	res.Failed = res.Verdict != "ok"
+	return res, nil
 }
 
 func withDefaults(opts Options) Options {

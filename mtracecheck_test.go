@@ -166,15 +166,44 @@ func TestRunLitmusForbiddenAndAllowed(t *testing.T) {
 			continue
 		}
 		// SB under TSO: outcome allowed, should be observed, no violations.
-		obs, report, err := RunLitmus(l, Options{Iterations: 400, Seed: 21})
+		res, err := RunLitmus(l, Options{Iterations: 400, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if obs == 0 {
+		if res.Forbidden {
+			t.Error("SB labelled forbidden under TSO")
+		}
+		if res.Observed == 0 {
 			t.Error("SB outcome never observed under TSO")
 		}
-		if report.Failed() {
-			t.Error("SB under TSO flagged as violation")
+		if res.Failed || res.Verdict != "ok" || res.Outside != 0 {
+			t.Errorf("SB under TSO: %+v", res)
+		}
+		if res.Reached == 0 || res.Reached+res.NeverReached != 4 {
+			t.Errorf("SB under TSO: %d allowed outcomes reached and %d never, want the 4 of two binary loads",
+				res.Reached, res.NeverReached)
+		}
+	}
+}
+
+// TestRunLitmusJudgesBuggyPlatform: on the bug-2 platform a coherence hammer
+// (four stores against four loads of one word) produces outcomes the oracle
+// forbids, which fail the run; every such outcome is one violating signature
+// to the checker too, since a single writer makes static ws exact.
+func TestRunLitmusJudgesBuggyPlatform(t *testing.T) {
+	b := NewProgramBuilder("CoRR4", 1)
+	b.Thread().Store(0).Store(0).Store(0).Store(0)
+	b.Thread().Load(0).Load(0).Load(0).Load(0)
+	l := Litmus{Name: "CoRR4", Prog: b.MustBuild(), Interesting: map[int]uint32{4: 0}}
+	for _, bug := range []Bug{BugNone, BugLSQSkip} {
+		res, err := RunLitmus(l, Options{Platform: BuggyPlatform(bug), Iterations: 512, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buggy := bug != BugNone
+		if res.Failed != buggy || (res.Outside > 0) != buggy || res.Outside != len(res.Report.Violations) {
+			t.Errorf("bug %d: %d forbidden outcomes observed, %d violating signatures, verdict %q",
+				bug, res.Outside, len(res.Report.Violations), res.Verdict)
 		}
 	}
 }
@@ -618,18 +647,18 @@ func TestRunLitmusHonorsKeepExecutions(t *testing.T) {
 			sb = l
 		}
 	}
-	_, report, err := RunLitmus(sb, Options{Iterations: 50, Seed: 3})
+	res, err := RunLitmus(sb, Options{Iterations: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Executions) != 0 {
-		t.Errorf("executions retained without KeepExecutions: %d", len(report.Executions))
+	if len(res.Report.Executions) != 0 {
+		t.Errorf("executions retained without KeepExecutions: %d", len(res.Report.Executions))
 	}
-	_, report, err = RunLitmus(sb, Options{Iterations: 50, Seed: 3, KeepExecutions: true})
+	res, err = RunLitmus(sb, Options{Iterations: 50, Seed: 3, KeepExecutions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Executions) != 50 {
-		t.Errorf("KeepExecutions retained %d executions, want 50", len(report.Executions))
+	if len(res.Report.Executions) != 50 {
+		t.Errorf("KeepExecutions retained %d executions, want 50", len(res.Report.Executions))
 	}
 }
