@@ -74,10 +74,11 @@ define cpu-profile
 	$(GO) tool pprof -top -nodecount 30 $$dir/mtracecheck.test $$dir/cpu.prof
 endef
 
-# Where a simulated iteration's time goes (the measurement DESIGN §10's
-# before/after table is made from).
+# Where a simulated iteration's time goes on the TSO and the RMO platform (the
+# measurement DESIGN §10's before/after tables are made from).
 sim-profile:
 	$(call cpu-profile,BenchmarkSimIterationX86)
+	$(call cpu-profile,BenchmarkSimIterationARM)
 
 # Where a trace check's time goes: one rep of the trace-check workload, 1,024
 # rendered 200-op TSO executions of one program parsed and checked one by one

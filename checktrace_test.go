@@ -19,6 +19,7 @@ import (
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/testgen"
 	"mtracecheck/internal/trace"
 )
@@ -111,6 +112,41 @@ func TestCheckTraceValueFault(t *testing.T) {
 	}
 	if len(report.Violations) != 0 {
 		t.Errorf("acyclic trace reported graph violations %v", report.Violations)
+	}
+}
+
+// TestCheckTraceOwnLaterStore: a load reading its own thread's later store
+// is forbidden under every model — forwarding relaxes the rf edge of a read
+// from an earlier own store only — so every backend must report a cycle, and
+// no execution the oracle allows may have the load read that store.
+func TestCheckTraceOwnLaterStore(t *testing.T) {
+	tr, err := ParseTrace(strings.NewReader("0: M[0x10] == 1\n0: M[0x10] := 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range TraceModels() {
+		for _, checker := range CheckerNames() {
+			report, _, err := CheckTraceContext(context.Background(), tr, model, Options{Checker: checker})
+			if err != nil {
+				t.Fatalf("%s (%s): %v", model, checker, err)
+			}
+			if len(report.Violations) == 0 {
+				t.Errorf("%s (%s): own later store read passed", model, checker)
+			}
+		}
+		bind, err := tr.Bind()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allowed, err := oracle.Allowed(bind.Prog, strings.ToUpper(model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range allowed {
+			if ex.RF[0] == bind.Row[0] {
+				t.Errorf("%s: the oracle allows the load to read store %d", model, bind.Row[0])
+			}
+		}
 	}
 }
 

@@ -522,10 +522,13 @@ func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int32, ws WS, ws
 	if err := b.checkSource(loadID, storeID); err != nil {
 		return nil, err
 	}
-	if b.ops[storeID].thread != load.thread {
-		edges = append(edges, Edge{storeID, loadID})
-	} else if !b.opts.Forwarding {
-		// Single-copy atomicity: the read implies global visibility.
+	// Forwarding lets a load read its own thread's earlier store before the
+	// store is globally visible, so that rf edge orders nothing. Every other
+	// read keeps its edge: another thread's store, any read under
+	// single-copy atomicity (the read implies global visibility), and a read
+	// of the thread's own later store (IDs are thread-major, so a larger ID
+	// is later in program order), which the edge turns into a cycle.
+	if b.ops[storeID].thread != load.thread || !b.opts.Forwarding || storeID > loadID {
 		edges = append(edges, Edge{storeID, loadID})
 	}
 	if b.opts.Forwarding {
@@ -606,35 +609,6 @@ func (g *Graph) Out(u int32, fn func(v int32)) {
 	for _, v := range g.dynAdj[u] {
 		fn(v)
 	}
-}
-
-// TopoSort returns a topological order of the graph (Kahn's algorithm) and
-// whether one exists; ok == false means the graph is cyclic — an MCM
-// violation.
-func (g *Graph) TopoSort() (order []int32, ok bool) {
-	indeg := make([]int32, g.N)
-	for u := int32(0); u < int32(g.N); u++ {
-		g.Out(u, func(v int32) { indeg[v]++ })
-	}
-	queue := make([]int32, 0, g.N)
-	for v := int32(0); v < int32(g.N); v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order = make([]int32, 0, g.N)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		g.Out(u, func(v int32) {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		})
-	}
-	return order, len(order) == g.N
 }
 
 // FindCycle returns the operations of one cycle when the graph is cyclic

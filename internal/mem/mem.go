@@ -216,10 +216,6 @@ func (s *System) SetCompleteHook(fn func(tok int64, v uint32)) { s.completeHook 
 // Stats returns a snapshot of activity counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Outstanding returns the number of incomplete Read/Write operations; a
-// drained event queue with Outstanding > 0 indicates a protocol deadlock.
-func (s *System) Outstanding() int { return s.outstanding }
-
 func (s *System) lineBase(addr uint64) uint64 {
 	return addr - addr%uint64(s.cfg.LineSize)
 }
@@ -425,19 +421,6 @@ func (s *System) Read(core int, addr uint64, tok int64) {
 func (s *System) Write(core int, addr uint64, val uint32, tok int64) {
 	s.outstanding++
 	s.caches[core].access(memReq{isWrite: true, addr: addr, val: val, tok: tok})
-}
-
-// PeekWord returns the globally committed value of the word at addr,
-// preferring a dirty cached copy over backing memory. For use at quiescent
-// points (between iterations, in tests).
-func (s *System) PeekWord(addr uint64) uint32 {
-	base, idx := s.lineBase(addr), s.wordIndex(addr)
-	for _, c := range s.caches {
-		if ln := c.lookup(base); ln != nil && ln.state == stateM {
-			return ln.data[idx]
-		}
-	}
-	return s.memLine(s.lineOf(base))[idx]
 }
 
 // Quiescent reports whether no operations or writebacks are in flight.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -207,11 +208,20 @@ type thread struct {
 	started bool
 	retired bool // every op committed and the store buffer empty; see pumpThread
 
+	// ready is a bitset over op indices: bit i is set exactly when op i is
+	// issued, not in flight, not performed, and a load or a buffered store —
+	// the ops pumpThread tries to start. Issuing a load and buffering a store
+	// set a bit, starting an access clears it, and a squash sets it again.
+	ready []uint64
+
 	committedFences   int
 	drainedStores     int
 	drainedByWord     []int // same-word drained-store count, indexed by word
 	performedLdByWord []int // indexed by word
 }
+
+func (t *thread) setReady(i int)   { t.ready[i>>6] |= 1 << (i & 63) }
+func (t *thread) clearReady(i int) { t.ready[i>>6] &^= 1 << (i & 63) }
 
 // reset rewinds the thread to the start of an iteration.
 func (t *thread) reset(r *Runner) {
@@ -224,6 +234,7 @@ func (t *thread) reset(r *Runner) {
 	t.drainedStores = 0
 	clear(t.drainedByWord)
 	clear(t.performedLdByWord)
+	clear(t.ready)
 	ops := r.prog.Threads[t.slot].Ops
 	for i := range t.ops {
 		t.ops[i] = opRec{op: ops[i]}
@@ -392,6 +403,7 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 			slot:              ti,
 			static:            r.static[ti],
 			ops:               make([]opRec, len(th.Ops)),
+			ready:             make([]uint64, (len(th.Ops)+63)/64),
 			drainedByWord:     make([]int, p.NumWords),
 			performedLdByWord: make([]int, p.NumWords),
 		}
@@ -693,7 +705,11 @@ func (e *engine) pumpThread(t *thread) {
 		for {
 			before := t.next + t.commit
 			for t.next < len(t.ops) && t.next-t.commit < e.window {
-				t.ops[t.next].issued = true
+				o := &t.ops[t.next]
+				o.issued = true
+				if o.op.Kind == prog.Load {
+					t.setReady(t.next)
+				}
 				t.next++
 			}
 			e.commitSweep(t)
@@ -701,22 +717,20 @@ func (e *engine) pumpThread(t *thread) {
 				break
 			}
 		}
-		// Start eligible operations. The scan begins at the oldest op that
-		// is not fully retired: committed stores may still be draining from
-		// the store buffer, and committed is not performed for them.
+		// Try the ready ops in program order. The walk begins at the oldest
+		// op that is not fully retired: committed stores may still be
+		// draining from the store buffer, and committed is not performed for
+		// them. A try changes only its own op's bit, so each word is walked
+		// from a copy.
 		for t.low < t.next && t.ops[t.low].committed && t.ops[t.low].performed {
 			t.low++
 		}
-		for i := t.low; i < t.next; i++ {
-			o := &t.ops[i]
-			if !o.issued || o.inFlight || o.performed {
-				continue
-			}
-			switch o.op.Kind {
-			case prog.Load:
-				e.tryLoad(t, i)
-			case prog.Store:
-				if o.buffered {
+		for w := t.low >> 6; w<<6 < t.next; w++ {
+			for word := t.ready[w]; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if t.ops[i].op.Kind == prog.Load {
+					e.tryLoad(t, i)
+				} else {
 					e.tryDrain(t, i)
 				}
 			}
@@ -749,6 +763,7 @@ func (e *engine) commitSweep(t *thread) {
 				}
 				o.buffered = true
 				t.sbUsed++
+				t.setReady(t.commit)
 			}
 		case prog.Fence:
 			// A fence retires only when every earlier store has drained
@@ -797,6 +812,7 @@ func (e *engine) tryLoad(t *thread, i int) {
 				return // single-copy: wait for the drain
 			}
 			o.inFlight = true
+			t.clearReady(i)
 			delay := 1 + e.delayOf(t.core)
 			e.q.PushAfter(delay, eventq.Event{Kind: evLoadFwd,
 				Core: int32(t.slot), Op: int32(i), Arg: int64(o.epoch)})
@@ -810,6 +826,7 @@ func (e *engine) tryLoad(t *thread, i int) {
 	}
 	// Perform against the coherent memory system.
 	o.inFlight = true
+	t.clearReady(i)
 	delay := e.delayOf(t.core)
 	if m := e.issueJitter; m > 0 {
 		delay += eventq.Time(e.rng.Intn(m + 1))
@@ -855,6 +872,7 @@ func (e *engine) tryDrain(t *thread, i int) {
 		return
 	}
 	o.inFlight = true
+	t.clearReady(i)
 	delay := e.delayOf(t.core)
 	if m := e.drainDelay; m > 0 {
 		delay += eventq.Time(e.rng.Intn(m + 1))
@@ -903,17 +921,25 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 			if layout.LineOfWord(o.op.Word) != line {
 				continue
 			}
-			o.performed = false
-			o.forwarded = false
-			o.epoch++
-			o.squashes++
-			e.exec.Squashes++
+			e.squashLoad(t, i)
 			squashed = true
 		}
 		if squashed {
 			e.pumpThread(t) // replay: the squashed loads are eligible again
 		}
 	}
+}
+
+// squashLoad discards a performed load's value so that it replays: the epoch
+// bump drops any completion of the old access, and the load is ready again.
+func (e *engine) squashLoad(t *thread, i int) {
+	o := &t.ops[i]
+	o.performed = false
+	o.forwarded = false
+	o.epoch++
+	o.squashes++
+	e.exec.Squashes++
+	t.setReady(i)
 }
 
 // FormatTimeline renders an execution's timeline as tab-separated text:

@@ -86,11 +86,7 @@ func (e *engine) flushPipeline(t *thread) {
 	for i := t.commit; i < t.next; i++ {
 		o := &t.ops[i]
 		if o.op.Kind == prog.Load && o.performed && !o.committed {
-			o.performed = false
-			o.forwarded = false
-			o.epoch++
-			o.squashes++
-			e.exec.Squashes++
+			e.squashLoad(t, i)
 		}
 	}
 }

@@ -725,8 +725,10 @@ func (c *countingSource) Uint64() uint64  { c.draws++; return c.src.Uint64() }
 // change — and, since a pump leaves its thread at a fixpoint, every thread it
 // did — has nothing left to start. Stepping 200 iterations one event at a
 // time, an all-thread pump after each event must push no event and draw no
-// random number, and the O(1) done check must agree with a walk over every
-// thread's ops. The stepped iteration must also equal a plain RunSeeded's.
+// random number, the O(1) done check must agree with a walk over every
+// thread's ops, and every thread's ready set must hold exactly the ops the
+// predicate it stands for, recomputed from the op records, selects. The
+// stepped iteration must also equal a plain RunSeeded's.
 func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 	osMigrate := PlatformX86()
 	osMigrate.OS = OSConfig{Enabled: true, Quantum: 1500, QuantumJitter: 200, Migrate: true}
@@ -738,6 +740,8 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 		{"x86", PlatformX86(), 4},
 		{"arm", PlatformARM(), 7},
 		{"os-migrate", osMigrate, 7},
+		{"gem5", PlatformGem5(mem.Bugs{}, Bugs{}), 7},
+		{"gem5-bug2", PlatformGem5(mem.Bugs{}, Bugs{LQSquashSkip: true}), 7},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -758,11 +762,13 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 					t.Fatal(err)
 				}
 				events := 0
+				checkReadySets(t, e, it, events)
 				for !e.done() {
 					if !r.q.Step() {
 						t.Fatalf("iteration %d: queue ran dry after %d events", it, events)
 					}
 					events++
+					checkReadySets(t, e, it, events)
 					if walked := allRetired(e); walked != e.done() {
 						t.Fatalf("iteration %d event %d: done() = %v, walking the ops says %v",
 							it, events, e.done(), walked)
@@ -787,6 +793,24 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkReadySets fails unless every thread's ready bit for op i is set
+// exactly when op i is issued, not in flight, not performed, and a load or a
+// buffered store.
+func checkReadySets(t *testing.T, e *engine, it, events int) {
+	t.Helper()
+	for _, th := range e.threads {
+		for i := range th.ops {
+			o := &th.ops[i]
+			want := o.issued && !o.inFlight && !o.performed &&
+				(o.op.Kind == prog.Load || o.op.Kind == prog.Store && o.buffered)
+			if got := th.ready[i>>6]&(1<<(i&63)) != 0; got != want {
+				t.Fatalf("iteration %d event %d: thread %d op %d ready bit %v, op record says %v",
+					it, events, th.slot, i, got, want)
+			}
+		}
 	}
 }
 

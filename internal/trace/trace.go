@@ -228,12 +228,6 @@ type Binding struct {
 	ValueFaults []error
 }
 
-// AddrOfOp returns the trace byte address accessed by a bound program
-// operation ID (fences return 0).
-func (b *Binding) AddrOfOp(id int) uint64 {
-	return b.Trace.Ops[b.Source[id]].Addr
-}
-
 // Bind maps the trace onto the checking machinery: a prog.Program plus the
 // reads-from relation resolved from observed values. It validates the trace as
 // Validate does and returns the same errors.
