@@ -28,8 +28,9 @@ race:
 # reach /metrics (worker IDs, platform and model names) — plus the checker-backend
 # differential (all backends must agree on fuzz-chosen execution sets), the
 # event-queue differential (timing wheel vs. the reference heap), the
-# program-order reduction's (O(1)-witness scan vs. the cubic definition) and
-# the oracle's (axiomatic vs. operational enumeration under SC and TSO).
+# program-order reduction's (O(1)-witness scan vs. the cubic definition), the
+# oracle's (axiomatic vs. operational enumeration under SC and TSO) and the
+# simulator's random source (jump-ahead seeding vs. math/rand).
 # Go runs one fuzz target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
@@ -45,6 +46,7 @@ fuzz-short:
 	$(GO) test ./internal/corpus -run '^$$' -fuzz '^FuzzCorpusLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSeedSource$$' -fuzztime $(FUZZTIME)
 
 # Simulator allocation gate: the alloc-budget tests plus a short
 # -benchmem pass over the SimIteration benchmarks. The typed-event engine

@@ -144,11 +144,15 @@ func (q *Queue) bucketAppend(ev Event) {
 	n := q.free
 	if n != none {
 		q.free = q.nodes[n].next
-		q.nodes[n] = node{ev: ev, next: none}
 	} else {
 		n = int32(len(q.nodes))
-		q.nodes = append(q.nodes, node{ev: ev, next: none})
+		q.nodes = append(q.nodes, node{})
 	}
+	// Field by field: building a node{ev, next} value spills ev field-sized
+	// and reloads it 16 bytes at a time, which stalls store forwarding.
+	nd := &q.nodes[n]
+	nd.ev.At, nd.ev.Kind, nd.ev.Core, nd.ev.Op, nd.ev.Arg = ev.At, ev.Kind, ev.Core, ev.Op, ev.Arg
+	nd.next = none
 	b := int(ev.At) & mask
 	bk := &q.wheel[b]
 	if w, bit := b>>6, uint64(1)<<(b&63); q.occ[w]&bit == 0 {
@@ -243,13 +247,15 @@ func (q *Queue) Step() bool {
 	q.migrate()
 	bk := &q.wheel[b]
 	n := bk.head
-	ev := q.nodes[n].ev
-	if next := q.nodes[n].next; next != none {
+	nd := &q.nodes[n]
+	// Field by field, for the reason bucketAppend writes it so.
+	ev := Event{At: nd.ev.At, Kind: nd.ev.Kind, Core: nd.ev.Core, Op: nd.ev.Op, Arg: nd.ev.Arg}
+	if next := nd.next; next != none {
 		bk.head = next
 	} else {
 		q.occ[b>>6] &^= uint64(1) << (b & 63)
 	}
-	q.nodes[n].next = q.free
+	nd.next = q.free
 	q.free = n
 	q.inWheel--
 	q.handler(ev)

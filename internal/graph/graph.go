@@ -664,33 +664,6 @@ func (g *Graph) FindCycle() []int32 {
 	return nil
 }
 
-// VerifyOrder checks that order is a valid topological sort of g: a
-// permutation of all vertices with every edge pointing forward. Used by
-// tests and by the collective checker's self-checks.
-func (g *Graph) VerifyOrder(order []int32) error {
-	if len(order) != g.N {
-		return fmt.Errorf("graph: order has %d vertices, want %d", len(order), g.N)
-	}
-	pos := make([]int32, g.N)
-	seen := make([]bool, g.N)
-	for i, v := range order {
-		if v < 0 || int(v) >= g.N || seen[v] {
-			return fmt.Errorf("graph: order is not a permutation (vertex %d)", v)
-		}
-		seen[v] = true
-		pos[v] = int32(i)
-	}
-	var bad error
-	for u := int32(0); u < int32(g.N); u++ {
-		g.Out(u, func(v int32) {
-			if bad == nil && pos[u] >= pos[v] {
-				bad = fmt.Errorf("graph: edge %d->%d not forward in order", u, v)
-			}
-		})
-	}
-	return bad
-}
-
 // WordClass returns a per-operation priority class grouping operations by
 // the shared word they access: fences first (class 0), then per word its
 // stores (class 1+2w) followed by its loads (class 2+2w). NumWordClasses

@@ -122,7 +122,7 @@ func (c *cache) freeMSHR(li int, m *mshr) {
 
 // setOf returns the index in lines of the first way of base's set.
 func (c *cache) setOf(base uint64) int {
-	return int((base/uint64(c.sys.cfg.LineSize))%uint64(c.sys.cfg.Sets)) * c.sys.cfg.Ways
+	return int(base>>c.sys.lineShift&c.sys.setMask) * c.sys.cfg.Ways
 }
 
 // find returns the index in lines of the resident line for base, or -1.

@@ -42,6 +42,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"mtracecheck/internal/eventq"
@@ -83,7 +84,9 @@ type Bugs struct {
 	WBRaceDeadlock bool
 }
 
-// Config parameterizes the memory system.
+// Config parameterizes the memory system. LineSize, WordSize and Sets are
+// powers of two, so an address splits into line, word and set by shifts and
+// masks.
 type Config struct {
 	Cores    int
 	LineSize int // bytes per line
@@ -126,15 +129,25 @@ func (c Config) Validate() error {
 	switch {
 	case c.Cores < 1 || c.Cores > maxCores:
 		return fmt.Errorf("mem: %d cores outside [1,%d]", c.Cores, maxCores)
-	case c.LineSize <= 0 || c.WordSize <= 0 || c.LineSize%c.WordSize != 0:
+	case c.LineSize <= 0 || c.WordSize <= 0:
+		return fmt.Errorf("mem: bad line/word sizes %d/%d", c.LineSize, c.WordSize)
+	case !powerOfTwo(c.LineSize):
+		return fmt.Errorf("mem: LineSize %d is not a power of two", c.LineSize)
+	case !powerOfTwo(c.WordSize):
+		return fmt.Errorf("mem: WordSize %d is not a power of two", c.WordSize)
+	case c.WordSize > c.LineSize:
 		return fmt.Errorf("mem: bad line/word sizes %d/%d", c.LineSize, c.WordSize)
 	case c.Sets < 1 || c.Ways < 1:
 		return fmt.Errorf("mem: bad geometry %d sets × %d ways", c.Sets, c.Ways)
+	case !powerOfTwo(c.Sets):
+		return fmt.Errorf("mem: Sets %d is not a power of two", c.Sets)
 	case c.TagLat < 0 || c.NetLat < 0 || c.DirLat < 0 || c.MemLat < 0 || c.Jitter < 0:
 		return fmt.Errorf("mem: negative latency")
 	}
 	return nil
 }
+
+func powerOfTwo(n int) bool { return n&(n-1) == 0 }
 
 // Stats counts memory-system activity.
 type Stats struct {
@@ -156,6 +169,12 @@ type System struct {
 	caches []*cache
 	dir    *directory
 	stats  Stats
+
+	// The geometry as shifts and masks (Config's sizes are powers of two).
+	lineShift uint   // log2 LineSize
+	wordShift uint   // log2 WordSize
+	lineMask  uint64 // LineSize-1: an address's offset within its line
+	setMask   uint64 // Sets-1: a line number's set
 
 	// Line tables: memory here, dir.lines, and every cache's mshrs and wb
 	// are indexed by line number minus origin and cover nLines lines. They
@@ -198,7 +217,12 @@ func NewSystem(q *eventq.Queue, cfg Config, rng *rand.Rand) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, wpl: cfg.LineSize / cfg.WordSize, q: q, rng: rng}
+	s := &System{cfg: cfg, wpl: cfg.LineSize / cfg.WordSize, q: q, rng: rng,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		wordShift: uint(bits.TrailingZeros(uint(cfg.WordSize))),
+		lineMask:  uint64(cfg.LineSize - 1),
+		setMask:   uint64(cfg.Sets - 1),
+	}
 	s.dir = newDirectory(s)
 	for i := 0; i < cfg.Cores; i++ {
 		s.caches = append(s.caches, newCache(s, i))
@@ -216,13 +240,9 @@ func (s *System) SetCompleteHook(fn func(tok int64, v uint32)) { s.completeHook 
 // Stats returns a snapshot of activity counters.
 func (s *System) Stats() Stats { return s.stats }
 
-func (s *System) lineBase(addr uint64) uint64 {
-	return addr - addr%uint64(s.cfg.LineSize)
-}
+func (s *System) lineBase(addr uint64) uint64 { return addr &^ s.lineMask }
 
-func (s *System) wordIndex(addr uint64) int {
-	return int(addr%uint64(s.cfg.LineSize)) / s.cfg.WordSize
-}
+func (s *System) wordIndex(addr uint64) int { return int(addr&s.lineMask) >> s.wordShift }
 
 // lineOf returns the line-table index of the line at base, growing the
 // tables to cover it if need be. Growth re-indexes every table, so indices
@@ -230,7 +250,7 @@ func (s *System) wordIndex(addr uint64) int {
 // after it; only the first access to a line (cache.access, PeekWord) can
 // grow, every message names a line some access already covered.
 func (s *System) lineOf(base uint64) int {
-	i := int(base/uint64(s.cfg.LineSize)) - s.origin
+	i := int(base>>s.lineShift) - s.origin
 	if uint(i) >= uint(s.nLines) {
 		i = s.growLines(i + s.origin)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"mtracecheck/internal/eventq"
@@ -385,6 +386,61 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig(4).Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+}
+
+// TestConfigValidateRefusesNonPowerOfTwo: the geometry the memory system
+// splits addresses by shifts and masks is refused, by field and value, when a
+// size is not a power of two.
+func TestConfigValidateRefusesNonPowerOfTwo(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"48-byte line", func(c *Config) { c.LineSize = 48 }, "LineSize 48 is not a power of two"},
+		{"6-byte word", func(c *Config) { c.WordSize = 6 }, "WordSize 6 is not a power of two"},
+		{"3 sets", func(c *Config) { c.Sets = 3 }, "Sets 3 is not a power of two"},
+	} {
+		cfg := DefaultConfig(4)
+		c.edit(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestGeometryMatchesDivision: on the memory configurations of the x86
+// (DefaultConfig(4)), ARM (DefaultConfig(8), jitter aside) and gem5
+// (TinyCacheConfig(8)) presets and the 4-set one the eviction experiment uses,
+// the shift-and-mask line base, word index, line number and set equal the
+// division formulas they replace, on random addresses.
+func TestGeometryMatchesDivision(t *testing.T) {
+	fourSets := DefaultConfig(4)
+	fourSets.Sets = 4
+	rng := rand.New(rand.NewSource(5))
+	for _, cfg := range []Config{DefaultConfig(4), DefaultConfig(8), TinyCacheConfig(8), fourSets} {
+		_, s, _ := newSys(t, cfg.Cores, cfg)
+		c := s.caches[0]
+		line, word, sets := uint64(cfg.LineSize), uint64(cfg.WordSize), uint64(cfg.Sets)
+		for range 10_000 {
+			addr := uint64(rng.Int63n(1 << 40))
+			base := addr - addr%line
+			if got := s.lineBase(addr); got != base {
+				t.Fatalf("%+v: lineBase(%#x) = %#x, want %#x", cfg, addr, got, base)
+			}
+			if got, want := s.wordIndex(addr), int(addr%line/word); got != want {
+				t.Fatalf("%+v: wordIndex(%#x) = %d, want %d", cfg, addr, got, want)
+			}
+			// lineOf grows the line tables to cover what it is asked, so it
+			// sees the low 256 KiB only.
+			if low := base % (1 << 18); s.lineOf(low)+s.origin != int(low/line) {
+				t.Fatalf("%+v: lineOf(%#x) is line %d, want %d", cfg, low, s.lineOf(low)+s.origin, low/line)
+			}
+			if got, want := c.setOf(base), int(base/line%sets)*cfg.Ways; got != want {
+				t.Fatalf("%+v: setOf(%#x) = %d, want %d", cfg, base, got, want)
+			}
+		}
 	}
 }
 

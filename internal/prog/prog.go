@@ -146,9 +146,6 @@ func (l Layout) AddrOf(word int) uint64 {
 // LineOf returns the cache-line number containing the byte address.
 func (l Layout) LineOf(addr uint64) uint64 { return addr / uint64(l.LineSize) }
 
-// LineOfWord returns the cache-line number of a shared-word index.
-func (l Layout) LineOfWord(word int) uint64 { return l.LineOf(l.AddrOf(word)) }
-
 // Program is a complete multi-threaded test program.
 type Program struct {
 	Name     string   // optional human-readable name (litmus tests)

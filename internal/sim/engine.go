@@ -187,12 +187,14 @@ type opRec struct {
 
 // static per-op precomputed indices (shared across iterations).
 type opStatic struct {
-	prefixFences      int // fences before this op in its thread
-	prefixStores      int // stores before this op in its thread
-	prefixSameWordSt  int // same-word stores before this op
-	prefixSameWordLd  int // same-word loads before this op
-	lastSameWordStore int // thread-local index of latest earlier same-word store; -1
-	storeIndex        int // index among the thread's stores (stores only)
+	prefixFences      int    // fences before this op in its thread
+	prefixStores      int    // stores before this op in its thread
+	prefixSameWordSt  int    // same-word stores before this op
+	prefixSameWordLd  int    // same-word loads before this op
+	lastSameWordStore int    // thread-local index of latest earlier same-word store; -1
+	storeIndex        int    // index among the thread's stores (stores only)
+	addr              uint64 // memory ops: byte address of the shared word
+	line              uint64 // memory ops: line number of addr under the program's layout
 }
 
 type thread struct {
@@ -309,7 +311,7 @@ type SeedStream struct {
 // NewSeedStream returns the seed stream of the given campaign seed,
 // positioned at iteration 0.
 func NewSeedStream(seed int64) *SeedStream {
-	return &SeedStream{seed: seed, master: rand.New(rand.NewSource(seed))}
+	return &SeedStream{seed: seed, master: newRand(seed)}
 }
 
 // Next returns the next iteration's seed.
@@ -356,7 +358,7 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 			return nil, fmt.Errorf("sim: %d ops per thread overflow the completion-token op field", len(th.Ops))
 		}
 	}
-	r := &Runner{plat: plat, prog: p, master: rand.New(rand.NewSource(seed))}
+	r := &Runner{plat: plat, prog: p, master: newRand(seed)}
 	r.static = make([][]opStatic, p.NumThreads())
 	for ti, th := range p.Threads {
 		st := make([]opStatic, len(th.Ops))
@@ -371,6 +373,8 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 				lastSameWordStore: -1,
 			}
 			if op.IsMemory() {
+				s.addr = p.Layout.AddrOf(op.Word)
+				s.line = p.Layout.LineOf(s.addr)
 				s.prefixSameWordSt = sameWordSt[op.Word]
 				s.prefixSameWordLd = sameWordLd[op.Word]
 				if idx, ok := lastStore[op.Word]; ok {
@@ -395,7 +399,7 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 	// Reusable iteration state. The RNG is reseeded from the master stream at
 	// the top of every Run; seeding an existing *rand.Rand yields exactly the
 	// stream a fresh rand.New(rand.NewSource(seed)) would.
-	r.rng = rand.New(rand.NewSource(0))
+	r.rng = newRand(0)
 	r.q = eventq.New()
 	r.threads = make([]*thread, 0, p.NumThreads())
 	for ti, th := range p.Threads {
@@ -620,13 +624,11 @@ func (e *engine) dispatch(ev eventq.Event) {
 	case evLoadIssue:
 		t := e.threads[ev.Core]
 		i := int(ev.Op)
-		o := &t.ops[i]
-		e.ms.Read(t.core, e.addrOf(o.op), packTok(t.slot, i, int(ev.Arg)))
+		e.ms.Read(t.core, t.static[i].addr, packTok(t.slot, i, int(ev.Arg)))
 	case evStoreIssue:
 		t := e.threads[ev.Core]
 		i := int(ev.Op)
-		o := &t.ops[i]
-		e.ms.Write(t.core, e.addrOf(o.op), o.op.Value, packTok(t.slot, i, 0))
+		e.ms.Write(t.core, t.static[i].addr, t.ops[i].op.Value, packTok(t.slot, i, 0))
 	case evQuantum:
 		if e.done() {
 			return
@@ -667,9 +669,6 @@ func (e *engine) onMemComplete(tok int64, v uint32) {
 // count is maintained by pumpThread, which runs after every change to a
 // thread's commit pointer or store buffer.
 func (e *engine) done() bool { return e.unretired == 0 }
-
-// addrOf returns the byte address of an op's shared word.
-func (e *engine) addrOf(op prog.Op) uint64 { return e.r.prog.Layout.AddrOf(op.Word) }
 
 func (e *engine) delayOf(core int) eventq.Time {
 	if len(e.coreDelay) == 0 {
@@ -890,8 +889,7 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 	if e.lqSquashSkip {
 		return // bug 2: the LSQ ignores the invalidation
 	}
-	layout := e.r.prog.Layout
-	line := lineBase / uint64(layout.LineSize)
+	line := e.r.prog.Layout.LineOf(lineBase)
 	for _, t := range e.threads {
 		if t.core != core {
 			continue
@@ -918,7 +916,7 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 			if o.op.Kind != prog.Load || !o.performed || o.committed {
 				continue
 			}
-			if layout.LineOfWord(o.op.Word) != line {
+			if t.static[i].line != line {
 				continue
 			}
 			e.squashLoad(t, i)

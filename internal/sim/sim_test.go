@@ -710,9 +710,10 @@ func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
 	}
 }
 
-// countingSource counts the draws the iteration RNG makes from its source.
+// countingSource counts the draws the iteration RNG makes from the runner's
+// own source type.
 type countingSource struct {
-	src   rand.Source64
+	src   *source
 	draws int
 }
 
@@ -750,7 +751,7 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := &countingSource{src: rand.NewSource(0).(rand.Source64)}
+			src := &countingSource{src: new(source)}
 			r.rng = rand.New(src)
 			ref, err := NewRunner(c.plat, p, 0)
 			if err != nil {
