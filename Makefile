@@ -100,7 +100,7 @@ offline-profile:
 # outside bench/, exported declarations (go doc -short -all: methods included,
 # constant groups and struct fields not) per library package, flags per
 # binary (every flag-defining call: the typed ones, Var, Func and TextVar), the
-# plug points of the checker table — non-test call sites of
+# fields of mtracecheck.Options, the plug points of the checker table — non-test call sites of
 # check.ForName and check.ShardedBackend outside internal/check and bench/
 # (one each, in the root package's checkItems; internal/experiments walks the
 # table instead) — the rows of the metric series table per group, and the
@@ -113,6 +113,7 @@ surface:
 	@for p in $$($(GO) list . ./internal/...); do \
 		echo "$$p $$($(GO) doc -short -all $$p | grep -c '^\(func\|type\|const\|var\) ')"; done
 	@grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\|Var\|Func\|BoolFunc\|TextVar\)\(Var\)\?(' cmd/*/main.go
+	@echo "mtracecheck.Options fields $$($(GO) doc . Options | sed -n '/^type Options struct/,/^}/p' | grep -cE '^[[:space:]]+[A-Z]')"
 	@for f in ForName ShardedBackend; do \
 		echo "check.$$f call sites $$(grep -rn --include='*.go' --exclude='*_test.go' "check\.$$f(" . \
 			| grep -vc '^\./\(bench\|internal/check\)/')"; done

@@ -70,10 +70,6 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 		return nil, fmt.Errorf("mtracecheck: QuarantineThreshold must be a fraction in [0, 1] (0 = no limit), got %v", opts.QuarantineThreshold)
 	case opts.Resume && opts.CheckpointPath == "":
 		return nil, errors.New("mtracecheck: Resume requires CheckpointPath")
-	case opts.Resume && opts.ObservedWS:
-		return nil, errors.New("mtracecheck: resume requires the static ws mode (checkpointed signatures carry no recorded write serialization)")
-	case opts.Fault.Enabled() && opts.ObservedWS:
-		return nil, errors.New("mtracecheck: fault injection requires the static ws mode (corrupted signatures carry no recorded write serialization)")
 	}
 	// An unknown checker is refused here, once for every door, by the entry
 	// every door's check ends in.
@@ -100,9 +96,6 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 	}
 	c.ckptChunks = max(1, (every+ChunkSize-1)/ChunkSize)
 	if opts.Corpus != nil {
-		if opts.ObservedWS {
-			return nil, errors.New("mtracecheck: the signature corpus requires the static ws mode (cached verdicts are a pure function of the signature)")
-		}
 		if opts.Pruner != nil {
 			return nil, errors.New("mtracecheck: the signature corpus cannot be combined with a pruner (pruning changes the signature encoding the corpus key does not capture)")
 		}
@@ -133,15 +126,10 @@ func (c *Campaign) newReport() *Report {
 }
 
 // newBuilder constructs the constraint-graph builder for the campaign's
-// model and ws mode.
+// model: static ws, so every graph is a function of its signature.
 func (c *Campaign) newBuilder() *graph.Builder {
-	wsMode := graph.WSStatic
-	if c.opts.ObservedWS {
-		wsMode = graph.WSObserved
-	}
 	return graph.NewBuilder(c.prog, c.opts.Platform.Model, graph.Options{
 		Forwarding: c.opts.Platform.Atomicity.AllowsForwarding(),
-		WS:         wsMode,
 	})
 }
 
@@ -173,30 +161,24 @@ func (c *Campaign) Collect(ctx context.Context) ([]Unique, error) {
 // Check drives only the host side: previously collected unique signatures
 // are decoded and checked under the campaign's options — checker
 // selection, Workers, Strict/QuarantineThreshold, and the observer all
-// apply. It requires the static ws mode, which needs nothing beyond the
-// signatures themselves.
+// apply.
 func (c *Campaign) Check(ctx context.Context, uniques []Unique) (*Report, error) {
-	if c.opts.ObservedWS {
-		return nil, errors.New("mtracecheck: checking stored signatures requires the static ws mode (stored signatures carry no recorded write serialization)")
-	}
 	began := time.Now()
 	c.em.campaignStart(c.prog, c.opts.Platform.Name, c.opts.Platform.Model, 0, c.workers, began)
 	report := c.newReport()
 	report.UniqueSignatures = len(uniques)
-	err := c.decodeAndCheck(ctx, uniques, nil, report)
+	err := c.decodeAndCheck(ctx, uniques, report)
 	c.em.campaignEnd(report, err, began)
 	return report, err
 }
 
 // decodeAndCheck is the shared host side of Run, ChunkMerger.Report and
 // Check: the barrier decode of the merged, sorted set (decodeItems), the
-// quarantine-threshold gate and the selected checker. wsBySig is a merger's
-// first-observation write serializations under ObservedWS and nil otherwise.
-// Everything here waits for the execution barrier because everything here is
-// a delta between sorted neighbours — the decoded rows the checkers diff, and
-// the windowed re-sorts of Alg. 2 — and no partial stream has those.
-func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
-	wsBySig map[string]graph.WS, report *Report) error {
+// quarantine-threshold gate and the selected checker. Everything here waits
+// for the execution barrier because everything here is a delta between sorted
+// neighbours — the decoded rows the checkers diff, and the windowed re-sorts
+// of Alg. 2 — and no partial stream has those.
+func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique, report *Report) error {
 	// Warm-cache fast path: partition the merged set against the corpus at
 	// the sort barrier. Hits were proven acyclic by an earlier campaign —
 	// the verdict is a pure function of (program, signature) — so they skip
@@ -225,7 +207,7 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
 		}
 	}
 	builder := c.newBuilder()
-	items, quarantined, err := decodeItems(ctx, c.meta, builder, novel, wsBySig,
+	items, quarantined, err := decodeItems(ctx, c.meta, builder, novel,
 		c.workers, c.opts.Strict, c.em)
 	if err != nil {
 		return err
@@ -363,11 +345,10 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 // result to the merger. The merger runs here, on the campaign goroutine,
 // landing chunks strictly in chunk order through a reorder buffer while
 // runners execute later chunks — the stage overlap — so every order-sensitive
-// output (executions, first-observation ws, failure bookkeeping, checkpoint
-// bytes) is identical for every worker count and completion schedule. It also
-// writes a checkpoint whenever the merger says one is due (CheckpointDue); the
-// runners keep executing meanwhile. It returns the first fatal error in chunk
-// order.
+// output (executions, failure bookkeeping, checkpoint bytes) is identical for
+// every worker count and completion schedule. It also writes a checkpoint
+// whenever the merger says one is due (CheckpointDue); the runners keep
+// executing meanwhile. It returns the first fatal error in chunk order.
 func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 	todo := make([]int, 0, len(m.chunks)-m.nDone)
 	for idx := range m.chunks {
@@ -449,7 +430,7 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 				// the worker count; the report must not.
 				continue
 			}
-			m.land(o.Chunk, o.Stats, o.set.Entries(), o.ws)
+			m.land(o.Chunk, o.Stats, o.set.Entries())
 			m.report.Executions = append(m.report.Executions, o.execs...)
 			err := o.err
 			if err == nil && checkpointing && m.CheckpointDue() {
@@ -740,8 +721,7 @@ func ProgramHash(p *Program) uint64 { return progHash(p) }
 type shardOut struct {
 	ChunkResult
 	set      *sig.Set
-	ws       map[string]graph.WS // sig key -> first-observation ws (ObservedWS)
-	execs    []*sim.Execution    // KeepExecutions
+	execs    []*sim.Execution // KeepExecutions
 	attempts int
 	err      error
 }
@@ -774,9 +754,6 @@ func retryable(err error, parent context.Context) bool {
 func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 	opts Options, out *shardOut) {
 	start, count, stats := out.Start, out.Count, &out.Stats
-	if opts.ObservedWS {
-		out.ws = make(map[string]graph.WS)
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			out.err = fmt.Errorf("%w at iteration %d: %v", errShardPanic, start+stats.Iterations, r)
@@ -816,12 +793,7 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 			out.err = err
 			return
 		}
-		if out.set.AddWords(sigBuf) && opts.ObservedWS {
-			// First observation of this interleaving in this chunk: keep its
-			// write-serialization order for graph construction. (The
-			// static-ws default needs nothing beyond the signature.)
-			out.ws[sig.New(sigBuf).Key()] = ex.WSByWord()
-		}
+		out.set.AddWords(sigBuf)
 	}
 }
 
@@ -840,31 +812,22 @@ type decodeFailure struct {
 // signature order. Workers (at least one, at most one per signature) take
 // disjoint contiguous ranges and poll the context as they go.
 //
-// What an item is, is check.NewItem's decision: under static ws the reads-from
-// row instrument.Meta.DecodeInto fills, checked against the builder's tables
-// but not expanded — no edge is built, nothing is sorted — and under observed
-// ws, where the graph is not a function of the signature, the edge list built
-// from the row and the signature's recorded write serialization.
+// An item is what check.NewItem makes of a row on the campaign's static-ws
+// builder: the reads-from row instrument.Meta.DecodeInto fills, checked against
+// the builder's tables but not expanded — no edge is built, nothing is sorted.
 //
 // A signature that fails to decode is QuarantineDecode, one whose row the
 // builder rejects QuarantineEdges; both are pure functions of the signature
 // and the metadata, so the outcome is deterministic. In strict mode the
 // lowest-sorted failure is returned instead — each worker stops at its first.
 func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
-	uniques []sig.Unique, wsBySig map[string]graph.WS, workers int,
-	strict bool, em emitter) ([]check.Item, []Quarantined, error) {
+	uniques []sig.Unique, workers int, strict bool, em emitter) ([]check.Item, []Quarantined, error) {
 	n := b.NumOps()
 	items := make([]check.Item, len(uniques))
 	decode := func(lo, hi int) (t decodeTally, failed []decodeFailure, err error) {
-		// A row item keeps the row it was decoded into, so under static ws a
-		// range's rows are carved from one array; an edge-list item does not,
-		// and one row serves the range.
-		rows := 1
-		if b.StaticWS() {
-			rows = hi - lo
-		}
-		slab := make([]int32, rows*n)
-		var keyBuf []byte // for the allocation-free ws lookup
+		// A row item keeps the row it was decoded into: a range's rows are
+		// carved from one array.
+		slab := make([]int32, (hi-lo)*n)
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return t, nil, err
@@ -873,13 +836,8 @@ func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 			rf := slab[:n:n]
 			kind, err := QuarantineDecode, meta.DecodeInto(s, rf)
 			if err == nil {
-				var ws graph.WS
-				if len(wsBySig) > 0 { // static ws records none
-					keyBuf = s.AppendBinary(keyBuf[:0])
-					ws = wsBySig[string(keyBuf)]
-				}
 				kind = QuarantineEdges
-				items[i], err = check.NewItem(b, s, rf, ws)
+				items[i], err = check.NewItem(b, s, rf, nil)
 				slab = slab[len(items[i].RF):]
 			}
 			switch {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"mtracecheck/internal/graph"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 )
@@ -54,12 +53,9 @@ func (c *Campaign) chunkBounds(idx int) (start, count int) {
 
 // chunkable rejects option combinations the exported chunk API cannot honor:
 // chunk results must be self-contained and worker-invariant, which rules out
-// recorded write serializations and retained executions.
+// retained executions.
 func (c *Campaign) chunkable() error {
-	switch {
-	case c.opts.ObservedWS:
-		return errors.New("mtracecheck: chunked execution requires the static ws mode")
-	case c.opts.KeepExecutions:
+	if c.opts.KeepExecutions {
 		return errors.New("mtracecheck: chunked execution cannot retain executions")
 	}
 	return nil
@@ -171,11 +167,6 @@ type ChunkMerger struct {
 	chunks []sig.CkptChunk
 	nDone  int
 	saved  int // nDone at the last Checkpoint or Restore
-
-	// In-process only — chunkable() rejects the option behind it for the
-	// exported API: first-observation ws needs chunks absorbed in order plus a
-	// per-chunk ws map, which no ChunkResult carries over the wire.
-	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
 }
 
 // newMerger starts a campaign (start time, campaign-start event) and returns
@@ -184,9 +175,6 @@ type ChunkMerger struct {
 func (c *Campaign) newMerger(check bool) *ChunkMerger {
 	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet(), check: check,
 		chunks: make([]sig.CkptChunk, c.NumChunks())}
-	if c.opts.ObservedWS {
-		m.wsBySig = make(map[string]graph.WS)
-	}
 	c.em.campaignStart(c.prog, c.opts.Platform.Name, c.opts.Platform.Model, c.opts.Iterations, c.workers, m.began)
 	return m
 }
@@ -211,32 +199,21 @@ func (m *ChunkMerger) complete() bool { return m.nDone == len(m.chunks) }
 
 // land is where both doors meet: it marks one grid chunk done with the stats
 // it was given and folds it into the campaign state — report accounting,
-// incremental dedup. ws is the chunk's first-observation write serializations,
-// in-process only, where chunks land in ascending order whatever the worker
-// count.
-func (m *ChunkMerger) land(idx int, stats ChunkStats, entries []Unique, ws map[string]graph.WS) {
+// incremental dedup.
+func (m *ChunkMerger) land(idx int, stats ChunkStats, entries []Unique) {
 	m.chunks[idx] = sig.CkptChunk{Status: sig.ChunkDone, ChunkStats: stats}
 	m.nDone++
 	r := m.report
 	r.Iterations += stats.Iterations
 	r.TotalCycles += stats.Cycles
 	r.Squashes += stats.Squashes
-	m.merge(entries, ws)
+	m.merge(entries)
 }
 
-// merge folds uniques, in any order, into the accumulator. ws is the chunk's
-// first-observation write serializations (ObservedWS) and nil otherwise.
-func (m *ChunkMerger) merge(entries []Unique, ws map[string]graph.WS) {
+// merge folds uniques, in any order, into the accumulator.
+func (m *ChunkMerger) merge(entries []Unique) {
 	for _, u := range entries {
-		if !m.acc.AddUnique(u) || m.wsBySig == nil {
-			continue
-		}
-		// New to the campaign means first observed in this chunk, and chunks
-		// land in order: first-in-chunk is first-globally.
-		key := u.Sig.Key()
-		if w, ok := ws[key]; ok {
-			m.wsBySig[key] = w
-		}
+		m.acc.AddUnique(u)
 	}
 }
 
@@ -267,7 +244,7 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 	c.em.mergeDone(report.Iterations, len(uniques), faultCounts(injected), true)
 	var err error
 	if m.check {
-		err = c.decodeAndCheck(ctx, uniques, m.wsBySig, report)
+		err = c.decodeAndCheck(ctx, uniques, report)
 	}
 	c.em.campaignEnd(report, err, m.began)
 	return report, err
@@ -323,7 +300,7 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	if m.chunks[r.Chunk].Status == sig.ChunkDone {
 		return false, nil
 	}
-	m.land(r.Chunk, r.Stats, r.Uniques, nil)
+	m.land(r.Chunk, r.Stats, r.Uniques)
 	return true, nil
 }
 
@@ -400,10 +377,10 @@ func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
 				i, ck.Uniques[i].Sig.Len(), words)
 		}
 	}
-	m.merge(ck.Uniques, nil)
+	m.merge(ck.Uniques)
 	for idx := range ck.Chunks {
 		if cc := &ck.Chunks[idx]; cc.Status == sig.ChunkDone {
-			m.land(idx, cc.ChunkStats, nil, nil)
+			m.land(idx, cc.ChunkStats, nil)
 		}
 	}
 	m.report.ResumedIterations = m.report.Iterations

@@ -148,28 +148,23 @@ func TestChunkMergerAnyOrderMatchesRun(t *testing.T) {
 	}
 }
 
-// TestChunkAPIRejectsInProcessOnlyOptions: recorded write serializations and
-// retained executions are state of the one merger that no ChunkResult can
-// carry, so the exported API keeps refusing them.
+// TestChunkAPIRejectsInProcessOnlyOptions: retained executions are state of
+// the one merger that no ChunkResult can carry, so the exported API keeps
+// refusing them.
 func TestChunkAPIRejectsInProcessOnlyOptions(t *testing.T) {
 	p, err := NewProgramBuilderFromConfig(faultCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]Options{
-		"ObservedWS":     {Iterations: 128, ObservedWS: true},
-		"KeepExecutions": {Iterations: 128, KeepExecutions: true},
-	} {
-		c, err := NewCampaign(p, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := c.NewChunkRunner(); err == nil {
-			t.Errorf("%s: NewChunkRunner accepted the option", name)
-		}
-		if _, err := c.NewChunkMerger(); err == nil {
-			t.Errorf("%s: NewChunkMerger accepted the option", name)
-		}
+	c, err := NewCampaign(p, Options{Iterations: 128, KeepExecutions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.NewChunkRunner(); err == nil {
+		t.Error("NewChunkRunner accepted KeepExecutions")
+	}
+	if _, err := c.NewChunkMerger(); err == nil {
+		t.Error("NewChunkMerger accepted KeepExecutions")
 	}
 }
 

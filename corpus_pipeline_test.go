@@ -314,9 +314,6 @@ func TestCorpusGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCampaign(p, Options{Corpus: store, ObservedWS: true}); err == nil {
-		t.Error("ObservedWS + Corpus accepted")
-	}
 	if _, err := NewCampaign(p, Options{Corpus: store, Pruner: instrument.SkewPruner(p, 4)}); err == nil {
 		t.Error("Pruner + Corpus accepted")
 	}

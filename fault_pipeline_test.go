@@ -188,23 +188,6 @@ func TestStrictAbortsOnCorruption(t *testing.T) {
 	}
 }
 
-func TestFaultRejectsObservedWS(t *testing.T) {
-	_, err := Run(faultCfg, Options{
-		Iterations: 10, Seed: 1, ObservedWS: true,
-		Fault: FaultConfig{Seed: 1, Rate: fault.Rates{fault.KindBitFlip: 0.5}},
-	})
-	if err == nil {
-		t.Error("fault injection accepted with observed ws")
-	}
-	_, err = Run(faultCfg, Options{
-		Iterations: 10, Seed: 1, ObservedWS: true,
-		Resume: true, CheckpointPath: filepath.Join(t.TempDir(), "x.ckpt"),
-	})
-	if err == nil {
-		t.Error("resume accepted with observed ws")
-	}
-}
-
 func TestBadFaultConfigRejected(t *testing.T) {
 	_, err := Run(faultCfg, Options{
 		Iterations: 10, Seed: 1,

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"mtracecheck"
+	"mtracecheck/internal/check"
 	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
@@ -17,92 +19,116 @@ import (
 // WSAblation quantifies the static-vs-observed write-serialization choice
 // (DESIGN.md §2): bug detections caught by each mode on the bug-2 platform,
 // and the checking-effort difference on a clean platform. Static ws — the
-// paper's "gathered statically" mode — provably misses cross-thread
-// serialization violations; observed ws catches them at the cost of larger
-// graph diffs.
+// paper's "gathered statically" mode, and the only one a campaign checks —
+// provably misses cross-thread serialization violations; observed ws catches
+// them at the cost of larger graph diffs. The observed column is measured
+// here, where the executions are: each campaign retains them, and every one
+// is checked with the store order it recorded on an observed-ws builder.
 func WSAblation(cfg Config) (*report.Table, error) {
 	t := &report.Table{
 		Title: "Ablation: static vs observed write serialization",
-		Caption: fmt.Sprintf("bug-2 campaign: %d tests × %d iterations; effort row: clean x86-4-50-64.",
+		Caption: fmt.Sprintf("bug-2 campaign: %d tests × %d iterations, observed ws per execution; effort rows: clean x86-4-50-64.",
 			cfg.Table3Tests, cfg.Table3Iters),
 		Header: []string{"metric", "static ws (paper mode)", "observed ws"},
 	}
+	checker := cmp.Or(cfg.Checker, check.Backends[0].Name)
+	observed := graph.Options{WS: graph.WSObserved}
 	tcBug := testgen.Config{Threads: 7, OpsPerThread: 200, Words: 32, WordsPerLine: 16}
 	plat := mtracecheck.BuggyPlatform(mtracecheck.BugLSQSkip)
-	detect := func(observedWS bool) (tests, sigs int, err error) {
-		for test := 0; test < cfg.Table3Tests; test++ {
-			tc := tcBug
-			tc.Seed = cfg.Seed + int64(test)
-			rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
-				Platform: plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1, ObservedWS: observedWS}))
-			if err != nil {
-				return 0, 0, err
-			}
-			if rep.Failed() {
-				tests++
-				sigs += len(rep.Violations)
-			}
+	var sTests, sSigs, oTests, oSigs int
+	for test := 0; test < cfg.Table3Tests; test++ {
+		tc := tcBug
+		tc.Seed = cfg.Seed + int64(test)
+		rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+			Platform: plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1, KeepExecutions: true}))
+		if err != nil {
+			return nil, err
 		}
-		return tests, sigs, nil
-	}
-	sTests, sSigs, err := detect(false)
-	if err != nil {
-		return nil, err
-	}
-	oTests, oSigs, err := detect(true)
-	if err != nil {
-		return nil, err
+		if rep.Failed() {
+			sTests++
+			sSigs += len(rep.Violations)
+		}
+		// Verdicts do not depend on the backend, and the conventional one
+		// takes the executions in any order.
+		execs, ws, err := executions(rep, plat)
+		if err != nil {
+			return nil, err
+		}
+		r, err := race(rep.Program, plat, observed, execs, ws, "conventional")
+		if err != nil {
+			return nil, err
+		}
+		bad := map[string]bool{} // a signature counts once, however many executions fail
+		for _, v := range r["conventional"].Violations {
+			bad[v.Sig.Key()] = true
+		}
+		if len(bad) > 0 || len(rep.AssertionFailures) > 0 {
+			oTests++
+		}
+		oSigs += len(bad)
 	}
 	t.AddRow("bug-2 tests detecting", fmt.Sprintf("%d/%d", sTests, cfg.Table3Tests),
 		fmt.Sprintf("%d/%d", oTests, cfg.Table3Tests))
 	t.AddRow("bug-2 violating signatures", sSigs, oSigs)
 
-	// Checking-effort comparison on a clean test.
+	// Checking-effort comparison on a clean test: the campaign's signatures,
+	// under observed ws each with the write serialization of its first
+	// execution.
 	tcClean := testgen.Config{Threads: 4, OpsPerThread: 50, Words: 64, Seed: cfg.Seed}
 	p, err := testgen.Generate(tcClean)
 	if err != nil {
 		return nil, err
 	}
 	x86 := sim.PlatformX86()
+	rep, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
+		Platform: x86, Iterations: cfg.Iterations, Seed: cfg.Seed, KeepExecutions: true}))
+	if err != nil {
+		return nil, err
+	}
+	execs, execWS, err := executions(rep, x86)
+	if err != nil {
+		return nil, err
+	}
+	first := map[string]graph.WS{}
+	for i, u := range execs {
+		if _, seen := first[u.Sig.Key()]; !seen {
+			first[u.Sig.Key()] = execWS[i]
+		}
+	}
+	uniques := rep.Signatures()
+	firstWS := make([]graph.WS, len(uniques))
+	for i, u := range uniques {
+		firstWS[i] = first[u.Sig.Key()]
+	}
 	meta, err := instrument.Analyze(p, x86.RegWidthBits, nil)
 	if err != nil {
 		return nil, err
 	}
 	for _, mode := range []struct {
-		name string
-		ws   graph.WSMode
-	}{{"static ws (paper mode)", graph.WSStatic}, {"observed ws", graph.WSObserved}} {
-		rep, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
-			Platform: x86, Iterations: cfg.Iterations, Seed: cfg.Seed,
-			ObservedWS: mode.ws == graph.WSObserved, KeepExecutions: true}))
+		name  string
+		gopts graph.Options
+		ws    []graph.WS
+	}{{"static ws (paper mode)", graph.Options{}, nil}, {"observed ws", observed, firstWS}} {
+		r, err := race(p, x86, mode.gopts, uniques, mode.ws, checker)
 		if err != nil {
 			return nil, err
 		}
-		// The edge count is not part of a report: rebuild the edge lists of
-		// the graphs the campaign checked — under observed ws, each signature
-		// with the write serialization of its first observation (under static
-		// ws the builder takes none).
-		ws := map[string]graph.WS{}
-		for _, ex := range rep.Executions {
-			s, err := meta.EncodeValues(ex.LoadValues)
-			if err != nil {
-				continue
-			}
-			if _, seen := ws[s.Key()]; !seen {
-				ws[s.Key()] = ex.WSByWord()
-			}
-		}
+		// The edge count is not part of a check result: rebuild the edge
+		// lists of the graphs checked.
 		builder := graph.NewBuilder(p, x86.Model, graph.Options{
-			WS: mode.ws, Forwarding: x86.Atomicity.AllowsForwarding()})
-		uniques := rep.Signatures()
+			WS: mode.gopts.WS, Forwarding: x86.Atomicity.AllowsForwarding()})
 		rf := make([]int32, builder.NumOps())
 		var edges int
 		var buf []graph.Edge // built only to be counted
-		for _, u := range uniques {
+		for i, u := range uniques {
 			if err := meta.DecodeInto(u.Sig, rf); err != nil {
 				return nil, err
 			}
-			if buf, err = builder.AppendDynamicEdges(buf[:0], rf, ws[u.Sig.Key()]); err != nil {
+			var w graph.WS
+			if mode.ws != nil {
+				w = mode.ws[i]
+			}
+			if buf, err = builder.AppendDynamicEdges(buf[:0], rf, w); err != nil {
 				return nil, err
 			}
 			edges += len(buf)
@@ -110,9 +136,29 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		t.AddRow(fmt.Sprintf("clean run dyn edges/graph (%s)", mode.name),
 			fmt.Sprintf("%.1f", float64(edges)/float64(max(1, len(uniques)))), "")
 		t.AddRow(fmt.Sprintf("clean run sorted vertices (%s)", mode.name),
-			rep.CheckStats.SortedVertices, "")
+			r[checker].SortedVertices, "")
 	}
 	return t, nil
+}
+
+// executions encodes the signature of every execution a campaign retained,
+// in iteration order, beside the write serialization the execution recorded.
+// An execution whose encoding asserts has no graph (its campaign reports an
+// assertion failure) and is left out.
+func executions(rep *mtracecheck.Report, plat sim.Platform) ([]sig.Unique, []graph.WS, error) {
+	meta, err := instrument.Analyze(rep.Program, plat.RegWidthBits, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	var execs []sig.Unique
+	var ws []graph.WS
+	for _, ex := range rep.Executions {
+		if s, err := meta.EncodeValues(ex.LoadValues); err == nil {
+			execs = append(execs, sig.Unique{Sig: s, Count: 1})
+			ws = append(ws, ex.WSByWord())
+		}
+	}
+	return execs, ws, nil
 }
 
 // PruneAblation quantifies §8's static pruning: signature and code size
@@ -190,7 +236,7 @@ func ScalingAblation(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := race(p, sim.PlatformX86(), graph.Options{}, uniques, "conventional", "collective")
+		r, err := race(p, sim.PlatformX86(), graph.Options{}, uniques, nil, "conventional", "collective")
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +282,7 @@ func FRAblation(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		for _, dropFR := range []bool{false, true} {
-			r, err := race(p, plat, graph.Options{DropFR: dropFR}, uniques, "conventional", "collective")
+			r, err := race(p, plat, graph.Options{DropFR: dropFR}, uniques, nil, "conventional", "collective")
 			if err != nil {
 				return nil, err
 			}

@@ -86,12 +86,13 @@ type raced struct {
 // its own — the one decode path beside Campaign's, for racing backends on one
 // set and for graph options a campaign does not carry (DropFR;
 // gopts.Forwarding is the platform's). The items are what check.NewItem makes
-// of each decoded row: what a campaign's would be. It then walks check's
-// table, timing each named backend over the items in table order. Backends
-// that disagree on how many graphs are cyclic are an error: a table built
-// from it would describe a checker bug.
+// of each decoded row: what a campaign's would be. ws is nil, or holds each
+// signature's write serialization for an observed-ws builder (gopts.WS). It
+// then walks check's table, timing each named backend over the items in
+// table order. Backends that disagree on how many graphs are cyclic are an
+// error: a table built from it would describe a checker bug.
 func race(p *prog.Program, plat sim.Platform, gopts graph.Options, uniques []sig.Unique,
-	names ...string) (map[string]raced, error) {
+	ws []graph.WS, names ...string) (map[string]raced, error) {
 	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
 	if err != nil {
 		return nil, err
@@ -106,7 +107,11 @@ func race(p *prog.Program, plat sim.Platform, gopts graph.Options, uniques []sig
 		if err := meta.DecodeInto(u.Sig, rf); err != nil {
 			return nil, err
 		}
-		if items[i], err = check.NewItem(b, u.Sig, rf, nil); err != nil {
+		var w graph.WS
+		if ws != nil {
+			w = ws[i]
+		}
+		if items[i], err = check.NewItem(b, u.Sig, rf, w); err != nil {
 			return nil, err
 		}
 	}
@@ -363,7 +368,7 @@ func Fig9And14(cfg Config) (fig9, fig14 *report.Table, err error) {
 			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
 		}
 		// The constraints oracle is not a contender: it is not raced.
-		r, cerr := race(p, plat, graph.Options{}, uniques, "conventional", "collective", "incremental", "vectorclock")
+		r, cerr := race(p, plat, graph.Options{}, uniques, nil, "conventional", "collective", "incremental", "vectorclock")
 		if cerr != nil {
 			return nil, nil, fmt.Errorf("%s: %w", pc.Label, cerr)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -146,7 +147,9 @@ func TestSingleThreadSequentialSemantics(t *testing.T) {
 // each load read and each word's coherence order — is one the model allows,
 // as internal/oracle computes it from the model definitions rather than from
 // mcm's table. Over the litmus library and generated programs of 2–3 threads
-// × 1–4 loads and stores, under all four models.
+// × 1–4 loads and stores, under all four models, on three clean platforms:
+// the default one, the gem5 preset (tiny L1, bugs off) and OS scheduling
+// with migration.
 func TestObservedOutcomesAllowed(t *testing.T) {
 	var programs []*prog.Program
 	for _, l := range testgen.LitmusTests() {
@@ -162,6 +165,23 @@ func TestObservedOutcomesAllowed(t *testing.T) {
 			FenceProb: 0.25 * float64(i/24%2), Seed: int64(i),
 		}))
 	}
+	platforms := []struct {
+		name string
+		plat func(model mcm.Model, cores int) Platform
+	}{
+		{"default", platFor},
+		{"gem5", func(model mcm.Model, _ int) Platform {
+			p := PlatformGem5(mem.Bugs{}, Bugs{})
+			p.Model = model
+			return p
+		}},
+		{"os-migrate", func(model mcm.Model, cores int) Platform {
+			p := platFor(model, cores)
+			p.OS = OSConfig{Enabled: true, Quantum: 400, QuantumJitter: 120, Migrate: true}
+			return p
+		}},
+	}
+	var key []byte
 	for _, model := range mcm.Models {
 		for pi, p := range programs {
 			execs, err := oracle.Allowed(p, model.String())
@@ -170,21 +190,42 @@ func TestObservedOutcomesAllowed(t *testing.T) {
 			}
 			allowed := make(map[string]bool, len(execs))
 			for _, e := range execs {
-				allowed[fmt.Sprint(e.Values, e.WS)] = true
+				key = outcomeKey(key[:0], e.Values, e.WS)
+				allowed[string(key)] = true
 			}
 			iters := 16
 			if pi < len(testgen.LitmusTests()) {
 				iters = 300
 			}
-			for i, ex := range mustRun(t, platFor(model, max(p.NumThreads(), 2)), p, int64(pi), iters) {
-				checkExecutionSanity(t, p, ex)
-				if !allowed[fmt.Sprint(ex.LoadValues, ex.WS)] {
-					t.Fatalf("%v, iteration %d: values %v, coherence %v are not allowed\n%s",
-						model, i, ex.LoadValues, ex.WS, p)
+			for _, pl := range platforms {
+				plat := pl.plat(model, max(p.NumThreads(), 2))
+				for i, ex := range mustRun(t, plat, p, int64(pi), iters) {
+					checkExecutionSanity(t, p, ex)
+					if key = outcomeKey(key[:0], ex.LoadValues, ex.WS); !allowed[string(key)] {
+						t.Fatalf("%s %v, iteration %d: values %v, coherence %v are not allowed\n%s",
+							pl.name, model, i, ex.LoadValues, ex.WS, p)
+					}
 				}
 			}
 		}
 	}
+}
+
+// outcomeKey appends one execution's outcome — each load's value, then each
+// word's coherence order — to buf, as a map key.
+func outcomeKey(buf []byte, values []uint32, ws [][]int) []byte {
+	for _, v := range values {
+		buf = strconv.AppendUint(buf, uint64(v), 10)
+		buf = append(buf, ' ')
+	}
+	for _, order := range ws {
+		buf = append(buf, '|')
+		for _, id := range order {
+			buf = strconv.AppendInt(buf, int64(id), 10)
+			buf = append(buf, ' ')
+		}
+	}
+	return buf
 }
 
 // TestLitmusAllowedObservable checks the engine actually produces the

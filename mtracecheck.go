@@ -203,14 +203,6 @@ type Options struct {
 	Checker string
 	// Pruner optionally applies static candidate pruning (§8).
 	Pruner instrument.Pruner
-	// ObservedWS switches the constraint graphs from the paper's static
-	// write-serialization mode (ws facts derivable at instrumentation time;
-	// graphs are a pure function of the signature) to the precise mode that
-	// also uses the per-execution coherence order recorded by the platform
-	// harness. Observed mode detects cross-thread write-serialization
-	// violations the static mode provably cannot, at the cost of larger
-	// graph diffs during collective checking.
-	ObservedWS bool
 	// KeepExecutions retains each iteration's raw execution in the report
 	// (memory-heavy; for analysis tooling).
 	KeepExecutions bool
@@ -252,10 +244,8 @@ type Options struct {
 	ShardRetries int
 	// Fault injects deterministic device-side faults (internal/fault): the
 	// zero value injects nothing, and a zero-fault run is bit-identical to
-	// a run without the option. Signature corruption and shard faults only —
-	// NewCampaign refuses a wire kind, a dist worker's to inject — and it
-	// requires the static ws mode: corrupted signatures have no recorded
-	// write serialization.
+	// a run without the option. Signature corruption and shard faults only:
+	// NewCampaign refuses a wire kind, a dist worker's to inject.
 	Fault FaultConfig
 	// CheckpointPath, when set, periodically persists the campaign's progress
 	// — the merged signature set, which grid chunks (ChunkSize iterations
@@ -280,7 +270,7 @@ type Options struct {
 	// finished campaign can be extended (more Iterations, then Resume) when
 	// its length was a multiple of ChunkSize; a trailing partial chunk is
 	// already merged and cannot be completed. A missing, damaged or
-	// old-layout file is an error. Requires the static ws mode.
+	// old-layout file is an error.
 	Resume bool
 	// Observer, when set, receives typed events from every pipeline stage —
 	// execution shards, the signature merge, decode workers, checking
@@ -299,8 +289,8 @@ type Options struct {
 	// bit-identical to a corpus-less run: only proven-acyclic signatures
 	// are ever cached, violating signatures never are, and a corpus that
 	// fails to load or mismatches the campaign degrades to a cold run.
-	// Requires the static ws mode and no Pruner. One store may be shared
-	// by many campaigns concurrently (the dist server does).
+	// Requires no Pruner. One store may be shared by many campaigns
+	// concurrently (the dist server does).
 	Corpus *Corpus
 }
 
@@ -646,10 +636,6 @@ func ValidateSignatureMeta(meta *SignatureMeta, p *Program, opts Options) error 
 // Fig. 13-style illustration). The graph is rebuilt from the violation's
 // signature using the same options the report was produced with.
 func WriteViolationDOT(w io.Writer, report *Report, v Violation, opts Options) error {
-	// Reject unsupported modes before doing any analysis work.
-	if opts.ObservedWS {
-		return fmt.Errorf("mtracecheck: DOT rendering of observed-ws violations requires the recorded ws; re-run with the static mode")
-	}
 	c, err := NewCampaign(report.Program, opts)
 	if err != nil {
 		return err

@@ -350,22 +350,6 @@ func TestWriteViolationDOT(t *testing.T) {
 			t.Errorf("DOT output missing %q", want)
 		}
 	}
-	// Observed-ws reports cannot be re-rendered from the signature alone.
-	opts.ObservedWS = true
-	if err := WriteViolationDOT(&sb, report, report.Violations[0], opts); err == nil {
-		t.Error("observed-ws DOT rendering should be refused")
-	}
-}
-
-func TestObservedWSOption(t *testing.T) {
-	cfg := TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5}
-	report, err := Run(cfg, Options{Iterations: 100, Seed: 9, ObservedWS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Failed() {
-		t.Error("clean platform flagged under observed ws")
-	}
 }
 
 func TestIncrementalCheckerOption(t *testing.T) {

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"mtracecheck/internal/check"
 	"mtracecheck/internal/fault"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
@@ -51,7 +53,7 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := sig.NewSet()
-			wsBySig := map[string]graph.WS{}
+			var execs []observedExecution
 			for i := 0; i < 80; i++ {
 				ex, err := runner.Run()
 				if err != nil {
@@ -61,17 +63,21 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v %s: assertion on clean platform: %v", model, tc.Name(), err)
 				}
-				if set.Add(s) {
-					wsBySig[s.Key()] = ex.WSByWord()
-				}
+				set.Add(s)
+				execs = append(execs, observedExecution{s, ex.WSByWord()})
 			}
 			for _, ws := range []graph.WSMode{graph.WSStatic, graph.WSObserved} {
 				builder := graph.NewBuilder(p, model, graph.Options{
 					Forwarding: true, WS: ws,
 				})
-				items, _, err := decodeItems(context.Background(), meta, builder, set.Sorted(), wsBySig, runtime.GOMAXPROCS(0), true, emitter{})
-				if err != nil {
-					t.Fatal(err)
+				var items []check.Item
+				if ws == graph.WSStatic {
+					items, _, err = decodeItems(context.Background(), meta, builder, set.Sorted(), runtime.GOMAXPROCS(0), true, emitter{})
+					if err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					items = observedItems(t, meta, builder, execs)
 				}
 				conv, _ := runBackend("conventional", builder, items)
 				coll, err := runBackend("collective", builder, items)
@@ -85,6 +91,35 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// observedExecution is one execution's signature and the write
+// serialization the platform recorded for it.
+type observedExecution struct {
+	sig sig.Signature
+	ws  graph.WS
+}
+
+// observedItems makes one edge-list item per execution on an observed-ws
+// builder, so every execution's own store order is checked, not only the
+// first one seen with its signature. The items are in ascending signature
+// order, as the order-maintaining backends take them.
+func observedItems(t *testing.T, meta *instrument.Meta, b *graph.Builder, execs []observedExecution) []check.Item {
+	t.Helper()
+	execs = slices.Clone(execs)
+	slices.SortStableFunc(execs, func(x, y observedExecution) int { return x.sig.Compare(y.sig) })
+	items := make([]check.Item, len(execs))
+	for i, ex := range execs {
+		rf := make([]int32, b.NumOps())
+		if err := meta.DecodeInto(ex.sig, rf); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if items[i], err = check.NewItem(b, ex.sig, rf, ex.ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return items
 }
 
 // TestEngineGoldenSignatures is the simulator's bit-identity guard:
@@ -217,8 +252,7 @@ func TestStrongerModelExecutionsPassWeakerChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := sig.NewSet()
-	wsBySig := map[string]graph.WS{}
+	var execs []observedExecution
 	for i := 0; i < 60; i++ {
 		ex, err := runner.Run()
 		if err != nil {
@@ -228,17 +262,11 @@ func TestStrongerModelExecutionsPassWeakerChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if set.Add(s) {
-			wsBySig[s.Key()] = ex.WSByWord()
-		}
+		execs = append(execs, observedExecution{s, ex.WSByWord()})
 	}
 	for _, model := range mcm.Models {
 		builder := graph.NewBuilder(p, model, graph.Options{Forwarding: true, WS: graph.WSObserved})
-		items, _, err := decodeItems(context.Background(), meta, builder, set.Sorted(), wsBySig, runtime.GOMAXPROCS(0), true, emitter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runBackend("collective", builder, items)
+		res, err := runBackend("collective", builder, observedItems(t, meta, builder, execs))
 		if err != nil {
 			t.Fatal(err)
 		}
