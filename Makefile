@@ -130,8 +130,10 @@ surface:
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke
 
 # Benchmark compile-and-run check, cheap enough for verify: ten simulated
-# iterations, and one rep of the trace-check workload (which fails unless
-# exactly the 64 corrupted traces of its 1,024 do).
+# iterations, one rep of the trace-check workload (which fails unless exactly
+# the 64 corrupted traces of its 1,024 do) and one of the offline-check
+# workload on the default checker (which fails on any violation).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimIterationX86$$' -benchtime 10x .
 	$(GO) test -run '^$$' -bench '^BenchmarkCheckTraceWorkload$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkOfflineCheck$$' -benchtime 1x .

@@ -37,7 +37,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "master seed")
 		quick    = flag.Bool("quick", false, "smoke-test scale")
 		markdown = flag.Bool("markdown", false, "emit Markdown instead of text")
-		checker  = flag.String("checker", "", "checking backend for single-backend experiments (default collective): "+
+		checker  = flag.String("checker", "", "checking backend for single-backend experiments (default "+mtracecheck.CheckerNames()[0]+"): "+
 			strings.Join(mtracecheck.CheckerNames(), ", "))
 		corpusDir = flag.String("corpus", "", "directory for the corpus experiment's persistent signature corpora (default: a temporary directory)")
 

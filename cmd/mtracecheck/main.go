@@ -86,7 +86,7 @@ func run() int {
 	flag.Int64Var(&spec.Seed, "seed", 1, "random seed, for test generation and for execution")
 	flag.IntVar(&spec.Workers, "workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge; with -listen, the decode/check stage only (0 = GOMAXPROCS; results are identical for any value)")
 	flag.BoolVar(&spec.OS, "os", false, "run under simulated OS scheduling")
-	flag.StringVar(&spec.Checker, "checker", "collective",
+	flag.StringVar(&spec.Checker, "checker", mtracecheck.CheckerNames()[0],
 		"checker backend: "+strings.Join(mtracecheck.CheckerNames(), ", "))
 	bugs := make([]string, len(sim.InjectedBugs))
 	for i, b := range sim.InjectedBugs {

@@ -35,7 +35,7 @@ func main() {
 		100*float64(report.UniqueSignatures)/float64(report.Iterations))
 	fmt.Printf("  execution signature:    %d bytes\n", report.SignatureBytes)
 	complete, noResort, incremental := report.CheckStats.Counts()
-	fmt.Printf("  collective checking:    %d complete sorts, %d free, %d incremental\n",
+	fmt.Printf("  order checking:         %d complete sorts, %d free, %d incremental\n",
 		complete, noResort, incremental)
 	if report.Failed() {
 		fmt.Printf("  RESULT: FAIL (%d violations)\n", len(report.Violations))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func run(name string, b *graph.Builder, items []Item) (*Result, error) {
 }
 
 func TestBackendRegistry(t *testing.T) {
-	want := []string{"collective", "conventional", "incremental", "vectorclock", "constraints"}
+	want := []string{"incremental", "collective", "conventional", "vectorclock", "constraints"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -37,12 +38,6 @@ func TestBackendRegistry(t *testing.T) {
 		}
 		if be.Name != name {
 			t.Errorf("ForName(%q).Name = %q", name, be.Name)
-		}
-		// Pearce–Kelly maintains one order across the whole sequence, and
-		// the constraint solver is deliberately serial; every other backend
-		// shards.
-		if wantSerial := name == "incremental" || name == "constraints"; be.Serial != wantSerial {
-			t.Errorf("%s: Serial = %t, want %t", name, be.Serial, wantSerial)
 		}
 		if be.Check == nil || be.Effort == nil {
 			t.Errorf("%s: the row lacks a Check or an Effort", name)
@@ -271,10 +266,10 @@ func TestDifferentialFindsInjectedDisagreement(t *testing.T) {
 	}
 }
 
-// TestShardedBackendSerialSingleShard: a non-parallelizable backend must run
-// as one honest shard no matter the requested count — one onShard call
-// reporting shards=1 over the full range, with the serial pass's exact result.
-func TestShardedBackendSerialSingleShard(t *testing.T) {
+// TestShardedBackendFansOut: every row runs as many shards as it is asked
+// for — one onShard call per contiguous range, together covering the items in
+// order — and the merged result carries every item's verdict.
+func TestShardedBackendFansOut(t *testing.T) {
 	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 20, Words: 4, Seed: 1})
 	meta, err := instrument.Analyze(p, 64, nil)
 	if err != nil {
@@ -282,32 +277,42 @@ func TestShardedBackendSerialSingleShard(t *testing.T) {
 	}
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{Forwarding: true})
 	items := fabricate(t, p, b, meta, 100, rand.New(rand.NewSource(9)))
-	serial, err := run("incremental", b, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	be, _ := ForName("incremental")
-	type call struct{ shard, shards, start, count int }
-	var calls []call
-	res, err := ShardedBackend(context.Background(), be, b, items, 8,
-		func(shard, shards, start, count int, part *Result, _ time.Time, _ time.Duration) {
-			calls = append(calls, call{shard, shards, start, count})
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 1 || calls[0] != (call{0, 1, 0, len(items)}) {
-		t.Fatalf("shard callbacks = %+v, want one full-range call with shards=1", calls)
-	}
-	if !reflect.DeepEqual(violIndices(res), violIndices(serial)) ||
-		res.SortedVertices != serial.SortedVertices {
-		t.Fatalf("sharded serial backend diverges from direct call")
+	const shards = 8
+	want := shardOffsets(len(items), shards)
+	for _, name := range Names() {
+		be, _ := ForName(name)
+		type call struct{ shards, start, count int }
+		calls := make([]call, shards)
+		var mu sync.Mutex
+		seen := 0
+		res, err := ShardedBackend(context.Background(), be, b, items, shards,
+			func(shard, n, start, count int, part *Result, _ time.Time, _ time.Duration) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls[shard] = call{n, start, count}
+				seen++
+			})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if seen != shards {
+			t.Fatalf("%s: %d shard callbacks, want %d", name, seen, shards)
+		}
+		for s, c := range calls {
+			if c != (call{shards, want[s], want[s+1] - want[s]}) {
+				t.Errorf("%s: shard %d reported %+v, want range [%d, %d) of %d",
+					name, s, c, want[s], want[s+1], shards)
+			}
+		}
+		if res.Total != len(items) {
+			t.Errorf("%s: merged total %d, want %d", name, res.Total, len(items))
+		}
 	}
 }
 
-// TestShardedBackendShardInvariance: for every parallelizable backend the
-// verdicts — and for the per-graph vector-clock backend even the effort —
-// must not depend on the shard count.
+// TestShardedBackendShardInvariance: for every row the verdicts must not
+// depend on the shard count, and for the per-graph rows — which carry no state
+// from one graph to the next — not even the effort counters may.
 func TestShardedBackendShardInvariance(t *testing.T) {
 	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 20, Words: 4, Seed: 4})
 	meta, err := instrument.Analyze(p, 64, nil)
@@ -331,9 +336,14 @@ func TestShardedBackendShardInvariance(t *testing.T) {
 				t.Errorf("%s shards=%d: verdicts %v, serial %v",
 					name, shards, violIndices(res), violIndices(base))
 			}
-			if name == "vectorclock" && res.ClockUpdates != base.ClockUpdates {
-				t.Errorf("vectorclock shards=%d: %d clock updates, serial %d",
-					shards, res.ClockUpdates, base.ClockUpdates)
+			if base.PerGraph != nil {
+				continue // order-maintaining: each shard pays its own first sort
+			}
+			if res.SortedVertices != base.SortedVertices || res.ClockUpdates != base.ClockUpdates ||
+				res.Propagations != base.Propagations {
+				t.Errorf("%s shards=%d: effort %d/%d/%d, serial %d/%d/%d", name, shards,
+					res.SortedVertices, res.ClockUpdates, res.Propagations,
+					base.SortedVertices, base.ClockUpdates, base.Propagations)
 			}
 		}
 	}

@@ -23,10 +23,6 @@ import (
 // set only.
 func repairEdges(w *workspace, added []graph.Edge, res *Result) bool {
 	pk := &w.pk
-	if pk.visited == nil {
-		tab := make([]int32, 3*w.n)
-		pk.visited, pk.backupPos, pk.backupOrder = tab[:w.n:w.n], tab[w.n:2*w.n:2*w.n], tab[2*w.n:]
-	}
 	// Repairs run in (U,V) order whatever order the installer found the edges
 	// in, so the repair sequence is a function of the graphs alone.
 	slices.SortFunc(added, compareEdges)
@@ -58,8 +54,8 @@ func repairEdges(w *workspace, added []graph.Edge, res *Result) bool {
 	return ok
 }
 
-// pkState carries the Pearce–Kelly order maintenance structures; visited and
-// the backups are made by the first repair.
+// pkState carries the Pearce–Kelly order maintenance structures; its tables
+// are carved from the workspace's one array.
 type pkState struct {
 	w       *workspace
 	pos     []int32
@@ -69,10 +65,11 @@ type pkState struct {
 	// The order before the current item's repairs, restored when it turns
 	// out cyclic.
 	backupPos, backupOrder []int32
-	fwd                    []int32 // scratch: forward-affected vertices
-	bwd                    []int32 // scratch: backward-affected vertices
-	all                    []int32 // scratch: combined affected vertices
-	slots                  []int32 // scratch: their position multiset
+	// Scratch, each at most n vertices (the sets are disjoint).
+	fwd   []int32 // forward-affected vertices
+	bwd   []int32 // backward-affected vertices
+	all   []int32 // combined affected vertices
+	slots []int32 // their position multiset
 }
 
 // repair restores topological order after inserting edge (u,v) with

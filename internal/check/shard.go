@@ -22,24 +22,21 @@ type ShardFunc func(shard, shards, start, count int, part *Result, began time.Ti
 // indices rebased to global positions. The context reaches every per-range
 // check, and the call joins its goroutines before returning ctx.Err().
 //
-// Disjoint signature ranges are independent checking runs for every backend
-// the table does not mark Serial: the per-graph backends share no state
-// between items, and the collective checker's §4.2 windowing only ever relates
-// a graph to its predecessor in sorted order — at the cost of one honest
-// KindComplete sort per shard, whose first graph has no predecessor. A Serial
-// backend runs as one shard whatever the count, and onShard sees that (one
-// event, shard 0 of 1). Verdicts are identical for every shard count; only the
-// effort accounting (PerGraph, SortedVertices) carries the boundary overhead.
-// Items must ascend by signature for every backend, so that the outcome cannot
-// depend on the shard count even for backends whose Check takes any order.
+// Disjoint signature ranges are independent checking runs for every row: the
+// per-graph backends share no state between items, and the order-maintaining
+// ones (Pearce–Kelly's repairs, the collective checker's §4.2 windows) only
+// ever relate a graph to the maintained order of its predecessor in sorted
+// order — at the cost of one honest KindComplete sort per shard, whose first
+// graph has no predecessor. Verdicts are identical for every shard count; only
+// the effort accounting (PerGraph, SortedVertices) carries the boundary
+// overhead. Items must ascend by signature for every backend, so that the
+// outcome cannot depend on the shard count even for backends whose Check
+// takes any order.
 func ShardedBackend(ctx context.Context, be *Backend, b *graph.Builder, items []Item, shards int, onShard ShardFunc) (*Result, error) {
 	for i := 1; i < len(items); i++ {
 		if items[i-1].Sig.Compare(items[i].Sig) > 0 {
 			return nil, fmt.Errorf("check: items not in ascending signature order at %d", i)
 		}
-	}
-	if be.Serial {
-		shards = 1
 	}
 	if shards > len(items) {
 		shards = len(items)

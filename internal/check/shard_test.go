@@ -2,7 +2,9 @@ package check
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mtracecheck/internal/graph"
@@ -12,8 +14,7 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
-// shardedCollective is ShardedBackend over the collective backend, the campaign's default
-// pairing.
+// shardedCollective is ShardedBackend over the collective backend.
 func shardedCollective(ctx context.Context, b *graph.Builder, items []Item, shards int) (*Result, error) {
 	be, err := ForName("collective")
 	if err != nil {
@@ -22,74 +23,64 @@ func shardedCollective(ctx context.Context, b *graph.Builder, items []Item, shar
 	return ShardedBackend(ctx, be, b, items, shards, nil)
 }
 
-// TestShardedMatchesCollective: sharding must deliver exactly Collective's
-// verdicts for every shard count, with violation indices rebased to global
-// positions; the only permitted divergence is effort accounting — one extra
-// KindComplete per shard, plus window-size drift downstream of each
-// boundary (a full sort installs a different maintained order than the
-// serial chain had at that point).
-func TestShardedMatchesCollective(t *testing.T) {
-	for _, model := range []mcm.Model{mcm.TSO, mcm.RMO} {
-		for seed := int64(1); seed <= 3; seed++ {
-			p := testgen.MustGenerate(testgen.Config{
-				Threads: 3, OpsPerThread: 20, Words: 4, Seed: seed,
-			})
-			meta, err := instrument.Analyze(p, 64, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := graph.NewBuilder(p, model, graph.Options{Forwarding: true})
-			rng := rand.New(rand.NewSource(seed * 31))
-			items := fabricate(t, p, b, meta, 150, rng)
-
-			serial, err := run("collective", b, items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{2, 3, 7, len(items), len(items) + 5} {
-				sharded, err := shardedCollective(context.Background(), b, items, shards)
+// TestShardedMatchesSerial: sharding an order-maintaining row must deliver
+// exactly its unsharded verdicts for every shard count, with violation indices
+// rebased to global positions; the only permitted divergence is effort
+// accounting — one extra KindComplete per shard, plus drift downstream of each
+// boundary (a full sort installs a different maintained order than the serial
+// chain had at that point, so later windows and repairs differ in size).
+func TestShardedMatchesSerial(t *testing.T) {
+	for _, name := range []string{"incremental", "collective"} {
+		be, err := ForName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []mcm.Model{mcm.TSO, mcm.RMO} {
+			for seed := int64(1); seed <= 3; seed++ {
+				p := testgen.MustGenerate(testgen.Config{
+					Threads: 3, OpsPerThread: 20, Words: 4, Seed: seed,
+				})
+				meta, err := instrument.Analyze(p, 64, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sharded.Total != serial.Total {
-					t.Fatalf("%v seed %d shards %d: total %d, want %d",
-						model, seed, shards, sharded.Total, serial.Total)
+				b := graph.NewBuilder(p, model, graph.Options{Forwarding: true})
+				rng := rand.New(rand.NewSource(seed * 31))
+				items := fabricate(t, p, b, meta, 150, rng)
+				serial, err := run(name, b, items)
+				if err != nil {
+					t.Fatal(err)
 				}
-				si, vi := violIndices(sharded), violIndices(serial)
-				if len(si) != len(vi) {
-					t.Fatalf("%v seed %d shards %d: %d violations, serial %d",
-						model, seed, shards, len(si), len(vi))
-				}
-				for k := range si {
-					if si[k] != vi[k] {
-						t.Fatalf("%v seed %d shards %d: rebased indices %v, serial %v",
-							model, seed, shards, si, vi)
+				for _, shards := range []int{2, 3, 7, len(items), len(items) + 5} {
+					sharded, err := ShardedBackend(context.Background(), be, b, items, shards, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !sharded.Violations[k].Sig.Equal(serial.Violations[k].Sig) {
-						t.Fatalf("%v seed %d shards %d: violation %d signature mismatch",
-							model, seed, shards, k)
+					at := fmt.Sprintf("%s %v seed %d shards %d", name, model, seed, shards)
+					if sharded.Total != serial.Total {
+						t.Fatalf("%s: total %d, want %d", at, sharded.Total, serial.Total)
 					}
-				}
-				if len(sharded.PerGraph) != len(items) {
-					t.Fatalf("%v seed %d shards %d: PerGraph has %d entries, want %d",
-						model, seed, shards, len(sharded.PerGraph), len(items))
-				}
-				// Effort accounting modulo shard overhead: each shard's first
-				// graph pays a full sort, and because that sort installs a
-				// different maintained order than the serial chain had at
-				// that point, later window sizes may drift in either
-				// direction. Bound the divergence by the boundary sorts plus
-				// a drift allowance proportional to the serial effort.
-				eff := shards
-				if eff > len(items) {
-					eff = len(items)
-				}
-				slack := int64(eff+len(vi))*int64(b.NumOps()) + serial.SortedVertices/4
-				diff := sharded.SortedVertices - serial.SortedVertices
-				if diff < -slack || diff > slack {
-					t.Fatalf("%v seed %d shards %d: SortedVertices %d vs serial %d exceeds slack %d",
-						model, seed, shards, sharded.SortedVertices,
-						serial.SortedVertices, slack)
+					si, vi := violIndices(sharded), violIndices(serial)
+					if !slices.Equal(si, vi) {
+						t.Fatalf("%s: rebased indices %v, serial %v", at, si, vi)
+					}
+					for k := range si {
+						if !sharded.Violations[k].Sig.Equal(serial.Violations[k].Sig) {
+							t.Fatalf("%s: violation %d signature mismatch", at, k)
+						}
+					}
+					if len(sharded.PerGraph) != len(items) {
+						t.Fatalf("%s: PerGraph has %d entries, want %d", at, len(sharded.PerGraph), len(items))
+					}
+					// Effort accounting modulo shard overhead: bound the
+					// divergence by the boundary sorts plus a drift allowance
+					// proportional to the serial effort.
+					eff := min(shards, len(items))
+					slack := int64(eff+len(vi))*int64(b.NumOps()) + serial.SortedVertices/4
+					if diff := sharded.SortedVertices - serial.SortedVertices; diff < -slack || diff > slack {
+						t.Fatalf("%s: SortedVertices %d vs serial %d exceeds slack %d",
+							at, sharded.SortedVertices, serial.SortedVertices, slack)
+					}
 				}
 			}
 		}

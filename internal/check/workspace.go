@@ -73,9 +73,9 @@ func newWorkspace(b *graph.Builder) *workspace {
 		ladj:    make([][]int32, n),
 		loads:   b.Loads(),
 	}
-	// Every fixed int32 table comes from one array (Incremental adds its own
-	// three on first use).
-	tab := make([]int32, (6+dynCap)*n+bucketQueueInts(n, classes))
+	// Every fixed int32 table comes from one array, Pearce–Kelly's tables
+	// and scratch included.
+	tab := make([]int32, (13+dynCap)*n+bucketQueueInts(n, classes))
 	carve := func() []int32 {
 		t := tab[:n:n]
 		tab = tab[n:]
@@ -83,11 +83,14 @@ func newWorkspace(b *graph.Builder) *workspace {
 	}
 	w.indeg, w.pos, w.order, w.row = carve(), carve(), carve(), carve()
 	w.out, w.queue = carve()[:0], carve()[:0]
+	pk := &w.pk
+	pk.visited, pk.backupPos, pk.backupOrder = carve(), carve(), carve()
+	pk.fwd, pk.bwd, pk.all, pk.slots = carve()[:0], carve()[:0], carve()[:0], carve()[:0]
 	for u := range w.dyn {
 		w.dyn[u], tab = tab[:0:dynCap], tab[dynCap:]
 	}
 	w.bq.init(classOf, classes, tab)
-	w.pk.w, w.pk.pos, w.pk.order = w, w.pos, w.order
+	pk.w, pk.pos, pk.order = w, w.pos, w.order
 	// installRow's edge scratch: a first install adds about two edges per
 	// load, and a group is 2 + threads edges.
 	const groupCap = 16

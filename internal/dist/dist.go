@@ -69,7 +69,7 @@ type JobSpec struct {
 	// negative count is refused (mtracecheck.Options.Iterations).
 	Iterations int   `json:"iterations"`
 	Seed       int64 `json:"seed"`
-	// Checker names the checking backend; empty means collective.
+	// Checker names the checking backend; empty means the default row.
 	Checker string `json:"checker,omitempty"`
 	// Workers sizes the in-process pipeline, or the server-side decode/check
 	// stage of a distributed job — not the worker fleet, which sizes itself by

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mtracecheck"
-	"mtracecheck/internal/check"
 	"mtracecheck/internal/experiments/report"
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
@@ -31,7 +30,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 			cfg.Table3Tests, cfg.Table3Iters),
 		Header: []string{"metric", "static ws (paper mode)", "observed ws"},
 	}
-	checker := cmp.Or(cfg.Checker, check.Backends[0].Name)
+	checker := cmp.Or(cfg.Checker, "collective") // the paper's checker, as in Figs. 9 and 14
 	observed := graph.Options{WS: graph.WSObserved}
 	tcBug := testgen.Config{Threads: 7, OpsPerThread: 200, Words: 32, WordsPerLine: 16}
 	plat := mtracecheck.BuggyPlatform(mtracecheck.BugLSQSkip)

@@ -184,8 +184,8 @@ func PaperConfigs() []testgen.PaperConfig { return testgen.PaperConfigs() }
 
 // CheckerNames lists the checking backends — the valid Options.Checker and
 // -checker values — in the order of internal/check's table, whose first row
-// is the default. All backends agree on verdicts and differ only in effort
-// and in whether Workers shards them (see DESIGN.md §13).
+// is the default. All backends agree on verdicts, shard across Workers alike
+// and differ only in effort (see DESIGN.md §13).
 func CheckerNames() []string { return check.Names() }
 
 // Options configures a validation run.
@@ -199,7 +199,8 @@ type Options struct {
 	// Seed drives all randomness (platform timing and scheduling).
 	Seed int64
 	// Checker names the checking algorithm, one of CheckerNames; empty selects
-	// the default, collective. NewCampaign refuses a name the table lacks.
+	// the default, CheckerNames()[0]. NewCampaign refuses a name the table
+	// lacks.
 	Checker string
 	// Pruner optionally applies static candidate pruning (§8).
 	Pruner instrument.Pruner
@@ -209,7 +210,7 @@ type Options struct {
 	// Workers sizes the streaming pipeline: this many goroutines pull
 	// fixed-size execution chunks from a shared cursor (work stealing), and
 	// completed chunks stream through the incremental merge while later
-	// chunks still execute; the barrier decode and collective checking shard
+	// chunks still execute; the barrier decode and the check shard
 	// across the same count. 0 selects GOMAXPROCS; 1 is the serial pipeline.
 	// Results are identical for every value: iteration i's seed is the i-th
 	// draw of the campaign's master seed stream — handed to whichever
