@@ -90,10 +90,12 @@ trace-profile:
 	$(call cpu-profile,BenchmarkCheckTraceWorkload)
 
 # Where an offline check's time goes: load + validate + check of the
-# contended program's stored 4,096-iteration signature set, no simulator in
-# the loop (the measurement behind DESIGN §13's row/delta cost paragraph).
+# contended program's stored 4,096-iteration signature set, and of ARM 7x200's
+# 256 unique signatures, no simulator in the loop (the measurement behind
+# DESIGN §13's cost paragraph).
 offline-profile:
 	$(call cpu-profile,BenchmarkOfflineCheck)
+	$(call cpu-profile,BenchmarkOfflineCheckARM)
 
 # The yardstick of a simplicity PR (ROADMAP's quality-of-design aim; item 7's
 # acceptance asks for lines and exports strictly down): non-test Go lines

@@ -170,7 +170,7 @@ func TestCheckTraceAllocBudget(t *testing.T) {
 }
 
 func TestOfflineCheckAllocBudget(t *testing.T) {
-	p, opts, file, uniques := offlineSet(t, 2048)
+	p, opts, file, uniques := offlineSet(t, contended, PlatformX86(), 2048)
 	offlineCheck(t, p, opts, file) // warm the workspace pool
 	allocs := testing.AllocsPerRun(3, func() { offlineCheck(t, p, opts, file) })
 	if perUnique := allocs / float64(uniques); perUnique > offlineAllocBudget {

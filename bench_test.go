@@ -840,16 +840,16 @@ func BenchmarkCheckTraceWorkload(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/trace")
 }
 
-// offlineSet collects the contended 4×50×8 program's signature set — the
-// mtbench offline-check workload's input — and stores it the way
-// SaveSignatures does.
-func offlineSet(tb testing.TB, iterations int) (p *Program, opts Options, file []byte, uniques int) {
+// offlineSet collects cfg's signature set on plat and stores it the way
+// SaveSignatures does. The contended 4×50×8 program on x86 is the mtbench
+// offline-check workload's input.
+func offlineSet(tb testing.TB, cfg TestConfig, plat Platform, iterations int) (p *Program, opts Options, file []byte, uniques int) {
 	tb.Helper()
-	p, err := testgen.Generate(TestConfig{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1})
+	p, err := testgen.Generate(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opts = Options{Platform: PlatformX86(), Iterations: iterations, Seed: 1, Workers: 1}
+	opts = Options{Platform: plat, Iterations: iterations, Seed: 1, Workers: 1}
 	set, err := CollectSignatures(p, opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -883,16 +883,36 @@ func offlineCheck(tb testing.TB, p *Program, opts Options, file []byte) *Report 
 	return report
 }
 
+// contended is the mtbench offline-check workload's program.
+var contended = TestConfig{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1}
+
 // BenchmarkOfflineCheck: the paper's post-silicon regime, mirroring the
 // mtbench offline-check rep — a stored 4,096-iteration signature set is
 // loaded, validated and checked with no simulator time (`make
 // offline-profile` shows where it goes).
 func BenchmarkOfflineCheck(b *testing.B) {
-	p, opts, file, uniques := offlineSet(b, 4096)
+	benchOfflineCheck(b, contended, PlatformX86(), 4096)
+}
+
+// BenchmarkOfflineCheckARM is the same rep on the paper's largest
+// configuration, ARM RMO 7×200 ops over 64 words, at 256 iterations, every one
+// unique: the large-graph regime, 1,400-vertex graphs of which adjacent ones
+// differ in 38 % of their loads' sources.
+func BenchmarkOfflineCheckARM(b *testing.B) {
+	const iterations = 256
+	uniques := benchOfflineCheck(b, TestConfig{Threads: 7, OpsPerThread: 200, Words: 64, Seed: 1}, PlatformARM(), iterations)
+	if uniques != iterations {
+		b.Fatalf("%d uniques of %d iterations", uniques, iterations)
+	}
+}
+
+func benchOfflineCheck(b *testing.B, cfg TestConfig, plat Platform, iterations int) (uniques int) {
+	p, opts, file, uniques := offlineSet(b, cfg, plat, iterations)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		offlineCheck(b, p, opts, file)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*uniques), "ns/unique")
+	return uniques
 }

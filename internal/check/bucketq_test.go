@@ -147,12 +147,16 @@ func TestSortWorkLinearInOneAddressPerOp(t *testing.T) {
 		}
 
 		// The same prioritized Kahn pass over the reference queue.
+		g, err := graphOf(b, Item{RF: rf})
+		if err != nil {
+			t.Fatal(err)
+		}
 		classOf, classes := b.WordClass()
 		ref := newRefBucketQueue(classes)
 		ref.reset()
 		indeg := make([]int32, n)
 		for u := range indeg {
-			w.succs(int32(u), func(v int32) { indeg[v]++ })
+			g.Out(int32(u), func(v int32) { indeg[v]++ })
 		}
 		for v, d := range indeg {
 			if d == 0 {
@@ -164,7 +168,7 @@ func TestSortWorkLinearInOneAddressPerOp(t *testing.T) {
 			if u != order[k] {
 				t.Fatalf("%d ops: position %d holds %d, the reference queue pops %d", n, k, order[k], u)
 			}
-			w.succs(u, func(v int32) {
+			g.Out(u, func(v int32) {
 				if indeg[v]--; indeg[v] == 0 {
 					ref.push(int(classOf[v]), v)
 				}

@@ -21,11 +21,12 @@ import (
 // added edges (removing edges never invalidates an order); the added edges
 // are then inserted one by one with PK repairs against the *current* edge
 // set only.
+//
+// The repairs run in the (U,V) order install hands the edges over in, so the
+// repair sequence is a function of the graphs alone. The first one of a run
+// makes the workspace's predecessor lists live, for the backward search.
 func repairEdges(w *workspace, added []graph.Edge, res *Result) bool {
 	pk := &w.pk
-	// Repairs run in (U,V) order whatever order the installer found the edges
-	// in, so the repair sequence is a function of the graphs alone.
-	slices.SortFunc(added, compareEdges)
 	affected := 0
 	ok := true
 	for _, e := range added {
@@ -35,6 +36,7 @@ func repairEdges(w *workspace, added []graph.Edge, res *Result) bool {
 		if affected == 0 { // the first repair: keep the order to roll back to
 			copy(pk.backupPos, pk.pos)
 			copy(pk.backupOrder, pk.order)
+			w.livePreds()
 		}
 		var moved int
 		moved, ok = pk.repair(e.U, e.V)
@@ -68,8 +70,8 @@ type pkState struct {
 	// Scratch, each at most n vertices (the sets are disjoint).
 	fwd   []int32 // forward-affected vertices
 	bwd   []int32 // backward-affected vertices
-	all   []int32 // combined affected vertices
-	slots []int32 // their position multiset
+	all   []int32 // dfsB's stack, then the two sets' positions
+	slots []int32 // the affected positions, ascending
 }
 
 // repair restores topological order after inserting edge (u,v) with
@@ -84,36 +86,44 @@ func (p *pkState) repair(u, v int32) (moved int, ok bool) {
 	if !p.dfsF(v, ub, u) {
 		return len(p.fwd), false
 	}
-	// Backward DFS from u within (≥ lb): vertices that must stay before u.
-	p.bwd = p.bwd[:0]
+	// Backward search from u within (≥ lb): vertices that must stay before u.
 	p.dfsB(u, lb)
 
-	// Reorder: the affected vertices, in their current position order, are
-	// reassigned to the same position multiset with the backward set first.
-	all := append(p.all[:0], p.bwd...)
-	all = append(all, p.fwd...)
+	// Reorder: the affected vertices are reassigned to the same position
+	// set, the backward set first, each set in its current order.
+	bp := p.inOrder(p.bwd, p.all)
+	fp := p.inOrder(p.fwd, bp[len(bp):])
 	slots := p.slots[:0]
-	for _, x := range all {
-		slots = append(slots, p.pos[x])
+	for i, j := 0, 0; i < len(bp) || j < len(fp); {
+		if j == len(fp) || i < len(bp) && bp[i] < fp[j] {
+			slots, i = append(slots, bp[i]), i+1
+		} else {
+			slots, j = append(slots, fp[j]), j+1
+		}
 	}
-	slices.Sort(slots)
-	p.all, p.slots = all, slots
-	// Within each set, preserve relative order by current position.
-	byPos := func(x, y int32) int { return int(p.pos[x] - p.pos[y]) }
-	slices.SortFunc(p.bwd, byPos)
-	slices.SortFunc(p.fwd, byPos)
-	i := 0
-	for _, x := range p.bwd {
-		p.pos[x] = slots[i]
-		p.order[slots[i]] = x
-		i++
+	p.slots = slots
+	for k, x := range p.bwd {
+		p.pos[x], p.order[slots[k]] = slots[k], x
 	}
-	for _, x := range p.fwd {
-		p.pos[x] = slots[i]
-		p.order[slots[i]] = x
-		i++
+	for k, x := range p.fwd {
+		q := slots[len(p.bwd)+k]
+		p.pos[x], p.order[q] = q, x
 	}
-	return len(all), true
+	return len(slots), true
+}
+
+// inOrder sorts set into position order and returns its positions, ascending,
+// in buf's storage.
+func (p *pkState) inOrder(set, buf []int32) []int32 {
+	ps := buf[:0]
+	for _, x := range set {
+		ps = append(ps, p.pos[x])
+	}
+	slices.Sort(ps)
+	for k, q := range ps {
+		set[k] = p.order[q]
+	}
+	return ps
 }
 
 // dfsF explores forward from x, bounded by positions ≤ ub; returns false on
@@ -124,50 +134,36 @@ func (p *pkState) dfsF(x, ub, target int32) bool {
 	}
 	p.visited[x] = p.epoch
 	p.fwd = append(p.fwd, x)
-	okAll := true
-	p.w.succs(x, func(y int32) {
-		if !okAll || p.visited[y] == p.epoch || p.pos[y] > ub {
-			return
-		}
-		if !p.dfsF(y, ub, target) {
-			okAll = false
-		}
-	})
-	return okAll
-}
-
-// dfsB explores backward from x, bounded by positions ≥ lb. The workspace
-// has no reverse adjacency, so it scans candidates by position: every
-// vertex w with lb ≤ pos[w] < pos[x] that has an edge into the affected
-// backward set. To stay near-linear we walk positions from pos[x] down to
-// lb once, testing membership via edges into visited-backward vertices.
-func (p *pkState) dfsB(u, lb int32) {
-	// Mark u and grow the backward set by scanning the position range once
-	// per discovered member is O(range × degree); ranges are small in the
-	// intended regime (localized diffs). Membership marks use epoch+bit:
-	// we reuse visited with negative epoch to distinguish from forward set.
-	inB := func(y int32) bool { return p.visited[y] == -p.epoch }
-	p.visited[u] = -p.epoch
-	p.bwd = append(p.bwd, u)
-	for changed := true; changed; {
-		changed = false
-		for pp := p.pos[u]; pp >= lb; pp-- {
-			x := p.order[pp]
-			if p.visited[x] == -p.epoch || p.visited[x] == p.epoch {
-				continue
-			}
-			hit := false
-			p.w.succs(x, func(y int32) {
-				if hit || !inB(y) {
-					return
-				}
-				hit = true
-			})
-			if hit {
-				p.visited[x] = -p.epoch
-				p.bwd = append(p.bwd, x)
-				changed = true
+	for _, succ := range [2][]int32{p.w.static[x], p.w.dyn[x]} {
+		for _, y := range succ {
+			if p.visited[y] != p.epoch && p.pos[y] <= ub && !p.dfsF(y, ub, target) {
+				return false
 			}
 		}
 	}
+	return true
+}
+
+// dfsB collects into bwd the backward set of u: the vertices at positions
+// [lb, pos[u]] that reach u through such vertices. It is a depth-first search
+// over the predecessor lists, with all (free until the reorder) as its stack;
+// members are marked -epoch. It cannot meet the forward set: dfsF follows
+// every edge within positions ≤ pos[u], so it would have met u.
+func (p *pkState) dfsB(u, lb int32) {
+	ub := p.pos[u]
+	p.visited[u] = -p.epoch
+	bwd, stack := append(p.bwd[:0], u), append(p.all[:0], u)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, preds := range [2][]int32{p.w.spred[x], p.w.pred[x]} {
+			for _, y := range preds {
+				if py := p.pos[y]; py >= lb && py <= ub && p.visited[y] != -p.epoch {
+					p.visited[y] = -p.epoch
+					bwd, stack = append(bwd, y), append(stack, y)
+				}
+			}
+		}
+	}
+	p.bwd = bwd
 }

@@ -222,13 +222,21 @@ func (e *AssertionError) Error() string {
 		e.Load.ID, e.Load, e.Load.Thread, e.Value)
 }
 
-// decodeWalk runs Algorithm 1 over the signature, calling emit with each
-// load and its decoded candidate index. Within a thread, loads are stored in
-// program order and word indices only grow, so each word's loads form a
-// contiguous run — no per-call regrouping is needed. Words without loads
-// (threads with no loads emit one always-zero word) still get the residue
-// check.
-func (m *Meta) decodeWalk(s sig.Signature, emit func(li *LoadInfo, idx int)) error {
+// DecodeInto reconstructs the reads-from relation from an execution
+// signature (paper Algorithm 1: per thread, per word, loads are walked from
+// last to first, dividing by each load's multiplier) into rf, a dense slice
+// indexed by operation ID: rf[loadID] = source store op ID, or -1 when the
+// load read the initial value. Entries for non-load operations are left
+// untouched. rf must be at least m.Prog.NumOps() long.
+//
+// Within a thread, loads are stored in program order and word indices only
+// grow, so each word's loads form a contiguous run — no per-call regrouping is
+// needed. Words without loads (threads with no loads emit one always-zero
+// word) still get the residue check.
+func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
+	if n := m.Prog.NumOps(); len(rf) < n {
+		return fmt.Errorf("instrument: rf buffer has %d entries, program has %d ops", len(rf), n)
+	}
 	if s.Len() != m.TotalWords() {
 		return fmt.Errorf("instrument: signature has %d words, metadata expects %d",
 			s.Len(), m.TotalWords())
@@ -253,7 +261,7 @@ func (m *Meta) decodeWalk(s sig.Signature, emit func(li *LoadInfo, idx int)) err
 					return fmt.Errorf("instrument: signature word %d decodes load %d to index %d of %d candidates",
 						base+w, li.Op.ID, idx, len(li.Candidates))
 				}
-				emit(li, int(idx))
+				rf[li.Op.ID] = int32(li.Candidates[idx].Store)
 			}
 			if remaining != 0 {
 				return fmt.Errorf("instrument: signature word %d has residue %d after decoding",
@@ -264,21 +272,6 @@ func (m *Meta) decodeWalk(s sig.Signature, emit func(li *LoadInfo, idx int)) err
 		base += tm.Words
 	}
 	return nil
-}
-
-// DecodeInto reconstructs the reads-from relation from an execution
-// signature (paper Algorithm 1: per thread, per word, loads are walked from
-// last to first, dividing by each load's multiplier) into rf, a dense slice
-// indexed by operation ID: rf[loadID] = source store op ID, or -1 when the
-// load read the initial value. Entries for non-load operations are left
-// untouched. rf must be at least m.Prog.NumOps() long.
-func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
-	if n := m.Prog.NumOps(); len(rf) < n {
-		return fmt.Errorf("instrument: rf buffer has %d entries, program has %d ops", len(rf), n)
-	}
-	return m.decodeWalk(s, func(li *LoadInfo, idx int) {
-		rf[li.Op.ID] = int32(li.Candidates[idx].Store)
-	})
 }
 
 // InformationBits returns the information content of the static signature

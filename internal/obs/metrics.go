@@ -99,7 +99,7 @@ var (
 	sBackwardEdges  = row(core, effort, "mtracecheck_backward_edges_total", "Backward edges found against the maintained orders.")
 	sClockUpdates   = row(core, effort, "mtracecheck_clock_updates_total", "Vector-clock joins that changed a clock (vectorclock backend effort).")
 	sPropagations   = row(core, effort, "mtracecheck_propagations_total", "Constraint-solver domain-bound tightenings (constraints backend effort).")
-	sCheckShards    = row(core, effort, "mtracecheck_check_shards_total", "Checking shard completions (1 per campaign for serial backends).")
+	sCheckShards    = row(core, effort, "mtracecheck_check_shards_total", "Checking shard completions (one per checking worker, at most one per graph).")
 	sComplete       = row(core, effort, `mtracecheck_graphs_by_kind_total{kind="complete"}`, "Graphs validated per collective-checking kind (Fig. 14).")
 	sNoResort       = row(core, effort, `mtracecheck_graphs_by_kind_total{kind="no-resort"}`, "")
 	sIncremental    = row(core, effort, `mtracecheck_graphs_by_kind_total{kind="incremental"}`, "")
