@@ -47,7 +47,13 @@ const (
 // adjacency in place; what is left is the rep's fixed cost (instrument.Analyze
 // above all) and amortized growth, well under one allocation per unique. The
 // budget is the issue's; the list-building pipeline it replaced took 19.5.
-const offlineAllocBudget = 3
+// Bytes are bounded too: an item is its signature, decoded only as the checker
+// installs it, so no rep holds a row per unique (a slab of them took 1.09 KiB
+// per unique here).
+const (
+	offlineAllocBudget = 3
+	offlineBytesBudget = 512 // per unique
+)
 
 func allocProbeSetup(t *testing.T) (*sim.Runner, *instrument.Meta) {
 	t.Helper()
@@ -178,6 +184,18 @@ func TestOfflineCheckAllocBudget(t *testing.T) {
 			uniques, allocs, perUnique, offlineAllocBudget)
 	} else {
 		t.Logf("offline check of %d uniques: %.0f allocs, %.2f per unique", uniques, allocs, perUnique)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		offlineCheck(t, p, opts, file)
+	}
+	runtime.ReadMemStats(&after)
+	if perUnique := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(uniques); perUnique > offlineBytesBudget {
+		t.Errorf("offline check of %d uniques: %d bytes per unique, budget %d", uniques, perUnique, offlineBytesBudget)
+	} else {
+		t.Logf("offline check of %d uniques: %d bytes per unique", uniques, perUnique)
 	}
 }
 

@@ -39,6 +39,7 @@ type Campaign struct {
 	prog    *Program
 	opts    Options
 	meta    *instrument.Meta
+	builder *graph.Builder // static ws: every graph is a function of its signature
 	inj     *fault.Injector
 	em      emitter
 	workers int
@@ -86,8 +87,13 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One builder serves every Run: it is read-only once built, and the
+	// checkers' workspace pool keeps workspaces per builder.
 	c := &Campaign{
 		prog: p, opts: opts, meta: meta, inj: inj,
+		builder: graph.NewBuilder(p, opts.Platform.Model, graph.Options{
+			Forwarding: opts.Platform.Atomicity.AllowsForwarding(),
+		}),
 		em: emitter{o: opts.Observer}, workers: opts.workerCount(),
 	}
 	every := opts.CheckpointEvery
@@ -123,14 +129,6 @@ func (c *Campaign) newReport() *Report {
 		Program: c.prog, SignatureBytes: c.meta.SignatureBytes(),
 		Seed: c.opts.Seed, Platform: c.opts.Platform.Name,
 	}
-}
-
-// newBuilder constructs the constraint-graph builder for the campaign's
-// model: static ws, so every graph is a function of its signature.
-func (c *Campaign) newBuilder() *graph.Builder {
-	return graph.NewBuilder(c.prog, c.opts.Platform.Model, graph.Options{
-		Forwarding: c.opts.Platform.Atomicity.AllowsForwarding(),
-	})
 }
 
 // Run drives the full pipeline. Execution, merge, and decode stream past
@@ -206,9 +204,7 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique, report 
 			})
 		}
 	}
-	builder := c.newBuilder()
-	items, quarantined, err := decodeItems(ctx, c.meta, builder, novel,
-		c.workers, c.opts.Strict, c.em)
+	items, quarantined, err := decodeItems(ctx, c.meta, novel, c.workers, c.opts.Strict, c.em)
 	if err != nil {
 		return err
 	}
@@ -223,7 +219,7 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique, report 
 				100*frac, 100*c.opts.QuarantineThreshold)
 		}
 	}
-	if err := checkItems(ctx, c.opts.Checker, builder, items, c.workers, c.em, report); err != nil {
+	if err := checkItems(ctx, c.opts.Checker, c.builder, items, c.workers, c.em, report); err != nil {
 		return err
 	}
 	if c.corpusActive() {
@@ -633,7 +629,7 @@ func (em emitter) decodeEnd(shard, start, count int, t decodeTally, err error, b
 	now := time.Now()
 	em.o.ShardEnd(obs.ShardEnd{
 		Stage: obs.StageDecode, Shard: shard, Start: start, Count: count,
-		Decoded: t.decoded, QuarantinedDecode: t.quarDecode, QuarantinedEdges: t.quarEdges,
+		Decoded: t.decoded, QuarantinedDecode: t.quarDecode,
 		Err: err, Time: now, Duration: now.Sub(began),
 	})
 }
@@ -798,12 +794,11 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 }
 
 // decodeTally counts one decode range's outcomes for its ShardEnd event.
-type decodeTally struct{ decoded, quarDecode, quarEdges int }
+type decodeTally struct{ decoded, quarDecode int }
 
 // decodeFailure is one signature that could not be turned into an item.
 type decodeFailure struct {
 	index int // into the decoded uniques
-	kind  QuarantineKind
 	err   error
 }
 
@@ -812,46 +807,41 @@ type decodeFailure struct {
 // signature order. Workers (at least one, at most one per signature) take
 // disjoint contiguous ranges and poll the context as they go.
 //
-// An item is what check.NewItem makes of a row on the campaign's static-ws
-// builder: the reads-from row instrument.Meta.DecodeInto fills, checked against
-// the builder's tables but not expanded — no edge is built, nothing is sorted.
+// It validates and does not decode: an item is the signature with meta as its
+// row source (check.Item), which the checker decodes as it installs the item,
+// a word at a time where sorted neighbours differ. Validation is
+// instrument.Meta.Decodable, exactly the signatures DecodeInto accepts; a
+// decoded row needs no check against the builder's tables, for every source
+// the analysis lists is the initial value or a store to the load's word.
 //
-// A signature that fails to decode is QuarantineDecode, one whose row the
-// builder rejects QuarantineEdges; both are pure functions of the signature
-// and the metadata, so the outcome is deterministic. In strict mode the
-// lowest-sorted failure is returned instead — each worker stops at its first.
-func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
-	uniques []sig.Unique, workers int, strict bool, em emitter) ([]check.Item, []Quarantined, error) {
-	n := b.NumOps()
+// A signature that fails is QuarantineDecode, with DecodeInto's error; the
+// outcome is a pure function of the signature and the metadata. In strict mode
+// the lowest-sorted failure is returned instead — each worker stops at its
+// first.
+func decodeItems(ctx context.Context, meta *instrument.Meta, uniques []sig.Unique,
+	workers int, strict bool, em emitter) ([]check.Item, []Quarantined, error) {
 	items := make([]check.Item, len(uniques))
 	decode := func(lo, hi int) (t decodeTally, failed []decodeFailure, err error) {
-		// A row item keeps the row it was decoded into: a range's rows are
-		// carved from one array.
-		slab := make([]int32, (hi-lo)*n)
+		var rf []int32 // DecodeInto's scratch, for the error of a failure
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return t, nil, err
 			}
 			s := uniques[i].Sig
-			rf := slab[:n:n]
-			kind, err := QuarantineDecode, meta.DecodeInto(s, rf)
-			if err == nil {
-				kind = QuarantineEdges
-				items[i], err = check.NewItem(b, s, rf, nil)
-				slab = slab[len(items[i].RF):]
-			}
-			switch {
-			case err == nil:
+			if meta.Decodable(s) {
+				items[i] = check.Item{Sig: s, Row: meta}
 				t.decoded++
 				continue
-			case strict:
-				return t, nil, err
-			case kind == QuarantineDecode:
-				t.quarDecode++
-			default:
-				t.quarEdges++
 			}
-			failed = append(failed, decodeFailure{index: i, kind: kind, err: err})
+			if rf == nil {
+				rf = make([]int32, meta.Prog.NumOps())
+			}
+			err := meta.DecodeInto(s, rf)
+			if strict {
+				return t, nil, err
+			}
+			t.quarDecode++
+			failed = append(failed, decodeFailure{index: i, err: err})
 		}
 		return t, failed, nil
 	}
@@ -893,7 +883,7 @@ func decodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
 			kept += copy(items[kept:], items[next:f.index])
 			next = f.index + 1
 			u := uniques[f.index]
-			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: f.kind, Err: f.err})
+			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: QuarantineDecode, Err: f.err})
 		}
 	}
 	if quarantined != nil {

@@ -109,7 +109,9 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	if err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}
-	items := []check.Item{item}
+	tb.items[0] = item
+	defer func() { tb.items[0] = check.Item{} }()
+	items := tb.items[:]
 
 	// The observer surface is the campaign's — a trace check reads as a
 	// one-iteration campaign — on no platform.
@@ -140,6 +142,7 @@ type traceBuilder struct {
 	prog    *Program
 	model   mcm.Model
 	builder *graph.Builder
+	items   [1]check.Item // the call's one item, held while the call holds the builder
 }
 
 // traceBuilders holds the builders most recently used — one, unless checks run

@@ -96,9 +96,46 @@ func ForName(name string) (*Backend, error) {
 type scratch struct {
 	owner   *graph.Builder // the builder the workspace was shaped for
 	edgeBuf []graph.Edge   // edge-list scratch: a row item's built list, a list item's diff
+	// A row item's decode scratch, RowSource's rf and loads, each as long as
+	// the program has ops (setBuf empty, with that capacity: a program has
+	// fewer loads, so what a source appends never moves): carved with the
+	// workspace or made at its first row item. What comes back is not kept.
+	rowBuf, setBuf []int32
 }
 
 func (s *scratch) base() *scratch { return s }
+
+// edges returns the item's dynamic edge list: Edges, or the list built from
+// its whole row into edgeBuf (valid until the next call).
+func (s *scratch) edges(it Item) ([]graph.Edge, error) {
+	if it.Row == nil {
+		return it.Edges, nil
+	}
+	if s.rowBuf == nil {
+		n := s.owner.NumOps()
+		buf := make([]int32, 2*n)
+		s.rowBuf, s.setBuf = buf[:n:n], buf[n:n]
+	}
+	row, _, err := it.Row.DecodeRow(it.Sig, sig.Signature{}, s.rowBuf, s.setBuf)
+	if err != nil {
+		return nil, err
+	}
+	edges, err := s.owner.AppendDynamicEdges(s.edgeBuf[:0], row, nil)
+	if err == nil {
+		s.edgeBuf = edges
+	}
+	return edges, err
+}
+
+// graphOf assembles the item's whole constraint graph — for cycle witnesses
+// and self-checks, off every hot path. The graph holds edgeBuf.
+func (s *scratch) graphOf(it Item) (*graph.Graph, error) {
+	edges, err := s.edges(it)
+	if err != nil {
+		return nil, err
+	}
+	return s.owner.FromDynamic(edges), nil
+}
 
 // pooled takes a workspace shaped for b from pool, or builds one with fresh
 // (which records b as the owner). A pooled workspace built against a
@@ -129,12 +166,12 @@ func perGraph[W interface {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			dyn, err := it.edges(b, &w.base().edgeBuf)
+			dyn, err := w.base().edges(it)
 			if err != nil {
 				return nil, err
 			}
 			if w.cyclic(dyn, res) {
-				if err := res.violation(b, i, it); err != nil {
+				if err := res.violation(w.base(), i, it); err != nil {
 					return nil, err
 				}
 			}

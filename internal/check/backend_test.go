@@ -428,11 +428,13 @@ func FuzzDifferential(f *testing.F) {
 		}
 		sig.Sort(sigs)
 		// Every set is checked in both item shapes: the edge list, and the
-		// reads-from row the list is built from.
-		items, rowItems := make([]Item, len(sigs)), make([]Item, len(sigs))
+		// reads-from row the list is built from, given and decoded from the
+		// signature.
+		items, rowItems, sigItems := make([]Item, len(sigs)), make([]Item, len(sigs)), make([]Item, len(sigs))
 		for i, s := range sigs {
 			items[i] = Item{Sig: s, Edges: byKey[s.Key()].edges}
-			rowItems[i] = Item{Sig: s, RF: byKey[s.Key()].row}
+			rowItems[i] = rowItem(b, s, byKey[s.Key()].row)
+			sigItems[i] = Item{Sig: s, Row: meta}
 		}
 		ref, _ := ForName("conventional")
 		for _, name := range Names() {
@@ -447,6 +449,13 @@ func FuzzDifferential(f *testing.F) {
 			}
 			if !reflect.DeepEqual(fromRows, fromLists) {
 				t.Fatalf("%s: row items give %+v, list items %+v", name, fromRows, fromLists)
+			}
+			fromSigs, err := be.Check(context.Background(), b, sigItems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromSigs, fromLists) {
+				t.Fatalf("%s: decoded row items give %+v, list items %+v", name, fromSigs, fromLists)
 			}
 			if name == "conventional" {
 				continue

@@ -7,6 +7,7 @@ import (
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/prog"
+	"mtracecheck/internal/sig"
 )
 
 // refBucketQueue is the queue the checkers used before the bitmap hierarchy,
@@ -138,7 +139,7 @@ func TestSortWorkLinearInOneAddressPerOp(t *testing.T) {
 		}
 
 		w := newWorkspace(b)
-		if _, err := w.installRow(rf); err != nil {
+		if _, err := w.install(rowItem(b, sig.Signature{}, rf)); err != nil {
 			t.Fatal(err)
 		}
 		order, ok := w.fullSort(true)
@@ -147,7 +148,7 @@ func TestSortWorkLinearInOneAddressPerOp(t *testing.T) {
 		}
 
 		// The same prioritized Kahn pass over the reference queue.
-		g, err := graphOf(b, Item{RF: rf})
+		g, err := w.graphOf(rowItem(b, sig.Signature{}, rf))
 		if err != nil {
 			t.Fatal(err)
 		}

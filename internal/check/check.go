@@ -28,60 +28,61 @@ import (
 
 // Item is one unique execution to check: its signature (for ordering and
 // reporting) and its constraint graph's dynamic part, in exactly one of two
-// shapes. Edges is the sorted edge list graph.Builder.DynamicEdges builds. RF
-// is the dense reads-from row instrument.Meta.DecodeInto fills (indexed by op
-// ID; see graph.Builder.AppendDynamicEdges), good for builders in the static
-// ws mode, where the graph is a function of the row: its edge list is by
-// definition AppendDynamicEdges(RF), and the order-maintaining checkers reach
-// the same verdicts and effort counters without building it (workspace).
+// shapes. Edges is the sorted edge list graph.Builder.DynamicEdges builds. Row
+// is where its reads-from row comes from, good for builders in the static ws
+// mode, where the graph is a function of the row: its edge list is by
+// definition AppendDynamicEdges of the row, and the order-maintaining checkers
+// reach the same verdicts and effort counters without building it
+// (workspace). A campaign's row items carry nothing but their signature: Row
+// is the campaign's instrument.Meta, which the checker asks to decode the
+// signature as it installs the item.
 type Item struct {
 	Sig   sig.Signature
 	Edges []graph.Edge
-	RF    []int32
+	Row   RowSource
+}
+
+// RowSource is where a row item's reads-from row comes from. DecodeRow returns
+// the row of the item with signature s — dense, indexed by op ID, as
+// instrument.Meta.DecodeInto fills it — and, appended to loads, the loads
+// whose entries in it are set. prev is the signature of an item of the same
+// source whose row the caller holds, or the zero Signature: a load the source
+// leaves out reads what it reads in prev's row. rf, as long as the program has
+// ops, is the caller's scratch, which the source may fill and return. The
+// installer compares sources, so an implementation must be comparable (a
+// pointer).
+type RowSource interface {
+	DecodeRow(s, prev sig.Signature, rf, loads []int32) (row, set []int32, err error)
+}
+
+// literalRow is a row given rather than decoded — a trace's, an experiment's,
+// a test's. It sets every load.
+type literalRow struct{ rf, loads []int32 }
+
+func (r *literalRow) DecodeRow(_, _ sig.Signature, _, _ []int32) ([]int32, []int32, error) {
+	return r.rf, r.loads, nil
 }
 
 // NewItem builds the item of the execution with signature s, reads-from row rf
 // (indexed by op ID, as instrument.Meta.DecodeInto fills it) and observed write
-// serialization ws. It is where an item's shape is decided, by the builder's ws
-// mode: under static ws the graph is a function of the row, so the row is the
-// item once graph.Builder.CheckRF accepts it (the item keeps rf; ws plays no
-// part); any other graph is the sorted edge list AppendDynamicEdges builds.
+// serialization ws. It decides the item's shape by the builder's ws mode:
+// under static ws the graph is a function of the row, so the row is the item
+// once graph.Builder.CheckRF accepts it (the item keeps rf; ws plays no part);
+// any other graph is the sorted edge list AppendDynamicEdges builds. A
+// signature decoded by instrument.Meta needs no NewItem: Item{Sig: s, Row:
+// meta} is its row item, and every source the analysis lists passes CheckRF.
 func NewItem(b *graph.Builder, s sig.Signature, rf []int32, ws graph.WS) (Item, error) {
 	if b.StaticWS() {
 		if err := b.CheckRF(rf); err != nil {
 			return Item{}, err
 		}
-		return Item{Sig: s, RF: rf}, nil
+		return Item{Sig: s, Row: &literalRow{rf: rf, loads: b.Loads()}}, nil
 	}
 	edges, err := b.AppendDynamicEdges(nil, rf, ws)
 	if err != nil {
 		return Item{}, err
 	}
 	return Item{Sig: s, Edges: edges}, nil
-}
-
-// edges returns the item's dynamic edge list: Edges, or the list built from
-// RF into *buf's storage (valid until the next call with that buffer).
-func (it Item) edges(b *graph.Builder, buf *[]graph.Edge) ([]graph.Edge, error) {
-	if it.RF == nil {
-		return it.Edges, nil
-	}
-	edges, err := b.AppendDynamicEdges((*buf)[:0], it.RF, nil)
-	if err == nil {
-		*buf = edges
-	}
-	return edges, err
-}
-
-// graphOf assembles the item's whole constraint graph — for cycle witnesses
-// and self-checks, off every hot path.
-func graphOf(b *graph.Builder, it Item) (*graph.Graph, error) {
-	var buf []graph.Edge
-	edges, err := it.edges(b, &buf)
-	if err != nil {
-		return nil, err
-	}
-	return b.FromDynamic(edges), nil
 }
 
 // Violation reports one failed graph.
@@ -135,8 +136,8 @@ type Result struct {
 }
 
 // violation records item i as cyclic, with one cycle of its graph as witness.
-func (r *Result) violation(b *graph.Builder, i int, it Item) error {
-	g, err := graphOf(b, it)
+func (r *Result) violation(w *scratch, i int, it Item) error {
+	g, err := w.graphOf(it)
 	if err != nil {
 		return err
 	}
@@ -166,11 +167,11 @@ func (r *Result) Counts() (complete, noResort, incremental int) {
 // tests can assert the order remains a valid topological sort.
 var debugValidate func(g *graph.Graph, order []int32)
 
-func validateOrder(b *graph.Builder, it Item, order []int32) {
+func validateOrder(w *scratch, it Item, order []int32) {
 	if debugValidate == nil {
 		return
 	}
-	if g, err := graphOf(b, it); err == nil {
+	if g, err := w.graphOf(it); err == nil {
 		debugValidate(g, order)
 	}
 }
@@ -214,10 +215,10 @@ func maintainOrder(repair repairFunc) func(context.Context, *graph.Builder, []It
 			}
 			if ok {
 				valid = i
-				validateOrder(b, it, w.order)
+				validateOrder(&w.scratch, it, w.order)
 				continue
 			}
-			if err := res.violation(b, i, it); err != nil {
+			if err := res.violation(&w.scratch, i, it); err != nil {
 				return nil, err
 			}
 			if valid >= 0 {

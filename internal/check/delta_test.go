@@ -20,11 +20,14 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
-// The reads-from-row item shape (Item.RF, workspace.installRow) is defined by
+// The reads-from-row item shape (Item.Row, workspace.installRow) is defined by
 // the edge-list shape it replaces on the hot path: a row's graph is
 // AppendDynamicEdges(row), and everything an order-maintaining checker
-// reports must be what it reports for that list. Three identities carry this,
-// and the tests below hold the row path to each on simulator data:
+// reports must be what it reports for that list — whether the row is given
+// (literalRow) or decoded from the signature as the item is installed
+// (instrument.Meta, which decodes only the words that differ from the
+// installed item's). Three identities carry this, and the tests below hold
+// both row sources to each on simulator data:
 //
 //	(a) dyn[u] stays in ascending-V order — what setDyn produces from a
 //	    (U,V)-sorted list — so the prioritized sorts pop in the same order;
@@ -34,10 +37,12 @@ import (
 //	    repair sequence is the same (and its predecessor lists, while live,
 //	    are the transpose of dyn).
 
-// rowSet is one simulated signature set: sorted uniques and their rows.
+// rowSet is one simulated signature set: sorted uniques and their rows, and
+// the metadata they decode with (nil for a set of rows made up by hand).
 type rowSet struct {
 	name string
 	prog *prog.Program
+	meta *instrument.Meta
 	sigs []sig.Signature
 	rows [][]int32
 }
@@ -73,7 +78,7 @@ func simRows(t testing.TB, name string, cfg testgen.Config, plat sim.Platform, i
 		}
 		set.AddWords(words)
 	}
-	rs := rowSet{name: name, prog: p}
+	rs := rowSet{name: name, prog: p, meta: meta}
 	for _, u := range set.Sorted() {
 		rf := make([]int32, p.NumOps())
 		if err := meta.DecodeInto(u.Sig, rf); err != nil {
@@ -119,12 +124,39 @@ var (
 	bugRows     rowSet
 )
 
-func (rs rowSet) rowItems() []Item {
+// rowItem is the item of a given row, as NewItem makes it.
+func rowItem(b *graph.Builder, s sig.Signature, rf []int32) Item {
+	return Item{Sig: s, Row: &literalRow{rf: rf, loads: b.Loads()}}
+}
+
+func (rs rowSet) rowItems(b *graph.Builder) []Item {
 	items := make([]Item, len(rs.rows))
 	for i := range items {
-		items[i] = Item{Sig: rs.sigs[i], RF: rs.rows[i]}
+		items[i] = rowItem(b, rs.sig(i), rs.rows[i])
 	}
 	return items
+}
+
+// sigItems are the set's items as a campaign makes them: the signature, with
+// the metadata as its row source; nil for a set without metadata.
+func (rs rowSet) sigItems() []Item {
+	if rs.meta == nil {
+		return nil
+	}
+	items := make([]Item, len(rs.sigs))
+	for i := range items {
+		items[i] = Item{Sig: rs.sigs[i], Row: rs.meta}
+	}
+	return items
+}
+
+// sig is item i's signature: the set's, or for a set of rows made up by hand
+// (no signatures) one that ascends with i.
+func (rs rowSet) sig(i int) sig.Signature {
+	if rs.sigs == nil {
+		return sig.New([]uint64{uint64(i)})
+	}
+	return rs.sigs[i]
 }
 
 func (rs rowSet) listItems(t testing.TB, b *graph.Builder) []Item {
@@ -143,31 +175,40 @@ func (rs rowSet) listItems(t testing.TB, b *graph.Builder) []Item {
 // walkDelta installs the set's rows one after the other and, at every step,
 // compares the delta-maintained adjacency with setDyn of the built list and,
 // for every delta install, the returned added edges with the list diff against
-// the last valid graph (an install into no graph returns nil). The rows and
-// the built lists are also installed as the checkers install them, and from
-// the second item on with live predecessor lists, which must stay the
-// transposes of the adjacency. It returns how many graphs were cyclic.
+// the last valid graph (an install into no graph returns nil). The rows — as
+// given and, for a set with metadata, as decoded from the signatures and
+// alternating between the two — and the built lists are also installed as the
+// checkers install them, and from the second item on with live predecessor
+// lists, which must stay the transposes of the adjacency. It returns how many
+// graphs were cyclic.
 func walkDelta(t *testing.T, b *graph.Builder, rs rowSet) (cyclic int) {
 	t.Helper()
-	delta, ref, list := newWorkspace(b), newWorkspace(b), newWorkspace(b)
+	ref, list := newWorkspace(b), newWorkspace(b)
+	type walk struct {
+		name  string
+		w     *workspace
+		items []Item
+	}
+	rows := rs.rowItems(b)
+	walks := []walk{{"row", newWorkspace(b), rows}}
+	if sigs := rs.sigItems(); sigs != nil {
+		// Alternating sources, the given rows under their successors'
+		// signatures: a decoding source must not take a given row's
+		// signature for the one it holds the row of.
+		mixed := slices.Clone(sigs)
+		for i := 0; i < len(mixed); i += 2 {
+			mixed[i] = rowItem(b, rs.sigs[min(i+1, len(rs.sigs)-1)], rs.rows[i])
+		}
+		walks = append(walks, walk{"signature", newWorkspace(b), sigs}, walk{"mixed", newWorkspace(b), mixed})
+	}
 	var baseEdges []graph.Edge // the last valid graph's list; nil: none yet
-	var baseRow []int32
+	base := -1
 	for i, rf := range rs.rows {
 		want, err := b.AppendDynamicEdges(nil, rf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := !delta.installed
-		added, err := delta.installRow(rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.setDyn(want)
-		for u := range ref.dyn {
-			if !slices.Equal(delta.dyn[u], ref.dyn[u]) {
-				t.Fatalf("item %d: dyn[%d] = %v after the delta, setDyn gives %v", i, u, delta.dyn[u], ref.dyn[u])
-			}
-		}
+		fresh := !list.installed
 		listAdded, err := list.install(Item{Edges: want})
 		if err != nil {
 			t.Fatal(err)
@@ -176,36 +217,55 @@ func walkDelta(t *testing.T, b *graph.Builder, rs rowSet) (cyclic int) {
 		if fresh {
 			wantAdded = nil
 		}
-		if !slices.Equal(added, wantAdded) || !slices.Equal(listAdded, wantAdded) {
-			t.Fatalf("item %d: added = %v as a row, %v as a list; list diff against the last valid graph = %v (nil: into no graph)",
-				i, added, listAdded, wantAdded)
+		if !slices.Equal(listAdded, wantAdded) {
+			t.Fatalf("item %d: added = %v as a list; list diff against the last valid graph = %v (nil: into no graph)",
+				i, listAdded, wantAdded)
 		}
-		checkPreds(t, i, delta)
+		ref.setDyn(want)
+		for _, wk := range walks {
+			added, err := wk.w.install(wk.items[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := range ref.dyn {
+				if !slices.Equal(wk.w.dyn[u], ref.dyn[u]) {
+					t.Fatalf("item %d: dyn[%d] = %v after the %s delta, setDyn gives %v", i, u, wk.w.dyn[u], wk.name, ref.dyn[u])
+				}
+			}
+			if !slices.Equal(added, wantAdded) {
+				t.Fatalf("item %d: added = %v as a %s; list diff against the last valid graph = %v (nil: into no graph)",
+					i, added, wk.name, wantAdded)
+			}
+			checkPreds(t, i, wk.w)
+		}
 		checkPreds(t, i, list)
 		if _, ok := ref.fullSort(false); ok {
-			baseEdges, baseRow = want, rf
+			baseEdges, base = want, i
 		} else {
 			// Cyclic: roll back as the checkers do.
 			cyclic++
-			if baseRow == nil {
-				delta.clearDyn()
+			if base < 0 {
 				list.clearDyn()
-			} else {
-				if _, err := delta.installRow(baseRow); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := list.install(Item{Edges: baseEdges}); err != nil {
-					t.Fatal(err)
-				}
+			} else if _, err := list.install(Item{Edges: baseEdges}); err != nil {
+				t.Fatal(err)
 			}
-			checkPreds(t, i, delta)
 			checkPreds(t, i, list)
+			for _, wk := range walks {
+				if base < 0 {
+					wk.w.clearDyn()
+				} else if _, err := wk.w.install(wk.items[base]); err != nil {
+					t.Fatal(err)
+				}
+				checkPreds(t, i, wk.w)
+			}
 		}
 		// From here on the installs keep them current. The checkers make
 		// them live at a repair, so with some graph installed.
-		if delta.installed {
-			delta.livePreds()
+		if list.installed {
 			list.livePreds()
+			for _, wk := range walks {
+				wk.w.livePreds()
+			}
 		}
 	}
 	return cyclic
@@ -237,14 +297,16 @@ func checkPreds(t *testing.T, i int, w *workspace) {
 }
 
 // compareShapes checks the set with every backend at shards 1, 2 and 3 in
-// both item shapes; the two Results must be deep-equal — violations with
-// their witnesses and every effort counter.
+// both item shapes, rows given and, for a set with metadata, decoded; the
+// Results must be deep-equal — violations with their witnesses and every
+// effort counter.
 func compareShapes(t *testing.T, b *graph.Builder, rs rowSet, limit int) {
 	t.Helper()
-	rows, lists := rs.rowItems(), rs.listItems(t, b)
+	lists := rs.listItems(t, b)
+	shapes := map[string][]Item{"row": rs.rowItems(b), "signature": rs.sigItems()}
 	for _, name := range Names() {
 		be, _ := ForName(name)
-		n := len(rows)
+		n := len(lists)
 		if name == "constraints" || name == "vectorclock" {
 			n = min(n, limit) // per-graph backends, orders of magnitude slower
 		}
@@ -253,12 +315,17 @@ func compareShapes(t *testing.T, b *graph.Builder, rs rowSet, limit int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ShardedBackend(context.Background(), be, b, rows[:n], shards, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %d shards: row items give\n%+v\nlist items give\n%+v", name, shards, got, want)
+			for shape, items := range shapes {
+				if items == nil {
+					continue
+				}
+				got, err := ShardedBackend(context.Background(), be, b, items[:n], shards, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %d shards: %s items give\n%+v\nlist items give\n%+v", name, shards, shape, got, want)
+				}
 			}
 		}
 	}
@@ -307,7 +374,7 @@ func TestDeltaEdgesMatchReference(t *testing.T) {
 func TestRowAfterCyclicItemIsRelativeToLastValid(t *testing.T) {
 	rs := bugRowSet(t)
 	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
-	rows, lists := rs.rowItems(), rs.listItems(t, b)
+	rows, lists := rs.rowItems(b), rs.listItems(t, b)
 	want, err := run("collective", b, lists)
 	if err != nil {
 		t.Fatal(err)
@@ -341,12 +408,14 @@ func TestRowAfterCyclicItemIsRelativeToLastValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := check(b, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.PerGraph[mid+1], want.PerGraph[mid+1]) || !reflect.DeepEqual(got, want) {
-			t.Errorf("after cyclic item %d: row items give %+v, list items %+v", mid, got, want)
+		for _, items := range [][]Item{rows, rs.sigItems()} {
+			got, err := check(b, items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.PerGraph[mid+1], want.PerGraph[mid+1]) || !reflect.DeepEqual(got, want) {
+				t.Errorf("after cyclic item %d: row items (decoded: %t) give %+v, list items %+v", mid, items[0].Row == rs.meta, got, want)
+			}
 		}
 	}
 }
@@ -357,17 +426,10 @@ func TestRowAfterCyclicItemIsRelativeToLastValid(t *testing.T) {
 func TestPooledWorkspaceStartsEmpty(t *testing.T) {
 	rs := mtbenchRowSets(t)[1]
 	b := graph.NewBuilder(rs.prog, mcm.TSO, graph.Options{Forwarding: true})
-	rows, lists := rs.rowItems(), rs.listItems(t, b)
-	half := len(rows) / 2
+	lists := rs.listItems(t, b)
+	half := len(lists) / 2
 	for _, name := range []string{"collective", "incremental"} {
 		check := func(b *graph.Builder, items []Item) (*Result, error) { return run(name, b, items) }
-		if _, err := check(b, rows[:half]); err != nil { // leaves rows[half-1] installed
-			t.Fatal(err)
-		}
-		got, err := check(b, rows[half:])
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := check(b, lists[:half]); err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +437,17 @@ func TestPooledWorkspaceStartsEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("second run on a pooled workspace: row items give %+v, list items %+v", got, want)
+		for _, rows := range [][]Item{rs.rowItems(b), rs.sigItems()} {
+			if _, err := check(b, rows[:half]); err != nil { // leaves rows[half-1] installed
+				t.Fatal(err)
+			}
+			got, err := check(b, rows[half:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("second run on a pooled workspace: row items (decoded: %t) give %+v, list items %+v", rows[0].Row == rs.meta, got, want)
+			}
 		}
 	}
 	w := getWorkspace(b)
@@ -452,8 +523,8 @@ func TestWorkspaceLinearInOpsPerWord(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	w := newWorkspace(b)
-	for _, rf := range rows[:3] {
-		if _, err := w.installRow(rf); err != nil {
+	for i, rf := range rows[:3] {
+		if _, err := w.install(rowItem(b, sig.New([]uint64{uint64(i)}), rf)); err != nil {
 			t.Fatal(err)
 		}
 		w.livePreds()
@@ -475,7 +546,7 @@ func TestMixedItemShapesRejected(t *testing.T) {
 		MustBuild()
 	b := graph.NewBuilder(p, mcm.TSO, graph.Options{})
 	items := []Item{
-		{Sig: sig.New([]uint64{1}), RF: []int32{0, 0}},
+		rowItem(b, sig.New([]uint64{1}), []int32{0, 0}),
 		{Sig: sig.New([]uint64{2}), Edges: []graph.Edge{{U: 0, V: 1}}},
 	}
 	for _, name := range []string{"collective", "incremental"} {
@@ -487,7 +558,7 @@ func TestMixedItemShapesRejected(t *testing.T) {
 		if _, err := be.Check(context.Background(), observed, items[:1]); err == nil {
 			t.Errorf("%s: reads-from row accepted under observed ws", name)
 		}
-		if _, err := be.Check(context.Background(), b, []Item{{Sig: sig.New([]uint64{1}), RF: []int32{0, 1}}}); err == nil {
+		if _, err := be.Check(context.Background(), b, []Item{rowItem(b, sig.New([]uint64{1}), []int32{0, 1})}); err == nil {
 			t.Errorf("%s: row whose load reads from a load accepted", name)
 		}
 	}

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite testdata/effort.golden")
 func effortSequence(t *testing.T, b *graph.Builder) rowSet {
 	t.Helper()
 	rs := bugRowSet(t)
-	conv, err := run("conventional", b, rs.rowItems())
+	conv, err := run("conventional", b, rs.rowItems(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEffortGolden(t *testing.T) {
 	shapes := []struct {
 		name  string
 		items []Item
-	}{{"rows", seq.rowItems()}, {"lists", seq.listItems(t, b)}}
+	}{{"rows", seq.rowItems(b)}, {"lists", seq.listItems(t, b)}}
 	var got bytes.Buffer
 	for _, name := range []string{"collective", "incremental"} {
 		for _, shape := range shapes {

@@ -51,10 +51,10 @@ func TestNewItemShape(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
-		if !it.Sig.Equal(s) || (it.RF != nil) != tc.row || (it.RF != nil) == (it.Edges != nil) {
+		if !it.Sig.Equal(s) || (it.Row != nil) != tc.row || (it.Row != nil) == (it.Edges != nil) {
 			t.Errorf("%s: item %+v, want a row: %t", tc.name, it, tc.row)
 		}
-		if tc.row && &it.RF[0] != &tc.rf[0] {
+		if tc.row && &it.Row.(*literalRow).rf[0] != &tc.rf[0] {
 			t.Errorf("%s: the row item does not keep the caller's row", tc.name)
 		}
 		if !tc.row {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"mtracecheck/internal/graph"
+	"mtracecheck/internal/sig"
 )
 
 // workspace holds the recycled vertex data structures the sorting checkers
@@ -16,11 +17,13 @@ import (
 //
 // The order-maintaining checkers make an item the current graph through
 // install, which is where the two item shapes part and the only place that
-// knows a run holds one of them throughout. A reads-from row (Item.RF) is
-// installed as a delta: installRow edits dyn in place for the loads whose
-// source differs from the installed row's, so the edge structures are recycled
-// too and an item costs what changed. An edge list (Item.Edges) replaces dyn
-// wholesale (setDyn) and is diffed against the list installed before it.
+// knows a run holds one of them throughout. A row item (Item.Row) is installed
+// as a delta: its source reports the loads whose source may differ from the
+// installed row's (a signature's source, those in the words that differ), and
+// installRow edits dyn in place for those whose source does, so the edge
+// structures are recycled too and an item costs what changed. An edge list
+// (Item.Edges) replaces dyn wholesale (setDyn) and is diffed against the list
+// installed before it.
 // Either way dyn[u] is in ascending-V order — what setDyn produces from a
 // (U,V)-sorted list and what installRow's sorted insert maintains — so the
 // prioritized sorts pop in the same order and every window, verdict and effort
@@ -46,11 +49,14 @@ type workspace struct {
 	installed, rows bool
 	list            []graph.Edge
 	// installRow state: row[load] is the source whose edge group dyn holds
-	// (graph.NoObservation: none), oldG/newG one load's group before and
-	// after. An edge a delta install adds goes into heads[e.U], with bit e.U of
-	// tails set, and the list it returns is one walk over tails into added.
-	loads      []int32
+	// (graph.NoObservation: none), and src and sig the installed row item's,
+	// while row is its whole row (src nil: no such item). oldG/newG are one
+	// load's group before and after. An edge a delta install adds goes into
+	// heads[e.U], with bit e.U of tails set, and the list it returns is one
+	// walk over tails into added.
 	row        []int32
+	src        RowSource
+	sig        sig.Signature
 	added      []graph.Edge
 	oldG, newG []graph.Edge
 	tails      []uint64
@@ -77,11 +83,10 @@ func newWorkspace(b *graph.Builder) *workspace {
 		dyn:     adj[:n:n],
 		classOf: classOf,
 		ladj:    adj[n:],
-		loads:   b.Loads(),
 	}
 	// Every fixed int32 table comes from one array, Pearce–Kelly's tables
 	// and scratch included.
-	tab := make([]int32, 13*n+bucketQueueInts(n, classes))
+	tab := make([]int32, 15*n+bucketQueueInts(n, classes))
 	carve := func() []int32 {
 		t := tab[:n:n]
 		tab = tab[n:]
@@ -89,6 +94,7 @@ func newWorkspace(b *graph.Builder) *workspace {
 	}
 	w.indeg, w.pos, w.order, w.row = carve(), carve(), carve(), carve()
 	w.out, w.queue = carve()[:0], carve()[:0]
+	w.rowBuf, w.setBuf = carve(), carve()[:0]
 	pk := &w.pk
 	pk.visited, pk.backupPos, pk.backupOrder = carve(), carve(), carve()
 	pk.fwd, pk.bwd, pk.all, pk.slots = carve()[:0], carve()[:0], carve()[:0], carve()[:0]
@@ -98,7 +104,7 @@ func newWorkspace(b *graph.Builder) *workspace {
 	// installRow's edge scratch: an install adds at most about two edges per
 	// load, and a group is 2 + threads edges.
 	const groupCap = 16
-	edges := make([]graph.Edge, 2*len(w.loads)+2*groupCap)
+	edges := make([]graph.Edge, 2*len(b.Loads())+2*groupCap)
 	w.oldG, edges = edges[:0:groupCap], edges[groupCap:]
 	w.newG, edges = edges[:0:groupCap], edges[groupCap:]
 	w.added = edges[:0]
@@ -240,7 +246,7 @@ func (w *workspace) clearDyn() {
 	for l := range w.row {
 		w.row[l] = graph.NoObservation
 	}
-	w.installed, w.list, w.predsLive = false, nil, false
+	w.installed, w.list, w.src, w.predsLive = false, nil, nil, false
 }
 
 // install makes the item's graph the current one and returns the dynamic edges
@@ -250,13 +256,13 @@ func (w *workspace) clearDyn() {
 // rollback after a cyclic one. A workspace holds a row or a list, so a run's
 // items must all have the shape of its first.
 func (w *workspace) install(it Item) ([]graph.Edge, error) {
-	rows := it.RF != nil
+	rows := it.Row != nil
 	if w.installed && rows != w.rows {
 		return nil, errors.New("items mix edge lists and reads-from rows")
 	}
 	w.rows = rows
 	if rows {
-		return w.installRow(it.RF)
+		return w.installRow(it)
 	}
 	fresh := !w.installed
 	w.installed = true
@@ -319,27 +325,38 @@ func (w *workspace) setDyn(edges []graph.Edge) {
 	}
 }
 
-// installRow makes the graph of the reads-from row rf the current one and
-// returns the dynamic edges it has that the previously installed row's graph
-// lacks, in (U,V) order (valid until the next install). Under static ws the
-// edge set is the disjoint union of per-load groups, each a function of its
-// load's source, so only the loads whose source changed are visited: their
-// old group leaves dyn and their new one enters it, less the edges the two
-// share. An added edge is filed under its tail as it enters, and the list is
-// read out by tail at the end, so it needs no sort; into no graph it returns
-// nil, as install does. The row must be one
-// graph.Builder.CheckRF accepts; a bad source is reported before its load is
-// touched, leaving dyn and the installed row consistent.
-func (w *workspace) installRow(rf []int32) ([]graph.Edge, error) {
+// installRow makes the row item's graph the current one and returns the
+// dynamic edges it has that the previously installed row's graph lacks, in
+// (U,V) order (valid until the next install). Under static ws the edge set is
+// the disjoint union of per-load groups, each a function of its load's source
+// (graph.Builder.AppendLoadEdges), so only the loads the item's source reports
+// are visited — given the installed item's signature when it is of the same
+// source, a decoding source reports the loads of the words that differ — and
+// of those only the ones whose source changed do anything: their old group
+// leaves dyn and their new one enters it, less the edges the two share. As
+// the groups are disjoint, the order of the visits changes nothing. An added
+// edge is filed under its tail as it enters, and the list is read out by tail
+// at the end, so it needs no sort; into no graph it returns nil, as install
+// does. A bad source is reported before its load is touched, leaving dyn and
+// row consistent.
+func (w *workspace) installRow(it Item) ([]graph.Edge, error) {
+	var prev sig.Signature
+	if w.src == it.Row {
+		prev = w.sig
+	}
+	rf, set, err := it.Row.DecodeRow(it.Sig, prev, w.rowBuf, w.setBuf)
+	if err != nil {
+		return nil, err
+	}
 	if len(rf) < w.n {
 		return nil, fmt.Errorf("reads-from row has %d entries, need %d", len(rf), w.n)
 	}
 	fresh := !w.installed
-	w.installed = true
+	w.installed, w.src = true, nil
 	if !fresh {
 		w.tailLists()
 	}
-	for _, l := range w.loads {
+	for _, l := range set {
 		src, old := rf[l], w.row[l]
 		if src == old {
 			continue
@@ -373,6 +390,7 @@ func (w *workspace) installRow(rf []int32) ([]graph.Edge, error) {
 		}
 		w.row[l] = src
 	}
+	w.src, w.sig = it.Row, it.Sig
 	if fresh {
 		return nil, nil
 	}

@@ -54,6 +54,17 @@ type Meta struct {
 	Prog         *prog.Program
 	RegWidthBits int
 	Threads      []ThreadMeta
+
+	words []wordLoads // by signature word
+}
+
+// wordLoads is one signature word's share of the metadata: its loads (a
+// contiguous run of its thread's, in program order) and bound, the product of
+// their candidate counts — the word's mixed radix, below which every value
+// decodes.
+type wordLoads struct {
+	loads []LoadInfo
+	bound uint64
 }
 
 // capacity returns the number of distinct values one signature word can
@@ -136,6 +147,19 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 			tm.Loads = append(tm.Loads, li)
 		}
 		meta.Threads = append(meta.Threads, tm)
+	}
+	for _, tm := range meta.Threads {
+		lo := 0
+		for w := 0; w < tm.Words; w++ {
+			wl := wordLoads{bound: 1}
+			hi := lo
+			for ; hi < len(tm.Loads) && tm.Loads[hi].WordIndex == w; hi++ {
+				wl.bound *= uint64(len(tm.Loads[hi].Candidates))
+			}
+			wl.loads = tm.Loads[lo:hi:hi]
+			meta.words = append(meta.words, wl)
+			lo = hi
+		}
 	}
 	return meta, nil
 }
@@ -227,13 +251,65 @@ func (e *AssertionError) Error() string {
 // last to first, dividing by each load's multiplier) into rf, a dense slice
 // indexed by operation ID: rf[loadID] = source store op ID, or -1 when the
 // load read the initial value. Entries for non-load operations are left
-// untouched. rf must be at least m.Prog.NumOps() long.
-//
-// Within a thread, loads are stored in program order and word indices only
-// grow, so each word's loads form a contiguous run — no per-call regrouping is
-// needed. Words without loads (threads with no loads emit one always-zero
-// word) still get the residue check.
+// untouched. rf must be at least m.Prog.NumOps() long. Words without loads
+// (threads with no loads emit one always-zero word) still get the residue
+// check.
 func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
+	if err := m.checkShape(s, rf); err != nil {
+		return err
+	}
+	for k := range m.words {
+		if err := m.decodeWord(k, s.Word(k), rf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DecodeRow is DecodeInto for a caller that holds the row of prev, a
+// signature of the same length this metadata decoded: only the words in which
+// s differs from prev are decoded into rf, and the IDs of their loads are
+// appended to loads; every other load reads what it reads in prev's row. A
+// prev of another length (the zero Signature) decodes every word. It returns
+// rf and the extended loads; its errors are DecodeInto's. Sorted neighbours
+// often share words (paper §4.2), which a checker installing signatures in
+// order then does not decode. It implements check.RowSource.
+func (m *Meta) DecodeRow(s, prev sig.Signature, rf, loads []int32) ([]int32, []int32, error) {
+	if err := m.checkShape(s, rf); err != nil {
+		return nil, loads, err
+	}
+	whole := prev.Len() != s.Len()
+	for k := range m.words {
+		v := s.Word(k)
+		if !whole && v == prev.Word(k) {
+			continue
+		}
+		if err := m.decodeWord(k, v, rf); err != nil {
+			return nil, loads, err
+		}
+		for i := range m.words[k].loads {
+			loads = append(loads, int32(m.words[k].loads[i].Op.ID))
+		}
+	}
+	return rf, loads, nil
+}
+
+// Decodable reports whether DecodeInto accepts s, without decoding it: s has
+// TotalWords words, each below the product of its loads' candidate counts.
+func (m *Meta) Decodable(s sig.Signature) bool {
+	if s.Len() != len(m.words) {
+		return false
+	}
+	for k := range m.words {
+		if s.Word(k) >= m.words[k].bound {
+			return false
+		}
+	}
+	return true
+}
+
+// checkShape rejects a row buffer or a signature the decoders cannot use.
+func (m *Meta) checkShape(s sig.Signature, rf []int32) error {
 	if n := m.Prog.NumOps(); len(rf) < n {
 		return fmt.Errorf("instrument: rf buffer has %d entries, program has %d ops", len(rf), n)
 	}
@@ -241,35 +317,25 @@ func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
 		return fmt.Errorf("instrument: signature has %d words, metadata expects %d",
 			s.Len(), m.TotalWords())
 	}
-	base := 0
-	for ti := range m.Threads {
-		tm := &m.Threads[ti]
-		loads := tm.Loads
-		lo := 0
-		for w := 0; w < tm.Words; w++ {
-			hi := lo
-			for hi < len(loads) && loads[hi].WordIndex == w {
-				hi++
-			}
-			// Decode the word from its last load to its first.
-			remaining := s.Word(base + w)
-			for i := hi - 1; i >= lo; i-- {
-				li := &loads[i]
-				idx := remaining / li.Multiplier
-				remaining %= li.Multiplier
-				if idx >= uint64(len(li.Candidates)) {
-					return fmt.Errorf("instrument: signature word %d decodes load %d to index %d of %d candidates",
-						base+w, li.Op.ID, idx, len(li.Candidates))
-				}
-				rf[li.Op.ID] = int32(li.Candidates[idx].Store)
-			}
-			if remaining != 0 {
-				return fmt.Errorf("instrument: signature word %d has residue %d after decoding",
-					base+w, remaining)
-			}
-			lo = hi
+	return nil
+}
+
+// decodeWord decodes value v of signature word k into rf, from the word's
+// last load to its first.
+func (m *Meta) decodeWord(k int, v uint64, rf []int32) error {
+	loads := m.words[k].loads
+	for i := len(loads) - 1; i >= 0; i-- {
+		li := &loads[i]
+		idx := v / li.Multiplier
+		v %= li.Multiplier
+		if idx >= uint64(len(li.Candidates)) {
+			return fmt.Errorf("instrument: signature word %d decodes load %d to index %d of %d candidates",
+				k, li.Op.ID, idx, len(li.Candidates))
 		}
-		base += tm.Words
+		rf[li.Op.ID] = int32(li.Candidates[idx].Store)
+	}
+	if v != 0 {
+		return fmt.Errorf("instrument: signature word %d has residue %d after decoding", k, v)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"slices"
 	"testing"
 
 	"mtracecheck/internal/sig"
@@ -10,7 +11,9 @@ import (
 // FuzzDecode feeds arbitrary signature words to the Algorithm 1 decoder:
 // it must either decode cleanly or reject with an error — never panic, and
 // anything it accepts must re-encode to the same signature (decode/encode
-// inverse property).
+// inverse property). Decodable must accept exactly what DecodeInto accepts,
+// and DecodeRow over the row of a decodable prev must decode only the words
+// that differ and leave DecodeInto's row.
 func FuzzDecode(f *testing.F) {
 	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 11})
 	meta, err := Analyze(p, 64, nil)
@@ -38,6 +41,12 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, w0, w1, w2 uint64) {
 		s := sig.New([]uint64{w0, w1, w2})
 		rf, err := decode(meta, s)
+		if ok := meta.Decodable(s); ok != (err == nil) {
+			t.Fatalf("Decodable(%v) = %t, DecodeInto: %v", s, ok, err)
+		}
+		for _, prev := range deltaBases(meta, s, valid) {
+			checkDecodeRow(t, meta, s, prev, rf, err)
+		}
 		if err != nil {
 			return // rejected: fine
 		}
@@ -55,6 +64,56 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decode/encode mismatch: %v -> %v", s, back)
 		}
 	})
+}
+
+// deltaBases are the decodable signatures DecodeRow of s is tried against:
+// the all-zero one, valid, and s with one word taken from valid.
+func deltaBases(meta *Meta, s, valid sig.Signature) []sig.Signature {
+	bases := []sig.Signature{sig.Zero(s.Len()), valid}
+	for w := 0; w < s.Len(); w++ {
+		words := s.Words()
+		words[w] = valid.Word(w)
+		if b := sig.New(words); meta.Decodable(b) {
+			bases = append(bases, b)
+		}
+	}
+	return bases
+}
+
+// checkDecodeRow: decoding s over prev's row changes the loads of the words
+// in which they differ and only those, gives DecodeInto's row (want, or its
+// error wantErr) and reports the loads it decoded.
+func checkDecodeRow(t *testing.T, meta *Meta, s, prev sig.Signature, want []int32, wantErr error) {
+	t.Helper()
+	base, err := decode(meta, prev)
+	if err != nil {
+		t.Fatalf("base %v: %v", prev, err)
+	}
+	row := slices.Clone(base)
+	got, loads, err := meta.DecodeRow(s, prev, row, nil)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("DecodeRow(%v over %v): %v, DecodeInto: %v", s, prev, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	var wantLoads []int32
+	k := 0
+	for _, tm := range meta.Threads {
+		for _, li := range tm.Loads {
+			if s.Word(k+li.WordIndex) != prev.Word(k+li.WordIndex) {
+				wantLoads = append(wantLoads, int32(li.Op.ID))
+			}
+			if id := li.Op.ID; got[id] != want[id] {
+				t.Fatalf("DecodeRow(%v over %v): load %d reads %d, DecodeInto: %d", s, prev, id, got[id], want[id])
+			}
+		}
+		k += tm.Words
+	}
+	slices.Sort(loads)
+	if !slices.Equal(loads, wantLoads) {
+		t.Fatalf("DecodeRow(%v over %v) reports loads %v, the differing words hold %v", s, prev, loads, wantLoads)
+	}
 }
 
 // validSignature builds a real encoding without running the simulator:

@@ -289,6 +289,27 @@ func TestPrunerShrinksSignatures(t *testing.T) {
 		t.Errorf("pruned signature %dB not smaller than full %dB",
 			pruned.SignatureBytes(), full.SignatureBytes())
 	}
+	// Every candidate is the initial value or a store to its load's word,
+	// with and without pruning: a decoded row is one the graph builder
+	// accepts, so the checkers take it without a second look.
+	skew, err := Analyze(p, 32, SkewPruner(p, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, meta := range map[string]*Meta{"full": full, "pruned": pruned, "skew": skew} {
+		for _, tm := range meta.Threads {
+			for _, li := range tm.Loads {
+				for _, c := range li.Candidates {
+					if c.Store == -1 {
+						continue
+					}
+					if c.Store < 0 || c.Store >= p.NumOps() || p.OpByID(c.Store).Kind != prog.Store || p.OpByID(c.Store).Word != li.Op.Word {
+						t.Errorf("%s: load %d (word %d) has candidate %d, not a store to its word", name, li.Op.ID, li.Op.Word, c.Store)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestGenerateCodeShapes(t *testing.T) {

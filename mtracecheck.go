@@ -641,16 +641,15 @@ func WriteViolationDOT(w io.Writer, report *Report, v Violation, opts Options) e
 	if err != nil {
 		return err
 	}
-	builder := c.newBuilder()
-	rf := make([]int32, builder.NumOps())
+	rf := make([]int32, c.builder.NumOps())
 	if err := c.meta.DecodeInto(v.Sig, rf); err != nil {
 		return err
 	}
-	edges, err := builder.AppendDynamicEdges(nil, rf, nil)
+	edges, err := c.builder.AppendDynamicEdges(nil, rf, nil)
 	if err != nil {
 		return err
 	}
-	return builder.FromDynamic(edges).WriteDOT(w, report.Program, v.Cycle)
+	return c.builder.FromDynamic(edges).WriteDOT(w, report.Program, v.Cycle)
 }
 
 // NewProgramBuilderFromConfig generates a constrained-random program from a

@@ -72,7 +72,7 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 				})
 				var items []check.Item
 				if ws == graph.WSStatic {
-					items, _, err = decodeItems(context.Background(), meta, builder, set.Sorted(), runtime.GOMAXPROCS(0), true, emitter{})
+					items, _, err = decodeItems(context.Background(), meta, set.Sorted(), runtime.GOMAXPROCS(0), true, emitter{})
 					if err != nil {
 						t.Fatal(err)
 					}
