@@ -67,6 +67,30 @@ func formatEffort(w *bytes.Buffer, title string, r *Result) {
 	}
 }
 
+// oneItemRuns appends the effort of two one-item runs to got: the sequence's
+// first item, which is cyclic, and its last, which is valid. A run's last item
+// is sorted from scratch only when it is also its first valid one, and the
+// sequence itself never gets there.
+func oneItemRuns(t *testing.T, got *bytes.Buffer, backend, shape string, b *graph.Builder, items []Item) {
+	t.Helper()
+	title := backend + "/" + shape
+	for _, one := range []struct {
+		name   string
+		item   Item
+		cyclic bool
+	}{{"one cyclic", items[0], true}, {"one valid", items[len(items)-1], false}} {
+		res, err := run(backend, b, []Item{one.item})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) == 1 != one.cyclic || len(res.PerGraph) != 1 || res.PerGraph[0].Kind != KindComplete {
+			t.Fatalf("%s, %s: %d violations, per graph %+v: want a complete sort that finds cyclic=%v",
+				title, one.name, len(res.Violations), res.PerGraph, one.cyclic)
+		}
+		formatEffort(got, title+", "+one.name, res)
+	}
+}
+
 // TestEffortGolden pins everything the order-maintaining checkers report —
 // verdicts, witnesses, every PerGraph entry and effort counter — in both item
 // shapes, byte for byte against a file captured before the loop they shared
@@ -78,7 +102,7 @@ func TestEffortGolden(t *testing.T) {
 		name  string
 		items []Item
 	}{{"rows", seq.rowItems(b)}, {"lists", seq.listItems(t, b)}}
-	var got bytes.Buffer
+	var got, ones bytes.Buffer // the one-item runs go last
 	for _, name := range []string{"collective", "incremental"} {
 		for _, shape := range shapes {
 			res, err := run(name, b, shape.items)
@@ -86,6 +110,7 @@ func TestEffortGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			formatEffort(&got, name+"/"+shape.name, res)
+			oneItemRuns(t, &ones, name, shape.name, b, shape.items)
 			if name != "collective" || shape.name != "rows" {
 				continue
 			}
@@ -101,6 +126,7 @@ func TestEffortGolden(t *testing.T) {
 			}
 		}
 	}
+	got.Write(ones.Bytes())
 	const path = "testdata/effort.golden"
 	if *update {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
