@@ -81,7 +81,6 @@ func TestHostStagesVisibleBehindServer(t *testing.T) {
 		`mtracecheck_injected_faults_total{kind="out-of-range"}`,
 		"mtracecheck_decoded_signatures_total",
 		`mtracecheck_quarantined_total{kind="decode"}`,
-		`mtracecheck_quarantined_total{kind="edge-build"}`,
 		"mtracecheck_graphs_checked_total",
 		"mtracecheck_violations_total",
 	} {

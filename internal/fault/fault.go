@@ -412,17 +412,11 @@ const (
 	// QuarantineDecode marks a signature the Algorithm 1 decoder rejected
 	// (out-of-range index, nonzero residue, wrong word count).
 	QuarantineDecode QuarantineKind = iota
-	// QuarantineEdges marks a signature that decoded but whose reads-from
-	// relation failed constraint-edge construction.
-	QuarantineEdges
 )
 
 func (k QuarantineKind) String() string {
-	switch k {
-	case QuarantineDecode:
+	if k == QuarantineDecode {
 		return "decode"
-	case QuarantineEdges:
-		return "edge-build"
 	}
 	return fmt.Sprintf("fault.QuarantineKind(%d)", uint8(k))
 }
@@ -433,7 +427,7 @@ type Quarantined struct {
 	Sig   sig.Signature
 	Count int // observations the entry claimed
 	Kind  QuarantineKind
-	Err   error // the decode or edge-build failure
+	Err   error // the decode failure
 }
 
 // CountByKind tallies quarantined signatures per kind; nil for an empty

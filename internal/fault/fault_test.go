@@ -306,10 +306,10 @@ func TestCountByKind(t *testing.T) {
 		t.Error("empty quarantine yields non-nil counts")
 	}
 	q := []Quarantined{
-		{Kind: QuarantineDecode}, {Kind: QuarantineDecode}, {Kind: QuarantineEdges},
+		{Kind: QuarantineDecode}, {Kind: QuarantineDecode},
 	}
 	counts := CountByKind(q)
-	if counts[QuarantineDecode] != 2 || counts[QuarantineEdges] != 1 {
+	if counts[QuarantineDecode] != 2 || len(counts) != 1 {
 		t.Errorf("counts %v", counts)
 	}
 }
@@ -325,8 +325,8 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	if QuarantineDecode.String() != "decode" || QuarantineEdges.String() != "edge-build" {
-		t.Errorf("quarantine kind strings: %q, %q", QuarantineDecode, QuarantineEdges)
+	if QuarantineDecode.String() != "decode" {
+		t.Errorf("quarantine kind string: %q", QuarantineDecode)
 	}
 }
 

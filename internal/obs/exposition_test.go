@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // script delivers one campaign that exercises every event kind and every
 // series: a resume, a retried execute attempt, a periodic and the final
-// merge, every fault kind, both quarantine kinds, two check shards with
+// merge, every fault kind, a quarantine, two check shards with
 // every backend's effort counter, two dist workers (one quarantined, its ID
 // needing both exposition escapes), every lease transition, and two corpus
 // keys (one never hit) plus a refused corpus. The goldens below were
@@ -77,7 +77,7 @@ func script(o Observer) {
 	o.ShardStart(ShardStart{Stage: StageDecode, Shard: 0, Start: 0, Count: 9, Time: at(5)})
 	o.ShardEnd(ShardEnd{
 		Stage: StageDecode, Shard: 0, Start: 0, Count: 9, Decoded: 6,
-		QuarantinedDecode: 1, QuarantinedEdges: 2, Time: at(6), Duration: time.Millisecond,
+		QuarantinedDecode: 3, Time: at(6), Duration: time.Millisecond,
 	})
 	o.ShardStart(ShardStart{Stage: StageCheck, Shard: 0, Start: 0, Count: 4, Time: at(6)})
 	o.ShardEnd(ShardEnd{

@@ -51,7 +51,7 @@ type series struct {
 // table is every series in exposition order, written by the var block below
 // only: a new series is one row there (and nSeries + 1, or row panics as the
 // package initialises) and one add in an event's handler.
-const nSeries = 50
+const nSeries = 49
 
 var (
 	table [nSeries]series
@@ -77,7 +77,6 @@ var (
 	sFaultOOR       = row(core, 0, `mtracecheck_injected_faults_total{kind="out-of-range"}`, "")
 	sDecoded        = row(core, 0, "mtracecheck_decoded_signatures_total", "Unique signatures decoded into checkable items.")
 	sQuarDecode     = row(core, 0, `mtracecheck_quarantined_total{kind="decode"}`, "Corrupted signatures held out of checking, by kind.")
-	sQuarEdges      = row(core, 0, `mtracecheck_quarantined_total{kind="edge-build"}`, "")
 	sGraphs         = row(core, 0, "mtracecheck_graphs_checked_total", "Constraint graphs checked.")
 	sViolations     = row(core, 0, "mtracecheck_violations_total", "MCM violations found by graph checking.")
 	sCkptSaves      = row(core, 0, "mtracecheck_checkpoint_saves_total", "Campaign checkpoints written.")
@@ -221,7 +220,6 @@ func (m *Metrics) ShardEnd(e ShardEnd) {
 		m.add(sDecodeTime, int64(e.Duration))
 		m.add(sDecoded, int64(e.Decoded))
 		m.add(sQuarDecode, int64(e.QuarantinedDecode))
-		m.add(sQuarEdges, int64(e.QuarantinedEdges))
 	case StageCheck:
 		m.add(sCheckTime, int64(e.Duration))
 		m.add(sGraphs, int64(e.Graphs))

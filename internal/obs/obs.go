@@ -136,7 +136,6 @@ type ShardEnd struct {
 	// Decode-stage counters.
 	Decoded           int
 	QuarantinedDecode int
-	QuarantinedEdges  int
 
 	// Check-stage counters. Backend names the checking backend that produced
 	// the event, and Shards is the total number of checking shards the stage

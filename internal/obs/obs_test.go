@@ -71,7 +71,6 @@ func TestMetricsAggregation(t *testing.T) {
 		`mtracecheck_injected_faults_total{kind="out-of-range"}`: 0,
 		"mtracecheck_decoded_signatures_total":                   8,
 		`mtracecheck_quarantined_total{kind="decode"}`:           1,
-		`mtracecheck_quarantined_total{kind="edge-build"}`:       0,
 		"mtracecheck_graphs_checked_total":                       8,
 		"mtracecheck_violations_total":                           1,
 		"mtracecheck_checkpoint_saves_total":                     1,

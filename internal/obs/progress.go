@@ -85,7 +85,7 @@ func (p *Progress) ShardEnd(e ShardEnd) {
 			p.tickf("execute: %d/%d iterations (%.1f%%)", done, p.target, 100*float64(done)/float64(p.target))
 		}
 	case StageDecode:
-		p.tickf("decode: %d/%d signatures, %d quarantined", n(sDecoded), n(sUniques), n(sQuarDecode)+n(sQuarEdges))
+		p.tickf("decode: %d/%d signatures, %d quarantined", n(sDecoded), n(sUniques), n(sQuarDecode))
 	case StageCheck:
 		p.tickf("check: %d graphs, %d violations", n(sGraphs), n(sViolations))
 	}

@@ -145,7 +145,7 @@ func (t *Trace) ShardEnd(e ShardEnd) {
 		}
 	case StageDecode:
 		args["decoded"] = e.Decoded
-		args["quarantined"] = e.QuarantinedDecode + e.QuarantinedEdges
+		args["quarantined"] = e.QuarantinedDecode
 	case StageCheck:
 		args["graphs"] = e.Graphs
 		args["sorted_vertices"] = e.SortedVertices

@@ -110,14 +110,9 @@ type (
 // under a ".quarantined" suffix at the next flush.
 func OpenCorpus(path string) (*Corpus, error) { return corpus.Open(path) }
 
-// Quarantine kinds (see fault.QuarantineKind).
-const (
-	// QuarantineDecode marks a signature the decoder rejected.
-	QuarantineDecode = fault.QuarantineDecode
-	// QuarantineEdges marks a decoded signature whose reads-from relation
-	// failed constraint-edge construction.
-	QuarantineEdges = fault.QuarantineEdges
-)
+// QuarantineDecode marks a signature the decoder rejected, the one
+// quarantine kind (see fault.QuarantineKind).
+const QuarantineDecode = fault.QuarantineDecode
 
 // Injected fault kinds, the keys of Report.InjectedFaults (see fault.Kind).
 const (
@@ -222,15 +217,14 @@ type Options struct {
 	// shard's first graph needs one full sort.
 	Workers int
 	// Strict restores the abort-on-first-error behavior: a signature that
-	// fails to decode or build edges, or an execution shard that exhausts
-	// its retries, fails the run instead of degrading (quarantine / partial
-	// results). The default is graceful: on a fault-free run both modes are
+	// fails to decode, or an execution shard that exhausts its retries,
+	// fails the run instead of degrading (quarantine / partial results). The default is graceful: on a fault-free run both modes are
 	// bit-identical, since nothing is ever quarantined or lost.
 	Strict bool
 	// QuarantineThreshold bounds graceful degradation: when the fraction of
-	// unique signatures quarantined by decode or edge-build failures
-	// exceeds it, the run fails with ErrQuarantineThreshold (the signature
-	// channel is considered too corrupted to trust the surviving verdicts).
+	// unique signatures quarantined by decode failures exceeds it, the run
+	// fails with ErrQuarantineThreshold (the signature channel is considered
+	// too corrupted to trust the surviving verdicts).
 	// 0 means no limit; NewCampaign refuses a value outside [0, 1] or NaN.
 	QuarantineThreshold float64
 	// ShardTimeout is the deadline for a single execution-shard attempt
