@@ -66,36 +66,39 @@ sim-alloc-smoke:
 		|| exit 1; \
 	echo "sim-alloc-smoke: OK (SimIteration allocs/op within budget $(SIM_ALLOC_BUDGET))"
 
-# CPU-profiles one root-package benchmark for 4 s and prints the 30 hottest
-# functions. The test binary and profile go to a temporary directory.
+# CPU-profiles benchmark $(2) of package $(1) for 4 s and prints the 30
+# hottest functions. The test binary and profile go to a temporary directory.
 define cpu-profile
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
-	$(GO) test -c -o $$dir/mtracecheck.test . || exit 1; \
-	$$dir/mtracecheck.test -test.run '^$$' -test.bench '^$(1)$$' -test.benchtime 4s \
+	$(GO) test -c -o $$dir/pkg.test $(1) || exit 1; \
+	$$dir/pkg.test -test.run '^$$' -test.bench '^$(2)$$' -test.benchtime 4s \
 		-test.benchmem -test.cpuprofile $$dir/cpu.prof | grep Benchmark || exit 1; \
-	$(GO) tool pprof -top -nodecount 30 $$dir/mtracecheck.test $$dir/cpu.prof
+	$(GO) tool pprof -top -nodecount 30 $$dir/pkg.test $$dir/cpu.prof
 endef
 
 # Where a simulated iteration's time goes on the TSO and the RMO platform (the
 # measurement DESIGN §10's before/after tables are made from).
 sim-profile:
-	$(call cpu-profile,BenchmarkSimIterationX86)
-	$(call cpu-profile,BenchmarkSimIterationARM)
+	$(call cpu-profile,.,BenchmarkSimIterationX86)
+	$(call cpu-profile,.,BenchmarkSimIterationARM)
 
 # Where a trace check's time goes: one rep of the trace-check workload, 1,024
 # rendered 200-op TSO executions of one program parsed and checked one by one
 # (the measurement behind DESIGN §16's cost paragraph; after the first trace
-# there must be no storeIndex, NewBuilder or newWorkspace frame).
+# there must be no storeIndex, NewBuilder, newWorkspace or bucketQueue frame:
+# a trace is a one-item run, whose complete sort takes no priorities), then
+# the parser alone.
 trace-profile:
-	$(call cpu-profile,BenchmarkCheckTraceWorkload)
+	$(call cpu-profile,.,BenchmarkCheckTraceWorkload)
+	$(call cpu-profile,./internal/trace,BenchmarkParse)
 
 # Where an offline check's time goes: load + validate + check of the
 # contended program's stored 4,096-iteration signature set, and of ARM 7x200's
 # 256 unique signatures, no simulator in the loop (the measurement behind
 # DESIGN §13's cost paragraph).
 offline-profile:
-	$(call cpu-profile,BenchmarkOfflineCheck)
-	$(call cpu-profile,BenchmarkOfflineCheckARM)
+	$(call cpu-profile,.,BenchmarkOfflineCheck)
+	$(call cpu-profile,.,BenchmarkOfflineCheckARM)
 
 # The yardstick of a simplicity PR (ROADMAP's quality-of-design aim; item 7's
 # acceptance asks for lines and exports strictly down): non-test Go lines

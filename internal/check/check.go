@@ -187,9 +187,11 @@ type repairFunc func(w *workspace, added []graph.Edge, res *Result) bool
 // in ascending signature order (anything else is an error: the similarity of
 // neighbours underpins the economy, §4.2) are installed in the workspace one by
 // one, the first — and every one until some graph is valid — sorted from
-// scratch, each later one handed to repair with its new edges. New is relative
-// to the last valid graph, which is what the maintained order sorts: a cyclic
-// graph is recorded and rolled back. Removed edges only relax constraints.
+// scratch (the run's last item without priorities: they serve only the repair
+// of an item after it), each later one handed to repair with its new edges.
+// New is relative to the last valid graph, which is what the maintained order
+// sorts: a cyclic graph is recorded and rolled back. Removed edges only relax
+// constraints.
 func maintainOrder(repair repairFunc) func(context.Context, *graph.Builder, []Item) (*Result, error) {
 	return func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
 		res := &Result{Total: len(items)}
@@ -209,7 +211,7 @@ func maintainOrder(repair repairFunc) func(context.Context, *graph.Builder, []It
 			}
 			var ok bool
 			if valid < 0 {
-				ok = w.completeSort(res)
+				ok = w.completeSort(res, i < len(items)-1)
 			} else {
 				ok = repair(w, added, res)
 			}

@@ -518,11 +518,12 @@ func (w *workspace) fullSort(prioritized bool) ([]int32, bool) {
 // completeSort is how an order-maintaining run starts, and starts again until
 // some graph is valid: the current graph sorted from scratch into the
 // maintained order, recorded in res as KindComplete. It reports whether there
-// is one.
-func (w *workspace) completeSort(res *Result) bool {
+// is one. Only a repair needs the order prioritized; any order gives the
+// verdict and the counters, and FindCycle's witness reads the graph alone.
+func (w *workspace) completeSort(res *Result, prioritized bool) bool {
 	res.SortedVertices += int64(w.n)
 	res.PerGraph = append(res.PerGraph, GraphStat{Kind: KindComplete, Affected: w.n})
-	full, ok := w.fullSort(true)
+	full, ok := w.fullSort(prioritized)
 	if ok {
 		copy(w.order, full)
 		for p, v := range w.order {

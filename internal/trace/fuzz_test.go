@@ -18,6 +18,20 @@ var fuzzSeeds = []string{
 	"0: M[0x10] == 42\n",
 	"0: M[0b1] := 1\n",
 	"0: M[1] == 0o7\n",
+	// The edges of Parse's straight scan of Format's spelling.
+	"0: M[0xffffffffffffffff] := 1\n0: M[0x0ffffffffffffffff] == 1\n",
+	"0: M[0x1ffffffffffffffff] := 1\n",
+	"0: M[0x10] := 18446744073709551615\n",
+	"0: M[0x10] == 18446744073709551616\n",
+	"0: M[0x10] := 00\n",
+	"0: M[0x] := 1\n",
+	"0: M[0X10] := 1\n0: M[ 0x10 ] == 1\n",
+	"0: M[0x10]\t:= 1\n1: M[0x10] == 1\r\n",
+	"65536: M[0x10] := 1\n",
+	"0: M[0x10] := 1 # c\n",
+	"0: M[0x10]]:= 1\n",
+	"0: M[0x10) := 1\n",
+	"0: M[0x10] :=12\n",
 }
 
 // FuzzTraceParse checks four properties on arbitrary input:

@@ -64,12 +64,15 @@ func Parse(r io.Reader) (*Trace, error) {
 		case err != nil:
 			return nil, fmt.Errorf("trace: read: %w", err)
 		}
-		op, blank, err := parseLine(line)
-		if err != nil {
-			return nil, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: err.Error()}
-		}
-		if blank {
-			continue
+		op, ok := scanLine(line)
+		if !ok {
+			var blank bool
+			if op, blank, err = parseLine(line); err != nil {
+				return nil, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: err.Error()}
+			}
+			if blank {
+				continue
+			}
 		}
 		if len(ops) == MaxOps {
 			return nil, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: fmt.Sprintf("more than %d operations", MaxOps)}
@@ -167,6 +170,59 @@ func (l *lineReader) opsBuffered(line []byte) int {
 	rest := l.buf[l.start:l.end]
 	lines := 2 + bytes.Count(rest, []byte{'\n'}) // line itself and an unterminated last one
 	return min(lines, (len(line)+len(rest))/minOpBytes+2, MaxOps)
+}
+
+// scanLine accepts a load or store spelled exactly as Format writes it —
+// "<tid>: M[0x<hex>] := <dec>" or "... == <dec>", single spaces, nothing
+// before or after — in one pass with no white-space or comment handling, and
+// reports false for any other line, which parseLine then reads. It accepts
+// only what parseLine accepts, as the same Op: numbers follow the same rules
+// (no leading zeros, thread IDs below MaxThreadID), and a number that could
+// overflow 64 bits — past 16 hexadecimal or 19 decimal digits — is left to
+// parseLine too.
+func scanLine(s []byte) (op Op, ok bool) {
+	tid, i := scanDec(s, 0, 5)
+	if i < 0 || tid >= MaxThreadID || len(s) < i+6 || string(s[i:i+6]) != ": M[0x" {
+		return Op{}, false
+	}
+	i += 6
+	first := i
+	for ; i < len(s); i++ {
+		d := hexValue[s[i]]
+		if d == 0 {
+			break
+		}
+		op.Addr = op.Addr<<4 | uint64(d-1)
+	}
+	if i == first || i > first+16 || len(s) < i+5 || s[i] != ']' || s[i+1] != ' ' || s[i+4] != ' ' {
+		return Op{}, false
+	}
+	switch string(s[i+2 : i+4]) {
+	case ":=":
+		op.Kind = Store
+	case "==":
+		op.Kind = Load
+	default:
+		return Op{}, false
+	}
+	if op.Value, i = scanDec(s, i+5, 19); i != len(s) {
+		return Op{}, false
+	}
+	op.Thread = int(tid)
+	return op, true
+}
+
+// scanDec reads a decimal number of at most maxDigits digits at i, without
+// leading zeros, and returns the index after it, or -1 when there is none.
+func scanDec(s []byte, i, maxDigits int) (v uint64, next int) {
+	first := i
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		v = v*10 + uint64(s[i]-'0')
+	}
+	if i == first || i > first+maxDigits || s[first] == '0' && i > first+1 {
+		return 0, -1
+	}
+	return v, i
 }
 
 // The line parser is a cursor: an index into the line that only moves right.

@@ -116,6 +116,12 @@ func TestShapeKeyIsComplete(t *testing.T) {
 		}
 	})
 	add("a fence's unused fields", true, func(tr *Trace) { tr.Ops[2].Value = 5 })
+	// resolve meets the fault first and the difference last: the pass it
+	// abandons must leave nothing in the binding built after it.
+	add("a value fault at the first load, the last op's address", false, func(tr *Trace) {
+		tr.Ops[1].Value = 99
+		tr.Ops[5].Addr += 0x100
+	})
 	muts = append(muts,
 		mutation{"identical", true, parseString(t, shapeBase)},
 		mutation{"comments and blank lines", true, parseString(t, "# header\n\n"+strings.ReplaceAll(shapeBase, "\n", " # c\n\n"))},
