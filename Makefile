@@ -85,9 +85,11 @@ sim-profile:
 # Where a trace check's time goes: one rep of the trace-check workload, 1,024
 # rendered 200-op TSO executions of one program parsed and checked one by one
 # (the measurement behind DESIGN §16's cost paragraph; after the first trace
-# there must be no storeIndex, NewBuilder, newWorkspace or bucketQueue frame:
-# a trace is a one-item run, whose complete sort takes no priorities), then
-# the parser alone.
+# there must be no storeIndex, NewBuilder, newWorkspace or bucketQueue frame —
+# a trace is a one-item run, whose complete sort takes no priorities — no
+# makemap or mapassign_fast64 frame under Bind, whose reads-from relation is
+# one dense row, and no scanLine frame: Format's spelling is scanned straight
+# from the read buffer by scanOp), then the parser alone.
 trace-profile:
 	$(call cpu-profile,.,BenchmarkCheckTraceWorkload)
 	$(call cpu-profile,./internal/trace,BenchmarkParse)

@@ -30,12 +30,13 @@ type (
 	// TraceOp is one observed operation of an ExecTrace.
 	TraceOp = trace.Op
 	// TraceBinding is a trace mapped onto the checking machinery — the
-	// reconstructed Program, reads-from relation, and the address/thread/
-	// line provenance needed to render verdicts in the trace's own terms.
-	// RF, Row and ValueFaults belong to the binding. Prog, Addrs, Threads
-	// and Source depend only on the trace's shape (its operations less the
-	// values its loads observed) and are shared with every other binding of
-	// a trace of that shape: read them, never write them.
+	// reconstructed Program, the reads-from relation as the checkers' dense
+	// row (RF), and the address/thread/line provenance needed to render
+	// verdicts in the trace's own terms. RF and ValueFaults belong to the
+	// binding. Prog, Addrs, Threads and Source depend only on the trace's
+	// shape (its operations less the values its loads observed) and are
+	// shared with every other binding of a trace of that shape: read them,
+	// never write them.
 	TraceBinding = trace.Binding
 )
 
@@ -105,7 +106,7 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 	// The binding's dense reads-from row is the execution; a value-faulted
 	// load has no source and carries the marker for that. A lone execution has
 	// no neighbour to be told from, so its signature stays the zero one.
-	item, err := check.NewItem(builder, sig.Signature{}, bind.Row, nil)
+	item, err := check.NewItem(builder, sig.Signature{}, bind.RF, nil)
 	if err != nil {
 		return nil, bind, fmt.Errorf("mtracecheck: %w", err)
 	}

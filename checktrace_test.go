@@ -143,8 +143,8 @@ func TestCheckTraceOwnLaterStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ex := range allowed {
-			if ex.RF[0] == bind.Row[0] {
-				t.Errorf("%s: the oracle allows the load to read store %d", model, bind.Row[0])
+			if ex.RF[0] == bind.RF[0] {
+				t.Errorf("%s: the oracle allows the load to read store %d", model, bind.RF[0])
 			}
 		}
 	}

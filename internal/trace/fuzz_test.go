@@ -32,6 +32,14 @@ var fuzzSeeds = []string{
 	"0: M[0x10]]:= 1\n",
 	"0: M[0x10) := 1\n",
 	"0: M[0x10] :=12\n",
+	// The edges of the buffer scan: what it must leave to the line parser.
+	"0: M[0x10] := 1\n1: M[0x10] == 1",
+	"0: M[0x10] := 1\r\n1: M[0x10] == 1\r\n",
+	"0: M[16] := 1\n1: M[0x10] == 1\n0: M[0x14] == 0\n",
+	"0: M[0x10] := 1 # c\n1: M[0x10] == 1\n",
+	"0: M[0x10] :=\n",
+	"",
+	"# a\n\n# b\n",
 }
 
 // FuzzTraceParse checks four properties on arbitrary input:

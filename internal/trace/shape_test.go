@@ -7,6 +7,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"mtracecheck/internal/graph"
+	"mtracecheck/internal/prog"
 )
 
 // pinShapes makes what the shape pool hands back repeatable for the rest of
@@ -167,8 +170,8 @@ func TestShapeReuseKeepsPositions(t *testing.T) {
 	if b.Trace != moved || b.AddrOfOp(1) != 0x14 {
 		t.Errorf("binding does not refer to the trace it was made from")
 	}
-	if _, faulted := b.RF[1]; faulted || b.Row[1] >= -1 {
-		t.Errorf("value-faulted load has a source: RF %v, Row %v", b.RF, b.Row)
+	if b.RF[1] != graph.NoObservation {
+		t.Errorf("value-faulted load has a source: RF %v", b.RF)
 	}
 }
 
@@ -206,22 +209,26 @@ func TestShapeKeyIsPrivate(t *testing.T) {
 	}
 }
 
-// TestRowMirrorsRF: Row is RF in the checkers' dense form.
-func TestRowMirrorsRF(t *testing.T) {
+// TestRFIsDense: RF is the checkers' dense row, one entry per program
+// operation: the writer's op ID, -1 for the initial value, and NoObservation
+// for a value-faulted load and for every operation that is not a load.
+func TestRFIsDense(t *testing.T) {
 	b, err := parseString(t, strings.Replace(shapeBase, "== 2", "== 77", 1)).Bind()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Row) != b.Prog.NumOps() {
-		t.Fatalf("Row has %d entries for %d ops", len(b.Row), b.Prog.NumOps())
-	}
-	for id, src := range b.Row {
-		if store, ok := b.RF[id]; ok != (src >= -1) || ok && store != int(src) {
-			t.Errorf("op %d: Row %d, RF %d (present %v)", id, src, store, ok)
-		}
+	if len(b.RF) != b.Prog.NumOps() {
+		t.Fatalf("RF has %d entries for %d ops", len(b.RF), b.Prog.NumOps())
 	}
 	// Thread 0's ops are 0..2, thread 1's 3 and 4, thread 2's 5.
-	if want := []int32{-2, -2, -2, -2, 0, -1}; !reflect.DeepEqual(b.Row, want) {
-		t.Errorf("Row = %v, want %v", b.Row, want)
+	no := int32(graph.NoObservation)
+	want := []int32{no, no, no, no, 0, -1}
+	if !reflect.DeepEqual(b.RF, want) {
+		t.Errorf("RF = %v, want %v", b.RF, want)
+	}
+	for id, src := range b.RF {
+		if isLoad := b.Prog.OpByID(id).Kind == prog.Load; !isLoad && src != graph.NoObservation {
+			t.Errorf("op %d is not a load and has source %d", id, src)
+		}
 	}
 }

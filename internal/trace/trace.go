@@ -197,7 +197,7 @@ func (f *ValueFault) Error() string {
 //
 // Prog, Addrs, Threads and Source depend only on the trace's shape (see Bind)
 // and are shared, read-only, with every other Binding of a trace of that
-// shape; RF, Row and ValueFaults are this Binding's own.
+// shape; RF and ValueFaults are this Binding's own.
 type Binding struct {
 	// Trace is the source trace.
 	Trace *Trace
@@ -207,16 +207,12 @@ type Binding struct {
 	// indices, and stores carrying the framework's canonical values
 	// (ID+1) rather than the trace's observed ones.
 	Prog *prog.Program
-	// RF maps each load's program operation ID to the program operation ID
-	// of the store whose value its response carried, or -1 for a read of
-	// the initial value. Loads with value faults are absent — they
-	// constrain nothing.
-	RF map[int]int
-	// Row is the same relation as the dense reads-from row the checkers take,
-	// indexed by program operation ID: a load's source store, -1 for the
-	// initial value, and graph.NoObservation for a load with a value fault
-	// and for every operation that is not a load.
-	Row []int32
+	// RF is the reads-from relation as the dense row the checkers take,
+	// indexed by program operation ID: the program operation ID of the store
+	// whose value a load's response carried, -1 for a read of the initial
+	// value, and graph.NoObservation for a load with a value fault (it
+	// constrains nothing) and for every operation that is not a load.
+	RF []int32
 	// Addrs maps shared-word indices back to the trace's byte addresses.
 	Addrs []uint64
 	// Threads maps program thread indices back to trace thread IDs.
@@ -235,7 +231,7 @@ type Binding struct {
 // The construction is the inverse of what MTraceCheck's signature decoder
 // produces for simulator runs: there the program is known and the rf
 // relation is decoded from the signature; here both are reconstructed from
-// the observed trace. Downstream — a graph.Builder over Prog, Row as the
+// the observed trace. Downstream — a graph.Builder over Prog, RF as the
 // reads-from row, then any registered checking backend — the two front doors
 // are indistinguishable.
 //
@@ -276,8 +272,7 @@ type shape struct {
 	key    []shapeOp       // the fields above, copied: what a trace must equal to have this shape
 	stores map[write]int32 // the validated store index: (address, value) -> index in Trace.Ops
 	idOf   []int32         // index in Trace.Ops -> program operation ID
-	loads  int
-	shared Binding // Prog, Addrs, Threads and Source, as every Binding of this shape has them
+	shared Binding         // Prog, Addrs, Threads and Source, as every Binding of this shape has them
 }
 
 // shapeOp is one operation's part of the key; value is kept for stores only.
@@ -370,7 +365,6 @@ func buildShape(t *Trace) (*shape, error) {
 				s.key[i].value = top.Value
 			} else {
 				op.Kind = prog.Load
-				s.loads++
 			}
 		case Fence:
 			op.Kind, op.Word = prog.Fence, -1
@@ -423,11 +417,6 @@ func (s *shape) resolve(t *Trace, row []int32) *Binding {
 		row[opID] = src
 	}
 	b := s.shared
-	b.Trace, b.Row, b.ValueFaults, b.RF = t, row, faults, make(map[int]int, s.loads)
-	for opID, src := range row {
-		if src != graph.NoObservation {
-			b.RF[opID] = int(src)
-		}
-	}
+	b.Trace, b.RF, b.ValueFaults = t, row, faults
 	return &b
 }

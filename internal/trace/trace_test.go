@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mtracecheck/internal/graph"
 	"mtracecheck/internal/prog"
 )
 
@@ -47,8 +48,8 @@ func TestParseBasic(t *testing.T) {
 
 func TestParseEmpty(t *testing.T) {
 	tr := parseString(t, "\n# only comments\n\n")
-	if len(tr.Ops) != 0 {
-		t.Fatalf("got %d ops, want 0", len(tr.Ops))
+	if tr.Ops != nil {
+		t.Fatalf("got %d ops (%#v), want nil", len(tr.Ops), tr.Ops)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("empty trace should validate: %v", err)
@@ -255,11 +256,11 @@ func TestBindSB(t *testing.T) {
 		t.Errorf("op 0 kind = %v, want store", op.Kind)
 	}
 	// Load 1 (M[16]==3, decimal 16 == 0x10) read thread 5's store (ID 2).
-	if got, want := b.RF[1], 2; got != want {
+	if got, want := b.RF[1], int32(2); got != want {
 		t.Errorf("RF[1] = %d, want %d", got, want)
 	}
 	// Load 3 (M[0x14]==0) read the initial value.
-	if got, want := b.RF[3], -1; got != want {
+	if got, want := b.RF[3], int32(-1); got != want {
 		t.Errorf("RF[3] = %d, want %d", got, want)
 	}
 	if len(b.ValueFaults) != 0 {
@@ -287,8 +288,8 @@ func TestBindValueFault(t *testing.T) {
 		t.Errorf("fault message %q lacks explanation", b.ValueFaults[0])
 	}
 	// The faulted load must not constrain the graph.
-	if _, ok := b.RF[1]; ok {
-		t.Errorf("faulted load has an RF entry")
+	if b.RF[1] != graph.NoObservation {
+		t.Errorf("faulted load has source %d", b.RF[1])
 	}
 }
 
