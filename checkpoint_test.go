@@ -13,7 +13,6 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
-	"mtracecheck/internal/testgen"
 )
 
 // checkpointTap is an observer that sees only checkpoint events, on the
@@ -223,7 +222,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 30, Words: 4, Seed: 4})
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 30, Words: 4, Seed: 4})
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	opts := Options{Iterations: 192, Seed: 7, Pruner: instrument.SkewPruner(p, 22), CheckpointPath: path}
 	if _, err := RunProgram(p, opts); err != nil {

@@ -18,7 +18,7 @@ import (
 func TestConstraintsEquivalence(t *testing.T) {
 	for _, model := range mcm.Models {
 		for seed := int64(1); seed <= 3; seed++ {
-			p := testgen.MustGenerate(testgen.Config{
+			p := mustGenerate(testgen.Config{
 				Threads: 3, OpsPerThread: 12, Words: 4, Seed: seed,
 			})
 			meta, err := instrument.Analyze(p, 64, nil)

@@ -52,7 +52,7 @@ type rowSet struct {
 // sets (a buggy platform's assertion failures) are skipped.
 func simRows(t testing.TB, name string, cfg testgen.Config, plat sim.Platform, iterations int) rowSet {
 	t.Helper()
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
 	if err != nil {
 		t.Fatal(err)

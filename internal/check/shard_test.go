@@ -37,7 +37,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		for _, model := range []mcm.Model{mcm.TSO, mcm.RMO} {
 			for seed := int64(1); seed <= 3; seed++ {
-				p := testgen.MustGenerate(testgen.Config{
+				p := mustGenerate(testgen.Config{
 					Threads: 3, OpsPerThread: 20, Words: 4, Seed: seed,
 				})
 				meta, err := instrument.Analyze(p, 64, nil)
@@ -88,7 +88,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 }
 
 func TestShardedDegenerate(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 10, Words: 4, Seed: 2})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 10, Words: 4, Seed: 2})
 	meta, err := instrument.Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestShardedDegenerate(t *testing.T) {
 }
 
 func TestShardedRejectsUnsortedItems(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 10, Words: 4, Seed: 2})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 10, Words: 4, Seed: 2})
 	meta, err := instrument.Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestShardedRejectsUnsortedItems(t *testing.T) {
 // TestShardedCancelled: a cancelled context must stop both the serial and
 // the sharded checker with ctx.Err() instead of a partial verdict.
 func TestShardedCancelled(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 20, Words: 4, Seed: 1})
+	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 20, Words: 4, Seed: 1})
 	meta, err := instrument.Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)

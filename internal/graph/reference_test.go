@@ -91,7 +91,7 @@ func TestThreadPOMatchesReference(t *testing.T) {
 				Threads: 3, OpsPerThread: 40, Words: []int{1, 3, 16, 64}[seed%4],
 				LoadRatio: []float64{0.5, 0.2, 0.8}[seed%3], FenceProb: fenceProb, Seed: seed,
 			}
-			p := testgen.MustGenerate(cfg)
+			p := mustGenerate(cfg)
 			for _, model := range mcm.Models {
 				for _, forwarding := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%v/fwd=%v/fence=%v/seed=%d", model, forwarding, fenceProb, seed), func(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestDynamicEncoderRejectsWeakModels(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 10, Words: 2, Seed: 1})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 10, Words: 2, Seed: 1})
 	meta, err := Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func coherentRF(meta *Meta, rng *rand.Rand) []uint32 {
 func TestDynamicRoundTrip(t *testing.T) {
 	for _, width := range []int{32, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
-			p := testgen.MustGenerate(testgen.Config{
+			p := mustGenerate(testgen.Config{
 				Threads: 4, OpsPerThread: 60, Words: 4, Seed: seed,
 			})
 			meta, err := Analyze(p, width, nil)
@@ -82,7 +82,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 // TestDynamicShorterThanStatic: the whole point — frontier pruning shrinks
 // signatures on contended tests.
 func TestDynamicShorterThanStatic(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 4, OpsPerThread: 100, Words: 4, Seed: 3})
+	p := mustGenerate(testgen.Config{Threads: 4, OpsPerThread: 100, Words: 4, Seed: 3})
 	meta, err := Analyze(p, 32, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDynamicAssertOnFrontierViolation(t *testing.T) {
 }
 
 func TestDynamicDecodeRejectsGarbage(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 30, Words: 2, Seed: 5})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 30, Words: 2, Seed: 5})
 	meta, err := Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)

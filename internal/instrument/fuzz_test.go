@@ -15,7 +15,7 @@ import (
 // and DecodeRow over the row of a decodable prev must decode only the words
 // that differ and leave DecodeInto's row.
 func FuzzDecode(f *testing.F) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 11})
+	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 11})
 	meta, err := Analyze(p, 64, nil)
 	if err != nil {
 		f.Fatal(err)
@@ -139,7 +139,7 @@ func validSignature(f *testing.F, meta *Meta) sig.Signature {
 // must produce a decode error (not a panic, not a silent acceptance),
 // whichever word is hit.
 func TestDecodeRejectsOutOfRange(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 11})
+	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 11})
 	meta, err := Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 // FuzzEncodeValues feeds arbitrary load values to the encoder: any accepted
 // execution must round-trip through DecodeInto.
 func FuzzEncodeValues(f *testing.F) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 20, Words: 2, Seed: 13})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 20, Words: 2, Seed: 13})
 	meta, err := Analyze(p, 32, nil)
 	if err != nil {
 		f.Fatal(err)

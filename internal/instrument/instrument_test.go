@@ -12,6 +12,15 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// mustGenerate is testgen.Generate, panicking on error.
+func mustGenerate(cfg testgen.Config) *prog.Program {
+	p, err := testgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // fig3Program reconstructs the paper's Fig. 3 example (IDs here are 0-based;
 // the paper's figure numbers operations from 1). Word 0 is the figure's
 // 0x100, word 1 is 0x104.
@@ -132,7 +141,7 @@ func randomRF(meta *Meta, rng *rand.Rand) []uint32 {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, width := range []int{32, 64} {
 		for seed := int64(1); seed <= 5; seed++ {
-			p := testgen.MustGenerate(testgen.Config{
+			p := mustGenerate(testgen.Config{
 				Threads: 4, OpsPerThread: 60, Words: 8, Seed: seed,
 			})
 			meta, err := Analyze(p, width, nil)
@@ -167,7 +176,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestSignatureUniqueness: distinct reads-from patterns must yield distinct
 // signatures (the 1:1 mapping of §3.1).
 func TestSignatureUniqueness(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{
+	p := mustGenerate(testgen.Config{
 		Threads: 3, OpsPerThread: 30, Words: 4, Seed: 9,
 	})
 	meta, err := Analyze(p, 32, nil)
@@ -198,7 +207,7 @@ func TestSignatureUniqueness(t *testing.T) {
 func TestMultiWordOverflow32(t *testing.T) {
 	// High contention on few words with 32-bit registers forces multi-word
 	// per-thread signatures.
-	p := testgen.MustGenerate(testgen.Config{
+	p := mustGenerate(testgen.Config{
 		Threads: 4, OpsPerThread: 100, Words: 4, Seed: 3,
 	})
 	meta32, err := Analyze(p, 32, nil)
@@ -266,7 +275,7 @@ func TestDecodeRejectsCorruptSignatures(t *testing.T) {
 }
 
 func TestPrunerShrinksSignatures(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{
+	p := mustGenerate(testgen.Config{
 		Threads: 4, OpsPerThread: 100, Words: 4, Seed: 3,
 	})
 	full, err := Analyze(p, 32, nil)

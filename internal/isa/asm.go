@@ -94,12 +94,3 @@ func (a *Asm) Assemble() ([]Instr, error) {
 	}
 	return a.code, nil
 }
-
-// MustAssemble is Assemble, panicking on error.
-func (a *Asm) MustAssemble() []Instr {
-	code, err := a.Assemble()
-	if err != nil {
-		panic(err)
-	}
-	return code
-}

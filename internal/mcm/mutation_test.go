@@ -15,6 +15,15 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// mustGenerate is testgen.Generate, panicking on error.
+func mustGenerate(cfg testgen.Config) *prog.Program {
+	p, err := testgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // The simulator and the checkers both read Model.Ordered, so a wrong entry
 // in its table misleads both at once: the simulator produces what the
 // checkers then accept. These tests hold both halves to internal/oracle,
@@ -119,7 +128,7 @@ func subjects() []*prog.Program {
 		ps = append(ps, l.Prog)
 	}
 	for seed := int64(0); len(ps) < 150; seed++ {
-		p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 2 + int(seed%3), Words: 2 + int(seed%2),
+		p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 2 + int(seed%3), Words: 2 + int(seed%2),
 			FenceProb: 0.4, Seed: seed})
 		p.Name = fmt.Sprintf("generated %d", seed)
 		single := true

@@ -11,6 +11,15 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// mustGenerate is testgen.Generate, panicking on error.
+func mustGenerate(cfg testgen.Config) *prog.Program {
+	p, err := testgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 var models = []string{"SC", "TSO", "PSO", "RMO"}
 
 // outcomes maps an execution's identity — its reads-from row and coherence
@@ -58,7 +67,7 @@ func allowed(t testing.TB, p *prog.Program, model string) outcomes {
 func generated(n int) []*prog.Program {
 	ps := make([]*prog.Program, n)
 	for i := range ps {
-		ps[i] = testgen.MustGenerate(testgen.Config{
+		ps[i] = mustGenerate(testgen.Config{
 			Threads: 2 + i%2, OpsPerThread: 1 + i/2%4, Words: 1 + i/8%3,
 			FenceProb: 0.25 * float64(i/24%2), Seed: int64(i),
 		})
@@ -299,7 +308,7 @@ func TestAllowedMonotone(t *testing.T) {
 // TestWalkIsTheReferenceInterpreter: Walk driven by a seeded random pick is
 // reproducible, and every execution it returns is SC.
 func TestWalkIsTheReferenceInterpreter(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 3, OpsPerThread: 4, Words: 2, FenceProb: 0.2, Seed: 9})
+	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 4, Words: 2, FenceProb: 0.2, Seed: 9})
 	sc := allowed(t, p, "SC")
 	a, b := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
@@ -334,7 +343,7 @@ func TestAllowedRefuses(t *testing.T) {
 		{Threads: 5, OpsPerThread: 1, Words: 1},
 		{Threads: 2, OpsPerThread: 5, Words: 2},
 	} {
-		if _, err := oracle.Allowed(testgen.MustGenerate(cfg), "SC"); err == nil {
+		if _, err := oracle.Allowed(mustGenerate(cfg), "SC"); err == nil {
 			t.Errorf("a %d×%d program was enumerated", cfg.Threads, cfg.OpsPerThread)
 		}
 	}

@@ -205,29 +205,6 @@ func (p *Program) StoresToWord(word int) []Op {
 	return out
 }
 
-// StoreByValue returns the store writing the given value, or false when the
-// value is InitialValue or no store writes it.
-func (p *Program) StoreByValue(v uint32) (Op, bool) {
-	if v == InitialValue {
-		return Op{}, false
-	}
-	id := int(v) - 1
-	for _, t := range p.Threads {
-		if len(t.Ops) == 0 {
-			continue
-		}
-		first := t.Ops[0].ID
-		if id >= first && id < first+len(t.Ops) {
-			op := t.Ops[id-first]
-			if op.Kind == Store && op.Value == v {
-				return op, true
-			}
-			return Op{}, false
-		}
-	}
-	return Op{}, false
-}
-
 // Validate checks structural integrity: thread-major contiguous IDs, store
 // values equal to ID+1, word indices in range, and a consistent layout.
 func (p *Program) Validate() error {

@@ -53,7 +53,7 @@ func TestBuilderBuildRejectsBadWord(t *testing.T) {
 	}
 }
 
-func TestOpByIDAndStoreByValue(t *testing.T) {
+func TestOpByID(t *testing.T) {
 	p := NewBuilder("t", 2, DefaultLayout()).
 		Thread().Store(0).Load(0).
 		Thread().Store(1).
@@ -63,23 +63,6 @@ func TestOpByIDAndStoreByValue(t *testing.T) {
 		if got := p.OpByID(op.ID); got != op {
 			t.Errorf("OpByID(%d) = %+v, want %+v", op.ID, got, op)
 		}
-	}
-	st, ok := p.StoreByValue(1)
-	if !ok || st.ID != 0 {
-		t.Errorf("StoreByValue(1) = %+v, %v; want store 0", st, ok)
-	}
-	st, ok = p.StoreByValue(3)
-	if !ok || st.ID != 2 {
-		t.Errorf("StoreByValue(3) = %+v, %v; want store 2", st, ok)
-	}
-	if _, ok := p.StoreByValue(InitialValue); ok {
-		t.Error("StoreByValue(InitialValue) reported a store")
-	}
-	if _, ok := p.StoreByValue(2); ok {
-		t.Error("StoreByValue(2) matched a load's would-be value")
-	}
-	if _, ok := p.StoreByValue(99); ok {
-		t.Error("StoreByValue(99) matched beyond program")
 	}
 }
 

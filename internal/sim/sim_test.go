@@ -19,6 +19,15 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// mustGenerate is testgen.Generate, panicking on error.
+func mustGenerate(cfg testgen.Config) *prog.Program {
+	p, err := testgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // platFor returns a platform with the given model, based on x86 timing.
 // seedTable materializes the first n per-iteration seeds of a campaign seed.
 func seedTable(seed int64, n int) []int64 {
@@ -72,6 +81,17 @@ func mustRun(t *testing.T, plat Platform, p *prog.Program, seed int64, iters int
 	return exs
 }
 
+// storeByValue returns the store writing v, or false when v is the initial
+// value or no store writes it: stores write their op ID plus one.
+func storeByValue(p *prog.Program, v uint32) (prog.Op, bool) {
+	id := int(v) - 1
+	if v == prog.InitialValue || id >= p.NumOps() {
+		return prog.Op{}, false
+	}
+	op := p.OpByID(id)
+	return op, op.Kind == prog.Store
+}
+
 // checkExecutionSanity verifies universal invariants of one execution:
 // every load has a value from its candidate set, and WS covers every store
 // exactly once per word in a per-thread-order-respecting sequence.
@@ -84,7 +104,7 @@ func checkExecutionSanity(t *testing.T, p *prog.Program, ex *Execution) {
 			if v == prog.InitialValue {
 				continue
 			}
-			src, ok := p.StoreByValue(v)
+			src, ok := storeByValue(p, v)
 			if !ok {
 				t.Fatalf("load %d read %d, which no store wrote", op.ID, v)
 			}
@@ -160,7 +180,7 @@ func TestObservedOutcomesAllowed(t *testing.T) {
 		n = 150
 	}
 	for i := 0; i < n; i++ {
-		programs = append(programs, testgen.MustGenerate(testgen.Config{
+		programs = append(programs, mustGenerate(testgen.Config{
 			Threads: 2 + i%2, OpsPerThread: 1 + i/2%4, Words: 1 + i/8%3,
 			FenceProb: 0.25 * float64(i/24%2), Seed: int64(i),
 		}))
@@ -301,7 +321,7 @@ func TestSingleCopyAtomicityDisablesForwarding(t *testing.T) {
 
 func TestRandomProgramsSanityAllModels(t *testing.T) {
 	cfg := testgen.Config{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	for _, model := range mcm.Models {
 		exs := mustRun(t, platFor(model, 4), p, 13, 30)
 		for _, ex := range exs {
@@ -312,7 +332,7 @@ func TestRandomProgramsSanityAllModels(t *testing.T) {
 
 func TestFencedProgramsComplete(t *testing.T) {
 	cfg := testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, FenceProb: 0.2, Seed: 9}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	for _, model := range mcm.Models {
 		exs := mustRun(t, platFor(model, 3), p, 17, 10)
 		for _, ex := range exs {
@@ -323,7 +343,7 @@ func TestFencedProgramsComplete(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := testgen.Config{Threads: 2, OpsPerThread: 30, Words: 4, Seed: 21}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	render := func() string {
 		exs := mustRun(t, platFor(mcm.TSO, 2), p, 99, 5)
 		s := ""
@@ -339,7 +359,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestThreadsExceedCoresRequiresOS(t *testing.T) {
 	cfg := testgen.Config{Threads: 7, OpsPerThread: 10, Words: 4, Seed: 1}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	plat := platFor(mcm.TSO, 4)
 	if _, err := NewRunner(plat, p, 1); err == nil {
 		t.Error("7 threads on 4 cores accepted without OS scheduling")
@@ -377,7 +397,7 @@ func corrViolation(p *prog.Program, ex *Execution) bool {
 		if v == prog.InitialValue {
 			return -1
 		}
-		st, ok := p.StoreByValue(v)
+		st, ok := storeByValue(p, v)
 		if !ok {
 			return -2
 		}
@@ -408,7 +428,7 @@ func corrViolation(p *prog.Program, ex *Execution) bool {
 // contentionProg builds a program with heavy same-word traffic to provoke
 // invalidation races.
 func contentionProg(threads, ops int) *prog.Program {
-	return testgen.MustGenerate(testgen.Config{
+	return mustGenerate(testgen.Config{
 		Threads: threads, OpsPerThread: ops, Words: 2, Seed: 77,
 	})
 }
@@ -455,7 +475,7 @@ func TestBug1ProducesCoherenceViolations(t *testing.T) {
 	// The paper's bug-1 recipe (Table 3): x86-4-50-8 with 4 words per cache
 	// line, so upgrade (S→M) transients on a line race invalidations while
 	// speculative loads to the line's other words are outstanding.
-	p := testgen.MustGenerate(testgen.Config{
+	p := mustGenerate(testgen.Config{
 		Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1,
 	})
 	run := func(bug bool) int {
@@ -486,7 +506,7 @@ func TestBug1ProducesCoherenceViolations(t *testing.T) {
 
 func TestBug3Crashes(t *testing.T) {
 	// Line-contended stores with a tiny cache: the writeback race deadlocks.
-	p := testgen.MustGenerate(testgen.Config{
+	p := mustGenerate(testgen.Config{
 		Threads: 7, OpsPerThread: 60, Words: 64, LoadRatio: 0.3, Seed: 3,
 	})
 	plat := PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, Bugs{})
@@ -516,7 +536,7 @@ func TestBug3Crashes(t *testing.T) {
 // same order with the same RNG draws deadlocks in exactly the same place.
 func TestBug3DeadlockPinned(t *testing.T) {
 	const wantIter, wantCycle = 3, eventq.Time(3759)
-	p := testgen.MustGenerate(testgen.Config{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
+	p := mustGenerate(testgen.Config{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
 	r, err := NewRunner(PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, Bugs{}), p, 31)
 	if err != nil {
 		t.Fatal(err)
@@ -603,7 +623,7 @@ func TestExecutionCyclesPositive(t *testing.T) {
 // drain, and executions must still complete under every model.
 func TestTinyStoreBufferCompletes(t *testing.T) {
 	cfg := testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 12}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	for _, model := range mcm.Models {
 		plat := platFor(model, 3)
 		plat.SBDepth = 1
@@ -618,7 +638,7 @@ func TestTinyStoreBufferCompletes(t *testing.T) {
 // fully in-order; everything must still complete and stay sane.
 func TestInOrderWindowCompletes(t *testing.T) {
 	cfg := testgen.Config{Threads: 2, OpsPerThread: 25, Words: 4, Seed: 13}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	for _, model := range mcm.Models {
 		plat := platFor(model, 2)
 		plat.Window = 1
@@ -722,7 +742,7 @@ func TestTraceTimeline(t *testing.T) {
 // same-seeded runner's n-th Run call would have drawn — the invariant behind the streaming pipeline's
 // worker-invariant results and checkpoint resume.
 func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 4, OpsPerThread: 20, Words: 8, Seed: 2})
+	p := mustGenerate(testgen.Config{Threads: 4, OpsPerThread: 20, Words: 8, Seed: 2})
 	plat := PlatformX86()
 	full := mustRun(t, plat, p, 7, 20)
 	for _, skip := range []int{0, 1, 7, 19} {
@@ -787,7 +807,7 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := testgen.MustGenerate(testgen.Config{Threads: c.threads, OpsPerThread: 40, Words: 8, Seed: 5})
+			p := mustGenerate(testgen.Config{Threads: c.threads, OpsPerThread: 40, Words: 8, Seed: 5})
 			r, err := NewRunner(c.plat, p, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -875,7 +895,7 @@ func allRetired(e *engine) bool {
 // TestRunnerRejectsConcurrentRun: a Runner is owned by one goroutine; a
 // second concurrent Run must fail rather than corrupt the seed stream.
 func TestRunnerRejectsConcurrentRun(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 2})
+	p := mustGenerate(testgen.Config{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 2})
 	r, err := NewRunner(PlatformX86(), p, 1)
 	if err != nil {
 		t.Fatal(err)

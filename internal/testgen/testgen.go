@@ -123,15 +123,6 @@ func Generate(cfg Config) (*prog.Program, error) {
 	return b.Build()
 }
 
-// MustGenerate is Generate, panicking on error; for static tables and tests.
-func MustGenerate(cfg Config) *prog.Program {
-	p, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ISA labels the two platform flavors used in the paper's evaluation.
 // "ARM" selects the weak (RMO) model with fixed-width RISC encoding;
 // "x86" selects TSO with variable-width CISC encoding.

@@ -7,6 +7,15 @@ import (
 	"mtracecheck/internal/prog"
 )
 
+// mustGenerate is Generate, panicking on error.
+func mustGenerate(cfg Config) *prog.Program {
+	p, err := Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestGenerateValidProgram(t *testing.T) {
 	cfg := Config{Threads: 4, OpsPerThread: 50, Words: 32, Seed: 1}
 	p, err := Generate(cfg)
@@ -34,13 +43,13 @@ func TestGenerateValidProgram(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Config{Threads: 2, OpsPerThread: 30, Words: 8, Seed: 42}
-	a := MustGenerate(cfg)
-	b := MustGenerate(cfg)
+	a := mustGenerate(cfg)
+	b := mustGenerate(cfg)
 	if a.String() != b.String() {
 		t.Error("same seed produced different programs")
 	}
 	cfg.Seed = 43
-	c := MustGenerate(cfg)
+	c := mustGenerate(cfg)
 	if a.String() == c.String() {
 		t.Error("different seeds produced identical programs (suspicious)")
 	}
@@ -48,7 +57,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateLoadRatio(t *testing.T) {
 	cfg := Config{Threads: 2, OpsPerThread: 2000, Words: 16, LoadRatio: 0.5, Seed: 7}
-	p := MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	loads := 0
 	for _, op := range p.Ops() {
 		if op.Kind == prog.Load {
@@ -64,7 +73,7 @@ func TestGenerateLoadRatio(t *testing.T) {
 
 func TestGenerateFences(t *testing.T) {
 	cfg := Config{Threads: 2, OpsPerThread: 100, Words: 8, FenceProb: 0.3, Seed: 3}
-	p := MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	fences := 0
 	for _, op := range p.Ops() {
 		if op.Kind == prog.Fence {
@@ -196,8 +205,8 @@ func TestOutcomeMatches(t *testing.T) {
 }
 
 func TestHotWordBias(t *testing.T) {
-	biased := MustGenerate(Config{Threads: 2, OpsPerThread: 2000, Words: 64, HotWordBias: 0.8, Seed: 4})
-	uniform := MustGenerate(Config{Threads: 2, OpsPerThread: 2000, Words: 64, Seed: 4})
+	biased := mustGenerate(Config{Threads: 2, OpsPerThread: 2000, Words: 64, HotWordBias: 0.8, Seed: 4})
+	uniform := mustGenerate(Config{Threads: 2, OpsPerThread: 2000, Words: 64, Seed: 4})
 	count := func(p *prog.Program) int {
 		hotOps := 0
 		for _, op := range p.Ops() {

@@ -8,8 +8,28 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
 	"mtracecheck/internal/oracle"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/testgen"
 )
+
+// mustGenerate is testgen.Generate, panicking on error.
+func mustGenerate(cfg testgen.Config) *prog.Program {
+	p, err := testgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// assemble is a.Assemble, failing the test on error.
+func assemble(t *testing.T, a *isa.Asm) []isa.Instr {
+	t.Helper()
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
 
 // valueFn adapts dense load values (indexed by op ID).
 func valueFn(t *testing.T, vals []uint32) func(int) (uint32, error) {
@@ -28,7 +48,7 @@ func TestBasicArithmeticAndHalt(t *testing.T) {
 	a.ADDI(1, 7)
 	a.STR(0x100, 1)
 	a.HALT()
-	th := NewThread(a.MustAssemble(), DefaultCostModel())
+	th := NewThread(assemble(t, a), DefaultCostModel())
 	res, err := th.Run(nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +74,7 @@ func TestBranchingAndPredictor(t *testing.T) {
 	a.MOVI(2, 99)
 	a.Label("yes")
 	a.HALT()
-	th := NewThread(a.MustAssemble(), DefaultCostModel())
+	th := NewThread(assemble(t, a), DefaultCostModel())
 	var first, last *Result
 	for i := 0; i < 10; i++ {
 		res, err := th.Run(nil, 0)
@@ -77,7 +97,7 @@ func TestBranchingAndPredictor(t *testing.T) {
 func TestFailTrap(t *testing.T) {
 	a := isa.NewAsm()
 	a.FAIL()
-	th := NewThread(a.MustAssemble(), DefaultCostModel())
+	th := NewThread(assemble(t, a), DefaultCostModel())
 	_, err := th.Run(nil, 0)
 	if !errors.Is(err, ErrAssertFailed) {
 		t.Errorf("err = %v, want ErrAssertFailed", err)
@@ -88,7 +108,7 @@ func TestRunawayGuard(t *testing.T) {
 	a := isa.NewAsm()
 	a.Label("top")
 	a.B("top")
-	th := NewThread(a.MustAssemble(), DefaultCostModel())
+	th := NewThread(assemble(t, a), DefaultCostModel())
 	if _, err := th.Run(nil, 100); err == nil {
 		t.Error("infinite loop not caught")
 	}
@@ -100,7 +120,7 @@ func TestRunawayGuard(t *testing.T) {
 func TestInstrumentedMatchesEncode(t *testing.T) {
 	for _, width := range []int{32, 64} {
 		for seed := int64(1); seed <= 3; seed++ {
-			p := testgen.MustGenerate(testgen.Config{
+			p := mustGenerate(testgen.Config{
 				Threads: 3, OpsPerThread: 50, Words: 4, Seed: seed,
 			})
 			meta, err := instrument.Analyze(p, width, nil)
@@ -145,7 +165,7 @@ func TestInstrumentedMatchesEncode(t *testing.T) {
 // TestInstrumentedAssertCatchesBadValue: feeding a value outside the
 // candidate set must reach the FAIL trap.
 func TestInstrumentedAssertCatchesBadValue(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 20, Words: 2, Seed: 4})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 20, Words: 2, Seed: 4})
 	meta, err := instrument.Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +184,7 @@ func TestInstrumentedAssertCatchesBadValue(t *testing.T) {
 // TestIntrusivenessAccounting: the flush variant performs one private store
 // per load; the instrumented variant performs one per signature word.
 func TestIntrusivenessAccounting(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 50, Words: 4, Seed: 5})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 50, Words: 4, Seed: 5})
 	meta, err := instrument.Analyze(p, 32, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +225,7 @@ func TestIntrusivenessAccounting(t *testing.T) {
 // instrumented run above the original but in the same ballpark once the
 // predictor warms (paper: minimal overhead with few unique interleavings).
 func TestOriginalCheaperThanInstrumented(t *testing.T) {
-	p := testgen.MustGenerate(testgen.Config{Threads: 2, OpsPerThread: 100, Words: 8, Seed: 7})
+	p := mustGenerate(testgen.Config{Threads: 2, OpsPerThread: 100, Words: 8, Seed: 7})
 	meta, err := instrument.Analyze(p, 64, nil)
 	if err != nil {
 		t.Fatal(err)

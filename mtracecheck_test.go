@@ -15,6 +15,15 @@ import (
 	"mtracecheck/internal/testgen"
 )
 
+// mustGenerate is testgen.Generate, panicking on error.
+func mustGenerate(cfg TestConfig) *Program {
+	p, err := testgen.Generate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestRunCleanPlatformNoViolations(t *testing.T) {
 	cfg := TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5}
 	for _, mk := range []func() Platform{PlatformX86, PlatformARM} {
@@ -135,7 +144,7 @@ func TestBug3SurfacesAsCrash(t *testing.T) {
 // crashing one depends on the worker count; what the crash report accounts
 // for must not.
 func TestCrashReportIndependentOfWorkers(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 7, OpsPerThread: 200, Words: 512, Seed: 1})
+	p := mustGenerate(TestConfig{Threads: 7, OpsPerThread: 200, Words: 512, Seed: 1})
 	type crash struct {
 		iterations, uniques int
 		cycles              int64
@@ -237,7 +246,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestDeviceHostSplit(t *testing.T) {
 	// CollectSignatures (device) → Save → Load → CheckSignatures (host)
 	// must agree with the integrated pipeline.
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5})
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5})
 	opts := Options{Platform: PlatformX86(), Iterations: 120, Seed: 9}
 	uniques, err := CollectSignatures(p, opts)
 	if err != nil {
@@ -376,7 +385,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(TestConfig{}, Options{Iterations: 1}); err == nil {
 		t.Error("empty config accepted")
 	}
-	p := testgen.MustGenerate(TestConfig{Threads: 7, OpsPerThread: 5, Words: 2, Seed: 1})
+	p := mustGenerate(TestConfig{Threads: 7, OpsPerThread: 5, Words: 2, Seed: 1})
 	if _, err := RunProgram(p, Options{Platform: PlatformX86(), Iterations: 1}); err == nil {
 		t.Error("7 threads on the 4-core platform accepted")
 	}
@@ -384,7 +393,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestPrunerOptionWiredThrough(t *testing.T) {
 	cfg := TestConfig{Threads: 2, OpsPerThread: 30, Words: 4, Seed: 6}
-	p := testgen.MustGenerate(cfg)
+	p := mustGenerate(cfg)
 	// An absurdly tight pruner turns almost every iteration into an inline
 	// assertion failure, proving the option reaches the analysis.
 	report, err := RunProgram(p, Options{
@@ -423,7 +432,7 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 		prog *Program
 		plat Platform
 	}{
-		{"clean-x86", testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}), PlatformX86()},
+		{"clean-x86", mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}), PlatformX86()},
 		{"bug-lsq-skip", hammer(), BuggyPlatform(BugLSQSkip)},
 	}
 	for _, c := range cases {
@@ -532,11 +541,11 @@ func TestCheckerBackendsAgree(t *testing.T) {
 		prog *Program
 		opts Options
 	}{
-		{"clean", testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}),
+		{"clean", mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}),
 			Options{Platform: PlatformX86(), Iterations: 150, Seed: 11}},
 		{"bug-lsq-skip", hammer(),
 			Options{Platform: BuggyPlatform(BugLSQSkip), Iterations: 200, Seed: 11}},
-		{"faulted", testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}),
+		{"faulted", mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}),
 			Options{Platform: PlatformX86(), Iterations: 150, Seed: 11, ShardRetries: 3,
 				Fault: FaultConfig{Seed: 3, Rate: fault.Rates{fault.KindBitFlip: 0.2, fault.KindTruncate: 0.1, fault.KindPanic: 0.4}}}},
 	}
@@ -584,7 +593,7 @@ func TestCheckerBackendsAgree(t *testing.T) {
 // TestRunContextCancelledPerChecker: a cancelled campaign must surface
 // context.Canceled for every checker backend instead of a report.
 func TestRunContextCancelledPerChecker(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 30, Words: 8, Seed: 2})
+	p := mustGenerate(TestConfig{Threads: 2, OpsPerThread: 30, Words: 8, Seed: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range CheckerNames() {
@@ -600,7 +609,7 @@ func TestRunContextCancelledPerChecker(t *testing.T) {
 // produce the identical signature set for every worker count, and agree
 // with the integrated pipeline.
 func TestCollectSignaturesWorkerInvariant(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5})
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5})
 	opts := Options{Platform: PlatformX86(), Iterations: 120, Seed: 9, Workers: 1}
 	serial, err := CollectSignatures(p, opts)
 	if err != nil {

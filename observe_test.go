@@ -12,7 +12,6 @@ import (
 
 	"mtracecheck/internal/fault"
 	"mtracecheck/internal/obs"
-	"mtracecheck/internal/testgen"
 )
 
 // TestMetricsWorkerInvariant pins the observability layer's aggregation
@@ -23,7 +22,7 @@ import (
 // re-sorts) is deliberately excluded. The Fig. 8 growth curve is sampled at
 // chunk-grid merge boundaries, so it is held to the same contract.
 func TestMetricsWorkerInvariant(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
 	corpusPath := filepath.Join(t.TempDir(), "corpus.mtc")
 	scenarios := []struct {
 		name   string
@@ -136,7 +135,7 @@ func TestObserversDoNotPerturbReport(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+			p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
 			bare, err := RunProgram(p, sc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +194,7 @@ func TestObserversDoNotPerturbReport(t *testing.T) {
 // campaign options — the observer sees decode and check events, and the
 // verdict matches the integrated pipeline regardless of checker.
 func TestCheckSignaturesObserved(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5})
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 16, Seed: 5})
 	opts := Options{Platform: PlatformX86(), Iterations: 120, Seed: 9}
 	uniques, err := CollectSignatures(p, opts)
 	if err != nil {
@@ -224,7 +223,7 @@ func TestCheckSignaturesObserved(t *testing.T) {
 // TestCheckpointEventsObserved: checkpoint saves and a resume must surface
 // through the observer with real payload sizes.
 func TestCheckpointEventsObserved(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1})
+	p := mustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1})
 	path := t.TempDir() + "/run.ckpt"
 	m := NewMetrics()
 	opts := Options{Platform: PlatformX86(), Iterations: 256, Seed: 7,

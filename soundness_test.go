@@ -20,7 +20,6 @@ import (
 	"mtracecheck/internal/mem"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
-	"mtracecheck/internal/testgen"
 )
 
 // TestNoFalsePositivesSweep is the framework's central soundness property:
@@ -43,7 +42,7 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 			plat := PlatformX86()
 			plat.Model = model
 			plat.AllocOrder = nil
-			p := testgen.MustGenerate(tc)
+			p := mustGenerate(tc)
 			meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -146,13 +145,13 @@ func TestEngineGoldenSignatures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	small := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	small := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
 	// Seven threads over 40 one-word lines: more threads than x86 has cores,
 	// and more lines than the gem5 preset's 16-line L1 holds while staying
 	// contended enough for S→M upgrades to race invalidations (per 256
 	// iterations: ~330 way stalls, ~2,800 writebacks, bug 1 changes the
 	// squash count, bug 3 deadlocks in iteration 3).
-	wide := testgen.MustGenerate(TestConfig{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
+	wide := mustGenerate(TestConfig{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
 	faults := FaultConfig{Seed: 99, Rate: fault.Rates{fault.KindBitFlip: 0.05, fault.KindTruncate: 0.03, fault.KindDuplicate: 0.05, fault.KindOutOfRange: 0.03, fault.KindPanic: 0.1, fault.KindStall: 0.05}, Hold: time.Millisecond}
 	osMigrate := PlatformX86()
 	osMigrate.OS = sim.OSConfig{Enabled: true, Quantum: 1500, QuantumJitter: 200, Migrate: true}
@@ -240,7 +239,7 @@ func TestEngineGoldenSignatures(t *testing.T) {
 // strong model is legal under every weaker model (the relaxation lattice).
 func TestStrongerModelExecutionsPassWeakerChecks(t *testing.T) {
 	tc := TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5}
-	p := testgen.MustGenerate(tc)
+	p := mustGenerate(tc)
 	plat := PlatformX86()
 	plat.Model = mcm.SC
 	plat.AllocOrder = nil

@@ -14,7 +14,6 @@ import (
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
-	"mtracecheck/internal/testgen"
 )
 
 // chaosObserver perturbs the streaming scheduler: every execution chunk
@@ -51,7 +50,7 @@ func (o chaosObserver) CampaignEnd(obs.CampaignEnd) {}
 // and saved signature files must stay bit-identical, because the reorder
 // buffer absorbs chunks in chunk order no matter the completion schedule.
 func TestSchedulerDeterminism(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
 	scenarios := []struct {
 		name string
 		opts Options
@@ -122,7 +121,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 // with neither chunk grid nor checksum — is refused by name. It is never
 // parsed into a resume: the report restores and executes nothing.
 func TestLegacyCheckpointResume(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1})
+	p := mustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 1})
 	plat := PlatformX86()
 	const resumeAt, total = 60, 120
 
@@ -158,7 +157,7 @@ func TestLegacyCheckpointResume(t *testing.T) {
 // level: executing iteration i via RunSeeded(stream value i) must be
 // bit-identical to the i-th Run() on a same-seeded runner.
 func TestSeedStreamMatchesRunnerDraws(t *testing.T) {
-	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 15, Words: 4, Seed: 3})
+	p := mustGenerate(TestConfig{Threads: 2, OpsPerThread: 15, Words: 4, Seed: 3})
 	plat := PlatformX86()
 	serial, err := sim.NewRunner(plat, p, 42)
 	if err != nil {
