@@ -29,9 +29,8 @@
 //	indexOff uint64                byte offset of the index
 //	checksum uint64                FNV-64a of every preceding byte
 //
-// Entries within a section are kept in append order: the sequence of
-// (seed, signature) records is the corpus-level unique-growth history
-// across campaigns (tools/corpusstats replays it).
+// Entries within a section are kept in append order, each with the
+// seed of the campaign that first proved it acyclic.
 //
 // # Atomicity and corruption
 //
@@ -78,8 +77,8 @@ type Key struct {
 	MCM      string
 }
 
-// Entry is one known-good signature with its first-seen provenance.
-type Entry struct {
+// entry is one known-good signature with its first-seen provenance.
+type entry struct {
 	Sig  sig.Signature
 	Seed int64
 }
@@ -87,7 +86,7 @@ type Entry struct {
 type section struct {
 	words   int
 	index   map[string]struct{} // sig.Signature.Key() set
-	entries []Entry             // append order = cross-campaign growth history
+	entries []entry             // append order
 }
 
 // Store is an open corpus bound to a path. All methods are safe for
@@ -217,13 +216,10 @@ func decodeSection(b []byte) (Key, *section, error) {
 			return k, nil, fmt.Errorf("duplicate signature in section (entry %d)", i)
 		}
 		sec.index[key] = struct{}{}
-		sec.entries = append(sec.entries, Entry{Sig: sg, Seed: seed})
+		sec.entries = append(sec.entries, entry{Sig: sg, Seed: seed})
 	}
 	return k, sec, nil
 }
-
-// Path returns the file path this store is bound to.
-func (s *Store) Path() string { return s.path }
 
 // Words returns the signature width recorded for k, if the key exists.
 func (s *Store) Words(k Key) (int, bool) {
@@ -270,7 +266,7 @@ func (s *Store) Add(k Key, sg sig.Signature, seed int64) bool {
 		return false
 	}
 	sec.index[key] = struct{}{}
-	sec.entries = append(sec.entries, Entry{Sig: sg, Seed: seed})
+	sec.entries = append(sec.entries, entry{Sig: sg, Seed: seed})
 	s.dirty = true
 	return true
 }
@@ -284,40 +280,6 @@ func (s *Store) Len(k Key) int {
 		return 0
 	}
 	return len(sec.entries)
-}
-
-// Total returns the number of known-good signatures across all keys.
-func (s *Store) Total() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, sec := range s.sections {
-		n += len(sec.entries)
-	}
-	return n
-}
-
-// Keys returns the corpus keys in first-seen order.
-func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Key, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Entries returns k's known-good signatures in append order — the
-// cross-campaign growth history.
-func (s *Store) Entries(k Key) []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sec := s.sections[k]
-	if sec == nil {
-		return nil
-	}
-	out := make([]Entry, len(sec.entries))
-	copy(out, sec.entries)
-	return out
 }
 
 // Flush persists staged entries durably and atomically (sig.WriteFileAtomic:

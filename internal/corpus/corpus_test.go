@@ -39,8 +39,8 @@ func TestOpenMissingFileIsEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing file must open clean, got %v", err)
 	}
-	if s.Total() != 0 || len(s.Keys()) != 0 {
-		t.Fatalf("missing file yielded a non-empty store: %d sigs", s.Total())
+	if s.total() != 0 || len(s.keys()) != 0 {
+		t.Fatalf("missing file yielded a non-empty store: %d sigs", s.total())
 	}
 }
 
@@ -50,17 +50,17 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := s.Keys()
+	keys := s.keys()
 	if len(keys) != 2 || keys[0] != testKey(1) || keys[1] != testKey(2) {
 		t.Fatalf("keys = %v, want first-seen order [1, 2]", keys)
 	}
 	if w, ok := s.Words(testKey(1)); !ok || w != 2 {
 		t.Fatalf("Words(key1) = %d,%v, want 2,true", w, ok)
 	}
-	if s.Len(testKey(1)) != 3 || s.Len(testKey(2)) != 1 || s.Total() != 4 {
-		t.Fatalf("counts wrong: %d + %d = %d", s.Len(testKey(1)), s.Len(testKey(2)), s.Total())
+	if s.Len(testKey(1)) != 3 || s.Len(testKey(2)) != 1 || s.total() != 4 {
+		t.Fatalf("counts wrong: %d + %d = %d", s.Len(testKey(1)), s.Len(testKey(2)), s.total())
 	}
-	entries := s.Entries(testKey(1))
+	entries := s.entries(testKey(1))
 	wantSeeds := []int64{100, 100, 200}
 	for i, e := range entries {
 		if e.Seed != wantSeeds[i] {
@@ -164,8 +164,8 @@ func TestCorruptionDegradesToCold(t *testing.T) {
 			if s == nil {
 				t.Fatal("corrupt corpus yielded no store (must degrade, not fail)")
 			}
-			if s.Total() != 0 {
-				t.Fatalf("corrupt corpus retained %d signatures", s.Total())
+			if s.total() != 0 {
+				t.Fatalf("corrupt corpus retained %d signatures", s.total())
 			}
 			if s.Contains(testKey(1), testSig(10, 11).AppendBinary(nil)) {
 				t.Fatal("corrupt corpus still answers Contains — wrong-verdict risk")
@@ -197,7 +197,7 @@ func TestQuarantineOnFlush(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebuilt corpus unreadable: %v", err)
 	}
-	if re.Total() != 1 || !re.Contains(testKey(9), testSig(1).AppendBinary(nil)) {
+	if re.total() != 1 || !re.Contains(testKey(9), testSig(1).AppendBinary(nil)) {
 		t.Fatal("rebuilt corpus lost the staged entry")
 	}
 }
@@ -240,8 +240,8 @@ func TestFlushAtomicReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Total() != 5 {
-		t.Fatalf("reloaded total = %d, want 5", re.Total())
+	if re.total() != 5 {
+		t.Fatalf("reloaded total = %d, want 5", re.total())
 	}
 }
 
@@ -279,7 +279,7 @@ func TestFlushFailureKeepsPreviousFile(t *testing.T) {
 	if n, err := s.Flush(); err != nil || n == 0 {
 		t.Fatalf("Flush after the failure: %d bytes, %v", n, err)
 	}
-	if re, err := Open(path); err != nil || re.Total() != 5 {
+	if re, err := Open(path); err != nil || re.total() != 5 {
 		t.Fatalf("reloaded after the retried Flush: %v", err)
 	}
 }

@@ -164,7 +164,13 @@ func TestDistSharedCorpusAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Total() != ref.UniqueSignatures {
-		t.Errorf("persisted corpus holds %d signatures, want %d", re.Total(), ref.UniqueSignatures)
+	p, opts, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := mtracecheck.CorpusKey{ProgHash: mtracecheck.ProgramHash(p),
+		Platform: opts.Platform.Name, MCM: opts.Platform.Model.String()}
+	if n := re.Len(key); n != ref.UniqueSignatures {
+		t.Errorf("persisted corpus holds %d signatures, want %d", n, ref.UniqueSignatures)
 	}
 }
