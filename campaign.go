@@ -476,9 +476,9 @@ func (c *Campaign) saveCheckpoint(m *ChunkMerger) error {
 }
 
 // runChunkRetrying drives one grid chunk to completion on the runner,
-// re-running it from the chunk start after transient failures (recovered
-// panics, expired shard deadlines) with capped exponential backoff. The
-// chunk's seeds are drawn from the runner's stream once and every attempt
+// re-running it from the chunk start after a transient failure (a recovered
+// panic) with capped exponential backoff. The chunk's seeds are drawn from
+// the runner's stream once and every attempt
 // restarts them from the top, so a retried chunk replays bit-identically. A
 // panicking attempt may leave the simulator's reusable platform state corrupt,
 // so it is dropped and rebuilt before any reuse — the next attempt, or the
@@ -503,16 +503,11 @@ func (cr *ChunkRunner) runChunkRetrying(ctx context.Context, idx int) *shardOut 
 			}
 			cr.runner = r
 		}
-		shardCtx, cancel := ctx, context.CancelFunc(func() {})
-		if opts.ShardTimeout > 0 {
-			shardCtx, cancel = context.WithTimeout(ctx, opts.ShardTimeout)
-		}
-		src := c.inj.WrapShard(shardCtx, &seededSource{r: cr.runner, seeds: seeds}, start, count, attempt)
+		src := c.inj.WrapShard(ctx, &seededSource{r: cr.runner, seeds: seeds}, start, count, attempt)
 		began := time.Now()
 		c.em.shardStart(obs.StageExecute, cr.lane, attempt, start, count, began)
 		out := newShardOut(idx, start, count)
-		runShardAttempt(shardCtx, src, c.meta, opts, out)
-		cancel()
+		runShardAttempt(ctx, src, c.meta, opts, out)
 		out.attempts = attempt + 1
 		if errors.Is(out.err, errShardPanic) {
 			// The panic may have unwound mid-iteration; the simulator's
@@ -730,15 +725,11 @@ func newShardOut(idx, start, count int) *shardOut {
 	return out
 }
 
-// retryable classifies a shard error: recovered panics and expired
-// per-shard deadlines are transient infra faults worth retrying; anything
-// else — platform crashes (findings), encode errors, parent cancellation —
-// is final.
+// retryable classifies a shard error: a recovered panic is a transient
+// infra fault worth retrying; anything else — platform crashes (findings),
+// encode errors, parent cancellation — is final.
 func retryable(err error, parent context.Context) bool {
-	if parent.Err() != nil {
-		return false
-	}
-	return errors.Is(err, errShardPanic) || errors.Is(err, context.DeadlineExceeded)
+	return parent.Err() == nil && errors.Is(err, errShardPanic)
 }
 
 // runShardAttempt drives one source through the iterations of out's chunk,

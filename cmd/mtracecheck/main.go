@@ -95,7 +95,6 @@ func run() int {
 	flag.StringVar(&spec.Bug, "bug", "", "inject a bug: "+strings.Join(bugs, ", "))
 	flag.BoolVar(&spec.Strict, "strict", false, "abort on the first corrupted signature or lost shard instead of degrading")
 	flag.Float64Var(&spec.QuarantineThreshold, "max-quarantine", 0, "fail (exit 3) when more than this fraction of unique signatures is quarantined (0 = no limit)")
-	flag.DurationVar(&spec.ShardTimeout, "shard-timeout", 0, "deadline per execution-shard attempt (0 = none)")
 	flag.IntVar(&spec.ShardRetries, "shard-retries", 2, "retries per failed execution shard before degrading to partial results")
 	flag.StringVar(&spec.CheckpointPath, "checkpoint", "", "periodically persist campaign progress to this file")
 	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in iterations, rounded up to whole 64-iteration chunks (0 = iters/10)")

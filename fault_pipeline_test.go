@@ -110,7 +110,7 @@ func TestZeroFaultMatchesBaseline(t *testing.T) {
 	variants := map[string]Options{
 		"strict":         {Iterations: 150, Seed: 4, Strict: true},
 		"zero-rates":     {Iterations: 150, Seed: 4, Fault: FaultConfig{Seed: 99}},
-		"retries-armed":  {Iterations: 150, Seed: 4, ShardRetries: 3, ShardTimeout: time.Minute},
+		"retries-armed":  {Iterations: 150, Seed: 4, ShardRetries: 3},
 		"threshold-set":  {Iterations: 150, Seed: 4, QuarantineThreshold: 0.01},
 		"workers-capped": {Iterations: 150, Seed: 4, Workers: 2, ShardRetries: 1},
 	}
@@ -277,28 +277,6 @@ func TestShardPanicExhaustedRetries(t *testing.T) {
 	if !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("strict mode err = %v, want ErrShardFailed", err)
 	}
-}
-
-// TestShardStallTimeoutRetried: a stalled shard trips its per-attempt
-// deadline, is retried, and the campaign completes as if nothing happened.
-func TestShardStallTimeoutRetried(t *testing.T) {
-	clean, err := Run(faultCfg, Options{Iterations: 80, Seed: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := Run(faultCfg, Options{
-		Iterations: 80, Seed: 5, Workers: 2,
-		ShardRetries: 1,
-		ShardTimeout: 500 * time.Millisecond,
-		Fault:        FaultConfig{Seed: 8, Rate: fault.Rates{fault.KindStall: 1}, Hold: time.Hour},
-	})
-	if err != nil {
-		t.Fatalf("stalled run failed: %v", err)
-	}
-	if report.Partial() {
-		t.Fatalf("stalled run still partial: %+v", report.ShardFailures)
-	}
-	sameOutcome(t, "stall-retried", report, clean)
 }
 
 // TestCancellationPrompt: a cancelled campaign must return quickly with the

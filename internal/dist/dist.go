@@ -33,7 +33,6 @@ import (
 	"io"
 	"math"
 	"strings"
-	"time"
 
 	"mtracecheck"
 	"mtracecheck/internal/fault"
@@ -74,11 +73,10 @@ type JobSpec struct {
 	// Workers sizes the in-process pipeline, or the server-side decode/check
 	// stage of a distributed job — not the worker fleet, which sizes itself by
 	// joining.
-	Workers             int           `json:"workers,omitempty"`
-	Strict              bool          `json:"strict,omitempty"`
-	QuarantineThreshold float64       `json:"quarantine_threshold,omitempty"`
-	ShardTimeout        time.Duration `json:"shard_timeout,omitempty"`
-	ShardRetries        int           `json:"shard_retries,omitempty"`
+	Workers             int     `json:"workers,omitempty"`
+	Strict              bool    `json:"strict,omitempty"`
+	QuarantineThreshold float64 `json:"quarantine_threshold,omitempty"`
+	ShardRetries        int     `json:"shard_retries,omitempty"`
 	// Fault is the campaign's fault plan; its JSON is the text form the -fault
 	// flags take ("bit-flip=0.01,panic=0.5,seed=3"). Execution faults apply
 	// wherever a chunk executes (keyed by chunk bounds, so they are
@@ -126,7 +124,6 @@ func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 		Workers:             spec.Workers,
 		Strict:              spec.Strict,
 		QuarantineThreshold: spec.QuarantineThreshold,
-		ShardTimeout:        spec.ShardTimeout,
 		ShardRetries:        spec.ShardRetries,
 		Fault:               spec.Fault,
 		CheckpointPath:      spec.CheckpointPath,

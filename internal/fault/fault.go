@@ -46,7 +46,7 @@ const (
 	KindTruncate                // drops a result-memory entry entirely
 	KindDuplicate               // stores a result-memory entry twice
 	KindOutOfRange              // overwrites one signature word with an impossible value
-	KindStall                   // blocks a shard mid-run (exceeding any shard deadline)
+	KindStall                   // blocks a shard mid-run
 	KindPanic                   // panics a shard mid-run
 	KindWireCorrupt             // flips one bit of a chunk upload in flight
 	KindWireDrop                // loses a chunk upload in flight (the lease expires)
@@ -386,7 +386,7 @@ type shardRunner struct {
 // Run delegates to the wrapped source, first triggering the planned fault
 // when its iteration is reached: a panic unwinds into the shard's recover
 // handler; a stall blocks until its hold elapses or the shard's context is
-// done (the per-shard deadline path).
+// done (the campaign was cancelled).
 func (r *shardRunner) Run() (*sim.Execution, error) {
 	i := r.i
 	r.i++

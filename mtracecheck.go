@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"mtracecheck/internal/check"
 	"mtracecheck/internal/corpus"
@@ -227,15 +226,11 @@ type Options struct {
 	// too corrupted to trust the surviving verdicts).
 	// 0 means no limit; NewCampaign refuses a value outside [0, 1] or NaN.
 	QuarantineThreshold float64
-	// ShardTimeout is the deadline for a single execution-shard attempt
-	// (0 = none). A shard exceeding it is retried per ShardRetries.
-	ShardTimeout time.Duration
-	// ShardRetries is how many times a failed execution shard — a recovered
-	// panic or an expired ShardTimeout — is re-run from its block start
-	// with capped exponential backoff. A shard still failing after all
-	// retries degrades the run to partial results recorded in
-	// Report.ShardFailures (Strict: fails with ErrShardFailed). Platform
-	// crashes (ErrCrash) are findings, never retried.
+	// ShardRetries is how many times an execution shard that panicked is
+	// re-run from its block start with capped exponential backoff. A shard
+	// still failing after all retries degrades the run to partial results
+	// recorded in Report.ShardFailures (Strict: fails with ErrShardFailed).
+	// Platform crashes (ErrCrash) are findings, never retried.
 	ShardRetries int
 	// Fault injects deterministic device-side faults (internal/fault): the
 	// zero value injects nothing, and a zero-fault run is bit-identical to
@@ -410,8 +405,8 @@ var ErrCrash = errors.New("mtracecheck: platform crashed during test execution")
 // signatures exceeded Options.QuarantineThreshold.
 var ErrQuarantineThreshold = errors.New("mtracecheck: quarantined signatures exceed threshold")
 
-// ErrShardFailed wraps an execution shard failure (recovered panic or
-// expired shard deadline) that survived every retry.
+// ErrShardFailed wraps an execution shard failure (a recovered panic) that
+// survived every retry.
 var ErrShardFailed = errors.New("mtracecheck: execution shard failed")
 
 // errShardPanic marks a recovered per-shard panic; it is retryable and, if
