@@ -149,12 +149,14 @@ func TestCheckpointCadenceAcrossDoors(t *testing.T) {
 // TestSubmitRefusesWhatNoGridDescribes: a 150-byte job description used to be
 // able to kill the server — 2^40 iterations made the merger ask for a 1.37 TB
 // chunk grid, and a test config of 2^40 operations generated until memory ran
-// out. Both are bad requests, refused by name before anything is allocated.
+// out — and a misspelt key used to be dropped, running a default-length
+// campaign. All are bad requests, refused by name before anything is allocated.
 func TestSubmitRefusesWhatNoGridDescribes(t *testing.T) {
 	_, url := startServer(t, ServerOptions{})
 	for body, want := range map[string]string{
 		`{"test":{"Threads":2,"OpsPerThread":20,"Words":8},"iterations":1099511627776}`: fmt.Sprint(mtracecheck.ChunkSize << 24),
 		`{"test":{"Threads":1048576,"OpsPerThread":1048576,"Words":8},"iterations":64}`: "operation bound",
+		`{"test":{"Threads":2,"OpsPerThread":20,"Words":8},"iteration":65536}`:          `unknown field "iteration"`,
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

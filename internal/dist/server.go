@@ -534,7 +534,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 10<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 10<<20))
+	// A key no JobSpec field reads is a misspelt or retired option; running
+	// the campaign without it would be a different campaign than the one asked.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
