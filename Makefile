@@ -107,7 +107,8 @@ offline-profile:
 # outside bench/, exported declarations (go doc -short -all: methods included,
 # constant groups and struct fields not) per library package, flags per
 # binary (every flag-defining call: the typed ones, Var, Func and TextVar), the
-# fields of mtracecheck.Options, the plug points of the checker table — non-test call sites of
+# main packages outside bench/, the fields of mtracecheck.Options, the plug
+# points of the checker table — non-test call sites of
 # check.ForName and check.ShardedBackend outside internal/check and bench/
 # (one each, in the root package's checkItems; internal/experiments walks the
 # table instead) — the rows of the metric series table per group, and the
@@ -115,11 +116,14 @@ offline-profile:
 # (bench/ included) mentions outside a comment: what is left on that list is
 # there for tests — reference models and hooks other packages' tests use — or
 # is a method of a type the facade re-exports; anything else on it is dead.
+# MarshalText and UnmarshalText are not scanned: flag.TextVar and encoding/json
+# call them through interfaces, so no file names them.
 surface:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@for p in $$($(GO) list . ./internal/...); do \
 		echo "$$p $$($(GO) doc -short -all $$p | grep -c '^\(func\|type\|const\|var\) ')"; done
 	@grep -c 'flag\.\(String\|Int\|Int64\|Uint\|Uint64\|Bool\|Float64\|Duration\|Var\|Func\|BoolFunc\|TextVar\)\(Var\)\?(' cmd/*/main.go
+	@echo "main packages $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | grep -v '^mtracecheck/bench/' | grep -c .)"
 	@echo "mtracecheck.Options fields $$($(GO) doc . Options | sed -n '/^type Options struct/,/^}/p' | grep -cE '^[[:space:]]+[A-Z]')"
 	@for f in ForName ShardedBackend; do \
 		echo "check.$$f call sites $$(grep -rn --include='*.go' --exclude='*_test.go' "check\.$$f(" . \
@@ -129,7 +133,7 @@ surface:
 	@src=$$(mktemp); trap 'rm -f $$src' EXIT; \
 	find . -name '*.go' -not -name '*_test.go' | xargs cat | grep -v '^[[:space:]]*//' > $$src; \
 	for n in $$(grep -rhoE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' internal \
-			| sed -E 's/^func (\([^)]*\) )?//' | sort -u); do \
+			| sed -E 's/^func (\([^)]*\) )?//' | grep -vxE 'MarshalText|UnmarshalText' | sort -u); do \
 		[ $$(grep -w "$$n" $$src | grep -cvE "^func (\([^)]*\) )?$$n[[(]") -eq 0 ] && echo "export no non-test file uses: $$n"; \
 	done; true
 
