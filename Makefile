@@ -3,10 +3,14 @@ GO ?= go
 # `make verify` PR-sized while still exercising the mutated-signature corpus.
 FUZZTIME ?= 3s
 
-.PHONY: build vet test race bench-smoke fuzz-short sim-alloc-smoke sim-profile trace-profile offline-profile surface verify
+.PHONY: build fmt vet test race bench-smoke fuzz-short sim-alloc-smoke sim-profile trace-profile offline-profile surface verify
 
 build:
 	$(GO) build ./...
+
+# Format gate: lists the Go files gofmt would change and fails on any.
+fmt:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -50,9 +54,9 @@ fuzz-short:
 
 # Simulator allocation gate: the alloc-budget tests plus a short
 # -benchmem pass over the SimIteration benchmarks. The typed-event engine
-# (pooled wheel nodes, pooled memory-system state) holds the execute loop at
-# zero steady-state allocations; this fails the build if allocs/op rises
-# above the budget. The count is the field before "allocs/op", wherever the
+# (pooled wheel nodes, the memory system's reused slots and row arena) holds
+# the execute loop at zero steady-state allocations; this fails the build if
+# allocs/op rises above the budget. The count is the field before "allocs/op", wherever the
 # benchmark's own metrics put it.
 SIM_ALLOC_BUDGET ?= 0
 sim-alloc-smoke:
@@ -138,7 +142,7 @@ surface:
 	done; true
 
 # Tier-1 verification gate (see ROADMAP.md).
-verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke
+verify: build fmt vet test race fuzz-short bench-smoke sim-alloc-smoke
 
 # Benchmark compile-and-run check, cheap enough for verify: ten simulated
 # iterations, one rep of the trace-check workload (which fails unless exactly

@@ -280,7 +280,3 @@ func (q *Queue) RunUntil(done func() bool, maxEvents int) int {
 	}
 	return n
 }
-
-// Drain processes all pending events (bounded by maxEvents when non-zero)
-// and returns the number processed.
-func (q *Queue) Drain(maxEvents int) int { return q.RunUntil(nil, maxEvents) }

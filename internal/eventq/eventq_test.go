@@ -18,7 +18,7 @@ func TestOrderingByTime(t *testing.T) {
 	q.Push(Event{At: 30, Arg: 3})
 	q.Push(Event{At: 10, Arg: 1})
 	q.Push(Event{At: 20, Arg: 2})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("order = %v", got)
 	}
@@ -35,7 +35,7 @@ func TestFIFOAtEqualTimes(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			q.Push(Event{At: at, Arg: int64(i)})
 		}
-		q.Drain(0)
+		q.RunUntil(nil, 0)
 		if len(got) != 10 || !sort.IntsAreSorted(got) {
 			t.Errorf("at %d: equal-time events out of scheduling order: %v", at, got)
 		}
@@ -53,7 +53,7 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 		}
 	})
 	q.Push(Event{At: 100})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if fired != 105 {
 		t.Errorf("PushAfter fired at %d, want 105", fired)
 	}
@@ -70,7 +70,7 @@ func TestPastSchedulingClamped(t *testing.T) {
 		}
 	})
 	q.Push(Event{At: 50})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if fired != 50 {
 		t.Errorf("past event fired at %d, want 50", fired)
 	}
@@ -99,7 +99,7 @@ func TestRunUntilMaxEvents(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.Push(Event{At: Time(i)})
 	}
-	if n := q.Drain(7); n != 7 || count != 7 {
+	if n := q.RunUntil(nil, 7); n != 7 || count != 7 {
 		t.Errorf("n=%d count=%d, want 7/7", n, count)
 	}
 }
@@ -119,7 +119,7 @@ func TestRandomizedOrdering(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		q.Push(Event{At: Time(rng.Intn(3 * span))})
 	}
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if len(fired) != 1000 {
 		t.Fatalf("fired %d events", len(fired))
 	}
@@ -147,7 +147,7 @@ func TestTypedEventOrdering(t *testing.T) {
 	q.Push(Event{At: 30, Kind: 1, Arg: 3})
 	q.Push(Event{At: 10, Kind: 1, Arg: 1})
 	q.Push(Event{At: 20, Kind: 1, Arg: 2})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	want := []int{1, 8, 9, 2, 3}
 	wantAt := []Time{10, 10, 17, 20, 30}
 	if len(got) != len(want) {
@@ -176,7 +176,7 @@ func TestFarEventsPrecedeLaterDirectOnes(t *testing.T) {
 	q.Push(Event{At: target, Arg: 1}) // far
 	q.Push(Event{At: target, Arg: 2}) // far
 	q.Push(Event{At: target - span + 1, Arg: 0})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if want := []int{0, 1, 2, 3}; len(got) != 4 || !sort.IntsAreSorted(got) {
 		t.Errorf("fired %v, want %v", got, want)
 	}
@@ -198,7 +198,7 @@ func TestHandlerSurvivesReset(t *testing.T) {
 		t.Fatalf("Reset left Len=%d Now=%d", q.Len(), q.Now())
 	}
 	q.Push(Event{At: 1, Kind: 1})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if fired != 1 {
 		t.Errorf("fired %d events after reset, want 1", fired)
 	}
@@ -216,7 +216,7 @@ func TestTypedPathAllocFree(t *testing.T) {
 			q.Push(Event{At: base + Time(i), Kind: 1})
 			q.Push(Event{At: base + span + Time(7*i), Kind: 1})
 		}
-		q.Drain(0)
+		q.RunUntil(nil, 0)
 	}
 	round(0)
 	base := q.Now()
@@ -239,7 +239,7 @@ func TestCascadingEvents(t *testing.T) {
 		}
 	})
 	q.Push(Event{})
-	q.Drain(0)
+	q.RunUntil(nil, 0)
 	if depth != 50 || q.Now() != 50 {
 		t.Errorf("depth=%d now=%d", depth, q.Now())
 	}

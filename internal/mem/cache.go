@@ -35,7 +35,7 @@ func (s lineState) String() string {
 type cacheLine struct {
 	base    uint64
 	state   lineState
-	data    []uint32
+	row     int32 // the way's data (see System.rows), claimed at its first reservation
 	lastUse int64 // monotonic use counter for LRU
 	pending bool  // reserved by an outstanding mshr
 }
@@ -66,11 +66,12 @@ type cache struct {
 	used  []int32     // ways reserved since the last reset (indices into lines)
 
 	// Outstanding transactions and writebacks, by line-table index (see
-	// System.lineOf); nil means none. The counts serve Quiescent.
+	// System.lineOf); nil and row 0 mean none. The counts serve Quiescent
+	// and reset.
 	mshrs    []*mshr
 	nMSHR    int
 	mshrFree []*mshr
-	wb       [][]uint32 // writeback buffer: PutM sent, WBAck pending
+	wb       []int32 // writeback buffer rows: PutM sent, WBAck pending
 	nWB      int
 
 	stalled    []memReq // requests waiting for a free way
@@ -82,16 +83,27 @@ func newCache(s *System, id int) *cache {
 	return &cache{sys: s, id: id, lines: make([]cacheLine, s.cfg.Sets*s.cfg.Ways)}
 }
 
-// reset returns the ways the iteration reserved to their initial state. A way
-// leaves that state only through the reservation in access, which records
-// it; the system is quiescent, so no transaction or writeback is left.
+// reset returns the ways the iteration reserved to their initial state and
+// discards outstanding transactions, writebacks and stalled requests. A way
+// leaves its initial state only through the reservation in access, which
+// records it. The rows the ways and writebacks held go with System.Reset's
+// arena.
 func (c *cache) reset() {
 	for _, i := range c.used {
-		ln := &c.lines[i]
-		// Keep the line buffer's capacity: refills reuse it.
-		*ln = cacheLine{data: ln.data[:0]}
+		c.lines[i] = cacheLine{}
 	}
 	c.used = c.used[:0]
+	if c.nMSHR != 0 {
+		for li, m := range c.mshrs {
+			if m != nil {
+				c.freeMSHR(li, m)
+			}
+		}
+	}
+	if c.nWB != 0 {
+		clear(c.wb)
+		c.nWB = 0
+	}
 	c.stalled = c.stalled[:0]
 	c.useCtr = 0
 }
@@ -205,12 +217,13 @@ func (c *cache) access(req memReq) {
 	}
 	c.evict(way)
 	ln := &c.lines[way]
-	if ln.lastUse == 0 {
-		// First reservation since the reset (touch stamps every reserved
-		// way with a non-zero use count): reset will have to undo it.
+	row := ln.row
+	if row == 0 {
+		// First reservation since the reset: reset will have to undo it.
 		c.used = append(c.used, int32(way))
+		row = c.sys.newRow()
 	}
-	*ln = cacheLine{base: base, state: stateI, pending: true, data: ln.data[:0]}
+	*ln = cacheLine{base: base, state: stateI, pending: true, row: row}
 	c.touch(ln)
 	m := c.newMSHR(li, way, req.isWrite)
 	m.queued = append(m.queued, req)
@@ -228,7 +241,7 @@ func (c *cache) replayLoadHit(pslot int32) {
 	req := c.sys.takePend(pslot)
 	base := c.sys.lineBase(req.addr)
 	if cur := c.lookup(base); cur != nil && cur.state != stateI && cur.base == base {
-		c.sys.finish(false, req.tok, cur.data[c.sys.wordIndex(req.addr)])
+		c.sys.finish(false, req.tok, c.sys.row(cur.row)[c.sys.wordIndex(req.addr)])
 	} else {
 		c.access(req)
 	}
@@ -241,7 +254,7 @@ func (c *cache) replayStoreHit(pslot int32) {
 	base := c.sys.lineBase(req.addr)
 	if cur := c.lookup(base); cur != nil && (cur.state == stateE || cur.state == stateM) {
 		cur.state = stateM
-		cur.data[c.sys.wordIndex(req.addr)] = req.val
+		c.sys.row(cur.row)[c.sys.wordIndex(req.addr)] = req.val
 		c.sys.finish(true, req.tok, 0)
 	} else {
 		c.access(req)
@@ -273,14 +286,13 @@ func (c *cache) pickVictim(first int) int {
 func (c *cache) evict(way int) {
 	ln := &c.lines[way]
 	if ln.state == stateM {
-		data := append(c.sys.getLineBuf(), ln.data...)
-		c.wb[c.sys.lineOf(ln.base)] = data
+		c.wb[c.sys.lineOf(ln.base)] = c.sys.copyRow(c.sys.row(ln.row))
 		c.nWB++
 		c.sys.stats.Writebacks++
-		c.sys.send(-1, message{typ: msgPutM, from: c.id, base: ln.base, data: data, dirty: true})
+		c.sys.send(-1, message{typ: msgPutM, from: c.id, base: ln.base,
+			row: c.sys.copyRow(c.sys.row(ln.row)), dirty: true})
 	}
 	ln.state = stateI
-	ln.data = ln.data[:0]
 }
 
 // retryStalled re-presents stalled requests after a way freed up. The two
@@ -310,9 +322,9 @@ func (c *cache) receive(m message) {
 	case msgFwdGetM:
 		c.forward(m.base, li, true)
 	case msgWBAck:
-		if buf := c.wb[li]; buf != nil {
-			c.sys.putLineBuf(buf)
-			c.wb[li] = nil
+		if r := c.wb[li]; r != 0 {
+			c.sys.freeRow(r)
+			c.wb[li] = 0
 			c.nWB--
 		}
 	default:
@@ -333,7 +345,6 @@ func (c *cache) invalidate(base uint64, li int) {
 	}
 	if ln := c.lookup(base); ln != nil && ln.state != stateI {
 		ln.state = stateI
-		ln.data = ln.data[:0]
 		c.sys.stats.Invalidations++
 	}
 	if notify && c.sys.invalHook != nil {
@@ -347,13 +358,12 @@ func (c *cache) forward(base uint64, li int, isGetM bool) {
 	if ln := c.lookup(base); ln != nil && (ln.state == stateE || ln.state == stateM) {
 		dirty := ln.state == stateM
 		if isGetM {
-			// Compose the response (copying the line data into the message
-			// slot) before invalidating, but post it after the squash hook
+			// Compose the response (copying the line data into the message's
+			// row) before invalidating, but post it after the squash hook
 			// runs, preserving hook-before-send ordering.
 			slot := c.sys.newMsg(message{typ: msgOwnerData, from: c.id, base: base,
-				data: ln.data, dirty: dirty})
+				row: c.sys.copyRow(c.sys.row(ln.row)), dirty: dirty})
 			ln.state = stateI
-			ln.data = ln.data[:0]
 			c.sys.stats.Invalidations++
 			if c.sys.invalHook != nil {
 				c.sys.invalHook(c.id, base)
@@ -361,18 +371,19 @@ func (c *cache) forward(base uint64, li int, isGetM bool) {
 			c.sys.post(-1, slot)
 		} else {
 			ln.state = stateS
-			c.sys.send(-1, message{typ: msgOwnerData, from: c.id, base: base, data: ln.data,
-				dirty: dirty, keepsCopy: true})
+			c.sys.send(-1, message{typ: msgOwnerData, from: c.id, base: base,
+				row: c.sys.copyRow(c.sys.row(ln.row)), dirty: dirty, keepsCopy: true})
 		}
 		return
 	}
-	if data := c.wb[li]; data != nil {
+	if r := c.wb[li]; r != 0 {
 		if c.sys.cfg.Bugs.WBRaceDeadlock {
 			// Bug 3: the owner ignores forwarded requests racing with its
 			// writeback; the directory waits forever.
 			return
 		}
-		c.sys.send(-1, message{typ: msgOwnerData, from: c.id, base: base, data: data, dirty: true})
+		c.sys.send(-1, message{typ: msgOwnerData, from: c.id, base: base,
+			row: c.sys.copyRow(c.sys.row(r)), dirty: true})
 		return
 	}
 	// Silently dropped clean line (E→I): memory is up to date.
@@ -392,12 +403,7 @@ func (c *cache) fill(m message, li int) {
 	if ln.base != m.base {
 		panic(fmt.Sprintf("mem: cache %d fill slot holds %#x, want %#x", c.id, ln.base, m.base))
 	}
-	if cap(ln.data) >= len(m.data) {
-		ln.data = ln.data[:len(m.data)]
-	} else {
-		ln.data = make([]uint32, len(m.data))
-	}
-	copy(ln.data, m.data)
+	copy(c.sys.row(ln.row), c.sys.row(m.row))
 	switch m.typ {
 	case msgDataS:
 		ln.state = stateS
@@ -421,12 +427,12 @@ func (c *cache) fill(m message, li int) {
 				return // mshr stays; remaining requests replay on DataM
 			}
 			ln.state = stateM
-			ln.data[idx] = req.val
+			c.sys.row(ln.row)[idx] = req.val
 		}
 		// Pop by copy-down so the queue keeps its backing array for reuse.
 		n := copy(tx.queued, tx.queued[1:])
 		tx.queued = tx.queued[:n]
-		v := ln.data[idx]
+		v := c.sys.row(ln.row)[idx]
 		isWrite := int32(0)
 		if req.isWrite {
 			v = 0

@@ -45,7 +45,7 @@ type dirLine struct {
 	sharers    uint64  // bit c set: cache c holds the line Shared
 	cur        message // request in service while busy
 	acksNeeded int
-	queue      []message
+	queue      []int32 // message slots of the requests waiting behind cur
 }
 
 // directory is the single home node of all lines.
@@ -58,7 +58,8 @@ type directory struct {
 func newDirectory(s *System) *directory { return &directory{sys: s} }
 
 // reset rewinds the entries the iteration touched to the uncached state in
-// place, keeping their queues' capacity.
+// place, keeping their queues' capacity. The queued slots go with
+// System.Reset's message slots.
 func (d *directory) reset() {
 	for _, li := range d.touched {
 		l := &d.lines[li]
@@ -77,8 +78,10 @@ func (d *directory) busyLines() int {
 	return n
 }
 
-// receive dispatches a message arriving at the directory.
-func (d *directory) receive(m message) {
+// receive dispatches the message in slot arriving at the directory and
+// reports whether it kept the slot (queued the request behind a busy line).
+func (d *directory) receive(slot int32) bool {
+	m := d.sys.msgs[slot]
 	li := d.sys.lineOf(m.base)
 	l := &d.lines[li]
 	if !l.touched {
@@ -88,14 +91,8 @@ func (d *directory) receive(m message) {
 	switch m.typ {
 	case msgGetS, msgGetM, msgPutM:
 		if l.busy {
-			// The message's data lives in a message slot that is recycled
-			// once delivery returns; a queued message outlives that, so it
-			// gets its own pooled copy (returned in unblock).
-			if m.data != nil {
-				m.data = append(d.sys.getLineBuf(), m.data...)
-			}
-			l.queue = append(l.queue, m)
-			return
+			l.queue = append(l.queue, slot)
+			return true
 		}
 		d.service(l, li, m)
 	case msgInvAck:
@@ -116,7 +113,7 @@ func (d *directory) receive(m message) {
 			panic(fmt.Sprintf("mem: owner response for idle line %#x", m.base))
 		}
 		if m.typ == msgOwnerData && m.dirty {
-			copy(d.sys.memLine(li), m.data)
+			copy(d.sys.memLine(li), d.sys.row(m.row))
 		}
 		req := l.cur.from
 		switch l.cur.typ {
@@ -143,6 +140,7 @@ func (d *directory) receive(m message) {
 	default:
 		panic(fmt.Sprintf("mem: directory received %v", m))
 	}
+	return false
 }
 
 // grant sends a fill carrying the current memory copy of the line, after
@@ -151,7 +149,8 @@ func (d *directory) receive(m message) {
 // network jitter draw happen when the kindGrant event fires (the moment the
 // grant actually leaves the directory), matching the hop's send semantics.
 func (d *directory) grant(to int, typ msgType, base uint64, li, extra int) {
-	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base, data: d.sys.memLine(li)})
+	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base,
+		row: d.sys.copyRow(d.sys.memLine(li))})
 	delay := d.sys.cfg.DirLat + eventq.Time(extra)
 	d.sys.q.PushAfter(delay, eventq.Event{Kind: kindGrant, Core: int32(to), Op: slot})
 }
@@ -214,7 +213,7 @@ func (d *directory) service(l *dirLine, li int, m message) {
 		}
 	case msgPutM:
 		if l.state == dirEM && l.owner == m.from {
-			copy(d.sys.memLine(li), m.data)
+			copy(d.sys.memLine(li), d.sys.row(m.row))
 			l.state = dirU
 			l.owner = 0
 			l.sharers = 0
@@ -225,23 +224,18 @@ func (d *directory) service(l *dirLine, li int, m message) {
 	}
 }
 
-// unblock finishes the busy transaction and drains queued requests until the
-// line blocks again or the queue empties.
+// unblock finishes the busy transaction and serves queued requests until the
+// line blocks again or the queue empties, freeing each slot once served.
 func (d *directory) unblock(l *dirLine, li int) {
 	l.busy = false
 	l.cur = message{}
 	l.acksNeeded = 0
 	for !l.busy && len(l.queue) > 0 {
-		m := l.queue[0]
+		slot := l.queue[0]
 		// Pop by copy-down so the queue keeps its backing array for reuse.
 		n := copy(l.queue, l.queue[1:])
 		l.queue = l.queue[:n]
-		d.service(l, li, m)
-		if m.data != nil {
-			// Return the pooled copy taken when the message was queued:
-			// service consumes data synchronously (PutM copies it into the
-			// backing store) and never retains it.
-			d.sys.putLineBuf(m.data)
-		}
+		d.service(l, li, d.sys.msgs[slot])
+		d.sys.freeMsg(slot)
 	}
 }

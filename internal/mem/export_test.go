@@ -11,7 +11,7 @@ func (s *System) PeekWord(addr uint64) uint32 {
 	base, idx := s.lineBase(addr), s.wordIndex(addr)
 	for _, c := range s.caches {
 		if ln := c.lookup(base); ln != nil && ln.state == stateM {
-			return ln.data[idx]
+			return s.row(ln.row)[idx]
 		}
 	}
 	return s.memLine(s.lineOf(base))[idx]

@@ -30,20 +30,24 @@
 // routed back in through Dispatch by the engine's jump table. Requests carry
 // a caller-chosen completion token instead of a callback; the system reports
 // completions synchronously through the hook set with SetCompleteHook.
-// Messages, their line-data buffers, MSHRs, and pending-replay records are
-// all pooled, so a steady-state iteration allocates nothing.
+// Every copy of a line outside backing memory — a message's data, a
+// writeback buffer, a cache way's data — is a row of one arena (System.rows),
+// and messages, MSHRs and pending-replay records live in reused slots, so a
+// steady-state iteration allocates nothing.
 //
 // Per-line state — backing memory, directory entries, each cache's MSHR and
 // writeback slots — lives in dense tables indexed by line number (see
 // System.lineOf), and the directory's sharer set is a bit set, so the
-// per-message path does no map operation; Reset clears only the lines and
-// cache ways the iteration touched.
+// per-message path does no map operation. Reset restores a fresh system from
+// any state, in flight or deadlocked, and clears only the lines and cache
+// ways the iteration touched.
 package mem
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"mtracecheck/internal/eventq"
 )
@@ -186,20 +190,19 @@ type System struct {
 	outstanding int // incomplete Read/Write operations
 
 	// Message slots: in-flight protocol messages live in msgs, addressed by
-	// the slot index riding in the event. Each slot owns a reusable line
-	// buffer (msgBufs) that message data is copied into, so freeing a slot
-	// keeps its buffer for the next message.
+	// the slot index riding in the event. A message's data is a row it owns.
 	msgs    []message
-	msgBufs [][]uint32
 	msgFree []int32
 
 	// Pending-request slots for tag-latency hit replays.
 	pend     []memReq
 	pendFree []int32
 
-	// lineBufs pools line-sized scratch buffers (writeback copies, queued
-	// directory message data).
-	lineBufs [][]uint32
+	// Line rows: every line copy outside memory — message data, writeback
+	// buffers, cache-way data — is a row of wpl words, addressed by row
+	// number. Row 0 is reserved, so a zero row field means none.
+	rows    []uint32
+	rowFree []int32
 
 	// invalHook, when set, is called whenever a cache loses read permission
 	// on a line it had granted loads from (Inv or FwdGetM). The execution
@@ -223,6 +226,7 @@ func NewSystem(q *eventq.Queue, cfg Config, rng *rand.Rand) (*System, error) {
 		lineMask:  uint64(cfg.LineSize - 1),
 		setMask:   uint64(cfg.Sets - 1),
 	}
+	s.rows = make([]uint32, s.wpl)
 	s.dir = newDirectory(s)
 	for i := 0; i < cfg.Cores; i++ {
 		s.caches = append(s.caches, newCache(s, i))
@@ -312,9 +316,38 @@ func (s *System) netDelay() eventq.Time {
 	return d
 }
 
-// newMsg claims a message slot and copies m into it, including its data
-// (into the slot's own buffer), so the caller's view of the data may be
-// mutated or recycled immediately after.
+// newRow claims a row and returns its number. Its words are unspecified:
+// every row is written whole before it is read.
+func (s *System) newRow() int32 {
+	if n := len(s.rowFree); n > 0 {
+		r := s.rowFree[n-1]
+		s.rowFree = s.rowFree[:n-1]
+		return r
+	}
+	r := int32(len(s.rows) / s.wpl)
+	s.rows = slices.Grow(s.rows, s.wpl)[:len(s.rows)+s.wpl]
+	return r
+}
+
+// row returns the words of row r. Claiming a row may move the arena, so the
+// slice is not to be kept across a newRow.
+func (s *System) row(r int32) []uint32 {
+	i := int(r) * s.wpl
+	return s.rows[i : i+s.wpl : i+s.wpl]
+}
+
+// copyRow claims a row holding a copy of line. line may be a row: a newRow
+// that moves the arena leaves the old array, and so line, intact.
+func (s *System) copyRow(line []uint32) int32 {
+	r := s.newRow()
+	copy(s.row(r), line)
+	return r
+}
+
+func (s *System) freeRow(r int32) { s.rowFree = append(s.rowFree, r) }
+
+// newMsg claims a message slot holding m. The message owns m.row, if any,
+// until freeMsg.
 func (s *System) newMsg(m message) int32 {
 	var slot int32
 	if n := len(s.msgFree); n > 0 {
@@ -323,25 +356,15 @@ func (s *System) newMsg(m message) int32 {
 	} else {
 		slot = int32(len(s.msgs))
 		s.msgs = append(s.msgs, message{})
-		s.msgBufs = append(s.msgBufs, nil)
-	}
-	if m.data != nil {
-		buf := s.msgBufs[slot]
-		if cap(buf) < len(m.data) {
-			buf = make([]uint32, len(m.data))
-		} else {
-			buf = buf[:len(m.data)]
-		}
-		copy(buf, m.data)
-		s.msgBufs[slot] = buf
-		m.data = buf
 	}
 	s.msgs[slot] = m
 	return slot
 }
 
 func (s *System) freeMsg(slot int32) {
-	s.msgs[slot] = message{}
+	if r := s.msgs[slot].row; r != 0 {
+		s.freeRow(r)
+	}
 	s.msgFree = append(s.msgFree, slot)
 }
 
@@ -361,22 +384,9 @@ func (s *System) newPend(req memReq) int32 {
 
 func (s *System) takePend(slot int32) memReq {
 	req := s.pend[slot]
-	s.pend[slot] = memReq{}
 	s.pendFree = append(s.pendFree, slot)
 	return req
 }
-
-// getLineBuf pops a pooled line-sized buffer (length 0, capacity one line).
-func (s *System) getLineBuf() []uint32 {
-	if n := len(s.lineBufs); n > 0 {
-		b := s.lineBufs[n-1]
-		s.lineBufs = s.lineBufs[:n-1]
-		return b[:0]
-	}
-	return make([]uint32, 0, s.wpl)
-}
-
-func (s *System) putLineBuf(b []uint32) { s.lineBufs = append(s.lineBufs, b) }
 
 // post puts a composed message slot on the network to the directory
 // (to == -1) or to cache to: one Messages count and one jitter draw, exactly
@@ -394,15 +404,15 @@ func (s *System) send(to int, m message) { s.post(to, s.newMsg(m)) }
 func (s *System) Dispatch(ev eventq.Event) {
 	switch ev.Kind {
 	case kindDeliver:
-		m := s.msgs[ev.Op]
+		// Freed only after receive returns, as handlers read the message's
+		// row, and not at all when the directory queues the slot.
 		if to := int(ev.Core); to < 0 {
-			s.dir.receive(m)
+			if s.dir.receive(ev.Op) {
+				return
+			}
 		} else {
-			s.caches[to].receive(m)
+			s.caches[to].receive(s.msgs[ev.Op])
 		}
-		// Freed only after receive returns: handlers may read m.data, and
-		// anything they retain past return (the directory's queue) holds its
-		// own copy.
 		s.freeMsg(ev.Op)
 	case kindGrant:
 		s.post(int(ev.Core), ev.Op)
@@ -456,17 +466,17 @@ func (s *System) Quiescent() bool {
 	return true
 }
 
-// Reset restores the initial state (all memory zero, caches empty) between
-// test iterations. The system must be quiescent. Backing storage (line
-// tables, line buffers, pools) is kept for reuse and only what the iteration
-// touched is zeroed — a memory line changes only through a directory
-// message for it, a cache way only after the cache reserved it — so a reset
-// system behaves identically to a freshly built one without re-paying its
-// construction allocations or sweeping every cache way.
+// Reset restores the initial state (all memory zero, caches empty) from any
+// state: whatever is in flight — messages, requests queued at the directory,
+// MSHRs, writebacks, stalled and pending requests — is discarded. Events the
+// queue still holds name discarded slots, so the caller empties the queue
+// (eventq.Queue.Reset) with it. Backing storage (line tables, the row arena,
+// slots) is kept for reuse and only what the iteration touched is zeroed — a
+// memory line changes only through a directory message for it, a cache way
+// only after the cache reserved it — so a reset system behaves identically
+// to a freshly built one without re-paying its construction allocations or
+// sweeping every cache way. The error is always nil.
 func (s *System) Reset() error {
-	if !s.Quiescent() {
-		return fmt.Errorf("mem: Reset while not quiescent (%d outstanding)", s.outstanding)
-	}
 	for _, li := range s.dir.touched {
 		clear(s.memLine(int(li)))
 	}
@@ -474,6 +484,10 @@ func (s *System) Reset() error {
 	for _, c := range s.caches {
 		c.reset()
 	}
+	s.msgs, s.msgFree = s.msgs[:0], s.msgFree[:0]
+	s.pend, s.pendFree = s.pend[:0], s.pendFree[:0]
+	s.rows, s.rowFree = s.rows[:s.wpl], s.rowFree[:0]
+	s.outstanding = 0
 	s.stats = Stats{}
 	return nil
 }

@@ -61,7 +61,7 @@ func newSys(t *testing.T, cores int, cfg Config) (*eventq.Queue, *System, *bench
 
 func drain(t *testing.T, q *eventq.Queue, s *System) {
 	t.Helper()
-	q.Drain(2_000_000)
+	q.RunUntil(nil, 2_000_000)
 	if s.Outstanding() != 0 {
 		t.Fatalf("deadlock: %d operations outstanding with empty queue", s.Outstanding())
 	}
@@ -213,7 +213,7 @@ func TestConcurrentTrafficCompletes(t *testing.T) {
 				b.read(core, addr, func(v uint32) { reads = append(reads, obs{addr, v}) })
 			}
 		}
-		q.Drain(20_000_000)
+		q.RunUntil(nil, 20_000_000)
 		if s.Outstanding() != 0 {
 			t.Fatalf("seed %d: deadlock, %d outstanding", seed, s.Outstanding())
 		}
@@ -286,11 +286,11 @@ func TestBug1SuppressesHook(t *testing.T) {
 		s.SetInvalHook(func(core int, base uint64) { hookCount++ })
 		b.read(0, 0x6000, func(uint32) {})
 		b.read(1, 0x6000, func(uint32) {})
-		q.Drain(0)
+		q.RunUntil(nil, 0)
 		// Concurrent upgrades: one wins, the other is invalidated mid-upgrade.
 		b.write(0, 0x6000, 1, func() {})
 		b.write(1, 0x6000, 2, func() {})
-		q.Drain(0)
+		q.RunUntil(nil, 0)
 		if s.Outstanding() != 0 {
 			t.Fatal("deadlock in upgrade race")
 		}
@@ -326,7 +326,7 @@ func TestBug3Deadlocks(t *testing.T) {
 				b.write(core, addr, uint32(i+1), func() {})
 			}
 		}
-		q.Drain(50_000_000)
+		q.RunUntil(nil, 50_000_000)
 		return s.Outstanding()
 	}
 	deadlocked := false
@@ -357,16 +357,6 @@ func TestReset(t *testing.T) {
 	drain(t, q, s)
 	if got != 0 {
 		t.Errorf("read after Reset = %d, want 0", got)
-	}
-}
-
-func TestResetRejectsInFlight(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.Jitter = 0
-	_, s, b := newSys(t, 1, cfg)
-	b.read(0, 0x1000, func(uint32) {})
-	if err := s.Reset(); err == nil {
-		t.Error("Reset accepted in-flight operation")
 	}
 }
 
@@ -483,35 +473,44 @@ func TestInvalidationFanOutAscending(t *testing.T) {
 	}
 }
 
-// TestResetEqualsFreshSystem: Reset clears only what the iteration touched,
-// so after an iteration that touched some lines and ways (and grew the line
-// tables in both directions) the system must still be indistinguishable from
-// a new one — every word zero, invariants intact, and the same traffic
-// producing the same values, counters and timing.
+// TestResetEqualsFreshSystem: Reset restores a fresh system from any state
+// and clears only what the iteration touched, so after each of three
+// iterations the system must be indistinguishable from a new one — every word
+// zero, invariants intact, and the same traffic producing the same values,
+// counters and timing. The iterations end quiescent after touching some lines
+// and ways (and growing the line tables in both directions), mid-flight (a
+// GetS queued behind a busy line, a fill on its way, a writeback
+// unacknowledged), and deadlocked by bug 3.
 func TestResetEqualsFreshSystem(t *testing.T) {
 	cfg := TinyCacheConfig(4)
 	cfg.Jitter = 5
 	const lines = 96
 	addrOf := func(line, word int) uint64 { return 0x8000 + uint64(line)*64 + uint64(word)*4 }
-	// traffic issues n random operations over lines [lo, hi) and returns what
-	// the reads observed and when the last event ran.
-	traffic := func(q *eventq.Queue, s *System, seed int64, n, lo, hi int) ([]uint32, eventq.Time) {
+	// issue presents n random operations over lines [lo, hi), running the
+	// queue dry after every burst operations (never, for burst 0), and
+	// returns what the reads observed.
+	issue := func(q *eventq.Queue, s *System, seed int64, n, lo, hi, burst int) *[]uint32 {
 		b := newBench(q, s)
 		rng := rand.New(rand.NewSource(seed))
-		var seen []uint32
+		seen := new([]uint32)
 		for i := 0; i < n; i++ {
 			core, addr := rng.Intn(4), addrOf(lo+rng.Intn(hi-lo), rng.Intn(16))
 			if rng.Intn(2) == 0 {
 				b.write(core, addr, uint32(i+1), func() {})
 			} else {
-				b.read(core, addr, func(v uint32) { seen = append(seen, v) })
+				b.read(core, addr, func(v uint32) { *seen = append(*seen, v) })
 			}
-			if i%7 == 0 {
-				drain(t, q, s)
+			if burst > 0 && i%burst == 0 {
+				q.RunUntil(nil, 0)
 			}
 		}
-		drain(t, q, s)
-		return seen, q.Now()
+		return seen
+	}
+	// traffic is issue in bursts of 7 run to the end.
+	traffic := func(q *eventq.Queue, s *System, seed int64, n, lo, hi int) []uint32 {
+		seen := issue(q, s, seed, n, lo, hi, 7)
+		q.RunUntil(nil, 0)
+		return *seen
 	}
 	build := func() (*eventq.Queue, *System, *rand.Rand) {
 		q := eventq.New()
@@ -522,48 +521,99 @@ func TestResetEqualsFreshSystem(t *testing.T) {
 		}
 		return q, s, rng
 	}
-
 	q, s, rng := build()
+	// resetEqualsFresh resets the system and compares it with a new one.
+	resetEqualsFresh := func(after string) {
+		t.Helper()
+		q.Reset()
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Errorf("after %s: %v", after, err)
+		}
+		for line := 0; line < lines; line++ {
+			for word := 0; word < 16; word++ {
+				if v := s.PeekWord(addrOf(line, word)); v != 0 {
+					t.Fatalf("after %s: line %d word %d = %d after Reset, want 0", after, line, word, v)
+				}
+			}
+		}
+		if (s.Stats() != Stats{}) {
+			t.Errorf("after %s: Stats after Reset: %+v", after, s.Stats())
+		}
+		fq, fs, frng := build()
+		rng.Seed(4)
+		frng.Seed(4)
+		got := traffic(q, s, 9, 600, 0, lines)
+		want := traffic(fq, fs, 9, 600, 0, lines)
+		if fs.Outstanding() != 0 {
+			t.Fatalf("after %s: a fresh system deadlocked, %d outstanding", after, fs.Outstanding())
+		}
+		if !reflect.DeepEqual(got, want) || q.Now() != fq.Now() || s.Stats() != fs.Stats() ||
+			s.Outstanding() != 0 {
+			t.Errorf("after %s: reset system diverges from a fresh one: end %d vs %d, stats %+v vs %+v",
+				after, q.Now(), fq.Now(), s.Stats(), fs.Stats())
+		}
+		for line := 0; line < lines; line++ {
+			for word := 0; word < 16; word++ {
+				if a, b := s.PeekWord(addrOf(line, word)), fs.PeekWord(addrOf(line, word)); a != b {
+					t.Fatalf("after %s: line %d word %d: reset system holds %d, fresh system %d",
+						after, line, word, a, b)
+				}
+			}
+		}
+	}
+
 	rng.Seed(3)
 	traffic(q, s, 1, 400, 70, 80) // a partial touch, in the upper line block
 	traffic(q, s, 2, 100, 5, 25)  // ... then the tables grow downwards mid-iteration
-	if s.Stats().Writebacks == 0 || s.nLines != 2*lineBlock {
-		t.Fatalf("warm-up traffic too tame to test Reset: %d lines covered, %+v", s.nLines, s.Stats())
+	if s.Outstanding() != 0 || s.Stats().Writebacks == 0 || s.nLines != 2*lineBlock {
+		t.Fatalf("warm-up traffic unfit to test Reset: %d outstanding, %d lines covered, %+v",
+			s.Outstanding(), s.nLines, s.Stats())
 	}
-	if err := s.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	q.Reset()
-	if err := s.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	for line := 0; line < lines; line++ {
-		for word := 0; word < 16; word++ {
-			if v := s.PeekWord(addrOf(line, word)); v != 0 {
-				t.Fatalf("line %d word %d = %d after Reset, want 0", line, word, v)
-			}
-		}
-	}
-	if (s.Stats() != Stats{}) {
-		t.Errorf("Stats after Reset: %+v", s.Stats())
-	}
+	resetEqualsFresh("a quiescent iteration")
 
-	fq, fs, frng := build()
-	rng.Seed(4)
-	frng.Seed(4)
-	got, gotEnd := traffic(q, s, 9, 600, 0, lines)
-	want, wantEnd := traffic(fq, fs, 9, 600, 0, lines)
-	if !reflect.DeepEqual(got, want) || gotEnd != wantEnd || s.Stats() != fs.Stats() {
-		t.Errorf("reset system diverges from a fresh one: end %d vs %d, stats %+v vs %+v",
-			gotEnd, wantEnd, s.Stats(), fs.Stats())
-	}
-	for line := 0; line < lines; line++ {
-		for word := 0; word < 16; word++ {
-			if a, b := s.PeekWord(addrOf(line, word)), fs.PeekWord(addrOf(line, word)); a != b {
-				t.Fatalf("line %d word %d: reset system holds %d, fresh system %d", line, word, a, b)
-			}
+	issue(q, s, 5, 300, 0, 24, 0)
+	for !midFlight(s) {
+		if !q.Step() {
+			t.Fatal("traffic ran dry before a GetS queued behind a busy line with a fill and a writeback in flight")
 		}
 	}
+	resetEqualsFresh("an iteration stopped mid-flight")
+
+	// Bug 3 is switched on for this iteration alone, so the system is
+	// compared with a bug-free one afterwards as before.
+	s.cfg.Bugs.WBRaceDeadlock = true
+	issue(q, s, 1, 1500, 0, 64, 0)
+	q.RunUntil(nil, 0)
+	if s.Outstanding() == 0 {
+		t.Fatal("bug 3 did not deadlock the traffic")
+	}
+	s.cfg.Bugs.WBRaceDeadlock = false
+	resetEqualsFresh("a bug-3 deadlock")
+}
+
+// midFlight reports whether a GetS waits behind a busy directory line, a
+// fill is on its way and a writeback is unacknowledged.
+func midFlight(s *System) bool {
+	free := make([]bool, len(s.msgs))
+	for _, slot := range s.msgFree {
+		free[slot] = true
+	}
+	queuedGetS, fill, writeback := false, false, false
+	for _, li := range s.dir.touched {
+		for _, slot := range s.dir.lines[li].queue {
+			queuedGetS = queuedGetS || s.msgs[slot].typ == msgGetS
+		}
+	}
+	for slot, m := range s.msgs {
+		fill = fill || !free[slot] && (m.typ == msgDataS || m.typ == msgDataE || m.typ == msgDataM)
+	}
+	for _, c := range s.caches {
+		writeback = writeback || c.nWB != 0
+	}
+	return queuedGetS && fill && writeback
 }
 
 func TestStatsAccumulate(t *testing.T) {
@@ -619,8 +669,8 @@ func TestDirectMappedOracle(t *testing.T) {
 
 // TestPoolsReachSteadyState runs two identical bursts of traffic with a Reset
 // between them and checks the second burst allocates (almost) nothing: every
-// pool — message slots, line buffers, MSHRs, pending replays — must have
-// reached capacity during the first burst.
+// reused store — message slots, the row arena, MSHRs, pending replays — must
+// have reached capacity during the first burst.
 func TestPoolsReachSteadyState(t *testing.T) {
 	cfg := TinyCacheConfig(4)
 	cfg.Jitter = 4
@@ -636,7 +686,7 @@ func TestPoolsReachSteadyState(t *testing.T) {
 				b.read(core, addr, func(uint32) {})
 			}
 		}
-		q.Drain(0)
+		q.RunUntil(nil, 0)
 		if s.Outstanding() != 0 {
 			t.Fatal("burst deadlocked")
 		}

@@ -47,7 +47,7 @@ type message struct {
 	typ  msgType
 	from int    // sending cache ID; -1 for the directory
 	base uint64 // line base address
-	data []uint32
+	row  int32  // line data (see System.rows); 0 for a message without data
 	// dirty marks OwnerData carrying modified data; keepsCopy marks
 	// OwnerData from an owner that retains a Shared copy.
 	dirty     bool

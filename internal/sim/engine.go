@@ -47,8 +47,8 @@ type Execution struct {
 	Cycles eventq.Time
 	// Squashes counts load-queue squash/replay events.
 	Squashes int
-	// Events counts the discrete events the iteration dispatched, including
-	// the protocol clean-up drained after the last operation performed.
+	// Events counts the discrete events the iteration dispatched, up to the
+	// one that retired its last operation.
 	Events int
 	// MemStats snapshots the memory system counters for the iteration.
 	MemStats mem.Stats
@@ -266,9 +266,11 @@ type Source interface {
 // All per-iteration state — the event queue, the memory system, thread and
 // op records, and the scratch Execution — is allocated once and reused, so a
 // steady-state Run performs no per-iteration setup allocations. Reuse is
-// observationally identical to rebuilding from scratch: the iteration RNG is
-// reseeded (same stream as a fresh rand.New), the event queue is emptied and
-// rewound, and the memory system is drained to quiescence and zeroed.
+// observationally identical to rebuilding from scratch: at the top of every
+// iteration the RNG is reseeded (same stream as a fresh rand.New), the event
+// queue is emptied and rewound, and the memory system is reset, whatever
+// state the previous iteration — finished, deadlocked or out of events —
+// left it in.
 type Runner struct {
 	plat   Platform
 	prog   *prog.Program
@@ -276,14 +278,12 @@ type Runner struct {
 	static [][]opStatic
 	busy   atomic.Int32 // guards the single-goroutine ownership contract
 
-	// Reusable per-iteration state (see prepare/finish).
+	// Reusable per-iteration state (see begin).
 	rng     *rand.Rand // iteration RNG, reseeded from master each Run
 	q       *eventq.Queue
-	ms      *mem.System
 	eng     engine
 	threads []*thread
 	exec    Execution
-	dirty   bool // platform state not reusable; rebuild before next Run
 
 	// MaxEvents bounds one iteration's event count (0 = default).
 	MaxEvents int
@@ -401,6 +401,12 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 	// stream a fresh rand.New(rand.NewSource(seed)) would.
 	r.rng = newRand(0)
 	r.q = eventq.New()
+	memCfg := plat.Mem
+	memCfg.Cores = plat.Cores
+	ms, err := mem.NewSystem(r.q, memCfg, r.rng)
+	if err != nil {
+		return nil, err
+	}
 	r.threads = make([]*thread, 0, p.NumThreads())
 	for ti, th := range p.Threads {
 		t := &thread{
@@ -413,8 +419,10 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 		}
 		r.threads = append(r.threads, t)
 	}
-	r.eng = engine{r: r, threads: r.threads, exec: &r.exec}
+	r.eng = engine{r: r, q: r.q, ms: ms, rng: r.rng, threads: r.threads, exec: &r.exec}
 	r.q.SetHandler(r.eng.dispatch)
+	ms.SetInvalHook(r.eng.onInvalidate)
+	ms.SetCompleteHook(r.eng.onMemComplete)
 	return r, nil
 }
 
@@ -460,45 +468,6 @@ func (e *engine) resolve(p *Platform) {
 	e.coreDelay = p.CoreDelay
 }
 
-// prepare readies the reusable platform state for an iteration, rebuilding
-// the event queue and memory system if a previous iteration left them in a
-// non-reusable state (error paths, failed quiescence).
-func (r *Runner) prepare() error {
-	if r.ms == nil || r.dirty {
-		r.q.Reset()
-		memCfg := r.plat.Mem
-		memCfg.Cores = r.plat.Cores
-		ms, err := mem.NewSystem(r.q, memCfg, r.rng)
-		if err != nil {
-			return err
-		}
-		r.ms = ms
-		ms.SetInvalHook(r.eng.onInvalidate)
-		ms.SetCompleteHook(r.eng.onMemComplete)
-		r.dirty = false
-		return nil
-	}
-	// Reused path: the memory system was drained and zeroed by finish; only
-	// the clock needs rewinding.
-	r.q.Reset()
-	return nil
-}
-
-// finish returns the platform to a reusable state after a completed
-// iteration: residual protocol cleanup (writeback acks, fill acks, quantum
-// timers) drains here, after the execution snapshot. Every program operation
-// has already committed and performed, so these events cannot alter the
-// recorded execution — they only settle the coherence protocol so the memory
-// system can be zeroed in place instead of reallocated. It returns the
-// number of events drained.
-func (r *Runner) finish(maxEvents int) int {
-	n := r.q.Drain(maxEvents)
-	if r.q.Len() != 0 || !r.ms.Quiescent() || r.ms.Reset() != nil {
-		r.dirty = true
-	}
-	return n
-}
-
 // Run executes one iteration from a cold, zeroed platform state.
 //
 // The returned Execution is the Runner's reusable scratch buffer: it is
@@ -535,9 +504,7 @@ func (r *Runner) RunSeeded(seed int64) (*Execution, error) {
 // run executes one iteration under the given per-iteration seed. Callers
 // hold the busy guard.
 func (r *Runner) run(seed int64) (*Execution, error) {
-	if err := r.begin(seed); err != nil {
-		return nil, err
-	}
+	r.begin(seed)
 	e := &r.eng
 	maxEvents := r.MaxEvents
 	if maxEvents == 0 {
@@ -545,14 +512,13 @@ func (r *Runner) run(seed int64) (*Execution, error) {
 	}
 	n := r.q.RunUntil(e.done, maxEvents)
 	if !e.done() {
-		r.dirty = true
 		if n >= maxEvents {
 			return nil, ErrLivelock
 		}
 		return nil, ErrDeadlock
 	}
 	e.exec.Cycles = r.q.Now()
-	e.exec.MemStats = r.ms.Stats()
+	e.exec.MemStats = e.ms.Stats()
 	if r.Trace {
 		for _, t := range e.threads {
 			for i := range t.ops {
@@ -568,20 +534,19 @@ func (r *Runner) run(seed int64) (*Execution, error) {
 			}
 		}
 	}
-	e.exec.Events = n + r.finish(maxEvents)
+	e.exec.Events = n
 	return e.exec, nil
 }
 
 // begin resets the platform and schedules the iteration's first events: on
 // return the queue holds every thread's start (and the first OS quantum) and
 // the iteration advances by stepping the queue until the engine is done.
-func (r *Runner) begin(seed int64) error {
-	if err := r.prepare(); err != nil {
-		return err
-	}
-	r.rng.Seed(seed)
+// Whatever the previous iteration left in flight is discarded here.
+func (r *Runner) begin(seed int64) {
 	e := &r.eng
-	e.q, e.ms, e.rng = r.q, r.ms, r.rng
+	r.q.Reset()
+	e.ms.Reset()
+	r.rng.Seed(seed)
 	e.exec.reset(r.prog.NumOps(), r.prog.NumWords)
 	e.resolve(&r.plat)
 	e.unretired = len(e.threads)
@@ -601,7 +566,6 @@ func (r *Runner) begin(seed int64) error {
 		r.q.PushAfter(delay, eventq.Event{Kind: evThreadStart, Core: int32(t.slot)})
 	}
 	e.pump()
-	return nil
 }
 
 // dispatch is the engine's jump table: every typed event the queue pops is

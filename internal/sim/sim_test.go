@@ -556,8 +556,8 @@ func TestBug3DeadlockPinned(t *testing.T) {
 			t.Errorf("deadlock at cycle %d, want %d", now, wantCycle)
 		}
 	}
-	// The runner rebuilds its platform state: the next iteration equals the
-	// same iteration on a runner that never crashed.
+	// The runner resets its platform from the deadlocked state: the next
+	// iteration equals the same iteration on a runner that never crashed.
 	fresh, err := NewRunner(r.plat, p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -569,6 +569,45 @@ func TestBug3DeadlockPinned(t *testing.T) {
 	}
 	if gotErr == nil && (got.Cycles != want.Cycles || !reflect.DeepEqual(got.LoadValues, want.LoadValues)) {
 		t.Errorf("run after a deadlock differs from a fresh runner's (cycles %d vs %d)", got.Cycles, want.Cycles)
+	}
+}
+
+// TestRunAfterLivelock: an iteration cut off by its event budget leaves the
+// platform mid-flight, and the runner resets it from there: the next
+// iteration equals the same iteration on a runner that was never cut off.
+func TestRunAfterLivelock(t *testing.T) {
+	p := mustGenerate(testgen.Config{Threads: 4, OpsPerThread: 50, Words: 16, Seed: 7})
+	seeds := seedTable(3, 2)
+	newRunner := func() *Runner {
+		r, err := NewRunner(PlatformX86(), p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	full, err := newRunner().RunSeeded(seeds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner()
+	r.MaxEvents = full.Events / 2
+	if _, err := r.RunSeeded(seeds[0]); !errors.Is(err, ErrLivelock) {
+		t.Fatalf("iteration on half its events: err = %v, want ErrLivelock", err)
+	}
+	r.MaxEvents = 0
+	got, err := r.RunSeeded(seeds[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newRunner().RunSeeded(seeds[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || got.Events != want.Events || got.Squashes != want.Squashes ||
+		got.MemStats != want.MemStats || !reflect.DeepEqual(got.LoadValues, want.LoadValues) ||
+		!reflect.DeepEqual(got.WSByWord(), want.WSByWord()) {
+		t.Errorf("run after a livelock differs from a fresh runner's: %d cycles, %d events, %+v; want %d, %d, %+v",
+			got.Cycles, got.Events, got.MemStats, want.Cycles, want.Events, want.MemStats)
 	}
 }
 
@@ -812,17 +851,16 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// In place: the memory system draws from the same generator.
 			src := &countingSource{src: new(source)}
-			r.rng = rand.New(src)
+			*r.rng = *rand.New(src)
 			ref, err := NewRunner(c.plat, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			e := &r.eng
 			for it, seed := range seedTable(9, 200) {
-				if err := r.begin(seed); err != nil {
-					t.Fatal(err)
-				}
+				r.begin(seed)
 				events := 0
 				checkReadySets(t, e, it, events)
 				for !e.done() {
@@ -843,7 +881,6 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 					}
 				}
 				cycles := r.q.Now()
-				events += r.finish(0)
 				want, err := ref.RunSeeded(seed)
 				if err != nil {
 					t.Fatal(err)
