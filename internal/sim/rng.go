@@ -41,13 +41,74 @@ func init() {
 	cooked = deriveCooked()
 }
 
-// newRand returns a *rand.Rand over a source seeded with seed: the stream
-// rand.New(rand.NewSource(seed)) yields. Every random stream of the package
-// is built here.
-func newRand(seed int64) *rand.Rand {
-	s := new(source)
-	s.Seed(seed)
-	return rand.New(s)
+// randStream is the package's random stream: math/rand's Rand algorithms for
+// the draws the simulator makes, over a source held by value, so a draw is
+// direct calls instead of a *rand.Rand's call through the Source interface.
+// It yields exactly what rand.New(rand.NewSource(seed)) yields.
+type randStream struct{ source }
+
+// newRand returns a stream seeded with seed. Every random stream of the
+// package is built here.
+func newRand(seed int64) *randStream {
+	r := new(randStream)
+	r.Seed(seed)
+	return r
+}
+
+// Int31 is math/rand's Rand.Int31.
+func (r *randStream) Int31() int32 { return int32(r.Int63() >> 32) }
+
+// Int31n is math/rand's Rand.Int31n.
+func (r *randStream) Int31n(n int32) int32 {
+	if n <= 0 {
+		panic("invalid argument to Int31n")
+	}
+	if n&(n-1) == 0 {
+		return r.Int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := r.Int31()
+	for v > max {
+		v = r.Int31()
+	}
+	return v % n
+}
+
+// Int63n is math/rand's Rand.Int63n.
+func (r *randStream) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 {
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// Intn is math/rand's Rand.Intn.
+func (r *randStream) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(r.Int31n(int32(n)))
+	}
+	return int(r.Int63n(int64(n)))
+}
+
+// Float64 is math/rand's Rand.Float64, resampling the 1-in-2⁵³ draw that
+// rounds to 1.
+func (r *randStream) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
 }
 
 // lehmerSeed maps a seed to the Lehmer state math/rand starts its chain from.

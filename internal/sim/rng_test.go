@@ -11,9 +11,18 @@ import (
 // rejection paths.
 var drawNs = []int{1, 2, 7, 301, 1<<31 - 1, 1 << 31, 1 << 40}
 
+// drawer is what the equivalence scripts draw from: the simulator's stream
+// and math/rand's *rand.Rand.
+type drawer interface {
+	Int63() int64
+	Uint64() uint64
+	Float64() float64
+	Intn(int) int
+}
+
 // draw makes the draw op selects from r — Int63, Uint64, Float64 or Intn over
 // drawNs — and returns its bits.
-func draw(r *rand.Rand, op byte) uint64 {
+func draw(r drawer, op byte) uint64 {
 	switch k := int(op) % (3 + len(drawNs)); k {
 	case 0:
 		return uint64(r.Int63())
@@ -42,8 +51,9 @@ func sameStream(t testing.TB, seed, reseed int64, script []byte) {
 	}
 }
 
-// TestSourceMatchesMathRand: the simulator's source, seeded by jump-ahead
-// from a table derived from math/rand, is math/rand's source draw for draw —
+// TestSourceMatchesMathRand: the simulator's stream — its source, seeded by
+// jump-ahead from a table derived from math/rand, under its own copies of
+// math/rand's draw algorithms — is math/rand's stream draw for draw —
 // on the seeds math/rand's seed reduction treats specially (0, the value 0
 // maps to, both sides of 2³¹−1, the int64 extremes) and on 1,000 iteration
 // seeds, over 10⁴ mixed draws with a reseed in the middle.
@@ -62,7 +72,7 @@ func TestSourceMatchesMathRand(t *testing.T) {
 }
 
 // FuzzSeedSource: for a fuzz-chosen seed, reseed and draw script, the
-// simulator's source and math/rand's make the same draws.
+// simulator's stream and math/rand's make the same draws.
 func FuzzSeedSource(f *testing.F) {
 	f.Add(int64(0), int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(int64(math.MinInt64), int64(1<<31-1), []byte("mixed draws"))
