@@ -14,6 +14,8 @@ import (
 
 	"mtracecheck"
 	"mtracecheck/internal/obs"
+	"mtracecheck/internal/prog"
+	"mtracecheck/internal/testgen"
 )
 
 // TestIterationsAcrossDoors: a spec's iteration count means the same thing
@@ -173,5 +175,46 @@ func TestSubmitRefusesWhatNoGridDescribes(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 			t.Errorf("POST %s allocated %d MiB before it was refused", body, grew>>20)
 		}
+	}
+}
+
+// TestProgramLayoutOtherThanCacheLine: a job program whose layout line is not
+// the platform's cache line runs clean. The load queue must squash on the
+// line the cache invalidates: keyed on the layout's 32- or 16-byte line, a
+// load on the other half of a 64-byte cache line missed its squash, and a
+// clean x86 campaign reported ld→ld violations. A layout word narrower than
+// the memory system's is refused by name.
+func TestProgramLayoutOtherThanCacheLine(t *testing.T) {
+	run := func(text string, seed int64) (*mtracecheck.Report, error) {
+		p, opts, err := Build(JobSpec{Program: text, Iterations: 2048, Seed: seed, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := mtracecheck.NewCampaign(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Run(context.Background())
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		p, err := testgen.Generate(testgen.Config{Threads: 4, OpsPerThread: 50, Words: 8, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []int{32, 16} {
+			p.Layout.LineSize = line
+			report, err := run(prog.Format(p), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(report.Violations); n != 0 || report.Squashes == 0 {
+				t.Errorf("testgen seed %d, layout line=%d: %d violations, %d squashes; want 0 and some",
+					seed, line, n, report.Squashes)
+			}
+		}
+	}
+	_, err := run("words 2\nlayout line=64 word=2 perline=2\nthread: st 0; ld 1\nthread: st 1; ld 0\n", 1)
+	if err == nil || !strings.Contains(err.Error(), "layout word=2") {
+		t.Errorf("layout word=2: err = %v, want a refusal naming it", err)
 	}
 }

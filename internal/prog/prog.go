@@ -107,7 +107,7 @@ func (t Thread) Stores() []Op {
 // words (paper §6.1, "Impact of false sharing").
 type Layout struct {
 	Base         uint64 // byte address of shared word 0
-	LineSize     int    // cache line size in bytes
+	LineSize     int    // bytes between line starts (the platform's cache line may differ)
 	WordSize     int    // shared word size in bytes
 	WordsPerLine int    // shared words packed per cache line (1, 4, 16, ...)
 }
@@ -142,9 +142,6 @@ func (l Layout) AddrOf(word int) uint64 {
 	slot := word % l.WordsPerLine
 	return l.Base + uint64(line)*uint64(l.LineSize) + uint64(slot)*uint64(l.WordSize)
 }
-
-// LineOf returns the cache-line number containing the byte address.
-func (l Layout) LineOf(addr uint64) uint64 { return addr / uint64(l.LineSize) }
 
 // Program is a complete multi-threaded test program.
 type Program struct {
