@@ -80,11 +80,12 @@ define cpu-profile
 	$(GO) tool pprof -top -nodecount 30 $$dir/pkg.test $$dir/cpu.prof
 endef
 
-# Where a simulated iteration's time goes on the TSO and the RMO platform (the
+# Where a simulated iteration's time goes on the TSO and the RMO platform, on
+# the programs of the campaign-x86 and campaign-arm-par workloads (the
 # measurement DESIGN §10's before/after tables are made from).
 sim-profile:
-	$(call cpu-profile,.,BenchmarkSimIterationX86)
-	$(call cpu-profile,.,BenchmarkSimIterationARM)
+	$(call cpu-profile,.,BenchmarkSimWorkload/campaign-x86)
+	$(call cpu-profile,.,BenchmarkSimWorkload/campaign-arm-par)
 
 # Where a trace check's time goes: one rep of the trace-check workload, 1,024
 # rendered 200-op TSO executions of one program parsed and checked one by one

@@ -419,14 +419,33 @@ func benchCampaignCorpus(b *testing.B, warm bool) {
 // "tests execution" stage of Fig. 1 — with the derived units that say whether
 // a change did less work (events/iter) or the same work cheaper (ns/event,
 // ns/simcycle).
-func BenchmarkSimIterationARM(b *testing.B) { benchSim(b, sim.PlatformARM()) }
+func BenchmarkSimIterationARM(b *testing.B) { benchSim(b, benchCfg, sim.PlatformARM()) }
 
 // BenchmarkSimIterationX86 measures the TSO platform.
-func BenchmarkSimIterationX86(b *testing.B) { benchSim(b, sim.PlatformX86()) }
+func BenchmarkSimIterationX86(b *testing.B) { benchSim(b, benchCfg, sim.PlatformX86()) }
 
-func benchSim(b *testing.B, plat sim.Platform) {
+// BenchmarkSimWorkload times one iteration of each campaign workload's
+// program (bench/mtbench's campaign-x86, campaign-x86-contended and
+// campaign-arm-par, testgen seed 1) on its platform: the simulator share of
+// what the repository's benchmark measures. SimIteration's 4×50×32 program
+// is not one of them, and a change can move the two by different amounts.
+func BenchmarkSimWorkload(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		cfg  TestConfig
+		plat sim.Platform
+	}{
+		{"campaign-x86", TestConfig{Threads: 4, OpsPerThread: 50, Words: 64, Seed: 1}, sim.PlatformX86()},
+		{"campaign-x86-contended", TestConfig{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1}, sim.PlatformX86()},
+		{"campaign-arm-par", TestConfig{Threads: 7, OpsPerThread: 200, Words: 64, Seed: 1}, sim.PlatformARM()},
+	} {
+		b.Run(w.name, func(b *testing.B) { benchSim(b, w.cfg, w.plat) })
+	}
+}
+
+func benchSim(b *testing.B, cfg TestConfig, plat sim.Platform) {
 	b.Helper()
-	p, err := testgen.Generate(benchCfg)
+	p, err := testgen.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
