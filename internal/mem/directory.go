@@ -143,16 +143,14 @@ func (d *directory) receive(slot int32) bool {
 	return false
 }
 
-// grant sends a fill carrying the current memory copy of the line, after
-// the directory occupancy plus any extra (memory) latency. The memory data
-// is snapshotted into the message slot now; the message-count bump and the
-// network jitter draw happen when the kindGrant event fires (the moment the
-// grant actually leaves the directory), matching the hop's send semantics.
+// grant sends a fill carrying the current memory copy of the line, which
+// leaves the directory after its occupancy plus any extra (memory) latency.
+// The grant is composed now — the data snapshotted, the message counted and
+// its jitter drawn — and delivered by one event.
 func (d *directory) grant(to int, typ msgType, base uint64, li, extra int) {
 	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base,
 		row: d.sys.copyRow(d.sys.memLine(li))})
-	delay := d.sys.cfg.DirLat + eventq.Time(extra)
-	d.sys.q.PushAfter(delay, eventq.Event{Kind: kindGrant, Core: int32(to), Op: slot})
+	d.sys.post(to, slot, d.sys.cfg.DirLat+eventq.Time(extra))
 }
 
 // service handles one request on an idle line. GetS/GetM always leave the

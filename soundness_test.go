@@ -127,16 +127,18 @@ func observedItems(t *testing.T, meta *instrument.Meta, b *graph.Builder, execs 
 // change they guard. Any drift in RNG draw order, event tie-breaking, or
 // completion sequencing shows up here first.
 //
-// The x86/ARM clean and fault-injected goldens predate the typed-event
-// engine (PR 10). The os_*, gem5_* goldens were captured on the commit
-// before the timing-wheel queue, per-thread pump and flat coherence tables
-// and cover what those touch: quanta beyond the wheel span (the far-heap
-// path) with rotate()/flushPipeline pumping every thread, quanta inside the
-// span, the tiny-L1 stall / writeback / PutM-race paths, both protocol-level
-// squash bugs, and bug 3's deadlock pinned to its iteration.
+// The goldens were last captured when directory grants began to post one
+// delivery and fills to complete their requests. Beside the x86/ARM clean
+// and fault-injected campaigns, the os_*, gem5_* cases cover quanta beyond
+// the wheel span (the far-heap path) with rotate()/flushPipeline pumping
+// every thread, quanta inside the span, the tiny-L1 stall / writeback /
+// PutM-race paths, both protocol-level squash bugs, and bug 3's deadlock
+// pinned to its iteration.
 //
-// Regenerate the goldens with MTC_UPDATE_GOLDENS=1 (only ever legitimate
-// for a change that intentionally alters simulated timing).
+// Regenerate the goldens with MTC_UPDATE_GOLDENS=1 only for a change that
+// intentionally alters simulated timing, and only in a commit that passes
+// the licence (TestLicence and TestLicenceCalibration in internal/sim,
+// TestLicenceDetection here) against parent data committed before it.
 func TestEngineGoldenSignatures(t *testing.T) {
 	update := os.Getenv("MTC_UPDATE_GOLDENS") == "1"
 	dir := filepath.Join("testdata", "engine_goldens")
