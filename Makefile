@@ -3,7 +3,7 @@ GO ?= go
 # `make verify` PR-sized while still exercising the mutated-signature corpus.
 FUZZTIME ?= 3s
 
-.PHONY: build fmt vet test race bench-smoke fuzz-short sim-alloc-smoke sim-profile trace-profile offline-profile surface verify
+.PHONY: build fmt vet test race bench-smoke fuzz-short sim-alloc-smoke sim-profile trace-profile offline-profile licence licence-capture surface verify
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,21 @@ endef
 sim-profile:
 	$(call cpu-profile,.,BenchmarkSimWorkload/campaign-x86)
 	$(call cpu-profile,.,BenchmarkSimWorkload/campaign-arm-par)
+
+# The licence of a change that schedules fewer simulator events (DESIGN §10):
+# the distribution half (22 programs × 10⁵ iterations against the parent's
+# histograms), its calibration and the Table 3 detection half, without -short.
+licence:
+	$(GO) test -count 1 -run '^(TestLicence|TestLicenceCalibration)$$' ./internal/sim
+	$(GO) test -count 1 -run '^TestLicenceDetection$$' .
+
+# Captures the current engine as the parent the licence judges against:
+# internal/sim/testdata/licence (campaign seeds 1 and 2) and
+# testdata/licence/detection.txt. Run on the parent of an event-order change
+# and commit the data before the change.
+licence-capture:
+	$(GO) test -count 1 -run '^TestLicence$$' ./internal/sim -update
+	$(GO) test -count 1 -run '^TestLicenceDetection$$' . -update
 
 # Where a trace check's time goes: one rep of the trace-check workload, 1,024
 # rendered 200-op TSO executions of one program parsed and checked one by one
