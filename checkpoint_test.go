@@ -213,8 +213,8 @@ func TestResumeFitsTheGrid(t *testing.T) {
 
 // TestCheckpointGoldenBytes pins MTCCKPT2 across changes to the codec, not
 // just within one: internal/sig/testdata/ckpt2.golden is the final checkpoint
-// of a 192-iteration, 4-thread campaign whose last chunk has an assertion
-// failure, in the layout written before the stats block became the chunk
+// of a 192-iteration, 4-thread campaign with an assertion failure, in its
+// first chunk, in the layout written before the stats block became the chunk
 // upload's. The
 // campaign must still write those bytes, through either door, and the file
 // must survive ReadCheckpoint → Restore → Checkpoint → WriteCheckpoint.
@@ -261,8 +261,8 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ck.Chunks[2].Asserts); len(ck.Chunks) != 3 || n != 1 {
-		t.Fatalf("golden checkpoint has %d chunks, %d assertion failures in the last; want 3 and 1", len(ck.Chunks), n)
+	if n := len(ck.Chunks[0].Asserts); len(ck.Chunks) != 3 || n != 1 {
+		t.Fatalf("golden checkpoint has %d chunks, %d assertion failures in the first; want 3 and 1", len(ck.Chunks), n)
 	}
 	restored, err := c.NewChunkMerger()
 	if err != nil {

@@ -294,7 +294,7 @@ func (c *cache) evict(way int) {
 		c.nWB++
 		c.sys.stats.Writebacks++
 		c.sys.send(-1, message{typ: msgPutM, from: c.id, base: ln.base,
-			row: c.sys.copyRow(c.sys.row(ln.row)), dirty: true})
+			row: c.sys.copyRow(c.sys.row(ln.row))})
 	}
 	ln.state = stateI
 }
@@ -320,7 +320,7 @@ func (c *cache) receive(m message) {
 		c.fill(m, li)
 	case msgInv:
 		c.invalidate(m.base, li)
-		c.sys.send(-1, message{typ: msgInvAck, from: c.id, base: m.base})
+		c.sys.dir.invAck(li, c.sys.respond())
 	case msgFwdGetS:
 		c.forward(m.base, li, false)
 	case msgFwdGetM:
@@ -357,26 +357,25 @@ func (c *cache) invalidate(base uint64, li int) {
 }
 
 // forward services FwdGetS/FwdGetM: supply the line to the directory from
-// the live copy or the writeback buffer.
+// the live copy or the writeback buffer. Dirty data goes straight into
+// memory, which nothing reads while the directory line is busy.
 func (c *cache) forward(base uint64, li int, isGetM bool) {
 	if ln := c.lookup(base); ln != nil && (ln.state == stateE || ln.state == stateM) {
-		dirty := ln.state == stateM
+		if ln.state == stateM {
+			copy(c.sys.memLine(li), c.sys.row(ln.row))
+		}
 		if isGetM {
-			// Compose the response (copying the line data into the message's
-			// row) before invalidating, but post it after the squash hook
-			// runs, preserving hook-before-send ordering.
-			slot := c.sys.newMsg(message{typ: msgOwnerData, from: c.id, base: base,
-				row: c.sys.copyRow(c.sys.row(ln.row)), dirty: dirty})
+			// Respond after the squash hook runs, preserving hook-before-send
+			// ordering.
 			ln.state = stateI
 			c.sys.stats.Invalidations++
 			if c.sys.invalHook != nil {
 				c.sys.invalHook(c.id, base)
 			}
-			c.sys.post(-1, slot, 0)
+			c.sys.dir.ownerResponse(li, c.id, false, c.sys.respond())
 		} else {
 			ln.state = stateS
-			c.sys.send(-1, message{typ: msgOwnerData, from: c.id, base: base,
-				row: c.sys.copyRow(c.sys.row(ln.row)), dirty: dirty, keepsCopy: true})
+			c.sys.dir.ownerResponse(li, c.id, true, c.sys.respond())
 		}
 		return
 	}
@@ -386,15 +385,15 @@ func (c *cache) forward(base uint64, li int, isGetM bool) {
 			// writeback; the directory waits forever.
 			return
 		}
-		c.sys.send(-1, message{typ: msgOwnerData, from: c.id, base: base,
-			row: c.sys.copyRow(c.sys.row(r)), dirty: true})
+		copy(c.sys.memLine(li), c.sys.row(r))
+		c.sys.dir.ownerResponse(li, c.id, false, c.sys.respond())
 		return
 	}
 	// Silently dropped clean line (E→I): memory is up to date.
 	if isGetM && c.sys.invalHook != nil {
 		c.sys.invalHook(c.id, base)
 	}
-	c.sys.send(-1, message{typ: msgOwnerNoData, from: c.id, base: base})
+	c.sys.dir.ownerResponse(li, c.id, false, c.sys.respond())
 }
 
 // fill completes an outstanding transaction with data and permission.
@@ -418,7 +417,7 @@ func (c *cache) fill(m message, li int) {
 	}
 	c.touch(ln)
 	// Acknowledge the fill so the directory can unblock the line.
-	c.sys.send(-1, message{typ: msgFillAck, from: c.id, base: m.base})
+	c.sys.dir.fillAck(li, c.id, c.sys.respond())
 
 	// Perform the queued requests in arrival order. A write met while the
 	// line is only Shared re-issues the transaction as GetM, and it and the

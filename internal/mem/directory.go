@@ -36,16 +36,26 @@ func (s dirState) String() string {
 // forwarded request can never observe an owner whose grant is still in
 // flight.
 //
+// The responses a transaction awaits are not delivered as events: each one
+// changes only this busy line, which no request sees before the response's
+// arrival time, so the directory acts on it when it is sent, at that time
+// (see System.respond). The last invalidation ack or the owner's response
+// composes the grant to leave DirLat after its arrival; the fill's ack marks
+// the line free from its arrival on (filled, freeAt).
+//
 // The zero value is an untouched line: uncached, idle, no sharers.
 type dirLine struct {
 	state      dirState
 	busy       bool
 	touched    bool // listed in directory.touched
+	filled     bool // busy, but free from freeAt on: the grantee's FillAck is sent
 	owner      int
-	sharers    uint64  // bit c set: cache c holds the line Shared
-	cur        message // request in service while busy
-	acksNeeded int
-	queue      []int32 // message slots of the requests waiting behind cur
+	sharers    uint64      // bit c set: cache c holds the line Shared
+	cur        message     // request in service while busy
+	acksNeeded int         // invalidation acks still to come
+	acksAt     eventq.Time // the latest arrival of an invalidation ack so far
+	freeAt     eventq.Time // the FillAck's arrival, when filled
+	queue      []int32     // message slots of the requests waiting behind cur
 }
 
 // directory is the single home node of all lines.
@@ -68,18 +78,24 @@ func (d *directory) reset() {
 	d.touched = d.touched[:0]
 }
 
+// busyLines counts the lines with pending work. A line whose only pending
+// work is its fill's acknowledgment in flight is idle: it frees itself when
+// the next request arrives.
 func (d *directory) busyLines() int {
 	n := 0
 	for _, li := range d.touched {
-		if d.lines[li].busy {
+		if l := &d.lines[li]; l.busy && (!l.filled || len(l.queue) > 0) {
 			n++
 		}
 	}
 	return n
 }
 
-// receive dispatches the message in slot arriving at the directory and
+// receive dispatches the request in slot arriving at the directory and
 // reports whether it kept the slot (queued the request behind a busy line).
+// A line whose FillAck has arrived is unblocked first, lazily. A request
+// queued behind a line whose FillAck is still in flight, the first since the
+// ack was sent, schedules the wake that unblocks the line when it arrives.
 func (d *directory) receive(slot int32) bool {
 	m := d.sys.msgs[slot]
 	li := d.sys.lineOf(m.base)
@@ -90,67 +106,113 @@ func (d *directory) receive(slot int32) bool {
 	}
 	switch m.typ {
 	case msgGetS, msgGetM, msgPutM:
+		if l.busy && l.filled && l.freeAt <= d.sys.q.Now() {
+			d.unblock(l, li)
+		}
 		if l.busy {
+			if l.filled && len(l.queue) == 0 {
+				d.wakeAt(m.base, l.freeAt)
+			}
 			l.queue = append(l.queue, slot)
 			return true
 		}
 		d.service(l, li, m)
-	case msgInvAck:
-		if !l.busy || l.acksNeeded <= 0 {
-			panic(fmt.Sprintf("mem: unexpected InvAck for line %#x", m.base))
-		}
-		l.acksNeeded--
-		if l.acksNeeded == 0 {
-			// All sharers gone: grant M to the requester from memory.
-			req := l.cur.from
-			l.sharers = 0
-			l.state = dirEM
-			l.owner = req
-			d.grant(req, msgDataM, m.base, li, 0)
-		}
-	case msgOwnerData, msgOwnerNoData:
-		if !l.busy {
-			panic(fmt.Sprintf("mem: owner response for idle line %#x", m.base))
-		}
-		if m.typ == msgOwnerData && m.dirty {
-			copy(d.sys.memLine(li), d.sys.row(m.row))
-		}
-		req := l.cur.from
-		switch l.cur.typ {
-		case msgGetS:
-			l.state = dirS
-			l.sharers = 1 << req
-			if m.keepsCopy {
-				l.sharers |= 1 << m.from
-			}
-			d.grant(req, msgDataS, m.base, li, 0)
-		case msgGetM:
-			l.state = dirEM
-			l.owner = req
-			l.sharers = 0
-			d.grant(req, msgDataM, m.base, li, 0)
-		default:
-			panic(fmt.Sprintf("mem: owner response while servicing %v", l.cur.typ))
-		}
-	case msgFillAck:
-		if !l.busy || l.cur.from != m.from {
-			panic(fmt.Sprintf("mem: unexpected FillAck from %d for line %#x", m.from, m.base))
-		}
-		d.unblock(l, li)
 	default:
 		panic(fmt.Sprintf("mem: directory received %v", m))
 	}
 	return false
 }
 
+// invAck takes an invalidation ack for line-table entry li arriving at at.
+// The last one grants M to the requester from memory, leaving DirLat after
+// the latest ack's arrival.
+func (d *directory) invAck(li int, at eventq.Time) {
+	l := &d.lines[li]
+	if !l.busy || l.acksNeeded <= 0 {
+		panic(fmt.Sprintf("mem: unexpected InvAck for line %#x", l.cur.base))
+	}
+	l.acksNeeded--
+	l.acksAt = max(l.acksAt, at)
+	if l.acksNeeded == 0 {
+		// All sharers gone: grant M to the requester from memory.
+		req := l.cur.from
+		l.sharers = 0
+		l.state = dirEM
+		l.owner = req
+		d.grant(req, msgDataM, l.cur.base, li, l.acksAt-d.sys.q.Now())
+	}
+}
+
+// ownerResponse takes the response of the owner from to a forwarded request
+// for line-table entry li, arriving at at; a dirty owner has already copied
+// its data into memory. keepsCopy marks an owner that retains a Shared copy.
+// The grant leaves DirLat after the response's arrival.
+func (d *directory) ownerResponse(li, from int, keepsCopy bool, at eventq.Time) {
+	l := &d.lines[li]
+	if !l.busy {
+		panic(fmt.Sprintf("mem: owner response for idle line %#x", l.cur.base))
+	}
+	req, wait := l.cur.from, at-d.sys.q.Now()
+	switch l.cur.typ {
+	case msgGetS:
+		l.state = dirS
+		l.sharers = 1 << req
+		if keepsCopy {
+			l.sharers |= 1 << from
+		}
+		d.grant(req, msgDataS, l.cur.base, li, wait)
+	case msgGetM:
+		l.state = dirEM
+		l.owner = req
+		l.sharers = 0
+		d.grant(req, msgDataM, l.cur.base, li, wait)
+	default:
+		panic(fmt.Sprintf("mem: owner response while servicing %v", l.cur.typ))
+	}
+}
+
+// fillAck takes the grantee from's acknowledgment of its fill of line-table
+// entry li, arriving at at: the line is free from at on. Requests already
+// queued are served then, by a wake; later ones unblock the line when they
+// arrive (receive).
+func (d *directory) fillAck(li, from int, at eventq.Time) {
+	l := &d.lines[li]
+	if !l.busy || l.filled || l.cur.from != from {
+		panic(fmt.Sprintf("mem: unexpected FillAck from %d for line %#x", from, l.cur.base))
+	}
+	l.filled, l.freeAt = true, at
+	if len(l.queue) > 0 {
+		d.wakeAt(l.cur.base, at)
+	}
+}
+
+// wakeAt schedules the wake of the line at base for time at. The event names
+// the line by its base, as growing the line tables re-indexes them.
+func (d *directory) wakeAt(base uint64, at eventq.Time) {
+	d.sys.q.Push(eventq.Event{At: at, Kind: kindWake, Core: -1, Arg: int64(base)})
+}
+
+// wake unblocks the line at base if its fill's acknowledgment has arrived.
+// It is idempotent: a request that arrived at the same time may have
+// unblocked the line already, and the line may be busy with another
+// transaction since.
+func (d *directory) wake(base uint64) {
+	li := d.sys.lineOf(base)
+	if l := &d.lines[li]; l.busy && l.filled && l.freeAt <= d.sys.q.Now() {
+		d.unblock(l, li)
+	}
+}
+
 // grant sends a fill carrying the current memory copy of the line, which
-// leaves the directory after its occupancy plus any extra (memory) latency.
-// The grant is composed now — the data snapshotted, the message counted and
-// its jitter drawn — and delivered by one event.
-func (d *directory) grant(to int, typ msgType, base uint64, li, extra int) {
+// leaves the directory after its occupancy plus extra cycles (memory
+// latency, or the wait for the response it answers to arrive). The grant is
+// composed now — the data snapshotted, the message counted and its jitter
+// drawn — and delivered by one event. Memory cannot change before the grant
+// leaves: the line is busy.
+func (d *directory) grant(to int, typ msgType, base uint64, li int, extra eventq.Time) {
 	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base,
 		row: d.sys.copyRow(d.sys.memLine(li))})
-	d.sys.post(to, slot, d.sys.cfg.DirLat+eventq.Time(extra))
+	d.sys.post(to, slot, d.sys.cfg.DirLat+extra)
 }
 
 // service handles one request on an idle line. GetS/GetM always leave the
@@ -165,7 +227,7 @@ func (d *directory) service(l *dirLine, li int, m message) {
 		case dirU:
 			l.state = dirEM
 			l.owner = m.from
-			d.grant(m.from, msgDataE, m.base, li, int(d.sys.cfg.MemLat))
+			d.grant(m.from, msgDataE, m.base, li, d.sys.cfg.MemLat)
 		case dirS:
 			l.sharers |= 1 << m.from
 			d.grant(m.from, msgDataS, m.base, li, 0)
@@ -185,7 +247,7 @@ func (d *directory) service(l *dirLine, li int, m message) {
 		case dirU:
 			l.state = dirEM
 			l.owner = m.from
-			d.grant(m.from, msgDataM, m.base, li, int(d.sys.cfg.MemLat))
+			d.grant(m.from, msgDataM, m.base, li, d.sys.cfg.MemLat)
 		case dirS:
 			others := l.sharers &^ (1 << m.from)
 			if others == 0 {
@@ -225,9 +287,9 @@ func (d *directory) service(l *dirLine, li int, m message) {
 // unblock finishes the busy transaction and serves queued requests until the
 // line blocks again or the queue empties, freeing each slot once served.
 func (d *directory) unblock(l *dirLine, li int) {
-	l.busy = false
+	l.busy, l.filled = false, false
 	l.cur = message{}
-	l.acksNeeded = 0
+	l.acksNeeded, l.acksAt, l.freeAt = 0, 0, 0
 	for !l.busy && len(l.queue) > 0 {
 		slot := l.queue[0]
 		// Pop by copy-down so the queue keeps its backing array for reuse.

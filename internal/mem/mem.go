@@ -68,6 +68,9 @@ const (
 	// kindStoreHit replays a store hit on cache Core after tag latency;
 	// Op indexes the pending-request pool.
 	kindStoreHit
+	// kindWake unblocks the directory line at base Arg when its fill's
+	// acknowledgment arrives, for the requests queued behind it.
+	kindWake
 )
 
 // Bugs selects injectable protocol defects (paper §7).
@@ -392,6 +395,14 @@ func (s *System) post(to int, slot int32, wait eventq.Time) {
 // send composes and posts a message in one step.
 func (s *System) send(to int, m message) { s.post(to, s.newMsg(m), 0) }
 
+// respond counts one cache → directory response, draws its network latency
+// as post would, and returns its arrival time at the directory, which acts
+// on it at that time without an event (see dirLine).
+func (s *System) respond() eventq.Time {
+	s.stats.Messages++
+	return s.q.Now() + s.netDelay()
+}
+
 // Dispatch routes a typed event scheduled by this package. The engine's
 // event handler forwards every event with Kind >= KindBase here.
 func (s *System) Dispatch(ev eventq.Event) {
@@ -411,6 +422,8 @@ func (s *System) Dispatch(ev eventq.Event) {
 		s.caches[ev.Core].replayLoadHit(ev.Op)
 	case kindStoreHit:
 		s.caches[ev.Core].replayStoreHit(ev.Op)
+	case kindWake:
+		s.dir.wake(uint64(ev.Arg))
 	default:
 		panic(fmt.Sprintf("mem: Dispatch of unknown kind %d", ev.Kind))
 	}
@@ -445,7 +458,9 @@ func (s *System) Write(core int, addr uint64, val uint32, tok int64) {
 	s.caches[core].access(memReq{isWrite: true, addr: addr, val: val, tok: tok})
 }
 
-// Quiescent reports whether no operations or writebacks are in flight.
+// Quiescent reports whether no operations or writebacks are in flight. A
+// fill's acknowledgment still on its way to an otherwise idle line is not
+// pending work (see directory.busyLines).
 func (s *System) Quiescent() bool {
 	if s.outstanding != 0 || s.dir.busyLines() != 0 {
 		return false

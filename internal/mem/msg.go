@@ -19,20 +19,16 @@ const (
 	msgDataE   // fill with Exclusive permission
 	msgDataM   // fill with Modified permission
 	msgWBAck   // writeback acknowledged
-
-	// Cache → directory completions.
-	msgInvAck      // invalidation performed
-	msgOwnerData   // response to FwdGet*: line data (possibly dirty)
-	msgOwnerNoData // response to FwdGet*: line was silently dropped (clean)
-	msgFillAck     // grantee consumed a Data* fill; directory may unblock
 )
+
+// The cache → directory responses — invalidation ack, owner data or no
+// data, fill ack — are not messages: the directory acts on each at its
+// arrival time when it is sent (see dirLine).
 
 var msgNames = [...]string{
 	msgGetS: "GetS", msgGetM: "GetM", msgPutM: "PutM",
 	msgFwdGetS: "FwdGetS", msgFwdGetM: "FwdGetM", msgInv: "Inv",
 	msgDataS: "DataS", msgDataE: "DataE", msgDataM: "DataM", msgWBAck: "WBAck",
-	msgInvAck: "InvAck", msgOwnerData: "OwnerData", msgOwnerNoData: "OwnerNoData",
-	msgFillAck: "FillAck",
 }
 
 func (t msgType) String() string {
@@ -48,10 +44,6 @@ type message struct {
 	from int    // sending cache ID; -1 for the directory
 	base uint64 // line base address
 	row  int32  // line data (see System.rows); 0 for a message without data
-	// dirty marks OwnerData carrying modified data; keepsCopy marks
-	// OwnerData from an owner that retains a Shared copy.
-	dirty     bool
-	keepsCopy bool
 }
 
 func (m message) String() string {

@@ -530,12 +530,12 @@ func TestBug3Crashes(t *testing.T) {
 // TestBug3DeadlockPinned pins where bug 3 strikes — iteration index and the
 // simulated cycle at which the event queue ran dry — for the configuration
 // TestEngineGoldenSignatures' gem5_wb_race case runs. The numbers were
-// captured when directory grants began to post one delivery and fills to
-// complete their requests, with the engine goldens; an engine that pops the
+// captured when the directory began to act on cache responses at their
+// arrival time, with the engine goldens; an engine that pops the
 // same events in the same order with the same RNG draws deadlocks in exactly
 // the same place.
 func TestBug3DeadlockPinned(t *testing.T) {
-	const wantIter, wantCycle = 0, eventq.Time(4448)
+	const wantIter, wantCycle = 0, eventq.Time(4601)
 	p := mustGenerate(testgen.Config{Threads: 7, OpsPerThread: 60, Words: 40, Seed: 3})
 	r, err := NewRunner(PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, Bugs{}), p, 31)
 	if err != nil {

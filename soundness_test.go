@@ -127,8 +127,9 @@ func observedItems(t *testing.T, meta *instrument.Meta, b *graph.Builder, execs 
 // change they guard. Any drift in RNG draw order, event tie-breaking, or
 // completion sequencing shows up here first.
 //
-// The goldens were last captured when directory grants began to post one
-// delivery and fills to complete their requests. Beside the x86/ARM clean
+// The goldens were last captured when the directory began to act on cache
+// responses (invalidation acks, owner data, fill acks) at their arrival time
+// without an event. Beside the x86/ARM clean
 // and fault-injected campaigns, the os_*, gem5_* cases cover quanta beyond
 // the wheel span (the far-heap path) with rotate()/flushPipeline pumping
 // every thread, quanta inside the span, the tiny-L1 stall / writeback /
