@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -480,7 +482,8 @@ func TestInvalidationFanOutAscending(t *testing.T) {
 // counters and timing. The iterations end quiescent after touching some lines
 // and ways (and growing the line tables in both directions), mid-flight (a
 // GetS queued behind a busy line, a fill on its way, a writeback
-// unacknowledged), and deadlocked by bug 3.
+// unacknowledged), with a directory line's wake pending (requests queued
+// behind a FillAck still on its way), and deadlocked by bug 3.
 func TestResetEqualsFreshSystem(t *testing.T) {
 	cfg := TinyCacheConfig(4)
 	cfg.Jitter = 5
@@ -582,6 +585,14 @@ func TestResetEqualsFreshSystem(t *testing.T) {
 	}
 	resetEqualsFresh("an iteration stopped mid-flight")
 
+	issue(q, s, 6, 300, 0, 24, 0)
+	for !wakePending(s) {
+		if !q.Step() {
+			t.Fatal("traffic ran dry before requests queued behind a FillAck in flight")
+		}
+	}
+	resetEqualsFresh("an iteration stopped with a wake pending")
+
 	// Bug 3 is switched on for this iteration alone, so the system is
 	// compared with a bug-free one afterwards as before.
 	s.cfg.Bugs.WBRaceDeadlock = true
@@ -614,6 +625,17 @@ func midFlight(s *System) bool {
 		writeback = writeback || c.nWB != 0
 	}
 	return queuedGetS && fill && writeback
+}
+
+// wakePending reports whether a directory line has requests queued behind a
+// FillAck that has not arrived, so that its wake event is pending.
+func wakePending(s *System) bool {
+	for _, li := range s.dir.touched {
+		if l := &s.dir.lines[li]; l.busy && l.filled && len(l.queue) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestStatsAccumulate(t *testing.T) {
@@ -701,5 +723,176 @@ func TestPoolsReachSteadyState(t *testing.T) {
 	// small remainder; the memory system itself must be allocation-free.
 	if allocs > 1100 {
 		t.Errorf("steady-state burst allocated %.0f times; pools not reused", allocs)
+	}
+}
+
+// TestEventsAndMessagesPerTransaction pins what each transaction costs now
+// that cache → directory responses act at their arrival time without an
+// event: an uncached read miss is GetS and DataE (2 events) plus the FillAck
+// (3 messages); a cache-to-cache read adds the forward and the owner's
+// response (3 events, 5 messages); an upgrade against k other sharers is GetM,
+// k invalidations and DataM (k+2 events) plus k acks and the FillAck (2k+3
+// messages). Each transaction starts after the last one's events ran out, its
+// fill's ack still on its way: without jitter a request arrives exactly when
+// that ack does and unblocks the line itself.
+func TestEventsAndMessagesPerTransaction(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Jitter = 0
+	// measure runs op to the end and returns its events and messages.
+	measure := func(q *eventq.Queue, s *System, op func()) (events int, msgs int64) {
+		before := s.Stats().Messages
+		op()
+		events = q.RunUntil(nil, 0)
+		if s.Outstanding() != 0 {
+			t.Fatalf("%d operations outstanding", s.Outstanding())
+		}
+		return events, s.Stats().Messages - before
+	}
+	check := func(what string, events int, msgs int64, wantEvents int, wantMsgs int64) {
+		t.Helper()
+		if events != wantEvents || msgs != wantMsgs {
+			t.Errorf("%s: %d events, %d messages; want %d and %d", what, events, msgs, wantEvents, wantMsgs)
+		}
+	}
+
+	q, s, b := newSys(t, 8, cfg)
+	e, m := measure(q, s, func() { b.read(0, 0x1000, func(uint32) {}) })
+	check("uncached read miss", e, m, 2, 3)
+
+	q, s, b = newSys(t, 8, cfg)
+	measure(q, s, func() { b.write(0, 0x1000, 1, func() {}) })
+	e, m = measure(q, s, func() { b.read(1, 0x1000, func(uint32) {}) })
+	check("cache-to-cache read", e, m, 3, 5)
+
+	for k := 1; k <= 4; k++ {
+		q, s, b = newSys(t, 8, cfg)
+		for c := 0; c <= k; c++ {
+			measure(q, s, func() { b.read(c, 0x1000, func(uint32) {}) })
+		}
+		e, m = measure(q, s, func() { b.write(0, 0x1000, 1, func() {}) })
+		check(fmt.Sprintf("upgrade against %d other sharers", k), e, m, k+2, int64(2*k+3))
+	}
+}
+
+// scripted is a jitter source that returns its draws in order, then zeros.
+type scripted struct{ draws []int }
+
+func (r *scripted) Intn(n int) int {
+	if len(r.draws) == 0 {
+		return 0
+	}
+	d := r.draws[0]
+	r.draws = r.draws[1:]
+	if d >= n {
+		panic(fmt.Sprintf("scripted draw %d out of [0,%d)", d, n))
+	}
+	return d
+}
+
+// TestFillAckArrival: a line whose grantee has sent its FillAck is free from
+// the ack's arrival on, with no event for the ack itself. With scripted
+// jitter, core 0's uncached read of a line fills at cycle 88 (GetS 12, DirLat
+// 4, MemLat 60, DataE 12) and core 1's GetS for the line is served
+//
+//   - at exactly the ack's arrival when it reaches the directory earlier: the
+//     first request queued behind the ack schedules one wake for that cycle;
+//   - on its own arrival when it reaches the directory later, unblocking the
+//     line itself, with no wake at all;
+//   - and a wake that fires after a request arriving in the same cycle
+//     unblocked the line, served the queue and re-blocked it, does nothing.
+func TestFillAckArrival(t *testing.T) {
+	const line = 0x1000
+	for _, c := range []struct {
+		name string
+		// draws are the jitters in draw order. For "early" and "late": core
+		// 0's GetS, its DataE, its FillAck and core 1's GetS, issued as core
+		// 0's read completes. For "stale": core 0's GetS, core 1's (queued
+		// behind it), core 0's DataE, core 2's GetS, issued at cycle 12 to
+		// arrive with core 0's FillAck at cycle 100, and that FillAck.
+		draws      []int
+		wantServed eventq.Time // when core 1's GetS is served
+		wantWakes  int
+		wantNoOpAt eventq.Time // when a wake finds the line re-blocked; 0 for none
+	}{
+		{name: "early", draws: []int{0, 0, 6, 0}, wantServed: 106, wantWakes: 1},
+		{name: "late", draws: []int{0, 0, 0, 6}, wantServed: 106},
+		// The second wake is the one core 2's GetS, queued behind core 1's
+		// transaction, waits for.
+		{name: "stale", draws: []int{0, 0, 0, 76, 0}, wantServed: 100, wantWakes: 2, wantNoOpAt: 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(3)
+			cfg.Jitter = 100
+			q := eventq.New()
+			s, err := NewSystem(q, cfg, &scripted{draws: c.draws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := newBench(q, s)
+			l := func() *dirLine { return &s.dir.lines[s.lineOf(line)] }
+			var served eventq.Time = -1
+			wakes := 0
+			q.SetHandler(func(ev eventq.Event) {
+				if ev.Kind != kindWake {
+					s.Dispatch(ev)
+				} else {
+					wakes++
+					before := *l()
+					queued := slices.Clone(before.queue)
+					s.Dispatch(ev)
+					if after := l(); before.busy && !before.filled {
+						if after.cur != before.cur || !slices.Equal(after.queue, queued) || !after.busy {
+							t.Errorf("a wake at cycle %d changed a re-blocked line", q.Now())
+						}
+						if q.Now() != c.wantNoOpAt {
+							t.Errorf("a wake found the line re-blocked at cycle %d, want %d", q.Now(), c.wantNoOpAt)
+						}
+						c.wantNoOpAt = 0
+					}
+				}
+				if served < 0 && l().busy && l().cur.from == 1 {
+					served = q.Now()
+				}
+			})
+			if c.name == "stale" {
+				b.read(0, line, func(uint32) {})
+				b.read(1, line, func(uint32) {})
+				q.Step() // core 0's GetS at cycle 12
+				b.read(2, line, func(uint32) {})
+			} else {
+				b.read(0, line, func(uint32) { b.read(1, line, func(uint32) {}) })
+			}
+			q.RunUntil(nil, 0)
+			if s.Outstanding() != 0 {
+				t.Fatalf("%d operations outstanding", s.Outstanding())
+			}
+			if served != c.wantServed || wakes != c.wantWakes || c.wantNoOpAt != 0 {
+				t.Errorf("core 1's GetS served at cycle %d with %d wakes (no-op wake pending at %d); want cycle %d, %d wakes",
+					served, wakes, c.wantNoOpAt, c.wantServed, c.wantWakes)
+			}
+		})
+	}
+}
+
+// TestQuiescentWithFillAckInFlight: once a transaction's events have run
+// out, its line waits for nothing but its FillAck's arrival, which frees it
+// for the next request; the system is quiescent and its invariants hold
+// without draining anything further.
+func TestQuiescentWithFillAckInFlight(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Jitter = 0
+	q, s, b := newSys(t, 2, cfg)
+	b.write(0, 0x2000, 3, func() {})
+	drain(t, q, s)
+	l := &s.dir.lines[s.lineOf(0x2000)]
+	if !l.busy || !l.filled || l.freeAt <= q.Now() {
+		t.Fatalf("line busy %v, filled %v, free at %d at cycle %d: want its FillAck in flight",
+			l.busy, l.filled, l.freeAt, q.Now())
+	}
+	if !s.Quiescent() || s.dir.busyLines() != 0 {
+		t.Errorf("a line waiting only for its FillAck counts as busy (%d busy lines)", s.dir.busyLines())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
