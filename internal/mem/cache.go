@@ -320,7 +320,7 @@ func (c *cache) receive(m message) {
 		c.fill(m, li)
 	case msgInv:
 		c.invalidate(m.base, li)
-		c.sys.dir.invAck(li, c.sys.respond())
+		c.sys.dir.invAck(li, c.sys.arrival())
 	case msgFwdGetS:
 		c.forward(m.base, li, false)
 	case msgFwdGetM:
@@ -372,10 +372,10 @@ func (c *cache) forward(base uint64, li int, isGetM bool) {
 			if c.sys.invalHook != nil {
 				c.sys.invalHook(c.id, base)
 			}
-			c.sys.dir.ownerResponse(li, c.id, false, c.sys.respond())
+			c.sys.dir.ownerResponse(li, c.id, false, c.sys.arrival())
 		} else {
 			ln.state = stateS
-			c.sys.dir.ownerResponse(li, c.id, true, c.sys.respond())
+			c.sys.dir.ownerResponse(li, c.id, true, c.sys.arrival())
 		}
 		return
 	}
@@ -386,14 +386,14 @@ func (c *cache) forward(base uint64, li int, isGetM bool) {
 			return
 		}
 		copy(c.sys.memLine(li), c.sys.row(r))
-		c.sys.dir.ownerResponse(li, c.id, false, c.sys.respond())
+		c.sys.dir.ownerResponse(li, c.id, false, c.sys.arrival())
 		return
 	}
 	// Silently dropped clean line (E→I): memory is up to date.
 	if isGetM && c.sys.invalHook != nil {
 		c.sys.invalHook(c.id, base)
 	}
-	c.sys.dir.ownerResponse(li, c.id, false, c.sys.respond())
+	c.sys.dir.ownerResponse(li, c.id, false, c.sys.arrival())
 }
 
 // fill completes an outstanding transaction with data and permission.
@@ -417,7 +417,7 @@ func (c *cache) fill(m message, li int) {
 	}
 	c.touch(ln)
 	// Acknowledge the fill so the directory can unblock the line.
-	c.sys.dir.fillAck(li, c.id, c.sys.respond())
+	c.sys.dir.fillAck(li, c.id, c.sys.arrival())
 
 	// Perform the queued requests in arrival order. A write met while the
 	// line is only Shared re-issues the transaction as GetM, and it and the

@@ -39,7 +39,7 @@ func (s dirState) String() string {
 // The responses a transaction awaits are not delivered as events: each one
 // changes only this busy line, which no request sees before the response's
 // arrival time, so the directory acts on it when it is sent, at that time
-// (see System.respond). The last invalidation ack or the owner's response
+// (see System.arrival). The last invalidation ack or the owner's response
 // composes the grant to leave DirLat after its arrival; the fill's ack marks
 // the line free from its arrival on (filled, freeAt).
 //
@@ -56,6 +56,12 @@ type dirLine struct {
 	acksAt     eventq.Time // the latest arrival of an invalidation ack so far
 	freeAt     eventq.Time // the FillAck's arrival, when filled
 	queue      []int32     // message slots of the requests waiting behind cur
+}
+
+// ackArrived reports whether the line is busy only until a FillAck that has
+// arrived by now.
+func (l *dirLine) ackArrived(now eventq.Time) bool {
+	return l.busy && l.filled && l.freeAt <= now
 }
 
 // directory is the single home node of all lines.
@@ -106,7 +112,7 @@ func (d *directory) receive(slot int32) bool {
 	}
 	switch m.typ {
 	case msgGetS, msgGetM, msgPutM:
-		if l.busy && l.filled && l.freeAt <= d.sys.q.Now() {
+		if l.ackArrived(d.sys.q.Now()) {
 			d.unblock(l, li)
 		}
 		if l.busy {
@@ -198,7 +204,7 @@ func (d *directory) wakeAt(base uint64, at eventq.Time) {
 // transaction since.
 func (d *directory) wake(base uint64) {
 	li := d.sys.lineOf(base)
-	if l := &d.lines[li]; l.busy && l.filled && l.freeAt <= d.sys.q.Now() {
+	if l := &d.lines[li]; l.ackArrived(d.sys.q.Now()) {
 		d.unblock(l, li)
 	}
 }

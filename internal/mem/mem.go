@@ -388,17 +388,16 @@ func (s *System) takePend(slot int32) memReq {
 // (to == -1) or to cache to, delivered after wait cycles at its sender plus
 // the network's latency: one Messages count, one jitter draw and one event.
 func (s *System) post(to int, slot int32, wait eventq.Time) {
-	s.stats.Messages++
-	s.q.PushAfter(wait+s.netDelay(), eventq.Event{Kind: kindDeliver, Core: int32(to), Op: slot})
+	s.q.Push(eventq.Event{At: s.arrival() + wait, Kind: kindDeliver, Core: int32(to), Op: slot})
 }
 
 // send composes and posts a message in one step.
 func (s *System) send(to int, m message) { s.post(to, s.newMsg(m), 0) }
 
-// respond counts one cache → directory response, draws its network latency
-// as post would, and returns its arrival time at the directory, which acts
-// on it at that time without an event (see dirLine).
-func (s *System) respond() eventq.Time {
+// arrival counts one message leaving now, draws its network latency and
+// returns when it arrives. A cache → directory response goes no further: the
+// directory acts on it at that time without an event (see dirLine).
+func (s *System) arrival() eventq.Time {
 	s.stats.Messages++
 	return s.q.Now() + s.netDelay()
 }
