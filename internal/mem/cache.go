@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"mtracecheck/internal/eventq"
-)
+import "fmt"
 
 // lineState is a cache line's MESI stable state.
 type lineState uint8
@@ -184,20 +180,20 @@ func (c *cache) access(req memReq) {
 		ln := &c.lines[way]
 		c.touch(ln)
 		if !req.isWrite {
-			// Load hit: data returns after tag latency, with a re-check at
-			// return time (see replayLoadHit).
+			// Load hit: the word is read and the load completes now.
 			c.sys.stats.Hits++
-			c.sys.q.PushAfter(c.sys.cfg.TagLat, eventq.Event{
-				Kind: kindLoadHit, Core: int32(c.id), Op: c.sys.newPend(req)})
+			req.val = c.sys.row(ln.row)[c.sys.wordIndex(req.addr)]
+			c.sys.finish(req)
 			return
 		}
 		switch ln.state {
 		case stateE, stateM:
-			// Store hit with write permission (silent E→M upgrade at
-			// replay time, see replayStoreHit).
+			// Store hit with write permission (E→M silently): the word is
+			// written and the store completes now.
 			c.sys.stats.Hits++
-			c.sys.q.PushAfter(c.sys.cfg.TagLat, eventq.Event{
-				Kind: kindStoreHit, Core: int32(c.id), Op: c.sys.newPend(req)})
+			ln.state = stateM
+			c.sys.row(ln.row)[c.sys.wordIndex(req.addr)] = req.val
+			c.sys.finish(req)
 			return
 		case stateS:
 			// Upgrade: keep the Shared data resident, request M.
@@ -205,7 +201,7 @@ func (c *cache) access(req memReq) {
 			m := c.newMSHR(li, way, true)
 			m.queued = append(m.queued, req)
 			ln.pending = true
-			c.sys.send(-1, message{typ: msgGetM, from: c.id, base: base})
+			c.sys.send(-1, message{typ: msgGetM, from: c.id, base: base}, 0)
 			return
 		}
 	}
@@ -234,35 +230,7 @@ func (c *cache) access(req memReq) {
 	if req.isWrite {
 		typ = msgGetM
 	}
-	c.sys.send(-1, message{typ: typ, from: c.id, base: base})
-}
-
-// replayLoadHit completes a load hit after tag latency. The line may have
-// been invalidated between tag access and data return; real hardware replays
-// the access, and so do we.
-func (c *cache) replayLoadHit(pslot int32) {
-	req := c.sys.takePend(pslot)
-	base := c.sys.lineBase(req.addr)
-	if cur := c.lookup(base); cur != nil && cur.state != stateI && cur.base == base {
-		req.val = c.sys.row(cur.row)[c.sys.wordIndex(req.addr)]
-		c.sys.finish(req)
-	} else {
-		c.access(req)
-	}
-}
-
-// replayStoreHit completes a store hit after tag latency, re-checking that
-// write permission survived and upgrading E→M silently.
-func (c *cache) replayStoreHit(pslot int32) {
-	req := c.sys.takePend(pslot)
-	base := c.sys.lineBase(req.addr)
-	if cur := c.lookup(base); cur != nil && (cur.state == stateE || cur.state == stateM) {
-		cur.state = stateM
-		c.sys.row(cur.row)[c.sys.wordIndex(req.addr)] = req.val
-		c.sys.finish(req)
-	} else {
-		c.access(req)
-	}
+	c.sys.send(-1, message{typ: typ, from: c.id, base: base}, 0)
 }
 
 // pickVictim returns an evictable way (an index into lines) of the set whose
@@ -294,7 +262,7 @@ func (c *cache) evict(way int) {
 		c.nWB++
 		c.sys.stats.Writebacks++
 		c.sys.send(-1, message{typ: msgPutM, from: c.id, base: ln.base,
-			row: c.sys.copyRow(c.sys.row(ln.row))})
+			row: c.sys.copyRow(c.sys.row(ln.row))}, 0)
 	}
 	ln.state = stateI
 }
@@ -443,7 +411,7 @@ func (c *cache) fill(m message, li int) {
 		c.filled = append(c.filled, req)
 	}
 	if upgrade {
-		c.sys.send(-1, message{typ: msgGetM, from: c.id, base: m.base})
+		c.sys.send(-1, message{typ: msgGetM, from: c.id, base: m.base}, 0)
 	} else {
 		ln.pending = false
 		c.freeMSHR(li, tx)

@@ -40,28 +40,30 @@ func (s dirState) String() string {
 // changes only this busy line, which no request sees before the response's
 // arrival time, so the directory acts on it when it is sent, at that time
 // (see System.arrival). The last invalidation ack or the owner's response
-// composes the grant to leave DirLat after its arrival; the fill's ack marks
-// the line free from its arrival on (filled, freeAt).
+// composes the grant to leave DirLat after its arrival; the fill's ack frees
+// the line as of its arrival (freeAt).
+//
+// A freed line serves its next request at once, as of freeAt: the requests
+// queued behind the fill when its ack is sent, or the first to arrive after.
+// Every service acts as of max(now, freeAt) — its grant, forwards,
+// invalidations and WBAck leave that much later — so the line answers
+// nothing before freeAt. Its memory is written only by its own
+// transactions (a PutM served, an owner's dirty data), so serving early with
+// that timestamp shows nobody anything sooner.
 //
 // The zero value is an untouched line: uncached, idle, no sharers.
 type dirLine struct {
 	state      dirState
 	busy       bool
 	touched    bool // listed in directory.touched
-	filled     bool // busy, but free from freeAt on: the grantee's FillAck is sent
+	filled     bool // busy, but free as of freeAt: the grantee's FillAck is sent and nothing is queued
 	owner      int
 	sharers    uint64      // bit c set: cache c holds the line Shared
 	cur        message     // request in service while busy
 	acksNeeded int         // invalidation acks still to come
 	acksAt     eventq.Time // the latest arrival of an invalidation ack so far
-	freeAt     eventq.Time // the FillAck's arrival, when filled
+	freeAt     eventq.Time // the last FillAck's arrival: nothing is served before it
 	queue      []int32     // message slots of the requests waiting behind cur
-}
-
-// ackArrived reports whether the line is busy only until a FillAck that has
-// arrived by now.
-func (l *dirLine) ackArrived(now eventq.Time) bool {
-	return l.busy && l.filled && l.freeAt <= now
 }
 
 // directory is the single home node of all lines.
@@ -90,7 +92,7 @@ func (d *directory) reset() {
 func (d *directory) busyLines() int {
 	n := 0
 	for _, li := range d.touched {
-		if l := &d.lines[li]; l.busy && (!l.filled || len(l.queue) > 0) {
+		if l := &d.lines[li]; l.busy && !l.filled {
 			n++
 		}
 	}
@@ -99,9 +101,8 @@ func (d *directory) busyLines() int {
 
 // receive dispatches the request in slot arriving at the directory and
 // reports whether it kept the slot (queued the request behind a busy line).
-// A line whose FillAck has arrived is unblocked first, lazily. A request
-// queued behind a line whose FillAck is still in flight, the first since the
-// ack was sent, schedules the wake that unblocks the line when it arrives.
+// A line whose FillAck is sent is unblocked first, whether or not the ack
+// has arrived: the request is served as of its arrival.
 func (d *directory) receive(slot int32) bool {
 	m := d.sys.msgs[slot]
 	li := d.sys.lineOf(m.base)
@@ -112,13 +113,10 @@ func (d *directory) receive(slot int32) bool {
 	}
 	switch m.typ {
 	case msgGetS, msgGetM, msgPutM:
-		if l.ackArrived(d.sys.q.Now()) {
+		if l.filled {
 			d.unblock(l, li)
 		}
 		if l.busy {
-			if l.filled && len(l.queue) == 0 {
-				d.wakeAt(m.base, l.freeAt)
-			}
 			l.queue = append(l.queue, slot)
 			return true
 		}
@@ -178,9 +176,9 @@ func (d *directory) ownerResponse(li, from int, keepsCopy bool, at eventq.Time) 
 }
 
 // fillAck takes the grantee from's acknowledgment of its fill of line-table
-// entry li, arriving at at: the line is free from at on. Requests already
-// queued are served then, by a wake; later ones unblock the line when they
-// arrive (receive).
+// entry li, arriving at at: the line is free as of at. Requests already
+// queued are served now, as of at; a later one unblocks the line when it
+// arrives (receive).
 func (d *directory) fillAck(li, from int, at eventq.Time) {
 	l := &d.lines[li]
 	if !l.busy || l.filled || l.cur.from != from {
@@ -188,43 +186,28 @@ func (d *directory) fillAck(li, from int, at eventq.Time) {
 	}
 	l.filled, l.freeAt = true, at
 	if len(l.queue) > 0 {
-		d.wakeAt(l.cur.base, at)
-	}
-}
-
-// wakeAt schedules the wake of the line at base for time at. The event names
-// the line by its base, as growing the line tables re-indexes them.
-func (d *directory) wakeAt(base uint64, at eventq.Time) {
-	d.sys.q.Push(eventq.Event{At: at, Kind: kindWake, Core: -1, Arg: int64(base)})
-}
-
-// wake unblocks the line at base if its fill's acknowledgment has arrived.
-// It is idempotent: a request that arrived at the same time may have
-// unblocked the line already, and the line may be busy with another
-// transaction since.
-func (d *directory) wake(base uint64) {
-	li := d.sys.lineOf(base)
-	if l := &d.lines[li]; l.ackArrived(d.sys.q.Now()) {
 		d.unblock(l, li)
 	}
 }
 
 // grant sends a fill carrying the current memory copy of the line, which
 // leaves the directory after its occupancy plus extra cycles (memory
-// latency, or the wait for the response it answers to arrive). The grant is
-// composed now — the data snapshotted, the message counted and its jitter
-// drawn — and delivered by one event. Memory cannot change before the grant
-// leaves: the line is busy.
+// latency, the wait for the response it answers to arrive, or for the line
+// to be free). The grant is composed now — the data snapshotted, the message
+// counted and its jitter drawn — and delivered by one event. Memory cannot
+// change before the grant leaves: the line is busy.
 func (d *directory) grant(to int, typ msgType, base uint64, li int, extra eventq.Time) {
 	slot := d.sys.newMsg(message{typ: typ, from: -1, base: base,
 		row: d.sys.copyRow(d.sys.memLine(li))})
 	d.sys.post(to, slot, d.sys.cfg.DirLat+extra)
 }
 
-// service handles one request on an idle line. GetS/GetM always leave the
-// line busy: either awaiting an owner response / invalidation acks, or (once
-// a grant is sent) awaiting the grantee's FillAck.
+// service handles one request on an idle line, as of max(now, freeAt): what
+// it sends leaves wait cycles from now. GetS/GetM always leave the line busy:
+// either awaiting an owner response / invalidation acks, or (once a grant is
+// sent) awaiting the grantee's FillAck.
 func (d *directory) service(l *dirLine, li int, m message) {
+	wait := max(0, l.freeAt-d.sys.q.Now())
 	switch m.typ {
 	case msgGetS:
 		l.busy = true
@@ -233,18 +216,18 @@ func (d *directory) service(l *dirLine, li int, m message) {
 		case dirU:
 			l.state = dirEM
 			l.owner = m.from
-			d.grant(m.from, msgDataE, m.base, li, d.sys.cfg.MemLat)
+			d.grant(m.from, msgDataE, m.base, li, wait+d.sys.cfg.MemLat)
 		case dirS:
 			l.sharers |= 1 << m.from
-			d.grant(m.from, msgDataS, m.base, li, 0)
+			d.grant(m.from, msgDataS, m.base, li, wait)
 		case dirEM:
 			if l.owner == m.from {
 				// The owner silently dropped a clean line and re-requested:
 				// memory is current.
-				d.grant(m.from, msgDataE, m.base, li, 0)
+				d.grant(m.from, msgDataE, m.base, li, wait)
 				return
 			}
-			d.sys.send(l.owner, message{typ: msgFwdGetS, from: -1, base: m.base})
+			d.sys.send(l.owner, message{typ: msgFwdGetS, from: -1, base: m.base}, wait)
 		}
 	case msgGetM:
 		l.busy = true
@@ -253,29 +236,29 @@ func (d *directory) service(l *dirLine, li int, m message) {
 		case dirU:
 			l.state = dirEM
 			l.owner = m.from
-			d.grant(m.from, msgDataM, m.base, li, d.sys.cfg.MemLat)
+			d.grant(m.from, msgDataM, m.base, li, wait+d.sys.cfg.MemLat)
 		case dirS:
 			others := l.sharers &^ (1 << m.from)
 			if others == 0 {
 				l.state = dirEM
 				l.owner = m.from
 				l.sharers = 0
-				d.grant(m.from, msgDataM, m.base, li, 0)
+				d.grant(m.from, msgDataM, m.base, li, wait)
 				return
 			}
 			l.acksNeeded = bits.OnesCount64(others)
 			// Fan out in ascending core order: message sequencing (and hence
 			// simulated timing) depends on it.
 			for ; others != 0; others &= others - 1 {
-				d.sys.send(bits.TrailingZeros64(others), message{typ: msgInv, from: -1, base: m.base})
+				d.sys.send(bits.TrailingZeros64(others), message{typ: msgInv, from: -1, base: m.base}, wait)
 			}
 		case dirEM:
 			if l.owner == m.from {
 				// Owner silently dropped clean line, now writing.
-				d.grant(m.from, msgDataM, m.base, li, 0)
+				d.grant(m.from, msgDataM, m.base, li, wait)
 				return
 			}
-			d.sys.send(l.owner, message{typ: msgFwdGetM, from: -1, base: m.base})
+			d.sys.send(l.owner, message{typ: msgFwdGetM, from: -1, base: m.base}, wait)
 		}
 	case msgPutM:
 		if l.state == dirEM && l.owner == m.from {
@@ -286,16 +269,18 @@ func (d *directory) service(l *dirLine, li int, m message) {
 		}
 		// Stale PutM (ownership already transferred via a forward): the data
 		// was already supplied to the directory by the writeback buffer.
-		d.sys.send(m.from, message{typ: msgWBAck, from: -1, base: m.base})
+		d.sys.send(m.from, message{typ: msgWBAck, from: -1, base: m.base}, wait)
 	}
 }
 
-// unblock finishes the busy transaction and serves queued requests until the
-// line blocks again or the queue empties, freeing each slot once served.
+// unblock finishes the busy transaction and serves queued requests, as of
+// freeAt, until the line blocks again or the queue empties, freeing each
+// slot once served. freeAt stays: a request served without blocking the line
+// (a PutM) holds the ones after it to the same time.
 func (d *directory) unblock(l *dirLine, li int) {
 	l.busy, l.filled = false, false
 	l.cur = message{}
-	l.acksNeeded, l.acksAt, l.freeAt = 0, 0, 0
+	l.acksNeeded, l.acksAt = 0, 0
 	for !l.busy && len(l.queue) > 0 {
 		slot := l.queue[0]
 		// Pop by copy-down so the queue keeps its backing array for reuse.

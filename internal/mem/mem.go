@@ -20,19 +20,19 @@
 // (Bug 2, the load-queue issue, lives in package sim.)
 //
 // Timing: every message takes NetLat plus a uniformly random jitter cycles;
-// cache hits take TagLat; the directory adds DirLat and memory fills MemLat.
-// Timing variability — hit vs. miss vs. line ping-pong — is what produces
-// the non-deterministic interleavings the paper measures, so latencies are
-// deliberately coarse but state-dependent.
+// the directory adds DirLat and memory fills MemLat, and a cache hit
+// completes at its access. Timing variability — hit vs. miss vs. line
+// ping-pong — is what produces the non-deterministic interleavings the paper
+// measures, so latencies are deliberately coarse but state-dependent.
 //
-// Scheduling is closure-free: every deferred action is a typed eventq.Event
-// whose kind lives in the package's reserved kind space (KindBase and up),
-// routed back in through Dispatch by the engine's jump table. Requests carry
-// a caller-chosen completion token instead of a callback; the system reports
-// completions synchronously through the hook set with SetCompleteHook.
-// Every copy of a line outside backing memory — a message's data, a
-// writeback buffer, a cache way's data — is a row of one arena (System.rows),
-// and messages, MSHRs and pending-replay records live in reused slots, so a
+// Scheduling is closure-free: the one deferred action, a message's delivery,
+// is a typed eventq.Event whose kind lives in the package's reserved kind
+// space (KindBase and up), routed back in through Dispatch by the engine's
+// jump table. Requests carry a caller-chosen completion token instead of a
+// callback; the system reports completions synchronously through the hook
+// set with SetCompleteHook. Every copy of a line outside backing memory — a
+// message's data, a writeback buffer, a cache way's data — is a row of one
+// arena (System.rows), and messages and MSHRs live in reused slots, so a
 // steady-state iteration allocates nothing.
 //
 // Per-line state — backing memory, directory entries, each cache's MSHR and
@@ -62,15 +62,6 @@ const (
 	// kindDeliver delivers message slot Op to cache Core (or the directory
 	// when Core is negative) — the network hop.
 	kindDeliver = KindBase + iota
-	// kindLoadHit replays a load hit on cache Core after tag latency;
-	// Op indexes the pending-request pool.
-	kindLoadHit
-	// kindStoreHit replays a store hit on cache Core after tag latency;
-	// Op indexes the pending-request pool.
-	kindStoreHit
-	// kindWake unblocks the directory line at base Arg when its fill's
-	// acknowledgment arrives, for the requests queued behind it.
-	kindWake
 )
 
 // Bugs selects injectable protocol defects (paper §7).
@@ -93,7 +84,6 @@ type Config struct {
 	Sets     int // L1 sets
 	Ways     int // L1 ways
 
-	TagLat eventq.Time // L1 hit latency
 	NetLat eventq.Time // per-message network latency
 	DirLat eventq.Time // directory occupancy per request
 	MemLat eventq.Time // backing-memory access latency
@@ -107,7 +97,7 @@ type Config struct {
 func DefaultConfig(cores int) Config {
 	return Config{
 		Cores: cores, LineSize: 64, WordSize: 4, Sets: 256, Ways: 2,
-		TagLat: 2, NetLat: 12, DirLat: 4, MemLat: 60, Jitter: 6,
+		NetLat: 12, DirLat: 4, MemLat: 60, Jitter: 6,
 	}
 }
 
@@ -140,7 +130,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mem: bad geometry %d sets × %d ways", c.Sets, c.Ways)
 	case !powerOfTwo(c.Sets):
 		return fmt.Errorf("mem: Sets %d is not a power of two", c.Sets)
-	case c.TagLat < 0 || c.NetLat < 0 || c.DirLat < 0 || c.MemLat < 0 || c.Jitter < 0:
+	case c.NetLat < 0 || c.DirLat < 0 || c.MemLat < 0 || c.Jitter < 0:
 		return fmt.Errorf("mem: negative latency")
 	}
 	return nil
@@ -188,10 +178,6 @@ type System struct {
 	// the slot index riding in the event. A message's data is a row it owns.
 	msgs    []message
 	msgFree []int32
-
-	// Pending-request slots for tag-latency hit replays.
-	pend     []memReq
-	pendFree []int32
 
 	// Line rows: every line copy outside memory — message data, writeback
 	// buffers, cache-way data — is a row of wpl words, addressed by row
@@ -364,26 +350,6 @@ func (s *System) freeMsg(slot int32) {
 	s.msgFree = append(s.msgFree, slot)
 }
 
-// newPend claims a pending-request slot for a tag-latency replay.
-func (s *System) newPend(req memReq) int32 {
-	var slot int32
-	if n := len(s.pendFree); n > 0 {
-		slot = s.pendFree[n-1]
-		s.pendFree = s.pendFree[:n-1]
-	} else {
-		slot = int32(len(s.pend))
-		s.pend = append(s.pend, memReq{})
-	}
-	s.pend[slot] = req
-	return slot
-}
-
-func (s *System) takePend(slot int32) memReq {
-	req := s.pend[slot]
-	s.pendFree = append(s.pendFree, slot)
-	return req
-}
-
 // post puts a composed message slot on the network to the directory
 // (to == -1) or to cache to, delivered after wait cycles at its sender plus
 // the network's latency: one Messages count, one jitter draw and one event.
@@ -392,7 +358,7 @@ func (s *System) post(to int, slot int32, wait eventq.Time) {
 }
 
 // send composes and posts a message in one step.
-func (s *System) send(to int, m message) { s.post(to, s.newMsg(m), 0) }
+func (s *System) send(to int, m message, wait eventq.Time) { s.post(to, s.newMsg(m), wait) }
 
 // arrival counts one message leaving now, draws its network latency and
 // returns when it arrives. A cache → directory response goes no further: the
@@ -405,27 +371,19 @@ func (s *System) arrival() eventq.Time {
 // Dispatch routes a typed event scheduled by this package. The engine's
 // event handler forwards every event with Kind >= KindBase here.
 func (s *System) Dispatch(ev eventq.Event) {
-	switch ev.Kind {
-	case kindDeliver:
-		// Freed only after receive returns, as handlers read the message's
-		// row, and not at all when the directory queues the slot.
-		if to := int(ev.Core); to < 0 {
-			if s.dir.receive(ev.Op) {
-				return
-			}
-		} else {
-			s.caches[to].receive(s.msgs[ev.Op])
-		}
-		s.freeMsg(ev.Op)
-	case kindLoadHit:
-		s.caches[ev.Core].replayLoadHit(ev.Op)
-	case kindStoreHit:
-		s.caches[ev.Core].replayStoreHit(ev.Op)
-	case kindWake:
-		s.dir.wake(uint64(ev.Arg))
-	default:
+	if ev.Kind != kindDeliver {
 		panic(fmt.Sprintf("mem: Dispatch of unknown kind %d", ev.Kind))
 	}
+	// Freed only after receive returns, as handlers read the message's row,
+	// and not at all when the directory queues the slot.
+	if to := int(ev.Core); to < 0 {
+		if s.dir.receive(ev.Op) {
+			return
+		}
+	} else {
+		s.caches[to].receive(s.msgs[ev.Op])
+	}
+	s.freeMsg(ev.Op)
 }
 
 // finish retires one performed request and reports it to the engine: a load
@@ -443,7 +401,8 @@ func (s *System) finish(req memReq) {
 }
 
 // Read issues a load of the word at addr on behalf of core. The completion
-// hook receives tok and the loaded value when the load performs.
+// hook receives tok and the loaded value when the load performs: before Read
+// returns on a hit.
 func (s *System) Read(core int, addr uint64, tok int64) {
 	s.outstanding++
 	s.caches[core].access(memReq{addr: addr, tok: tok})
@@ -451,7 +410,8 @@ func (s *System) Read(core int, addr uint64, tok int64) {
 
 // Write issues a store of val to the word at addr on behalf of core. The
 // completion hook receives tok (value 0) when the store has obtained write
-// permission and updated the line (i.e. the store is globally visible).
+// permission and updated the line (i.e. the store is globally visible):
+// before Write returns on a hit.
 func (s *System) Write(core int, addr uint64, val uint32, tok int64) {
 	s.outstanding++
 	s.caches[core].access(memReq{isWrite: true, addr: addr, val: val, tok: tok})
@@ -474,7 +434,7 @@ func (s *System) Quiescent() bool {
 
 // Reset restores the initial state (all memory zero, caches empty) from any
 // state: whatever is in flight — messages, requests queued at the directory,
-// MSHRs, writebacks, stalled and pending requests — is discarded. Events the
+// MSHRs, writebacks and stalled requests — is discarded. Events the
 // queue still holds name discarded slots, so the caller empties the queue
 // (eventq.Queue.Reset) with it. Backing storage (line tables, the row arena,
 // slots) is kept for reuse and only what the iteration touched is zeroed — a
@@ -491,7 +451,6 @@ func (s *System) Reset() error {
 		c.reset()
 	}
 	s.msgs, s.msgFree = s.msgs[:0], s.msgFree[:0]
-	s.pend, s.pendFree = s.pend[:0], s.pendFree[:0]
 	s.rows, s.rowFree = s.rows[:s.wpl], s.rowFree[:0]
 	s.outstanding = 0
 	s.stats = Stats{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -482,8 +481,8 @@ func TestInvalidationFanOutAscending(t *testing.T) {
 // counters and timing. The iterations end quiescent after touching some lines
 // and ways (and growing the line tables in both directions), mid-flight (a
 // GetS queued behind a busy line, a fill on its way, a writeback
-// unacknowledged), with a directory line's wake pending (requests queued
-// behind a FillAck still on its way), and deadlocked by bug 3.
+// unacknowledged), with a directory line that served a request as of a
+// FillAck's arrival still to come, and deadlocked by bug 3.
 func TestResetEqualsFreshSystem(t *testing.T) {
 	cfg := TinyCacheConfig(4)
 	cfg.Jitter = 5
@@ -586,12 +585,12 @@ func TestResetEqualsFreshSystem(t *testing.T) {
 	resetEqualsFresh("an iteration stopped mid-flight")
 
 	issue(q, s, 6, 300, 0, 24, 0)
-	for !wakePending(s) {
+	for !servedAhead(s) {
 		if !q.Step() {
-			t.Fatal("traffic ran dry before requests queued behind a FillAck in flight")
+			t.Fatal("traffic ran dry before a line served a request as of a FillAck in flight")
 		}
 	}
-	resetEqualsFresh("an iteration stopped with a wake pending")
+	resetEqualsFresh("an iteration stopped with a line served ahead")
 
 	// Bug 3 is switched on for this iteration alone, so the system is
 	// compared with a bug-free one afterwards as before.
@@ -627,11 +626,11 @@ func midFlight(s *System) bool {
 	return queuedGetS && fill && writeback
 }
 
-// wakePending reports whether a directory line has requests queued behind a
-// FillAck that has not arrived, so that its wake event is pending.
-func wakePending(s *System) bool {
+// servedAhead reports whether a directory line has served a request as of
+// a FillAck's arrival that is still to come.
+func servedAhead(s *System) bool {
 	for _, li := range s.dir.touched {
-		if l := &s.dir.lines[li]; l.busy && l.filled && len(l.queue) > 0 {
+		if l := &s.dir.lines[li]; !l.filled && l.freeAt > s.q.Now() {
 			return true
 		}
 	}
@@ -691,7 +690,7 @@ func TestDirectMappedOracle(t *testing.T) {
 
 // TestPoolsReachSteadyState runs two identical bursts of traffic with a Reset
 // between them and checks the second burst allocates (almost) nothing: every
-// reused store — message slots, the row arena, MSHRs, pending replays — must
+// reused store — message slots, the row arena, MSHRs — must
 // have reached capacity during the first burst.
 func TestPoolsReachSteadyState(t *testing.T) {
 	cfg := TinyCacheConfig(4)
@@ -728,13 +727,14 @@ func TestPoolsReachSteadyState(t *testing.T) {
 
 // TestEventsAndMessagesPerTransaction pins what each transaction costs now
 // that cache → directory responses act at their arrival time without an
-// event: an uncached read miss is GetS and DataE (2 events) plus the FillAck
-// (3 messages); a cache-to-cache read adds the forward and the owner's
-// response (3 events, 5 messages); an upgrade against k other sharers is GetM,
-// k invalidations and DataM (k+2 events) plus k acks and the FillAck (2k+3
-// messages). Each transaction starts after the last one's events ran out, its
-// fill's ack still on its way: without jitter a request arrives exactly when
-// that ack does and unblocks the line itself.
+// event: a load or store hit completes before Read or Write returns (no
+// event, no message); an uncached read miss is GetS and DataE (2 events)
+// plus the FillAck (3 messages); a cache-to-cache read adds the forward and
+// the owner's response (3 events, 5 messages); an upgrade against k other
+// sharers is GetM, k invalidations and DataM (k+2 events) plus k acks and
+// the FillAck (2k+3 messages). Each transaction starts after the last one's
+// events ran out, its fill's ack still on its way: without jitter a request
+// arrives exactly when that ack does and unblocks the line itself.
 func TestEventsAndMessagesPerTransaction(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Jitter = 0
@@ -758,6 +758,21 @@ func TestEventsAndMessagesPerTransaction(t *testing.T) {
 	q, s, b := newSys(t, 8, cfg)
 	e, m := measure(q, s, func() { b.read(0, 0x1000, func(uint32) {}) })
 	check("uncached read miss", e, m, 2, 3)
+	for _, write := range []bool{false, true} {
+		what, completed := "load hit", false
+		e, m = measure(q, s, func() {
+			if write {
+				what = "store hit"
+				b.write(0, 0x1004, 5, func() { completed = true })
+			} else {
+				b.read(0, 0x1000, func(uint32) { completed = true })
+			}
+			if !completed {
+				t.Errorf("%s: not completed when the access returned", what)
+			}
+		})
+		check(what, e, m, 0, 0)
+	}
 
 	q, s, b = newSys(t, 8, cfg)
 	measure(q, s, func() { b.write(0, 0x1000, 1, func() {}) })
@@ -789,39 +804,40 @@ func (r *scripted) Intn(n int) int {
 	return d
 }
 
-// TestFillAckArrival: a line whose grantee has sent its FillAck is free from
-// the ack's arrival on, with no event for the ack itself. With scripted
-// jitter, core 0's uncached read of a line fills at cycle 88 (GetS 12, DirLat
-// 4, MemLat 60, DataE 12) and core 1's GetS for the line is served
+// TestFillAckArrival: a line whose grantee has sent its FillAck is free as
+// of the ack's arrival, with no event for the ack itself, and serves the
+// next request at once as of that time. With scripted jitter — zero but for
+// the FillAcks — each case pins when a grant to the last requester leaves
+// the directory (its delivery less NetLat):
 //
-//   - at exactly the ack's arrival when it reaches the directory earlier: the
-//     first request queued behind the ack schedules one wake for that cycle;
-//   - on its own arrival when it reaches the directory later, unblocking the
-//     line itself, with no wake at all;
-//   - and a wake that fires after a request arriving in the same cycle
-//     unblocked the line, served the queue and re-blocked it, does nothing.
+//   - "ack in flight": cores 0 and 1 read the line, so it ends Shared; core
+//     1's FillAck (jitter 30) arrives at cycle 182 and core 2's GetS, issued
+//     as core 1's read completes, reaches the line at 152. Its DataS leaves
+//     at freeAt + DirLat.
+//   - "after PutM": core 0 writes line A (FillAck jitter 30: free at 130),
+//     then, as the write completes, writes line B of the same set, evicting
+//     A; core 1 reads A. The PutM and core 1's GetS both reach A at cycle
+//     100. The PutM is served as of 130 and leaves A uncached, and the GetS,
+//     which finds A idle, is still served as of 130: its DataE leaves at
+//     freeAt + DirLat + MemLat.
 func TestFillAckArrival(t *testing.T) {
-	const line = 0x1000
+	const lineA, lineB = 0x1000, 0x1000 + 8*64 // one set of a direct-mapped 8-set cache
 	for _, c := range []struct {
-		name string
-		// draws are the jitters in draw order. For "early" and "late": core
-		// 0's GetS, its DataE, its FillAck and core 1's GetS, issued as core
-		// 0's read completes. For "stale": core 0's GetS, core 1's (queued
-		// behind it), core 0's DataE, core 2's GetS, issued at cycle 12 to
-		// arrive with core 0's FillAck at cycle 100, and that FillAck.
-		draws      []int
-		wantServed eventq.Time // when core 1's GetS is served
-		wantWakes  int
-		wantNoOpAt eventq.Time // when a wake finds the line re-blocked; 0 for none
+		name   string
+		draws  []int       // the jitters in draw order (then zeros)
+		to     int         // the core whose grant is timed
+		freeAt eventq.Time // when the line is free
+		leaves eventq.Time // when the grant leaves the directory
 	}{
-		{name: "early", draws: []int{0, 0, 6, 0}, wantServed: 106, wantWakes: 1},
-		{name: "late", draws: []int{0, 0, 0, 6}, wantServed: 106},
-		// The second wake is the one core 2's GetS, queued behind core 1's
-		// transaction, waits for.
-		{name: "stale", draws: []int{0, 0, 0, 76, 0}, wantServed: 100, wantWakes: 2, wantNoOpAt: 100},
+		// c0 GetS, DataE, c0 FillAck, c1 GetS, FwdGetS, owner response,
+		// DataS, c1 FillAck.
+		{name: "ack in flight", draws: []int{0, 0, 0, 0, 0, 0, 0, 30}, to: 2, freeAt: 182, leaves: 182 + 4},
+		// c0 GetM, DataM, c0 FillAck.
+		{name: "after PutM", draws: []int{0, 0, 30}, to: 1, freeAt: 130, leaves: 130 + 4 + 60},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig(3)
+			cfg.Sets, cfg.Ways = 8, 1
 			cfg.Jitter = 100
 			q := eventq.New()
 			s, err := NewSystem(q, cfg, &scripted{draws: c.draws})
@@ -829,46 +845,31 @@ func TestFillAckArrival(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := newBench(q, s)
-			l := func() *dirLine { return &s.dir.lines[s.lineOf(line)] }
-			var served eventq.Time = -1
-			wakes := 0
+			var leaves, freeAt eventq.Time = -1, -1
 			q.SetHandler(func(ev eventq.Event) {
-				if ev.Kind != kindWake {
-					s.Dispatch(ev)
-				} else {
-					wakes++
-					before := *l()
-					queued := slices.Clone(before.queue)
-					s.Dispatch(ev)
-					if after := l(); before.busy && !before.filled {
-						if after.cur != before.cur || !slices.Equal(after.queue, queued) || !after.busy {
-							t.Errorf("a wake at cycle %d changed a re-blocked line", q.Now())
-						}
-						if q.Now() != c.wantNoOpAt {
-							t.Errorf("a wake found the line re-blocked at cycle %d, want %d", q.Now(), c.wantNoOpAt)
-						}
-						c.wantNoOpAt = 0
-					}
+				if m := s.msgs[ev.Op]; int(ev.Core) == c.to && (m.typ == msgDataS || m.typ == msgDataE) {
+					leaves = q.Now() - cfg.NetLat
+					freeAt = s.dir.lines[s.lineOf(lineA)].freeAt
 				}
-				if served < 0 && l().busy && l().cur.from == 1 {
-					served = q.Now()
-				}
+				s.Dispatch(ev)
 			})
-			if c.name == "stale" {
-				b.read(0, line, func(uint32) {})
-				b.read(1, line, func(uint32) {})
-				q.Step() // core 0's GetS at cycle 12
-				b.read(2, line, func(uint32) {})
+			if c.to == 2 {
+				b.read(0, lineA, func(uint32) {
+					b.read(1, lineA, func(uint32) { b.read(2, lineA, func(uint32) {}) })
+				})
 			} else {
-				b.read(0, line, func(uint32) { b.read(1, line, func(uint32) {}) })
+				b.write(0, lineA, 7, func() {
+					b.write(0, lineB, 8, func() {})
+					b.read(1, lineA, func(uint32) {})
+				})
 			}
 			q.RunUntil(nil, 0)
 			if s.Outstanding() != 0 {
 				t.Fatalf("%d operations outstanding", s.Outstanding())
 			}
-			if served != c.wantServed || wakes != c.wantWakes || c.wantNoOpAt != 0 {
-				t.Errorf("core 1's GetS served at cycle %d with %d wakes (no-op wake pending at %d); want cycle %d, %d wakes",
-					served, wakes, c.wantNoOpAt, c.wantServed, c.wantWakes)
+			if leaves != c.leaves || freeAt != c.freeAt {
+				t.Errorf("core %d's grant left at cycle %d, the line free at %d; want %d and %d",
+					c.to, leaves, freeAt, c.leaves, c.freeAt)
 			}
 		})
 	}
