@@ -372,8 +372,9 @@ func TestSmoke(t *testing.T) {
 	// The verify skill's fault-tolerance recipes print, and exit with, exactly
 	// what testdata/faults.golden records: bit flips quarantined or, where one
 	// lands on another valid encoding, checked as a real observation (on this
-	// campaign both flips are quarantined: exit 0), a quarantine overflow
-	// (exit 3), a strict abort (exit 2), and injected
+	// campaign 1 of 3 flips is quarantined and the 2 checked ones are
+	// violations: exit 1), a quarantine overflow (exit 3), a strict abort
+	// (exit 2), and injected
 	// shard panics retried to a PASS or, without retries, reported PARTIAL
 	// (exit 0). The file names each recipe, not its flags, so it was captured
 	// under the flags a recipe used to be spelled with and pins their
@@ -385,16 +386,28 @@ func TestSmoke(t *testing.T) {
 			exit int
 			args []string
 		}{
-			{"bit flips, quarantined or checked as observations", exitPass, []string{"-fault", "bit-flip=0.01"}},
+			{"bit flips, quarantined or checked as observations", exitFinding, []string{"-fault", "bit-flip=0.02"}},
 			{"out-of-range words over -max-quarantine", exitQuarantine, []string{"-fault", "out-of-range=0.5", "-max-quarantine", "0.05"}},
 			{"out-of-range words under -strict", exitInfra, []string{"-fault", "out-of-range=0.5", "-strict"}},
 			{"shard panics, retried", exitPass, []string{"-fault", "panic=1", "-shard-retries", "2"}},
 			{"shard panics, not retried", exitPass, []string{"-fault", "panic=1", "-shard-retries", "0"}},
 		}
 		var got strings.Builder
-		for _, r := range recipes {
+		for i, r := range recipes {
 			out, _ := mtc(t, r.exit, append(base, r.args...)...)
 			fmt.Fprintf(&got, "# %s\n%sexit %d\n\n", r.name, out, r.exit)
+			if i == 0 {
+				// The bit-flip recipe must check a flip, not only quarantine.
+				var injected, quarantined int
+				for _, line := range strings.Split(out, "\n") {
+					fmt.Sscanf(line, "injected faults: bit-flip=%d", &injected)
+					fmt.Sscanf(line, "quarantined: %d signatures", &quarantined)
+				}
+				if injected <= quarantined {
+					t.Errorf("bit-flip recipe: %d flips injected, %d quarantined; want a flip checked as an observation",
+						injected, quarantined)
+				}
+			}
 		}
 		compareGolden(t, "faults.golden", got.String())
 	})
