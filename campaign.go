@@ -503,11 +503,11 @@ func (cr *ChunkRunner) runChunkRetrying(ctx context.Context, idx int) *shardOut 
 			}
 			cr.runner = r
 		}
-		src := c.inj.WrapShard(ctx, &seededSource{r: cr.runner, seeds: seeds}, start, count, attempt)
+		src := c.inj.WrapShard(ctx, cr.runner, start, count, attempt)
 		began := time.Now()
 		c.em.shardStart(obs.StageExecute, cr.lane, attempt, start, count, began)
 		out := newShardOut(idx, start, count)
-		runShardAttempt(ctx, src, c.meta, opts, out)
+		runShardAttempt(ctx, src, seeds, c.meta, opts, out)
 		out.attempts = attempt + 1
 		if errors.Is(out.err, errShardPanic) {
 			// The panic may have unwound mid-iteration; the simulator's
@@ -537,22 +537,6 @@ func (cr *ChunkRunner) runChunkRetrying(ctx context.Context, idx int) *shardOut 
 			backoff = maxBackoff
 		}
 	}
-}
-
-// seededSource adapts a Runner to one chunk's seeds, drawn from the campaign
-// seed stream: call i executes under seeds[i] via RunSeeded, so the runner's
-// own master stream is never consulted and any runner can execute any chunk. A fresh source per attempt restarts the slice from the top; the
-// fault injector's stall/panic shim wraps it transparently.
-type seededSource struct {
-	r     *sim.Runner
-	seeds []int64
-	i     int
-}
-
-func (s *seededSource) Run() (*sim.Execution, error) {
-	seed := s.seeds[s.i]
-	s.i++
-	return s.r.RunSeeded(seed)
 }
 
 // emitter is the pipeline's nil-safe observer tap. The zero value (nil
@@ -733,13 +717,13 @@ func retryable(err error, parent context.Context) bool {
 }
 
 // runShardAttempt drives one source through the iterations of out's chunk,
-// filling out, polling the context between iterations and
-// converting a panic anywhere below — simulator, encoder, or an injected
-// shard fault — into a shard error instead of crashing the process. It is
-// deliberately free of observer hooks: events fire at the chunk boundary,
-// never inside the per-iteration hot loop.
-func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
-	opts Options, out *shardOut) {
+// iteration i under seeds[i], filling out, polling the context between
+// iterations and converting a panic anywhere below — simulator, encoder, or
+// an injected shard fault — into a shard error instead of crashing the
+// process. It is deliberately free of observer hooks: events fire at the
+// chunk boundary, never inside the per-iteration hot loop.
+func runShardAttempt(ctx context.Context, src sim.Source, seeds []int64,
+	meta *instrument.Meta, opts Options, out *shardOut) {
 	start, count, stats := out.Start, out.Count, &out.Stats
 	defer func() {
 		if r := recover(); r != nil {
@@ -752,7 +736,7 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 			out.err = err
 			return
 		}
-		ex, err := src.Run()
+		ex, err := src.RunSeeded(seeds[i])
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				// An interrupted stall, not a platform failure.

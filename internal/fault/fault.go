@@ -383,11 +383,11 @@ type shardRunner struct {
 	i     int
 }
 
-// Run delegates to the wrapped source, first triggering the planned fault
-// when its iteration is reached: a panic unwinds into the shard's recover
-// handler; a stall blocks until its hold elapses or the shard's context is
-// done (the campaign was cancelled).
-func (r *shardRunner) Run() (*sim.Execution, error) {
+// RunSeeded delegates to the wrapped source, first triggering the planned
+// fault when its iteration is reached: a panic unwinds into the shard's
+// recover handler; a stall blocks until its hold elapses or the shard's
+// context is done (the campaign was cancelled).
+func (r *shardRunner) RunSeeded(seed int64) (*sim.Execution, error) {
 	i := r.i
 	r.i++
 	if i == r.d.Iteration {
@@ -402,7 +402,7 @@ func (r *shardRunner) Run() (*sim.Execution, error) {
 			}
 		}
 	}
-	return r.inner.Run()
+	return r.inner.RunSeeded(seed)
 }
 
 // QuarantineKind classifies why the host quarantined a signature.

@@ -228,10 +228,10 @@ func TestShardPlanTransient(t *testing.T) {
 	}
 }
 
-// stubSource counts Run calls without needing a simulator.
+// stubSource counts RunSeeded calls without needing a simulator.
 type stubSource struct{ calls int }
 
-func (s *stubSource) Run() (*sim.Execution, error) {
+func (s *stubSource) RunSeeded(int64) (*sim.Execution, error) {
 	s.calls++
 	return &sim.Execution{}, nil
 }
@@ -268,7 +268,7 @@ func TestRunnerInjectedPanic(t *testing.T) {
 		}
 	}()
 	for i := 0; i <= f.Iteration; i++ {
-		if _, err := src.Run(); err != nil {
+		if _, err := src.RunSeeded(int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestRunnerStallHonorsContext(t *testing.T) {
 	start := time.Now()
 	var runErr error
 	for i := 0; i <= f.Iteration; i++ {
-		if _, runErr = src.Run(); runErr != nil {
+		if _, runErr = src.RunSeeded(int64(i)); runErr != nil {
 			break
 		}
 	}

@@ -776,10 +776,13 @@ func TestTraceTimeline(t *testing.T) {
 	}
 }
 
-// TestSeedStreamSkipMatchesSequentialRuns: a seed stream asked for iteration
-// n (FillFrom draws past the ones before it) must hand out exactly the seed a
-// same-seeded runner's n-th Run call would have drawn — the invariant behind the streaming pipeline's
-// worker-invariant results and checkpoint resume.
+// TestSeedStreamSkipMatchesSequentialRuns: a fresh runner executing iteration
+// n under the seed FillFrom skips ahead to must produce exactly iteration n of
+// one runner reused for n+1 iterations — reuse leaves nothing behind and
+// skipping draws what stepping does, the invariant behind the streaming
+// pipeline's worker-invariant results and checkpoint resume. Both runs go
+// through the one seed path (Run draws from the same SeedStream), so this
+// compares runner states, not two ways of seeding.
 func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
 	p := mustGenerate(testgen.Config{Threads: 4, OpsPerThread: 20, Words: 8, Seed: 2})
 	plat := PlatformX86()

@@ -13,7 +13,6 @@ import (
 	"mtracecheck/internal/fault"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
-	"mtracecheck/internal/sim"
 )
 
 // chaosObserver perturbs the streaming scheduler: every execution chunk
@@ -150,37 +149,5 @@ func TestLegacyCheckpointResume(t *testing.T) {
 	if report.ResumedIterations != 0 || report.Iterations != 0 || report.UniqueSignatures != 0 {
 		t.Errorf("refused checkpoint still reached the report: %d resumed, %d iterations, %d uniques",
 			report.ResumedIterations, report.Iterations, report.UniqueSignatures)
-	}
-}
-
-// TestSeedStreamMatchesRunnerDraws pins the seed-table contract at the API
-// level: executing iteration i via RunSeeded(stream value i) must be
-// bit-identical to the i-th Run() on a same-seeded runner.
-func TestSeedStreamMatchesRunnerDraws(t *testing.T) {
-	p := mustGenerate(TestConfig{Threads: 2, OpsPerThread: 15, Words: 4, Seed: 3})
-	plat := PlatformX86()
-	serial, err := sim.NewRunner(plat, p, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := make([]int64, 10)
-	sim.NewSeedStream(42).FillFrom(0, seeds)
-	seeded, err := sim.NewRunner(plat, p, 99) // different master seed: must not matter
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range seeds {
-		a, err := serial.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycles := a.Cycles
-		b, err := seeded.RunSeeded(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Cycles != cycles {
-			t.Fatalf("iteration %d: RunSeeded cycles %d, Run cycles %d", i, b.Cycles, cycles)
-		}
 	}
 }
