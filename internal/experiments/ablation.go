@@ -311,33 +311,13 @@ func Saturation(cfg Config) (*report.Table, error) {
 		Header: []string{"iterations", "unique", "fraction"},
 	}
 	tc := testgen.Config{Threads: 2, OpsPerThread: 50, Words: 32, Seed: cfg.Seed}
-	p, err := testgen.Generate(tc)
-	if err != nil {
-		return nil, err
-	}
-	plat := sim.PlatformARM()
-	meta, err := instrument.Analyze(p, plat.RegWidthBits, nil)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewRunner(plat, p, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	set := sig.NewSet()
-	checkpoints := []int{cfg.Iterations, cfg.Iterations * 4, cfg.Iterations * 16}
-	done := 0
-	for _, target := range checkpoints {
-		for ; done < target; done++ {
-			ex, err := runner.Run()
-			if err != nil {
-				return nil, err
-			}
-			if s, err := meta.EncodeValues(ex.LoadValues); err == nil {
-				set.Add(s)
-			}
+	for _, n := range []int{cfg.Iterations, cfg.Iterations * 4, cfg.Iterations * 16} {
+		rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
+			Platform: sim.PlatformARM(), Iterations: n, Seed: cfg.Seed}))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(target, set.Len(), report.Percent(float64(set.Len()), float64(target)))
+		t.AddRow(n, rep.UniqueSignatures, report.Percent(float64(rep.UniqueSignatures), float64(n)))
 	}
 	return t, nil
 }

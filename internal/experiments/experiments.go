@@ -71,6 +71,13 @@ type Config struct {
 // pipeline through mtracecheck's entry points with these options, so what an
 // experiment measures is what a user's campaign does. Workers is 1: the
 // effort counters several tables print depend on checking-shard boundaries.
+//
+// Two tables drive sim.Runner directly instead, because what they read is
+// more than a campaign keeps: Fig10 needs every iteration's load values, in
+// order, through one persistent branch predictor, and DynPrune runs the
+// frontier encoder on every clean and bug-2 iteration. A KeepExecutions
+// campaign could hand both the executions, but would retain all of them —
+// 65,536 ARM 7×200 executions at -iters 65536.
 func (cfg Config) options(o mtracecheck.Options) mtracecheck.Options {
 	o.Checker, o.Observer, o.Workers = cfg.Checker, cfg.Observer, 1
 	return o
@@ -657,6 +664,7 @@ func Litmus(cfg Config) (*report.Table, error) {
 	}{
 		{"SC", func() sim.Platform { p := sim.PlatformX86(); p.Model = mcm.SC; return p }},
 		{"TSO", sim.PlatformX86},
+		{"PSO", func() sim.Platform { p := sim.PlatformX86(); p.Model = mcm.PSO; return p }},
 		{"RMO", sim.PlatformARM},
 	}
 	for _, l := range testgen.LitmusTests() {
