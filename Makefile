@@ -82,7 +82,7 @@ endef
 
 # Where a simulated iteration's time goes on the TSO and the RMO platform, on
 # the programs of the campaign-x86 and campaign-arm-par workloads (the
-# measurement DESIGN §10's before/after tables are made from).
+# measurement behind DESIGN §10's event counts).
 sim-profile:
 	$(call cpu-profile,.,BenchmarkSimWorkload/campaign-x86)
 	$(call cpu-profile,.,BenchmarkSimWorkload/campaign-arm-par)
