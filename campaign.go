@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -311,41 +310,25 @@ func (c *Campaign) corpusAppend(report *Report, items []check.Item) error {
 	return nil
 }
 
-// execute runs the execution stage: an optional resume (read the checkpoint,
-// Restore it into the merger), then every grid chunk the merger does not hold
-// yet. The merger's report takes the execution accounting (Iterations,
-// TotalCycles, Squashes, Executions, ShardFailures, ResumedIterations) as
-// chunks land, so it is honest even when an error cuts the campaign short.
+// execute runs the execution stage: an optional resume (the merger reads the
+// checkpoint; a missing one is an error here), then the grid chunks the merger
+// does not hold, the chunk API driven by min(Workers, chunks) ChunkRunners.
+// Each pulls the next chunk index from a shared cursor, executes it (per-chunk
+// retry included) and streams the result to the merger. The merger runs here,
+// on the campaign goroutine, landing chunks strictly in chunk order through a
+// reorder buffer while runners execute later chunks — the stage overlap — so
+// every order-sensitive output (failure bookkeeping, checkpoint bytes) is
+// identical for every worker count and completion schedule, and the report's
+// accounting is honest even when an error cuts the campaign short. It also
+// writes a checkpoint whenever the merger says one is due (CheckpointDue); the
+// runners keep executing meanwhile. It returns the first fatal error in chunk
+// order.
 func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
-	if opts := c.opts; opts.Resume {
-		f, err := os.Open(opts.CheckpointPath)
-		var ck sig.Checkpoint
-		if err == nil {
-			ck, err = sig.ReadCheckpoint(f)
-			f.Close()
-		}
-		if err != nil {
-			return fmt.Errorf("mtracecheck: resume: %w", err)
-		}
-		if err := m.Restore(ck); err != nil {
+	if c.opts.Resume {
+		if _, err := m.Resume(); err != nil {
 			return err
 		}
-		c.em.checkpointOp(obs.CheckpointResumed, opts.CheckpointPath, m.report.ResumedIterations, len(ck.Uniques), 0)
 	}
-	return c.runChunks(ctx, m)
-}
-
-// runChunks executes the grid chunks the merger does not hold: the chunk API
-// driven by min(Workers, chunks) ChunkRunners. Each pulls the next chunk index
-// from a shared cursor, executes it (per-chunk retry included) and streams the
-// result to the merger. The merger runs here, on the campaign goroutine,
-// landing chunks strictly in chunk order through a reorder buffer while
-// runners execute later chunks — the stage overlap — so every order-sensitive
-// output (executions, failure bookkeeping, checkpoint bytes) is identical for
-// every worker count and completion schedule. It also writes a checkpoint
-// whenever the merger says one is due (CheckpointDue); the runners keep
-// executing meanwhile. It returns the first fatal error in chunk order.
-func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 	todo := make([]int, 0, len(m.chunks)-m.nDone)
 	for idx := range m.chunks {
 		if m.chunks[idx].Status != sig.ChunkDone {
@@ -427,7 +410,6 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 				continue
 			}
 			m.land(o.Chunk, o.Stats, o.set.Entries())
-			m.report.Executions = append(m.report.Executions, o.execs...)
 			err := o.err
 			if err == nil && checkpointing && m.CheckpointDue() {
 				err = c.saveCheckpoint(m)
@@ -454,15 +436,14 @@ func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger) error {
 	return firstErr
 }
 
-// saveCheckpoint persists the merger's state at CheckpointPath.
+// saveCheckpoint persists the merger's state at CheckpointPath: a failed write
+// fails the campaign. The save is also a point of the unique-signature curve
+// and a corpus flush.
 func (c *Campaign) saveCheckpoint(m *ChunkMerger) error {
-	ck := m.Checkpoint()
-	c.em.mergeDone(m.report.Iterations, len(ck.Uniques), obs.FaultCounts{}, false)
-	bytes, err := sig.WriteCheckpointFile(c.opts.CheckpointPath, ck)
-	if err != nil {
-		return fmt.Errorf("mtracecheck: checkpoint: %w", err)
+	c.em.mergeDone(m.report.Iterations, m.acc.Len(), obs.FaultCounts{}, false)
+	if err := m.Save(nil); err != nil {
+		return err
 	}
-	c.em.checkpointOp(obs.CheckpointSaved, c.opts.CheckpointPath, m.report.Iterations, len(ck.Uniques), bytes)
 	if c.corpusActive() {
 		// Checkpoint boundaries also persist any staged corpus entries — a
 		// no-op for a lone campaign (verification is terminal), but a shared
@@ -507,7 +488,7 @@ func (cr *ChunkRunner) runChunkRetrying(ctx context.Context, idx int) *shardOut 
 		began := time.Now()
 		c.em.shardStart(obs.StageExecute, cr.lane, attempt, start, count, began)
 		out := newShardOut(idx, start, count)
-		runShardAttempt(ctx, src, seeds, c.meta, opts, out)
+		runShardAttempt(ctx, src, seeds, c.meta, out)
 		out.attempts = attempt + 1
 		if errors.Is(out.err, errShardPanic) {
 			// The panic may have unwound mid-iteration; the simulator's
@@ -696,7 +677,6 @@ func ProgramHash(p *Program) uint64 { return progHash(p) }
 type shardOut struct {
 	ChunkResult
 	set      *sig.Set
-	execs    []*sim.Execution // KeepExecutions
 	attempts int
 	err      error
 }
@@ -723,7 +703,7 @@ func retryable(err error, parent context.Context) bool {
 // process. It is deliberately free of observer hooks: events fire at the
 // chunk boundary, never inside the per-iteration hot loop.
 func runShardAttempt(ctx context.Context, src sim.Source, seeds []int64,
-	meta *instrument.Meta, opts Options, out *shardOut) {
+	meta *instrument.Meta, out *shardOut) {
 	start, count, stats := out.Start, out.Count, &out.Stats
 	defer func() {
 		if r := recover(); r != nil {
@@ -749,11 +729,6 @@ func runShardAttempt(ctx context.Context, src sim.Source, seeds []int64,
 		stats.Iterations++
 		stats.Cycles += int64(ex.Cycles)
 		stats.Squashes += ex.Squashes
-		if opts.KeepExecutions {
-			// The source's execution is scratch, overwritten next iteration:
-			// retention requires a deep copy.
-			out.execs = append(out.execs, ex.Clone())
-		}
 		sigBuf, err = meta.EncodeExecutionInto(sigBuf[:0], ex.LoadValues)
 		if err != nil {
 			var ae *instrument.AssertionError

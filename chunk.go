@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"time"
 
+	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 )
@@ -49,16 +51,6 @@ func (c *Campaign) chunkBounds(idx int) (start, count int) {
 	start = idx * ChunkSize
 	count = min(ChunkSize, c.opts.Iterations-start)
 	return start, count
-}
-
-// chunkable rejects option combinations the exported chunk API cannot honor:
-// chunk results must be self-contained and worker-invariant, which rules out
-// retained executions.
-func (c *Campaign) chunkable() error {
-	if c.opts.KeepExecutions {
-		return errors.New("mtracecheck: chunked execution cannot retain executions")
-	}
-	return nil
 }
 
 // ChunkStats is one executed chunk's accounting: iterations, cycles, squashes
@@ -105,12 +97,8 @@ func (c *Campaign) newChunkRunner(lane int) (*ChunkRunner, error) {
 	return &ChunkRunner{c: c, lane: lane, runner: r, stream: sim.NewSeedStream(c.opts.Seed)}, nil
 }
 
-// NewChunkRunner validates that the campaign's options let results leave the
-// process and returns a runner for its grid.
+// NewChunkRunner returns a runner for the campaign's grid.
 func (c *Campaign) NewChunkRunner() (*ChunkRunner, error) {
-	if err := c.chunkable(); err != nil {
-		return nil, err
-	}
 	return c.newChunkRunner(0)
 }
 
@@ -149,10 +137,10 @@ func (a assertFailure) Error() string { return string(a) }
 // redispatch races) merge to the same state. Both doors meet in land and end
 // in the same finish: a chunk-API report equals the in-process one by
 // construction. The merger's grid is the checkpoint's grid (sig.CkptChunk), so
-// the merger is also the only owner of what a checkpoint holds, which campaign
-// it belongs to and when one is due (Checkpoint, Restore, CheckpointDue): a
-// file written by either door resumes through either and both doors save at
-// the same frontiers. Not safe for concurrent use.
+// the merger is also the only code that reads and writes a checkpoint file
+// (Resume, Save) and decides when one is due (CheckpointDue): a file written
+// by either door resumes through either and both doors save at the same
+// frontiers. Not safe for concurrent use.
 type ChunkMerger struct {
 	c      *Campaign
 	began  time.Time
@@ -166,7 +154,7 @@ type ChunkMerger struct {
 	// what a checkpoint records beside the merged set.
 	chunks []sig.CkptChunk
 	nDone  int
-	saved  int // nDone at the last Checkpoint or Restore
+	saved  int // nDone at the last checkpoint or restore
 }
 
 // newMerger starts a campaign (start time, campaign-start event) and returns
@@ -181,11 +169,9 @@ func (c *Campaign) newMerger(check bool) *ChunkMerger {
 
 // NewChunkMerger returns an empty merger over the campaign's grid and
 // emits the campaign-start event (the merger is the distributed campaign's
-// host side, so its lifetime brackets the observable campaign).
+// host side, so its lifetime brackets the observable campaign). The error is
+// always nil.
 func (c *Campaign) NewChunkMerger() (*ChunkMerger, error) {
-	if err := c.chunkable(); err != nil {
-		return nil, err
-	}
 	return c.newMerger(true), nil
 }
 
@@ -306,20 +292,59 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 
 // CheckpointDue reports whether the campaign's cadence asks for a checkpoint
 // now: it has a CheckpointPath, and either Options.CheckpointEvery iterations'
-// worth of whole chunks have landed since the last Checkpoint (or Restore), or
-// the last chunk has. Both doors ask after every landed chunk, so they save at
+// worth of whole chunks have landed since the last Save (or Resume), or the
+// last chunk has. Both doors ask after every landed chunk, so they save at
 // the same frontiers.
 func (m *ChunkMerger) CheckpointDue() bool {
 	return m.c.opts.CheckpointPath != "" &&
 		(m.nDone-m.saved >= m.c.ckptChunks || m.complete())
 }
 
-// Checkpoint returns the merger's resumable state: the campaign's identity
+// Resume restores the empty merger from the checkpoint file at
+// Options.CheckpointPath, emits the resumed event and returns the checkpoint.
+// A missing file is an error wrapping fs.ErrNotExist, which each door treats
+// by its own policy.
+func (m *ChunkMerger) Resume() (sig.Checkpoint, error) {
+	path := m.c.opts.CheckpointPath
+	f, err := os.Open(path)
+	var ck sig.Checkpoint
+	if err == nil {
+		ck, err = sig.ReadCheckpoint(f)
+		f.Close()
+	}
+	if err != nil {
+		return sig.Checkpoint{}, fmt.Errorf("mtracecheck: resume: %w", err)
+	}
+	if err := m.restore(ck); err != nil {
+		return sig.Checkpoint{}, err
+	}
+	m.c.em.checkpointOp(obs.CheckpointResumed, path, m.report.ResumedIterations, len(ck.Uniques), 0)
+	return ck, nil
+}
+
+// Save writes the merger's checkpoint to Options.CheckpointPath, atomically,
+// and emits the saved event. fill, when non-nil, edits the checkpoint before
+// it is written: the dist server overlays the leases it holds there. It
+// restarts the cadence CheckpointDue counts, even when the write fails.
+func (m *ChunkMerger) Save(fill func(*sig.Checkpoint)) error {
+	ck := m.checkpoint()
+	if fill != nil {
+		fill(&ck)
+	}
+	path := m.c.opts.CheckpointPath
+	n, err := sig.WriteCheckpointFile(path, ck)
+	if err != nil {
+		return fmt.Errorf("mtracecheck: checkpoint: %w", err)
+	}
+	m.c.em.checkpointOp(obs.CheckpointSaved, path, m.report.Iterations, len(ck.Uniques), n)
+	return nil
+}
+
+// checkpoint returns the merger's resumable state: the campaign's identity
 // (seed, program hash), a copy of the grid with every landed chunk's stats, and
-// the merged set, sorted. It restarts the cadence CheckpointDue counts. The
-// in-process campaign writes it as it is; the dist server fills in the leases
-// it holds (leased, attempt, worker). Restore is its inverse.
-func (m *ChunkMerger) Checkpoint() sig.Checkpoint {
+// the merged set, sorted. It restarts the cadence CheckpointDue counts.
+// restore is its inverse.
+func (m *ChunkMerger) checkpoint() sig.Checkpoint {
 	m.saved = m.nDone
 	return sig.Checkpoint{
 		Seed: m.c.opts.Seed, ProgHash: progHash(m.c.prog),
@@ -328,7 +353,7 @@ func (m *ChunkMerger) Checkpoint() sig.Checkpoint {
 	}
 }
 
-// Restore seeds an empty merger from a checkpoint, whichever door wrote it,
+// restore seeds an empty merger from a checkpoint, whichever door wrote it,
 // and is the whole gate a checkpoint passes: same seed, same program, same
 // chunk size and signature width, and every done chunk with stats
 // ChunkStats.Validate accepts, covering exactly the iterations the resuming
@@ -340,11 +365,11 @@ func (m *ChunkMerger) Checkpoint() sig.Checkpoint {
 // multiple of ChunkSize: a trailing partial chunk is already merged into the
 // set and cannot be completed without double counting. A checkpoint that does
 // not fit is rejected whole: the merger is left empty.
-func (m *ChunkMerger) Restore(ck sig.Checkpoint) error {
+func (m *ChunkMerger) restore(ck sig.Checkpoint) error {
 	c := m.c
 	switch {
 	case m.nDone > 0 || m.acc.Len() > 0:
-		return errors.New("mtracecheck: resume: Restore requires an empty merger")
+		return errors.New("mtracecheck: resume: a checkpoint restores only into an empty merger")
 	case ck.Seed != c.opts.Seed:
 		return fmt.Errorf("mtracecheck: resume: checkpoint seed %d does not match campaign seed %d", ck.Seed, c.opts.Seed)
 	case ck.ProgHash != progHash(c.prog):

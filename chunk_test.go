@@ -148,26 +148,6 @@ func TestChunkMergerAnyOrderMatchesRun(t *testing.T) {
 	}
 }
 
-// TestChunkAPIRejectsInProcessOnlyOptions: retained executions are state of
-// the one merger that no ChunkResult can carry, so the exported API keeps
-// refusing them.
-func TestChunkAPIRejectsInProcessOnlyOptions(t *testing.T) {
-	p, err := NewProgramBuilderFromConfig(faultCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCampaign(p, Options{Iterations: 128, KeepExecutions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.NewChunkRunner(); err == nil {
-		t.Error("NewChunkRunner accepted KeepExecutions")
-	}
-	if _, err := c.NewChunkMerger(); err == nil {
-		t.Error("NewChunkMerger accepted KeepExecutions")
-	}
-}
-
 // TestChunkMergerRestoreAtomic: a checkpoint that does not fit the campaign
 // is rejected whole. A bad-width signature behind good ones, or an impossible
 // counter in the last done chunk, must leave the merger empty, so that a valid

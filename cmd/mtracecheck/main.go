@@ -82,7 +82,7 @@ func run() int {
 	flag.IntVar(&spec.Test.WordsPerLine, "wpl", 1, "shared words per cache line (false sharing)")
 	flag.Float64Var(&spec.Test.LoadRatio, "loads", 0.5, "load fraction (rest are stores)")
 	flag.Float64Var(&spec.Test.FenceProb, "fences", 0, "fence insertion probability")
-	flag.IntVar(&spec.Iterations, "iters", 2048, "test iterations (0 = the library default, 1024)")
+	flag.IntVar(&spec.Iterations, "iters", 2048, fmt.Sprintf("test iterations (0 = the library default, %d)", mtracecheck.DefaultIterations))
 	flag.Int64Var(&spec.Seed, "seed", 1, "random seed, for test generation and for execution")
 	flag.IntVar(&spec.Workers, "workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge; with -listen, the decode/check stage only (0 = GOMAXPROCS; results are identical for any value)")
 	flag.BoolVar(&spec.OS, "os", false, "run under simulated OS scheduling")

@@ -88,19 +88,16 @@ type JobSpec struct {
 	// CheckpointPath, CheckpointEvery (iterations, rounded up to whole chunks;
 	// 0 = a tenth of the campaign) and Resume are the Options fields of the
 	// same names: whoever merges the chunks — the in-process campaign or the
-	// server — persists progress there, at the same frontiers, and either
-	// resumes the other's file. The doors differ in one thing: a checkpoint
-	// that does not exist yet is an error in-process and a fresh start on the
-	// server.
+	// server — reads and writes the file through the one merger
+	// (ChunkMerger.Resume and Save), at the same frontiers, so either resumes
+	// the other's file. The doors differ only in policy: a checkpoint that
+	// does not exist yet is an error in-process and a fresh start on the
+	// server, and a failed write fails the in-process campaign and is logged
+	// by the server.
 	CheckpointPath  string `json:"checkpoint_path,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	Resume          bool   `json:"resume,omitempty"`
 }
-
-// defaultIterations is what mtracecheck.Options.Iterations == 0 selects. Build
-// resolves it so that the count a front end prints before the run is the count
-// that runs; TestIterationsAcrossDoors pins it to the library's.
-const defaultIterations = 1024
 
 // Build resolves a spec into the (program, options) pair every party derives
 // identically. What a description can get wrong beyond the names Build itself
@@ -131,7 +128,8 @@ func Build(spec JobSpec) (*mtracecheck.Program, mtracecheck.Options, error) {
 		Resume:              spec.Resume,
 	}
 	if opts.Iterations == 0 {
-		opts.Iterations = defaultIterations
+		// Resolved here, so that a front end prints the count that runs.
+		opts.Iterations = mtracecheck.DefaultIterations
 	}
 	var p *mtracecheck.Program
 	if spec.Program != "" {

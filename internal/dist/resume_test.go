@@ -3,7 +3,10 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,4 +144,62 @@ func TestResumeAcrossDoors(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCheckpointPolicyAtEachDoor: the merger reads and writes every
+// checkpoint, and each door keeps only its policy for a file that cannot be
+// read or written. A job that resumes from a checkpoint not yet on disk is a
+// fresh start on the server: every chunk runs (in-process it is an error,
+// TestResumeValidation). A checkpoint that cannot be written fails the
+// in-process campaign, and is logged by the server, whose job still finishes
+// with the in-process report.
+func TestCheckpointPolicyAtEachDoor(t *testing.T) {
+	spec := testSpec()
+	ref, refU := reference(t, spec)
+	distRun := func(t *testing.T, spec JobSpec) (*mtracecheck.Report, []string) {
+		var mu sync.Mutex
+		var logs []string
+		srv, url := startServer(t, ServerOptions{Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+		id, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWorkers(t, url, 2, nil)
+		report, err := srv.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return report, logs
+	}
+	t.Run("resume without a checkpoint", func(t *testing.T) {
+		spec := spec
+		spec.CheckpointPath, spec.Resume = filepath.Join(t.TempDir(), "none.ckpt"), true
+		got, _ := distRun(t, spec)
+		if got.ResumedIterations != 0 {
+			t.Errorf("resumed %d iterations from a checkpoint that does not exist", got.ResumedIterations)
+		}
+		requireIdentical(t, ref, refU, got, got.Signatures())
+	})
+	t.Run("unwritable checkpoint", func(t *testing.T) {
+		spec := spec
+		spec.CheckpointPath = filepath.Join(t.TempDir(), "no-such-dir", "c.ckpt")
+		p, opts, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mtracecheck.RunProgram(p, opts); err == nil || !strings.HasPrefix(err.Error(), "mtracecheck: checkpoint:") {
+			t.Errorf("in-process campaign with an unwritable checkpoint: %v, want a mtracecheck: checkpoint: error", err)
+		}
+		got, logs := distRun(t, spec)
+		requireIdentical(t, ref, refU, got, got.Signatures())
+		if !strings.Contains(strings.Join(logs, "\n"), "mtracecheck: checkpoint:") {
+			t.Errorf("the server did not log its failed checkpoint writes:\n%s", strings.Join(logs, "\n"))
+		}
+	})
 }

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -313,8 +313,22 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		doneCh:   make(chan struct{}),
 	}
 	if spec.Resume {
-		if err := s.restore(j); err != nil {
+		ck, err := merger.Resume()
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// Nothing saved yet: a fresh start is the resume.
+		case err != nil:
 			return "", err
+		default:
+			// Done chunks keep their results; leased ones fall back to pending
+			// (the lease died with the previous server) but keep their attempt
+			// counts, so the redispatch backoff survives the restart.
+			for c := range min(len(j.chunks), len(ck.Chunks)) {
+				j.chunks[c].attempt = ck.Chunks[c].Attempt
+				if ck.Chunks[c].Status == sig.ChunkDone {
+					j.chunks[c].status = chunkDone
+				}
+			}
 		}
 	}
 	s.jobs[j.id] = j
@@ -327,40 +341,6 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	return j.id, nil
 }
 
-// restore loads the job's checkpoint into the merger (ChunkMerger.Restore is
-// the whole gate) and rebuilds the lease table over it: done chunks keep their
-// results, leased chunks fall back to pending (the lease died with the
-// previous server) but keep their attempt counts so the redispatch backoff
-// survives the restart.
-func (s *Server) restore(j *job) error {
-	f, err := os.Open(j.spec.CheckpointPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // nothing saved yet: a fresh start is the resume
-	}
-	if err != nil {
-		return fmt.Errorf("dist: resume: %w", err)
-	}
-	ck, err := sig.ReadCheckpoint(f)
-	f.Close()
-	if err == nil {
-		err = j.merger.Restore(ck)
-	}
-	if err != nil {
-		return fmt.Errorf("dist: resume: %w", err)
-	}
-	for c := range min(len(j.chunks), len(ck.Chunks)) {
-		j.chunks[c].attempt = ck.Chunks[c].Attempt
-		if ck.Chunks[c].Status == sig.ChunkDone { // Restore landed it
-			j.chunks[c].status = chunkDone
-		}
-	}
-	s.obsrv.Checkpoint(obs.Checkpoint{
-		Op: obs.CheckpointResumed, Path: j.spec.CheckpointPath,
-		Completed: ck.Completed(), Uniques: len(ck.Uniques), Time: time.Now(),
-	})
-	return nil
-}
-
 // checkpoint persists the job's progress: the merger's checkpoint with the
 // undone chunks' lease-table entries (leased, attempt, worker) filled in — a
 // done chunk's dispatch history is of no use to a resume, and leaving it out
@@ -368,26 +348,21 @@ func (s *Server) restore(j *job) error {
 // A failed write is logged and tried again when the next one is due. Callers
 // hold s.mu.
 func (s *Server) checkpoint(j *job) {
-	ck := j.merger.Checkpoint()
-	for c := range j.chunks {
-		cs, ckc := &j.chunks[c], &ck.Chunks[c]
-		if cs.status == chunkDone {
-			continue
+	err := j.merger.Save(func(ck *sig.Checkpoint) {
+		for c := range j.chunks {
+			cs, ckc := &j.chunks[c], &ck.Chunks[c]
+			if cs.status == chunkDone {
+				continue
+			}
+			ckc.Attempt = min(cs.attempt, 0xffff)
+			if cs.status == chunkLeased {
+				ckc.Status, ckc.Worker = chunkLeased, cs.worker
+			}
 		}
-		ckc.Attempt = min(cs.attempt, 0xffff)
-		if cs.status == chunkLeased {
-			ckc.Status, ckc.Worker = chunkLeased, cs.worker
-		}
-	}
-	n, err := sig.WriteCheckpointFile(j.spec.CheckpointPath, ck)
-	if err != nil {
-		s.logf("dist: job %s checkpoint: %v", j.id, err)
-		return
-	}
-	s.obsrv.Checkpoint(obs.Checkpoint{
-		Op: obs.CheckpointSaved, Path: j.spec.CheckpointPath,
-		Completed: ck.Completed(), Uniques: len(ck.Uniques), Bytes: n, Time: time.Now(),
 	})
+	if err != nil {
+		s.logf("dist: job %s: %v", j.id, err)
+	}
 }
 
 // finalize runs the host side — merge, decode, check — off the lock once

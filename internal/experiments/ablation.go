@@ -21,8 +21,8 @@ import (
 // paper's "gathered statically" mode, and the only one a campaign checks —
 // provably misses cross-thread serialization violations; observed ws catches
 // them at the cost of larger graph diffs. The observed column is measured
-// here, where the executions are: each campaign retains them, and every one
-// is checked with the store order it recorded on an observed-ws builder.
+// here: a simulator with each campaign's seed replays its iterations, each
+// checked under the store order it recorded on an observed-ws builder.
 func WSAblation(cfg Config) (*report.Table, error) {
 	t := &report.Table{
 		Title: "Ablation: static vs observed write serialization",
@@ -39,7 +39,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		tc := tcBug
 		tc.Seed = cfg.Seed + int64(test)
 		rep, err := mtracecheck.Run(tc, cfg.options(mtracecheck.Options{
-			Platform: plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1, KeepExecutions: true}))
+			Platform: plat, Iterations: cfg.Table3Iters, Seed: tc.Seed + 1}))
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func WSAblation(cfg Config) (*report.Table, error) {
 		}
 		// Verdicts do not depend on the backend, and the conventional one
 		// takes the executions in any order.
-		execs, ws, err := executions(rep, plat)
+		execs, ws, err := replay(rep, plat, tc.Seed+1)
 		if err != nil {
 			return nil, err
 		}
@@ -80,11 +80,11 @@ func WSAblation(cfg Config) (*report.Table, error) {
 	}
 	x86 := sim.PlatformX86()
 	rep, err := mtracecheck.RunProgram(p, cfg.options(mtracecheck.Options{
-		Platform: x86, Iterations: cfg.Iterations, Seed: cfg.Seed, KeepExecutions: true}))
+		Platform: x86, Iterations: cfg.Iterations, Seed: cfg.Seed}))
 	if err != nil {
 		return nil, err
 	}
-	execs, execWS, err := executions(rep, x86)
+	execs, execWS, err := replay(rep, x86, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -140,18 +140,27 @@ func WSAblation(cfg Config) (*report.Table, error) {
 	return t, nil
 }
 
-// executions encodes the signature of every execution a campaign retained,
-// in iteration order, beside the write serialization the execution recorded.
-// An execution whose encoding asserts has no graph (its campaign reports an
-// assertion failure) and is left out.
-func executions(rep *mtracecheck.Report, plat sim.Platform) ([]sig.Unique, []graph.WS, error) {
+// replay re-executes a campaign's iterations on a fresh runner with the
+// campaign's seed — the runner's i-th Run is the campaign's iteration i — and
+// returns each execution's signature, in iteration order, beside the write
+// serialization the execution recorded. An execution whose encoding asserts
+// has no graph (its campaign reports an assertion failure) and is left out.
+func replay(rep *mtracecheck.Report, plat sim.Platform, seed int64) ([]sig.Unique, []graph.WS, error) {
 	meta, err := instrument.Analyze(rep.Program, plat.RegWidthBits, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	runner, err := sim.NewRunner(plat, rep.Program, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	var execs []sig.Unique
 	var ws []graph.WS
-	for _, ex := range rep.Executions {
+	for i := 0; i < rep.Iterations; i++ {
+		ex, err := runner.Run()
+		if err != nil {
+			return nil, nil, err
+		}
 		if s, err := meta.EncodeValues(ex.LoadValues); err == nil {
 			execs = append(execs, sig.Unique{Sig: s, Count: 1})
 			ws = append(ws, ex.WSByWord())

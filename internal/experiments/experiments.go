@@ -72,12 +72,12 @@ type Config struct {
 // experiment measures is what a user's campaign does. Workers is 1: the
 // effort counters several tables print depend on checking-shard boundaries.
 //
-// Two tables drive sim.Runner directly instead, because what they read is
-// more than a campaign keeps: Fig10 needs every iteration's load values, in
-// order, through one persistent branch predictor, and DynPrune runs the
-// frontier encoder on every clean and bug-2 iteration. A KeepExecutions
-// campaign could hand both the executions, but would retain all of them —
-// 65,536 ARM 7×200 executions at -iters 65536.
+// Three tables also drive sim.Runner directly, because they read more than a
+// campaign keeps (its merged signature set): Fig10 needs every iteration's
+// load values, in order, through one persistent branch predictor; DynPrune
+// runs the frontier encoder on every clean and bug-2 iteration; WSAblation
+// checks every iteration under the store order it recorded. A runner built
+// with a campaign's seed replays the campaign's iterations in order.
 func (cfg Config) options(o mtracecheck.Options) mtracecheck.Options {
 	o.Checker, o.Observer, o.Workers = cfg.Checker, cfg.Observer, 1
 	return o

@@ -182,13 +182,16 @@ func PaperConfigs() []testgen.PaperConfig { return testgen.PaperConfigs() }
 // and differ only in effort (see DESIGN.md §13).
 func CheckerNames() []string { return check.Names() }
 
+// DefaultIterations is the campaign length Options.Iterations == 0 selects.
+const DefaultIterations = 1024
+
 // Options configures a validation run.
 type Options struct {
 	// Platform is the system to validate; zero value selects PlatformX86.
 	Platform Platform
 	// Iterations is the number of test runs (the paper uses 65536 on
-	// silicon, 1024 under gem5); zero selects 1024, a negative count is an
-	// error.
+	// silicon, 1024 under gem5); zero selects DefaultIterations, a negative
+	// count is an error.
 	Iterations int
 	// Seed drives all randomness (platform timing and scheduling).
 	Seed int64
@@ -198,9 +201,6 @@ type Options struct {
 	Checker string
 	// Pruner optionally applies static candidate pruning (§8).
 	Pruner instrument.Pruner
-	// KeepExecutions retains each iteration's raw execution in the report
-	// (memory-heavy; for analysis tooling).
-	KeepExecutions bool
 	// Workers sizes the streaming pipeline: this many goroutines pull
 	// fixed-size execution chunks from a shared cursor (work stealing), and
 	// completed chunks stream through the incremental merge while later
@@ -359,8 +359,6 @@ type Report struct {
 	TotalCycles int64
 	// Squashes counts load-queue squash/replay events across iterations.
 	Squashes int
-	// Executions holds raw executions when Options.KeepExecutions is set.
-	Executions []*sim.Execution
 
 	signatures []Unique       // see Signatures
 	backend    *check.Backend // the table row that filled CheckStats
@@ -468,6 +466,12 @@ type LitmusResult struct {
 // against the executions the platform's model allows on a multi-copy atomic
 // machine (internal/oracle). A forbidden outcome that is observed also
 // surfaces as a graph-check violation unless the checker misses it.
+//
+// Outcomes are read from the campaign's merged signature set, as the host
+// sees it: each unique's reads-from row, decoded with the campaign's metadata
+// and weighted by its count, gives the loads' values exactly, since every
+// store writes a value unique to its word. An iteration that asserted, or
+// whose signature is quarantined, has no outcome; either fails the report.
 func RunLitmus(l Litmus, opts Options) (*LitmusResult, error) {
 	opts = withDefaults(opts)
 	allowed, err := oracle.Allowed(l.Prog, opts.Platform.Model.String())
@@ -480,10 +484,6 @@ func RunLitmus(l Litmus, opts Options) (*LitmusResult, error) {
 		reached[fmt.Sprint(e.Values)] = false
 		res.Forbidden = res.Forbidden && !l.Interesting.MatchesValues(e.Values)
 	}
-	// Outcome counting needs the raw executions even when the caller does
-	// not: force retention for the run, then honor the caller's flag.
-	keep := opts.KeepExecutions
-	opts.KeepExecutions = true
 	c, err := NewCampaign(l.Prog, opts)
 	if err != nil {
 		return nil, err
@@ -492,11 +492,26 @@ func RunLitmus(l Litmus, opts Options) (*LitmusResult, error) {
 		return nil, err
 	}
 	outside := map[string]bool{}
-	for _, ex := range res.Report.Executions {
-		if l.Interesting.MatchesValues(ex.LoadValues) {
-			res.Observed++
+	rf := make([]int32, l.Prog.NumOps())
+	vals := make([]uint32, l.Prog.NumOps()) // zero for non-loads, as in sim.Execution.LoadValues
+	ops := l.Prog.Ops()
+	for _, u := range res.Report.Signatures() {
+		if c.meta.DecodeInto(u.Sig, rf) != nil {
+			continue
 		}
-		k := fmt.Sprint(ex.LoadValues)
+		for _, op := range ops {
+			if op.Kind != prog.Load {
+				continue
+			}
+			vals[op.ID] = prog.InitialValue
+			if src := rf[op.ID]; src >= 0 {
+				vals[op.ID] = l.Prog.OpByID(int(src)).Value
+			}
+		}
+		if l.Interesting.MatchesValues(vals) {
+			res.Observed += u.Count
+		}
+		k := fmt.Sprint(vals)
 		switch seen, ok := reached[k]; {
 		case !ok:
 			outside[k] = true
@@ -504,9 +519,6 @@ func RunLitmus(l Litmus, opts Options) (*LitmusResult, error) {
 			reached[k] = true
 			res.Reached++
 		}
-	}
-	if !keep {
-		res.Report.Executions = nil
 	}
 	res.NeverReached, res.Outside = len(reached)-res.Reached, len(outside)
 	switch {
@@ -524,7 +536,7 @@ func withDefaults(opts Options) Options {
 		opts.Platform = PlatformX86()
 	}
 	if opts.Iterations == 0 {
-		opts.Iterations = 1024
+		opts.Iterations = DefaultIterations
 	}
 	return opts
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"mtracecheck/internal/fault"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/mem"
+	"mtracecheck/internal/oracle"
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
@@ -217,6 +219,85 @@ func TestRunLitmusJudgesBuggyPlatform(t *testing.T) {
 	}
 }
 
+// TestRunLitmusMatchesReplay: RunLitmus counts outcomes from the campaign's
+// signature set. A runner built with the campaign's seed replays the
+// campaign's iterations, so counting the load values it returns, against the
+// oracle's allowed set, must give the same Observed, Reached, NeverReached and
+// Outside: on clean TSO and RMO platforms, and on the bug-2 platform, where
+// some outcomes are forbidden.
+func TestRunLitmusMatchesReplay(t *testing.T) {
+	b := NewProgramBuilder("CoRR4", 1)
+	b.Thread().Store(0).Store(0).Store(0).Store(0)
+	b.Thread().Load(0).Load(0).Load(0).Load(0)
+	corr4 := Litmus{Name: "CoRR4", Prog: b.MustBuild(), Interesting: map[int]uint32{4: 0}}
+	type row struct {
+		litmus Litmus
+		plat   Platform
+	}
+	var rows []row
+	for _, name := range []string{"SB", "SB+F", "MP"} {
+		l, err := testgen.LitmusByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{l, PlatformX86()}, row{l, PlatformARM()})
+	}
+	rows = append(rows, row{corr4, BuggyPlatform(BugLSQSkip)})
+	const iters, seed = 512, 5
+	var observed, never, outside int
+	for _, r := range rows {
+		label := r.litmus.Name + "/" + ModelName(r.plat)
+		res, err := RunLitmus(r.litmus, Options{Platform: r.plat, Iterations: iters, Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		allowed, err := oracle.Allowed(r.litmus.Prog, ModelName(r.plat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		isAllowed := map[string]bool{}
+		for _, e := range allowed {
+			isAllowed[fmt.Sprint(e.Values)] = true
+		}
+		runner, err := sim.NewRunner(r.plat, r.litmus.Prog, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want LitmusResult
+		seen := map[string]bool{}
+		for i := 0; i < iters; i++ {
+			ex, err := runner.Run()
+			if err != nil {
+				t.Fatalf("%s: replay iteration %d: %v", label, i, err)
+			}
+			if r.litmus.Interesting.MatchesValues(ex.LoadValues) {
+				want.Observed++
+			}
+			seen[fmt.Sprint(ex.LoadValues)] = true
+		}
+		for k := range seen {
+			if isAllowed[k] {
+				want.Reached++
+			} else {
+				want.Outside++
+			}
+		}
+		want.NeverReached = len(isAllowed) - want.Reached
+		if res.Observed != want.Observed || res.Reached != want.Reached ||
+			res.NeverReached != want.NeverReached || res.Outside != want.Outside {
+			t.Errorf("%s: RunLitmus observed/reached/never/outside = %d/%d/%d/%d, the replay %d/%d/%d/%d",
+				label, res.Observed, res.Reached, res.NeverReached, res.Outside,
+				want.Observed, want.Reached, want.NeverReached, want.Outside)
+		}
+		observed += want.Observed
+		never += want.NeverReached
+		outside += want.Outside
+	}
+	if observed == 0 || never == 0 || outside == 0 {
+		t.Errorf("the rows exercise too little: %d observed, %d never reached, %d outside in all", observed, never, outside)
+	}
+}
+
 func TestPaperConfigsPresent(t *testing.T) {
 	if got := len(PaperConfigs()); got != 21 {
 		t.Errorf("%d paper configs, want 21", got)
@@ -237,9 +318,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if report.Iterations != 5 {
 		t.Errorf("iterations = %d", report.Iterations)
-	}
-	if len(report.Executions) != 0 {
-		t.Error("executions kept without KeepExecutions")
 	}
 }
 
@@ -437,7 +515,7 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := Options{Platform: c.plat, Iterations: 200, Seed: 11, KeepExecutions: true}
+			opts := Options{Platform: c.plat, Iterations: 200, Seed: 11}
 			opts.Workers = 1
 			serial, err := RunProgram(c.prog, opts)
 			if err != nil {
@@ -466,23 +544,6 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 				if len(sharded.AssertionFailures) != len(serial.AssertionFailures) {
 					t.Fatalf("workers %d: %d assertion failures, serial %d",
 						workers, len(sharded.AssertionFailures), len(serial.AssertionFailures))
-				}
-				// Shards hold contiguous ascending iteration blocks, so the
-				// retained executions must match serial order exactly.
-				if len(sharded.Executions) != len(serial.Executions) {
-					t.Fatalf("workers %d: %d executions, serial %d",
-						workers, len(sharded.Executions), len(serial.Executions))
-				}
-				for i := range serial.Executions {
-					if sharded.Executions[i].Cycles != serial.Executions[i].Cycles {
-						t.Fatalf("workers %d: execution %d cycles %d, serial %d",
-							workers, i, sharded.Executions[i].Cycles, serial.Executions[i].Cycles)
-					}
-					for id, v := range serial.Executions[i].LoadValues {
-						if sharded.Executions[i].LoadValues[id] != v {
-							t.Fatalf("workers %d: execution %d load %d differs", workers, i, id)
-						}
-					}
 				}
 				if len(sharded.Violations) != len(serial.Violations) {
 					t.Fatalf("workers %d: %d violations, serial %d",
@@ -628,30 +689,5 @@ func TestCollectSignaturesWorkerInvariant(t *testing.T) {
 			t.Fatalf("unique %d: got %v x%d, want %v x%d", i,
 				sharded[i].Sig, sharded[i].Count, serial[i].Sig, serial[i].Count)
 		}
-	}
-}
-
-// TestRunLitmusHonorsKeepExecutions: the executions retained internally for
-// outcome counting must be released when the caller did not ask for them.
-func TestRunLitmusHonorsKeepExecutions(t *testing.T) {
-	var sb Litmus
-	for _, l := range LitmusTests() {
-		if l.Name == "SB" {
-			sb = l
-		}
-	}
-	res, err := RunLitmus(sb, Options{Iterations: 50, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Executions) != 0 {
-		t.Errorf("executions retained without KeepExecutions: %d", len(res.Report.Executions))
-	}
-	res, err = RunLitmus(sb, Options{Iterations: 50, Seed: 3, KeepExecutions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Executions) != 50 {
-		t.Errorf("KeepExecutions retained %d executions, want 50", len(res.Report.Executions))
 	}
 }
