@@ -43,6 +43,7 @@ fuzz-short:
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzEncodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadSet$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzSetDedup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzChunkUpload$$' -fuzztime $(FUZZTIME)

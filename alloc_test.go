@@ -24,6 +24,15 @@ const (
 	addAllocBudget = 0
 )
 
+// A new unique costs its entry's copy of the words through AddWords and
+// nothing through AddUnique, which shares the caller's signature; the entry
+// list, the collision chain and the hash index grow by doubling, which
+// addMissGrowthAllowance bounds per unique (the set stores no key string).
+const (
+	addMissAllocBudget     = 1
+	addMissGrowthAllowance = 0.05
+)
+
 // The trace budgets bound one parse + check of the rendered 200-op reference
 // execution, the trace benchmarks' unit. Warm, the trace has the shape of the
 // one checked before it, so what is allocated is what the call returns or
@@ -151,6 +160,39 @@ func TestSetAddAllocBudget(t *testing.T) {
 	if set.Len() != 1 || set.Total() != 102 {
 		t.Errorf("Set after probe: Len %d Total %d, want 1 and 102", set.Len(), set.Total())
 	}
+}
+
+func TestSetAddMissAllocBudget(t *testing.T) {
+	const n = 4096
+	words := make([][]uint64, n)
+	owned := make([]sig.Unique, n)
+	for i := range words {
+		words[i] = []uint64{uint64(i), uint64(i) * 0x9e3779b97f4a7c15, 3}
+		owned[i] = sig.Unique{Sig: sig.New(words[i]), Count: 1}
+	}
+	fill := func(add func(*sig.Set, int) bool) func() {
+		return func() {
+			set := sig.NewSet()
+			for i := range n {
+				if !add(set, i) {
+					t.Fatalf("unique %d reported seen", i)
+				}
+			}
+		}
+	}
+	// The set itself (its header and empty index) is a fixed cost, not a
+	// unique's.
+	byWords := testing.AllocsPerRun(5, fill(func(s *sig.Set, i int) bool { return s.AddWords(words[i]) })) / n
+	byUnique := testing.AllocsPerRun(5, fill(func(s *sig.Set, i int) bool { return s.AddUnique(owned[i]) })) / n
+	if byWords > addMissAllocBudget+addMissGrowthAllowance {
+		t.Errorf("Set.AddWords miss path: %.3f allocs per new unique, budget %d + %.2f growth",
+			byWords, addMissAllocBudget, addMissGrowthAllowance)
+	}
+	if byUnique > addMissGrowthAllowance {
+		t.Errorf("Set.AddUnique miss path: %.3f allocs per new unique, budget 0 + %.2f growth",
+			byUnique, addMissGrowthAllowance)
+	}
+	t.Logf("allocs per new unique: AddWords %.3f, AddUnique %.3f", byWords, byUnique)
 }
 
 func TestCheckTraceAllocBudget(t *testing.T) {

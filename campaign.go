@@ -389,10 +389,6 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 		close(results)
 	}()
 
-	// Checkpointing stops at the first chunk that did not complete: its
-	// partial results are merged, so the set is no longer the union of the
-	// chunks the grid marks done.
-	checkpointing := true
 	pending := make(map[int]*shardOut)
 	landed := 0 // todo[:landed] are in the merger
 	for out := range results {
@@ -409,25 +405,22 @@ func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 				// the worker count; the report must not.
 				continue
 			}
-			m.land(o.Chunk, o.Stats, o.set.Entries())
 			err := o.err
-			if err == nil && checkpointing && m.CheckpointDue() {
-				err = c.saveCheckpoint(m)
-			}
-			switch {
-			case err == nil:
-				continue
-			case errors.Is(err, ErrShardFailed) && !c.opts.Strict:
+			if errors.Is(err, ErrShardFailed) && !c.opts.Strict {
 				// Infra failure that survived its retries: degrade to
 				// partial results, recorded honestly; scheduling continues.
-				m.report.ShardFailures = append(m.report.ShardFailures, ShardFailure{
-					Start: o.Start, Count: o.Count,
-					Executed: o.Stats.Iterations, Attempts: o.attempts, Err: err,
-				})
-			default:
+				o.Uniques = o.set.Entries()
+				_, err = m.AbsorbLost(&o.ChunkResult, err)
+			} else {
+				// A fatal error's report still covers what executed.
+				m.land(o.Chunk, o.Stats, o.set.Entries())
+				if err == nil && m.CheckpointDue() {
+					err = c.saveCheckpoint(m)
+				}
+			}
+			if err != nil {
 				fail(err)
 			}
-			checkpointing = false
 		}
 	}
 	if err := ctx.Err(); err != nil {

@@ -204,6 +204,7 @@ func (m *ChunkMerger) merge(entries []Unique) {
 }
 
 // finish is the one campaign tail: Run, Collect and Report all end here.
+// Lost chunks are listed in grid order, whatever order they landed in.
 // Assertion failures — messages from the chunk that raised them on — become
 // the report's error values, in chunk order; the merged set is sorted,
 // device-side corruption is injected, and (unless the merger only collects)
@@ -212,6 +213,7 @@ func (m *ChunkMerger) merge(entries []Unique) {
 // executed, and the error names the earliest crash.
 func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error) {
 	c, report := m.c, m.report
+	slices.SortFunc(report.ShardFailures, func(a, b ShardFailure) int { return a.Start - b.Start })
 	report.AssertionFailures = nil
 	for i := range m.chunks {
 		for _, msg := range m.chunks[i].Asserts {
@@ -244,44 +246,8 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 // distributed server treats as a validation strike against the uploading
 // worker.
 func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
-	if r == nil {
-		return false, errors.New("mtracecheck: nil chunk result")
-	}
-	if r.Chunk < 0 || r.Chunk >= len(m.chunks) {
-		return false, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", r.Chunk, len(m.chunks))
-	}
-	start, count := m.c.chunkBounds(r.Chunk)
-	if r.Start != start || r.Count != count {
-		return false, fmt.Errorf("mtracecheck: chunk %d claims iterations [%d,%d), grid says [%d,%d)",
-			r.Chunk, r.Start, r.Start+r.Count, start, start+count)
-	}
-	if err := r.Stats.Validate(count); err != nil {
-		return false, fmt.Errorf("mtracecheck: chunk %d: %w", r.Chunk, err)
-	}
-	if r.Stats.Iterations != count {
-		return false, fmt.Errorf("mtracecheck: chunk %d completed %d of %d iterations",
-			r.Chunk, r.Stats.Iterations, count)
-	}
-	// A completed iteration yields one signature observation or one assertion
-	// failure, so the two add up to the chunk; inflated counts would otherwise
-	// reach SaveSignatures. Each count is bounded before it is summed.
-	words, observed := m.c.meta.TotalWords(), len(r.Stats.Asserts)
-	for i := range r.Uniques {
-		if r.Uniques[i].Sig.Len() != words {
-			return false, fmt.Errorf("mtracecheck: chunk %d signature %d has %d words, campaign signatures have %d",
-				r.Chunk, i, r.Uniques[i].Sig.Len(), words)
-		}
-		if n := r.Uniques[i].Count; n <= 0 || n > count {
-			return false, fmt.Errorf("mtracecheck: chunk %d signature %d claims %d observations",
-				r.Chunk, i, n)
-		}
-		if observed += r.Uniques[i].Count; observed > count {
-			break
-		}
-	}
-	if observed != count {
-		return false, fmt.Errorf("mtracecheck: chunk %d accounts for %d observations and assertion failures over %d iterations",
-			r.Chunk, observed, count)
+	if err := m.fits(r, false); err != nil {
+		return false, err
 	}
 	if m.chunks[r.Chunk].Status == sig.ChunkDone {
 		return false, nil
@@ -290,13 +256,85 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	return true, nil
 }
 
+// AbsorbLost folds in a chunk lost after its runner's retries
+// (ErrShardFailed): the final attempt's partial result lands as the chunk, and
+// the loss is recorded with cause, the runner's error, in the report's
+// ShardFailures. Both doors land a lost chunk here — in-process unless the
+// campaign is Strict, and the dist server for a worker's lost chunk — so
+// their reports agree. Duplicates and results that do not fit are handled as
+// by Absorb, except that the chunk may stop short of its count. No checkpoint
+// is due after a lost chunk: its partial results are merged, so the set is no
+// longer the union of the chunks the grid marks done.
+func (m *ChunkMerger) AbsorbLost(r *ChunkResult, cause error) (fresh bool, err error) {
+	if err := m.fits(r, true); err != nil {
+		return false, err
+	}
+	if m.chunks[r.Chunk].Status == sig.ChunkDone {
+		return false, nil
+	}
+	m.land(r.Chunk, r.Stats, r.Uniques)
+	m.report.ShardFailures = append(m.report.ShardFailures, ShardFailure{
+		Start: r.Start, Count: r.Count, Executed: r.Stats.Iterations,
+		Attempts: m.c.opts.ShardRetries + 1, Err: cause,
+	})
+	return true, nil
+}
+
+// fits checks that r fits the campaign's grid: its bounds, counters
+// ChunkStats.Validate accepts, signatures of the campaign's width, and
+// observations that account for the iterations — every one of a complete
+// chunk, each completed iteration yielding one signature observation or one
+// assertion failure; at most the executed ones of a lost chunk, whose last
+// iteration the failure may have cut short.
+func (m *ChunkMerger) fits(r *ChunkResult, lost bool) error {
+	if r == nil {
+		return errors.New("mtracecheck: nil chunk result")
+	}
+	if r.Chunk < 0 || r.Chunk >= len(m.chunks) {
+		return fmt.Errorf("mtracecheck: chunk %d outside grid of %d", r.Chunk, len(m.chunks))
+	}
+	start, count := m.c.chunkBounds(r.Chunk)
+	if r.Start != start || r.Count != count {
+		return fmt.Errorf("mtracecheck: chunk %d claims iterations [%d,%d), grid says [%d,%d)",
+			r.Chunk, r.Start, r.Start+r.Count, start, start+count)
+	}
+	if err := r.Stats.Validate(count); err != nil {
+		return fmt.Errorf("mtracecheck: chunk %d: %w", r.Chunk, err)
+	}
+	if !lost && r.Stats.Iterations != count {
+		return fmt.Errorf("mtracecheck: chunk %d completed %d of %d iterations",
+			r.Chunk, r.Stats.Iterations, count)
+	}
+	// Inflated counts would otherwise reach SaveSignatures. Each count is
+	// bounded before it is summed.
+	words, observed, executed := m.c.meta.TotalWords(), len(r.Stats.Asserts), r.Stats.Iterations
+	for i := range r.Uniques {
+		if r.Uniques[i].Sig.Len() != words {
+			return fmt.Errorf("mtracecheck: chunk %d signature %d has %d words, campaign signatures have %d",
+				r.Chunk, i, r.Uniques[i].Sig.Len(), words)
+		}
+		if n := r.Uniques[i].Count; n <= 0 || n > count {
+			return fmt.Errorf("mtracecheck: chunk %d signature %d claims %d observations",
+				r.Chunk, i, n)
+		}
+		if observed += r.Uniques[i].Count; observed > count {
+			break
+		}
+	}
+	if observed > executed || (!lost && observed != executed) {
+		return fmt.Errorf("mtracecheck: chunk %d accounts for %d observations and assertion failures over %d iterations",
+			r.Chunk, observed, executed)
+	}
+	return nil
+}
+
 // CheckpointDue reports whether the campaign's cadence asks for a checkpoint
-// now: it has a CheckpointPath, and either Options.CheckpointEvery iterations'
-// worth of whole chunks have landed since the last Save (or Resume), or the
-// last chunk has. Both doors ask after every landed chunk, so they save at
-// the same frontiers.
+// now: it has a CheckpointPath and no lost chunk (AbsorbLost), and either
+// Options.CheckpointEvery iterations' worth of whole chunks have landed since
+// the last Save (or Resume), or the last chunk has. Both doors ask after every
+// landed chunk, so they save at the same frontiers.
 func (m *ChunkMerger) CheckpointDue() bool {
-	return m.c.opts.CheckpointPath != "" &&
+	return m.c.opts.CheckpointPath != "" && len(m.report.ShardFailures) == 0 &&
 		(m.nDone-m.saved >= m.c.ckptChunks || m.complete())
 }
 

@@ -156,7 +156,8 @@ const (
 	// that fails the whole job, not the worker.
 	UploadCrash
 	// UploadShardFailed marks an infra failure that survived the worker's
-	// retries; the server re-dispatches the chunk.
+	// retries; the server lands the upload's partial result as a lost chunk
+	// (ChunkMerger.AbsorbLost), or re-dispatches the chunk of a Strict job.
 	UploadShardFailed
 	// UploadOther marks any other execution error.
 	UploadOther

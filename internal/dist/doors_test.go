@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mtracecheck"
 	"mtracecheck/internal/obs"
@@ -136,6 +138,88 @@ func TestCheckpointCadenceAcrossDoors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLostChunkAcrossDoors: a chunk lost after its retries lands as its
+// partial result and a ShardFailure through the one merger method, so the
+// in-process campaign and a dist job end with the same partial report. The
+// server used to drop the upload's signatures and redispatch the chunk until
+// its dispatch cap, failing the job after minutes. Two workers land chunks
+// out of order; the failures are still listed in grid order.
+func TestLostChunkAcrossDoors(t *testing.T) {
+	for _, plan := range []string{"panic=1", "panic=0.5,seed=3"} {
+		t.Run(plan, func(t *testing.T) {
+			spec := testSpec()
+			spec.ShardRetries = 0
+			if err := spec.Fault.UnmarshalText([]byte(plan)); err != nil {
+				t.Fatal(err)
+			}
+			p, opts, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := mtracecheck.RunProgram(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, url := startServer(t, ServerOptions{})
+			id, err := srv.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runWorkers(t, url, 2, nil)
+			remote, err := srv.Wait(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(local.ShardFailures) == 0 || local.Iterations == spec.Iterations {
+				t.Fatalf("in-process: %d shard failures over %d of %d iterations; the plan loses no chunk",
+					len(local.ShardFailures), local.Iterations, spec.Iterations)
+			}
+			if fmt.Sprintf("%+v", remote.ShardFailures) != fmt.Sprintf("%+v", local.ShardFailures) {
+				t.Fatalf("shard failures differ:\nin-process  %+v\ndistributed %+v", local.ShardFailures, remote.ShardFailures)
+			}
+			for _, sf := range remote.ShardFailures {
+				if !errors.Is(sf.Err, mtracecheck.ErrShardFailed) {
+					t.Errorf("distributed shard failure %v does not match ErrShardFailed", sf.Err)
+				}
+			}
+			requireIdentical(t, local, local.Signatures(), remote, remote.Signatures())
+			t.Logf("%d shard failures, %d iterations, %d uniques through both doors",
+				len(local.ShardFailures), local.Iterations, local.UniqueSignatures)
+		})
+	}
+}
+
+// TestCrashAcrossDoors: a platform crash on a worker fails the dist job with
+// the in-process campaign's error. The worker used to read its own cancelled
+// chunk context as a lost lease and upload nothing, so the chunk expired and
+// was redispatched until the job failed as undispatchable.
+func TestCrashAcrossDoors(t *testing.T) {
+	spec := JobSpec{
+		Test:       &testgen.Config{Threads: 7, OpsPerThread: 60, Words: 64, LoadRatio: 0.3, Seed: 3},
+		Bug:        "wb-race",
+		Iterations: 60,
+		Seed:       3,
+	}
+	p, opts, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, localErr := mtracecheck.RunProgram(p, opts)
+	if !errors.Is(localErr, mtracecheck.ErrCrash) {
+		t.Fatalf("in-process: %v, want a crash", localErr)
+	}
+	srv, url := startServer(t, ServerOptions{LeaseTTL: time.Second, MaxAttempts: 2})
+	id, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkers(t, url, 1, nil)
+	_, remoteErr := srv.Wait(context.Background(), id)
+	if !errors.Is(remoteErr, mtracecheck.ErrCrash) || remoteErr.Error() != localErr.Error() {
+		t.Fatalf("distributed: %v\nin-process:  %v", remoteErr, localErr)
 	}
 }
 

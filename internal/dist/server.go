@@ -711,22 +711,30 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, UploadResponse{Status: UploadDuplicate})
 		return
 	}
-	switch u.ErrKind {
-	case UploadCrash:
+	var fresh bool
+	switch {
+	case u.ErrKind == UploadCrash:
 		// A platform crash is a finding that fails the whole campaign, as
 		// in-process. The honest reporter is not struck.
-		s.fail(j, fmt.Errorf("%w: %s", mtracecheck.ErrCrash, u.Err))
+		s.fail(j, workerError{u.Err, mtracecheck.ErrCrash})
 		writeJSON(w, UploadResponse{Status: UploadAccepted})
 		return
-	case UploadShardFailed, UploadOther:
-		// Worker-side infra failure after its own retries: back off and let
-		// another worker try, up to the dispatch cap.
+	case u.ErrKind == UploadShardFailed && !j.spec.Strict:
+		// A chunk lost after the worker's retries lands as its partial
+		// result and a ShardFailure, through the merger method the
+		// in-process campaign uses.
+		s.logf("dist: job %s chunk %d lost on %s: %s", j.id, u.Chunk, sender, u.Err)
+		fresh, err = j.merger.AbsorbLost(&u.ChunkResult, workerError{u.Err, mtracecheck.ErrShardFailed})
+	case u.ErrKind != UploadOK:
+		// Any other worker-side failure (and a Strict job's lost chunk):
+		// back off and let another worker try, up to the dispatch cap.
 		cs.eligible = now.Add(s.opts.backoff(cs.attempt))
 		s.logf("dist: job %s chunk %d failed on %s: %s", j.id, u.Chunk, sender, u.Err)
 		writeJSON(w, UploadResponse{Status: UploadAccepted})
 		return
+	default:
+		fresh, err = j.merger.Absorb(&u.ChunkResult)
 	}
-	fresh, err := j.merger.Absorb(&u.ChunkResult)
 	if err != nil {
 		writeJSON(w, s.strike(j, u.Chunk, sender, now, err))
 		return
@@ -749,6 +757,18 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, UploadResponse{Status: UploadAccepted})
 }
+
+// workerError is an execution error as a worker reported it: the text of the
+// runner's error, matching the sentinel its upload kind names, so a report
+// carries it as the in-process campaign carries the runner's own error.
+type workerError struct {
+	text string
+	kind error
+}
+
+func (e workerError) Error() string { return e.text }
+
+func (e workerError) Is(target error) bool { return target == e.kind }
 
 // strike records an upload-validation failure against a worker, emits the
 // rejection, and quarantines the worker once it crosses the threshold —

@@ -242,12 +242,15 @@ func (w *Worker) executeLease(ctx context.Context, lease LeaseResponse) error {
 		}
 	}()
 	result, runErr := wj.runner.Run(chunkCtx, lease.Chunk)
+	// Read before the cancel below ends the context either way: only the
+	// heartbeat (or the caller) can have ended it yet.
+	leaseLost := chunkCtx.Err() != nil
 	cancel()
 	<-hbDone
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	if chunkCtx.Err() != nil && runErr != nil {
+	if leaseLost && runErr != nil {
 		return runErr // lease lost mid-execution; nothing to upload
 	}
 	u := &ChunkUpload{Job: lease.Job, Worker: w.ID}
@@ -265,7 +268,7 @@ func (w *Worker) executeLease(ctx context.Context, lease LeaseResponse) error {
 		u.ErrKind = UploadOther
 	}
 	if runErr != nil {
-		u.Err, u.Uniques = runErr.Error(), nil
+		u.Err = runErr.Error()
 	}
 	payload, err := EncodeChunkUpload(u)
 	if err != nil {

@@ -124,6 +124,75 @@ func FuzzReadSet(f *testing.F) {
 	})
 }
 
+// FuzzSetDedup runs a sequence of AddWords and AddUnique calls over signatures
+// of a small word alphabet, so most of them repeat, and compares Len, Total,
+// the new/seen answers, Entries order and counts with a reference keyed by the
+// signature's binary encoding. The same sequence also runs with every
+// signature filed under one of two forced hash values, so the collision chain
+// carries most lookups. The first input byte picks the width (0–2 words);
+// each later byte is one call: bit 0 picks the method, bits 1–2 the AddUnique
+// count less one and bits 3–6 the words; the forced hash is the first word's
+// low bit.
+func FuzzSetDedup(f *testing.F) {
+	f.Add([]byte{1, 0, 4, 0, 9, 16, 17, 4})
+	f.Add([]byte{2, 255, 254, 253, 252, 251, 250, 255, 0, 128})
+	f.Add([]byte{0, 1, 3, 5, 7, 1, 3, 5, 7})
+	alphabet := [4]uint64{0, 1, 1 << 63, ^uint64(0)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		width := int(data[0] % 3)
+		index, want, total := map[string]int{}, []Unique(nil), 0 // the reference
+		sets := [2]*Set{NewSet(), NewSet()}
+		for step, b := range data[1:] {
+			words := make([]uint64, width)
+			for i := range words {
+				words[i] = alphabet[b>>(3+2*i)&3]
+			}
+			s, count, forced := Signature{words: words}, 1, uint64(0)
+			if width > 0 {
+				forced = words[0] & 1
+			}
+			if b&1 != 0 {
+				count += int(b>>1) & 3
+			}
+			key := string(s.AppendBinary(nil))
+			i, seen := index[key]
+			if !seen {
+				index[key] = len(want)
+				want = append(want, Unique{Sig: New(words), Count: count})
+			} else {
+				want[i].Count += count
+			}
+			total += count
+			var isNew [2]bool
+			if b&1 == 0 {
+				isNew[0] = sets[0].AddWords(words)
+				isNew[1] = sets[1].add(forced, Unique{Sig: s, Count: 1}, true)
+			} else {
+				isNew[0] = sets[0].AddUnique(Unique{Sig: New(words), Count: count})
+				isNew[1] = sets[1].add(forced, Unique{Sig: New(words), Count: count}, false)
+			}
+			for n := range sets {
+				if isNew[n] == seen {
+					t.Fatalf("set %d step %d: %v reported new = %v, reference seen = %v", n, step, s, isNew[n], seen)
+				}
+			}
+		}
+		for n, set := range sets {
+			if set.Len() != len(want) || set.Total() != total {
+				t.Fatalf("set %d: Len %d Total %d, reference %d and %d", n, set.Len(), set.Total(), len(want), total)
+			}
+			for i, u := range set.Entries() {
+				if !u.Sig.Equal(want[i].Sig) || u.Count != want[i].Count {
+					t.Fatalf("set %d entry %d = %v ×%d, reference %v ×%d", n, i, u.Sig, u.Count, want[i].Sig, want[i].Count)
+				}
+			}
+		}
+	})
+}
+
 // FuzzReadCheckpoint is FuzzReadSet for the checkpoint reader: no panic,
 // allocation in proportion to the input, and an accepted checkpoint holds no
 // counters ChunkStats.Validate refuses and survives a round trip unchanged. The fuzzer cannot find a 64-bit checksum, so the

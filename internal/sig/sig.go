@@ -14,6 +14,7 @@ package sig
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 )
@@ -116,42 +117,45 @@ type Unique struct {
 // It is what the on-device collection buffer holds before the host-side
 // sort; methods are not safe for concurrent use.
 //
-// Internally the Set keys uniques by their binary encoding, append-built in
-// a reusable scratch buffer: adding an already-seen signature (the common
-// case — the paper's runs see far fewer uniques than iterations) performs
-// one encode and one map lookup with no allocation at all. Only a genuinely
-// new signature pays for the retained key string and entry.
+// Each unique is stored once, as its entry. The index maps a 64-bit
+// hash/maphash value of the signature, under a seed drawn by NewSet, to the
+// first entry with that hash; next chains the entries that share one, and a
+// lookup confirms a match by comparing words. Adding an already-seen
+// signature (the common case — the paper's runs see far fewer uniques than
+// iterations) is one encode into a reusable scratch buffer, one hash, one map
+// lookup and one word comparison, with no allocation. Sets are also built
+// from device and checkpoint files, so the seed is per set: crafted inputs
+// cannot aim at one hash value.
 type Set struct {
-	index   map[string]int // binary key → index into entries
+	seed    maphash.Seed
+	index   map[uint64]int32 // hash → first entry with it
+	next    []int32          // per entry: the next entry with its hash, or -1
 	entries []Unique
 	total   int
 	scratch []byte
 }
 
-// NewSet returns an empty Set.
+// NewSet returns an empty Set with a fresh hash seed.
 func NewSet() *Set {
-	return &Set{index: make(map[string]int)}
+	return &Set{seed: maphash.MakeSeed(), index: make(map[uint64]int32)}
 }
 
-// AddWords inserts one observation of the signature formed by words (most
-// significant first), reporting whether it was new. The words are copied
-// only when new; the caller keeps ownership of the slice. This is the
-// hot-path form of Add.
-func (set *Set) AddWords(words []uint64) bool {
+// hash returns the seeded hash of the signature formed by words.
+func (set *Set) hash(words []uint64) uint64 {
 	b := set.scratch[:0]
 	for _, w := range words {
 		b = binary.BigEndian.AppendUint64(b, w)
 	}
 	set.scratch = b
-	set.total++
-	// The []byte→string conversion inside a map index does not allocate.
-	if i, ok := set.index[string(b)]; ok {
-		set.entries[i].Count++
-		return false
-	}
-	set.index[string(b)] = len(set.entries)
-	set.entries = append(set.entries, Unique{Sig: New(words), Count: 1})
-	return true
+	return maphash.Bytes(set.seed, b)
+}
+
+// AddWords inserts one observation of the signature formed by words (most
+// significant first), reporting whether it was new. The words are copied
+// only when new, into the entry that is the set's one copy of them; the
+// caller keeps ownership of the slice. This is the hot-path form of Add.
+func (set *Set) AddWords(words []uint64) bool {
+	return set.add(set.hash(words), Unique{Sig: Signature{words: words}, Count: 1}, true)
 }
 
 // Add inserts one observation of s, reporting whether s was new.
@@ -159,20 +163,41 @@ func (set *Set) Add(s Signature) bool { return set.AddWords(s.words) }
 
 // AddUnique folds an already-counted unique into the set, weighting the
 // observation total and the per-signature count by u.Count, and reports
-// whether the signature was new to this set. It is the streaming pipeline's
-// incremental merge step: absorbing each completed chunk's uniques as the
-// chunk lands is equivalent to a final mergeUniques over all chunks, so the
-// global sort can wait for the barrier while dedup happens online.
+// whether the signature was new to this set. A new u.Sig is shared, not
+// copied. It is the streaming pipeline's incremental merge step: absorbing
+// each completed chunk's uniques as the chunk lands is equivalent to a final
+// mergeUniques over all chunks, so the global sort can wait for the barrier
+// while dedup happens online.
 func (set *Set) AddUnique(u Unique) bool {
-	b := u.Sig.AppendBinary(set.scratch[:0])
-	set.scratch = b
+	return set.add(set.hash(u.Sig.words), u, false)
+}
+
+// add folds u into the set under hash h and reports whether it was new. A
+// new u becomes an entry, its words copied first when borrowed.
+func (set *Set) add(h uint64, u Unique, borrowed bool) bool {
 	set.total += u.Count
-	if i, ok := set.index[string(b)]; ok {
-		set.entries[i].Count += u.Count
-		return false
+	first, ok := set.index[h]
+	if !ok {
+		first = -1
 	}
-	set.index[string(b)] = len(set.entries)
+	last := first
+	for i := first; i >= 0; last, i = i, set.next[i] {
+		if set.entries[i].Sig.Equal(u.Sig) {
+			set.entries[i].Count += u.Count
+			return false
+		}
+	}
+	if borrowed {
+		u.Sig = New(u.Sig.words)
+	}
+	n := int32(len(set.entries))
 	set.entries = append(set.entries, u)
+	set.next = append(set.next, -1)
+	if last < 0 {
+		set.index[h] = n
+	} else {
+		set.next[last] = n
+	}
 	return true
 }
 

@@ -290,3 +290,54 @@ func TestMergeSetsDegenerate(t *testing.T) {
 		t.Errorf("single-set merge = %v, want one unique x2", got)
 	}
 }
+
+// TestSetCollisionChain files different signatures under one forced hash
+// value: each is found and counted on its own, a signature under another hash
+// is not confused with them, and Entries keeps first-observation order.
+func TestSetCollisionChain(t *testing.T) {
+	a, b, c, d := New([]uint64{1, 2}), New([]uint64{3, 4}), New([]uint64{5, 6}), New([]uint64{7, 8})
+	set := NewSet()
+	for _, step := range []struct {
+		h     uint64
+		s     Signature
+		count int
+		isNew bool
+	}{
+		{42, a, 1, true}, {42, b, 1, true}, {42, a, 2, false}, {7, d, 1, true},
+		{42, c, 1, true}, {42, b, 1, false}, {42, c, 4, false}, {42, a, 1, false},
+	} {
+		if got := set.add(step.h, Unique{Sig: step.s, Count: step.count}, true); got != step.isNew {
+			t.Fatalf("add %v under %d: new = %v, want %v", step.s, step.h, got, step.isNew)
+		}
+	}
+	want := []Unique{{a, 4}, {b, 2}, {d, 1}, {c, 5}}
+	got := set.Entries()
+	if len(got) != len(want) {
+		t.Fatalf("Entries = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Sig.Equal(want[i].Sig) || got[i].Count != want[i].Count {
+			t.Errorf("entry %d = %v ×%d, want %v ×%d", i, got[i].Sig, got[i].Count, want[i].Sig, want[i].Count)
+		}
+	}
+	if set.Len() != 4 || set.Total() != 12 || len(set.index) != 2 {
+		t.Errorf("Len %d, Total %d, %d hashes; want 4, 12, 2", set.Len(), set.Total(), len(set.index))
+	}
+}
+
+// TestSetKeepsOneCopy: a new signature added by words is copied once, into
+// its entry, and one folded in by AddUnique is shared, not copied.
+func TestSetKeepsOneCopy(t *testing.T) {
+	words := []uint64{9, 10}
+	set := NewSet()
+	set.AddWords(words)
+	words[0] = 99
+	if got := set.Entries()[0].Sig; !got.Equal(New([]uint64{9, 10})) {
+		t.Fatalf("entry %v changed with the caller's slice", got)
+	}
+	u := Unique{Sig: New([]uint64{11, 12}), Count: 3}
+	set.AddUnique(u)
+	if &set.Entries()[1].Sig.words[0] != &u.Sig.words[0] {
+		t.Error("AddUnique copied a signature the caller already owns")
+	}
+}
