@@ -1,8 +1,10 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mtracecheck/internal/graph"
@@ -476,5 +478,51 @@ func TestIncrementalOnCleanSCItems(t *testing.T) {
 	if inc.SortedVertices >= conv.SortedVertices {
 		t.Errorf("incremental moved %d vertices, conventional sorted %d — no saving",
 			inc.SortedVertices, conv.SortedVertices)
+	}
+}
+
+// TestIncrementalForwardSearchStaysInWindow: three reads-from rows of a
+// 3-thread program with two stores to a word, in signature order, under SC.
+// The third closes a cycle. Repairing the second row's edges one by one, a
+// forward search that followed an edge not yet repaired to below pos[v] moved
+// that vertex into the window and broke the order the third row's repair
+// relies on, so the third row passed; checked alone, it was rejected.
+func TestIncrementalForwardSearchStaysInWindow(t *testing.T) {
+	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 3, Words: 2, FenceProb: 0.3, Seed: 277})
+	meta, err := instrument.Analyze(p, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(p, mcm.SC, graph.Options{Forwarding: true})
+	var items []Item
+	for _, rf := range [][]int32{
+		{-1, -1, -1, 2, -1, -1, 2, 11, 4, -1, -1, -1},
+		{10, -1, -1, 2, -1, -1, 4, -1, 4, -1, -1, -1},
+		{10, -1, -1, 2, -1, -1, 2, 10, 2, -1, -1, -1},
+	} {
+		vals := make([]uint32, len(rf))
+		for id, src := range rf {
+			if src >= 0 {
+				vals[id] = p.OpByID(int(src)).Value
+			}
+		}
+		s, err := meta.EncodeValues(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		item, err := NewItem(b, s, rf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, item)
+	}
+	for _, be := range Backends {
+		res, err := be.Check(context.Background(), b, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := violIndices(res); !slices.Equal(got, []int{2}) {
+			t.Errorf("%s: violations at %v, want [2]", be.Name, got)
+		}
 	}
 }

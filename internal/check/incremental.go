@@ -80,10 +80,10 @@ type pkState struct {
 func (p *pkState) repair(u, v int32) (moved int, ok bool) {
 	lb, ub := p.pos[v], p.pos[u]
 	p.epoch++
-	// Forward DFS from v within (≤ ub): collects vertices that must come
+	// Forward DFS from v within [lb, ub]: collects vertices that must come
 	// after v. Seeing u means a cycle.
 	p.fwd = p.fwd[:0]
-	if !p.dfsF(v, ub, u) {
+	if !p.dfsF(v, lb, ub, u) {
 		return len(p.fwd), false
 	}
 	// Backward search from u within (≥ lb): vertices that must stay before u.
@@ -126,9 +126,12 @@ func (p *pkState) inOrder(set, buf []int32) []int32 {
 	return ps
 }
 
-// dfsF explores forward from x, bounded by positions ≤ ub; returns false on
-// reaching target (cycle).
-func (p *pkState) dfsF(x, ub, target int32) bool {
+// dfsF explores forward from x within positions [lb, ub]; returns false on
+// reaching target (cycle). The lower bound matters because dyn holds every
+// edge of the item, the ones not repaired yet too: such an edge may lead
+// below lb, and moving that vertex up into the window would break the order
+// of edges already repaired.
+func (p *pkState) dfsF(x, lb, ub, target int32) bool {
 	if x == target {
 		return false
 	}
@@ -136,7 +139,7 @@ func (p *pkState) dfsF(x, ub, target int32) bool {
 	p.fwd = append(p.fwd, x)
 	for _, succ := range [2][]int32{p.w.static[x], p.w.dyn[x]} {
 		for _, y := range succ {
-			if p.visited[y] != p.epoch && p.pos[y] <= ub && !p.dfsF(y, ub, target) {
+			if py := p.pos[y]; p.visited[y] != p.epoch && py >= lb && py <= ub && !p.dfsF(y, lb, ub, target) {
 				return false
 			}
 		}
@@ -148,7 +151,7 @@ func (p *pkState) dfsF(x, ub, target int32) bool {
 // [lb, pos[u]] that reach u through such vertices. It is a depth-first search
 // over the predecessor lists, with all (free until the reorder) as its stack;
 // members are marked -epoch. It cannot meet the forward set: dfsF follows
-// every edge within positions ≤ pos[u], so it would have met u.
+// every edge within positions [lb, pos[u]], so it would have met u.
 func (p *pkState) dfsB(u, lb int32) {
 	ub := p.pos[u]
 	p.visited[u] = -p.epoch

@@ -111,19 +111,10 @@ func exactness(t *testing.T, m mcm.Model) string {
 // staticWSAccepted pins, per model, how many forbidden reads-from rows of the
 // multi-store subjects reach the checkers and pass a backend under static ws,
 // which orders only same-thread stores to a word: cross-thread coherence
-// (CoWW, CoWR, CoRW, 2+2W) is the blind spot. Every backend but incremental
-// accepts exactly these. A change that closes part of the blind spot lowers a
-// count; one that raises a count, or rejects an allowed row, is a regression.
+// (CoWW, CoWR, CoRW, 2+2W) is the blind spot. Every backend accepts exactly
+// these. A change that closes part of the blind spot lowers a count; one that
+// raises a count, or rejects an allowed row, is a regression.
 var staticWSAccepted = map[mcm.Model]int{mcm.SC: 12586, mcm.TSO: 12215, mcm.PSO: 12339, mcm.RMO: 13307}
-
-// incrementalAccepted is the same count for the incremental backend, which
-// accepts 29 more rows under SC, TSO and PSO: checking the rows of one
-// program in signature order, it passes cyclic graphs that it rejects when
-// checked alone. Its forward search follows edges
-// of the item that it has not repaired yet, below pos[v], so one repair can
-// break the order for the next. Mending that brings these counts down to
-// staticWSAccepted.
-var incrementalAccepted = map[mcm.Model]int{mcm.SC: 12615, mcm.TSO: 12244, mcm.PSO: 12368, mcm.RMO: 13307}
 
 // TestStaticWSBaseline judges every reads-from row of the litmus library and
 // of 300 generated programs with several stores to a word by the oracle and
@@ -201,17 +192,12 @@ func TestStaticWSBaseline(t *testing.T) {
 			}
 		}
 		for bi, be := range check.Backends {
-			pinned := staticWSAccepted[m]
-			if be.Name == "incremental" {
-				pinned = incrementalAccepted[m]
-			}
-			if accepted[bi] != pinned {
-				t.Errorf("%v: %s accepts %d forbidden rows under static ws, pinned %d", m, be.Name, accepted[bi], pinned)
+			if accepted[bi] != staticWSAccepted[m] {
+				t.Errorf("%v: %s accepts %d forbidden rows under static ws, pinned %d", m, be.Name, accepted[bi], staticWSAccepted[m])
 			}
 		}
-		t.Logf("%v: %d rows, %d forbidden, %d of them reach the checkers, %d accepted (%.1f %%; incremental %d)",
-			m, rows, forbidden, reached, staticWSAccepted[m], 100*float64(staticWSAccepted[m])/float64(max(reached, 1)),
-			incrementalAccepted[m])
+		t.Logf("%v: %d rows, %d forbidden, %d of them reach the checkers, %d accepted (%.1f %%)",
+			m, rows, forbidden, reached, staticWSAccepted[m], 100*float64(staticWSAccepted[m])/float64(max(reached, 1)))
 	}
 }
 
