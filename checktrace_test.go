@@ -233,7 +233,7 @@ func TestConstraintsDifferentialAgainstFastBackends(t *testing.T) {
 			Forwarding: plat.Atomicity.AllowsForwarding(),
 			WS:         graph.WSStatic,
 		})
-		items, _, err := decodeItems(context.Background(), meta, uniques, runtime.GOMAXPROCS(0), true, emitter{})
+		items, _, err := decodeItems(context.Background(), meta, uniques, true, emitter{})
 		if err != nil {
 			t.Fatal(err)
 		}

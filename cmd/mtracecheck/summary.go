@@ -66,15 +66,8 @@ func writeDegradation(w io.Writer, report *mtracecheck.Report) {
 		}
 		fmt.Fprintln(w)
 	}
-	if counts := report.QuarantineCounts(); counts != nil {
-		fmt.Fprintf(w, "quarantined:          %d signatures (", len(report.Quarantined))
-		for i, kind := range sortedCountKeys(counts) {
-			if i > 0 {
-				fmt.Fprint(w, ", ")
-			}
-			fmt.Fprintf(w, "%d %v", counts[kind], kind)
-		}
-		fmt.Fprintln(w, ")")
+	if n := len(report.Quarantined); n > 0 {
+		fmt.Fprintf(w, "quarantined:          %d signatures (%d decode)\n", n, n)
 	}
 	if report.Partial() {
 		fmt.Fprintf(w, "PARTIAL: %d execution shards lost after retries:\n", len(report.ShardFailures))

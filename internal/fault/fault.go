@@ -405,40 +405,11 @@ func (r *shardRunner) RunSeeded(seed int64) (*sim.Execution, error) {
 	return r.inner.RunSeeded(seed)
 }
 
-// QuarantineKind classifies why the host quarantined a signature.
-type QuarantineKind uint8
-
-const (
-	// QuarantineDecode marks a signature the Algorithm 1 decoder rejected
-	// (out-of-range index, nonzero residue, wrong word count).
-	QuarantineDecode QuarantineKind = iota
-)
-
-func (k QuarantineKind) String() string {
-	if k == QuarantineDecode {
-		return "decode"
-	}
-	return fmt.Sprintf("fault.QuarantineKind(%d)", uint8(k))
-}
-
 // Quarantined is one corrupted signature held out of checking instead of
-// aborting the run.
+// aborting the run: the Algorithm 1 decoder rejected it (out-of-range index,
+// nonzero residue, wrong word count).
 type Quarantined struct {
 	Sig   sig.Signature
-	Count int // observations the entry claimed
-	Kind  QuarantineKind
+	Count int   // observations the entry claimed
 	Err   error // the decode failure
-}
-
-// CountByKind tallies quarantined signatures per kind; nil for an empty
-// quarantine.
-func CountByKind(q []Quarantined) map[QuarantineKind]int {
-	if len(q) == 0 {
-		return nil
-	}
-	out := make(map[QuarantineKind]int)
-	for _, e := range q {
-		out[e.Kind]++
-	}
-	return out
 }

@@ -301,19 +301,6 @@ func TestRunnerStallHonorsContext(t *testing.T) {
 	}
 }
 
-func TestCountByKind(t *testing.T) {
-	if CountByKind(nil) != nil {
-		t.Error("empty quarantine yields non-nil counts")
-	}
-	q := []Quarantined{
-		{Kind: QuarantineDecode}, {Kind: QuarantineDecode},
-	}
-	counts := CountByKind(q)
-	if counts[QuarantineDecode] != 2 || len(counts) != 1 {
-		t.Errorf("counts %v", counts)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindNone: "none", KindBitFlip: "bit-flip", KindTruncate: "truncate",
@@ -324,9 +311,6 @@ func TestKindStrings(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
-	}
-	if QuarantineDecode.String() != "decode" {
-		t.Errorf("quarantine kind string: %q", QuarantineDecode)
 	}
 }
 

@@ -84,8 +84,6 @@ type (
 	FaultKind = fault.Kind
 	// Quarantined is one corrupted signature held out of checking.
 	Quarantined = fault.Quarantined
-	// QuarantineKind classifies why a signature was quarantined.
-	QuarantineKind = fault.QuarantineKind
 	// Unique is one unique signature with its observation count — the unit
 	// of the device-to-host channel (CollectSignatures, SaveSignatures,
 	// LoadSignaturesMeta, CheckSignatures).
@@ -108,10 +106,6 @@ type (
 // never with a wrong verdict, and the unreadable original is preserved
 // under a ".quarantined" suffix at the next flush.
 func OpenCorpus(path string) (*Corpus, error) { return corpus.Open(path) }
-
-// QuarantineDecode marks a signature the decoder rejected, the one
-// quarantine kind (see fault.QuarantineKind).
-const QuarantineDecode = fault.QuarantineDecode
 
 // Injected fault kinds, the keys of Report.InjectedFaults (see fault.Kind).
 const (
@@ -204,8 +198,9 @@ type Options struct {
 	// Workers sizes the streaming pipeline: this many goroutines pull
 	// fixed-size execution chunks from a shared cursor (work stealing), and
 	// completed chunks stream through the incremental merge while later
-	// chunks still execute; the barrier decode and the check shard
-	// across the same count. 0 selects GOMAXPROCS; 1 is the serial pipeline.
+	// chunks still execute; the check shards across the same count (the
+	// barrier decode is one pass, a bound test per signature, and does not
+	// shard). 0 selects GOMAXPROCS; 1 is the serial pipeline.
 	// Results are identical for every value: iteration i's seed is the i-th
 	// draw of the campaign's master seed stream — handed to whichever
 	// worker claims the chunk containing i — and a reorder buffer merges
@@ -263,7 +258,7 @@ type Options struct {
 	// old-layout file is an error.
 	Resume bool
 	// Observer, when set, receives typed events from every pipeline stage —
-	// execution shards, the signature merge, decode workers, checking
+	// execution shards, the signature merge, the decode pass, checking
 	// shards, and checkpoints. Observers are strictly read-only taps: any
 	// observer (or combination via MultiObserver) leaves every report
 	// bit-identical to an unobserved run, and nil (the default) adds zero
@@ -325,9 +320,8 @@ type Report struct {
 	// instrumentation's assert chains without any graph checking.
 	AssertionFailures []error
 	// Quarantined lists signatures held out of checking because they failed
-	// to decode or to build constraint edges — device-side corruption the
-	// run tolerated instead of aborting (see Options.Strict). Use
-	// QuarantineCounts for the per-kind breakdown.
+	// to decode — device-side corruption the run tolerated instead of
+	// aborting (see Options.Strict) — in ascending signature order.
 	Quarantined []Quarantined
 	// InjectedFaults counts deterministic injected faults per kind when
 	// Options.Fault is enabled; nil otherwise.
@@ -389,12 +383,6 @@ func (r *Report) Failed() bool {
 // the report covers only part of the requested iteration sequence.
 func (r *Report) Partial() bool { return len(r.ShardFailures) > 0 }
 
-// QuarantineCounts tallies quarantined signatures per kind; nil when the
-// quarantine is empty.
-func (r *Report) QuarantineCounts() map[QuarantineKind]int {
-	return fault.CountByKind(r.Quarantined)
-}
-
 // ErrCrash wraps a platform crash (protocol deadlock or livelock), the
 // manifestation of the paper's bug 3.
 var ErrCrash = errors.New("mtracecheck: platform crashed during test execution")
@@ -427,7 +415,7 @@ func Run(cfg TestConfig, opts Options) (*Report, error) {
 // NewCampaign + one Campaign method under context.Background(); callers
 // that need cancellation build the Campaign themselves and pass a context.
 //
-// The three hot stages are sharded across Options.Workers goroutines; see
+// Execution and checking are sharded across Options.Workers goroutines; see
 // Options.Workers for the determinism contract (results are identical for
 // every worker count).
 func RunProgram(p *Program, opts Options) (*Report, error) {

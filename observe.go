@@ -11,7 +11,7 @@ import (
 // Observability facade: internal/obs re-exported so downstream users can
 // implement and wire observers without importing internal packages. Attach
 // an observer via Options.Observer; it receives typed events from every
-// pipeline stage — execution shards, the signature merge, decode workers,
+// pipeline stage — execution shards, the signature merge, the decode pass,
 // checking shards, and checkpoints — under two contracts (see the Observer
 // docs): observers never perturb results, and aggregating final events
 // yields worker-invariant totals.

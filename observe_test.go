@@ -2,11 +2,14 @@ package mtracecheck
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,6 +220,84 @@ func TestCheckSignaturesObserved(t *testing.T) {
 			series["mtracecheck_graphs_checked_total"] != n {
 			t.Errorf("checker %v: series %v do not cover the offline check", checker, series)
 		}
+	}
+}
+
+// decodeTap records the decode stage's ShardEnd events.
+type decodeTap struct {
+	mu   sync.Mutex
+	ends []obs.ShardEnd
+}
+
+func (*decodeTap) CampaignStart(obs.CampaignStart) {}
+func (*decodeTap) ShardStart(obs.ShardStart)       {}
+func (*decodeTap) MergeDone(obs.MergeDone)         {}
+func (*decodeTap) Checkpoint(obs.Checkpoint)       {}
+func (*decodeTap) CampaignEnd(obs.CampaignEnd)     {}
+func (d *decodeTap) ShardEnd(e obs.ShardEnd) {
+	if e.Stage == obs.StageDecode {
+		d.mu.Lock()
+		d.ends = append(d.ends, e)
+		d.mu.Unlock()
+	}
+}
+
+// TestDecodeIsOnePass: whatever Workers says, the decode stage is one
+// ordered pass that fires one ShardEnd per campaign, over every unique the
+// corpus did not answer, quarantined ones included; and a cancelled context
+// stops a host-side check in that pass, before any checking.
+func TestDecodeIsOnePass(t *testing.T) {
+	p := mustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	opts := Options{Platform: PlatformX86(), Iterations: 150, Seed: 11,
+		Fault: FaultConfig{Seed: 3, Rate: fault.Rates{fault.KindBitFlip: 0.2, fault.KindOutOfRange: 0.05}}}
+	corpusPath := filepath.Join(t.TempDir(), "corpus.mtc")
+	grow := opts
+	grow.Iterations = 50
+	runWithCorpus(t, p, corpusPath, grow)
+	for _, workers := range []int{1, 2, 7} {
+		store, err := OpenCorpus(corpusPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := &decodeTap{}
+		o := opts
+		o.Workers, o.Corpus, o.Observer = workers, store, tap
+		report, err := RunProgram(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.CorpusHits == 0 || len(report.Quarantined) == 0 {
+			t.Fatalf("workers %d: %d corpus hits, %d quarantined; the case needs both",
+				workers, report.CorpusHits, len(report.Quarantined))
+		}
+		if len(tap.ends) != 1 {
+			t.Fatalf("workers %d: %d decode events, want 1", workers, len(tap.ends))
+		}
+		e, want := tap.ends[0], report.UniqueSignatures-report.CorpusHits
+		if e.Count != want || e.Decoded+e.QuarantinedDecode != want || e.QuarantinedDecode != len(report.Quarantined) {
+			t.Errorf("workers %d: decode event covers %d (%d decoded, %d quarantined), want %d uniques, %d quarantined",
+				workers, e.Count, e.Decoded, e.QuarantinedDecode, want, len(report.Quarantined))
+		}
+	}
+
+	uniques, err := CollectSignatures(p, Options{Platform: PlatformX86(), Iterations: 150, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &decodeTap{}
+	c, err := NewCampaign(p, Options{Platform: PlatformX86(), Seed: 11, Workers: 2, Observer: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	report, err := c.Check(ctx, uniques)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled check: %v, want context.Canceled", err)
+	}
+	if len(tap.ends) != 1 || !errors.Is(tap.ends[0].Err, context.Canceled) || report.CheckStats != nil {
+		t.Errorf("cancelled check: decode events %+v, check stats %v; want one decode event carrying the cancellation and no checking",
+			tap.ends, report.CheckStats)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -71,7 +70,7 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 				})
 				var items []check.Item
 				if ws == graph.WSStatic {
-					items, _, err = decodeItems(context.Background(), meta, set.Sorted(), runtime.GOMAXPROCS(0), true, emitter{})
+					items, _, err = decodeItems(context.Background(), meta, set.Sorted(), true, emitter{})
 					if err != nil {
 						t.Fatal(err)
 					}
