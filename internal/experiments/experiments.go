@@ -53,8 +53,9 @@ type Config struct {
 	Observer obs.Observer
 
 	// Checker is the backend of every campaign an experiment runs for its
-	// verdict (the bug campaigns, the ws ablation), by name; empty is
-	// collective, and an unknown name is refused by the first campaign.
+	// verdict (the bug campaigns, the ws ablation), by name; empty is the
+	// default, the table's first row (incremental), and an unknown name is
+	// refused by the first campaign.
 	// Experiments that race backends (Fig9And14) walk check's table
 	// regardless.
 	Checker string
