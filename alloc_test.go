@@ -51,7 +51,7 @@ const (
 // offlineAllocBudget bounds one offline-check rep (load a stored signature
 // set, validate it, NewCampaign, Check) per unique signature. Nothing in the
 // rep allocates per unique: signatures are read into shared word arrays, rows
-// are decoded into one array per decode range, and the workspace edits its
+// are decoded into one array per checking shard, and the workspace edits its
 // adjacency in place; what is left is the rep's fixed cost (instrument.Analyze
 // above all) and amortized growth, well under one allocation per unique. The
 // budget is the issue's; the list-building pipeline it replaced took 19.5.

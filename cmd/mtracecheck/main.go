@@ -84,7 +84,7 @@ func run() int {
 	flag.Float64Var(&spec.Test.FenceProb, "fences", 0, "fence insertion probability")
 	flag.IntVar(&spec.Iterations, "iters", 2048, fmt.Sprintf("test iterations (0 = the library default, %d)", mtracecheck.DefaultIterations))
 	flag.Int64Var(&spec.Seed, "seed", 1, "random seed, for test generation and for execution")
-	flag.IntVar(&spec.Workers, "workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge; with -listen, the decode/check stage only (0 = GOMAXPROCS; results are identical for any value)")
+	flag.IntVar(&spec.Workers, "workers", 0, "streaming pipeline workers: work-stealing execution chunks with overlapped merge; with -listen, the check stage only (0 = GOMAXPROCS; results are identical for any value)")
 	flag.BoolVar(&spec.OS, "os", false, "run under simulated OS scheduling")
 	flag.StringVar(&spec.Checker, "checker", mtracecheck.CheckerNames()[0],
 		"checker backend: "+strings.Join(mtracecheck.CheckerNames(), ", "))

@@ -70,8 +70,8 @@ type JobSpec struct {
 	Seed       int64 `json:"seed"`
 	// Checker names the checking backend; empty means the default row.
 	Checker string `json:"checker,omitempty"`
-	// Workers sizes the in-process pipeline, or the server-side decode/check
-	// stage of a distributed job — not the worker fleet, which sizes itself by
+	// Workers sizes the in-process pipeline, or the server-side check stage
+	// of a distributed job — not the worker fleet, which sizes itself by
 	// joining.
 	Workers             int     `json:"workers,omitempty"`
 	Strict              bool    `json:"strict,omitempty"`
