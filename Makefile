@@ -33,6 +33,7 @@ race:
 # differential (all backends must agree on fuzz-chosen execution sets), the
 # event-queue differential (timing wheel vs. the reference heap), the
 # program-order reduction's (O(1)-witness scan vs. the cubic definition), the
+# candidate analysis' (one-pass store index vs. the per-load rescan), the
 # oracle's (axiomatic vs. operational enumeration under SC and TSO) and the
 # simulator's random source (jump-ahead seeding vs. math/rand).
 # Go runs one fuzz target per invocation, hence the separate lines.
@@ -41,6 +42,7 @@ fuzz-short:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzThreadPO$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzEncodeValues$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadSet$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sig -run '^$$' -fuzz '^FuzzSetDedup$$' -fuzztime $(FUZZTIME)

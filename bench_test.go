@@ -220,6 +220,7 @@ func BenchmarkFig11InstrumentationAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := instrument.Analyze(p, 32, nil); err != nil {

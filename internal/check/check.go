@@ -195,6 +195,9 @@ type repairFunc func(w *workspace, added []graph.Edge, res *Result) bool
 func maintainOrder(repair repairFunc) func(context.Context, *graph.Builder, []Item) (*Result, error) {
 	return func(ctx context.Context, b *graph.Builder, items []Item) (*Result, error) {
 		res := &Result{Total: len(items)}
+		if len(items) > 0 {
+			res.PerGraph = make([]GraphStat, 0, len(items)) // one entry per item
+		}
 		w := getWorkspace(b)
 		defer wsPool.Put(w)
 		valid := -1 // the last valid graph's item; -1: no order yet

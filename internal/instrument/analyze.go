@@ -10,7 +10,6 @@ package instrument
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
@@ -25,7 +24,8 @@ type Candidate struct {
 
 // Pruner optionally filters candidate sets using extra microarchitectural
 // knowledge (paper §8, "static pruning"). Returning false removes the
-// candidate. A nil Pruner keeps the paper's conservative default: every
+// candidate. A load's candidates arrive in store-ID order, the initial value
+// (Store -1) first. A nil Pruner keeps the paper's conservative default: every
 // memory operation may be reordered independently.
 type Pruner func(load prog.Op, c Candidate) bool
 
@@ -80,12 +80,17 @@ func capacity(widthBits int) uint64 {
 //
 // A load's candidates are the latest preceding same-thread store to its word
 // (or the initial value when none exists) plus every other thread's store to
-// that word. Weights use consecutive multiples: the first load in a word has
-// multiplier 1, and each subsequent load's multiplier is the previous
-// multiplier times the previous load's candidate count, guaranteeing a 1:1
-// mapping between signature values and reads-from patterns. When a word
-// would overflow the register width, a fresh word starts and the multiplier
-// resets (§3.2).
+// that word, in store-ID order. Weights use consecutive multiples: the first
+// load in a word has multiplier 1, and each subsequent load's multiplier is
+// the previous multiplier times the previous load's candidate count,
+// guaranteeing a 1:1 mapping between signature values and reads-from
+// patterns. When a word would overflow the register width, a fresh word
+// starts and the multiplier resets (§3.2).
+//
+// No load rescans the program: the stores are laid out by word once
+// (storeIndex), and every candidate list is filled, pruned in place and cut
+// from one arena sized for the unpruned sets, so an analysis costs O(ops +
+// words + Σ candidates) and a fixed number of allocations.
 func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -94,32 +99,35 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 		return nil, fmt.Errorf("instrument: register width %d not 32 or 64", regWidthBits)
 	}
 	cap64 := capacity(regWidthBits)
-	meta := &Meta{Prog: p, RegWidthBits: regWidthBits}
+	x := newStoreIndex(p)
+	size := 0
+	for _, th := range p.Threads {
+		x.enter(th)
+		for _, op := range th.Ops {
+			if op.Kind == prog.Load {
+				size += x.candidates(op.Word)
+			}
+		}
+	}
+	x.rewind()
+	arena := make([]Candidate, size)
+	infos := make([]LoadInfo, x.loads)
+	meta := &Meta{Prog: p, RegWidthBits: regWidthBits, Threads: make([]ThreadMeta, len(p.Threads))}
+	free, next, words := arena, 0, 0
 	for ti, th := range p.Threads {
+		x.enter(th)
 		tm := ThreadMeta{Words: 1}
 		var product uint64 = 1
-		lastOwnStore := map[int]prog.Op{} // word -> latest own store so far
+		first := next
 		for _, op := range th.Ops {
 			switch op.Kind {
 			case prog.Store:
-				lastOwnStore[op.Word] = op
+				x.seen[op.Word]++
 				continue
 			case prog.Fence:
 				continue
 			}
-			// Candidate set: own latest store or initial, then other
-			// threads' stores in ID order.
-			var cands []Candidate
-			if own, ok := lastOwnStore[op.Word]; ok {
-				cands = append(cands, Candidate{Value: own.Value, Store: own.ID})
-			} else {
-				cands = append(cands, Candidate{Value: prog.InitialValue, Store: -1})
-			}
-			for _, st := range p.StoresToWord(op.Word) {
-				if st.Thread != ti {
-					cands = append(cands, Candidate{Value: st.Value, Store: st.ID})
-				}
-			}
+			cands := x.fill(free[:0], op.Word) // within free's capacity
 			if prune != nil {
 				kept := cands[:0]
 				for _, c := range cands {
@@ -132,22 +140,24 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 			if len(cands) == 0 {
 				return nil, fmt.Errorf("instrument: load %d pruned to an empty candidate set", op.ID)
 			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i].Store < cands[j].Store })
-
+			cands, free = cands[:len(cands):len(cands)], free[len(cands):]
 			n := uint64(len(cands))
-			li := LoadInfo{Op: op, Candidates: cands}
 			if n > 1 && product > cap64/n {
 				// Word overflow: spill and start a fresh word (§3.2).
 				tm.Words++
 				product = 1
 			}
-			li.Multiplier = product
-			li.WordIndex = tm.Words - 1
+			infos[next] = LoadInfo{Op: op, Candidates: cands, Multiplier: product, WordIndex: tm.Words - 1}
+			next++
 			product *= n
-			tm.Loads = append(tm.Loads, li)
 		}
-		meta.Threads = append(meta.Threads, tm)
+		if next > first {
+			tm.Loads = infos[first:next:next]
+		}
+		meta.Threads[ti] = tm
+		words += tm.Words
 	}
+	meta.words = make([]wordLoads, 0, words)
 	for _, tm := range meta.Threads {
 		lo := 0
 		for w := 0; w < tm.Words; w++ {
@@ -162,6 +172,102 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 		}
 	}
 	return meta, nil
+}
+
+// storeIndex is a program's stores laid out once by word, in store-ID order:
+// word w's are stores[start[w]:start[w+1]]. Store IDs are thread-major, so a
+// word's run is grouped by thread, in thread order. While the threads are
+// walked in order (enter), the entered thread's stores to w are the own[w]
+// entries from before[w] in w's run, and seen[w] of them precede the op being
+// walked.
+type storeIndex struct {
+	start             []int
+	stores            []Candidate
+	before, own, seen []int       // per word
+	loads             int         // the program's loads
+	cur               prog.Thread // the entered thread
+}
+
+func newStoreIndex(p *prog.Program) *storeIndex {
+	nw := p.NumWords
+	x := &storeIndex{
+		start:  make([]int, nw+1),
+		before: make([]int, nw),
+		own:    make([]int, nw),
+		seen:   make([]int, nw),
+	}
+	for _, th := range p.Threads {
+		for _, op := range th.Ops {
+			switch op.Kind {
+			case prog.Store:
+				x.start[op.Word+1]++
+			case prog.Load:
+				x.loads++
+			}
+		}
+	}
+	for w := 0; w < nw; w++ {
+		x.start[w+1] += x.start[w]
+	}
+	x.stores = make([]Candidate, x.start[nw])
+	for _, th := range p.Threads {
+		for _, op := range th.Ops {
+			if op.Kind == prog.Store {
+				x.stores[x.start[op.Word]+x.seen[op.Word]] = Candidate{Value: op.Value, Store: op.ID}
+				x.seen[op.Word]++
+			}
+		}
+	}
+	clear(x.seen)
+	return x
+}
+
+// enter makes th, the thread after the entered one, the entered thread. It
+// touches only the words the two threads access, so a walk over every thread
+// costs O(ops), whatever the word count.
+func (x *storeIndex) enter(th prog.Thread) {
+	for _, op := range x.cur.Ops {
+		if op.IsMemory() {
+			w := op.Word
+			x.before[w] += x.own[w]
+			x.own[w], x.seen[w] = 0, 0
+		}
+	}
+	for _, op := range th.Ops {
+		if op.Kind == prog.Store {
+			x.own[op.Word]++
+		}
+	}
+	x.cur = th
+}
+
+// rewind returns the walk to before the first thread.
+func (x *storeIndex) rewind() {
+	x.enter(prog.Thread{})
+	clear(x.before)
+}
+
+// candidates returns the size of the entered thread's loads' unpruned
+// candidate sets for word w: the other threads' stores to w plus one slot.
+func (x *storeIndex) candidates(w int) int {
+	return x.start[w+1] - x.start[w] - x.own[w] + 1
+}
+
+// fill appends to dst the unpruned candidate set of the entered thread's
+// next load of word w, in store-ID order: the initial value or the thread's
+// latest preceding store to w sits between the earlier threads' stores and the
+// later ones'.
+func (x *storeIndex) fill(dst []Candidate, w int) []Candidate {
+	run := x.stores[x.start[w]:x.start[w+1]]
+	b, o, s := x.before[w], x.own[w], x.seen[w]
+	if s == 0 {
+		dst = append(dst, Candidate{Value: prog.InitialValue, Store: -1})
+	}
+	dst = append(dst, run[:b]...)
+	if s > 0 {
+		dst = append(dst, run[b+s-1])
+	}
+	return append(dst, run[b+o:]...)
 }
 
 // TotalWords returns the execution signature's total word count.

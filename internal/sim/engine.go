@@ -370,13 +370,19 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 	lineMask := ^uint64(plat.Mem.LineSize - 1)
 	r.static = make([][]opStatic, p.NumThreads())
 	threadStores := make([][]int, p.NumThreads()) // per thread: op index of each store
+	// Per word, within the thread being walked: stores and loads so far, and
+	// the op index of the latest store (-1: none). Each thread restores the
+	// entries of the words it touched, so the walk is O(ops) for any word count.
+	sameWordSt := make([]int, p.NumWords)
+	sameWordLd := make([]int, p.NumWords)
+	lastStore := make([]int, p.NumWords)
+	for w := range lastStore {
+		lastStore[w] = -1
+	}
 	for ti, th := range p.Threads {
 		st := make([]opStatic, len(th.Ops))
 		var storeOps []int
 		fences, stores := 0, 0
-		sameWordSt := map[int]int{}
-		sameWordLd := map[int]int{}
-		lastStore := map[int]int{}
 		for i, op := range th.Ops {
 			s := opStatic{
 				prefixFences:      fences,
@@ -389,9 +395,7 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 				s.line = s.addr & lineMask
 				s.prefixSameWordSt = sameWordSt[op.Word]
 				s.prefixSameWordLd = sameWordLd[op.Word]
-				if idx, ok := lastStore[op.Word]; ok {
-					s.lastSameWordStore = idx
-				}
+				s.lastSameWordStore = lastStore[op.Word]
 			}
 			switch op.Kind {
 			case prog.Fence:
@@ -409,6 +413,11 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 				sameWordLd[op.Word]++
 			}
 			st[i] = s
+		}
+		for _, op := range th.Ops {
+			if op.IsMemory() {
+				sameWordSt[op.Word], sameWordLd[op.Word], lastStore[op.Word] = 0, 0, -1
+			}
 		}
 		r.static[ti] = st
 		threadStores[ti] = storeOps
