@@ -3,7 +3,7 @@ GO ?= go
 # `make verify` PR-sized while still exercising the mutated-signature corpus.
 FUZZTIME ?= 3s
 
-.PHONY: build fmt vet test race bench-smoke fuzz-short sim-alloc-smoke sim-profile trace-profile offline-profile licence licence-capture surface verify
+.PHONY: build fmt vet test race bench-smoke fuzz-short sim-alloc-smoke sim-profile trace-profile offline-profile licence licence-capture surface docs verify
 
 build:
 	$(GO) build ./...
@@ -160,8 +160,16 @@ surface:
 		[ $$(grep -w "$$n" $$src | grep -cvE "^func (\([^)]*\) )?$$n[[(]") -eq 0 ] && echo "export no non-test file uses: $$n"; \
 	done; true
 
+# Document caps (ROADMAP's simplicity notes): DESIGN.md at most 700 lines,
+# and every CHANGES.md entry — one line each — at most 1 KiB.
+docs:
+	@n=$$(wc -l < DESIGN.md); [ $$n -le 700 ] || { echo "docs: DESIGN.md is $$n lines, over its cap of 700"; exit 1; }
+	@LC_ALL=C awk 'length($$0) > 1024 { printf "docs: CHANGES.md line %d is %d bytes, over its cap of 1024\n", NR, length($$0); bad = 1 } \
+		END { exit bad }' CHANGES.md
+	@echo "docs: OK (DESIGN.md $$(wc -l < DESIGN.md) lines; CHANGES.md entries within 1 KiB)"
+
 # Tier-1 verification gate (see ROADMAP.md).
-verify: build fmt vet test race fuzz-short bench-smoke sim-alloc-smoke
+verify: build fmt vet test race fuzz-short bench-smoke sim-alloc-smoke docs
 
 # Benchmark compile-and-run check, cheap enough for verify: ten simulated
 # iterations, one rep of the trace-check workload (which fails unless exactly

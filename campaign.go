@@ -46,11 +46,10 @@ type Campaign struct {
 	// iterations (0 = a tenth of the campaign) rounded up to whole chunks.
 	ckptChunks int
 
-	// Signature-corpus state (Options.Corpus). corpusOK means the attached
-	// store is usable for this campaign's key; a width mismatch degrades to
-	// a cold run (corpusErr says why) rather than risking a wrong verdict.
+	// Signature-corpus state (Options.Corpus). The attached store is usable
+	// for this campaign's key unless corpusErr says why not: a width mismatch
+	// degrades to a cold run rather than risking a wrong verdict.
 	corpKey   corpus.Key
-	corpusOK  bool
 	corpusErr error
 }
 
@@ -111,15 +110,13 @@ func NewCampaign(p *Program, opts Options) (*Campaign, error) {
 		}
 		if w, ok := opts.Corpus.Words(c.corpKey); ok && w != meta.TotalWords() {
 			c.corpusErr = fmt.Errorf("corpus section holds %d-word signatures, campaign produces %d; corpus ignored", w, meta.TotalWords())
-		} else {
-			c.corpusOK = true
 		}
 	}
 	return c, nil
 }
 
 // corpusActive reports whether the warm-cache fast path applies.
-func (c *Campaign) corpusActive() bool { return c.opts.Corpus != nil && c.corpusOK }
+func (c *Campaign) corpusActive() bool { return c.opts.Corpus != nil && c.corpusErr == nil }
 
 // newReport seeds a report with the campaign's identity — the provenance
 // SaveSignatures persists and resume/check-only paths validate.
@@ -165,7 +162,7 @@ func (c *Campaign) Check(ctx context.Context, uniques []Unique) (*Report, error)
 	report := c.newReport()
 	report.UniqueSignatures = len(uniques)
 	err := c.decodeAndCheck(ctx, uniques, report)
-	c.em.campaignEnd(report, err, began)
+	c.em.campaignEnd(report, err, began, c)
 	return report, err
 }
 
@@ -184,24 +181,11 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique, report 
 	// to a cold or corpus-less run. A corpus the campaign refused (load
 	// failure upstream, width mismatch) degrades to that cold run.
 	novel := uniques
-	if c.opts.Corpus != nil {
-		if !c.corpusOK {
-			report.CorpusIgnored = c.corpusErr
-			c.em.corpusEvent(obs.CorpusEvent{
-				Op: obs.CorpusIgnored, Program: c.corpKey.ProgHash,
-				Platform: c.corpKey.Platform, MCM: c.corpKey.MCM, Err: c.corpusErr,
-			})
-		} else {
-			report.CorpusConsulted = true
-			var hits int
-			novel, hits = c.partitionCorpus(uniques)
-			report.CorpusHits = hits
-			c.em.corpusEvent(obs.CorpusEvent{
-				Op: obs.CorpusLookup, Program: c.corpKey.ProgHash,
-				Platform: c.corpKey.Platform, MCM: c.corpKey.MCM,
-				Hits: hits, Misses: len(novel), Known: c.opts.Corpus.Len(c.corpKey),
-			})
-		}
+	if c.corpusActive() {
+		report.CorpusConsulted = true
+		novel, report.CorpusHits = c.partitionCorpus(uniques)
+	} else if c.opts.Corpus != nil {
+		report.CorpusIgnored = c.corpusErr
 	}
 	items, quarantined, err := decodeItems(ctx, c.meta, novel, c.opts.Strict, c.em)
 	if err != nil {
@@ -291,14 +275,7 @@ func (c *Campaign) corpusAppend(report *Report, items []check.Item) error {
 		}
 	}
 	report.CorpusAppended = appended
-	bytes, err := c.opts.Corpus.Flush()
-	c.em.corpusEvent(obs.CorpusEvent{
-		Op: obs.CorpusFlush, Program: c.corpKey.ProgHash,
-		Platform: c.corpKey.Platform, MCM: c.corpKey.MCM,
-		Appended: appended, Known: c.opts.Corpus.Len(c.corpKey),
-		Bytes: bytes, Err: err,
-	})
-	if err != nil {
+	if _, err := c.opts.Corpus.Flush(); err != nil {
 		return fmt.Errorf("mtracecheck: corpus: %w", err)
 	}
 	return nil
@@ -530,17 +507,31 @@ func (em emitter) campaignStart(p *Program, platform string, model mcm.Model, it
 	})
 }
 
-func (em emitter) campaignEnd(r *Report, err error, began time.Time) {
+// campaignEnd mirrors the report, and the corpus use it files: c's corpus key
+// and the key's known-good count are read only when the report says that a
+// corpus was consulted or refused (c may be nil when it cannot).
+func (em emitter) campaignEnd(r *Report, err error, began time.Time, c *Campaign) {
 	if em.o == nil {
 		return
 	}
 	now := time.Now()
-	em.o.CampaignEnd(obs.CampaignEnd{
+	e := obs.CampaignEnd{
 		Iterations: r.Iterations, Uniques: r.UniqueSignatures,
 		Quarantined: len(r.Quarantined), Violations: len(r.Violations),
 		Asserts: len(r.AssertionFailures), Partial: r.Partial(), Err: err,
 		Time: now, Duration: now.Sub(began),
-	})
+	}
+	if r.CorpusConsulted || r.CorpusIgnored != nil {
+		k := c.corpKey
+		e.CorpusProgram, e.CorpusPlatform, e.CorpusMCM = k.ProgHash, k.Platform, k.MCM
+		e.CorpusConsulted, e.CorpusIgnored = r.CorpusConsulted, r.CorpusIgnored
+		e.CorpusHits, e.CorpusAppended = r.CorpusHits, r.CorpusAppended
+		e.CorpusKnown = c.opts.Corpus.Len(k)
+		if r.CorpusConsulted {
+			e.CorpusMisses = r.UniqueSignatures - r.CorpusHits
+		}
+	}
+	em.o.CampaignEnd(e)
 }
 
 func (em emitter) shardStart(stage obs.Stage, shard, attempt, start, count int, began time.Time) {
@@ -625,14 +616,6 @@ func (em emitter) checkpointOp(op obs.CheckpointOp, path string, completed, uniq
 		Op: op, Path: path, Completed: completed, Uniques: uniques,
 		Bytes: bytes, Time: time.Now(),
 	})
-}
-
-func (em emitter) corpusEvent(e obs.CorpusEvent) {
-	if em.o == nil {
-		return
-	}
-	e.Time = time.Now()
-	obs.EmitCorpus(em.o, e)
 }
 
 // faultCounts flattens the report's injected-fault map into the event

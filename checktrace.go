@@ -127,10 +127,10 @@ func CheckTraceContext(ctx context.Context, tr *ExecTrace, model string, opts Op
 			bind.ValueFaults...),
 	}
 	if err := checkItems(ctx, opts.Checker, builder, items, opts.workerCount(), em, report); err != nil {
-		em.campaignEnd(report, err, began)
+		em.campaignEnd(report, err, began, nil)
 		return nil, bind, err
 	}
-	em.campaignEnd(report, nil, began)
+	em.campaignEnd(report, nil, began, nil)
 	return report, bind, nil
 }
 

@@ -222,7 +222,7 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 	}
 	if runErr != nil {
 		report.UniqueSignatures = m.acc.Len()
-		c.em.campaignEnd(report, runErr, m.began)
+		c.em.campaignEnd(report, runErr, m.began, c)
 		return report, runErr
 	}
 	uniques, injected := c.inj.Corrupt(m.acc.Sorted())
@@ -234,7 +234,7 @@ func (m *ChunkMerger) finish(ctx context.Context, runErr error) (*Report, error)
 	if m.check {
 		err = c.decodeAndCheck(ctx, uniques, report)
 	}
-	c.em.campaignEnd(report, err, m.began)
+	c.em.campaignEnd(report, err, m.began, c)
 	return report, err
 }
 

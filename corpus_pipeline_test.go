@@ -1,9 +1,12 @@
 package mtracecheck
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mtracecheck/internal/instrument"
@@ -321,5 +324,40 @@ func TestCorpusGates(t *testing.T) {
 	}
 	if _, err := NewCampaign(p, Options{Corpus: store}); err != nil {
 		t.Errorf("plain corpus campaign refused: %v", err)
+	}
+}
+
+// TestCorpusSeriesOnlyWhenUsed: the corpus series are folded from the corpus
+// use a campaign's end carries, so a campaign with no corpus, and one with a
+// corpus attached that crashes before its host side (paper bug 3), expose no
+// corpus series at all.
+func TestCorpusSeriesOnlyWhenUsed(t *testing.T) {
+	p := mustGenerate(TestConfig{Threads: 7, OpsPerThread: 60, Words: 64, LoadRatio: 0.3, Seed: 3})
+	store, err := OpenCorpus(filepath.Join(t.TempDir(), "corpus.mtc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		crash bool
+	}{
+		{"no corpus", Options{Platform: PlatformGem5(mem.Bugs{}, sim.Bugs{}), Iterations: 64, Seed: 5}, false},
+		{"crash", Options{Platform: PlatformGem5(mem.Bugs{WBRaceDeadlock: true}, sim.Bugs{}),
+			Iterations: 60, Seed: 5, Corpus: store}, true},
+	} {
+		m := NewMetrics()
+		c.opts.Observer = m
+		_, err := RunProgram(p, c.opts)
+		if crashed := errors.Is(err, ErrCrash); crashed != c.crash || (err != nil && !crashed) {
+			t.Fatalf("%s: err = %v, want a crash: %v", c.name, err, c.crash)
+		}
+		var buf bytes.Buffer
+		if err := m.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); strings.Contains(out, "_corpus_") || !strings.Contains(out, "mtracecheck_campaigns_total 1\n") {
+			t.Errorf("%s: exposition:\n%s", c.name, out)
+		}
 	}
 }

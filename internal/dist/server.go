@@ -88,6 +88,7 @@ type Server struct {
 	opts    ServerOptions
 	metrics *obs.Metrics
 	obsrv   obs.Observer
+	fleet   obs.DistObserver // obsrv's worker and lease events
 	mux     *http.ServeMux
 
 	ctx    context.Context
@@ -151,8 +152,6 @@ type job struct {
 	id       string
 	spec     JobSpec
 	specJSON []byte
-	prog     *mtracecheck.Program
-	campaign *mtracecheck.Campaign
 	merger   *mtracecheck.ChunkMerger
 	chunks   []chunkState
 	stats    JobStats
@@ -166,12 +165,6 @@ type workerState struct {
 	id          string
 	strikes     int
 	quarantined bool
-	leases      map[leaseKey]struct{}
-}
-
-type leaseKey struct {
-	job   string
-	chunk int
 }
 
 // NewServer builds a server. It always owns an obs.Metrics (exposed at
@@ -183,7 +176,10 @@ func NewServer(opts ServerOptions) *Server {
 		jobs:    make(map[string]*job),
 		workers: make(map[string]*workerState),
 	}
+	// Multi of the metrics and anything is a DistObserver: the metrics
+	// themselves, or a fan-out that forwards to the members that are.
 	s.obsrv = obs.Multi(s.metrics, opts.Observer)
+	s.fleet = s.obsrv.(obs.DistObserver)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
@@ -244,12 +240,12 @@ func (s *Server) expireDue(now time.Time) {
 			holder := cs.worker
 			s.releaseLease(j, c, now)
 			j.stats.Expired++
-			obs.EmitLease(s.obsrv, obs.LeaseEvent{
+			s.fleet.LeaseEvent(obs.LeaseEvent{
 				Op: obs.LeaseExpired, Job: j.id, Chunk: c, Worker: holder,
 				Attempt: cs.attempt, Time: now,
 			})
 			if ws := s.workers[holder]; ws != nil {
-				obs.EmitWorker(s.obsrv, obs.WorkerEvent{
+				s.fleet.WorkerEvent(obs.WorkerEvent{
 					Op: obs.WorkerLost, Worker: holder, Strikes: ws.strikes,
 					Leases: 1, Time: now,
 				})
@@ -263,9 +259,6 @@ func (s *Server) expireDue(now time.Time) {
 // Callers hold s.mu.
 func (s *Server) releaseLease(j *job, c int, now time.Time) {
 	cs := &j.chunks[c]
-	if ws := s.workers[cs.worker]; ws != nil {
-		delete(ws.leases, leaseKey{j.id, c})
-	}
 	cs.status = chunkPending
 	cs.worker = ""
 	cs.eligible = now.Add(s.opts.backoff(cs.attempt))
@@ -306,8 +299,6 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		id:       fmt.Sprintf("job-%d", s.nextID),
 		spec:     spec,
 		specJSON: specJSON,
-		prog:     p,
-		campaign: campaign,
 		merger:   merger,
 		chunks:   make([]chunkState, campaign.NumChunks()),
 		doneCh:   make(chan struct{}),
@@ -604,13 +595,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			cs.worker = ws.id
 			cs.deadline = now.Add(s.opts.leaseTTL())
 			cs.attempt++
-			ws.leases[leaseKey{j.id, c}] = struct{}{}
 			op := obs.LeaseGranted
 			if cs.attempt > 1 {
 				op = obs.ChunkRedispatched
 				j.stats.Redispatched++
 			}
-			obs.EmitLease(s.obsrv, obs.LeaseEvent{
+			s.fleet.LeaseEvent(obs.LeaseEvent{
 				Op: op, Job: j.id, Chunk: c, Worker: ws.id,
 				Attempt: cs.attempt - 1, Time: now,
 			})
@@ -637,9 +627,9 @@ func validWorkerID(id string) bool {
 func (s *Server) worker(id string, now time.Time) *workerState {
 	ws := s.workers[id]
 	if ws == nil {
-		ws = &workerState{id: id, leases: make(map[leaseKey]struct{})}
+		ws = &workerState{id: id}
 		s.workers[id] = ws
-		obs.EmitWorker(s.obsrv, obs.WorkerEvent{Op: obs.WorkerJoin, Worker: id, Time: now})
+		s.fleet.WorkerEvent(obs.WorkerEvent{Op: obs.WorkerJoin, Worker: id, Time: now})
 		s.logf("dist: worker %s joined", id)
 	}
 	return ws
@@ -701,7 +691,6 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	// The upload resolves this worker's lease on the chunk either way.
 	cs := &j.chunks[u.Chunk]
 	if cs.status == chunkLeased && cs.worker == sender {
-		delete(s.workers[sender].leases, leaseKey{j.id, u.Chunk})
 		cs.status = chunkPending
 		cs.worker = ""
 		cs.eligible = now
@@ -741,7 +730,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	if !fresh {
 		j.stats.Duplicates++
-		obs.EmitLease(s.obsrv, obs.LeaseEvent{
+		s.fleet.LeaseEvent(obs.LeaseEvent{
 			Op: obs.ChunkDuplicate, Job: j.id, Chunk: u.Chunk, Worker: sender,
 			Attempt: cs.attempt - 1, Time: now,
 		})
@@ -781,23 +770,26 @@ func (s *Server) strike(j *job, chunk int, worker string, now time.Time, cause e
 	}
 	ws := s.worker(worker, now)
 	ws.strikes++
-	obs.EmitLease(s.obsrv, obs.LeaseEvent{
+	s.fleet.LeaseEvent(obs.LeaseEvent{
 		Op: obs.UploadRejected, Job: jobID, Chunk: chunk, Worker: worker, Time: now,
 	})
 	s.logf("dist: upload from %s rejected (strike %d): %v", worker, ws.strikes, cause)
 	threshold := s.opts.quarantineAfter()
 	if threshold > 0 && ws.strikes >= threshold && !ws.quarantined {
 		ws.quarantined = true
+		// Quarantine is rare: the leases it revokes are read off the lease
+		// table, not indexed per worker.
 		revoked := 0
-		for lk := range ws.leases {
-			if lj := s.jobs[lk.job]; lj != nil && lj.chunks[lk.chunk].status == chunkLeased &&
-				lj.chunks[lk.chunk].worker == worker {
-				s.releaseLease(lj, lk.chunk, now)
-				revoked++
+		for _, id := range s.jobIDs {
+			lj := s.jobs[id]
+			for c := range lj.chunks {
+				if lj.chunks[c].status == chunkLeased && lj.chunks[c].worker == worker {
+					s.releaseLease(lj, c, now)
+					revoked++
+				}
 			}
 		}
-		clear(ws.leases)
-		obs.EmitWorker(s.obsrv, obs.WorkerEvent{
+		s.fleet.WorkerEvent(obs.WorkerEvent{
 			Op: obs.WorkerQuarantined, Worker: worker, Strikes: ws.strikes,
 			Leases: revoked, Time: now,
 		})

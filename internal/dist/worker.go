@@ -310,17 +310,8 @@ func (w *Worker) postChunk(ctx context.Context, payload []byte) (*UploadResponse
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("X-Mtracecheck-Worker", w.ID)
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("dist: chunk upload: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
 	var out UploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := w.do(req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

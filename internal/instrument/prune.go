@@ -19,15 +19,24 @@ import "mtracecheck/internal/prog"
 // fires (an AssertionError at encode time) rather than corrupting
 // signatures — the same fail-loud behaviour the paper's assert chains give.
 func SkewPruner(p *prog.Program, maxSkew int) Pruner {
+	// Each op's (thread, index), by ID: IDs are dense and thread-major
+	// (Program.Validate), so appending the threads' ops in order lands each
+	// at its ID, in a table small enough to stay in cache.
+	at := make([][2]int32, 0, p.NumOps())
+	for _, t := range p.Threads {
+		for _, op := range t.Ops {
+			at = append(at, [2]int32{int32(op.Thread), int32(op.Index)})
+		}
+	}
 	return func(load prog.Op, c Candidate) bool {
 		if c.Store < 0 {
 			return true // the initial value is always observable
 		}
-		st := p.OpByID(c.Store)
-		if st.Thread == load.Thread {
+		st := at[c.Store]
+		if int(st[0]) == load.Thread {
 			return true // own-thread candidate: program order, not skew
 		}
-		d := st.Index - load.Index
+		d := int(st[1]) - load.Index
 		if d < 0 {
 			d = -d
 		}

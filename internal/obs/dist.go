@@ -99,8 +99,10 @@ type LeaseEvent struct {
 }
 
 // DistObserver is the optional extension an Observer may implement to
-// receive distributed-campaign events. The dist server type-asserts its
-// observer; implementations that don't care simply don't implement it.
+// receive distributed-campaign events, which the dist server emits outside
+// any campaign. The server's observer is Multi of its Metrics and the
+// caller's, always a DistObserver; Multi forwards these events to the members
+// that implement it, so observers that don't care simply don't.
 // Like Observer methods, these must be safe for concurrent use and must
 // not block.
 type DistObserver interface {
@@ -108,31 +110,20 @@ type DistObserver interface {
 	LeaseEvent(e LeaseEvent)
 }
 
-// EmitWorker delivers a worker event to o if it implements DistObserver;
-// nil-safe, so emission sites stay a single call.
-func EmitWorker(o Observer, e WorkerEvent) {
-	if d, ok := o.(DistObserver); ok {
-		d.WorkerEvent(e)
-	}
-}
-
-// EmitLease delivers a lease event to o if it implements DistObserver.
-func EmitLease(o Observer, e LeaseEvent) {
-	if d, ok := o.(DistObserver); ok {
-		d.LeaseEvent(e)
-	}
-}
-
-// WorkerEvent implements DistObserver, forwarding to members that do.
+// WorkerEvent implements DistObserver, forwarding to the members that do.
 func (m multi) WorkerEvent(e WorkerEvent) {
 	for _, o := range m {
-		EmitWorker(o, e)
+		if d, ok := o.(DistObserver); ok {
+			d.WorkerEvent(e)
+		}
 	}
 }
 
-// LeaseEvent implements DistObserver, forwarding to members that do.
+// LeaseEvent implements DistObserver, forwarding to the members that do.
 func (m multi) LeaseEvent(e LeaseEvent) {
 	for _, o := range m {
-		EmitLease(o, e)
+		if d, ok := o.(DistObserver); ok {
+			d.LeaseEvent(e)
+		}
 	}
 }

@@ -18,26 +18,27 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // script delivers one campaign that exercises every event kind and every
-// series: a resume, a retried execute attempt, a periodic and the final
-// merge, every fault kind, a quarantine, two check shards with
+// series but two corpus ones: a resume, a retried execute attempt, a periodic
+// and the final merge, every fault kind, a quarantine, two check shards with
 // every backend's effort counter, two dist workers (one quarantined, its ID
-// needing both exposition escapes), every lease transition, and two corpus
-// keys (one never hit) plus a refused corpus. The goldens below were
-// captured from it before Metrics became a table.
+// needing both exposition escapes), every lease transition, and a corpus
+// consulted and grown. corpusScript adds the rest. The goldens below were
+// captured from the two before Metrics became a table.
 func script(o Observer) {
 	base := time.Unix(1700000000, 0)
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
 	const liar = `w"2\`
+	d := o.(DistObserver)
 
 	o.CampaignStart(CampaignStart{
 		Program: "probe", Threads: 4, Ops: 160, Platform: "sim-x86", Model: "TSO",
 		Iterations: 200, Workers: 2, Time: base,
 	})
 	o.Checkpoint(Checkpoint{Op: CheckpointResumed, Path: "ckpt.bin", Completed: 64, Uniques: 5, Time: base})
-	EmitWorker(o, WorkerEvent{Op: WorkerJoin, Worker: "w-1", Time: base})
-	EmitWorker(o, WorkerEvent{Op: WorkerJoin, Worker: liar, Time: base})
-	EmitLease(o, LeaseEvent{Op: LeaseGranted, Job: "job-1", Chunk: 0, Worker: "w-1", Time: base})
-	EmitLease(o, LeaseEvent{Op: LeaseGranted, Job: "job-1", Chunk: 1, Worker: liar, Time: base})
+	d.WorkerEvent(WorkerEvent{Op: WorkerJoin, Worker: "w-1", Time: base})
+	d.WorkerEvent(WorkerEvent{Op: WorkerJoin, Worker: liar, Time: base})
+	d.LeaseEvent(LeaseEvent{Op: LeaseGranted, Job: "job-1", Chunk: 0, Worker: "w-1", Time: base})
+	d.LeaseEvent(LeaseEvent{Op: LeaseGranted, Job: "job-1", Chunk: 1, Worker: liar, Time: base})
 
 	o.ShardStart(ShardStart{Stage: StageExecute, Shard: 0, Start: 64, Count: 68, Time: base})
 	o.ShardEnd(ShardEnd{
@@ -54,12 +55,12 @@ func script(o Observer) {
 	o.MergeDone(MergeDone{Completed: 132, Uniques: 8, Time: at(4)})
 	o.Checkpoint(Checkpoint{Op: CheckpointSaved, Path: "ckpt.bin", Completed: 132, Uniques: 8, Bytes: 512, Time: at(4)})
 
-	EmitLease(o, LeaseEvent{Op: UploadRejected, Job: "job-1", Chunk: 1, Worker: liar, Time: at(4)})
-	EmitWorker(o, WorkerEvent{Op: WorkerQuarantined, Worker: liar, Strikes: 2, Leases: 1, Time: at(4)})
-	EmitLease(o, LeaseEvent{Op: LeaseExpired, Job: "job-1", Chunk: 0, Worker: "w-1", Time: at(4)})
-	EmitWorker(o, WorkerEvent{Op: WorkerLost, Worker: "w-1", Leases: 1, Time: at(4)})
-	EmitLease(o, LeaseEvent{Op: ChunkRedispatched, Job: "job-1", Chunk: 0, Worker: "w-1", Attempt: 1, Time: at(4)})
-	EmitLease(o, LeaseEvent{Op: ChunkDuplicate, Job: "job-1", Chunk: 0, Worker: "w-1", Time: at(5)})
+	d.LeaseEvent(LeaseEvent{Op: UploadRejected, Job: "job-1", Chunk: 1, Worker: liar, Time: at(4)})
+	d.WorkerEvent(WorkerEvent{Op: WorkerQuarantined, Worker: liar, Strikes: 2, Leases: 1, Time: at(4)})
+	d.LeaseEvent(LeaseEvent{Op: LeaseExpired, Job: "job-1", Chunk: 0, Worker: "w-1", Time: at(4)})
+	d.WorkerEvent(WorkerEvent{Op: WorkerLost, Worker: "w-1", Leases: 1, Time: at(4)})
+	d.LeaseEvent(LeaseEvent{Op: ChunkRedispatched, Job: "job-1", Chunk: 0, Worker: "w-1", Attempt: 1, Time: at(4)})
+	d.LeaseEvent(LeaseEvent{Op: ChunkDuplicate, Job: "job-1", Chunk: 0, Worker: "w-1", Time: at(5)})
 
 	o.ShardStart(ShardStart{Stage: StageExecute, Shard: 1, Start: 132, Count: 68, Time: at(2)})
 	o.ShardEnd(ShardEnd{
@@ -71,8 +72,6 @@ func script(o Observer) {
 		Completed: 200, Uniques: 11, Final: true, Time: at(5),
 		Injected: FaultCounts{BitFlip: 2, Truncate: 1, Duplicate: 3, OutOfRange: 1},
 	})
-	EmitCorpus(o, CorpusEvent{Op: CorpusLookup, Program: 0xabc, Platform: "sim-x86", MCM: "TSO",
-		Hits: 2, Misses: 9, Known: 2, Time: at(5)})
 
 	o.ShardStart(ShardStart{Stage: StageDecode, Shard: 0, Start: 0, Count: 9, Time: at(5)})
 	o.ShardEnd(ShardEnd{
@@ -91,15 +90,29 @@ func script(o Observer) {
 		Graphs: 2, Complete: 1, NoResort: 1, SortedVertices: 90, MaxWindow: 9,
 		Time: at(8), Duration: 2 * time.Millisecond,
 	})
-	EmitCorpus(o, CorpusEvent{Op: CorpusFlush, Program: 0xabc, Platform: "sim-x86", MCM: "TSO",
-		Appended: 5, Known: 7, Bytes: 256, Time: at(8)})
-	EmitCorpus(o, CorpusEvent{Op: CorpusLookup, Program: 0xdef, Platform: "sim-arm", MCM: "RMO",
-		Misses: 3, Time: at(8)})
-	EmitCorpus(o, CorpusEvent{Op: CorpusIgnored, Program: 0xdef, Platform: "sim-arm", MCM: "RMO",
-		Err: errors.New("width mismatch"), Time: at(8)})
 	o.CampaignEnd(CampaignEnd{
 		Iterations: 200, Uniques: 11, Quarantined: 3, Violations: 1, Asserts: 1,
+		CorpusProgram: 0xabc, CorpusPlatform: "sim-x86", CorpusMCM: "TSO", CorpusConsulted: true,
+		CorpusHits: 2, CorpusMisses: 9, CorpusAppended: 5, CorpusKnown: 7,
 		Time: at(9), Duration: 9 * time.Millisecond,
+	})
+}
+
+// corpusScript delivers the ends of two more campaigns, whose corpus use is
+// all they add: a second corpus key, consulted and never hit, and a corpus
+// refused. Progress prints a line per campaign end, so its golden is the
+// script's alone.
+func corpusScript(o Observer) {
+	at := time.Unix(1700000000, 0).Add(10 * time.Millisecond)
+	o.CampaignEnd(CampaignEnd{
+		Iterations: 40, Uniques: 3,
+		CorpusProgram: 0xdef, CorpusPlatform: "sim-arm", CorpusMCM: "RMO", CorpusConsulted: true,
+		CorpusMisses: 3, Time: at, Duration: time.Millisecond,
+	})
+	o.CampaignEnd(CampaignEnd{
+		Iterations: 40, Uniques: 3,
+		CorpusProgram: 0xdef, CorpusPlatform: "sim-arm", CorpusMCM: "RMO",
+		CorpusIgnored: errors.New("width mismatch"), Time: at, Duration: time.Millisecond,
 	})
 }
 
@@ -136,6 +149,7 @@ func scriptedExposition(t *testing.T) string {
 	t.Helper()
 	m := NewMetrics()
 	script(m)
+	corpusScript(m)
 	return expose(t, m)
 }
 
@@ -282,7 +296,9 @@ func TestSeriesTable(t *testing.T) {
 }
 
 // TestGroupsAppearOnFirstEvent: an in-process campaign's exposition carries
-// no dist and no corpus series; each group is written from its first event.
+// no dist and no corpus series; each group is written from its first event,
+// the corpus group from the first campaign end that consulted or refused a
+// corpus.
 func TestGroupsAppearOnFirstEvent(t *testing.T) {
 	m := NewMetrics()
 	feed(m)
@@ -290,12 +306,18 @@ func TestGroupsAppearOnFirstEvent(t *testing.T) {
 		!strings.Contains(out, "mtracecheck_shard_attempts_total 3") {
 		t.Errorf("in-process exposition:\n%s", out)
 	}
-	EmitCorpus(m, CorpusEvent{Op: CorpusLookup, Platform: "sim-x86", MCM: "TSO"})
+	m.CampaignEnd(CampaignEnd{CorpusIgnored: errors.New("width mismatch")})
+	if out := expose(t, m); strings.Contains(out, "_dist_") || !strings.Contains(out, "mtracecheck_corpus_ignored_total 1") ||
+		strings.Contains(out, "mtracecheck_corpus_known_signatures{") {
+		t.Errorf("after a refused corpus:\n%s", out)
+	}
+	m = NewMetrics()
+	m.CampaignEnd(CampaignEnd{CorpusConsulted: true, CorpusPlatform: "sim-x86", CorpusMCM: "TSO"})
 	if out := expose(t, m); strings.Contains(out, "_dist_") || !strings.Contains(out, "mtracecheck_corpus_hits_total 0") ||
 		!strings.Contains(out, "mtracecheck_corpus_known_signatures{") {
-		t.Errorf("after an all-zero corpus lookup:\n%s", out)
+		t.Errorf("after an all-zero corpus consult:\n%s", out)
 	}
-	EmitLease(m, LeaseEvent{Op: LeaseGranted, Worker: "w"})
+	m.LeaseEvent(LeaseEvent{Op: LeaseGranted, Worker: "w"})
 	if out := expose(t, m); !strings.Contains(out, "mtracecheck_dist_workers_lost_total 0") {
 		t.Errorf("after a lease:\n%s", out)
 	}
@@ -307,9 +329,9 @@ func TestGroupsAppearOnFirstEvent(t *testing.T) {
 func hostileExposition(t *testing.T, worker, platform, model string) {
 	t.Helper()
 	m := NewMetrics()
-	EmitWorker(m, WorkerEvent{Op: WorkerJoin, Worker: worker})
-	EmitLease(m, LeaseEvent{Op: UploadRejected, Worker: worker})
-	EmitCorpus(m, CorpusEvent{Op: CorpusLookup, Platform: platform, MCM: model, Hits: 1})
+	m.WorkerEvent(WorkerEvent{Op: WorkerJoin, Worker: worker})
+	m.LeaseEvent(LeaseEvent{Op: UploadRejected, Worker: worker})
+	m.CampaignEnd(CampaignEnd{CorpusConsulted: true, CorpusPlatform: platform, CorpusMCM: model, CorpusHits: 1})
 	if out := expose(t, m); lintExposition(out) != nil {
 		t.Errorf("labels %q %q %q: %v\n%s", worker, platform, model, lintExposition(out), out)
 	}

@@ -192,10 +192,9 @@ func (m *Metrics) sample(row int, key string, labels ...string) *sample {
 // paper's Fig. 8 metric over campaign time), taken at each merge boundary.
 type CurvePoint struct{ Iterations, Uniques int }
 
-// CampaignStart, ShardStart and CampaignEnd implement Observer.
+// CampaignStart and ShardStart implement Observer.
 func (m *Metrics) CampaignStart(e CampaignStart) { m.add(sCampaigns, 1) }
 func (m *Metrics) ShardStart(e ShardStart)       {}
-func (m *Metrics) CampaignEnd(e CampaignEnd)     {}
 
 // ShardEnd implements Observer. It is the one place that decides which
 // attempts count toward a total.
@@ -271,30 +270,29 @@ func (m *Metrics) Checkpoint(e Checkpoint) {
 	}
 }
 
-// CorpusEvent implements CorpusObserver. Per key: the corpus's known-good
-// count after the last event, and how saturated the corpus is for this
-// (program, platform, MCM) — hits over hits+misses, the warm fraction.
-func (m *Metrics) CorpusEvent(e CorpusEvent) {
-	switch e.Op {
-	case CorpusLookup:
-		m.add(sCorpusHits, int64(e.Hits))
-		m.add(sCorpusMisses, int64(e.Misses))
-	case CorpusFlush:
-		m.add(sCorpusAppends, int64(e.Appended))
-	case CorpusIgnored:
+// CampaignEnd implements Observer: it folds the campaign's corpus use, and
+// touches the corpus group only when a corpus was consulted or refused. Per
+// key: the known-good count at the campaign's end, and how saturated the
+// corpus is for this (program, platform, MCM) — hits over hits+misses, the
+// warm fraction.
+func (m *Metrics) CampaignEnd(e CampaignEnd) {
+	if e.CorpusIgnored != nil {
 		m.add(sCorpusIgnored, 1)
+	}
+	if !e.CorpusConsulted {
 		return
 	}
-	program := fmt.Sprintf("%016x", e.Program)
-	key := program + "/" + e.Platform + "/" + e.MCM
-	labels := []string{"program", program, "platform", e.Platform, "mcm", e.MCM}
+	m.add(sCorpusHits, int64(e.CorpusHits))
+	m.add(sCorpusMisses, int64(e.CorpusMisses))
+	m.add(sCorpusAppends, int64(e.CorpusAppended))
+	program := fmt.Sprintf("%016x", e.CorpusProgram)
+	key := program + "/" + e.CorpusPlatform + "/" + e.CorpusMCM
+	labels := []string{"program", program, "platform", e.CorpusPlatform, "mcm", e.CorpusMCM}
 	m.mu.Lock()
-	m.sample(sCorpusKnown, key, labels...).v = int64(e.Known)
+	m.sample(sCorpusKnown, key, labels...).v = int64(e.CorpusKnown)
 	saturation := m.sample(sCorpusSaturation, key, labels...)
-	if e.Op == CorpusLookup {
-		saturation.v += int64(e.Hits)
-		saturation.of += int64(e.Hits) + int64(e.Misses)
-	}
+	saturation.v += int64(e.CorpusHits)
+	saturation.of += int64(e.CorpusHits) + int64(e.CorpusMisses)
 	m.mu.Unlock()
 }
 

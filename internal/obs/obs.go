@@ -93,8 +93,25 @@ type CampaignEnd struct {
 	Asserts     int
 	Partial     bool  // execution shards were lost after retries
 	Err         error // non-nil when the campaign failed
-	Time        time.Time
-	Duration    time.Duration
+
+	// Signature-corpus use (Options.Corpus), zero unless the host side
+	// consulted or refused a corpus: the corpus key; whether it was consulted,
+	// or why it was refused (the campaign ran cold); the unique set's
+	// partition against it (hits skipped decode and checking; misses are
+	// Uniques - hits); the newly proven-acyclic signatures appended; and the
+	// key's known-good count at campaign end.
+	CorpusProgram   uint64
+	CorpusPlatform  string
+	CorpusMCM       string
+	CorpusConsulted bool
+	CorpusIgnored   error
+	CorpusHits      int
+	CorpusMisses    int
+	CorpusAppended  int
+	CorpusKnown     int
+
+	Time     time.Time
+	Duration time.Duration
 }
 
 // ShardStart fires when one unit of a parallel stage begins an attempt:

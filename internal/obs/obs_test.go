@@ -245,6 +245,42 @@ func TestMultiNilHandling(t *testing.T) {
 	}
 }
 
+// campaignOnly implements Observer and nothing more.
+type campaignOnly struct{}
+
+func (campaignOnly) CampaignStart(CampaignStart) {}
+func (campaignOnly) ShardStart(ShardStart)       {}
+func (campaignOnly) ShardEnd(ShardEnd)           {}
+func (campaignOnly) MergeDone(MergeDone)         {}
+func (campaignOnly) Checkpoint(Checkpoint)       {}
+func (campaignOnly) CampaignEnd(CampaignEnd)     {}
+
+// TestMultiForwardsDistEvents: a fan-out is a DistObserver whatever its
+// members; it hands worker and lease events to each member that implements
+// DistObserver and skips each one that does not.
+func TestMultiForwardsDistEvents(t *testing.T) {
+	m := NewMetrics()
+	fan, ok := Multi(campaignOnly{}, m, campaignOnly{}).(DistObserver)
+	if !ok {
+		t.Fatal("Multi's fan-out is no DistObserver")
+	}
+	fan.WorkerEvent(WorkerEvent{Op: WorkerJoin, Worker: "w-1"})
+	fan.LeaseEvent(LeaseEvent{Op: LeaseGranted, Job: "job-1", Worker: "w-1"})
+	fan.LeaseEvent(LeaseEvent{Op: UploadRejected, Job: "job-1", Worker: "w-1"})
+	s := m.Snapshot().Series
+	for name, want := range map[string]float64{
+		"mtracecheck_dist_worker_joins_total":               1,
+		"mtracecheck_dist_leases_granted_total":             1,
+		"mtracecheck_dist_upload_rejects_total":             1,
+		`mtracecheck_dist_worker_strikes{worker="w-1"}`:     1,
+		`mtracecheck_dist_worker_quarantined{worker="w-1"}`: 0,
+	} {
+		if got, ok := s[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
 func TestStageStrings(t *testing.T) {
 	want := map[Stage]string{
 		StageExecute: "execute", StageMerge: "merge", StageDecode: "decode",

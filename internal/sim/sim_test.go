@@ -823,7 +823,15 @@ func TestSeedStreamSkipMatchesSequentialRuns(t *testing.T) {
 // thread's ready set must hold exactly the ops the predicate it stands for,
 // recomputed from the op records, selects. The stepped iteration must also
 // equal a plain RunSeeded's.
+//
+// The test runs on one goroutine, so a race-checked pass has nothing to find
+// in it; under -short it walks 20 of the 200 iterations, which keeps that pass
+// PR-sized.
 func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
+	iterations := 200
+	if testing.Short() {
+		iterations = 20
+	}
 	osMigrate := PlatformX86()
 	osMigrate.OS = OSConfig{Enabled: true, Quantum: 1500, QuantumJitter: 200, Migrate: true}
 	cases := []struct {
@@ -850,7 +858,7 @@ func TestPumpOfUnchangedThreadsIsNoOp(t *testing.T) {
 			}
 			e := &r.eng
 			before := make([][]opRec, len(e.threads))
-			for it, seed := range seedTable(9, 200) {
+			for it, seed := range seedTable(9, iterations) {
 				r.begin(seed)
 				events := 0
 				checkReadySets(t, e, it, events)

@@ -52,16 +52,6 @@ type (
 	FaultCounts = obs.FaultCounts
 	// Stage identifies the pipeline stage an event belongs to.
 	Stage = obs.Stage
-
-	// CorpusEvent fires on signature-corpus interactions (lookup at the
-	// sort barrier, atomic flush, degraded-to-cold). Observers receive it
-	// by implementing CorpusObserver; Metrics does.
-	CorpusEvent = obs.CorpusEvent
-	// CorpusOp distinguishes corpus lookups, flushes, and refusals.
-	CorpusOp = obs.CorpusOp
-	// CorpusObserver is the optional Observer extension receiving
-	// signature-corpus events.
-	CorpusObserver = obs.CorpusObserver
 )
 
 // Pipeline stages (see Stage).
@@ -77,13 +67,6 @@ const (
 const (
 	CheckpointSaved   = obs.CheckpointSaved
 	CheckpointResumed = obs.CheckpointResumed
-)
-
-// Corpus operations (see CorpusOp).
-const (
-	CorpusLookup  = obs.CorpusLookup
-	CorpusFlush   = obs.CorpusFlush
-	CorpusIgnored = obs.CorpusIgnored
 )
 
 // NewMetrics returns an empty metrics aggregator; read it with
