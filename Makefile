@@ -175,9 +175,13 @@ verify: build fmt vet test race fuzz-short bench-smoke sim-alloc-smoke docs
 # iterations, one rep of the trace-check workload (which fails unless exactly
 # the 64 corrupted traces of its 1,024 do), one of the offline-check workload
 # on the default checker and one of ARM 7x200's 256 uniques, the default
-# checker's repair on 1,400-vertex graphs (both fail on any violation).
+# checker's repair on 1,400-vertex graphs (both fail on any violation), one
+# skew-pruned analysis of ARM 7x200 (the per-load Pruner call and its check)
+# and one parse of a 200-op trace (the pooled read buffer).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimIterationX86$$' -benchtime 10x .
 	$(GO) test -run '^$$' -bench '^BenchmarkCheckTraceWorkload$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkOfflineCheck$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkOfflineCheckARM$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkAblationPrunedAnalysis$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkParse$$' -benchtime 1x ./internal/trace

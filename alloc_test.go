@@ -36,15 +36,19 @@ const (
 // The trace budgets bound one parse + check of the rendered 200-op reference
 // execution, the trace benchmarks' unit. Warm, the trace has the shape of the
 // one checked before it, so what is allocated is what the call returns or
-// consumes once: the reader's buffer and the Ops, the Binding with its
+// consumes once: the Trace and its Ops (24 bytes an op), the Binding with its
 // reads-from row, the report and the checker's result (no signature: the item
-// is the row). Cold, it also
-// builds the shape (store index, bound program, address, thread and source
-// tables, the key), one graph builder (whose tables and adjacency are a handful
-// of slices, not one per vertex) and the checker's workspace (one array) — what
-// every check allocated before shapes were kept.
+// is the row). The read buffer is the previous Parse's, the model name is
+// matched in place, and a one-shard check moves nothing to the heap. Cold, it
+// also builds the shape (store index, bound program, address, thread and
+// source tables, the key), one graph builder (whose tables and adjacency are a
+// handful of slices, not one per vertex) and the checker's workspace (one
+// array) — what every check allocated before shapes were kept. The cold budget
+// holds under the race detector too, where sync.Pool drops Puts: a dropped
+// read buffer costs at most two allocations.
 const (
-	checkTraceWarmAllocBudget = 12
+	checkTraceWarmAllocBudget = 9
+	checkTraceWarmBytesBudget = 7 << 10
 	checkTraceColdAllocBudget = 57
 )
 
@@ -204,10 +208,25 @@ func TestCheckTraceAllocBudget(t *testing.T) {
 			t.Fatal("clean trace failed")
 		}
 	}
-	if warm := testing.AllocsPerRun(20, func() { check(text) }); !reuseRepeats {
-		t.Logf("warm: %.0f allocs; not held to the budget under the race detector, where sync.Pool drops Puts", warm)
-	} else if warm > checkTraceWarmAllocBudget {
-		t.Errorf("ParseTrace + CheckTrace of a 200-op trace of the kept shape: %.0f allocs, budget %d", warm, checkTraceWarmAllocBudget)
+	warm := testing.AllocsPerRun(20, func() { check(text) })
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		check(text)
+	}
+	runtime.ReadMemStats(&after)
+	warmBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if !reuseRepeats {
+		t.Logf("warm: %.0f allocs, %d bytes; not held to the budget under the race detector, where sync.Pool drops Puts", warm, warmBytes)
+	} else {
+		if warm > checkTraceWarmAllocBudget {
+			t.Errorf("ParseTrace + CheckTrace of a 200-op trace of the kept shape: %.0f allocs, budget %d", warm, checkTraceWarmAllocBudget)
+		}
+		if warmBytes > checkTraceWarmBytesBudget {
+			t.Errorf("ParseTrace + CheckTrace of a 200-op trace of the kept shape: %d bytes, budget %d", warmBytes, checkTraceWarmBytesBudget)
+		}
+		t.Logf("warm: %.0f allocs, %d bytes", warm, warmBytes)
 	}
 	// Two shapes taking turns: every check is a cold one.
 	cold := testing.AllocsPerRun(10, func() { check(other); check(text) }) / 2

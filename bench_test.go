@@ -730,12 +730,12 @@ func renderExecution(tb testing.TB, p *Program, loadValues []uint32) []byte {
 	tr := &ExecTrace{}
 	for ti, th := range p.Threads {
 		for _, op := range th.Ops {
-			top := TraceOp{Thread: ti, Kind: trace.Fence}
+			top := TraceOp{Thread: uint16(ti), Kind: trace.Fence}
 			switch op.Kind {
 			case prog.Store:
-				top = TraceOp{Thread: ti, Kind: trace.Store, Addr: p.Layout.AddrOf(op.Word), Value: uint64(op.Value)}
+				top = TraceOp{Thread: uint16(ti), Kind: trace.Store, Addr: p.Layout.AddrOf(op.Word), Value: uint64(op.Value)}
 			case prog.Load:
-				top = TraceOp{Thread: ti, Kind: trace.Load, Addr: p.Layout.AddrOf(op.Word), Value: uint64(loadValues[op.ID])}
+				top = TraceOp{Thread: uint16(ti), Kind: trace.Load, Addr: p.Layout.AddrOf(op.Word), Value: uint64(loadValues[op.ID])}
 			}
 			tr.Ops = append(tr.Ops, top)
 		}

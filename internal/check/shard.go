@@ -38,9 +38,7 @@ func ShardedBackend(ctx context.Context, be *Backend, b *graph.Builder, items []
 			return nil, fmt.Errorf("check: items not in ascending signature order at %d", i)
 		}
 	}
-	if shards > len(items) {
-		shards = len(items)
-	}
+	shards = min(shards, len(items))
 	if shards <= 1 {
 		began := time.Now()
 		res, err := be.Check(ctx, b, items)
@@ -56,14 +54,16 @@ func ShardedBackend(ctx context.Context, be *Backend, b *graph.Builder, items []
 	for s := 0; s < shards; s++ {
 		lo, hi := offsets[s], offsets[s+1]
 		wg.Add(1)
-		go func(s, lo, hi int) {
+		// shards goes in as an argument: a parameter the function assigns
+		// would be captured by reference and moved to the heap on every call.
+		go func(s, shards, lo, hi int) {
 			defer wg.Done()
 			began := time.Now()
 			parts[s], errs[s] = be.Check(ctx, b, items[lo:hi])
 			if onShard != nil {
 				onShard(s, shards, lo, hi-lo, parts[s], began, time.Since(began))
 			}
-		}(s, lo, hi)
+		}(s, shards, lo, hi)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -23,11 +23,14 @@ type Candidate struct {
 }
 
 // Pruner optionally filters candidate sets using extra microarchitectural
-// knowledge (paper §8, "static pruning"). Returning false removes the
-// candidate. A load's candidates arrive in store-ID order, the initial value
-// (Store -1) first. A nil Pruner keeps the paper's conservative default: every
-// memory operation may be reordered independently.
-type Pruner func(load prog.Op, c Candidate) bool
+// knowledge (paper §8, "static pruning"). It is called once per load with the
+// load's candidates, in store-ID order, the initial value (Store -1) first,
+// and returns those it keeps: it may only remove candidates, and must keep
+// the rest in order. It may filter cands in place, but must not keep it past
+// the call. Analyze refuses any other result. A nil Pruner keeps the paper's
+// conservative default: every memory operation may be reordered
+// independently.
+type Pruner func(load prog.Op, cands []Candidate) []Candidate
 
 // LoadInfo is the instrumentation metadata for one load: its candidates in
 // weight order, its weight multiplier, and which per-thread signature word
@@ -88,8 +91,8 @@ func capacity(widthBits int) uint64 {
 // starts and the multiplier resets (§3.2).
 //
 // No load rescans the program: the stores are laid out by word once
-// (storeIndex), and every candidate list is filled, pruned in place and cut
-// from one arena sized for the unpruned sets, so an analysis costs O(ops +
+// (storeIndex), and every candidate list is filled, handed to the pruner and
+// cut from one arena sized for the unpruned sets, so an analysis costs O(ops +
 // words + Σ candidates) and a fixed number of allocations.
 func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 	if err := p.Validate(); err != nil {
@@ -99,7 +102,7 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 		return nil, fmt.Errorf("instrument: register width %d not 32 or 64", regWidthBits)
 	}
 	cap64 := capacity(regWidthBits)
-	x := newStoreIndex(p)
+	x := newStoreIndex(p, prune != nil)
 	size := 0
 	for _, th := range p.Threads {
 		x.enter(th)
@@ -129,13 +132,11 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 			}
 			cands := x.fill(free[:0], op.Word) // within free's capacity
 			if prune != nil {
-				kept := cands[:0]
-				for _, c := range cands {
-					if prune(op, c) {
-						kept = append(kept, c)
-					}
+				kept := prune(op, cands[:len(cands):len(cands)])
+				if !x.holds(op.Word, kept) {
+					return nil, fmt.Errorf("instrument: pruner of load %d did more than remove candidates", op.ID)
 				}
-				cands = kept
+				cands = free[:copy(free, kept)]
 			}
 			if len(cands) == 0 {
 				return nil, fmt.Errorf("instrument: load %d pruned to an empty candidate set", op.ID)
@@ -186,9 +187,19 @@ type storeIndex struct {
 	before, own, seen []int       // per word
 	loads             int         // the program's loads
 	cur               prog.Thread // the entered thread
+	// written is kept when pruning only: by op ID, a store's writeKey, and
+	// noWrite for any other op.
+	written []uint64
 }
 
-func newStoreIndex(p *prog.Program) *storeIndex {
+// writeKey is what a store writes where, as one comparable word.
+func writeKey(w int, v uint32) uint64 { return uint64(w)<<32 | uint64(v) }
+
+// noWrite is the written entry of an op that is not a store: no word's key.
+const noWrite = math.MaxUint64
+
+// newStoreIndex lays out p's stores; byID also keeps what each op writes.
+func newStoreIndex(p *prog.Program, byID bool) *storeIndex {
 	nw := p.NumWords
 	x := &storeIndex{
 		start:  make([]int, nw+1),
@@ -196,13 +207,21 @@ func newStoreIndex(p *prog.Program) *storeIndex {
 		own:    make([]int, nw),
 		seen:   make([]int, nw),
 	}
+	if byID {
+		x.written = make([]uint64, 0, p.NumOps())
+	}
 	for _, th := range p.Threads {
 		for _, op := range th.Ops {
+			key := uint64(noWrite)
 			switch op.Kind {
 			case prog.Store:
 				x.start[op.Word+1]++
+				key = writeKey(op.Word, op.Value)
 			case prog.Load:
 				x.loads++
+			}
+			if byID {
+				x.written = append(x.written, key) // IDs are dense and thread-major
 			}
 		}
 	}
@@ -268,6 +287,48 @@ func (x *storeIndex) fill(dst []Candidate, w int) []Candidate {
 		dst = append(dst, run[b+s-1])
 	}
 	return append(dst, run[b+o:]...)
+}
+
+// holds reports whether kept is what a pruner may leave of the entered
+// thread's next load of word w: a subsequence of the unpruned set fill gives.
+// Both are in store-ID order, so it is enough that kept's IDs rise and that
+// each is in the set: the initial value first, if the thread has not stored
+// to w yet, and otherwise a store to w of the value kept says, from another
+// thread or the entered thread's latest preceding one. The loop decides
+// nothing per candidate but the bounds check: it collects what is wrong and
+// answers once.
+func (x *storeIndex) holds(w int, kept []Candidate) bool {
+	latest := -1
+	if s := x.seen[w]; s > 0 {
+		latest = x.stores[x.start[w]+x.before[w]+s-1].Store
+	}
+	if len(kept) > 0 && kept[0].Store < 0 {
+		if latest >= 0 || kept[0] != (Candidate{Value: prog.InitialValue, Store: -1}) {
+			return false
+		}
+		kept = kept[1:]
+	}
+	own, n := 0, uint(len(x.cur.Ops)) // the entered thread's IDs: own, own+1, ...
+	if n > 0 {
+		own = x.cur.Ops[0].ID
+	}
+	written, key, wrong, prev := x.written, writeKey(w, 0), 0, -1
+	for _, c := range kept {
+		id := c.Store
+		if uint(id) >= uint(len(written)) {
+			return false
+		}
+		wrong |= b2i(id <= prev) | b2i(written[id] != key|uint64(c.Value)) | b2i(uint(id-own) < n)&b2i(id != latest)
+		prev = id
+	}
+	return wrong == 0
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TotalWords returns the execution signature's total word count.

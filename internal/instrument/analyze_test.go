@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"mtracecheck/internal/prog"
@@ -59,19 +60,13 @@ func referenceAnalyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, e
 					cands = append(cands, Candidate{Value: st.Value, Store: st.ID})
 				}
 			}
+			sort.Slice(cands, func(i, j int) bool { return cands[i].Store < cands[j].Store })
 			if prune != nil {
-				kept := cands[:0]
-				for _, c := range cands {
-					if prune(op, c) {
-						kept = append(kept, c)
-					}
-				}
-				cands = kept
+				cands = prune(op, cands)
 			}
 			if len(cands) == 0 {
 				return nil, fmt.Errorf("instrument: load %d pruned to an empty candidate set", op.ID)
 			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i].Store < cands[j].Store })
 
 			n := uint64(len(cands))
 			li := LoadInfo{Op: op, Candidates: cands}
@@ -181,6 +176,150 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// referenceSkew is SkewPruner as its definition reads, one candidate at a time.
+func referenceSkew(p *prog.Program, maxSkew int) Pruner {
+	return func(load prog.Op, cands []Candidate) []Candidate {
+		var kept []Candidate
+		for _, c := range cands {
+			if c.Store >= 0 {
+				st := p.OpByID(c.Store)
+				d := st.Index - load.Index
+				if st.Thread != load.Thread && (d > maxSkew || -d > maxSkew) {
+					continue
+				}
+			}
+			kept = append(kept, c)
+		}
+		return kept
+	}
+}
+
+// TestSkewPrunerMatchesDefinition: SkewPruner's arithmetic keeps what the
+// definition keeps, at every bound from none (negative) to all.
+func TestSkewPrunerMatchesDefinition(t *testing.T) {
+	p := mustGenerate(testgen.Config{Threads: 4, OpsPerThread: 60, Words: 3, Seed: 9})
+	for _, skew := range []int{-5, -1, 0, 1, 7, 59, 60, 1000} {
+		got, err := Analyze(p, 64, SkewPruner(p, skew))
+		want, wantErr := Analyze(p, 64, referenceSkew(p, skew))
+		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got.Threads, want.Threads) {
+			t.Errorf("skew %d: SkewPruner gives %v, the definition %v", skew, err, wantErr)
+		}
+	}
+}
+
+// TestAnalyzeRefusesWhatIsNotPruning: a pruner may only remove candidates and
+// keep the rest in order. Analyze accepts any such result, in place or in a
+// slice of the pruner's own, and refuses every other one: an added, repeated,
+// reordered or changed candidate, or one the unpruned set never held (an
+// own-thread store other than the latest preceding one, the initial value
+// behind such a store, another word's store).
+func TestAnalyzeRefusesWhatIsNotPruning(t *testing.T) {
+	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 40, Words: 2, Seed: 4})
+	want, err := Analyze(p, 64, SkewPruner(p, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew := SkewPruner(p, 6)
+	copied, err := Analyze(p, 64, func(load prog.Op, cands []Candidate) []Candidate {
+		return skew(load, append([]Candidate(nil), cands...))
+	})
+	if err != nil || !reflect.DeepEqual(copied.Threads, want.Threads) {
+		t.Errorf("a pruner filtering a copy: %v, or a result other than in place", err)
+	}
+	if _, err := Analyze(p, 64, func(_ prog.Op, cands []Candidate) []Candidate { return cands }); err != nil {
+		t.Errorf("a pruner keeping everything: %v", err)
+	}
+
+	// What a load's candidates could wrongly be, and the first load each
+	// applies to.
+	ownStore := func(load prog.Op, earlier bool) (Candidate, bool) {
+		var found []prog.Op
+		for _, op := range p.Threads[load.Thread].Ops {
+			if op.Kind == prog.Store && op.Word == load.Word && (op.Index < load.Index) == earlier {
+				found = append(found, op)
+			}
+		}
+		if earlier && len(found) > 1 {
+			return Candidate{Value: found[0].Value, Store: found[0].ID}, true // not the latest
+		}
+		if !earlier && len(found) > 0 {
+			return Candidate{Value: found[0].Value, Store: found[0].ID}, true
+		}
+		return Candidate{}, false
+	}
+	insert := func(cands []Candidate, c Candidate) []Candidate {
+		out := append([]Candidate(nil), cands...)
+		i := sort.Search(len(out), func(i int) bool { return out[i].Store >= c.Store })
+		return append(out[:i], append([]Candidate{c}, out[i:]...)...)
+	}
+	otherWord := func(load prog.Op) (Candidate, bool) {
+		for _, th := range p.Threads {
+			for _, op := range th.Ops {
+				if op.Kind == prog.Store && op.Word != load.Word {
+					return Candidate{Value: op.Value, Store: op.ID}, true
+				}
+			}
+		}
+		return Candidate{}, false
+	}
+	for name, bad := range map[string]func(prog.Op, []Candidate) ([]Candidate, bool){
+		"added at the end": func(_ prog.Op, c []Candidate) ([]Candidate, bool) {
+			return append(c, Candidate{Value: 1 << 30, Store: p.NumOps()}), true
+		},
+		"repeated": func(_ prog.Op, c []Candidate) ([]Candidate, bool) {
+			return append(append([]Candidate(nil), c...), c[len(c)-1]), true
+		},
+		"reordered": func(_ prog.Op, c []Candidate) ([]Candidate, bool) {
+			if len(c) < 2 {
+				return nil, false
+			}
+			c[0], c[1] = c[1], c[0]
+			return c, true
+		},
+		"value changed": func(_ prog.Op, c []Candidate) ([]Candidate, bool) {
+			c[len(c)-1].Value++
+			return c, true
+		},
+		"an earlier own store": func(load prog.Op, c []Candidate) ([]Candidate, bool) {
+			own, ok := ownStore(load, true)
+			return insert(c, own), ok
+		},
+		"a later own store": func(load prog.Op, c []Candidate) ([]Candidate, bool) {
+			own, ok := ownStore(load, false)
+			return insert(c, own), ok
+		},
+		"the initial value behind an own store": func(_ prog.Op, c []Candidate) ([]Candidate, bool) {
+			if c[0].Store < 0 {
+				return nil, false
+			}
+			return insert(c, Candidate{Value: prog.InitialValue, Store: -1}), true
+		},
+		"another word's store": func(load prog.Op, c []Candidate) ([]Candidate, bool) {
+			other, ok := otherWord(load)
+			return insert(c, other), ok
+		},
+	} {
+		applied := false
+		_, err := Analyze(p, 64, func(load prog.Op, cands []Candidate) []Candidate {
+			if applied {
+				return cands
+			}
+			out, ok := bad(load, cands)
+			if !ok {
+				return cands
+			}
+			applied = true
+			return out
+		})
+		if !applied {
+			t.Fatalf("%s: no load to apply it to", name)
+		}
+		if err == nil || !strings.Contains(err.Error(), "did more than remove candidates") {
+			t.Errorf("%s: Analyze returned %v", name, err)
 		}
 	}
 }

@@ -284,12 +284,14 @@ func TestPrunerShrinksSignatures(t *testing.T) {
 	}
 	// Keep only candidates whose store is "nearby" in ID space — a crude
 	// stand-in for LSQ-bounded pruning (§8).
-	pruned, err := Analyze(p, 32, func(load prog.Op, c Candidate) bool {
-		if c.Store < 0 {
-			return true
+	pruned, err := Analyze(p, 32, func(load prog.Op, cands []Candidate) []Candidate {
+		kept := cands[:0]
+		for _, c := range cands {
+			if d := c.Store - load.ID; c.Store < 0 || d < 40 && d > -40 {
+				kept = append(kept, c)
+			}
 		}
-		d := c.Store - load.ID
-		return d < 40 && d > -40
+		return kept
 	})
 	if err != nil {
 		t.Fatal(err)

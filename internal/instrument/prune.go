@@ -1,6 +1,10 @@
 package instrument
 
-import "mtracecheck/internal/prog"
+import (
+	"math"
+
+	"mtracecheck/internal/prog"
+)
 
 // SkewPruner returns a static candidate pruner (paper §8, "static pruning")
 // that drops remote-store candidates whose program position is further than
@@ -19,27 +23,43 @@ import "mtracecheck/internal/prog"
 // fires (an AssertionError at encode time) rather than corrupting
 // signatures — the same fail-loud behaviour the paper's assert chains give.
 func SkewPruner(p *prog.Program, maxSkew int) Pruner {
-	// Each op's (thread, index), by ID: IDs are dense and thread-major
+	// Each op's thread and index, by ID: IDs are dense and thread-major
 	// (Program.Validate), so appending the threads' ops in order lands each
 	// at its ID, in a table small enough to stay in cache.
-	at := make([][2]int32, 0, p.NumOps())
+	s := &skewPruner{at: make([]uint64, 0, p.NumOps()), maxSkew: maxSkew}
 	for _, t := range p.Threads {
 		for _, op := range t.Ops {
-			at = append(at, [2]int32{int32(op.Thread), int32(op.Index)})
+			s.at = append(s.at, uint64(op.Thread)<<32|uint64(op.Index))
 		}
 	}
-	return func(load prog.Op, c Candidate) bool {
-		if c.Store < 0 {
-			return true // the initial value is always observable
-		}
-		st := at[c.Store]
-		if int(st[0]) == load.Thread {
-			return true // own-thread candidate: program order, not skew
-		}
-		d := int(st[1]) - load.Index
-		if d < 0 {
-			d = -d
-		}
-		return d <= maxSkew
+	return s.prune
+}
+
+// skewPruner's prune is handed out as a method value, not a closure: inlined
+// with SkewPruner into a caller, the closure was compiled with b2i as a call.
+type skewPruner struct {
+	at      []uint64 // by op ID: thread<<32 | index
+	maxSkew int
+}
+
+// prune keeps the initial value, the own thread's candidate and every store
+// within maxSkew of the load's index, deciding each with arithmetic, not a
+// branch: skew windows keep runs of each thread's stores, whose ends a branch
+// would mispredict.
+func (s *skewPruner) prune(load prog.Op, cands []Candidate) []Candidate {
+	at, k := s.at, 0
+	if len(cands) > 0 && cands[0].Store < 0 {
+		k = 1
 	}
+	own, li, window := uint64(load.Thread), uint64(load.Index+s.maxSkew), uint64(2*s.maxSkew)
+	if s.maxSkew < 0 {
+		li, window = math.MaxUint64, 0 // no remote store is near enough
+	}
+	for i := k; i < len(cands); i++ {
+		c := cands[i]
+		t := at[c.Store]
+		cands[k] = c
+		k += b2i(t>>32 == own) | b2i(li-uint64(uint32(t)) <= window)
+	}
+	return cands[:k]
 }

@@ -58,18 +58,24 @@ func (m Model) String() string {
 
 // Parse returns the model named by s (case-insensitive).
 func Parse(s string) (Model, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "SC":
-		return SC, nil
-	case "TSO", "X86", "X86-TSO":
-		return TSO, nil
-	case "PSO":
-		return PSO, nil
-	case "RMO", "WEAK", "ARM":
-		return RMO, nil
-	default:
-		return SC, fmt.Errorf("mcm: unknown model %q", s)
+	name := strings.TrimSpace(s)
+	for _, n := range modelNames {
+		if strings.EqualFold(name, n.name) {
+			return n.model, nil
+		}
 	}
+	return SC, fmt.Errorf("mcm: unknown model %q", s)
+}
+
+// modelNames are the names Parse accepts, compared without regard to case.
+var modelNames = [...]struct {
+	name  string
+	model Model
+}{
+	{"SC", SC},
+	{"TSO", TSO}, {"X86", TSO}, {"X86-TSO", TSO},
+	{"PSO", PSO},
+	{"RMO", RMO}, {"WEAK", RMO}, {"ARM", RMO},
 }
 
 // ordered is each model's preserved-program-order matrix between plain

@@ -105,6 +105,10 @@ func TestParse(t *testing.T) {
 		if err != nil || got != want {
 			t.Errorf("Parse(%q) = %v, %v; want %v", s, got, err, want)
 		}
+		// Every trace check parses its model name: a name is matched in place.
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = Parse(s) }); allocs != 0 {
+			t.Errorf("Parse(%q) allocates %.0f times", s, allocs)
+		}
 	}
 	if _, err := Parse("bogus"); err == nil {
 		t.Error("Parse accepted bogus model name")

@@ -47,7 +47,8 @@ var fuzzSeeds = []string{
 //  1. Parse never panics and either errors or returns a trace;
 //  2. it agrees with the reference parser: same verdict, same Ops and source
 //     lines, same rejected line;
-//  3. canonical round trip: Format(Parse(x)) re-parses to an Equal trace;
+//  3. canonical round trip: Format(Parse(x)) writes fmt's spelling of each
+//     op and re-parses to an Equal trace;
 //  4. Validate and Bind never panic on whatever parses, and Bind returns the
 //     same binding whatever shape it kept from the call before: its own (bound
 //     twice in a row) or another trace's (bound again after a seed trace).
@@ -65,6 +66,7 @@ func FuzzTraceParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkFormat(t, tr)
 		again, err := Parse(strings.NewReader(tr.String()))
 		if err != nil {
 			t.Fatalf("canonical form failed to re-parse: %v\ncanonical:\n%s", err, tr.String())

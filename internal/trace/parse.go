@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -52,17 +53,23 @@ const minOpBytes = 7
 // malformed line is ever sliced again or turned into a string, for its
 // ParseError. Ops is sized from what the first read buffered — for a reader
 // that reports its length (bytes.Reader, strings.Reader, bytes.Buffer) that is
-// the whole input — and grows by appending past that.
+// the whole input — and grows by appending past that. The read buffer is
+// borrowed from the last Parse to return, and nothing Parse returns refers to
+// it.
 func Parse(r io.Reader) (*Trace, error) {
 	lr := newLineReader(r)
+	defer lr.release()
 	lr.fill()
 	ops := make([]Op, 0, lr.opsBuffered())
 	for lineNo := 1; ; lineNo++ {
 		if n := len(ops); n < cap(ops) && n < MaxOps {
 			if size := scanOp(lr.buf[lr.start:lr.end], &ops[:n+1][n]); size > 0 {
-				lr.start += size
 				ops = ops[:n+1]
-				ops[n].Line = lineNo
+				var err error
+				if ops[n].Line, err = opLine(lineNo, lr.buf[lr.start:lr.start+size-1]); err != nil {
+					return nil, err
+				}
+				lr.start += size
 				continue
 			}
 		}
@@ -87,22 +94,42 @@ func Parse(r io.Reader) (*Trace, error) {
 		case len(ops) == MaxOps:
 			return nil, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: fmt.Sprintf("more than %d operations", MaxOps)}
 		}
-		op.Line = lineNo
+		if op.Line, err = opLine(lineNo, line); err != nil {
+			return nil, err
+		}
 		ops = append(ops, op)
 	}
 }
 
+// opLine returns lineNo as the Line of the op read from line, or the
+// ParseError refusing an op further down than Line counts.
+func opLine(lineNo int, line []byte) (int32, error) {
+	if lineNo <= math.MaxInt32 {
+		return int32(lineNo), nil
+	}
+	return 0, &ParseError{Line: lineNo, Text: string(lineText(line)), Msg: msgPastLine}
+}
+
+var msgPastLine = fmt.Sprintf("operation past line %d", math.MaxInt32)
+
 // lineReader splits its input at newlines in a buffer that holds a whole line:
-// it starts at the input's length when the reader reports one (4 KiB
-// otherwise) and doubles, up to maxLineBytes, only when a line fills it.
+// at least the input's length when the reader reports one (4 KiB otherwise),
+// doubled, up to maxLineBytes, only when a line fills it.
 type lineReader struct {
 	r          io.Reader
+	kept       *[]byte // what release returns to readBufs: buf, at its full length
 	buf        []byte
 	start, end int   // buf[start:end] is read and not yet handed out
 	err        error // what ended the input: io.EOF or a read error
 }
 
 var errLineTooLong = errors.New("line too long")
+
+// readBufs holds the read buffers of returned Parse calls — one, unless Parse
+// runs concurrently — where the collector can release them, as shapes holds
+// shapes. A buffer is kept behind the *[]byte it came in, so putting it back
+// allocates nothing.
+var readBufs sync.Pool
 
 func newLineReader(r io.Reader) lineReader {
 	size := 4096
@@ -111,7 +138,20 @@ func newLineReader(r io.Reader) lineReader {
 		// has somewhere to go.
 		size = min(max(sized.Len(), 0)+1, maxLineBytes)
 	}
-	return lineReader{r: r, buf: make([]byte, size)}
+	kept, _ := readBufs.Get().(*[]byte)
+	if kept == nil {
+		kept = new([]byte)
+	}
+	if len(*kept) < size {
+		*kept = make([]byte, size)
+	}
+	return lineReader{r: r, kept: kept, buf: *kept}
+}
+
+// release hands the buffer back for the next Parse; the reader is done.
+func (l *lineReader) release() {
+	*l.kept = l.buf
+	readBufs.Put(l.kept)
 }
 
 // next returns the following line without its newline, valid until the next
@@ -220,7 +260,7 @@ func scanOp(s []byte, op *Op) int {
 	if i < 0 || i == len(s) || s[i] != '\n' {
 		return 0
 	}
-	*op = Op{Thread: int(tid), Kind: kind, Addr: addr, Value: value}
+	*op = Op{Thread: uint16(tid), Kind: kind, Addr: addr, Value: value}
 	return i + 1
 }
 
@@ -349,7 +389,7 @@ func parseLine(s []byte) (op Op, blank bool, err error) {
 	if tid >= MaxThreadID {
 		return Op{}, false, fmt.Errorf("thread ID %d out of range [0, %d)", tid, MaxThreadID)
 	}
-	op.Thread = int(tid)
+	op.Thread = uint16(tid)
 	i = skipSpace(s, i+1)
 
 	if i+4 <= len(s) && string(s[i:i+4]) == "sync" {
@@ -410,14 +450,19 @@ func numError(s []byte) error {
 
 // Format writes the trace in canonical text form: one op per line,
 // addresses hexadecimal, values decimal. Parse(Format(t)) yields a trace
-// Equal to t.
+// Equal to t. Each line is appended straight into the writer's buffer.
 func Format(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	for _, op := range t.Ops {
 		if op.Kind != Store && op.Kind != Load && op.Kind != Fence {
 			return fmt.Errorf("trace: cannot format op of kind %d", op.Kind)
 		}
-		if _, err := fmt.Fprintln(bw, op); err != nil {
+		if bw.Available() < maxFormatLine {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		if _, err := bw.Write(append(op.appendText(bw.AvailableBuffer()), '\n')); err != nil {
 			return err
 		}
 	}

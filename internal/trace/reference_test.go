@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,7 +42,7 @@ func refParse(in string) (*Trace, error) {
 		if err != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: err.Error()}
 		}
-		op.Line = lineNo
+		op.Line = int32(lineNo)
 		t.Ops = append(t.Ops, op)
 		if len(t.Ops) > MaxOps {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: fmt.Sprintf("more than %d operations", MaxOps)}
@@ -69,7 +70,7 @@ func refParseLine(line string) (Op, error) {
 	if tid >= MaxThreadID {
 		return Op{}, fmt.Errorf("thread ID %d out of range [0, %d)", tid, MaxThreadID)
 	}
-	op := Op{Thread: int(tid)}
+	op := Op{Thread: uint16(tid)}
 	rest = strings.TrimSpace(rest)
 
 	if rest == "sync" {
@@ -174,6 +175,66 @@ func checkAgainstReference(t *testing.T, in string) {
 		if got.Ops[i] != want.Ops[i] {
 			t.Fatalf("Parse(%q): op %d = %+v, reference %+v", in, i, got.Ops[i], want.Ops[i])
 		}
+	}
+}
+
+// refFormat is Format as fmt spells it: each op's String and a newline.
+func refFormat(t *Trace) string {
+	var b strings.Builder
+	for _, op := range t.Ops {
+		if op.Kind == Fence {
+			fmt.Fprintf(&b, "%d: sync\n", op.Thread)
+		} else {
+			fmt.Fprintf(&b, "%d: M[%#x] %s %d\n", op.Thread, op.Addr, op.Kind, op.Value)
+		}
+	}
+	return b.String()
+}
+
+// checkFormat fails t unless Format writes exactly refFormat's bytes.
+func checkFormat(t *testing.T, tr *Trace) {
+	t.Helper()
+	if got, want := tr.String(), refFormat(tr); got != want {
+		t.Fatalf("Format wrote\n%s\nreference\n%s", got, want)
+	}
+}
+
+// TestFormatMatchesReference: the appending Format writes fmt's bytes, on the
+// golden traces, on ops at every field's extremes and on a trace long enough
+// to fill the writer's buffer many times over.
+func TestFormatMatchesReference(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.trace"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden traces found: %v", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFormat(t, tr)
+	}
+	edges := &Trace{}
+	for _, thread := range []uint16{0, 9, 10, 65535} {
+		for _, v := range []uint64{0, 1, 9, 10, 0xf, 0x10, math.MaxUint32, math.MaxUint64} {
+			edges.Ops = append(edges.Ops,
+				Op{Thread: thread, Kind: Store, Addr: v, Value: v},
+				Op{Thread: thread, Kind: Load, Addr: math.MaxUint64 - v, Value: v, Line: 3},
+				Op{Thread: thread, Kind: Fence, Addr: v, Value: v})
+		}
+	}
+	checkFormat(t, edges)
+	long := &Trace{}
+	for range 50 {
+		long.Ops = append(long.Ops, edges.Ops...)
+	}
+	checkFormat(t, long)
+	if err := Format(io.Discard, &Trace{Ops: []Op{{Kind: Kind(7)}}}); err == nil {
+		t.Error("Format wrote an op of an unknown kind")
 	}
 }
 

@@ -110,7 +110,6 @@ func TestShapeKeyIsComplete(t *testing.T) {
 	add("one op more", false, func(tr *Trace) { tr.Ops = append(tr.Ops, Op{Thread: 2, Kind: Fence}) })
 	add("two ops swapped", false, func(tr *Trace) { tr.Ops[0], tr.Ops[3] = tr.Ops[3], tr.Ops[0] })
 	add("duplicate store", false, func(tr *Trace) { tr.Ops[3] = Op{Thread: 1, Kind: Store, Addr: 0x10, Value: 1} })
-	add("thread ID out of range", false, func(tr *Trace) { tr.Ops[2].Thread = MaxThreadID })
 	add("no ops", false, func(tr *Trace) { tr.Ops = nil })
 	add("loads exchange values", true, func(tr *Trace) { tr.Ops[4].Value, tr.Ops[5].Value = tr.Ops[5].Value, tr.Ops[4].Value })
 	add("constructed: no source lines", true, func(tr *Trace) {

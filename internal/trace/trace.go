@@ -18,6 +18,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"mtracecheck/internal/graph"
@@ -50,22 +51,38 @@ func (k Kind) String() string {
 	}
 }
 
-// Op is one observed memory request/response.
+// Op is one observed memory request/response, in 24 bytes: a trace is held
+// as a slice of them, so the layout is what a parsed trace costs per op.
 type Op struct {
-	Thread int    // issuing thread ID (non-negative; need not be dense)
-	Kind   Kind   // Load, Store, or Fence
 	Addr   uint64 // byte address; 0 for fences
 	Value  uint64 // store: value written; load: value the response carried
-	Line   int    // 1-based source line in the parsed file; 0 if constructed
+	Line   int32  // 1-based source line in the parsed file; 0 if constructed
+	Thread uint16 // issuing thread ID (need not be dense)
+	Kind   Kind   // Load, Store, or Fence
 }
 
 // String renders the op as one canonical trace line (without newline),
 // re-parseable by Parse.
 func (o Op) String() string {
+	var b [maxFormatLine]byte
+	return string(o.appendText(b[:0]))
+}
+
+// maxFormatLine is the longest line Format writes, newline included.
+const maxFormatLine = len("65535: M[0xffffffffffffffff] := 18446744073709551615\n")
+
+// appendText appends the op's canonical trace line, without newline, to b.
+func (o Op) appendText(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(o.Thread), 10)
 	if o.Kind == Fence {
-		return fmt.Sprintf("%d: sync", o.Thread)
+		return append(b, ": sync"...)
 	}
-	return fmt.Sprintf("%d: M[%#x] %s %d", o.Thread, o.Addr, o.Kind, o.Value)
+	b = append(b, ": M[0x"...)
+	b = strconv.AppendUint(b, o.Addr, 16)
+	b = append(b, "] "...)
+	b = append(b, o.Kind.String()...)
+	b = append(b, ' ')
+	return strconv.AppendUint(b, o.Value, 10)
 }
 
 // Trace is one observed execution: operations in file order, which within
@@ -85,13 +102,14 @@ const InitialValue uint64 = 0
 const (
 	// MaxOps bounds the operation count of one trace.
 	MaxOps = 1 << 20
-	// MaxThreadID bounds thread IDs (IDs need not be dense below it).
+	// MaxThreadID bounds thread IDs (IDs need not be dense below it): it is
+	// the range of Op.Thread, and Parse refuses a larger ID in text.
 	MaxThreadID = 1 << 16
 )
 
 // NumThreads returns the number of distinct thread IDs observed.
 func (t *Trace) NumThreads() int {
-	seen := make(map[int]bool)
+	seen := make(map[uint16]bool)
 	for _, op := range t.Ops {
 		seen[op.Thread] = true
 	}
@@ -129,7 +147,7 @@ type write struct {
 
 // Validate checks the structural rules that make a trace checkable:
 //
-//   - bounds: at most MaxOps operations, thread IDs in [0, MaxThreadID);
+//   - bounds: at most MaxOps operations;
 //   - store distinguishability: for each address, every store value is
 //     distinct and none equals InitialValue, so any load response
 //     identifies exactly one writer (the property MTraceCheck's own test
@@ -160,9 +178,6 @@ func (t *Trace) storeIndex() (map[write]int32, error) {
 	writers := make(map[write]int32, stores)
 	for i := range t.Ops {
 		op := &t.Ops[i]
-		if op.Thread < 0 || op.Thread >= MaxThreadID {
-			return nil, fmt.Errorf("trace: %s: thread ID %d out of range [0, %d)", t.position(i), op.Thread, MaxThreadID)
-		}
 		if op.Kind != Store {
 			continue
 		}
@@ -278,7 +293,7 @@ type shape struct {
 // shapeOp is one operation's part of the key; value is kept for stores only.
 type shapeOp struct {
 	addr, value uint64
-	thread      int32
+	thread      uint16
 	kind        Kind
 }
 
@@ -305,7 +320,7 @@ func buildShape(t *Trace) (*shape, error) {
 	type slot struct{ next, first, thread int32 }
 	maxTID := -1
 	for i := range t.Ops {
-		maxTID = max(maxTID, t.Ops[i].Thread)
+		maxTID = max(maxTID, int(t.Ops[i].Thread))
 	}
 	slots := make([]slot, maxTID+1)
 	for i := range t.Ops {
@@ -349,7 +364,7 @@ func buildShape(t *Trace) (*shape, error) {
 		id := sl.next
 		sl.next++
 		source[id], s.idOf[i] = i, id
-		s.key[i] = shapeOp{addr: top.Addr, thread: int32(top.Thread), kind: top.Kind}
+		s.key[i] = shapeOp{addr: top.Addr, thread: top.Thread, kind: top.Kind}
 		op := prog.Op{ID: int(id), Thread: int(sl.thread), Index: int(id - sl.first)}
 		switch top.Kind {
 		case Load, Store:
@@ -396,7 +411,7 @@ func (s *shape) resolve(t *Trace, row []int32) *Binding {
 	for opID, srcIdx := range s.shared.Source {
 		row[opID] = graph.NoObservation
 		top, k := &t.Ops[srcIdx], &s.key[srcIdx]
-		if top.Addr != k.addr || top.Kind != k.kind || top.Thread != int(k.thread) {
+		if top.Addr != k.addr || top.Kind != k.kind || top.Thread != k.thread {
 			return nil
 		}
 		switch {

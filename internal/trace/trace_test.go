@@ -1,10 +1,16 @@
 package trace
 
 import (
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"mtracecheck/internal/graph"
 	"mtracecheck/internal/prog"
@@ -318,14 +324,19 @@ func TestBindTooManyOps(t *testing.T) {
 	}
 }
 
-// BenchmarkParse reads a 200-op trace in Format's spelling: four threads of
-// fifty loads and stores over 64 words.
-func BenchmarkParse(b *testing.B) {
+// benchTrace is the benchmarks' 200-op trace in Format's spelling: four
+// threads of fifty loads and stores over 64 words.
+func benchTrace() *Trace {
 	tr := &Trace{}
 	for i := 0; i < 200; i++ {
-		op := Op{Thread: i / 50, Kind: Kind(i % 2), Addr: 0x1000 + 4*uint64(i*7%64), Value: uint64(i + 1)}
+		op := Op{Thread: uint16(i / 50), Kind: Kind(i % 2), Addr: 0x1000 + 4*uint64(i*7%64), Value: uint64(i + 1)}
 		tr.Ops = append(tr.Ops, op)
 	}
+	return tr
+}
+
+func BenchmarkParse(b *testing.B) {
+	tr := benchTrace()
 	text := tr.String()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(text)))
@@ -337,4 +348,121 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Ops)), "ns/traceop")
+}
+
+func BenchmarkFormat(b *testing.B) {
+	tr := benchTrace()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(tr.String())))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Format(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestOpSize pins Op's layout: a parsed trace costs 24 bytes an op.
+func TestOpSize(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size != 24 {
+		t.Errorf("Op is %d bytes, want 24", size)
+	}
+}
+
+// TestOpLineBound: Line holds an int32, so an op further down is refused with
+// a ParseError naming its line — the bound Parse meets only past 2 GiB of
+// input, exercised on the helper both of its paths call.
+func TestOpLineBound(t *testing.T) {
+	if line, err := opLine(math.MaxInt32, []byte("0: sync")); line != math.MaxInt32 || err != nil {
+		t.Errorf("opLine at the bound = %d, %v; want %d, nil", line, err, math.MaxInt32)
+	}
+	if math.MaxInt == math.MaxInt32 {
+		return // a line number cannot pass the bound
+	}
+	var past int64 = math.MaxInt32
+	past++
+	_, err := opLine(int(past), []byte("  3: M[0x10] := 1  # c"))
+	want := &ParseError{Line: int(past), Text: "3: M[0x10] := 1", Msg: "operation past line 2147483647"}
+	if !reflect.DeepEqual(err, want) {
+		t.Errorf("opLine past the bound: %#v, want %#v", err, want)
+	}
+}
+
+// pooledBuffer returns the first byte of the read buffer the next Parse
+// borrows, leaving it where it was.
+func pooledBuffer() *byte {
+	kept, _ := readBufs.Get().(*[]byte)
+	if kept == nil {
+		return nil
+	}
+	defer readBufs.Put(kept)
+	return unsafe.SliceData(*kept)
+}
+
+// TestParseKeepsNoBuffer: Parse lends its read buffer to the next call, so
+// neither a returned Trace nor a ParseError's Text may refer to it: both stay
+// as they were when later calls overwrite the buffer with other text.
+func TestParseKeepsNoBuffer(t *testing.T) {
+	reused := pinShapes(t) // what pins the shape pool pins readBufs too
+	tr := parseString(t, "0: M[0x10] := 1\n1: M[0x10] == 1\n0: sync\n2:M[16]==0\n")
+	want := clone(tr)
+	_, err := Parse(strings.NewReader("0: M[0x10] := 1\n  7: M[0x20] =! 3  # typo\n"))
+	pe, ok := err.(*ParseError)
+	if !ok {
+		t.Fatalf("error %v, want a *ParseError", err)
+	}
+	wantText := strings.Clone(pe.Text)
+	buf := pooledBuffer()
+	for i := range 3 {
+		other := strings.Repeat(fmt.Sprintf("%d: M[0x%x] == %d\n", i+3, 0xabc0+i, 99999-i), 4+i)
+		if _, err := Parse(strings.NewReader(other)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reused && pooledBuffer() != buf {
+		t.Error("Parse did not reuse the pooled read buffer")
+	}
+	if !reflect.DeepEqual(tr, want) {
+		t.Errorf("a returned trace changed under later Parse calls:\n%+v\nwant %+v", tr.Ops, want.Ops)
+	}
+	if pe.Text != wantText {
+		t.Errorf("a ParseError's Text changed under later Parse calls: %q, want %q", pe.Text, wantText)
+	}
+}
+
+// TestParseConcurrent: concurrent Parse calls of texts of differing lengths,
+// malformed ones included, take distinct buffers (run it under -race).
+func TestParseConcurrent(t *testing.T) {
+	var texts []string
+	for i := range 6 {
+		text := strings.Repeat(fmt.Sprintf("%d: M[0x%x] := %d\n%d: M[16] == 0\n", i, 16*(i+1), i+1, i+1), 1+30*i)
+		if i%3 == 2 {
+			text += "bogus\n"
+		}
+		texts = append(texts, text)
+	}
+	type result struct {
+		tr  *Trace
+		err error
+	}
+	want := make([]result, len(texts))
+	for i, text := range texts {
+		want[i].tr, want[i].err = Parse(strings.NewReader(text))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 60 {
+				k := (g + i) % len(texts)
+				tr, err := Parse(strings.NewReader(texts[k]))
+				if !reflect.DeepEqual(result{tr, err}, want[k]) {
+					t.Errorf("goroutine %d: text %d parsed to %v, %v; serially %v, %v", g, k, tr, err, want[k].tr, want[k].err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
