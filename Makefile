@@ -74,13 +74,15 @@ sim-alloc-smoke:
 	echo "sim-alloc-smoke: OK (SimIteration allocs/op within budget $(SIM_ALLOC_BUDGET))"
 
 # CPU-profiles benchmark $(2) of package $(1) for 4 s and prints the 30
-# hottest functions. The test binary and profile go to a temporary directory.
+# hottest functions; given $(3), only of the samples under a function it
+# matches: the benchmark's timed rep, leaving out the set-up it builds once.
+# The test binary and profile go to a temporary directory.
 define cpu-profile
 	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
 	$(GO) test -c -o $$dir/pkg.test $(1) || exit 1; \
 	$$dir/pkg.test -test.run '^$$' -test.bench '^$(2)$$' -test.benchtime 4s \
 		-test.benchmem -test.cpuprofile $$dir/cpu.prof | grep Benchmark || exit 1; \
-	$(GO) tool pprof -top -nodecount 30 $$dir/pkg.test $$dir/cpu.prof
+	$(GO) tool pprof -top -nodecount 30 $(if $(3),-focus '$(3)') $$dir/pkg.test $$dir/cpu.prof
 endef
 
 # Where a simulated iteration's time goes on the TSO and the RMO platform, on
@@ -114,7 +116,7 @@ licence-capture:
 # one dense row, and no scanLine frame: Format's spelling is scanned straight
 # from the read buffer by scanOp), then the parser alone.
 trace-profile:
-	$(call cpu-profile,.,BenchmarkCheckTraceWorkload)
+	$(call cpu-profile,.,BenchmarkCheckTraceWorkload,^mtracecheck\.parseAndCheck$$)
 	$(call cpu-profile,./internal/trace,BenchmarkParse)
 
 # Where an offline check's time goes: load + validate + check of the
@@ -122,8 +124,8 @@ trace-profile:
 # 256 unique signatures, no simulator in the loop (the measurement behind
 # DESIGN §13's cost paragraph).
 offline-profile:
-	$(call cpu-profile,.,BenchmarkOfflineCheck)
-	$(call cpu-profile,.,BenchmarkOfflineCheckARM)
+	$(call cpu-profile,.,BenchmarkOfflineCheck,^mtracecheck\.offlineCheck$$)
+	$(call cpu-profile,.,BenchmarkOfflineCheckARM,^mtracecheck\.offlineCheck$$)
 
 # The yardstick of a simplicity PR (ROADMAP's quality-of-design aim; item 7's
 # acceptance asks for lines and exports strictly down): non-test Go lines
@@ -176,8 +178,9 @@ verify: build fmt vet test race fuzz-short bench-smoke sim-alloc-smoke docs
 # the 64 corrupted traces of its 1,024 do), one of the offline-check workload
 # on the default checker and one of ARM 7x200's 256 uniques, the default
 # checker's repair on 1,400-vertex graphs (both fail on any violation), one
-# skew-pruned analysis of ARM 7x200 (the per-load Pruner call and its check)
-# and one parse of a 200-op trace (the pooled read buffer).
+# skew-pruned analysis of ARM 7x200 (the per-load Pruner call and its check),
+# one parse of a 200-op trace (the pooled read buffer) and one Algorithm 1
+# decode (the reciprocal digit step on a real program's multipliers).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimIterationX86$$' -benchtime 10x .
 	$(GO) test -run '^$$' -bench '^BenchmarkCheckTraceWorkload$$' -benchtime 1x .
@@ -185,3 +188,4 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkOfflineCheckARM$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkAblationPrunedAnalysis$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkParse$$' -benchtime 1x ./internal/trace
+	$(GO) test -run '^$$' -bench '^BenchmarkAlg1SignatureDecode$$' -benchtime 1x .

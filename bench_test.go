@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"mtracecheck/internal/check"
@@ -828,26 +829,29 @@ func BenchmarkCheckTraceShapeMiss(b *testing.B) {
 // parsed and checked one by one (`make trace-profile` shows where the time
 // goes).
 func BenchmarkCheckTraceWorkload(b *testing.B) {
-	p, runner := traceProgram(b)
-	seeds := sim.NewSeedStream(1)
-	texts := make([][]byte, 1024)
-	for i := range texts {
-		ex, err := runner.RunSeeded(seeds.Next())
-		if err != nil {
-			b.Fatal(err)
-		}
-		values := ex.LoadValues
-		if i%16 == 15 {
-			values = slices.Clone(values)
-			for _, op := range p.Threads[0].Ops {
-				if op.Kind == prog.Load {
-					values[op.ID] = uint32(p.NumOps() + 1000) // store values are op ID + 1
-					break
+	texts := traceWorkload.get(struct{}{}, func() [][]byte {
+		p, runner := traceProgram(b)
+		seeds := sim.NewSeedStream(1)
+		texts := make([][]byte, 1024)
+		for i := range texts {
+			ex, err := runner.RunSeeded(seeds.Next())
+			if err != nil {
+				b.Fatal(err)
+			}
+			values := ex.LoadValues
+			if i%16 == 15 {
+				values = slices.Clone(values)
+				for _, op := range p.Threads[0].Ops {
+					if op.Kind == prog.Load {
+						values[op.ID] = uint32(p.NumOps() + 1000) // store values are op ID + 1
+						break
+					}
 				}
 			}
+			texts[i] = renderExecution(b, p, values)
 		}
-		texts[i] = renderExecution(b, p, values)
-	}
+		return texts
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -860,26 +864,72 @@ func BenchmarkCheckTraceWorkload(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/trace")
 }
 
+// memo keeps set-up that a benchmark's b.N probes, each of which runs the
+// benchmark function again, would otherwise redo: one value per key per
+// process, so a CPU profile sees the timed reps and the set-up once.
+type memo[K comparable, V any] struct {
+	mu   sync.Mutex
+	vals map[K]V
+}
+
+// get returns key's value, made by build on the first call for it. A build
+// that stops its test (tb.Fatal) stores nothing.
+func (m *memo[K, V]) get(key K, build func() V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v, ok := m.vals[key]; ok {
+		return v
+	}
+	v := build()
+	if m.vals == nil {
+		m.vals = map[K]V{}
+	}
+	m.vals[key] = v
+	return v
+}
+
+var traceWorkload memo[struct{}, [][]byte]
+
+// storedSet is what offlineSet returns.
+type storedSet struct {
+	p       *Program
+	opts    Options
+	file    []byte
+	uniques int
+}
+
+type storedSetKey struct {
+	cfg        TestConfig
+	platform   string // the whole Platform, printed: it holds slices
+	iterations int
+}
+
+var storedSets memo[storedSetKey, storedSet]
+
 // offlineSet collects cfg's signature set on plat and stores it the way
-// SaveSignatures does. The contended 4×50×8 program on x86 is the mtbench
-// offline-check workload's input.
+// SaveSignatures does, once per process for each cfg, platform and iteration
+// count; callers only read what it returns. The contended 4×50×8 program on
+// x86 is the mtbench offline-check workload's input.
 func offlineSet(tb testing.TB, cfg TestConfig, plat Platform, iterations int) (p *Program, opts Options, file []byte, uniques int) {
 	tb.Helper()
-	p, err := testgen.Generate(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	opts = Options{Platform: plat, Iterations: iterations, Seed: 1, Workers: 1}
-	set, err := CollectSignatures(p, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var buf bytes.Buffer
-	id := &Report{Program: p, Seed: opts.Seed, Platform: opts.Platform.Name}
-	if err := SaveSignatures(&buf, id, set); err != nil {
-		tb.Fatal(err)
-	}
-	return p, opts, buf.Bytes(), len(set)
+	set := storedSets.get(storedSetKey{cfg, fmt.Sprintf("%+v", plat), iterations}, func() storedSet {
+		p, err := testgen.Generate(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		opts := Options{Platform: plat, Iterations: iterations, Seed: 1, Workers: 1}
+		set, err := CollectSignatures(p, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var buf bytes.Buffer
+		id := &Report{Program: p, Seed: opts.Seed, Platform: opts.Platform.Name}
+		if err := SaveSignatures(&buf, id, set); err != nil {
+			tb.Fatal(err)
+		}
+		return storedSet{p, opts, buf.Bytes(), len(set)}
+	})
+	return set.p, set.opts, set.file, set.uniques
 }
 
 // offlineCheck is one rep of the offline-check workload: load the stored

@@ -44,13 +44,14 @@ type Item struct {
 
 // RowSource is where a row item's reads-from row comes from. DecodeRow returns
 // the row of the item with signature s — dense, indexed by op ID, as
-// instrument.Meta.DecodeInto fills it — and, appended to loads, the loads
-// whose entries in it are set. prev is the signature of an item of the same
-// source whose row the caller holds, or the zero Signature: a load the source
-// leaves out reads what it reads in prev's row. rf, as long as the program has
-// ops, is the caller's scratch, which the source may fill and return. The
-// installer compares sources, so an implementation must be comparable (a
-// pointer).
+// instrument.Meta.DecodeInto fills it — and appends to loads the loads it
+// reports. prev is the signature of an item of the same source whose row the
+// caller holds in rf, and then the source reports at least the loads whose
+// source differs from prev's row: a load it leaves out reads what it reads
+// there. Over the zero Signature it reports every load whose entry it sets. rf,
+// as long as the program has ops, is the caller's scratch, which the source may
+// fill and return. The installer compares sources, so an implementation must be
+// comparable (a pointer).
 type RowSource interface {
 	DecodeRow(s, prev sig.Signature, rf, loads []int32) (row, set []int32, err error)
 }

@@ -272,7 +272,8 @@ func walkDelta(t *testing.T, b *graph.Builder, rs rowSet) (cyclic int) {
 }
 
 // checkPreds: while a workspace's predecessor lists are live, they are the
-// transposes of its adjacency, list order included.
+// transposes of its adjacency: spred in ascending order, pred as a multiset,
+// since install keeps pred an unordered set.
 func checkPreds(t *testing.T, i int, w *workspace) {
 	t.Helper()
 	if !w.predsLive {
@@ -281,15 +282,21 @@ func checkPreds(t *testing.T, i int, w *workspace) {
 	for _, adj := range []struct {
 		name      string
 		succ, got [][]int32
-	}{{"static", w.static, w.spred}, {"dyn", w.dyn, w.pred}} {
-		want := make([][]int32, w.n)
+		set       bool
+	}{{"static", w.static, w.spred, false}, {"dyn", w.dyn, w.pred, true}} {
+		want := make([][]int32, w.n) // ascending
 		for u, succ := range adj.succ {
 			for _, v := range succ {
 				want[v] = append(want[v], int32(u))
 			}
 		}
 		for v := range want {
-			if !slices.Equal(adj.got[v], want[v]) {
+			got := adj.got[v]
+			if adj.set {
+				got = slices.Clone(got)
+				slices.Sort(got)
+			}
+			if !slices.Equal(got, want[v]) {
 				t.Fatalf("item %d: predecessors of %d = %v, the transpose of %s gives %v", i, v, adj.got[v], adj.name, want[v])
 			}
 		}

@@ -18,10 +18,10 @@ import (
 // The order-maintaining checkers make an item the current graph through
 // install, which is where the two item shapes part and the only place that
 // knows a run holds one of them throughout. A row item (Item.Row) is installed
-// as a delta: its source reports the loads whose source may differ from the
-// installed row's (a signature's source, those in the words that differ), and
-// installRow edits dyn in place for those whose source does, so the edge
-// structures are recycled too and an item costs what changed. An edge list
+// as a delta: its source reports at least the loads whose source differs from
+// the installed row's (a signature's source, exactly those), and installRow
+// edits dyn in place for those whose source does, so the edge structures are
+// recycled too and an item costs what changed. An edge list
 // (Item.Edges) replaces dyn wholesale (setDyn) and is diffed against the list
 // installed before it.
 // Either way dyn[u] is in ascending-V order — what setDyn produces from a
@@ -65,7 +65,7 @@ type workspace struct {
 	// Predecessor lists, for Pearce–Kelly's backward search, made at a
 	// workspace's first repair: spred is the transpose of static; pred is the
 	// transpose of dyn, built at a run's first repair and kept current by
-	// install while predsLive. Both ascend.
+	// install while predsLive. spred ascends; pred is a set.
 	spred, pred [][]int32
 	predsLive   bool
 
@@ -276,10 +276,10 @@ func (w *workspace) install(it Item) ([]graph.Edge, error) {
 	if w.predsLive { // the edges that left, then the ones that came
 		w.added = diffEdges(w.added[:0], prev, it.Edges) // a list run has no other use for it
 		for _, e := range w.added {
-			w.pred[e.V] = removeSorted(w.pred[e.V], e.U)
+			w.pred[e.V] = removeOne(w.pred[e.V], e.U)
 		}
 		for _, e := range w.edgeBuf {
-			w.pred[e.V] = insertSorted(w.pred[e.V], e.U)
+			w.pred[e.V] = append(w.pred[e.V], e.U)
 		}
 	}
 	return w.edgeBuf, nil
@@ -330,20 +330,23 @@ func (w *workspace) setDyn(edges []graph.Edge) {
 // (U,V) order (valid until the next install). Under static ws the edge set is
 // the disjoint union of per-load groups, each a function of its load's source
 // (graph.Builder.AppendLoadEdges), so only the loads the item's source reports
-// are visited — given the installed item's signature when it is of the same
-// source, a decoding source reports the loads of the words that differ — and
-// of those only the ones whose source changed do anything: their old group
-// leaves dyn and their new one enters it, less the edges the two share. As
-// the groups are disjoint, the order of the visits changes nothing. An added
-// edge is filed under its tail as it enters, and the list is read out by tail
-// at the end, so it needs no sort; into no graph it returns nil, as install
-// does. A bad source is reported before its load is touched, leaving dyn and
-// row consistent.
+// are visited. Given the installed item's signature when it is of the same
+// source, a decoding source reports the loads whose source changed against
+// rowBuf, which holds the installed row whenever src is set: src is nil from
+// the decode until the install succeeds and after getWorkspace, and a witness
+// decodes the installed item's own row into rowBuf. Of the loads reported only
+// the ones whose source changed do anything: their old group leaves dyn and
+// their new one enters it, less the edges the two share. As the groups are
+// disjoint, the order of the visits changes nothing. An added edge is filed
+// under its tail as it enters, and the list is read out by tail at the end, so
+// it needs no sort; into no graph it returns nil, as install does. A bad source
+// is reported before its load is touched, leaving dyn and row consistent.
 func (w *workspace) installRow(it Item) ([]graph.Edge, error) {
 	var prev sig.Signature
 	if w.src == it.Row {
 		prev = w.sig
 	}
+	w.src = nil // until the row is installed, rowBuf need not mirror it
 	rf, set, err := it.Row.DecodeRow(it.Sig, prev, w.rowBuf, w.setBuf)
 	if err != nil {
 		return nil, err
@@ -352,7 +355,7 @@ func (w *workspace) installRow(it Item) ([]graph.Edge, error) {
 		return nil, fmt.Errorf("reads-from row has %d entries, need %d", len(rf), w.n)
 	}
 	fresh := !w.installed
-	w.installed, w.src = true, nil
+	w.installed = true
 	if !fresh {
 		w.tailLists()
 	}
@@ -372,7 +375,7 @@ func (w *workspace) installRow(it Item) ([]graph.Edge, error) {
 			if !slices.Contains(newG, e) {
 				w.dyn[e.U] = removeSorted(w.dyn[e.U], e.V)
 				if w.predsLive {
-					w.pred[e.V] = removeSorted(w.pred[e.V], e.U)
+					w.pred[e.V] = removeOne(w.pred[e.V], e.U)
 				}
 			}
 		}
@@ -380,7 +383,7 @@ func (w *workspace) installRow(it Item) ([]graph.Edge, error) {
 			if !slices.Contains(oldG, e) {
 				w.dyn[e.U] = insertSorted(w.dyn[e.U], e.V)
 				if w.predsLive {
-					w.pred[e.V] = insertSorted(w.pred[e.V], e.U)
+					w.pred[e.V] = append(w.pred[e.V], e.U)
 				}
 				if !fresh {
 					w.tails[e.U>>6] |= 1 << (e.U & 63)
@@ -435,6 +438,18 @@ func removeSorted(list []int32, v int32) []int32 {
 		list[i] = list[i+1]
 	}
 	return list[:i]
+}
+
+// removeOne deletes v from the unordered set list, moving its last entry into
+// v's place.
+func removeOne(list []int32, v int32) []int32 {
+	i := 0
+	for list[i] != v {
+		i++
+	}
+	last := len(list) - 1
+	list[i] = list[last]
+	return list[:last]
 }
 
 // fullSort runs Kahn's algorithm over the whole current graph, returning a

@@ -10,6 +10,7 @@ package instrument
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
@@ -40,6 +41,25 @@ type LoadInfo struct {
 	Candidates []Candidate
 	Multiplier uint64
 	WordIndex  int
+
+	recip uint64 // reciprocal(Multiplier), the decoder's digit step
+}
+
+// reciprocal returns ⌊(2⁶⁴−1)/m⌋, with which divmod divides by m.
+func reciprocal(m uint64) uint64 { return math.MaxUint64 / m }
+
+// divmod returns v / Multiplier and v % Multiplier without a 64-bit divide:
+// the high word of v·recip undershoots the quotient by at most one, since
+// recip ≥ 2⁶⁴/m − 1 gives v·recip/2⁶⁴ ≥ v/m − v/2⁶⁴ > v/m − 1, and one
+// correction mends it.
+func (li *LoadInfo) divmod(v uint64) (q, r uint64) {
+	q, _ = bits.Mul64(v, li.recip)
+	r = v - q*li.Multiplier
+	if r >= li.Multiplier {
+		q++
+		r -= li.Multiplier
+	}
+	return q, r
 }
 
 // ThreadMeta aggregates a thread's loads (in program order) and the number
@@ -148,7 +168,7 @@ func Analyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, error) {
 				tm.Words++
 				product = 1
 			}
-			infos[next] = LoadInfo{Op: op, Candidates: cands, Multiplier: product, WordIndex: tm.Words - 1}
+			infos[next] = LoadInfo{Op: op, Candidates: cands, Multiplier: product, WordIndex: tm.Words - 1, recip: reciprocal(product)}
 			next++
 			product *= n
 		}
@@ -426,36 +446,40 @@ func (m *Meta) DecodeInto(s sig.Signature, rf []int32) error {
 		return err
 	}
 	for k := range m.words {
-		if err := m.decodeWord(k, s.Word(k), rf); err != nil {
+		if _, err := m.decodeWord(k, s.Word(k), rf, nil, reportNone); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DecodeRow is DecodeInto for a caller that holds the row of prev, a
+// DecodeRow is DecodeInto for a caller that holds, in rf, the row of prev, a
 // signature of the same length this metadata decoded: only the words in which
-// s differs from prev are decoded into rf, and the IDs of their loads are
-// appended to loads; every other load reads what it reads in prev's row. A
-// prev of another length (the zero Signature) decodes every word. It returns
-// rf and the extended loads; its errors are DecodeInto's. Sorted neighbours
-// often share words (paper §4.2), which a checker installing signatures in
-// order then does not decode. It implements check.RowSource.
+// s differs from prev are decoded into rf, and of their loads the IDs of those
+// whose source changes are appended to loads; every other load reads what it
+// reads in prev's row. A prev of another length (the zero Signature) decodes
+// every word and reports every load, whatever rf holds. It returns rf and the
+// extended loads; its errors are DecodeInto's, after which rf holds some of
+// s's sources. Sorted neighbours often share words (paper §4.2), which a
+// checker installing signatures in order then does not decode, and most loads
+// of a word that differs keep their source, which it then need not visit. It
+// implements check.RowSource.
 func (m *Meta) DecodeRow(s, prev sig.Signature, rf, loads []int32) ([]int32, []int32, error) {
 	if err := m.checkShape(s, rf); err != nil {
 		return nil, loads, err
 	}
-	whole := prev.Len() != s.Len()
+	mode := reportChanged
+	if prev.Len() != s.Len() {
+		mode = reportAll
+	}
 	for k := range m.words {
 		v := s.Word(k)
-		if !whole && v == prev.Word(k) {
+		if mode == reportChanged && v == prev.Word(k) {
 			continue
 		}
-		if err := m.decodeWord(k, v, rf); err != nil {
+		var err error
+		if loads, err = m.decodeWord(k, v, rf, loads, mode); err != nil {
 			return nil, loads, err
-		}
-		for i := range m.words[k].loads {
-			loads = append(loads, int32(m.words[k].loads[i].Op.ID))
 		}
 	}
 	return rf, loads, nil
@@ -487,24 +511,37 @@ func (m *Meta) checkShape(s sig.Signature, rf []int32) error {
 	return nil
 }
 
+// report is which of the loads it decodes decodeWord appends to set.
+type report uint8
+
+const (
+	reportNone    report = iota // none
+	reportChanged               // those whose entry in rf it changes
+	reportAll                   // every one
+)
+
 // decodeWord decodes value v of signature word k into rf, from the word's
-// last load to its first.
-func (m *Meta) decodeWord(k int, v uint64, rf []int32) error {
+// last load to its first, appending to set the loads mode reports.
+func (m *Meta) decodeWord(k int, v uint64, rf, set []int32, mode report) ([]int32, error) {
 	loads := m.words[k].loads
 	for i := len(loads) - 1; i >= 0; i-- {
 		li := &loads[i]
-		idx := v / li.Multiplier
-		v %= li.Multiplier
+		idx, r := li.divmod(v)
+		v = r
 		if idx >= uint64(len(li.Candidates)) {
-			return fmt.Errorf("instrument: signature word %d decodes load %d to index %d of %d candidates",
+			return set, fmt.Errorf("instrument: signature word %d decodes load %d to index %d of %d candidates",
 				k, li.Op.ID, idx, len(li.Candidates))
 		}
-		rf[li.Op.ID] = int32(li.Candidates[idx].Store)
+		id, src := li.Op.ID, int32(li.Candidates[idx].Store)
+		if mode == reportAll || mode == reportChanged && rf[id] != src {
+			set = append(set, int32(id))
+		}
+		rf[id] = src
 	}
 	if v != 0 {
-		return fmt.Errorf("instrument: signature word %d has residue %d after decoding", k, v)
+		return set, fmt.Errorf("instrument: signature word %d has residue %d after decoding", k, v)
 	}
-	return nil
+	return set, nil
 }
 
 // InformationBits returns the information content of the static signature

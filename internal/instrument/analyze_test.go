@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -76,6 +77,7 @@ func referenceAnalyze(p *prog.Program, regWidthBits int, prune Pruner) (*Meta, e
 				product = 1
 			}
 			li.Multiplier = product
+			li.recip = reciprocal(product)
 			li.WordIndex = tm.Words - 1
 			product *= n
 			tm.Loads = append(tm.Loads, li)
@@ -372,4 +374,33 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		checkAgainstReference(t, p, width, prune)
 	})
+}
+
+// TestDivmodMatchesDivide: the decoder's reciprocal digit step gives Go's /
+// and % at the divisors where a reciprocal is most likely off by one — the
+// smallest, those around 2³² and the largest — and at every multiplier of the
+// ARM 7×200 program at both register widths (at 64 bits the largest sit next
+// to the word cap), each at 0, 1, d−1, d and 2⁶⁴−1.
+func TestDivmodMatchesDivide(t *testing.T) {
+	divisors := []uint64{1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 63, math.MaxUint64}
+	p := mustGenerate(testgen.Config{Threads: 7, OpsPerThread: 200, Words: 64, Seed: 1})
+	for _, width := range []int{32, 64} {
+		meta, err := Analyze(p, width, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tm := range meta.Threads {
+			for _, li := range tm.Loads {
+				divisors = append(divisors, li.Multiplier)
+			}
+		}
+	}
+	for _, d := range divisors {
+		li := LoadInfo{Multiplier: d, recip: reciprocal(d)}
+		for _, v := range []uint64{0, 1, d - 1, d, math.MaxUint64} {
+			if q, r := li.divmod(v); q != v/d || r != v%d {
+				t.Fatalf("%d divmod %d = (%d, %d), want (%d, %d)", v, d, q, r, v/d, v%d)
+			}
+		}
+	}
 }

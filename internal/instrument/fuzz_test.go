@@ -13,7 +13,8 @@ import (
 // anything it accepts must re-encode to the same signature (decode/encode
 // inverse property). Decodable must accept exactly what DecodeInto accepts,
 // and DecodeRow over the row of a decodable prev must decode only the words
-// that differ and leave DecodeInto's row.
+// that differ, report exactly the loads whose source changes and leave
+// DecodeInto's row; over a prev of another length it reports every load.
 func FuzzDecode(f *testing.F) {
 	p := mustGenerate(testgen.Config{Threads: 3, OpsPerThread: 30, Words: 4, Seed: 11})
 	meta, err := Analyze(p, 64, nil)
@@ -37,6 +38,12 @@ func FuzzDecode(f *testing.F) {
 		words := valid.Words()
 		words[w] = ^uint64(0)
 		f.Add(words[0], words[1], words[2])
+		// The largest decodable value, every digit at its top, and the
+		// smallest one refused.
+		for _, v := range []uint64{meta.words[w].bound - 1, meta.words[w].bound} {
+			words[w] = v
+			f.Add(words[0], words[1], words[2])
+		}
 	}
 	f.Fuzz(func(t *testing.T, w0, w1, w2 uint64) {
 		s := sig.New([]uint64{w0, w1, w2})
@@ -66,10 +73,11 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// deltaBases are the decodable signatures DecodeRow of s is tried against:
+// deltaBases are the signatures DecodeRow of s is tried against: the zero
+// Signature, over which it decodes the whole of s, and the decodable ones —
 // the all-zero one, valid, and s with one word taken from valid.
 func deltaBases(meta *Meta, s, valid sig.Signature) []sig.Signature {
-	bases := []sig.Signature{sig.Zero(s.Len()), valid}
+	bases := []sig.Signature{{}, sig.Zero(s.Len()), valid}
 	for w := 0; w < s.Len(); w++ {
 		words := s.Words()
 		words[w] = valid.Word(w)
@@ -82,15 +90,20 @@ func deltaBases(meta *Meta, s, valid sig.Signature) []sig.Signature {
 
 // checkDecodeRow: decoding s over prev's row changes the loads of the words
 // in which they differ and only those, gives DecodeInto's row (want, or its
-// error wantErr) and reports the loads it decoded.
+// error wantErr) and reports the loads whose source it changed. Over a prev of
+// another length the decode is whole: it reports every load, whatever the row
+// held — here s's own row, where nothing changes.
 func checkDecodeRow(t *testing.T, meta *Meta, s, prev sig.Signature, want []int32, wantErr error) {
 	t.Helper()
-	base, err := decode(meta, prev)
-	if err != nil {
-		t.Fatalf("base %v: %v", prev, err)
+	whole := prev.Len() != s.Len()
+	base := slices.Clone(want)
+	if !whole {
+		var err error
+		if base, err = decode(meta, prev); err != nil {
+			t.Fatalf("base %v: %v", prev, err)
+		}
 	}
-	row := slices.Clone(base)
-	got, loads, err := meta.DecodeRow(s, prev, row, nil)
+	got, loads, err := meta.DecodeRow(s, prev, slices.Clone(base), nil)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("DecodeRow(%v over %v): %v, DecodeInto: %v", s, prev, err, wantErr)
 	}
@@ -101,10 +114,11 @@ func checkDecodeRow(t *testing.T, meta *Meta, s, prev sig.Signature, want []int3
 	k := 0
 	for _, tm := range meta.Threads {
 		for _, li := range tm.Loads {
-			if s.Word(k+li.WordIndex) != prev.Word(k+li.WordIndex) {
-				wantLoads = append(wantLoads, int32(li.Op.ID))
+			id, w := li.Op.ID, k+li.WordIndex
+			if whole || s.Word(w) != prev.Word(w) && base[id] != want[id] {
+				wantLoads = append(wantLoads, int32(id))
 			}
-			if id := li.Op.ID; got[id] != want[id] {
+			if got[id] != want[id] {
 				t.Fatalf("DecodeRow(%v over %v): load %d reads %d, DecodeInto: %d", s, prev, id, got[id], want[id])
 			}
 		}
@@ -112,7 +126,7 @@ func checkDecodeRow(t *testing.T, meta *Meta, s, prev sig.Signature, want []int3
 	}
 	slices.Sort(loads)
 	if !slices.Equal(loads, wantLoads) {
-		t.Fatalf("DecodeRow(%v over %v) reports loads %v, the differing words hold %v", s, prev, loads, wantLoads)
+		t.Fatalf("DecodeRow(%v over %v) reports loads %v, the changed sources are %v", s, prev, loads, wantLoads)
 	}
 }
 
